@@ -256,7 +256,7 @@ fn print_help() -> Result<()> {
          \u{20}          against the span taxonomy) offline.\n\
          serve     --data DIR [--addr 127.0.0.1:7878] [--threads N] [--io-threads 4]\n\
          \u{20}          [--queue 64] [--deadline-ms 250] [--max-deadline-ms 10000]\n\
-         \u{20}          [--batch-max 8] [--eps 0.0005] [--rho 0.0001]\n\
+         \u{20}          [--eps 0.0005] [--rho 0.0001]\n\
          \u{20}          [--trace-sample N] [--slow-query-ms MS] [--ring-capacity 256]\n\
          \u{20}          [--ingest-log FILE] [--epoch-max-delta 4096]\n\
          \u{20}          Serve queries over HTTP (POST /soi|/describe|/explain|/ingest,\n\
@@ -1504,7 +1504,6 @@ fn cmd_serve(args: &Args) -> Result<()> {
         queue_capacity: args.get_parsed("queue", 64usize)?,
         default_deadline: Duration::from_millis(args.get_parsed("deadline-ms", 250u64)?),
         max_deadline: Duration::from_millis(args.get_parsed("max-deadline-ms", 10_000u64)?),
-        batch_max: args.get_parsed("batch-max", 8usize)?,
         eps: args.get_parsed("eps", DEFAULT_EPS)?,
         rho: args.get_parsed("rho", DEFAULT_RHO)?,
         index_cache: args.get("index-cache").map(std::path::PathBuf::from),

@@ -11,8 +11,12 @@
 //!   shared atomic counter (work stealing at chunk granularity — cheap,
 //!   amortising counter contention on large batches while staying
 //!   naturally load-balancing for skewed per-query costs);
-//! - each worker owns a [`SoiScratch`]/[`DescribeScratch`], so steady-state
-//!   queries reuse buffers instead of re-allocating them;
+//! - each worker owns an [`EngineWorker`] — the scratch space of both
+//!   algorithms plus the one per-job execution body (allocation scope,
+//!   latency clock, request-id stamping, trace/explain capture) — so
+//!   steady-state queries reuse buffers instead of re-allocating them.
+//!   `soi serve` holds the same type on its long-lived engine workers and
+//!   calls it one job at a time, without going through a batch;
 //! - results are returned **in input order** regardless of worker count or
 //!   scheduling: `results[i]` always answers `queries[i]`, and each result
 //!   is bit-identical to a sequential [`run_soi`]/[`st_rel_div`] call.
@@ -32,8 +36,8 @@ pub mod obs;
 
 use soi_common::{effective_threads, Result};
 use soi_core::describe::{
-    st_rel_div_budgeted, st_rel_div_full, DescribeExplain, DescribeOutcome, DescribeParams,
-    DescribeScratch, StreetContext,
+    st_rel_div_full, DescribeExplain, DescribeOutcome, DescribeParams, DescribeScratch,
+    StreetContext,
 };
 use soi_core::soi::{
     run_soi_full, QueryStats, SoiConfig, SoiExplain, SoiOutcome, SoiQuery, SoiScratch,
@@ -42,7 +46,7 @@ use soi_core::QueryBudget;
 use soi_data::{PhotoView, PoiCollection, PoiView};
 use soi_index::{DeltaIndex, IndexView, PoiIndex};
 use soi_network::RoadNetwork;
-use soi_obs::AllocScope;
+use soi_obs::{AllocScope, AllocStats};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -405,6 +409,125 @@ pub struct BatchOutcome {
     pub captures: Vec<Option<CapturedArtifacts>>,
 }
 
+/// One finished job: its result, measurements, and captured artifacts.
+#[derive(Debug)]
+pub struct JobRun<T> {
+    /// The algorithm's outcome (a deadline hit is a partial success).
+    pub result: Result<T>,
+    /// Wall clock of the algorithm call on the worker.
+    pub latency: Duration,
+    /// Allocation work of the call: it runs entirely on the worker thread,
+    /// so a thread-local scope sees exactly its allocations.
+    pub alloc: AllocStats,
+    /// `Some` when the capture directives asked for a trace or explain.
+    pub artifacts: Option<CapturedArtifacts>,
+}
+
+/// One worker's reusable scratch space and the single per-job execution
+/// body: allocation scope, latency clock, request-id stamping, and
+/// trace/explain capture around one algorithm call.
+///
+/// Hold one per worker thread (the batch API: per pool worker per batch;
+/// `soi serve`: per engine worker for the whole run) so steady-state jobs
+/// run out of retained buffers. Results never depend on what the scratch
+/// held (buffers are cleared on entry, never read); after a panic unwound
+/// through a job, replace the worker with a fresh one.
+#[derive(Debug, Default)]
+pub struct EngineWorker {
+    soi: SoiScratch,
+    describe: DescribeScratch,
+}
+
+impl EngineWorker {
+    /// Runs one k-SOI query against `ctx` under `budget`.
+    pub fn run_soi(
+        &mut self,
+        ctx: &QueryContext<'_>,
+        query: &SoiQuery,
+        budget: QueryBudget,
+        capture: QueryCapture,
+    ) -> JobRun<SoiOutcome> {
+        let scratch = &mut self.soi;
+        let run = run_job(capture, SoiExplain::to_json, |explain| {
+            run_soi_full(
+                ctx.network,
+                ctx.poi_view(),
+                ctx.index_view(),
+                query,
+                &ctx.config,
+                scratch,
+                explain,
+                budget,
+            )
+        });
+        if run.result.is_ok() {
+            let metrics = obs::engine_metrics();
+            metrics.query_allocations.observe(run.alloc.allocs as f64);
+            metrics
+                .query_alloc_peak_bytes
+                .observe(run.alloc.peak_bytes as f64);
+        }
+        run
+    }
+
+    /// Runs one describe job for the street `ctx` over `photos` under
+    /// `budget`.
+    pub fn run_describe(
+        &mut self,
+        ctx: &StreetContext,
+        photos: PhotoView<'_>,
+        params: &DescribeParams,
+        budget: QueryBudget,
+        capture: QueryCapture,
+    ) -> JobRun<DescribeOutcome> {
+        let scratch = &mut self.describe;
+        run_job(capture, DescribeExplain::to_json, |explain| {
+            st_rel_div_full(ctx, photos, params, scratch, explain, budget)
+        })
+    }
+}
+
+/// The per-job body shared by both algorithms: `run` is the algorithm call
+/// (taking the optional explain collector), `render` turns a filled
+/// collector into JSON. A default `capture` adds nothing to the call but
+/// the engine.query span probe.
+fn run_job<T, E: Default>(
+    capture: QueryCapture,
+    render: impl FnOnce(&E) -> String,
+    run: impl FnOnce(Option<&mut E>) -> Result<T>,
+) -> JobRun<T> {
+    let scope = AllocScope::start();
+    let started = Instant::now();
+    let mut explain = capture.explain.then(E::default);
+    // The span lives inside `run` so its Complete event falls within the
+    // capture scope (spans record on drop).
+    let run = |explain: Option<&mut E>| {
+        let _span = soi_obs::trace::span(soi_obs::names::spans::ENGINE_QUERY);
+        run(explain)
+    };
+    let (result, trace_json) = if capture.trace {
+        let (result, events) =
+            soi_obs::trace::capture(capture.request_id, || run(explain.as_mut()));
+        (result, Some(soi_obs::trace::chrome_trace_json(&events)))
+    } else if capture.request_id != 0 {
+        let result = soi_obs::trace::with_request_id(capture.request_id, || run(explain.as_mut()));
+        (result, None)
+    } else {
+        (run(explain.as_mut()), None)
+    };
+    let latency = started.elapsed();
+    let artifacts = capture.is_active().then(|| CapturedArtifacts {
+        trace_json,
+        explain_json: explain.as_ref().map(render),
+    });
+    JobRun {
+        result,
+        latency,
+        alloc: scope.finish(),
+        artifacts,
+    }
+}
+
 /// A batched query executor with a fixed worker count.
 #[derive(Debug, Clone)]
 pub struct QueryEngine {
@@ -436,27 +559,17 @@ impl QueryEngine {
         })
     }
 
-    /// [`run_soi_batch`] with a per-query execution budget: anytime
-    /// semantics for serving.
+    /// [`run_soi_batch`] with a per-job execution budget and per-job
+    /// observability directives.
     ///
-    /// Each job carries its own [`QueryBudget`]; a query whose deadline
+    /// Budgets give anytime semantics for serving: a query whose deadline
     /// expires mid-run returns its current lower-bound top-k with
     /// [`partial`](SoiOutcome::partial) set (a success, counted in
-    /// [`BatchStats::partials`]), never an error. Jobs with an unlimited
-    /// budget are bit-identical to [`run_soi_batch`].
-    pub fn run_soi_batch_with_deadlines(
-        &self,
-        ctx: &Arc<QueryContext<'_>>,
-        jobs: &[(SoiQuery, QueryBudget)],
-    ) -> BatchOutcome {
-        self.run_soi_batch_inner(ctx, jobs, |(q, b)| (q, *b, QueryCapture::default()))
-    }
-
-    /// [`run_soi_batch_with_deadlines`] with per-job observability
-    /// directives: request-id stamping plus optional request-scoped trace
-    /// and explain capture (see [`QueryCapture`]). Artifacts come back in
-    /// [`BatchOutcome::captures`], input order. Jobs with a default
-    /// capture take the plain execution path.
+    /// [`BatchStats::partials`]), never an error. The [`QueryCapture`]
+    /// stamps the job's request id and optionally collects a
+    /// request-scoped trace and explain report, returned in
+    /// [`BatchOutcome::captures`], input order. Jobs with an unlimited
+    /// budget and a default capture are bit-identical to [`run_soi_batch`].
     pub fn run_soi_batch_captured(
         &self,
         ctx: &Arc<QueryContext<'_>>,
@@ -480,50 +593,12 @@ impl QueryEngine {
         let _batch_span = soi_obs::trace::span(soi_obs::names::spans::ENGINE_BATCH);
         let start = Instant::now();
         let get = &get;
-        let timed = self.dispatch(items, || {
+        let runs = self.dispatch(items, || {
             let ctx = Arc::clone(ctx);
-            let mut scratch = SoiScratch::default();
+            let mut worker = EngineWorker::default();
             move |item: &T| {
                 let (query, budget, capture) = get(item);
-                // Per-query memory accounting: the query runs entirely on
-                // this worker thread, so a thread-local scope sees exactly
-                // its allocations (and how well the scratch absorbs them).
-                let scope = AllocScope::start();
-                let started = Instant::now();
-                let mut explain = capture.explain.then(SoiExplain::default);
-                // The span lives inside `run` so its Complete event falls
-                // within the capture scope (spans record on drop).
-                let mut run = |explain: Option<&mut SoiExplain>| {
-                    let _span = soi_obs::trace::span(soi_obs::names::spans::ENGINE_QUERY);
-                    run_soi_full(
-                        ctx.network,
-                        ctx.poi_view(),
-                        ctx.index_view(),
-                        query,
-                        &ctx.config,
-                        &mut scratch,
-                        explain,
-                        budget,
-                    )
-                };
-                let (result, trace_json) = if capture.trace {
-                    let (result, events) =
-                        soi_obs::trace::capture(capture.request_id, || run(explain.as_mut()));
-                    (result, Some(soi_obs::trace::chrome_trace_json(&events)))
-                } else if capture.request_id != 0 {
-                    let result = soi_obs::trace::with_request_id(capture.request_id, || {
-                        run(explain.as_mut())
-                    });
-                    (result, None)
-                } else {
-                    (run(explain.as_mut()), None)
-                };
-                let elapsed = started.elapsed();
-                let artifacts = capture.is_active().then(|| CapturedArtifacts {
-                    trace_json,
-                    explain_json: explain.map(|e| e.to_json()),
-                });
-                (result, elapsed, scope.finish(), artifacts)
+                worker.run_soi(&ctx, query, budget, capture)
             }
         });
         let mut stats = BatchStats {
@@ -537,25 +612,19 @@ impl QueryEngine {
         let mut results = Vec::with_capacity(items.len());
         let mut captures = Vec::with_capacity(items.len());
         let mut error_records = Vec::new();
-        let metrics = obs::engine_metrics();
         // Every slot is claimed exactly once by the counter protocol, so no
         // `None` survives; `flatten` keeps the invariant checked without
         // panicking.
-        for (index, (result, latency, alloc, artifacts)) in timed.into_iter().flatten().enumerate()
-        {
-            match &result {
+        for (index, run) in runs.into_iter().flatten().enumerate() {
+            match &run.result {
                 Ok(outcome) => {
                     stats.absorb(&outcome.stats);
                     if outcome.partial {
                         stats.partials += 1;
                     }
-                    query_latencies.push(latency);
-                    query_allocs.push(alloc.allocs);
-                    query_alloc_peaks.push(alloc.peak_bytes);
-                    metrics.query_allocations.observe(alloc.allocs as f64);
-                    metrics
-                        .query_alloc_peak_bytes
-                        .observe(alloc.peak_bytes as f64);
+                    query_latencies.push(run.latency);
+                    query_allocs.push(run.alloc.allocs);
+                    query_alloc_peaks.push(run.alloc.peak_bytes);
                 }
                 Err(err) => {
                     stats.errors += 1;
@@ -567,8 +636,8 @@ impl QueryEngine {
                     });
                 }
             }
-            results.push(result);
-            captures.push(artifacts);
+            results.push(run.result);
+            captures.push(run.artifacts);
         }
         stats.wall_time = start.elapsed();
         let (eps_cache_hits, eps_cache_misses, eps_cache_evictions) =
@@ -606,86 +675,59 @@ impl QueryEngine {
         photos: impl Into<PhotoView<'p>>,
         jobs: &[(&StreetContext, DescribeParams)],
     ) -> Vec<Result<DescribeOutcome>> {
-        let photos: PhotoView<'p> = photos.into();
-        let _batch_span = soi_obs::trace::span(soi_obs::names::spans::ENGINE_BATCH);
-        self.dispatch(jobs, || {
-            let mut scratch = DescribeScratch::default();
-            move |(ctx, params): &(&StreetContext, DescribeParams)| {
-                let _span = soi_obs::trace::span(soi_obs::names::spans::ENGINE_QUERY);
-                st_rel_div_budgeted(ctx, photos, params, &mut scratch, QueryBudget::unlimited())
-            }
+        self.run_describe_batch_inner(photos.into(), jobs, |(ctx, params)| {
+            (
+                ctx,
+                params,
+                QueryBudget::unlimited(),
+                QueryCapture::default(),
+            )
         })
-        .into_iter()
-        .flatten()
+        .map(|run| run.result)
         .collect()
     }
 
-    /// [`run_describe_batch`] with a per-job execution budget: a job whose
-    /// deadline expires mid-selection returns the photos chosen so far with
+    /// [`run_describe_batch`] with a per-job execution budget and per-job
+    /// observability directives (the describe analogue of
+    /// [`run_soi_batch_captured`]): returns results and the per-job
+    /// artifacts, both in input order. A job whose deadline expires
+    /// mid-selection returns the photos chosen so far with
     /// [`partial`](DescribeOutcome::partial) set (a success, not an error).
-    /// Jobs with an unlimited budget are bit-identical to
-    /// [`run_describe_batch`].
-    pub fn run_describe_batch_with_deadlines<'p>(
-        &self,
-        photos: impl Into<PhotoView<'p>>,
-        jobs: &[(&StreetContext, DescribeParams, QueryBudget)],
-    ) -> Vec<Result<DescribeOutcome>> {
-        let photos: PhotoView<'p> = photos.into();
-        let _batch_span = soi_obs::trace::span(soi_obs::names::spans::ENGINE_BATCH);
-        self.dispatch(jobs, || {
-            let mut scratch = DescribeScratch::default();
-            move |(ctx, params, budget): &(&StreetContext, DescribeParams, QueryBudget)| {
-                let _span = soi_obs::trace::span(soi_obs::names::spans::ENGINE_QUERY);
-                st_rel_div_budgeted(ctx, photos, params, &mut scratch, *budget)
-            }
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-
-    /// [`run_describe_batch_with_deadlines`] with per-job observability
-    /// directives (the describe analogue of [`run_soi_batch_captured`]):
-    /// returns results and the per-job artifacts, both in input order.
     #[allow(clippy::type_complexity)]
     pub fn run_describe_batch_captured<'p>(
         &self,
         photos: impl Into<PhotoView<'p>>,
         jobs: &[(&StreetContext, DescribeParams, QueryBudget, QueryCapture)],
     ) -> (Vec<Result<DescribeOutcome>>, Vec<Option<CapturedArtifacts>>) {
-        let photos: PhotoView<'p> = photos.into();
-        let _batch_span = soi_obs::trace::span(soi_obs::names::spans::ENGINE_BATCH);
-        type DescribeJob<'a> = (&'a StreetContext, DescribeParams, QueryBudget, QueryCapture);
-        self.dispatch(jobs, || {
-            let mut scratch = DescribeScratch::default();
-            move |(ctx, params, budget, capture): &DescribeJob<'_>| {
-                let mut explain = capture.explain.then(DescribeExplain::default);
-                let mut run = |explain: Option<&mut DescribeExplain>| {
-                    let _span = soi_obs::trace::span(soi_obs::names::spans::ENGINE_QUERY);
-                    st_rel_div_full(ctx, photos, params, &mut scratch, explain, *budget)
-                };
-                let (result, trace_json) = if capture.trace {
-                    let (result, events) =
-                        soi_obs::trace::capture(capture.request_id, || run(explain.as_mut()));
-                    (result, Some(soi_obs::trace::chrome_trace_json(&events)))
-                } else if capture.request_id != 0 {
-                    let result = soi_obs::trace::with_request_id(capture.request_id, || {
-                        run(explain.as_mut())
-                    });
-                    (result, None)
-                } else {
-                    (run(explain.as_mut()), None)
-                };
-                let artifacts = capture.is_active().then(|| CapturedArtifacts {
-                    trace_json,
-                    explain_json: explain.map(|e| e.to_json()),
-                });
-                (result, artifacts)
-            }
+        self.run_describe_batch_inner(photos.into(), jobs, |(ctx, params, budget, capture)| {
+            (ctx, params, *budget, *capture)
         })
-        .into_iter()
-        .flatten()
+        .map(|run| (run.result, run.artifacts))
         .unzip()
+    }
+
+    /// The shared describe batch executor: `get` projects each item to its
+    /// street context, params, budget, and capture directives.
+    fn run_describe_batch_inner<T, G>(
+        &self,
+        photos: PhotoView<'_>,
+        items: &[T],
+        get: G,
+    ) -> impl Iterator<Item = JobRun<DescribeOutcome>>
+    where
+        T: Sync,
+        G: Fn(&T) -> (&StreetContext, &DescribeParams, QueryBudget, QueryCapture) + Sync,
+    {
+        let _batch_span = soi_obs::trace::span(soi_obs::names::spans::ENGINE_BATCH);
+        let get = &get;
+        let runs = self.dispatch(items, || {
+            let mut worker = EngineWorker::default();
+            move |item: &T| {
+                let (ctx, params, budget, capture) = get(item);
+                worker.run_describe(ctx, photos, params, budget, capture)
+            }
+        });
+        runs.into_iter().flatten()
     }
 
     /// Fans `items` out over the worker pool: each worker claims the next
@@ -834,18 +876,26 @@ mod tests {
         assert_eq!(batch.stats.errors, 1);
     }
 
+    /// `queries` as `_captured` jobs sharing one budget, nothing captured.
+    fn budgeted(
+        queries: &[SoiQuery],
+        budget: QueryBudget,
+    ) -> Vec<(SoiQuery, QueryBudget, QueryCapture)> {
+        queries
+            .iter()
+            .map(|q| (q.clone(), budget, QueryCapture::default()))
+            .collect()
+    }
+
     #[test]
     fn unlimited_deadlines_match_plain_batch() {
         let (dataset, index) = fixture();
         let queries = queries(&dataset);
-        let jobs: Vec<(SoiQuery, QueryBudget)> = queries
-            .iter()
-            .map(|q| (q.clone(), QueryBudget::unlimited()))
-            .collect();
+        let jobs = budgeted(&queries, QueryBudget::unlimited());
         let ctx = Arc::new(QueryContext::new(&dataset.network, &dataset.pois, &index));
         let engine = QueryEngine::new(2);
         let plain = engine.run_soi_batch(&ctx, &queries);
-        let budgeted = engine.run_soi_batch_with_deadlines(&ctx, &jobs);
+        let budgeted = engine.run_soi_batch_captured(&ctx, &jobs);
         assert_eq!(budgeted.stats.partials, 0);
         for (got, want) in budgeted.results.iter().zip(&plain.results) {
             let (got, want) = (got.as_ref().expect("valid"), want.as_ref().expect("valid"));
@@ -863,19 +913,46 @@ mod tests {
         let queries = queries(&dataset);
         // A deadline already in the past: every query stops at its first
         // budget check and reports partial.
-        let past = Instant::now();
-        let jobs: Vec<(SoiQuery, QueryBudget)> = queries
-            .iter()
-            .map(|q| (q.clone(), QueryBudget::with_deadline(past)))
-            .collect();
+        let jobs = budgeted(&queries, QueryBudget::with_deadline(Instant::now()));
         let ctx = Arc::new(QueryContext::new(&dataset.network, &dataset.pois, &index));
-        let batch = QueryEngine::new(2).run_soi_batch_with_deadlines(&ctx, &jobs);
+        let batch = QueryEngine::new(2).run_soi_batch_captured(&ctx, &jobs);
         assert_eq!(batch.stats.errors, 0);
         assert_eq!(batch.stats.partials, queries.len());
         for result in &batch.results {
             let outcome = result.as_ref().expect("deadline hit is not an error");
             assert!(outcome.partial);
             assert!(outcome.stats.deadline_expired);
+        }
+    }
+
+    #[test]
+    fn one_worker_answers_like_a_fresh_one_after_any_history() {
+        // The serving shape: one long-lived worker, one job at a time,
+        // shapes growing and shrinking its scratch, a deadline-expired
+        // partial in between. Every full answer must equal a fresh
+        // worker's, work counters included.
+        let (dataset, index) = fixture();
+        let queries = queries(&dataset);
+        let ctx = QueryContext::new(&dataset.network, &dataset.pois, &index);
+        let unlimited = QueryBudget::unlimited();
+        let capture = QueryCapture::default();
+        let mut worker = EngineWorker::default();
+        for &i in &[3usize, 0, 2, 1, 3, 0] {
+            let expired = QueryBudget::with_deadline(Instant::now());
+            let partial = worker.run_soi(&ctx, &queries[i], expired, capture);
+            assert!(partial.result.expect("a deadline hit is a success").partial);
+            let got = worker.run_soi(&ctx, &queries[i], unlimited, capture);
+            let want = EngineWorker::default().run_soi(&ctx, &queries[i], unlimited, capture);
+            let (got, want) = (got.result.expect("valid"), want.result.expect("valid"));
+            assert!(!got.partial);
+            assert_eq!(got.results.len(), want.results.len());
+            for (g, w) in got.results.iter().zip(&want.results) {
+                assert_eq!(g.street, w.street);
+                assert_eq!(g.interest.to_bits(), w.interest.to_bits());
+                assert_eq!(g.best_segment, w.best_segment);
+            }
+            assert_eq!(got.stats.accesses, want.stats.accesses);
+            assert_eq!(got.stats.segments_seen, want.stats.segments_seen);
         }
     }
 

@@ -36,7 +36,8 @@ pub mod spans {
     pub const ENGINE_BATCH: &str = "engine.batch";
     /// One query inside an engine batch (per worker thread).
     pub const ENGINE_QUERY: &str = "engine.query";
-    /// One engine worker thread's chunk-claim loop inside a batch.
+    /// Root span of an engine worker thread: its chunk-claim loop inside a
+    /// batch, or one claimed job on a `soi serve` engine worker.
     pub const ENGINE_WORKER: &str = "engine.worker";
     /// Offline POI index construction, all phases.
     pub const INDEX_BUILD: &str = "index.build";
@@ -63,8 +64,6 @@ pub mod spans {
     pub const CLI_LOAD: &str = "cli.load";
     /// One HTTP request handled by the serving layer (parse to response).
     pub const SERVE_REQUEST: &str = "serve.request";
-    /// One admission-queue drain: dequeue, batch, execute, publish.
-    pub const SERVE_DISPATCH: &str = "serve.dispatch";
 }
 
 /// Whether `name` belongs to the canonical span taxonomy: a phase name, a
@@ -96,7 +95,6 @@ pub fn is_known_span(name: &str) -> bool {
         spans::SNAPSHOT_WRITE,
         spans::CLI_LOAD,
         spans::SERVE_REQUEST,
-        spans::SERVE_DISPATCH,
     ];
     fixed.contains(&name) || name.starts_with(spans::CLI_PREFIX)
 }
@@ -148,7 +146,6 @@ mod tests {
             spans::SNAPSHOT_WRITE,
             spans::CLI_LOAD,
             spans::SERVE_REQUEST,
-            spans::SERVE_DISPATCH,
             spans::SOI_SOURCES,
             spans::SOI_RANK,
             spans::DESCRIBE_ROUND,

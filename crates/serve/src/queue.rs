@@ -4,8 +4,8 @@
 //! [`try_push`](AdmissionQueue::try_push) parsed query jobs, and when the
 //! queue is at capacity the push fails immediately — the worker answers
 //! 503 and moves on, spending microseconds on the request instead of
-//! queueing unbounded work. The dispatcher drains jobs in batches sized
-//! for the engine, executes them under their deadlines, and publishes each
+//! queueing unbounded work. Each engine worker [`pop`](AdmissionQueue::pop)s
+//! one job at a time, executes it under its deadline, and publishes the
 //! response through the job's [`Slot`].
 
 use soi_common::StreetId;
@@ -26,14 +26,16 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-/// Execution metadata the dispatcher publishes alongside a response — the
-/// per-request record the IO worker folds into the recent-requests ring
-/// (queue/exec split, outcome flags, work counters, captured artifacts).
+/// Execution metadata an engine worker publishes alongside a response —
+/// the per-request record the IO worker folds into the recent-requests
+/// ring (queue/exec split, outcome flags, work counters, captured
+/// artifacts). Every field describes this one job.
 #[derive(Debug, Default, Clone)]
 pub struct SlotMeta {
-    /// Time the job sat in the admission queue before dispatch.
+    /// Time the job sat in the admission queue before a worker claimed it.
     pub queue: Duration,
-    /// Time executing on the engine.
+    /// Time executing on the worker: the algorithm call, plus the street
+    /// context build for `/describe`.
     pub exec: Duration,
     /// The deadline expired and the response is partial.
     pub partial: bool,
@@ -41,11 +43,13 @@ pub struct SlotMeta {
     pub error: bool,
     /// Source-list accesses performed (k-SOI work counter).
     pub accesses: u64,
-    /// ε-map cache hits attributed to this job's dispatch batch.
+    /// ε-map cache hits while this job ran: the process counter sampled on
+    /// the worker around the job. Exact when no other worker ran a job
+    /// over the same interval; otherwise it includes their lookups.
     pub eps_cache_hits: u64,
-    /// ε-map cache misses attributed to this job's dispatch batch.
+    /// ε-map cache misses while this job ran (same sampling).
     pub eps_cache_misses: u64,
-    /// The serving epoch the dispatch batch pinned.
+    /// The serving epoch the job pinned.
     pub epoch: u64,
     /// Chrome-trace JSON captured for this request, when asked for.
     pub trace_json: Option<String>,
@@ -54,7 +58,7 @@ pub struct SlotMeta {
 }
 
 /// A single-use rendezvous for one request's response: the IO worker waits
-/// on it while the dispatcher computes and [`put`](Slot::put)s the
+/// on it while an engine worker computes and [`put`](Slot::put)s the
 /// `(status, body)` pair plus its [`SlotMeta`].
 #[derive(Debug, Default)]
 pub struct Slot {
@@ -75,7 +79,7 @@ impl Slot {
     }
 
     /// Waits up to `timeout` for the response; `None` on timeout (the
-    /// backstop — the dispatcher always answers deadline-bounded jobs).
+    /// backstop — a worker always answers a deadline-bounded job).
     pub fn wait(&self, timeout: Duration) -> Option<(u16, String, SlotMeta)> {
         let deadline = Instant::now() + timeout;
         let mut state = lock(&self.state);
@@ -117,7 +121,7 @@ pub struct Job {
     pub kind: JobKind,
     /// Per-request deadline threaded into the algorithms.
     pub budget: QueryBudget,
-    /// Where the dispatcher publishes the response.
+    /// Where the worker that runs the job publishes the response.
     pub slot: Arc<Slot>,
     /// When the job was admitted (for queue-wait accounting).
     pub enqueued: Instant,
@@ -180,8 +184,31 @@ impl AdmissionQueue {
         Ok(())
     }
 
+    /// Claims the oldest job, blocking until one is admitted. `None` once
+    /// the queue is closed and drained — the worker's signal to exit.
+    pub fn pop(&self) -> Option<Job> {
+        let mut state = lock(&self.state);
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                crate::obs::serve_metrics()
+                    .queue_depth
+                    .set(state.jobs.len() as f64);
+                return Some(job);
+            }
+            if state.closed {
+                return None;
+            }
+            state = match self.cv.wait(state) {
+                Ok(next) => next,
+                Err(poisoned) => poisoned.into_inner(),
+            };
+        }
+    }
+
     /// Pops up to `max` jobs, waiting up to `timeout` for the first one.
-    /// Returns an empty batch on timeout or when closed and drained.
+    /// Returns an empty batch on timeout or when closed and drained. The
+    /// server's workers [`pop`](Self::pop) one job at a time; this form
+    /// serves callers that drain in bulk (the benchmark's hand-off probe).
     pub fn pop_batch(&self, max: usize, timeout: Duration) -> Vec<Job> {
         let deadline = Instant::now() + timeout;
         let mut state = lock(&self.state);
@@ -206,8 +233,8 @@ impl AdmissionQueue {
         batch
     }
 
-    /// Closes the queue: no further admissions; the dispatcher drains what
-    /// remains and then sees empty batches.
+    /// Closes the queue: no further admissions; the workers drain what
+    /// remains and then see `None`.
     pub fn close(&self) {
         lock(&self.state).closed = true;
         self.cv.notify_all();
@@ -220,47 +247,73 @@ impl AdmissionQueue {
     }
 }
 
+/// A minimal job for this crate's unit tests.
+#[cfg(test)]
+pub(crate) fn test_job(request_id: u64) -> Job {
+    Job {
+        kind: JobKind::Soi(SoiQuery::new(soi_text::KeywordSet::empty(), 1, 0.5).expect("valid")),
+        budget: QueryBudget::unlimited(),
+        slot: Arc::new(Slot::default()),
+        enqueued: Instant::now(),
+        request_id,
+        trace: false,
+        explain: false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn job() -> Job {
-        Job {
-            kind: JobKind::Soi(
-                SoiQuery::new(soi_text::KeywordSet::empty(), 1, 0.5).expect("valid"),
-            ),
-            budget: QueryBudget::unlimited(),
-            slot: Arc::new(Slot::default()),
-            enqueued: Instant::now(),
-            request_id: 0,
-            trace: false,
-            explain: false,
-        }
-    }
-
     #[test]
     fn sheds_when_full() {
         let q = AdmissionQueue::new(2);
-        assert!(q.try_push(job()).is_ok());
-        assert!(q.try_push(job()).is_ok());
-        assert!(q.try_push(job()).is_err(), "third push must shed");
+        assert!(q.try_push(test_job(0)).is_ok());
+        assert!(q.try_push(test_job(0)).is_ok());
+        assert!(q.try_push(test_job(0)).is_err(), "third push must shed");
         assert_eq!(q.depth(), 2);
         let batch = q.pop_batch(8, Duration::from_millis(10));
         assert_eq!(batch.len(), 2);
-        assert!(q.try_push(job()).is_ok(), "space freed after drain");
+        assert!(q.try_push(test_job(0)).is_ok(), "space freed after drain");
     }
 
     #[test]
     fn close_rejects_and_drains() {
         let q = AdmissionQueue::new(4);
-        assert!(q.try_push(job()).is_ok());
+        assert!(q.try_push(test_job(0)).is_ok());
         q.close();
-        assert!(q.try_push(job()).is_err(), "closed queue admits nothing");
+        assert!(
+            q.try_push(test_job(0)).is_err(),
+            "closed queue admits nothing"
+        );
         assert!(!q.is_drained());
         let batch = q.pop_batch(8, Duration::from_millis(10));
         assert_eq!(batch.len(), 1);
         assert!(q.is_drained());
         assert!(q.pop_batch(8, Duration::from_millis(1)).is_empty());
+    }
+
+    #[test]
+    fn pop_claims_in_admission_order_and_ends_when_closed() {
+        let q = AdmissionQueue::new(4);
+        for id in 1..=3 {
+            assert!(q.try_push(test_job(id)).is_ok());
+        }
+        assert_eq!(q.pop().map(|j| j.request_id), Some(1));
+        // A waiting worker is woken by an admission and by the close.
+        std::thread::scope(|s| {
+            let worker = s.spawn(|| {
+                let mut claimed = Vec::new();
+                while let Some(job) = q.pop() {
+                    claimed.push(job.request_id);
+                }
+                claimed
+            });
+            assert!(q.try_push(test_job(4)).is_ok());
+            q.close();
+            assert_eq!(worker.join().expect("worker"), vec![2, 3, 4]);
+        });
+        assert!(q.is_drained());
     }
 
     #[test]

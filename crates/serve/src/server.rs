@@ -1,20 +1,27 @@
 //! The serving loop: accept → bounded HTTP parse → admission queue →
-//! batched engine execution → response.
+//! engine worker → response.
 //!
 //! ### Thread topology
 //!
 //! ```text
-//! accept loop (caller thread, nonblocking, polls the shutdown flag)
+//! accept loop (caller thread, blocking; a waker thread connects to the
+//!   │          listener once the shutdown flag flips)
 //!   └─> bounded connection queue ──> IO workers (parse, route, respond)
 //!                                       ├─ /metrics /status /explain
 //!                                       │  /debug/requests: inline
 //!                                       └─ /soi /describe: admission queue
-//!                                            └─> dispatcher (one thread)
-//!                                                  batches jobs into the
-//!                                                  QueryEngine under their
-//!                                                  per-request deadlines,
+//!                                            └─> engine workers (--threads,
+//!                                                  alive for the whole run)
+//!                                                  each pops ONE job, pins
+//!                                                  the epoch, runs it on its
+//!                                                  own EngineWorker scratch
+//!                                                  under the job's deadline,
 //!                                                  publishes via Slot
 //! ```
+//!
+//! No thread is spawned and no barrier is crossed per request: a job waits
+//! only for *a* worker to come free, never for the slowest job of a batch,
+//! and `/describe` builds its street context on the worker that runs it.
 //!
 //! ### Overload semantics
 //!
@@ -42,19 +49,20 @@
 //! ### Drain
 //!
 //! When the shutdown flag flips (SIGTERM/SIGINT or programmatic), the
-//! accept loop stops, in-flight connections finish, the admission queue is
-//! closed and drained (queued jobs still run, under their deadlines), and
-//! [`serve`] returns a final [`ServeReport`].
+//! waker's connect returns the accept loop from `accept` and it stops,
+//! in-flight connections finish, the admission queue is closed, the engine
+//! workers run what is still queued (under each job's deadline) and exit
+//! once it is empty, and [`serve`] returns a final [`ServeReport`].
 
 use crate::http::{self, Limits};
 use crate::queue::{AdmissionQueue, Job, JobKind, Slot, SlotMeta};
 use crate::ring::{RequestRecord, RequestRing};
 use soi_common::{ErrorCategory, Result, SoiError};
-use soi_core::describe::{ContextBuilder, DescribeParams, PhiSource, StreetContext};
+use soi_core::describe::{ContextBuilder, DescribeOutcome, DescribeParams, PhiSource};
 use soi_core::soi::{run_soi_explained, SoiExplain, SoiOutcome, SoiQuery, SoiScratch};
 use soi_core::QueryBudget;
 use soi_data::Dataset;
-use soi_engine::{CapturedArtifacts, QueryCapture, QueryContext, QueryEngine};
+use soi_engine::{EngineWorker, JobRun, QueryCapture, QueryContext, QueryEngine};
 use soi_index::{DeltaIndex, DeltaOp, EpochedIndex, Fnv64, IndexBundle, PhotoGrid, PoiIndex};
 use soi_obs::json::{Json, JsonWriter};
 use soi_obs::log::{self, Value};
@@ -85,8 +93,6 @@ pub struct ServeConfig {
     pub socket_timeout: Duration,
     /// Max accepted request body size.
     pub max_body_bytes: usize,
-    /// Max jobs the dispatcher hands the engine per batch.
-    pub batch_max: usize,
     /// Query ε default (also sizes the index grids).
     pub eps: f64,
     /// Describe neighbourhood radius ρ.
@@ -126,7 +132,6 @@ impl Default for ServeConfig {
             max_deadline: Duration::from_secs(10),
             socket_timeout: Duration::from_secs(2),
             max_body_bytes: 64 * 1024,
-            batch_max: 8,
             eps: 5e-4,
             rho: 1e-4,
             index_cache: None,
@@ -255,8 +260,8 @@ impl ConnQueue {
 
 /// One immutable generation of serving state: the folded base structures
 /// plus the sealed delta of pending ingestion ops. Published through
-/// [`EpochedIndex`]; readers pin one epoch per request (or per dispatch
-/// batch) and never take a lock or observe a torn swap.
+/// [`EpochedIndex`]; readers pin one epoch per request or queued job and
+/// never take a lock or observe a torn swap.
 struct EpochState {
     /// Monotone epoch id (0 = the boot base; +1 per ingest batch or fold).
     epoch: u64,
@@ -288,7 +293,7 @@ impl EpochState {
     }
 }
 
-/// Everything the IO workers and dispatcher share.
+/// Everything the IO workers and engine workers share.
 struct Shared<'a> {
     /// The epoch-swapped serving state (dataset + indexes + delta).
     epochs: &'a EpochedIndex<EpochState>,
@@ -299,7 +304,8 @@ struct Shared<'a> {
     /// Where fold-time compaction persists the live snapshot (set when
     /// both `index_cache` and `ingest_log` are configured).
     live_snapshot: Option<std::path::PathBuf>,
-    engine: &'a QueryEngine,
+    /// The resolved engine worker count.
+    engine_threads: usize,
     queue: &'a AdmissionQueue,
     config: &'a ServeConfig,
     counters: &'a Counters,
@@ -449,13 +455,10 @@ pub fn serve(
         ),
         _ => None,
     };
-    let engine = QueryEngine::new(config.engine_threads);
+    let engine_threads = QueryEngine::new(config.engine_threads).threads();
 
     let listener = TcpListener::bind(&config.addr)
         .map_err(|e| SoiError::io(e, &config.addr).with_context("binding the serve listener"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| SoiError::io(e, &config.addr))?;
     let local_addr = listener
         .local_addr()
         .map_err(|e| SoiError::io(e, &config.addr))?;
@@ -471,7 +474,7 @@ pub fn serve(
         ingest_lock: &ingest_lock,
         params,
         live_snapshot,
-        engine: &engine,
+        engine_threads,
         queue: &queue,
         config,
         counters: &counters,
@@ -489,29 +492,43 @@ pub fn serve(
             ("addr", Value::Str(&local_addr.to_string())),
             ("queue_capacity", Value::U64(config.queue_capacity as u64)),
             ("io_threads", Value::U64(config.io_threads as u64)),
-            ("engine_threads", Value::U64(engine.threads() as u64)),
+            ("engine_threads", Value::U64(engine_threads as u64)),
             ("trace_sample", Value::U64(config.trace_sample)),
             ("ring_capacity", Value::U64(config.ring_capacity as u64)),
         ],
     );
     on_ready(local_addr);
 
+    let accepting = AtomicBool::new(true);
     let run = crossbeam::thread::scope(|s| {
-        let dispatcher = s.spawn(|_| dispatcher_loop(&shared));
-        let workers: Vec<_> = (0..config.io_threads.max(1))
+        let engine_workers: Vec<_> = (0..engine_threads)
+            .map(|_| {
+                s.spawn(|_| {
+                    engine_worker_loop(&queue, &counters, |worker, job, queue_wait| {
+                        run_job(&shared, worker, job, queue_wait)
+                    })
+                })
+            })
+            .collect();
+        let io_workers: Vec<_> = (0..config.io_threads.max(1))
             .map(|_| s.spawn(|_| io_worker_loop(&shared, &conns)))
             .collect();
+        let waker = s.spawn(|_| wake_accept_on_shutdown(shutdown, &accepting, local_addr));
 
         accept_loop(&listener, &conns, &shared);
+        accepting.store(false, Ordering::SeqCst);
 
         // Drain: no new connections; finish in-flight ones; then close the
-        // admission queue so the dispatcher runs the backlog and exits.
+        // admission queue so the engine workers run the backlog and exit.
         conns.close();
-        for worker in workers {
+        for worker in io_workers {
             let _ = worker.join();
         }
         queue.close();
-        let _ = dispatcher.join();
+        for worker in engine_workers {
+            let _ = worker.join();
+        }
+        let _ = waker.join();
     });
     if run.is_err() {
         // A scope-level panic still produces a report; the panic counter
@@ -544,8 +561,6 @@ pub fn serve(
     Ok(report)
 }
 
-/// Accepts connections until shutdown; sheds at the edge when the handoff
-/// backlog is full.
 /// Closes a connection we rejected without reading its full request.
 ///
 /// Closing with unread bytes in the receive buffer makes the kernel send a
@@ -573,17 +588,21 @@ fn graceful_reject_close(stream: &mut TcpStream, limit: Duration) {
     }
 }
 
+/// Accepts connections until shutdown; sheds at the edge when the handoff
+/// backlog is full.
 fn accept_loop(listener: &TcpListener, conns: &ConnQueue, shared: &Shared<'_>) {
     let metrics = crate::obs::serve_metrics();
     loop {
+        let accepted = listener.accept();
+        // Checked after every return from `accept`: the connection that
+        // ends the wait at shutdown is the waker's own and is dropped.
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 metrics.connections.inc();
                 shared.counters.connections.fetch_add(1, Ordering::Relaxed);
-                let _ = stream.set_nonblocking(false);
                 let _ = stream.set_read_timeout(Some(shared.config.socket_timeout));
                 let _ = stream.set_write_timeout(Some(shared.config.socket_timeout));
                 if let Err(mut stream) = conns.try_push(stream) {
@@ -599,11 +618,34 @@ fn accept_loop(listener: &TcpListener, conns: &ConnQueue, shared: &Shared<'_>) {
                     graceful_reject_close(&mut stream, shared.config.socket_timeout);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // A failing accept (descriptor exhaustion, an aborted
+            // handshake) must not spin the loop.
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
+    }
+}
+
+/// Ends the accept loop's blocking `accept` at shutdown.
+///
+/// A flag flip (from a signal handler or a caller) cannot interrupt
+/// `accept`, so this thread watches the flag and, once it is set, connects
+/// to the listener until the accept loop reports it has left.
+fn wake_accept_on_shutdown(shutdown: &AtomicBool, accepting: &AtomicBool, listener: SocketAddr) {
+    const POLL: Duration = Duration::from_millis(5);
+    while !shutdown.load(Ordering::SeqCst) {
+        std::thread::sleep(POLL);
+    }
+    // A wildcard bind is reached through loopback.
+    let mut target = listener;
+    if target.ip().is_unspecified() {
+        target.set_ip(match target {
+            SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    while accepting.load(Ordering::SeqCst) {
+        let _ = TcpStream::connect_timeout(&target, Duration::from_millis(250));
+        std::thread::sleep(POLL);
     }
 }
 
@@ -1121,7 +1163,7 @@ fn status_body(shared: &Shared<'_>) -> String {
     obj.field_raw("epoch", &epoch.finish());
     obj.field_u64("queue_depth", shared.queue.depth() as u64);
     obj.field_u64("queue_capacity", shared.queue.capacity() as u64);
-    obj.field_u64("engine_threads", shared.engine.threads() as u64);
+    obj.field_u64("engine_threads", shared.engine_threads as u64);
     obj.field_u64("requests", shared.counters.requests.load(Ordering::Relaxed));
     obj.field_u64("sheds", shared.counters.sheds.load(Ordering::Relaxed));
     obj.field_u64("partials", shared.counters.partials.load(Ordering::Relaxed));
@@ -1692,7 +1734,7 @@ fn embed_response_fields(
 }
 
 /// Admits the job (shedding with 503 when the queue is full) and waits for
-/// the dispatcher's response.
+/// the response of the engine worker that claims it.
 fn submit_and_wait(shared: &Shared<'_>, submission: Submission) -> (HttpTuple, RequestMeta) {
     const JSON: &str = "application/json";
     let metrics = crate::obs::serve_metrics();
@@ -1723,8 +1765,9 @@ fn submit_and_wait(shared: &Shared<'_>, submission: Submission) -> (HttpTuple, R
         };
         return ((503, "Service Unavailable", JSON, obj.finish()), meta);
     }
-    // Backstop only: the dispatcher answers every admitted job (deadlines
-    // bound the work), so this grace window fires only if it died.
+    // Backstop only: a worker answers every admitted job (deadlines bound
+    // the work, a panic is answered 500), so this grace window fires only
+    // if every worker is gone.
     let grace = budget.remaining().unwrap_or(shared.config.max_deadline) + Duration::from_secs(30);
     match slot.wait(grace) {
         Some((status, body, slot_meta)) => {
@@ -1773,7 +1816,7 @@ fn submit_and_wait(shared: &Shared<'_>, submission: Submission) -> (HttpTuple, R
                 500,
                 "Internal Server Error",
                 JSON,
-                error_body("dispatcher did not answer in time", "io"),
+                error_body("no engine worker answered in time", "io"),
             ),
             RequestMeta {
                 endpoint: submission.endpoint,
@@ -1785,248 +1828,177 @@ fn submit_and_wait(shared: &Shared<'_>, submission: Submission) -> (HttpTuple, R
     }
 }
 
-/// The dispatcher: drains admitted jobs in batches and executes them on
-/// the engine under their per-request deadlines.
-fn dispatcher_loop(shared: &Shared<'_>) {
-    loop {
-        let batch = shared
-            .queue
-            .pop_batch(shared.config.batch_max, Duration::from_millis(100));
-        if batch.is_empty() {
-            if shared.queue.is_drained() {
-                return;
-            }
-            continue;
+/// One engine worker: alive from boot to drain, it claims one admitted job
+/// at a time and hands it to `run` ([`run_job`]; passed in so the panic
+/// path can be driven without a server) with scratch space it keeps for
+/// the whole run.
+///
+/// A panic inside `run` is isolated to its job: that job is answered 500,
+/// the panic is counted, the scratch (which may hold the interrupted job's
+/// state) is replaced, and the worker goes on to the next job.
+fn engine_worker_loop(
+    queue: &AdmissionQueue,
+    counters: &Counters,
+    mut run: impl FnMut(&mut EngineWorker, Job, Duration),
+) {
+    let mut worker = EngineWorker::default();
+    while let Some(job) = queue.pop() {
+        // Roots the job's spans and profile samples on this thread. Opened
+        // per job because a profiling window only sees spans opened inside
+        // it.
+        let _span = soi_obs::trace::span(soi_obs::names::spans::ENGINE_WORKER);
+        let slot = Arc::clone(&job.slot);
+        let queue_wait = job.enqueued.elapsed();
+        let outcome =
+            std::panic::catch_unwind(AssertUnwindSafe(|| run(&mut worker, job, queue_wait)));
+        if outcome.is_err() {
+            crate::obs::serve_metrics().panics.inc();
+            counters.panics.fetch_add(1, Ordering::Relaxed);
+            slot.put_with_meta(
+                500,
+                error_body("query worker panicked", "io"),
+                SlotMeta {
+                    queue: queue_wait,
+                    error: true,
+                    ..SlotMeta::default()
+                },
+            );
+            worker = EngineWorker::default();
         }
-        let _span = soi_obs::trace::span(soi_obs::names::spans::SERVE_DISPATCH);
-        let claimed = Instant::now();
-        let mut soi_jobs: Vec<(SoiQuery, QueryBudget, QueryCapture)> = Vec::new();
-        let mut soi_slots: Vec<(Arc<Slot>, Duration)> = Vec::new();
-        let mut describe_jobs: Vec<(
-            soi_common::StreetId,
-            DescribeParams,
-            QueryBudget,
-            QueryCapture,
-        )> = Vec::new();
-        let mut describe_slots: Vec<(Arc<Slot>, Duration)> = Vec::new();
-        for job in batch {
-            let queue_wait = claimed.saturating_duration_since(job.enqueued);
-            let capture = QueryCapture {
-                request_id: job.request_id,
-                trace: job.trace,
-                explain: job.explain,
-            };
-            match job.kind {
-                JobKind::Soi(query) => {
-                    soi_jobs.push((query, job.budget, capture));
-                    soi_slots.push((job.slot, queue_wait));
-                }
-                JobKind::Describe { street, params } => {
-                    describe_jobs.push((street, params, job.budget, capture));
-                    describe_slots.push((job.slot, queue_wait));
-                }
-            }
-        }
+    }
+}
 
-        // Pin one epoch for the whole batch: every job in it sees one
-        // coherent base+delta state, and an ingest swap landing mid-batch
-        // only affects later batches (in-flight readers keep their Arc).
-        let state = shared.epochs.pin();
-        if !soi_jobs.is_empty() {
-            let ctx = Arc::new(QueryContext::with_delta(
+/// Runs one claimed job against the epoch current at claim time and
+/// publishes its response.
+fn run_job(shared: &Shared<'_>, worker: &mut EngineWorker, job: Job, queue_wait: Duration) {
+    let capture = QueryCapture {
+        request_id: job.request_id,
+        trace: job.trace,
+        explain: job.explain,
+    };
+    // Pinned for the whole job: it sees one coherent base+delta state, and
+    // an ingest swap landing mid-run only affects jobs claimed later.
+    let state = shared.epochs.pin();
+    let (hits_before, misses_before, _) = soi_index::obs::epsilon_cache_counters();
+    let (status, body, mut meta) = match &job.kind {
+        JobKind::Soi(query) => {
+            let ctx = QueryContext::with_delta(
                 &state.dataset.network,
                 &state.dataset.pois,
                 &state.index,
                 state.delta.as_deref(),
                 state.epoch,
-            ));
-            // ε-cache deltas are batch-granular: the cache is shared across
-            // the batch's worker threads, so the delta is attributed to
-            // every job dispatched in it.
-            let (hits_before, misses_before, _) = soi_index::obs::epsilon_cache_counters();
-            let outcome = shared.engine.run_soi_batch_captured(&ctx, &soi_jobs);
-            let (hits_after, misses_after, _) = soi_index::obs::epsilon_cache_counters();
-            let eps_cache_hits = hits_after.saturating_sub(hits_before);
-            let eps_cache_misses = misses_after.saturating_sub(misses_before);
-            // `query_latencies` holds successes only, in input order.
-            let mut latencies = outcome.telemetry.query_latencies.iter();
-            for ((result, artifacts), (slot, queue_wait)) in outcome
-                .results
-                .into_iter()
-                .zip(outcome.captures)
-                .zip(&soi_slots)
-            {
-                let exec = if result.is_ok() {
-                    latencies.next().copied().unwrap_or_default()
-                } else {
-                    Duration::ZERO
-                };
-                let meta = SlotMeta {
-                    queue: *queue_wait,
-                    exec,
-                    eps_cache_hits,
-                    eps_cache_misses,
-                    epoch: state.epoch,
-                    ..SlotMeta::default()
-                };
-                publish_soi(shared, &state.dataset, result, slot, meta, artifacts);
+            );
+            let run = worker.run_soi(&ctx, query, job.budget, capture);
+            job_response(shared, run, |outcome: &SoiOutcome| {
+                (
+                    outcome.partial,
+                    outcome.stats.accesses as u64,
+                    soi_outcome_body(&state.dataset, outcome, None),
+                )
+            })
+        }
+        JobKind::Describe { street, params } => {
+            let started = Instant::now();
+            let built = ContextBuilder {
+                network: &state.dataset.network,
+                photos: &state.dataset.photos,
+                photo_grid: &state.photo_grid,
+                pois: Some(&state.dataset.pois),
+                eps: shared.config.eps,
+                rho: shared.config.rho,
+                phi_source: PhiSource::Photos,
             }
-        }
-        if !describe_jobs.is_empty() {
-            run_describe_jobs(shared, &state, &describe_jobs, &describe_slots);
-        }
-    }
-}
-
-/// Builds street contexts and runs the describe sub-batch; jobs whose
-/// context cannot be built answer their error individually.
-fn run_describe_jobs(
-    shared: &Shared<'_>,
-    state: &EpochState,
-    jobs: &[(
-        soi_common::StreetId,
-        DescribeParams,
-        QueryBudget,
-        QueryCapture,
-    )],
-    slots: &[(Arc<Slot>, Duration)],
-) {
-    // Context construction can fail per street (no photos in range); build
-    // first, answer failures immediately, and batch the rest.
-    let mut contexts: Vec<Option<StreetContext>> = Vec::with_capacity(jobs.len());
-    for ((street, _, _, _), (slot, queue_wait)) in jobs.iter().zip(slots) {
-        let built = ContextBuilder {
-            network: &state.dataset.network,
-            photos: &state.dataset.photos,
-            photo_grid: &state.photo_grid,
-            pois: Some(&state.dataset.pois),
-            eps: shared.config.eps,
-            rho: shared.config.rho,
-            phi_source: PhiSource::Photos,
-        }
-        .build_with_delta(*street, state.delta.as_deref());
-        match built {
-            Ok(ctx) => contexts.push(Some(ctx)),
-            Err(e) => {
-                let (status, _, _, body) = error_tuple(&e);
-                slot.put_with_meta(
-                    status,
-                    body,
+            .build_with_delta(*street, state.delta.as_deref());
+            // exec = context build + Alg. 2, both on this worker.
+            let build = started.elapsed();
+            match built {
+                Ok(ctx) => {
+                    let photos: soi_data::PhotoView<'_> = match &state.delta {
+                        Some(delta) => delta.photo_view(&state.dataset.photos),
+                        None => (&state.dataset.photos).into(),
+                    };
+                    let run = worker.run_describe(&ctx, photos, params, job.budget, capture);
+                    let (status, body, mut meta) =
+                        job_response(shared, run, |outcome: &DescribeOutcome| {
+                            (outcome.partial, 0, describe_outcome_body(outcome))
+                        });
+                    meta.exec += build;
+                    (status, body, meta)
+                }
+                // e.g. no photos within range of the street.
+                Err(e) => error_response(
+                    shared,
+                    &e,
                     SlotMeta {
-                        queue: *queue_wait,
-                        error: true,
-                        epoch: state.epoch,
+                        exec: build,
                         ..SlotMeta::default()
                     },
-                );
-                shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                contexts.push(None);
+                ),
             }
         }
-    }
-    let engine_jobs: Vec<(&StreetContext, DescribeParams, QueryBudget, QueryCapture)> = jobs
-        .iter()
-        .zip(&contexts)
-        .filter_map(|((_, params, budget, capture), ctx)| {
-            ctx.as_ref().map(|c| (c, *params, *budget, *capture))
-        })
-        .collect();
-    if engine_jobs.is_empty() {
-        return;
-    }
-    let (hits_before, misses_before, _) = soi_index::obs::epsilon_cache_counters();
-    let batch_started = Instant::now();
-    let photos: soi_data::PhotoView<'_> = match &state.delta {
-        Some(delta) => delta.photo_view(&state.dataset.photos),
-        None => (&state.dataset.photos).into(),
     };
-    let (results, captures) = shared
-        .engine
-        .run_describe_batch_captured(photos, &engine_jobs);
-    // The describe engine reports no per-job latencies; the sub-batch wall
-    // clock is the best (batch-granular) exec estimate available.
-    let exec = batch_started.elapsed();
     let (hits_after, misses_after, _) = soi_index::obs::epsilon_cache_counters();
-    let eps_cache_hits = hits_after.saturating_sub(hits_before);
-    let eps_cache_misses = misses_after.saturating_sub(misses_before);
-    let live_slots = jobs
-        .iter()
-        .zip(slots)
-        .zip(&contexts)
-        .filter(|(_, ctx)| ctx.is_some())
-        .map(|((_, slot), _)| slot);
-    for ((result, artifacts), (slot, queue_wait)) in
-        results.into_iter().zip(captures).zip(live_slots)
-    {
-        let mut meta = SlotMeta {
-            queue: *queue_wait,
-            exec,
-            eps_cache_hits,
-            eps_cache_misses,
-            epoch: state.epoch,
-            ..SlotMeta::default()
-        };
-        if let Some(artifacts) = artifacts {
-            meta.trace_json = artifacts.trace_json;
-            meta.explain_json = artifacts.explain_json;
-        }
-        match result {
-            Ok(outcome) => {
-                if outcome.partial {
-                    crate::obs::serve_metrics().deadline_expired.inc();
-                    shared.counters.partials.fetch_add(1, Ordering::Relaxed);
-                    meta.partial = true;
-                }
-                let mut obj = JsonWriter::object();
-                obj.field_bool("partial", outcome.partial);
-                obj.field_f64("objective", outcome.objective);
-                let mut selected = JsonWriter::array();
-                for pid in &outcome.selected {
-                    selected.elem_f64(f64::from(pid.raw()));
-                }
-                obj.field_raw("selected", &selected.finish());
-                slot.put_with_meta(200, obj.finish(), meta);
-            }
-            Err(e) => {
-                let (status, _, _, body) = error_tuple(&e);
-                shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                meta.error = true;
-                slot.put_with_meta(status, body, meta);
-            }
-        }
-    }
+    meta.queue = queue_wait;
+    meta.eps_cache_hits = hits_after.saturating_sub(hits_before);
+    meta.eps_cache_misses = misses_after.saturating_sub(misses_before);
+    meta.epoch = state.epoch;
+    job.slot.put_with_meta(status, body, meta);
 }
 
-/// Publishes one k-SOI result (or its error) to the waiting worker.
-fn publish_soi(
+/// Turns a finished engine job into `(status, body, meta)`: `render` gives
+/// a successful outcome's `(partial, accesses, body)`.
+fn job_response<T>(
     shared: &Shared<'_>,
-    dataset: &Dataset,
-    result: Result<SoiOutcome>,
-    slot: &Arc<Slot>,
-    mut meta: SlotMeta,
-    artifacts: Option<CapturedArtifacts>,
-) {
-    if let Some(artifacts) = artifacts {
+    run: JobRun<T>,
+    render: impl FnOnce(&T) -> (bool, u64, String),
+) -> (u16, String, SlotMeta) {
+    let mut meta = SlotMeta {
+        exec: run.latency,
+        ..SlotMeta::default()
+    };
+    if let Some(artifacts) = run.artifacts {
         meta.trace_json = artifacts.trace_json;
         meta.explain_json = artifacts.explain_json;
     }
-    match result {
+    match run.result {
         Ok(outcome) => {
-            if outcome.partial {
+            let (partial, accesses, body) = render(&outcome);
+            if partial {
                 crate::obs::serve_metrics().deadline_expired.inc();
                 shared.counters.partials.fetch_add(1, Ordering::Relaxed);
-                meta.partial = true;
             }
-            meta.accesses = outcome.stats.accesses as u64;
-            slot.put_with_meta(200, soi_outcome_body(dataset, &outcome, None), meta);
+            meta.partial = partial;
+            meta.accesses = accesses;
+            (200, body, meta)
         }
-        Err(e) => {
-            let (status, _, _, body) = error_tuple(&e);
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            meta.error = true;
-            slot.put_with_meta(status, body, meta);
-        }
+        Err(e) => error_response(shared, &e, meta),
     }
+}
+
+/// The error form of [`job_response`].
+fn error_response(
+    shared: &Shared<'_>,
+    e: &SoiError,
+    mut meta: SlotMeta,
+) -> (u16, String, SlotMeta) {
+    let (status, _, _, body) = error_tuple(e);
+    shared.counters.errors.fetch_add(1, Ordering::Relaxed);
+    meta.error = true;
+    (status, body, meta)
+}
+
+/// Renders a describe outcome as the `/describe` response body.
+fn describe_outcome_body(outcome: &DescribeOutcome) -> String {
+    let mut obj = JsonWriter::object();
+    obj.field_bool("partial", outcome.partial);
+    obj.field_f64("objective", outcome.objective);
+    let mut selected = JsonWriter::array();
+    for pid in &outcome.selected {
+        selected.elem_f64(f64::from(pid.raw()));
+    }
+    obj.field_raw("selected", &selected.finish());
+    obj.finish()
 }
 
 /// Renders a k-SOI outcome as the `/soi` response body.
@@ -2050,4 +2022,46 @@ fn soi_outcome_body(dataset: &Dataset, outcome: &SoiOutcome, note: Option<&str>)
     }
     obj.field_raw("results", &results.finish());
     obj.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::queue::test_job;
+
+    /// Regression: an engine-side panic used to kill the only dispatcher,
+    /// after which every later request waited out `deadline + 30 s`. A
+    /// panicking job must be answered, counted, and leave its worker
+    /// serving the next job.
+    #[test]
+    fn a_panicking_job_is_answered_and_its_worker_serves_the_next_one() {
+        let queue = AdmissionQueue::new(4);
+        let counters = Counters::default();
+        let (poisoned, healthy) = (test_job(1), test_job(2));
+        let (poisoned_slot, healthy_slot) = (Arc::clone(&poisoned.slot), Arc::clone(&healthy.slot));
+        assert!(queue.try_push(poisoned).is_ok());
+        assert!(queue.try_push(healthy).is_ok());
+        queue.close();
+        // One worker thread claims both jobs, in admission order.
+        let worker_thread = std::thread::current().id();
+        engine_worker_loop(&queue, &counters, |_worker, job, _queue_wait| {
+            assert_eq!(std::thread::current().id(), worker_thread);
+            if job.request_id == 1 {
+                panic!("injected engine fault");
+            }
+            job.slot.put(200, "{}".to_string());
+        });
+        let (status, body, meta) = poisoned_slot
+            .wait(Duration::ZERO)
+            .expect("the panicking job is answered");
+        assert_eq!(status, 500);
+        assert!(body.contains("query worker panicked"), "body: {body}");
+        assert!(meta.error);
+        let (status, _, _) = healthy_slot
+            .wait(Duration::ZERO)
+            .expect("the next job on the same worker is answered");
+        assert_eq!(status, 200);
+        assert_eq!(counters.panics.load(Ordering::Relaxed), 1);
+        assert!(queue.is_drained());
+    }
 }

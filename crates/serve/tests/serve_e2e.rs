@@ -23,6 +23,15 @@ fn with_server<T: Send>(
     config: ServeConfig,
     f: impl FnOnce(SocketAddr) -> T + Send,
 ) -> (T, ServeReport) {
+    with_server_and_flag(config, |addr, _shutdown| f(addr))
+}
+
+/// [`with_server`] for tests that start the drain themselves: `f` also
+/// receives the shutdown flag.
+fn with_server_and_flag<T: Send>(
+    config: ServeConfig,
+    f: impl FnOnce(SocketAddr, &AtomicBool) -> T + Send,
+) -> (T, ServeReport) {
     let dataset = dataset();
     let shutdown = AtomicBool::new(false);
     let (tx, rx) = mpsc::channel();
@@ -39,7 +48,7 @@ fn with_server<T: Send>(
         // Catch panics from the test body so the shutdown flag still flips
         // and the server thread joins -- otherwise the scope would wait on
         // it forever and a failing assertion would hang the whole test.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(addr)));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(addr, &shutdown)));
         shutdown.store(true, Ordering::SeqCst);
         let report = server.join().expect("server thread joins");
         match result {
@@ -135,7 +144,6 @@ fn undersized_queue_sheds_with_503_and_metrics_show_it() {
         queue_capacity: 1,
         io_threads: 2,
         engine_threads: 1,
-        batch_max: 1,
         ..test_config()
     };
     let (sheds_seen, report) = with_server(config, |addr| {
@@ -728,6 +736,252 @@ fn drain_answers_queued_work_before_exiting() {
     });
     assert!(report.drained, "drain left work behind");
     assert_eq!(report.panics, 0);
+}
+
+#[test]
+fn drain_with_several_workers_answers_every_job_queued_at_shutdown() {
+    // Two engine workers, eight heavy jobs: when the flag flips, two are
+    // running and the rest sit in the admission queue. Every one of them
+    // was admitted, so every one must be answered in full (the deadline
+    // cap is raised so a loaded test host cannot turn one partial).
+    const JOBS: usize = 8;
+    let config = ServeConfig {
+        engine_threads: 2,
+        io_threads: JOBS + 2,
+        max_deadline: Duration::from_secs(300),
+        ..test_config()
+    };
+    let (queued_at_shutdown, report) = with_server_and_flag(config, |addr, shutdown| {
+        std::thread::scope(|s| {
+            let clients: Vec<_> = (0..JOBS)
+                .map(|_| {
+                    s.spawn(move || {
+                        request(
+                            addr,
+                            "POST",
+                            "/soi",
+                            Some(&soi_body(0.005, 300_000.0)),
+                            Duration::from_secs(300),
+                        )
+                    })
+                })
+                .collect();
+            // Flip the flag only once every job has been parsed (and is
+            // therefore admitted before its IO worker finishes): each
+            // /status poll counts itself in `requests`.
+            let mut polls = 0.0;
+            let queued = loop {
+                let status = request(addr, "GET", "/status", None, TIMEOUT).expect("status");
+                polls += 1.0;
+                let doc = parse(&status.body).expect("valid JSON");
+                let parsed = doc
+                    .get("requests")
+                    .and_then(Json::as_f64)
+                    .expect("requests");
+                if parsed - polls >= JOBS as f64 {
+                    break doc
+                        .get("queue_depth")
+                        .and_then(Json::as_f64)
+                        .expect("queue_depth");
+                }
+            };
+            shutdown.store(true, Ordering::SeqCst);
+            for client in clients {
+                let r = client.join().expect("join").expect("response");
+                assert_eq!(r.status, 200, "body: {}", r.body);
+                let doc = parse(&r.body).expect("valid JSON");
+                assert_eq!(doc.get("partial"), Some(&Json::Bool(false)));
+            }
+            queued
+        })
+    });
+    assert!(
+        queued_at_shutdown >= 1.0,
+        "no job was still queued when the drain began"
+    );
+    assert!(report.drained, "drain left work behind");
+    assert_eq!(report.panics, 0);
+    assert_eq!(report.sheds, 0);
+    assert_eq!(report.errors, 0);
+}
+
+/// Replaces every `"request_id":N` with `"request_id":0`.
+fn without_request_id(body: &str) -> String {
+    const KEY: &str = "\"request_id\":";
+    let mut out = String::with_capacity(body.len());
+    let mut rest = body;
+    while let Some(at) = rest.find(KEY) {
+        out.push_str(&rest[..at + KEY.len()]);
+        out.push('0');
+        rest = rest[at + KEY.len()..].trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
+
+#[test]
+fn one_engine_worker_answers_any_interleaving_like_a_fresh_scratch() {
+    use soi_core::describe::{st_rel_div, ContextBuilder, DescribeParams, PhiSource};
+    use soi_core::soi::{run_soi, SoiConfig, SoiQuery};
+
+    // The single engine worker keeps one scratch for the whole run, so
+    // this sequence grows it, shrinks it, switches algorithm, and cuts a
+    // query short in the middle. What the scratch held must never show.
+    let config = ServeConfig {
+        engine_threads: 1,
+        max_deadline: Duration::from_secs(300),
+        ..test_config()
+    };
+    let dataset = dataset();
+    let cell = 2.0 * config.eps;
+    let bundle = soi_index::build_bundle(
+        dataset,
+        &soi_index::BundleParams {
+            poi_cell: cell,
+            pg_cell: cell,
+            eps: Some(config.eps),
+            with_ir: false,
+            threads: 1,
+        },
+    );
+    let builder = ContextBuilder {
+        network: &dataset.network,
+        photos: &dataset.photos,
+        photo_grid: &bundle.photo_grid,
+        pois: Some(&dataset.pois),
+        eps: config.eps,
+        rho: config.rho,
+        phi_source: PhiSource::Photos,
+    };
+    let mut described = dataset.network.streets().iter().filter_map(|street| {
+        let ctx = builder.build(street.id).ok()?;
+        (ctx.members.len() >= 8).then_some((street.id, ctx))
+    });
+    let (street_a, ctx_a) = described.next().expect("a street with photos");
+    let (street_b, ctx_b) = described.next_back().expect("another street with photos");
+
+    enum Want<'a> {
+        Soi(SoiQuery),
+        Describe(&'a soi_core::describe::StreetContext, DescribeParams),
+        Partial,
+    }
+    let soi = |words: &[&str], k: usize, eps: f64| {
+        let quoted: Vec<String> = words.iter().map(|w| format!("{w:?}")).collect();
+        (
+            "/soi",
+            format!(
+                "{{\"keywords\":[{}],\"k\":{k},\"eps\":{eps},\"deadline_ms\":300000}}",
+                quoted.join(",")
+            ),
+            Want::Soi(SoiQuery::new(dataset.query_keywords(words), k, eps).expect("valid")),
+        )
+    };
+    let describe = |street: soi_common::StreetId, ctx, k: usize, lambda: f64| {
+        (
+            "/describe",
+            format!(
+                "{{\"street\":{},\"k\":{k},\"lambda\":{lambda},\"deadline_ms\":300000}}",
+                street.raw()
+            ),
+            // w is left to the server's default, 0.5.
+            Want::Describe(ctx, DescribeParams::new(k, lambda, 0.5).expect("valid")),
+        )
+    };
+    let sequence = [
+        soi(&["shop", "food"], 5, 0.002),
+        describe(street_a, &ctx_a, 3, 0.5),
+        soi(&["museum"], 2, 0.0005),
+        soi(&["shop", "food", "cafe", "bar"], 20, 0.01),
+        // One microsecond of budget is gone before the worker claims the
+        // job: a partial answer, then a full one on the same scratch.
+        (
+            "/soi",
+            "{\"keywords\":[\"shop\",\"food\",\"cafe\",\"bar\"],\"k\":20,\"eps\":0.01,\
+             \"deadline_ms\":0.001}"
+                .to_string(),
+            Want::Partial,
+        ),
+        soi(&["shop"], 3, 0.001),
+        describe(street_b, &ctx_b, 8, 0.25),
+        soi(&["shop", "food"], 5, 0.002),
+    ];
+
+    let (rounds, report) = with_server(config, |addr| {
+        let round = || -> Vec<String> {
+            sequence
+                .iter()
+                .map(|(path, body, _)| {
+                    let r = request(addr, "POST", path, Some(body), Duration::from_secs(300))
+                        .expect("response");
+                    assert_eq!(r.status, 200, "{path} {body}: {}", r.body);
+                    without_request_id(&r.body)
+                })
+                .collect()
+        };
+        [round(), round()]
+    });
+    assert_eq!(report.panics, 0);
+    assert_eq!(report.errors, 0);
+
+    let num = |doc: &Json, key: &str| doc.get(key).and_then(Json::as_f64).expect("number");
+    for (i, (path, body, want)) in sequence.iter().enumerate() {
+        let doc = parse(&rounds[0][i]).expect("valid JSON");
+        match want {
+            Want::Partial => {
+                for round in &rounds {
+                    let doc = parse(&round[i]).expect("valid JSON");
+                    assert_eq!(doc.get("partial"), Some(&Json::Bool(true)), "{body}");
+                }
+                continue;
+            }
+            Want::Soi(query) => {
+                let direct = run_soi(
+                    &dataset.network,
+                    &dataset.pois,
+                    &bundle.poi,
+                    query,
+                    &SoiConfig::default(),
+                )
+                .expect("valid query");
+                assert_eq!(doc.get("partial"), Some(&Json::Bool(false)));
+                assert_eq!(
+                    num(&doc, "accesses"),
+                    direct.stats.accesses as f64,
+                    "{body}"
+                );
+                assert_eq!(
+                    num(&doc, "lbk").to_bits(),
+                    direct.stats.termination_lb.to_bits()
+                );
+                let results = doc.get("results").and_then(Json::as_arr).expect("results");
+                assert_eq!(results.len(), direct.results.len(), "{body}");
+                for (got, want) in results.iter().zip(&direct.results) {
+                    assert_eq!(num(got, "street"), f64::from(want.street.raw()));
+                    assert_eq!(num(got, "interest").to_bits(), want.interest.to_bits());
+                    assert_eq!(num(got, "best_segment"), f64::from(want.best_segment.raw()));
+                    assert_eq!(num(got, "mass").to_bits(), want.best_segment_mass.to_bits());
+                }
+            }
+            Want::Describe(ctx, params) => {
+                let direct = st_rel_div(ctx, &dataset.photos, params).expect("valid");
+                assert_eq!(doc.get("partial"), Some(&Json::Bool(false)));
+                assert_eq!(num(&doc, "objective").to_bits(), direct.objective.to_bits());
+                let selected: Vec<f64> = doc
+                    .get("selected")
+                    .and_then(Json::as_arr)
+                    .expect("selected")
+                    .iter()
+                    .filter_map(Json::as_f64)
+                    .collect();
+                let want: Vec<f64> = direct.selected.iter().map(|p| f64::from(p.raw())).collect();
+                assert_eq!(selected, want, "{body}");
+            }
+        }
+        assert_eq!(
+            rounds[0][i], rounds[1][i],
+            "{path} {body}: second pass differs from the first"
+        );
+    }
 }
 
 /// A position guaranteed inside the index extent (an existing POI's).
