@@ -33,36 +33,94 @@
 //! `UB = min(UB_paper, UB_f)`. Both are upper bounds for every unseen
 //! segment, so the combination preserves correctness while terminating much
 //! earlier (the ablation bench quantifies the difference).
+//!
+//! ### Lazily ordered lists
+//! The loop reads only a short prefix of SL1, SL2 and the factor list, so a
+//! query never sorts them: each is heapified in O(n) and popped or peeked in
+//! exactly the order a sort would give (see the `ranked` module). SL3
+//! is the one list that does not depend on the query and stays precomputed.
 
 use crate::budget::{QueryBudget, BUDGET_CHECK_EVERY};
 use crate::soi::explain::{ExplainRow, SoiExplain};
 use crate::soi::interest::segment_interest;
 use crate::soi::query::{SoiConfig, SoiOutcome, SoiQuery, StreetResult};
+use crate::soi::ranked::Ranked;
 use crate::soi::stats::{phases, QueryStats};
 use crate::soi::strategy::Source;
-use soi_common::{
-    top_k_by_score, CellId, FxHashMap, Result, ScoredItem, SegmentId, StreetId, TopKTracker,
-};
+use soi_common::{top_k_by_score, CellId, Result, ScoredItem, SegmentId, StreetId, TopKTracker};
 use soi_data::PoiView;
+use soi_geo::LineSeg;
 use soi_index::IndexView;
 use soi_network::RoadNetwork;
+use std::collections::BinaryHeap;
 
 /// Source accesses between sampled UB/LBk trace-counter emissions: dense
 /// enough to show the convergence curve, sparse enough to stay invisible
 /// in the timings (a power of two so the modulo folds to a mask).
 const UB_SAMPLE_EVERY: usize = 64;
 
+/// `relcount` entry of a cell no query keyword reaches. Negative, so a
+/// cell whose relevant weights sum to exactly 0.0 is still told apart
+/// (it is an SL1 entry); reads clamp it to 0.
+const UNREACHED: f64 = -1.0;
+
+/// Where a segment's `Cε(ℓ)` list and its visited bitset sit in [`Arenas`].
+#[derive(Clone, Copy, Default)]
+struct Span {
+    cells_at: usize,
+    bits_at: usize,
+    len: usize,
+}
+
+/// Backing store of every seen segment's cell list and visited bitset: two
+/// vectors grown by appending, emptied per query, instead of two heap
+/// allocations per rasterised segment.
+#[derive(Default)]
+struct Arenas {
+    cells: Vec<CellId>,
+    bits: Vec<u64>,
+}
+
+impl Arenas {
+    /// Appends `cells` (ascending) with an all-clear visited bitset.
+    fn push(&mut self, cells: &[CellId]) -> Span {
+        let span = Span {
+            cells_at: self.cells.len(),
+            bits_at: self.bits.len(),
+            len: cells.len(),
+        };
+        self.cells.extend_from_slice(cells);
+        self.bits.resize(span.bits_at + cells.len().div_ceil(64), 0);
+        span
+    }
+
+    /// The cell list and visited bitset of `span`.
+    fn of(&mut self, span: Span) -> (&[CellId], &mut [u64]) {
+        (
+            &self.cells[span.cells_at..][..span.len],
+            &mut self.bits[span.bits_at..][..span.len.div_ceil(64)],
+        )
+    }
+}
+
+/// The cells of a segment's list whose visited bit is clear, ascending.
+fn unvisited<'a>(cells: &'a [CellId], bits: &'a [u64]) -> impl Iterator<Item = CellId> + 'a {
+    cells
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &c)| (bits[i / 64] & (1u64 << (i % 64)) == 0).then_some(c))
+}
+
 /// Per-segment state during filtering: the *partial* / *final* states of
 /// Section 3.2.2.
 struct SegState {
+    seg: SegmentId,
     /// Accumulated (lower-bound) mass from visited cells.
     mass: f64,
-    /// `Cε(ℓ)`: the occupied cells within ε (ascending), computed lazily
-    /// when the segment is first seen (the query-time augmentation of
-    /// Sec. 3.2.1).
-    cells: Vec<CellId>,
-    /// Bitset over `cells`: which ones were already accounted for.
-    visited_bits: Vec<u64>,
+    /// `Cε(ℓ)`: the occupied cells within ε (ascending), rasterised when
+    /// the segment is first seen (the query-time augmentation of
+    /// Sec. 3.2.1), with one visited bit per cell.
+    span: Span,
     /// Number of set bits.
     visited_count: usize,
     /// True once every cell has been visited (exact interest known).
@@ -70,69 +128,258 @@ struct SegState {
 }
 
 impl SegState {
-    fn new(cells: Vec<CellId>) -> Self {
-        let finalized = cells.is_empty();
-        let words = cells.len().div_ceil(64);
-        Self {
-            mass: 0.0,
-            cells,
-            visited_bits: vec![0; words],
-            visited_count: 0,
-            finalized,
-        }
-    }
-
     /// Marks `cell` visited; returns false if it was already visited or is
     /// not one of the segment's ε-cells.
-    fn visit(&mut self, cell: CellId) -> bool {
-        let Ok(idx) = self.cells.binary_search(&cell) else {
+    fn visit(&mut self, cell: CellId, cells: &[CellId], bits: &mut [u64]) -> bool {
+        let Ok(idx) = cells.binary_search(&cell) else {
             return false;
         };
         let (word, bit) = (idx / 64, 1u64 << (idx % 64));
-        if self.visited_bits[word] & bit != 0 {
+        if bits[word] & bit != 0 {
             return false;
         }
-        self.visited_bits[word] |= bit;
+        bits[word] |= bit;
         self.visited_count += 1;
         true
     }
 
-    /// Iterates over the not-yet-visited cells.
-    fn unvisited(&self) -> impl Iterator<Item = CellId> + '_ {
-        self.cells.iter().enumerate().filter_map(|(i, &c)| {
-            (self.visited_bits[i / 64] & (1u64 << (i % 64)) == 0).then_some(c)
-        })
-    }
-
     /// Upper bound on the segment's true mass: accumulated mass plus the
     /// full relevant weight of every unvisited cell.
-    fn upper_mass(&self, relcount: &FxHashMap<CellId, f64>) -> f64 {
+    fn upper_mass(&self, cells: &[CellId], bits: &[u64], inputs: &Inputs<'_>) -> f64 {
         self.mass
-            + self
-                .unvisited()
-                .map(|c| relcount.get(&c).copied().unwrap_or(0.0))
+            + unvisited(cells, bits)
+                .map(|c| inputs.relcount[c.index()].max(0.0))
                 .sum::<f64>()
     }
 }
 
+/// What the access handlers read and never change.
+struct Inputs<'a> {
+    network: &'a RoadNetwork,
+    pois: PoiView<'a>,
+    index: IndexView<'a>,
+    query: &'a SoiQuery,
+    /// relcount(c) per grid cell: an upper bound on the relevant weight the
+    /// cell can contribute to any segment's mass ([`UNREACHED`] where no
+    /// query keyword occurs).
+    relcount: &'a [f64],
+    relprefix: RelPrefix<'a>,
+}
+
+impl Inputs<'_> {
+    /// Exact mass `cell` contributes to the segment with geometry `geom`.
+    fn cell_mass(&self, cell: CellId, geom: &LineSeg) -> f64 {
+        let q = self.query;
+        self.index
+            .cell_mass_for_segment(self.pois, cell, geom, &q.keywords, q.eps)
+    }
+}
+
+/// The per-segment and per-street tables of a query, dense over the ids
+/// and emptied by walking what the previous query touched.
+#[derive(Default)]
+struct SeenTables {
+    /// Per segment: 1 + its index in `states`, 0 while unseen.
+    slot: Vec<u32>,
+    /// Seen segments, in first-seen order.
+    states: Vec<SegState>,
+    arenas: Arenas,
+    /// Per street: best interest lower bound among its seen segments
+    /// (`-∞` until raised); `raised` lists the streets that have one.
+    street_best: Vec<f64>,
+    raised: Vec<StreetId>,
+    /// Rasterisation buffer for one segment's `Cε(ℓ)`.
+    near_cells: Vec<CellId>,
+}
+
+impl SeenTables {
+    /// Empties the tables and fits them to `network`.
+    fn reset(&mut self, network: &RoadNetwork) {
+        for state in self.states.drain(..) {
+            self.slot[state.seg.index()] = 0;
+        }
+        self.slot.resize(network.num_segments(), 0);
+        for street in self.raised.drain(..) {
+            self.street_best[street.index()] = f64::NEG_INFINITY;
+        }
+        self.street_best
+            .resize(network.num_streets(), f64::NEG_INFINITY);
+        self.arenas.cells.clear();
+        self.arenas.bits.clear();
+    }
+}
+
 /// Mutable algorithm state shared by the access handlers.
-struct Filtering {
-    states: FxHashMap<SegmentId, SegState>,
-    /// Best per-street interest lower bound among seen segments.
-    street_best: FxHashMap<StreetId, f64>,
+struct Filtering<'s> {
+    seen: &'s mut SeenTables,
     /// Incremental k-th-largest tracker over `street_best`: `LBk`
     /// (Alg. 1 lines 23–24) is always fresh at O(log S) per update.
     lbk: TopKTracker<StreetId>,
 }
 
-impl Filtering {
+impl Filtering<'_> {
+    fn is_seen(&self, seg: SegmentId) -> bool {
+        self.seen.slot[seg.index()] != 0
+    }
+
+    fn is_finalized(&self, seg: SegmentId) -> bool {
+        let slot = self.seen.slot[seg.index()] as usize;
+        slot != 0 && self.seen.states[slot - 1].finalized
+    }
+
     /// Raises `street`'s lower bound to `int_lower` if it improves.
     fn raise_street_bound(&mut self, street: StreetId, int_lower: f64) {
-        let entry = self.street_best.entry(street).or_insert(f64::NEG_INFINITY);
+        let entry = &mut self.seen.street_best[street.index()];
         if int_lower > *entry {
             let old = (*entry > f64::NEG_INFINITY).then_some(*entry);
+            if old.is_none() {
+                self.seen.raised.push(street);
+            }
             *entry = int_lower;
             self.lbk.update(street, old, int_lower);
+        }
+    }
+
+    /// Index of `seg`'s state, created on first sight. `None` when this
+    /// call *dismissed* the segment by the O(1) pre-rasterisation bound: if
+    /// the full relevant weight of its dilated bounding box cannot lift it
+    /// above `lbk`, it is final and its exact cells are never needed.
+    fn see(
+        &mut self,
+        inputs: &Inputs<'_>,
+        seg: SegmentId,
+        lbk: f64,
+        stats: &mut QueryStats,
+    ) -> Option<usize> {
+        let seen = &mut *self.seen;
+        if let Some(at) = (seen.slot[seg.index()] as usize).checked_sub(1) {
+            return Some(at);
+        }
+        stats.segments_seen += 1;
+        let s = inputs.network.segment(seg);
+        let eps = inputs.query.eps;
+        let dismissed = lbk > 0.0
+            && inputs
+                .index
+                .grid()
+                .cell_range_in_rect(&s.geom.bounding_rect().expand(eps))
+                .is_some_and(|range| {
+                    segment_interest(inputs.relprefix.rect_sum(range), s.len(), eps) <= lbk
+                });
+        let span = if dismissed {
+            stats.segments_bounded_out += 1;
+            stats.segments_finalized_filtering += 1;
+            Span::default()
+        } else {
+            inputs
+                .index
+                .occupied_cells_near_segment_into(&s.geom, eps, &mut seen.near_cells);
+            seen.arenas.push(&seen.near_cells)
+        };
+        seen.states.push(SegState {
+            seg,
+            mass: 0.0,
+            span,
+            visited_count: 0,
+            finalized: span.len == 0,
+        });
+        seen.slot[seg.index()] = seen.states.len() as u32;
+        (!dismissed).then(|| seen.states.len() - 1)
+    }
+
+    /// Effective `UpdateInterest` (procedure in Alg. 1): accounts `cell`
+    /// for segment `seg` once, keeping the street-level lower bound current.
+    fn update_interest(
+        &mut self,
+        inputs: &Inputs<'_>,
+        seg: SegmentId,
+        cell: CellId,
+        lbk: f64,
+        stats: &mut QueryStats,
+    ) {
+        let Some(at) = self.see(inputs, seg, lbk, stats) else {
+            stats.duplicate_visits += 1;
+            return;
+        };
+        let state = &mut self.seen.states[at];
+        let (cells, bits) = self.seen.arenas.of(state.span);
+        if state.finalized || !state.visit(cell, cells, bits) {
+            stats.duplicate_visits += 1;
+            return;
+        }
+        let s = inputs.network.segment(seg);
+        let gained = inputs.cell_mass(cell, &s.geom);
+        state.mass += gained;
+        stats.cell_visits += 1;
+        if state.visited_count == state.span.len {
+            state.finalized = true;
+            stats.segments_finalized_filtering += 1;
+        }
+        if gained > 0.0 {
+            let int_lower = segment_interest(state.mass, s.len(), inputs.query.eps);
+            self.raise_street_bound(s.street, int_lower);
+        }
+    }
+
+    /// Pops a segment from SL2/SL3: lazily computes its Cε cells and either
+    /// *bounds it out* — when even attributing every unvisited cell's full
+    /// relevant weight cannot lift its interest above `LBk`, the segment is
+    /// marked final without any distance computation (its true interest can
+    /// affect neither the top-k membership nor a returned street's reported
+    /// maximum) — or visits every remaining cell.
+    fn finalize_segment(
+        &mut self,
+        inputs: &Inputs<'_>,
+        seg: SegmentId,
+        lbk: f64,
+        stats: &mut QueryStats,
+    ) {
+        let fresh = !self.is_seen(seg);
+        let Some(at) = self.see(inputs, seg, lbk, stats) else {
+            return;
+        };
+        let s = inputs.network.segment(seg);
+        let state = &mut self.seen.states[at];
+        if state.finalized {
+            if fresh {
+                // Seen here for the first time and it has no ε-cells.
+                stats.segments_finalized_filtering += 1;
+            }
+            return;
+        }
+        let (cells, bits) = self.seen.arenas.of(state.span);
+        let int_upper = segment_interest(
+            state.upper_mass(cells, bits, inputs),
+            s.len(),
+            inputs.query.eps,
+        );
+        if int_upper <= lbk && lbk > 0.0 {
+            state.finalized = true;
+            stats.segments_bounded_out += 1;
+            stats.segments_finalized_filtering += 1;
+            return;
+        }
+        // Visit every remaining cell in place. The cell at position `idx`
+        // is exactly bit `idx` of the visited set, so the membership binary
+        // search of `SegState::visit` is unnecessary here. The street bound
+        // is raised once with the final mass, which dominates every
+        // per-cell intermediate raise.
+        for (idx, &cell) in cells.iter().enumerate() {
+            let (word, bit) = (idx / 64, 1u64 << (idx % 64));
+            if bits[word] & bit != 0 {
+                stats.duplicate_visits += 1;
+                continue;
+            }
+            bits[word] |= bit;
+            state.visited_count += 1;
+            state.mass += inputs.cell_mass(cell, &s.geom);
+            stats.cell_visits += 1;
+        }
+        state.finalized = true;
+        stats.segments_finalized_filtering += 1;
+        let mass = state.mass;
+        if mass > 0.0 {
+            self.raise_street_bound(s.street, segment_interest(mass, s.len(), inputs.query.eps));
         }
     }
 }
@@ -141,22 +388,29 @@ impl Filtering {
 /// O(1) upper bound on the relevant mass inside any rectangle. Lets the
 /// algorithm dismiss hopeless segments before even rasterising their ε-cell
 /// lists.
-struct RelPrefix {
+struct RelPrefix<'a> {
     nx: usize,
     ny: usize,
     /// `(nx+1) × (ny+1)` inclusive prefix sums, row-major.
-    sums: Vec<f64>,
+    sums: &'a [f64],
 }
 
-impl RelPrefix {
-    /// Builds the prefix sums into `sums` (a reusable scratch vector).
-    fn build(grid: &soi_geo::Grid, relcount: &FxHashMap<CellId, f64>, mut sums: Vec<f64>) -> Self {
+impl<'a> RelPrefix<'a> {
+    /// Builds the prefix sums of `relcount` over the `reached` cells into
+    /// `sums` (a reusable scratch vector).
+    fn build(
+        grid: &soi_geo::Grid,
+        relcount: &[f64],
+        reached: &[CellId],
+        sums: &'a mut Vec<f64>,
+    ) -> Self {
         let (nx, ny) = (grid.nx() as usize, grid.ny() as usize);
         sums.clear();
         sums.resize((nx + 1) * (ny + 1), 0.0);
-        for (&cell, &w) in relcount {
+        for &cell in reached {
             let coord = grid.coord_of(cell);
-            sums[(coord.iy as usize + 1) * (nx + 1) + coord.ix as usize + 1] = w;
+            sums[(coord.iy as usize + 1) * (nx + 1) + coord.ix as usize + 1] =
+                relcount[cell.index()];
         }
         for y in 1..=ny {
             let mut row_acc = 0.0;
@@ -179,26 +433,31 @@ impl RelPrefix {
     }
 }
 
-/// Reusable allocations for [`run_soi`], letting a batch of queries share
-/// buffers instead of re-allocating the source lists, bound tables, and
-/// per-segment state maps on every call.
+/// Reusable working memory for [`run_soi`]: the source-list vectors, the
+/// dense per-cell / per-segment / per-street tables and the cell-list
+/// arenas, so a warm query allocates none of them.
 ///
 /// Hold one per worker thread and pass it to
-/// [`run_soi_with_scratch`]; results are identical to [`run_soi`] (the
-/// buffers are cleared on entry, never read).
+/// [`run_soi_with_scratch`]; results are identical to [`run_soi`]. Every
+/// table is emptied on entry by walking what the previous query touched
+/// and re-fitted to the network and grid at hand, so one scratch may serve
+/// different datasets in turn. A worker retains about
+/// `8·|grid cells| + 4·|segments| + 12·|streets|` bytes of tables plus the
+/// high-water marks of the lists.
 #[derive(Default)]
 pub struct SoiScratch {
-    cell_weights: FxHashMap<CellId, f64>,
+    relcount: Vec<f64>,
+    /// The cells with a `relcount` entry (SL1's domain), first-reached order.
+    reached: Vec<CellId>,
     prefix_sums: Vec<f64>,
-    cell_count_ub: Vec<usize>,
-    sl1: Vec<(CellId, f64)>,
-    sl2: Vec<SegmentId>,
-    slf: Vec<(SegmentId, f64)>,
-    states: FxHashMap<SegmentId, SegState>,
-    street_best: FxHashMap<StreetId, f64>,
+    sl1: BinaryHeap<Ranked<CellId>>,
+    sl2: BinaryHeap<Ranked<SegmentId>>,
+    slf: BinaryHeap<Ranked<SegmentId>>,
+    seen: SeenTables,
     segs_near_cell: Vec<SegmentId>,
-    unvisited: Vec<CellId>,
-    seen: Vec<SegmentId>,
+    /// Rank phase — per street: 1 + its index in `best`, 0 if none.
+    street_slot: Vec<u32>,
+    best: Vec<StreetResult>,
 }
 
 impl std::fmt::Debug for SoiScratch {
@@ -361,135 +620,85 @@ pub fn run_soi_full<'a>(
 
     let eps = query.eps;
 
-    // Detach the scratch buffers so each behaves as a plain local; they are
-    // handed back (with their capacity) before returning.
-    let mut cell_weights = std::mem::take(&mut scratch.cell_weights);
-    let mut cell_count_ub = std::mem::take(&mut scratch.cell_count_ub);
-    let mut sl1 = std::mem::take(&mut scratch.sl1);
-    let mut sl2 = std::mem::take(&mut scratch.sl2);
-    let mut slf = std::mem::take(&mut scratch.slf);
-    let mut states = std::mem::take(&mut scratch.states);
-    let mut street_best = std::mem::take(&mut scratch.street_best);
-    let mut segs_near_cell = std::mem::take(&mut scratch.segs_near_cell);
-    let mut unvisited = std::mem::take(&mut scratch.unvisited);
-    let mut seen = std::mem::take(&mut scratch.seen);
-    cell_weights.clear();
-    cell_count_ub.clear();
-    sl1.clear();
-    sl2.clear();
-    slf.clear();
-    states.clear();
-    street_best.clear();
-
     let sources_span = soi_obs::trace::span(soi_obs::names::spans::SOI_SOURCES);
 
     // --- SL1: cells by relevant-POI weight, descending (Alg. 1 lines 1–3).
+    // relcount(c) sums the query keywords' global postings in keyword
+    // order, capped by the cell's total weight.
+    let (relcount, reached) = (&mut scratch.relcount, &mut scratch.reached);
+    for cell in reached.drain(..) {
+        relcount[cell.index()] = UNREACHED;
+    }
+    relcount.resize(index.grid().num_cells(), UNREACHED);
     for k in query.keywords.iter() {
         for &(cell, w) in index.global_postings(k) {
-            *cell_weights.entry(cell).or_insert(0.0) += w;
+            let sum = &mut relcount[cell.index()];
+            if *sum < 0.0 {
+                *sum = 0.0;
+                reached.push(cell);
+            }
+            *sum += w;
         }
     }
-    for (cell, sum) in cell_weights.iter_mut() {
-        let cap = index.cell_total_weight(*cell);
-        *sum = sum.min(cap);
+    let mut sl1 = Ranked::recycle(&mut scratch.sl1);
+    for &cell in reached.iter() {
+        let sum = &mut relcount[cell.index()];
+        *sum = sum.min(index.cell_total_weight(cell));
+        sl1.push(Ranked {
+            score: *sum,
+            id: cell,
+        });
     }
-    // relcount(c): upper bound on the relevant weight a cell can contribute
-    // to any segment's mass; reused for the per-segment mass upper bounds.
-    let relcount = &cell_weights;
-    let relprefix = RelPrefix::build(
-        index.grid(),
-        relcount,
-        std::mem::take(&mut scratch.prefix_sums),
-    );
-    sl1.extend(relcount.iter().map(|(&c, &w)| (c, w)));
-    sl1.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let relprefix = RelPrefix::build(index.grid(), relcount, reached, &mut scratch.prefix_sums);
 
     // --- SL2: segments by (an O(1) upper bound of) |Cε(ℓ)| descending
     // (lines 6–7). Any sound upper bound keeps the UB valid, and avoids
     // rasterising every segment at query time.
-    cell_count_ub.extend(
-        network
-            .segments()
-            .iter()
-            .map(|s| index.upper_cell_count(&s.geom, eps)),
-    );
-    sl2.extend(network.segments().iter().map(|s| s.id));
-    sl2.sort_by(|&a, &b| {
-        cell_count_ub[b.index()]
-            .cmp(&cell_count_ub[a.index()])
-            .then_with(|| a.cmp(&b))
-    });
+    // --- SLf: segments by the coupled factor |Cε(ℓ)|/(2ε·len+πε²), desc.
+    // Never accessed; peeked (skipping seen segments) for the tight UB.
+    let mut sl2 = Ranked::recycle(&mut scratch.sl2);
+    let mut slf = Ranked::recycle(&mut scratch.slf);
+    for s in network.segments() {
+        let cell_count_ub = index.upper_cell_count(&s.geom, eps) as f64;
+        sl2.push(Ranked {
+            score: cell_count_ub,
+            id: s.id,
+        });
+        slf.push(Ranked {
+            score: segment_interest(cell_count_ub, s.len(), eps),
+            id: s.id,
+        });
+    }
+    // None of the three is sorted: the threshold loop reads a short prefix,
+    // so each is heapified in O(n) and popped in list order on demand.
+    let mut sl1 = BinaryHeap::from(sl1);
+    let mut sl2 = BinaryHeap::from(sl2);
+    let mut slf = BinaryHeap::from(slf);
 
     // --- SL3: segments by length ascending (precomputed offline).
     let sl3: &[SegmentId] = index.segments_by_len();
-
-    // --- SLf: segments by the coupled factor |Cε(ℓ)|/(2ε·len+πε²), desc.
-    // Never popped; peeked (skipping seen segments) for the tight UB.
-    slf.extend(network.segments().iter().map(|s| {
-        let f = segment_interest(cell_count_ub[s.id.index()] as f64, s.len(), eps);
-        (s.id, f)
-    }));
-    slf.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let mut cursor3 = 0usize;
     drop(sources_span);
 
     if let Some(ex) = explain.as_deref_mut() {
         ex.record_lists(sl1.len(), sl2.len(), sl3.len());
     }
 
+    let inputs = Inputs {
+        network,
+        pois,
+        index,
+        query,
+        relcount,
+        relprefix,
+    };
+    scratch.seen.reset(network);
     let mut fil = Filtering {
-        states,
-        street_best,
+        seen: &mut scratch.seen,
         lbk: TopKTracker::new(query.k),
     };
-    let mut cursor1 = 0usize;
-    let mut cursor2 = 0usize;
-    let mut cursor3 = 0usize;
-    let mut cursor_f = 0usize;
 
     stats.timer.enter(phases::FILTERING);
-
-    // Effective `UpdateInterest` (procedure in Alg. 1): accounts cell `cell`
-    // for segment `seg` once, keeping the street-level lower bound current.
-    let update_interest =
-        |seg: SegmentId, cell: CellId, lbk: f64, fil: &mut Filtering, stats: &mut QueryStats| {
-            let state = fil.states.entry(seg).or_insert_with(|| {
-                stats.segments_seen += 1;
-                let s = network.segment(seg);
-                // O(1) pre-rasterisation bound: if the full relevant weight
-                // of the dilated bbox cannot lift the segment above LBk,
-                // its exact cells are never needed.
-                if lbk > 0.0 {
-                    if let Some(range) = index
-                        .grid()
-                        .cell_range_in_rect(&s.geom.bounding_rect().expand(eps))
-                    {
-                        let upper = relprefix.rect_sum(range);
-                        if segment_interest(upper, s.len(), eps) <= lbk {
-                            stats.segments_bounded_out += 1;
-                            stats.segments_finalized_filtering += 1;
-                            return SegState::new(Vec::new());
-                        }
-                    }
-                }
-                SegState::new(index.occupied_cells_near_segment(&s.geom, eps))
-            });
-            if state.finalized || !state.visit(cell) {
-                stats.duplicate_visits += 1;
-                return;
-            }
-            let s = network.segment(seg);
-            let gained = index.cell_mass_for_segment(pois, cell, &s.geom, &query.keywords, eps);
-            state.mass += gained;
-            stats.cell_visits += 1;
-            if state.visited_count == state.cells.len() {
-                state.finalized = true;
-                stats.segments_finalized_filtering += 1;
-            }
-            if gained > 0.0 {
-                let int_lower = segment_interest(state.mass, s.len(), eps);
-                fil.raise_street_bound(s.street, int_lower);
-            }
-        };
 
     let cycle = config.strategy.cycle();
     let mut cycle_pos = 0usize;
@@ -500,55 +709,56 @@ pub fn run_soi_full<'a>(
     let mut expired = budget.expired();
 
     while !expired {
-        // Advance cursors past finalised (SL2/SL3) or seen (SLf) segments so
-        // that peeks reflect the best still-relevant entry of each list.
-        while cursor2 < sl2.len() && fil.states.get(&sl2[cursor2]).is_some_and(|s| s.finalized) {
-            cursor2 += 1;
+        // Drop finalised (SL2/SL3) or seen (SLf) segments off the list
+        // heads so that peeks reflect the best still-relevant entry of each.
+        while sl2.peek().is_some_and(|e| fil.is_finalized(e.id)) {
+            sl2.pop();
         }
-        while cursor3 < sl3.len() && fil.states.get(&sl3[cursor3]).is_some_and(|s| s.finalized) {
+        while sl3.get(cursor3).is_some_and(|&s| fil.is_finalized(s)) {
             cursor3 += 1;
         }
-        while cursor_f < slf.len() && fil.states.contains_key(&slf[cursor_f].0) {
-            cursor_f += 1;
+        while slf.peek().is_some_and(|e| fil.is_seen(e.id)) {
+            slf.pop();
         }
 
         // Unseen upper bound (line 22). Exhausted SL1 means every cell with
         // relevant POIs was popped, so every segment with positive mass is
         // seen; exhausted SL2/SL3/SLf means no unseen segments remain.
-        let top1 = sl1.get(cursor1).map_or(0.0, |&(_, w)| w);
-        let top2 = sl2
-            .get(cursor2)
-            .map_or(0.0, |&s| cell_count_ub[s.index()] as f64);
+        let top1 = sl1.peek().map_or(0.0, |e| e.score);
+        let top2 = sl2.peek().map_or(0.0, |e| e.score);
         let top3 = sl3.get(cursor3).map(|&s| network.segment(s).len());
         let ub_paper = match top3 {
             Some(len) if top1 > 0.0 && top2 > 0.0 => segment_interest(top1 * top2, len, eps),
             _ => 0.0,
         };
-        let ub_coupled = slf.get(cursor_f).map_or(0.0, |&(_, f)| top1 * f);
+        let ub_coupled = slf.peek().map_or(0.0, |e| top1 * e.score);
         ub = if config.paper_bounds_only {
             ub_paper
         } else {
             ub_paper.min(ub_coupled)
         };
         lbk = fil.lbk.threshold();
+        // An explain row: these bounds and list heads (the pre-access values
+        // that select the access) with the progress counters as of `stats`.
+        let explain_row = |source: Option<Source>, stats: &QueryStats| ExplainRow {
+            access: stats.accesses,
+            source,
+            ub,
+            ub_paper,
+            ub_coupled,
+            lbk,
+            top_sl1: top1,
+            top_sl2: top2,
+            top_sl3: top3.unwrap_or(0.0),
+            segments_seen: stats.segments_seen,
+            cells_popped: stats.cells_popped,
+        };
 
         if ub <= lbk {
             if let Some(ex) = explain.as_deref_mut() {
                 // Final row: the state that stopped the access loop. Always
                 // recorded, so the table's last row satisfies UB ≤ LBk.
-                ex.record(ExplainRow {
-                    access: stats.accesses,
-                    source: None,
-                    ub,
-                    ub_paper,
-                    ub_coupled,
-                    lbk,
-                    top_sl1: top1,
-                    top_sl2: top2,
-                    top_sl3: top3.unwrap_or(0.0),
-                    segments_seen: stats.segments_seen,
-                    cells_popped: stats.cells_popped,
-                });
+                ex.record(explain_row(None, &stats));
             }
             break;
         }
@@ -570,63 +780,45 @@ pub fn run_soi_full<'a>(
         let mut accessed = None;
         for source in fallbacks {
             match source {
-                Source::Cells if cursor1 < sl1.len() => {
-                    let (cell, _) = sl1[cursor1];
-                    cursor1 += 1;
+                Source::Cells => {
+                    let Some(Ranked { id: cell, .. }) = sl1.pop() else {
+                        continue;
+                    };
                     stats.cells_popped += 1;
                     // Lazy Lε(c) superset: spurious touches are rejected by
                     // each segment's own Cε membership check.
-                    index.segments_near_cell_superset_into(cell, eps, &mut segs_near_cell);
-                    for &seg in &segs_near_cell {
-                        update_interest(seg, cell, prune_lbk, &mut fil, &mut stats);
+                    index.segments_near_cell_superset_into(cell, eps, &mut scratch.segs_near_cell);
+                    for &seg in &scratch.segs_near_cell {
+                        fil.update_interest(&inputs, seg, cell, prune_lbk, &mut stats);
                     }
-                    accessed = Some(Source::Cells);
                 }
-                Source::SegmentsByCells if cursor2 < sl2.len() => {
-                    let seg = sl2[cursor2];
-                    cursor2 += 1;
+                Source::SegmentsByCells => {
+                    let Some(Ranked { id: seg, .. }) = sl2.pop() else {
+                        continue;
+                    };
                     stats.segments_popped += 1;
-                    finalize_segment(
-                        seg, network, pois, index, query, eps, prune_lbk, relcount, &relprefix,
-                        &mut fil, &mut stats,
-                    );
-                    accessed = Some(Source::SegmentsByCells);
+                    fil.finalize_segment(&inputs, seg, prune_lbk, &mut stats);
                 }
-                Source::SegmentsByLen if cursor3 < sl3.len() => {
-                    let seg = sl3[cursor3];
+                Source::SegmentsByLen => {
+                    let Some(&seg) = sl3.get(cursor3) else {
+                        continue;
+                    };
                     cursor3 += 1;
                     stats.segments_popped += 1;
-                    finalize_segment(
-                        seg, network, pois, index, query, eps, prune_lbk, relcount, &relprefix,
-                        &mut fil, &mut stats,
-                    );
-                    accessed = Some(Source::SegmentsByLen);
+                    fil.finalize_segment(&inputs, seg, prune_lbk, &mut stats);
                 }
-                _ => continue,
             }
+            accessed = Some(source);
             break;
         }
-        let Some(accessed_source) = accessed else {
+        if accessed.is_none() {
             // All lists exhausted: everything is seen; UB is 0 next round.
             continue;
-        };
+        }
         stats.accesses += 1;
         if let Some(ex) = explain.as_deref_mut() {
-            // Bounds and list heads are the pre-access values that selected
-            // this access; progress counters are cumulative after it.
-            ex.record(ExplainRow {
-                access: stats.accesses,
-                source: Some(accessed_source),
-                ub,
-                ub_paper,
-                ub_coupled,
-                lbk,
-                top_sl1: top1,
-                top_sl2: top2,
-                top_sl3: top3.unwrap_or(0.0),
-                segments_seen: stats.segments_seen,
-                cells_popped: stats.cells_popped,
-            });
+            // Progress counters are cumulative after the access.
+            ex.record(explain_row(accessed, &stats));
         }
         // Sampled convergence tracks: with tracing on, a Chrome trace shows
         // UB descending onto LBk over the filtering phase.
@@ -658,6 +850,7 @@ pub fn run_soi_full<'a>(
     // Skipped entirely on deadline expiry: the anytime contract is a
     // *lower-bound* top-k, and every accumulated mass is already a valid
     // lower bound — spending more time refining would defeat the deadline.
+    let seen = fil.seen;
     if !expired {
         stats.timer.enter(phases::REFINEMENT);
         lbk = if config.paper_bounds_only {
@@ -665,34 +858,22 @@ pub fn run_soi_full<'a>(
         } else {
             fil.lbk.threshold()
         };
-        seen.clear();
-        seen.extend(fil.states.keys().copied());
-        seen.sort_unstable();
-        for &seg in &seen {
-            let Some(state) = fil.states.get(&seg) else {
-                continue; // unreachable: `seen` was drawn from the same map
-            };
-            if state.finalized {
-                continue;
-            }
-            let s = network.segment(seg);
-            if lbk > 0.0 && segment_interest(state.upper_mass(relcount), s.len(), eps) <= lbk {
+        for state in seen.states.iter_mut().filter(|s| !s.finalized) {
+            let s = network.segment(state.seg);
+            let (cells, bits) = seen.arenas.of(state.span);
+            let upper = state.upper_mass(cells, bits, &inputs);
+            if lbk > 0.0 && segment_interest(upper, s.len(), eps) <= lbk {
                 stats.segments_bounded_out += 1;
                 continue;
             }
-            let geom = s.geom;
-            unvisited.clear();
-            unvisited.extend(state.unvisited());
             let mut extra = 0.0;
-            for &cell in &unvisited {
-                extra += index.cell_mass_for_segment(pois, cell, &geom, &query.keywords, eps);
+            for cell in unvisited(cells, bits) {
+                extra += inputs.cell_mass(cell, &s.geom);
                 stats.cell_visits += 1;
             }
-            if let Some(state) = fil.states.get_mut(&seg) {
-                state.mass += extra;
-                state.finalized = true;
-                stats.segments_finalized_refinement += 1;
-            }
+            state.mass += extra;
+            state.finalized = true;
+            stats.segments_finalized_refinement += 1;
         }
     }
 
@@ -700,49 +881,47 @@ pub fn run_soi_full<'a>(
     // to seen segments — unseen ones have interest ≤ UB ≤ LBk and cannot
     // change the top-k membership.
     let rank_span = soi_obs::trace::span(soi_obs::names::spans::SOI_RANK);
-    let mut best: FxHashMap<StreetId, (f64, SegmentId, f64)> = FxHashMap::default();
-    for (&seg, state) in &fil.states {
-        let s = network.segment(seg);
+    let (street_slot, best) = (&mut scratch.street_slot, &mut scratch.best);
+    for entry in best.drain(..) {
+        street_slot[entry.street.index()] = 0;
+    }
+    street_slot.resize(network.num_streets(), 0);
+    for state in &seen.states {
+        let s = network.segment(state.seg);
         let int = segment_interest(state.mass, s.len(), eps);
-        let entry = best.entry(s.street).or_insert((0.0, seg, 0.0));
-        if int > entry.0 || (int == entry.0 && seg < entry.1) {
-            *entry = (int, seg, state.mass);
+        let slot = &mut street_slot[s.street.index()];
+        if *slot == 0 {
+            best.push(StreetResult {
+                street: s.street,
+                interest: 0.0,
+                best_segment: state.seg,
+                best_segment_mass: 0.0,
+            });
+            *slot = best.len() as u32;
+        }
+        let entry = &mut best[*slot as usize - 1];
+        if int > entry.interest || (int == entry.interest && state.seg < entry.best_segment) {
+            entry.interest = int;
+            entry.best_segment = state.seg;
+            entry.best_segment_mass = state.mass;
         }
     }
     let ranked = top_k_by_score(
         best.iter()
-            .filter(|(_, &(int, _, _))| int > 0.0)
-            .map(|(&st, &(int, _, _))| ScoredItem::new(st, int)),
+            .filter(|entry| entry.interest > 0.0)
+            .map(|entry| ScoredItem::new(entry.street, entry.interest)),
         query.k,
     );
     let results = ranked
         .into_iter()
-        .map(|item| {
-            let (int, seg, mass) = best[&item.id];
-            StreetResult {
-                street: item.id,
-                interest: int,
-                best_segment: seg,
-                best_segment_mass: mass,
-            }
-        })
+        .map(|item| best[street_slot[item.id.index()] as usize - 1].clone())
         .collect();
     drop(rank_span);
 
     stats.timer.stop();
 
-    // Hand the buffers (and their capacity) back for the next query.
-    scratch.cell_weights = cell_weights;
-    scratch.prefix_sums = relprefix.sums;
-    scratch.cell_count_ub = cell_count_ub;
-    scratch.sl1 = sl1;
-    scratch.sl2 = sl2;
-    scratch.slf = slf;
-    scratch.states = fil.states;
-    scratch.street_best = fil.street_best;
-    scratch.segs_near_cell = segs_near_cell;
-    scratch.unvisited = unvisited;
-    scratch.seen = seen;
+    // Hand the lists (and their capacity) back for the next query.
+    (scratch.sl1, scratch.sl2, scratch.slf) = (sl1, sl2, slf);
 
     crate::obs::absorb_query_stats(&stats);
 
@@ -755,86 +934,4 @@ pub fn run_soi_full<'a>(
         stats,
         partial: expired,
     })
-}
-
-/// Pops a segment from SL2/SL3: lazily computes its Cε cells and either
-/// *bounds it out* — when even attributing every unvisited cell's full
-/// relevant weight cannot lift its interest above `LBk`, the segment is
-/// marked final without any distance computation (its true interest can
-/// affect neither the top-k membership nor a returned street's reported
-/// maximum) — or visits every remaining cell.
-#[allow(clippy::too_many_arguments)]
-fn finalize_segment(
-    seg: SegmentId,
-    network: &RoadNetwork,
-    pois: PoiView<'_>,
-    index: IndexView<'_>,
-    query: &SoiQuery,
-    eps: f64,
-    lbk: f64,
-    relcount: &FxHashMap<CellId, f64>,
-    relprefix: &RelPrefix,
-    fil: &mut Filtering,
-    stats: &mut QueryStats,
-) {
-    let s = network.segment(seg);
-    let state = match fil.states.entry(seg) {
-        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-        std::collections::hash_map::Entry::Vacant(e) => {
-            stats.segments_seen += 1;
-            // O(1) pre-rasterisation bound (see update_interest).
-            if lbk > 0.0 {
-                if let Some(range) = index
-                    .grid()
-                    .cell_range_in_rect(&s.geom.bounding_rect().expand(eps))
-                {
-                    let upper = relprefix.rect_sum(range);
-                    if segment_interest(upper, s.len(), eps) <= lbk {
-                        stats.segments_bounded_out += 1;
-                        stats.segments_finalized_filtering += 1;
-                        e.insert(SegState::new(Vec::new()));
-                        return;
-                    }
-                }
-            }
-            let state = SegState::new(index.occupied_cells_near_segment(&s.geom, eps));
-            if state.finalized {
-                stats.segments_finalized_filtering += 1;
-            }
-            e.insert(state)
-        }
-    };
-    if state.finalized {
-        return;
-    }
-    let int_upper = segment_interest(state.upper_mass(relcount), s.len(), eps);
-    if int_upper <= lbk && lbk > 0.0 {
-        state.finalized = true;
-        stats.segments_bounded_out += 1;
-        stats.segments_finalized_filtering += 1;
-        return;
-    }
-    // Visit every remaining cell in place (no clone of the cell list). The
-    // cell at position `idx` is exactly bit `idx` of the visited set, so the
-    // membership binary search of `SegState::visit` is unnecessary here. The
-    // street bound is raised once with the final mass, which dominates every
-    // per-cell intermediate raise.
-    for idx in 0..state.cells.len() {
-        let (word, bit) = (idx / 64, 1u64 << (idx % 64));
-        if state.visited_bits[word] & bit != 0 {
-            stats.duplicate_visits += 1;
-            continue;
-        }
-        state.visited_bits[word] |= bit;
-        state.visited_count += 1;
-        let cell = state.cells[idx];
-        state.mass += index.cell_mass_for_segment(pois, cell, &s.geom, &query.keywords, eps);
-        stats.cell_visits += 1;
-    }
-    state.finalized = true;
-    stats.segments_finalized_filtering += 1;
-    let mass = state.mass;
-    if mass > 0.0 {
-        fil.raise_street_bound(s.street, segment_interest(mass, s.len(), eps));
-    }
 }

@@ -5,6 +5,7 @@ pub mod baseline;
 pub mod explain;
 pub mod interest;
 pub mod query;
+mod ranked;
 pub mod stats;
 pub mod strategy;
 

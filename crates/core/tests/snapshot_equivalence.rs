@@ -73,12 +73,16 @@ fn params(threads: usize) -> BundleParams {
     }
 }
 
-/// Round-trips `dataset`'s bundle through a snapshot file.
+/// Round-trips `dataset`'s bundle through a snapshot file. The tests of
+/// this binary run in parallel over the same thread counts, so every call
+/// gets a file of its own.
 fn load_round_trip(dataset: &Dataset, p: &BundleParams) -> (IndexBundle, IndexBundle) {
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let fresh = build_bundle(dataset, p);
     let path = std::env::temp_dir().join(format!(
-        "soi-equiv-{}-t{}.soisnap",
+        "soi-equiv-{}-{}-t{}.soisnap",
         std::process::id(),
+        CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         p.threads
     ));
     write_bundle(&path, dataset, &fresh, p).unwrap();

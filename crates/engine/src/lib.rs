@@ -927,22 +927,71 @@ mod tests {
 
     #[test]
     fn one_worker_answers_like_a_fresh_one_after_any_history() {
-        // The serving shape: one long-lived worker, one job at a time,
-        // shapes growing and shrinking its scratch, a deadline-expired
-        // partial in between. Every full answer must equal a fresh
-        // worker's, work counters included.
-        let (dataset, index) = fixture();
-        let queries = queries(&dataset);
-        let ctx = QueryContext::new(&dataset.network, &dataset.pois, &index);
+        // The serving shape: one long-lived worker, one job at a time. Its
+        // scratch meets two datasets with different segment, street and
+        // grid-cell counts in turn (the dense tables re-fit), shapes that
+        // grow and shrink it (wide keyword sets at a large ε, then one
+        // keyword at a small one, then wide again), and a deadline-expired
+        // partial before every full run. Every full answer must equal a
+        // fresh worker's, every work counter included.
+        let (vienna, vienna_index) = fixture();
+        let (berlin, _) = soi_datagen::generate(&soi_datagen::berlin(0.05));
+        let berlin_index = PoiIndex::build(&berlin.network, &berlin.pois, 0.002);
+        assert_ne!(vienna.network.num_segments(), berlin.network.num_segments());
+        assert_ne!(
+            vienna_index.grid().num_cells(),
+            berlin_index.grid().num_cells()
+        );
+        let worlds = [
+            (
+                QueryContext::new(&vienna.network, &vienna.pois, &vienna_index),
+                &vienna,
+            ),
+            (
+                QueryContext::new(&berlin.network, &berlin.pois, &berlin_index),
+                &berlin,
+            ),
+        ];
+        let shapes: [(&[&str], usize, f64); 3] = [
+            (&["shop", "food", "bar", "cafe", "museum"], 40, 0.002), // big
+            (&["museum"], 1, 0.0002),                                // small
+            (&["shop", "food"], 10, 0.0005),
+        ];
+        let counters = |s: &QueryStats| {
+            [
+                s.accesses,
+                s.cells_popped,
+                s.segments_popped,
+                s.cell_visits,
+                s.duplicate_visits,
+                s.segments_seen,
+                s.segments_finalized_filtering,
+                s.segments_finalized_refinement,
+                s.segments_bounded_out,
+            ]
+        };
         let unlimited = QueryBudget::unlimited();
         let capture = QueryCapture::default();
         let mut worker = EngineWorker::default();
-        for &i in &[3usize, 0, 2, 1, 3, 0] {
+        let mut answered = 0;
+        for &(world, shape) in &[
+            (0usize, 0usize),
+            (0, 1),
+            (0, 0),
+            (1, 0),
+            (0, 2),
+            (1, 1),
+            (1, 0),
+            (0, 0),
+        ] {
+            let (ctx, dataset) = &worlds[world];
+            let (keywords, k, eps) = shapes[shape];
+            let query = SoiQuery::new(dataset.query_keywords(keywords), k, eps).expect("valid");
             let expired = QueryBudget::with_deadline(Instant::now());
-            let partial = worker.run_soi(&ctx, &queries[i], expired, capture);
+            let partial = worker.run_soi(ctx, &query, expired, capture);
             assert!(partial.result.expect("a deadline hit is a success").partial);
-            let got = worker.run_soi(&ctx, &queries[i], unlimited, capture);
-            let want = EngineWorker::default().run_soi(&ctx, &queries[i], unlimited, capture);
+            let got = worker.run_soi(ctx, &query, unlimited, capture);
+            let want = EngineWorker::default().run_soi(ctx, &query, unlimited, capture);
             let (got, want) = (got.result.expect("valid"), want.result.expect("valid"));
             assert!(!got.partial);
             assert_eq!(got.results.len(), want.results.len());
@@ -950,10 +999,16 @@ mod tests {
                 assert_eq!(g.street, w.street);
                 assert_eq!(g.interest.to_bits(), w.interest.to_bits());
                 assert_eq!(g.best_segment, w.best_segment);
+                assert_eq!(g.best_segment_mass.to_bits(), w.best_segment_mass.to_bits());
             }
-            assert_eq!(got.stats.accesses, want.stats.accesses);
-            assert_eq!(got.stats.segments_seen, want.stats.segments_seen);
+            assert_eq!(counters(&got.stats), counters(&want.stats));
+            assert_eq!(
+                got.stats.termination_ub.to_bits(),
+                want.stats.termination_ub.to_bits()
+            );
+            answered += got.results.len();
         }
+        assert!(answered > 0, "degenerate fixture: every answer was empty");
     }
 
     #[test]
@@ -1226,12 +1281,13 @@ mod tests {
             warm_max <= cold,
             "warm query allocated more than the cold one: {warm_max} > {cold}"
         );
-        // Absolute ceiling with ample headroom (warm queries currently sit
-        // around a few dozen allocations): catches a scratch-reuse
-        // regression that re-allocates per-segment state every query long
-        // before it degrades wall-clock measurably.
+        // Absolute ceiling: a warm query on this fixture makes 27
+        // allocations (the answer, the LBk tracker's tree nodes, the
+        // worker's per-job bookkeeping). One allocation per rasterised
+        // segment or visited cell — the state the dense scratch tables
+        // replaced — would add hundreds, long before wall-clock shows it.
         assert!(
-            warm_max <= 10_000,
+            warm_max <= 64,
             "warm query allocation count {warm_max} exceeds the regression ceiling"
         );
         let peaks = &out.telemetry.query_alloc_peaks;

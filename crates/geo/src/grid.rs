@@ -180,11 +180,17 @@ impl Grid {
 
     /// Inclusive cell-coordinate ranges of cells overlapping `r`, clipped to
     /// the grid. Returns `None` if `r` lies entirely outside.
+    ///
+    /// The cell of a coordinate is the floor of its offset in cell units,
+    /// taken here without a `floor` call (Alg. 1 asks this of every segment
+    /// on every query): the two rejection tests compare against integers,
+    /// which the floor cannot change, and past them each offset is clamped
+    /// to `[0, n-1]`, where the truncating cast *is* the floor.
     fn clip_range(&self, r: &Rect) -> Option<(u32, u32, u32, u32)> {
-        let x0 = ((r.min.x - self.origin.x) / self.cell_size).floor();
-        let y0 = ((r.min.y - self.origin.y) / self.cell_size).floor();
-        let x1 = ((r.max.x - self.origin.x) / self.cell_size).floor();
-        let y1 = ((r.max.y - self.origin.y) / self.cell_size).floor();
+        let x0 = (r.min.x - self.origin.x) / self.cell_size;
+        let y0 = (r.min.y - self.origin.y) / self.cell_size;
+        let x1 = (r.max.x - self.origin.x) / self.cell_size;
+        let y1 = (r.max.y - self.origin.y) / self.cell_size;
         if x1 < 0.0 || y1 < 0.0 || x0 >= self.nx as f64 || y0 >= self.ny as f64 {
             return None;
         }
@@ -323,6 +329,56 @@ mod tests {
         assert_eq!(g.cell_containing(Point::new(-0.1, 0.0)), None);
         assert_eq!(g.cell_containing(Point::new(4.0, 0.0)), None);
         assert_eq!(g.cell_containing(Point::new(0.0, 3.0)), None);
+    }
+
+    #[test]
+    fn clip_range_equals_the_floor_of_each_corner() {
+        // The reference: floor first, then reject and clamp.
+        fn reference(g: &Grid, r: &Rect) -> Option<(u32, u32, u32, u32)> {
+            let cell = |v: f64, o: f64| ((v - o) / g.cell_size).floor();
+            let (x0, y0) = (cell(r.min.x, g.origin.x), cell(r.min.y, g.origin.y));
+            let (x1, y1) = (cell(r.max.x, g.origin.x), cell(r.max.y, g.origin.y));
+            if x1 < 0.0 || y1 < 0.0 || x0 >= g.nx as f64 || y0 >= g.ny as f64 {
+                return None;
+            }
+            Some((
+                x0.max(0.0) as u32,
+                y0.max(0.0) as u32,
+                x1.min((g.nx - 1) as f64) as u32,
+                y1.min((g.ny - 1) as f64) as u32,
+            ))
+        }
+        let g = Grid::new(Point::new(-1.5, 2.0), 0.25, 7, 5);
+        // Corners on, just inside and just outside every cell boundary,
+        // well outside the grid, and non-finite.
+        let mut xs = vec![
+            f64::NEG_INFINITY,
+            -1e300,
+            1e300,
+            f64::INFINITY,
+            f64::NAN,
+            -0.0,
+        ];
+        for i in -3..=10 {
+            let edge = -1.5 + f64::from(i) * 0.25;
+            xs.extend([edge, edge - 1e-12, edge + 1e-12, edge + 0.1]);
+        }
+        for &ax in &xs {
+            for &bx in &xs {
+                for (ay, by) in [(2.0, 2.3), (1.0, 1.9), (3.3, 9.0), (2.25, 2.25)] {
+                    let r = Rect {
+                        min: Point::new(ax, ay),
+                        max: Point::new(bx, by),
+                    };
+                    assert_eq!(g.cell_range_in_rect(&r), reference(&g, &r), "x {ax}..{bx}");
+                    let r = Rect {
+                        min: Point::new(ay - 3.5, ax + 3.5),
+                        max: Point::new(by - 3.5, bx + 3.5),
+                    };
+                    assert_eq!(g.cell_range_in_rect(&r), reference(&g, &r), "y {ax}..{bx}");
+                }
+            }
+        }
     }
 
     #[test]

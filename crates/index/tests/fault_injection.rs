@@ -23,8 +23,15 @@ use soi_snapshot::{fnv1a64, HEADER_LEN, TABLE_ENTRY_LEN};
 use soi_text::{KeywordSet, Vocabulary};
 use std::path::PathBuf;
 
+/// A path no other call shares: tests of this binary run in parallel and
+/// two of them write (and remove) the pristine image.
 fn temp_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("soi-fault-{}-{name}.soisnap", std::process::id()))
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    std::env::temp_dir().join(format!(
+        "soi-fault-{}-{}-{name}.soisnap",
+        std::process::id(),
+        CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ))
 }
 
 fn kws(ids: &[u32]) -> KeywordSet {
@@ -81,7 +88,7 @@ fn params() -> BundleParams {
     }
 }
 
-/// The pristine snapshot image for `dataset`, written once per process.
+/// The pristine snapshot image for `dataset`.
 fn pristine_image(dataset: &Dataset) -> Vec<u8> {
     let path = temp_path("pristine");
     let bundle = soi_index::build_bundle(dataset, &params());

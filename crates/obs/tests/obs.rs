@@ -8,11 +8,17 @@ use soi_obs::metrics::{self, DEFAULT_LATENCY_BUCKETS};
 use soi_obs::trace::{self, EventKind};
 use std::sync::Mutex;
 
-/// Tracing state is process-global; tests that enable it serialize here
-/// and drain both sides so they cannot observe each other's events.
-fn with_tracing<R>(f: impl FnOnce() -> R) -> R {
+/// Tracing state is process-global; every test that enables it *or relies
+/// on it being off* holds this lock for as long as that matters.
+fn trace_state() -> std::sync::MutexGuard<'static, ()> {
     static GUARD: Mutex<()> = Mutex::new(());
-    let _guard = GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    GUARD.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Runs `f` with tracing on, draining both sides so tests cannot observe
+/// each other's events.
+fn with_tracing<R>(f: impl FnOnce() -> R) -> R {
+    let _guard = trace_state();
     let _ = trace::take_events();
     trace::set_enabled(true);
     let out = f();
@@ -246,6 +252,8 @@ fn windowed_histogram_survives_long_idle_gaps() {
 /// fraction of a microsecond.
 #[test]
 fn disabled_instrumentation_is_near_free() {
+    // A test enabling tracing beside this loop would make it record.
+    let _guard = trace_state();
     assert!(!trace::enabled(), "test assumes the disabled path");
     const ITERS: u32 = 200_000;
     // Warm up.

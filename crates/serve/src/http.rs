@@ -352,8 +352,11 @@ pub fn write_response_with_headers(
         head.push_str("\r\n");
     }
     head.push_str("connection: close\r\n\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    // Head and body leave in one write: one syscall and, for the usual
+    // small answer, one TCP segment on this close-after-reply socket.
+    let mut response = head.into_bytes();
+    response.extend_from_slice(body);
+    stream.write_all(&response)?;
     stream.flush()
 }
 
@@ -436,6 +439,35 @@ mod tests {
             roundtrip(b"POST /soi HTTP/1.1\r\ncontent-length: 10\r\n\r\nabc"),
             Err(HttpError::Closed)
         ));
+    }
+
+    #[test]
+    fn response_arrives_whole_head_then_body() {
+        use std::io::Read;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut server_side, _) = listener.accept().unwrap();
+        // Larger than a loopback socket buffer: the single write must still
+        // deliver every byte while the client reads.
+        let body = vec![b'x'; 1 << 20];
+        let expected_body = body.clone();
+        let writer = std::thread::spawn(move || {
+            write_response_with_headers(
+                &mut server_side,
+                200,
+                "OK",
+                "text/plain",
+                &body,
+                &[("x-soi-request-id", "7")],
+            )
+        });
+        let mut got = Vec::new();
+        client.read_to_end(&mut got).unwrap();
+        writer.join().unwrap().unwrap();
+        let head = "HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\ncontent-length: 1048576\r\n\
+                    x-soi-request-id: 7\r\nconnection: close\r\n\r\n";
+        assert_eq!(&got[..head.len()], head.as_bytes());
+        assert_eq!(&got[head.len()..], &expected_body[..]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! in the thousands, each with a handful of keywords) and makes lookups a
 //! binary search over a cache-resident directory.
 
-use crate::inverted::union_distinct;
+use crate::inverted::union_of_postings;
 use soi_common::KeywordId;
 
 /// A compact inverted index: keyword → id-sorted postings, CSR layout.
@@ -190,8 +190,7 @@ impl<D: Copy + Ord> FlatPostings<D> {
     /// of `keywords`, in ascending document order (the paper's synchronous
     /// multi-list traversal).
     pub fn for_each_matching<F: FnMut(D)>(&self, keywords: &[KeywordId], f: F) {
-        let lists: Vec<&[D]> = keywords.iter().map(|&k| self.postings(k)).collect();
-        union_distinct(&lists, f);
+        union_of_postings(keywords, |k| self.postings(k), f);
     }
 
     /// Counts distinct documents matching any of `keywords`.

@@ -139,8 +139,7 @@ impl<D: Copy + Ord> InvertedIndex<D> {
     /// This is the paper's synchronous multi-list traversal: a document with
     /// several matching keywords is visited exactly once.
     pub fn for_each_matching<F: FnMut(D)>(&self, keywords: &[KeywordId], f: F) {
-        let lists: Vec<&[D]> = keywords.iter().map(|&k| self.postings(k)).collect();
-        union_distinct(&lists, f);
+        union_of_postings(keywords, |k| self.postings(k), f);
     }
 
     /// Counts distinct documents matching any of `keywords`.
@@ -151,17 +150,28 @@ impl<D: Copy + Ord> InvertedIndex<D> {
     }
 }
 
+/// Lists (and keywords) handled without a heap allocation: queries carry
+/// a handful of keywords, wider sets take the allocating path.
+pub const STACK_LISTS: usize = 8;
+
 /// K-way distinct union of id-sorted lists: calls `f` exactly once per
 /// distinct element, in ascending order.
 ///
 /// Lists must each be sorted ascending (duplicates within a list allowed).
+/// Allocates only for more than [`STACK_LISTS`] lists.
 pub fn union_distinct<D: Copy + Ord, F: FnMut(D)>(lists: &[&[D]], mut f: F) {
-    let mut cursors: Vec<usize> = vec![0; lists.len()];
+    let (mut stack, mut heap) = ([0usize; STACK_LISTS], Vec::new());
+    let cursors: &mut [usize] = if lists.len() <= STACK_LISTS {
+        &mut stack
+    } else {
+        heap.resize(lists.len(), 0);
+        &mut heap
+    };
     loop {
         // Find the smallest head among all lists.
         let mut smallest: Option<D> = None;
-        for (li, list) in lists.iter().enumerate() {
-            if let Some(&head) = list.get(cursors[li]) {
+        for (list, &c) in lists.iter().zip(cursors.iter()) {
+            if let Some(&head) = list.get(c) {
                 smallest = Some(match smallest {
                     Some(s) if s <= head => s,
                     _ => head,
@@ -171,13 +181,32 @@ pub fn union_distinct<D: Copy + Ord, F: FnMut(D)>(lists: &[&[D]], mut f: F) {
         let Some(value) = smallest else { break };
         f(value);
         // Advance every cursor past this value (handles duplicates).
-        for (li, list) in lists.iter().enumerate() {
-            let c = &mut cursors[li];
+        for (list, c) in lists.iter().zip(cursors.iter_mut()) {
             while *c < list.len() && list[*c] == value {
                 *c += 1;
             }
         }
     }
+}
+
+/// [`union_distinct`] over the postings of `keywords`, each resolved by
+/// `postings`: the shared body of the indexes' `for_each_matching`.
+pub(crate) fn union_of_postings<'a, D: Copy + Ord + 'a, F: FnMut(D)>(
+    keywords: &[KeywordId],
+    postings: impl Fn(KeywordId) -> &'a [D],
+    f: F,
+) {
+    let (mut stack, mut heap) = ([&[][..]; STACK_LISTS], Vec::new());
+    let lists: &mut [&[D]] = if keywords.len() <= STACK_LISTS {
+        &mut stack[..keywords.len()]
+    } else {
+        heap.resize(keywords.len(), &[][..]);
+        &mut heap
+    };
+    for (list, &k) in lists.iter_mut().zip(keywords) {
+        *list = postings(k);
+    }
+    union_distinct(lists, f);
 }
 
 #[cfg(test)]

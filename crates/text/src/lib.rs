@@ -33,7 +33,7 @@ pub mod vocab;
 
 pub use flat::FlatPostings;
 pub use freq::FreqVector;
-pub use inverted::{union_distinct, InvertedIndex};
+pub use inverted::{union_distinct, InvertedIndex, STACK_LISTS};
 pub use keyword_set::KeywordSet;
 pub use tokenize::tokenize;
 pub use vocab::Vocabulary;

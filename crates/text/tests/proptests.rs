@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use soi_common::KeywordId;
-use soi_text::{union_distinct, FreqVector, InvertedIndex, KeywordSet};
+use soi_text::{union_distinct, FlatPostings, FreqVector, InvertedIndex, KeywordSet, STACK_LISTS};
 use std::collections::BTreeSet;
 
 fn kwset() -> impl Strategy<Value = KeywordSet> {
@@ -56,9 +56,13 @@ proptest! {
     }
 
     #[test]
-    fn union_distinct_matches_btreeset(lists in proptest::collection::vec(
-        proptest::collection::vec(0u32..50, 0..20), 0..5)) {
-        let sorted: Vec<Vec<u32>> = lists
+    fn union_distinct_matches_btreeset(
+        // Draws from a narrow range, so lists repeat values within
+        // themselves and share them with each other.
+        pool in proptest::collection::vec(proptest::collection::vec(0u32..50, 0..20), STACK_LISTS + 4..STACK_LISTS + 5),
+        extra in 0usize..STACK_LISTS + 4,
+    ) {
+        let sorted: Vec<Vec<u32>> = pool
             .iter()
             .map(|l| {
                 let mut l = l.clone();
@@ -66,17 +70,50 @@ proptest! {
                 l
             })
             .collect();
-        let refs: Vec<&[u32]> = sorted.iter().map(Vec::as_slice).collect();
-        let mut got = Vec::new();
-        union_distinct(&refs, |d| got.push(d));
-        let expect: Vec<u32> = sorted
+        // No list, the unmerged single list, the last count that merges on
+        // the stack, the first that allocates, and one more at random.
+        for count in [0, 1, 2, STACK_LISTS, STACK_LISTS + 1, extra] {
+            let refs: Vec<&[u32]> = sorted[..count].iter().map(Vec::as_slice).collect();
+            let mut got = Vec::new();
+            union_distinct(&refs, |d| got.push(d));
+            let expect: Vec<u32> = sorted[..count]
+                .iter()
+                .flatten()
+                .copied()
+                .collect::<BTreeSet<u32>>()
+                .into_iter()
+                .collect();
+            prop_assert_eq!(got, expect, "{} lists", count);
+        }
+    }
+
+    #[test]
+    fn for_each_matching_agrees_across_indexes_at_any_width(
+        docs in proptest::collection::vec(proptest::collection::vec(0u32..14, 0..6), 0..30),
+        query in proptest::collection::vec(0u32..16, 0..STACK_LISTS + 3),
+    ) {
+        // Both indexes resolve keywords through the same stack-or-heap
+        // path; repeated and absent query keywords are legal.
+        let mut hash: InvertedIndex<u32> = InvertedIndex::new();
+        let mut pairs = Vec::new();
+        for (i, kws) in docs.iter().enumerate() {
+            hash.add_document(i as u32, kws.iter().map(|&k| KeywordId(k)));
+            pairs.extend(kws.iter().map(|&k| (KeywordId(k), i as u32)));
+        }
+        pairs.sort_unstable();
+        let flat = FlatPostings::from_sorted_pairs(docs.len(), &pairs);
+        let q: Vec<KeywordId> = query.iter().map(|&k| KeywordId(k)).collect();
+        let expect: Vec<u32> = docs
             .iter()
-            .flatten()
-            .copied()
-            .collect::<BTreeSet<u32>>()
-            .into_iter()
+            .enumerate()
+            .filter(|(_, kws)| kws.iter().any(|k| query.contains(k)))
+            .map(|(i, _)| i as u32)
             .collect();
-        prop_assert_eq!(got, expect);
+        let (mut from_hash, mut from_flat) = (Vec::new(), Vec::new());
+        hash.for_each_matching(&q, |d| from_hash.push(d));
+        flat.for_each_matching(&q, |d| from_flat.push(d));
+        prop_assert_eq!(&from_hash, &expect);
+        prop_assert_eq!(&from_flat, &expect);
     }
 
     #[test]
