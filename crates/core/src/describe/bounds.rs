@@ -11,47 +11,42 @@ use crate::describe::DescribeParams;
 use soi_common::{CellId, PhotoId};
 use soi_data::PhotoView;
 use soi_index::DivCell;
-use soi_text::KeywordSet;
+use soi_text::{sorted_intersection_size, KeywordSet};
 
-/// Bounds on the spatial relevance of any photo in cell `id`
+/// Bounds on the spatial relevance of any photo in the cell at `slot`
 /// (Eqs. 11–12).
 ///
 /// Lower: the cell's own photos all lie within ρ (cell side is ρ/2).
 /// Upper: the radius-2 cell neighbourhood covers every point within ρ.
-fn spatial_rel_bounds(ctx: &StreetContext, id: CellId) -> (f64, f64) {
+fn spatial_rel_bounds(ctx: &StreetContext, slot: usize) -> (f64, f64) {
     let n = ctx.index.num_photos();
-    if n == 0 {
-        return (0.0, 0.0);
-    }
-    let Some(cell) = ctx.index.cell(id) else {
-        return (0.0, 0.0); // unoccupied cell: no photos to bound
-    };
-    let lower = cell.photos.len() as f64 / n as f64;
-    let upper = ctx.index.neighborhood_count(id, 2) as f64 / n as f64;
+    let lower = ctx.index.member_slots(slot).len() as f64 / n as f64;
+    let upper = ctx.index.neighborhood_count(ctx.index.occupied()[slot], 2) as f64 / n as f64;
     (lower, upper)
 }
 
-/// Bounds on the textual relevance of any photo in cell `id`
-/// (Eqs. 13–14), via the extremal keyword sets `Ψ−(c|s)` / `Ψ+(c|s)`.
+/// Bounds on the textual relevance of any photo in `cell` (Eqs. 13–14),
+/// via the extremal keyword sets `Ψ−(c|s)` / `Ψ+(c|s)`; `positive` is
+/// scratch.
 ///
 /// Any photo in the cell has between `ψmin` and `ψmax` tags, all drawn from
 /// `c.Ψ`. The minimum Φs-sum takes zero-weight keywords first, then the
 /// cheapest positive ones; the maximum takes the `ψmax` heaviest.
-fn textual_rel_bounds(ctx: &StreetContext, id: CellId) -> (f64, f64) {
+fn textual_rel_bounds(ctx: &StreetContext, cell: &DivCell, positive: &mut Vec<f64>) -> (f64, f64) {
     let l1 = ctx.phi.l1_norm();
     if l1 == 0.0 {
         return (0.0, 0.0);
     }
-    let Some(cell) = ctx.index.cell(id) else {
-        return (0.0, 0.0); // unoccupied cell: no photos to bound
-    };
-    let mut positive: Vec<f64> = cell
-        .keywords
-        .iter()
-        .map(|k| ctx.phi.weight(k))
-        .filter(|&w| w > 0.0)
-        .collect();
-    positive.sort_by(f64::total_cmp); // ascending
+    positive.clear();
+    positive.extend(
+        cell.keywords
+            .iter()
+            .map(|&k| ctx.phi.weight(k))
+            .filter(|&w| w > 0.0),
+    );
+    // Ascending. Weights equal under `total_cmp` are the same bits, so the
+    // unstable sort yields the one possible sequence.
+    positive.sort_unstable_by(f64::total_cmp);
 
     let zero_count = cell.keywords.len() - positive.len();
     let must_take = cell.psi_min.saturating_sub(zero_count);
@@ -93,7 +88,7 @@ fn spatial_div_bounds(
 ///   with `z = |c.Ψ \ Ψr|` avoidable tags, diversity is 1 when `z ≥ ψmin`,
 ///   else `1 − (ψmin − z)/(|Ψr| + z)`.
 fn textual_div_bounds(cell: &DivCell, r_tags: &KeywordSet) -> (f64, f64) {
-    let m = cell.keywords.intersection_size(r_tags);
+    let m = sorted_intersection_size(cell.keywords, r_tags.ids());
     let nr = r_tags.len();
 
     let i_star = m.min(cell.psi_max);
@@ -119,16 +114,45 @@ fn textual_div_bounds(cell: &DivCell, r_tags: &KeywordSet) -> (f64, f64) {
     (lower, upper)
 }
 
-/// Bounds on the combined relevance `w·spatial_rel + (1−w)·textual_rel` of
-/// any photo in cell `id`.
-pub fn cell_rel_bounds(ctx: &StreetContext, w: f64, id: CellId) -> (f64, f64) {
-    let (sl, su) = spatial_rel_bounds(ctx, id);
-    let (tl, tu) = textual_rel_bounds(ctx, id);
+/// [`cell_rel_bounds`] of the cell at `slot` of the index's occupied list;
+/// `weights` is scratch (Alg. 2 bounds every cell of a street with one).
+pub(crate) fn rel_bounds_at(
+    ctx: &StreetContext,
+    w: f64,
+    slot: usize,
+    weights: &mut Vec<f64>,
+) -> (f64, f64) {
+    let (sl, su) = spatial_rel_bounds(ctx, slot);
+    let (tl, tu) = textual_rel_bounds(ctx, &ctx.index.cell_at(slot), weights);
     (w * sl + (1.0 - w) * tl, w * su + (1.0 - w) * tu)
 }
 
+/// [`cell_div_bounds`] of the cell at `slot` of the index's occupied list.
+pub(crate) fn div_bounds_at(
+    ctx: &StreetContext,
+    photos: PhotoView<'_>,
+    w: f64,
+    slot: usize,
+    r: PhotoId,
+) -> (f64, f64) {
+    let (sl, su) = spatial_div_bounds(ctx, photos, ctx.index.occupied()[slot], r);
+    let (tl, tu) = textual_div_bounds(&ctx.index.cell_at(slot), &photos.get(r).tags);
+    (w * sl + (1.0 - w) * tl, w * su + (1.0 - w) * tu)
+}
+
+/// Bounds on the combined relevance `w·spatial_rel + (1−w)·textual_rel` of
+/// any photo in cell `id` (`(0, 0)` for an unoccupied cell: no photos to
+/// bound).
+pub fn cell_rel_bounds(ctx: &StreetContext, w: f64, id: CellId) -> (f64, f64) {
+    match ctx.index.slot_of(id) {
+        Some(slot) => rel_bounds_at(ctx, w, slot, &mut Vec::new()),
+        None => (0.0, 0.0),
+    }
+}
+
 /// Bounds on the combined diversity `w·spatial_div + (1−w)·textual_div`
-/// between photo `r` and any photo in cell `id`.
+/// between photo `r` and any photo in cell `id` (`(0, 0)` for an unoccupied
+/// cell).
 pub fn cell_div_bounds<'a>(
     ctx: &StreetContext,
     photos: impl Into<PhotoView<'a>>,
@@ -136,13 +160,10 @@ pub fn cell_div_bounds<'a>(
     id: CellId,
     r: PhotoId,
 ) -> (f64, f64) {
-    let photos: PhotoView<'a> = photos.into();
-    let (sl, su) = spatial_div_bounds(ctx, photos, id, r);
-    let Some(cell) = ctx.index.cell(id) else {
-        return (0.0, 0.0); // unoccupied cell: no photos to bound
-    };
-    let (tl, tu) = textual_div_bounds(cell, &photos.get(r).tags);
-    (w * sl + (1.0 - w) * tl, w * su + (1.0 - w) * tu)
+    match ctx.index.slot_of(id) {
+        Some(slot) => div_bounds_at(ctx, photos.into(), w, slot, r),
+        None => (0.0, 0.0),
+    }
 }
 
 /// Bounds on the `mmr` score (Eq. 10) of any photo in cell `id` against the
@@ -217,7 +238,7 @@ mod tests {
             for &id in ctx.index.occupied() {
                 let (lo, hi) = cell_rel_bounds(&ctx, w, id);
                 assert!(lo <= hi + 1e-12);
-                for &r in &ctx.index.cell(id).unwrap().photos {
+                for &r in ctx.index.cell(id).unwrap().photos {
                     let exact = measures::rel(&ctx, &photos, w, r);
                     assert!(
                         lo <= exact + 1e-9 && exact <= hi + 1e-9,
@@ -236,7 +257,7 @@ mod tests {
                 for &probe in &ctx.members {
                     let (lo, hi) = cell_div_bounds(&ctx, &photos, w, id, probe);
                     assert!(lo <= hi + 1e-12);
-                    for &r in &ctx.index.cell(id).unwrap().photos {
+                    for &r in ctx.index.cell(id).unwrap().photos {
                         let exact = measures::div(&ctx, &photos, w, probe, r);
                         assert!(
                             lo <= exact + 1e-9 && exact <= hi + 1e-9,
@@ -256,7 +277,7 @@ mod tests {
         let selected = [ctx.members[0], ctx.members[3]];
         for &id in ctx.index.occupied() {
             let (lo, hi) = cell_mmr_bounds(&ctx, &photos, &params, id, &selected);
-            for &r in &ctx.index.cell(id).unwrap().photos {
+            for &r in ctx.index.cell(id).unwrap().photos {
                 let exact = objective::mmr(&ctx, &photos, &params, r, &selected);
                 assert!(
                     lo <= exact + 1e-9 && exact <= hi + 1e-9,
@@ -270,9 +291,8 @@ mod tests {
     fn textual_div_bounds_edge_cases() {
         // Cell with untagged photos only.
         let cell = DivCell {
-            photos: vec![],
-            inverted: soi_text::InvertedIndex::new(),
-            keywords: KeywordSet::empty(),
+            photos: &[],
+            keywords: &[],
             psi_min: 0,
             psi_max: 0,
         };
@@ -291,9 +311,8 @@ mod tests {
         // Cell keywords all shared with r, psi_min = psi_max = 2, so every
         // cell photo shares >= ... diversity is constrained below 1.
         let cell = DivCell {
-            photos: vec![],
-            inverted: soi_text::InvertedIndex::new(),
-            keywords: tags(&[0, 1]),
+            photos: &[],
+            keywords: &[KeywordId(0), KeywordId(1)],
             psi_min: 2,
             psi_max: 2,
         };

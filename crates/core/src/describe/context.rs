@@ -5,7 +5,7 @@
 //! `maxD(s)` (diagonal of the ε-buffered street MBR, Definition 5), the
 //! neighbourhood radius ρ, and the per-street diversification grid index.
 
-use soi_common::{PhotoId, PoiId, Result, SoiError, StreetId};
+use soi_common::{CellId, PhotoId, PoiId, Result, SoiError, StreetId};
 use soi_data::{PhotoCollection, PhotoView, PoiCollection};
 use soi_index::{DeltaIndex, DiversificationIndex, PhotoGrid};
 use soi_network::RoadNetwork;
@@ -39,6 +39,10 @@ impl PhiSource {
 }
 
 /// The description context of one street.
+///
+/// A context is a buffer as much as a value: [`ContextBuilder::rebuild`]
+/// refills one in place, so a worker describing street after street keeps
+/// one and stops allocating once it has seen its largest `Rs`.
 #[derive(Debug)]
 pub struct StreetContext {
     /// The street being described.
@@ -53,6 +57,23 @@ pub struct StreetContext {
     pub rho: f64,
     /// The per-street grid index (cell side ρ/2).
     pub index: DiversificationIndex,
+    /// Scratch of the `Rs` extraction: candidate photo-grid cells.
+    cells: Vec<CellId>,
+}
+
+impl Default for StreetContext {
+    /// An empty context, to be filled by [`ContextBuilder::rebuild`].
+    fn default() -> Self {
+        Self {
+            street: StreetId(0),
+            members: Vec::new(),
+            phi: FreqVector::new(),
+            max_d: 0.0,
+            rho: 0.0,
+            index: DiversificationIndex::default(),
+            cells: Vec::new(),
+        }
+    }
 }
 
 /// Inputs shared across street-context constructions.
@@ -74,7 +95,7 @@ pub struct ContextBuilder<'a> {
     pub phi_source: PhiSource,
 }
 
-impl ContextBuilder<'_> {
+impl<'a> ContextBuilder<'a> {
     /// Builds the description context for `street`.
     ///
     /// # Errors
@@ -85,9 +106,33 @@ impl ContextBuilder<'_> {
         self.build_with_delta(street, None)
     }
 
-    /// Builds the description context for `street` with a sealed ingestion
-    /// delta overlaid (deleted photos leave `Rs`, added photos within ε
-    /// join it, and `Φs` draws on the merged POI/photo populations).
+    /// [`rebuild`](Self::rebuild) into a fresh context.
+    ///
+    /// # Errors
+    /// Same conditions as [`build`](Self::build).
+    pub fn build_with_delta(
+        &self,
+        street: StreetId,
+        delta: Option<&DeltaIndex>,
+    ) -> Result<StreetContext> {
+        let mut ctx = StreetContext::default();
+        self.rebuild(&mut ctx, street, delta)?;
+        Ok(ctx)
+    }
+
+    /// The photos a context built with `delta` overlaid refers to.
+    pub fn photo_view(&self, delta: Option<&'a DeltaIndex>) -> PhotoView<'a> {
+        match delta {
+            Some(d) => d.photo_view(self.photos),
+            None => self.photos.into(),
+        }
+    }
+
+    /// Refills `ctx` with the description context of `street`, with a
+    /// sealed ingestion delta overlaid (deleted photos leave `Rs`, added
+    /// photos within ε join it, and `Φs` draws on the merged POI/photo
+    /// populations). Nothing of what `ctx` held before survives except its
+    /// capacity; after an error its content is unspecified.
     ///
     /// With `delta = None` this is exactly [`build`](Self::build). The
     /// merged iteration order (base survivors ascending, then adds
@@ -98,11 +143,12 @@ impl ContextBuilder<'_> {
     ///
     /// # Errors
     /// Same conditions as [`build`](Self::build).
-    pub fn build_with_delta(
+    pub fn rebuild(
         &self,
+        ctx: &mut StreetContext,
         street: StreetId,
-        delta: Option<&DeltaIndex>,
-    ) -> Result<StreetContext> {
+        delta: Option<&'a DeltaIndex>,
+    ) -> Result<()> {
         if street.index() >= self.network.num_streets() {
             return Err(SoiError::not_found(format!(
                 "street {street} (network has {} streets)",
@@ -121,16 +167,19 @@ impl ContextBuilder<'_> {
                 self.rho
             )));
         }
-        let photos: PhotoView<'_> = match delta {
-            Some(d) => d.photo_view(self.photos),
-            None => self.photos.into(),
-        };
+        let photos = self.photo_view(delta);
         // Base members (ascending), minus this epoch's deleted photos, plus
         // its added photos within ε (their ids follow all base ids, so the
         // list stays ascending).
-        let mut members =
-            self.photo_grid
-                .photos_near_street(self.network, self.photos, street, self.eps);
+        let members = &mut ctx.members;
+        self.photo_grid.photos_near_street_into(
+            self.network,
+            self.photos,
+            street,
+            self.eps,
+            &mut ctx.cells,
+            members,
+        );
         if let Some(d) = delta {
             if d.num_deleted_photos() > 0 {
                 members.retain(|&pid| !d.photo_deleted(pid));
@@ -144,12 +193,13 @@ impl ContextBuilder<'_> {
             }
         }
 
-        let mut phi = FreqVector::new();
+        let phi = &mut ctx.phi;
+        phi.clear();
         if matches!(
             self.phi_source,
             PhiSource::Photos | PhiSource::PhotosAndPois
         ) {
-            for &pid in &members {
+            for &pid in members.iter() {
                 for tag in photos.get(pid).tags.iter() {
                     phi.increment(tag);
                 }
@@ -189,22 +239,15 @@ impl ContextBuilder<'_> {
             }
         }
 
-        let max_d = self
+        ctx.street = street;
+        ctx.max_d = self
             .network
             .street_mbr(street)
             .map(|mbr| mbr.expand(self.eps).diagonal())
             .unwrap_or(0.0);
-
-        let index = DiversificationIndex::build(photos, &members, self.rho);
-
-        Ok(StreetContext {
-            street,
-            members,
-            phi,
-            max_d,
-            rho: self.rho,
-            index,
-        })
+        ctx.rho = self.rho;
+        ctx.index.rebuild(photos, members, self.rho);
+        Ok(())
     }
 }
 

@@ -23,19 +23,19 @@
 //! keeping the floating-point results bit-identical.
 
 use crate::budget::QueryBudget;
-use crate::describe::bounds::{cell_div_bounds, cell_rel_bounds};
+use crate::describe::bounds::{div_bounds_at, rel_bounds_at};
 use crate::describe::context::StreetContext;
 use crate::describe::explain::{DescribeExplain, DescribeRound};
 use crate::describe::measures;
 use crate::describe::objective::objective;
 use crate::describe::{DescribeOutcome, DescribeParams, DescribeStats};
-use soi_common::{CellId, FxHashMap, PhotoId, Result, SoiError};
+use soi_common::{PhotoId, Result, SoiError};
 use soi_data::PhotoView;
 use soi_obs::names::phases;
 
-/// Per-cell incremental bound state.
+/// Per-cell incremental bound state, one per slot of the index's occupied
+/// list (so the table is in ascending cell-id order).
 struct CellAcc {
-    id: CellId,
     /// Unselected photos remaining in the cell.
     remaining: usize,
     /// Static combined relevance bounds (Eqs. 11–14).
@@ -47,7 +47,7 @@ struct CellAcc {
     div_hi_sum: f64,
 }
 
-/// Per-photo cached exact quantities.
+/// Per-photo cached exact quantities, one per member slot of the index.
 #[derive(Default, Clone, Copy)]
 struct PhotoAcc {
     /// Combined relevance (computed once; selection-independent).
@@ -55,21 +55,25 @@ struct PhotoAcc {
     /// Diversity sum over the first `upto` selected photos.
     div_sum: f64,
     upto: usize,
+    /// The photo is part of the selection.
+    chosen: bool,
 }
 
 /// Reusable allocations for [`st_rel_div`], letting a batch of describe
 /// calls share buffers instead of re-allocating the per-cell accumulators,
-/// the selection bitmap, and the per-iteration candidate list on every call.
+/// the per-photo table, and the per-iteration candidate list on every call.
 ///
 /// Hold one per worker thread and pass it to [`st_rel_div_with_scratch`];
 /// results are identical to [`st_rel_div`] (the buffers are cleared on
 /// entry, never read).
 #[derive(Default)]
 pub struct DescribeScratch {
-    chosen: Vec<bool>,
     cells: Vec<CellAcc>,
-    candidates: Vec<(CellId, f64)>,
-    photo_acc: FxHashMap<PhotoId, PhotoAcc>,
+    /// `(cell slot, Bmax)` of the round's surviving cells.
+    candidates: Vec<(usize, f64)>,
+    photo_acc: Vec<PhotoAcc>,
+    /// Scratch of the textual relevance bound's weight sort.
+    weights: Vec<f64>,
 }
 
 impl std::fmt::Debug for DescribeScratch {
@@ -183,23 +187,24 @@ pub fn st_rel_div_full<'a>(
     }
     let _query_span = soi_obs::trace::span(soi_obs::names::spans::DESCRIBE_QUERY);
     let mut stats = DescribeStats::default();
+    let index = &ctx.index;
 
     let mut selected: Vec<PhotoId> = Vec::with_capacity(params.k.min(ctx.members.len()));
-    let mut chosen = std::mem::take(&mut scratch.chosen);
-    let mut cells = std::mem::take(&mut scratch.cells);
-    let mut candidates = std::mem::take(&mut scratch.candidates);
-    let mut photo_acc = std::mem::take(&mut scratch.photo_acc);
-    chosen.clear();
-    chosen.resize(photos.len(), false);
+    let DescribeScratch {
+        cells,
+        candidates,
+        photo_acc,
+        weights,
+    } = scratch;
     photo_acc.clear();
+    photo_acc.resize(index.photos().len(), PhotoAcc::default());
 
     stats.timer.enter(phases::FILTERING);
     cells.clear();
-    cells.extend(ctx.index.occupied().iter().map(|&id| {
-        let (rel_lo, rel_hi) = cell_rel_bounds(ctx, params.w, id);
+    cells.extend((0..index.occupied().len()).map(|slot| {
+        let (rel_lo, rel_hi) = rel_bounds_at(ctx, params.w, slot, weights);
         CellAcc {
-            id,
-            remaining: ctx.index.cell(id).map_or(0, |c| c.photos.len()),
+            remaining: index.member_slots(slot).len(),
             rel_lo,
             rel_hi,
             div_lo_sum: 0.0,
@@ -217,29 +222,27 @@ pub fn st_rel_div_full<'a>(
     // Exact mmr with cached relevance and incrementally topped-up div sums.
     // Summation order equals the baseline's (selection order), so results
     // are bit-identical.
-    let exact_mmr =
-        |r: PhotoId, selected: &[PhotoId], photo_acc: &mut FxHashMap<PhotoId, PhotoAcc>| -> f64 {
-            let acc = photo_acc.entry(r).or_default();
-            let rel = match acc.rel {
-                Some(rel) => rel,
-                None => {
-                    let rel = measures::rel(ctx, photos, params.w, r);
-                    acc.rel = Some(rel);
-                    rel
-                }
-            };
-            let mut div_sum = acc.div_sum;
-            for &r2 in &selected[acc.upto..] {
-                div_sum += measures::div(ctx, photos, params.w, r, r2);
+    let exact_mmr = |r: PhotoId, selected: &[PhotoId], acc: &mut PhotoAcc| -> f64 {
+        let rel = match acc.rel {
+            Some(rel) => rel,
+            None => {
+                let rel = measures::rel(ctx, photos, params.w, r);
+                acc.rel = Some(rel);
+                rel
             }
-            acc.div_sum = div_sum;
-            acc.upto = selected.len();
-            let mut score = one_minus_lambda * rel;
-            if params.k > 1 && !selected.is_empty() {
-                score += div_scale * div_sum;
-            }
-            score
         };
+        let mut div_sum = acc.div_sum;
+        for &r2 in &selected[acc.upto..] {
+            div_sum += measures::div(ctx, photos, params.w, r, r2);
+        }
+        acc.div_sum = div_sum;
+        acc.upto = selected.len();
+        let mut score = one_minus_lambda * rel;
+        if params.k > 1 && !selected.is_empty() {
+            score += div_scale * div_sum;
+        }
+        score
+    };
 
     // Checked once per greedy round: each completed round's selection is a
     // valid (exact) greedy prefix, so stopping between rounds degrades the
@@ -262,7 +265,7 @@ pub fn st_rel_div_full<'a>(
         let use_div = params.k > 1 && !selected.is_empty();
         candidates.clear();
         let mut mmr_min = f64::NEG_INFINITY;
-        for cell in &cells {
+        for (slot, cell) in cells.iter().enumerate() {
             if cell.remaining == 0 {
                 continue;
             }
@@ -275,21 +278,24 @@ pub fn st_rel_div_full<'a>(
             if lo > mmr_min {
                 mmr_min = lo;
             }
-            candidates.push((cell.id, hi));
+            candidates.push((slot, hi));
         }
         let before = candidates.len();
         // Keep candidate cells whose upper bound can reach the best lower
         // bound (Alg. 2 line 9; non-strict to preserve ties).
         candidates.retain(|&(_, hi)| hi >= mmr_min);
         stats.cells_pruned_filtering += before - candidates.len();
-        // Priority order: descending upper bound, ties by ascending cell id.
-        candidates.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        // Priority order: descending upper bound, ties by ascending cell id
+        // (= ascending slot). The keys are distinct, so the unstable sort
+        // yields the one possible order.
+        candidates.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
 
         // --- Refinement phase: exact mmr over surviving cells.
         stats.timer.enter(phases::REFINEMENT);
-        let mut best: Option<(f64, PhotoId)> = None;
-        for (idx, &(c, hi)) in candidates.iter().enumerate() {
-            if let Some((bv, _)) = best {
+        // (mmr, photo, member slot, cell slot) of the running best.
+        let mut best: Option<(f64, PhotoId, usize, usize)> = None;
+        for (idx, &(slot, hi)) in candidates.iter().enumerate() {
+            if let Some((bv, ..)) = best {
                 if hi < bv {
                     // Cells are sorted by Bmax: everything after is pruned too.
                     stats.cells_pruned_refinement += candidates.len() - idx;
@@ -297,21 +303,20 @@ pub fn st_rel_div_full<'a>(
                 }
             }
             stats.cells_refined += 1;
-            let Some(cell) = ctx.index.cell(c) else {
-                continue; // unreachable: candidates come from occupied()
-            };
-            for &r in &cell.photos {
-                if chosen[r.index()] {
+            for member in index.member_slots(slot) {
+                let acc = &mut photo_acc[member];
+                if acc.chosen {
                     continue;
                 }
-                let v = exact_mmr(r, &selected, &mut photo_acc);
+                let r = index.photos()[member];
+                let v = exact_mmr(r, &selected, acc);
                 stats.photos_evaluated += 1;
                 let better = match best {
                     None => true,
-                    Some((bv, bid)) => v > bv || (v == bv && r < bid),
+                    Some((bv, bid, ..)) => v > bv || (v == bv && r < bid),
                 };
                 if better {
-                    best = Some((v, r));
+                    best = Some((v, r, member, slot));
                 }
             }
         }
@@ -326,35 +331,30 @@ pub fn st_rel_div_full<'a>(
                 cells_pruned_refinement: stats.cells_pruned_refinement - snap.1,
                 photos_scored: stats.photos_evaluated - snap.2,
                 mmr_min,
-                best_mmr: best.map(|(v, _)| v),
-                selected: best.map(|(_, p)| p),
+                best_mmr: best.map(|(v, ..)| v),
+                selected: best.map(|(_, p, ..)| p),
             });
         }
 
         // No evaluable candidate left (every remaining cell is empty):
         // the selection is as large as it can get.
-        let Some((_, next)) = best else {
+        let Some((_, next, next_member, next_cell)) = best else {
             stats.timer.stop();
             break;
         };
         selected.push(next);
-        chosen[next.index()] = true;
+        photo_acc[next_member].chosen = true;
 
         // --- Incremental updates for the new selection.
         stats.timer.enter(phases::FILTERING);
-        let next_cell = ctx
-            .index
-            .grid()
-            .cell_containing(photos.get(next).pos)
-            .map(|coord| ctx.index.grid().cell_id(coord));
-        for cell in &mut cells {
-            if Some(cell.id) == next_cell {
-                cell.remaining = cell.remaining.saturating_sub(1);
-            }
-            if cell.remaining > 0 && params.k > 1 {
-                let (dl, du) = cell_div_bounds(ctx, photos, params.w, cell.id, next);
-                cell.div_lo_sum += dl;
-                cell.div_hi_sum += du;
+        cells[next_cell].remaining -= 1;
+        if params.k > 1 {
+            for (slot, cell) in cells.iter_mut().enumerate() {
+                if cell.remaining > 0 {
+                    let (dl, du) = div_bounds_at(ctx, photos, params.w, slot, next);
+                    cell.div_lo_sum += dl;
+                    cell.div_hi_sum += du;
+                }
             }
         }
         stats.timer.stop();
@@ -366,12 +366,6 @@ pub fn st_rel_div_full<'a>(
     stats.deadline_expired = expired;
 
     let objective = objective(ctx, photos, params, &selected);
-
-    // Hand the buffers (and their capacity) back for the next call.
-    scratch.chosen = chosen;
-    scratch.cells = cells;
-    scratch.candidates = candidates;
-    scratch.photo_acc = photo_acc;
 
     crate::obs::absorb_describe_stats(&stats);
 

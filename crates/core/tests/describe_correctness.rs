@@ -89,7 +89,7 @@ fn cell_mmr_bounds_sandwich_exact_mmr() {
             for &cell in ctx.index.occupied() {
                 let (lo, hi) = cell_mmr_bounds(&ctx, &photos, &params, cell, &selected);
                 assert!(lo <= hi + 1e-12);
-                for &r in &ctx.index.cell(cell).unwrap().photos {
+                for &r in ctx.index.cell(cell).unwrap().photos {
                     let exact = mmr(&ctx, &photos, &params, r, &selected);
                     assert!(
                         lo <= exact + 1e-9 && exact <= hi + 1e-9,

@@ -12,9 +12,10 @@
 //!   amortising counter contention on large batches while staying
 //!   naturally load-balancing for skewed per-query costs);
 //! - each worker owns an [`EngineWorker`] — the scratch space of both
-//!   algorithms plus the one per-job execution body (allocation scope,
-//!   latency clock, request-id stamping, trace/explain capture) — so
-//!   steady-state queries reuse buffers instead of re-allocating them.
+//!   algorithms, the street context `/describe` jobs refill in place, and
+//!   the one per-job execution body (allocation scope, latency clock,
+//!   request-id stamping, trace/explain capture) — so steady-state queries
+//!   reuse buffers instead of re-allocating them.
 //!   `soi serve` holds the same type on its long-lived engine workers and
 //!   calls it one job at a time, without going through a batch;
 //! - results are returned **in input order** regardless of worker count or
@@ -34,10 +35,10 @@
 
 pub mod obs;
 
-use soi_common::{effective_threads, Result};
+use soi_common::{effective_threads, Result, StreetId};
 use soi_core::describe::{
-    st_rel_div_full, DescribeExplain, DescribeOutcome, DescribeParams, DescribeScratch,
-    StreetContext,
+    st_rel_div_full, ContextBuilder, DescribeExplain, DescribeOutcome, DescribeParams,
+    DescribeScratch, StreetContext,
 };
 use soi_core::soi::{
     run_soi_full, QueryStats, SoiConfig, SoiExplain, SoiOutcome, SoiQuery, SoiScratch,
@@ -436,6 +437,9 @@ pub struct JobRun<T> {
 pub struct EngineWorker {
     soi: SoiScratch,
     describe: DescribeScratch,
+    /// The street context [`run_describe_street`](Self::run_describe_street)
+    /// refills job after job.
+    street: StreetContext,
 }
 
 impl EngineWorker {
@@ -470,8 +474,33 @@ impl EngineWorker {
         run
     }
 
-    /// Runs one describe job for the street `ctx` over `photos` under
-    /// `budget`.
+    /// Runs one describe job from the street id: the context build (`Rs`,
+    /// `Φs`, the diversification index — into buffers this worker keeps)
+    /// and Alg. 2 over it, both inside the job body, so the job's latency,
+    /// allocation count, trace capture and `engine.query` span cover both.
+    /// `delta` is overlaid on `builder`'s base collections.
+    pub fn run_describe_street(
+        &mut self,
+        builder: &ContextBuilder<'_>,
+        delta: Option<&DeltaIndex>,
+        street: StreetId,
+        params: &DescribeParams,
+        budget: QueryBudget,
+        capture: QueryCapture,
+    ) -> JobRun<DescribeOutcome> {
+        let (ctx, scratch) = (&mut self.street, &mut self.describe);
+        run_job(capture, DescribeExplain::to_json, |explain| {
+            {
+                let _span = soi_obs::trace::span(soi_obs::names::spans::DESCRIBE_CONTEXT);
+                builder.rebuild(ctx, street, delta)?;
+            }
+            let photos = builder.photo_view(delta);
+            st_rel_div_full(ctx, photos, params, scratch, explain, budget)
+        })
+    }
+
+    /// Runs one describe job for the prebuilt street context `ctx` over
+    /// `photos` under `budget`.
     pub fn run_describe(
         &mut self,
         ctx: &StreetContext,
@@ -1009,6 +1038,184 @@ mod tests {
             answered += got.results.len();
         }
         assert!(answered > 0, "degenerate fixture: every answer was empty");
+    }
+
+    #[test]
+    fn one_worker_answers_any_describe_history_like_a_fresh_one() {
+        // The serving shape for /describe: one long-lived worker whose
+        // street context, diversification index and Alg. 2 tables are
+        // refilled job after job. They meet two datasets, streets that grow
+        // and shrink every table (the largest Rs, a handful of photos, the
+        // largest again, one photo, untagged photos only), a base+delta
+        // photo view with added and deleted photos, and a deadline-expired
+        // partial before every full run. Every full answer — selection,
+        // objective bits, work counters, explain rounds — must equal a
+        // fresh worker's, and the selection the naive greedy's.
+        use soi_common::PhotoId;
+        use soi_core::describe::{greedy_select, PhiSource};
+        use soi_index::{DeltaOp, PhotoGrid};
+        use soi_text::KeywordSet;
+        const EPS: f64 = 0.0005;
+
+        struct World {
+            dataset: soi_data::Dataset,
+            grid: PhotoGrid,
+            delta: DeltaIndex,
+            /// Largest Rs, a few photos, one photo, untagged photos only
+            /// (the last two once the delta is overlaid).
+            streets: [StreetId; 4],
+        }
+        let world = |dataset: soi_data::Dataset| {
+            let grid = PhotoGrid::build(&dataset.network, &dataset.photos, 2.0 * EPS);
+            let near =
+                |s: StreetId| grid.photos_near_street(&dataset.network, &dataset.photos, s, EPS);
+            let mut sized: Vec<(usize, StreetId)> = dataset
+                .network
+                .streets()
+                .iter()
+                .map(|s| (near(s.id).len(), s.id))
+                .collect();
+            sized.sort_unstable();
+            let &(_, big) = sized.last().expect("streets");
+            // The two streets with the fewest photos: the delta leaves one
+            // a single photo, and swaps the other's for five untagged ones.
+            let mut sparse = sized.iter().filter(|&&(n, _)| n > 0).map(|&(_, s)| s);
+            let (single, untagged) = (
+                sparse.next().expect("photos"),
+                sparse.next().expect("photos"),
+            );
+            let &(_, small) = sized
+                .iter()
+                .find(|&&(n, s)| (3..=12).contains(&n) && s != single && s != untagged)
+                .expect("a street with a handful of photos");
+            let mid = |s: StreetId, t: f64| {
+                let geom = dataset
+                    .network
+                    .segment(dataset.network.street(s).segments[0])
+                    .geom;
+                geom.a.lerp(geom.b, t)
+            };
+            // The largest Rs loses every third photo and gains three.
+            let mut deleted: std::collections::BTreeSet<PhotoId> =
+                near(big).into_iter().step_by(3).collect();
+            deleted.extend(near(single).into_iter().skip(1));
+            deleted.extend(near(untagged));
+            let mut ops: Vec<DeltaOp> = deleted
+                .into_iter()
+                .map(|id| DeltaOp::DeletePhoto { id })
+                .collect();
+            let tags = dataset.photos.get(near(big)[1]).tags.clone();
+            for t in [0.25, 0.5, 0.75] {
+                ops.push(DeltaOp::AddPhoto {
+                    pos: mid(big, t),
+                    tags: tags.clone(),
+                });
+            }
+            for i in 0..5 {
+                ops.push(DeltaOp::AddPhoto {
+                    pos: mid(untagged, 0.1 + 0.2 * f64::from(i)),
+                    tags: KeywordSet::empty(),
+                });
+            }
+            let index = PoiIndex::build(&dataset.network, &dataset.pois, 0.001);
+            let delta =
+                DeltaIndex::seal(&index, &dataset.pois, &dataset.photos, &ops).expect("valid ops");
+            World {
+                dataset,
+                grid,
+                delta,
+                streets: [big, small, single, untagged],
+            }
+        };
+        let worlds = [
+            world(soi_datagen::generate(&soi_datagen::vienna(0.02)).0),
+            world(soi_datagen::generate(&soi_datagen::berlin(0.05)).0),
+        ];
+        let builders: Vec<ContextBuilder<'_>> = worlds
+            .iter()
+            .map(|w| ContextBuilder {
+                network: &w.dataset.network,
+                photos: &w.dataset.photos,
+                photo_grid: &w.grid,
+                pois: Some(&w.dataset.pois),
+                eps: EPS,
+                rho: 0.0001,
+                phi_source: PhiSource::Photos,
+            })
+            .collect();
+        let counters = |s: &soi_core::describe::DescribeStats| {
+            [
+                s.photos_evaluated,
+                s.cells_pruned_filtering,
+                s.cells_pruned_refinement,
+                s.cells_refined,
+                usize::from(s.deadline_expired),
+            ]
+        };
+        // The explain report up to its wall-clock section: the rounds and
+        // the counters.
+        let rounds = |run: &JobRun<DescribeOutcome>| {
+            let json = run.artifacts.as_ref().and_then(|a| a.explain_json.clone());
+            let json = json.expect("explain requested");
+            json[..json.find("\"phases_ms\"").expect("phases section")].to_string()
+        };
+        let explain = QueryCapture {
+            explain: true,
+            ..QueryCapture::default()
+        };
+        let (big, small, single, untagged) = (0usize, 1usize, 2usize, 3usize);
+        let mut worker = EngineWorker::default();
+        let mut sizes = Vec::new();
+        for &(w, street, (k, lambda, weight)) in &[
+            (0usize, big, (20usize, 0.5, 0.5)),
+            (0, small, (5, 0.25, 0.5)),
+            (0, big, (10, 0.75, 0.5)),
+            (1, big, (20, 0.5, 0.5)),
+            (0, single, (5, 0.5, 0.5)),
+            (1, untagged, (3, 0.5, 0.5)),
+            (1, small, (20, 1.0, 0.0)),
+            (0, untagged, (10, 0.0, 1.0)),
+            (1, big, (1, 0.5, 0.5)),
+            (1, single, (2, 0.5, 1.0)),
+            (0, big, (20, 0.5, 0.5)),
+        ] {
+            let (builder, delta) = (&builders[w], Some(&worlds[w].delta));
+            let street = worlds[w].streets[street];
+            let params = DescribeParams::new(k, lambda, weight).expect("valid");
+            let expired = QueryBudget::with_deadline(Instant::now());
+            let partial = worker.run_describe_street(
+                builder,
+                delta,
+                street,
+                &params,
+                expired,
+                QueryCapture::default(),
+            );
+            let partial = partial.result.expect("a deadline hit is a success");
+            assert!(partial.partial && partial.selected.is_empty());
+            let unlimited = QueryBudget::unlimited();
+            let got =
+                worker.run_describe_street(builder, delta, street, &params, unlimited, explain);
+            let want = EngineWorker::default()
+                .run_describe_street(builder, delta, street, &params, unlimited, explain);
+            assert_eq!(rounds(&got), rounds(&want), "world {w} street {street}");
+            let (got, want) = (got.result.expect("valid"), want.result.expect("valid"));
+            assert!(!got.partial);
+            assert_eq!(got.selected, want.selected);
+            assert_eq!(got.objective.to_bits(), want.objective.to_bits());
+            assert_eq!(counters(&got.stats), counters(&want.stats));
+            let ctx = builder.build_with_delta(street, delta).expect("buildable");
+            let greedy = greedy_select(&ctx, builder.photo_view(delta), &params);
+            assert_eq!(got.selected, greedy.selected, "world {w} street {street}");
+            assert_eq!(got.objective.to_bits(), greedy.objective.to_bits());
+            sizes.push(ctx.members.len());
+        }
+        // The history did grow and shrink the tables.
+        assert_eq!((sizes[4], sizes[5]), (1, 5), "sizes {sizes:?}");
+        assert!(
+            sizes[0] > 100 && sizes[1] <= 12 && sizes[3] > 100,
+            "sizes {sizes:?}"
+        );
     }
 
     #[test]

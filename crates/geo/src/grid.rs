@@ -263,20 +263,15 @@ impl Grid {
         }
     }
 
-    /// Cells within Chebyshev radius `radius` of `c`, clipped to the grid,
-    /// in row-major order (includes `c` itself).
+    /// Calls `f` for every cell within Chebyshev radius `radius` of `c`
+    /// (including `c` itself), clipped to the grid, row-major, without
+    /// allocating.
     ///
     /// The photo-index spatial-relevance upper bound (Eq. 12) sums counts
     /// over the radius-2 neighbourhood.
-    pub fn neighborhood(&self, c: CellCoord, radius: u32) -> Vec<CellCoord> {
-        let mut out = Vec::new();
-        self.for_each_in_neighborhood(c, radius, |n| out.push(n));
-        out
-    }
-
-    /// Visitor form of [`Grid::neighborhood`]: calls `f` for every cell in
-    /// the clipped Chebyshev-`radius` neighbourhood, row-major, without
-    /// allocating.
+    // Alg. 1 calls this once per popped cell; see the note on
+    // `soi_text::inverted::union_of_postings` for why it is pinned inline.
+    #[inline]
     pub fn for_each_in_neighborhood<F: FnMut(CellCoord)>(
         &self,
         c: CellCoord,
@@ -477,12 +472,17 @@ mod tests {
     #[test]
     fn neighborhood_clips_at_edges() {
         let g = unit_grid();
-        let n = g.neighborhood(CellCoord::new(0, 0), 2);
+        let neighborhood = |c, radius| {
+            let mut out = Vec::new();
+            g.for_each_in_neighborhood(c, radius, |n| out.push(n));
+            out
+        };
+        let n = neighborhood(CellCoord::new(0, 0), 2);
         // 3x3 clipped corner block (radius 2 => 3 cols x 3 rows available).
         assert_eq!(n.len(), 9);
         assert!(n.contains(&CellCoord::new(0, 0)));
         assert!(n.contains(&CellCoord::new(2, 2)));
-        let center = g.neighborhood(CellCoord::new(2, 1), 1);
+        let center = neighborhood(CellCoord::new(2, 1), 1);
         assert_eq!(center.len(), 9);
     }
 

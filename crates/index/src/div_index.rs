@@ -2,27 +2,31 @@
 //!
 //! For a street `s` with photo set `Rs`, the ST_Rel+Div algorithm uses a
 //! grid with cell side ρ/2 where each cell stores: the photos in the cell,
-//! a local inverted index over their tags, and the minimum/maximum number of
-//! tags among the cell's photos (`c.ψmin`, `c.ψmax`). These feed the
-//! per-cell bounds of Eqs. 11–18.
+//! the union of their tags (`c.Ψ`), and the minimum/maximum number of tags
+//! among the cell's photos (`c.ψmin`, `c.ψmax`). These feed the per-cell
+//! bounds of Eqs. 11–18, which read nothing else — so the per-cell inverted
+//! index the paper also lists is not materialised.
+//!
+//! The layout is flat: occupied cell ids ascending, and three arrays
+//! (photos, tag-count ranges, keyword unions) addressed through them by
+//! *cell slot* — a cell's position in the occupied list. A photo's position
+//! in the cell-major photo array is its *member slot*, the dense key Alg. 2
+//! keeps its per-photo state under. One index is rebuilt in place street
+//! after street ([`DiversificationIndex::rebuild`]) without allocating once
+//! its arrays have grown to the largest street seen.
 
-use soi_common::{
-    bucket_sort_stable, bucket_sort_worthwhile, effective_threads, par_chunk_map,
-    par_sort_unstable_by, CellId, FxHashMap, KeywordId, PhotoId,
-};
+use soi_common::{CellId, KeywordId, PhotoId};
 use soi_data::PhotoView;
-use soi_geo::{Grid, Point, Rect};
-use soi_text::{InvertedIndex, KeywordSet};
+use soi_geo::{CellCoord, Grid, Point, Rect};
+use std::ops::Range;
 
-/// One occupied cell of the diversification index.
-#[derive(Debug, Clone)]
-pub struct DivCell {
+/// One occupied cell of the diversification index, borrowed from it.
+#[derive(Debug, Clone, Copy)]
+pub struct DivCell<'a> {
     /// Photos in this cell, sorted by id (`c.R`).
-    pub photos: Vec<PhotoId>,
-    /// Local inverted index over the photos' tags (`c.I`).
-    pub inverted: InvertedIndex<PhotoId>,
-    /// Union of tags of the cell's photos (`c.Ψ`).
-    pub keywords: KeywordSet,
+    pub photos: &'a [PhotoId],
+    /// Union of tags of the cell's photos, ascending (`c.Ψ`).
+    pub keywords: &'a [KeywordId],
     /// Minimum number of tags of any photo in the cell (`c.ψmin`).
     pub psi_min: usize,
     /// Maximum number of tags of any photo in the cell (`c.ψmax`).
@@ -33,10 +37,39 @@ pub struct DivCell {
 #[derive(Debug)]
 pub struct DiversificationIndex {
     grid: Grid,
-    cells: FxHashMap<CellId, DivCell>,
-    /// Occupied cell ids, ascending (deterministic iteration order).
+    /// Occupied cell ids, ascending; a cell's position here is its slot.
     occupied: Vec<CellId>,
+    /// `photos[starts[slot]..starts[slot + 1]]` are the photos of a cell.
+    starts: Vec<usize>,
+    /// Indexed photos, cell-major, ascending by id within a cell.
+    photos: Vec<PhotoId>,
+    /// `(ψmin, ψmax)` per cell slot.
+    psi: Vec<(usize, usize)>,
+    /// `keywords[kw_starts[slot]..kw_starts[slot + 1]]` is a cell's `c.Ψ`.
+    kw_starts: Vec<usize>,
+    keywords: Vec<KeywordId>,
     num_photos: usize,
+    /// Rebuild scratch: packed (cell ‖ photo) keys, and one cell's tags.
+    keys: Vec<u64>,
+    tags: Vec<KeywordId>,
+}
+
+impl Default for DiversificationIndex {
+    /// An index over no photos.
+    fn default() -> Self {
+        Self {
+            grid: Grid::new(Point::ORIGIN, 1.0, 1, 1),
+            occupied: Vec::new(),
+            starts: Vec::new(),
+            photos: Vec::new(),
+            psi: Vec::new(),
+            kw_starts: Vec::new(),
+            keywords: Vec::new(),
+            num_photos: 0,
+            keys: Vec::new(),
+            tags: Vec::new(),
+        }
+    }
 }
 
 impl DiversificationIndex {
@@ -49,122 +82,73 @@ impl DiversificationIndex {
     /// # Panics
     /// Panics if `rho` is not strictly positive.
     pub fn build<'a>(photos: impl Into<PhotoView<'a>>, members: &[PhotoId], rho: f64) -> Self {
-        Self::build_with_threads(photos, members, rho, 0)
+        let mut index = Self::default();
+        index.rebuild(photos, members, rho);
+        index
     }
 
-    /// Builds the index with an explicit worker-thread count (`0` = resolve
-    /// automatically, see [`effective_threads`]).
+    /// [`build`](Self::build) in place: the index forgets its previous
+    /// street and keeps its capacity.
     ///
-    /// The build is chunk-partitioned and deterministic: chunks emit packed
-    /// (cell ‖ photo) keys in member order, one stable counting pass by cell
-    /// (or a comparison sort of the unique keys) groups them, and each cell
-    /// is assembled from its id-ascending members — identical to the
-    /// sequential build for every thread count.
+    /// Sequential on the calling thread: one street's `Rs` is a few thousand
+    /// photos at most, less work than handing it to other threads costs.
     ///
     /// # Panics
     /// Panics if `rho` is not strictly positive.
-    pub fn build_with_threads<'a>(
-        photos: impl Into<PhotoView<'a>>,
-        members: &[PhotoId],
-        rho: f64,
-        threads: usize,
-    ) -> Self {
+    pub fn rebuild<'a>(&mut self, photos: impl Into<PhotoView<'a>>, members: &[PhotoId], rho: f64) {
         let photos: PhotoView<'a> = photos.into();
         assert!(rho > 0.0 && rho.is_finite(), "rho must be positive");
         debug_assert!(
             members.windows(2).all(|w| w[0] < w[1]),
             "members must be sorted ascending"
         );
-        let threads = effective_threads((threads > 0).then_some(threads));
-        let cell_size = rho / 2.0;
         let extent = Rect::bounding(members.iter().map(|&id| photos.get(id).pos))
             .unwrap_or_else(|| Rect::new(Point::ORIGIN, Point::new(1.0, 1.0)));
-        let grid = Grid::covering(extent, cell_size);
-
-        let mut keys: Vec<u64> = par_chunk_map(members, threads, |_, chunk| {
-            let mut keys = Vec::with_capacity(chunk.len());
-            for &pid in chunk {
-                // Photos outside the grid (non-finite position) are
-                // unindexable.
-                if let Some(coord) = grid.cell_containing(photos.get(pid).pos) {
-                    keys.push(u64::from(grid.cell_id(coord).0) << 32 | u64::from(pid.0));
-                }
+        self.grid = Grid::covering(extent, rho / 2.0);
+        self.num_photos = members.len();
+        self.keys.clear();
+        for &pid in members {
+            // Photos outside the grid (non-finite position) are
+            // unindexable.
+            if let Some(coord) = self.grid.cell_containing(photos.get(pid).pos) {
+                let cell = self.grid.cell_id(coord);
+                self.keys.push(u64::from(cell.0) << 32 | u64::from(pid.0));
             }
-            keys
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        let num_cells = grid.num_cells();
-        if bucket_sort_worthwhile(keys.len(), num_cells) {
-            keys = bucket_sort_stable(&keys, num_cells as u32, |&k| (k >> 32) as u32);
-        } else {
-            par_sort_unstable_by(&mut keys, threads, |a, b| a.cmp(b));
         }
+        // The keys are unique, so the unstable sort is deterministic: cells
+        // ascending, photos ascending within a cell.
+        self.keys.sort_unstable();
 
-        let mut groups: Vec<(CellId, usize, usize)> = Vec::new();
+        self.occupied.clear();
+        self.starts.clear();
+        self.photos.clear();
+        self.psi.clear();
+        self.kw_starts.clear();
+        self.keywords.clear();
         let mut i = 0;
-        while i < keys.len() {
-            let cell = (keys[i] >> 32) as u32;
-            let s = i;
-            while i < keys.len() && (keys[i] >> 32) as u32 == cell {
+        while i < self.keys.len() {
+            let cell = (self.keys[i] >> 32) as u32;
+            self.occupied.push(CellId(cell));
+            self.starts.push(self.photos.len());
+            self.kw_starts.push(self.keywords.len());
+            let (mut psi_min, mut psi_max) = (usize::MAX, 0);
+            self.tags.clear();
+            while i < self.keys.len() && (self.keys[i] >> 32) as u32 == cell {
+                let pid = PhotoId(self.keys[i] as u32);
+                let tags = photos.get(pid).tags.ids();
+                self.photos.push(pid);
+                psi_min = psi_min.min(tags.len());
+                psi_max = psi_max.max(tags.len());
+                self.tags.extend_from_slice(tags);
                 i += 1;
             }
-            groups.push((CellId(cell), s, i));
+            self.tags.sort_unstable();
+            self.tags.dedup();
+            self.keywords.extend_from_slice(&self.tags);
+            self.psi.push((psi_min, psi_max));
         }
-
-        let per_chunk: Vec<Vec<(CellId, DivCell)>> =
-            par_chunk_map(&groups, threads, |_, gchunk| {
-                let mut cells_part = Vec::with_capacity(gchunk.len());
-                let mut pairs: Vec<(KeywordId, PhotoId)> = Vec::new();
-                for &(cell_id, s, e) in gchunk {
-                    let mut cell_photos = Vec::with_capacity(e - s);
-                    let mut psi_min = usize::MAX;
-                    let mut psi_max = 0;
-                    pairs.clear();
-                    for &key in &keys[s..e] {
-                        let pid = PhotoId(key as u32);
-                        let tags = &photos.get(pid).tags;
-                        cell_photos.push(pid);
-                        psi_min = psi_min.min(tags.len());
-                        psi_max = psi_max.max(tags.len());
-                        for &k in tags.ids() {
-                            pairs.push((k, pid));
-                        }
-                    }
-                    // (tag, photo) pairs are unique (tag sets are deduplicated)
-                    // → the unstable sort is deterministic.
-                    pairs.sort_unstable();
-                    cells_part.push((
-                        cell_id,
-                        DivCell {
-                            photos: cell_photos,
-                            inverted: InvertedIndex::from_sorted_pairs(e - s, &pairs),
-                            keywords: KeywordSet::from_ids(pairs.iter().map(|&(k, _)| k)),
-                            psi_min,
-                            psi_max,
-                        },
-                    ));
-                }
-                cells_part
-            });
-
-        let mut cells: FxHashMap<CellId, DivCell> = FxHashMap::default();
-        cells.reserve(groups.len());
-        let mut occupied: Vec<CellId> = Vec::with_capacity(groups.len());
-        for cells_part in per_chunk {
-            for (id, cell) in cells_part {
-                occupied.push(id);
-                cells.insert(id, cell);
-            }
-        }
-
-        Self {
-            grid,
-            cells,
-            occupied,
-            num_photos: members.len(),
-        }
+        self.starts.push(self.photos.len());
+        self.kw_starts.push(self.keywords.len());
     }
 
     /// The underlying grid (cell side = ρ/2).
@@ -172,53 +156,78 @@ impl DiversificationIndex {
         &self.grid
     }
 
-    /// Snapshot-encode access to the private parts (see [`crate::snapshot`]).
-    pub(crate) fn snapshot_parts(&self) -> (&Grid, &FxHashMap<CellId, DivCell>, &[CellId], usize) {
-        (&self.grid, &self.cells, &self.occupied, self.num_photos)
-    }
-
-    /// Reassembles an index from snapshot-decoded parts (`occupied` must be
-    /// the ascending occupied-cell list and `cells` populated in that order,
-    /// matching the build path).
-    pub(crate) fn from_snapshot_parts(
-        grid: Grid,
-        cells: FxHashMap<CellId, DivCell>,
-        occupied: Vec<CellId>,
-        num_photos: usize,
-    ) -> Self {
-        Self {
-            grid,
-            cells,
-            occupied,
-            num_photos,
-        }
-    }
-
-    /// The cell with id `id`, if occupied.
-    pub fn cell(&self, id: CellId) -> Option<&DivCell> {
-        self.cells.get(&id)
-    }
-
     /// Occupied cell ids, ascending.
     pub fn occupied(&self) -> &[CellId] {
         &self.occupied
     }
 
-    /// Total number of indexed photos (`|Rs|`).
+    /// The slot of cell `id` in [`occupied`](Self::occupied), if occupied.
+    pub fn slot_of(&self, id: CellId) -> Option<usize> {
+        self.occupied.binary_search(&id).ok()
+    }
+
+    /// The cell at `slot` of [`occupied`](Self::occupied).
+    ///
+    /// # Panics
+    /// Panics if `slot` is out of range.
+    pub fn cell_at(&self, slot: usize) -> DivCell<'_> {
+        let (psi_min, psi_max) = self.psi[slot];
+        DivCell {
+            photos: &self.photos[self.member_slots(slot)],
+            keywords: &self.keywords[self.kw_starts[slot]..self.kw_starts[slot + 1]],
+            psi_min,
+            psi_max,
+        }
+    }
+
+    /// The cell with id `id`, if occupied.
+    pub fn cell(&self, id: CellId) -> Option<DivCell<'_>> {
+        self.slot_of(id).map(|slot| self.cell_at(slot))
+    }
+
+    /// The indexed photos, cell-major: a photo's position is its member
+    /// slot.
+    pub fn photos(&self) -> &[PhotoId] {
+        &self.photos
+    }
+
+    /// The member slots of the photos of the cell at `slot`.
+    pub fn member_slots(&self, slot: usize) -> Range<usize> {
+        self.starts[slot]..self.starts[slot + 1]
+    }
+
+    /// Total number of photos the index was built over (`|Rs|`).
     pub fn num_photos(&self) -> usize {
         self.num_photos
+    }
+
+    /// Calls `f` with the slot of every occupied cell within Chebyshev cell
+    /// radius `radius` of `c`, ascending. A grid row's cells have
+    /// consecutive ids, so each row is one binary search and a short scan.
+    fn for_each_slot_near(&self, c: CellCoord, radius: u32, mut f: impl FnMut(usize)) {
+        let nx = self.grid.nx();
+        let x0 = c.ix.saturating_sub(radius);
+        let x1 = c.ix.saturating_add(radius).min(nx - 1);
+        let y1 = c.iy.saturating_add(radius).min(self.grid.ny() - 1);
+        let mut slot = 0;
+        for iy in c.iy.saturating_sub(radius)..=y1 {
+            let (first, last) = (CellId(iy * nx + x0), CellId(iy * nx + x1));
+            slot += self.occupied[slot..].partition_point(|&id| id < first);
+            while self.occupied.get(slot).is_some_and(|&id| id <= last) {
+                f(slot);
+                slot += 1;
+            }
+        }
     }
 
     /// Total photos within Chebyshev cell radius `radius` of cell `id`
     /// (including `id` itself): the numerator of Eq. 12 for `radius = 2`.
     pub fn neighborhood_count(&self, id: CellId, radius: u32) -> usize {
-        let coord = self.grid.coord_of(id);
-        self.grid
-            .neighborhood(coord, radius)
-            .into_iter()
-            .filter_map(|c| self.cells.get(&self.grid.cell_id(c)))
-            .map(|c| c.photos.len())
-            .sum()
+        let mut count = 0;
+        self.for_each_slot_near(self.grid.coord_of(id), radius, |slot| {
+            count += self.member_slots(slot).len();
+        });
+        count
     }
 
     /// Exact count of member photos within Euclidean distance `radius` of
@@ -241,24 +250,29 @@ impl DiversificationIndex {
             return 0;
         };
         let r_sq = radius * radius;
-        self.grid
-            .neighborhood(coord, 2)
-            .into_iter()
-            .filter_map(|c| self.cells.get(&self.grid.cell_id(c)))
-            .flat_map(|c| c.photos.iter())
-            .filter(|&&pid| photos.get(pid).pos.dist_sq(center) <= r_sq)
-            .count()
+        let mut count = 0;
+        self.for_each_slot_near(coord, 2, |slot| {
+            count += self.photos[self.member_slots(slot)]
+                .iter()
+                .filter(|&&pid| photos.get(pid).pos.dist_sq(center) <= r_sq)
+                .count();
+        });
+        count
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soi_common::KeywordId;
     use soi_data::PhotoCollection;
+    use soi_text::KeywordSet;
+
+    fn kids(ids: &[u32]) -> Vec<KeywordId> {
+        ids.iter().map(|&i| KeywordId(i)).collect()
+    }
 
     fn tags(ids: &[u32]) -> KeywordSet {
-        KeywordSet::from_ids(ids.iter().map(|&i| KeywordId(i)))
+        KeywordSet::from_ids(kids(ids))
     }
 
     fn setup() -> (PhotoCollection, Vec<PhotoId>, DiversificationIndex) {
@@ -288,9 +302,8 @@ mod tests {
         assert_eq!(cell.photos.len(), 3);
         assert_eq!(cell.psi_min, 1);
         assert_eq!(cell.psi_max, 3);
-        assert_eq!(cell.keywords, tags(&[0, 1, 2, 3]));
         // Excluded photo's tag 9 must not appear.
-        assert!(!cell.keywords.contains(KeywordId(9)));
+        assert_eq!(cell.keywords, kids(&[0, 1, 2, 3]));
     }
 
     #[test]
@@ -304,6 +317,14 @@ mod tests {
             .map(|&c| index.cell(c).unwrap().photos.len())
             .sum();
         assert_eq!(total, index.num_photos());
+        // Member slots number the photos cell by cell.
+        assert_eq!(index.photos().len(), 4);
+        for slot in 0..index.occupied().len() {
+            assert_eq!(
+                &index.photos()[index.member_slots(slot)],
+                index.cell_at(slot).photos
+            );
+        }
     }
 
     #[test]
@@ -334,6 +355,7 @@ mod tests {
         let index = DiversificationIndex::build(&photos, &[], 1.0);
         assert_eq!(index.num_photos(), 0);
         assert!(index.occupied().is_empty());
+        assert!(index.photos().is_empty());
     }
 
     #[test]
@@ -341,43 +363,5 @@ mod tests {
     fn zero_rho_panics() {
         let photos = PhotoCollection::new();
         DiversificationIndex::build(&photos, &[], 0.0);
-    }
-
-    #[test]
-    fn parallel_build_identical_to_sequential() {
-        let mut photos = PhotoCollection::new();
-        let mut x: u64 = 0xDEAD_BEEF_CAFE_F00D;
-        for _ in 0..400 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let px = (x % 800) as f64 / 100.0;
-            let py = ((x >> 13) % 800) as f64 / 100.0;
-            let k1 = (x % 9) as u32;
-            let k2 = ((x >> 11) % 9) as u32;
-            photos.add(Point::new(px, py), tags(&[k1, k2]));
-        }
-        // Every other photo is a member (an arbitrary subset, ascending).
-        let members: Vec<PhotoId> = (0..400).step_by(2).map(PhotoId).collect();
-        let sequential = DiversificationIndex::build_with_threads(&photos, &members, 0.9, 1);
-        for threads in [2usize, 3, 8] {
-            let parallel =
-                DiversificationIndex::build_with_threads(&photos, &members, 0.9, threads);
-            assert_eq!(sequential.occupied(), parallel.occupied());
-            for &id in sequential.occupied() {
-                let a = sequential.cell(id).unwrap();
-                let b = parallel.cell(id).unwrap();
-                assert_eq!(a.photos, b.photos);
-                assert_eq!(a.keywords, b.keywords);
-                assert_eq!(a.psi_min, b.psi_min);
-                assert_eq!(a.psi_max, b.psi_max);
-                let mut kws: Vec<_> = a.inverted.iter().map(|(k, _)| k).collect();
-                kws.sort_unstable();
-                assert_eq!(a.inverted.num_keywords(), b.inverted.num_keywords());
-                for k in kws {
-                    assert_eq!(a.inverted.postings(k), b.inverted.postings(k));
-                }
-            }
-        }
     }
 }

@@ -20,9 +20,9 @@
 //! - [`PhotoGrid`]: a dataset-wide grid over the photos used to extract the
 //!   per-street photo set `Rs = {r : dist(r, s) ≤ ε}`;
 //! - [`DiversificationIndex`]: the per-street grid with cell side ρ/2 whose
-//!   cells hold the photo list, a local inverted index, the cell keyword set
-//!   `c.Ψ`, and the min/max tag counts `c.ψmin` / `c.ψmax` that drive the
-//!   bounds of Eqs. 11–18.
+//!   cells hold the photo list, the cell keyword set `c.Ψ`, and the min/max
+//!   tag counts `c.ψmin` / `c.ψmax` that drive the bounds of Eqs. 11–18 —
+//!   flat arrays, rebuilt in place street after street.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

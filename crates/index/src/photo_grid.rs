@@ -146,34 +146,48 @@ impl PhotoGrid {
         street: StreetId,
         eps: f64,
     ) -> Vec<PhotoId> {
-        let mut candidate_cells: Vec<CellId> = Vec::new();
-        for &seg in &network.street(street).segments {
+        let (mut cells, mut result) = (Vec::new(), Vec::new());
+        self.photos_near_street_into(network, photos, street, eps, &mut cells, &mut result);
+        result
+    }
+
+    /// Allocation-reusing form of
+    /// [`photos_near_street`](Self::photos_near_street): clears `out` and
+    /// fills it with `Rs`; `cells` is scratch for the candidate cells.
+    pub fn photos_near_street_into(
+        &self,
+        network: &RoadNetwork,
+        photos: &PhotoCollection,
+        street: StreetId,
+        eps: f64,
+        cells: &mut Vec<CellId>,
+        out: &mut Vec<PhotoId>,
+    ) {
+        let segments = &network.street(street).segments;
+        cells.clear();
+        for &seg in segments {
             let geom = network.segment(seg).geom;
-            for coord in self.grid.cells_near_segment(&geom, eps) {
-                candidate_cells.push(self.grid.cell_id(coord));
-            }
+            self.grid
+                .for_each_cell_near_segment(&geom, eps, |c| cells.push(self.grid.cell_id(c)));
         }
-        candidate_cells.sort_unstable();
-        candidate_cells.dedup();
+        cells.sort_unstable();
+        cells.dedup();
 
         let eps_sq = eps * eps;
-        let mut result: Vec<PhotoId> = Vec::new();
-        for cell in candidate_cells {
+        out.clear();
+        for &cell in cells.iter() {
             for &pid in self.cell_photos(cell) {
                 let pos = photos.get(pid).pos;
-                let within = network
-                    .street(street)
-                    .segments
+                let within = segments
                     .iter()
                     .any(|&s| network.segment(s).geom.dist_sq_to_point(pos) <= eps_sq);
                 if within {
-                    result.push(pid);
+                    out.push(pid);
                 }
             }
         }
-        result.sort_unstable();
-        result.dedup();
-        result
+        out.sort_unstable();
+        out.dedup();
     }
 }
 
@@ -241,6 +255,24 @@ mod tests {
                 assert_eq!(via_grid, brute, "street {} eps {eps}", street.id);
             }
         }
+    }
+
+    #[test]
+    fn into_form_forgets_what_its_buffers_held() {
+        let (network, photos, grid) = setup();
+        let (mut cells, mut out) = (Vec::new(), Vec::new());
+        grid.photos_near_street_into(&network, &photos, StreetId(1), 0.5, &mut cells, &mut out);
+        let far = (cells.clone(), out.clone());
+        assert_eq!(
+            far.1,
+            grid.photos_near_street(&network, &photos, StreetId(1), 0.5)
+        );
+        // The larger street in between leaves nothing behind, in the answer
+        // or in the scratch (which would otherwise grow job after job).
+        grid.photos_near_street_into(&network, &photos, StreetId(0), 3.0, &mut cells, &mut out);
+        assert_eq!(out.len(), 2);
+        grid.photos_near_street_into(&network, &photos, StreetId(1), 0.5, &mut cells, &mut out);
+        assert_eq!((cells, out), far);
     }
 
     #[test]

@@ -549,9 +549,9 @@ impl PoiIndex {
         let h = self.grid.cell_size();
         let radius = ((eps + h) / h).floor() as u32;
         let mut out: Vec<SegmentId> = Vec::new();
-        for near in self.grid.neighborhood(coord, radius) {
+        self.grid.for_each_in_neighborhood(coord, radius, |near| {
             out.extend_from_slice(self.raster_segments_of_cell(self.grid.cell_id(near)));
-        }
+        });
         out.sort_unstable();
         out.dedup();
         let dilated = rect.expand(eps);

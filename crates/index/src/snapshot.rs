@@ -1,8 +1,7 @@
 //! Snapshot persistence for the offline index structures.
 //!
 //! Every structure this crate builds offline — [`PoiIndex`], [`PhotoGrid`],
-//! [`IrTree`], and cached [`EpsilonMaps`] — (plus the per-street
-//! [`DiversificationIndex`], persistable standalone) can be encoded into a
+//! [`IrTree`], and cached [`EpsilonMaps`] — can be encoded into a
 //! [`soi_snapshot`] container and decoded back without re-running the
 //! build. Decoding reproduces the build path's exact map-population order
 //! (same `reserve` calls, ascending-key insertion), so a loaded index
@@ -38,9 +37,8 @@ use soi_data::Dataset;
 use soi_geo::{Grid, Point};
 use soi_snapshot::{corrupt, Fnv64, Snapshot, SnapshotWriter, FORMAT_VERSION};
 use soi_text::snapshot::validate_csr;
-use soi_text::{FlatPostings, InvertedIndex, KeywordSet};
+use soi_text::{FlatPostings, KeywordSet};
 
-use crate::div_index::{DivCell, DiversificationIndex};
 use crate::epsilon::EpsilonMaps;
 use crate::ir_tree::{IrTree, KeywordSummary, PoiEntry};
 use crate::photo_grid::PhotoGrid;
@@ -505,155 +503,6 @@ pub fn read_photo_grid(
         }
     }
     Ok(PhotoGrid::from_snapshot_parts(grid, cells))
-}
-
-// ---------------------------------------------------------------------------
-// DiversificationIndex codec
-// ---------------------------------------------------------------------------
-
-/// Writes the [`DiversificationIndex`] under `prefix`.
-///
-/// # Errors
-/// Writer-side section errors.
-pub fn write_div_index(
-    writer: &mut SnapshotWriter,
-    prefix: &str,
-    index: &DiversificationIndex,
-) -> Result<()> {
-    let (grid, cells, occupied, num_photos) = index.snapshot_parts();
-    write_grid(writer, prefix, grid)?;
-    writer.u64s(&format!("{prefix}.meta"), &[num_photos as u64])?;
-    let n = occupied.len();
-    let mut ids = Vec::with_capacity(n);
-    let mut poff: Vec<u64> = Vec::with_capacity(n + 1);
-    let mut photos: Vec<u32> = Vec::new();
-    let mut pmin = Vec::with_capacity(n);
-    let mut pmax = Vec::with_capacity(n);
-    let mut ivoff: Vec<u64> = Vec::with_capacity(n + 1);
-    let mut ivkw: Vec<u32> = Vec::new();
-    let mut ivph: Vec<u32> = Vec::new();
-    poff.push(0);
-    ivoff.push(0);
-    for c in occupied {
-        let cell = index.cell(*c).ok_or_else(|| {
-            SoiError::invalid(format!("occupied cell {c} missing from the index"))
-        })?;
-        ids.push(c.raw());
-        photos.extend(cell.photos.iter().map(|p| p.raw()));
-        poff.push(photos.len() as u64);
-        pmin.push(cell.psi_min as u32);
-        pmax.push(cell.psi_max as u32);
-        // (keyword, photo) pairs, ascending — exactly what
-        // `InvertedIndex::from_sorted_pairs` consumes on the way back.
-        let mut lists: Vec<(KeywordId, &[PhotoId])> = cell.inverted.iter().collect();
-        lists.sort_unstable_by_key(|&(k, _)| k);
-        for (k, list) in lists {
-            for p in list {
-                ivkw.push(k.raw());
-                ivph.push(p.raw());
-            }
-        }
-        ivoff.push(ivkw.len() as u64);
-    }
-    let _ = cells;
-    writer.u32s(&format!("{prefix}.cells"), &ids)?;
-    writer.u64s(&format!("{prefix}.poff"), &poff)?;
-    writer.u32s(&format!("{prefix}.ph"), &photos)?;
-    writer.u32s(&format!("{prefix}.pmin"), &pmin)?;
-    writer.u32s(&format!("{prefix}.pmax"), &pmax)?;
-    writer.u64s(&format!("{prefix}.ivoff"), &ivoff)?;
-    writer.u32s(&format!("{prefix}.ivkw"), &ivkw)?;
-    writer.u32s(&format!("{prefix}.ivph"), &ivph)?;
-    Ok(())
-}
-
-/// Reads a [`DiversificationIndex`] stored under `prefix` (`num_photos`
-/// bounds the photo ids).
-///
-/// # Errors
-/// Missing sections or violated invariants (`Data` category).
-pub fn read_div_index(
-    snapshot: &Snapshot,
-    prefix: &str,
-    num_photos: usize,
-) -> Result<DiversificationIndex> {
-    let grid = read_grid(snapshot, prefix)?;
-    let bad = |msg: String| corrupt(snapshot.path(), msg);
-    let meta = snapshot.u64s(&format!("{prefix}.meta"))?;
-    let &[total_photos] = meta else {
-        return Err(bad(format!("`{prefix}.meta` must hold exactly one value")));
-    };
-    let ids = snapshot.u32s(&format!("{prefix}.cells"))?;
-    let poff = snapshot.u64s(&format!("{prefix}.poff"))?;
-    let photos = snapshot.u32s(&format!("{prefix}.ph"))?;
-    let pmin = snapshot.u32s(&format!("{prefix}.pmin"))?;
-    let pmax = snapshot.u32s(&format!("{prefix}.pmax"))?;
-    let ivoff = snapshot.u64s(&format!("{prefix}.ivoff"))?;
-    let ivkw = snapshot.u32s(&format!("{prefix}.ivkw"))?;
-    let ivph = snapshot.u32s(&format!("{prefix}.ivph"))?;
-
-    let n = ids.len();
-    check_strictly_ascending(ids, "div cells").map_err(bad)?;
-    check_ids_below(ids, grid.num_cells(), "div cells").map_err(bad)?;
-    check_ids_below(photos, num_photos, "div cell members").map_err(bad)?;
-    check_ids_below(ivph, num_photos, "div postings").map_err(bad)?;
-    if pmin.len() != n || pmax.len() != n {
-        return Err(bad(format!(
-            "div cells: {n} ids but {}/{} psi bounds",
-            pmin.len(),
-            pmax.len()
-        )));
-    }
-    if ivph.len() != ivkw.len() {
-        return Err(bad(format!(
-            "div postings: {} keywords but {} photos",
-            ivkw.len(),
-            ivph.len()
-        )));
-    }
-    let pranges = csr_ranges(poff, n, photos.len(), "div cell members").map_err(bad)?;
-    let ivranges = csr_ranges(ivoff, n, ivkw.len(), "div postings").map_err(bad)?;
-
-    let mut cells: FxHashMap<CellId, DivCell> = FxHashMap::default();
-    cells.reserve(n);
-    let mut occupied: Vec<CellId> = Vec::with_capacity(n);
-    for i in 0..n {
-        let (ps, pe) = pranges[i];
-        let (is, ie) = ivranges[i];
-        if ps == pe {
-            return Err(bad(format!("div cell {} has no photos", ids[i])));
-        }
-        check_strictly_ascending(&photos[ps..pe], "div cell members").map_err(bad)?;
-        let pairs: Vec<(KeywordId, PhotoId)> = ivkw[is..ie]
-            .iter()
-            .zip(&ivph[is..ie])
-            .map(|(&k, &p)| (KeywordId(k), PhotoId(p)))
-            .collect();
-        if pairs.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(bad(format!(
-                "div cell {}: postings pairs not strictly ascending",
-                ids[i]
-            )));
-        }
-        let id = CellId(ids[i]);
-        occupied.push(id);
-        cells.insert(
-            id,
-            DivCell {
-                photos: photos[ps..pe].iter().map(|&p| PhotoId(p)).collect(),
-                inverted: InvertedIndex::from_sorted_pairs(pe - ps, &pairs),
-                keywords: KeywordSet::from_ids(pairs.iter().map(|&(k, _)| k)),
-                psi_min: pmin[i] as usize,
-                psi_max: pmax[i] as usize,
-            },
-        );
-    }
-    Ok(DiversificationIndex::from_snapshot_parts(
-        grid,
-        cells,
-        occupied,
-        total_photos as usize,
-    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -1768,42 +1617,6 @@ mod tests {
                 grid.photos_near_street(&ds.network, &ds.photos, street.id, 0.4),
                 back.photos_near_street(&ds.network, &ds.photos, street.id, 0.4)
             );
-        }
-    }
-
-    #[test]
-    fn div_index_round_trips() {
-        let ds = sample_dataset();
-        let members: Vec<PhotoId> = (0..ds.photos.len() as u32)
-            .step_by(2)
-            .map(PhotoId)
-            .collect();
-        let index = DiversificationIndex::build(&ds.photos, &members, 0.8);
-        let path = temp_path("div");
-        let mut w = SnapshotWriter::new();
-        write_div_index(&mut w, "div", &index).unwrap();
-        w.write_to(&path).unwrap();
-        let snap = Snapshot::open(&path).unwrap();
-        let back = read_div_index(&snap, "div", ds.photos.len()).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(index.grid(), back.grid());
-        assert_eq!(index.occupied(), back.occupied());
-        assert_eq!(index.num_photos(), back.num_photos());
-        for &id in index.occupied() {
-            let a = index.cell(id).unwrap();
-            let b = back.cell(id).unwrap();
-            assert_eq!(a.photos, b.photos);
-            assert_eq!(a.keywords, b.keywords);
-            assert_eq!(a.psi_min, b.psi_min);
-            assert_eq!(a.psi_max, b.psi_max);
-            assert_eq!(a.inverted.num_documents(), b.inverted.num_documents());
-            assert_eq!(a.inverted.num_keywords(), b.inverted.num_keywords());
-            for k in 0..ds.vocab.len() as u32 {
-                assert_eq!(
-                    a.inverted.postings(KeywordId(k)),
-                    b.inverted.postings(KeywordId(k))
-                );
-            }
         }
     }
 

@@ -30,6 +30,9 @@ pub mod spans {
     pub const SOI_SOURCES: &str = "soi.sources";
     /// Alg. 1 street-level aggregation and top-k ranking after refinement.
     pub const SOI_RANK: &str = "soi.rank";
+    /// Building one street's description context ahead of Alg. 2: `Rs`
+    /// extraction, `Φs`, and the diversification-index rebuild.
+    pub const DESCRIBE_CONTEXT: &str = "describe.context";
     /// One greedy diversification round of Alg. 2 (per selected photo).
     pub const DESCRIBE_ROUND: &str = "describe.round";
     /// One engine batch, fan-out to join.
@@ -80,6 +83,7 @@ pub fn is_known_span(name: &str) -> bool {
         spans::DESCRIBE_QUERY,
         spans::SOI_SOURCES,
         spans::SOI_RANK,
+        spans::DESCRIBE_CONTEXT,
         spans::DESCRIBE_ROUND,
         spans::ENGINE_BATCH,
         spans::ENGINE_QUERY,
@@ -148,6 +152,7 @@ mod tests {
             spans::SERVE_REQUEST,
             spans::SOI_SOURCES,
             spans::SOI_RANK,
+            spans::DESCRIBE_CONTEXT,
             spans::DESCRIBE_ROUND,
             spans::ENGINE_WORKER,
         ] {

@@ -21,7 +21,8 @@
 //!
 //! No thread is spawned and no barrier is crossed per request: a job waits
 //! only for *a* worker to come free, never for the slowest job of a batch,
-//! and `/describe` builds its street context on the worker that runs it.
+//! and `/describe` rebuilds its worker's street context in place, inside
+//! the engine job.
 //!
 //! ### Overload semantics
 //!
@@ -1899,8 +1900,7 @@ fn run_job(shared: &Shared<'_>, worker: &mut EngineWorker, job: Job, queue_wait:
             })
         }
         JobKind::Describe { street, params } => {
-            let started = Instant::now();
-            let built = ContextBuilder {
+            let builder = ContextBuilder {
                 network: &state.dataset.network,
                 photos: &state.dataset.photos,
                 photo_grid: &state.photo_grid,
@@ -1908,34 +1908,15 @@ fn run_job(shared: &Shared<'_>, worker: &mut EngineWorker, job: Job, queue_wait:
                 eps: shared.config.eps,
                 rho: shared.config.rho,
                 phi_source: PhiSource::Photos,
-            }
-            .build_with_delta(*street, state.delta.as_deref());
-            // exec = context build + Alg. 2, both on this worker.
-            let build = started.elapsed();
-            match built {
-                Ok(ctx) => {
-                    let photos: soi_data::PhotoView<'_> = match &state.delta {
-                        Some(delta) => delta.photo_view(&state.dataset.photos),
-                        None => (&state.dataset.photos).into(),
-                    };
-                    let run = worker.run_describe(&ctx, photos, params, job.budget, capture);
-                    let (status, body, mut meta) =
-                        job_response(shared, run, |outcome: &DescribeOutcome| {
-                            (outcome.partial, 0, describe_outcome_body(outcome))
-                        });
-                    meta.exec += build;
-                    (status, body, meta)
-                }
-                // e.g. no photos within range of the street.
-                Err(e) => error_response(
-                    shared,
-                    &e,
-                    SlotMeta {
-                        exec: build,
-                        ..SlotMeta::default()
-                    },
-                ),
-            }
+            };
+            // The context build runs inside the engine job (a failed one,
+            // e.g. an unknown street, is that job's error).
+            let delta = state.delta.as_deref();
+            let run =
+                worker.run_describe_street(&builder, delta, *street, params, job.budget, capture);
+            job_response(shared, run, |outcome: &DescribeOutcome| {
+                (outcome.partial, 0, describe_outcome_body(outcome))
+            })
         }
     };
     let (hits_after, misses_after, _) = soi_index::obs::epsilon_cache_counters();

@@ -189,6 +189,7 @@ impl<D: Copy + Ord> FlatPostings<D> {
     /// Calls `f` once per distinct document appearing in the postings of any
     /// of `keywords`, in ascending document order (the paper's synchronous
     /// multi-list traversal).
+    #[inline]
     pub fn for_each_matching<F: FnMut(D)>(&self, keywords: &[KeywordId], f: F) {
         union_of_postings(keywords, |k| self.postings(k), f);
     }

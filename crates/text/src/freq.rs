@@ -34,6 +34,12 @@ impl FreqVector {
         v
     }
 
+    /// Empties the vector, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.weights.clear();
+        self.l1 = 0.0;
+    }
+
     /// Adds `weight` to keyword `k` (no-op for non-positive weights).
     pub fn add(&mut self, k: KeywordId, weight: f64) {
         if weight <= 0.0 || !weight.is_finite() {

@@ -138,6 +138,7 @@ impl<D: Copy + Ord> InvertedIndex<D> {
     ///
     /// This is the paper's synchronous multi-list traversal: a document with
     /// several matching keywords is visited exactly once.
+    #[inline]
     pub fn for_each_matching<F: FnMut(D)>(&self, keywords: &[KeywordId], f: F) {
         union_of_postings(keywords, |k| self.postings(k), f);
     }
@@ -159,6 +160,7 @@ pub const STACK_LISTS: usize = 8;
 ///
 /// Lists must each be sorted ascending (duplicates within a list allowed).
 /// Allocates only for more than [`STACK_LISTS`] lists.
+#[inline]
 pub fn union_distinct<D: Copy + Ord, F: FnMut(D)>(lists: &[&[D]], mut f: F) {
     let (mut stack, mut heap) = ([0usize; STACK_LISTS], Vec::new());
     let cursors: &mut [usize] = if lists.len() <= STACK_LISTS {
@@ -191,6 +193,13 @@ pub fn union_distinct<D: Copy + Ord, F: FnMut(D)>(lists: &[&[D]], mut f: F) {
 
 /// [`union_distinct`] over the postings of `keywords`, each resolved by
 /// `postings`: the shared body of the indexes' `for_each_matching`.
+///
+/// This chain (`for_each_matching` → here → [`union_distinct`]) is Alg. 1's
+/// per-cell mass loop. It is `#[inline]` so that it is compiled into that
+/// loop whichever codegen units the crates happen to be split into: without
+/// the hint an unrelated change elsewhere in the crate moved Alg. 1 by
+/// 3–5 %.
+#[inline]
 pub(crate) fn union_of_postings<'a, D: Copy + Ord + 'a, F: FnMut(D)>(
     keywords: &[KeywordId],
     postings: impl Fn(KeywordId) -> &'a [D],

@@ -19,6 +19,25 @@ enum Ids {
     Heap(Vec<KeywordId>),
 }
 
+/// Size of the intersection of two strictly ascending id slices (linear
+/// merge) — [`KeywordSet::intersection_size`] for ids held outside a set,
+/// such as a diversification-index cell's `c.Ψ`.
+pub fn sorted_intersection_size(a: &[KeywordId], b: &[KeywordId]) -> usize {
+    let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                n += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    n
+}
+
 /// A sorted, deduplicated set of keyword ids.
 ///
 /// This is the representation of `Ψp` (POI keywords), `Ψr` (photo tags), and
@@ -154,20 +173,7 @@ impl KeywordSet {
 
     /// Size of the intersection with `other` (linear merge).
     pub fn intersection_size(&self, other: &KeywordSet) -> usize {
-        let (a, b) = (self.as_slice(), other.as_slice());
-        let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    n += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        n
+        sorted_intersection_size(self.as_slice(), other.as_slice())
     }
 
     /// Size of the union with `other`.
@@ -194,11 +200,12 @@ impl KeywordSet {
     ///
     /// The distance of two empty sets is defined as 0 (identical).
     pub fn jaccard_distance(&self, other: &KeywordSet) -> f64 {
-        let union = self.union_size(other);
+        let shared = self.intersection_size(other);
+        let union = self.len() + other.len() - shared;
         if union == 0 {
             return 0.0;
         }
-        1.0 - self.intersection_size(other) as f64 / union as f64
+        1.0 - shared as f64 / union as f64
     }
 
     /// The intersection as a new set.
@@ -406,6 +413,37 @@ mod tests {
         );
         // One empty, one not: maximally distant.
         assert_eq!(a.jaccard_distance(&KeywordSet::empty()), 1.0);
+    }
+
+    #[test]
+    fn jaccard_distance_equals_the_two_pass_formula() {
+        // The distance merges the two sets once; the definition computes
+        // the union size (a merge) and the intersection size (another).
+        let two_pass = |a: &KeywordSet, b: &KeywordSet| {
+            let union = a.union_size(b);
+            if union == 0 {
+                return 0.0;
+            }
+            1.0 - a.intersection_size(b) as f64 / union as f64
+        };
+        let sets: Vec<KeywordSet> = [
+            &[][..],
+            &[0],
+            &[7],
+            &[0, 1],
+            &[1, 2, 3],
+            &[0, 2, 4, 6, 8, 10, 12],
+            &[1, 2, 3, 4, 5, 6, 7, 8, 9],
+        ]
+        .iter()
+        .map(|raw| set(raw))
+        .collect();
+        for a in &sets {
+            for b in &sets {
+                let (got, want) = (a.jaccard_distance(b), two_pass(a, b));
+                assert_eq!(got.to_bits(), want.to_bits(), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

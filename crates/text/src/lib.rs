@@ -34,6 +34,6 @@ pub mod vocab;
 pub use flat::FlatPostings;
 pub use freq::FreqVector;
 pub use inverted::{union_distinct, InvertedIndex, STACK_LISTS};
-pub use keyword_set::KeywordSet;
+pub use keyword_set::{sorted_intersection_size, KeywordSet};
 pub use tokenize::tokenize;
 pub use vocab::Vocabulary;

@@ -1,4 +1,5 @@
-//! Allocation budget of a warm Alg. 1 query — a hard, deterministic gate.
+//! Allocation budgets of warm `/soi` and `/describe` jobs — hard,
+//! deterministic gates.
 //!
 //! A query run on a scratch that has already seen its shape draws every
 //! source list, dense table and cell-list arena from that scratch. What is
@@ -8,9 +9,17 @@
 //! query visits. Allocation and work counts repeat exactly on a fixed
 //! fixture (unlike wall-clock), so the ceiling below is exact arithmetic
 //! and CI runs it in release mode beside the determinism suite.
+//!
+//! A describe job on an engine worker refills that worker's street
+//! context, diversification index and Alg. 2 tables in place; what is left
+//! is the answer vector and the job's bookkeeping, whatever `|Rs|` is.
 
+use soi_common::StreetId;
+use soi_core::describe::{ContextBuilder, DescribeParams, PhiSource};
 use soi_core::soi::{run_soi_with_scratch, SoiConfig, SoiQuery, SoiScratch};
-use soi_index::PoiIndex;
+use soi_core::QueryBudget;
+use soi_engine::{EngineWorker, QueryCapture};
+use soi_index::{PhotoGrid, PoiIndex};
 use soi_obs::AllocScope;
 
 const EPS: f64 = 0.0005;
@@ -71,6 +80,84 @@ fn warm_queries_allocate_a_few_dozen_times_whatever_they_visit() {
         assert!(
             visited as u64 > 4 * WARM_ALLOCS_CEILING,
             "fixture too small to tell per-visit allocation apart: {visited} visits"
+        );
+    }
+}
+
+/// Allocations a warm describe job may make: the selection vector, the
+/// phase timer's first push, and nothing per photo or per cell. The
+/// fixture's jobs make 2.
+const WARM_DESCRIBE_ALLOCS_CEILING: u64 = 32;
+
+#[test]
+fn warm_describe_jobs_allocate_the_same_few_times_whatever_rs_holds() {
+    let dataset = soi_datagen::generate(&soi_datagen::berlin(0.2)).0;
+    let grid = PhotoGrid::build(&dataset.network, &dataset.photos, 2.0 * EPS);
+    let builder = ContextBuilder {
+        network: &dataset.network,
+        photos: &dataset.photos,
+        photo_grid: &grid,
+        pois: Some(&dataset.pois),
+        eps: EPS,
+        rho: 0.0001,
+        phi_source: PhiSource::Photos,
+    };
+    // Streets of very different |Rs|: the largest, and ones a third and a
+    // tenth of it, largest last so no job merely fits in what its
+    // predecessor grew.
+    let mut sized: Vec<(usize, StreetId)> = dataset
+        .network
+        .streets()
+        .iter()
+        .map(|s| {
+            let rs = grid.photos_near_street(&dataset.network, &dataset.photos, s.id, EPS);
+            (rs.len(), s.id)
+        })
+        .collect();
+    sized.sort_unstable();
+    let largest = sized[sized.len() - 1].0;
+    let at_most = |n: usize| sized[sized.partition_point(|&(len, _)| len <= n) - 1];
+    let streets = [
+        at_most(largest / 10),
+        at_most(largest / 3),
+        at_most(largest),
+    ];
+    assert!(streets[0].0 * 2 < streets[1].0 && streets[1].0 * 2 < streets[2].0);
+    let jobs: Vec<(StreetId, DescribeParams)> = streets
+        .iter()
+        .flat_map(|&(_, street)| {
+            [(20usize, 0.5), (10, 0.25)]
+                .map(|(k, lambda)| (street, DescribeParams::new(k, lambda, 0.5).expect("valid")))
+        })
+        .collect();
+    let mut worker = EngineWorker::default();
+    let mut run = |(street, params): &(StreetId, DescribeParams)| {
+        let run = worker.run_describe_street(
+            &builder,
+            None,
+            *street,
+            params,
+            QueryBudget::unlimited(),
+            QueryCapture::default(),
+        );
+        let outcome = run.result.expect("valid job");
+        assert_eq!(outcome.selected.len(), params.k, "degenerate fixture");
+        (run.alloc.allocs, outcome.stats.photos_evaluated)
+    };
+    let cold: Vec<u64> = jobs.iter().map(|job| run(job).0).collect();
+    // Two warm passes: the second must repeat the first exactly.
+    let warm: Vec<(u64, usize)> = jobs.iter().chain(&jobs).map(&mut run).collect();
+    let (first, second) = warm.split_at(jobs.len());
+    assert_eq!(first, second, "allocation and work counts must repeat");
+    for (&(allocs, evaluated), &cold) in first.iter().zip(&cold) {
+        assert!(
+            allocs <= WARM_DESCRIBE_ALLOCS_CEILING,
+            "warm describe job made {allocs} allocations (ceiling {WARM_DESCRIBE_ALLOCS_CEILING})"
+        );
+        assert!(allocs <= cold, "warm {allocs} > cold {cold}");
+        assert!(
+            evaluated as u64 > 20 * WARM_DESCRIBE_ALLOCS_CEILING,
+            "fixture too small to tell per-photo allocation apart: {evaluated} photos"
         );
     }
 }

@@ -7,7 +7,7 @@
 
 use soi_core::soi::{run_soi, SoiConfig, SoiOutcome, SoiQuery};
 use soi_engine::{QueryContext, QueryEngine};
-use soi_index::{DiversificationIndex, IrTree, PhotoGrid, PoiIndex};
+use soi_index::{IrTree, PhotoGrid, PoiIndex};
 use std::sync::Arc;
 
 const EPS: f64 = 0.0005;
@@ -82,11 +82,9 @@ fn poi_index_parallel_build_is_thread_count_invariant() {
 }
 
 #[test]
-fn photo_and_diversification_builds_are_thread_count_invariant() {
+fn photo_grid_and_ir_tree_builds_are_thread_count_invariant() {
     let dataset = fixture();
     let grid1 = PhotoGrid::build_with_threads(&dataset.network, &dataset.photos, CELL, 1);
-    let members: Vec<_> = dataset.photos.iter().map(|p| p.id).take(400).collect();
-    let div1 = DiversificationIndex::build_with_threads(&dataset.photos, &members, 0.0001, 1);
     let tree1 = IrTree::build_with_threads(&dataset.pois, 1);
     let probe = soi_geo::Point::new(0.3, 0.4);
     let probe_kws = dataset.query_keywords(&["shop", "food"]);
@@ -101,19 +99,6 @@ fn photo_and_diversification_builds_are_thread_count_invariant() {
                 grid.photos_near_street(&dataset.network, &dataset.photos, street, EPS),
                 "threads {threads}"
             );
-        }
-
-        let div =
-            DiversificationIndex::build_with_threads(&dataset.photos, &members, 0.0001, threads);
-        assert_eq!(div1.occupied(), div.occupied());
-        for &cell in div1.occupied() {
-            let (a, b) = (
-                div1.cell(cell).expect("occupied"),
-                div.cell(cell).expect("same cells occupied"),
-            );
-            assert_eq!(a.photos, b.photos);
-            assert_eq!(a.psi_min, b.psi_min);
-            assert_eq!(a.psi_max, b.psi_max);
         }
 
         let tree = IrTree::build_with_threads(&dataset.pois, threads);
