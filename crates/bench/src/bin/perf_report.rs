@@ -3,9 +3,8 @@
 //! Measures, on one process and back-to-back (the only way to get stable
 //! numbers on a noisy single-core VM):
 //!
-//! 1. offline index construction: the pre-PR-2 hash-map build
-//!    (reconstructed inline below) vs the current counting-sort build,
-//!    medians of several interleaved reps;
+//! 1. offline index construction (the counting-sort CSR build), median of
+//!    several reps;
 //! 2. single-query k-SOI latency (p50/p95), direct `run_soi` vs a
 //!    one-element engine batch (the inline path — must be within noise)
 //!    — with the observability layer compiled in but *disabled*, the
@@ -36,17 +35,13 @@
 //! `BENCH_HISTORY.jsonl` in the same directory, and prints the report to
 //! stdout. `bench_diff` compares any two of these artifacts.
 
-use soi_common::{CellId, FxHashMap, KeywordId, SegmentId};
 use soi_core::soi::{run_soi, SoiConfig, SoiQuery};
-use soi_data::{Dataset, PoiCollection};
+use soi_data::Dataset;
 use soi_engine::{QueryContext, QueryEngine};
-use soi_geo::{Grid, Point, Rect};
 use soi_index::snapshot::{self as snap, BundleParams, ReadOutcome};
 use soi_index::{IrTree, PhotoGrid, PoiIndex};
-use soi_network::RoadNetwork;
 use soi_obs::{json, trace};
 use soi_snapshot::Snapshot;
-use soi_text::InvertedIndex;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -56,7 +51,7 @@ use std::time::{Duration, Instant};
 const SCALE: f64 = 0.2;
 const EPS: f64 = 0.0005;
 const CELL: f64 = 2.0 * EPS;
-/// Interleaved repetitions per build variant (medians reported).
+/// Repetitions of the index build (median reported).
 const BUILD_REPS: usize = 9;
 /// Repetitions for the single-query latency distribution.
 const QUERY_REPS: usize = 21;
@@ -182,74 +177,6 @@ fn pr2_p50s(out_dir: &str) -> Option<(f64, f64)> {
     ))
 }
 
-/// The index construction algorithm as it was before this PR: per-POI
-/// hash-map entry updates, a per-keyword weight re-sum for the global
-/// inverted index, and comparison sorts throughout. Returns fingerprint
-/// counts so the optimizer cannot discard the work.
-fn old_index_build(
-    network: &RoadNetwork,
-    pois: &PoiCollection,
-    cell_size: f64,
-) -> (usize, usize, usize) {
-    struct OldCell {
-        pois: Vec<soi_common::PoiId>,
-        total_weight: f64,
-        inverted: InvertedIndex<soi_common::PoiId>,
-    }
-
-    let extent = match (network.extent(), pois.extent()) {
-        (Some(a), Some(b)) => a.union(&b),
-        (Some(a), None) => a,
-        (None, Some(b)) => b,
-        (None, None) => Rect::new(Point::ORIGIN, Point::new(1.0, 1.0)),
-    };
-    let grid = Grid::covering(extent, cell_size);
-
-    let mut cells: FxHashMap<CellId, OldCell> = FxHashMap::default();
-    for poi in pois.iter() {
-        let Some(coord) = grid.cell_containing(poi.pos) else {
-            continue;
-        };
-        let cell = cells.entry(grid.cell_id(coord)).or_insert_with(|| OldCell {
-            pois: Vec::new(),
-            total_weight: 0.0,
-            inverted: InvertedIndex::new(),
-        });
-        cell.pois.push(poi.id);
-        cell.total_weight += poi.weight;
-        cell.inverted.add_document(poi.id, poi.keywords.iter());
-    }
-
-    let mut global: FxHashMap<KeywordId, Vec<(CellId, f64)>> = FxHashMap::default();
-    for (&cell_id, cell) in &cells {
-        for (k, postings) in cell.inverted.iter() {
-            let weight: f64 = postings.iter().map(|&p| pois.get(p).weight).sum();
-            global.entry(k).or_default().push((cell_id, weight));
-        }
-    }
-    for list in global.values_mut() {
-        list.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    }
-
-    let mut raster: FxHashMap<CellId, Vec<SegmentId>> = FxHashMap::default();
-    for seg in network.segments() {
-        for coord in grid.cells_near_segment(&seg.geom, 0.0) {
-            raster.entry(grid.cell_id(coord)).or_default().push(seg.id);
-        }
-    }
-
-    let mut segments_by_len: Vec<SegmentId> = network.segments().iter().map(|s| s.id).collect();
-    segments_by_len.sort_by(|&a, &b| {
-        network
-            .segment(a)
-            .len()
-            .total_cmp(&network.segment(b).len())
-            .then_with(|| a.cmp(&b))
-    });
-
-    (cells.len(), global.len(), raster.len())
-}
-
 /// ≥256 distinct queries: every non-empty subset of four keyword
 /// categories (15) × five result sizes × four ε values = 300. Small
 /// batches (the pre-PR-4 sweep had 16 queries) hide scaling problems
@@ -293,13 +220,9 @@ fn main() {
         dataset.pois.len()
     );
 
-    // 1. Index construction, old vs new, interleaved so drift hits both.
-    let mut old_times = Vec::with_capacity(BUILD_REPS);
+    // 1. Index construction.
     let mut new_times = Vec::with_capacity(BUILD_REPS);
     for _ in 0..BUILD_REPS {
-        let t = Instant::now();
-        black_box(old_index_build(&dataset.network, &dataset.pois, CELL));
-        old_times.push(t.elapsed());
         let t = Instant::now();
         black_box(PoiIndex::build_with_threads(
             &dataset.network,
@@ -309,14 +232,8 @@ fn main() {
         ));
         new_times.push(t.elapsed());
     }
-    let build_old = median(old_times);
     let build_new = median(new_times);
-    let build_speedup = build_old.as_secs_f64() / build_new.as_secs_f64().max(1e-12);
-    eprintln!(
-        "index build: old {:.1}ms, new {:.1}ms ({build_speedup:.2}x)",
-        ms(build_old),
-        ms(build_new)
-    );
+    eprintln!("index build: {:.1}ms", ms(build_new));
 
     // 2. Single-query latency.
     let index = PoiIndex::build_with_threads(&dataset.network, &dataset.pois, CELL, 0);
@@ -469,6 +386,7 @@ fn main() {
         let t = Instant::now();
         black_box(poi.epsilon_maps(&cold.network, EPS));
         s_build[3].push(t.elapsed());
+        let poi_cells = poi.grid().num_cells();
         drop(poi);
 
         // Decodes from one open snapshot.
@@ -479,17 +397,19 @@ fn main() {
         let num_segments = cold.network.num_segments();
         let t = Instant::now();
         black_box(
-            snap::read_poi_index(&snapshot, "poi", num_pois, num_segments, 1).expect("poi decode"),
+            snap::read_poi_index(&snapshot, "poi", num_pois, num_segments).expect("poi decode"),
         );
         s_load[0].push(t.elapsed());
         let t = Instant::now();
-        black_box(snap::read_photo_grid(&snapshot, "pg", cold.photos.len(), 1).expect("pg decode"));
+        black_box(snap::read_photo_grid(&snapshot, "pg", cold.photos.len()).expect("pg decode"));
         s_load[1].push(t.elapsed());
         let t = Instant::now();
         black_box(snap::read_ir_tree(&snapshot, "ir", num_pois, 1).expect("ir decode"));
         s_load[2].push(t.elapsed());
         let t = Instant::now();
-        black_box(snap::read_epsilon_maps(&snapshot, "eps", num_segments, 1).expect("eps decode"));
+        black_box(
+            snap::read_epsilon_maps(&snapshot, "eps", num_segments, poi_cells).expect("eps decode"),
+        );
         s_load[3].push(t.elapsed());
         drop(snapshot);
     }
@@ -576,12 +496,10 @@ fn main() {
 
     let json = format!
     (
-        "{{\n  \"bench\": \"PR7 index persistence: snapshots and I/O-time cold start\",\n  \"city\": \"berlin\",\n  \"scale\": {SCALE},\n  \"segments\": {},\n  \"pois\": {},\n  \"host_cpus\": {host_cpus},\n  \"index_build\": {{\n    \"old_ms\": {:.3},\n    \"new_ms\": {:.3},\n    \"speedup\": {:.3},\n    \"reps\": {BUILD_REPS},\n    \"note\": \"single-threaded, medians of interleaved reps; old = pre-PR2 hash-map build reconstructed inline\"\n  }},\n  \"single_query\": {{\n    \"direct_p50_ms\": {:.3},\n    \"direct_p95_ms\": {:.3},\n    \"engine_one_worker_p50_ms\": {:.3},\n    \"engine_one_worker_p95_ms\": {:.3},\n    \"reps\": {QUERY_REPS},\n    \"note\": \"instrumentation compiled in, disabled (production default)\"\n  }},\n  \"observability\": {{\n    \"traced_p50_ms\": {:.3},\n    \"traced_overhead_pct\": {:.2},\n    \"trace_events_per_query\": {},\n    \"vs_pr2\": {}\n  }},\n  \"batch\": [\n{}\n  ],\n  \"cold_start\": {cold_start},\n  \"scaling_note\": \"{scaling_note}\"\n}}\n",
+        "{{\n  \"bench\": \"PR7 index persistence: snapshots and I/O-time cold start\",\n  \"city\": \"berlin\",\n  \"scale\": {SCALE},\n  \"segments\": {},\n  \"pois\": {},\n  \"host_cpus\": {host_cpus},\n  \"index_build\": {{\n    \"new_ms\": {:.3},\n    \"reps\": {BUILD_REPS},\n    \"note\": \"single-threaded, median of the reps\"\n  }},\n  \"single_query\": {{\n    \"direct_p50_ms\": {:.3},\n    \"direct_p95_ms\": {:.3},\n    \"engine_one_worker_p50_ms\": {:.3},\n    \"engine_one_worker_p95_ms\": {:.3},\n    \"reps\": {QUERY_REPS},\n    \"note\": \"instrumentation compiled in, disabled (production default)\"\n  }},\n  \"observability\": {{\n    \"traced_p50_ms\": {:.3},\n    \"traced_overhead_pct\": {:.2},\n    \"trace_events_per_query\": {},\n    \"vs_pr2\": {}\n  }},\n  \"batch\": [\n{}\n  ],\n  \"cold_start\": {cold_start},\n  \"scaling_note\": \"{scaling_note}\"\n}}\n",
         dataset.network.num_segments(),
         dataset.pois.len(),
-        ms(build_old),
         ms(build_new),
-        build_speedup,
         ms(percentile(&direct, 0.5)),
         ms(percentile(&direct, 0.95)),
         ms(percentile(&engine_one, 0.5)),

@@ -51,6 +51,24 @@ pub fn bucket_sort_worthwhile(len: usize, num_buckets: usize) -> bool {
         && num_buckets <= 8 * len + 1024
 }
 
+/// Orders packed `(row ‖ item)` keys — dense row id in the high 32 bits,
+/// item id in the low 32 — by `(row, item)`, ready for
+/// [`Csr::from_sorted_keys`](crate::Csr::from_sorted_keys).
+///
+/// Keys must be unique and arrive item-ascending within every row (the
+/// builds emit them in ascending POI / photo / segment order), so one stable
+/// counting pass over the rows completes the order in `O(n + rows)`; where
+/// the histogram would dwarf the data a comparison sort of the unique keys
+/// yields the identical permutation.
+pub fn sort_row_keys(mut keys: Vec<u64>, rows: usize, threads: usize) -> Vec<u64> {
+    if bucket_sort_worthwhile(keys.len(), rows) {
+        bucket_sort_stable(&keys, rows as u32, |&k| (k >> 32) as u32)
+    } else {
+        crate::par_sort_unstable_by(&mut keys, threads, |a, b| a.cmp(b));
+        keys
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,6 +15,8 @@
 //!   a stable parallel sort) whose results never depend on thread count.
 //! - [`bucket`]: stable counting sort over dense integer keys, the
 //!   `O(n + k)` digit pass the offline index builds chain into radix sorts.
+//! - [`csr`]: [`Csr`], the dense "row id → run of items" layout behind every
+//!   cell / keyword / segment keyed map of the offline indexes.
 //! - [`topk`]: deterministic top-k selection helpers.
 //! - [`error`]: the workspace error type — structured, categorized, with
 //!   source-chain context and stable CLI exit codes.
@@ -28,6 +30,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod bucket;
+pub mod csr;
 pub mod error;
 pub mod fxhash;
 pub mod ids;
@@ -37,7 +40,8 @@ pub mod parallel;
 pub mod timing;
 pub mod topk;
 
-pub use bucket::{bucket_sort_stable, bucket_sort_worthwhile};
+pub use bucket::{bucket_sort_stable, bucket_sort_worthwhile, sort_row_keys};
+pub use csr::{check_csr_offsets, Csr};
 pub use error::{ErrorCategory, Result, ResultExt, SoiError, ValidationKind};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{CellId, KeywordId, NodeId, PhotoId, PoiId, SegmentId, StreetId};

@@ -12,7 +12,6 @@ use std::cmp::Ordering;
 /// but meaningless order (`f64::total_cmp`) in release builds so the program
 /// never aborts inside a comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OrderedF64(f64);
 
 impl OrderedF64 {

@@ -1,5 +1,7 @@
 //! Loaded-vs-built equivalence: an index bundle decoded from a snapshot
-//! must be indistinguishable from a freshly built one, query by query.
+//! must be indistinguishable from a freshly built one — structure by
+//! structure (`built == loaded`, every column, floats by bit pattern) and
+//! query by query.
 //!
 //! For every structure in the bundle (`PoiIndex`, `PhotoGrid`, `IrTree`,
 //! the preloaded ε-maps) and for several build thread counts, we run the
@@ -170,6 +172,20 @@ fn soi_queries_identical_across_thread_counts() {
     let reference = build_bundle(&dataset, &params(1));
     for threads in [1, 2, 8] {
         let (fresh, loaded) = load_round_trip(&dataset, &params(threads));
+        // Whole structures first: threads(1) == threads(n) == loaded.
+        assert!(reference.poi == fresh.poi, "threads={threads}: build");
+        assert!(fresh.poi == loaded.poi, "threads={threads}: round trip");
+        assert!(
+            reference.photo_grid == fresh.photo_grid,
+            "threads={threads}"
+        );
+        assert!(fresh.photo_grid == loaded.photo_grid, "threads={threads}");
+        assert_eq!(loaded.poi.epsilon_cache_len(), 1, "ε-maps not preloaded");
+        assert!(
+            *fresh.poi.epsilon_maps(&dataset.network, EPS)
+                == *loaded.poi.epsilon_maps(&dataset.network, EPS),
+            "threads={threads}: ε-maps"
+        );
         for q in &queries() {
             let want =
                 run_soi(&dataset.network, &dataset.pois, &reference.poi, q, &config).unwrap();

@@ -20,7 +20,6 @@ use soi_common::CellId;
 
 /// Integer coordinates of a grid cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CellCoord {
     /// Column index (0-based).
     pub ix: u32,
@@ -46,7 +45,6 @@ impl CellCoord {
 
 /// A uniform grid over a rectangular extent.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Grid {
     origin: Point,
     cell_size: f64,

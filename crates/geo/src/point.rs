@@ -7,7 +7,6 @@ use std::ops::{Add, Div, Mul, Neg, Sub};
 /// Coordinates are in the dataset's native unit (degrees for the paper's
 /// city datasets); all distances are Euclidean.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// Horizontal coordinate (longitude-like).
     pub x: f64,

@@ -11,7 +11,6 @@ use crate::segment::LineSeg;
 /// are the minimum over its constituent segments, matching
 /// `dist(p, s) = min_{ℓ∈s} dist(p, ℓ)` of Section 3.1.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Polyline {
     points: Vec<Point>,
 }

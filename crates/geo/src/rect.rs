@@ -11,7 +11,6 @@ use crate::segment::LineSeg;
 /// treat the rectangle as a closed region, which keeps the derived bounds
 /// conservative in both directions.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Rect {
     /// Lower-left corner.
     pub min: Point,

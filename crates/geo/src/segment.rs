@@ -9,7 +9,6 @@ use crate::rect::Rect;
 /// represented by this geometry; `dist(p, ℓ)` of Definition 1 is
 /// [`LineSeg::dist_to_point`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LineSeg {
     /// First endpoint.
     pub a: Point,

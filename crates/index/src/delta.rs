@@ -248,7 +248,7 @@ struct Materialized {
 
 /// Validates `ops` against the (base_pois, base_photos) id space and
 /// materialises them. `index` (when present) additionally rejects POI adds
-/// outside the live grid extent, matching [`PoiIndex::insert`]; replay
+/// outside the live grid extent, which no rebuilt index could place; replay
 /// through [`fold_ops`] has no live grid, and relies on the serving layer
 /// having validated every logged op before appending it.
 fn materialize(
@@ -478,7 +478,7 @@ impl DeltaIndex {
         for &c in &touched_cells_sorted {
             let mut total = 0.0;
             if let Some(cell) = base_index.cell(c) {
-                for &pid in &cell.pois {
+                for &pid in cell.pois {
                     if !m.deleted_pois.contains(&pid) {
                         total += base_pois.get(pid).weight;
                     }
@@ -499,7 +499,7 @@ impl DeltaIndex {
             let mut w = 0.0;
             let mut n = 0usize;
             if let Some(cell) = base_index.cell(c) {
-                for &pid in cell.inverted.postings(k) {
+                for &pid in cell.postings(k) {
                     if !m.deleted_pois.contains(&pid) {
                         w += base_pois.get(pid).weight;
                         n += 1;
@@ -542,7 +542,7 @@ impl DeltaIndex {
                     list.push((c, nw));
                 }
             }
-            // The insert/maintenance order: weight desc, cell asc.
+            // The global index's list order: weight desc, cell asc.
             list.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
             global.insert(k, list);
         }
@@ -550,7 +550,7 @@ impl DeltaIndex {
         let mut new_cells: Vec<CellId> = cells
             .keys()
             .copied()
-            .filter(|&c| base_index.cell(c).is_none())
+            .filter(|&c| !base_index.is_occupied(c))
             .collect();
         new_cells.sort_unstable();
 

@@ -11,17 +11,22 @@
 //! `|Cε(ℓ)|` factor of the unseen upper bound and shrinks the traversal.
 
 use crate::poi_index::PoiIndex;
-use soi_common::{CellId, FxHashMap, SegmentId};
+use soi_common::{sort_row_keys, CellId, Csr, SegmentId};
 use soi_network::RoadNetwork;
 
 /// The ε-augmented maps for one ε value.
-#[derive(Debug)]
+///
+/// The fields are crate-visible for the snapshot codec (see
+/// [`crate::snapshot`]), which validates both maps against the network and
+/// the index grid before constructing one.
+#[derive(Debug, PartialEq)]
 pub struct EpsilonMaps {
-    eps: f64,
-    /// `Cε(ℓ)`: occupied cells within ε of each segment (dense by segment).
-    segment_to_cells: Vec<Vec<CellId>>,
-    /// `Lε(c)`: segments within ε of each occupied cell.
-    cell_to_segments: FxHashMap<CellId, Vec<SegmentId>>,
+    pub(crate) eps: f64,
+    /// `Cε(ℓ)`: segment → occupied cells within ε of it, ascending.
+    pub(crate) segment_to_cells: Csr<CellId>,
+    /// `Lε(c)`: cell → segments within ε of it, ascending (empty for an
+    /// unoccupied cell).
+    pub(crate) cell_to_segments: Csr<SegmentId>,
 }
 
 impl EpsilonMaps {
@@ -30,27 +35,32 @@ impl EpsilonMaps {
     pub fn build(network: &RoadNetwork, index: &PoiIndex, eps: f64) -> Self {
         assert!(eps >= 0.0 && eps.is_finite(), "eps must be non-negative");
         let grid = index.grid();
-        let mut segment_to_cells: Vec<Vec<CellId>> = Vec::with_capacity(network.num_segments());
-        let mut cell_to_segments: FxHashMap<CellId, Vec<SegmentId>> = FxHashMap::default();
-
+        // Both maps from one pass over the segments, as packed (row ‖ item)
+        // keys: by segment they are born in order, by cell they need the
+        // stable counting pass.
+        let mut by_segment: Vec<u64> = Vec::new();
+        let mut by_cell: Vec<u64> = Vec::new();
         for seg in network.segments() {
             let mut cells: Vec<CellId> = grid
                 .cells_near_segment(&seg.geom, eps)
                 .into_iter()
                 .map(|c| grid.cell_id(c))
-                .filter(|&c| index.cell(c).is_some())
+                .filter(|&c| index.is_occupied(c))
                 .collect();
             cells.sort_unstable();
-            for &c in &cells {
-                cell_to_segments.entry(c).or_default().push(seg.id);
+            for c in cells {
+                by_segment.push(u64::from(seg.id.0) << 32 | u64::from(c.0));
+                by_cell.push(u64::from(c.0) << 32 | u64::from(seg.id.0));
             }
-            segment_to_cells.push(cells);
         }
-
+        let num_cells = grid.num_cells();
         Self {
             eps,
-            segment_to_cells,
-            cell_to_segments,
+            segment_to_cells: Csr::from_sorted_keys(network.num_segments(), &by_segment),
+            cell_to_segments: Csr::from_sorted_keys(
+                num_cells,
+                &sort_row_keys(by_cell, num_cells, 1),
+            ),
         }
     }
 
@@ -59,47 +69,24 @@ impl EpsilonMaps {
         self.eps
     }
 
-    /// Snapshot-encode access to the private parts (see [`crate::snapshot`]).
-    pub(crate) fn snapshot_parts(
-        &self,
-    ) -> (f64, &[Vec<CellId>], &FxHashMap<CellId, Vec<SegmentId>>) {
-        (self.eps, &self.segment_to_cells, &self.cell_to_segments)
-    }
-
-    /// Reassembles maps from snapshot-decoded parts.
-    pub(crate) fn from_snapshot_parts(
-        eps: f64,
-        segment_to_cells: Vec<Vec<CellId>>,
-        cell_to_segments: FxHashMap<CellId, Vec<SegmentId>>,
-    ) -> Self {
-        Self {
-            eps,
-            segment_to_cells,
-            cell_to_segments,
-        }
-    }
-
     /// `Cε(ℓ)`: occupied cells within ε of segment `seg`, ascending by id.
     pub fn cells_of_segment(&self, seg: SegmentId) -> &[CellId] {
-        &self.segment_to_cells[seg.index()]
+        self.segment_to_cells.row(seg.index())
     }
 
     /// `|Cε(ℓ)|` for segment `seg`.
     pub fn num_cells_of_segment(&self, seg: SegmentId) -> usize {
-        self.segment_to_cells[seg.index()].len()
+        self.cells_of_segment(seg).len()
     }
 
     /// `Lε(c)`: segments within ε of cell `cell` (empty if none).
     pub fn segments_of_cell(&self, cell: CellId) -> &[SegmentId] {
-        self.cell_to_segments
-            .get(&cell)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.cell_to_segments.row(cell.index())
     }
 
     /// Number of segments in the network these maps cover.
     pub fn num_segments(&self) -> usize {
-        self.segment_to_cells.len()
+        self.segment_to_cells.rows()
     }
 }
 
@@ -137,9 +124,9 @@ mod tests {
                 );
             }
         }
-        for (&c, segs) in maps.cell_to_segments.iter() {
+        for (c, segs) in maps.cell_to_segments.occupied_rows() {
             for &s in segs {
-                assert!(maps.cells_of_segment(s).contains(&c));
+                assert!(maps.cells_of_segment(s).contains(&CellId::from_index(c)));
             }
         }
     }
@@ -147,10 +134,8 @@ mod tests {
     #[test]
     fn only_occupied_cells_included() {
         let (_, index, maps) = setup(0.6);
-        for seg_cells in &maps.segment_to_cells {
-            for &c in seg_cells {
-                assert!(index.cell(c).is_some(), "unoccupied cell {c:?} in Cε");
-            }
+        for &c in maps.segment_to_cells.items() {
+            assert!(index.is_occupied(c), "unoccupied cell {c:?} in Cε");
         }
     }
 
@@ -184,10 +169,8 @@ mod tests {
         // The POI at (1.0, 0.3) is 0.3 away: with eps 0, its cell may or may
         // not intersect the segment; the invariant is just that all listed
         // cells are occupied and the maps stay consistent.
-        for seg_cells in &maps.segment_to_cells {
-            for &c in seg_cells {
-                assert!(index.cell(c).is_some());
-            }
+        for &c in maps.segment_to_cells.items() {
+            assert!(index.is_occupied(c));
         }
     }
 
@@ -195,13 +178,12 @@ mod tests {
     fn larger_eps_yields_superset() {
         let (_, _, small) = setup(0.3);
         let (_, _, large) = setup(1.5);
-        for (s_cells, l_cells) in small
-            .segment_to_cells
-            .iter()
-            .zip(large.segment_to_cells.iter())
-        {
-            for c in s_cells {
-                assert!(l_cells.contains(c), "eps growth lost cell {c:?}");
+        for seg in (0..small.num_segments()).map(SegmentId::from_index) {
+            for c in small.cells_of_segment(seg) {
+                assert!(
+                    large.cells_of_segment(seg).contains(c),
+                    "eps growth lost cell {c:?}"
+                );
             }
         }
     }

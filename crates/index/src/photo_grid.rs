@@ -5,19 +5,21 @@
 //! candidate cells are found by ε-dilating the street's segments, then
 //! photos are filtered by exact distance.
 
-use soi_common::{
-    bucket_sort_stable, bucket_sort_worthwhile, effective_threads, par_chunk_map,
-    par_sort_unstable_by, CellId, FxHashMap, PhotoId, StreetId,
-};
+use soi_common::{effective_threads, par_chunk_map, sort_row_keys, CellId, Csr, PhotoId, StreetId};
 use soi_data::PhotoCollection;
 use soi_geo::{Grid, Point, Rect};
 use soi_network::RoadNetwork;
 
 /// A uniform grid over all photos of a dataset.
-#[derive(Debug)]
+///
+/// The fields are crate-visible for the snapshot codec (see
+/// [`crate::snapshot`]), which validates `cells` against `grid` and the
+/// photo collection before constructing one.
+#[derive(Debug, PartialEq)]
 pub struct PhotoGrid {
-    grid: Grid,
-    cells: FxHashMap<CellId, Vec<PhotoId>>,
+    pub(crate) grid: Grid,
+    /// cell → photos located in it, ascending id.
+    pub(crate) cells: Csr<PhotoId>,
 }
 
 impl PhotoGrid {
@@ -34,9 +36,8 @@ impl PhotoGrid {
     /// automatically, see [`effective_threads`]).
     ///
     /// The build is chunk-partitioned and deterministic: chunks emit packed
-    /// (cell ‖ photo) keys in photo order, and one stable counting pass by
-    /// cell (or a comparison sort of the unique keys) groups them, so the
-    /// result is identical for every thread count.
+    /// (cell ‖ photo) keys in photo order and [`sort_row_keys`] groups them
+    /// by cell, so the result is identical for every thread count.
     ///
     /// # Panics
     /// Panics if `cell_size` is not strictly positive.
@@ -54,7 +55,7 @@ impl PhotoGrid {
             (None, None) => Rect::new(Point::ORIGIN, Point::new(1.0, 1.0)),
         };
         let grid = Grid::covering(extent, cell_size);
-        let mut keys: Vec<u64> = par_chunk_map(photos.as_slice(), threads, |_, chunk| {
+        let keys: Vec<u64> = par_chunk_map(photos.as_slice(), threads, |_, chunk| {
             let mut keys = Vec::with_capacity(chunk.len());
             for photo in chunk {
                 // Photos outside the grid (non-finite position) are
@@ -69,25 +70,7 @@ impl PhotoGrid {
         .flatten()
         .collect();
         let num_cells = grid.num_cells();
-        if bucket_sort_worthwhile(keys.len(), num_cells) {
-            keys = bucket_sort_stable(&keys, num_cells as u32, |&k| (k >> 32) as u32);
-        } else {
-            par_sort_unstable_by(&mut keys, threads, |a, b| a.cmp(b));
-        }
-        let mut cells: FxHashMap<CellId, Vec<PhotoId>> = FxHashMap::default();
-        let mut i = 0;
-        while i < keys.len() {
-            let c = (keys[i] >> 32) as u32;
-            let mut j = i;
-            while j < keys.len() && (keys[j] >> 32) as u32 == c {
-                j += 1;
-            }
-            cells.insert(
-                CellId(c),
-                keys[i..j].iter().map(|&k| PhotoId(k as u32)).collect(),
-            );
-            i = j;
-        }
+        let cells = Csr::from_sorted_keys(num_cells, &sort_row_keys(keys, num_cells, threads));
         Self { grid, cells }
     }
 
@@ -96,46 +79,14 @@ impl PhotoGrid {
         &self.grid
     }
 
-    /// Snapshot-encode access to the private parts (see [`crate::snapshot`]).
-    pub(crate) fn snapshot_parts(&self) -> (&Grid, &FxHashMap<CellId, Vec<PhotoId>>) {
-        (&self.grid, &self.cells)
-    }
-
-    /// Reassembles a grid from snapshot-decoded parts (ascending-cell
-    /// insertion order, matching the build path).
-    pub(crate) fn from_snapshot_parts(grid: Grid, cells: FxHashMap<CellId, Vec<PhotoId>>) -> Self {
-        Self { grid, cells }
-    }
-
-    /// Incrementally inserts a photo added after the grid was built.
-    ///
-    /// Photos must be inserted in ascending id order; the location must lie
-    /// within the grid extent fixed at build time.
-    ///
-    /// # Errors
-    /// Rejects positions outside the grid extent.
-    pub fn insert(&mut self, photo: &soi_data::Photo) -> soi_common::Result<()> {
-        let coord = self.grid.cell_containing(photo.pos).ok_or_else(|| {
-            soi_common::SoiError::invalid(format!(
-                "photo at {} lies outside the grid extent; rebuild the grid",
-                photo.pos
-            ))
-        })?;
-        self.cells
-            .entry(self.grid.cell_id(coord))
-            .or_default()
-            .push(photo.id);
-        Ok(())
-    }
-
     /// Photos in cell `id` (sorted by id), empty if unoccupied.
     pub fn cell_photos(&self, id: CellId) -> &[PhotoId] {
-        self.cells.get(&id).map(Vec::as_slice).unwrap_or(&[])
+        self.cells.row(id.index())
     }
 
     /// Number of occupied cells.
     pub fn num_occupied_cells(&self) -> usize {
-        self.cells.len()
+        self.cells.occupied_rows().count()
     }
 
     /// Extracts `Rs`: photos within `eps` of street `street`, sorted by id.
@@ -301,15 +252,11 @@ mod tests {
         let sequential = PhotoGrid::build_with_threads(&network, &photos, 0.5, 1);
         for threads in [2usize, 3, 8] {
             let parallel = PhotoGrid::build_with_threads(&network, &photos, 0.5, threads);
-            assert_eq!(
-                sequential.num_occupied_cells(),
-                parallel.num_occupied_cells()
+            assert!(
+                sequential == parallel,
+                "{threads} threads built another grid"
             );
-            let mut ids: Vec<CellId> = sequential.cells.keys().copied().collect();
-            ids.sort_unstable();
-            for id in ids {
-                assert_eq!(sequential.cell_photos(id), parallel.cell_photos(id));
-            }
         }
+        assert_eq!(sequential.cells.items().len(), photos.len());
     }
 }

@@ -3,12 +3,12 @@
 use parking_lot::Mutex;
 use soi_common::{
     effective_threads, f64_from_total_key, f64_total_key, par_chunk_map, par_sort_by,
-    par_sort_unstable_by, CellId, FxHashMap, KeywordId, PoiId, SegmentId,
+    par_sort_unstable_by, sort_row_keys, CellId, Csr, FxHashMap, KeywordId, PoiId, SegmentId,
 };
 use soi_data::PoiCollection;
 use soi_geo::{Grid, Point, Rect};
 use soi_network::RoadNetwork;
-use soi_text::{FlatPostings, KeywordSet};
+use soi_text::{union_of_postings, KeywordSet};
 use std::sync::Arc;
 
 use crate::epsilon::EpsilonMaps;
@@ -59,7 +59,7 @@ impl EpsCache {
     /// Inserts `maps` under `key` (keeping an existing entry if one raced in
     /// first), refreshes its recency, and evicts the least recently used
     /// entries down to [`EPS_CACHE_CAPACITY`]. Returns the cached value.
-    fn insert(&mut self, key: u64, maps: Arc<EpsilonMaps>) -> Arc<EpsilonMaps> {
+    fn put(&mut self, key: u64, maps: Arc<EpsilonMaps>) -> Arc<EpsilonMaps> {
         self.stamp += 1;
         let stamp = self.stamp;
         let entry = self.entries.entry(key).or_insert((maps, stamp));
@@ -87,16 +87,45 @@ impl EpsCache {
     }
 }
 
-/// One occupied grid cell of the POI index.
-#[derive(Debug, Clone)]
-pub struct PoiCell {
+/// One occupied grid cell of the POI index: a view borrowed from the
+/// index's shared columns.
+#[derive(Debug, Clone, Copy)]
+pub struct PoiCell<'a> {
     /// POIs located in this cell, sorted by id.
-    pub pois: Vec<PoiId>,
+    pub pois: &'a [PoiId],
     /// Total POI weight in the cell (`|Pc|` with unit weights).
     pub total_weight: f64,
-    /// Local inverted index: keyword → POIs in this cell, sorted by id,
-    /// in the allocation-lean CSR layout the bulk build produces.
-    pub inverted: FlatPostings<PoiId>,
+    /// The cell's distinct keywords, ascending: its slice of the run
+    /// directory. Keyword `i`'s postings are row `first_run + i` of
+    /// `run_docs`.
+    keywords: &'a [KeywordId],
+    first_run: usize,
+    run_docs: &'a Csr<PoiId>,
+}
+
+impl<'a> PoiCell<'a> {
+    /// The distinct keywords carried by the cell's POIs, ascending.
+    pub fn keywords(&self) -> &'a [KeywordId] {
+        self.keywords
+    }
+
+    /// The local inverted list for `k`: POIs of this cell carrying the
+    /// keyword, sorted by id (empty if none does).
+    #[inline]
+    pub fn postings(&self, k: KeywordId) -> &'a [PoiId] {
+        match self.keywords.binary_search(&k) {
+            Ok(i) => self.run_docs.row(self.first_run + i),
+            Err(_) => &[],
+        }
+    }
+
+    /// Calls `f` once per distinct POI of the cell carrying any of
+    /// `keywords`, in ascending id order (the paper's synchronous
+    /// multi-list traversal).
+    #[inline]
+    pub fn for_each_matching<F: FnMut(PoiId)>(&self, keywords: &[KeywordId], f: F) {
+        union_of_postings(keywords, |k| self.postings(k), f);
+    }
 }
 
 /// The spatio-textual POI index of Section 3.2.1.
@@ -109,23 +138,61 @@ pub struct PoiCell {
 /// 4. the raster segment-to-cell map;
 /// 5. the list of segments sorted increasingly on length.
 ///
-/// The ε-augmented versions of maps (3) and (4) are built at query time by
-/// [`EpsilonMaps`] and cached here per ε value.
+/// Every cell- or keyword-keyed structure is a [`Csr`] column pair over the
+/// dense id (a [`PoiCell`] is a borrowed view into them), which is also
+/// exactly what a snapshot stores. The ε-augmented versions of maps (3)
+/// and (4) are built at query time by [`EpsilonMaps`] and cached here per ε
+/// value.
+///
+/// Equality compares the persistent columns (floats by bit pattern), not
+/// the ε-map cache: two equal indexes answer every query identically. The
+/// columns are crate-visible for the snapshot codec (see
+/// [`crate::snapshot`]), which writes them as they are and validates them
+/// against each other and the dataset before [`PoiIndex::from_columns`].
 #[derive(Debug)]
 pub struct PoiIndex {
-    grid: Grid,
-    cells: FxHashMap<CellId, PoiCell>,
+    pub(crate) grid: Grid,
+    /// cell → POIs located in it, ascending id.
+    pub(crate) cell_pois: Csr<PoiId>,
+    /// cell → total POI weight (0.0 for an unoccupied cell).
+    pub(crate) total_weight: Vec<f64>,
+    /// The run directory of the local inverted indexes: cell → its distinct
+    /// keywords, ascending. Item `i` of this column is postings run `i`.
+    pub(crate) cell_kws: Csr<KeywordId>,
+    /// postings run → the POIs of the run's cell carrying the run's
+    /// keyword, ascending id: every cell's local lists in one docs column.
+    pub(crate) run_docs: Csr<PoiId>,
     /// keyword → (cell, summed weight of POIs with that keyword), desc.
-    global: FxHashMap<KeywordId, Vec<(CellId, f64)>>,
+    pub(crate) global: Csr<(CellId, f64)>,
     /// Segments sorted increasingly by length (the basis of SL3).
-    segments_by_len: Vec<SegmentId>,
+    pub(crate) segments_by_len: Vec<SegmentId>,
     /// The static raster cell-to-segment map (Sec. 3.2.1): segments passing
     /// through each cell (occupied or not), built offline. The ε-augmented
     /// `Lε(c)` is derived from it lazily at query time.
-    raster: FxHashMap<CellId, Vec<SegmentId>>,
+    pub(crate) raster: Csr<SegmentId>,
     /// Bounded per-ε LRU cache of augmented maps (street segments and POIs
     /// are static).
     eps_cache: Mutex<EpsCache>,
+}
+
+impl PartialEq for PoiIndex {
+    fn eq(&self, other: &Self) -> bool {
+        fn weight_bits(w: &[f64]) -> impl Iterator<Item = u64> + '_ {
+            w.iter().map(|x| x.to_bits())
+        }
+        fn entry_bits(g: &Csr<(CellId, f64)>) -> impl Iterator<Item = (CellId, u64)> + '_ {
+            g.items().iter().map(|&(c, w)| (c, w.to_bits()))
+        }
+        self.grid == other.grid
+            && self.cell_pois == other.cell_pois
+            && weight_bits(&self.total_weight).eq(weight_bits(&other.total_weight))
+            && self.cell_kws == other.cell_kws
+            && self.run_docs == other.run_docs
+            && self.global.starts() == other.global.starts()
+            && entry_bits(&self.global).eq(entry_bits(&other.global))
+            && self.segments_by_len == other.segments_by_len
+            && self.raster == other.raster
+    }
 }
 
 impl PoiIndex {
@@ -213,29 +280,15 @@ impl PoiIndex {
         }
         let weights: Vec<f64> = pois.as_slice().iter().map(|p| p.weight).collect();
 
-        // Sort keys by (cell, poi). The input is already poi-ascending, so
-        // one stable counting pass over the dense cell ids completes the
-        // sort in O(n + cells); the comparison fallback (for degenerate
-        // grids) yields the identical permutation because keys are unique.
+        // Order the keys by (cell, poi) — the input is already poi-ascending
+        // — and cut them into the cell → POIs column.
         let num_cells = grid.num_cells();
-        if soi_common::bucket_sort_worthwhile(keys.len(), num_cells) {
-            keys = soi_common::bucket_sort_stable(&keys, num_cells as u32, |&k| (k >> 32) as u32);
-        } else {
-            par_sort_unstable_by(&mut keys, threads, |a, b| a.cmp(b));
-        }
-
-        // Group boundaries: one contiguous key run per occupied cell (the
-        // cell occupies the key's high bits), POIs ascending within each run.
-        let mut groups: Vec<(CellId, usize, usize)> = Vec::new();
-        let mut i = 0;
-        while i < keys.len() {
-            let cell = (keys[i] >> 32) as u32;
-            let s = i;
-            while i < keys.len() && (keys[i] >> 32) as u32 == cell {
-                i += 1;
-            }
-            groups.push((CellId(cell), s, i));
-        }
+        let cell_pois: Csr<PoiId> =
+            Csr::from_sorted_keys(num_cells, &sort_row_keys(keys, num_cells, threads));
+        let occupied: Vec<CellId> = cell_pois
+            .occupied_rows()
+            .map(|(c, _)| CellId::from_index(c))
+            .collect();
 
         drop(phase1_span);
         let phase2_span = soi_obs::trace::span(soi_obs::names::spans::INDEX_BUILD_CELLS);
@@ -251,33 +304,36 @@ impl PoiIndex {
         let num_kws = max_kw as usize + 1;
         let cell_counting = num_kws <= 65536;
 
-        // A chunk's output: the built cells plus its packed global-index
-        // contributions.
-        type ChunkOut = (Vec<(CellId, PoiCell)>, Vec<u128>);
+        /// What one chunk of occupied cells contributes to the columns.
+        #[derive(Default)]
+        struct CellsPart {
+            /// One packed (cell ‖ keyword) key per postings run, in
+            /// (cell, keyword) order: the run directory.
+            run_keys: Vec<u64>,
+            /// The length of each run, in run order.
+            run_lens: Vec<u32>,
+            /// Every run's postings, concatenated in run order.
+            docs: Vec<PoiId>,
+            /// Packed (keyword, weight, cell) global-index entries.
+            triples: Vec<u128>,
+        }
 
         // Phase 2 — per-cell structures: each worker takes a contiguous run
-        // of whole groups and builds the cell's POI list, weight total
-        // (summed in ascending id order, matching the sequential build
-        // bit-for-bit), and CSR local index — no per-POI hashing, and every
-        // lookup hits the id-indexed weight array or the flat keyword
-        // sidecar. Each group also emits its packed (keyword, weight, cell)
-        // contributions to the global index.
-        let per_chunk: Vec<ChunkOut> = par_chunk_map(&groups, threads, |_, gchunk| {
-            let mut cells_part = Vec::with_capacity(gchunk.len());
-            let mut triples: Vec<u128> = Vec::new();
+        // of occupied cells and emits each cell's local inverted index as
+        // column keys — no per-POI hashing, no per-cell allocation, and
+        // every lookup hits the id-indexed weight array or the flat keyword
+        // sidecar. Each run also emits its packed (keyword, weight, cell)
+        // contribution to the global index, its weight summed in ascending
+        // id order (matching the sequential build bit-for-bit).
+        let per_chunk: Vec<CellsPart> = par_chunk_map(&occupied, threads, |_, chunk| {
+            let mut part = CellsPart::default();
             let mut pairs: Vec<u64> = Vec::new();
             let mut sorted: Vec<u64> = Vec::new();
             // Keyword histogram, reused (and re-zeroed) across cells.
             let mut hist: Vec<u32> = vec![0; if cell_counting { num_kws } else { 0 }];
-            for &(cell_id, s, e) in gchunk {
-                let members = &keys[s..e];
-                let mut cell_pois = Vec::with_capacity(members.len());
-                let mut total_weight = 0.0;
+            for &cell_id in chunk {
                 pairs.clear();
-                for &key in members {
-                    let pid = key as u32;
-                    cell_pois.push(PoiId(pid));
-                    total_weight += weights[pid as usize];
+                for &PoiId(pid) in cell_pois.row(cell_id.index()) {
                     let ks = kw_offsets[pid as usize] as usize;
                     let ke = kw_offsets[pid as usize + 1] as usize;
                     for &k in &kw_flat[ks..ke] {
@@ -309,41 +365,50 @@ impl PoiIndex {
                     pairs.sort_unstable();
                 }
                 // Fused run scan: the per-keyword weight sums (in
-                // ascending POI order) for the global index and the CSR
-                // run directory fall out of one pass; the postings column
-                // is the poi half of the sorted pairs verbatim.
-                let docs: Vec<PoiId> = pairs.iter().map(|&p| PoiId(p as u32)).collect();
-                let mut runs: Vec<(KeywordId, u32)> = Vec::new();
+                // ascending POI order) for the global index, the run
+                // directory and the docs column fall out of one pass.
                 let mut r = 0;
                 while r < pairs.len() {
                     let k = (pairs[r] >> 32) as u32;
+                    let run_start = r;
                     let mut weight = 0.0;
                     while r < pairs.len() && (pairs[r] >> 32) as u32 == k {
-                        weight += weights[pairs[r] as u32 as usize];
+                        let pid = pairs[r] as u32;
+                        weight += weights[pid as usize];
+                        part.docs.push(PoiId(pid));
                         r += 1;
                     }
-                    triples.push(pack_global_entry(KeywordId(k), weight, cell_id));
-                    runs.push((KeywordId(k), r as u32));
+                    part.run_lens.push((r - run_start) as u32);
+                    part.triples
+                        .push(pack_global_entry(KeywordId(k), weight, cell_id));
+                    part.run_keys
+                        .push(u64::from(cell_id.0) << 32 | u64::from(k));
                 }
-                cells_part.push((
-                    cell_id,
-                    PoiCell {
-                        pois: cell_pois,
-                        total_weight,
-                        inverted: FlatPostings::from_raw_parts(members.len(), runs, docs),
-                    },
-                ));
             }
-            (cells_part, triples)
+            part
         });
 
-        let mut cells: FxHashMap<CellId, PoiCell> = FxHashMap::default();
-        cells.reserve(groups.len());
+        // Concatenate the chunks in cell order.
+        let mut run_keys: Vec<u64> = Vec::new();
+        let mut run_lens: Vec<u32> = Vec::new();
+        let mut docs: Vec<PoiId> = Vec::new();
         let mut all_triples: Vec<u128> = Vec::new();
-        for (cells_part, triples) in per_chunk {
-            cells.extend(cells_part);
-            all_triples.extend(triples);
+        for part in per_chunk {
+            run_lens.extend(part.run_lens);
+            docs.extend(part.docs);
+            run_keys.extend(part.run_keys);
+            all_triples.extend(part.triples);
         }
+        // Per-cell totals, likewise summed in ascending id order from 0.0
+        // (an unoccupied cell's total is exactly 0.0).
+        let total_weight: Vec<f64> = (0..num_cells)
+            .map(|c| {
+                let members = cell_pois.row(c).iter();
+                members.fold(0.0, |sum, p| sum + weights[p.index()])
+            })
+            .collect();
+        let cell_kws: Csr<KeywordId> = Csr::from_sorted_keys(num_cells, &run_keys);
+        let run_docs = Csr::from_row_lens(&run_lens, docs);
 
         drop(phase2_span);
         let phase3_span = soi_obs::trace::span(soi_obs::names::spans::INDEX_BUILD_GLOBAL);
@@ -351,38 +416,24 @@ impl PoiIndex {
         // Phase 3 — global inverted index: the packed keys order by
         // (keyword asc, weight desc in totalOrder, cell asc) — the same
         // total order as the sequential per-list sorts — and are unique per
-        // (keyword, cell), so one deterministic unstable sort plus a
-        // run-partition rebuilds every per-keyword list exactly.
+        // (keyword, cell), so one deterministic unstable sort puts every
+        // per-keyword list in place.
         par_sort_unstable_by(&mut all_triples, threads, |a, b| a.cmp(b));
-        let mut global: FxHashMap<KeywordId, Vec<(CellId, f64)>> = FxHashMap::default();
-        let mut i = 0;
-        while i < all_triples.len() {
-            let k = (all_triples[i] >> 96) as u32;
-            let mut j = i;
-            while j < all_triples.len() && (all_triples[j] >> 96) as u32 == k {
-                j += 1;
-            }
-            global.insert(
-                KeywordId(k),
-                all_triples[i..j]
-                    .iter()
-                    .map(|&t| unpack_global_entry(t))
-                    .collect(),
-            );
-            i = j;
-        }
+        let global = Csr::from_sorted(
+            num_kws,
+            &all_triples,
+            |&t| (t >> 96) as usize,
+            |&t| unpack_global_entry(t),
+        );
 
         drop(phase3_span);
         let phase4_span = soi_obs::trace::span(soi_obs::names::spans::INDEX_BUILD_RASTER);
 
         // Phase 4 — static raster map: rasterise segments in parallel chunks
         // into packed (cell ‖ segment) keys. Keys are unique (a segment hits
-        // a cell at most once), and their order — cell asc, then segment
-        // asc — is exactly what the sequential per-segment insertion
-        // produced, so a deterministic unstable sort plus a run-partition
-        // rebuilds the map.
+        // a cell at most once) and arrive segment-ascending.
         let segs = network.segments();
-        let mut seg_cells: Vec<u64> = par_chunk_map(segs, threads, |_, chunk| {
+        let seg_cells: Vec<u64> = par_chunk_map(segs, threads, |_, chunk| {
             let mut out = Vec::new();
             for seg in chunk {
                 grid.for_each_cell_near_segment(&seg.geom, 0.0, |coord| {
@@ -394,32 +445,8 @@ impl PoiIndex {
         .into_iter()
         .flatten()
         .collect();
-        // Segment-ascending input + one stable counting pass by cell =
-        // (cell, segment) order, the same permutation the comparison sort
-        // of these unique keys produces.
-        if soi_common::bucket_sort_worthwhile(seg_cells.len(), num_cells) {
-            seg_cells =
-                soi_common::bucket_sort_stable(&seg_cells, num_cells as u32, |&k| (k >> 32) as u32);
-        } else {
-            par_sort_unstable_by(&mut seg_cells, threads, |a, b| a.cmp(b));
-        }
-        let mut raster: FxHashMap<CellId, Vec<SegmentId>> = FxHashMap::default();
-        let mut i = 0;
-        while i < seg_cells.len() {
-            let c = (seg_cells[i] >> 32) as u32;
-            let mut j = i;
-            while j < seg_cells.len() && (seg_cells[j] >> 32) as u32 == c {
-                j += 1;
-            }
-            raster.insert(
-                CellId(c),
-                seg_cells[i..j]
-                    .iter()
-                    .map(|&e| SegmentId(e as u32))
-                    .collect(),
-            );
-            i = j;
-        }
+        let raster: Csr<SegmentId> =
+            Csr::from_sorted_keys(num_cells, &sort_row_keys(seg_cells, num_cells, threads));
 
         drop(phase4_span);
         let phase5_span = soi_obs::trace::span(soi_obs::names::spans::INDEX_BUILD_LENGTHS);
@@ -441,7 +468,10 @@ impl PoiIndex {
 
         Self {
             grid,
-            cells,
+            cell_pois,
+            total_weight,
+            cell_kws,
+            run_docs,
             global,
             segments_by_len,
             raster,
@@ -449,52 +479,10 @@ impl PoiIndex {
         }
     }
 
-    /// Incrementally inserts a POI added to the collection after the index
-    /// was built (the paper's structures are "created and maintained
-    /// offline"; this is the maintenance path).
-    ///
-    /// POIs must be inserted in ascending id order (postings stay sorted),
-    /// and the location must lie within the grid extent fixed at build
-    /// time. Cached ε-maps are invalidated, since the set of occupied cells
-    /// may have grown.
-    ///
-    /// # Errors
-    /// Rejects positions outside the grid extent.
-    pub fn insert(&mut self, poi: &soi_data::Poi) -> soi_common::Result<()> {
-        let coord = self.grid.cell_containing(poi.pos).ok_or_else(|| {
-            soi_common::SoiError::invalid(format!(
-                "POI at {} lies outside the index extent; rebuild the index",
-                poi.pos
-            ))
-        })?;
-        let id = self.grid.cell_id(coord);
-        let cell = self.cells.entry(id).or_insert_with(|| PoiCell {
-            pois: Vec::new(),
-            total_weight: 0.0,
-            inverted: FlatPostings::new(),
-        });
-        cell.pois.push(poi.id);
-        cell.total_weight += poi.weight;
-        cell.inverted.add_document(poi.id, poi.keywords.iter());
-
-        for k in poi.keywords.iter() {
-            let list = self.global.entry(k).or_default();
-            match list.iter_mut().find(|(c, _)| *c == id) {
-                Some(entry) => entry.1 += poi.weight,
-                None => list.push((id, poi.weight)),
-            }
-            list.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        }
-
-        // Newly occupied cells change the ε-augmented maps.
-        self.eps_cache.lock().clear();
-        Ok(())
-    }
-
     /// Segments passing through cell `id` (the static raster map; empty if
     /// no segment crosses the cell).
     pub fn raster_segments_of_cell(&self, id: CellId) -> &[SegmentId] {
-        self.raster.get(&id).map(Vec::as_slice).unwrap_or(&[])
+        self.raster.row(id.index())
     }
 
     /// Lazy `Cε(ℓ)`: occupied cells within `eps` of `geom`, ascending ids.
@@ -518,7 +506,7 @@ impl PoiIndex {
         out.clear();
         self.grid.for_each_cell_near_segment(geom, eps, |coord| {
             let c = self.grid.cell_id(coord);
-            if self.cells.contains_key(&c) {
+            if self.is_occupied(c) {
                 out.push(c);
             }
         });
@@ -612,30 +600,51 @@ impl PoiIndex {
         &self.grid
     }
 
+    /// Whether cell `id` holds at least one POI.
+    #[inline]
+    pub fn is_occupied(&self, id: CellId) -> bool {
+        !self.cell_pois.is_empty_row(id.index())
+    }
+
     /// The cell with id `id`, if occupied.
-    pub fn cell(&self, id: CellId) -> Option<&PoiCell> {
-        self.cells.get(&id)
+    #[inline]
+    pub fn cell(&self, id: CellId) -> Option<PoiCell<'_>> {
+        let pois = self.cell_pois.row(id.index());
+        if pois.is_empty() {
+            return None;
+        }
+        let runs = self.cell_kws.row_range(id.index());
+        Some(PoiCell {
+            pois,
+            total_weight: self.total_weight[id.index()],
+            first_run: runs.start,
+            keywords: &self.cell_kws.items()[runs],
+            run_docs: &self.run_docs,
+        })
     }
 
     /// Total POI weight in cell `id` (0.0 if unoccupied).
+    #[inline]
     pub fn cell_total_weight(&self, id: CellId) -> f64 {
-        self.cells.get(&id).map_or(0.0, |c| c.total_weight)
+        self.total_weight.get(id.index()).copied().unwrap_or(0.0)
     }
 
     /// Number of occupied cells.
     pub fn num_occupied_cells(&self) -> usize {
-        self.cells.len()
+        self.cell_pois.occupied_rows().count()
     }
 
-    /// Iterates over occupied cells in unspecified order.
-    pub fn occupied_cells(&self) -> impl Iterator<Item = (CellId, &PoiCell)> {
-        self.cells.iter().map(|(&id, c)| (id, c))
+    /// Iterates over occupied cells in ascending cell id order.
+    pub fn occupied_cells(&self) -> impl Iterator<Item = (CellId, PoiCell<'_>)> {
+        (0..self.cell_pois.rows())
+            .map(CellId::from_index)
+            .filter_map(|id| Some((id, self.cell(id)?)))
     }
 
     /// The global inverted list for keyword `k`: `(cell, count)` sorted
     /// decreasingly on count. Empty if the keyword occurs nowhere.
     pub fn global_postings(&self, k: KeywordId) -> &[(CellId, f64)] {
-        self.global.get(&k).map(Vec::as_slice).unwrap_or(&[])
+        self.global.row(k.index())
     }
 
     /// Segment ids sorted increasingly by segment length (the SL3 order).
@@ -663,43 +672,27 @@ impl PoiIndex {
             let _span = soi_obs::trace::span(soi_obs::names::spans::EPS_MAPS_BUILD);
             Arc::new(EpsilonMaps::build(network, self, eps))
         };
-        self.eps_cache.lock().insert(key, maps)
+        self.eps_cache.lock().put(key, maps)
     }
 
-    /// Snapshot-encode access to the private parts (see [`crate::snapshot`]).
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn snapshot_parts(
-        &self,
-    ) -> (
-        &Grid,
-        &FxHashMap<CellId, PoiCell>,
-        &FxHashMap<KeywordId, Vec<(CellId, f64)>>,
-        &[SegmentId],
-        &FxHashMap<CellId, Vec<SegmentId>>,
-    ) {
-        (
-            &self.grid,
-            &self.cells,
-            &self.global,
-            &self.segments_by_len,
-            &self.raster,
-        )
-    }
-
-    /// Reassembles an index from snapshot-decoded parts. The decoder
-    /// guarantees the maps were populated with the build path's reserve
-    /// calls and ascending-key insertion order, so the result behaves
-    /// identically to a freshly built index.
-    pub(crate) fn from_snapshot_parts(
+    /// Reassembles an index from snapshot-decoded, validated columns.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn from_columns(
         grid: Grid,
-        cells: FxHashMap<CellId, PoiCell>,
-        global: FxHashMap<KeywordId, Vec<(CellId, f64)>>,
+        cell_pois: Csr<PoiId>,
+        total_weight: Vec<f64>,
+        cell_kws: Csr<KeywordId>,
+        run_docs: Csr<PoiId>,
+        global: Csr<(CellId, f64)>,
         segments_by_len: Vec<SegmentId>,
-        raster: FxHashMap<CellId, Vec<SegmentId>>,
+        raster: Csr<SegmentId>,
     ) -> Self {
         Self {
             grid,
-            cells,
+            cell_pois,
+            total_weight,
+            cell_kws,
+            run_docs,
             global,
             segments_by_len,
             raster,
@@ -711,7 +704,7 @@ impl PoiIndex {
     /// at that ε skips the augmentation pass entirely.
     pub(crate) fn preload_epsilon_maps(&self, maps: Arc<EpsilonMaps>) {
         let key = maps.eps().to_bits();
-        drop(self.eps_cache.lock().insert(key, maps));
+        drop(self.eps_cache.lock().put(key, maps));
     }
 
     /// Drops all cached ε-augmented maps.
@@ -728,25 +721,6 @@ impl PoiIndex {
         self.eps_cache.lock().entries.len()
     }
 
-    /// Upper bound on the weighted number of POIs in cell `id` matching any
-    /// keyword of `query`: `min(|Pc|, Σ_ψ I[ψ][c])` (Alg. 1 line 2).
-    pub fn cell_relevant_upper(&self, id: CellId, query: &KeywordSet) -> f64 {
-        let Some(cell) = self.cells.get(&id) else {
-            return 0.0;
-        };
-        let mut sum = 0.0;
-        for k in query.iter() {
-            if let Some(list) = self.global.get(&k) {
-                // Linear scan is fine: lists are per-keyword and short per
-                // cell lookup happens once per SL1 build entry.
-                if let Some(&(_, w)) = list.iter().find(|&&(c, _)| c == id) {
-                    sum += w;
-                }
-            }
-        }
-        sum.min(cell.total_weight)
-    }
-
     /// Exact weighted mass contribution of cell `id` to segment `seg_geom`:
     /// the summed weight of distinct POIs in the cell that match `query` and
     /// lie within `eps` of the segment (Procedure UpdateInterest).
@@ -758,11 +732,11 @@ impl PoiIndex {
         query: &KeywordSet,
         eps: f64,
     ) -> f64 {
-        let Some(cell) = self.cells.get(&id) else {
+        let Some(cell) = self.cell(id) else {
             return 0.0;
         };
         let mut mass = 0.0;
-        cell.inverted.for_each_matching(query.ids(), |pid| {
+        cell.for_each_matching(query.ids(), |pid| {
             let poi = pois.get(pid);
             if seg_geom.dist_sq_to_point(poi.pos) <= eps * eps {
                 mass += poi.weight;
@@ -824,12 +798,58 @@ mod tests {
     fn cells_are_populated_sorted() {
         let (_, _, index) = setup();
         assert!(index.num_occupied_cells() >= 3);
-        for (_, cell) in index.occupied_cells() {
-            let mut sorted = cell.pois.clone();
-            sorted.sort();
-            assert_eq!(sorted, cell.pois);
+        let mut previous = None;
+        for (id, cell) in index.occupied_cells() {
+            assert!(previous < Some(id), "cells must come in ascending id order");
+            previous = Some(id);
+            assert!(cell.pois.windows(2).all(|w| w[0] < w[1]));
             assert!(cell.total_weight >= cell.pois.len() as f64 - 1e-9);
         }
+        assert_eq!(index.occupied_cells().count(), index.num_occupied_cells());
+    }
+
+    #[test]
+    fn local_postings_equal_a_scan_of_the_cell() {
+        let (_, pois) = dense_fixture();
+        let network = RoadNetwork::builder().build().unwrap();
+        let index = PoiIndex::build(&network, &pois, 0.75);
+        let mut indexed = 0;
+        for (id, cell) in index.occupied_cells() {
+            indexed += cell.pois.len();
+            assert_eq!(index.cell_total_weight(id), cell.total_weight);
+            let carried: std::collections::BTreeSet<KeywordId> = cell
+                .pois
+                .iter()
+                .flat_map(|&p| pois.get(p).keywords.iter())
+                .collect();
+            assert_eq!(cell.keywords(), carried.into_iter().collect::<Vec<_>>());
+            for k in (0..9).map(KeywordId) {
+                let scan: Vec<PoiId> = cell
+                    .pois
+                    .iter()
+                    .copied()
+                    .filter(|&p| pois.get(p).keywords.contains(k))
+                    .collect();
+                assert_eq!(cell.postings(k), scan, "cell {id:?} keyword {k:?}");
+            }
+            let mut matched = Vec::new();
+            cell.for_each_matching(&[KeywordId(1), KeywordId(4), KeywordId(8)], |p| {
+                matched.push(p)
+            });
+            let scan: Vec<PoiId> = cell
+                .pois
+                .iter()
+                .copied()
+                .filter(|&p| pois.get(p).keywords.intersects(&kws(&[1, 4, 8])))
+                .collect();
+            assert_eq!(matched, scan);
+        }
+        assert_eq!(indexed, pois.len());
+        // Unoccupied and out-of-range cells are absent, weightless, empty.
+        let past = CellId::from_index(index.grid().num_cells());
+        assert!(index.cell(past).is_none() && !index.is_occupied(past));
+        assert_eq!(index.cell_total_weight(past), 0.0);
+        assert!(index.raster_segments_of_cell(past).is_empty());
     }
 
     #[test]
@@ -854,19 +874,6 @@ mod tests {
         for w in by_len.windows(2) {
             assert!(network.segment(w[0]).len() <= network.segment(w[1]).len());
         }
-    }
-
-    #[test]
-    fn cell_relevant_upper_respects_cell_total() {
-        let (_, _, index) = setup();
-        // POI 0 and 1 are both in the cell at (1, 0.x): keyword 0 appears in
-        // both, keyword 1 in one. Upper for {0,1} is min(|Pc|=2, 2+1=3) = 2.
-        let coord = index.grid().cell_containing(Point::new(1.0, 0.5)).unwrap();
-        let id = index.grid().cell_id(coord);
-        assert_eq!(index.cell_relevant_upper(id, &kws(&[0, 1])), 2.0);
-        assert_eq!(index.cell_relevant_upper(id, &kws(&[0])), 2.0);
-        assert_eq!(index.cell_relevant_upper(id, &kws(&[1])), 1.0);
-        assert_eq!(index.cell_relevant_upper(id, &kws(&[5])), 0.0);
     }
 
     #[test]
@@ -1016,7 +1023,7 @@ mod tests {
     #[test]
     fn epsilon_cache_reinsert_keeps_first_value_and_counts_no_eviction() {
         // Two threads racing epsilon_maps() for the same ε both miss and
-        // both call insert(). The loser's insert must (a) return the
+        // both call put(). The loser's put must (a) return the
         // winner's maps, (b) leave the cache size unchanged, and (c) not
         // register an LRU eviction — the eviction counter is incremented
         // only next to an entries.remove(), so an unchanged entry set
@@ -1030,16 +1037,16 @@ mod tests {
         // Fill to capacity so any spurious eviction on overwrite would be
         // observable as a shrunken entry set.
         for i in 0..EPS_CACHE_CAPACITY - 1 {
-            cache.insert(
+            cache.put(
                 (0.5 + i as f64).to_bits(),
                 Arc::new(EpsilonMaps::build(&network, &index, 0.5 + i as f64)),
             );
         }
-        let first = cache.insert(key, Arc::clone(&winner));
+        let first = cache.put(key, Arc::clone(&winner));
         assert!(Arc::ptr_eq(&first, &winner));
         assert_eq!(cache.entries.len(), EPS_CACHE_CAPACITY);
 
-        let second = cache.insert(key, Arc::clone(&loser));
+        let second = cache.put(key, Arc::clone(&loser));
         assert!(
             Arc::ptr_eq(&second, &winner),
             "overwrite must keep the first-inserted maps"
@@ -1051,7 +1058,7 @@ mod tests {
         );
         // The overwrite refreshed recency: pushing one new entry over
         // capacity evicts the stalest *other* key, never the re-inserted one.
-        cache.insert(
+        cache.put(
             99.0f64.to_bits(),
             Arc::new(EpsilonMaps::build(&network, &index, 99.0)),
         );
@@ -1062,50 +1069,6 @@ mod tests {
             !cache.entries.contains_key(&0.5f64.to_bits()),
             "the LRU victim must be the oldest untouched key"
         );
-    }
-
-    /// Asserts full structural equality of two indexes, comparing floats by
-    /// bit pattern (builds must be byte-identical across thread counts).
-    fn assert_index_identical(a: &PoiIndex, b: &PoiIndex) {
-        assert_eq!(a.num_occupied_cells(), b.num_occupied_cells());
-        let mut cell_ids: Vec<CellId> = a.cells.keys().copied().collect();
-        cell_ids.sort_unstable();
-        for id in cell_ids {
-            let ca = a.cell(id).expect("cell in a");
-            let cb = b.cell(id).expect("cell in b");
-            assert_eq!(ca.pois, cb.pois, "cell {id:?} pois");
-            assert_eq!(
-                ca.total_weight.to_bits(),
-                cb.total_weight.to_bits(),
-                "cell {id:?} weight"
-            );
-            let mut kws: Vec<KeywordId> = ca.inverted.iter().map(|(k, _)| k).collect();
-            kws.sort_unstable();
-            assert_eq!(ca.inverted.num_keywords(), cb.inverted.num_keywords());
-            assert_eq!(ca.inverted.num_documents(), cb.inverted.num_documents());
-            for k in kws {
-                assert_eq!(ca.inverted.postings(k), cb.inverted.postings(k));
-            }
-        }
-        let mut gks: Vec<KeywordId> = a.global.keys().copied().collect();
-        gks.sort_unstable();
-        assert_eq!(a.global.len(), b.global.len());
-        for k in gks {
-            let ga = a.global_postings(k);
-            let gb = b.global_postings(k);
-            assert_eq!(ga.len(), gb.len(), "global {k:?}");
-            for (x, y) in ga.iter().zip(gb) {
-                assert_eq!(x.0, y.0, "global {k:?} cell");
-                assert_eq!(x.1.to_bits(), y.1.to_bits(), "global {k:?} weight");
-            }
-        }
-        assert_eq!(a.segments_by_len, b.segments_by_len);
-        let mut rks: Vec<CellId> = a.raster.keys().copied().collect();
-        rks.sort_unstable();
-        assert_eq!(a.raster.len(), b.raster.len());
-        for c in rks {
-            assert_eq!(a.raster_segments_of_cell(c), b.raster_segments_of_cell(c));
-        }
     }
 
     /// A denser grid-city fixture than `setup()`, large enough that every
@@ -1146,12 +1109,18 @@ mod tests {
         let sequential = PoiIndex::build_with_threads(&network, &pois, 0.75, 1);
         for threads in [2usize, 3, 8] {
             let parallel = PoiIndex::build_with_threads(&network, &pois, 0.75, threads);
-            assert_index_identical(&sequential, &parallel);
+            assert!(
+                sequential == parallel,
+                "{threads} threads built another index"
+            );
         }
         // The default entry point must agree as well, whatever thread count
         // it resolves to.
-        let auto = PoiIndex::build(&network, &pois, 0.75);
-        assert_index_identical(&sequential, &auto);
+        assert!(sequential == PoiIndex::build(&network, &pois, 0.75));
+        // Equality sees a single changed weight bit or moved POI.
+        let mut other = pois.clone();
+        other.add_weighted(Point::new(3.3, 3.3), kws(&[2]), 1.0);
+        assert!(sequential != PoiIndex::build_with_threads(&network, &other, 0.75, 1));
     }
 
     #[test]

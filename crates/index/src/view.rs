@@ -118,7 +118,7 @@ impl<'a> IndexView<'a> {
                 let grid = self.base.grid();
                 grid.for_each_cell_near_segment(geom, eps, |coord| {
                     let c = grid.cell_id(coord);
-                    if self.base.cell(c).is_some() || d.occupies_new_cell(c) {
+                    if self.base.is_occupied(c) || d.occupies_new_cell(c) {
                         out.push(c);
                     }
                 });
@@ -156,7 +156,7 @@ impl<'a> IndexView<'a> {
         let eps_sq = eps * eps;
         let mut mass = 0.0;
         if let Some(cell) = self.base.cell(id) {
-            cell.inverted.for_each_matching(query.ids(), |pid| {
+            cell.for_each_matching(query.ids(), |pid| {
                 if !d.poi_deleted(pid) {
                     let poi = pois.get(pid);
                     if seg_geom.dist_sq_to_point(poi.pos) <= eps_sq {

@@ -11,6 +11,12 @@
 //! - [`CacheMode::Lenient`]-style default caching treats a corrupt
 //!   snapshot as a miss: rebuild, rewrite, and the *next* start hits;
 //! - [`CacheMode::Strict`] fails loudly instead.
+//!
+//! Below the container sits the section set of format version 2 — every
+//! cell/keyword/segment keyed map a `Csr` column pair (`.s` row starts,
+//! `.i` items). A file whose checksums are all valid but whose columns
+//! disagree with each other, the grid or the dataset is the same `Data`
+//! error, and a file of another format version names both versions.
 
 use soi_common::{ErrorCategory, KeywordId};
 use soi_data::{Dataset, PhotoCollection, PoiCollection};
@@ -19,7 +25,9 @@ use soi_index::{
     read_bundle, write_bundle, BundleParams, CacheMode, CacheOutcome, IndexCache, ReadOutcome,
 };
 use soi_network::RoadNetwork;
-use soi_snapshot::{fnv1a64, HEADER_LEN, TABLE_ENTRY_LEN};
+use soi_snapshot::{
+    fnv1a64, Snapshot, SnapshotWriter, FORMAT_VERSION, HEADER_LEN, TABLE_ENTRY_LEN,
+};
 use soi_text::{KeywordSet, Vocabulary};
 use std::path::PathBuf;
 
@@ -315,5 +323,224 @@ fn strict_cache_fails_loudly_on_corruption() {
     // evidence.
     assert!(snap.exists());
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Rewrites the payload of section `name` of `image` through `mutate` and
+/// returns a container whose table and payload checksums are all valid
+/// again: the corruption is in what the columns *say*, which only the
+/// codecs can see.
+fn with_section_rewritten(image: &[u8], name: &str, mutate: &dyn Fn(&mut Vec<u8>)) -> Vec<u8> {
+    let path = temp_path("rewrite");
+    std::fs::write(&path, image).unwrap();
+    let snapshot = Snapshot::open(&path).unwrap();
+    let mut writer = SnapshotWriter::new();
+    for section in snapshot.sections() {
+        let mut bytes = snapshot.bytes(&section.name).unwrap().to_vec();
+        if section.name == name {
+            mutate(&mut bytes);
+        }
+        writer.bytes(&section.name, section.align, &bytes).unwrap();
+    }
+    std::fs::remove_file(&path).ok();
+    writer.finish()
+}
+
+/// A rewrite of one section's payload bytes.
+type Rewrite = Box<dyn Fn(&mut Vec<u8>)>;
+
+/// A payload rewrite stated over the section's `u32` values.
+fn as_u32s(mutate: impl Fn(&mut Vec<u32>) + 'static) -> Rewrite {
+    Box::new(move |bytes| {
+        let mut values: Vec<u32> = (0..bytes.len() / 4)
+            .map(|i| read_u32(bytes, 4 * i))
+            .collect();
+        mutate(&mut values);
+        *bytes = values.iter().flat_map(|v| v.to_ne_bytes()).collect();
+    })
+}
+
+/// The first row of a row-starts column holding at least two items.
+fn row_with_two(starts: &[u32]) -> usize {
+    let row = starts.windows(2).position(|w| w[1] - w[0] >= 2);
+    starts[row.expect("some row holds two items")] as usize
+}
+
+#[test]
+fn inconsistent_columns_are_data_errors_never_panics() {
+    let dataset = sample_dataset();
+    let image = pristine_image(&dataset);
+    let (num_pois, num_photos) = (dataset.pois.len() as u32, dataset.photos.len() as u32);
+    let num_segments = dataset.network.num_segments() as u32;
+    let bundle = soi_index::build_bundle(&dataset, &params());
+    let num_cells = bundle.poi.grid().num_cells() as u32;
+    // Row starts of the run directory and the docs column, to aim the
+    // row-order corruptions at a row that can show them.
+    let (kw_row, doc_row) = {
+        let path = temp_path("starts");
+        std::fs::write(&path, &image).unwrap();
+        let snapshot = Snapshot::open(&path).unwrap();
+        let rows = (
+            row_with_two(snapshot.u32s("poi.ck.s").unwrap()),
+            row_with_two(snapshot.u32s("poi.rd.s").unwrap()),
+        );
+        std::fs::remove_file(&path).ok();
+        rows
+    };
+
+    // Moves a row-starts column's final offset off the item count.
+    let end_moved = |by: i32| -> Rewrite {
+        as_u32s(move |v| *v.last_mut().unwrap() = v.last().unwrap().wrapping_add_signed(by))
+    };
+    // One more (empty) row: a self-consistent column pair, wrong row count.
+    let extra_row = || -> Rewrite { as_u32s(|v| v.push(*v.last().unwrap())) };
+    let first_set_to = |id: u32| -> Rewrite { as_u32s(move |v| v[0] = id) };
+    let cases: Vec<(&str, &str, Rewrite)> = vec![
+        // The offset column of every Csr goes through one check.
+        (
+            "starts-too-short",
+            "poi.cp.s",
+            as_u32s(|v| v.truncate(v.len() / 2)),
+        ),
+        ("starts-too-long", "pg.ph.s", as_u32s(|v| v.extend([0, 0]))),
+        ("starts-empty", "poi.r.s", as_u32s(|v| v.clear())),
+        ("starts-not-from-zero", "poi.cp.s", first_set_to(1)),
+        ("starts-decrease", "poi.r.s", as_u32s(|v| v[1] = u32::MAX)),
+        ("starts-end-short-of-items", "pg.ph.s", end_moved(-1)),
+        ("starts-end-past-items", "eps.s2c.s", end_moved(1)),
+        // The run directory's ends are the docs column's row starts.
+        ("run-end-past-docs", "poi.rd.s", end_moved(5)),
+        (
+            "more-directory-entries-than-runs",
+            "poi.ck.i",
+            as_u32s(|v| v.push(0)),
+        ),
+        ("empty-postings-run", "poi.rd.s", as_u32s(|v| v[1] = 0)),
+        ("row-count-not-grid-cells", "pg.ph.s", extra_row()),
+        ("eps-maps-of-another-grid", "eps.c2s.s", extra_row()),
+        ("eps-maps-of-another-network", "eps.s2c.s", extra_row()),
+        // A weight column (f64) that does not cover the grid.
+        (
+            "weights-too-short",
+            "poi.cw",
+            Box::new(|b| b.truncate(b.len() - 8)),
+        ),
+        // Item ids at their bound.
+        ("poi-id-out-of-range", "poi.cp.i", first_set_to(num_pois)),
+        ("posting-out-of-range", "poi.rd.i", first_set_to(num_pois)),
+        ("photo-id-out-of-range", "pg.ph.i", first_set_to(num_photos)),
+        (
+            "raster-segment-out-of-range",
+            "poi.r.i",
+            first_set_to(num_segments),
+        ),
+        (
+            "eps-segment-out-of-range",
+            "eps.c2s.i",
+            first_set_to(num_segments),
+        ),
+        (
+            "eps-cell-out-of-range",
+            "eps.s2c.i",
+            first_set_to(num_cells),
+        ),
+        (
+            "global-cell-out-of-range",
+            "poi.g.i",
+            first_set_to(num_cells),
+        ),
+        (
+            "keyword-without-global-list",
+            "poi.ck.i",
+            first_set_to(u32::MAX),
+        ),
+        (
+            "length-list-segment-out-of-range",
+            "poi.slen",
+            first_set_to(num_segments),
+        ),
+        // Rows the binary search and the sorted-list union walk.
+        (
+            "run-keywords-unsorted",
+            "poi.ck.i",
+            as_u32s(move |v| v.swap(kw_row, kw_row + 1)),
+        ),
+        (
+            "run-keywords-repeated",
+            "poi.ck.i",
+            as_u32s(move |v| v[kw_row + 1] = v[kw_row]),
+        ),
+        (
+            "postings-unsorted",
+            "poi.rd.i",
+            as_u32s(move |v| v.swap(doc_row, doc_row + 1)),
+        ),
+    ];
+    // The rewrite itself is sound: unchanged columns still load.
+    let untouched = with_section_rewritten(&image, "poi.cp.s", &|_| {});
+    assert!(matches!(
+        read_mutated("untouched", &dataset, &untouched, |_| {}),
+        Ok(ReadOutcome::Loaded(_))
+    ));
+    for (name, section, mutate) in cases {
+        let corrupted = with_section_rewritten(&image, section, &*mutate);
+        let err = match read_mutated(name, &dataset, &corrupted, |_| {}) {
+            Err(err) => err,
+            Ok(out) => panic!("case {name}: `{section}` corruption not detected ({out:?})"),
+        };
+        assert_eq!(
+            err.category(),
+            ErrorCategory::Data,
+            "case {name}: wrong category for {err}"
+        );
+        assert!(
+            err.to_string().contains(".soisnap"),
+            "case {name}: error must carry the snapshot path: {err}"
+        );
+    }
+}
+
+/// A snapshot of the previous format version is a categorized error that
+/// names both versions — never misread — and the cache answers it the way
+/// it answers any unusable file: lenient rebuilds and rewrites, strict
+/// refuses.
+#[test]
+fn previous_format_version_is_rejected_and_the_cache_rebuilds() {
+    let dataset = sample_dataset();
+    let as_version_1 = |b: &mut Vec<u8>| b[8..12].copy_from_slice(&1u32.to_ne_bytes());
+    assert_eq!(FORMAT_VERSION, 2, "extend this test with the new version");
+
+    let err = read_mutated("v1", &dataset, &pristine_image(&dataset), as_version_1).unwrap_err();
+    assert_eq!(err.category(), ErrorCategory::Data);
+    let msg = err.to_string();
+    assert!(
+        msg.contains("version 1") && msg.contains("supports 2") && msg.contains(".soisnap"),
+        "error must name both versions and the file: {msg}"
+    );
+
+    // The cache keys file names by format version, so it would not even
+    // open a version-1 file; put one exactly where it looks anyway.
+    let dir = std::env::temp_dir().join(format!("soi-fault-v1-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let cache = IndexCache::new(&dir, CacheMode::Lenient);
+    cache.load_or_build(&dataset, &params()).unwrap();
+    let snap = cache.snapshot_path(&dataset, &params());
+    let mut bytes = std::fs::read(&snap).unwrap();
+    as_version_1(&mut bytes);
+    std::fs::write(&snap, &bytes).unwrap();
+
+    let strict = IndexCache::new(&dir, CacheMode::Strict);
+    let err = strict.load_or_build(&dataset, &params()).unwrap_err();
+    assert_eq!(err.category(), ErrorCategory::Data);
+
+    let (_, outcome) = cache.load_or_build(&dataset, &params()).unwrap();
+    assert_eq!(outcome, CacheOutcome::RebuiltCorrupt);
+    assert_eq!(
+        read_u32(&std::fs::read(&snap).unwrap(), 8),
+        FORMAT_VERSION,
+        "the rebuild must have written a fresh bundle"
+    );
+    let (_, outcome) = cache.load_or_build(&dataset, &params()).unwrap();
+    assert_eq!(outcome, CacheOutcome::Hit);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,13 +1,14 @@
-//! Incremental index maintenance: building an index over a prefix of the
-//! POIs and inserting the rest must answer every query exactly like a
-//! full rebuild.
+//! Incremental index maintenance through deltas: sealed-delta reads must
+//! equal a rebuild over the folded collections, bit for bit, at every build
+//! thread count. (The base structures are immutable; a `DeltaIndex` is the
+//! one ingestion path.)
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use soi_common::KeywordId;
-use soi_data::{PhotoCollection, PoiCollection};
+use soi_common::{KeywordId, PhotoId};
+use soi_data::{Photo, PhotoCollection, PoiCollection};
 use soi_geo::Point;
-use soi_index::{PhotoGrid, PoiIndex};
+use soi_index::{fold_ops, DeltaIndex, DeltaOp, IndexView, PhotoGrid, PoiIndex};
 use soi_network::RoadNetwork;
 use soi_text::KeywordSet;
 
@@ -53,101 +54,6 @@ fn random_pois(rng: &mut StdRng, n: usize) -> PoiCollection {
     }
     pois
 }
-
-#[test]
-fn incremental_insert_matches_full_rebuild() {
-    for seed in 0..8u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let net = network();
-        let pois = random_pois(&mut rng, 80);
-        let split = 40;
-
-        // Index over the first half, then insert the second half.
-        let prefix = {
-            let mut p = PoiCollection::new();
-            for poi in pois.iter().take(split) {
-                p.add_weighted(poi.pos, poi.keywords.clone(), poi.weight);
-            }
-            p
-        };
-        let mut incremental = PoiIndex::build(&net, &prefix, 0.7);
-        for poi in pois.iter().skip(split) {
-            incremental.insert(poi).expect("inside extent");
-        }
-        let rebuilt = PoiIndex::build(&net, &pois, 0.7);
-
-        // Every structure the algorithms consult must agree.
-        assert_eq!(
-            incremental.num_occupied_cells(),
-            rebuilt.num_occupied_cells(),
-            "seed {seed}"
-        );
-        for k in 0..5u32 {
-            let a = incremental.global_postings(KeywordId(k));
-            let b = rebuilt.global_postings(KeywordId(k));
-            assert_eq!(a, b, "seed {seed} keyword {k}");
-        }
-        let query = KeywordSet::from_ids([KeywordId(0), KeywordId(3)]);
-        for seg in net.segments() {
-            let a = incremental.segment_mass_lazy(&pois, &net, seg.id, &query, 0.5);
-            let b = rebuilt.segment_mass_lazy(&pois, &net, seg.id, &query, 0.5);
-            assert_eq!(a, b, "seed {seed} segment {}", seg.id);
-        }
-    }
-}
-
-#[test]
-fn insert_outside_extent_is_rejected() {
-    let net = network();
-    let mut pois = random_pois(&mut StdRng::seed_from_u64(1), 10);
-    let mut index = PoiIndex::build(&net, &pois, 0.7);
-    let far = pois.add(Point::new(500.0, 500.0), KeywordSet::empty());
-    assert!(index.insert(pois.get(far)).is_err());
-}
-
-#[test]
-fn photo_grid_incremental_matches_rebuild() {
-    let net = network();
-    let mut rng = StdRng::seed_from_u64(3);
-    let mut photos = PhotoCollection::new();
-    for _ in 0..60 {
-        photos.add(
-            Point::new(rng.random_range(0.0..8.0), rng.random_range(0.0..8.0)),
-            KeywordSet::empty(),
-        );
-    }
-    let prefix = {
-        let mut p = PhotoCollection::new();
-        for ph in photos.iter().take(30) {
-            p.add(ph.pos, ph.tags.clone());
-        }
-        p
-    };
-    let mut incremental = PhotoGrid::build(&net, &prefix, 0.7);
-    for ph in photos.iter().skip(30) {
-        incremental.insert(ph).expect("inside extent");
-    }
-    let rebuilt = PhotoGrid::build(&net, &photos, 0.7);
-    for street in net.streets() {
-        for eps in [0.3, 0.8] {
-            assert_eq!(
-                incremental.photos_near_street(&net, &photos, street.id, eps),
-                rebuilt.photos_near_street(&net, &photos, street.id, eps),
-                "street {} eps {eps}",
-                street.id
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Full delta streams: sealed-delta reads must equal a rebuild over the
-// folded collections, bit for bit, at every build thread count.
-// ---------------------------------------------------------------------------
-
-use soi_common::PhotoId;
-use soi_data::Photo;
-use soi_index::{fold_ops, DeltaIndex, DeltaOp, IndexView};
 
 /// A random op stream against `pois`/`photos`: inserts inside the extent,
 /// deletes over distinct ids of the epoch's id space (base ids and ids

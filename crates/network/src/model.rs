@@ -5,7 +5,6 @@ use soi_geo::{LineSeg, Point};
 
 /// A road-network vertex: a street intersection or a breakpoint in a street.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Node {
     /// The node's identifier.
     pub id: NodeId,
@@ -18,7 +17,6 @@ pub struct Node {
 /// Segments are the unit of ranking — Definition 2's interest is defined per
 /// segment. Every segment belongs to exactly one street.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Segment {
     /// The segment's identifier.
     pub id: SegmentId,
@@ -48,7 +46,6 @@ impl Segment {
 
 /// A street: a named simple path of consecutive segments.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Street {
     /// The street's identifier.
     pub id: StreetId,

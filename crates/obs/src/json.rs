@@ -1,7 +1,7 @@
 //! Minimal JSON writing and parsing.
 //!
-//! The workspace's `serde` is an offline marker shim with no data format,
-//! so the observability layer produces its JSON by hand through
+//! The workspace has no serializer dependency, so the observability layer
+//! produces its JSON by hand through
 //! [`JsonWriter`] and validates artifacts (CI, tests) with the small
 //! recursive-descent [`parse`] below. Both cover exactly the JSON subset
 //! the layer emits: objects, arrays, strings, finite numbers, booleans,

@@ -23,8 +23,8 @@
 //!   machine-readable JSON lines (`--log-json`), one event per line on
 //!   stderr.
 //! - [`json`]: the minimal JSON writer and parser backing the trace and
-//!   log output (the workspace's `serde` is an offline marker shim, so the
-//!   bytes are produced by hand), plus validation for CI artifact checks.
+//!   log output (the workspace has no serializer dependency, so the bytes
+//!   are produced by hand), plus validation for CI artifact checks.
 //! - [`names`]: the canonical span taxonomy and algorithm phase names, so
 //!   spans, per-query stats, and logs all agree on the same strings.
 //! - [`alloc`]: memory accounting — a counting `#[global_allocator]`

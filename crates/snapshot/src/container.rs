@@ -27,8 +27,13 @@ use crate::pod;
 
 /// File magic: identifies a soi snapshot container, generation 1.
 pub const MAGIC: [u8; 8] = *b"SOISNAP1";
-/// Container format version. Bump on any incompatible layout change.
-pub const FORMAT_VERSION: u32 = 1;
+/// Container format version. Bump on any incompatible change to the
+/// container layout *or* to the section set the index codecs store in it.
+///
+/// - 1: per-structure occupied-cell id columns with `u64` offset triplets.
+/// - 2: every cell/keyword/segment keyed map is one dense `Csr` column pair
+///   (`{p}.s` row starts as `u32`, `{p}.i` items); no id columns.
+pub const FORMAT_VERSION: u32 = 2;
 /// Endianness probe constant, stored native-endian.
 pub const ENDIAN_TAG: u32 = 0x0A0B_0C0D;
 /// Header size in bytes.

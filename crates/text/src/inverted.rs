@@ -192,7 +192,8 @@ pub fn union_distinct<D: Copy + Ord, F: FnMut(D)>(lists: &[&[D]], mut f: F) {
 }
 
 /// [`union_distinct`] over the postings of `keywords`, each resolved by
-/// `postings`: the shared body of the indexes' `for_each_matching`.
+/// `postings` (empty for an absent keyword): the shared body of the
+/// indexes' `for_each_matching`.
 ///
 /// This chain (`for_each_matching` → here → [`union_distinct`]) is Alg. 1's
 /// per-cell mass loop. It is `#[inline]` so that it is compiled into that
@@ -200,7 +201,7 @@ pub fn union_distinct<D: Copy + Ord, F: FnMut(D)>(lists: &[&[D]], mut f: F) {
 /// the hint an unrelated change elsewhere in the crate moved Alg. 1 by
 /// 3–5 %.
 #[inline]
-pub(crate) fn union_of_postings<'a, D: Copy + Ord + 'a, F: FnMut(D)>(
+pub fn union_of_postings<'a, D: Copy + Ord + 'a, F: FnMut(D)>(
     keywords: &[KeywordId],
     postings: impl Fn(KeywordId) -> &'a [D],
     f: F,

@@ -295,21 +295,6 @@ impl FromIterator<KeywordId> for KeywordSet {
     }
 }
 
-#[cfg(feature = "serde")]
-impl serde::Serialize for KeywordSet {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.collect_seq(self.as_slice())
-    }
-}
-
-#[cfg(feature = "serde")]
-impl<'de> serde::Deserialize<'de> for KeywordSet {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let ids = Vec::<KeywordId>::deserialize(deserializer)?;
-        Ok(Self::from_ids(ids))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

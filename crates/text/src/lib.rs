@@ -13,9 +13,10 @@
 //!   (Definition 6);
 //! - [`InvertedIndex`]: generic postings lists sorted by document id, plus
 //!   the k-way *distinct* union traversal the paper uses to count
-//!   multi-keyword matches exactly once (Sec. 3.2.2);
-//! - [`FlatPostings`]: the same mapping in a contiguous CSR layout, the
-//!   allocation-lean representation bulk index builds produce.
+//!   multi-keyword matches exactly once (Sec. 3.2.2) — [`union_distinct`]
+//!   over plain lists, [`union_of_postings`] over any keyword → postings
+//!   lookup (the POI index's per-cell view resolves keywords in its shared
+//!   CSR columns and traverses through it).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,17 +24,14 @@
 // expect are compile errors outside of test code.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod flat;
 pub mod freq;
 pub mod inverted;
 pub mod keyword_set;
-pub mod snapshot;
 pub mod tokenize;
 pub mod vocab;
 
-pub use flat::FlatPostings;
 pub use freq::FreqVector;
-pub use inverted::{union_distinct, InvertedIndex, STACK_LISTS};
+pub use inverted::{union_distinct, union_of_postings, InvertedIndex, STACK_LISTS};
 pub use keyword_set::{sorted_intersection_size, KeywordSet};
 pub use tokenize::tokenize;
 pub use vocab::Vocabulary;

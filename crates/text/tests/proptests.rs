@@ -2,8 +2,10 @@
 
 use proptest::prelude::*;
 use soi_common::KeywordId;
-use soi_text::{union_distinct, FlatPostings, FreqVector, InvertedIndex, KeywordSet, STACK_LISTS};
-use std::collections::BTreeSet;
+use soi_text::{
+    union_distinct, union_of_postings, FreqVector, InvertedIndex, KeywordSet, STACK_LISTS,
+};
+use std::collections::{BTreeMap, BTreeSet};
 
 fn kwset() -> impl Strategy<Value = KeywordSet> {
     proptest::collection::vec(0u32..40, 0..12)
@@ -88,20 +90,22 @@ proptest! {
     }
 
     #[test]
-    fn for_each_matching_agrees_across_indexes_at_any_width(
+    fn for_each_matching_agrees_across_lookups_at_any_width(
         docs in proptest::collection::vec(proptest::collection::vec(0u32..14, 0..6), 0..30),
         query in proptest::collection::vec(0u32..16, 0..STACK_LISTS + 3),
     ) {
-        // Both indexes resolve keywords through the same stack-or-heap
-        // path; repeated and absent query keywords are legal.
+        // The hash index and a caller-supplied lookup (how the POI index's
+        // per-cell view resolves keywords in its columns) go through the
+        // same stack-or-heap path; repeated and absent query keywords are
+        // legal.
         let mut hash: InvertedIndex<u32> = InvertedIndex::new();
-        let mut pairs = Vec::new();
+        let mut lists: BTreeMap<KeywordId, Vec<u32>> = BTreeMap::new();
         for (i, kws) in docs.iter().enumerate() {
             hash.add_document(i as u32, kws.iter().map(|&k| KeywordId(k)));
-            pairs.extend(kws.iter().map(|&k| (KeywordId(k), i as u32)));
+            for k in kws.iter().collect::<BTreeSet<_>>() {
+                lists.entry(KeywordId(*k)).or_default().push(i as u32);
+            }
         }
-        pairs.sort_unstable();
-        let flat = FlatPostings::from_sorted_pairs(docs.len(), &pairs);
         let q: Vec<KeywordId> = query.iter().map(|&k| KeywordId(k)).collect();
         let expect: Vec<u32> = docs
             .iter()
@@ -109,11 +113,15 @@ proptest! {
             .filter(|(_, kws)| kws.iter().any(|k| query.contains(k)))
             .map(|(i, _)| i as u32)
             .collect();
-        let (mut from_hash, mut from_flat) = (Vec::new(), Vec::new());
+        let (mut from_hash, mut from_lookup) = (Vec::new(), Vec::new());
         hash.for_each_matching(&q, |d| from_hash.push(d));
-        flat.for_each_matching(&q, |d| from_flat.push(d));
+        union_of_postings(
+            &q,
+            |k| lists.get(&k).map_or(&[][..], Vec::as_slice),
+            |d| from_lookup.push(d),
+        );
         prop_assert_eq!(&from_hash, &expect);
-        prop_assert_eq!(&from_flat, &expect);
+        prop_assert_eq!(&from_lookup, &expect);
     }
 
     #[test]
