@@ -19,14 +19,15 @@ use std::io::Write;
 use args::Args;
 use soi_common::{Result, ResultExt, SoiError};
 use soi_core::describe::{
-    st_rel_div, st_rel_div_explained, ContextBuilder, DescribeExplain, DescribeParams,
-    DescribeScratch, PhiSource,
+    st_rel_div, st_rel_div_full, ContextBuilder, DescribeExplain, DescribeParams, DescribeScratch,
+    PhiSource,
 };
 use soi_core::route::{improve_route_2opt, route_length, sketch_route};
 use soi_core::soi::{
-    run_baseline, run_soi, run_soi_explained, SoiConfig, SoiExplain, SoiOutcome, SoiQuery,
-    SoiScratch, StreetAggregate,
+    run_baseline, run_soi, run_soi_full, SoiConfig, SoiExplain, SoiOutcome, SoiQuery, SoiScratch,
+    StreetAggregate,
 };
+use soi_core::QueryBudget;
 use soi_data::Dataset;
 use soi_engine::{QueryContext, QueryEngine};
 use soi_index::{BundleParams, CacheMode, CacheOutcome, IndexBundle, IndexCache, PoiIndex};
@@ -717,7 +718,7 @@ fn cmd_explain(args: &Args) -> Result<()> {
 
     let mut explain = SoiExplain::default();
     let scope = soi_obs::AllocScope::start();
-    let outcome = run_soi_explained(
+    let outcome = run_soi_full(
         &dataset.network,
         &dataset.pois,
         &index,
@@ -725,6 +726,7 @@ fn cmd_explain(args: &Args) -> Result<()> {
         &SoiConfig::default(),
         &mut SoiScratch::default(),
         Some(&mut explain),
+        QueryBudget::unlimited(),
     )?;
     let alloc = scope.finish();
 
@@ -750,12 +752,13 @@ fn cmd_explain(args: &Args) -> Result<()> {
                 .build(top.street)?;
                 let params = DescribeParams::new(args.get_parsed("photos", 5)?, 0.5, 0.5)?;
                 let mut dex = DescribeExplain::default();
-                let _ = st_rel_div_explained(
+                let _ = st_rel_div_full(
                     &ctx,
                     &dataset.photos,
                     &params,
                     &mut DescribeScratch::default(),
                     Some(&mut dex),
+                    QueryBudget::unlimited(),
                 )?;
                 let name = dataset.network.street(top.street).name.clone();
                 describe = Some((name, dex));

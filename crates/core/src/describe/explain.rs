@@ -2,7 +2,7 @@
 //! cell filter effectiveness.
 //!
 //! A [`DescribeExplain`] passed to
-//! [`st_rel_div_explained`](crate::describe::st_rel_div_explained) records,
+//! [`st_rel_div_full`](crate::describe::st_rel_div_full) records,
 //! for every greedy selection round, how the per-cell `[Bmin, Bmax]`
 //! bounds of Eqs. 11–18 pruned the search: how many candidate cells
 //! entered the round, how many the filtering phase discarded, how many
@@ -40,7 +40,7 @@ pub struct DescribeRound {
 /// Collects the explain record of one Alg. 2 evaluation.
 ///
 /// Create one ([`DescribeExplain::default`]) and pass it to
-/// [`st_rel_div_explained`](crate::describe::st_rel_div_explained);
+/// [`st_rel_div_full`](crate::describe::st_rel_div_full);
 /// afterwards render it with [`DescribeExplain::to_json`] or walk
 /// [`DescribeExplain::rounds`] directly. Rounds are bounded by the query's
 /// `k`, so no decimation is needed.

@@ -23,10 +23,7 @@ pub use exact::exact_select;
 pub use explain::{DescribeExplain, DescribeRound};
 pub use greedy::greedy_select;
 pub use objective::{mmr, objective, set_diversity, set_relevance};
-pub use st_rel_div::{
-    st_rel_div, st_rel_div_budgeted, st_rel_div_explained, st_rel_div_full,
-    st_rel_div_with_scratch, DescribeScratch,
-};
+pub use st_rel_div::{st_rel_div, st_rel_div_full, st_rel_div_with_scratch, DescribeScratch};
 pub use tradeoff::{knee, sweep_lambda, TradeoffPoint};
 pub use variants::{Aspect, Criterion, MethodSpec};
 

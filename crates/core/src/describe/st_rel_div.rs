@@ -111,62 +111,27 @@ pub fn st_rel_div_with_scratch<'a>(
     params: &DescribeParams,
     scratch: &mut DescribeScratch,
 ) -> Result<DescribeOutcome> {
-    st_rel_div_explained(ctx, photos, params, scratch, None)
+    st_rel_div_full(ctx, photos, params, scratch, None, QueryBudget::unlimited())
 }
 
-/// [`st_rel_div_with_scratch`] with an opt-in explain collector.
+/// [`st_rel_div_with_scratch`] with an opt-in explain collector and an
+/// execution budget.
 ///
 /// When `explain` is `Some`, the run records one [`DescribeRound`] per
 /// greedy selection round — candidate cells, filtering/refinement pruning,
 /// photos scored, the winning `mmr` — into the collector; results are
-/// identical to [`st_rel_div`]. With `None` this *is*
-/// [`st_rel_div_with_scratch`] — the hooks are a branch on an `Option`.
+/// identical to [`st_rel_div`]. With `None` the hooks are a branch on an
+/// `Option`.
 ///
-/// # Errors
-/// Same contract as [`st_rel_div`].
-pub fn st_rel_div_explained<'a>(
-    ctx: &StreetContext,
-    photos: impl Into<PhotoView<'a>>,
-    params: &DescribeParams,
-    scratch: &mut DescribeScratch,
-    explain: Option<&mut DescribeExplain>,
-) -> Result<DescribeOutcome> {
-    st_rel_div_full(
-        ctx,
-        photos,
-        params,
-        scratch,
-        explain,
-        QueryBudget::unlimited(),
-    )
-}
-
-/// [`st_rel_div_with_scratch`] under an execution budget: anytime semantics.
-///
-/// The deadline is checked once per greedy round. On expiry the run stops
-/// selecting and returns the photos chosen so far with
-/// [`partial`](DescribeOutcome::partial) set — the greedy selection is
-/// incremental, so every prefix is itself the exact greedy answer for its
-/// length. An unlimited budget is bit-identical to
-/// [`st_rel_div_with_scratch`].
+/// `budget` gives anytime semantics. The deadline is checked once per
+/// greedy round. On expiry the run stops selecting and returns the photos
+/// chosen so far with [`partial`](DescribeOutcome::partial) set — the
+/// greedy selection is incremental, so every prefix is itself the exact
+/// greedy answer for its length. With `None` and
+/// [`QueryBudget::unlimited`] this *is* [`st_rel_div_with_scratch`].
 ///
 /// # Errors
 /// Same contract as [`st_rel_div`] — a deadline hit is *not* an error.
-pub fn st_rel_div_budgeted<'a>(
-    ctx: &StreetContext,
-    photos: impl Into<PhotoView<'a>>,
-    params: &DescribeParams,
-    scratch: &mut DescribeScratch,
-    budget: QueryBudget,
-) -> Result<DescribeOutcome> {
-    st_rel_div_full(ctx, photos, params, scratch, None, budget)
-}
-
-/// The full-surface entry point: explain collector *and* execution budget
-/// (see [`st_rel_div_explained`] and [`st_rel_div_budgeted`]).
-///
-/// # Errors
-/// Same contract as [`st_rel_div`].
 pub fn st_rel_div_full<'a>(
     ctx: &StreetContext,
     photos: impl Into<PhotoView<'a>>,

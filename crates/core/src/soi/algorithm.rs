@@ -32,7 +32,7 @@
 //! read off a fourth ranked list sorted by that per-segment factor, and use
 //! `UB = min(UB_paper, UB_f)`. Both are upper bounds for every unseen
 //! segment, so the combination preserves correctness while terminating much
-//! earlier (the ablation bench quantifies the difference).
+//! earlier.
 //!
 //! ### Lazily ordered lists
 //! The loop reads only a short prefix of SL1, SL2 and the factor list, so a
@@ -515,36 +515,6 @@ pub fn run_soi_with_scratch<'a>(
     config: &SoiConfig,
     scratch: &mut SoiScratch,
 ) -> Result<SoiOutcome> {
-    run_soi_explained(
-        network,
-        pois.into(),
-        index.into(),
-        query,
-        config,
-        scratch,
-        None,
-    )
-}
-
-/// [`run_soi_with_scratch`] with an opt-in explain collector.
-///
-/// When `explain` is `Some`, the run records its bound trajectory (one
-/// [`ExplainRow`] per source access, decimated), the post-construction
-/// source-list sizes, ε-cache deltas, and a final termination row into the
-/// collector; results are identical to [`run_soi`]. With `None` this *is*
-/// [`run_soi_with_scratch`] — the hooks are a branch on an `Option`.
-///
-/// # Errors
-/// Same contract as [`run_soi`].
-pub fn run_soi_explained<'a>(
-    network: &RoadNetwork,
-    pois: impl Into<PoiView<'a>>,
-    index: impl Into<IndexView<'a>>,
-    query: &SoiQuery,
-    config: &SoiConfig,
-    scratch: &mut SoiScratch,
-    explain: Option<&mut SoiExplain>,
-) -> Result<SoiOutcome> {
     run_soi_full(
         network,
         pois.into(),
@@ -552,51 +522,32 @@ pub fn run_soi_explained<'a>(
         query,
         config,
         scratch,
-        explain,
+        None,
         QueryBudget::unlimited(),
     )
 }
 
-/// [`run_soi_with_scratch`] under an execution budget: anytime semantics.
+/// [`run_soi_with_scratch`] with an opt-in explain collector and an
+/// execution budget.
 ///
-/// The deadline is checked every [`BUDGET_CHECK_EVERY`] source-list
-/// accesses. On expiry the run stops accessing, skips refinement, and
-/// returns the *current* lower-bound top-k with
-/// [`partial`](SoiOutcome::partial) set: every returned street's interest
-/// is a valid lower bound of its true interest and is at least the
-/// recorded `LBk` ([`QueryStats::termination_lb`]) — Alg. 1 maintains a
-/// correct lower-bound ranking at every access, so a deadline hit degrades
-/// the answer instead of erroring. An unlimited budget is bit-identical to
-/// [`run_soi_with_scratch`].
+/// When `explain` is `Some`, the run records its bound trajectory (one
+/// [`ExplainRow`] per source access, decimated), the post-construction
+/// source-list sizes, ε-cache deltas, and a final termination row into the
+/// collector; results are identical to [`run_soi`]. With `None` the hooks
+/// are a branch on an `Option`.
+///
+/// `budget` gives anytime semantics. The deadline is checked every
+/// [`BUDGET_CHECK_EVERY`] source-list accesses. On expiry the run stops
+/// accessing, skips refinement, and returns the *current* lower-bound
+/// top-k with [`partial`](SoiOutcome::partial) set: every returned
+/// street's interest is a valid lower bound of its true interest and is at
+/// least the recorded `LBk` ([`QueryStats::termination_lb`]) — Alg. 1
+/// maintains a correct lower-bound ranking at every access, so a deadline
+/// hit degrades the answer instead of erroring. With `None` and
+/// [`QueryBudget::unlimited`] this *is* [`run_soi_with_scratch`].
 ///
 /// # Errors
 /// Same contract as [`run_soi`] — a deadline hit is *not* an error.
-pub fn run_soi_budgeted<'a>(
-    network: &RoadNetwork,
-    pois: impl Into<PoiView<'a>>,
-    index: impl Into<IndexView<'a>>,
-    query: &SoiQuery,
-    config: &SoiConfig,
-    scratch: &mut SoiScratch,
-    budget: QueryBudget,
-) -> Result<SoiOutcome> {
-    run_soi_full(
-        network,
-        pois.into(),
-        index.into(),
-        query,
-        config,
-        scratch,
-        None,
-        budget,
-    )
-}
-
-/// The full-surface entry point: explain collector *and* execution budget
-/// (see [`run_soi_explained`] and [`run_soi_budgeted`]).
-///
-/// # Errors
-/// Same contract as [`run_soi`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_soi_full<'a>(
     network: &RoadNetwork,

@@ -2,7 +2,7 @@
 //! trajectory and pruning effectiveness of one k-SOI evaluation.
 //!
 //! A [`SoiExplain`] passed to
-//! [`run_soi_explained`](crate::soi::run_soi_explained) records, per
+//! [`run_soi_full`](crate::soi::run_soi_full) records, per
 //! source-list access, the termination bounds (`UB`, the paper bound and
 //! the coupled bound it is min'd with, `LBk`) together with the surviving
 //! heads of the three source lists — the raw material of a
@@ -89,7 +89,7 @@ pub struct EpsCacheDelta {
 /// Collects the explain record of one k-SOI evaluation.
 ///
 /// Create one (e.g. [`SoiExplain::default`]) and pass it to
-/// [`run_soi_explained`](crate::soi::run_soi_explained); afterwards render
+/// [`run_soi_full`](crate::soi::run_soi_full); afterwards render
 /// it with [`SoiExplain::to_json`] or walk [`SoiExplain::rows`] directly.
 #[derive(Debug)]
 pub struct SoiExplain {

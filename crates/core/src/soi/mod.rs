@@ -9,9 +9,7 @@ mod ranked;
 pub mod stats;
 pub mod strategy;
 
-pub use algorithm::{
-    run_soi, run_soi_budgeted, run_soi_explained, run_soi_full, run_soi_with_scratch, SoiScratch,
-};
+pub use algorithm::{run_soi, run_soi_full, run_soi_with_scratch, SoiScratch};
 pub use baseline::{brute_force, exact_street_interests, run_baseline};
 pub use explain::{ExplainRow, SoiExplain};
 pub use interest::{segment_interest, StreetAggregate};

@@ -57,7 +57,9 @@ pub struct SoiConfig {
     /// Use only the paper's verbatim termination bound
     /// `top(SL1)·top(SL2)/(2ε·top(SL3)+πε²)` and disable the coupled
     /// per-segment upper bound and the bound-based segment dismissal.
-    /// Default false; the ablation bench quantifies the difference.
+    /// Default false. Both modes are held to brute force by
+    /// `tests/soi_correctness.rs`; what the tightened bounds save per query
+    /// is the pruning-power table ROADMAP item 3 owes.
     pub paper_bounds_only: bool,
 }
 

@@ -7,7 +7,7 @@
 //! the second source SL2 in the case that a few segments with a large
 //! number of neighboring cells exist." The strategies below cover the
 //! pseudocode's rotation, the practical default, and two degenerate
-//! baselines for the ablation bench.
+//! baselines; `tests/soi_correctness.rs` holds all four to brute force.
 
 /// Which source list an access targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,7 +70,7 @@ impl AccessStrategy {
         }
     }
 
-    /// All strategies (for the ablation bench).
+    /// All strategies (swept by the correctness suite).
     pub fn all() -> [AccessStrategy; 4] {
         [
             AccessStrategy::AlternateSl1Sl3,

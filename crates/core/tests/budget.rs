@@ -2,8 +2,8 @@
 //!
 //! The serving layer's degradation contract rests on two properties:
 //!
-//! 1. **Unlimited is free and exact** — `run_soi_budgeted` /
-//!    `st_rel_div_budgeted` with [`QueryBudget::unlimited`] are
+//! 1. **Unlimited is free and exact** — `run_soi_full` /
+//!    `st_rel_div_full` with [`QueryBudget::unlimited`] are
 //!    bit-identical to the plain entry points.
 //! 2. **Expiry is sound** — a deadline hit returns `partial: true` with a
 //!    valid *lower-bound* answer: every returned k-SOI score is at least
@@ -15,11 +15,11 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use soi_common::KeywordId;
 use soi_core::describe::{
-    st_rel_div, st_rel_div_budgeted, ContextBuilder, DescribeParams, DescribeScratch, PhiSource,
+    st_rel_div, st_rel_div_full, ContextBuilder, DescribeParams, DescribeScratch, PhiSource,
     StreetContext,
 };
 use soi_core::soi::{
-    exact_street_interests, run_soi, run_soi_budgeted, SoiConfig, SoiQuery, SoiScratch,
+    exact_street_interests, run_soi, run_soi_full, SoiConfig, SoiQuery, SoiScratch,
 };
 use soi_core::QueryBudget;
 use soi_data::{PhotoCollection, PoiCollection};
@@ -88,13 +88,14 @@ fn unlimited_budget_is_bit_identical_to_plain_path() {
         let config = SoiConfig::default();
 
         let plain = run_soi(&network, &pois, &index, &query, &config).unwrap();
-        let budgeted = run_soi_budgeted(
+        let budgeted = run_soi_full(
             &network,
             &pois,
             &index,
             &query,
             &config,
             &mut SoiScratch::default(),
+            None,
             QueryBudget::unlimited(),
         )
         .unwrap();
@@ -173,13 +174,14 @@ fn expired_deadlines_return_sound_partial_lower_bounds() {
 
         // A pre-expired deadline: the access loop never runs, yet the
         // outcome is still a well-formed (empty or LB-backed) answer.
-        let pre_expired = run_soi_budgeted(
+        let pre_expired = run_soi_full(
             &network,
             &pois,
             &index,
             &query,
             &config,
             &mut scratch,
+            None,
             QueryBudget::with_deadline(Instant::now() - Duration::from_secs(1)),
         )
         .unwrap();
@@ -194,13 +196,14 @@ fn expired_deadlines_return_sound_partial_lower_bounds() {
         // mid-flight or completed), the answer must be sound.
         let mut saw_partial = false;
         for timeout_us in [1u64, 10, 50, 200, 1000] {
-            let outcome = run_soi_budgeted(
+            let outcome = run_soi_full(
                 &network,
                 &pois,
                 &index,
                 &query,
                 &config,
                 &mut scratch,
+                None,
                 QueryBudget::from_timeout(Duration::from_micros(timeout_us)),
             )
             .unwrap();
@@ -274,11 +277,12 @@ fn describe_unlimited_budget_matches_plain_and_expiry_is_a_greedy_prefix() {
         let params = DescribeParams::new(6, 0.5, 0.5).unwrap();
 
         let plain = st_rel_div(&ctx, &photos, &params).unwrap();
-        let unlimited = st_rel_div_budgeted(
+        let unlimited = st_rel_div_full(
             &ctx,
             &photos,
             &params,
             &mut scratch,
+            None,
             QueryBudget::unlimited(),
         )
         .unwrap();
@@ -291,11 +295,12 @@ fn describe_unlimited_budget_matches_plain_and_expiry_is_a_greedy_prefix() {
         );
 
         // Pre-expired: empty prefix, flagged partial.
-        let pre_expired = st_rel_div_budgeted(
+        let pre_expired = st_rel_div_full(
             &ctx,
             &photos,
             &params,
             &mut scratch,
+            None,
             QueryBudget::with_deadline(Instant::now() - Duration::from_secs(1)),
         )
         .unwrap();
@@ -305,11 +310,12 @@ fn describe_unlimited_budget_matches_plain_and_expiry_is_a_greedy_prefix() {
         // Any mid-run expiry yields a prefix of the full greedy selection
         // (each greedy round's selection is exact for its length).
         for timeout_us in [1u64, 20, 100, 500] {
-            let outcome = st_rel_div_budgeted(
+            let outcome = st_rel_div_full(
                 &ctx,
                 &photos,
                 &params,
                 &mut scratch,
+                None,
                 QueryBudget::from_timeout(Duration::from_micros(timeout_us)),
             )
             .unwrap();

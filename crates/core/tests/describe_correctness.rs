@@ -194,7 +194,8 @@ fn objective_recomputes_consistently() {
 
 #[test]
 fn describe_explain_rounds_account_for_all_work() {
-    use soi_core::describe::{st_rel_div_explained, DescribeExplain, DescribeScratch};
+    use soi_core::describe::{st_rel_div_full, DescribeExplain, DescribeScratch};
+    use soi_core::QueryBudget;
 
     for seed in 0..5u64 {
         let mut rng = StdRng::seed_from_u64(4000 + seed);
@@ -203,12 +204,13 @@ fn describe_explain_rounds_account_for_all_work() {
 
         let plain = st_rel_div(&ctx, &photos, &params).unwrap();
         let mut explain = DescribeExplain::default();
-        let explained = st_rel_div_explained(
+        let explained = st_rel_div_full(
             &ctx,
             &photos,
             &params,
             &mut DescribeScratch::default(),
             Some(&mut explain),
+            QueryBudget::unlimited(),
         )
         .unwrap();
 

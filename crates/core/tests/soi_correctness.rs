@@ -318,7 +318,8 @@ fn empty_query_returns_nothing() {
 
 #[test]
 fn explain_trajectory_matches_termination_and_results() {
-    use soi_core::soi::{run_soi_explained, SoiExplain, SoiScratch};
+    use soi_core::soi::{run_soi_full, SoiExplain, SoiScratch};
+    use soi_core::QueryBudget;
 
     for seed in 0..5u64 {
         let mut rng = StdRng::seed_from_u64(3000 + seed);
@@ -330,7 +331,7 @@ fn explain_trajectory_matches_termination_and_results() {
 
         let plain = run_soi(&network, &pois, &index, &query, &config).unwrap();
         let mut explain = SoiExplain::default();
-        let explained = run_soi_explained(
+        let explained = run_soi_full(
             &network,
             &pois,
             &index,
@@ -338,6 +339,7 @@ fn explain_trajectory_matches_termination_and_results() {
             &config,
             &mut SoiScratch::default(),
             Some(&mut explain),
+            QueryBudget::unlimited(),
         )
         .unwrap();
 

@@ -1,10 +1,10 @@
 //! Spans and trace recording.
 //!
 //! Recording is off by default; [`set_enabled`]`(true)` (the CLI's
-//! `--trace-out`, the bench harness) turns it on process-wide. Every entry
+//! `--trace-out`) turns it on process-wide. Every entry
 //! point first checks one relaxed atomic load, so instrumentation compiled
 //! into a release binary is near-free while disabled — the overhead guard
-//! test in `tests/obs.rs` and BENCH_PR3.json keep that honest.
+//! test in `tests/obs.rs` and the PR 3 entry of CHANGES.md keep that honest.
 //!
 //! While enabled, events go into a **per-thread** buffer (a plain
 //! `RefCell<Vec<_>>` push: no locks, no atomics on the record path). A

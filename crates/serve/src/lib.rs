@@ -20,10 +20,10 @@
 //! |---------------------------|-----------------------------------------------|
 //! | `POST /soi`               | k-SOI query (queued, deadline-bounded)        |
 //! | `POST /describe`          | street description (queued, deadline-bounded) |
-//! | `POST /explain`           | inline explained k-SOI query (same body)      |
+//! | `POST /explain`           | `/soi` with `"explain": true` (same body)     |
 //! | `GET /metrics`            | Prometheus text exposition                    |
 //! | `GET /status`             | liveness + queue/drain state + SLO windows    |
-//! | `GET /explain`            | inline explained query (query string)         |
+//! | `GET /explain`            | `POST /explain`, from a query string          |
 //! | `GET /debug/requests`     | recent-requests ring summary                  |
 //! | `GET /debug/requests/<id>`| one request record, artifacts embedded        |
 

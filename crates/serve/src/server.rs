@@ -7,9 +7,10 @@
 //! accept loop (caller thread, blocking; a waker thread connects to the
 //!   │          listener once the shutdown flag flips)
 //!   └─> bounded connection queue ──> IO workers (parse, route, respond)
-//!                                       ├─ /metrics /status /explain
+//!                                       ├─ /metrics /status
 //!                                       │  /debug/requests: inline
-//!                                       └─ /soi /describe: admission queue
+//!                                       └─ /soi /describe /explain:
+//!                                          admission queue
 //!                                            └─> engine workers (--threads,
 //!                                                  alive for the whole run)
 //!                                                  each pops ONE job, pins
@@ -60,7 +61,7 @@ use crate::queue::{AdmissionQueue, Job, JobKind, Slot, SlotMeta};
 use crate::ring::{RequestRecord, RequestRing};
 use soi_common::{ErrorCategory, Result, SoiError};
 use soi_core::describe::{ContextBuilder, DescribeOutcome, DescribeParams, PhiSource};
-use soi_core::soi::{run_soi_explained, SoiExplain, SoiOutcome, SoiQuery, SoiScratch};
+use soi_core::soi::{SoiOutcome, SoiQuery};
 use soi_core::QueryBudget;
 use soi_data::Dataset;
 use soi_engine::{EngineWorker, JobRun, QueryCapture, QueryContext, QueryEngine};
@@ -653,7 +654,6 @@ fn wake_accept_on_shutdown(shutdown: &AtomicBool, accepting: &AtomicBool, listen
 /// One IO worker: pops connections and handles them, isolating panics so a
 /// poisoned request can never wedge the pool.
 fn io_worker_loop(shared: &Shared<'_>, conns: &ConnQueue) {
-    let mut scratch = SoiScratch::default();
     loop {
         let Some(mut stream) = conns.pop(Duration::from_millis(50)) else {
             if conns.is_closed() {
@@ -662,7 +662,7 @@ fn io_worker_loop(shared: &Shared<'_>, conns: &ConnQueue) {
             continue;
         };
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            handle_connection(shared, &mut stream, &mut scratch);
+            handle_connection(shared, &mut stream);
         }));
         if outcome.is_err() {
             crate::obs::serve_metrics().panics.inc();
@@ -673,8 +673,6 @@ fn io_worker_loop(shared: &Shared<'_>, conns: &ConnQueue) {
                 "Internal Server Error",
                 "request handler panicked",
             );
-            // The scratch may hold state from the interrupted request.
-            scratch = SoiScratch::default();
         }
     }
 }
@@ -712,7 +710,7 @@ fn meta_for(endpoint: &'static str) -> RequestMeta {
 }
 
 /// Parses and answers one connection (one request: `Connection: close`).
-fn handle_connection(shared: &Shared<'_>, stream: &mut TcpStream, scratch: &mut SoiScratch) {
+fn handle_connection(shared: &Shared<'_>, stream: &mut TcpStream) {
     let metrics = crate::obs::serve_metrics();
     let limits = Limits {
         max_body_bytes: shared.config.max_body_bytes,
@@ -741,7 +739,7 @@ fn handle_connection(shared: &Shared<'_>, stream: &mut TcpStream, scratch: &mut 
     let ((status, reason, content_type, body), meta) =
         soi_obs::trace::with_request_id(request_id, || {
             let _span = soi_obs::trace::span(soi_obs::names::spans::SERVE_REQUEST);
-            route(shared, &request, scratch, request_id)
+            route(shared, &request, request_id)
         });
     let id_value = request_id.to_string();
     let _ = http::write_response_with_headers(
@@ -828,10 +826,13 @@ fn finish_request(
 fn route(
     shared: &Shared<'_>,
     request: &crate::http::Request,
-    scratch: &mut SoiScratch,
     request_id: u64,
 ) -> (HttpTuple, RequestMeta) {
     const JSON: &str = "application/json";
+    // A query route's answer, or the error that kept it out of the queue.
+    let queued = |endpoint, submitted: Result<(HttpTuple, RequestMeta)>| {
+        submitted.unwrap_or_else(|e| (error_tuple(&e), meta_for(endpoint)))
+    };
     match (request.method.as_str(), request.path()) {
         ("GET", "/metrics") => {
             // Refresh uptime and the trace dropped-event counter so the
@@ -862,32 +863,13 @@ fn route(
             debug_request_by_id(shared, path),
             meta_for("/debug/requests/<id>"),
         ),
-        ("GET", "/explain") => {
-            let mut meta = meta_for("/explain");
-            meta.params = request.query().unwrap_or("").to_string();
-            match explain_inline(shared, request, scratch, request_id) {
-                Ok(body) => ((200, "OK", JSON, body), meta),
-                Err(e) => (error_tuple(&e), meta),
-            }
-        }
-        ("POST", "/explain") => {
-            let mut meta = meta_for("/explain");
-            match explain_post(shared, request, scratch, request_id) {
-                Ok((body, params)) => {
-                    meta.params = params;
-                    ((200, "OK", JSON, body), meta)
-                }
-                Err(e) => (error_tuple(&e), meta),
-            }
-        }
-        ("POST", "/soi") => match submit_soi(shared, request, request_id) {
-            Ok(pair) => pair,
-            Err(e) => (error_tuple(&e), meta_for("/soi")),
-        },
-        ("POST", "/describe") => match submit_describe(shared, request, request_id) {
-            Ok(pair) => pair,
-            Err(e) => (error_tuple(&e), meta_for("/describe")),
-        },
+        ("GET", "/explain") => queued("/explain", submit_explain_get(shared, request, request_id)),
+        ("POST", "/soi") => queued("/soi", submit_soi(shared, "/soi", request, request_id)),
+        ("POST", "/explain") => queued(
+            "/explain",
+            submit_soi(shared, "/explain", request, request_id),
+        ),
+        ("POST", "/describe") => queued("/describe", submit_describe(shared, request, request_id)),
         ("POST", "/ingest") => {
             let mut meta = meta_for("/ingest");
             match ingest_post(shared, request, request_id) {
@@ -1214,73 +1196,6 @@ fn status_body(shared: &Shared<'_>) -> String {
     obj.finish()
 }
 
-/// `GET /explain?keywords=a,b&k=10&eps=0.0005`: runs the query inline with
-/// the explain collector (a debugging route — unlimited budget, not queued).
-fn explain_inline(
-    shared: &Shared<'_>,
-    request: &crate::http::Request,
-    scratch: &mut SoiScratch,
-    request_id: u64,
-) -> Result<String> {
-    let query = {
-        let state = shared.epochs.pin();
-        shared
-            .config
-            .parse_query_string(&state.dataset, request.query().unwrap_or(""))?
-    };
-    explain_response(shared, &query, scratch, request_id)
-}
-
-/// `POST /explain`: the same JSON body schema as `/soi` (one parse path),
-/// run inline with the explain collector.
-fn explain_post(
-    shared: &Shared<'_>,
-    request: &crate::http::Request,
-    scratch: &mut SoiScratch,
-    request_id: u64,
-) -> Result<(String, String)> {
-    let body = parse_body(&request.body)?;
-    let (query, digest) = {
-        let state = shared.epochs.pin();
-        parse_soi_query(shared.config, &state.dataset, &body)?
-    };
-    let response = explain_response(shared, &query, scratch, request_id)?;
-    Ok((response, digest))
-}
-
-/// Runs `query` inline with the explain collector and renders the shared
-/// `/explain` response shape.
-fn explain_response(
-    shared: &Shared<'_>,
-    query: &SoiQuery,
-    scratch: &mut SoiScratch,
-    request_id: u64,
-) -> Result<String> {
-    let mut explain = SoiExplain::default();
-    // Pin one epoch for the whole explained run: base + delta views stay
-    // coherent even if an ingest swap lands mid-query.
-    let state = shared.epochs.pin();
-    let poi_view: soi_data::PoiView<'_> = match &state.delta {
-        Some(delta) => delta.poi_view(&state.dataset.pois),
-        None => (&state.dataset.pois).into(),
-    };
-    let outcome = run_soi_explained(
-        &state.dataset.network,
-        poi_view,
-        soi_index::IndexView::new(&state.index, state.delta.as_deref()),
-        query,
-        &Default::default(),
-        scratch,
-        Some(&mut explain),
-    )?;
-    let mut obj = JsonWriter::object();
-    obj.field_u64("request_id", request_id);
-    obj.field_u64("epoch", state.epoch);
-    obj.field_raw("explain", &explain.to_json());
-    obj.field_raw("outcome", &soi_outcome_body(&state.dataset, &outcome, None));
-    Ok(obj.finish())
-}
-
 impl ServeConfig {
     /// Parses `keywords=a,b&k=10&eps=0.0005` into a validated query.
     fn parse_query_string(&self, dataset: &Dataset, raw: &str) -> Result<SoiQuery> {
@@ -1391,9 +1306,32 @@ fn sampled_trace(shared: &Shared<'_>) -> bool {
             .is_multiple_of(n)
 }
 
-/// Parses the body, admits a k-SOI job, and waits for its response.
+/// `GET /explain?keywords=a,b&k=10&eps=0.0005`: the query-string form of
+/// `POST /explain`, under the server's default deadline.
+fn submit_explain_get(
+    shared: &Shared<'_>,
+    request: &crate::http::Request,
+    request_id: u64,
+) -> Result<(HttpTuple, RequestMeta)> {
+    let raw = request.query().unwrap_or("");
+    let query = {
+        let state = shared.epochs.pin();
+        shared.config.parse_query_string(&state.dataset, raw)?
+    };
+    submit_soi_query(
+        shared,
+        "/explain",
+        query,
+        raw.to_string(),
+        &Json::Null,
+        request_id,
+    )
+}
+
+/// `POST /soi` and `POST /explain`: one body schema, one parse path.
 fn submit_soi(
     shared: &Shared<'_>,
+    endpoint: &'static str,
     request: &crate::http::Request,
     request_id: u64,
 ) -> Result<(HttpTuple, RequestMeta)> {
@@ -1402,15 +1340,29 @@ fn submit_soi(
         let state = shared.epochs.pin();
         parse_soi_query(shared.config, &state.dataset, &body)?
     };
-    let budget = request_budget(shared.config, &body)?;
+    submit_soi_query(shared, endpoint, query, params, &body, request_id)
+}
+
+/// Admits a parsed k-SOI query and waits for its response. `body` holds
+/// the optional `deadline_ms` / `trace` / `explain` fields (`Json::Null`
+/// for the query-string form); `/explain` is `/soi` with the explain
+/// collector always on.
+fn submit_soi_query(
+    shared: &Shared<'_>,
+    endpoint: &'static str,
+    query: SoiQuery,
+    params: String,
+    body: &Json,
+    request_id: u64,
+) -> Result<(HttpTuple, RequestMeta)> {
     let submission = Submission {
-        endpoint: "/soi",
+        endpoint,
         params,
         kind: JobKind::Soi(query),
-        budget,
+        budget: request_budget(shared.config, body)?,
         request_id,
-        embed_trace: capture_flag(&body, "trace")?,
-        embed_explain: capture_flag(&body, "explain")?,
+        embed_trace: capture_flag(body, "trace")?,
+        embed_explain: capture_flag(body, "explain")? || endpoint == "/explain",
         sampled: sampled_trace(shared),
     };
     Ok(submit_and_wait(shared, submission))
@@ -1432,11 +1384,13 @@ fn submit_describe(
             .street_by_name(name)
             .ok_or_else(|| SoiError::not_found(format!("street {name:?}")))?,
         Some(Json::Num(id)) => {
-            let idx = *id as usize;
-            if id.fract() != 0.0 || idx >= state.dataset.network.streets().len() {
+            // Range-checked as a float: `as usize` saturates, so -1 (or
+            // NaN) would otherwise answer for street 0.
+            let streets = state.dataset.network.streets();
+            if !(*id >= 0.0 && *id < streets.len() as f64 && id.fract() == 0.0) {
                 return Err(SoiError::not_found(format!("street id {id}")));
             }
-            state.dataset.network.streets()[idx].id
+            streets[*id as usize].id
         }
         _ => return Err(SoiError::invalid("body needs a street (name or id)")),
     };

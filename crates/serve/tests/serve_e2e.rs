@@ -109,7 +109,7 @@ fn roundtrip_soi_describe_status_metrics_explain() {
         let doc = parse(&describe.body).expect("valid JSON");
         assert_eq!(doc.get("partial"), Some(&Json::Bool(false)));
 
-        // /explain inline.
+        // /explain: the query-string form of an explained /soi.
         let explain =
             request(addr, "GET", "/explain?keywords=shop&k=3", None, TIMEOUT).expect("explain");
         assert_eq!(explain.status, 200, "body: {}", explain.body);
@@ -200,6 +200,58 @@ fn undersized_queue_sheds_with_503_and_metrics_show_it() {
         "expected admission sheds under a size-1 queue (client saw {sheds_seen}, report {})",
         report.sheds
     );
+    assert_eq!(report.panics, 0);
+    assert!(report.drained);
+}
+
+/// `/explain` is admitted like `/soi`: with the one worker and the one
+/// queue slot kept taken by heavy queries, it sheds with the admission
+/// queue's 503 instead of running beside them on an IO thread.
+#[test]
+fn explain_sheds_with_503_when_the_admission_queue_is_full() {
+    let config = ServeConfig {
+        queue_capacity: 1,
+        engine_threads: 1,
+        ..test_config()
+    };
+    let ((), report) = with_server(config, |addr| {
+        let stop = AtomicBool::new(false);
+        let shed = std::thread::scope(|s| {
+            // One heavy query running, one queued: nothing spins on a 503.
+            for _ in 0..2 {
+                s.spawn(|| {
+                    while !stop.load(Ordering::SeqCst) {
+                        let body = soi_body(0.01, 5_000.0);
+                        let _ = request(addr, "POST", "/soi", Some(&body), TIMEOUT);
+                    }
+                });
+            }
+            let shed = (0..500).find_map(|_| {
+                let r = request(addr, "GET", "/explain?keywords=shop&k=3", None, TIMEOUT)
+                    .expect("explain under load");
+                match r.status {
+                    200 => None,
+                    503 => Some(r),
+                    other => panic!("unexpected status {other}: {}", r.body),
+                }
+            });
+            stop.store(true, Ordering::SeqCst);
+            shed
+        });
+        let shed = shed.expect("/explain was never shed by a full admission queue");
+        assert!(
+            shed.body.contains("admission queue full"),
+            "503 did not come from the admission queue: {}",
+            shed.body
+        );
+        let record = ring_record(addr, &shed);
+        assert_eq!(
+            record.get("endpoint").and_then(Json::as_str),
+            Some("/explain")
+        );
+        assert_eq!(record.get("shed"), Some(&Json::Bool(true)));
+    });
+    assert!(report.sheds > 0);
     assert_eq!(report.panics, 0);
     assert!(report.drained);
 }
@@ -819,6 +871,117 @@ fn without_request_id(body: &str) -> String {
     out
 }
 
+/// The ring record of the request `response` answered, artifacts embedded.
+fn ring_record(addr: SocketAddr, response: &soi_serve::client::Response) -> Json {
+    let id = response.header("x-soi-request-id").expect("id header");
+    let by_id = request_with_retry(
+        addr,
+        "GET",
+        &format!("/debug/requests/{id}"),
+        None,
+        TIMEOUT,
+        RetryPolicy {
+            retries: 10,
+            backoff: Duration::from_millis(50),
+        },
+    )
+    .response
+    .expect("debug by id");
+    assert_eq!(by_id.status, 200, "body: {}", by_id.body);
+    parse(&by_id.body).expect("valid JSON")
+}
+
+/// An explained `/soi` body with what legitimately differs between two
+/// runs of one query removed: the request id, and the explain report's
+/// wall-clock phases and process-wide ε-cache counter deltas.
+fn explained_body_without_run_noise(body: &str) -> Json {
+    let Json::Obj(mut fields) = parse(&without_request_id(body)).expect("valid JSON") else {
+        panic!("body is not an object: {body}");
+    };
+    for (name, value) in &mut fields {
+        if let ("explain", Json::Obj(report)) = (name.as_str(), value) {
+            report.retain(|(k, _)| k != "phases_ms" && k != "eps_cache");
+        }
+    }
+    Json::Obj(fields)
+}
+
+#[test]
+fn explain_runs_on_an_engine_worker_and_answers_like_soi_with_explain() {
+    let ((), report) = with_server(test_config(), |addr| {
+        let soi = request(
+            addr,
+            "POST",
+            "/soi",
+            Some("{\"keywords\":[\"shop\",\"food\"],\"k\":4,\"eps\":0.002,\"explain\":true}"),
+            TIMEOUT,
+        )
+        .expect("explained soi");
+        assert_eq!(soi.status, 200, "body: {}", soi.body);
+        let expect = explained_body_without_run_noise(&soi.body);
+        assert!(expect.get("explain").is_some() && expect.get("results").is_some());
+
+        let post = request(
+            addr,
+            "POST",
+            "/explain",
+            Some("{\"keywords\":[\"shop\",\"food\"],\"k\":4,\"eps\":0.002}"),
+            TIMEOUT,
+        )
+        .expect("post explain");
+        let get = request(
+            addr,
+            "GET",
+            "/explain?keywords=shop,food&k=4&eps=0.002",
+            None,
+            TIMEOUT,
+        )
+        .expect("get explain");
+        for explain in [&post, &get] {
+            assert_eq!(explain.status, 200, "body: {}", explain.body);
+            assert_eq!(explained_body_without_run_noise(&explain.body), expect);
+            // Queued and executed like any query: the record carries the
+            // worker's clock and the explain report.
+            let record = ring_record(addr, explain);
+            assert_eq!(
+                record.get("endpoint").and_then(Json::as_str),
+                Some("/explain")
+            );
+            let ms = |name: &str| record.get(name).and_then(Json::as_f64).expect("a number");
+            assert!(ms("exec_ms") > 0.0, "no exec time recorded: {record:?}");
+            assert!(ms("queue_ms") >= 0.0 && ms("queue_ms") <= ms("total_ms"));
+            assert!(record.get("explain").is_some(), "explain not in the ring");
+        }
+    });
+    assert!(report.drained);
+    assert_eq!(report.panics, 0);
+}
+
+/// Regression: `-1 as usize` saturates to 0 and `(-1.0).fract()` is `-0.0`,
+/// so a negative street id used to be answered with street 0's summary.
+#[test]
+fn describe_rejects_a_negative_street_id_instead_of_answering_for_street_zero() {
+    let ((), report) = with_server(test_config(), |addr| {
+        let describe = |street: &str| {
+            let body = format!("{{\"street\":{street},\"k\":3,\"deadline_ms\":30000}}");
+            request(addr, "POST", "/describe", Some(&body), TIMEOUT).expect("describe")
+        };
+        let zero = describe("0");
+        assert_eq!(zero.status, 200, "body: {}", zero.body);
+        for bad in ["-1", "-0.5", "1e300"] {
+            let r = describe(bad);
+            assert_eq!(r.status, 404, "street {bad}: {}", r.body);
+            let doc = parse(&r.body).expect("valid JSON");
+            assert_eq!(
+                doc.get("category").and_then(Json::as_str),
+                Some("not-found")
+            );
+        }
+    });
+    assert!(report.drained);
+    assert_eq!(report.panics, 0);
+}
+
 #[test]
 fn one_engine_worker_answers_any_interleaving_like_a_fresh_scratch() {
     use soi_core::describe::{st_rel_div, ContextBuilder, DescribeParams, PhiSource};
@@ -1034,12 +1197,12 @@ fn ingest_swaps_epochs_folds_at_threshold_and_replays_on_restart() {
         .expect("soi");
         assert_eq!(soi.status, 200, "body: {}", soi.body);
 
-        // The inline explain response reports the epoch it pinned.
+        // An explained run's ring record reports the epoch it pinned.
         let explain =
             request(addr, "GET", "/explain?keywords=shop&k=3", None, TIMEOUT).expect("explain");
         assert_eq!(explain.status, 200);
-        let doc = parse(&explain.body).expect("valid JSON");
-        assert_eq!(doc.get("epoch").and_then(Json::as_f64), Some(1.0));
+        let record = ring_record(addr, &explain);
+        assert_eq!(record.get("epoch").and_then(Json::as_f64), Some(1.0));
 
         // Second batch reaches the 4-op threshold: the server folds a
         // fresh base and the delta empties.

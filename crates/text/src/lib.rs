@@ -11,12 +11,12 @@
 //!   Definition 7);
 //! - [`FreqVector`]: the keyword frequency vector `Φs` with its L1 norm
 //!   (Definition 6);
-//! - [`InvertedIndex`]: generic postings lists sorted by document id, plus
-//!   the k-way *distinct* union traversal the paper uses to count
-//!   multi-keyword matches exactly once (Sec. 3.2.2) — [`union_distinct`]
-//!   over plain lists, [`union_of_postings`] over any keyword → postings
-//!   lookup (the POI index's per-cell view resolves keywords in its shared
-//!   CSR columns and traverses through it).
+//! - the k-way *distinct* union traversal over id-sorted postings lists
+//!   that the paper uses to count multi-keyword matches exactly once
+//!   (Sec. 3.2.2) — [`union_distinct`] over plain lists,
+//!   [`union_of_postings`] over any keyword → postings lookup (the POI
+//!   index's per-cell view resolves keywords in its shared CSR columns and
+//!   traverses through it).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +31,7 @@ pub mod tokenize;
 pub mod vocab;
 
 pub use freq::FreqVector;
-pub use inverted::{union_distinct, union_of_postings, InvertedIndex, STACK_LISTS};
+pub use inverted::{union_distinct, union_of_postings, STACK_LISTS};
 pub use keyword_set::{sorted_intersection_size, KeywordSet};
 pub use tokenize::tokenize;
 pub use vocab::Vocabulary;

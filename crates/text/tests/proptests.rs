@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 use soi_common::KeywordId;
-use soi_text::{
-    union_distinct, union_of_postings, FreqVector, InvertedIndex, KeywordSet, STACK_LISTS,
-};
+use soi_text::{union_distinct, union_of_postings, FreqVector, KeywordSet, STACK_LISTS};
 use std::collections::{BTreeMap, BTreeSet};
 
 fn kwset() -> impl Strategy<Value = KeywordSet> {
@@ -90,18 +88,16 @@ proptest! {
     }
 
     #[test]
-    fn for_each_matching_agrees_across_lookups_at_any_width(
+    fn union_of_postings_matches_naive_at_any_width(
         docs in proptest::collection::vec(proptest::collection::vec(0u32..14, 0..6), 0..30),
         query in proptest::collection::vec(0u32..16, 0..STACK_LISTS + 3),
     ) {
-        // The hash index and a caller-supplied lookup (how the POI index's
-        // per-cell view resolves keywords in its columns) go through the
-        // same stack-or-heap path; repeated and absent query keywords are
+        // A caller-supplied lookup (how the POI index's per-cell view
+        // resolves keywords in its columns) on both sides of the
+        // stack-or-heap switch; repeated and absent query keywords are
         // legal.
-        let mut hash: InvertedIndex<u32> = InvertedIndex::new();
         let mut lists: BTreeMap<KeywordId, Vec<u32>> = BTreeMap::new();
         for (i, kws) in docs.iter().enumerate() {
-            hash.add_document(i as u32, kws.iter().map(|&k| KeywordId(k)));
             for k in kws.iter().collect::<BTreeSet<_>>() {
                 lists.entry(KeywordId(*k)).or_default().push(i as u32);
             }
@@ -113,31 +109,12 @@ proptest! {
             .filter(|(_, kws)| kws.iter().any(|k| query.contains(k)))
             .map(|(i, _)| i as u32)
             .collect();
-        let (mut from_hash, mut from_lookup) = (Vec::new(), Vec::new());
-        hash.for_each_matching(&q, |d| from_hash.push(d));
+        let mut got = Vec::new();
         union_of_postings(
             &q,
             |k| lists.get(&k).map_or(&[][..], Vec::as_slice),
-            |d| from_lookup.push(d),
+            |d| got.push(d),
         );
-        prop_assert_eq!(&from_hash, &expect);
-        prop_assert_eq!(&from_lookup, &expect);
-    }
-
-    #[test]
-    fn inverted_index_count_matches_naive(
-        docs in proptest::collection::vec(proptest::collection::vec(0u32..10, 0..5), 0..25),
-        query in proptest::collection::vec(0u32..10, 0..4),
-    ) {
-        let mut idx: InvertedIndex<u32> = InvertedIndex::new();
-        for (i, kws) in docs.iter().enumerate() {
-            idx.add_document(i as u32, kws.iter().map(|&k| KeywordId(k)));
-        }
-        let qk: Vec<KeywordId> = query.iter().map(|&k| KeywordId(k)).collect();
-        let naive = docs
-            .iter()
-            .filter(|kws| kws.iter().any(|k| query.contains(k)))
-            .count();
-        prop_assert_eq!(idx.count_matching(&qk), naive);
+        prop_assert_eq!(&got, &expect);
     }
 }
