@@ -339,13 +339,12 @@ fn parse_keywords(dataset: &Dataset, args: &Args) -> Result<soi_text::KeywordSet
 }
 
 /// The bundle parameters a query-path command implies: POI grid sized by
-/// the command (usually `2ε`), photo grid at the describe cell size, ε-maps
-/// persisted for the query ε.
-fn bundle_params(poi_cell: f64, eps: f64, with_ir: bool, threads: usize) -> BundleParams {
+/// the command (usually `2ε`), photo grid at the describe cell size.
+fn bundle_params(poi_cell: f64, with_ir: bool, threads: usize) -> BundleParams {
     BundleParams {
         poi_cell,
         pg_cell: POI_CELL,
-        eps: Some(eps),
+        eps: None,
         with_ir,
         threads,
     }
@@ -448,7 +447,7 @@ fn cmd_build_index(args: &Args) -> Result<()> {
     let params = BundleParams {
         poi_cell: args.get_parsed("poi-cell", 2.0 * eps)?,
         pg_cell: args.get_parsed("pg-cell", POI_CELL)?,
-        eps: Some(eps),
+        eps: None,
         with_ir: args.flag("with-ir"),
         threads,
     };
@@ -491,15 +490,10 @@ fn cmd_build_index(args: &Args) -> Result<()> {
     let mut out = std::io::stdout().lock();
     writeln!(
         out,
-        "wrote {} ({bytes} bytes, {} sections: poi grid{}{})",
+        "wrote {} ({bytes} bytes, {} sections: poi grid{} + photo grid)",
         path.display(),
         soi_snapshot::Snapshot::open(&path)?.sections().len(),
         if params.with_ir { " + ir-tree" } else { "" },
-        if params.eps.is_some() {
-            " + photo grid + eps-maps"
-        } else {
-            " + photo grid"
-        },
     )?;
     writeln!(
         out,
@@ -567,7 +561,7 @@ fn cmd_query(args: &Args) -> Result<()> {
     let k: usize = args.get_parsed("k", 10)?;
     let eps: f64 = args.get_parsed("eps", DEFAULT_EPS)?;
     let query = SoiQuery::new(keywords, k, eps)?;
-    let index = acquire_bundle(args, &dataset, &bundle_params(2.0 * eps, eps, false, 0))?.poi;
+    let index = acquire_bundle(args, &dataset, &bundle_params(2.0 * eps, false, 0))?.poi;
     let outcome = match args.get("algo").unwrap_or("soi") {
         "soi" => run_soi(
             &dataset.network,
@@ -653,11 +647,6 @@ fn print_soi_explain(out: &mut impl Write, explain: &SoiExplain, max_printed: us
             ms(phases::REFINEMENT)
         )?;
     }
-    writeln!(
-        out,
-        "eps-cache: hits={} misses={} evictions={}",
-        explain.eps_cache.hits, explain.eps_cache.misses, explain.eps_cache.evictions
-    )?;
     Ok(())
 }
 
@@ -713,7 +702,7 @@ fn cmd_explain(args: &Args) -> Result<()> {
     let k: usize = args.get_parsed("k", 10)?;
     let eps: f64 = args.get_parsed("eps", DEFAULT_EPS)?;
     let query = SoiQuery::new(keywords, k, eps)?;
-    let bundle = acquire_bundle(args, &dataset, &bundle_params(2.0 * eps, eps, false, 0))?;
+    let bundle = acquire_bundle(args, &dataset, &bundle_params(2.0 * eps, false, 0))?;
     let index = bundle.poi;
 
     let mut explain = SoiExplain::default();
@@ -898,12 +887,7 @@ fn cmd_batch(args: &Args) -> Result<()> {
         )));
     }
 
-    let index = acquire_bundle(
-        args,
-        &dataset,
-        &bundle_params(2.0 * eps, eps, false, threads),
-    )?
-    .poi;
+    let index = acquire_bundle(args, &dataset, &bundle_params(2.0 * eps, false, threads))?.poi;
     let engine = QueryEngine::new(threads);
     let ctx = std::sync::Arc::new(QueryContext::new(&dataset.network, &dataset.pois, &index));
     let mut batch = engine.run_soi_batch(&ctx, &queries);
@@ -994,7 +978,7 @@ fn cmd_describe(args: &Args) -> Result<()> {
     let lambda: f64 = args.get_parsed("lambda", 0.5)?;
     let w: f64 = args.get_parsed("w", 0.5)?;
 
-    let bundle = acquire_bundle(args, &dataset, &bundle_params(POI_CELL, eps, false, 0))?;
+    let bundle = acquire_bundle(args, &dataset, &bundle_params(POI_CELL, false, 0))?;
     let street = match args.get("street") {
         Some(name) => dataset
             .street_by_name(name)
@@ -1058,7 +1042,7 @@ fn cmd_export(args: &Args) -> Result<()> {
     let n_photos: usize = args.get_parsed("photos", 5)?;
     let eps: f64 = args.get_parsed("eps", DEFAULT_EPS)?;
 
-    let bundle = acquire_bundle(args, &dataset, &bundle_params(2.0 * eps, eps, false, 0))?;
+    let bundle = acquire_bundle(args, &dataset, &bundle_params(2.0 * eps, false, 0))?;
     let query = SoiQuery::new(keywords, k, eps)?;
     let outcome = run_soi(
         &dataset.network,
@@ -1117,7 +1101,7 @@ fn cmd_poi(args: &Args) -> Result<()> {
     let q = soi_geo::Point::new(x, y);
 
     let eps: f64 = args.get_parsed("eps", DEFAULT_EPS)?;
-    let bundle = acquire_bundle(args, &dataset, &bundle_params(2.0 * eps, eps, true, 0))?;
+    let bundle = acquire_bundle(args, &dataset, &bundle_params(2.0 * eps, true, 0))?;
     let tree = bundle
         .ir
         .ok_or_else(|| SoiError::invalid("index bundle is missing the IR-tree"))?;
@@ -1158,14 +1142,12 @@ fn cmd_metrics(args: &Args) -> Result<()> {
     soi_obs::metrics::publish_process_metrics(env!("CARGO_PKG_VERSION"));
     if args.get("data").is_some() {
         // Populate the instruments with a small real workload: an index
-        // build, two ε-map lookups (a miss then a hit), and — when
-        // keywords are given — one k-SOI query through the engine (which
-        // also feeds the per-query allocation histograms).
+        // build and — when keywords are given — one k-SOI query through
+        // the engine (which also feeds the per-query allocation
+        // histograms).
         let dataset = load(args)?;
         let eps: f64 = args.get_parsed("eps", DEFAULT_EPS)?;
         let index = PoiIndex::build(&dataset.network, &dataset.pois, 2.0 * eps);
-        let _ = index.epsilon_maps(&dataset.network, eps);
-        let _ = index.epsilon_maps(&dataset.network, eps);
         if args.get("keywords").is_some() {
             let keywords = parse_keywords(&dataset, args)?;
             let query = SoiQuery::new(keywords, 10, eps)?;
@@ -1224,7 +1206,7 @@ fn check_stats_file(path: &str) -> Result<u64> {
         .get("queries")
         .and_then(json::Json::as_f64)
         .ok_or_else(|| bad("missing numeric queries field"))?;
-    for section in ["counters", "latency", "eps_cache"] {
+    for section in ["counters", "latency"] {
         if doc.get(section).is_none() {
             return Err(bad(&format!("missing {section} object")));
         }
@@ -1455,7 +1437,7 @@ fn cmd_route(args: &Args) -> Result<()> {
     let k: usize = args.get_parsed("k", 8)?;
     let eps: f64 = args.get_parsed("eps", DEFAULT_EPS)?;
     let query = SoiQuery::new(keywords, k, eps)?;
-    let index = acquire_bundle(args, &dataset, &bundle_params(2.0 * eps, eps, false, 0))?.poi;
+    let index = acquire_bundle(args, &dataset, &bundle_params(2.0 * eps, false, 0))?.poi;
     let out = run_soi(
         &dataset.network,
         &dataset.pois,

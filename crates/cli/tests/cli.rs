@@ -454,12 +454,12 @@ fn metrics_prints_prometheus_text() {
     );
     assert!(text.contains("soi_query_latency_seconds_count 1"), "{text}");
     assert!(
-        text.contains("# TYPE soi_epsilon_cache_hits_total counter"),
+        text.contains("# TYPE soi_index_builds_total counter"),
         "{text}"
     );
-    // The workload performs one ε-map miss then one hit.
-    assert!(text.contains("soi_epsilon_cache_hits_total 1"), "{text}");
-    assert!(text.contains("soi_epsilon_cache_misses_total 1"), "{text}");
+    // The workload builds one index.
+    assert!(text.contains("soi_index_builds_total 1"), "{text}");
+    assert!(!text.contains("soi_epsilon"), "{text}");
     assert!(text.contains("le=\"+Inf\""), "{text}");
 
     // Without --data the series still appear, at zero.
@@ -471,7 +471,7 @@ fn metrics_prints_prometheus_text() {
         "{bare_text}"
     );
     assert!(
-        bare_text.contains("soi_epsilon_cache_hits_total 0"),
+        bare_text.contains("soi_index_builds_total 0"),
         "{bare_text}"
     );
 }

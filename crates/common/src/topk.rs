@@ -70,7 +70,13 @@ where
         }
     }
 
-    let mut heap: BinaryHeap<WorstFirst<I>> = BinaryHeap::with_capacity(k + 1);
+    // The heap holds at most `k` items and at most what the iterator
+    // yields: `k` comes from the caller (a request body), so it alone never
+    // sizes an allocation.
+    let items = items.into_iter();
+    let (lower, upper) = items.size_hint();
+    let mut heap: BinaryHeap<WorstFirst<I>> =
+        BinaryHeap::with_capacity(k.min(upper.unwrap_or(lower)));
     for item in items {
         if heap.len() < k {
             heap.push(WorstFirst(item));
@@ -209,9 +215,13 @@ mod tests {
 
     #[test]
     fn k_larger_than_input_returns_all() {
-        let top = top_k_by_score(items(&[(1, 0.2), (2, 0.8)]), 10);
-        assert_eq!(top.len(), 2);
-        assert_eq!(top[0].id, 2);
+        // Up to the type's range: `k` is a caller's number and must size
+        // nothing (`k + 1` overflowed; 1e17 aborted on the allocation).
+        for k in [10, 100_000_000_000_000_000, usize::MAX] {
+            let top = top_k_by_score(items(&[(1, 0.2), (2, 0.8), (3, 0.5)]), k);
+            let ids: Vec<u32> = top.iter().map(|s| s.id).collect();
+            assert_eq!(ids, vec![2, 3, 1], "k = {k}");
+        }
     }
 
     #[test]

@@ -532,7 +532,7 @@ pub fn run_soi_with_scratch<'a>(
 ///
 /// When `explain` is `Some`, the run records its bound trajectory (one
 /// [`ExplainRow`] per source access, decimated), the post-construction
-/// source-list sizes, ε-cache deltas, and a final termination row into the
+/// source-list sizes, and a final termination row into the
 /// collector; results are identical to [`run_soi`]. With `None` the hooks
 /// are a branch on an `Option`.
 ///

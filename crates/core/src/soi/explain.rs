@@ -12,9 +12,8 @@
 //! recorded as its own row, so the last row of the table provably
 //! satisfies `UB ≤ LBk` and matches the query's actual termination.
 //!
-//! The collector also captures the ε-map cache interactions of the query
-//! (hit/miss/eviction deltas of the process counters) and a copy of the
-//! finished [`QueryStats`], giving the `soi explain` CLI command one
+//! The collector also captures a copy of the finished [`QueryStats`],
+//! giving the `soi explain` CLI command one
 //! self-contained artifact.
 
 use crate::soi::stats::QueryStats;
@@ -75,17 +74,6 @@ pub struct Termination {
     pub lbk: f64,
 }
 
-/// ε-map cache interaction deltas over one query.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EpsCacheDelta {
-    /// Cache hits during the query.
-    pub hits: u64,
-    /// Cache misses (maps built) during the query.
-    pub misses: u64,
-    /// LRU evictions during the query.
-    pub evictions: u64,
-}
-
 /// Collects the explain record of one k-SOI evaluation.
 ///
 /// Create one (e.g. [`SoiExplain::default`]) and pass it to
@@ -106,14 +94,11 @@ pub struct SoiExplain {
     pub lists: ListSizes,
     /// Termination bounds (`None` until the run finishes).
     pub termination: Option<Termination>,
-    /// ε-map cache deltas over the run.
-    pub eps_cache: EpsCacheDelta,
     /// A copy of the finished run's stats.
     pub stats: Option<QueryStats>,
     max_rows: usize,
     /// Record every `stride`-th access (doubled whenever `rows` fills).
     stride: usize,
-    eps_cache_start: (u64, u64, u64),
 }
 
 impl Default for SoiExplain {
@@ -133,11 +118,9 @@ impl SoiExplain {
             keywords: 0,
             lists: ListSizes::default(),
             termination: None,
-            eps_cache: EpsCacheDelta::default(),
             stats: None,
             max_rows: max_rows.max(2),
             stride: 1,
-            eps_cache_start: (0, 0, 0),
         }
     }
 
@@ -150,7 +133,6 @@ impl SoiExplain {
         self.k = k;
         self.eps = eps;
         self.keywords = keywords;
-        self.eps_cache_start = soi_index::obs::epsilon_cache_counters();
     }
 
     pub(crate) fn record_lists(&mut self, sl1: usize, sl2: usize, sl3: usize) {
@@ -182,12 +164,6 @@ impl SoiExplain {
     }
 
     pub(crate) fn finish(&mut self, stats: &QueryStats) {
-        let (h, m, e) = soi_index::obs::epsilon_cache_counters();
-        self.eps_cache = EpsCacheDelta {
-            hits: h.saturating_sub(self.eps_cache_start.0),
-            misses: m.saturating_sub(self.eps_cache_start.1),
-            evictions: e.saturating_sub(self.eps_cache_start.2),
-        };
         self.termination = Some(Termination {
             accesses: stats.accesses,
             ub: stats.termination_ub,
@@ -263,11 +239,6 @@ impl SoiExplain {
             }
             obj.field_raw("phases_ms", &p.finish());
         }
-        let mut eps = JsonWriter::object();
-        eps.field_u64("hits", self.eps_cache.hits);
-        eps.field_u64("misses", self.eps_cache.misses);
-        eps.field_u64("evictions", self.eps_cache.evictions);
-        obj.field_raw("eps_cache", &eps.finish());
         obj.finish()
     }
 }
@@ -352,7 +323,6 @@ mod tests {
             term.get("converged"),
             Some(&soi_obs::json::Json::Bool(true))
         );
-        assert!(doc.get("eps_cache").is_some());
         assert!(doc.get("counters").is_some());
     }
 

@@ -3,8 +3,8 @@
 //! structure (`built == loaded`, every column, floats by bit pattern) and
 //! query by query.
 //!
-//! For every structure in the bundle (`PoiIndex`, `PhotoGrid`, `IrTree`,
-//! the preloaded ε-maps) and for several build thread counts, we run the
+//! For every structure in the bundle (`PoiIndex`, `PhotoGrid`, `IrTree`)
+//! and for several build thread counts, we run the
 //! same queries against the fresh and the loaded bundle and require
 //! *bit-identical* answers — not approximately equal: every interest,
 //! relevance, and objective is compared via `f64::to_bits` — and identical
@@ -69,7 +69,7 @@ fn params(threads: usize) -> BundleParams {
     BundleParams {
         poi_cell: 0.5,
         pg_cell: 0.5,
-        eps: Some(EPS),
+        eps: None,
         with_ir: true,
         threads,
     }
@@ -157,7 +157,7 @@ fn queries() -> Vec<SoiQuery> {
         (&[0u32][..], 3, EPS),
         (&[1, 2][..], 5, EPS),
         (&[0, 3, 4][..], 4, EPS),
-        (&[5][..], 2, 0.4), // ε off the precomputed maps: built on demand both sides
+        (&[5][..], 2, 0.4),
     ] {
         qs.push(SoiQuery::new(kws(ids), k, eps).unwrap());
     }
@@ -180,12 +180,6 @@ fn soi_queries_identical_across_thread_counts() {
             "threads={threads}"
         );
         assert!(fresh.photo_grid == loaded.photo_grid, "threads={threads}");
-        assert_eq!(loaded.poi.epsilon_cache_len(), 1, "ε-maps not preloaded");
-        assert!(
-            *fresh.poi.epsilon_maps(&dataset.network, EPS)
-                == *loaded.poi.epsilon_maps(&dataset.network, EPS),
-            "threads={threads}: ε-maps"
-        );
         for q in &queries() {
             let want =
                 run_soi(&dataset.network, &dataset.pois, &reference.poi, q, &config).unwrap();

@@ -182,15 +182,12 @@ impl BatchErrorRecord {
 }
 
 /// Machine-readable telemetry snapshot of one batch: the aggregated
-/// [`BatchStats`] plus the per-query latency distribution and the ε-map
-/// cache counters — the superset the `--stats-json` CLI flag emits.
+/// [`BatchStats`] plus the per-query latency and allocation distributions
+/// — the superset the `--stats-json` CLI flag emits.
 ///
 /// The latency list holds one entry per *successful* query, in input
 /// order, so exact percentiles (not histogram estimates) are available
-/// per batch. The ε-map cache counters are the process-cumulative values
-/// sampled when the batch finished: the cache is state shared across
-/// batches (and warmed by API users such as the experiment harness), not
-/// per-batch, so a delta view belongs to the caller.
+/// per batch.
 #[derive(Debug, Clone, Default)]
 pub struct EngineTelemetry {
     /// The aggregated batch counters.
@@ -203,12 +200,6 @@ pub struct EngineTelemetry {
     /// Peak live heap bytes above the scope baseline for each successful
     /// query, input order.
     pub query_alloc_peaks: Vec<u64>,
-    /// `soi_epsilon_cache_hits_total` at batch completion.
-    pub eps_cache_hits: u64,
-    /// `soi_epsilon_cache_misses_total` at batch completion.
-    pub eps_cache_misses: u64,
-    /// `soi_epsilon_cache_evictions_total` at batch completion.
-    pub eps_cache_evictions: u64,
     /// The epoch id the batch was pinned to (0 before any ingestion).
     pub epoch: u64,
     /// Pending delta ops overlaid on the base index during the batch
@@ -305,11 +296,6 @@ impl EngineTelemetry {
             alloc.field_raw(key, &dist.finish());
         }
         obj.field_raw("alloc", &alloc.finish());
-        let mut eps = soi_obs::json::JsonWriter::object();
-        eps.field_u64("hits", self.eps_cache_hits);
-        eps.field_u64("misses", self.eps_cache_misses);
-        eps.field_u64("evictions", self.eps_cache_evictions);
-        obj.field_raw("eps_cache", &eps.finish());
         let mut epoch = soi_obs::json::JsonWriter::object();
         epoch.field_u64("id", self.epoch);
         epoch.field_u64("delta_ops", self.delta_ops);
@@ -402,8 +388,8 @@ pub struct BatchOutcome {
     pub results: Vec<Result<SoiOutcome>>,
     /// Aggregated batch statistics.
     pub stats: BatchStats,
-    /// The machine-readable telemetry snapshot (per-query latencies,
-    /// ε-cache counters) superseding the plain `stats`.
+    /// The machine-readable telemetry snapshot (per-query latencies and
+    /// allocations) superseding the plain `stats`.
     pub telemetry: EngineTelemetry,
     /// `captures[i]` holds the artifacts requested by `jobs[i]`'s
     /// [`QueryCapture`]; `None` for jobs that asked for nothing.
@@ -669,16 +655,11 @@ impl QueryEngine {
             captures.push(run.artifacts);
         }
         stats.wall_time = start.elapsed();
-        let (eps_cache_hits, eps_cache_misses, eps_cache_evictions) =
-            soi_index::obs::epsilon_cache_counters();
         let telemetry = EngineTelemetry {
             stats: stats.clone(),
             query_latencies,
             query_allocs,
             query_alloc_peaks,
-            eps_cache_hits,
-            eps_cache_misses,
-            eps_cache_evictions,
             epoch: ctx.epoch,
             delta_ops: ctx.delta.map_or(0, |d| d.num_ops() as u64),
             delta_added_pois: ctx.delta.map_or(0, |d| d.added_pois().len() as u64),
@@ -1447,11 +1428,6 @@ mod tests {
             .and_then(|v| v.as_f64())
             .is_some());
         assert!(parsed
-            .get("eps_cache")
-            .and_then(|e| e.get("hits"))
-            .and_then(|v| v.as_f64())
-            .is_some());
-        assert!(parsed
             .get("counters")
             .and_then(|c| c.get("accesses"))
             .and_then(|v| v.as_f64())
@@ -1502,25 +1478,6 @@ mod tests {
             peaks[1..].iter().all(|&p| p <= peaks[0].max(1)),
             "warm peak exceeded cold peak: {peaks:?}"
         );
-    }
-
-    #[test]
-    fn telemetry_reports_eps_cache_hits_for_repeated_eps() {
-        let (dataset, index) = fixture();
-        let queries = queries(&dataset); // all queries share ε = 0.0005
-                                         // An API user (the experiment harness, a service warm-up) fetches
-                                         // the eager ε-maps for the batch's repeated ε; the cache must serve
-                                         // the repeats and the batch telemetry must report the hits.
-        for q in &queries {
-            let _ = index.epsilon_maps(&dataset.network, q.eps);
-        }
-        let ctx = Arc::new(QueryContext::new(&dataset.network, &dataset.pois, &index));
-        let batch = QueryEngine::new(1).run_soi_batch(&ctx, &queries);
-        assert!(
-            batch.telemetry.eps_cache_hits > 0,
-            "repeated-ε warm-up must register cache hits in the telemetry"
-        );
-        assert!(batch.telemetry.eps_cache_misses > 0);
     }
 
     #[test]

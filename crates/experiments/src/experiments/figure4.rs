@@ -46,7 +46,6 @@ fn measure(
     let d = &fixture.dataset;
 
     let (bl, _) = median_time(REPS, || {
-        fixture.index.clear_epsilon_cache();
         run_baseline(
             &d.network,
             &d.pois,
@@ -56,7 +55,6 @@ fn measure(
         )
     });
     let (soi_total, batch) = median_time(REPS, || {
-        fixture.index.clear_epsilon_cache();
         engine.run_soi_batch(ctx, std::slice::from_ref(query))
     });
     let outcome = batch.results.into_iter().next().expect("one result");
@@ -141,8 +139,9 @@ pub fn run(cities: &[CityFixture]) -> Report {
         .map(|(c, lo, hi)| format!("{c} {lo}–{hi}x"))
         .collect();
     let body = format!(
-        "Median of {REPS} runs, ε-augmented maps rebuilt per run (as at \
-         query time in the paper). SOI time is split into the paper's three \
+        "Median of {REPS} runs; every run augments the raster maps by ε \
+         itself, per popped cell or segment (at query time, as in the \
+         paper). SOI time is split into the paper's three \
          phases; SOI queries run through the batched engine (one worker for \
          the per-configuration latencies).\n\n\
          ### Fig. 4(a–c): varying k (|Ψ| = {DEFAULT_NUM_KEYWORDS})\n\n{}\n\

@@ -1,10 +1,15 @@
-//! ε-augmented cell↔segment maps (paper Sec. 3.2.1).
+//! ε-augmented cell↔segment maps (paper Sec. 3.2.1) — reference
+//! implementation: tests and the benchmark's `index.eps_maps_build_ms` row
+//! only. Queries derive the same rows lazily, per popped cell or segment
+//! ([`PoiIndex::occupied_cells_near_segment_into`],
+//! [`PoiIndex::segments_near_cell_superset_into`]); nothing builds, stores
+//! or persists an `EpsilonMaps`.
 //!
 //! The raster maps (which cells a segment passes through) are static; at
 //! query time, once ε is known, they are augmented so that
 //! `Cε(ℓ)` contains every occupied cell within distance ε of segment ℓ and
-//! `Lε(c)` every segment within ε of cell c. These maps are what the SOI
-//! algorithm traverses during filtering and refinement.
+//! `Lε(c)` every segment within ε of cell c — the rows the SOI algorithm
+//! traverses during filtering and refinement.
 //!
 //! Only *occupied* cells (cells containing at least one POI) enter the maps:
 //! empty cells contribute no mass, and excluding them both tightens the
@@ -15,18 +20,14 @@ use soi_common::{sort_row_keys, CellId, Csr, SegmentId};
 use soi_network::RoadNetwork;
 
 /// The ε-augmented maps for one ε value.
-///
-/// The fields are crate-visible for the snapshot codec (see
-/// [`crate::snapshot`]), which validates both maps against the network and
-/// the index grid before constructing one.
 #[derive(Debug, PartialEq)]
 pub struct EpsilonMaps {
-    pub(crate) eps: f64,
+    eps: f64,
     /// `Cε(ℓ)`: segment → occupied cells within ε of it, ascending.
-    pub(crate) segment_to_cells: Csr<CellId>,
+    segment_to_cells: Csr<CellId>,
     /// `Lε(c)`: cell → segments within ε of it, ascending (empty for an
     /// unoccupied cell).
-    pub(crate) cell_to_segments: Csr<SegmentId>,
+    cell_to_segments: Csr<SegmentId>,
 }
 
 impl EpsilonMaps {
@@ -72,11 +73,6 @@ impl EpsilonMaps {
     /// `Cε(ℓ)`: occupied cells within ε of segment `seg`, ascending by id.
     pub fn cells_of_segment(&self, seg: SegmentId) -> &[CellId] {
         self.segment_to_cells.row(seg.index())
-    }
-
-    /// `|Cε(ℓ)|` for segment `seg`.
-    pub fn num_cells_of_segment(&self, seg: SegmentId) -> usize {
-        self.cells_of_segment(seg).len()
     }
 
     /// `Lε(c)`: segments within ε of cell `cell` (empty if none).

@@ -7,10 +7,11 @@
 //!   local inverted index (postings sorted by POI id), plus the global
 //!   inverted index mapping each keyword to `(cell, count)` entries sorted
 //!   decreasingly by count, the segment length list, and the raster
-//!   cell↔segment maps;
-//! - [`EpsilonMaps`]: the query-time ε-augmented maps `Lε(c)` (segments
-//!   within ε of a cell) and `Cε(ℓ)` (cells within ε of a segment), cached
-//!   per ε since street segments and POIs are static.
+//!   cell↔segment maps, augmented by ε lazily at query time — `Lε(c)`
+//!   (segments within ε of a cell) and `Cε(ℓ)` (cells within ε of a
+//!   segment) are derived per popped cell or segment;
+//! - [`EpsilonMaps`]: the same two maps built eagerly for one ε — the
+//!   reference implementation the lazy path is tested against.
 //!
 //! **For single-POI retrieval (the related work of Sec. 2.1):**
 //! - [`IrTree`]: a hybrid spatio-textual R-tree whose nodes carry subtree

@@ -1,11 +1,4 @@
 //! Process-wide metric instruments for the index layer.
-//!
-//! The ε-map cache counters are global (not per-index): a process
-//! typically holds one [`PoiIndex`](crate::PoiIndex), and global atomics
-//! let the cache sites record without threading instrument handles
-//! through `&self` methods that are called under the cache lock. The
-//! engine snapshots [`epsilon_cache_counters`] before and after a batch
-//! to report per-batch deltas in its telemetry.
 
 use soi_obs::metrics::{
     register_counter, register_gauge, register_histogram, Counter, Gauge, Histogram,
@@ -15,13 +8,6 @@ use std::sync::OnceLock;
 
 /// Global instruments fed by the index layer.
 pub struct IndexMetrics {
-    /// `soi_epsilon_cache_hits_total`: ε-map cache lookups served from
-    /// the cache.
-    pub eps_cache_hits: &'static Counter,
-    /// `soi_epsilon_cache_misses_total`: lookups that had to build maps.
-    pub eps_cache_misses: &'static Counter,
-    /// `soi_epsilon_cache_evictions_total`: LRU evictions.
-    pub eps_cache_evictions: &'static Counter,
     /// `soi_index_builds_total`: POI index builds.
     pub builds: &'static Counter,
     /// `soi_index_build_seconds`: wall-clock POI index build time.
@@ -58,18 +44,6 @@ pub struct IndexMetrics {
 pub fn index_metrics() -> &'static IndexMetrics {
     static METRICS: OnceLock<IndexMetrics> = OnceLock::new();
     METRICS.get_or_init(|| IndexMetrics {
-        eps_cache_hits: register_counter(
-            "soi_epsilon_cache_hits_total",
-            "Epsilon-map cache lookups served from the cache",
-        ),
-        eps_cache_misses: register_counter(
-            "soi_epsilon_cache_misses_total",
-            "Epsilon-map cache lookups that built new maps",
-        ),
-        eps_cache_evictions: register_counter(
-            "soi_epsilon_cache_evictions_total",
-            "Epsilon-map cache LRU evictions",
-        ),
         builds: register_counter("soi_index_builds_total", "POI index builds"),
         build_seconds: register_histogram(
             "soi_index_build_seconds",
@@ -127,35 +101,8 @@ pub fn record_build_alloc(before: soi_obs::alloc::AllocTotals, after: soi_obs::a
     m.build_peak_live_bytes.set(after.peak_bytes as f64);
 }
 
-/// Point-in-time `(hits, misses, evictions)` of the ε-map cache counters.
-/// Subtracting two snapshots gives a batch's cache behaviour.
-pub fn epsilon_cache_counters() -> (u64, u64, u64) {
-    let m = index_metrics();
-    (
-        m.eps_cache_hits.get(),
-        m.eps_cache_misses.get(),
-        m.eps_cache_evictions.get(),
-    )
-}
-
 /// Forces registration of every index metric so a gather performed before
 /// any query still exposes the full series set.
 pub fn register_metrics() {
     let _ = index_metrics();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counters_snapshot_monotonically() {
-        let before = epsilon_cache_counters();
-        index_metrics().eps_cache_hits.inc();
-        index_metrics().eps_cache_misses.inc();
-        let after = epsilon_cache_counters();
-        assert!(after.0 > before.0);
-        assert!(after.1 > before.1);
-        assert!(after.2 >= before.2);
-    }
 }

@@ -1,17 +1,13 @@
 //! The POI grid index (paper Sec. 3.2.1).
 
-use parking_lot::Mutex;
 use soi_common::{
     effective_threads, f64_from_total_key, f64_total_key, par_chunk_map, par_sort_by,
-    par_sort_unstable_by, sort_row_keys, CellId, Csr, FxHashMap, KeywordId, PoiId, SegmentId,
+    par_sort_unstable_by, sort_row_keys, CellId, Csr, KeywordId, PoiId, SegmentId,
 };
 use soi_data::PoiCollection;
 use soi_geo::{Grid, Point, Rect};
 use soi_network::RoadNetwork;
 use soi_text::{union_of_postings, KeywordSet};
-use std::sync::Arc;
-
-use crate::epsilon::EpsilonMaps;
 
 /// Packs one global-index entry into a single sortable integer:
 /// keyword (high 32) ‖ weight as an order-reversed totalOrder key (middle
@@ -29,62 +25,6 @@ fn pack_global_entry(k: KeywordId, weight: f64, cell: CellId) -> u128 {
 fn unpack_global_entry(entry: u128) -> (CellId, f64) {
     let weight = f64_from_total_key(!((entry >> 32) as u64));
     (CellId(entry as u32), weight)
-}
-
-/// Capacity of the per-ε cache of augmented maps. Parameter sweeps touch a
-/// handful of ε values; keeping the cache bounded stops a long-lived process
-/// that sweeps many ε values from accumulating maps without limit.
-const EPS_CACHE_CAPACITY: usize = 8;
-
-/// Bounded LRU cache of [`EpsilonMaps`], keyed by `ε.to_bits()`.
-#[derive(Debug, Default)]
-struct EpsCache {
-    /// Monotonic access counter; entries carry their last-access stamp.
-    stamp: u64,
-    /// ε-bits → (maps, last-access stamp).
-    entries: FxHashMap<u64, (Arc<EpsilonMaps>, u64)>,
-}
-
-impl EpsCache {
-    /// Looks up `key`, refreshing its recency on a hit.
-    fn get(&mut self, key: u64) -> Option<Arc<EpsilonMaps>> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        self.entries.get_mut(&key).map(|entry| {
-            entry.1 = stamp;
-            Arc::clone(&entry.0)
-        })
-    }
-
-    /// Inserts `maps` under `key` (keeping an existing entry if one raced in
-    /// first), refreshes its recency, and evicts the least recently used
-    /// entries down to [`EPS_CACHE_CAPACITY`]. Returns the cached value.
-    fn put(&mut self, key: u64, maps: Arc<EpsilonMaps>) -> Arc<EpsilonMaps> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let entry = self.entries.entry(key).or_insert((maps, stamp));
-        entry.1 = stamp;
-        let out = Arc::clone(&entry.0);
-        while self.entries.len() > EPS_CACHE_CAPACITY {
-            // The just-touched entry holds the maximal stamp, so it is never
-            // the eviction victim.
-            let Some(victim) = self
-                .entries
-                .iter()
-                .min_by_key(|&(_, &(_, s))| s)
-                .map(|(&k, _)| k)
-            else {
-                break;
-            };
-            self.entries.remove(&victim);
-            crate::obs::index_metrics().eps_cache_evictions.inc();
-        }
-        out
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
 /// One occupied grid cell of the POI index: a view borrowed from the
@@ -141,11 +81,12 @@ impl<'a> PoiCell<'a> {
 /// Every cell- or keyword-keyed structure is a [`Csr`] column pair over the
 /// dense id (a [`PoiCell`] is a borrowed view into them), which is also
 /// exactly what a snapshot stores. The ε-augmented versions of maps (3)
-/// and (4) are built at query time by [`EpsilonMaps`] and cached here per ε
-/// value.
+/// and (4) are derived at query time, per popped cell or segment, by
+/// [`occupied_cells_near_segment_into`](Self::occupied_cells_near_segment_into)
+/// and [`segments_near_cell_superset_into`](Self::segments_near_cell_superset_into).
 ///
-/// Equality compares the persistent columns (floats by bit pattern), not
-/// the ε-map cache: two equal indexes answer every query identically. The
+/// Equality compares every column (floats by bit pattern): two equal
+/// indexes answer every query identically. The
 /// columns are crate-visible for the snapshot codec (see
 /// [`crate::snapshot`]), which writes them as they are and validates them
 /// against each other and the dataset before [`PoiIndex::from_columns`].
@@ -170,9 +111,6 @@ pub struct PoiIndex {
     /// through each cell (occupied or not), built offline. The ε-augmented
     /// `Lε(c)` is derived from it lazily at query time.
     pub(crate) raster: Csr<SegmentId>,
-    /// Bounded per-ε LRU cache of augmented maps (street segments and POIs
-    /// are static).
-    eps_cache: Mutex<EpsCache>,
 }
 
 impl PartialEq for PoiIndex {
@@ -475,7 +413,6 @@ impl PoiIndex {
             global,
             segments_by_len,
             raster,
-            eps_cache: Mutex::new(EpsCache::default()),
         }
     }
 
@@ -652,29 +589,6 @@ impl PoiIndex {
         &self.segments_by_len
     }
 
-    /// Returns the ε-augmented cell↔segment maps, building and caching them
-    /// on first use for each distinct ε.
-    ///
-    /// The cache is a bounded LRU of [`EPS_CACHE_CAPACITY`] entries: sweeping
-    /// many ε values (as the experiment harness does) evicts the least
-    /// recently used maps instead of growing without limit. The maps are
-    /// built outside the cache lock, so concurrent queries at other ε values
-    /// are not blocked; if two threads race to build the same ε, the first
-    /// insertion wins and both receive the same [`Arc`].
-    pub fn epsilon_maps(&self, network: &RoadNetwork, eps: f64) -> Arc<EpsilonMaps> {
-        let key = eps.to_bits();
-        if let Some(maps) = self.eps_cache.lock().get(key) {
-            crate::obs::index_metrics().eps_cache_hits.inc();
-            return maps;
-        }
-        crate::obs::index_metrics().eps_cache_misses.inc();
-        let maps = {
-            let _span = soi_obs::trace::span(soi_obs::names::spans::EPS_MAPS_BUILD);
-            Arc::new(EpsilonMaps::build(network, self, eps))
-        };
-        self.eps_cache.lock().put(key, maps)
-    }
-
     /// Reassembles an index from snapshot-decoded, validated columns.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_columns(
@@ -696,29 +610,7 @@ impl PoiIndex {
             global,
             segments_by_len,
             raster,
-            eps_cache: Mutex::new(EpsCache::default()),
         }
-    }
-
-    /// Seeds the ε-map cache with snapshot-decoded maps so the first query
-    /// at that ε skips the augmentation pass entirely.
-    pub(crate) fn preload_epsilon_maps(&self, maps: Arc<EpsilonMaps>) {
-        let key = maps.eps().to_bits();
-        drop(self.eps_cache.lock().put(key, maps));
-    }
-
-    /// Drops all cached ε-augmented maps.
-    ///
-    /// The experiment harness calls this between timed runs so that each
-    /// measured query pays the full query-time map augmentation, as in the
-    /// paper's methodology.
-    pub fn clear_epsilon_cache(&self) {
-        self.eps_cache.lock().clear();
-    }
-
-    /// Number of ε values currently cached (at most [`EPS_CACHE_CAPACITY`]).
-    pub fn epsilon_cache_len(&self) -> usize {
-        self.eps_cache.lock().entries.len()
     }
 
     /// Exact weighted mass contribution of cell `id` to segment `seg_geom`:
@@ -744,28 +636,12 @@ impl PoiIndex {
         });
         mass
     }
-
-    /// Exact weighted mass of a whole segment under `query` and `eps`
-    /// (Definition 1), computed through the grid.
-    pub fn segment_mass(
-        &self,
-        pois: &PoiCollection,
-        network: &RoadNetwork,
-        seg: SegmentId,
-        query: &KeywordSet,
-        maps: &EpsilonMaps,
-    ) -> f64 {
-        let geom = network.segment(seg).geom;
-        maps.cells_of_segment(seg)
-            .iter()
-            .map(|&c| self.cell_mass_for_segment(pois, c, &geom, query, maps.eps()))
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::epsilon::EpsilonMaps;
     use soi_common::KeywordId;
     use soi_geo::LineSeg;
 
@@ -899,11 +775,28 @@ mod tests {
         );
     }
 
+    /// Definition 1 over the reference maps: the mass summed over the
+    /// eager `Cε(ℓ)` of `maps` instead of the lazily derived one.
+    fn segment_mass_eager(
+        index: &PoiIndex,
+        pois: &PoiCollection,
+        network: &RoadNetwork,
+        seg: SegmentId,
+        query: &KeywordSet,
+        maps: &EpsilonMaps,
+    ) -> f64 {
+        let geom = network.segment(seg).geom;
+        maps.cells_of_segment(seg)
+            .iter()
+            .map(|&c| index.cell_mass_for_segment(pois, c, &geom, query, maps.eps()))
+            .sum()
+    }
+
     #[test]
     fn segment_mass_matches_brute_force() {
         let (network, pois, index) = setup();
         let eps = 0.75;
-        let maps = index.epsilon_maps(&network, eps);
+        let maps = EpsilonMaps::build(&network, &index, eps);
         let query = kws(&[0, 1]);
         for seg in network.segments() {
             let brute: f64 = pois
@@ -912,16 +805,16 @@ mod tests {
                 .filter(|p| seg.geom.dist_to_point(p.pos) <= eps)
                 .map(|p| p.weight)
                 .sum();
-            let via_index = index.segment_mass(&pois, &network, seg.id, &query, &maps);
+            let via_index = segment_mass_eager(&index, &pois, &network, seg.id, &query, &maps);
             assert_eq!(via_index, brute, "segment {}", seg.id);
         }
     }
 
     #[test]
-    fn lazy_maps_match_eager_epsilon_maps() {
+    fn lazy_maps_match_the_eager_reference() {
         let (network, _, index) = setup();
         for eps in [0.0, 0.3, 0.75, 1.5] {
-            let maps = index.epsilon_maps(&network, eps);
+            let maps = EpsilonMaps::build(&network, &index, eps);
             for seg in network.segments() {
                 let lazy = index.occupied_cells_near_segment(&seg.geom, eps);
                 assert_eq!(lazy.as_slice(), maps.cells_of_segment(seg.id), "eps {eps}");
@@ -940,12 +833,12 @@ mod tests {
     fn segment_mass_lazy_matches_eager() {
         let (network, pois, index) = setup();
         let eps = 0.7;
-        let maps = index.epsilon_maps(&network, eps);
+        let maps = EpsilonMaps::build(&network, &index, eps);
         let query = kws(&[0, 1]);
         for seg in network.segments() {
             assert_eq!(
                 index.segment_mass_lazy(&pois, &network, seg.id, &query, eps),
-                index.segment_mass(&pois, &network, seg.id, &query, &maps)
+                segment_mass_eager(&index, &pois, &network, seg.id, &query, &maps)
             );
         }
     }
@@ -966,109 +859,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn epsilon_maps_are_cached() {
-        let (network, _, index) = setup();
-        let a = index.epsilon_maps(&network, 0.5);
-        let b = index.epsilon_maps(&network, 0.5);
-        assert!(Arc::ptr_eq(&a, &b));
-        let c = index.epsilon_maps(&network, 0.7);
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(index.epsilon_cache_len(), 2);
-    }
-
-    #[test]
-    fn epsilon_cache_counters_track_hits_misses_evictions() {
-        // The counters are process-global (shared with parallel tests), so
-        // assert on deltas with ≥.
-        let (network, _, index) = setup();
-        let (h0, m0, e0) = crate::obs::epsilon_cache_counters();
-        index.epsilon_maps(&network, 0.31); // miss
-        index.epsilon_maps(&network, 0.31); // hit
-        index.epsilon_maps(&network, 0.31); // hit
-        let (h1, m1, _) = crate::obs::epsilon_cache_counters();
-        assert!(h1 >= h0 + 2, "repeated-ε lookups must count as hits");
-        assert!(m1 > m0, "first lookup must count as a miss");
-        // Overflow the LRU: evictions must be counted.
-        for i in 1..=EPS_CACHE_CAPACITY + 2 {
-            index.epsilon_maps(&network, 0.31 + i as f64 * 0.01);
-        }
-        let (_, _, e1) = crate::obs::epsilon_cache_counters();
-        assert!(e1 >= e0 + 2, "LRU overflow must count evictions");
-    }
-
-    #[test]
-    fn epsilon_cache_is_bounded_lru() {
-        let (network, _, index) = setup();
-        let first = index.epsilon_maps(&network, 0.01);
-        // Fill the cache past capacity; ε=0.01 is kept hot by re-touching it
-        // after each insertion, so the evictions land on the other entries.
-        for i in 1..=EPS_CACHE_CAPACITY + 3 {
-            index.epsilon_maps(&network, 0.01 + i as f64 * 0.01);
-            let again = index.epsilon_maps(&network, 0.01);
-            assert!(Arc::ptr_eq(&first, &again), "hot entry was evicted");
-        }
-        assert_eq!(index.epsilon_cache_len(), EPS_CACHE_CAPACITY);
-        // The least recently used ε values are gone: re-requesting one
-        // rebuilds (a fresh Arc).
-        let rebuilt = index.epsilon_maps(&network, 0.02);
-        assert_eq!(rebuilt.eps(), 0.02);
-        assert_eq!(index.epsilon_cache_len(), EPS_CACHE_CAPACITY);
-        index.clear_epsilon_cache();
-        assert_eq!(index.epsilon_cache_len(), 0);
-    }
-
-    #[test]
-    fn epsilon_cache_reinsert_keeps_first_value_and_counts_no_eviction() {
-        // Two threads racing epsilon_maps() for the same ε both miss and
-        // both call put(). The loser's put must (a) return the
-        // winner's maps, (b) leave the cache size unchanged, and (c) not
-        // register an LRU eviction — the eviction counter is incremented
-        // only next to an entries.remove(), so an unchanged entry set
-        // proves the metric stayed flat.
-        let (network, _, index) = setup();
-        let key = 0.37f64.to_bits();
-        let winner = Arc::new(EpsilonMaps::build(&network, &index, 0.37));
-        let loser = Arc::new(EpsilonMaps::build(&network, &index, 0.37));
-
-        let mut cache = EpsCache::default();
-        // Fill to capacity so any spurious eviction on overwrite would be
-        // observable as a shrunken entry set.
-        for i in 0..EPS_CACHE_CAPACITY - 1 {
-            cache.put(
-                (0.5 + i as f64).to_bits(),
-                Arc::new(EpsilonMaps::build(&network, &index, 0.5 + i as f64)),
-            );
-        }
-        let first = cache.put(key, Arc::clone(&winner));
-        assert!(Arc::ptr_eq(&first, &winner));
-        assert_eq!(cache.entries.len(), EPS_CACHE_CAPACITY);
-
-        let second = cache.put(key, Arc::clone(&loser));
-        assert!(
-            Arc::ptr_eq(&second, &winner),
-            "overwrite must keep the first-inserted maps"
-        );
-        assert_eq!(
-            cache.entries.len(),
-            EPS_CACHE_CAPACITY,
-            "overwrite must not change the cache size"
-        );
-        // The overwrite refreshed recency: pushing one new entry over
-        // capacity evicts the stalest *other* key, never the re-inserted one.
-        cache.put(
-            99.0f64.to_bits(),
-            Arc::new(EpsilonMaps::build(&network, &index, 99.0)),
-        );
-        assert_eq!(cache.entries.len(), EPS_CACHE_CAPACITY);
-        let survivor = cache.get(key).expect("re-inserted key evicted");
-        assert!(Arc::ptr_eq(&survivor, &winner));
-        assert!(
-            !cache.entries.contains_key(&0.5f64.to_bits()),
-            "the LRU victim must be the oldest untouched key"
-        );
     }
 
     /// A denser grid-city fixture than `setup()`, large enough that every

@@ -1,7 +1,7 @@
 //! Snapshot persistence for the offline index structures.
 //!
-//! Every structure this crate builds offline — [`PoiIndex`], [`PhotoGrid`],
-//! [`IrTree`], and cached [`EpsilonMaps`] — can be encoded into a
+//! Every structure this crate builds offline — [`PoiIndex`], [`PhotoGrid`]
+//! and [`IrTree`] — can be encoded into a
 //! [`soi_snapshot`] container and decoded back without re-running the
 //! build. The cell-, keyword- and segment-keyed maps are [`Csr`] column
 //! pairs in memory and the same two columns on disk, so writing one is a
@@ -29,7 +29,6 @@
 //!    snapshot is corrupt instead of failing the command.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Instant;
 
 use soi_common::{
@@ -41,7 +40,6 @@ use soi_geo::{Grid, Point};
 use soi_snapshot::{corrupt, Fnv64, Snapshot, SnapshotWriter, FORMAT_VERSION};
 use soi_text::KeywordSet;
 
-use crate::epsilon::EpsilonMaps;
 use crate::ir_tree::{IrTree, KeywordSummary, PoiEntry};
 use crate::photo_grid::PhotoGrid;
 use crate::poi_index::PoiIndex;
@@ -456,65 +454,6 @@ pub fn read_ir_tree(
 }
 
 // ---------------------------------------------------------------------------
-// EpsilonMaps codec
-// ---------------------------------------------------------------------------
-
-/// Writes the ε-augmented maps under `prefix`.
-///
-/// # Errors
-/// Writer-side section errors.
-pub fn write_epsilon_maps(
-    writer: &mut SnapshotWriter,
-    prefix: &str,
-    maps: &EpsilonMaps,
-) -> Result<()> {
-    writer.u64s(&format!("{prefix}.meta"), &[maps.eps.to_bits()])?;
-    write_csr(writer, &format!("{prefix}.s2c"), &maps.segment_to_cells)?;
-    write_csr(writer, &format!("{prefix}.c2s"), &maps.cell_to_segments)
-}
-
-/// Reads ε-augmented maps stored under `prefix` for a network of
-/// `num_segments` segments and an index grid of `num_cells` cells.
-///
-/// # Errors
-/// Missing sections or violated invariants (`Data` category).
-pub fn read_epsilon_maps(
-    snapshot: &Snapshot,
-    prefix: &str,
-    num_segments: usize,
-    num_cells: usize,
-) -> Result<EpsilonMaps> {
-    let bad = |msg: String| corrupt(snapshot.path(), msg);
-    let meta = snapshot.u64s(&format!("{prefix}.meta"))?;
-    let &[eps_bits] = meta else {
-        return Err(bad(format!("`{prefix}.meta` must hold exactly 1 value")));
-    };
-    let eps = f64::from_bits(eps_bits);
-    if !(eps >= 0.0 && eps.is_finite()) {
-        return Err(bad(format!("eps-map epsilon {eps} invalid")));
-    }
-    let segment_to_cells = read_csr(
-        snapshot,
-        &format!("{prefix}.s2c"),
-        num_segments,
-        num_cells,
-        "eps segment map",
-    )?;
-    let cell_to_segments = read_csr(
-        snapshot,
-        &format!("{prefix}.c2s"),
-        num_cells,
-        num_segments,
-        "eps cell map",
-    )?;
-    Ok(EpsilonMaps {
-        eps,
-        segment_to_cells,
-        cell_to_segments,
-    })
-}
-
-// ---------------------------------------------------------------------------
 // Dataset fingerprint
 // ---------------------------------------------------------------------------
 
@@ -611,8 +550,9 @@ pub struct BundleParams {
     pub poi_cell: f64,
     /// Photo-grid cell size.
     pub pg_cell: f64,
-    /// When set, the ε-augmented maps for this ε are persisted in the
-    /// snapshot and preloaded into the index's ε-cache on load.
+    /// Inert: read by nothing, stamped nowhere. Kept only because the
+    /// frozen `benchmark/` package names it in a struct literal (ROADMAP
+    /// 2(b)).
     pub eps: Option<f64>,
     /// Whether the bundle carries the IR-tree.
     pub with_ir: bool,
@@ -621,9 +561,8 @@ pub struct BundleParams {
     pub threads: usize,
 }
 
-/// Flag bits stored in the bundle meta section.
+/// Flag bit stored in the bundle meta section.
 const FLAG_WITH_IR: u64 = 1;
-const FLAG_HAS_EPS: u64 = 2;
 
 /// The structures one dataset needs at query time.
 #[derive(Debug)]
@@ -664,10 +603,6 @@ pub fn build_bundle(dataset: &Dataset, params: &BundleParams) -> IndexBundle {
     let ir = params
         .with_ir
         .then(|| IrTree::build_with_threads(&dataset.pois, params.threads));
-    if let Some(eps) = params.eps {
-        // Warm the ε-cache so the persisted snapshot carries the maps.
-        drop(poi.epsilon_maps(&dataset.network, eps));
-    }
     IndexBundle {
         poi,
         photo_grid,
@@ -691,7 +626,7 @@ pub fn write_bundle(
 
 /// [`write_bundle`] plus an `ingest.meta` section recording which prefix
 /// of a delta-ops log is already folded into `dataset` (see [`IngestMeta`]).
-/// The `cache.meta` stamp keeps its exact 5-value shape, so these
+/// The `cache.meta` stamp keeps its exact 4-value shape, so these
 /// snapshots stay readable by [`read_bundle`].
 ///
 /// # Errors
@@ -723,9 +658,6 @@ fn write_bundle_with(
     if bundle.ir.is_some() {
         flags |= FLAG_WITH_IR;
     }
-    if params.eps.is_some() {
-        flags |= FLAG_HAS_EPS;
-    }
     let mut w = SnapshotWriter::new();
     w.u64s(
         "cache.meta",
@@ -734,7 +666,6 @@ fn write_bundle_with(
             flags,
             params.poi_cell.to_bits(),
             params.pg_cell.to_bits(),
-            params.eps.map_or(0, f64::to_bits),
         ],
     )?;
     if let Some(meta) = ingest {
@@ -752,10 +683,6 @@ fn write_bundle_with(
     write_photo_grid(&mut w, "pg", &bundle.photo_grid)?;
     if let Some(ir) = &bundle.ir {
         write_ir_tree(&mut w, "ir", ir)?;
-    }
-    if let Some(eps) = params.eps {
-        let maps = bundle.poi.epsilon_maps(&dataset.network, eps);
-        write_epsilon_maps(&mut w, "eps", &maps)?;
     }
     let bytes = w.write_to(path)?;
     let m = crate::obs::index_metrics();
@@ -794,11 +721,11 @@ pub fn read_bundle_with_fingerprint(
     let start = Instant::now();
     let snapshot = Snapshot::open(path)?;
     let meta = snapshot.u64s("cache.meta")?;
-    let &[fingerprint, flags, poi_cell_bits, pg_cell_bits, eps_bits] = meta else {
+    let &[fingerprint, flags, poi_cell_bits, pg_cell_bits] = meta else {
         return Err(corrupt(
             path,
             format!(
-                "`cache.meta` must hold exactly 5 values, found {}",
+                "`cache.meta` must hold exactly 4 values, found {}",
                 meta.len()
             ),
         ));
@@ -809,12 +736,9 @@ pub fn read_bundle_with_fingerprint(
         )));
     }
     let with_ir = flags & FLAG_WITH_IR != 0;
-    let has_eps = flags & FLAG_HAS_EPS != 0;
     if poi_cell_bits != params.poi_cell.to_bits()
         || pg_cell_bits != params.pg_cell.to_bits()
         || with_ir != params.with_ir
-        || has_eps != params.eps.is_some()
-        || eps_bits != params.eps.map_or(0, f64::to_bits)
     {
         return Ok(ReadOutcome::Stale(
             "snapshot was written with different build parameters".to_string(),
@@ -833,10 +757,6 @@ pub fn read_bundle_with_fingerprint(
     } else {
         None
     };
-    if has_eps {
-        let maps = read_epsilon_maps(&snapshot, "eps", num_segments, poi.grid().num_cells())?;
-        poi.preload_epsilon_maps(Arc::new(maps));
-    }
     let m = crate::obs::index_metrics();
     m.snapshot_load_seconds.set(start.elapsed().as_secs_f64());
     m.snapshot_bytes.set(snapshot.file_len() as f64);
@@ -1246,7 +1166,6 @@ fn snapshot_key(fingerprint: u64, params: &BundleParams) -> u64 {
     h.write_u32(FORMAT_VERSION);
     h.write_f64(params.poi_cell);
     h.write_f64(params.pg_cell);
-    h.write_u64(params.eps.map_or(0, f64::to_bits));
     h.write_u32(params.with_ir as u32);
     h.finish()
 }
@@ -1320,7 +1239,7 @@ mod tests {
         BundleParams {
             poi_cell: 0.5,
             pg_cell: 0.5,
-            eps: Some(0.4),
+            eps: None,
             with_ir: true,
             threads: 1,
         }
@@ -1387,44 +1306,31 @@ mod tests {
     }
 
     #[test]
-    fn epsilon_maps_round_trip() {
+    fn bundle_round_trips_whatever_eps_says() {
         let ds = sample_dataset();
-        let index = PoiIndex::build(&ds.network, &ds.pois, 0.5);
-        let maps = EpsilonMaps::build(&ds.network, &index, 0.4);
-        let path = temp_path("eps");
-        let mut w = SnapshotWriter::new();
-        write_epsilon_maps(&mut w, "eps", &maps).unwrap();
-        w.write_to(&path).unwrap();
-        let snap = Snapshot::open(&path).unwrap();
-        let cells = index.grid().num_cells();
-        let back = read_epsilon_maps(&snap, "eps", ds.network.num_segments(), cells).unwrap();
-        // Maps written for another network or grid are corrupt, not a panic.
-        for (segments, cells) in [(ds.network.num_segments() + 1, cells), (1, cells), (2, 3)] {
-            let err = read_epsilon_maps(&snap, "eps", segments, cells).unwrap_err();
-            assert_eq!(err.category(), soi_common::ErrorCategory::Data);
-        }
-        std::fs::remove_file(&path).ok();
-        assert!(maps == back, "the loaded maps must equal the built ones");
-    }
-
-    #[test]
-    fn bundle_round_trips_and_preloads_eps() {
-        let ds = sample_dataset();
-        let p = params();
-        let bundle = build_bundle(&ds, &p);
-        let path = temp_path("bundle");
-        write_bundle(&path, &ds, &bundle, &p).unwrap();
-        let ReadOutcome::Loaded(back) = read_bundle(&path, &ds, &p).unwrap() else {
-            panic!("freshly written bundle reported stale");
+        let without = params();
+        let with = BundleParams {
+            eps: Some(0.4),
+            ..without
         };
-        std::fs::remove_file(&path).ok();
-        assert!(bundle.poi == back.poi && bundle.photo_grid == back.photo_grid);
-        assert!(back.ir.is_some());
-        // The ε-maps were preloaded: the cache already holds one entry.
-        assert_eq!(back.poi.epsilon_cache_len(), 1);
-        let a = bundle.poi.epsilon_maps(&ds.network, 0.4);
-        let b = back.poi.epsilon_maps(&ds.network, 0.4);
-        assert!(*a == *b);
+        // `eps` is inert: a bundle written under either value loads under
+        // the other, and no section belongs to it.
+        for (written, read) in [(with, without), (without, with)] {
+            let bundle = build_bundle(&ds, &written);
+            let path = temp_path("bundle");
+            write_bundle(&path, &ds, &bundle, &written).unwrap();
+            let sections = Snapshot::open(&path).unwrap();
+            assert!(sections
+                .sections()
+                .iter()
+                .all(|s| !s.name.starts_with("eps")));
+            let ReadOutcome::Loaded(back) = read_bundle(&path, &ds, &read).unwrap() else {
+                panic!("freshly written bundle reported stale");
+            };
+            std::fs::remove_file(&path).ok();
+            assert!(bundle.poi == back.poi && bundle.photo_grid == back.photo_grid);
+            assert!(back.ir.is_some());
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The container's own unit tests cover each corruption mode against a toy
 //! two-section file; this suite drives the same faults through the full
-//! bundle path — a real `PoiIndex`/`PhotoGrid`/`IrTree`/ε-maps snapshot
+//! bundle path — a real `PoiIndex`/`PhotoGrid`/`IrTree` snapshot
 //! read via [`soi_index::read_bundle`] and [`soi_index::IndexCache`] — and
 //! checks the contract end to end:
 //!
@@ -12,7 +12,7 @@
 //!   snapshot as a miss: rebuild, rewrite, and the *next* start hits;
 //! - [`CacheMode::Strict`] fails loudly instead.
 //!
-//! Below the container sits the section set of format version 2 — every
+//! Below the container sits the section set of format version 3 — every
 //! cell/keyword/segment keyed map a `Csr` column pair (`.s` row starts,
 //! `.i` items). A file whose checksums are all valid but whose columns
 //! disagree with each other, the grid or the dataset is the same `Data`
@@ -90,7 +90,7 @@ fn params() -> BundleParams {
     BundleParams {
         poi_cell: 0.5,
         pg_cell: 0.5,
-        eps: Some(0.25),
+        eps: None,
         with_ir: true,
         threads: 1,
     }
@@ -407,7 +407,7 @@ fn inconsistent_columns_are_data_errors_never_panics() {
         ("starts-not-from-zero", "poi.cp.s", first_set_to(1)),
         ("starts-decrease", "poi.r.s", as_u32s(|v| v[1] = u32::MAX)),
         ("starts-end-short-of-items", "pg.ph.s", end_moved(-1)),
-        ("starts-end-past-items", "eps.s2c.s", end_moved(1)),
+        ("starts-end-past-items", "poi.r.s", end_moved(1)),
         // The run directory's ends are the docs column's row starts.
         ("run-end-past-docs", "poi.rd.s", end_moved(5)),
         (
@@ -417,8 +417,12 @@ fn inconsistent_columns_are_data_errors_never_panics() {
         ),
         ("empty-postings-run", "poi.rd.s", as_u32s(|v| v[1] = 0)),
         ("row-count-not-grid-cells", "pg.ph.s", extra_row()),
-        ("eps-maps-of-another-grid", "eps.c2s.s", extra_row()),
-        ("eps-maps-of-another-network", "eps.s2c.s", extra_row()),
+        ("raster-of-another-grid", "poi.r.s", extra_row()),
+        (
+            "length-list-of-another-network",
+            "poi.slen",
+            as_u32s(|v| v.push(0)),
+        ),
         // A weight column (f64) that does not cover the grid.
         (
             "weights-too-short",
@@ -433,16 +437,6 @@ fn inconsistent_columns_are_data_errors_never_panics() {
             "raster-segment-out-of-range",
             "poi.r.i",
             first_set_to(num_segments),
-        ),
-        (
-            "eps-segment-out-of-range",
-            "eps.c2s.i",
-            first_set_to(num_segments),
-        ),
-        (
-            "eps-cell-out-of-range",
-            "eps.s2c.i",
-            first_set_to(num_cells),
         ),
         (
             "global-cell-out-of-range",
@@ -500,33 +494,38 @@ fn inconsistent_columns_are_data_errors_never_panics() {
     }
 }
 
-/// A snapshot of the previous format version is a categorized error that
+/// A snapshot of a previous format version is a categorized error that
 /// names both versions — never misread — and the cache answers it the way
 /// it answers any unusable file: lenient rebuilds and rewrites, strict
 /// refuses.
 #[test]
 fn previous_format_version_is_rejected_and_the_cache_rebuilds() {
     let dataset = sample_dataset();
-    let as_version_1 = |b: &mut Vec<u8>| b[8..12].copy_from_slice(&1u32.to_ne_bytes());
-    assert_eq!(FORMAT_VERSION, 2, "extend this test with the new version");
+    let set_version = |b: &mut Vec<u8>, v: u32| b[8..12].copy_from_slice(&v.to_ne_bytes());
+    assert_eq!(FORMAT_VERSION, 3, "extend this test with the new version");
 
-    let err = read_mutated("v1", &dataset, &pristine_image(&dataset), as_version_1).unwrap_err();
-    assert_eq!(err.category(), ErrorCategory::Data);
-    let msg = err.to_string();
-    assert!(
-        msg.contains("version 1") && msg.contains("supports 2") && msg.contains(".soisnap"),
-        "error must name both versions and the file: {msg}"
-    );
+    let image = pristine_image(&dataset);
+    for old in [1, 2] {
+        let err = read_mutated("old", &dataset, &image, |b| set_version(b, old)).unwrap_err();
+        assert_eq!(err.category(), ErrorCategory::Data);
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&format!("version {old}"))
+                && msg.contains("supports 3")
+                && msg.contains(".soisnap"),
+            "error must name both versions and the file: {msg}"
+        );
+    }
 
     // The cache keys file names by format version, so it would not even
-    // open a version-1 file; put one exactly where it looks anyway.
-    let dir = std::env::temp_dir().join(format!("soi-fault-v1-{}", std::process::id()));
+    // open a version-2 file; put one exactly where it looks anyway.
+    let dir = std::env::temp_dir().join(format!("soi-fault-v2-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let cache = IndexCache::new(&dir, CacheMode::Lenient);
     cache.load_or_build(&dataset, &params()).unwrap();
     let snap = cache.snapshot_path(&dataset, &params());
     let mut bytes = std::fs::read(&snap).unwrap();
-    as_version_1(&mut bytes);
+    set_version(&mut bytes, 2);
     std::fs::write(&snap, &bytes).unwrap();
 
     let strict = IndexCache::new(&dir, CacheMode::Strict);

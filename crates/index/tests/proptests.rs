@@ -103,7 +103,7 @@ proptest! {
     }
 
     #[test]
-    fn lazy_and_eager_epsilon_maps_agree(
+    fn lazy_and_eager_maps_agree(
         specs in poi_specs(),
         eps in 0.05f64..1.5,
         cell in 0.3f64..1.2,
@@ -142,7 +142,12 @@ proptest! {
         let maps = EpsilonMaps::build(&network, &index, eps);
         let query = KeywordSet::from_ids(query_kws.iter().map(|&k| KeywordId(k)));
         for seg in network.segments() {
-            let eager = index.segment_mass(&pois, &network, seg.id, &query, &maps);
+            // Definition 1 over the reference maps' eager `Cε(ℓ)`.
+            let eager: f64 = maps
+                .cells_of_segment(seg.id)
+                .iter()
+                .map(|&c| index.cell_mass_for_segment(&pois, c, &seg.geom, &query, eps))
+                .sum();
             let lazy = index.segment_mass_lazy(&pois, &network, seg.id, &query, eps);
             let brute: f64 = pois
                 .iter()

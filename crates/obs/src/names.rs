@@ -54,8 +54,6 @@ pub mod spans {
     pub const INDEX_BUILD_RASTER: &str = "index.build.raster";
     /// Index build phase 5: length-sorted segment list.
     pub const INDEX_BUILD_LENGTHS: &str = "index.build.lengths";
-    /// Query-time ε-augmented map construction (an ε-cache miss).
-    pub const EPS_MAPS_BUILD: &str = "index.eps_maps.build";
     /// Loading an index bundle from a snapshot file (cold start).
     pub const SNAPSHOT_LOAD: &str = "index.snapshot.load";
     /// Writing an index bundle to a snapshot file.
@@ -94,7 +92,6 @@ pub fn is_known_span(name: &str) -> bool {
         spans::INDEX_BUILD_GLOBAL,
         spans::INDEX_BUILD_RASTER,
         spans::INDEX_BUILD_LENGTHS,
-        spans::EPS_MAPS_BUILD,
         spans::SNAPSHOT_LOAD,
         spans::SNAPSHOT_WRITE,
         spans::CLI_LOAD,
@@ -145,7 +142,6 @@ mod tests {
             spans::INDEX_BUILD_GLOBAL,
             spans::INDEX_BUILD_RASTER,
             spans::INDEX_BUILD_LENGTHS,
-            spans::EPS_MAPS_BUILD,
             spans::SNAPSHOT_LOAD,
             spans::SNAPSHOT_WRITE,
             spans::CLI_LOAD,

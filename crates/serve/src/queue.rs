@@ -43,12 +43,6 @@ pub struct SlotMeta {
     pub error: bool,
     /// Source-list accesses performed (k-SOI work counter).
     pub accesses: u64,
-    /// ε-map cache hits while this job ran: the process counter sampled on
-    /// the worker around the job. Exact when no other worker ran a job
-    /// over the same interval; otherwise it includes their lookups.
-    pub eps_cache_hits: u64,
-    /// ε-map cache misses while this job ran (same sampling).
-    pub eps_cache_misses: u64,
     /// The serving epoch the job pinned.
     pub epoch: u64,
     /// Chrome-trace JSON captured for this request, when asked for.

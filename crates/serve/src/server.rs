@@ -342,7 +342,7 @@ pub fn serve(
     let params = soi_index::BundleParams {
         poi_cell: cell,
         pg_cell: cell,
-        eps: Some(config.eps),
+        eps: None,
         with_ir: false,
         threads: config.engine_threads,
     };
@@ -693,8 +693,6 @@ struct RequestMeta {
     shed: bool,
     error: bool,
     accesses: u64,
-    eps_cache_hits: u64,
-    eps_cache_misses: u64,
     /// The serving epoch the request executed against (0 when the
     /// request never touched query state).
     epoch: u64,
@@ -814,8 +812,6 @@ fn finish_request(
         shed: meta.shed,
         error,
         accesses: meta.accesses,
-        eps_cache_hits: meta.eps_cache_hits,
-        eps_cache_misses: meta.eps_cache_misses,
         epoch: meta.epoch,
         trace_json: meta.trace_json,
         explain_json: meta.explain_json,
@@ -1244,7 +1240,9 @@ fn request_budget(config: &ServeConfig, body: &Json) -> Result<QueryBudget> {
                 .as_f64()
                 .filter(|ms| *ms > 0.0 && ms.is_finite())
                 .ok_or_else(|| SoiError::invalid("deadline_ms must be a positive number"))?;
-            Duration::from_secs_f64(ms / 1e3).min(config.max_deadline)
+            // Clamped as a float first: `from_secs_f64` panics above
+            // `Duration`'s range.
+            Duration::from_secs_f64((ms / 1e3).min(config.max_deadline.as_secs_f64()))
         }
     };
     Ok(QueryBudget::from_timeout(timeout))
@@ -1758,8 +1756,6 @@ fn submit_and_wait(shared: &Shared<'_>, submission: Submission) -> (HttpTuple, R
                 shed: false,
                 error: slot_meta.error,
                 accesses: slot_meta.accesses,
-                eps_cache_hits: slot_meta.eps_cache_hits,
-                eps_cache_misses: slot_meta.eps_cache_misses,
                 epoch: slot_meta.epoch,
                 trace_json: slot_meta.trace_json,
                 explain_json: slot_meta.explain_json,
@@ -1834,7 +1830,6 @@ fn run_job(shared: &Shared<'_>, worker: &mut EngineWorker, job: Job, queue_wait:
     // Pinned for the whole job: it sees one coherent base+delta state, and
     // an ingest swap landing mid-run only affects jobs claimed later.
     let state = shared.epochs.pin();
-    let (hits_before, misses_before, _) = soi_index::obs::epsilon_cache_counters();
     let (status, body, mut meta) = match &job.kind {
         JobKind::Soi(query) => {
             let ctx = QueryContext::with_delta(
@@ -1873,10 +1868,7 @@ fn run_job(shared: &Shared<'_>, worker: &mut EngineWorker, job: Job, queue_wait:
             })
         }
     };
-    let (hits_after, misses_after, _) = soi_index::obs::epsilon_cache_counters();
     meta.queue = queue_wait;
-    meta.eps_cache_hits = hits_after.saturating_sub(hits_before);
-    meta.eps_cache_misses = misses_after.saturating_sub(misses_before);
     meta.epoch = state.epoch;
     job.slot.put_with_meta(status, body, meta);
 }

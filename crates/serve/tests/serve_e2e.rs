@@ -892,15 +892,15 @@ fn ring_record(addr: SocketAddr, response: &soi_serve::client::Response) -> Json
 }
 
 /// An explained `/soi` body with what legitimately differs between two
-/// runs of one query removed: the request id, and the explain report's
-/// wall-clock phases and process-wide ε-cache counter deltas.
+/// runs of one query removed: the request id and the explain report's
+/// wall-clock phases.
 fn explained_body_without_run_noise(body: &str) -> Json {
     let Json::Obj(mut fields) = parse(&without_request_id(body)).expect("valid JSON") else {
         panic!("body is not an object: {body}");
     };
     for (name, value) in &mut fields {
         if let ("explain", Json::Obj(report)) = (name.as_str(), value) {
-            report.retain(|(k, _)| k != "phases_ms" && k != "eps_cache");
+            report.retain(|(k, _)| k != "phases_ms");
         }
     }
     Json::Obj(fields)
@@ -982,6 +982,36 @@ fn describe_rejects_a_negative_street_id_instead_of_answering_for_street_zero() 
     assert_eq!(report.panics, 0);
 }
 
+/// Regression: `k` sized a heap before anything bounded it (`k: 1e17`
+/// aborted the process on a failed allocation), and `deadline_ms` was
+/// converted to a `Duration` before it was clamped (`1e300` panicked the
+/// handler). Both are numbers a request chooses.
+#[test]
+fn k_and_deadline_beyond_their_types_range_answer_like_the_largest_sane_value() {
+    let ((), report) = with_server(test_config(), |addr| {
+        let soi = |k: &str, deadline_ms: &str| {
+            let body = format!(
+                "{{\"keywords\":[\"food\"],\"k\":{k},\"eps\":0.002,\"deadline_ms\":{deadline_ms}}}"
+            );
+            let r = request(addr, "POST", "/soi", Some(&body), TIMEOUT).expect("soi");
+            assert_eq!(r.status, 200, "k={k} deadline_ms={deadline_ms}: {}", r.body);
+            parse(&r.body).expect("valid JSON")
+        };
+        let every_street = soi(&dataset().network.num_streets().to_string(), "30000");
+        let results = every_street.get("results").and_then(Json::as_arr);
+        assert!(results.is_some_and(|r| !r.is_empty()));
+        for k in ["1e17", "1e300"] {
+            assert_eq!(soi(k, "30000").get("results"), every_street.get("results"));
+        }
+        let unbounded = soi("5", "1e300");
+        assert_eq!(unbounded.get("partial"), Some(&Json::Bool(false)));
+        let status = request(addr, "GET", "/status", None, TIMEOUT).expect("status");
+        assert_eq!(status.status, 200);
+    });
+    assert!(report.drained);
+    assert_eq!(report.panics, 0);
+}
+
 #[test]
 fn one_engine_worker_answers_any_interleaving_like_a_fresh_scratch() {
     use soi_core::describe::{st_rel_div, ContextBuilder, DescribeParams, PhiSource};
@@ -1002,7 +1032,7 @@ fn one_engine_worker_answers_any_interleaving_like_a_fresh_scratch() {
         &soi_index::BundleParams {
             poi_cell: cell,
             pg_cell: cell,
-            eps: Some(config.eps),
+            eps: None,
             with_ir: false,
             threads: 1,
         },

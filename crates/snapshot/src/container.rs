@@ -33,7 +33,8 @@ pub const MAGIC: [u8; 8] = *b"SOISNAP1";
 /// - 1: per-structure occupied-cell id columns with `u64` offset triplets.
 /// - 2: every cell/keyword/segment keyed map is one dense `Csr` column pair
 ///   (`{p}.s` row starts as `u32`, `{p}.i` items); no id columns.
-pub const FORMAT_VERSION: u32 = 2;
+/// - 3: no `eps.*` sections and no ε slot in `cache.meta` (4 values).
+pub const FORMAT_VERSION: u32 = 3;
 /// Endianness probe constant, stored native-endian.
 pub const ENDIAN_TAG: u32 = 0x0A0B_0C0D;
 /// Header size in bytes.

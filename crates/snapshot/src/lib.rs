@@ -2,7 +2,7 @@
 //! alignment-aware snapshots of the offline index structures.
 //!
 //! Every offline structure in this workspace (`PoiIndex`, `PhotoGrid`,
-//! `IrTree`, ε-maps, the STR R-tree, flat text postings) is at heart a
+//! `IrTree`, the STR R-tree, flat text postings) is at heart a
 //! handful of flat `u32`/`u64`/`f64` arrays in CSR layouts. This crate
 //! stores those arrays verbatim — native-endian plain-old-data — inside a
 //! single container file, so loading an index is a *validated cast*, not a
