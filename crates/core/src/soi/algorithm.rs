@@ -50,7 +50,7 @@ use crate::soi::strategy::Source;
 use soi_common::{top_k_by_score, CellId, Result, ScoredItem, SegmentId, StreetId, TopKTracker};
 use soi_data::PoiView;
 use soi_geo::LineSeg;
-use soi_index::IndexView;
+use soi_index::{mass_within, IndexView};
 use soi_network::RoadNetwork;
 use std::collections::BinaryHeap;
 
@@ -167,11 +167,70 @@ struct Inputs<'a> {
 }
 
 impl Inputs<'_> {
-    /// Exact mass `cell` contributes to the segment with geometry `geom`.
-    fn cell_mass(&self, cell: CellId, geom: &LineSeg) -> f64 {
+    /// Exact mass `cell` contributes to the segment with geometry `geom`
+    /// (Procedure UpdateInterest): which POIs of the cell are relevant, and
+    /// where they are, is gathered on the query's first visit to the cell;
+    /// every visit then distance-tests the gathered run against its segment.
+    fn cell_mass(&self, gathered: &mut Gathered, cell: CellId, geom: &LineSeg) -> f64 {
         let q = self.query;
-        self.index
-            .cell_mass_for_segment(self.pois, cell, geom, &q.keywords, q.eps)
+        let Gathered {
+            range,
+            cells,
+            x,
+            y,
+            w,
+        } = gathered;
+        let range = &mut range[cell.index()];
+        if *range == UNGATHERED {
+            let start = x.len() as u32;
+            self.index
+                .for_each_relevant_poi(self.pois, cell, &q.keywords, |px, py, weight| {
+                    x.push(px);
+                    y.push(py);
+                    w.push(weight);
+                });
+            *range = (start, x.len() as u32);
+            cells.push(cell);
+        }
+        let at = range.0 as usize..range.1 as usize;
+        mass_within(geom, q.eps, &x[at.clone()], &y[at.clone()], &w[at])
+    }
+}
+
+/// `Gathered::range` entry of a cell the query has not visited yet (no real
+/// range ends before it starts).
+const UNGATHERED: (u32, u32) = (u32::MAX, 0);
+
+/// The relevant POIs of every cell the query has visited, as coordinate and
+/// weight columns: a cell is gathered once, then scanned once per segment
+/// that visits it. Dense over the grid cells and emptied by walking what
+/// the previous query gathered.
+#[derive(Default)]
+struct Gathered {
+    /// Per grid cell: its span of the columns, [`UNGATHERED`] until visited.
+    range: Vec<(u32, u32)>,
+    /// The cells with a range, in first-visit order.
+    cells: Vec<CellId>,
+    x: Vec<f64>,
+    y: Vec<f64>,
+    w: Vec<f64>,
+}
+
+impl Gathered {
+    /// Empties the columns and fits the table to a grid of `num_cells`
+    /// holding `num_pois` POIs: room for every one is reserved here, so no
+    /// visit reallocates (reserved is address space; a page is touched only
+    /// once a query gathers that far).
+    fn reset(&mut self, num_cells: usize, num_pois: usize) {
+        for cell in self.cells.drain(..) {
+            self.range[cell.index()] = UNGATHERED;
+        }
+        self.range.resize(num_cells, UNGATHERED);
+        self.cells.reserve(num_cells);
+        for column in [&mut self.x, &mut self.y, &mut self.w] {
+            column.clear();
+            column.reserve(num_pois);
+        }
     }
 }
 
@@ -212,6 +271,7 @@ impl SeenTables {
 /// Mutable algorithm state shared by the access handlers.
 struct Filtering<'s> {
     seen: &'s mut SeenTables,
+    gathered: &'s mut Gathered,
     /// Incremental k-th-largest tracker over `street_best`: `LBk`
     /// (Alg. 1 lines 23–24) is always fresh at O(log S) per update.
     lbk: TopKTracker<StreetId>,
@@ -308,7 +368,7 @@ impl Filtering<'_> {
             return;
         }
         let s = inputs.network.segment(seg);
-        let gained = inputs.cell_mass(cell, &s.geom);
+        let gained = inputs.cell_mass(self.gathered, cell, &s.geom);
         state.mass += gained;
         stats.cell_visits += 1;
         if state.visited_count == state.span.len {
@@ -372,7 +432,7 @@ impl Filtering<'_> {
             }
             bits[word] |= bit;
             state.visited_count += 1;
-            state.mass += inputs.cell_mass(cell, &s.geom);
+            state.mass += inputs.cell_mass(self.gathered, cell, &s.geom);
             stats.cell_visits += 1;
         }
         state.finalized = true;
@@ -434,16 +494,20 @@ impl<'a> RelPrefix<'a> {
 }
 
 /// Reusable working memory for [`run_soi`]: the source-list vectors, the
-/// dense per-cell / per-segment / per-street tables and the cell-list
-/// arenas, so a warm query allocates none of them.
+/// dense per-cell / per-segment / per-street tables, the cell-list arenas
+/// and the gathered relevant-POI columns, so a warm query allocates none of
+/// them.
 ///
 /// Hold one per worker thread and pass it to
 /// [`run_soi_with_scratch`]; results are identical to [`run_soi`]. Every
 /// table is emptied on entry by walking what the previous query touched
 /// and re-fitted to the network and grid at hand, so one scratch may serve
 /// different datasets in turn. A worker retains about
-/// `8·|grid cells| + 4·|segments| + 12·|streets|` bytes of tables plus the
-/// high-water marks of the lists.
+/// `16·|grid cells| + 4·|segments| + 12·|streets|` bytes of tables plus the
+/// high-water marks of the lists, the largest of which is the gathered
+/// columns: 24 bytes per distinct relevant POI in the cells visited by the
+/// heaviest query served so far (of `24·|POIs|` bytes reserved, untouched
+/// beyond that mark).
 #[derive(Default)]
 pub struct SoiScratch {
     relcount: Vec<f64>,
@@ -454,6 +518,7 @@ pub struct SoiScratch {
     sl2: BinaryHeap<Ranked<SegmentId>>,
     slf: BinaryHeap<Ranked<SegmentId>>,
     seen: SeenTables,
+    gathered: Gathered,
     segs_near_cell: Vec<SegmentId>,
     /// Rank phase — per street: 1 + its index in `best`, 0 if none.
     street_slot: Vec<u32>,
@@ -644,8 +709,10 @@ pub fn run_soi_full<'a>(
         relprefix,
     };
     scratch.seen.reset(network);
+    scratch.gathered.reset(index.grid().num_cells(), pois.len());
     let mut fil = Filtering {
         seen: &mut scratch.seen,
+        gathered: &mut scratch.gathered,
         lbk: TopKTracker::new(query.k),
     };
 
@@ -801,7 +868,7 @@ pub fn run_soi_full<'a>(
     // Skipped entirely on deadline expiry: the anytime contract is a
     // *lower-bound* top-k, and every accumulated mass is already a valid
     // lower bound — spending more time refining would defeat the deadline.
-    let seen = fil.seen;
+    let (seen, gathered) = (fil.seen, fil.gathered);
     if !expired {
         stats.timer.enter(phases::REFINEMENT);
         lbk = if config.paper_bounds_only {
@@ -819,7 +886,7 @@ pub fn run_soi_full<'a>(
             }
             let mut extra = 0.0;
             for cell in unvisited(cells, bits) {
-                extra += inputs.cell_mass(cell, &s.geom);
+                extra += inputs.cell_mass(gathered, cell, &s.geom);
                 stats.cell_visits += 1;
             }
             state.mass += extra;

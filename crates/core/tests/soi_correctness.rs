@@ -11,14 +11,14 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use soi_common::KeywordId;
+use soi_common::{FxHashMap, KeywordId, StreetId};
 use soi_core::soi::{
-    brute_force, exact_street_interests, run_baseline, run_soi, AccessStrategy, SoiConfig,
-    SoiQuery, StreetAggregate,
+    brute_force, exact_street_interests, run_baseline, run_soi, run_soi_with_scratch,
+    AccessStrategy, SoiConfig, SoiOutcome, SoiQuery, SoiScratch, StreetAggregate,
 };
-use soi_data::PoiCollection;
+use soi_data::{PhotoCollection, PoiCollection};
 use soi_geo::Point;
-use soi_index::PoiIndex;
+use soi_index::{DeltaIndex, DeltaOp, IndexView, PoiIndex};
 use soi_network::RoadNetwork;
 use soi_text::KeywordSet;
 
@@ -103,6 +103,43 @@ fn baseline_matches_brute_force() {
     }
 }
 
+/// Asserts that `out` is a valid exact top-k under `exact` (the street
+/// interests by brute force): the right size, every returned interest
+/// exact, no excluded street above the worst returned one.
+fn assert_valid_topk(
+    out: &SoiOutcome,
+    exact: &FxHashMap<StreetId, f64>,
+    query: &SoiQuery,
+    what: &str,
+) {
+    let positive = exact.values().filter(|&&v| v > 0.0).count();
+    assert_eq!(
+        out.results.len(),
+        query.k.min(positive),
+        "{what}: wrong result size"
+    );
+    for r in &out.results {
+        let want = exact[&r.street];
+        assert!(
+            (r.interest - want).abs() < 1e-9,
+            "{what}: street {:?} interest {} != exact {want}",
+            r.street,
+            r.interest,
+        );
+    }
+    let min_returned = out.min_interest();
+    let returned: Vec<_> = out.street_ids();
+    let max_excluded = exact
+        .iter()
+        .filter(|(id, _)| !returned.contains(id))
+        .map(|(_, &v)| v)
+        .fold(0.0f64, f64::max);
+    assert!(
+        max_excluded <= min_returned + 1e-9,
+        "{what}: excluded street with interest {max_excluded} beats returned minimum {min_returned}",
+    );
+}
+
 #[test]
 fn soi_returns_valid_topk_under_all_strategies() {
     for seed in 0..15u64 {
@@ -112,8 +149,6 @@ fn soi_returns_valid_topk_under_all_strategies() {
         let index = PoiIndex::build(&network, &pois, 0.5);
         let query = random_query(&mut rng);
         let exact = exact_street_interests(&network, &pois, &query);
-        let positive = exact.values().filter(|&&v| v > 0.0).count();
-        let expected_len = query.k.min(positive);
 
         for strategy in AccessStrategy::all() {
             for paper_bounds_only in [false, true] {
@@ -122,40 +157,60 @@ fn soi_returns_valid_topk_under_all_strategies() {
                     paper_bounds_only,
                 };
                 let out = run_soi(&network, &pois, &index, &query, &config).unwrap();
-
-                assert_eq!(
-                    out.results.len(),
-                    expected_len,
-                    "seed {seed} strategy {}: wrong result size",
-                    strategy.name()
-                );
-                // Returned interests are exact.
-                for r in &out.results {
-                    let want = exact[&r.street];
-                    assert!(
-                        (r.interest - want).abs() < 1e-9,
-                        "seed {seed} strategy {}: street {:?} interest {} != exact {}",
-                        strategy.name(),
-                        r.street,
-                        r.interest,
-                        want
-                    );
-                }
-                // Valid top-k: no excluded street beats the worst returned.
-                let min_returned = out.min_interest();
-                let returned: Vec<_> = out.street_ids();
-                let max_excluded = exact
-                    .iter()
-                    .filter(|(id, _)| !returned.contains(id))
-                    .map(|(_, &v)| v)
-                    .fold(0.0f64, f64::max);
-                assert!(
-                    max_excluded <= min_returned + 1e-9,
-                    "seed {seed} strategy {}: excluded street with \
-                 interest {max_excluded} beats returned minimum {min_returned}",
-                    strategy.name()
-                );
+                let what = format!("seed {seed} strategy {}", strategy.name());
+                assert_valid_topk(&out, &exact, &query, &what);
             }
+        }
+    }
+}
+
+#[test]
+fn soi_under_a_live_delta_matches_brute_force_over_the_folded_pois() {
+    // Weighted POIs, a sealed delta that deletes a fifth of them and adds
+    // as many again (some outside every base-occupied cell): Alg. 1 reading
+    // through the base+delta views must answer like brute force over the
+    // collection the delta folds into — through one scratch, so a cell
+    // gathered for one query is gathered afresh for the next.
+    let mut scratch = SoiScratch::default();
+    for seed in 0..15u64 {
+        let mut rng = StdRng::seed_from_u64(2000 + seed);
+        let network = random_city(&mut rng, 6, 6);
+        let pois = random_pois(&mut rng, 200, 5.0);
+        let index = PoiIndex::build(&network, &pois, 0.5);
+        let mut ops: Vec<DeltaOp> = pois
+            .iter()
+            .filter(|_| rng.random_range(0..5) == 0)
+            .map(|p| DeltaOp::DeletePoi { id: p.id })
+            .collect();
+        let adds = random_pois(&mut rng, 40, 4.0);
+        // (A delta cannot add outside the extent the grid was built over.)
+        for p in adds
+            .iter()
+            .filter(|p| index.grid().cell_containing(p.pos).is_some())
+        {
+            ops.push(DeltaOp::AddPoi {
+                pos: p.pos,
+                keywords: p.keywords.clone(),
+                weight: p.weight + rng.random_range(0.0..1.5),
+            });
+        }
+        let delta = DeltaIndex::seal(&index, &pois, &PhotoCollection::new(), &ops).unwrap();
+        let (folded, _) = delta.apply_to(&pois, &PhotoCollection::new());
+        let view = IndexView::new(&index, Some(&delta));
+
+        for _ in 0..3 {
+            let query = random_query(&mut rng);
+            let exact = exact_street_interests(&network, &folded, &query);
+            let out = run_soi_with_scratch(
+                &network,
+                delta.poi_view(&pois),
+                view,
+                &query,
+                &SoiConfig::default(),
+                &mut scratch,
+            )
+            .unwrap();
+            assert_valid_topk(&out, &exact, &query, &format!("seed {seed}"));
         }
     }
 }

@@ -939,11 +939,12 @@ mod tests {
     fn one_worker_answers_like_a_fresh_one_after_any_history() {
         // The serving shape: one long-lived worker, one job at a time. Its
         // scratch meets two datasets with different segment, street and
-        // grid-cell counts in turn (the dense tables re-fit), shapes that
-        // grow and shrink it (wide keyword sets at a large ε, then one
-        // keyword at a small one, then wide again), and a deadline-expired
-        // partial before every full run. Every full answer must equal a
-        // fresh worker's, every work counter included.
+        // grid-cell counts in turn (the dense tables re-fit), the second
+        // both bare and under a live delta (the same cells gather other
+        // POIs), shapes that grow and shrink it (wide keyword sets at a
+        // large ε, then one keyword at a small one, then wide again), and a
+        // deadline-expired partial before every full run. Every full answer
+        // must equal a fresh worker's, every work counter included.
         let (vienna, vienna_index) = fixture();
         let (berlin, _) = soi_datagen::generate(&soi_datagen::berlin(0.05));
         let berlin_index = PoiIndex::build(&berlin.network, &berlin.pois, 0.002);
@@ -952,6 +953,26 @@ mod tests {
             vienna_index.grid().num_cells(),
             berlin_index.grid().num_cells()
         );
+        // Every third POI goes; every seventh comes back twice as heavy.
+        let ops: Vec<soi_index::DeltaOp> = berlin
+            .pois
+            .iter()
+            .step_by(3)
+            .map(|p| soi_index::DeltaOp::DeletePoi { id: p.id })
+            .chain(
+                berlin
+                    .pois
+                    .iter()
+                    .step_by(7)
+                    .map(|p| soi_index::DeltaOp::AddPoi {
+                        pos: p.pos,
+                        keywords: p.keywords.clone(),
+                        weight: 2.0 * p.weight,
+                    }),
+            )
+            .collect();
+        let berlin_delta =
+            DeltaIndex::seal(&berlin_index, &berlin.pois, &berlin.photos, &ops).expect("valid ops");
         let worlds = [
             (
                 QueryContext::new(&vienna.network, &vienna.pois, &vienna_index),
@@ -959,6 +980,16 @@ mod tests {
             ),
             (
                 QueryContext::new(&berlin.network, &berlin.pois, &berlin_index),
+                &berlin,
+            ),
+            (
+                QueryContext::with_delta(
+                    &berlin.network,
+                    &berlin.pois,
+                    &berlin_index,
+                    Some(&berlin_delta),
+                    1,
+                ),
                 &berlin,
             ),
         ];
@@ -989,8 +1020,10 @@ mod tests {
             (0, 1),
             (0, 0),
             (1, 0),
+            (2, 0),
             (0, 2),
             (1, 1),
+            (2, 2),
             (1, 0),
             (0, 0),
         ] {

@@ -51,7 +51,7 @@ pub use epsilon::EpsilonMaps;
 pub use ir_tree::{IrTree, KeywordSummary, PoiEntry};
 pub use photo_grid::PhotoGrid;
 pub use poi_index::{PoiCell, PoiIndex};
-pub use view::IndexView;
+pub use view::{mass_within, IndexView};
 // Re-exported so downstream crates can resume the [`ops_hasher`] state
 // without a direct soi-snapshot dependency.
 pub use snapshot::{

@@ -88,8 +88,9 @@ impl<'a> PoiCell<'a> {
 /// Equality compares every column (floats by bit pattern): two equal
 /// indexes answer every query identically. The
 /// columns are crate-visible for the snapshot codec (see
-/// [`crate::snapshot`]), which writes them as they are and validates them
-/// against each other and the dataset before [`PoiIndex::from_columns`].
+/// [`crate::snapshot`]), which writes the persisted ones as they are and
+/// validates them against each other and the dataset before
+/// [`PoiIndex::from_columns`] derives the slot columns from them.
 #[derive(Debug)]
 pub struct PoiIndex {
     pub(crate) grid: Grid,
@@ -111,6 +112,81 @@ pub struct PoiIndex {
     /// through each cell (occupied or not), built offline. The ε-augmented
     /// `Lε(c)` is derived from it lazily at query time.
     pub(crate) raster: Csr<SegmentId>,
+    /// slot → `[x, y, weight]` of the POI `cell_pois.items()[slot]`. A
+    /// *slot* is an index into `cell_pois.items()`: a cell's slots are one
+    /// contiguous range, ascending slot = ascending id within the cell.
+    /// Derived by [`derive_slot_columns`], not persisted.
+    pub(crate) slot_xyw: Vec<[f64; 3]>,
+    /// Parallel to `run_docs.items()`: the slot of each posting, so a
+    /// run is an ascending list of positions in its cell's slot range.
+    /// Derived by [`derive_slot_columns`], not persisted.
+    pub(crate) run_slots: Vec<u32>,
+}
+
+/// Derives the two cell-major slot columns Alg. 1's mass path reads
+/// (`slot_xyw`, `run_slots`) from the persisted columns and the dataset.
+///
+/// Total over any checksummed input — every lookup is bounds-checked and
+/// the work is one pass each over the members, the POIs and the postings — and
+/// the place the conditions *between* the columns are enforced: no POI is a
+/// member of two cells, and every posting of a run names a member of the
+/// run's own cell. That a cell's members ascend, so that ascending slot is
+/// ascending id, is a per-column condition the snapshot reader checks
+/// beside the others.
+///
+/// # Errors
+/// A message naming the first violated condition.
+fn derive_slot_columns(
+    cell_pois: &Csr<PoiId>,
+    cell_kws: &Csr<KeywordId>,
+    run_docs: &Csr<PoiId>,
+    pois: &PoiCollection,
+) -> Result<(Vec<[f64; 3]>, Vec<u32>), String> {
+    const UNPLACED: u32 = u32::MAX;
+    let members = cell_pois.items();
+    // POI → slot first: the coordinate pass below then reads the POI
+    // records in id order (sequentially) instead of in cell order.
+    let mut slot_of = vec![UNPLACED; pois.len()];
+    for (slot, id) in members.iter().enumerate() {
+        let placed = slot_of.get_mut(id.index()).ok_or_else(|| {
+            format!(
+                "poi cell members: id {} out of bounds (limit {})",
+                id.0,
+                pois.len()
+            )
+        })?;
+        if std::mem::replace(placed, slot as u32) != UNPLACED {
+            return Err(format!("poi cell members: POI {} is in two cells", id.0));
+        }
+    }
+    let mut slot_xyw = vec![[0.0; 3]; members.len()];
+    for (poi, &slot) in pois.as_slice().iter().zip(&slot_of) {
+        if slot != UNPLACED {
+            slot_xyw[slot as usize] = [poi.pos.x, poi.pos.y, poi.weight];
+        }
+    }
+    let mut run_slots = Vec::with_capacity(run_docs.items().len());
+    for cell in 0..cell_kws.rows() {
+        let slots = cell_pois.row_range(cell);
+        // A cell's runs are consecutive rows, so its postings are one span.
+        let runs = cell_kws.row_range(cell);
+        if runs.is_empty() {
+            continue;
+        }
+        let postings = run_docs.row_range(runs.start).start..run_docs.row_range(runs.end - 1).end;
+        for doc in run_docs.items().get(postings).unwrap_or(&[]) {
+            match slot_of.get(doc.index()) {
+                Some(&slot) if slots.contains(&(slot as usize)) => run_slots.push(slot),
+                _ => {
+                    return Err(format!(
+                    "poi postings docs: POI {} is in a run of cell {cell} but not a member of it",
+                    doc.0
+                ))
+                }
+            }
+        }
+    }
+    Ok((slot_xyw, run_slots))
 }
 
 impl PartialEq for PoiIndex {
@@ -130,6 +206,9 @@ impl PartialEq for PoiIndex {
             && entry_bits(&self.global).eq(entry_bits(&other.global))
             && self.segments_by_len == other.segments_by_len
             && self.raster == other.raster
+            && weight_bits(self.slot_xyw.as_flattened())
+                .eq(weight_bits(other.slot_xyw.as_flattened()))
+            && self.run_slots == other.run_slots
     }
 }
 
@@ -398,13 +477,17 @@ impl PoiIndex {
         let segments_by_len = len_keys.into_iter().map(|(_, id)| id).collect();
 
         drop(phase5_span);
-        drop(build_span);
-        let m = crate::obs::index_metrics();
-        m.builds.inc();
-        m.build_seconds.observe_duration(build_start.elapsed());
-        crate::obs::record_build_alloc(alloc_before, soi_obs::alloc::totals());
-
-        Self {
+        // The intermediates are as large as the slot columns about to be
+        // derived: freed first, the derive does not raise the build's peak.
+        drop((
+            weights,
+            kw_offsets,
+            kw_flat,
+            run_keys,
+            run_lens,
+            all_triples,
+        ));
+        let index = Self::from_columns(
             grid,
             cell_pois,
             total_weight,
@@ -413,7 +496,15 @@ impl PoiIndex {
             global,
             segments_by_len,
             raster,
-        }
+            pois,
+        )
+        .unwrap_or_else(|why| unreachable!("freshly built columns contradict each other: {why}"));
+        drop(build_span);
+        let m = crate::obs::index_metrics();
+        m.builds.inc();
+        m.build_seconds.observe_duration(build_start.elapsed());
+        crate::obs::record_build_alloc(alloc_before, soi_obs::alloc::totals());
+        index
     }
 
     /// Segments passing through cell `id` (the static raster map; empty if
@@ -589,7 +680,12 @@ impl PoiIndex {
         &self.segments_by_len
     }
 
-    /// Reassembles an index from snapshot-decoded, validated columns.
+    /// Assembles an index from its persisted columns — freshly built or
+    /// snapshot-decoded and validated — deriving the slot columns from them
+    /// and `pois`. The one constructor: no index exists without them.
+    ///
+    /// # Errors
+    /// The columns contradict each other (see [`derive_slot_columns`]).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_columns(
         grid: Grid,
@@ -600,8 +696,10 @@ impl PoiIndex {
         global: Csr<(CellId, f64)>,
         segments_by_len: Vec<SegmentId>,
         raster: Csr<SegmentId>,
-    ) -> Self {
-        Self {
+        pois: &PoiCollection,
+    ) -> Result<Self, String> {
+        let (slot_xyw, run_slots) = derive_slot_columns(&cell_pois, &cell_kws, &run_docs, pois)?;
+        Ok(Self {
             grid,
             cell_pois,
             total_weight,
@@ -610,7 +708,9 @@ impl PoiIndex {
             global,
             segments_by_len,
             raster,
-        }
+            slot_xyw,
+            run_slots,
+        })
     }
 
     /// Exact weighted mass contribution of cell `id` to segment `seg_geom`:
@@ -911,6 +1011,19 @@ mod tests {
         let mut other = pois.clone();
         other.add_weighted(Point::new(3.3, 3.3), kws(&[2]), 1.0);
         assert!(sequential != PoiIndex::build_with_threads(&network, &other, 0.75, 1));
+        // ... and a POI nudged within its cell, which only the derived
+        // coordinate column records.
+        let mut nudged = PoiCollection::new();
+        for p in pois.iter() {
+            let dx = if p.id.index() == 7 { 1e-9 } else { 0.0 };
+            nudged.add_weighted(
+                Point::new(p.pos.x + dx, p.pos.y),
+                p.keywords.clone(),
+                p.weight,
+            );
+        }
+        let nudged = PoiIndex::build_with_threads(&network, &nudged, 0.75, 1);
+        assert!(sequential.cell_pois == nudged.cell_pois && sequential != nudged);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use soi_common::{
     check_csr_offsets, effective_threads, par_chunk_map, CellId, Csr, KeywordId, PoiId, Result,
     SegmentId, SoiError,
 };
-use soi_data::Dataset;
+use soi_data::{Dataset, PoiCollection};
 use soi_geo::{Grid, Point};
 use soi_snapshot::{corrupt, Fnv64, Snapshot, SnapshotWriter, FORMAT_VERSION};
 use soi_text::KeywordSet;
@@ -216,8 +216,9 @@ pub fn write_poi_index(writer: &mut SnapshotWriter, prefix: &str, index: &PoiInd
 }
 
 /// Reads a [`PoiIndex`] stored under `prefix`, validating every column
-/// against the grid, the other columns, and the dataset bounds (`num_pois`
-/// POIs, `num_segments` segments).
+/// against the grid, the other columns, and the dataset bounds (the POIs of
+/// `pois`, `num_segments` segments), then deriving the slot columns — which
+/// are not stored — from the validated ones and `pois`, as a build does.
 ///
 /// # Errors
 /// Missing sections, violated invariants, or out-of-bounds ids
@@ -225,9 +226,10 @@ pub fn write_poi_index(writer: &mut SnapshotWriter, prefix: &str, index: &PoiInd
 pub fn read_poi_index(
     snapshot: &Snapshot,
     prefix: &str,
-    num_pois: usize,
+    pois: &PoiCollection,
     num_segments: usize,
 ) -> Result<PoiIndex> {
+    let num_pois = pois.len();
     let grid = read_grid(snapshot, prefix)?;
     let num_cells = grid.num_cells();
     let bad = |msg: String| corrupt(snapshot.path(), msg);
@@ -239,6 +241,9 @@ pub fn read_poi_index(
         num_pois,
         "poi cell members",
     )?;
+    // Ascending members make ascending slot ascending id: the order the
+    // derived slot columns, and the masses summed over them, rely on.
+    check_rows_ascending(&cell_pois, "poi cell members").map_err(bad)?;
     let total_weight = snapshot.f64s(&format!("{prefix}.cw"))?;
     check_len(total_weight, num_cells, "poi cell weights").map_err(bad)?;
 
@@ -297,7 +302,7 @@ pub fn read_poi_index(
         "raster map",
     )?;
 
-    Ok(PoiIndex::from_columns(
+    PoiIndex::from_columns(
         grid,
         cell_pois,
         total_weight.to_vec(),
@@ -306,7 +311,9 @@ pub fn read_poi_index(
         global,
         segments_by_len,
         raster,
-    ))
+        pois,
+    )
+    .map_err(bad)
 }
 
 // ---------------------------------------------------------------------------
@@ -750,7 +757,7 @@ pub fn read_bundle_with_fingerprint(
     let num_segments = dataset.network.num_segments();
     let threads = params.threads;
 
-    let poi = read_poi_index(&snapshot, "poi", num_pois, num_segments)?;
+    let poi = read_poi_index(&snapshot, "poi", &dataset.pois, num_segments)?;
     let photo_grid = read_photo_grid(&snapshot, "pg", num_photos)?;
     let ir = if with_ir {
         Some(read_ir_tree(&snapshot, "ir", num_pois, threads)?)
@@ -1254,7 +1261,7 @@ mod tests {
         write_poi_index(&mut w, "poi", &index).unwrap();
         w.write_to(&path).unwrap();
         let snap = Snapshot::open(&path).unwrap();
-        let back = read_poi_index(&snap, "poi", ds.pois.len(), ds.network.num_segments()).unwrap();
+        let back = read_poi_index(&snap, "poi", &ds.pois, ds.network.num_segments()).unwrap();
         std::fs::remove_file(&path).ok();
         assert!(index == back, "the loaded index must equal the built one");
     }
@@ -1536,8 +1543,10 @@ mod tests {
         write_poi_index(&mut w, "poi", &index).unwrap();
         w.write_to(&path).unwrap();
         let snap = Snapshot::open(&path).unwrap();
-        // Claim fewer POIs than the postings reference.
-        let err = read_poi_index(&snap, "poi", 1, ds.network.num_segments()).unwrap_err();
+        // A collection holding fewer POIs than the postings reference.
+        let mut one = PoiCollection::new();
+        one.add(Point::new(0.0, 0.0), kws(&[0]));
+        let err = read_poi_index(&snap, "poi", &one, ds.network.num_segments()).unwrap_err();
         assert_eq!(err.category(), soi_common::ErrorCategory::Data);
         std::fs::remove_file(&path).ok();
     }

@@ -18,15 +18,77 @@
 //!   postings with deleted POIs skipped) then delta adds (ascending id) —
 //!   the same physical-POI order a rebuild over the folded collections
 //!   sums in, hence bit-identical masses.
+//! - Alg. 1 splits that mass in two: [`IndexView::for_each_relevant_poi`]
+//!   yields a cell's relevant POIs once per (query, cell), in exactly that
+//!   order, from the base's cell-major slot columns; [`mass_within`] then
+//!   scans the gathered coordinates once per (cell, segment) visit.
+//!   [`IndexView::cell_mass_for_segment`] stays the one-call reference (and
+//!   the baseline's path) the pair is tested against, bit for bit.
 
 use soi_common::{CellId, KeywordId, SegmentId};
 use soi_data::PoiView;
-use soi_geo::{Grid, LineSeg};
+use soi_geo::{Grid, LineSeg, Point};
 use soi_network::RoadNetwork;
 use soi_text::KeywordSet;
 
 use crate::delta::DeltaIndex;
 use crate::poi_index::PoiIndex;
+
+/// Slots per window of the several-keyword union in
+/// [`IndexView::for_each_relevant_poi`]: one bit each in a 512-byte bitmap
+/// on the stack. A larger cell is unioned window after window.
+const UNION_WINDOW: usize = 4096;
+
+/// Points per block of [`mass_within`]: small enough for the hit weights
+/// to stay in registers, a multiple of every vector width in use.
+const SCAN_BLOCK: usize = 8;
+
+/// Summed weight of the points `(x[i], y[i])` within `eps` of `seg`, added
+/// in index order: [`IndexView::cell_mass_for_segment`]'s distance test and
+/// summation over coordinates gathered beforehand.
+///
+/// Each block's distances and hit weights are computed before any is
+/// added, so the distance arithmetic vectorises while the additions keep
+/// their order; a miss adds `+0.0`, which changes no bit of a sum that
+/// started at `+0.0`.
+///
+/// # Panics
+/// Panics if the three columns differ in length.
+pub fn mass_within(seg: &LineSeg, eps: f64, x: &[f64], y: &[f64], w: &[f64]) -> f64 {
+    assert!(x.len() == y.len() && x.len() == w.len());
+    let eps_sq = eps * eps;
+    let hit_weight = |x: f64, y: f64, w: f64| {
+        if seg.dist_sq_to_point(Point::new(x, y)) <= eps_sq {
+            w
+        } else {
+            0.0
+        }
+    };
+    let mut mass = 0.0;
+    let (mut xs, mut ys, mut ws) = (
+        x.chunks_exact(SCAN_BLOCK),
+        y.chunks_exact(SCAN_BLOCK),
+        w.chunks_exact(SCAN_BLOCK),
+    );
+    for ((xb, yb), wb) in (&mut xs).zip(&mut ys).zip(&mut ws) {
+        let mut hits = [0.0; SCAN_BLOCK];
+        for (i, hit) in hits.iter_mut().enumerate() {
+            *hit = hit_weight(xb[i], yb[i], wb[i]);
+        }
+        for hit in hits {
+            mass += hit;
+        }
+    }
+    for ((&x, &y), &w) in xs
+        .remainder()
+        .iter()
+        .zip(ys.remainder())
+        .zip(ws.remainder())
+    {
+        mass += hit_weight(x, y, w);
+    }
+    mass
+}
 
 /// A read-only overlay of an optional sealed delta on a base index.
 ///
@@ -172,6 +234,78 @@ impl<'a> IndexView<'a> {
             }
         }
         mass
+    }
+
+    /// Calls `f(x, y, weight)` for exactly the POIs of cell `id` that
+    /// [`cell_mass_for_segment`](Self::cell_mass_for_segment) distance-tests
+    /// under `query`, in exactly its order: base survivors matching the
+    /// query in ascending id, then delta adds matching it in ascending id.
+    /// Alg. 1 gathers a cell through this once per query and scans the
+    /// result per segment with [`mass_within`].
+    ///
+    /// Base POIs come from the cell-major slot columns, where ascending
+    /// slot is ascending id: one matching keyword run is already the answer;
+    /// several are unioned by setting, then scanning, one bit per slot of
+    /// the cell's contiguous slot range.
+    pub fn for_each_relevant_poi<F: FnMut(f64, f64, f64)>(
+        &self,
+        pois: PoiView<'_>,
+        id: CellId,
+        query: &KeywordSet,
+        mut f: F,
+    ) {
+        let base = self.base;
+        let slots = base.cell_pois.row_range(id.index());
+        let runs = base.cell_kws.row_range(id.index());
+        let cell_kws = &base.cell_kws.items()[runs.clone()];
+        // The slots of the cell's POIs carrying `k`, ascending.
+        let run_slots = |k: &KeywordId| {
+            let run = runs.start + cell_kws.binary_search(k).ok()?;
+            Some(&base.run_slots[base.run_docs.row_range(run)])
+        };
+        let mut emit = |slot: usize| {
+            let deleted = self
+                .delta
+                .is_some_and(|d| d.poi_deleted(base.cell_pois.items()[slot]));
+            if !deleted {
+                let [x, y, weight] = base.slot_xyw[slot];
+                f(x, y, weight);
+            }
+        };
+        let mut matching = query.ids().iter().filter_map(run_slots);
+        match (matching.next(), matching.next()) {
+            (None, _) => {}
+            (Some(only), None) => only.iter().for_each(|&slot| emit(slot as usize)),
+            (Some(_), Some(_)) => {
+                let mut bits = [0u64; UNION_WINDOW / 64];
+                for lo in slots.clone().step_by(UNION_WINDOW) {
+                    let hi = slots.end.min(lo + UNION_WINDOW);
+                    for run in query.ids().iter().filter_map(run_slots) {
+                        let from = run.partition_point(|&slot| (slot as usize) < lo);
+                        for &slot in run[from..].iter().take_while(|&&s| (s as usize) < hi) {
+                            let bit = slot as usize - lo;
+                            bits[bit / 64] |= 1 << (bit % 64);
+                        }
+                    }
+                    let words = &mut bits[..(hi - lo).div_ceil(64)];
+                    for (at, word) in words.iter_mut().enumerate() {
+                        let mut left = std::mem::take(word);
+                        while left != 0 {
+                            emit(lo + 64 * at + left.trailing_zeros() as usize);
+                            left &= left - 1;
+                        }
+                    }
+                }
+            }
+        }
+        if let Some(d) = self.delta {
+            for &pid in d.cell_added_pois(id) {
+                let poi = pois.get(pid);
+                if poi.keywords.intersects(query) {
+                    f(poi.pos.x, poi.pos.y, poi.weight);
+                }
+            }
+        }
     }
 
     /// Exact weighted mass of a whole segment under this view

@@ -18,7 +18,7 @@
 //! disagree with each other, the grid or the dataset is the same `Data`
 //! error, and a file of another format version names both versions.
 
-use soi_common::{ErrorCategory, KeywordId};
+use soi_common::{CellId, ErrorCategory, KeywordId, PoiId};
 use soi_data::{Dataset, PhotoCollection, PoiCollection};
 use soi_geo::Point;
 use soi_index::{
@@ -366,6 +366,26 @@ fn row_with_two(starts: &[u32]) -> usize {
     starts[row.expect("some row holds two items")] as usize
 }
 
+/// For the first of `rows` (each a cell's row of one items column, in
+/// column order) that allows it: the position of the row's last item in the
+/// column, and a member of another cell that keeps the row strictly
+/// ascending in its place — an in-range id the per-column checks accept.
+fn foreign_row_end(rows: &[(CellId, &[PoiId])], members: &[(CellId, &[PoiId])]) -> (usize, u32) {
+    let mut at = 0;
+    for (cell, row) in rows {
+        let before = row.len().checked_sub(2).map(|i| row[i]);
+        let mut elsewhere = members
+            .iter()
+            .filter(|(other, _)| other != cell)
+            .flat_map(|(_, pois)| pois.iter());
+        if let Some(p) = elsewhere.find(|&&p| Some(p) > before) {
+            return (at + row.len() - 1, p.raw());
+        }
+        at += row.len();
+    }
+    panic!("no row can end in a POI of another cell");
+}
+
 #[test]
 fn inconsistent_columns_are_data_errors_never_panics() {
     let dataset = sample_dataset();
@@ -374,19 +394,30 @@ fn inconsistent_columns_are_data_errors_never_panics() {
     let num_segments = dataset.network.num_segments() as u32;
     let bundle = soi_index::build_bundle(&dataset, &params());
     let num_cells = bundle.poi.grid().num_cells() as u32;
-    // Row starts of the run directory and the docs column, to aim the
-    // row-order corruptions at a row that can show them.
-    let (kw_row, doc_row) = {
+    // Row starts of the run directory, the docs column and the cell
+    // members, to aim the row-order corruptions at a row that can show them.
+    let (kw_row, doc_row, member_row) = {
         let path = temp_path("starts");
         std::fs::write(&path, &image).unwrap();
         let snapshot = Snapshot::open(&path).unwrap();
         let rows = (
             row_with_two(snapshot.u32s("poi.ck.s").unwrap()),
             row_with_two(snapshot.u32s("poi.rd.s").unwrap()),
+            row_with_two(snapshot.u32s("poi.cp.s").unwrap()),
         );
         std::fs::remove_file(&path).ok();
         rows
     };
+    // Where a POI of another cell can end a postings run (`poi.rd.i`) or a
+    // cell's member list (`poi.cp.i`), and which.
+    let cells: Vec<_> = bundle.poi.occupied_cells().collect();
+    let members: Vec<(CellId, &[PoiId])> = cells.iter().map(|(id, c)| (*id, c.pois)).collect();
+    let runs: Vec<(CellId, &[PoiId])> = cells
+        .iter()
+        .flat_map(|(id, c)| c.keywords().iter().map(|&k| (*id, c.postings(k))))
+        .collect();
+    let (foreign_posting_at, foreign_posting) = foreign_row_end(&runs, &members);
+    let (foreign_member_at, foreign_member) = foreign_row_end(&members, &members);
 
     // Moves a row-starts column's final offset off the item count.
     let end_moved = |by: i32| -> Rewrite {
@@ -468,6 +499,23 @@ fn inconsistent_columns_are_data_errors_never_panics() {
             "postings-unsorted",
             "poi.rd.i",
             as_u32s(move |v| v.swap(doc_row, doc_row + 1)),
+        ),
+        // What the slot derivation relies on: ascending slot is ascending
+        // id, and a run's postings are members of the run's own cell.
+        (
+            "cell-members-unsorted",
+            "poi.cp.i",
+            as_u32s(move |v| v.swap(member_row, member_row + 1)),
+        ),
+        (
+            "posting-of-another-cell",
+            "poi.rd.i",
+            as_u32s(move |v| v[foreign_posting_at] = foreign_posting),
+        ),
+        (
+            "poi-in-two-cells",
+            "poi.cp.i",
+            as_u32s(move |v| v[foreign_member_at] = foreign_member),
         ),
     ];
     // The rewrite itself is sound: unchanged columns still load.

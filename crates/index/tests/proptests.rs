@@ -1,10 +1,13 @@
 //! Property-based tests for the index layer on random data.
 
 use proptest::prelude::*;
-use soi_common::{CellId, KeywordId, PhotoId};
-use soi_data::{PhotoCollection, PoiCollection};
+use soi_common::{CellId, KeywordId, PhotoId, PoiId};
+use soi_data::{PhotoCollection, PoiCollection, PoiView};
 use soi_geo::{Grid, Point, Rect};
-use soi_index::{DiversificationIndex, EpsilonMaps, IrTree, PoiIndex};
+use soi_index::{
+    mass_within, DeltaIndex, DeltaOp, DiversificationIndex, EpsilonMaps, IndexView, IrTree,
+    PoiIndex,
+};
 use soi_network::RoadNetwork;
 use soi_text::KeywordSet;
 use std::collections::BTreeMap;
@@ -51,6 +54,35 @@ fn small_network() -> RoadNetwork {
     );
     b.add_street_from_points("D", &[Point::new(0.0, 0.0), Point::new(7.5, 7.5)]);
     b.build().unwrap()
+}
+
+/// A xorshift stream: the many POIs of one case from one drawn seed.
+struct Draw(u64);
+
+impl Draw {
+    /// The next value in `[0, 1)`.
+    fn unit(&mut self) -> f64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Up to four of eight keywords, and a non-integer weight — one in
+    /// fifty several times the rest, one in fifty exactly zero — so that a
+    /// change of summation order shows in a sum's low bits.
+    fn keywords_and_weight(&mut self) -> (KeywordSet, f64) {
+        let carried = (self.unit() * 5.0) as usize;
+        let keywords: Vec<KeywordId> = (0..carried)
+            .map(|_| KeywordId((self.unit() * 8.0) as u32))
+            .collect();
+        let weight = match (self.unit() * 50.0) as u32 {
+            0 => 2.0 + 4.0 * self.unit(),
+            1 => 0.0,
+            _ => 0.25 + self.unit(),
+        };
+        (KeywordSet::from_ids(keywords), weight)
+    }
 }
 
 proptest! {
@@ -157,6 +189,98 @@ proptest! {
                 .sum();
             prop_assert_eq!(eager, lazy);
             prop_assert!((lazy - brute).abs() < 1e-9);
+        }
+    }
+
+    /// Alg. 1's mass path — a cell's relevant POIs gathered once through
+    /// `for_each_relevant_poi`, then `mass_within` per segment — against the
+    /// one-call reference, for every (cell, segment) of the grid. CI runs
+    /// this under the release profile too: that is where the scan's blocks
+    /// vectorise.
+    #[test]
+    fn gathered_scan_equals_the_reference_mass_bit_for_bit(
+        seed in 1u64..u64::MAX,
+        sprinkled in 0usize..150,
+        // In two cases of three, one cell holds more POIs than a window of
+        // the several-keyword union (4 096).
+        crowd in 0usize..3,
+        query_kws in proptest::collection::vec(0u32..8, 1..7),
+        // ε in cell sizes: exactly 0 in one case of six, else up to 3.5.
+        eps_cells in (0u32..6, 0.0f64..3.5),
+        with_delta in 0u32..2,
+    ) {
+        const CELL: f64 = 0.6;
+        // The crowded cell, [2.4, 3.0)², straddles the diagonal street.
+        const CROWD_AT: f64 = 4.0 * CELL;
+        let mut draw = Draw(seed);
+        // Base POIs stay below y = 7: the top row of cells is unoccupied.
+        let mut pois = PoiCollection::new();
+        for _ in 0..sprinkled {
+            let pos = Point::new(8.0 * draw.unit(), 7.0 * draw.unit());
+            let (keywords, weight) = draw.keywords_and_weight();
+            pois.add_weighted(pos, keywords, weight);
+        }
+        for _ in 0..crowd.min(1) * (4200 + sprinkled) {
+            let pos = Point::new(CROWD_AT + CELL * draw.unit(), CROWD_AT + CELL * draw.unit());
+            let (keywords, weight) = draw.keywords_and_weight();
+            pois.add_weighted(pos, keywords, weight);
+        }
+        let network = small_network();
+        let index = PoiIndex::build(&network, &pois, CELL);
+        let grid = index.grid();
+        if crowd > 0 {
+            let coord = grid.cell_containing(Point::new(CROWD_AT + 0.1, CROWD_AT + 0.1));
+            let crowded = index.cell(grid.cell_id(coord.unwrap())).unwrap();
+            prop_assert!(crowded.pois.len() > 4096);
+        }
+
+        // The delta deletes one base POI in six, adds POIs on top of some
+        // of the first forty (occupied cells) and three beside the vertical
+        // street in the unoccupied top row, and deletes its own last add.
+        let delta = (with_delta == 1).then(|| {
+            let mut ops = Vec::new();
+            let mut added = 0;
+            let mut add = |pos: Point, draw: &mut Draw, ops: &mut Vec<DeltaOp>| {
+                let (keywords, weight) = draw.keywords_and_weight();
+                ops.push(DeltaOp::AddPoi { pos, keywords, weight });
+                added += 1;
+            };
+            for p in pois.iter() {
+                match (draw.unit() * 6.0) as u32 {
+                    0 => ops.push(DeltaOp::DeletePoi { id: p.id }),
+                    1 if p.id.index() < 40 => add(p.pos, &mut draw, &mut ops),
+                    _ => {}
+                }
+            }
+            for i in 0..3 {
+                add(Point::new(4.05 + 0.1 * f64::from(i), 7.7), &mut draw, &mut ops);
+            }
+            ops.push(DeltaOp::DeletePoi { id: PoiId::from_index(pois.len() + added - 1) });
+            DeltaIndex::seal(&index, &pois, &PhotoCollection::new(), &ops).expect("valid ops")
+        });
+        let view = IndexView::new(&index, delta.as_ref());
+        let poi_view: PoiView<'_> = match &delta {
+            Some(d) => d.poi_view(&pois),
+            None => (&pois).into(),
+        };
+
+        let query = KeywordSet::from_ids(query_kws.iter().map(|&k| KeywordId(k)));
+        let eps = if eps_cells.0 == 0 { 0.0 } else { eps_cells.1 * CELL };
+        let (mut x, mut y, mut w) = (Vec::new(), Vec::new(), Vec::new());
+        for cell in (0..grid.num_cells()).map(CellId::from_index) {
+            x.clear();
+            y.clear();
+            w.clear();
+            view.for_each_relevant_poi(poi_view, cell, &query, |px, py, weight| {
+                x.push(px);
+                y.push(py);
+                w.push(weight);
+            });
+            for seg in network.segments() {
+                let want = view.cell_mass_for_segment(poi_view, cell, &seg.geom, &query, eps);
+                let got = mass_within(&seg.geom, eps, &x, &y, &w);
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?}, segment {}", cell, seg.id);
+            }
         }
     }
 
