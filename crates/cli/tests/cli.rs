@@ -259,6 +259,28 @@ fn unknown_street_exits_4() {
 }
 
 #[test]
+fn a_rho_too_small_for_the_street_exits_2() {
+    // 1e-8 used to panic building the street's grid (exit 101); 1e-12
+    // wrapped the cell counts to a 1 × 1 grid and printed a 1-photo summary.
+    for rho in ["1e-8", "1e-12"] {
+        let out = soi(&[
+            "describe",
+            "--data",
+            dataset_dir(),
+            "--keywords",
+            "shop",
+            "--rho",
+            rho,
+        ]);
+        assert_eq!(code(&out), 2, "--rho {rho}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.contains("rho") && err.contains("grid cells"), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+        assert_eq!(stdout(&out), "", "--rho {rho}");
+    }
+}
+
+#[test]
 fn corrupt_dataset_exits_3() {
     // Copy the generated dataset, then poison one record of pois.tsv.
     let src = PathBuf::from(dataset_dir());

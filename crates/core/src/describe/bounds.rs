@@ -7,11 +7,13 @@
 //! member photo, they remain valid for any not-yet-selected subset.
 
 use crate::describe::context::StreetContext;
+use crate::describe::measures::Picked;
 use crate::describe::DescribeParams;
 use soi_common::{CellId, PhotoId};
 use soi_data::PhotoView;
+use soi_geo::Point;
 use soi_index::DivCell;
-use soi_text::{sorted_intersection_size, KeywordSet};
+use soi_text::sorted_intersection_size;
 
 /// Bounds on the spatial relevance of any photo in the cell at `slot`
 /// (Eqs. 11–12).
@@ -21,7 +23,7 @@ use soi_text::{sorted_intersection_size, KeywordSet};
 fn spatial_rel_bounds(ctx: &StreetContext, slot: usize) -> (f64, f64) {
     let n = ctx.index.num_photos();
     let lower = ctx.index.member_slots(slot).len() as f64 / n as f64;
-    let upper = ctx.index.neighborhood_count(ctx.index.occupied()[slot], 2) as f64 / n as f64;
+    let upper = ctx.index.neighborhood_count(slot) as f64 / n as f64;
     (lower, upper)
 }
 
@@ -58,39 +60,32 @@ fn textual_rel_bounds(ctx: &StreetContext, cell: &DivCell, positive: &mut Vec<f6
     (lower / l1, upper / l1)
 }
 
-/// Bounds on the spatial diversity between photo `r` and any photo in cell
-/// `id` (Eqs. 15–16): min/max point-to-rect distance over `maxD(s)`.
-fn spatial_div_bounds(
-    ctx: &StreetContext,
-    photos: PhotoView<'_>,
-    id: CellId,
-    r: PhotoId,
-) -> (f64, f64) {
+/// Bounds on the spatial diversity between the photo at `pos` and any photo
+/// in the cell at `slot` (Eqs. 15–16): min/max point-to-rect distance over
+/// `maxD(s)`.
+fn spatial_div_bounds(ctx: &StreetContext, slot: usize, pos: Point) -> (f64, f64) {
     if ctx.max_d == 0.0 {
         return (0.0, 0.0);
     }
-    let rect = ctx.index.grid().cell_rect(ctx.index.grid().coord_of(id));
-    let pos = photos.get(r).pos;
+    let rect = ctx.index.cell_rect(slot);
     (
         rect.mindist_to_point(pos) / ctx.max_d,
         rect.maxdist_to_point(pos) / ctx.max_d,
     )
 }
 
-/// Bounds on the textual (Jaccard) diversity between a photo with tag set
-/// `r_tags` and any photo in `cell` (Eqs. 17–18).
+/// Bounds on the textual (Jaccard) diversity between a photo `r` with `nr`
+/// tags, `m = |c.Ψ ∩ Ψr|` of them among the cell's, and any photo in `cell`
+/// (Eqs. 17–18).
 ///
 /// Derivation: a cell photo has `n′ ∈ [ψmin, ψmax]` tags from `c.Ψ`, of
-/// which `m = |c.Ψ ∩ Ψr|` could be shared.
+/// which `m` could be shared.
 /// - Similarity is maximised (diversity minimised) by `i* = min(m, ψmax)`
 ///   shared tags and the fewest extras: `sim = i*/(|Ψr| + max(i*, ψmin) − i*)`.
 /// - Similarity is minimised (diversity maximised) by avoiding shared tags:
 ///   with `z = |c.Ψ \ Ψr|` avoidable tags, diversity is 1 when `z ≥ ψmin`,
 ///   else `1 − (ψmin − z)/(|Ψr| + z)`.
-fn textual_div_bounds(cell: &DivCell, r_tags: &KeywordSet) -> (f64, f64) {
-    let m = sorted_intersection_size(cell.keywords, r_tags.ids());
-    let nr = r_tags.len();
-
+fn textual_div_bounds(cell: &DivCell, m: usize, nr: usize) -> (f64, f64) {
     let i_star = m.min(cell.psi_max);
     let denom = nr + cell.psi_min.max(i_star) - i_star;
     let lower = if denom == 0 {
@@ -127,16 +122,22 @@ pub(crate) fn rel_bounds_at(
     (w * sl + (1.0 - w) * tl, w * su + (1.0 - w) * tu)
 }
 
-/// [`cell_div_bounds`] of the cell at `slot` of the index's occupied list.
+/// [`cell_div_bounds`] of the cell at `slot` of the index's occupied list
+/// against the selected photo `r`.
 pub(crate) fn div_bounds_at(
     ctx: &StreetContext,
     photos: PhotoView<'_>,
     w: f64,
     slot: usize,
-    r: PhotoId,
+    r: &Picked,
 ) -> (f64, f64) {
-    let (sl, su) = spatial_div_bounds(ctx, photos, ctx.index.occupied()[slot], r);
-    let (tl, tu) = textual_div_bounds(&ctx.index.cell_at(slot), &photos.get(r).tags);
+    let (sl, su) = spatial_div_bounds(ctx, slot, r.pos);
+    let cell = ctx.index.cell_at(slot);
+    let m = match (ctx.index.kw_mask(slot), r.tag_mask) {
+        (Some(keywords), Some(tags)) => (keywords & tags).count_ones() as usize,
+        _ => sorted_intersection_size(cell.keywords, photos.get(r.id).tags.ids()),
+    };
+    let (tl, tu) = textual_div_bounds(&cell, m, r.num_tags);
     (w * sl + (1.0 - w) * tl, w * su + (1.0 - w) * tu)
 }
 
@@ -160,8 +161,9 @@ pub fn cell_div_bounds<'a>(
     id: CellId,
     r: PhotoId,
 ) -> (f64, f64) {
+    let photos: PhotoView<'a> = photos.into();
     match ctx.index.slot_of(id) {
-        Some(slot) => div_bounds_at(ctx, photos.into(), w, slot, r),
+        Some(slot) => div_bounds_at(ctx, photos, w, slot, &Picked::new(ctx, photos, r)),
         None => (0.0, 0.0),
     }
 }
@@ -200,6 +202,7 @@ mod tests {
     use soi_geo::Point;
     use soi_index::PhotoGrid;
     use soi_network::RoadNetwork;
+    use soi_text::KeywordSet;
 
     fn tags(ids: &[u32]) -> KeywordSet {
         KeywordSet::from_ids(ids.iter().map(|&i| KeywordId(i)))
@@ -297,11 +300,11 @@ mod tests {
             psi_max: 0,
         };
         // r untagged too: both can be empty -> lower 0; upper 1 (sound).
-        let (lo, hi) = textual_div_bounds(&cell, &KeywordSet::empty());
+        let (lo, hi) = textual_div_bounds(&cell, 0, 0);
         assert_eq!(lo, 0.0);
         assert!(hi >= 0.0);
         // r tagged: all cell photos empty -> jaccard distance exactly 1.
-        let (lo, hi) = textual_div_bounds(&cell, &tags(&[1, 2]));
+        let (lo, hi) = textual_div_bounds(&cell, 0, 2);
         assert_eq!(lo, 1.0);
         assert_eq!(hi, 1.0);
     }
@@ -316,7 +319,7 @@ mod tests {
             psi_min: 2,
             psi_max: 2,
         };
-        let (lo, hi) = textual_div_bounds(&cell, &tags(&[0, 1]));
+        let (lo, hi) = textual_div_bounds(&cell, 2, 2);
         // Cell photo must be exactly {0,1} = Ψr: diversity 0.
         assert_eq!(lo, 0.0);
         assert_eq!(hi, 0.0);

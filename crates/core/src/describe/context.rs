@@ -100,8 +100,9 @@ impl<'a> ContextBuilder<'a> {
     ///
     /// # Errors
     /// Rejects a street id outside the network, non-positive or non-finite
-    /// `eps`/`rho`, and a `phi_source` that requires POIs when none were
-    /// provided.
+    /// `eps`/`rho`, a `rho` so small against the extent of the street's
+    /// photos that the grid of ρ/2 cells over them cannot be numbered, and a
+    /// `phi_source` that requires POIs when none were provided.
     pub fn build(&self, street: StreetId) -> Result<StreetContext> {
         self.build_with_delta(street, None)
     }
@@ -246,8 +247,7 @@ impl<'a> ContextBuilder<'a> {
             .map(|mbr| mbr.expand(self.eps).diagonal())
             .unwrap_or(0.0);
         ctx.rho = self.rho;
-        ctx.index.rebuild(photos, members, self.rho);
-        Ok(())
+        ctx.index.rebuild(photos, members, self.rho)
     }
 }
 
@@ -353,6 +353,37 @@ mod tests {
         // MBR is the segment itself (10 x 0), expanded by 0.5 -> 11 x 1.
         let expect = (11.0f64 * 11.0 + 1.0).sqrt();
         assert!((ctx.max_d - expect).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_rho_too_small_for_the_street_is_an_error() {
+        // The two photos of Rs are 1 × 0.5 apart: at ρ = 1e-8 the grid
+        // would be 2e8 × 1e8 cells (it used to panic in `Grid::new`), at
+        // ρ = 1e-12 the cell counts used to saturate, wrap to a 1 × 1 grid
+        // and index one photo of the two.
+        let (network, photos, _) = setup();
+        let grid = PhotoGrid::build(&network, &photos, 1.0);
+        let builder = |rho| ContextBuilder {
+            network: &network,
+            photos: &photos,
+            photo_grid: &grid,
+            pois: None,
+            eps: 0.5,
+            rho,
+            phi_source: PhiSource::Photos,
+        };
+        let mut ctx = builder(0.2).build(StreetId(0)).unwrap();
+        for rho in [1e-8, 1e-12] {
+            let err = builder(rho)
+                .rebuild(&mut ctx, StreetId(0), None)
+                .unwrap_err();
+            assert!(matches!(err, SoiError::InvalidInput(_)), "{err:?}");
+            let text = err.to_string();
+            assert!(text.contains("rho") && text.contains("1 x 0.5"), "{text}");
+        }
+        // A ρ whose grid can be numbered indexes both.
+        let ctx = builder(1e-4).build(StreetId(0)).unwrap();
+        assert_eq!(ctx.index.photos().len(), 2);
     }
 
     #[test]

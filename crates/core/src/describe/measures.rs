@@ -3,19 +3,52 @@
 use crate::describe::context::StreetContext;
 use soi_common::PhotoId;
 use soi_data::PhotoView;
+use soi_geo::Point;
+use soi_text::jaccard_distance_of;
+
+/// A selected photo as Alg. 2 reads it round after round — the diversity
+/// bounds of every cell and the exact [`div`] of every scored photo are
+/// taken against it — fetched from its record once.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Picked {
+    pub(crate) id: PhotoId,
+    pub(crate) pos: Point,
+    /// `|Ψr|`.
+    pub(crate) num_tags: usize,
+    /// `Ψr` over the street's tag numbering, if it has one.
+    pub(crate) tag_mask: Option<u64>,
+}
+
+impl Picked {
+    pub(crate) fn new(ctx: &StreetContext, photos: PhotoView<'_>, id: PhotoId) -> Self {
+        let photo = photos.get(id);
+        Self {
+            id,
+            pos: photo.pos,
+            num_tags: photo.tags.len(),
+            tag_mask: ctx.index.tag_mask(&photo.tags),
+        }
+    }
+}
 
 /// Spatial relevance (Definition 4): the fraction of `Rs` within
 /// neighbourhood radius ρ of photo `r` (including `r` itself, per Eq. 6).
 ///
-/// Returns 0 for an empty `Rs`.
+/// Defined for the photos of `Rs`, which is what every selection scores: a
+/// photo the street's index does not hold (not a member, or one with a
+/// non-finite position) has relevance 0.
 pub fn spatial_rel<'a>(ctx: &StreetContext, photos: impl Into<PhotoView<'a>>, r: PhotoId) -> f64 {
     let photos: PhotoView<'a> = photos.into();
-    let n = ctx.index.num_photos();
-    if n == 0 {
-        return 0.0;
+    match ctx.index.locate(r, photos.get(r).pos) {
+        Some((slot, member)) => spatial_rel_at(ctx, slot, member),
+        None => 0.0,
     }
-    let center = photos.get(r).pos;
-    ctx.index.count_within(photos, center, ctx.rho) as f64 / n as f64
+}
+
+/// [`spatial_rel`] of the photo at member slot `member` of the index cell
+/// at `slot`.
+pub(crate) fn spatial_rel_at(ctx: &StreetContext, slot: usize, member: usize) -> f64 {
+    ctx.index.count_within(slot, member) as f64 / ctx.index.num_photos() as f64
 }
 
 /// Textual relevance (Definition 6): `Σ_{ψ∈Ψr} Φs(ψ) / ‖Φs‖₁`.
@@ -59,6 +92,18 @@ pub fn rel<'a>(ctx: &StreetContext, photos: impl Into<PhotoView<'a>>, w: f64, r:
     w * spatial_rel(ctx, photos, r) + (1.0 - w) * textual_rel(ctx, photos, r)
 }
 
+/// [`rel`] of the photo `r` at member slot `member` of the index cell at
+/// `slot`, without looking its slots up.
+pub(crate) fn rel_at(
+    ctx: &StreetContext,
+    photos: PhotoView<'_>,
+    w: f64,
+    r: PhotoId,
+    (slot, member): (usize, usize),
+) -> f64 {
+    w * spatial_rel_at(ctx, slot, member) + (1.0 - w) * textual_rel(ctx, photos, r)
+}
+
 /// Combined pairwise diversity: `w·spatial_div + (1−w)·textual_div`
 /// (the per-pair summand of Eq. 5).
 pub fn div<'a>(
@@ -70,6 +115,31 @@ pub fn div<'a>(
 ) -> f64 {
     let photos: PhotoView<'a> = photos.into();
     w * spatial_div(ctx, photos, r, r2) + (1.0 - w) * textual_div(photos, r, r2)
+}
+
+/// [`div`] between the photo `r` at member slot `member` of the index and
+/// the selected photo `r2` — another photo of the index, so every tag of
+/// either has a bit in the street's numbering — from the index's columns:
+/// no photo record is read while the street's tags fit its masks.
+pub(crate) fn div_at(
+    ctx: &StreetContext,
+    photos: PhotoView<'_>,
+    w: f64,
+    (r, member): (PhotoId, usize),
+    r2: &Picked,
+) -> f64 {
+    let spatial = if ctx.max_d == 0.0 {
+        0.0
+    } else {
+        ctx.index.point(member).dist(r2.pos) / ctx.max_d
+    };
+    let textual = match (ctx.index.member_tag_mask(member), r2.tag_mask) {
+        (Some(a), Some(b)) => {
+            jaccard_distance_of((a & b).count_ones() as usize, (a | b).count_ones() as usize)
+        }
+        _ => textual_div(photos, r, r2.id),
+    };
+    w * spatial + (1.0 - w) * textual
 }
 
 #[cfg(test)]
@@ -110,6 +180,73 @@ mod tests {
         .build(StreetId(0))
         .unwrap();
         (network, photos, ctx)
+    }
+
+    /// [`setup`]'s street with 60 photos, a quarter of them untagged; `wide`
+    /// gives them 76 distinct tags between them, more than the index
+    /// numbers.
+    fn setup_with_tags(wide: bool) -> (PhotoCollection, StreetContext) {
+        let mut b = RoadNetwork::builder();
+        b.add_street_from_points("Main", &[Point::new(0.0, 0.0), Point::new(10.0, 0.0)]);
+        let network = b.build().unwrap();
+        let mut photos = PhotoCollection::new();
+        for i in 0..60u32 {
+            let ids = if wide {
+                [2 * i, 2 * i + 1, 0]
+            } else {
+                [i % 5, 5 + i % 3, 9]
+            };
+            let x = 0.3 * f64::from(i % 12);
+            photos.add(
+                Point::new(x, 0.005 * f64::from(i)),
+                tags(&ids[..i as usize % 4]),
+            );
+        }
+        let grid = PhotoGrid::build(&network, &photos, 1.0);
+        let ctx = ContextBuilder {
+            network: &network,
+            photos: &photos,
+            photo_grid: &grid,
+            pois: None,
+            eps: 0.5,
+            rho: 0.4,
+            phi_source: PhiSource::Photos,
+        }
+        .build(StreetId(0))
+        .unwrap();
+        (photos, ctx)
+    }
+
+    #[test]
+    fn column_measures_equal_the_record_measures_bit_for_bit() {
+        for wide in [false, true] {
+            let (photos, ctx) = setup_with_tags(wide);
+            let view = PhotoView::from(&photos);
+            assert_eq!(ctx.members.len(), 60);
+            assert_eq!(ctx.index.kw_mask(0).is_none(), wide);
+            for slot in 0..ctx.index.occupied().len() {
+                for member in ctx.index.member_slots(slot) {
+                    let r = ctx.index.photos()[member];
+                    for w in [0.0, 0.3, 1.0] {
+                        let at = rel_at(&ctx, view, w, r, (slot, member));
+                        assert_eq!(at.to_bits(), rel(&ctx, view, w, r).to_bits());
+                        for &r2 in &ctx.members {
+                            let at =
+                                div_at(&ctx, view, w, (r, member), &Picked::new(&ctx, view, r2));
+                            assert_eq!(at.to_bits(), div(&ctx, view, w, r, r2).to_bits());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn spatial_rel_of_a_stranger_is_zero() {
+        let (_, photos, ctx) = setup();
+        let mut more = photos.clone();
+        let stranger = more.add(Point::new(1.02, 0.0), tags(&[0]));
+        assert_eq!(spatial_rel(&ctx, &more, stranger), 0.0);
     }
 
     #[test]

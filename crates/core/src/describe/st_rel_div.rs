@@ -26,7 +26,7 @@ use crate::budget::QueryBudget;
 use crate::describe::bounds::{div_bounds_at, rel_bounds_at};
 use crate::describe::context::StreetContext;
 use crate::describe::explain::{DescribeExplain, DescribeRound};
-use crate::describe::measures;
+use crate::describe::measures::{self, Picked};
 use crate::describe::objective::objective;
 use crate::describe::{DescribeOutcome, DescribeParams, DescribeStats};
 use soi_common::{PhotoId, Result, SoiError};
@@ -72,6 +72,8 @@ pub struct DescribeScratch {
     /// `(cell slot, Bmax)` of the round's surviving cells.
     candidates: Vec<(usize, f64)>,
     photo_acc: Vec<PhotoAcc>,
+    /// The selection so far, as the bounds and the exact `div` read it.
+    picked: Vec<Picked>,
     /// Scratch of the textual relevance bound's weight sort.
     weights: Vec<f64>,
 }
@@ -159,8 +161,10 @@ pub fn st_rel_div_full<'a>(
         cells,
         candidates,
         photo_acc,
+        picked,
         weights,
     } = scratch;
+    picked.clear();
     photo_acc.clear();
     photo_acc.resize(index.photos().len(), PhotoAcc::default());
 
@@ -187,23 +191,23 @@ pub fn st_rel_div_full<'a>(
     // Exact mmr with cached relevance and incrementally topped-up div sums.
     // Summation order equals the baseline's (selection order), so results
     // are bit-identical.
-    let exact_mmr = |r: PhotoId, selected: &[PhotoId], acc: &mut PhotoAcc| -> f64 {
+    let exact_mmr = |r: PhotoId, (slot, member), picked: &[Picked], acc: &mut PhotoAcc| -> f64 {
         let rel = match acc.rel {
             Some(rel) => rel,
             None => {
-                let rel = measures::rel(ctx, photos, params.w, r);
+                let rel = measures::rel_at(ctx, photos, params.w, r, (slot, member));
                 acc.rel = Some(rel);
                 rel
             }
         };
         let mut div_sum = acc.div_sum;
-        for &r2 in &selected[acc.upto..] {
-            div_sum += measures::div(ctx, photos, params.w, r, r2);
+        for r2 in &picked[acc.upto..] {
+            div_sum += measures::div_at(ctx, photos, params.w, (r, member), r2);
         }
         acc.div_sum = div_sum;
-        acc.upto = selected.len();
+        acc.upto = picked.len();
         let mut score = one_minus_lambda * rel;
-        if params.k > 1 && !selected.is_empty() {
+        if params.k > 1 && !picked.is_empty() {
             score += div_scale * div_sum;
         }
         score
@@ -274,7 +278,7 @@ pub fn st_rel_div_full<'a>(
                     continue;
                 }
                 let r = index.photos()[member];
-                let v = exact_mmr(r, &selected, acc);
+                let v = exact_mmr(r, (slot, member), picked, acc);
                 stats.photos_evaluated += 1;
                 let better = match best {
                     None => true,
@@ -308,12 +312,14 @@ pub fn st_rel_div_full<'a>(
             break;
         };
         selected.push(next);
+        picked.push(Picked::new(ctx, photos, next));
         photo_acc[next_member].chosen = true;
 
         // --- Incremental updates for the new selection.
         stats.timer.enter(phases::FILTERING);
         cells[next_cell].remaining -= 1;
         if params.k > 1 {
+            let next = &picked[picked.len() - 1];
             for (slot, cell) in cells.iter_mut().enumerate() {
                 if cell.remaining > 0 {
                     let (dl, du) = div_bounds_at(ctx, photos, params.w, slot, next);

@@ -26,6 +26,15 @@ fn random_street_scene(
     rng: &mut StdRng,
     n_photos: usize,
 ) -> (RoadNetwork, PhotoCollection, StreetContext) {
+    random_street_scene_with_tags(rng, n_photos, NUM_TAGS)
+}
+
+/// [`random_street_scene`] with photo tags drawn from `num_tags` keywords.
+fn random_street_scene_with_tags(
+    rng: &mut StdRng,
+    n_photos: usize,
+    num_tags: u32,
+) -> (RoadNetwork, PhotoCollection, StreetContext) {
     let mut b = RoadNetwork::builder();
     // An L-shaped street.
     b.add_street_from_points(
@@ -57,7 +66,7 @@ fn random_street_scene(
         };
         let n_tags = rng.random_range(0..4usize);
         let tags =
-            KeywordSet::from_ids((0..n_tags).map(|_| KeywordId(rng.random_range(0..NUM_TAGS))));
+            KeywordSet::from_ids((0..n_tags).map(|_| KeywordId(rng.random_range(0..num_tags))));
         photos.add(Point::new(x, y), tags);
     }
     let grid = PhotoGrid::build(&network, &photos, 0.5);
@@ -104,30 +113,39 @@ fn cell_mmr_bounds_sandwich_exact_mmr() {
 
 #[test]
 fn st_rel_div_equals_greedy_baseline() {
+    // Both read the index's columns — Alg. 2 by slot, the baseline through
+    // the photo-id look-up — and must agree to the bit: on streets whose
+    // tags fit the index's 64-bit masks, on ones whose tags do not (300
+    // keywords: tag sets are intersected by merge), and on untagged photos
+    // (a quarter of each scene).
     for seed in 0..12u64 {
         let mut rng = StdRng::seed_from_u64(100 + seed);
-        let (_net, photos, ctx) = random_street_scene(&mut rng, 80);
+        let (n_photos, num_tags) = if seed % 3 == 2 {
+            (160, 300)
+        } else {
+            (80, NUM_TAGS)
+        };
+        let (_net, photos, ctx) = random_street_scene_with_tags(&mut rng, n_photos, num_tags);
         if ctx.members.is_empty() {
             continue;
         }
-        for &(k, lambda, w) in &[
-            (1usize, 0.5, 0.5),
-            (3, 0.0, 0.5),
-            (3, 1.0, 0.5),
-            (5, 0.5, 0.0),
-            (5, 0.5, 1.0),
-            (7, 0.3, 0.7),
-            (10, 0.5, 0.5),
-        ] {
-            let params = DescribeParams::new(k, lambda, w).unwrap();
-            let fast = st_rel_div(&ctx, &photos, &params).unwrap();
-            let slow = greedy_select(&ctx, &photos, &params);
-            assert_eq!(
-                fast.selected, slow.selected,
-                "seed {seed} k={k} lambda={lambda} w={w}: selections differ\n\
-                 fast objective {} slow objective {}",
-                fast.objective, slow.objective
-            );
+        let masked = ctx.index.kw_mask(0).is_some();
+        assert_eq!(masked, num_tags == NUM_TAGS, "seed {seed}");
+        for k in [1, 5, 20, ctx.members.len()] {
+            for lambda in [0.0, 0.25, 1.0] {
+                for w in [0.0, 0.5, 1.0] {
+                    let params = DescribeParams::new(k, lambda, w).unwrap();
+                    let fast = st_rel_div(&ctx, &photos, &params).unwrap();
+                    let slow = greedy_select(&ctx, &photos, &params);
+                    assert_eq!(
+                        fast.selected, slow.selected,
+                        "seed {seed} k={k} lambda={lambda} w={w}: selections differ\n\
+                         fast objective {} slow objective {}",
+                        fast.objective, slow.objective
+                    );
+                    assert_eq!(fast.objective.to_bits(), slow.objective.to_bits());
+                }
+            }
         }
     }
 }

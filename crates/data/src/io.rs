@@ -56,11 +56,13 @@ fn format_keywords(set: &KeywordSet) -> String {
     s
 }
 
-fn parse_keywords(field: &str, vocab_len: usize) -> Result<KeywordSet> {
+/// Parses a `k1,k2,...` field; `ids` is scratch (one per load, so a record
+/// of a few keywords — they live inline in the set — allocates nothing).
+fn parse_keywords(field: &str, vocab_len: usize, ids: &mut Vec<KeywordId>) -> Result<KeywordSet> {
     if field.is_empty() {
         return Ok(KeywordSet::empty());
     }
-    let mut ids = Vec::new();
+    ids.clear();
     for part in field.split(',') {
         let raw: u32 = part.parse().map_err(|e| {
             SoiError::validation(
@@ -78,7 +80,60 @@ fn parse_keywords(field: &str, vocab_len: usize) -> Result<KeywordSet> {
         }
         ids.push(KeywordId(raw));
     }
-    Ok(KeywordSet::from_ids(ids))
+    ids.sort_unstable();
+    ids.dedup();
+    // Ascending after the two calls above, so this is the branch that
+    // builds the set without a detour through a `Vec` of its own.
+    Ok(KeywordSet::from_ascending_iter(ids.iter().copied())
+        .unwrap_or_else(|| KeywordSet::from_ids(ids.iter().copied())))
+}
+
+/// Calls `record(number, line)` for every line of the file at `path`, in
+/// order and numbered from 1. The lines are what [`BufRead::lines`] yields
+/// (the final `\n` or `\r\n` stripped, a read or UTF-8 failure a parse
+/// error at that line), read into one reused buffer, not one `String` each.
+fn for_each_line(path: &Path, mut record: impl FnMut(usize, &str) -> Result<()>) -> Result<()> {
+    let mut reader = BufReader::new(std::fs::File::open(path).at_path(path)?);
+    let mut line = String::new();
+    for number in 1.. {
+        line.clear();
+        let read = reader
+            .read_line(&mut line)
+            .map_err(|e| SoiError::parse(number, e.to_string()))
+            .at_path(path)?;
+        if read == 0 {
+            break;
+        }
+        if line.ends_with('\n') {
+            line.pop();
+            if line.ends_with('\r') {
+                line.pop();
+            }
+        }
+        record(number, &line).map_err(|e| e.at_path(path))?;
+    }
+    Ok(())
+}
+
+/// The `N` tab-separated fields of a `what` record.
+fn split_fields<'a, const N: usize>(line: &'a str, what: &str) -> Result<[&'a str; N]> {
+    let mut fields = [""; N];
+    let mut parts = line.split('\t');
+    let filled = fields
+        .iter_mut()
+        .zip(&mut parts)
+        .map(|(f, p)| *f = p)
+        .count();
+    if filled == N && parts.next().is_none() {
+        return Ok(fields);
+    }
+    Err(SoiError::validation(
+        ValidationKind::MalformedRecord,
+        format!(
+            "expected {N} fields in {what} record, got {}",
+            line.split('\t').count()
+        ),
+    ))
 }
 
 fn parse_coord(field: &str, name: &'static str) -> Result<f64> {
@@ -189,13 +244,9 @@ pub fn load_dataset_with(
 
     let vocab_path = dir.join("vocab.tsv");
     let mut vocab = Vocabulary::new();
-    let file = std::fs::File::open(&vocab_path).at_path(&vocab_path)?;
-    for (i, line) in BufReader::new(file).lines().enumerate() {
-        let line = line
-            .map_err(|e| SoiError::parse(i + 1, e.to_string()))
-            .at_path(&vocab_path)?;
+    for_each_line(&vocab_path, |number, line| {
         let before = vocab.len();
-        vocab.intern(&line);
+        vocab.intern(line);
         if vocab.len() == before {
             // Duplicate term. Ids are positional, so dropping the line would
             // shift every later id; strict rejects, lenient interns a
@@ -205,99 +256,87 @@ pub fn load_dataset_with(
                     ValidationKind::MalformedRecord,
                     format!("duplicate vocabulary term {line:?}"),
                 )
-                .at_record(i + 1)
-                .at_path(&vocab_path));
+                .at_record(number));
             }
-            vocab.intern(&format!("{line}#dup{}", i + 1));
+            vocab.intern(&format!("{line}#dup{number}"));
             report.skip(ValidationKind::MalformedRecord);
             report.warn(format!(
-                "vocab.tsv: duplicate term {line:?} at line {}; interned placeholder",
-                i + 1
+                "vocab.tsv: duplicate term {line:?} at line {number}; interned placeholder"
             ));
         } else {
             report.accept();
         }
-    }
+        Ok(())
+    })?;
 
-    let pois_path = dir.join("pois.tsv");
-    let mut pois = PoiCollection::new();
-    let file = std::fs::File::open(&pois_path).at_path(&pois_path)?;
-    for (i, line) in BufReader::new(file).lines().enumerate() {
-        let line = line
-            .map_err(|e| SoiError::parse(i + 1, e.to_string()))
-            .at_path(&pois_path)?;
-        if line.is_empty() {
-            continue;
+    // What a lenient load does with a record that failed to parse.
+    let skip = |e: SoiError, number: usize, report: &mut LoadReport| {
+        if !opts.is_lenient() {
+            return Err(e.at_record(number));
         }
-        match parse_poi(&line, vocab.len()) {
+        report.skip(
+            e.validation_kind()
+                .unwrap_or(ValidationKind::MalformedRecord),
+        );
+        Ok(())
+    };
+    let mut ids = Vec::new();
+
+    let mut pois = PoiCollection::new();
+    for_each_line(&dir.join("pois.tsv"), |number, line| {
+        if line.is_empty() {
+            return Ok(());
+        }
+        match parse_poi(line, vocab.len(), &mut ids) {
             Ok((pos, keywords, weight)) => {
                 pois.add_weighted(pos, keywords, weight);
                 report.accept();
+                Ok(())
             }
-            Err(e) if opts.is_lenient() => {
-                report.skip(
-                    e.validation_kind()
-                        .unwrap_or(ValidationKind::MalformedRecord),
-                );
-            }
-            Err(e) => return Err(e.at_record(i + 1).at_path(&pois_path)),
+            Err(e) => skip(e, number, &mut report),
         }
-    }
+    })?;
 
-    let photos_path = dir.join("photos.tsv");
     let mut photos = PhotoCollection::new();
-    let file = std::fs::File::open(&photos_path).at_path(&photos_path)?;
-    for (i, line) in BufReader::new(file).lines().enumerate() {
-        let line = line
-            .map_err(|e| SoiError::parse(i + 1, e.to_string()))
-            .at_path(&photos_path)?;
+    for_each_line(&dir.join("photos.tsv"), |number, line| {
         if line.is_empty() {
-            continue;
+            return Ok(());
         }
-        match parse_photo(&line, vocab.len()) {
+        match parse_photo(line, vocab.len(), &mut ids) {
             Ok((pos, tags)) => {
                 photos.add(pos, tags);
                 report.accept();
+                Ok(())
             }
-            Err(e) if opts.is_lenient() => {
-                report.skip(
-                    e.validation_kind()
-                        .unwrap_or(ValidationKind::MalformedRecord),
-                );
-            }
-            Err(e) => return Err(e.at_record(i + 1).at_path(&photos_path)),
+            Err(e) => skip(e, number, &mut report),
         }
-    }
+    })?;
 
     Ok((Dataset::new(name, network, vocab, pois, photos), report))
 }
 
-fn parse_poi(line: &str, vocab_len: usize) -> Result<(Point, KeywordSet, f64)> {
-    let fields: Vec<&str> = line.split('\t').collect();
-    if fields.len() != 4 {
-        return Err(SoiError::validation(
-            ValidationKind::MalformedRecord,
-            format!("expected 4 fields in POI record, got {}", fields.len()),
-        ));
-    }
-    let x = parse_coord(fields[0], "x")?;
-    let y = parse_coord(fields[1], "y")?;
-    let weight = parse_weight(fields[2])?;
-    let keywords = parse_keywords(fields[3], vocab_len).map_err(|e| e.in_field("keywords"))?;
+fn parse_poi(
+    line: &str,
+    vocab_len: usize,
+    ids: &mut Vec<KeywordId>,
+) -> Result<(Point, KeywordSet, f64)> {
+    let [x, y, weight, keywords] = split_fields(line, "POI")?;
+    let x = parse_coord(x, "x")?;
+    let y = parse_coord(y, "y")?;
+    let weight = parse_weight(weight)?;
+    let keywords = parse_keywords(keywords, vocab_len, ids).map_err(|e| e.in_field("keywords"))?;
     Ok((Point::new(x, y), keywords, weight))
 }
 
-fn parse_photo(line: &str, vocab_len: usize) -> Result<(Point, KeywordSet)> {
-    let fields: Vec<&str> = line.split('\t').collect();
-    if fields.len() != 3 {
-        return Err(SoiError::validation(
-            ValidationKind::MalformedRecord,
-            format!("expected 3 fields in photo record, got {}", fields.len()),
-        ));
-    }
-    let x = parse_coord(fields[0], "x")?;
-    let y = parse_coord(fields[1], "y")?;
-    let tags = parse_keywords(fields[2], vocab_len).map_err(|e| e.in_field("tags"))?;
+fn parse_photo(
+    line: &str,
+    vocab_len: usize,
+    ids: &mut Vec<KeywordId>,
+) -> Result<(Point, KeywordSet)> {
+    let [x, y, tags] = split_fields(line, "photo")?;
+    let x = parse_coord(x, "x")?;
+    let y = parse_coord(y, "y")?;
+    let tags = parse_keywords(tags, vocab_len, ids).map_err(|e| e.in_field("tags"))?;
     Ok((Point::new(x, y), tags))
 }
 
@@ -405,6 +444,34 @@ mod tests {
     }
 
     #[test]
+    fn line_ends_and_record_numbers_are_those_of_bufread_lines() {
+        // CRLF and LF line ends mixed, an empty line (skipped, but
+        // numbered), a last line without its newline, and keywords out of
+        // order and repeated.
+        let dir = tmp_dataset("line_ends");
+        let pois = "0\t0\t1\t1,0,1\r\n\r\n0.5\t0.25\t2\t\n1\t1\t1\t0";
+        std::fs::write(dir.join("pois.tsv"), pois).unwrap();
+        let d = load_dataset(&dir).unwrap();
+        let got: Vec<(Point, usize, f64)> =
+            (d.pois.iter().map(|p| (p.pos, p.keywords.len(), p.weight))).collect();
+        let want = [
+            (Point::new(0.0, 0.0), 2, 1.0),
+            (Point::new(0.5, 0.25), 0, 2.0),
+            (Point::new(1.0, 1.0), 1, 1.0),
+        ];
+        assert_eq!(got, want);
+        // A stray `\r` inside a line is content, not a line end: the bad
+        // record is the fourth line.
+        std::fs::write(dir.join("pois.tsv"), format!("{pois}\r\t9\n")).unwrap();
+        let text = load_dataset(&dir).unwrap_err().to_string();
+        assert!(
+            text.contains("record 4") && text.contains("pois.tsv"),
+            "{text}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn lenient_skips_bad_records_and_reports() {
         let dir = tmp_dataset("lenient");
         std::fs::write(
@@ -479,9 +546,13 @@ mod tests {
         let set = KeywordSet::from_ids([KeywordId(3), KeywordId(0), KeywordId(7)]);
         let s = format_keywords(&set);
         assert_eq!(s, "0,3,7");
-        let back = parse_keywords(&s, 10).unwrap();
+        let ids = &mut Vec::new();
+        let back = parse_keywords(&s, 10, ids).unwrap();
         assert_eq!(back, set);
-        assert!(parse_keywords("", 10).unwrap().is_empty());
-        assert!(parse_keywords("x", 10).is_err());
+        // Out of order, repeated, and more than a set holds inline.
+        let many = parse_keywords("9,1,8,2,7,3,6,4,5,9,1", 10, ids).unwrap();
+        assert_eq!(many, KeywordSet::from_ids((1..10).map(KeywordId)));
+        assert!(parse_keywords("", 10, ids).unwrap().is_empty());
+        assert!(parse_keywords("x", 10, ids).is_err());
     }
 }

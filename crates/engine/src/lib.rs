@@ -778,7 +778,7 @@ impl QueryEngine {
                     // Root span for this worker thread: profiles sampled on
                     // engine workers attach below engine.worker instead of
                     // floating as bare engine.query stacks.
-                    let _worker_span = soi_obs::trace::span(soi_obs::names::spans::ENGINE_WORKER);
+                    let worker_span = soi_obs::trace::span(soi_obs::names::spans::ENGINE_WORKER);
                     let mut worker = make_worker();
                     loop {
                         let base = next.fetch_add(chunk, Ordering::Relaxed);
@@ -790,6 +790,12 @@ impl QueryEngine {
                             partial.push((base + offset, worker(item)));
                         }
                     }
+                    // The scope returns once this closure has; the thread's
+                    // TLS destructor — which would flush its trace events —
+                    // may run after that, when the caller has already
+                    // collected the trace. So flush here, span included.
+                    drop(worker_span);
+                    soi_obs::trace::flush_thread();
                 });
             }
         });
@@ -1219,6 +1225,11 @@ mod tests {
             assert_eq!(got.objective.to_bits(), want.objective.to_bits());
             assert_eq!(counters(&got.stats), counters(&want.stats));
             let ctx = builder.build_with_delta(street, delta).expect("buildable");
+            // The worker's refilled index numbers the street's tags exactly
+            // when a fresh one does (a mask column the refill forgot to
+            // empty would only switch the masks off: same answers, slower).
+            let masked = |index: &soi_index::DiversificationIndex| index.kw_mask(0).is_some();
+            assert_eq!(masked(&worker.street.index), masked(&ctx.index));
             let greedy = greedy_select(&ctx, builder.photo_view(delta), &params);
             assert_eq!(got.selected, greedy.selected, "world {w} street {street}");
             assert_eq!(got.objective.to_bits(), greedy.objective.to_bits());

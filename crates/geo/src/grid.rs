@@ -81,14 +81,38 @@ impl Grid {
     /// Creates the smallest grid of `cell_size` cells that covers `extent`,
     /// with one extra cell per axis so that points on the maximum boundary
     /// still fall strictly inside a cell.
+    ///
+    /// # Panics
+    /// Panics if `cell_size` is not strictly positive, or if the grid would
+    /// have more cells than a `CellId` can number (see
+    /// [`try_covering`](Self::try_covering)).
     pub fn covering(extent: Rect, cell_size: f64) -> Self {
+        Self::try_covering(extent, cell_size)
+            .unwrap_or_else(|cells| panic!("grid too large for CellId: {cells:e} cells"))
+    }
+
+    /// [`covering`](Self::covering) for a cell size that comes from outside
+    /// the program: when `extent` needs more cells than a `CellId` can
+    /// number, returns that cell count instead of a grid. The counts are
+    /// taken in `f64`, where a tiny cell size can neither saturate nor wrap
+    /// them.
+    ///
+    /// # Panics
+    /// Panics if `cell_size` is not strictly positive.
+    pub fn try_covering(extent: Rect, cell_size: f64) -> Result<Self, f64> {
         assert!(
             cell_size > 0.0 && cell_size.is_finite(),
             "cell_size must be positive and finite"
         );
-        let nx = (extent.width() / cell_size).ceil() as u32 + 1;
-        let ny = (extent.height() / cell_size).ceil() as u32 + 1;
-        Self::new(extent.min, cell_size, nx.max(1), ny.max(1))
+        let nx = (extent.width() / cell_size).ceil() + 1.0;
+        let ny = (extent.height() / cell_size).ceil() + 1.0;
+        let cells = nx * ny;
+        // Also false for a NaN count (a non-finite extent).
+        if cells <= f64::from(u32::MAX) {
+            Ok(Self::new(extent.min, cell_size, nx as u32, ny as u32))
+        } else {
+            Err(cells)
+        }
     }
 
     /// Grid origin (minimum corner).
@@ -396,6 +420,29 @@ mod tests {
         assert!(g.cell_containing(Point::new(10.0, 5.0)).is_some());
         assert!(g.cell_containing(Point::new(0.0, 0.0)).is_some());
         assert!(g.extent().contains(Point::new(10.0, 5.0)));
+    }
+
+    #[test]
+    fn covering_counts_cells_without_wrapping() {
+        let extent = Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 5.0));
+        let g = Grid::try_covering(extent, 1.0).unwrap();
+        assert_eq!((g.nx(), g.ny()), (11, 6));
+        // 2e9 × 1e9 cells: `as u32` would saturate and `+ 1` wrap to a
+        // 1 × 1 grid. The largest grid a `CellId` can number still builds.
+        let cells = Grid::try_covering(extent, 5e-9).unwrap_err();
+        assert!((2.0e18..2.1e18).contains(&cells), "{cells:e}");
+        assert_eq!(Grid::try_covering(extent, 1e-300), Err(f64::INFINITY));
+        let line = Rect::new(Point::new(0.0, 0.0), Point::new(4_294_967_293.0, 0.0));
+        assert_eq!(Grid::try_covering(line, 1.0).unwrap().nx(), u32::MAX - 1);
+        let line = Rect::new(Point::new(0.0, 0.0), Point::new(4_294_967_295.0, 0.0));
+        assert!(Grid::try_covering(line, 1.0).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "grid too large for CellId")]
+    fn covering_panics_where_it_used_to_wrap() {
+        let extent = Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 5.0));
+        let _ = Grid::covering(extent, 1e-12);
     }
 
     #[test]

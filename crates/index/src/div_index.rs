@@ -7,18 +7,58 @@
 //! bounds of Eqs. 11–18, which read nothing else — so the per-cell inverted
 //! index the paper also lists is not materialised.
 //!
-//! The layout is flat: occupied cell ids ascending, and three arrays
-//! (photos, tag-count ranges, keyword unions) addressed through them by
-//! *cell slot* — a cell's position in the occupied list. A photo's position
-//! in the cell-major photo array is its *member slot*, the dense key Alg. 2
-//! keeps its per-photo state under. One index is rebuilt in place street
-//! after street ([`DiversificationIndex::rebuild`]) without allocating once
-//! its arrays have grown to the largest street seen.
+//! The layout is flat: occupied cell ids ascending, and columns addressed
+//! through them by *cell slot* — a cell's position in the occupied list. A
+//! photo's position in the cell-major photo array is its *member slot*, the
+//! dense key Alg. 2 keeps its per-photo state under. What Alg. 2 reads per
+//! scored photo and per bounded cell is such a column, so neither follows a
+//! `PhotoId` back to its record:
+//!
+//! | column | bytes | read by |
+//! |---|---|---|
+//! | `x`, `y` | 16 / member | [`count_within`](DiversificationIndex::count_within) (Def. 4) |
+//! | `near` | 40 / cell | `count_within`, [`neighborhood_count`](DiversificationIndex::neighborhood_count) (Eq. 12) |
+//! | `rects` | 32 / cell | [`cell_rect`](DiversificationIndex::cell_rect) (Eqs. 15–16) |
+//! | `kw_masks` | 8 / cell | [`kw_mask`](DiversificationIndex::kw_mask) (`c.Ψ ∩ Ψr` of Eqs. 17–18) |
+//! | `tag_masks` | 8 / member | [`member_tag_mask`](DiversificationIndex::member_tag_mask) (Def. 7) |
+//!
+//! The two mask columns number the street's distinct tags in order of first
+//! appearance, one bit each; a street with more than 64 of them (or with a
+//! tag id of 65 536 or more, which the numbering table does not stretch to)
+//! has neither column and its tag sets are intersected by merge.
+//!
+//! **A cell's ρ-neighbourhood is at most five member-slot ranges.** A grid
+//! row's cells have consecutive ids and the occupied list ascends, so the
+//! occupied cells of columns `[ix − 2, ix + 2]` in one row are one run of
+//! cell slots, and their photos — the array is cell-major — one run of
+//! member slots, hence one run of `x` / `y`. Five rows, five runs, resolved
+//! once per cell when the index is built.
+//!
+//! One index is rebuilt in place street after street
+//! ([`DiversificationIndex::rebuild`]) without allocating once its arrays
+//! have grown to the largest street seen.
 
-use soi_common::{CellId, KeywordId, PhotoId};
+use soi_common::{CellId, KeywordId, PhotoId, Result, SoiError};
 use soi_data::PhotoView;
-use soi_geo::{CellCoord, Grid, Point, Rect};
+use soi_geo::{Grid, Point, Rect};
+use soi_text::KeywordSet;
 use std::ops::Range;
+
+/// Grid rows a radius-2 cell neighbourhood spans.
+const NEAR_ROWS: usize = 5;
+
+/// Street tags a cell's keyword mask has a bit for.
+const MASK_BITS: usize = u64::BITS as usize;
+
+/// Tag ids the numbering table `tag_bit` is indexed by (64 KB at most).
+const NUMBERED_IDS: usize = 1 << 16;
+
+/// `tag_bit` entry of a tag the street has not shown.
+const UNNUMBERED: u8 = u8::MAX;
+
+/// Points per block of [`count_hits`]: a multiple of every vector width in
+/// use, as in [`mass_within`](crate::mass_within).
+const SCAN_BLOCK: usize = 8;
 
 /// One occupied cell of the diversification index, borrowed from it.
 #[derive(Debug, Clone, Copy)]
@@ -37,19 +77,41 @@ pub struct DivCell<'a> {
 #[derive(Debug)]
 pub struct DiversificationIndex {
     grid: Grid,
+    /// ρ², the squared radius [`count_within`](Self::count_within) tests.
+    rho_sq: f64,
     /// Occupied cell ids, ascending; a cell's position here is its slot.
     occupied: Vec<CellId>,
     /// `photos[starts[slot]..starts[slot + 1]]` are the photos of a cell.
     starts: Vec<usize>,
     /// Indexed photos, cell-major, ascending by id within a cell.
     photos: Vec<PhotoId>,
+    /// Position of each indexed photo, by member slot.
+    x: Vec<f64>,
+    y: Vec<f64>,
+    /// Per cell slot and grid row of its radius-2 neighbourhood: the member
+    /// slots of the row's occupied cells (empty for a row that holds none).
+    near: Vec<[(u32, u32); NEAR_ROWS]>,
+    /// The closed rectangle of each occupied cell, by cell slot.
+    rects: Vec<Rect>,
     /// `(ψmin, ψmax)` per cell slot.
     psi: Vec<(usize, usize)>,
     /// `keywords[kw_starts[slot]..kw_starts[slot + 1]]` is a cell's `c.Ψ`.
     kw_starts: Vec<usize>,
     keywords: Vec<KeywordId>,
+    /// The street's distinct tags in order of first appearance — a tag's
+    /// position is its mask bit — while they number at most [`MASK_BITS`],
+    /// and the inverse: `tag_bit[tag id]`, [`UNNUMBERED`] for every other id.
+    street_tags: Vec<KeywordId>,
+    tag_bit: Vec<u8>,
+    /// `Ψr` per member slot and `c.Ψ` per cell slot as bits over
+    /// `street_tags`; both empty for a street of more distinct tags.
+    tag_masks: Vec<u64>,
+    kw_masks: Vec<u64>,
     num_photos: usize,
-    /// Rebuild scratch: packed (cell ‖ photo) keys, and one cell's tags.
+    /// Rebuild scratch: member positions in id order, packed
+    /// (cell ‖ member index) keys, and one cell's tags.
+    px: Vec<f64>,
+    py: Vec<f64>,
     keys: Vec<u64>,
     tags: Vec<KeywordId>,
 }
@@ -59,17 +121,51 @@ impl Default for DiversificationIndex {
     fn default() -> Self {
         Self {
             grid: Grid::new(Point::ORIGIN, 1.0, 1, 1),
+            rho_sq: 0.0,
             occupied: Vec::new(),
             starts: Vec::new(),
             photos: Vec::new(),
+            x: Vec::new(),
+            y: Vec::new(),
+            near: Vec::new(),
+            rects: Vec::new(),
             psi: Vec::new(),
             kw_starts: Vec::new(),
             keywords: Vec::new(),
+            street_tags: Vec::new(),
+            tag_bit: Vec::new(),
+            tag_masks: Vec::new(),
+            kw_masks: Vec::new(),
             num_photos: 0,
+            px: Vec::new(),
+            py: Vec::new(),
             keys: Vec::new(),
             tags: Vec::new(),
         }
     }
+}
+
+/// `#{ i : (x[i] − cx)² + (y[i] − cy)² ≤ r_sq }`, with
+/// [`Point::dist_sq`]'s operand order. Each block's tests are taken before
+/// any is counted, so the arithmetic vectorises.
+fn count_hits(x: &[f64], y: &[f64], cx: f64, cy: f64, r_sq: f64) -> usize {
+    let hit = |x: f64, y: f64| {
+        let (dx, dy) = (x - cx, y - cy);
+        usize::from(dx * dx + dy * dy <= r_sq)
+    };
+    let (mut xs, mut ys) = (x.chunks_exact(SCAN_BLOCK), y.chunks_exact(SCAN_BLOCK));
+    let mut count = 0;
+    for (xb, yb) in (&mut xs).zip(&mut ys) {
+        let mut hits = [0; SCAN_BLOCK];
+        for (i, h) in hits.iter_mut().enumerate() {
+            *h = hit(xb[i], yb[i]);
+        }
+        count += hits.iter().sum::<usize>();
+    }
+    for (&x, &y) in xs.remainder().iter().zip(ys.remainder()) {
+        count += hit(x, y);
+    }
+    count
 }
 
 impl DiversificationIndex {
@@ -79,12 +175,19 @@ impl DiversificationIndex {
     /// `members` must be sorted ascending by id (as produced by
     /// [`PhotoGrid::photos_near_street`](crate::PhotoGrid::photos_near_street)).
     ///
+    /// # Errors
+    /// As [`rebuild`](Self::rebuild).
+    ///
     /// # Panics
     /// Panics if `rho` is not strictly positive.
-    pub fn build<'a>(photos: impl Into<PhotoView<'a>>, members: &[PhotoId], rho: f64) -> Self {
+    pub fn build<'a>(
+        photos: impl Into<PhotoView<'a>>,
+        members: &[PhotoId],
+        rho: f64,
+    ) -> Result<Self> {
         let mut index = Self::default();
-        index.rebuild(photos, members, rho);
-        index
+        index.rebuild(photos, members, rho)?;
+        Ok(index)
     }
 
     /// [`build`](Self::build) in place: the index forgets its previous
@@ -93,62 +196,185 @@ impl DiversificationIndex {
     /// Sequential on the calling thread: one street's `Rs` is a few thousand
     /// photos at most, less work than handing it to other threads costs.
     ///
+    /// # Errors
+    /// Rejects a `rho` so small against the extent of `members` that a grid
+    /// of ρ/2 cells over it has more cells than a [`CellId`] can number; the
+    /// index then still holds its previous street.
+    ///
     /// # Panics
     /// Panics if `rho` is not strictly positive.
-    pub fn rebuild<'a>(&mut self, photos: impl Into<PhotoView<'a>>, members: &[PhotoId], rho: f64) {
+    pub fn rebuild<'a>(
+        &mut self,
+        photos: impl Into<PhotoView<'a>>,
+        members: &[PhotoId],
+        rho: f64,
+    ) -> Result<()> {
         let photos: PhotoView<'a> = photos.into();
         assert!(rho > 0.0 && rho.is_finite(), "rho must be positive");
         debug_assert!(
             members.windows(2).all(|w| w[0] < w[1]),
             "members must be sorted ascending"
         );
-        let extent = Rect::bounding(members.iter().map(|&id| photos.get(id).pos))
+        self.px.clear();
+        self.py.clear();
+        for &id in members {
+            let pos = photos.get(id).pos;
+            self.px.push(pos.x);
+            self.py.push(pos.y);
+        }
+        let positions = || {
+            let xy = self.px.iter().zip(&self.py);
+            xy.map(|(&x, &y)| Point::new(x, y))
+        };
+        let extent = Rect::bounding(positions())
             .unwrap_or_else(|| Rect::new(Point::ORIGIN, Point::new(1.0, 1.0)));
-        self.grid = Grid::covering(extent, rho / 2.0);
-        self.num_photos = members.len();
+        let grid = Grid::try_covering(extent, rho / 2.0).map_err(|cells| {
+            SoiError::invalid(format!(
+                "rho {rho} is too small for this street: its photos span {} x {}, and cells \
+                 of side rho/2 over that are {cells:e} grid cells (at most {} can be numbered)",
+                extent.width(),
+                extent.height(),
+                u32::MAX
+            ))
+        })?;
         self.keys.clear();
-        for &pid in members {
+        for (i, pos) in positions().enumerate() {
             // Photos outside the grid (non-finite position) are
             // unindexable.
-            if let Some(coord) = self.grid.cell_containing(photos.get(pid).pos) {
-                let cell = self.grid.cell_id(coord);
-                self.keys.push(u64::from(cell.0) << 32 | u64::from(pid.0));
+            if let Some(coord) = grid.cell_containing(pos) {
+                self.keys
+                    .push(u64::from(grid.cell_id(coord).0) << 32 | i as u64);
             }
         }
         // The keys are unique, so the unstable sort is deterministic: cells
-        // ascending, photos ascending within a cell.
+        // ascending, and — `members` ascends — photos ascending within a
+        // cell.
         self.keys.sort_unstable();
+        self.grid = grid;
+        self.rho_sq = rho * rho;
+        self.num_photos = members.len();
 
         self.occupied.clear();
         self.starts.clear();
         self.photos.clear();
+        self.x.clear();
+        self.y.clear();
+        self.rects.clear();
         self.psi.clear();
         self.kw_starts.clear();
         self.keywords.clear();
+        for tag in self.street_tags.drain(..) {
+            self.tag_bit[tag.index()] = UNNUMBERED;
+        }
+        self.tag_masks.clear();
+        self.kw_masks.clear();
+        let mut masked = true;
         let mut i = 0;
         while i < self.keys.len() {
             let cell = (self.keys[i] >> 32) as u32;
             self.occupied.push(CellId(cell));
             self.starts.push(self.photos.len());
             self.kw_starts.push(self.keywords.len());
+            self.rects
+                .push(self.grid.cell_rect(self.grid.coord_of(CellId(cell))));
             let (mut psi_min, mut psi_max) = (usize::MAX, 0);
+            let mut kw_mask = 0;
             self.tags.clear();
             while i < self.keys.len() && (self.keys[i] >> 32) as u32 == cell {
-                let pid = PhotoId(self.keys[i] as u32);
+                let member = self.keys[i] as u32 as usize;
+                let pid = members[member];
                 let tags = photos.get(pid).tags.ids();
                 self.photos.push(pid);
+                self.x.push(self.px[member]);
+                self.y.push(self.py[member]);
                 psi_min = psi_min.min(tags.len());
                 psi_max = psi_max.max(tags.len());
                 self.tags.extend_from_slice(tags);
+                if masked {
+                    match self.number_tags(tags) {
+                        Some(mask) => {
+                            self.tag_masks.push(mask);
+                            kw_mask |= mask;
+                        }
+                        None => masked = false,
+                    }
+                }
                 i += 1;
             }
             self.tags.sort_unstable();
             self.tags.dedup();
             self.keywords.extend_from_slice(&self.tags);
             self.psi.push((psi_min, psi_max));
+            self.kw_masks.push(kw_mask);
         }
         self.starts.push(self.photos.len());
         self.kw_starts.push(self.keywords.len());
+        if !masked {
+            self.tag_masks.clear();
+            self.kw_masks.clear();
+        }
+        self.resolve_neighbourhoods();
+        Ok(())
+    }
+
+    /// `tags` as bits, numbering the ones the street has not shown before;
+    /// `None` once it has shown more than a mask has bits, or an id beyond
+    /// the numbering table.
+    fn number_tags(&mut self, tags: &[KeywordId]) -> Option<u64> {
+        let mut mask = 0;
+        for tag in tags {
+            let id = tag.index();
+            if id >= NUMBERED_IDS {
+                return None;
+            }
+            if id >= self.tag_bit.len() {
+                self.tag_bit.resize(id + 1, UNNUMBERED);
+            }
+            if self.tag_bit[id] == UNNUMBERED {
+                if self.street_tags.len() == MASK_BITS {
+                    return None;
+                }
+                self.tag_bit[id] = self.street_tags.len() as u8;
+                self.street_tags.push(*tag);
+            }
+            mask |= 1 << self.tag_bit[id];
+        }
+        Some(mask)
+    }
+
+    /// Fills `near`. Walking the cells in id order moves each row's window
+    /// of cell ids `[first, last]` forward only, so a row keeps one pair of
+    /// cursors into `occupied` — `lo` at the first cell not before the
+    /// window, `hi` at the first one past it — and the pass is linear in the
+    /// cells.
+    fn resolve_neighbourhoods(&mut self) {
+        let (nx, ny) = (self.grid.nx(), self.grid.ny());
+        let cells = self.occupied.len();
+        let (mut lo, mut hi) = ([0usize; NEAR_ROWS], [0usize; NEAR_ROWS]);
+        self.near.clear();
+        for &cell in &self.occupied {
+            let c = self.grid.coord_of(cell);
+            let x0 = c.ix.saturating_sub(2);
+            let x1 = c.ix.saturating_add(2).min(nx - 1);
+            let mut ranges = [(0, 0); NEAR_ROWS];
+            for (row, range) in ranges.iter_mut().enumerate() {
+                // Row `iy − 2 + row`, where the grid has it.
+                let iy = match (u64::from(c.iy) + row as u64).checked_sub(2) {
+                    Some(iy) if iy < u64::from(ny) => iy as u32,
+                    _ => continue,
+                };
+                let (first, last) = (iy * nx + x0, iy * nx + x1);
+                let (lo, hi) = (&mut lo[row], &mut hi[row]);
+                while *lo < cells && self.occupied[*lo].0 < first {
+                    *lo += 1;
+                }
+                while *hi < cells && self.occupied[*hi].0 <= last {
+                    *hi += 1;
+                }
+                *range = (self.starts[*lo] as u32, self.starts[*hi] as u32);
+            }
+            self.near.push(ranges);
+        }
     }
 
     /// The underlying grid (cell side = ρ/2).
@@ -185,6 +411,15 @@ impl DiversificationIndex {
         self.slot_of(id).map(|slot| self.cell_at(slot))
     }
 
+    /// The closed rectangle of the cell at `slot`
+    /// ([`Grid::cell_rect`] of its coordinates).
+    ///
+    /// # Panics
+    /// Panics if `slot` is out of range.
+    pub fn cell_rect(&self, slot: usize) -> &Rect {
+        &self.rects[slot]
+    }
+
     /// The indexed photos, cell-major: a photo's position is its member
     /// slot.
     pub fn photos(&self) -> &[PhotoId] {
@@ -196,68 +431,97 @@ impl DiversificationIndex {
         self.starts[slot]..self.starts[slot + 1]
     }
 
+    /// `(cell slot, member slot)` of photo `id` at `pos`, if the index holds
+    /// it.
+    pub fn locate(&self, id: PhotoId, pos: Point) -> Option<(usize, usize)> {
+        let coord = self.grid.cell_containing(pos)?;
+        let slot = self.slot_of(self.grid.cell_id(coord))?;
+        let members = self.member_slots(slot);
+        let at = self.photos[members.clone()].binary_search(&id).ok()?;
+        Some((slot, members.start + at))
+    }
+
     /// Total number of photos the index was built over (`|Rs|`).
     pub fn num_photos(&self) -> usize {
         self.num_photos
     }
 
-    /// Calls `f` with the slot of every occupied cell within Chebyshev cell
-    /// radius `radius` of `c`, ascending. A grid row's cells have
-    /// consecutive ids, so each row is one binary search and a short scan.
-    fn for_each_slot_near(&self, c: CellCoord, radius: u32, mut f: impl FnMut(usize)) {
-        let nx = self.grid.nx();
-        let x0 = c.ix.saturating_sub(radius);
-        let x1 = c.ix.saturating_add(radius).min(nx - 1);
-        let y1 = c.iy.saturating_add(radius).min(self.grid.ny() - 1);
-        let mut slot = 0;
-        for iy in c.iy.saturating_sub(radius)..=y1 {
-            let (first, last) = (CellId(iy * nx + x0), CellId(iy * nx + x1));
-            slot += self.occupied[slot..].partition_point(|&id| id < first);
-            while self.occupied.get(slot).is_some_and(|&id| id <= last) {
-                f(slot);
-                slot += 1;
-            }
-        }
-    }
-
-    /// Total photos within Chebyshev cell radius `radius` of cell `id`
-    /// (including `id` itself): the numerator of Eq. 12 for `radius = 2`.
-    pub fn neighborhood_count(&self, id: CellId, radius: u32) -> usize {
-        let mut count = 0;
-        self.for_each_slot_near(self.grid.coord_of(id), radius, |slot| {
-            count += self.member_slots(slot).len();
-        });
-        count
-    }
-
-    /// Exact count of member photos within Euclidean distance `radius` of
-    /// `center` (the numerator of Definition 4).
+    /// Total photos in the cells within Chebyshev cell radius 2 of the cell
+    /// at `slot`, itself included: the numerator of Eq. 12.
     ///
-    /// Correct only for `radius ≤ ρ` (the scan is limited to the radius-2
-    /// cell neighbourhood, which covers exactly distances up to ρ = 2·cell).
-    pub fn count_within<'a>(
-        &self,
-        photos: impl Into<PhotoView<'a>>,
-        center: Point,
-        radius: f64,
-    ) -> usize {
-        let photos: PhotoView<'a> = photos.into();
-        debug_assert!(
-            radius <= self.grid.cell_size() * 2.0 + 1e-12,
-            "count_within only valid up to rho"
-        );
-        let Some(coord) = self.grid.cell_containing(center) else {
-            return 0;
+    /// # Panics
+    /// Panics if `slot` is out of range.
+    pub fn neighborhood_count(&self, slot: usize) -> usize {
+        let rows = self.near[slot].iter();
+        rows.map(|&(start, end)| (end - start) as usize).sum()
+    }
+
+    /// Exact count of indexed photos within Euclidean distance ρ of the
+    /// photo at member slot `member` of the cell at `slot`, itself included
+    /// (the numerator of Definition 4): a scan of the coordinate runs of the
+    /// cell's radius-2 neighbourhood, which covers every point within
+    /// ρ = 2 · cell side.
+    ///
+    /// # Panics
+    /// Panics if `slot` or `member` is out of range.
+    pub fn count_within(&self, slot: usize, member: usize) -> usize {
+        debug_assert!(self.member_slots(slot).contains(&member));
+        let (cx, cy) = (self.x[member], self.y[member]);
+        let rows = self.near[slot].iter();
+        rows.map(|&(start, end)| {
+            let run = start as usize..end as usize;
+            count_hits(&self.x[run.clone()], &self.y[run], cx, cy, self.rho_sq)
+        })
+        .sum()
+    }
+
+    /// Position of the photo at member slot `member`.
+    ///
+    /// # Panics
+    /// Panics if `member` is out of range.
+    pub fn point(&self, member: usize) -> Point {
+        Point::new(self.x[member], self.y[member])
+    }
+
+    /// `tags` as bits over the street's tag numbering, or `None` for a
+    /// street of more than 64 distinct tags. A tag no photo of the street
+    /// carries has no bit: it is in no `c.Ψ` and no `Ψr` to intersect with.
+    pub fn tag_mask(&self, tags: &KeywordSet) -> Option<u64> {
+        let bit = |tag: &KeywordId| {
+            self.tag_bit
+                .get(tag.index())
+                .filter(|&&bit| bit != UNNUMBERED)
         };
-        let r_sq = radius * radius;
-        let mut count = 0;
-        self.for_each_slot_near(coord, 2, |slot| {
-            count += self.photos[self.member_slots(slot)]
+        self.masked().then(|| {
+            tags.ids()
                 .iter()
-                .filter(|&&pid| photos.get(pid).pos.dist_sq(center) <= r_sq)
-                .count();
-        });
-        count
+                .filter_map(bit)
+                .fold(0, |mask, bit| mask | 1 << bit)
+        })
+    }
+
+    /// The tags `Ψr` of the photo at member slot `member`, as
+    /// [`tag_mask`](Self::tag_mask) gives them.
+    ///
+    /// # Panics
+    /// Panics if `member` is out of range.
+    pub fn member_tag_mask(&self, member: usize) -> Option<u64> {
+        self.masked().then(|| self.tag_masks[member])
+    }
+
+    /// The keywords `c.Ψ` of the cell at `slot`, as
+    /// [`tag_mask`](Self::tag_mask) gives them.
+    ///
+    /// # Panics
+    /// Panics if `slot` is out of range.
+    pub fn kw_mask(&self, slot: usize) -> Option<u64> {
+        self.masked().then(|| self.kw_masks[slot])
+    }
+
+    /// The street's tags are numbered: the mask columns are filled. (An
+    /// index over no photos has nothing to mask either way.)
+    fn masked(&self) -> bool {
+        self.kw_masks.len() == self.occupied.len()
     }
 }
 
@@ -286,7 +550,7 @@ mod tests {
         // Photo not in Rs (excluded from members).
         photos.add(Point::new(0.15, 0.12), tags(&[9]));
         let members: Vec<PhotoId> = [0u32, 1, 2, 3].iter().map(|&i| PhotoId(i)).collect();
-        let index = DiversificationIndex::build(&photos, &members, 1.0);
+        let index = DiversificationIndex::build(&photos, &members, 1.0).unwrap();
         (photos, members, index)
     }
 
@@ -329,30 +593,93 @@ mod tests {
 
     #[test]
     fn neighborhood_count_sums_nearby_cells() {
-        let (_, _, index) = setup();
-        let id = index
-            .grid()
-            .cell_id(index.grid().cell_containing(Point::new(0.2, 0.1)).unwrap());
+        let (photos, _, index) = setup();
+        let (slot, _) = index
+            .locate(PhotoId(1), photos.get(PhotoId(1)).pos)
+            .unwrap();
         // The far photo is many cells away: radius-2 neighbourhood holds only
         // the cluster.
-        assert_eq!(index.neighborhood_count(id, 2), 3);
+        assert_eq!(index.neighborhood_count(slot), 3);
     }
 
     #[test]
-    fn count_within_is_exact() {
-        let (photos, _, index) = setup();
-        // Around photo 0 at (0.1, 0.1): with radius 0.15, photos 0 and 1.
-        assert_eq!(index.count_within(&photos, Point::new(0.10, 0.10), 0.15), 2);
-        // Radius 0.25 adds photo 2.
-        assert_eq!(index.count_within(&photos, Point::new(0.10, 0.10), 0.25), 3);
-        // Excluded photo (id 4) never counted even though it is nearby.
-        assert_eq!(index.count_within(&photos, Point::new(0.15, 0.12), 0.10), 2);
+    fn counts_within_rho_are_exact() {
+        let (photos, members, _) = setup();
+        let count = |rho: f64, id: u32| {
+            let index = DiversificationIndex::build(&photos, &members, rho).unwrap();
+            let (slot, member) = index
+                .locate(PhotoId(id), photos.get(PhotoId(id)).pos)
+                .unwrap();
+            index.count_within(slot, member)
+        };
+        // Around photo 0 at (0.1, 0.1): with ρ = 0.15, photos 0 and 1.
+        assert_eq!(count(0.15, 0), 2);
+        // ρ = 0.25 adds photo 2; the excluded photo 4, nearer than either,
+        // is never counted.
+        assert_eq!(count(0.25, 0), 3);
+        assert_eq!(count(0.15, 1), 3);
+        // The lone photo counts itself.
+        assert_eq!(count(0.25, 3), 1);
+    }
+
+    #[test]
+    fn locate_finds_members_only() {
+        let (photos, members, index) = setup();
+        for &id in &members {
+            let (slot, member) = index.locate(id, photos.get(id).pos).unwrap();
+            assert_eq!(index.photos()[member], id);
+            assert!(index.member_slots(slot).contains(&member));
+        }
+        // Photo 4 shares the cluster's cell but is not in Rs.
+        assert_eq!(index.locate(PhotoId(4), photos.get(PhotoId(4)).pos), None);
+        assert_eq!(index.locate(PhotoId(0), Point::new(-3.0, 0.0)), None);
+    }
+
+    #[test]
+    fn masks_number_a_street_of_up_to_64_tags() {
+        // 70 distinct tags: more than a mask can number.
+        let mut photos = PhotoCollection::new();
+        for i in 0..35u32 {
+            photos.add(Point::new(f64::from(i), 0.0), tags(&[2 * i, 2 * i + 1, 0]));
+        }
+        let everyone: Vec<PhotoId> = photos.iter().map(|p| p.id).collect();
+        let wide = DiversificationIndex::build(&photos, &everyone, 1.0).unwrap();
+        assert_eq!(wide.tag_mask(&tags(&[0])), None);
+        assert_eq!((wide.kw_mask(0), wide.member_tag_mask(0)), (None, None));
+        // Photos 0..=20 carry tags 0..=41: 42 distinct ones.
+        let narrow = DiversificationIndex::build(&photos, &everyone[..21], 1.0).unwrap();
+        let size = |mask: Option<u64>| mask.map(u64::count_ones);
+        assert_eq!(size(narrow.tag_mask(&tags(&[0, 7, 999]))), Some(2));
+        for slot in 0..narrow.occupied().len() {
+            let cell = narrow.cell_at(slot);
+            assert_eq!(size(narrow.kw_mask(slot)), Some(cell.keywords.len() as u32));
+            let mut union = 0;
+            for member in narrow.member_slots(slot) {
+                let r = photos.get(narrow.photos()[member]);
+                assert_eq!(narrow.member_tag_mask(member), narrow.tag_mask(&r.tags));
+                assert_eq!(narrow.point(member), r.pos);
+                union |= narrow.member_tag_mask(member).unwrap();
+            }
+            assert_eq!(narrow.kw_mask(slot), Some(union));
+        }
+    }
+
+    #[test]
+    fn a_rho_too_small_for_the_extent_is_an_error_not_a_wrapped_grid() {
+        let (photos, members, mut index) = setup();
+        for rho in [1e-8, 1e-12, 1e-300] {
+            let err = index.rebuild(&photos, &members, rho).unwrap_err();
+            assert!(err.to_string().contains("rho"), "{err}");
+        }
+        // The failed rebuilds left the previous street in place.
+        assert_eq!(index.occupied().len(), 2);
+        assert_eq!(index.photos().len(), 4);
     }
 
     #[test]
     fn empty_members() {
         let photos = PhotoCollection::new();
-        let index = DiversificationIndex::build(&photos, &[], 1.0);
+        let index = DiversificationIndex::build(&photos, &[], 1.0).unwrap();
         assert_eq!(index.num_photos(), 0);
         assert!(index.occupied().is_empty());
         assert!(index.photos().is_empty());
@@ -362,6 +689,6 @@ mod tests {
     #[should_panic(expected = "rho must be positive")]
     fn zero_rho_panics() {
         let photos = PhotoCollection::new();
-        DiversificationIndex::build(&photos, &[], 0.0);
+        let _ = DiversificationIndex::build(&photos, &[], 0.0);
     }
 }

@@ -314,8 +314,8 @@ proptest! {
         // The index under test is rebuilt in place over whatever an earlier,
         // larger build (every photo, another ρ) left in its arrays.
         let everyone: Vec<PhotoId> = photos.iter().map(|p| p.id).collect();
-        let mut index = DiversificationIndex::build(&photos, &everyone, 0.8);
-        index.rebuild(&photos, &members, RHO);
+        let mut index = DiversificationIndex::build(&photos, &everyone, 0.8).expect("indexable");
+        index.rebuild(&photos, &members, RHO).expect("indexable");
 
         // The reference, built the way the hash-of-vecs index was: one
         // photo list, tag-count range and keyword union per occupied cell.
@@ -343,27 +343,150 @@ proptest! {
             let union = KeywordSet::from_ids(list.iter().flat_map(|&p| photos.get(p).tags.iter()));
             prop_assert_eq!(cell.keywords, union.ids());
         }
-        // Neighbourhood counts, from occupied and unoccupied centres alike.
-        for c in grid.all_cells() {
-            prop_assert_eq!(index.cell(grid.cell_id(c)).is_some(), cells.contains_key(&grid.cell_id(c)));
-            for radius in 0..4 {
-                let want: usize = cells
-                    .iter()
-                    .filter(|(&id, _)| grid.coord_of(id).chebyshev(c) <= radius)
-                    .map(|(_, list)| list.len())
-                    .sum();
-                prop_assert_eq!(index.neighborhood_count(grid.cell_id(c), radius), want);
-            }
-        }
-        // Definition 4 against a scan of Rs, around members and strangers
-        // (inside the grid: a centre outside it counts nothing).
-        for probe in photos.iter().filter(|p| grid.cell_containing(p.pos).is_some()) {
-            for radius in [RHO, RHO / 2.0, 0.0] {
+        // Eq. 12's count and Definition 4's, from every cell and member,
+        // against scans of the cells and of Rs.
+        for (slot, (&id, list)) in cells.iter().enumerate() {
+            let c = grid.coord_of(id);
+            prop_assert_eq!(index.cell_rect(slot), &grid.cell_rect(c));
+            let want: usize = cells
+                .iter()
+                .filter(|(&other, _)| grid.coord_of(other).chebyshev(c) <= 2)
+                .map(|(_, list)| list.len())
+                .sum();
+            prop_assert_eq!(index.neighborhood_count(slot), want);
+            for (member, &r) in index.member_slots(slot).zip(list) {
+                let pos = photos.get(r).pos;
+                prop_assert_eq!(index.locate(r, pos), Some((slot, member)));
+                prop_assert_eq!(index.point(member), pos);
                 let want = members
                     .iter()
-                    .filter(|&&id| photos.get(id).pos.dist_sq(probe.pos) <= radius * radius)
+                    .filter(|&&id| photos.get(id).pos.dist_sq(pos) <= RHO * RHO)
                     .count();
-                prop_assert_eq!(index.count_within(&photos, probe.pos, radius), want);
+                prop_assert_eq!(index.count_within(slot, member), want);
+            }
+        }
+        // Strangers are in no cell, wherever they stand.
+        for stranger in photos.iter().filter(|p| !members.contains(&p.id)) {
+            prop_assert_eq!(index.locate(stranger.id, stranger.pos), None);
+        }
+    }
+
+    /// The cell-major columns against the photo records they were copied
+    /// from: for every member, the block scan of its cell's five coordinate
+    /// runs counts what a scan of all of `Rs` counts, Eq. 12's numerator is
+    /// the photos of the 5 × 5 cells around it, and the tag masks intersect
+    /// like the tag sets. CI runs this under the release profile too: that
+    /// is where the scan's blocks vectorise.
+    #[test]
+    fn column_counts_equal_a_scan_of_rs(
+        seed in 1u64..u64::MAX,
+        // One photo; a few dozen (four cases in six); more than 4 096.
+        size in 0u32..6,
+        // Lattice width in eighths of ρ: 1 stacks everything on one point.
+        span in 1u32..60,
+        // 9 tags, or 90 — more than a mask has bits.
+        wide_tags in 0u32..3,
+        with_delta in 0u32..2,
+    ) {
+        const RHO: f64 = 0.5;
+        let mut draw = Draw(seed);
+        let count = match size {
+            0 => 1,
+            5 => 4200,
+            _ => 2 + (draw.unit() * 70.0) as usize,
+        };
+        // Positions on a lattice of ρ/8 (exact in binary), so photos
+        // coincide, sit on half-open cell edges (every fourth line) and lie
+        // exactly ρ apart; one in four is nudged off it by a hair, away from
+        // the origin so the edges stay on the lattice — a near-duplicate of
+        // its lattice twin, just inside ρ of the photos a lattice ρ further
+        // out and just outside ρ of those a lattice ρ further in.
+        let place = |draw: &mut Draw| {
+            let at = |draw: &mut Draw| f64::from((draw.unit() * f64::from(span)) as u32) * RHO / 8.0;
+            let (dx, dy) = match (draw.unit() * 8.0) as u32 {
+                0 => (1e-12, 0.0),
+                1 => (0.0, 1e-12),
+                _ => (0.0, 0.0),
+            };
+            Point::new(at(draw) + dx, at(draw) + dy)
+        };
+        let tag_pool = if wide_tags == 0 { 90.0 } else { 9.0 };
+        let tags = |draw: &mut Draw| {
+            let carried = (draw.unit() * 4.0) as usize;
+            KeywordSet::from_ids((0..carried).map(|_| KeywordId((draw.unit() * tag_pool) as u32)))
+        };
+        let mut photos = PhotoCollection::new();
+        for _ in 0..count {
+            photos.add(place(&mut draw), tags(&mut draw));
+        }
+        // Rs: three base photos in four; under a delta, minus the deleted
+        // ones (one in five, members and strangers alike), plus half of the
+        // added ones (the other half stands for adds beyond ε).
+        let mut members: Vec<PhotoId> = photos
+            .iter()
+            .map(|p| p.id)
+            .filter(|_| count == 1 || draw.unit() < 0.75)
+            .collect();
+        let network = small_network();
+        let poi_index = PoiIndex::build(&network, &PoiCollection::new(), 1.0);
+        let delta = (with_delta == 1).then(|| {
+            let mut ops = Vec::new();
+            for p in photos.iter() {
+                if draw.unit() < 0.2 {
+                    ops.push(DeltaOp::DeletePhoto { id: p.id });
+                }
+            }
+            for _ in 0..1 + count / 10 {
+                ops.push(DeltaOp::AddPhoto { pos: place(&mut draw), tags: tags(&mut draw) });
+            }
+            DeltaIndex::seal(&poi_index, &PoiCollection::new(), &photos, &ops).expect("valid ops")
+        });
+        let view = match &delta {
+            Some(delta) => {
+                members.retain(|&id| !delta.photo_deleted(id));
+                members.extend(delta.added_photos().iter().map(|p| p.id).filter(|_| draw.unit() < 0.5));
+                delta.photo_view(&photos)
+            }
+            None => (&photos).into(),
+        };
+
+        // Rebuilt in place over what a larger street left in the columns.
+        let everyone: Vec<PhotoId> = photos.iter().map(|p| p.id).collect();
+        let mut index = DiversificationIndex::build(&photos, &everyone, 2.0 * RHO).expect("indexable");
+        index.rebuild(view, &members, RHO).expect("indexable");
+        let grid = index.grid();
+        prop_assert_eq!(index.photos().len(), members.len());
+        let distinct_tags = KeywordSet::from_ids(members.iter().flat_map(|&id| view.get(id).tags.iter())).len();
+        for slot in 0..index.occupied().len() {
+            let c = grid.coord_of(index.occupied()[slot]);
+            let near: usize = (0..index.occupied().len())
+                .filter(|&other| grid.coord_of(index.occupied()[other]).chebyshev(c) <= 2)
+                .map(|other| index.member_slots(other).len())
+                .sum();
+            prop_assert_eq!(index.neighborhood_count(slot), near);
+            let cell = index.cell_at(slot);
+            prop_assert_eq!(index.kw_mask(slot).is_some(), distinct_tags <= 64);
+            if let Some(mask) = index.kw_mask(slot) {
+                prop_assert_eq!(mask.count_ones() as usize, cell.keywords.len());
+            }
+            for member in index.member_slots(slot) {
+                let r = view.get(index.photos()[member]);
+                prop_assert_eq!(index.point(member), r.pos);
+                prop_assert_eq!(index.locate(r.id, r.pos), Some((slot, member)));
+                let within = members
+                    .iter()
+                    .filter(|&&id| view.get(id).pos.dist_sq(r.pos) <= RHO * RHO)
+                    .count();
+                prop_assert_eq!(index.count_within(slot, member), within, "member {} of {}", r.id, members.len());
+                prop_assert_eq!(index.member_tag_mask(member), index.tag_mask(&r.tags));
+                if let (Some(tags), Some(kws)) = (index.member_tag_mask(member), index.kw_mask(slot)) {
+                    prop_assert_eq!(tags.count_ones() as usize, r.tags.len());
+                    prop_assert_eq!(tags & kws, tags);
+                    // Against the first member's tags: Definition 7's sizes.
+                    let first = view.get(members[0]);
+                    let shared = index.tag_mask(&first.tags).expect("numbered") & tags;
+                    prop_assert_eq!(shared.count_ones() as usize, first.tags.intersection_size(&r.tags));
+                }
             }
         }
     }

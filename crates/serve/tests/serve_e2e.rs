@@ -982,6 +982,36 @@ fn describe_rejects_a_negative_street_id_instead_of_answering_for_street_zero() 
     assert_eq!(report.panics, 0);
 }
 
+/// Regression: under `--rho 1e-8` a street's grid of ρ/2 cells has more cells
+/// than can be numbered, and building it panicked the worker on every
+/// `/describe` (a caught panic, a 500). It is the request's 400.
+#[test]
+fn describe_under_a_rho_too_small_for_the_street_is_a_400_not_a_panic() {
+    let config = ServeConfig {
+        rho: 1e-8,
+        ..test_config()
+    };
+    let (refused, report) = with_server(config, |addr| {
+        let mut refused = 0;
+        for street in 0..20 {
+            let body = format!("{{\"street\":{street},\"k\":3,\"deadline_ms\":30000}}");
+            let r = request(addr, "POST", "/describe", Some(&body), TIMEOUT).expect("describe");
+            // A street of one photo, or none, still has a grid.
+            if r.status != 200 {
+                assert_eq!(r.status, 400, "street {street}: {}", r.body);
+                let doc = parse(&r.body).expect("valid JSON");
+                assert_eq!(doc.get("category").and_then(Json::as_str), Some("usage"));
+                assert!(r.body.contains("rho"), "{}", r.body);
+                refused += 1;
+            }
+        }
+        refused
+    });
+    assert!(refused > 0, "no street was too large for rho = 1e-8");
+    assert!(report.drained);
+    assert_eq!(report.panics, 0);
+}
+
 /// Regression: `k` sized a heap before anything bounded it (`k: 1e17`
 /// aborted the process on a failed allocation), and `deadline_ms` was
 /// converted to a `Duration` before it was clamped (`1e300` panicked the

@@ -1,9 +1,16 @@
 //! Keyword frequency vectors (`Φs`).
 
 use crate::keyword_set::KeywordSet;
-use soi_common::{FxHashMap, KeywordId};
+use soi_common::KeywordId;
 
-/// A sparse keyword frequency vector with a cached L1 norm.
+/// Keyword ids below this are a direct index into [`FreqVector`]'s weight
+/// column (a vocabulary numbers its keywords densely from 0; 512 KB if a
+/// street shows the last of them); larger ids — a sparse numbering, or a raw
+/// id from outside the vocabulary — are kept in a sorted side list instead
+/// of sizing the column.
+const DENSE_IDS: usize = 1 << 16;
+
+/// A keyword frequency vector with a cached L1 norm.
 ///
 /// The textual aspect of a street `s` is captured by `Φs`, which records the
 /// strength of each keyword associated with `s` (Sec. 4.1.2). The textual
@@ -11,7 +18,15 @@ use soi_common::{FxHashMap, KeywordId};
 /// tags by `‖Φs‖₁`.
 #[derive(Debug, Clone, Default)]
 pub struct FreqVector {
-    weights: FxHashMap<KeywordId, f64>,
+    /// `dense[k]` is the weight of keyword `k`, for the ids below
+    /// [`DENSE_IDS`] up to the largest one seen.
+    dense: Vec<f64>,
+    /// The keywords with a non-zero weight in `dense`, in order of first
+    /// addition: what [`clear`](Self::clear) has to zero.
+    dense_keys: Vec<KeywordId>,
+    /// The keywords from [`DENSE_IDS`] up, ascending, and their weights.
+    sparse_keys: Vec<KeywordId>,
+    sparse_weights: Vec<f64>,
     l1: f64,
 }
 
@@ -36,27 +51,59 @@ impl FreqVector {
 
     /// Empties the vector, keeping its capacity.
     pub fn clear(&mut self) {
-        self.weights.clear();
+        for k in self.dense_keys.drain(..) {
+            self.dense[k.index()] = 0.0;
+        }
+        self.sparse_keys.clear();
+        self.sparse_weights.clear();
         self.l1 = 0.0;
     }
 
     /// Adds `weight` to keyword `k` (no-op for non-positive weights).
+    #[inline]
     pub fn add(&mut self, k: KeywordId, weight: f64) {
         if weight <= 0.0 || !weight.is_finite() {
             return;
         }
-        *self.weights.entry(k).or_insert(0.0) += weight;
+        let id = k.index();
+        let slot = if id < DENSE_IDS {
+            if id >= self.dense.len() {
+                self.dense.resize(id + 1, 0.0);
+            }
+            // Weights only grow from 0, so 0 means "not a key yet".
+            if self.dense[id] == 0.0 {
+                self.dense_keys.push(k);
+            }
+            &mut self.dense[id]
+        } else {
+            let at = self.sparse_keys.binary_search(&k).unwrap_or_else(|at| {
+                self.sparse_keys.insert(at, k);
+                self.sparse_weights.insert(at, 0.0);
+                at
+            });
+            &mut self.sparse_weights[at]
+        };
+        *slot += weight;
         self.l1 += weight;
     }
 
     /// Increments keyword `k` by 1 (counting semantics).
+    #[inline]
     pub fn increment(&mut self, k: KeywordId) {
         self.add(k, 1.0);
     }
 
     /// The weight of keyword `k` (0 if absent).
+    #[inline]
     pub fn weight(&self, k: KeywordId) -> f64 {
-        self.weights.get(&k).copied().unwrap_or(0.0)
+        if k.index() < DENSE_IDS {
+            self.dense.get(k.index()).copied().unwrap_or(0.0)
+        } else {
+            match self.sparse_keys.binary_search(&k) {
+                Ok(at) => self.sparse_weights[at],
+                Err(_) => 0.0,
+            }
+        }
     }
 
     /// The L1 norm `‖Φ‖₁ = Σ_ψ Φ(ψ)`.
@@ -66,22 +113,24 @@ impl FreqVector {
 
     /// Number of keywords with non-zero weight.
     pub fn len(&self) -> usize {
-        self.weights.len()
+        self.dense_keys.len() + self.sparse_keys.len()
     }
 
     /// Returns true if the vector is all-zero.
     pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
+        self.len() == 0
     }
 
     /// The support `Ψs`: keywords with non-zero frequency, as a set.
     pub fn support(&self) -> KeywordSet {
-        KeywordSet::from_ids(self.weights.keys().copied())
+        KeywordSet::from_ids(self.iter().map(|(k, _)| k))
     }
 
     /// Iterates over `(keyword, weight)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (KeywordId, f64)> + '_ {
-        self.weights.iter().map(|(&k, &w)| (k, w))
+        let dense = self.dense_keys.iter().map(|&k| (k, self.dense[k.index()]));
+        let sparse = self.sparse_keys.iter().copied();
+        dense.chain(sparse.zip(self.sparse_weights.iter().copied()))
     }
 
     /// Summed weight of all keywords in `set`:
@@ -164,6 +213,36 @@ mod tests {
             .map(|(k, _)| k.raw())
             .collect();
         assert_eq!(order, vec![9, 2, 5]);
+    }
+
+    #[test]
+    fn ids_beyond_the_dense_range_cost_no_column() {
+        // A raw id from outside any vocabulary, next to ordinary ones, and
+        // the two ids either side of the limit.
+        let edge = DENSE_IDS as u32;
+        let mut v = FreqVector::new();
+        for (k, w) in [
+            (u32::MAX, 2.0),
+            (3, 1.0),
+            (edge, 0.5),
+            (edge - 1, 0.25),
+            (u32::MAX, 1.0),
+        ] {
+            v.add(kid(k), w);
+        }
+        assert_eq!(v.dense.len(), DENSE_IDS);
+        assert_eq!(v.weight(kid(u32::MAX)), 3.0);
+        assert_eq!((v.weight(kid(edge)), v.weight(kid(edge - 1))), (0.5, 0.25));
+        assert_eq!(v.weight(kid(edge + 1)), 0.0);
+        assert_eq!((v.len(), v.l1_norm()), (4, 4.75));
+        let all = KeywordSet::from_ids([kid(3), kid(edge - 1), kid(edge), kid(u32::MAX)]);
+        assert_eq!(v.support(), all);
+        assert_eq!(v.sum_over(&all), 4.75);
+        // A cleared vector is empty again, whatever it held.
+        v.clear();
+        assert!(v.is_empty() && v.l1_norm() == 0.0);
+        assert_eq!(v.sum_over(&all), 0.0);
+        assert!(v.dense.iter().all(|&w| w == 0.0));
     }
 
     #[test]

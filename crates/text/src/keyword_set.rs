@@ -38,6 +38,15 @@ pub fn sorted_intersection_size(a: &[KeywordId], b: &[KeywordId]) -> usize {
     n
 }
 
+/// The Jaccard distance of two sets from the sizes of their intersection and
+/// union ([`KeywordSet::jaccard_distance`], for sets held as bit masks).
+pub fn jaccard_distance_of(shared: usize, union: usize) -> f64 {
+    if union == 0 {
+        return 0.0;
+    }
+    1.0 - shared as f64 / union as f64
+}
+
 /// A sorted, deduplicated set of keyword ids.
 ///
 /// This is the representation of `Ψp` (POI keywords), `Ψr` (photo tags), and
@@ -201,11 +210,7 @@ impl KeywordSet {
     /// The distance of two empty sets is defined as 0 (identical).
     pub fn jaccard_distance(&self, other: &KeywordSet) -> f64 {
         let shared = self.intersection_size(other);
-        let union = self.len() + other.len() - shared;
-        if union == 0 {
-            return 0.0;
-        }
-        1.0 - shared as f64 / union as f64
+        jaccard_distance_of(shared, self.len() + other.len() - shared)
     }
 
     /// The intersection as a new set.

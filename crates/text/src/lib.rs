@@ -32,6 +32,6 @@ pub mod vocab;
 
 pub use freq::FreqVector;
 pub use inverted::{union_distinct, union_of_postings, STACK_LISTS};
-pub use keyword_set::{sorted_intersection_size, KeywordSet};
+pub use keyword_set::{jaccard_distance_of, sorted_intersection_size, KeywordSet};
 pub use tokenize::tokenize;
 pub use vocab::Vocabulary;
