@@ -52,4 +52,4 @@ pub use parallel::{
     par_sort_unstable_by,
 };
 pub use timing::{PhaseTimer, Stopwatch};
-pub use topk::{top_k_by_score, ScoredItem, TopKTracker};
+pub use topk::{top_k_by_score, ScoredItem};

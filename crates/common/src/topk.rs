@@ -93,101 +93,6 @@ where
     out
 }
 
-/// Incrementally tracks the k-th largest score of a mutable id→score map.
-///
-/// Scores may be inserted or increased (monotone updates are the SOI
-/// algorithm's use case, but arbitrary re-scoring works too). The structure
-/// keeps the current top-k in one ordered set and the remainder in another;
-/// every update is `O(log n)` and [`TopKTracker::threshold`] is `O(1)`-ish
-/// (first/last lookups in a B-tree).
-///
-/// ```
-/// use soi_common::TopKTracker;
-///
-/// let mut tracker = TopKTracker::<u32>::new(2);
-/// tracker.update(1, None, 5.0);
-/// assert_eq!(tracker.threshold(), 0.0); // fewer than k ids
-/// tracker.update(2, None, 3.0);
-/// assert_eq!(tracker.threshold(), 3.0); // 2nd largest of {5, 3}
-/// tracker.update(2, Some(3.0), 9.0);
-/// assert_eq!(tracker.threshold(), 5.0); // 2nd largest of {5, 9}
-/// ```
-#[derive(Debug, Clone)]
-pub struct TopKTracker<I> {
-    k: usize,
-    top: std::collections::BTreeSet<(OrderedF64, I)>,
-    rest: std::collections::BTreeSet<(OrderedF64, I)>,
-}
-
-impl<I: Ord + Copy> TopKTracker<I> {
-    /// Creates a tracker for the k-th largest score.
-    ///
-    /// # Panics
-    /// Panics if `k` is 0.
-    pub fn new(k: usize) -> Self {
-        assert!(k >= 1, "k must be at least 1");
-        Self {
-            k,
-            top: Default::default(),
-            rest: Default::default(),
-        }
-    }
-
-    /// Sets `id`'s score to `new`, where `old` is its previous score (None
-    /// if the id is new). Passing a wrong `old` is a logic error.
-    pub fn update(&mut self, id: I, old: Option<f64>, new: f64) {
-        if let Some(old) = old {
-            let key = (OrderedF64::new(old), id);
-            if !self.top.remove(&key) {
-                let removed = self.rest.remove(&key);
-                debug_assert!(removed, "old score not found");
-            }
-        }
-        self.rest.insert((OrderedF64::new(new), id));
-        self.rebalance();
-    }
-
-    fn rebalance(&mut self) {
-        while self.top.len() < self.k {
-            match self.rest.pop_last() {
-                Some(max) => {
-                    self.top.insert(max);
-                }
-                None => return,
-            }
-        }
-        while let (Some(&rmax), Some(&tmin)) = (self.rest.last(), self.top.first()) {
-            if rmax > tmin {
-                self.rest.pop_last();
-                self.top.pop_first();
-                self.rest.insert(tmin);
-                self.top.insert(rmax);
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// The k-th largest score, or 0.0 while fewer than k ids are tracked.
-    pub fn threshold(&self) -> f64 {
-        if self.top.len() < self.k {
-            0.0
-        } else {
-            self.top.first().map_or(0.0, |s| s.0.get())
-        }
-    }
-
-    /// Number of tracked ids.
-    pub fn len(&self) -> usize {
-        self.top.len() + self.rest.len()
-    }
-
-    /// Returns true if no ids are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.top.is_empty() && self.rest.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,50 +132,6 @@ mod tests {
     #[test]
     fn k_zero_returns_empty() {
         assert!(top_k_by_score(items(&[(1, 1.0)]), 0).is_empty());
-    }
-
-    #[test]
-    fn tracker_threshold_matches_recomputation() {
-        let mut tracker = TopKTracker::<u32>::new(3);
-        let mut scores: std::collections::HashMap<u32, f64> = Default::default();
-        // Deterministic pseudo-random updates.
-        let mut x = 12345u64;
-        for step in 0..500 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let id = (x >> 33) as u32 % 40;
-            let bump = ((x >> 11) % 1000) as f64 / 100.0;
-            let old = scores.get(&id).copied();
-            let new = old.unwrap_or(0.0) + bump;
-            scores.insert(id, new);
-            tracker.update(id, old, new);
-
-            let mut vals: Vec<f64> = scores.values().copied().collect();
-            vals.sort_by(|a, b| b.total_cmp(a));
-            let want = if vals.len() >= 3 { vals[2] } else { 0.0 };
-            assert_eq!(tracker.threshold(), want, "step {step}");
-        }
-        assert_eq!(tracker.len(), scores.len());
-        assert!(!tracker.is_empty());
-    }
-
-    #[test]
-    fn tracker_under_k_reports_zero() {
-        let mut t = TopKTracker::<u32>::new(2);
-        assert_eq!(t.threshold(), 0.0);
-        t.update(1, None, 5.0);
-        assert_eq!(t.threshold(), 0.0);
-        t.update(2, None, 3.0);
-        assert_eq!(t.threshold(), 3.0);
-        t.update(2, Some(3.0), 7.0);
-        assert_eq!(t.threshold(), 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "k must be at least 1")]
-    fn tracker_rejects_k_zero() {
-        TopKTracker::<u32>::new(0);
     }
 
     #[test]

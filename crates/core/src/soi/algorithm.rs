@@ -34,20 +34,39 @@
 //! segment, so the combination preserves correctness while terminating much
 //! earlier.
 //!
-//! ### Lazily ordered lists
-//! The loop reads only a short prefix of SL1, SL2 and the factor list, so a
-//! query never sorts them: each is heapified in O(n) and popped or peeked in
-//! exactly the order a sort would give (see the `ranked` module). SL3
-//! is the one list that does not depend on the query and stays precomputed.
+//! ### Source lists without a sort
+//! The loop reads only a short prefix of each list, so a query never sorts
+//! one by comparison. **SL1** is heapified in O(n) and popped in exactly
+//! the order a sort would give (see the `ranked` module). **SL2** and
+//! **SLf** rank segments by a small integer — the O(1) bound on `|Cε(ℓ)|`
+//! — so one counting pass lays out a bucket per distinct count; scattering
+//! the segments in id order *is* SL2, and scattering them in SL3's length
+//! order leaves each bucket length-ascending (see the `counted` module).
+//! For a fixed count the factor `count / (2ε·len + πε²)` is non-increasing
+//! in `len` — also as computed, each operation being monotone under IEEE
+//! rounding — so a bucket's first unseen segment carries the bucket's
+//! largest factor, and `top(SLf)` is the largest of the buckets' heads.
+//! **SL3** is the one list that does not depend on the query and stays
+//! precomputed.
+//!
+//! ### Cell accesses
+//! `Lε(c)` is not stored: a popped cell walks the static raster rows of its
+//! Chebyshev ring, which list a superset of it (a segment that does not
+//! list the cell in its own `Cε(ℓ)` ignores the touch). Segments that are
+//! *final* — dismissed, or every cell visited — are dropped while the rows
+//! are merged, by one bit per segment, so only segments the cell can still
+//! change reach `UpdateInterest`.
 
 use crate::budget::{QueryBudget, BUDGET_CHECK_EVERY};
+use crate::soi::counted::CountedLists;
 use crate::soi::explain::{ExplainRow, SoiExplain};
 use crate::soi::interest::segment_interest;
+use crate::soi::lbk::KBest;
 use crate::soi::query::{SoiConfig, SoiOutcome, SoiQuery, StreetResult};
 use crate::soi::ranked::Ranked;
 use crate::soi::stats::{phases, QueryStats};
 use crate::soi::strategy::Source;
-use soi_common::{top_k_by_score, CellId, Result, ScoredItem, SegmentId, StreetId, TopKTracker};
+use soi_common::{top_k_by_score, CellId, Result, ScoredItem, SegmentId, StreetId};
 use soi_data::PoiView;
 use soi_geo::LineSeg;
 use soi_index::{mass_within, IndexView};
@@ -123,8 +142,6 @@ struct SegState {
     span: Span,
     /// Number of set bits.
     visited_count: usize,
-    /// True once every cell has been visited (exact interest known).
-    finalized: bool,
 }
 
 impl SegState {
@@ -234,6 +251,32 @@ impl Gathered {
     }
 }
 
+/// One bit per segment, dense over the ids.
+#[derive(Default)]
+struct SegmentBits(Vec<u64>);
+
+impl SegmentBits {
+    /// Fits the set to `num_segments`; a new bit is clear.
+    fn fit(&mut self, num_segments: usize) {
+        self.0.resize(num_segments.div_ceil(64), 0);
+    }
+
+    #[inline]
+    fn get(&self, seg: SegmentId) -> bool {
+        self.0[seg.index() / 64] & (1 << (seg.index() % 64)) != 0
+    }
+
+    #[inline]
+    fn set(&mut self, seg: SegmentId) {
+        self.0[seg.index() / 64] |= 1 << (seg.index() % 64);
+    }
+
+    #[inline]
+    fn clear(&mut self, seg: SegmentId) {
+        self.0[seg.index() / 64] &= !(1 << (seg.index() % 64));
+    }
+}
+
 /// The per-segment and per-street tables of a query, dense over the ids
 /// and emptied by walking what the previous query touched.
 #[derive(Default)]
@@ -242,6 +285,15 @@ struct SeenTables {
     slot: Vec<u32>,
     /// Seen segments, in first-seen order.
     states: Vec<SegState>,
+    /// Per segment: set once it is *final* — dismissed, or every cell of
+    /// its `Cε(ℓ)` visited, so its interest is settled and no cell can
+    /// change it. Only seen segments are ever dead.
+    dead: SegmentBits,
+    /// The live segments of the cell access under way, ascending once
+    /// collected, and one bit per segment that is set while it is listed:
+    /// a segment crosses several cells of a ring and is listed once.
+    ring: Vec<SegmentId>,
+    queued: SegmentBits,
     arenas: Arenas,
     /// Per street: best interest lower bound among its seen segments
     /// (`-∞` until raised); `raised` lists the streets that have one.
@@ -256,8 +308,12 @@ impl SeenTables {
     fn reset(&mut self, network: &RoadNetwork) {
         for state in self.states.drain(..) {
             self.slot[state.seg.index()] = 0;
+            self.dead.clear(state.seg);
         }
+        self.unqueue_ring();
         self.slot.resize(network.num_segments(), 0);
+        self.dead.fit(network.num_segments());
+        self.queued.fit(network.num_segments());
         for street in self.raised.drain(..) {
             self.street_best[street.index()] = f64::NEG_INFINITY;
         }
@@ -266,15 +322,22 @@ impl SeenTables {
         self.arenas.cells.clear();
         self.arenas.bits.clear();
     }
+
+    /// Empties `ring`, clearing its segments' `queued` bits.
+    fn unqueue_ring(&mut self) {
+        for seg in self.ring.drain(..) {
+            self.queued.clear(seg);
+        }
+    }
 }
 
 /// Mutable algorithm state shared by the access handlers.
 struct Filtering<'s> {
     seen: &'s mut SeenTables,
     gathered: &'s mut Gathered,
-    /// Incremental k-th-largest tracker over `street_best`: `LBk`
-    /// (Alg. 1 lines 23–24) is always fresh at O(log S) per update.
-    lbk: TopKTracker<StreetId>,
+    /// The k best entries of `street_best`: `LBk` (Alg. 1 lines 23–24) is
+    /// always fresh.
+    lbk: &'s mut KBest,
 }
 
 impl Filtering<'_> {
@@ -283,8 +346,7 @@ impl Filtering<'_> {
     }
 
     fn is_finalized(&self, seg: SegmentId) -> bool {
-        let slot = self.seen.slot[seg.index()] as usize;
-        slot != 0 && self.seen.states[slot - 1].finalized
+        self.seen.dead.get(seg)
     }
 
     /// Raises `street`'s lower bound to `int_lower` if it improves.
@@ -296,7 +358,7 @@ impl Filtering<'_> {
                 self.seen.raised.push(street);
             }
             *entry = int_lower;
-            self.lbk.update(street, old, int_lower);
+            self.lbk.raise(street, old, int_lower);
         }
     }
 
@@ -341,14 +403,48 @@ impl Filtering<'_> {
             mass: 0.0,
             span,
             visited_count: 0,
-            finalized: span.len == 0,
         });
         seen.slot[seg.index()] = seen.states.len() as u32;
+        if span.len == 0 {
+            // Dismissed, or no occupied cell within ε: nothing left to visit.
+            seen.dead.set(seg);
+        }
         (!dismissed).then(|| seen.states.len() - 1)
     }
 
+    /// A cell access (Alg. 1 lines 9–13): runs `UpdateInterest` for every
+    /// segment the popped `cell` can still change. The raster rows of the
+    /// cell's ring list a superset of `Lε(c)`, a segment once per ring cell
+    /// it crosses; a dead segment is dropped while the rows are merged, the
+    /// rest go through [`update_interest`](Self::update_interest) in
+    /// ascending id order — the order `states` is filled in, whatever the
+    /// rows' order.
+    fn access_cell(&mut self, inputs: &Inputs<'_>, cell: CellId, lbk: f64, stats: &mut QueryStats) {
+        let seen = &mut *self.seen;
+        seen.unqueue_ring();
+        let SeenTables {
+            dead, ring, queued, ..
+        } = seen;
+        inputs
+            .index
+            .for_each_raster_row_near_cell(cell, inputs.query.eps, |row| {
+                for &seg in row {
+                    if !(dead.get(seg) || queued.get(seg)) {
+                        queued.set(seg);
+                        ring.push(seg);
+                    }
+                }
+            });
+        ring.sort_unstable();
+        for at in 0..self.seen.ring.len() {
+            let seg = self.seen.ring[at];
+            self.update_interest(inputs, seg, cell, lbk, stats);
+        }
+    }
+
     /// Effective `UpdateInterest` (procedure in Alg. 1): accounts `cell`
-    /// for segment `seg` once, keeping the street-level lower bound current.
+    /// for the live segment `seg` once, keeping the street-level lower bound
+    /// current.
     fn update_interest(
         &mut self,
         inputs: &Inputs<'_>,
@@ -357,13 +453,14 @@ impl Filtering<'_> {
         lbk: f64,
         stats: &mut QueryStats,
     ) {
+        debug_assert!(!self.seen.dead.get(seg), "a dead segment reached a cell");
         let Some(at) = self.see(inputs, seg, lbk, stats) else {
             stats.duplicate_visits += 1;
             return;
         };
         let state = &mut self.seen.states[at];
         let (cells, bits) = self.seen.arenas.of(state.span);
-        if state.finalized || !state.visit(cell, cells, bits) {
+        if !state.visit(cell, cells, bits) {
             stats.duplicate_visits += 1;
             return;
         }
@@ -372,7 +469,7 @@ impl Filtering<'_> {
         state.mass += gained;
         stats.cell_visits += 1;
         if state.visited_count == state.span.len {
-            state.finalized = true;
+            self.seen.dead.set(seg);
             stats.segments_finalized_filtering += 1;
         }
         if gained > 0.0 {
@@ -400,7 +497,7 @@ impl Filtering<'_> {
         };
         let s = inputs.network.segment(seg);
         let state = &mut self.seen.states[at];
-        if state.finalized {
+        if self.seen.dead.get(seg) {
             if fresh {
                 // Seen here for the first time and it has no ε-cells.
                 stats.segments_finalized_filtering += 1;
@@ -414,7 +511,7 @@ impl Filtering<'_> {
             inputs.query.eps,
         );
         if int_upper <= lbk && lbk > 0.0 {
-            state.finalized = true;
+            self.seen.dead.set(seg);
             stats.segments_bounded_out += 1;
             stats.segments_finalized_filtering += 1;
             return;
@@ -435,7 +532,7 @@ impl Filtering<'_> {
             state.mass += inputs.cell_mass(self.gathered, cell, &s.geom);
             stats.cell_visits += 1;
         }
-        state.finalized = true;
+        self.seen.dead.set(seg);
         stats.segments_finalized_filtering += 1;
         let mass = state.mass;
         if mass > 0.0 {
@@ -493,21 +590,22 @@ impl<'a> RelPrefix<'a> {
     }
 }
 
-/// Reusable working memory for [`run_soi`]: the source-list vectors, the
-/// dense per-cell / per-segment / per-street tables, the cell-list arenas
-/// and the gathered relevant-POI columns, so a warm query allocates none of
-/// them.
+/// Reusable working memory for [`run_soi`]: the source lists, the dense
+/// per-cell / per-segment / per-street tables, the cell-list arenas, the
+/// gathered relevant-POI columns and the k best street bounds, so a warm
+/// query allocates none of them.
 ///
 /// Hold one per worker thread and pass it to
 /// [`run_soi_with_scratch`]; results are identical to [`run_soi`]. Every
 /// table is emptied on entry by walking what the previous query touched
 /// and re-fitted to the network and grid at hand, so one scratch may serve
 /// different datasets in turn. A worker retains about
-/// `16·|grid cells| + 4·|segments| + 12·|streets|` bytes of tables plus the
-/// high-water marks of the lists, the largest of which is the gathered
-/// columns: 24 bytes per distinct relevant POI in the cells visited by the
-/// heaviest query served so far (of `24·|POIs|` bytes reserved, untouched
-/// beyond that mark).
+/// `16·|grid cells| + 16.25·|segments| + 12·|streets|` bytes of tables (per
+/// segment: the slot, the count and the two list entries at 4 bytes each,
+/// two bits) plus the high-water marks of the lists, the largest of which
+/// is the gathered columns: 24 bytes per distinct relevant POI in the cells
+/// visited by the heaviest query served so far (of `24·|POIs|` bytes
+/// reserved, untouched beyond that mark).
 #[derive(Default)]
 pub struct SoiScratch {
     relcount: Vec<f64>,
@@ -515,11 +613,10 @@ pub struct SoiScratch {
     reached: Vec<CellId>,
     prefix_sums: Vec<f64>,
     sl1: BinaryHeap<Ranked<CellId>>,
-    sl2: BinaryHeap<Ranked<SegmentId>>,
-    slf: BinaryHeap<Ranked<SegmentId>>,
+    lists: CountedLists,
     seen: SeenTables,
     gathered: Gathered,
-    segs_near_cell: Vec<SegmentId>,
+    lbk: KBest,
     /// Rank phase — per street: 1 + its index in `best`, 0 if none.
     street_slot: Vec<u32>,
     best: Vec<StreetResult>,
@@ -667,37 +764,34 @@ pub fn run_soi_full<'a>(
     }
     let relprefix = RelPrefix::build(index.grid(), relcount, reached, &mut scratch.prefix_sums);
 
+    // --- SL3: segments by length ascending (precomputed offline).
+    let sl3: &[SegmentId] = index.segments_by_len();
+    let mut cursor3 = 0usize;
+
     // --- SL2: segments by (an O(1) upper bound of) |Cε(ℓ)| descending
     // (lines 6–7). Any sound upper bound keeps the UB valid, and avoids
     // rasterising every segment at query time.
     // --- SLf: segments by the coupled factor |Cε(ℓ)|/(2ε·len+πε²), desc.
-    // Never accessed; peeked (skipping seen segments) for the tight UB.
-    let mut sl2 = Ranked::recycle(&mut scratch.sl2);
-    let mut slf = Ranked::recycle(&mut scratch.slf);
-    for s in network.segments() {
-        let cell_count_ub = index.upper_cell_count(&s.geom, eps) as f64;
-        sl2.push(Ranked {
-            score: cell_count_ub,
-            id: s.id,
-        });
-        slf.push(Ranked {
-            score: segment_interest(cell_count_ub, s.len(), eps),
-            id: s.id,
-        });
-    }
-    // None of the three is sorted: the threshold loop reads a short prefix,
-    // so each is heapified in O(n) and popped in list order on demand.
+    // Never accessed; its top (skipping seen segments) is the tight UB.
+    // Neither is sorted by comparison: the bound is a small integer, and
+    // SL3 already orders the lengths (see the `counted` module).
+    let coupled_factor = |cell_count_ub: u32, seg: SegmentId| {
+        segment_interest(f64::from(cell_count_ub), network.segment(seg).len(), eps)
+    };
+    let lists = &mut scratch.lists;
+    lists.build(
+        network.num_segments(),
+        sl3,
+        // At most the grid's cell count, which a `CellId` numbers.
+        |seg| index.upper_cell_count(&network.segment(seg).geom, eps) as u32,
+        coupled_factor,
+    );
+    // SL1 is not sorted either: the threshold loop reads a short prefix, so
+    // it is heapified in O(n) and popped in list order on demand.
     let mut sl1 = BinaryHeap::from(sl1);
-    let mut sl2 = BinaryHeap::from(sl2);
-    let mut slf = BinaryHeap::from(slf);
-
-    // --- SL3: segments by length ascending (precomputed offline).
-    let sl3: &[SegmentId] = index.segments_by_len();
-    let mut cursor3 = 0usize;
     drop(sources_span);
-
     if let Some(ex) = explain.as_deref_mut() {
-        ex.record_lists(sl1.len(), sl2.len(), sl3.len());
+        ex.record_lists(sl1.len(), lists.len(), sl3.len());
     }
 
     let inputs = Inputs {
@@ -710,10 +804,11 @@ pub fn run_soi_full<'a>(
     };
     scratch.seen.reset(network);
     scratch.gathered.reset(index.grid().num_cells(), pois.len());
+    scratch.lbk.reset(query.k);
     let mut fil = Filtering {
         seen: &mut scratch.seen,
         gathered: &mut scratch.gathered,
-        lbk: TopKTracker::new(query.k),
+        lbk: &mut scratch.lbk,
     };
 
     stats.timer.enter(phases::FILTERING);
@@ -729,27 +824,22 @@ pub fn run_soi_full<'a>(
     while !expired {
         // Drop finalised (SL2/SL3) or seen (SLf) segments off the list
         // heads so that peeks reflect the best still-relevant entry of each.
-        while sl2.peek().is_some_and(|e| fil.is_finalized(e.id)) {
-            sl2.pop();
-        }
+        let head2 = lists.top2(|s| fil.is_finalized(s));
         while sl3.get(cursor3).is_some_and(|&s| fil.is_finalized(s)) {
             cursor3 += 1;
-        }
-        while slf.peek().is_some_and(|e| fil.is_seen(e.id)) {
-            slf.pop();
         }
 
         // Unseen upper bound (line 22). Exhausted SL1 means every cell with
         // relevant POIs was popped, so every segment with positive mass is
         // seen; exhausted SL2/SL3/SLf means no unseen segments remain.
         let top1 = sl1.peek().map_or(0.0, |e| e.score);
-        let top2 = sl2.peek().map_or(0.0, |e| e.score);
+        let top2 = head2.map_or(0.0, |(_, count)| f64::from(count));
         let top3 = sl3.get(cursor3).map(|&s| network.segment(s).len());
         let ub_paper = match top3 {
             Some(len) if top1 > 0.0 && top2 > 0.0 => segment_interest(top1 * top2, len, eps),
             _ => 0.0,
         };
-        let ub_coupled = slf.peek().map_or(0.0, |e| top1 * e.score);
+        let ub_coupled = top1 * lists.top_factor(|s| fil.is_seen(s), coupled_factor);
         ub = if config.paper_bounds_only {
             ub_paper
         } else {
@@ -803,17 +893,13 @@ pub fn run_soi_full<'a>(
                         continue;
                     };
                     stats.cells_popped += 1;
-                    // Lazy Lε(c) superset: spurious touches are rejected by
-                    // each segment's own Cε membership check.
-                    index.segments_near_cell_superset_into(cell, eps, &mut scratch.segs_near_cell);
-                    for &seg in &scratch.segs_near_cell {
-                        fil.update_interest(&inputs, seg, cell, prune_lbk, &mut stats);
-                    }
+                    fil.access_cell(&inputs, cell, prune_lbk, &mut stats);
                 }
                 Source::SegmentsByCells => {
-                    let Some(Ranked { id: seg, .. }) = sl2.pop() else {
+                    let Some((seg, _)) = head2 else {
                         continue;
                     };
+                    lists.pop2();
                     stats.segments_popped += 1;
                     fil.finalize_segment(&inputs, seg, prune_lbk, &mut stats);
                 }
@@ -876,7 +962,10 @@ pub fn run_soi_full<'a>(
         } else {
             fil.lbk.threshold()
         };
-        for state in seen.states.iter_mut().filter(|s| !s.finalized) {
+        for state in seen.states.iter_mut() {
+            if seen.dead.get(state.seg) {
+                continue;
+            }
             let s = network.segment(state.seg);
             let (cells, bits) = seen.arenas.of(state.span);
             let upper = state.upper_mass(cells, bits, &inputs);
@@ -890,7 +979,7 @@ pub fn run_soi_full<'a>(
                 stats.cell_visits += 1;
             }
             state.mass += extra;
-            state.finalized = true;
+            seen.dead.set(state.seg);
             stats.segments_finalized_refinement += 1;
         }
     }
@@ -938,8 +1027,8 @@ pub fn run_soi_full<'a>(
 
     stats.timer.stop();
 
-    // Hand the lists (and their capacity) back for the next query.
-    (scratch.sl1, scratch.sl2, scratch.slf) = (sl1, sl2, slf);
+    // Hand SL1 (and its capacity) back for the next query.
+    scratch.sl1 = sl1;
 
     crate::obs::absorb_query_stats(&stats);
 

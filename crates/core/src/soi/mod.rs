@@ -2,8 +2,10 @@
 
 pub mod algorithm;
 pub mod baseline;
+mod counted;
 pub mod explain;
 pub mod interest;
+mod lbk;
 pub mod query;
 mod ranked;
 pub mod stats;

@@ -1,12 +1,14 @@
-//! Lazily ordered source lists.
+//! A lazily ordered source list.
 //!
-//! Alg. 1 stops after reading a short prefix of SL1, SL2 and SLf, so those
-//! lists are never sorted: a query fills a vector of [`Ranked`] entries,
-//! heapifies it in O(n) (`BinaryHeap::from`) and pops or peeks where a
-//! sorted list would advance a cursor. [`Ranked`]'s order *is* the lists'
-//! sort order — score descending via `f64::total_cmp`, then id ascending —
-//! and ids are unique within a list, so the order is total and the pop
-//! sequence equals the sorted sequence, ties included.
+//! Alg. 1 stops after reading a short prefix of SL1, so that list is never
+//! sorted: a query fills a vector of [`Ranked`] entries, heapifies it in
+//! O(n) (`BinaryHeap::from`) and pops or peeks where a sorted list would
+//! advance a cursor. [`Ranked`]'s order *is* the list's sort order — score
+//! descending via `f64::total_cmp`, then id ascending — and ids are unique
+//! within a list, so the order is total and the pop sequence equals the
+//! sorted sequence, ties included. (SL2 and SLf, ranked by a small integer,
+//! are counting-sorted instead — the `counted` module — and tested against
+//! heaps of these entries.)
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -15,7 +17,7 @@ use std::collections::BinaryHeap;
 /// first the greatest, so a max-heap pops in list order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Ranked<I> {
-    /// The ranking key (cell weight, `|Cε(ℓ)|` bound, coupled factor).
+    /// The ranking key (SL1: the cell's relevant weight).
     pub score: f64,
     /// The cell or segment; breaks score ties, lower id first.
     pub id: I,

@@ -23,7 +23,12 @@ pub struct QueryStats {
     /// Effective `UpdateInterest` executions (cell newly visited for a
     /// segment).
     pub cell_visits: usize,
-    /// `UpdateInterest` calls skipped because the cell was already visited.
+    /// `UpdateInterest` calls that changed nothing. A popped cell's ring
+    /// lists a superset of the segments near it, and segments already
+    /// *final* are dropped before the call (uncounted); what is counted is
+    /// a survivor that was first seen and dismissed at once, that is live
+    /// but does not list the cell in its `Cε(ℓ)`, or whose cell was already
+    /// visited (the last also when a segment access meets a visited cell).
     pub duplicate_visits: usize,
     /// Segments that entered the *partial* state (seen at least once).
     pub segments_seen: usize,

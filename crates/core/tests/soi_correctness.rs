@@ -320,6 +320,43 @@ fn huge_eps_makes_every_street_relevant_and_stays_exact() {
     assert_eq!(out.street_ids(), bl.street_ids());
 }
 
+/// Regression: the Chebyshev ring of a popped cell has radius
+/// `⌊(ε + h) / h⌋` cells, and `ix + radius` overflowed once that passed
+/// `u32::MAX − ix` — a panic in a debug build; a release build wrapped, the
+/// ring ended west of the cell, and segments east and north of it were
+/// never marked seen, which is the invariant `UB` rests on.
+#[test]
+fn eps_whose_ring_radius_exceeds_u32_stays_exact() {
+    let mut rng = StdRng::seed_from_u64(77);
+    let network = random_city(&mut rng, 4, 4);
+    let pois = random_pois(&mut rng, 60, 3.0);
+    let index = PoiIndex::build(&network, &pois, 0.5);
+    // At h = 0.5 the radius is u32::MAX from ε = 2 147 483 647 on; the
+    // first value is just past that, the second far past it.
+    for eps in [2_147_483_647.5, 1e12] {
+        let query =
+            SoiQuery::new(KeywordSet::from_ids([KeywordId(0), KeywordId(1)]), 5, eps).unwrap();
+        let exact = exact_street_interests(&network, &pois, &query);
+        for strategy in AccessStrategy::all() {
+            let config = SoiConfig {
+                strategy,
+                ..SoiConfig::default()
+            };
+            let out = run_soi(&network, &pois, &index, &query, &config).unwrap();
+            let what = format!("eps {eps} under {strategy:?}");
+            assert_valid_topk(&out, &exact, &query, &what);
+            // Interests are ≈ 1e-19 and below here: exact relative to
+            // their own size, not just to `assert_valid_topk`'s 1e-9.
+            for r in &out.results {
+                let want = exact[&r.street];
+                assert!((r.interest - want).abs() <= 1e-9 * want, "{what}: {r:?}");
+            }
+            let bl = run_baseline(&network, &pois, &index, &query, StreetAggregate::Max);
+            assert_eq!(out.street_ids(), bl.street_ids(), "{what}");
+        }
+    }
+}
+
 #[test]
 fn k_exceeding_street_count_returns_all_positive_streets() {
     let mut rng = StdRng::seed_from_u64(78);

@@ -43,6 +43,10 @@ impl CellCoord {
     }
 }
 
+/// Relative distance the shortcuts of [`Grid::for_each_cell_near_segment`]
+/// stay away from the boundaries they are proved at.
+const SHORTCUT_MARGIN: f64 = 1e-9;
+
 /// A uniform grid over a rectangular extent.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Grid {
@@ -265,20 +269,39 @@ impl Grid {
 
     /// Visitor form of [`Grid::cells_near_segment`]: calls `f` for every
     /// cell within `dist` of `seg`, row-major, without allocating.
+    ///
+    /// The cells are exactly those [`Rect::within_dist_of_segment`] accepts
+    /// among the ones under the segment's `dist`-dilated bounding box, but
+    /// most are settled by one point–segment distance: with `d` the distance
+    /// from a cell's centre to the segment and `r = h·√2 / 2` the cell's
+    /// circumradius, `d ≤ dist` puts the centre itself within `dist`, and
+    /// `d > dist + r` leaves every point of the cell farther than `dist`
+    /// (none is nearer than `d − r`). Both tests keep a relative margin of
+    /// [`SHORTCUT_MARGIN`] from those boundaries — many orders of magnitude
+    /// more than the rounding of `d` — and what falls between them goes to
+    /// the predicate.
     pub fn for_each_cell_near_segment<F: FnMut(CellCoord)>(
         &self,
         seg: &LineSeg,
         dist: f64,
         mut f: F,
     ) {
-        let bbox = seg.bounding_rect().expand(dist.max(0.0));
+        let dist = dist.max(0.0);
+        let bbox = seg.bounding_rect().expand(dist);
         let Some((x0, y0, x1, y1)) = self.clip_range(&bbox) else {
             return;
         };
+        let circumradius = self.cell_size * std::f64::consts::FRAC_1_SQRT_2;
+        let surely_within_sq = (dist * (1.0 - SHORTCUT_MARGIN)).powi(2);
+        let maybe_within_sq = ((dist + circumradius) * (1.0 + SHORTCUT_MARGIN)).powi(2);
         for iy in y0..=y1 {
             for ix in x0..=x1 {
                 let c = CellCoord::new(ix, iy);
-                if self.cell_rect(c).within_dist_of_segment(seg, dist) {
+                let rect = self.cell_rect(c);
+                let d_sq = seg.dist_sq_to_point(rect.center());
+                if d_sq <= surely_within_sq
+                    || (d_sq <= maybe_within_sq && rect.within_dist_of_segment(seg, dist))
+                {
                     f(c);
                 }
             }
@@ -290,9 +313,11 @@ impl Grid {
     /// allocating.
     ///
     /// The photo-index spatial-relevance upper bound (Eq. 12) sums counts
-    /// over the radius-2 neighbourhood.
-    // Alg. 1 calls this once per popped cell; see the note on
-    // `soi_text::inverted::union_of_postings` for why it is pinned inline.
+    /// over the radius-2 neighbourhood. Any `radius` is valid: one that
+    /// reaches past the grid (Alg. 1 derives it from a caller's ε) visits
+    /// the whole grid.
+    // Pinned inline: Alg. 1 calls this once per popped cell with a closure
+    // that is a few instructions per visited cell.
     #[inline]
     pub fn for_each_in_neighborhood<F: FnMut(CellCoord)>(
         &self,
@@ -302,8 +327,8 @@ impl Grid {
     ) {
         let x0 = c.ix.saturating_sub(radius);
         let y0 = c.iy.saturating_sub(radius);
-        let x1 = (c.ix + radius).min(self.nx - 1);
-        let y1 = (c.iy + radius).min(self.ny - 1);
+        let x1 = c.ix.saturating_add(radius).min(self.nx - 1);
+        let y1 = c.iy.saturating_add(radius).min(self.ny - 1);
         for iy in y0..=y1 {
             for ix in x0..=x1 {
                 f(CellCoord::new(ix, iy));
@@ -529,6 +554,26 @@ mod tests {
         assert!(n.contains(&CellCoord::new(2, 2)));
         let center = neighborhood(CellCoord::new(2, 1), 1);
         assert_eq!(center.len(), 9);
+    }
+
+    #[test]
+    fn neighborhood_of_any_radius_is_the_whole_grid_once() {
+        // `ix + radius` used to overflow: a panic in a debug build, and in
+        // a release build a ring that ended west of the cell.
+        let g = unit_grid();
+        let all: Vec<CellCoord> = g.all_cells().collect();
+        for radius in [4, u32::MAX - 1, u32::MAX] {
+            // A corner, an edge and an interior cell.
+            for c in [
+                CellCoord::new(0, 0),
+                CellCoord::new(3, 1),
+                CellCoord::new(2, 1),
+            ] {
+                let mut visited = Vec::new();
+                g.for_each_in_neighborhood(c, radius, |n| visited.push(n));
+                assert_eq!(visited, all, "radius {radius} around {c:?}");
+            }
+        }
     }
 
     #[test]

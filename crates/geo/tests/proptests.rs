@@ -6,7 +6,7 @@
 //! nearby point.
 
 use proptest::prelude::*;
-use soi_geo::{Grid, LineSeg, Point, Polyline, Rect};
+use soi_geo::{CellCoord, Grid, LineSeg, Point, Polyline, Rect};
 
 const COORD: std::ops::Range<f64> = -100.0..100.0;
 
@@ -22,7 +22,70 @@ fn rect() -> impl Strategy<Value = Rect> {
     (point(), point()).prop_map(|(a, b)| Rect::from_corners(a, b))
 }
 
+/// The rasteriser's specification: the exact predicate asked of every cell
+/// under the segment's dilated bounding box, row-major.
+fn cells_by_predicate(g: &Grid, s: &LineSeg, dist: f64) -> Vec<CellCoord> {
+    let Some((x0, y0, x1, y1)) = g.cell_range_in_rect(&s.bounding_rect().expand(dist)) else {
+        return Vec::new();
+    };
+    let mut cells = Vec::new();
+    for iy in y0..=y1 {
+        for ix in x0..=x1 {
+            let c = CellCoord::new(ix, iy);
+            if g.cell_rect(c).within_dist_of_segment(s, dist) {
+                cells.push(c);
+            }
+        }
+    }
+    cells
+}
+
 proptest! {
+    /// `for_each_cell_near_segment` settles most cells by their centre's
+    /// distance to the segment; the cells it yields are the predicate's all
+    /// the same. Endpoints sit on cell corners, on cell centres or anywhere
+    /// (also outside the grid), segments are lattice-aligned, diagonal or
+    /// degenerate, and the distance is 0, a multiple of the circumradius
+    /// `h·√2/2` (a lattice point's exact distance to the corners diagonally
+    /// off it), half a cell, a cell, exactly the distance from some cell's
+    /// centre to the segment, that less the circumradius, far more than the
+    /// extent, or anything. CI runs this under the release profile too.
+    #[test]
+    fn cell_rasteriser_yields_the_cells_the_predicate_accepts(
+        a in (0usize..3, -2i32..16, -2i32..14, 0.0f64..1.0, 0.0f64..1.0),
+        b in (0usize..4, -2i32..16, -2i32..14, 0.0f64..1.0, 0.0f64..1.0),
+        dist in (0usize..10, 0u32..13, 0u32..11, 0.0f64..1.0),
+    ) {
+        const H: f64 = 0.25;
+        let g = Grid::new(Point::new(-1.5, 2.0), H, 13, 11);
+        let place = |(kind, i, j, fx, fy): (usize, i32, i32, f64, f64)| {
+            let (x, y) = match kind {
+                0 => (f64::from(i) * H, f64::from(j) * H),
+                1 => ((f64::from(i) + 0.5) * H, (f64::from(j) + 0.5) * H),
+                _ => ((fx * 16.0 - 2.0) * H, (fy * 14.0 - 2.0) * H),
+            };
+            Point::new(-1.5 + x, 2.0 + y)
+        };
+        let a = place(a);
+        let s = LineSeg::new(a, if b.0 == 3 { a } else { place(b) });
+        let circumradius = H * std::f64::consts::FRAC_1_SQRT_2;
+        let (pick, ix, iy, free) = dist;
+        let from_centre = s.dist_to_point(g.cell_rect(CellCoord::new(ix, iy)).center());
+        let dist = match pick {
+            0 => 0.0,
+            1 => circumradius,
+            2 => 2.0 * circumradius,
+            3 => 4.0 * circumradius,
+            4 => H / 2.0,
+            5 => H,
+            6 => from_centre,
+            7 => (from_centre - circumradius).max(0.0),
+            8 => 100.0,
+            _ => free,
+        };
+        prop_assert_eq!(g.cells_near_segment(&s, dist), cells_by_predicate(&g, &s, dist));
+    }
+
     #[test]
     fn point_distance_symmetry(a in point(), b in point()) {
         prop_assert!((a.dist(b) - b.dist(a)).abs() < 1e-9);

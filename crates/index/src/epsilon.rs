@@ -2,7 +2,7 @@
 //! implementation: tests and the benchmark's `index.eps_maps_build_ms` row
 //! only. Queries derive the same rows lazily, per popped cell or segment
 //! ([`PoiIndex::occupied_cells_near_segment_into`],
-//! [`PoiIndex::segments_near_cell_superset_into`]); nothing builds, stores
+//! [`IndexView::for_each_raster_row_near_cell`](crate::IndexView::for_each_raster_row_near_cell)); nothing builds, stores
 //! or persists an `EpsilonMaps`.
 //!
 //! The raster maps (which cells a segment passes through) are static; at

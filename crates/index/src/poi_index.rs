@@ -83,7 +83,7 @@ impl<'a> PoiCell<'a> {
 /// exactly what a snapshot stores. The ε-augmented versions of maps (3)
 /// and (4) are derived at query time, per popped cell or segment, by
 /// [`occupied_cells_near_segment_into`](Self::occupied_cells_near_segment_into)
-/// and [`segments_near_cell_superset_into`](Self::segments_near_cell_superset_into).
+/// and [`IndexView::for_each_raster_row_near_cell`](crate::IndexView::for_each_raster_row_near_cell).
 ///
 /// Equality compares every column (floats by bit pattern): two equal
 /// indexes answer every query identically. The
@@ -549,9 +549,22 @@ impl PoiIndex {
             .count_cells_in_rect(&geom.bounding_rect().expand(eps))
     }
 
+    /// Chebyshev radius, in cells, of the ring around a cell that holds
+    /// every cell a segment within `eps` of it passes through: a point
+    /// within `eps` of the cell lies at most `eps` beyond its boundary, i.e.
+    /// within `⌊(eps + h) / h⌋` cells (half-open cells). Clamped to the
+    /// grid's larger side, which already reaches every cell — `eps` is a
+    /// caller's number and may exceed any grid.
+    pub(crate) fn ring_radius(&self, eps: f64) -> u32 {
+        let h = self.grid.cell_size();
+        // The cast saturates (an `eps` near `f64::MAX` divides to `inf`).
+        (((eps + h) / h).floor() as u32).min(self.grid.nx().max(self.grid.ny()))
+    }
+
     /// Lazy `Lε(c)`: all segments within `eps` of cell `id`, ascending,
     /// derived from the static raster map by scanning the Chebyshev ring of
-    /// radius `⌈ε/h⌉ + 1` around the cell and filtering by exact distance.
+    /// [`ring_radius`](Self::ring_radius) around the cell and filtering by
+    /// exact distance.
     pub fn segments_within_eps_of_cell(
         &self,
         network: &RoadNetwork,
@@ -560,14 +573,11 @@ impl PoiIndex {
     ) -> Vec<SegmentId> {
         let coord = self.grid.coord_of(id);
         let rect = self.grid.cell_rect(coord);
-        // A point within eps of the cell lies at most eps beyond the cell
-        // boundary, i.e. within floor((eps + h)/h) cells (half-open cells).
-        let h = self.grid.cell_size();
-        let radius = ((eps + h) / h).floor() as u32;
         let mut out: Vec<SegmentId> = Vec::new();
-        self.grid.for_each_in_neighborhood(coord, radius, |near| {
-            out.extend_from_slice(self.raster_segments_of_cell(self.grid.cell_id(near)));
-        });
+        self.grid
+            .for_each_in_neighborhood(coord, self.ring_radius(eps), |near| {
+                out.extend_from_slice(self.raster_segments_of_cell(self.grid.cell_id(near)));
+            });
         out.sort_unstable();
         out.dedup();
         let dilated = rect.expand(eps);
@@ -576,34 +586,6 @@ impl PoiIndex {
             dilated.intersects(&geom.bounding_rect()) && rect.within_dist_of_segment(&geom, eps)
         });
         out
-    }
-
-    /// Superset of `Lε(c)`: segments passing through the Chebyshev ring that
-    /// could reach within `eps` of cell `id`, without the exact distance
-    /// filter. Sound for the SOI algorithm's touch semantics (a touched
-    /// segment ignores cells outside its own `Cε` list) and ~2× cheaper per
-    /// popped cell than [`PoiIndex::segments_within_eps_of_cell`].
-    pub fn segments_near_cell_superset(&self, id: CellId, eps: f64) -> Vec<SegmentId> {
-        let mut out = Vec::new();
-        self.segments_near_cell_superset_into(id, eps, &mut out);
-        out
-    }
-
-    /// Allocation-reusing form of
-    /// [`segments_near_cell_superset`](Self::segments_near_cell_superset):
-    /// clears `out` and fills it with the superset segments, ascending and
-    /// deduplicated. The hot query loop calls this once per popped cell with
-    /// a scratch vector.
-    pub fn segments_near_cell_superset_into(&self, id: CellId, eps: f64, out: &mut Vec<SegmentId>) {
-        out.clear();
-        let coord = self.grid.coord_of(id);
-        let h = self.grid.cell_size();
-        let radius = ((eps + h) / h).floor() as u32;
-        self.grid.for_each_in_neighborhood(coord, radius, |near| {
-            out.extend_from_slice(self.raster_segments_of_cell(self.grid.cell_id(near)));
-        });
-        out.sort_unstable();
-        out.dedup();
     }
 
     /// Exact weighted mass of a segment under `query` and `eps`
@@ -1030,14 +1012,9 @@ mod tests {
     fn into_helpers_match_allocating_forms() {
         let (network, _, index) = setup();
         let mut cells_buf = vec![CellId(999); 4];
-        let mut segs_buf = vec![SegmentId(999); 4];
         for seg in network.segments() {
             index.occupied_cells_near_segment_into(&seg.geom, 0.7, &mut cells_buf);
             assert_eq!(cells_buf, index.occupied_cells_near_segment(&seg.geom, 0.7));
-        }
-        for (cell, _) in index.occupied_cells() {
-            index.segments_near_cell_superset_into(cell, 0.7, &mut segs_buf);
-            assert_eq!(segs_buf, index.segments_near_cell_superset(cell, 0.7));
         }
     }
 

@@ -138,10 +138,26 @@ impl<'a> IndexView<'a> {
         self.base.upper_cell_count(geom, eps)
     }
 
-    /// Superset of `Lε(c)` from the static raster map (street geometry
-    /// never changes within an epoch lineage).
-    pub fn segments_near_cell_superset_into(&self, id: CellId, eps: f64, out: &mut Vec<SegmentId>) {
-        self.base.segments_near_cell_superset_into(id, eps, out);
+    /// Calls `f` with the static raster row (segments passing through, id
+    /// ascending) of every cell in the Chebyshev ring around cell `id` that
+    /// a segment within `eps` of `id` can pass through, row-major. Together
+    /// the rows are a superset of `Lε(c)` with repeats — a segment appears
+    /// once per ring cell it crosses — which is sound for Alg. 1's touch
+    /// semantics: a touched segment ignores cells outside its own `Cε`.
+    /// Street geometry never changes within an epoch lineage, so the delta
+    /// has no part in this.
+    #[inline]
+    pub fn for_each_raster_row_near_cell<F: FnMut(&'a [SegmentId])>(
+        &self,
+        id: CellId,
+        eps: f64,
+        mut f: F,
+    ) {
+        let base = self.base;
+        let grid = base.grid();
+        grid.for_each_in_neighborhood(grid.coord_of(id), base.ring_radius(eps), |near| {
+            f(base.raster_segments_of_cell(grid.cell_id(near)));
+        });
     }
 
     /// The global inverted list for keyword `k`: the delta's replacement

@@ -1042,6 +1042,32 @@ fn k_and_deadline_beyond_their_types_range_answer_like_the_largest_sane_value() 
     assert_eq!(report.panics, 0);
 }
 
+/// Regression: ε is a number a request chooses, and the ring of cells
+/// Alg. 1 walks around a popped cell has radius `⌊(ε + h) / h⌋`: from
+/// ε ≈ 4.3e6 at h = 0.001 that saturated a `u32` and `ix + radius`
+/// overflowed — this (debug) build panicked the job into a 500, the release
+/// build wrapped and skipped the segments east and north of the cell.
+#[test]
+fn an_eps_beyond_any_grid_is_a_200_not_a_panic() {
+    let ((), report) = with_server(test_config(), |addr| {
+        let soi = |eps: &str| {
+            let body =
+                format!("{{\"keywords\":[\"shop\"],\"k\":5,\"eps\":{eps},\"deadline_ms\":30000}}");
+            let r = request(addr, "POST", "/soi", Some(&body), TIMEOUT).expect("soi");
+            assert_eq!(r.status, 200, "eps={eps}: {}", r.body);
+            parse(&r.body).expect("valid JSON")
+        };
+        for eps in ["1e7", "1e12"] {
+            let answer = soi(eps);
+            assert_eq!(answer.get("partial"), Some(&Json::Bool(false)), "eps={eps}");
+            let results = answer.get("results").and_then(Json::as_arr);
+            assert!(results.is_some_and(|r| r.len() == 5), "eps={eps}");
+        }
+    });
+    assert!(report.drained);
+    assert_eq!(report.panics, 0);
+}
+
 #[test]
 fn one_engine_worker_answers_any_interleaving_like_a_fresh_scratch() {
     use soi_core::describe::{st_rel_div, ContextBuilder, DescribeParams, PhiSource};
