@@ -588,18 +588,23 @@ fn cmd_query(args: &Args) -> Result<()> {
 fn print_soi_explain(out: &mut impl Write, explain: &SoiExplain, max_printed: usize) -> Result<()> {
     writeln!(
         out,
-        "lists: SL1={} cells, SL2/SL3={} segments",
-        explain.lists.sl1, explain.lists.sl2
+        "lists: SL1={} cells, SL2={} segments, SL3={} segments",
+        explain.lists.sl1, explain.lists.sl2, explain.lists.sl3
     )?;
+    let bound = if explain.paper_bounds {
+        "the paper's top(SL1)*top(SL2)/(2e*top(SL3)+pi*e^2), SL2 by |Ce| bound"
+    } else {
+        "top(SL2), the largest prefix-sum bound b of an unseen segment"
+    };
     writeln!(
         out,
-        "\nbound convergence ({} rows recorded):",
+        "\nbound convergence ({} rows recorded; UB = {bound}):",
         explain.rows.len()
     )?;
     writeln!(
         out,
-        "{:>7}  {:>4}  {:>12}  {:>12}  {:>12}  {:>12}  {:>6}  {:>6}",
-        "access", "src", "UB", "UB_paper", "UB_coupled", "LBk", "seen", "cells"
+        "{:>7}  {:>4}  {:>12}  {:>12}  {:>12}  {:>12}  {:>12}  {:>6}  {:>6}",
+        "access", "src", "UB", "LBk", "top(SL1)", "top(SL2)", "top(SL3)", "seen", "cells"
     )?;
     let step = explain.rows.len().div_ceil(max_printed.max(1)).max(1);
     for (i, row) in explain.rows.iter().enumerate() {
@@ -608,13 +613,14 @@ fn print_soi_explain(out: &mut impl Write, explain: &SoiExplain, max_printed: us
         }
         writeln!(
             out,
-            "{:>7}  {:>4}  {:>12.4}  {:>12.4}  {:>12.4}  {:>12.4}  {:>6}  {:>6}",
+            "{:>7}  {:>4}  {:>12.4}  {:>12.4}  {:>12.4}  {:>12.4}  {:>12.6}  {:>6}  {:>6}",
             row.access,
             soi_core::soi::explain::source_label(row.source),
             row.ub,
-            row.ub_paper,
-            row.ub_coupled,
             row.lbk,
+            row.top_sl1,
+            row.top_sl2,
+            row.top_sl3,
             row.segments_seen,
             row.cells_popped
         )?;

@@ -5,8 +5,9 @@
 //!
 //! - **SL1**: cells sorted decreasingly on (an upper bound of) the number
 //!   of query-relevant POIs they contain,
-//! - **SL2**: segments sorted decreasingly on `|Cε(ℓ)|`, the number of
-//!   occupied cells within ε,
+//! - **SL2**: segments sorted decreasingly on `b(ℓ)`, an upper bound of
+//!   their interest (below; the paper ranks them on `|Cε(ℓ)|`, the number
+//!   of occupied cells within ε),
 //! - **SL3**: segments sorted increasingly on length,
 //!
 //! — maintaining for every *seen* segment a partial mass `mass⁻(ℓ)` (a
@@ -21,33 +22,37 @@
 //! seen segments and extracts the answer.
 //!
 //! ### Upper bounds
-//! Popping a cell from SL1 touches (marks *seen*) every segment within ε of
-//! it, so all ε-cells of an unseen segment are still unpopped, each holding
-//! at most `top(SL1)` relevant weight. The paper's bound combines the list
-//! heads: `UB_paper = top(SL1)·top(SL2) / (2ε·top(SL3) + πε²)`, pairing the
-//! largest surviving cell count with the smallest surviving length — sound
-//! but loose, since no single segment attains both extremes. We additionally
-//! maintain the *coupled* bound
-//! `UB_f = top(SL1) · max_unseen |Cε(ℓ)| / (2ε·len(ℓ) + πε²)`,
-//! read off a fourth ranked list sorted by that per-segment factor, and use
-//! `UB = min(UB_paper, UB_f)`. Both are upper bounds for every unseen
-//! segment, so the combination preserves correctness while terminating much
-//! earlier.
+//! Every relevant POI within ε of a segment lies in a cell of the segment's
+//! ε-dilated bounding box, and `relcount(c)` caps each cell's relevant
+//! weight, so `b(ℓ) = int(Σ_box relcount)` — one lookup in 2-D prefix sums
+//! of `relcount` — bounds the interest of every segment, seen or not. A
+//! query computes `b` for every segment once; SL2 lists the segments with
+//! `b > 0` ranked by it, and its first *unseen* entry bounds every unseen
+//! segment, so `UB = b(head)`, 0 once none is left. The bound rests on
+//! nothing the access loop did — not on which cells were popped, on SL3's
+//! order or on `top(SL1)` — and `b` also dismisses a segment on sight when
+//! it cannot exceed `LBk` (always when `b = 0`: its interest is 0). This
+//! deviates from the paper's SL2 and its
+//! `UB = top(SL1)·top(SL2) / (2ε·top(SL3) + πε²)`, which charges every
+//! unseen segment the heaviest unpopped cell once per cell of its box and
+//! pairs list heads no single segment attains; that bound is kept verbatim
+//! under [`SoiConfig::paper_bounds_only`], with SL2 ranked by the O(1)
+//! bound on `|Cε(ℓ)|` and a head that skips *final* segments.
 //!
 //! ### Source lists without a sort
-//! The loop reads only a short prefix of each list, so a query never sorts
-//! one by comparison. **SL1** is heapified in O(n) and popped in exactly
-//! the order a sort would give (see the `ranked` module). **SL2** and
-//! **SLf** rank segments by a small integer — the O(1) bound on `|Cε(ℓ)|`
-//! — so one counting pass lays out a bucket per distinct count; scattering
-//! the segments in id order *is* SL2, and scattering them in SL3's length
-//! order leaves each bucket length-ascending (see the `counted` module).
-//! For a fixed count the factor `count / (2ε·len + πε²)` is non-increasing
-//! in `len` — also as computed, each operation being monotone under IEEE
-//! rounding — so a bucket's first unseen segment carries the bucket's
-//! largest factor, and `top(SLf)` is the largest of the buckets' heads.
-//! **SL3** is the one list that does not depend on the query and stays
-//! precomputed.
+//! The loop reads only a short prefix of SL1 and SL2, so a query never
+//! sorts them whole: each is a [`RankedList`] that selects and sorts only
+//! as far as it is read, in exactly the order a sort would give (see the
+//! `ranked` module). **SL3** is the one list that does not depend on the
+//! query and stays precomputed.
+//!
+//! ### Masses
+//! A rasterised segment keeps one mass per cell of its `Cε(ℓ)`, 0.0 until
+//! the cell is visited, and its mass is their sum in ascending cell order —
+//! `segment_mass_lazy`'s order, so a final segment's mass is the baseline's
+//! to the bit whatever the access order. A partial mass is the same sum
+//! with the unvisited cells' `+0.0` in it; floating-point addition is
+//! monotone, so no lower bound raised on the way exceeds the final value.
 //!
 //! ### Cell accesses
 //! `Lε(c)` is not stored: a popped cell walks the static raster rows of its
@@ -58,20 +63,18 @@
 //! change reach `UpdateInterest`.
 
 use crate::budget::{QueryBudget, BUDGET_CHECK_EVERY};
-use crate::soi::counted::CountedLists;
 use crate::soi::explain::{ExplainRow, SoiExplain};
 use crate::soi::interest::segment_interest;
 use crate::soi::lbk::KBest;
 use crate::soi::query::{SoiConfig, SoiOutcome, SoiQuery, StreetResult};
-use crate::soi::ranked::Ranked;
+use crate::soi::ranked::{Ranked, RankedList};
 use crate::soi::stats::{phases, QueryStats};
 use crate::soi::strategy::Source;
 use soi_common::{top_k_by_score, CellId, Result, ScoredItem, SegmentId, StreetId};
 use soi_data::PoiView;
-use soi_geo::LineSeg;
+use soi_geo::{Grid, LineSeg};
 use soi_index::{mass_within, IndexView};
-use soi_network::RoadNetwork;
-use std::collections::BinaryHeap;
+use soi_network::{RoadNetwork, Segment};
 
 /// Source accesses between sampled UB/LBk trace-counter emissions: dense
 /// enough to show the convergence curve, sparse enough to stay invisible
@@ -83,25 +86,63 @@ const UB_SAMPLE_EVERY: usize = 64;
 /// (it is an SL1 entry); reads clamp it to 0.
 const UNREACHED: f64 = -1.0;
 
-/// Where a segment's `Cε(ℓ)` list and its visited bitset sit in [`Arenas`].
+/// Where a segment's `Cε(ℓ)` list, its per-cell masses and its visited
+/// bitset sit in [`Arenas`].
 #[derive(Clone, Copy, Default)]
 struct Span {
+    /// Into `cells` and `masses` alike.
     cells_at: usize,
     bits_at: usize,
     len: usize,
 }
 
-/// Backing store of every seen segment's cell list and visited bitset: two
-/// vectors grown by appending, emptied per query, instead of two heap
-/// allocations per rasterised segment.
+/// Backing store of every seen segment's cell list, per-cell masses and
+/// visited bitset: three vectors grown by appending, emptied per query,
+/// instead of heap allocations per rasterised segment.
 #[derive(Default)]
 struct Arenas {
     cells: Vec<CellId>,
+    masses: Vec<f64>,
     bits: Vec<u64>,
 }
 
+/// A segment's slices of the [`Arenas`].
+struct Cells<'a> {
+    /// `Cε(ℓ)`, ascending.
+    ids: &'a [CellId],
+    /// Per cell: the mass it contributed, `+0.0` until visited.
+    masses: &'a mut [f64],
+    /// One visited bit per cell.
+    bits: &'a mut [u64],
+}
+
+impl Cells<'_> {
+    fn is_visited(&self, idx: usize) -> bool {
+        self.bits[idx / 64] & (1u64 << (idx % 64)) != 0
+    }
+
+    fn set_visited(&mut self, idx: usize) {
+        self.bits[idx / 64] |= 1u64 << (idx % 64);
+    }
+
+    /// The segment's mass so far: the per-cell masses summed in ascending
+    /// cell order from `+0.0` — for a non-empty list exactly
+    /// `segment_mass_lazy`'s `sum()` once every cell is visited.
+    fn mass(&self) -> f64 {
+        self.masses.iter().fold(0.0, |sum, &m| sum + m)
+    }
+
+    /// The cells whose visited bit is clear, ascending.
+    fn unvisited(&self) -> impl Iterator<Item = CellId> + '_ {
+        (0..self.ids.len())
+            .filter(|&i| !self.is_visited(i))
+            .map(|i| self.ids[i])
+    }
+}
+
 impl Arenas {
-    /// Appends `cells` (ascending) with an all-clear visited bitset.
+    /// Appends `cells` (ascending) with zero masses and an all-clear
+    /// visited bitset.
     fn push(&mut self, cells: &[CellId]) -> Span {
         let span = Span {
             cells_at: self.cells.len(),
@@ -109,62 +150,61 @@ impl Arenas {
             len: cells.len(),
         };
         self.cells.extend_from_slice(cells);
+        self.masses.resize(span.cells_at + cells.len(), 0.0);
         self.bits.resize(span.bits_at + cells.len().div_ceil(64), 0);
         span
     }
 
-    /// The cell list and visited bitset of `span`.
-    fn of(&mut self, span: Span) -> (&[CellId], &mut [u64]) {
-        (
-            &self.cells[span.cells_at..][..span.len],
-            &mut self.bits[span.bits_at..][..span.len.div_ceil(64)],
-        )
+    /// The slices of `span`.
+    fn of(&mut self, span: Span) -> Cells<'_> {
+        Cells {
+            ids: &self.cells[span.cells_at..][..span.len],
+            masses: &mut self.masses[span.cells_at..][..span.len],
+            bits: &mut self.bits[span.bits_at..][..span.len.div_ceil(64)],
+        }
     }
-}
 
-/// The cells of a segment's list whose visited bit is clear, ascending.
-fn unvisited<'a>(cells: &'a [CellId], bits: &'a [u64]) -> impl Iterator<Item = CellId> + 'a {
-    cells
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &c)| (bits[i / 64] & (1u64 << (i % 64)) == 0).then_some(c))
+    fn clear(&mut self) {
+        self.cells.clear();
+        self.masses.clear();
+        self.bits.clear();
+    }
 }
 
 /// Per-segment state during filtering: the *partial* / *final* states of
 /// Section 3.2.2.
 struct SegState {
     seg: SegmentId,
-    /// Accumulated (lower-bound) mass from visited cells.
+    /// [`Cells::mass`] as of the last change: a lower bound of the true
+    /// mass, and the baseline's value once final.
     mass: f64,
     /// `Cε(ℓ)`: the occupied cells within ε (ascending), rasterised when
     /// the segment is first seen (the query-time augmentation of
-    /// Sec. 3.2.1), with one visited bit per cell.
+    /// Sec. 3.2.1), with one mass and one visited bit per cell.
     span: Span,
     /// Number of set bits.
     visited_count: usize,
 }
 
 impl SegState {
-    /// Marks `cell` visited; returns false if it was already visited or is
-    /// not one of the segment's ε-cells.
-    fn visit(&mut self, cell: CellId, cells: &[CellId], bits: &mut [u64]) -> bool {
-        let Ok(idx) = cells.binary_search(&cell) else {
-            return false;
-        };
-        let (word, bit) = (idx / 64, 1u64 << (idx % 64));
-        if bits[word] & bit != 0 {
-            return false;
+    /// Marks `cell` visited; returns its index in `cells`, or `None` if it
+    /// was already visited or is not one of the segment's ε-cells.
+    fn visit(&mut self, cell: CellId, cells: &mut Cells<'_>) -> Option<usize> {
+        let idx = cells.ids.binary_search(&cell).ok()?;
+        if cells.is_visited(idx) {
+            return None;
         }
-        bits[word] |= bit;
+        cells.set_visited(idx);
         self.visited_count += 1;
-        true
+        Some(idx)
     }
 
     /// Upper bound on the segment's true mass: accumulated mass plus the
     /// full relevant weight of every unvisited cell.
-    fn upper_mass(&self, cells: &[CellId], bits: &[u64], inputs: &Inputs<'_>) -> f64 {
+    fn upper_mass(&self, cells: &Cells<'_>, inputs: &Inputs<'_>) -> f64 {
         self.mass
-            + unvisited(cells, bits)
+            + cells
+                .unvisited()
                 .map(|c| inputs.relcount[c.index()].max(0.0))
                 .sum::<f64>()
     }
@@ -180,7 +220,8 @@ struct Inputs<'a> {
     /// cell can contribute to any segment's mass ([`UNREACHED`] where no
     /// query keyword occurs).
     relcount: &'a [f64],
-    relprefix: RelPrefix<'a>,
+    /// `b(ℓ)` per segment: an upper bound of its interest.
+    bound: &'a [f64],
 }
 
 impl Inputs<'_> {
@@ -319,8 +360,7 @@ impl SeenTables {
         }
         self.street_best
             .resize(network.num_streets(), f64::NEG_INFINITY);
-        self.arenas.cells.clear();
-        self.arenas.bits.clear();
+        self.arenas.clear();
     }
 
     /// Empties `ring`, clearing its segments' `queued` bits.
@@ -363,9 +403,13 @@ impl Filtering<'_> {
     }
 
     /// Index of `seg`'s state, created on first sight. `None` when this
-    /// call *dismissed* the segment by the O(1) pre-rasterisation bound: if
-    /// the full relevant weight of its dilated bounding box cannot lift it
-    /// above `lbk`, it is final and its exact cells are never needed.
+    /// call *dismissed* the segment by its O(1) bound `b(ℓ)`: if the full
+    /// relevant weight of its dilated bounding box cannot lift it above
+    /// `lbk`, it is final and its exact cells are never needed.
+    ///
+    /// Here and below, `lbk` is the pruning threshold: an upper bound at or
+    /// below it settles a segment. It is −∞ under
+    /// [`SoiConfig::paper_bounds_only`], which prunes nothing.
     fn see(
         &mut self,
         inputs: &Inputs<'_>,
@@ -378,24 +422,18 @@ impl Filtering<'_> {
             return Some(at);
         }
         stats.segments_seen += 1;
-        let s = inputs.network.segment(seg);
-        let eps = inputs.query.eps;
-        let dismissed = lbk > 0.0
-            && inputs
-                .index
-                .grid()
-                .cell_range_in_rect(&s.geom.bounding_rect().expand(eps))
-                .is_some_and(|range| {
-                    segment_interest(inputs.relprefix.rect_sum(range), s.len(), eps) <= lbk
-                });
+        let dismissed = inputs.bound[seg.index()] <= lbk;
         let span = if dismissed {
             stats.segments_bounded_out += 1;
             stats.segments_finalized_filtering += 1;
             Span::default()
         } else {
-            inputs
-                .index
-                .occupied_cells_near_segment_into(&s.geom, eps, &mut seen.near_cells);
+            let geom = &inputs.network.segment(seg).geom;
+            inputs.index.occupied_cells_near_segment_into(
+                geom,
+                inputs.query.eps,
+                &mut seen.near_cells,
+            );
             seen.arenas.push(&seen.near_cells)
         };
         seen.states.push(SegState {
@@ -459,20 +497,21 @@ impl Filtering<'_> {
             return;
         };
         let state = &mut self.seen.states[at];
-        let (cells, bits) = self.seen.arenas.of(state.span);
-        if !state.visit(cell, cells, bits) {
+        let mut cells = self.seen.arenas.of(state.span);
+        let Some(idx) = state.visit(cell, &mut cells) else {
             stats.duplicate_visits += 1;
             return;
-        }
+        };
         let s = inputs.network.segment(seg);
         let gained = inputs.cell_mass(self.gathered, cell, &s.geom);
-        state.mass += gained;
         stats.cell_visits += 1;
         if state.visited_count == state.span.len {
             self.seen.dead.set(seg);
             stats.segments_finalized_filtering += 1;
         }
         if gained > 0.0 {
+            cells.masses[idx] = gained;
+            state.mass = cells.mass();
             let int_lower = segment_interest(state.mass, s.len(), inputs.query.eps);
             self.raise_street_bound(s.street, int_lower);
         }
@@ -504,13 +543,10 @@ impl Filtering<'_> {
             }
             return;
         }
-        let (cells, bits) = self.seen.arenas.of(state.span);
-        let int_upper = segment_interest(
-            state.upper_mass(cells, bits, inputs),
-            s.len(),
-            inputs.query.eps,
-        );
-        if int_upper <= lbk && lbk > 0.0 {
+        let mut cells = self.seen.arenas.of(state.span);
+        let int_upper =
+            segment_interest(state.upper_mass(&cells, inputs), s.len(), inputs.query.eps);
+        if int_upper <= lbk {
             self.seen.dead.set(seg);
             stats.segments_bounded_out += 1;
             stats.segments_finalized_filtering += 1;
@@ -521,72 +557,113 @@ impl Filtering<'_> {
         // search of `SegState::visit` is unnecessary here. The street bound
         // is raised once with the final mass, which dominates every
         // per-cell intermediate raise.
-        for (idx, &cell) in cells.iter().enumerate() {
-            let (word, bit) = (idx / 64, 1u64 << (idx % 64));
-            if bits[word] & bit != 0 {
-                stats.duplicate_visits += 1;
-                continue;
-            }
-            bits[word] |= bit;
-            state.visited_count += 1;
-            state.mass += inputs.cell_mass(self.gathered, cell, &s.geom);
-            stats.cell_visits += 1;
-        }
+        stats.duplicate_visits += state.visited_count;
+        state.visited_count = state.span.len;
+        visit_unvisited(inputs, self.gathered, &mut cells, &s.geom, stats);
+        state.mass = cells.mass();
         self.seen.dead.set(seg);
         stats.segments_finalized_filtering += 1;
-        let mass = state.mass;
-        if mass > 0.0 {
-            self.raise_street_bound(s.street, segment_interest(mass, s.len(), inputs.query.eps));
+        if state.mass > 0.0 {
+            let int = segment_interest(state.mass, s.len(), inputs.query.eps);
+            self.raise_street_bound(s.street, int);
+        }
+    }
+}
+
+/// Visits every unvisited cell of `cells` for the segment `geom`: records
+/// its mass and sets its bit.
+fn visit_unvisited(
+    inputs: &Inputs<'_>,
+    gathered: &mut Gathered,
+    cells: &mut Cells<'_>,
+    geom: &LineSeg,
+    stats: &mut QueryStats,
+) {
+    for idx in 0..cells.ids.len() {
+        if !cells.is_visited(idx) {
+            cells.set_visited(idx);
+            cells.masses[idx] = inputs.cell_mass(gathered, cells.ids[idx], geom);
+            stats.cell_visits += 1;
         }
     }
 }
 
 /// Query-time 2-D prefix sums over the per-cell relevant weights, giving an
-/// O(1) upper bound on the relevant mass inside any rectangle. Lets the
-/// algorithm dismiss hopeless segments before even rasterising their ε-cell
-/// lists.
+/// O(1) upper bound on the relevant mass inside any rectangle — `b(ℓ)` is
+/// this bound over a segment's ε-dilated bounding box.
+///
+/// The sums are integers, so a rectangle's sum is exact whatever surrounds
+/// it (in floating point, a light cell next to heavy ones is lost to
+/// cancellation): each cell's weight is rounded *up* to whole units of
+/// `f64::EPSILON` × the query's total relevant weight, at least one unit if
+/// positive. A rectangle of weightless cells sums to exactly 0, so `b = 0`
+/// proves an interest of 0.
 struct RelPrefix<'a> {
     nx: usize,
     ny: usize,
-    /// `(nx+1) × (ny+1)` inclusive prefix sums, row-major.
-    sums: &'a [f64],
+    /// `(nx+1) × (ny+1)` inclusive prefix sums of the cells' units,
+    /// row-major.
+    sums: &'a [u64],
+    /// The weight of one unit, with a relative head-room of 1e-9 for the
+    /// rounding by which a mass and the `relcount`s bounding it differ.
+    unit: f64,
 }
 
 impl<'a> RelPrefix<'a> {
     /// Builds the prefix sums of `relcount` over the `reached` cells into
     /// `sums` (a reusable scratch vector).
-    fn build(
-        grid: &soi_geo::Grid,
-        relcount: &[f64],
-        reached: &[CellId],
-        sums: &'a mut Vec<f64>,
-    ) -> Self {
+    fn build(grid: &Grid, relcount: &[f64], reached: &[CellId], sums: &'a mut Vec<u64>) -> Self {
         let (nx, ny) = (grid.nx() as usize, grid.ny() as usize);
+        let total: f64 = reached.iter().map(|c| relcount[c.index()]).sum();
+        // At most 2^52 units per cell, and fewer than 2^32 cells: no sum
+        // below overflows. (A positive unit even for subnormal weights; an
+        // infinite total gives every positive cell one infinite unit.)
+        let unit = (total * f64::EPSILON).max(f64::MIN_POSITIVE);
         sums.clear();
-        sums.resize((nx + 1) * (ny + 1), 0.0);
+        sums.resize((nx + 1) * (ny + 1), 0);
         for &cell in reached {
-            let coord = grid.coord_of(cell);
-            sums[(coord.iy as usize + 1) * (nx + 1) + coord.ix as usize + 1] =
-                relcount[cell.index()];
+            let weight = relcount[cell.index()];
+            if weight > 0.0 {
+                let coord = grid.coord_of(cell);
+                sums[(coord.iy as usize + 1) * (nx + 1) + coord.ix as usize + 1] =
+                    ((weight / unit).ceil() as u64).max(1);
+            }
         }
         for y in 1..=ny {
-            let mut row_acc = 0.0;
+            let mut row_acc = 0;
             for x in 1..=nx {
                 row_acc += sums[y * (nx + 1) + x];
                 sums[y * (nx + 1) + x] = sums[(y - 1) * (nx + 1) + x] + row_acc;
             }
         }
-        Self { nx, ny, sums }
+        Self {
+            nx,
+            ny,
+            sums,
+            unit: unit * (1.0 + 1e-9),
+        }
     }
 
-    /// Total relevant weight of cells in the inclusive index range.
+    /// Upper bound of the relevant weight of the cells in the inclusive
+    /// index range; exactly 0 when every one of them is weightless.
     fn rect_sum(&self, (x0, y0, x1, y1): (u32, u32, u32, u32)) -> f64 {
         debug_assert!(x1 < self.nx as u32 && y1 < self.ny as u32);
-        let at = |x: usize, y: usize| self.sums[y * (self.nx + 1) + x];
-        let (x0, y0, x1, y1) = (x0 as usize, y0 as usize, x1 as usize, y1 as usize);
-        // Tiny relative head-room guards against prefix-sum rounding making
-        // the upper bound minutely smaller than the true sum.
-        (at(x1 + 1, y1 + 1) - at(x0, y1 + 1) - at(x1 + 1, y0) + at(x0, y0)).max(0.0) * (1.0 + 1e-9)
+        let at = |x: u32, y: u32| self.sums[y as usize * (self.nx + 1) + x as usize];
+        let units = (at(x1 + 1, y1 + 1) + at(x0, y0)) - (at(x0, y1 + 1) + at(x1 + 1, y0));
+        if units == 0 {
+            0.0
+        } else {
+            units as f64 * self.unit
+        }
+    }
+
+    /// `b(ℓ)` of `segment`: its interest if every relevant weight of its
+    /// ε-dilated bounding box were within ε of it.
+    fn segment_bound(&self, grid: &Grid, segment: &Segment, eps: f64) -> f64 {
+        let dilated = segment.geom.bounding_rect().expand(eps);
+        grid.cell_range_in_rect(&dilated).map_or(0.0, |range| {
+            segment_interest(self.rect_sum(range), segment.len(), eps)
+        })
     }
 }
 
@@ -600,20 +677,24 @@ impl<'a> RelPrefix<'a> {
 /// table is emptied on entry by walking what the previous query touched
 /// and re-fitted to the network and grid at hand, so one scratch may serve
 /// different datasets in turn. A worker retains about
-/// `16·|grid cells| + 16.25·|segments| + 12·|streets|` bytes of tables (per
-/// segment: the slot, the count and the two list entries at 4 bytes each,
-/// two bits) plus the high-water marks of the lists, the largest of which
-/// is the gathered columns: 24 bytes per distinct relevant POI in the cells
-/// visited by the heaviest query served so far (of `24·|POIs|` bytes
-/// reserved, untouched beyond that mark).
+/// `24·|grid cells| + 20.25·|segments| + 12·|streets|` bytes of tables (per
+/// cell: `relcount`, the gathered range and the prefix sum at 8 bytes each;
+/// per segment: the slot at 4 bytes, the bound and an SL2 entry at 8 each,
+/// two bits) plus the high-water marks of SL1, the arenas (12 bytes and a
+/// bit per rasterised cell) and the gathered columns, the largest: 24 bytes
+/// per distinct relevant POI in the cells visited by the heaviest query
+/// served so far (of `24·|POIs|` bytes reserved, untouched beyond that
+/// mark).
 #[derive(Default)]
 pub struct SoiScratch {
     relcount: Vec<f64>,
     /// The cells with a `relcount` entry (SL1's domain), first-reached order.
     reached: Vec<CellId>,
-    prefix_sums: Vec<f64>,
-    sl1: BinaryHeap<Ranked<CellId>>,
-    lists: CountedLists,
+    prefix_sums: Vec<u64>,
+    sl1: RankedList<CellId>,
+    /// `b(ℓ)` per segment.
+    bound: Vec<f64>,
+    sl2: RankedList<SegmentId>,
     seen: SeenTables,
     gathered: Gathered,
     lbk: KBest,
@@ -625,6 +706,44 @@ pub struct SoiScratch {
 impl std::fmt::Debug for SoiScratch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SoiScratch").finish_non_exhaustive()
+    }
+}
+
+impl SoiScratch {
+    /// Construction's query-wide tables: `relcount` over the cells a query
+    /// keyword reaches (SL1's domain, listed in `reached`), and `b(ℓ)` of
+    /// every segment.
+    fn fill_bounds(&mut self, network: &RoadNetwork, index: IndexView<'_>, query: &SoiQuery) {
+        // relcount(c) sums the query keywords' global postings in keyword
+        // order, capped by the cell's total weight.
+        let (relcount, reached) = (&mut self.relcount, &mut self.reached);
+        for cell in reached.drain(..) {
+            relcount[cell.index()] = UNREACHED;
+        }
+        relcount.resize(index.grid().num_cells(), UNREACHED);
+        for k in query.keywords.iter() {
+            for &(cell, w) in index.global_postings(k) {
+                let sum = &mut relcount[cell.index()];
+                if *sum < 0.0 {
+                    *sum = 0.0;
+                    reached.push(cell);
+                }
+                *sum += w;
+            }
+        }
+        for &cell in reached.iter() {
+            let sum = &mut relcount[cell.index()];
+            *sum = sum.min(index.cell_total_weight(cell));
+        }
+        let grid = index.grid();
+        let relprefix = RelPrefix::build(grid, relcount, reached, &mut self.prefix_sums);
+        self.bound.clear();
+        self.bound.extend(
+            network
+                .segments()
+                .iter()
+                .map(|s| relprefix.segment_bound(grid, s, query.eps)),
+        );
     }
 }
 
@@ -726,7 +845,12 @@ pub fn run_soi_full<'a>(
     query.validate()?;
     let _query_span = soi_obs::trace::span(soi_obs::names::spans::SOI_QUERY);
     if let Some(ex) = explain.as_deref_mut() {
-        ex.begin(query.k, query.eps, query.keywords.iter().count());
+        ex.begin(
+            query.k,
+            query.eps,
+            query.keywords.iter().count(),
+            config.paper_bounds_only,
+        );
     }
     let mut stats = QueryStats::default();
     stats.timer.enter(phases::CONSTRUCTION);
@@ -736,62 +860,43 @@ pub fn run_soi_full<'a>(
     let sources_span = soi_obs::trace::span(soi_obs::names::spans::SOI_SOURCES);
 
     // --- SL1: cells by relevant-POI weight, descending (Alg. 1 lines 1–3).
-    // relcount(c) sums the query keywords' global postings in keyword
-    // order, capped by the cell's total weight.
-    let (relcount, reached) = (&mut scratch.relcount, &mut scratch.reached);
-    for cell in reached.drain(..) {
-        relcount[cell.index()] = UNREACHED;
-    }
-    relcount.resize(index.grid().num_cells(), UNREACHED);
-    for k in query.keywords.iter() {
-        for &(cell, w) in index.global_postings(k) {
-            let sum = &mut relcount[cell.index()];
-            if *sum < 0.0 {
-                *sum = 0.0;
-                reached.push(cell);
-            }
-            *sum += w;
-        }
-    }
-    let mut sl1 = Ranked::recycle(&mut scratch.sl1);
-    for &cell in reached.iter() {
-        let sum = &mut relcount[cell.index()];
-        *sum = sum.min(index.cell_total_weight(cell));
-        sl1.push(Ranked {
-            score: *sum,
-            id: cell,
-        });
-    }
-    let relprefix = RelPrefix::build(index.grid(), relcount, reached, &mut scratch.prefix_sums);
+    scratch.fill_bounds(network, index, query);
+    let (relcount, bound) = (&scratch.relcount, &scratch.bound);
+    let sl1 = &mut scratch.sl1;
+    sl1.refill(
+        scratch
+            .reached
+            .iter()
+            .map(|&cell| Ranked::new(relcount[cell.index()], cell)),
+    );
 
     // --- SL3: segments by length ascending (precomputed offline).
     let sl3: &[SegmentId] = index.segments_by_len();
     let mut cursor3 = 0usize;
 
-    // --- SL2: segments by (an O(1) upper bound of) |Cε(ℓ)| descending
-    // (lines 6–7). Any sound upper bound keeps the UB valid, and avoids
-    // rasterising every segment at query time.
-    // --- SLf: segments by the coupled factor |Cε(ℓ)|/(2ε·len+πε²), desc.
-    // Never accessed; its top (skipping seen segments) is the tight UB.
-    // Neither is sorted by comparison: the bound is a small integer, and
-    // SL3 already orders the lengths (see the `counted` module).
-    let coupled_factor = |cell_count_ub: u32, seg: SegmentId| {
-        segment_interest(f64::from(cell_count_ub), network.segment(seg).len(), eps)
-    };
-    let lists = &mut scratch.lists;
-    lists.build(
-        network.num_segments(),
-        sl3,
-        // At most the grid's cell count, which a `CellId` numbers.
-        |seg| index.upper_cell_count(&network.segment(seg).geom, eps) as u32,
-        coupled_factor,
-    );
-    // SL1 is not sorted either: the threshold loop reads a short prefix, so
-    // it is heapified in O(n) and popped in list order on demand.
-    let mut sl1 = BinaryHeap::from(sl1);
+    // --- SL2 (lines 6–7): the segments with `b > 0`, ranked by `b`. With
+    // paper-verbatim bounds SL2 ranks every segment by the O(1) bound on
+    // |Cε(ℓ)| instead, as the paper does.
+    let sl2 = &mut scratch.sl2;
+    if config.paper_bounds_only {
+        sl2.refill(
+            network
+                .segments()
+                .iter()
+                .map(|s| Ranked::new(index.upper_cell_count(&s.geom, eps) as f64, s.id)),
+        );
+    } else {
+        let listed = bound
+            .iter()
+            .zip(network.segments())
+            .filter(|(&b, _)| b > 0.0);
+        sl2.refill(listed.map(|(&b, s)| Ranked::new(b, s.id)));
+    }
+    // Neither SL1 nor SL2 is sorted here: the threshold loop reads a short
+    // prefix, sorted as far as it reads (see the `ranked` module).
     drop(sources_span);
     if let Some(ex) = explain.as_deref_mut() {
-        ex.record_lists(sl1.len(), lists.len(), sl3.len());
+        ex.record_lists(sl1.len(), sl2.len(), sl3.len());
     }
 
     let inputs = Inputs {
@@ -800,7 +905,7 @@ pub fn run_soi_full<'a>(
         index,
         query,
         relcount,
-        relprefix,
+        bound,
     };
     scratch.seen.reset(network);
     scratch.gathered.reset(index.grid().num_cells(), pois.len());
@@ -822,28 +927,38 @@ pub fn run_soi_full<'a>(
     let mut expired = budget.expired();
 
     while !expired {
-        // Drop finalised (SL2/SL3) or seen (SLf) segments off the list
-        // heads so that peeks reflect the best still-relevant entry of each.
-        let head2 = lists.top2(|s| fil.is_finalized(s));
+        // Drop the entries no access may take off the list heads, so that
+        // peeks reflect the best still-relevant entry of each: final
+        // segments off SL3, seen ones off SL2 — final ones with paper
+        // bounds, where an SL2 access finalises a partial segment too.
+        let passed = |seg| {
+            if config.paper_bounds_only {
+                fil.is_finalized(seg)
+            } else {
+                fil.is_seen(seg)
+            }
+        };
+        while sl2.peek().is_some_and(|e| passed(e.id())) {
+            sl2.pop();
+        }
         while sl3.get(cursor3).is_some_and(|&s| fil.is_finalized(s)) {
             cursor3 += 1;
         }
 
-        // Unseen upper bound (line 22). Exhausted SL1 means every cell with
-        // relevant POIs was popped, so every segment with positive mass is
-        // seen; exhausted SL2/SL3/SLf means no unseen segments remain.
-        let top1 = sl1.peek().map_or(0.0, |e| e.score);
-        let top2 = head2.map_or(0.0, |(_, count)| f64::from(count));
+        // Unseen upper bound (line 22): SL2's head, 0 once it is exhausted.
+        // With paper bounds, the heads combined: exhausted SL1 means every
+        // cell with relevant POIs was popped, so every segment with positive
+        // mass is seen; exhausted SL2/SL3 means no unseen segments remain.
+        let top1 = sl1.peek().map_or(0.0, |e| e.score());
+        let top2 = sl2.peek().map_or(0.0, |e| e.score());
         let top3 = sl3.get(cursor3).map(|&s| network.segment(s).len());
-        let ub_paper = match top3 {
-            Some(len) if top1 > 0.0 && top2 > 0.0 => segment_interest(top1 * top2, len, eps),
-            _ => 0.0,
-        };
-        let ub_coupled = top1 * lists.top_factor(|s| fil.is_seen(s), coupled_factor);
-        ub = if config.paper_bounds_only {
-            ub_paper
+        ub = if !config.paper_bounds_only {
+            top2
         } else {
-            ub_paper.min(ub_coupled)
+            match top3 {
+                Some(len) if top1 > 0.0 && top2 > 0.0 => segment_interest(top1 * top2, len, eps),
+                _ => 0.0,
+            }
         };
         lbk = fil.lbk.threshold();
         // An explain row: these bounds and list heads (the pre-access values
@@ -852,8 +967,6 @@ pub fn run_soi_full<'a>(
             access: stats.accesses,
             source,
             ub,
-            ub_paper,
-            ub_coupled,
             lbk,
             top_sl1: top1,
             top_sl2: top2,
@@ -871,9 +984,13 @@ pub fn run_soi_full<'a>(
             break;
         }
 
-        // With paper-verbatim bounds, segment dismissal is disabled by
-        // passing a zero threshold to the bound-out sites.
-        let prune_lbk = if config.paper_bounds_only { 0.0 } else { lbk };
+        // With paper-verbatim bounds, segment dismissal is disabled by a
+        // threshold no bound is at or below.
+        let prune_lbk = if config.paper_bounds_only {
+            f64::NEG_INFINITY
+        } else {
+            lbk
+        };
 
         // Choose the next source per the strategy cycle, falling through to
         // any non-exhausted list.
@@ -889,17 +1006,16 @@ pub fn run_soi_full<'a>(
         for source in fallbacks {
             match source {
                 Source::Cells => {
-                    let Some(Ranked { id: cell, .. }) = sl1.pop() else {
+                    let Some(cell) = sl1.pop().map(Ranked::id) else {
                         continue;
                     };
                     stats.cells_popped += 1;
                     fil.access_cell(&inputs, cell, prune_lbk, &mut stats);
                 }
                 Source::SegmentsByCells => {
-                    let Some((seg, _)) = head2 else {
+                    let Some(seg) = sl2.pop().map(Ranked::id) else {
                         continue;
                     };
-                    lists.pop2();
                     stats.segments_popped += 1;
                     fil.finalize_segment(&inputs, seg, prune_lbk, &mut stats);
                 }
@@ -957,8 +1073,8 @@ pub fn run_soi_full<'a>(
     let (seen, gathered) = (fil.seen, fil.gathered);
     if !expired {
         stats.timer.enter(phases::REFINEMENT);
-        lbk = if config.paper_bounds_only {
-            0.0
+        let prune_lbk = if config.paper_bounds_only {
+            f64::NEG_INFINITY
         } else {
             fil.lbk.threshold()
         };
@@ -967,18 +1083,14 @@ pub fn run_soi_full<'a>(
                 continue;
             }
             let s = network.segment(state.seg);
-            let (cells, bits) = seen.arenas.of(state.span);
-            let upper = state.upper_mass(cells, bits, &inputs);
-            if lbk > 0.0 && segment_interest(upper, s.len(), eps) <= lbk {
+            let mut cells = seen.arenas.of(state.span);
+            let upper = state.upper_mass(&cells, &inputs);
+            if segment_interest(upper, s.len(), eps) <= prune_lbk {
                 stats.segments_bounded_out += 1;
                 continue;
             }
-            let mut extra = 0.0;
-            for cell in unvisited(cells, bits) {
-                extra += inputs.cell_mass(gathered, cell, &s.geom);
-                stats.cell_visits += 1;
-            }
-            state.mass += extra;
+            visit_unvisited(&inputs, gathered, &mut cells, &s.geom, &mut stats);
+            state.mass = cells.mass();
             seen.dead.set(state.seg);
             stats.segments_finalized_refinement += 1;
         }
@@ -1027,9 +1139,6 @@ pub fn run_soi_full<'a>(
 
     stats.timer.stop();
 
-    // Hand SL1 (and its capacity) back for the next query.
-    scratch.sl1 = sl1;
-
     crate::obs::absorb_query_stats(&stats);
 
     if let Some(ex) = explain {
@@ -1041,4 +1150,124 @@ pub fn run_soi_full<'a>(
         stats,
         partial: expired,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use soi_common::KeywordId;
+    use soi_data::{PhotoCollection, PoiCollection};
+    use soi_geo::Point;
+    use soi_index::{DeltaIndex, DeltaOp, PoiIndex};
+    use soi_text::KeywordSet;
+
+    /// A xorshift stream.
+    struct Draw(u64);
+
+    impl Draw {
+        /// The next value in `[0, 1)`.
+        fn unit(&mut self) -> f64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        /// Up to four of eight keywords, and a non-integer weight: one in
+        /// fifty a billion times the rest, one in fifty a billionth of it,
+        /// one in fifty exactly zero — a light cell beside heavy ones is
+        /// what a floating-point prefix sum loses.
+        fn keywords_and_weight(&mut self) -> (KeywordSet, f64) {
+            let carried = (self.unit() * 5.0) as usize;
+            let keywords: Vec<KeywordId> = (0..carried)
+                .map(|_| KeywordId((self.unit() * 8.0) as u32))
+                .collect();
+            let weight = match (self.unit() * 50.0) as u32 {
+                0 => 1e9 * (1.0 + self.unit()),
+                1 => 1e-9 * (1.0 + self.unit()),
+                2 => 0.0,
+                _ => 0.25 + self.unit(),
+            };
+            (KeywordSet::from_ids(keywords), weight)
+        }
+    }
+
+    proptest! {
+        /// `b(ℓ)` bounds the interest of every segment — what `UB` and every
+        /// dismissal rest on. Jittered streets and a diagonal over a grid of
+        /// 0.5 cells, POIs of non-integer weight on and off the streets,
+        /// 1–6 query keywords of which ids 8 and 9 occur nowhere, ε of 0⁺,
+        /// up to 3.5 cells or far beyond the extent, with and without a
+        /// delta that deletes and adds POIs.
+        #[test]
+        fn the_bound_is_at_least_every_interest(
+            seed in 1u64..u64::MAX,
+            num_pois in 0usize..250,
+            query_kws in proptest::collection::vec(0u32..10, 1..7),
+            eps_cells in (0u32..8, 0.0f64..3.5),
+            with_delta in 0u32..2,
+        ) {
+            const CELL: f64 = 0.5;
+            let mut draw = Draw(seed);
+            let mut b = RoadNetwork::builder();
+            for i in 0..4 {
+                let at = 0.5 + 1.5 * f64::from(i);
+                let jitter = |draw: &mut Draw| 0.3 * draw.unit() - 0.15;
+                let row: Vec<Point> = (0..4)
+                    .map(|j| Point::new(0.5 + 1.5 * f64::from(j), at + jitter(&mut draw)))
+                    .collect();
+                b.add_street_from_points(format!("h{i}"), &row);
+                let column: Vec<Point> = (0..4)
+                    .map(|j| Point::new(at + jitter(&mut draw), 0.5 + 1.5 * f64::from(j)))
+                    .collect();
+                b.add_street_from_points(format!("v{i}"), &column);
+            }
+            b.add_street_from_points("d", &[Point::new(0.2, 0.3), Point::new(5.9, 5.6)]);
+            let network = b.build().expect("valid network");
+            let mut pois = PoiCollection::new();
+            for _ in 0..num_pois {
+                let pos = Point::new(6.0 * draw.unit(), 6.0 * draw.unit());
+                let (keywords, weight) = draw.keywords_and_weight();
+                pois.add_weighted(pos, keywords, weight);
+            }
+            let index = PoiIndex::build(&network, &pois, CELL);
+            let delta = (with_delta == 1).then(|| {
+                let mut ops: Vec<DeltaOp> = pois
+                    .iter()
+                    .filter(|_| draw.unit() < 0.2)
+                    .map(|p| DeltaOp::DeletePoi { id: p.id })
+                    .collect();
+                for _ in 0..20 {
+                    let pos = Point::new(6.0 * draw.unit(), 6.0 * draw.unit());
+                    let (keywords, weight) = draw.keywords_and_weight();
+                    if index.grid().cell_containing(pos).is_some() {
+                        ops.push(DeltaOp::AddPoi { pos, keywords, weight });
+                    }
+                }
+                DeltaIndex::seal(&index, &pois, &PhotoCollection::new(), &ops).expect("valid ops")
+            });
+            let view = IndexView::new(&index, delta.as_ref());
+            let poi_view: PoiView<'_> = match &delta {
+                Some(d) => d.poi_view(&pois),
+                None => (&pois).into(),
+            };
+            let eps = match eps_cells.0 {
+                0 => 1e-12,
+                1 => 1e3,
+                _ => CELL * eps_cells.1.max(1e-6),
+            };
+            let keywords = KeywordSet::from_ids(query_kws.iter().map(|&k| KeywordId(k)));
+            let query = SoiQuery::new(keywords, 1, eps).expect("valid query");
+
+            let mut scratch = SoiScratch::default();
+            scratch.fill_bounds(&network, view, &query);
+            for s in network.segments() {
+                let mass = view.segment_mass_lazy(poi_view, &network, s.id, &query.keywords, eps);
+                let interest = segment_interest(mass, s.len(), eps);
+                let bound = scratch.bound[s.id.index()];
+                prop_assert!(interest <= bound, "segment {}: {} > b = {}", s.id, interest, bound);
+            }
+        }
+    }
 }

@@ -3,10 +3,12 @@
 //!
 //! A [`SoiExplain`] passed to
 //! [`run_soi_full`](crate::soi::run_soi_full) records, per
-//! source-list access, the termination bounds (`UB`, the paper bound and
-//! the coupled bound it is min'd with, `LBk`) together with the surviving
-//! heads of the three source lists — the raw material of a
-//! bound-convergence table. Rows are decimated on the fly (stride
+//! source-list access, the termination bounds `UB` and `LBk` together with
+//! the surviving heads of the three source lists — the raw material of a
+//! bound-convergence table. Which `UB` is in effect is recorded once
+//! ([`SoiExplain::paper_bounds`]): SL2's head `b(ℓ)` by default, the
+//! paper's `top(SL1)·top(SL2)/(2ε·top(SL3)+πε²)` under
+//! `SoiConfig::paper_bounds_only`. Rows are decimated on the fly (stride
 //! doubling) so a long filtering phase cannot grow the collector beyond
 //! [`SoiExplain::max_rows`]; the final pre-termination state is always
 //! recorded as its own row, so the last row of the table provably
@@ -32,17 +34,16 @@ pub struct ExplainRow {
     /// The source list the access drew from (`None` for the final
     /// termination row, where no further access happens).
     pub source: Option<Source>,
-    /// The unseen upper bound `UB = min(ub_paper, ub_coupled)` in effect.
+    /// The unseen upper bound `UB` in effect (see
+    /// [`SoiExplain::paper_bounds`]).
     pub ub: f64,
-    /// The paper's decoupled bound `top(SL1)·top(SL2)/(2ε·top(SL3)+πε²)`.
-    pub ub_paper: f64,
-    /// The coupled per-segment bound read off SLf.
-    pub ub_coupled: f64,
     /// The k-th best seen street lower bound `LBk`.
     pub lbk: f64,
     /// Head of SL1: largest surviving per-cell relevant weight.
     pub top_sl1: f64,
-    /// Head of SL2: largest surviving `|Cε(ℓ)|` upper bound.
+    /// Head of SL2: the largest `b(ℓ)` of an unseen segment (`UB` itself),
+    /// or with paper bounds the largest `|Cε(ℓ)|` bound of a segment that
+    /// is not final.
     pub top_sl2: f64,
     /// Head of SL3: smallest surviving segment length (0 when exhausted).
     pub top_sl3: f64,
@@ -57,7 +58,8 @@ pub struct ExplainRow {
 pub struct ListSizes {
     /// Cells in SL1 (cells holding query-relevant weight).
     pub sl1: usize,
-    /// Segments in SL2 (= SL3 = SLf: every network segment).
+    /// Segments in SL2: those with `b(ℓ) > 0` (every segment with paper
+    /// bounds).
     pub sl2: usize,
     /// Segments in SL3.
     pub sl3: usize,
@@ -90,6 +92,9 @@ pub struct SoiExplain {
     pub eps: f64,
     /// Number of query keywords.
     pub keywords: usize,
+    /// Whether `UB` is the paper's verbatim bound
+    /// (`SoiConfig::paper_bounds_only`) rather than SL2's head `b(ℓ)`.
+    pub paper_bounds: bool,
     /// Source-list sizes after construction.
     pub lists: ListSizes,
     /// Termination bounds (`None` until the run finishes).
@@ -116,6 +121,7 @@ impl SoiExplain {
             k: 0,
             eps: 0.0,
             keywords: 0,
+            paper_bounds: false,
             lists: ListSizes::default(),
             termination: None,
             stats: None,
@@ -129,10 +135,11 @@ impl SoiExplain {
         self.max_rows
     }
 
-    pub(crate) fn begin(&mut self, k: usize, eps: f64, keywords: usize) {
+    pub(crate) fn begin(&mut self, k: usize, eps: f64, keywords: usize, paper_bounds: bool) {
         self.k = k;
         self.eps = eps;
         self.keywords = keywords;
+        self.paper_bounds = paper_bounds;
     }
 
     pub(crate) fn record_lists(&mut self, sl1: usize, sl2: usize, sl3: usize) {
@@ -181,6 +188,15 @@ impl SoiExplain {
         q.field_f64("eps", self.eps);
         q.field_u64("keywords", self.keywords as u64);
         obj.field_raw("query", &q.finish());
+        // Which `UB` the rows carry: the paper's, or SL2's head.
+        obj.field_str(
+            "bound",
+            if self.paper_bounds {
+                "paper"
+            } else {
+                "segment"
+            },
+        );
         let mut lists = JsonWriter::object();
         lists.field_u64("sl1", self.lists.sl1 as u64);
         lists.field_u64("sl2", self.lists.sl2 as u64);
@@ -192,8 +208,6 @@ impl SoiExplain {
             row.field_u64("access", r.access as u64);
             row.field_str("source", source_label(r.source));
             row.field_f64("ub", r.ub);
-            row.field_f64("ub_paper", r.ub_paper);
-            row.field_f64("ub_coupled", r.ub_coupled);
             row.field_f64("lbk", r.lbk);
             row.field_f64("top_sl1", r.top_sl1);
             row.field_f64("top_sl2", r.top_sl2);
@@ -262,8 +276,6 @@ mod tests {
             access,
             source: Some(Source::Cells),
             ub,
-            ub_paper: ub,
-            ub_coupled: ub,
             lbk,
             top_sl1: 1.0,
             top_sl2: 2.0,
@@ -302,7 +314,7 @@ mod tests {
     #[test]
     fn json_round_trips_through_the_parser() {
         let mut ex = SoiExplain::default();
-        ex.begin(10, 0.0005, 2);
+        ex.begin(10, 0.0005, 2, false);
         ex.record_lists(5, 7, 7);
         ex.record(row(1, 9.0, 0.0));
         let stats = QueryStats {
@@ -318,6 +330,10 @@ mod tests {
             Some(10.0)
         );
         assert_eq!(doc.get("rows").unwrap().as_arr().unwrap().len(), 1);
+        assert_eq!(
+            doc.get("bound"),
+            Some(&soi_obs::json::Json::Str("segment".into()))
+        );
         let term = doc.get("termination").unwrap();
         assert_eq!(
             term.get("converged"),

@@ -2,7 +2,6 @@
 
 pub mod algorithm;
 pub mod baseline;
-mod counted;
 pub mod explain;
 pub mod interest;
 mod lbk;

@@ -54,12 +54,15 @@ impl SoiQuery {
 pub struct SoiConfig {
     /// Source-list access strategy (paper: correctness is unaffected).
     pub strategy: AccessStrategy,
-    /// Use only the paper's verbatim termination bound
-    /// `top(SL1)·top(SL2)/(2ε·top(SL3)+πε²)` and disable the coupled
-    /// per-segment upper bound and the bound-based segment dismissal.
-    /// Default false. Both modes are held to brute force by
-    /// `tests/soi_correctness.rs`; what the tightened bounds save per query
-    /// is the pruning-power table ROADMAP item 3 owes.
+    /// Run Alg. 1 as the paper states it: SL2 ranks every segment by the
+    /// O(1) bound on `|Cε(ℓ)|`, `UB` is the verbatim
+    /// `top(SL1)·top(SL2)/(2ε·top(SL3)+πε²)`, and no segment is dismissed
+    /// by a bound. Default false: SL2 ranks the segments with a positive
+    /// prefix-sum bound `b(ℓ)` by it, `UB` is `b` of its first unseen
+    /// segment, and `b` and the mass bounds dismiss segments against
+    /// `LBk`. A test-only mode: both are held to brute force, and to the
+    /// baseline bit for bit, by `tests/soi_correctness.rs`; DESIGN §5 has
+    /// what the default saves per query.
     pub paper_bounds_only: bool,
 }
 

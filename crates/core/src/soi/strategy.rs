@@ -14,7 +14,8 @@
 pub enum Source {
     /// SL1: cells sorted decreasingly on relevant-POI count.
     Cells,
-    /// SL2: segments sorted decreasingly on number of ε-neighbouring cells.
+    /// SL2: segments sorted decreasingly on an upper bound of their
+    /// interest — with paper bounds, on the number of ε-neighbouring cells.
     SegmentsByCells,
     /// SL3: segments sorted increasingly on length.
     SegmentsByLen,

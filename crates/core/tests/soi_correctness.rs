@@ -11,7 +11,7 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use soi_common::{FxHashMap, KeywordId, StreetId};
+use soi_common::{FxHashMap, KeywordId, SegmentId, StreetId};
 use soi_core::soi::{
     brute_force, exact_street_interests, run_baseline, run_soi, run_soi_with_scratch,
     AccessStrategy, SoiConfig, SoiOutcome, SoiQuery, SoiScratch, StreetAggregate,
@@ -215,29 +215,91 @@ fn soi_under_a_live_delta_matches_brute_force_over_the_folded_pois() {
     }
 }
 
+/// What two answers must agree on to the bit: street, interest, best
+/// segment and its mass, in rank order.
+fn answer_bits(out: &SoiOutcome) -> Vec<(StreetId, u64, SegmentId, u64)> {
+    out.results
+        .iter()
+        .map(|r| {
+            let (interest, mass) = (r.interest.to_bits(), r.best_segment_mass.to_bits());
+            (r.street, interest, r.best_segment, mass)
+        })
+        .collect()
+}
+
 #[test]
 fn soi_matches_baseline_when_no_ties_at_boundary() {
     // With continuous POI positions, exact score ties across streets are
-    // essentially impossible; SOI and BL must return identical rankings.
+    // essentially impossible; SOI and BL must then return the same answer
+    // to the bit — streets, interests, best segments and their masses —
+    // whatever order the accesses visit cells in: a final segment's mass is
+    // its per-cell masses summed in ascending cell order, BL's order. Every
+    // strategy, both bound modes, on the base index and through a live
+    // delta that deletes a fifth of the POIs and adds weighted ones.
+    let mut compared = 0;
     for seed in 0..15u64 {
         let mut rng = StdRng::seed_from_u64(2000 + seed);
         let network = random_city(&mut rng, 5, 7);
         let pois = random_pois(&mut rng, 150, 5.0);
         let index = PoiIndex::build(&network, &pois, 0.6);
         let query = random_query(&mut rng);
-        let exact = exact_street_interests(&network, &pois, &query);
-
-        // Skip the rare tie at the k-th boundary.
-        let mut vals: Vec<f64> = exact.values().copied().filter(|&v| v > 0.0).collect();
-        vals.sort_by(|a, b| b.total_cmp(a));
-        if vals.len() > query.k && (vals[query.k - 1] - vals[query.k]).abs() < 1e-12 {
-            continue;
+        let mut ops: Vec<DeltaOp> = pois
+            .iter()
+            .filter(|_| rng.random_range(0..5) == 0)
+            .map(|p| DeltaOp::DeletePoi { id: p.id })
+            .collect();
+        let adds = random_pois(&mut rng, 30, 4.0);
+        // (A delta cannot add outside the extent the grid was built over.)
+        for p in adds
+            .iter()
+            .filter(|p| index.grid().cell_containing(p.pos).is_some())
+        {
+            ops.push(DeltaOp::AddPoi {
+                pos: p.pos,
+                keywords: p.keywords.clone(),
+                weight: rng.random_range(0.1..2.9),
+            });
         }
+        let delta = DeltaIndex::seal(&index, &pois, &PhotoCollection::new(), &ops).unwrap();
+        let (folded, _) = delta.apply_to(&pois, &PhotoCollection::new());
 
-        let soi = run_soi(&network, &pois, &index, &query, &SoiConfig::default()).unwrap();
-        let bl = run_baseline(&network, &pois, &index, &query, StreetAggregate::Max);
-        assert_eq!(soi.street_ids(), bl.street_ids(), "seed {seed}");
+        for live in [false, true] {
+            let (poi_view, view, exact) = if live {
+                let exact = exact_street_interests(&network, &folded, &query);
+                (
+                    delta.poi_view(&pois),
+                    IndexView::new(&index, Some(&delta)),
+                    exact,
+                )
+            } else {
+                let exact = exact_street_interests(&network, &pois, &query);
+                ((&pois).into(), IndexView::from(&index), exact)
+            };
+            // Skip the rare tie at the k-th boundary.
+            let mut vals: Vec<f64> = exact.values().copied().filter(|&v| v > 0.0).collect();
+            vals.sort_by(|a, b| b.total_cmp(a));
+            if vals.len() > query.k && (vals[query.k - 1] - vals[query.k]).abs() < 1e-12 {
+                continue;
+            }
+            let bl = run_baseline(&network, poi_view, view, &query, StreetAggregate::Max);
+            for strategy in AccessStrategy::all() {
+                for paper_bounds_only in [false, true] {
+                    let config = SoiConfig {
+                        strategy,
+                        paper_bounds_only,
+                    };
+                    let soi = run_soi(&network, poi_view, view, &query, &config).unwrap();
+                    let what = format!(
+                        "seed {seed}, delta {live}, {}, paper bounds {paper_bounds_only}",
+                        strategy.name()
+                    );
+                    assert_eq!(answer_bits(&soi), answer_bits(&bl), "{what}");
+                    compared += 1;
+                }
+            }
+        }
     }
+    assert!(compared >= 200, "only {compared} runs compared");
 }
 
 #[test]
@@ -267,6 +329,14 @@ fn soi_prunes_work_on_skewed_data() {
     let out = run_soi(&network, &pois, &index, &query, &SoiConfig::default()).unwrap();
 
     assert_eq!(out.results.len(), 5);
+    // SL2's head bounds the unseen segments by their own boxes' weight, so
+    // little beyond the hotspot street's segments is read.
+    assert!(
+        out.stats.accesses <= 28 && out.stats.segments_seen <= 27,
+        "accesses {}, segments seen {}",
+        out.stats.accesses,
+        out.stats.segments_seen
+    );
     let total_segments = network.num_segments();
     assert!(
         out.stats.segments_finalized() < total_segments,
@@ -458,9 +528,31 @@ fn explain_trajectory_matches_termination_and_results() {
         assert_eq!(last.ub, term.ub, "seed {seed}");
         assert_eq!(last.lbk, term.lbk, "seed {seed}");
 
-        // Construction metadata and the stats copy are present.
+        // Construction metadata and the stats copy are present. SL2 lists
+        // the segments whose dilated bounding box holds a cell of positive
+        // relevant weight — the ones with a positive bound.
         assert_eq!(explain.k, query.k);
-        assert_eq!(explain.lists.sl2, network.num_segments());
+        assert!(!explain.paper_bounds);
+        let grid = index.grid();
+        let mut weighty = vec![false; grid.num_cells()];
+        for k in query.keywords.iter() {
+            for &(cell, w) in index.global_postings(k) {
+                weighty[cell.index()] |= w > 0.0;
+            }
+        }
+        let listed = network
+            .segments()
+            .iter()
+            .filter(|s| {
+                let dilated = s.geom.bounding_rect().expand(query.eps);
+                grid.cell_range_in_rect(&dilated)
+                    .is_some_and(|(x0, y0, x1, y1)| {
+                        (y0..=y1).any(|y| (x0..=x1).any(|x| weighty[(y * grid.nx() + x) as usize]))
+                    })
+            })
+            .count();
+        assert_eq!(explain.lists.sl2, listed, "seed {seed}");
+        assert!(listed > 0, "seed {seed}");
         assert_eq!(
             explain.stats.as_ref().map(|s| s.accesses),
             Some(explained.stats.accesses)

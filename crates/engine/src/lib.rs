@@ -950,7 +950,9 @@ mod tests {
         // POIs), shapes that grow and shrink it (wide keyword sets at a
         // large ε, then one keyword at a small one, then wide again), and a
         // deadline-expired partial before every full run. Every full answer
-        // must equal a fresh worker's, every work counter included.
+        // must equal a fresh worker's, every work counter included — which
+        // also fails if the per-segment bound column, SL2's entries or its
+        // read position outlive a query or a dataset (mutation-checked).
         let (vienna, vienna_index) = fixture();
         let (berlin, _) = soi_datagen::generate(&soi_datagen::berlin(0.05));
         let berlin_index = PoiIndex::build(&berlin.network, &berlin.pois, 0.002);

@@ -542,8 +542,9 @@ impl PoiIndex {
     }
 
     /// O(1) upper bound on `|Cε(ℓ)|`: the number of grid cells overlapping
-    /// the ε-dilated bounding box of the segment. Used to order SL2 without
-    /// rasterising every segment at query time.
+    /// the ε-dilated bounding box of the segment. SL2's order under the
+    /// paper's verbatim bounds, without rasterising every segment at query
+    /// time.
     pub fn upper_cell_count(&self, geom: &soi_geo::LineSeg, eps: f64) -> usize {
         self.grid
             .count_cells_in_rect(&geom.bounding_rect().expand(eps))
@@ -693,6 +694,75 @@ impl PoiIndex {
             slot_xyw,
             run_slots,
         })
+    }
+
+    /// Checks the weights Alg. 1's upper bounds trust against the members
+    /// they sum, as a build sums them: each cell total is its members'
+    /// weights, each global entry its run's, both added in ascending id
+    /// from `0.0` (so bit for bit), and every run has exactly one global
+    /// entry. A lowered total or entry, or a missing one, would let a query
+    /// stop on a `UB` that is no upper bound. The snapshot reader asks this
+    /// of a decoded index; a build makes it so.
+    ///
+    /// # Errors
+    /// A message naming the first violated condition.
+    pub(crate) fn check_weight_sums(&self) -> Result<(), String> {
+        let weight = |slot: usize| self.slot_xyw[slot][2];
+        for cell in 0..self.cell_pois.rows() {
+            let total = self
+                .cell_pois
+                .row_range(cell)
+                .fold(0.0, |sum, s| sum + weight(s));
+            let stored = self.total_weight.get(cell).copied();
+            if stored.map(f64::to_bits) != Some(total.to_bits()) {
+                return Err(format!(
+                    "poi cell weights: cell {cell} holds {stored:?}, its members sum to {total}"
+                ));
+            }
+        }
+        // `run_slots` is parallel to the postings: a run's weight sums its row.
+        let run_weight: Vec<f64> = (0..self.run_docs.rows())
+            .map(|run| {
+                let slots = &self.run_slots[self.run_docs.row_range(run)];
+                slots.iter().fold(0.0, |sum, &s| sum + weight(s as usize))
+            })
+            .collect();
+        // Keyword by keyword, ascending: a cell's run of `k` is its first run
+        // no global entry has claimed yet, so each entry claims the run at its
+        // cell's cursor — and a missing, repeated or stray entry leaves a
+        // cursor on another keyword's run.
+        let (kws, runs_of) = (self.cell_kws.items(), |cell| self.cell_kws.row_range(cell));
+        let mut next_run: Vec<usize> = (0..self.cell_kws.rows())
+            .map(|cell| runs_of(cell).start)
+            .collect();
+        for k in 0..self.global.rows() {
+            for &(cell, weight) in self.global.row(k) {
+                let claimed = next_run
+                    .get_mut(cell.index())
+                    .filter(|&&mut run| run < runs_of(cell.index()).end && kws[run].index() == k);
+                let Some(run) = claimed else {
+                    return Err(format!(
+                        "poi global index: keyword {k} lists cell {}, which has no run of it left",
+                        cell.0
+                    ));
+                };
+                if run_weight[*run].to_bits() != weight.to_bits() {
+                    return Err(format!(
+                        "poi global weights: keyword {k} in cell {} weighs {weight}, \
+                         its run sums to {}",
+                        cell.0, run_weight[*run]
+                    ));
+                }
+                *run += 1;
+            }
+        }
+        match (0..next_run.len()).find(|&cell| next_run[cell] < runs_of(cell).end) {
+            Some(cell) => Err(format!(
+                "poi global index: no entry of keyword {} lists cell {cell}",
+                kws[next_run[cell]].0
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Exact weighted mass contribution of cell `id` to segment `seg_geom`:

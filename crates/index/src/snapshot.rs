@@ -37,6 +37,7 @@ use soi_common::{
 };
 use soi_data::{Dataset, PoiCollection};
 use soi_geo::{Grid, Point};
+use soi_network::RoadNetwork;
 use soi_snapshot::{corrupt, Fnv64, Snapshot, SnapshotWriter, FORMAT_VERSION};
 use soi_text::KeywordSet;
 
@@ -216,9 +217,10 @@ pub fn write_poi_index(writer: &mut SnapshotWriter, prefix: &str, index: &PoiInd
 }
 
 /// Reads a [`PoiIndex`] stored under `prefix`, validating every column
-/// against the grid, the other columns, and the dataset bounds (the POIs of
-/// `pois`, `num_segments` segments), then deriving the slot columns — which
-/// are not stored — from the validated ones and `pois`, as a build does.
+/// against the grid, the other columns, and the dataset (the POIs of
+/// `pois`, the segments of `network`), then deriving the slot columns —
+/// which are not stored — from the validated ones and `pois`, as a build
+/// does.
 ///
 /// # Errors
 /// Missing sections, violated invariants, or out-of-bounds ids
@@ -227,9 +229,9 @@ pub fn read_poi_index(
     snapshot: &Snapshot,
     prefix: &str,
     pois: &PoiCollection,
-    num_segments: usize,
+    network: &RoadNetwork,
 ) -> Result<PoiIndex> {
-    let num_pois = pois.len();
+    let (num_pois, num_segments) = (pois.len(), network.num_segments());
     let grid = read_grid(snapshot, prefix)?;
     let num_cells = grid.num_cells();
     let bad = |msg: String| corrupt(snapshot.path(), msg);
@@ -293,6 +295,22 @@ pub fn read_poi_index(
     check_len(slen, num_segments, "segment length list").map_err(bad)?;
     check_ids_below(slen, num_segments, "segment length list").map_err(bad)?;
     let segments_by_len: Vec<SegmentId> = slen.iter().map(|&s| SegmentId(s)).collect();
+    // SL3's order, whose head the paper's bound reads: strictly ascending
+    // in (length, id) with as many ids as segments, all in range, is a
+    // permutation.
+    let len = |s: SegmentId| network.segment(s).len();
+    let out_of_order = segments_by_len.windows(2).find(|w| {
+        len(w[0])
+            .total_cmp(&len(w[1]))
+            .then(w[0].cmp(&w[1]))
+            .is_ge()
+    });
+    if let Some(w) = out_of_order {
+        return Err(bad(format!(
+            "segment length list: segment {} follows segment {} out of (length, id) order",
+            w[1].0, w[0].0
+        )));
+    }
 
     let raster = read_csr(
         snapshot,
@@ -302,7 +320,7 @@ pub fn read_poi_index(
         "raster map",
     )?;
 
-    PoiIndex::from_columns(
+    let index = PoiIndex::from_columns(
         grid,
         cell_pois,
         total_weight.to_vec(),
@@ -313,7 +331,9 @@ pub fn read_poi_index(
         raster,
         pois,
     )
-    .map_err(bad)
+    .map_err(bad)?;
+    index.check_weight_sums().map_err(bad)?;
+    Ok(index)
 }
 
 // ---------------------------------------------------------------------------
@@ -754,10 +774,9 @@ pub fn read_bundle_with_fingerprint(
 
     let num_pois = dataset.pois.len();
     let num_photos = dataset.photos.len();
-    let num_segments = dataset.network.num_segments();
     let threads = params.threads;
 
-    let poi = read_poi_index(&snapshot, "poi", &dataset.pois, num_segments)?;
+    let poi = read_poi_index(&snapshot, "poi", &dataset.pois, &dataset.network)?;
     let photo_grid = read_photo_grid(&snapshot, "pg", num_photos)?;
     let ir = if with_ir {
         Some(read_ir_tree(&snapshot, "ir", num_pois, threads)?)
@@ -1261,7 +1280,7 @@ mod tests {
         write_poi_index(&mut w, "poi", &index).unwrap();
         w.write_to(&path).unwrap();
         let snap = Snapshot::open(&path).unwrap();
-        let back = read_poi_index(&snap, "poi", &ds.pois, ds.network.num_segments()).unwrap();
+        let back = read_poi_index(&snap, "poi", &ds.pois, &ds.network).unwrap();
         std::fs::remove_file(&path).ok();
         assert!(index == back, "the loaded index must equal the built one");
     }
@@ -1546,7 +1565,7 @@ mod tests {
         // A collection holding fewer POIs than the postings reference.
         let mut one = PoiCollection::new();
         one.add(Point::new(0.0, 0.0), kws(&[0]));
-        let err = read_poi_index(&snap, "poi", &one, ds.network.num_segments()).unwrap_err();
+        let err = read_poi_index(&snap, "poi", &one, &ds.network).unwrap_err();
         assert_eq!(err.category(), soi_common::ErrorCategory::Data);
         std::fs::remove_file(&path).ok();
     }

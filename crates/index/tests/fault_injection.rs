@@ -326,18 +326,18 @@ fn strict_cache_fails_loudly_on_corruption() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Rewrites the payload of section `name` of `image` through `mutate` and
-/// returns a container whose table and payload checksums are all valid
+/// Rewrites the payloads of the sections named in `rewrites` of `image`
+/// and returns a container whose table and payload checksums are all valid
 /// again: the corruption is in what the columns *say*, which only the
 /// codecs can see.
-fn with_section_rewritten(image: &[u8], name: &str, mutate: &dyn Fn(&mut Vec<u8>)) -> Vec<u8> {
+fn with_sections_rewritten(image: &[u8], rewrites: &[(&str, Rewrite)]) -> Vec<u8> {
     let path = temp_path("rewrite");
     std::fs::write(&path, image).unwrap();
     let snapshot = Snapshot::open(&path).unwrap();
     let mut writer = SnapshotWriter::new();
     for section in snapshot.sections() {
         let mut bytes = snapshot.bytes(&section.name).unwrap().to_vec();
-        if section.name == name {
+        for (_, mutate) in rewrites.iter().filter(|(name, _)| *name == section.name) {
             mutate(&mut bytes);
         }
         writer.bytes(&section.name, section.align, &bytes).unwrap();
@@ -346,8 +346,24 @@ fn with_section_rewritten(image: &[u8], name: &str, mutate: &dyn Fn(&mut Vec<u8>
     writer.finish()
 }
 
+/// [`with_sections_rewritten`] for one section.
+fn with_section_rewritten(image: &[u8], name: &str, mutate: Rewrite) -> Vec<u8> {
+    with_sections_rewritten(image, &[(name, mutate)])
+}
+
 /// A rewrite of one section's payload bytes.
 type Rewrite = Box<dyn Fn(&mut Vec<u8>)>;
+
+/// A payload rewrite stated over the section's `f64` values.
+fn as_f64s(mutate: impl Fn(&mut Vec<f64>) + 'static) -> Rewrite {
+    Box::new(move |bytes| {
+        let mut values: Vec<f64> = (0..bytes.len() / 8)
+            .map(|i| f64::from_bits(read_u64(bytes, 8 * i)))
+            .collect();
+        mutate(&mut values);
+        *bytes = values.iter().flat_map(|v| v.to_ne_bytes()).collect();
+    })
+}
 
 /// A payload rewrite stated over the section's `u32` values.
 fn as_u32s(mutate: impl Fn(&mut Vec<u32>) + 'static) -> Rewrite {
@@ -519,13 +535,13 @@ fn inconsistent_columns_are_data_errors_never_panics() {
         ),
     ];
     // The rewrite itself is sound: unchanged columns still load.
-    let untouched = with_section_rewritten(&image, "poi.cp.s", &|_| {});
+    let untouched = with_section_rewritten(&image, "poi.cp.s", Box::new(|_| {}));
     assert!(matches!(
         read_mutated("untouched", &dataset, &untouched, |_| {}),
         Ok(ReadOutcome::Loaded(_))
     ));
     for (name, section, mutate) in cases {
-        let corrupted = with_section_rewritten(&image, section, &*mutate);
+        let corrupted = with_section_rewritten(&image, section, mutate);
         let err = match read_mutated(name, &dataset, &corrupted, |_| {}) {
             Err(err) => err,
             Ok(out) => panic!("case {name}: `{section}` corruption not detected ({out:?})"),
@@ -539,6 +555,76 @@ fn inconsistent_columns_are_data_errors_never_panics() {
             err.to_string().contains(".soisnap"),
             "case {name}: error must carry the snapshot path: {err}"
         );
+    }
+}
+
+/// What Alg. 1's upper bounds read from a snapshot and trust: the cell
+/// totals and global `(cell, weight)` lists `relcount` is summed from, and
+/// SL3's length order. A checksummed file that lowers a total or a global
+/// weight, drops a global entry, or disorders SL3 is a `Data` error: a
+/// query over it would stop on a bound that is no upper bound.
+#[test]
+fn columns_the_bounds_trust_are_checked_against_the_members() {
+    let dataset = sample_dataset();
+    let image = pristine_image(&dataset);
+    let bundle = soi_index::build_bundle(&dataset, &params());
+    let index = &bundle.poi;
+    let occupied = index
+        .occupied_cells()
+        .find(|(_, cell)| cell.total_weight > 0.0)
+        .map(|(id, _)| id.index())
+        .expect("an occupied cell");
+    // The first keyword with a global list, and where its row ends.
+    let keyword = (0..)
+        .find(|&k| !index.global_postings(KeywordId(k)).is_empty())
+        .unwrap();
+    let row_end = (0..=keyword)
+        .map(|k| index.global_postings(KeywordId(k)).len())
+        .sum::<usize>();
+    let by_len = index.segments_by_len();
+    let (shortest, longest) = (0, by_len.len() - 1);
+    assert!(
+        dataset.network.segment(by_len[shortest]).len()
+            < dataset.network.segment(by_len[longest]).len()
+    );
+
+    let lowered = |at: usize| as_f64s(move |v| v[at] = v[at].next_down());
+    let cases: Vec<(&str, Vec<(&str, Rewrite)>)> = vec![
+        ("cell-total-lowered", vec![("poi.cw", lowered(occupied))]),
+        (
+            "global-weight-lowered",
+            vec![("poi.gw", lowered(row_end - 1))],
+        ),
+        (
+            // The keyword's last entry goes from all three columns; every
+            // later row starts one earlier.
+            "global-entry-missing",
+            vec![
+                (
+                    "poi.g.s",
+                    as_u32s(move |v| v[keyword as usize + 1..].iter_mut().for_each(|s| *s -= 1)),
+                ),
+                ("poi.g.i", as_u32s(move |v| _ = v.remove(row_end - 1))),
+                ("poi.gw", as_f64s(move |v| _ = v.remove(row_end - 1))),
+            ],
+        ),
+        (
+            "segment-lengths-unordered",
+            vec![("poi.slen", as_u32s(move |v| v.swap(shortest, longest)))],
+        ),
+        (
+            "segment-lengths-repeated",
+            vec![("poi.slen", as_u32s(|v| v[1] = v[0]))],
+        ),
+    ];
+    for (name, rewrites) in cases {
+        let corrupted = with_sections_rewritten(&image, &rewrites);
+        let err = match read_mutated(name, &dataset, &corrupted, |_| {}) {
+            Err(err) => err,
+            Ok(out) => panic!("case {name}: corruption not detected ({out:?})"),
+        };
+        assert_eq!(err.category(), ErrorCategory::Data, "case {name}: {err}");
+        assert!(err.to_string().contains(".soisnap"), "case {name}: {err}");
     }
 }
 

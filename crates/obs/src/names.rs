@@ -26,7 +26,8 @@ pub mod spans {
     pub const SOI_QUERY: &str = "soi.query";
     /// One diversified-description query (`st_rel_div`), all steps.
     pub const DESCRIBE_QUERY: &str = "describe.query";
-    /// Alg. 1 source-list assembly inside construction (SL1/SL2/SL3/SLf).
+    /// Alg. 1 source-list assembly inside construction (SL1, the per-segment
+    /// bounds and SL2).
     pub const SOI_SOURCES: &str = "soi.sources";
     /// Alg. 1 street-level aggregation and top-k ranking after refinement.
     pub const SOI_RANK: &str = "soi.rank";
