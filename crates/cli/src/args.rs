@@ -4,7 +4,8 @@ use soi_common::{Result, SoiError};
 use std::collections::BTreeMap;
 
 /// Options that are boolean flags: they take no value, and their presence
-/// means `true`. Every other `--key` consumes the next argument.
+/// means `true`. Every other `--key` consumes the next argument. `with-ir`
+/// is parsed only so that `build-index` can reject it by name.
 const BOOL_FLAGS: &[&str] = &["log-json", "describe", "with-ir"];
 
 /// Parsed invocation: a subcommand, at most one positional argument, plus

@@ -30,7 +30,7 @@ use soi_core::soi::{
 use soi_core::QueryBudget;
 use soi_data::Dataset;
 use soi_engine::{QueryContext, QueryEngine};
-use soi_index::{BundleParams, CacheMode, CacheOutcome, IndexBundle, IndexCache, PoiIndex};
+use soi_index::{BundleParams, CacheMode, CacheOutcome, IndexBundle, IndexCache, IrTree, PoiIndex};
 use soi_network::NetworkStats;
 use soi_obs::log::{self, LogMode, Value};
 use soi_obs::names::{phases, spans};
@@ -215,10 +215,10 @@ fn print_help() -> Result<()> {
          generate  --city london|berlin|vienna --out DIR [--scale 0.05] [--seed N]\n\
          \u{20}          Generate a synthetic city dataset and save it.\n\
          build-index --data DIR (--out FILE | --index-cache DIR) [--eps 0.0005]\n\
-         \u{20}          [--poi-cell C] [--pg-cell C] [--with-ir] [--threads N]\n\
-         \u{20}          Build the index bundle (POI grid, photo grid, \u{3b5}-maps,\n\
-         \u{20}          optional IR-tree) and persist it as a versioned,\n\
-         \u{20}          checksummed snapshot; reports fresh-build vs reload time.\n\
+         \u{20}          [--poi-cell C] [--pg-cell C] [--threads N]\n\
+         \u{20}          Build the index bundle (POI grid, photo grid) and persist\n\
+         \u{20}          it as a versioned, checksummed snapshot; reports\n\
+         \u{20}          fresh-build vs reload time.\n\
          stats     --data DIR\n\
          \u{20}          Print dataset statistics (paper Table 1 columns).\n\
          query     --data DIR --keywords w1,w2 [--k 10] [--eps 0.0005] [--algo soi|bl]\n\
@@ -243,7 +243,7 @@ fn print_help() -> Result<()> {
          \u{20}          summary of the winner) as GeoJSON for any web map.\n\
          poi       --data DIR --keywords w1,w2 --at X,Y [--k 5] [--match any|all]\n\
          \u{20}          Single-POI retrieval: the k nearest POIs matching the\n\
-         \u{20}          keywords (hybrid spatio-textual R-tree).\n\
+         \u{20}          keywords (hybrid spatio-textual R-tree, built per run).\n\
          metrics   [--data DIR] [--keywords w1,w2] [--eps 0.0005]\n\
          \u{20}          Print process metrics in Prometheus text format (with\n\
          \u{20}          --data, first runs a small workload to populate them).\n\
@@ -291,7 +291,7 @@ fn print_help() -> Result<()> {
          \u{20}          [--del-ratio 0.2] [--photo-ratio 0.3]\n\
          \u{20}          Generate a deterministic JSON-lines delta stream (POI/\n\
          \u{20}          photo inserts and deletes) valid against DIR's dataset.\n\n\
-         INDEX CACHE (query, explain, batch, describe, route, export, poi, serve)\n\
+         INDEX CACHE (query, explain, batch, describe, route, export, serve)\n\
          --index-cache DIR        Load the index bundle from a versioned snapshot\n\
          \u{20}                        in DIR (built and cached on first use; stale\n\
          \u{20}                        snapshots rebuild transparently).\n\
@@ -340,12 +340,12 @@ fn parse_keywords(dataset: &Dataset, args: &Args) -> Result<soi_text::KeywordSet
 
 /// The bundle parameters a query-path command implies: POI grid sized by
 /// the command (usually `2ε`), photo grid at the describe cell size.
-fn bundle_params(poi_cell: f64, with_ir: bool, threads: usize) -> BundleParams {
+fn bundle_params(poi_cell: f64, threads: usize) -> BundleParams {
     BundleParams {
         poi_cell,
         pg_cell: POI_CELL,
         eps: None,
-        with_ir,
+        with_ir: false,
         threads,
     }
 }
@@ -354,8 +354,16 @@ fn bundle_params(poi_cell: f64, with_ir: bool, threads: usize) -> BundleParams {
 /// `--index-cache DIR` the bundle is loaded from a versioned snapshot
 /// (built and persisted on a miss, transparently rebuilt when stale or —
 /// in the default lenient mode — corrupt); without it the structures are
-/// built fresh in memory as before.
-fn acquire_bundle(args: &Args, dataset: &Dataset, params: &BundleParams) -> Result<IndexBundle> {
+/// built fresh in memory as before. `poi_option` names where the POI cell
+/// size came from (`--eps`, or `default`), for a usage error to quote
+/// before anything is built.
+fn acquire_bundle(
+    args: &Args,
+    dataset: &Dataset,
+    params: &BundleParams,
+    poi_option: &str,
+) -> Result<IndexBundle> {
+    params.check(dataset, [poi_option, "default"])?;
     let Some(dir) = args.get("index-cache") else {
         return Ok(soi_index::build_bundle(dataset, params));
     };
@@ -444,13 +452,28 @@ fn cmd_build_index(args: &Args) -> Result<()> {
     let dataset = load(args)?;
     let eps: f64 = args.get_parsed("eps", DEFAULT_EPS)?;
     let threads: usize = args.get_parsed("threads", 0)?;
+    if args.flag("with-ir") {
+        return Err(SoiError::invalid(
+            "--with-ir is gone: the index bundle no longer carries the IR-tree \
+             (`soi poi` builds its own)",
+        ));
+    }
     let params = BundleParams {
         poi_cell: args.get_parsed("poi-cell", 2.0 * eps)?,
         pg_cell: args.get_parsed("pg-cell", POI_CELL)?,
         eps: None,
-        with_ir: args.flag("with-ir"),
+        with_ir: false,
         threads,
     };
+    let poi_option = match args.get("poi-cell") {
+        Some(_) => "--poi-cell",
+        None => "--eps",
+    };
+    let pg_option = match args.get("pg-cell") {
+        Some(_) => "--pg-cell",
+        None => "default",
+    };
+    params.check(&dataset, [poi_option, pg_option])?;
 
     let build_started = std::time::Instant::now();
     let bundle = soi_index::build_bundle(&dataset, &params);
@@ -490,10 +513,9 @@ fn cmd_build_index(args: &Args) -> Result<()> {
     let mut out = std::io::stdout().lock();
     writeln!(
         out,
-        "wrote {} ({bytes} bytes, {} sections: poi grid{} + photo grid)",
+        "wrote {} ({bytes} bytes, {} sections: poi grid + photo grid)",
         path.display(),
         soi_snapshot::Snapshot::open(&path)?.sections().len(),
-        if params.with_ir { " + ir-tree" } else { "" },
     )?;
     writeln!(
         out,
@@ -561,7 +583,7 @@ fn cmd_query(args: &Args) -> Result<()> {
     let k: usize = args.get_parsed("k", 10)?;
     let eps: f64 = args.get_parsed("eps", DEFAULT_EPS)?;
     let query = SoiQuery::new(keywords, k, eps)?;
-    let index = acquire_bundle(args, &dataset, &bundle_params(2.0 * eps, false, 0))?.poi;
+    let index = acquire_bundle(args, &dataset, &bundle_params(2.0 * eps, 0), "--eps")?.poi;
     let outcome = match args.get("algo").unwrap_or("soi") {
         "soi" => run_soi(
             &dataset.network,
@@ -708,7 +730,7 @@ fn cmd_explain(args: &Args) -> Result<()> {
     let k: usize = args.get_parsed("k", 10)?;
     let eps: f64 = args.get_parsed("eps", DEFAULT_EPS)?;
     let query = SoiQuery::new(keywords, k, eps)?;
-    let bundle = acquire_bundle(args, &dataset, &bundle_params(2.0 * eps, false, 0))?;
+    let bundle = acquire_bundle(args, &dataset, &bundle_params(2.0 * eps, 0), "--eps")?;
     let index = bundle.poi;
 
     let mut explain = SoiExplain::default();
@@ -893,7 +915,7 @@ fn cmd_batch(args: &Args) -> Result<()> {
         )));
     }
 
-    let index = acquire_bundle(args, &dataset, &bundle_params(2.0 * eps, false, threads))?.poi;
+    let index = acquire_bundle(args, &dataset, &bundle_params(2.0 * eps, threads), "--eps")?.poi;
     let engine = QueryEngine::new(threads);
     let ctx = std::sync::Arc::new(QueryContext::new(&dataset.network, &dataset.pois, &index));
     let mut batch = engine.run_soi_batch(&ctx, &queries);
@@ -984,7 +1006,7 @@ fn cmd_describe(args: &Args) -> Result<()> {
     let lambda: f64 = args.get_parsed("lambda", 0.5)?;
     let w: f64 = args.get_parsed("w", 0.5)?;
 
-    let bundle = acquire_bundle(args, &dataset, &bundle_params(POI_CELL, false, 0))?;
+    let bundle = acquire_bundle(args, &dataset, &bundle_params(POI_CELL, 0), "default")?;
     let street = match args.get("street") {
         Some(name) => dataset
             .street_by_name(name)
@@ -1048,7 +1070,7 @@ fn cmd_export(args: &Args) -> Result<()> {
     let n_photos: usize = args.get_parsed("photos", 5)?;
     let eps: f64 = args.get_parsed("eps", DEFAULT_EPS)?;
 
-    let bundle = acquire_bundle(args, &dataset, &bundle_params(2.0 * eps, false, 0))?;
+    let bundle = acquire_bundle(args, &dataset, &bundle_params(2.0 * eps, 0), "--eps")?;
     let query = SoiQuery::new(keywords, k, eps)?;
     let outcome = run_soi(
         &dataset.network,
@@ -1103,18 +1125,22 @@ fn cmd_poi(args: &Args) -> Result<()> {
     let (x, y) = at
         .split_once(',')
         .and_then(|(a, b)| Some((a.trim().parse::<f64>().ok()?, b.trim().parse::<f64>().ok()?)))
-        .ok_or_else(|| SoiError::invalid("--at must be X,Y coordinates"))?;
+        .filter(|(x, y)| x.is_finite() && y.is_finite())
+        .ok_or_else(|| SoiError::invalid("--at must be finite X,Y coordinates"))?;
     let q = soi_geo::Point::new(x, y);
-
-    let eps: f64 = args.get_parsed("eps", DEFAULT_EPS)?;
-    let bundle = acquire_bundle(args, &dataset, &bundle_params(2.0 * eps, true, 0))?;
-    let tree = bundle
-        .ir
-        .ok_or_else(|| SoiError::invalid("index bundle is missing the IR-tree"))?;
-    let hits = match args.get("match").unwrap_or("any") {
-        "all" => tree.top_k_containing_all(q, &keywords, k),
-        "any" => tree.top_k_relevant(q, &keywords, k),
+    let match_all = match args.get("match").unwrap_or("any") {
+        "all" => true,
+        "any" => false,
         other => return Err(SoiError::invalid(format!("unknown --match {other:?}"))),
+    };
+
+    // The IR-tree serves this command alone, so it is built here rather
+    // than carried by the index bundle.
+    let tree = IrTree::build(&dataset.pois);
+    let hits = if match_all {
+        tree.top_k_containing_all(q, &keywords, k)
+    } else {
+        tree.top_k_relevant(q, &keywords, k)
     };
     let mut out = std::io::stdout().lock();
     writeln!(out, "rank  distance    poi   keywords")?;
@@ -1153,6 +1179,7 @@ fn cmd_metrics(args: &Args) -> Result<()> {
         // histograms).
         let dataset = load(args)?;
         let eps: f64 = args.get_parsed("eps", DEFAULT_EPS)?;
+        bundle_params(2.0 * eps, 0).check(&dataset, ["--eps", "default"])?;
         let index = PoiIndex::build(&dataset.network, &dataset.pois, 2.0 * eps);
         if args.get("keywords").is_some() {
             let keywords = parse_keywords(&dataset, args)?;
@@ -1443,7 +1470,7 @@ fn cmd_route(args: &Args) -> Result<()> {
     let k: usize = args.get_parsed("k", 8)?;
     let eps: f64 = args.get_parsed("eps", DEFAULT_EPS)?;
     let query = SoiQuery::new(keywords, k, eps)?;
-    let index = acquire_bundle(args, &dataset, &bundle_params(2.0 * eps, false, 0))?.poi;
+    let index = acquire_bundle(args, &dataset, &bundle_params(2.0 * eps, 0), "--eps")?.poi;
     let out = run_soi(
         &dataset.network,
         &dataset.pois,

@@ -835,3 +835,114 @@ fn corrupt_snapshot_strict_exits_3_lenient_rebuilds() {
 
     std::fs::remove_dir_all(&cache).ok();
 }
+
+/// Runs `args` against the test dataset and asserts a usage error (exit 2,
+/// no panic, nothing on stdout) whose message holds every one of `needles`.
+fn assert_usage_error(args: &[&str], needles: &[&str]) {
+    let mut full = args.to_vec();
+    full.extend_from_slice(&["--data", dataset_dir()]);
+    let out = soi(&full);
+    let err = stderr(&out);
+    assert_eq!(code(&out), 2, "{args:?}: {err}");
+    assert!(!err.contains("panicked"), "{args:?}: {err}");
+    for needle in needles {
+        assert!(
+            err.contains(needle),
+            "{args:?}: {needle:?} missing from {err}"
+        );
+    }
+    assert_eq!(stdout(&out), "", "{args:?}");
+}
+
+#[test]
+fn a_cell_size_that_is_not_finite_and_positive_exits_2() {
+    // Each of these used to panic in the grid constructor (exit 101).
+    let dir = std::env::temp_dir().join(format!("soi_cli_nancell_{}", std::process::id()));
+    let out = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (geojson, snap) = (out("map.geojson"), out("b.soisnap"));
+    for (args, option) in [
+        (
+            &["serve", "--eps", "nan", "--addr", "127.0.0.1:0"][..],
+            "--eps",
+        ),
+        (
+            &[
+                "export",
+                "--eps",
+                "nan",
+                "--keywords",
+                "shop",
+                "--out",
+                &geojson,
+            ][..],
+            "--eps",
+        ),
+        (
+            &["build-index", "--pg-cell", "nan", "--out", &snap][..],
+            "--pg-cell",
+        ),
+    ] {
+        assert_usage_error(args, &[option, "NaN", "must be finite and positive"]);
+    }
+    assert!(!dir.exists(), "nothing may be written");
+}
+
+#[test]
+fn a_cell_size_too_small_for_the_dataset_exits_2() {
+    // Each of these used to panic with "grid too large for CellId" (exit 101).
+    let snap =
+        std::env::temp_dir().join(format!("soi_cli_tinycell_{}.soisnap", std::process::id()));
+    for (args, option) in [
+        (
+            &["serve", "--eps", "1e-300", "--addr", "127.0.0.1:0"][..],
+            "--eps",
+        ),
+        (
+            &["explain", "--eps", "1e-300", "--keywords", "shop"][..],
+            "--eps",
+        ),
+        (
+            &["query", "--eps", "5e-324", "--keywords", "shop"][..],
+            "--eps",
+        ),
+        (&["metrics", "--eps", "1e-300"][..], "--eps"),
+        (
+            &[
+                "build-index",
+                "--poi-cell",
+                "1e-300",
+                "--out",
+                snap.to_str().unwrap(),
+            ][..],
+            "--poi-cell",
+        ),
+    ] {
+        assert_usage_error(args, &[option, "too small", "inf grid cells"]);
+    }
+    assert!(!snap.exists(), "nothing may be written");
+}
+
+#[test]
+fn poi_at_rejects_non_finite_coordinates() {
+    // A release build used to answer `nan,0` with arbitrary "nearest" POIs
+    // and `inf,0` with infinite distances, both exit 0.
+    for at in ["nan,0", "inf,0"] {
+        assert_usage_error(
+            &["poi", "--keywords", "food", "--at", at],
+            &["--at must be finite X,Y coordinates"],
+        );
+    }
+}
+
+#[test]
+fn build_index_with_ir_is_rejected_and_writes_nothing() {
+    let snap = std::env::temp_dir().join(format!("soi_cli_withir_{}.soisnap", std::process::id()));
+    let snap = snap.to_str().unwrap();
+    for args in [
+        &["build-index", "--with-ir", "--out", snap][..],
+        &["build-index", "--out", snap, "--with-ir"][..],
+    ] {
+        assert_usage_error(args, &["--with-ir"]);
+    }
+    assert!(!std::path::Path::new(snap).exists());
+}

@@ -16,12 +16,7 @@ use std::ops::Range;
 ///
 /// # Errors
 /// A message naming `what` and the first violated condition.
-pub fn check_csr_offsets<O: Copy + Into<u64>>(
-    off: &[O],
-    rows: usize,
-    total: usize,
-    what: &str,
-) -> Result<(), String> {
+fn check_csr_offsets(off: &[u32], rows: usize, total: usize, what: &str) -> Result<(), String> {
     if off.len() != rows + 1 {
         return Err(format!(
             "{what}: expected {} offsets, found {}",
@@ -29,14 +24,14 @@ pub fn check_csr_offsets<O: Copy + Into<u64>>(
             off.len()
         ));
     }
-    if off.first().map(|&o| o.into()) != Some(0) {
+    if off.first() != Some(&0) {
         return Err(format!("{what}: offsets must start at 0"));
     }
-    if off.last().map(|&o| o.into()) != Some(total as u64) {
+    if off.last().map(|&o| o as usize) != Some(total) {
         return Err(format!("{what}: offsets must end at {total}"));
     }
-    if let Some(w) = off.windows(2).find(|w| w[0].into() > w[1].into()) {
-        return Err(format!("{what}: offsets decrease at {}", w[1].into()));
+    if let Some(w) = off.windows(2).find(|w| w[0] > w[1]) {
+        return Err(format!("{what}: offsets decrease at {}", w[1]));
     }
     Ok(())
 }
@@ -59,7 +54,8 @@ impl<T> Csr<T> {
     /// untrusted storage; `what` names the structure in error messages.
     ///
     /// # Errors
-    /// Any violated [`check_csr_offsets`] condition.
+    /// A message naming `what` unless `starts` holds `rows + 1` offsets
+    /// that start at 0, never decrease and end at `items.len()`.
     pub fn from_parts(
         rows: usize,
         starts: Vec<u32>,
@@ -196,9 +192,6 @@ mod tests {
             let err = Csr::from_parts(2, starts, vec![7u32, 8, 9], "t");
             assert!(err.is_err(), "{why} must be rejected");
         }
-        // The u64 form (IR-tree sections) is the same check.
-        assert!(check_csr_offsets(&[0u64, 2, 2], 2, 2, "t").is_ok());
-        assert!(check_csr_offsets(&[0u64, 3, 2], 2, 2, "t").is_err());
     }
 
     proptest! {

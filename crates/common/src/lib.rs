@@ -41,7 +41,7 @@ pub mod timing;
 pub mod topk;
 
 pub use bucket::{bucket_sort_stable, bucket_sort_worthwhile, sort_row_keys};
-pub use csr::{check_csr_offsets, Csr};
+pub use csr::Csr;
 pub use error::{ErrorCategory, Result, ResultExt, SoiError, ValidationKind};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{CellId, KeywordId, NodeId, PhotoId, PoiId, SegmentId, StreetId};

@@ -3,8 +3,8 @@
 //! structure (`built == loaded`, every column, floats by bit pattern) and
 //! query by query.
 //!
-//! For every structure in the bundle (`PoiIndex`, `PhotoGrid`, `IrTree`)
-//! and for several build thread counts, we run the
+//! For every structure in the bundle (`PoiIndex`, `PhotoGrid`) and for
+//! several build thread counts, we run the
 //! same queries against the fresh and the loaded bundle and require
 //! *bit-identical* answers — not approximately equal: every interest,
 //! relevance, and objective is compared via `f64::to_bits` — and identical
@@ -70,7 +70,7 @@ fn params(threads: usize) -> BundleParams {
         poi_cell: 0.5,
         pg_cell: 0.5,
         eps: None,
-        with_ir: true,
+        with_ir: false,
         threads,
     }
 }
@@ -193,28 +193,6 @@ fn soi_queries_identical_across_thread_counts() {
             // …and the snapshot round-trip changes nothing.
             assert_outcomes_identical(&from_fresh, &from_loaded, &format!("{what} (round trip)"));
             assert!(!want.results.is_empty(), "{what}: degenerate query");
-        }
-    }
-}
-
-#[test]
-fn ir_tree_top_k_identical_after_round_trip() {
-    let dataset = sample_dataset();
-    for threads in [1, 2, 8] {
-        let (fresh, loaded) = load_round_trip(&dataset, &params(threads));
-        let (fresh_ir, loaded_ir) = (fresh.ir.unwrap(), loaded.ir.unwrap());
-        for (q, ids, k) in [
-            (Point::new(1.0, 1.0), &[0u32][..], 5),
-            (Point::new(3.0, 2.0), &[1, 4][..], 8),
-            (Point::new(5.0, 0.5), &[2, 3, 5][..], 3),
-        ] {
-            let a = fresh_ir.top_k_relevant(q, &kws(ids), k);
-            let b = loaded_ir.top_k_relevant(q, &kws(ids), k);
-            assert_eq!(a.len(), b.len(), "threads={threads}");
-            for ((pa, sa), (pb, sb)) in a.iter().zip(&b) {
-                assert_eq!(pa, pb, "threads={threads}");
-                assert_eq!(sa.to_bits(), sb.to_bits(), "threads={threads}");
-            }
         }
     }
 }

@@ -37,9 +37,8 @@ impl BoundedItem for PoiEntry {
 
 /// Node summary: the union of the subtree's keywords.
 ///
-/// For very large vocabularies a Bloom filter would bound the summary
-/// size; the datasets here have compact vocabularies, so the exact union
-/// keeps pruning exact.
+/// The exact union keeps pruning exact; its size grows with the subtree's
+/// distinct keywords, which the compact vocabularies here keep small.
 #[derive(Debug, Clone, Default)]
 pub struct KeywordSummary {
     /// Union of subtree keywords.
@@ -103,16 +102,6 @@ impl IrTree {
         Self {
             tree: RTree::bulk_load_with_threads(entries, soi_rtree::DEFAULT_FANOUT, threads),
         }
-    }
-
-    /// Snapshot-encode access to the inner tree (see [`crate::snapshot`]).
-    pub(crate) fn tree(&self) -> &RTree<PoiEntry, KeywordSummary> {
-        &self.tree
-    }
-
-    /// Wraps a snapshot-reassembled tree.
-    pub(crate) fn from_tree(tree: RTree<PoiEntry, KeywordSummary>) -> Self {
-        Self { tree }
     }
 
     /// Number of indexed POIs.

@@ -15,7 +15,9 @@
 //!
 //! **For single-POI retrieval (the related work of Sec. 2.1):**
 //! - [`IrTree`]: a hybrid spatio-textual R-tree whose nodes carry subtree
-//!   keyword summaries, answering top-k nearest-relevant-POI queries.
+//!   keyword summaries, answering top-k nearest-relevant-POI queries. It
+//!   is built on demand by its caller and is not part of the persisted
+//!   [`IndexBundle`].
 //!
 //! **For SOI description (Sec. 4.2.1):**
 //! - [`PhotoGrid`]: a dataset-wide grid over the photos used to extract the
@@ -31,7 +33,6 @@
 // expect are compile errors outside of test code.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod bloom;
 pub mod delta;
 pub mod div_index;
 pub mod epoch;
@@ -43,7 +44,6 @@ pub mod poi_index;
 pub mod snapshot;
 pub mod view;
 
-pub use bloom::BloomSummary;
 pub use delta::{fold_ops, DeltaIndex, DeltaOp};
 pub use div_index::{DivCell, DiversificationIndex};
 pub use epoch::EpochedIndex;

@@ -7,8 +7,10 @@
 
 use soi_common::{effective_threads, par_chunk_map, sort_row_keys, CellId, Csr, PhotoId, StreetId};
 use soi_data::PhotoCollection;
-use soi_geo::{Grid, Point, Rect};
+use soi_geo::Grid;
 use soi_network::RoadNetwork;
+
+use crate::poi_index::covered_extent;
 
 /// A uniform grid over all photos of a dataset.
 ///
@@ -48,13 +50,7 @@ impl PhotoGrid {
         threads: usize,
     ) -> Self {
         let threads = effective_threads((threads > 0).then_some(threads));
-        let extent = match (network.extent(), photos.extent()) {
-            (Some(a), Some(b)) => a.union(&b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => Rect::new(Point::ORIGIN, Point::new(1.0, 1.0)),
-        };
-        let grid = Grid::covering(extent, cell_size);
+        let grid = Grid::covering(covered_extent(network, photos.extent()), cell_size);
         let keys: Vec<u64> = par_chunk_map(photos.as_slice(), threads, |_, chunk| {
             let mut keys = Vec::with_capacity(chunk.len());
             for photo in chunk {
@@ -145,6 +141,7 @@ impl PhotoGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use soi_geo::Point;
     use soi_text::KeywordSet;
 
     fn setup() -> (RoadNetwork, PhotoCollection, PhotoGrid) {

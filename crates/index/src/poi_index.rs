@@ -27,6 +27,18 @@ fn unpack_global_entry(entry: u128) -> (CellId, f64) {
     (CellId(entry as u32), weight)
 }
 
+/// The extent a dataset-wide grid covers: the network's united with its
+/// items' (`items`, the POI or photo extent), or the unit square when both
+/// are empty.
+pub(crate) fn covered_extent(network: &RoadNetwork, items: Option<Rect>) -> Rect {
+    match (network.extent(), items) {
+        (Some(a), Some(b)) => a.union(&b),
+        (Some(a), None) => a,
+        (None, Some(b)) => b,
+        (None, None) => Rect::new(Point::ORIGIN, Point::new(1.0, 1.0)),
+    }
+}
+
 /// One occupied grid cell of the POI index: a view borrowed from the
 /// index's shared columns.
 #[derive(Debug, Clone, Copy)]
@@ -246,13 +258,7 @@ impl PoiIndex {
         soi_obs::trace::counter(soi_obs::names::tracks::INDEX_BUILD_THREADS, threads as f64);
         let build_start = std::time::Instant::now();
         let alloc_before = soi_obs::alloc::totals();
-        let extent = match (network.extent(), pois.extent()) {
-            (Some(a), Some(b)) => a.union(&b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => Rect::new(Point::ORIGIN, Point::new(1.0, 1.0)),
-        };
-        let grid = Grid::covering(extent, cell_size);
+        let grid = Grid::covering(covered_extent(network, pois.extent()), cell_size);
 
         let phase1_span = soi_obs::trace::span(soi_obs::names::spans::INDEX_BUILD_FLATTEN);
         // Phase 1 — one cache-friendly pass over the POI slice per chunk:

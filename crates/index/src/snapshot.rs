@@ -1,13 +1,14 @@
 //! Snapshot persistence for the offline index structures.
 //!
-//! Every structure this crate builds offline — [`PoiIndex`], [`PhotoGrid`]
-//! and [`IrTree`] — can be encoded into a
-//! [`soi_snapshot`] container and decoded back without re-running the
-//! build. The cell-, keyword- and segment-keyed maps are [`Csr`] column
-//! pairs in memory and the same two columns on disk, so writing one is a
-//! copy of each column and loading one is a validation pass plus a copy:
-//! a loaded index `==` the built one and answers every query
-//! byte-identically.
+//! The structures `/soi` and `/describe` serve from — [`PoiIndex`] and
+//! [`PhotoGrid`] — can be encoded into a [`soi_snapshot`] container and
+//! decoded back without re-running the build. (The
+//! [`IrTree`](crate::IrTree) behind `soi poi` is not persisted: its one
+//! caller builds it.) The cell-, keyword- and segment-keyed maps are
+//! [`Csr`] column pairs in memory and the same two columns on disk, so
+//! writing one is a copy of each column and loading one is a validation
+//! pass plus a copy: a loaded index `==` the built one and answers every
+//! query byte-identically.
 //!
 //! The module has three layers:
 //!
@@ -19,9 +20,9 @@
 //!    file is a categorized [`Data`](soi_common::ErrorCategory::Data)
 //!    error, never a panic.
 //! 2. **The bundle** ([`IndexBundle`], [`build_bundle`], [`write_bundle`],
-//!    [`read_bundle`]): the full set of structures one dataset needs,
-//!    stamped with the dataset content fingerprint and the build parameters
-//!    so staleness is detected before any decode work.
+//!    [`read_bundle`]): the structures `/soi` and `/describe` need for one
+//!    dataset, stamped with the dataset content fingerprint and the build
+//!    parameters so staleness is detected before any decode work.
 //! 3. **The cache** ([`IndexCache`]): a directory of bundle snapshots keyed
 //!    by `(dataset fingerprint, format version, params)`. `load_or_build`
 //!    prefers the snapshot, transparently rebuilds on a miss or stale key,
@@ -31,19 +32,14 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use soi_common::{
-    check_csr_offsets, effective_threads, par_chunk_map, CellId, Csr, KeywordId, PoiId, Result,
-    SegmentId, SoiError,
-};
+use soi_common::{CellId, Csr, KeywordId, PoiId, Result, SegmentId, SoiError};
 use soi_data::{Dataset, PoiCollection};
 use soi_geo::{Grid, Point};
 use soi_network::RoadNetwork;
 use soi_snapshot::{corrupt, Fnv64, Snapshot, SnapshotWriter, FORMAT_VERSION};
-use soi_text::KeywordSet;
 
-use crate::ir_tree::{IrTree, KeywordSummary, PoiEntry};
 use crate::photo_grid::PhotoGrid;
-use crate::poi_index::PoiIndex;
+use crate::poi_index::{covered_extent, PoiIndex};
 
 // ---------------------------------------------------------------------------
 // Shared decode helpers
@@ -76,33 +72,6 @@ fn check_rows_ascending<T: Ord>(csr: &Csr<T>, what: &str) -> std::result::Result
         Some(r) => Err(format!("{what}: row {r} not strictly ascending")),
         None => Ok(()),
     }
-}
-
-/// Decodes a persisted [`KeywordSet`] (stored in canonical iteration order,
-/// so strictly ascending). `None` means the run is out of order — corrupt.
-/// Small sets build straight into inline storage, so the bulk decode paths
-/// (IR-tree items in particular) stay off the allocator.
-fn decode_keyword_set(raw: &[u32]) -> Option<KeywordSet> {
-    KeywordSet::from_ascending_iter(raw.iter().map(|&k| KeywordId(k)))
-}
-
-/// Flattens fallible per-chunk decode results, moving rather than copying
-/// when there is a single chunk (the common case on few-core machines,
-/// where the re-copy would add tens of milliseconds per million items).
-fn concat_parts<T>(
-    mut parts: Vec<std::result::Result<Vec<T>, String>>,
-    total: usize,
-) -> std::result::Result<Vec<T>, String> {
-    if parts.len() == 1 {
-        if let Some(only) = parts.pop() {
-            return only;
-        }
-    }
-    let mut out: Vec<T> = Vec::with_capacity(total);
-    for part in parts {
-        out.extend(part?);
-    }
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -367,120 +336,6 @@ pub fn read_photo_grid(snapshot: &Snapshot, prefix: &str, num_photos: usize) -> 
 }
 
 // ---------------------------------------------------------------------------
-// IrTree codec
-// ---------------------------------------------------------------------------
-
-/// Writes the [`IrTree`] under `prefix` (tree skeleton via
-/// [`soi_rtree::snapshot`], items and node summaries as keyword CSRs).
-///
-/// # Errors
-/// Writer-side section errors.
-pub fn write_ir_tree(writer: &mut SnapshotWriter, prefix: &str, tree: &IrTree) -> Result<()> {
-    let inner = tree.tree();
-    soi_rtree::snapshot::write_structure(writer, &format!("{prefix}.t"), inner)?;
-    let items = inner.items();
-    let mut ids = Vec::with_capacity(items.len());
-    let mut pos = Vec::with_capacity(2 * items.len());
-    let mut koff: Vec<u64> = Vec::with_capacity(items.len() + 1);
-    let mut kids: Vec<u32> = Vec::new();
-    koff.push(0);
-    for e in items {
-        ids.push(e.id.raw());
-        pos.extend_from_slice(&[e.pos.x, e.pos.y]);
-        kids.extend(e.keywords.iter().map(|k| k.raw()));
-        koff.push(kids.len() as u64);
-    }
-    writer.u32s(&format!("{prefix}.id"), &ids)?;
-    writer.f64s(&format!("{prefix}.pos"), &pos)?;
-    writer.u64s(&format!("{prefix}.koff"), &koff)?;
-    writer.u32s(&format!("{prefix}.kids"), &kids)?;
-
-    let mut soff: Vec<u64> = Vec::with_capacity(inner.num_nodes() + 1);
-    let mut skids: Vec<u32> = Vec::new();
-    soff.push(0);
-    for node in inner.raw_nodes() {
-        skids.extend(node.summary.keywords.iter().map(|k| k.raw()));
-        soff.push(skids.len() as u64);
-    }
-    writer.u64s(&format!("{prefix}.soff"), &soff)?;
-    writer.u32s(&format!("{prefix}.skids"), &skids)?;
-    Ok(())
-}
-
-/// Reads an [`IrTree`] stored under `prefix` (`num_pois` bounds the POI
-/// ids). Item decoding is chunk-parallel over `threads` workers (`0` =
-/// resolve automatically).
-///
-/// # Errors
-/// Missing sections, violated invariants, or a structurally invalid tree
-/// skeleton (`Data` category).
-pub fn read_ir_tree(
-    snapshot: &Snapshot,
-    prefix: &str,
-    num_pois: usize,
-    threads: usize,
-) -> Result<IrTree> {
-    let threads = effective_threads((threads > 0).then_some(threads));
-
-    let structure = soi_rtree::snapshot::read_structure(snapshot, &format!("{prefix}.t"))?;
-    let bad = |msg: String| corrupt(snapshot.path(), msg);
-    let ids = snapshot.u32s(&format!("{prefix}.id"))?;
-    let pos = snapshot.f64s(&format!("{prefix}.pos"))?;
-    let koff = snapshot.u64s(&format!("{prefix}.koff"))?;
-    let kids = snapshot.u32s(&format!("{prefix}.kids"))?;
-    let soff = snapshot.u64s(&format!("{prefix}.soff"))?;
-    let skids = snapshot.u32s(&format!("{prefix}.skids"))?;
-
-    check_ids_below(ids, num_pois, "ir-tree items").map_err(bad)?;
-    if pos.len() != 2 * ids.len() {
-        return Err(bad(format!(
-            "ir-tree: {} items but {} position values",
-            ids.len(),
-            pos.len()
-        )));
-    }
-
-    check_csr_offsets(koff, ids.len(), kids.len(), "ir-tree keywords").map_err(bad)?;
-    let iparts = par_chunk_map(ids, threads, |start, chunk| {
-        let mut part: Vec<PoiEntry> = Vec::with_capacity(chunk.len());
-        for (j, &raw_id) in chunk.iter().enumerate() {
-            let i = start + j;
-            let (s, e) = (koff[i] as usize, koff[i + 1] as usize);
-            let Some(keywords) = decode_keyword_set(&kids[s..e]) else {
-                return Err(format!("ir-tree item {i}: keywords not strictly ascending"));
-            };
-            part.push(PoiEntry {
-                id: PoiId(raw_id),
-                pos: Point::new(pos[2 * i], pos[2 * i + 1]),
-                keywords,
-            });
-        }
-        Ok(part)
-    });
-    let items = concat_parts(iparts, ids.len()).map_err(bad)?;
-    check_csr_offsets(
-        soff,
-        structure.nodes.len(),
-        skids.len(),
-        "ir-tree summaries",
-    )
-    .map_err(bad)?;
-    let mut summaries: Vec<KeywordSummary> = Vec::with_capacity(structure.nodes.len());
-    for (i, w) in soff.windows(2).enumerate() {
-        let Some(keywords) = decode_keyword_set(&skids[w[0] as usize..w[1] as usize]) else {
-            return Err(bad(format!(
-                "ir-tree summary {i}: keywords not strictly ascending"
-            )));
-        };
-        summaries.push(KeywordSummary { keywords });
-    }
-    let inner = structure
-        .assemble(items, summaries)
-        .map_err(|e| e.at_path(snapshot.path()))?;
-    Ok(IrTree::from_tree(inner))
-}
-
-// ---------------------------------------------------------------------------
 // Dataset fingerprint
 // ---------------------------------------------------------------------------
 
@@ -581,25 +436,65 @@ pub struct BundleParams {
     /// frozen `benchmark/` package names it in a struct literal (ROADMAP
     /// 2(b)).
     pub eps: Option<f64>,
-    /// Whether the bundle carries the IR-tree.
+    /// Inert: read by nothing, stamped nowhere. Kept only because the
+    /// frozen `benchmark/` package names it in a struct literal (ROADMAP
+    /// 2(b)).
     pub with_ir: bool,
     /// Worker threads for fresh builds (`0` = automatic). Builds are
     /// deterministic across thread counts, so this does not key the cache.
     pub threads: usize,
 }
 
-/// Flag bit stored in the bundle meta section.
-const FLAG_WITH_IR: u64 = 1;
+impl BundleParams {
+    /// Checks, before anything is built or loaded, that both cell sizes can
+    /// grid `dataset`: each must be finite and positive, and a grid of it
+    /// over the extent its build covers (the network's plus the POIs' or
+    /// the photos') must need no more cells than a `CellId` can number.
+    /// `options` names where the POI and the photo cell size came from (a
+    /// command-line option such as `--eps`), for the error to quote.
+    ///
+    /// # Errors
+    /// A usage error naming the option, the cell size and, for a size too
+    /// small for the extent, the cell count it would need.
+    pub fn check(&self, dataset: &Dataset, options: [&str; 2]) -> Result<()> {
+        let grids = [
+            ("POI", self.poi_cell, dataset.pois.extent()),
+            ("photo", self.pg_cell, dataset.photos.extent()),
+        ];
+        for ((grid, cell, items), option) in grids.into_iter().zip(options) {
+            if !(cell > 0.0 && cell.is_finite()) {
+                return Err(SoiError::invalid(format!(
+                    "{option}: {grid} grid cell size {cell} must be finite and positive"
+                )));
+            }
+            let extent = covered_extent(&dataset.network, items);
+            if let Err(cells) = Grid::try_covering(extent, cell) {
+                return Err(SoiError::invalid(format!(
+                    "{option}: {grid} grid cell size {cell:e} is too small for this dataset: \
+                     it spans {} x {}, and cells of that side over it are {cells:e} grid cells \
+                     (at most {} can be numbered)",
+                    extent.width(),
+                    extent.height(),
+                    u32::MAX
+                )));
+            }
+        }
+        Ok(())
+    }
+}
 
-/// The structures one dataset needs at query time.
+/// The flags word of `cache.meta`. Every bundle writes 0. Bit 0 once marked
+/// a persisted IR-tree, so a file with any flag set reads as stale and a
+/// cache rebuilds it.
+const META_FLAGS: u64 = 0;
+
+/// The structures `/soi` and `/describe` read at query time.
 #[derive(Debug)]
 pub struct IndexBundle {
     /// The spatio-textual POI grid index.
     pub poi: PoiIndex,
     /// The dataset-wide photo grid.
     pub photo_grid: PhotoGrid,
-    /// The hybrid IR-tree, when requested.
-    pub ir: Option<IrTree>,
 }
 
 /// Outcome of [`read_bundle`]: either the decoded bundle or a reason the
@@ -627,14 +522,7 @@ pub fn build_bundle(dataset: &Dataset, params: &BundleParams) -> IndexBundle {
         params.pg_cell,
         params.threads,
     );
-    let ir = params
-        .with_ir
-        .then(|| IrTree::build_with_threads(&dataset.pois, params.threads));
-    IndexBundle {
-        poi,
-        photo_grid,
-        ir,
-    }
+    IndexBundle { poi, photo_grid }
 }
 
 /// Writes `bundle` to `path`, stamped with the dataset fingerprint and
@@ -681,16 +569,12 @@ fn write_bundle_with(
 ) -> Result<u64> {
     let _span = soi_obs::trace::span(soi_obs::names::spans::SNAPSHOT_WRITE);
     let start = Instant::now();
-    let mut flags = 0u64;
-    if bundle.ir.is_some() {
-        flags |= FLAG_WITH_IR;
-    }
     let mut w = SnapshotWriter::new();
     w.u64s(
         "cache.meta",
         &[
             dataset_fingerprint(dataset),
-            flags,
+            META_FLAGS,
             params.poi_cell.to_bits(),
             params.pg_cell.to_bits(),
         ],
@@ -708,9 +592,6 @@ fn write_bundle_with(
     }
     write_poi_index(&mut w, "poi", &bundle.poi)?;
     write_photo_grid(&mut w, "pg", &bundle.photo_grid)?;
-    if let Some(ir) = &bundle.ir {
-        write_ir_tree(&mut w, "ir", ir)?;
-    }
     let bytes = w.write_to(path)?;
     let m = crate::obs::index_metrics();
     m.snapshot_write_seconds.set(start.elapsed().as_secs_f64());
@@ -762,27 +643,17 @@ pub fn read_bundle_with_fingerprint(
             "dataset fingerprint {fingerprint:016x} != expected {expected:016x}"
         )));
     }
-    let with_ir = flags & FLAG_WITH_IR != 0;
-    if poi_cell_bits != params.poi_cell.to_bits()
+    if flags != META_FLAGS
+        || poi_cell_bits != params.poi_cell.to_bits()
         || pg_cell_bits != params.pg_cell.to_bits()
-        || with_ir != params.with_ir
     {
         return Ok(ReadOutcome::Stale(
             "snapshot was written with different build parameters".to_string(),
         ));
     }
 
-    let num_pois = dataset.pois.len();
-    let num_photos = dataset.photos.len();
-    let threads = params.threads;
-
     let poi = read_poi_index(&snapshot, "poi", &dataset.pois, &dataset.network)?;
-    let photo_grid = read_photo_grid(&snapshot, "pg", num_photos)?;
-    let ir = if with_ir {
-        Some(read_ir_tree(&snapshot, "ir", num_pois, threads)?)
-    } else {
-        None
-    };
+    let photo_grid = read_photo_grid(&snapshot, "pg", dataset.photos.len())?;
     let m = crate::obs::index_metrics();
     m.snapshot_load_seconds.set(start.elapsed().as_secs_f64());
     m.snapshot_bytes.set(snapshot.file_len() as f64);
@@ -790,7 +661,6 @@ pub fn read_bundle_with_fingerprint(
     Ok(ReadOutcome::Loaded(Box::new(IndexBundle {
         poi,
         photo_grid,
-        ir,
     })))
 }
 
@@ -959,7 +829,9 @@ fn read_ingest_meta_from(snapshot: &Snapshot) -> Result<Option<IngestMeta>> {
 // Index cache
 // ---------------------------------------------------------------------------
 
-/// How the cache reacts to a corrupt snapshot.
+/// How the cache reacts to a corrupt snapshot — or, in
+/// [`IndexCache::load_or_build`], one whose stamp disagrees with the cache
+/// key in its file name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheMode {
     /// A corrupt snapshot fails the command (`Data` error, exit code 3).
@@ -974,11 +846,11 @@ pub enum CacheMode {
 pub enum CacheOutcome {
     /// The bundle was decoded from an up-to-date snapshot.
     Hit,
-    /// No usable snapshot existed (missing or stale); the bundle was built
-    /// fresh and a new snapshot written.
+    /// No usable snapshot existed; the bundle was built fresh and a new
+    /// snapshot written.
     MissBuilt,
-    /// The snapshot existed but failed validation; lenient mode rebuilt
-    /// and re-wrote it.
+    /// The snapshot existed but failed validation or carried a stale
+    /// stamp; lenient mode rebuilt and re-wrote it.
     RebuiltCorrupt,
 }
 
@@ -1041,7 +913,7 @@ impl IndexCache {
     ///
     /// # Errors
     /// I/O failures creating the directory or writing the snapshot; in
-    /// [`CacheMode::Strict`], also any corrupt-snapshot error.
+    /// [`CacheMode::Strict`], also any corrupt or stale snapshot.
     pub fn load_or_build(
         &self,
         dataset: &Dataset,
@@ -1055,19 +927,20 @@ impl IndexCache {
         let path = self.snapshot_path_with(dataset, params, fingerprint);
         let mut outcome = CacheOutcome::MissBuilt;
         if path.exists() {
-            match read_bundle_with_fingerprint(&path, dataset, params, fingerprint) {
+            let err = match read_bundle_with_fingerprint(&path, dataset, params, fingerprint) {
                 Ok(ReadOutcome::Loaded(bundle)) => return Ok((*bundle, CacheOutcome::Hit)),
-                Ok(ReadOutcome::Stale(_)) => {
-                    // Key-hashed file names make this near-impossible, but a
-                    // mismatched stamp is still just a miss: rebuild below.
+                // Key-hashed file names make a stale stamp near-impossible:
+                // a file whose stamp disagrees with its own name (an older
+                // writer's flags word, say) is answered like a corrupt one.
+                Ok(ReadOutcome::Stale(why)) => {
+                    corrupt(&path, format!("stale under its own cache key: {why}"))
                 }
-                Err(e) => {
-                    if self.mode == CacheMode::Strict {
-                        return Err(e);
-                    }
-                    outcome = CacheOutcome::RebuiltCorrupt;
-                }
+                Err(e) => e,
+            };
+            if self.mode == CacheMode::Strict {
+                return Err(err);
             }
+            outcome = CacheOutcome::RebuiltCorrupt;
         }
         crate::obs::index_metrics().snapshot_rebuilds.inc();
         let bundle = build_bundle(dataset, params);
@@ -1192,7 +1065,6 @@ fn snapshot_key(fingerprint: u64, params: &BundleParams) -> u64 {
     h.write_u32(FORMAT_VERSION);
     h.write_f64(params.poi_cell);
     h.write_f64(params.pg_cell);
-    h.write_u32(params.with_ir as u32);
     h.finish()
 }
 
@@ -1209,7 +1081,7 @@ mod tests {
     use super::*;
     use soi_data::{PhotoCollection, PoiCollection};
     use soi_network::RoadNetwork;
-    use soi_text::Vocabulary;
+    use soi_text::{KeywordSet, Vocabulary};
 
     fn temp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("soi-idxsnap-{}-{name}.soisnap", std::process::id()))
@@ -1266,7 +1138,7 @@ mod tests {
             poi_cell: 0.5,
             pg_cell: 0.5,
             eps: None,
-            with_ir: true,
+            with_ir: false,
             threads: 1,
         }
     }
@@ -1300,47 +1172,18 @@ mod tests {
     }
 
     #[test]
-    fn ir_tree_round_trips() {
-        let ds = sample_dataset();
-        let tree = IrTree::build(&ds.pois);
-        let path = temp_path("ir");
-        let mut w = SnapshotWriter::new();
-        write_ir_tree(&mut w, "ir", &tree).unwrap();
-        w.write_to(&path).unwrap();
-        let snap = Snapshot::open(&path).unwrap();
-        let back = read_ir_tree(&snap, "ir", ds.pois.len(), 2).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(tree.len(), back.len());
-        for k in 0..5u32 {
-            let q = Point::new(2.0 + k as f64 * 0.3, 1.0);
-            let a: Vec<(u32, u64)> = tree
-                .top_k_relevant(q, &kws(&[k]), 4)
-                .into_iter()
-                .map(|(id, d)| (id.raw(), d.to_bits()))
-                .collect();
-            let b: Vec<(u32, u64)> = back
-                .top_k_relevant(q, &kws(&[k]), 4)
-                .into_iter()
-                .map(|(id, d)| (id.raw(), d.to_bits()))
-                .collect();
-            assert_eq!(a, b, "keyword {k}");
-            assert_eq!(
-                tree.relevant_within(q, 1.5, &kws(&[k])),
-                back.relevant_within(q, 1.5, &kws(&[k]))
-            );
-        }
-    }
-
-    #[test]
-    fn bundle_round_trips_whatever_eps_says() {
+    fn bundle_round_trips_whatever_eps_and_with_ir_say() {
         let ds = sample_dataset();
         let without = params();
         let with = BundleParams {
             eps: Some(0.4),
+            with_ir: true,
             ..without
         };
-        // `eps` is inert: a bundle written under either value loads under
-        // the other, and no section belongs to it.
+        // `eps` and `with_ir` are inert: a bundle written under either
+        // value loads under the other, keeps its cache key, and no
+        // section belongs to either.
+        assert_eq!(snapshot_key(7, &with), snapshot_key(7, &without));
         for (written, read) in [(with, without), (without, with)] {
             let bundle = build_bundle(&ds, &written);
             let path = temp_path("bundle");
@@ -1349,13 +1192,12 @@ mod tests {
             assert!(sections
                 .sections()
                 .iter()
-                .all(|s| !s.name.starts_with("eps")));
+                .all(|s| !s.name.starts_with("eps") && !s.name.starts_with("ir")));
             let ReadOutcome::Loaded(back) = read_bundle(&path, &ds, &read).unwrap() else {
                 panic!("freshly written bundle reported stale");
             };
             std::fs::remove_file(&path).ok();
             assert!(bundle.poi == back.poi && bundle.photo_grid == back.photo_grid);
-            assert!(back.ir.is_some());
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The container's own unit tests cover each corruption mode against a toy
 //! two-section file; this suite drives the same faults through the full
-//! bundle path — a real `PoiIndex`/`PhotoGrid`/`IrTree` snapshot
+//! bundle path — a real `PoiIndex`/`PhotoGrid` snapshot
 //! read via [`soi_index::read_bundle`] and [`soi_index::IndexCache`] — and
 //! checks the contract end to end:
 //!
@@ -17,12 +17,18 @@
 //! `.i` items). A file whose checksums are all valid but whose columns
 //! disagree with each other, the grid or the dataset is the same `Data`
 //! error, and a file of another format version names both versions.
+//!
+//! The section set itself is pinned: a bundle holds the `cache.meta` stamp,
+//! the POI grid index and the photo grid, and nothing else; a stamp whose
+//! flags word is set (an older writer's persisted IR-tree) reads as stale.
 
 use soi_common::{CellId, ErrorCategory, KeywordId, PoiId};
 use soi_data::{Dataset, PhotoCollection, PoiCollection};
 use soi_geo::Point;
+use soi_index::snapshot::{write_photo_grid, write_poi_index};
 use soi_index::{
-    read_bundle, write_bundle, BundleParams, CacheMode, CacheOutcome, IndexCache, ReadOutcome,
+    dataset_fingerprint, read_bundle, write_bundle, BundleParams, CacheMode, CacheOutcome,
+    IndexCache, ReadOutcome,
 };
 use soi_network::RoadNetwork;
 use soi_snapshot::{
@@ -86,12 +92,14 @@ fn sample_dataset() -> Dataset {
     Dataset::new("fault-sample", network, vocab, pois, photos)
 }
 
+/// The shape of `soi serve`'s parameters: both grids at one cell size
+/// (`2ε` there), no inert field set.
 fn params() -> BundleParams {
     BundleParams {
         poi_cell: 0.5,
         pg_cell: 0.5,
         eps: None,
-        with_ir: true,
+        with_ir: false,
         threads: 1,
     }
 }
@@ -334,6 +342,9 @@ fn with_sections_rewritten(image: &[u8], rewrites: &[(&str, Rewrite)]) -> Vec<u8
     let path = temp_path("rewrite");
     std::fs::write(&path, image).unwrap();
     let snapshot = Snapshot::open(&path).unwrap();
+    for (name, _) in rewrites {
+        assert!(snapshot.has(name), "no section `{name}` to corrupt");
+    }
     let mut writer = SnapshotWriter::new();
     for section in snapshot.sections() {
         let mut bytes = snapshot.bytes(&section.name).unwrap().to_vec();
@@ -674,6 +685,95 @@ fn previous_format_version_is_rejected_and_the_cache_rebuilds() {
         "the rebuild must have written a fresh bundle"
     );
     let (_, outcome) = cache.load_or_build(&dataset, &params()).unwrap();
+    assert_eq!(outcome, CacheOutcome::Hit);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The served section set, in file order: the stamp, the POI grid index and
+/// the photo grid that `/soi` and `/describe` boot from — nothing else.
+#[test]
+fn served_bundle_holds_exactly_the_stamp_poi_and_photo_grid_sections() {
+    let dataset = sample_dataset();
+    let path = temp_path("sections");
+    std::fs::write(&path, pristine_image(&dataset)).unwrap();
+    let snapshot = Snapshot::open(&path).unwrap();
+    let names: Vec<&str> = snapshot
+        .sections()
+        .iter()
+        .map(|s| s.name.as_str())
+        .collect();
+    assert_eq!(
+        names,
+        [
+            "cache.meta",
+            "poi.gf",
+            "poi.gn",
+            "poi.cp.s",
+            "poi.cp.i",
+            "poi.cw",
+            "poi.ck.s",
+            "poi.ck.i",
+            "poi.rd.s",
+            "poi.rd.i",
+            "poi.g.s",
+            "poi.g.i",
+            "poi.gw",
+            "poi.slen",
+            "poi.r.s",
+            "poi.r.i",
+            "pg.gf",
+            "pg.gn",
+            "pg.ph.s",
+            "pg.ph.i",
+        ]
+    );
+    assert_eq!(snapshot.u64s("cache.meta").unwrap()[1], 0, "flags word");
+    std::fs::remove_file(&path).ok();
+}
+
+/// A bundle whose `cache.meta` flags word is 1 — how a writer that
+/// persisted the IR-tree stamped it — reads as stale. Under its own cache
+/// key, lenient mode rebuilds it into a file whose flags word is 0, and
+/// strict mode reports it and leaves it in place.
+#[test]
+fn a_set_flags_word_reads_stale_lenient_rebuilds_and_strict_reports() {
+    let dataset = sample_dataset();
+    let p = params();
+    let dir = std::env::temp_dir().join(format!("soi-fault-flags-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let cache = IndexCache::new(&dir, CacheMode::Lenient);
+    let snap = cache.snapshot_path(&dataset, &p);
+
+    let bundle = soi_index::build_bundle(&dataset, &p);
+    let mut w = SnapshotWriter::new();
+    let stamp = [
+        dataset_fingerprint(&dataset),
+        1,
+        p.poi_cell.to_bits(),
+        p.pg_cell.to_bits(),
+    ];
+    w.u64s("cache.meta", &stamp).unwrap();
+    write_poi_index(&mut w, "poi", &bundle.poi).unwrap();
+    write_photo_grid(&mut w, "pg", &bundle.photo_grid).unwrap();
+    w.write_to(&snap).unwrap();
+    let flags = |path: &PathBuf| Snapshot::open(path).unwrap().u64s("cache.meta").unwrap()[1];
+
+    let Ok(ReadOutcome::Stale(why)) = read_bundle(&snap, &dataset, &p) else {
+        panic!("a set flags word must read as stale");
+    };
+    assert!(why.contains("different build parameters"), "{why}");
+
+    let strict = IndexCache::new(&dir, CacheMode::Strict);
+    let err = strict.load_or_build(&dataset, &p).unwrap_err();
+    assert_eq!(err.category(), ErrorCategory::Data, "{err}");
+    assert!(err.to_string().contains(".soisnap"), "{err}");
+    assert_eq!(flags(&snap), 1, "strict mode must leave the file alone");
+
+    let (_, outcome) = cache.load_or_build(&dataset, &p).unwrap();
+    assert_eq!(outcome, CacheOutcome::RebuiltCorrupt);
+    assert_eq!(flags(&snap), 0, "the rebuild must stamp a zero flags word");
+    let (_, outcome) = strict.load_or_build(&dataset, &p).unwrap();
     assert_eq!(outcome, CacheOutcome::Hit);
     std::fs::remove_dir_all(&dir).ok();
 }

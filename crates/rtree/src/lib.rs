@@ -22,7 +22,6 @@
 // expect are compile errors outside of test code.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod snapshot;
 pub mod tree;
 
-pub use tree::{BoundedItem, NoSummary, RTree, RawNode, RawNodeOwned, Summary, DEFAULT_FANOUT};
+pub use tree::{BoundedItem, NoSummary, RTree, Summary, DEFAULT_FANOUT};

@@ -1,6 +1,6 @@
 //! The STR-packed static R-tree.
 
-use soi_common::{effective_threads, par_chunks_mut, par_sort_by, OrderedF64, Result, SoiError};
+use soi_common::{effective_threads, par_chunks_mut, par_sort_by, OrderedF64};
 use soi_geo::{Point, Rect};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -405,147 +405,6 @@ impl<T: BoundedItem + Send, S: Summary<T>> RTree<T, S> {
 
         tree.build_levels();
         tree
-    }
-}
-
-/// Structural view of one tree node, exposed for snapshot encoding.
-#[derive(Debug, Clone, Copy)]
-pub struct RawNode<'a, S> {
-    /// The node's bounding rectangle.
-    pub rect: Rect,
-    /// The node's aggregated summary.
-    pub summary: &'a S,
-    /// Whether the child range indexes items (leaf) or nodes (internal).
-    pub is_leaf: bool,
-    /// Start of the child range.
-    pub start: usize,
-    /// Length of the child range.
-    pub len: usize,
-}
-
-/// Owned structural form of one node, the input to
-/// [`RTree::from_raw_parts`].
-#[derive(Debug, Clone)]
-pub struct RawNodeOwned<S> {
-    /// The node's bounding rectangle.
-    pub rect: Rect,
-    /// The node's aggregated summary.
-    pub summary: S,
-    /// Whether the child range indexes items (leaf) or nodes (internal).
-    pub is_leaf: bool,
-    /// Start of the child range.
-    pub start: usize,
-    /// Length of the child range.
-    pub len: usize,
-}
-
-impl<T, S> RTree<T, S> {
-    /// Number of nodes in the node array (including nodes orphaned by the
-    /// level-retiling copies — indices must be preserved verbatim for a
-    /// reassembled tree to be identical).
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The node array in storage order, as structural views.
-    pub fn raw_nodes(&self) -> impl Iterator<Item = RawNode<'_, S>> + '_ {
-        self.nodes.iter().map(|n| {
-            let (is_leaf, start, len) = match n.children {
-                Children::Items { start, len } => (true, start, len),
-                Children::Nodes { start, len } => (false, start, len),
-            };
-            RawNode {
-                rect: n.rect,
-                summary: &n.summary,
-                is_leaf,
-                start,
-                len,
-            }
-        })
-    }
-
-    /// Index of the root node, if the tree is non-empty.
-    pub fn root_index(&self) -> Option<usize> {
-        self.root
-    }
-
-    /// Reassembles a tree from its structural parts (the inverse of
-    /// [`RTree::raw_nodes`] + [`RTree::items`]), validating every child
-    /// range so a corrupt snapshot cannot cause out-of-bounds panics or
-    /// traversal cycles later.
-    ///
-    /// # Errors
-    /// A `Data`-category error for: fanout < 2, a root index out of range,
-    /// a missing root on a non-empty tree, leaf ranges outside `items`, or
-    /// internal ranges not strictly below the parent's own index (bulk
-    /// loading always appends children before their parent, which also
-    /// guarantees acyclicity).
-    pub fn from_raw_parts(
-        items: Vec<T>,
-        nodes: Vec<RawNodeOwned<S>>,
-        root: Option<usize>,
-        fanout: usize,
-    ) -> Result<Self> {
-        let bad = |msg: String| SoiError::parse(0, format!("r-tree raw parts: {msg}"));
-        if fanout < 2 {
-            return Err(bad(format!("fanout {fanout} < 2")));
-        }
-        match root {
-            Some(r) if r >= nodes.len() => {
-                return Err(bad(format!(
-                    "root {r} out of range ({} nodes)",
-                    nodes.len()
-                )));
-            }
-            None if !items.is_empty() => {
-                return Err(bad(format!("no root but {} items", items.len())));
-            }
-            _ => {}
-        }
-        for (i, n) in nodes.iter().enumerate() {
-            let end = n
-                .start
-                .checked_add(n.len)
-                .ok_or_else(|| bad(format!("node {i}: child range overflows")))?;
-            if n.is_leaf {
-                if end > items.len() {
-                    return Err(bad(format!(
-                        "node {i}: leaf range {}..{end} outside {} items",
-                        n.start,
-                        items.len()
-                    )));
-                }
-            } else if end > i {
-                return Err(bad(format!(
-                    "node {i}: child nodes {}..{end} not strictly below parent",
-                    n.start
-                )));
-            }
-        }
-        let nodes = nodes
-            .into_iter()
-            .map(|n| Node {
-                rect: n.rect,
-                summary: n.summary,
-                children: if n.is_leaf {
-                    Children::Items {
-                        start: n.start,
-                        len: n.len,
-                    }
-                } else {
-                    Children::Nodes {
-                        start: n.start,
-                        len: n.len,
-                    }
-                },
-            })
-            .collect();
-        Ok(RTree {
-            items,
-            nodes,
-            root,
-            fanout,
-        })
     }
 }
 

@@ -346,6 +346,7 @@ pub fn serve(
         with_ir: false,
         threads: config.engine_threads,
     };
+    params.check(dataset, ["--eps", "--eps"])?;
     let index_started = Instant::now();
     let cache_mode = if config.index_cache_strict {
         soi_index::CacheMode::Strict

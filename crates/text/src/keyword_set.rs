@@ -110,11 +110,10 @@ impl KeywordSet {
     /// deduplicated order this type maintains), or returns `None` if they
     /// are not.
     ///
-    /// This is the decode-side counterpart of [`Self::iter`]: snapshot
-    /// codecs persist sets in iteration order and reload millions of tiny
-    /// sets, where re-sorting each one is pure overhead and an
-    /// out-of-order run indicates corruption rather than unnormalised
-    /// input.
+    /// This is the decode-side counterpart of [`Self::iter`]: a reader
+    /// whose ids are already in canonical order builds the set without
+    /// re-sorting it, and an out-of-order run is reported rather than
+    /// normalised.
     pub fn from_ascending_ids(ids: Vec<KeywordId>) -> Option<Self> {
         if ids.windows(2).all(|w| w[0] < w[1]) {
             Some(Self::from_canonical_vec(ids))
