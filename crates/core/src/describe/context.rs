@@ -5,11 +5,12 @@
 //! `maxD(s)` (diagonal of the ε-buffered street MBR, Definition 5), the
 //! neighbourhood radius ρ, and the per-street diversification grid index.
 
-use soi_common::{CellId, PhotoId, PoiId, Result, SoiError, StreetId};
+use soi_common::{PhotoId, PoiId, Result, SoiError, StreetId};
 use soi_data::{PhotoCollection, PhotoView, PoiCollection};
 use soi_index::{DeltaIndex, DiversificationIndex, PhotoGrid};
 use soi_network::RoadNetwork;
 use soi_text::FreqVector;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Where the street keyword frequency vector `Φs` is derived from.
 ///
@@ -40,9 +41,9 @@ impl PhiSource {
 
 /// The description context of one street.
 ///
-/// A context is a buffer as much as a value: [`ContextBuilder::rebuild`]
-/// refills one in place, so a worker describing street after street keeps
-/// one and stops allocating once it has seen its largest `Rs`.
+/// It depends on nothing but the street and the builder's inputs, so a
+/// server keeps one per street for a whole epoch ([`StreetContexts`]):
+/// it holds its columns and no build scratch.
 #[derive(Debug)]
 pub struct StreetContext {
     /// The street being described.
@@ -57,22 +58,14 @@ pub struct StreetContext {
     pub rho: f64,
     /// The per-street grid index (cell side ρ/2).
     pub index: DiversificationIndex,
-    /// Scratch of the `Rs` extraction: candidate photo-grid cells.
-    cells: Vec<CellId>,
 }
 
-impl Default for StreetContext {
-    /// An empty context, to be filled by [`ContextBuilder::rebuild`].
-    fn default() -> Self {
-        Self {
-            street: StreetId(0),
-            members: Vec::new(),
-            phi: FreqVector::new(),
-            max_d: 0.0,
-            rho: 0.0,
-            index: DiversificationIndex::default(),
-            cells: Vec::new(),
-        }
+impl StreetContext {
+    /// Heap bytes the context holds: `Rs`, `Φs` and the index's columns.
+    pub fn heap_bytes(&self) -> usize {
+        self.members.capacity() * std::mem::size_of::<PhotoId>()
+            + self.phi.heap_bytes()
+            + self.index.heap_bytes()
     }
 }
 
@@ -107,20 +100,6 @@ impl<'a> ContextBuilder<'a> {
         self.build_with_delta(street, None)
     }
 
-    /// [`rebuild`](Self::rebuild) into a fresh context.
-    ///
-    /// # Errors
-    /// Same conditions as [`build`](Self::build).
-    pub fn build_with_delta(
-        &self,
-        street: StreetId,
-        delta: Option<&DeltaIndex>,
-    ) -> Result<StreetContext> {
-        let mut ctx = StreetContext::default();
-        self.rebuild(&mut ctx, street, delta)?;
-        Ok(ctx)
-    }
-
     /// The photos a context built with `delta` overlaid refers to.
     pub fn photo_view(&self, delta: Option<&'a DeltaIndex>) -> PhotoView<'a> {
         match delta {
@@ -129,27 +108,24 @@ impl<'a> ContextBuilder<'a> {
         }
     }
 
-    /// Refills `ctx` with the description context of `street`, with a
-    /// sealed ingestion delta overlaid (deleted photos leave `Rs`, added
-    /// photos within ε join it, and `Φs` draws on the merged POI/photo
-    /// populations). Nothing of what `ctx` held before survives except its
-    /// capacity; after an error its content is unspecified.
+    /// [`build`](Self::build) with a sealed ingestion delta overlaid
+    /// (deleted photos leave `Rs`, added photos within ε join it, and `Φs`
+    /// draws on the merged POI/photo populations).
     ///
     /// With `delta = None` this is exactly [`build`](Self::build). The
     /// merged iteration order (base survivors ascending, then adds
-    /// ascending) matches a rebuild over the folded collections, so `Φs`,
+    /// ascending) matches a build over the folded collections, so `Φs`,
     /// `maxD(s)` and every per-photo measure are bit-identical to the
     /// post-compaction context (photo *ids* differ: the fold reassigns
     /// dense ids, while the live view keeps epoch ids).
     ///
     /// # Errors
     /// Same conditions as [`build`](Self::build).
-    pub fn rebuild(
+    pub fn build_with_delta(
         &self,
-        ctx: &mut StreetContext,
         street: StreetId,
-        delta: Option<&'a DeltaIndex>,
-    ) -> Result<()> {
+        delta: Option<&DeltaIndex>,
+    ) -> Result<StreetContext> {
         if street.index() >= self.network.num_streets() {
             return Err(SoiError::not_found(format!(
                 "street {street} (network has {} streets)",
@@ -172,15 +148,9 @@ impl<'a> ContextBuilder<'a> {
         // Base members (ascending), minus this epoch's deleted photos, plus
         // its added photos within ε (their ids follow all base ids, so the
         // list stays ascending).
-        let members = &mut ctx.members;
-        self.photo_grid.photos_near_street_into(
-            self.network,
-            self.photos,
-            street,
-            self.eps,
-            &mut ctx.cells,
-            members,
-        );
+        let mut members =
+            self.photo_grid
+                .photos_near_street(self.network, self.photos, street, self.eps);
         if let Some(d) = delta {
             if d.num_deleted_photos() > 0 {
                 members.retain(|&pid| !d.photo_deleted(pid));
@@ -193,14 +163,14 @@ impl<'a> ContextBuilder<'a> {
                 }
             }
         }
+        members.shrink_to_fit();
 
-        let phi = &mut ctx.phi;
-        phi.clear();
+        let mut phi = FreqVector::new();
         if matches!(
             self.phi_source,
             PhiSource::Photos | PhiSource::PhotosAndPois
         ) {
-            for &pid in members.iter() {
+            for &pid in &members {
                 for tag in photos.get(pid).tags.iter() {
                     phi.increment(tag);
                 }
@@ -214,7 +184,7 @@ impl<'a> ContextBuilder<'a> {
                 )));
             };
             // Merged order: base survivors ascending, then adds ascending —
-            // the same accumulation order a rebuild over the folded
+            // the same accumulation order a build over the folded
             // collection uses.
             for (i, poi) in pois.iter().enumerate() {
                 if delta.is_some_and(|d| d.poi_deleted(PoiId::from_index(i))) {
@@ -240,14 +210,98 @@ impl<'a> ContextBuilder<'a> {
             }
         }
 
-        ctx.street = street;
-        ctx.max_d = self
+        phi.shrink_to_fit();
+        let index = DiversificationIndex::build(photos, &members, self.rho)?;
+        let max_d = self
             .network
             .street_mbr(street)
             .map(|mbr| mbr.expand(self.eps).diagonal())
             .unwrap_or(0.0);
-        ctx.rho = self.rho;
-        ctx.index.rebuild(photos, members, self.rho)
+        Ok(StreetContext {
+            street,
+            members,
+            phi,
+            max_d,
+            rho: self.rho,
+            index,
+        })
+    }
+}
+
+/// One epoch's street contexts: a slot per street, empty until the first
+/// describe of that street fills it.
+///
+/// A context is a pure function of the street and the epoch's builder
+/// inputs (network, photos, photo grid, POIs, delta, ε, ρ, `Φs` source), so
+/// it is built once per epoch and read by every later job. The table
+/// belongs to one epoch: a new epoch starts with a new, empty table, and
+/// the old one is freed with its epoch.
+#[derive(Debug)]
+pub struct StreetContexts {
+    slots: Box<[ContextSlot]>,
+}
+
+#[derive(Debug, Default)]
+struct ContextSlot {
+    context: OnceLock<Box<StreetContext>>,
+    /// Held while the slot is built, so racing jobs build it once. A failed
+    /// build leaves the slot empty: errors are not stored.
+    building: Mutex<()>,
+}
+
+impl StreetContexts {
+    /// An empty table for a network of `num_streets` streets.
+    pub fn new(num_streets: usize) -> Self {
+        Self {
+            slots: (0..num_streets).map(|_| ContextSlot::default()).collect(),
+        }
+    }
+
+    /// The context of `street`, and whether this call built it. The first
+    /// call for a street builds it with `builder` and `delta` (inside a
+    /// [`DESCRIBE_CONTEXT`](soi_obs::names::spans::DESCRIBE_CONTEXT) span);
+    /// a call racing it waits for that build, and every later call reads
+    /// the stored context. Every call on one table must pass the same
+    /// builder inputs and delta: its epoch's.
+    ///
+    /// # Errors
+    /// A street outside the table, and [`ContextBuilder::build_with_delta`]'s
+    /// errors, which are returned to this call and not stored.
+    pub fn get_or_build<'t>(
+        &'t self,
+        builder: &ContextBuilder<'_>,
+        street: StreetId,
+        delta: Option<&DeltaIndex>,
+    ) -> Result<(&'t StreetContext, bool)> {
+        let slot = self.slots.get(street.index()).ok_or_else(|| {
+            SoiError::not_found(format!(
+                "street {street} (network has {} streets)",
+                self.slots.len()
+            ))
+        })?;
+        if let Some(ctx) = slot.context.get() {
+            return Ok((ctx, false));
+        }
+        // The lock guards no data (a panicked build left the slot empty),
+        // so a poisoned one is as good as a clean one.
+        let _building = slot.building.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(ctx) = slot.context.get() {
+            return Ok((ctx, false));
+        }
+        let ctx = {
+            let _span = soi_obs::trace::span(soi_obs::names::spans::DESCRIBE_CONTEXT);
+            builder.build_with_delta(street, delta)?
+        };
+        Ok((slot.context.get_or_init(|| Box::new(ctx)), true))
+    }
+
+    /// Heap bytes of the table: its slots and every context built so far.
+    pub fn heap_bytes(&self) -> usize {
+        let built = self.slots.iter().filter_map(|slot| slot.context.get());
+        std::mem::size_of_val(&*self.slots)
+            + built
+                .map(|ctx| std::mem::size_of::<StreetContext>() + ctx.heap_bytes())
+                .sum::<usize>()
     }
 }
 
@@ -372,11 +426,8 @@ mod tests {
             rho,
             phi_source: PhiSource::Photos,
         };
-        let mut ctx = builder(0.2).build(StreetId(0)).unwrap();
         for rho in [1e-8, 1e-12] {
-            let err = builder(rho)
-                .rebuild(&mut ctx, StreetId(0), None)
-                .unwrap_err();
+            let err = builder(rho).build(StreetId(0)).unwrap_err();
             assert!(matches!(err, SoiError::InvalidInput(_)), "{err:?}");
             let text = err.to_string();
             assert!(text.contains("rho") && text.contains("1 x 0.5"), "{text}");
@@ -384,6 +435,78 @@ mod tests {
         // A ρ whose grid can be numbered indexes both.
         let ctx = builder(1e-4).build(StreetId(0)).unwrap();
         assert_eq!(ctx.index.photos().len(), 2);
+    }
+
+    #[test]
+    fn a_stored_context_is_linear_in_its_photos_cells_and_keywords() {
+        // Photos along the street carrying tag id 65 000: the context keeps
+        // it as one pair in the index's numbering and one key of `Φs`, not
+        // as rows indexed by tag id (65 001 bytes and 520 KB for this street).
+        let (network, _, _) = setup();
+        let mut photos = PhotoCollection::new();
+        for i in 0..40u32 {
+            let pos = Point::new(0.25 * f64::from(i), 0.1 * f64::from(i % 3));
+            photos.add(pos, tags(&[i % 5, 65_000]));
+        }
+        let grid = PhotoGrid::build(&network, &photos, 1.0);
+        let ctx = ContextBuilder {
+            network: &network,
+            photos: &photos,
+            photo_grid: &grid,
+            pois: None,
+            eps: 0.5,
+            rho: 0.5,
+            phi_source: PhiSource::Photos,
+        }
+        .build(StreetId(0))
+        .unwrap();
+        let rs = ctx.members.len();
+        let cells = ctx.index.occupied().len();
+        let keywords: usize = (0..cells)
+            .map(|s| ctx.index.cell_at(s).keywords.len())
+            .sum();
+        assert_eq!((rs, ctx.phi.weight(KeywordId(65_000))), (40, 40.0));
+        assert!(ctx.index.kw_mask(0).is_some(), "tag 65 000 is numbered");
+        assert!(
+            ctx.heap_bytes() <= 128 * (rs + cells + keywords),
+            "{} heap bytes for |Rs| {rs}, {cells} cells, {keywords} cell keywords",
+            ctx.heap_bytes()
+        );
+    }
+
+    #[test]
+    fn a_table_builds_a_street_once_and_stores_no_error() {
+        let (network, photos, _) = setup();
+        let grid = PhotoGrid::build(&network, &photos, 1.0);
+        let builder = |rho| ContextBuilder {
+            network: &network,
+            photos: &photos,
+            photo_grid: &grid,
+            pois: None,
+            eps: 0.5,
+            rho,
+            phi_source: PhiSource::Photos,
+        };
+        let table = StreetContexts::new(network.num_streets());
+        let empty = table.heap_bytes();
+        // A failed build answers every call with its error and fills nothing.
+        for _ in 0..2 {
+            let err = table
+                .get_or_build(&builder(1e-8), StreetId(0), None)
+                .unwrap_err();
+            assert!(matches!(err, SoiError::InvalidInput(_)), "{err:?}");
+            assert_eq!(table.heap_bytes(), empty);
+        }
+        let (first, built) = table
+            .get_or_build(&builder(0.2), StreetId(0), None)
+            .unwrap();
+        assert!(built && table.heap_bytes() > empty);
+        let (again, built) = table
+            .get_or_build(&builder(0.2), StreetId(0), None)
+            .unwrap();
+        assert!(!built && std::ptr::eq(first, again));
+        let outside = table.get_or_build(&builder(0.2), StreetId(1), None);
+        assert!(matches!(outside, Err(SoiError::NotFound(_))));
     }
 
     #[test]

@@ -50,6 +50,10 @@ pub struct DescribeExplain {
     pub rounds: Vec<DescribeRound>,
     /// A copy of the finished run's stats.
     pub stats: Option<DescribeStats>,
+    /// Whether this job built its street context (`true`: the first
+    /// describe of the street in its epoch) or read a stored one; `None`
+    /// when the caller supplied the context.
+    pub context_built: Option<bool>,
 }
 
 impl DescribeExplain {
@@ -100,6 +104,9 @@ impl DescribeExplain {
             }
             obj.field_raw("phases_ms", &p.finish());
         }
+        if let Some(built) = self.context_built {
+            obj.field_bool("context_built", built);
+        }
         obj.finish()
     }
 }
@@ -129,7 +136,13 @@ mod tests {
             cells_refined: 2,
             ..Default::default()
         });
+        assert!(!ex.to_json().contains("context_built"));
+        ex.context_built = Some(true);
         let doc = soi_obs::json::parse(&ex.to_json()).expect("valid JSON");
+        assert_eq!(
+            doc.get("context_built"),
+            Some(&soi_obs::json::Json::Bool(true))
+        );
         let rounds = doc.get("rounds").unwrap().as_arr().unwrap();
         assert_eq!(rounds.len(), 1);
         assert_eq!(rounds[0].get("selected").unwrap().as_f64(), Some(3.0));

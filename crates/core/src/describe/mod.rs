@@ -18,7 +18,7 @@ pub mod tradeoff;
 pub mod variants;
 
 pub use bounds::{cell_div_bounds, cell_mmr_bounds, cell_rel_bounds};
-pub use context::{ContextBuilder, PhiSource, StreetContext};
+pub use context::{ContextBuilder, PhiSource, StreetContext, StreetContexts};
 pub use exact::exact_select;
 pub use explain::{DescribeExplain, DescribeRound};
 pub use greedy::greedy_select;

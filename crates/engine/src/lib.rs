@@ -12,10 +12,9 @@
 //!   amortising counter contention on large batches while staying
 //!   naturally load-balancing for skewed per-query costs);
 //! - each worker owns an [`EngineWorker`] — the scratch space of both
-//!   algorithms, the street context `/describe` jobs refill in place, and
-//!   the one per-job execution body (allocation scope, latency clock,
-//!   request-id stamping, trace/explain capture) — so steady-state queries
-//!   reuse buffers instead of re-allocating them.
+//!   algorithms and the one per-job execution body (allocation scope,
+//!   latency clock, request-id stamping, trace/explain capture) — so
+//!   steady-state queries reuse buffers instead of re-allocating them.
 //!   `soi serve` holds the same type on its long-lived engine workers and
 //!   calls it one job at a time, without going through a batch;
 //! - results are returned **in input order** regardless of worker count or
@@ -35,10 +34,10 @@
 
 pub mod obs;
 
-use soi_common::{effective_threads, Result, StreetId};
+use soi_common::{effective_threads, Result};
 use soi_core::describe::{
-    st_rel_div_full, ContextBuilder, DescribeExplain, DescribeOutcome, DescribeParams,
-    DescribeScratch, StreetContext,
+    st_rel_div_full, DescribeExplain, DescribeOutcome, DescribeParams, DescribeScratch,
+    StreetContext,
 };
 use soi_core::soi::{
     run_soi_full, QueryStats, SoiConfig, SoiExplain, SoiOutcome, SoiQuery, SoiScratch,
@@ -423,9 +422,6 @@ pub struct JobRun<T> {
 pub struct EngineWorker {
     soi: SoiScratch,
     describe: DescribeScratch,
-    /// The street context [`run_describe_street`](Self::run_describe_street)
-    /// refills job after job.
-    street: StreetContext,
 }
 
 impl EngineWorker {
@@ -460,43 +456,28 @@ impl EngineWorker {
         run
     }
 
-    /// Runs one describe job from the street id: the context build (`Rs`,
-    /// `Φs`, the diversification index — into buffers this worker keeps)
-    /// and Alg. 2 over it, both inside the job body, so the job's latency,
-    /// allocation count, trace capture and `engine.query` span cover both.
-    /// `delta` is overlaid on `builder`'s base collections.
-    pub fn run_describe_street(
+    /// Runs one describe job over `photos` under `budget`. `context`
+    /// resolves the street context inside the job body, so the job's
+    /// latency, allocation count, trace capture and `engine.query` span
+    /// cover a context it builds (a [`StreetContexts`] first touch) as well
+    /// as Alg. 2; it returns the context and whether it built it, which
+    /// the explain report records as `context_built`.
+    ///
+    /// [`StreetContexts`]: soi_core::describe::StreetContexts
+    pub fn run_describe<'c>(
         &mut self,
-        builder: &ContextBuilder<'_>,
-        delta: Option<&DeltaIndex>,
-        street: StreetId,
-        params: &DescribeParams,
-        budget: QueryBudget,
-        capture: QueryCapture,
-    ) -> JobRun<DescribeOutcome> {
-        let (ctx, scratch) = (&mut self.street, &mut self.describe);
-        run_job(capture, DescribeExplain::to_json, |explain| {
-            {
-                let _span = soi_obs::trace::span(soi_obs::names::spans::DESCRIBE_CONTEXT);
-                builder.rebuild(ctx, street, delta)?;
-            }
-            let photos = builder.photo_view(delta);
-            st_rel_div_full(ctx, photos, params, scratch, explain, budget)
-        })
-    }
-
-    /// Runs one describe job for the prebuilt street context `ctx` over
-    /// `photos` under `budget`.
-    pub fn run_describe(
-        &mut self,
-        ctx: &StreetContext,
+        context: impl FnOnce() -> Result<(&'c StreetContext, bool)>,
         photos: PhotoView<'_>,
         params: &DescribeParams,
         budget: QueryBudget,
         capture: QueryCapture,
     ) -> JobRun<DescribeOutcome> {
         let scratch = &mut self.describe;
-        run_job(capture, DescribeExplain::to_json, |explain| {
+        run_job(capture, DescribeExplain::to_json, |mut explain| {
+            let (ctx, built) = context()?;
+            if let Some(explain) = explain.as_deref_mut() {
+                explain.context_built = Some(built);
+            }
             st_rel_div_full(ctx, photos, params, scratch, explain, budget)
         })
     }
@@ -734,7 +715,7 @@ impl QueryEngine {
             let mut worker = EngineWorker::default();
             move |item: &T| {
                 let (ctx, params, budget, capture) = get(item);
-                worker.run_describe(ctx, photos, params, budget, capture)
+                worker.run_describe(|| Ok((ctx, false)), photos, params, budget, capture)
             }
         });
         runs.into_iter().flatten()
@@ -1065,16 +1046,17 @@ mod tests {
     #[test]
     fn one_worker_answers_any_describe_history_like_a_fresh_one() {
         // The serving shape for /describe: one long-lived worker whose
-        // street context, diversification index and Alg. 2 tables are
-        // refilled job after job. They meet two datasets, streets that grow
+        // Alg. 2 tables are refilled job after job, over street contexts
+        // read from per-epoch tables. They meet two datasets, streets that grow
         // and shrink every table (the largest Rs, a handful of photos, the
         // largest again, one photo, untagged photos only), a base+delta
         // photo view with added and deleted photos, and a deadline-expired
         // partial before every full run. Every full answer — selection,
         // objective bits, work counters, explain rounds — must equal a
-        // fresh worker's, and the selection the naive greedy's.
-        use soi_common::PhotoId;
-        use soi_core::describe::{greedy_select, PhiSource};
+        // fresh worker's over a freshly built context, and the selection the
+        // naive greedy's.
+        use soi_common::{PhotoId, StreetId};
+        use soi_core::describe::{greedy_select, ContextBuilder, PhiSource, StreetContexts};
         use soi_index::{DeltaOp, PhotoGrid};
         use soi_text::KeywordSet;
         const EPS: f64 = 0.0005;
@@ -1185,6 +1167,15 @@ mod tests {
             explain: true,
             ..QueryCapture::default()
         };
+        let explain_json = |run: &JobRun<DescribeOutcome>| {
+            let json = run.artifacts.as_ref().and_then(|a| a.explain_json.clone());
+            json.expect("explain requested")
+        };
+        let tables: Vec<StreetContexts> = worlds
+            .iter()
+            .map(|w| StreetContexts::new(w.dataset.network.num_streets()))
+            .collect();
+        let mut touched = std::collections::HashSet::new();
         let (big, small, single, untagged) = (0usize, 1usize, 2usize, 3usize);
         let mut worker = EngineWorker::default();
         let mut sizes = Vec::new();
@@ -1202,37 +1193,42 @@ mod tests {
             (0, big, (20, 0.5, 0.5)),
         ] {
             let (builder, delta) = (&builders[w], Some(&worlds[w].delta));
+            let photos = builder.photo_view(delta);
             let street = worlds[w].streets[street];
+            let stored = || tables[w].get_or_build(builder, street, delta);
             let params = DescribeParams::new(k, lambda, weight).expect("valid");
+            // The first job on a street builds its context, even one whose
+            // deadline has passed; every later job reads it.
             let expired = QueryBudget::with_deadline(Instant::now());
-            let partial = worker.run_describe_street(
-                builder,
-                delta,
-                street,
-                &params,
-                expired,
-                QueryCapture::default(),
+            let partial = worker.run_describe(stored, photos, &params, expired, explain);
+            let first_touch = touched.insert((w, street));
+            let flag = format!("\"context_built\":{first_touch}");
+            assert!(
+                explain_json(&partial).contains(&flag),
+                "world {w} street {street}"
             );
             let partial = partial.result.expect("a deadline hit is a success");
             assert!(partial.partial && partial.selected.is_empty());
             let unlimited = QueryBudget::unlimited();
-            let got =
-                worker.run_describe_street(builder, delta, street, &params, unlimited, explain);
-            let want = EngineWorker::default()
-                .run_describe_street(builder, delta, street, &params, unlimited, explain);
+            let got = worker.run_describe(stored, photos, &params, unlimited, explain);
+            assert!(explain_json(&got).contains("\"context_built\":false"));
+            let ctx = builder.build_with_delta(street, delta).expect("buildable");
+            let fresh = || Ok((&ctx, false));
+            let want =
+                EngineWorker::default().run_describe(fresh, photos, &params, unlimited, explain);
             assert_eq!(rounds(&got), rounds(&want), "world {w} street {street}");
             let (got, want) = (got.result.expect("valid"), want.result.expect("valid"));
             assert!(!got.partial);
             assert_eq!(got.selected, want.selected);
             assert_eq!(got.objective.to_bits(), want.objective.to_bits());
             assert_eq!(counters(&got.stats), counters(&want.stats));
-            let ctx = builder.build_with_delta(street, delta).expect("buildable");
-            // The worker's refilled index numbers the street's tags exactly
-            // when a fresh one does (a mask column the refill forgot to
-            // empty would only switch the masks off: same answers, slower).
+            // The stored context is the one a fresh build gives, down to
+            // whether its index numbers the street's tags.
+            let (kept, _) = stored().expect("stored");
             let masked = |index: &soi_index::DiversificationIndex| index.kw_mask(0).is_some();
-            assert_eq!(masked(&worker.street.index), masked(&ctx.index));
-            let greedy = greedy_select(&ctx, builder.photo_view(delta), &params);
+            assert_eq!(masked(&kept.index), masked(&ctx.index));
+            assert_eq!(kept.members, ctx.members);
+            let greedy = greedy_select(&ctx, photos, &params);
             assert_eq!(got.selected, greedy.selected, "world {w} street {street}");
             assert_eq!(got.objective.to_bits(), greedy.objective.to_bits());
             sizes.push(ctx.members.len());

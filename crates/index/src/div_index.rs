@@ -24,8 +24,12 @@
 //!
 //! The two mask columns number the street's distinct tags in order of first
 //! appearance, one bit each; a street with more than 64 of them (or with a
-//! tag id of 65 536 or more, which the numbering table does not stretch to)
-//! has neither column and its tag sets are intersected by merge.
+//! tag id of 65 536 or more, which the build's numbering table does not
+//! stretch to) has neither column and its tag sets are intersected by merge.
+//! The index keeps the numbering as at most 64 `(tag, bit)` pairs sorted by
+//! tag, not as the id-indexed table the build numbers through: an index
+//! lives as long as its epoch, and that table would be 64 KB for a street
+//! that shows tag id 65 535.
 //!
 //! **A cell's ρ-neighbourhood is at most five member-slot ranges.** A grid
 //! row's cells have consecutive ids and the occupied list ascends, so the
@@ -34,9 +38,12 @@
 //! member slots, hence one run of `x` / `y`. Five rows, five runs, resolved
 //! once per cell when the index is built.
 //!
-//! One index is rebuilt in place street after street
-//! ([`DiversificationIndex::rebuild`]) without allocating once its arrays
-//! have grown to the largest street seen.
+//! An index holds its columns and nothing else: the build's scratch (member
+//! positions in id order, the sort keys, one cell's tags, the numbering
+//! table) is dropped when [`DiversificationIndex::build`] returns, and every
+//! column is allocated at, or trimmed to, its final length, so
+//! [`heap_bytes`](DiversificationIndex::heap_bytes) is linear in `|Rs|`, the
+//! occupied cells and the cells' keywords.
 
 use soi_common::{CellId, KeywordId, PhotoId, Result, SoiError};
 use soi_data::PhotoView;
@@ -50,10 +57,10 @@ const NEAR_ROWS: usize = 5;
 /// Street tags a cell's keyword mask has a bit for.
 const MASK_BITS: usize = u64::BITS as usize;
 
-/// Tag ids the numbering table `tag_bit` is indexed by (64 KB at most).
+/// Tag ids the build's numbering table is indexed by (64 KB at most).
 const NUMBERED_IDS: usize = 1 << 16;
 
-/// `tag_bit` entry of a tag the street has not shown.
+/// Numbering-table entry of a tag the street has not shown.
 const UNNUMBERED: u8 = u8::MAX;
 
 /// Points per block of [`count_hits`]: a multiple of every vector width in
@@ -98,50 +105,56 @@ pub struct DiversificationIndex {
     /// `keywords[kw_starts[slot]..kw_starts[slot + 1]]` is a cell's `c.Ψ`.
     kw_starts: Vec<usize>,
     keywords: Vec<KeywordId>,
-    /// The street's distinct tags in order of first appearance — a tag's
-    /// position is its mask bit — while they number at most [`MASK_BITS`],
-    /// and the inverse: `tag_bit[tag id]`, [`UNNUMBERED`] for every other id.
-    street_tags: Vec<KeywordId>,
-    tag_bit: Vec<u8>,
-    /// `Ψr` per member slot and `c.Ψ` per cell slot as bits over
-    /// `street_tags`; both empty for a street of more distinct tags.
+    /// The street's tag numbering, sorted by tag: `(tag, its mask bit)`,
+    /// at most [`MASK_BITS`] pairs; empty for a street of more distinct tags.
+    tag_bits: Vec<(KeywordId, u8)>,
+    /// `Ψr` per member slot and `c.Ψ` per cell slot as bits over the
+    /// numbering; both empty for a street of more distinct tags.
     tag_masks: Vec<u64>,
     kw_masks: Vec<u64>,
     num_photos: usize,
-    /// Rebuild scratch: member positions in id order, packed
-    /// (cell ‖ member index) keys, and one cell's tags.
-    px: Vec<f64>,
-    py: Vec<f64>,
-    keys: Vec<u64>,
-    tags: Vec<KeywordId>,
 }
 
-impl Default for DiversificationIndex {
-    /// An index over no photos.
-    fn default() -> Self {
-        Self {
-            grid: Grid::new(Point::ORIGIN, 1.0, 1, 1),
-            rho_sq: 0.0,
-            occupied: Vec::new(),
-            starts: Vec::new(),
-            photos: Vec::new(),
-            x: Vec::new(),
-            y: Vec::new(),
-            near: Vec::new(),
-            rects: Vec::new(),
-            psi: Vec::new(),
-            kw_starts: Vec::new(),
-            keywords: Vec::new(),
-            street_tags: Vec::new(),
-            tag_bit: Vec::new(),
-            tag_masks: Vec::new(),
-            kw_masks: Vec::new(),
-            num_photos: 0,
-            px: Vec::new(),
-            py: Vec::new(),
-            keys: Vec::new(),
-            tags: Vec::new(),
+/// The build's tag numbering: the street's distinct tags in order of first
+/// appearance — a tag's position is its mask bit — and the inverse,
+/// `bit[tag id]`, [`UNNUMBERED`] for every other id.
+#[derive(Default)]
+struct TagNumbering {
+    tags: Vec<KeywordId>,
+    bit: Vec<u8>,
+}
+
+impl TagNumbering {
+    /// `tags` as bits, numbering the ones the street has not shown before;
+    /// `None` once it has shown more than a mask has bits, or an id beyond
+    /// the table.
+    fn mask(&mut self, tags: &[KeywordId]) -> Option<u64> {
+        let mut mask = 0;
+        for tag in tags {
+            let id = tag.index();
+            if id >= NUMBERED_IDS {
+                return None;
+            }
+            if id >= self.bit.len() {
+                self.bit.resize(id + 1, UNNUMBERED);
+            }
+            if self.bit[id] == UNNUMBERED {
+                if self.tags.len() == MASK_BITS {
+                    return None;
+                }
+                self.bit[id] = self.tags.len() as u8;
+                self.tags.push(*tag);
+            }
+            mask |= 1 << self.bit[id];
         }
+        Some(mask)
+    }
+
+    /// The numbering as `(tag, bit)` pairs sorted by tag.
+    fn into_sorted(self) -> Vec<(KeywordId, u8)> {
+        let mut pairs: Vec<(KeywordId, u8)> = self.tags.into_iter().zip(0..).collect();
+        pairs.sort_unstable();
+        pairs
     }
 }
 
@@ -174,9 +187,12 @@ impl DiversificationIndex {
     ///
     /// `members` must be sorted ascending by id (as produced by
     /// [`PhotoGrid::photos_near_street`](crate::PhotoGrid::photos_near_street)).
+    /// Sequential on the calling thread: one street's `Rs` is a few thousand
+    /// photos at most, less work than handing it to other threads costs.
     ///
     /// # Errors
-    /// As [`rebuild`](Self::rebuild).
+    /// Rejects a `rho` so small against the extent of `members` that a grid
+    /// of ρ/2 cells over it has more cells than a [`CellId`] can number.
     ///
     /// # Panics
     /// Panics if `rho` is not strictly positive.
@@ -185,47 +201,20 @@ impl DiversificationIndex {
         members: &[PhotoId],
         rho: f64,
     ) -> Result<Self> {
-        let mut index = Self::default();
-        index.rebuild(photos, members, rho)?;
-        Ok(index)
-    }
-
-    /// [`build`](Self::build) in place: the index forgets its previous
-    /// street and keeps its capacity.
-    ///
-    /// Sequential on the calling thread: one street's `Rs` is a few thousand
-    /// photos at most, less work than handing it to other threads costs.
-    ///
-    /// # Errors
-    /// Rejects a `rho` so small against the extent of `members` that a grid
-    /// of ρ/2 cells over it has more cells than a [`CellId`] can number; the
-    /// index then still holds its previous street.
-    ///
-    /// # Panics
-    /// Panics if `rho` is not strictly positive.
-    pub fn rebuild<'a>(
-        &mut self,
-        photos: impl Into<PhotoView<'a>>,
-        members: &[PhotoId],
-        rho: f64,
-    ) -> Result<()> {
         let photos: PhotoView<'a> = photos.into();
         assert!(rho > 0.0 && rho.is_finite(), "rho must be positive");
         debug_assert!(
             members.windows(2).all(|w| w[0] < w[1]),
             "members must be sorted ascending"
         );
-        self.px.clear();
-        self.py.clear();
-        for &id in members {
-            let pos = photos.get(id).pos;
-            self.px.push(pos.x);
-            self.py.push(pos.y);
-        }
-        let positions = || {
-            let xy = self.px.iter().zip(&self.py);
-            xy.map(|(&x, &y)| Point::new(x, y))
-        };
+        let (px, py): (Vec<f64>, Vec<f64>) = members
+            .iter()
+            .map(|&id| {
+                let pos = photos.get(id).pos;
+                (pos.x, pos.y)
+            })
+            .unzip();
+        let positions = || px.iter().zip(&py).map(|(&x, &y)| Point::new(x, y));
         let extent = Rect::bounding(positions())
             .unwrap_or_else(|| Rect::new(Point::ORIGIN, Point::new(1.0, 1.0)));
         let grid = Grid::try_covering(extent, rho / 2.0).map_err(|cells| {
@@ -237,109 +226,88 @@ impl DiversificationIndex {
                 u32::MAX
             ))
         })?;
-        self.keys.clear();
+        let mut keys = Vec::with_capacity(members.len());
         for (i, pos) in positions().enumerate() {
             // Photos outside the grid (non-finite position) are
             // unindexable.
             if let Some(coord) = grid.cell_containing(pos) {
-                self.keys
-                    .push(u64::from(grid.cell_id(coord).0) << 32 | i as u64);
+                keys.push(u64::from(grid.cell_id(coord).0) << 32 | i as u64);
             }
         }
         // The keys are unique, so the unstable sort is deterministic: cells
         // ascending, and — `members` ascends — photos ascending within a
         // cell.
-        self.keys.sort_unstable();
-        self.grid = grid;
-        self.rho_sq = rho * rho;
-        self.num_photos = members.len();
+        keys.sort_unstable();
+        let cell_of = |key: u64| (key >> 32) as u32;
+        let cells = keys.chunk_by(|&a, &b| cell_of(a) == cell_of(b)).count();
+        let indexed = keys.len();
 
-        self.occupied.clear();
-        self.starts.clear();
-        self.photos.clear();
-        self.x.clear();
-        self.y.clear();
-        self.rects.clear();
-        self.psi.clear();
-        self.kw_starts.clear();
-        self.keywords.clear();
-        for tag in self.street_tags.drain(..) {
-            self.tag_bit[tag.index()] = UNNUMBERED;
-        }
-        self.tag_masks.clear();
-        self.kw_masks.clear();
-        let mut masked = true;
-        let mut i = 0;
-        while i < self.keys.len() {
-            let cell = (self.keys[i] >> 32) as u32;
-            self.occupied.push(CellId(cell));
-            self.starts.push(self.photos.len());
-            self.kw_starts.push(self.keywords.len());
-            self.rects
-                .push(self.grid.cell_rect(self.grid.coord_of(CellId(cell))));
+        let mut index = Self {
+            grid,
+            rho_sq: rho * rho,
+            occupied: Vec::with_capacity(cells),
+            starts: Vec::with_capacity(cells + 1),
+            photos: Vec::with_capacity(indexed),
+            x: Vec::with_capacity(indexed),
+            y: Vec::with_capacity(indexed),
+            near: Vec::with_capacity(cells),
+            rects: Vec::with_capacity(cells),
+            psi: Vec::with_capacity(cells),
+            kw_starts: Vec::with_capacity(cells + 1),
+            keywords: Vec::new(),
+            tag_bits: Vec::new(),
+            tag_masks: Vec::with_capacity(indexed),
+            kw_masks: Vec::with_capacity(cells),
+            num_photos: members.len(),
+        };
+        let mut numbering = Some(TagNumbering::default());
+        let mut cell_tags = Vec::new();
+        for run in keys.chunk_by(|&a, &b| cell_of(a) == cell_of(b)) {
+            let cell = CellId(cell_of(run[0]));
+            index.occupied.push(cell);
+            index.starts.push(index.photos.len());
+            index.kw_starts.push(index.keywords.len());
+            index
+                .rects
+                .push(index.grid.cell_rect(index.grid.coord_of(cell)));
             let (mut psi_min, mut psi_max) = (usize::MAX, 0);
             let mut kw_mask = 0;
-            self.tags.clear();
-            while i < self.keys.len() && (self.keys[i] >> 32) as u32 == cell {
-                let member = self.keys[i] as u32 as usize;
+            cell_tags.clear();
+            for &key in run {
+                let member = key as u32 as usize;
                 let pid = members[member];
                 let tags = photos.get(pid).tags.ids();
-                self.photos.push(pid);
-                self.x.push(self.px[member]);
-                self.y.push(self.py[member]);
+                index.photos.push(pid);
+                index.x.push(px[member]);
+                index.y.push(py[member]);
                 psi_min = psi_min.min(tags.len());
                 psi_max = psi_max.max(tags.len());
-                self.tags.extend_from_slice(tags);
-                if masked {
-                    match self.number_tags(tags) {
+                cell_tags.extend_from_slice(tags);
+                if let Some(numbered) = &mut numbering {
+                    match numbered.mask(tags) {
                         Some(mask) => {
-                            self.tag_masks.push(mask);
+                            index.tag_masks.push(mask);
                             kw_mask |= mask;
                         }
-                        None => masked = false,
+                        None => numbering = None,
                     }
                 }
-                i += 1;
             }
-            self.tags.sort_unstable();
-            self.tags.dedup();
-            self.keywords.extend_from_slice(&self.tags);
-            self.psi.push((psi_min, psi_max));
-            self.kw_masks.push(kw_mask);
+            cell_tags.sort_unstable();
+            cell_tags.dedup();
+            index.keywords.extend_from_slice(&cell_tags);
+            index.psi.push((psi_min, psi_max));
+            index.kw_masks.push(kw_mask);
         }
-        self.starts.push(self.photos.len());
-        self.kw_starts.push(self.keywords.len());
-        if !masked {
-            self.tag_masks.clear();
-            self.kw_masks.clear();
+        index.starts.push(index.photos.len());
+        index.kw_starts.push(index.keywords.len());
+        index.keywords.shrink_to_fit();
+        match numbering {
+            Some(numbered) => index.tag_bits = numbered.into_sorted(),
+            None => (index.tag_masks, index.kw_masks) = (Vec::new(), Vec::new()),
         }
-        self.resolve_neighbourhoods();
-        Ok(())
-    }
-
-    /// `tags` as bits, numbering the ones the street has not shown before;
-    /// `None` once it has shown more than a mask has bits, or an id beyond
-    /// the numbering table.
-    fn number_tags(&mut self, tags: &[KeywordId]) -> Option<u64> {
-        let mut mask = 0;
-        for tag in tags {
-            let id = tag.index();
-            if id >= NUMBERED_IDS {
-                return None;
-            }
-            if id >= self.tag_bit.len() {
-                self.tag_bit.resize(id + 1, UNNUMBERED);
-            }
-            if self.tag_bit[id] == UNNUMBERED {
-                if self.street_tags.len() == MASK_BITS {
-                    return None;
-                }
-                self.tag_bit[id] = self.street_tags.len() as u8;
-                self.street_tags.push(*tag);
-            }
-            mask |= 1 << self.tag_bit[id];
-        }
-        Some(mask)
+        index.resolve_neighbourhoods();
+        Ok(index)
     }
 
     /// Fills `near`. Walking the cells in id order moves each row's window
@@ -488,9 +456,8 @@ impl DiversificationIndex {
     /// carries has no bit: it is in no `c.Ψ` and no `Ψr` to intersect with.
     pub fn tag_mask(&self, tags: &KeywordSet) -> Option<u64> {
         let bit = |tag: &KeywordId| {
-            self.tag_bit
-                .get(tag.index())
-                .filter(|&&bit| bit != UNNUMBERED)
+            let at = self.tag_bits.binary_search_by_key(tag, |&(t, _)| t);
+            at.ok().map(|at| self.tag_bits[at].1)
         };
         self.masked().then(|| {
             tags.ids()
@@ -522,6 +489,26 @@ impl DiversificationIndex {
     /// index over no photos has nothing to mask either way.)
     fn masked(&self) -> bool {
         self.kw_masks.len() == self.occupied.len()
+    }
+
+    /// Heap bytes the index holds: the capacity of every column.
+    pub fn heap_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        bytes(&self.occupied)
+            + bytes(&self.starts)
+            + bytes(&self.photos)
+            + bytes(&self.x)
+            + bytes(&self.y)
+            + bytes(&self.near)
+            + bytes(&self.rects)
+            + bytes(&self.psi)
+            + bytes(&self.kw_starts)
+            + bytes(&self.keywords)
+            + bytes(&self.tag_bits)
+            + bytes(&self.tag_masks)
+            + bytes(&self.kw_masks)
     }
 }
 
@@ -666,14 +653,60 @@ mod tests {
 
     #[test]
     fn a_rho_too_small_for_the_extent_is_an_error_not_a_wrapped_grid() {
-        let (photos, members, mut index) = setup();
+        let (photos, members, _) = setup();
         for rho in [1e-8, 1e-12, 1e-300] {
-            let err = index.rebuild(&photos, &members, rho).unwrap_err();
+            let err = DiversificationIndex::build(&photos, &members, rho).unwrap_err();
             assert!(err.to_string().contains("rho"), "{err}");
         }
-        // The failed rebuilds left the previous street in place.
-        assert_eq!(index.occupied().len(), 2);
-        assert_eq!(index.photos().len(), 4);
+    }
+
+    #[test]
+    fn a_high_tag_id_costs_its_pair_not_an_id_sized_table() {
+        // Tag 65 000 is within the numbering table's reach, so the street
+        // is masked; the index keeps one pair for it, not a 65 001-byte row.
+        let mut photos = PhotoCollection::new();
+        for i in 0..12u32 {
+            let pos = Point::new(f64::from(i) * 0.3, f64::from(i % 3) * 0.2);
+            photos.add(pos, tags(&[i % 4, 65_000 - i % 2]));
+        }
+        let members: Vec<PhotoId> = photos.iter().map(|p| p.id).collect();
+        let index = DiversificationIndex::build(&photos, &members, 1.0).unwrap();
+        let (r, c, k) = (
+            index.photos().len(),
+            index.occupied().len(),
+            index.keywords.len(),
+        );
+        assert!(
+            index.heap_bytes() <= 128 * (r + c + k),
+            "{} heap bytes for |Rs| {r}, {c} cells, {k} cell keywords",
+            index.heap_bytes()
+        );
+        // The id-indexed table the build numbers through, fed the members
+        // in the same cell-major order, answers every lookup alike.
+        let mut table = TagNumbering::default();
+        for &id in index.photos() {
+            table
+                .mask(photos.get(id).tags.ids())
+                .expect("at most 64 tags");
+        }
+        let by_table = |set: &KeywordSet| {
+            set.ids()
+                .iter()
+                .filter_map(|t| table.bit.get(t.index()).filter(|&&b| b != UNNUMBERED))
+                .fold(0u64, |mask, &bit| mask | 1 << bit)
+        };
+        for member in 0..r {
+            let photo = photos.get(index.photos()[member]);
+            assert_eq!(index.member_tag_mask(member), Some(by_table(&photo.tags)));
+        }
+        for set in [
+            &[0, 65_000][..],
+            &[3, 7, 64_999, 65_001],
+            &[],
+            &[65_000, 70_000],
+        ] {
+            assert_eq!(index.tag_mask(&tags(set)), Some(by_table(&tags(set))));
+        }
     }
 
     #[test]

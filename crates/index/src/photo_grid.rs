@@ -93,25 +93,8 @@ impl PhotoGrid {
         street: StreetId,
         eps: f64,
     ) -> Vec<PhotoId> {
-        let (mut cells, mut result) = (Vec::new(), Vec::new());
-        self.photos_near_street_into(network, photos, street, eps, &mut cells, &mut result);
-        result
-    }
-
-    /// Allocation-reusing form of
-    /// [`photos_near_street`](Self::photos_near_street): clears `out` and
-    /// fills it with `Rs`; `cells` is scratch for the candidate cells.
-    pub fn photos_near_street_into(
-        &self,
-        network: &RoadNetwork,
-        photos: &PhotoCollection,
-        street: StreetId,
-        eps: f64,
-        cells: &mut Vec<CellId>,
-        out: &mut Vec<PhotoId>,
-    ) {
         let segments = &network.street(street).segments;
-        cells.clear();
+        let mut cells = Vec::new();
         for &seg in segments {
             let geom = network.segment(seg).geom;
             self.grid
@@ -121,8 +104,8 @@ impl PhotoGrid {
         cells.dedup();
 
         let eps_sq = eps * eps;
-        out.clear();
-        for &cell in cells.iter() {
+        let mut out = Vec::new();
+        for &cell in &cells {
             for &pid in self.cell_photos(cell) {
                 let pos = photos.get(pid).pos;
                 let within = segments
@@ -135,6 +118,7 @@ impl PhotoGrid {
         }
         out.sort_unstable();
         out.dedup();
+        out
     }
 }
 
@@ -203,24 +187,6 @@ mod tests {
                 assert_eq!(via_grid, brute, "street {} eps {eps}", street.id);
             }
         }
-    }
-
-    #[test]
-    fn into_form_forgets_what_its_buffers_held() {
-        let (network, photos, grid) = setup();
-        let (mut cells, mut out) = (Vec::new(), Vec::new());
-        grid.photos_near_street_into(&network, &photos, StreetId(1), 0.5, &mut cells, &mut out);
-        let far = (cells.clone(), out.clone());
-        assert_eq!(
-            far.1,
-            grid.photos_near_street(&network, &photos, StreetId(1), 0.5)
-        );
-        // The larger street in between leaves nothing behind, in the answer
-        // or in the scratch (which would otherwise grow job after job).
-        grid.photos_near_street_into(&network, &photos, StreetId(0), 3.0, &mut cells, &mut out);
-        assert_eq!(out.len(), 2);
-        grid.photos_near_street_into(&network, &photos, StreetId(1), 0.5, &mut cells, &mut out);
-        assert_eq!((cells, out), far);
     }
 
     #[test]

@@ -313,11 +313,7 @@ proptest! {
             }
         }
 
-        // The index under test is rebuilt in place over whatever an earlier,
-        // larger build (every photo, another ρ) left in its arrays.
-        let everyone: Vec<PhotoId> = photos.iter().map(|p| p.id).collect();
-        let mut index = DiversificationIndex::build(&photos, &everyone, 0.8).expect("indexable");
-        index.rebuild(&photos, &members, RHO).expect("indexable");
+        let index = DiversificationIndex::build(&photos, &members, RHO).expect("indexable");
 
         // The reference, built the way the hash-of-vecs index was: one
         // photo list, tag-count range and keyword union per occupied cell.
@@ -452,10 +448,7 @@ proptest! {
             None => (&photos).into(),
         };
 
-        // Rebuilt in place over what a larger street left in the columns.
-        let everyone: Vec<PhotoId> = photos.iter().map(|p| p.id).collect();
-        let mut index = DiversificationIndex::build(&photos, &everyone, 2.0 * RHO).expect("indexable");
-        index.rebuild(view, &members, RHO).expect("indexable");
+        let index = DiversificationIndex::build(view, &members, RHO).expect("indexable");
         let grid = index.grid();
         prop_assert_eq!(index.photos().len(), members.len());
         let distinct_tags = KeywordSet::from_ids(members.iter().flat_map(|&id| view.get(id).tags.iter())).len();

@@ -32,7 +32,8 @@ pub mod spans {
     /// Alg. 1 street-level aggregation and top-k ranking after refinement.
     pub const SOI_RANK: &str = "soi.rank";
     /// Building one street's description context ahead of Alg. 2: `Rs`
-    /// extraction, `Φs`, and the diversification-index rebuild.
+    /// extraction, `Φs`, and the diversification index (once per street
+    /// and epoch when served).
     pub const DESCRIBE_CONTEXT: &str = "describe.context";
     /// One greedy diversification round of Alg. 2 (per selected photo).
     pub const DESCRIBE_ROUND: &str = "describe.round";
@@ -66,6 +67,17 @@ pub mod spans {
     pub const CLI_LOAD: &str = "cli.load";
     /// One HTTP request handled by the serving layer (parse to response).
     pub const SERVE_REQUEST: &str = "serve.request";
+}
+
+/// Metric names that more than one crate refers to (the instrument and the
+/// tests or tools that read it).
+pub mod metrics {
+    /// `/describe` jobs that built their street's context: the first touch
+    /// of the street in its epoch.
+    pub const DESCRIBE_CONTEXTS_BUILT: &str = "soi_serve_describe_contexts_built_total";
+    /// `/describe` jobs that read a street context an earlier job of the
+    /// same epoch built.
+    pub const DESCRIBE_CONTEXTS_REUSED: &str = "soi_serve_describe_contexts_reused_total";
 }
 
 /// Whether `name` belongs to the canonical span taxonomy: a phase name, a

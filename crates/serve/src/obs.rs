@@ -15,6 +15,7 @@ use soi_obs::metrics::{
     register_windowed_histogram, Counter, Gauge, Histogram, WindowedCounter, WindowedHistogram,
     DEFAULT_LATENCY_BUCKETS,
 };
+use soi_obs::names::metrics as names;
 use std::sync::OnceLock;
 
 /// Slots in the rolling-window wheel.
@@ -65,6 +66,13 @@ pub struct ServeMetrics {
     pub errors_window: &'static WindowedCounter,
     /// `soi_serve_partials_window`: partial responses inside the window.
     pub partials_window: &'static WindowedCounter,
+    /// `soi_serve_describe_contexts_built_total`: `/describe` jobs that
+    /// built their street's context (the first touch of the street in its
+    /// epoch).
+    pub describe_contexts_built: &'static Counter,
+    /// `soi_serve_describe_contexts_reused_total`: `/describe` jobs that
+    /// read a context an earlier job of the same epoch built.
+    pub describe_contexts_reused: &'static Counter,
     /// `soi_ingest_batches_total`: accepted `POST /ingest` batches.
     pub ingest_batches: &'static Counter,
     /// `soi_ingest_ops_total`: delta ops accepted across all batches.
@@ -158,6 +166,14 @@ pub fn serve_metrics() -> &'static ServeMetrics {
             WINDOW_SLOTS,
             WINDOW_SLOT_SECS,
         ),
+        describe_contexts_built: register_counter(
+            names::DESCRIBE_CONTEXTS_BUILT,
+            "/describe jobs that built their street context (first touch in the epoch)",
+        ),
+        describe_contexts_reused: register_counter(
+            names::DESCRIBE_CONTEXTS_REUSED,
+            "/describe jobs that read a street context stored in the epoch",
+        ),
         ingest_batches: register_counter(
             "soi_ingest_batches_total",
             "Accepted POST /ingest batches",
@@ -211,6 +227,8 @@ mod tests {
             "soi_serve_shed_window",
             "soi_serve_errors_window",
             "soi_serve_partials_window",
+            names::DESCRIBE_CONTEXTS_BUILT,
+            names::DESCRIBE_CONTEXTS_REUSED,
             "soi_ingest_batches_total",
             "soi_ingest_ops_total",
             "soi_ingest_rejected_total",

@@ -21,9 +21,9 @@
 //! ```
 //!
 //! No thread is spawned and no barrier is crossed per request: a job waits
-//! only for *a* worker to come free, never for the slowest job of a batch,
-//! and `/describe` rebuilds its worker's street context in place, inside
-//! the engine job.
+//! only for *a* worker to come free, never for the slowest job of a batch.
+//! `/describe` reads its street's context from the pinned epoch's table;
+//! the first job on a street in an epoch builds it, inside that engine job.
 //!
 //! ### Overload semantics
 //!
@@ -60,7 +60,9 @@ use crate::http::{self, Limits};
 use crate::queue::{AdmissionQueue, Job, JobKind, Slot, SlotMeta};
 use crate::ring::{RequestRecord, RequestRing};
 use soi_common::{ErrorCategory, Result, SoiError};
-use soi_core::describe::{ContextBuilder, DescribeOutcome, DescribeParams, PhiSource};
+use soi_core::describe::{
+    ContextBuilder, DescribeOutcome, DescribeParams, PhiSource, StreetContexts,
+};
 use soi_core::soi::{SoiOutcome, SoiQuery};
 use soi_core::QueryBudget;
 use soi_data::Dataset;
@@ -286,6 +288,10 @@ struct EpochState {
     /// Running [`soi_index::ops_hasher`] state over the applied prefix;
     /// extended at each fold so no applied line needs retaining.
     applied_hasher: Fnv64,
+    /// `/describe`'s street contexts over this epoch's base and delta,
+    /// built on first touch. Every epoch starts with an empty table, so no
+    /// context outlives the delta it was built with.
+    contexts: StreetContexts,
 }
 
 impl EpochState {
@@ -432,6 +438,7 @@ pub fn serve(
         )),
     };
     let applied_hasher = soi_index::ops_hasher(&log_lines[..applied_ops as usize]);
+    let contexts = StreetContexts::new(base_dataset.network.num_streets());
     let state = EpochState {
         epoch: boundaries.len() as u64 + u64::from(delta.is_some()),
         dataset: Arc::new(base_dataset),
@@ -443,6 +450,7 @@ pub fn serve(
         applied_ops,
         boundaries,
         applied_hasher,
+        contexts,
     };
     {
         let metrics = crate::obs::serve_metrics();
@@ -1506,6 +1514,7 @@ fn ingest_post(
             applied_ops: state.applied_ops,
             boundaries: state.boundaries.clone(),
             applied_hasher: state.applied_hasher.clone(),
+            contexts: StreetContexts::new(state.dataset.network.num_streets()),
         };
         (next, false)
     };
@@ -1611,6 +1620,7 @@ fn fold_epoch(
         applied_ops,
         boundaries,
         applied_hasher,
+        contexts: StreetContexts::new(state.dataset.network.num_streets()),
     })
 }
 
@@ -1859,11 +1869,20 @@ fn run_job(shared: &Shared<'_>, worker: &mut EngineWorker, job: Job, queue_wait:
                 rho: shared.config.rho,
                 phi_source: PhiSource::Photos,
             };
-            // The context build runs inside the engine job (a failed one,
-            // e.g. an unknown street, is that job's error).
             let delta = state.delta.as_deref();
-            let run =
-                worker.run_describe_street(&builder, delta, *street, params, job.budget, capture);
+            // Resolved inside the engine job: a first touch's build is this
+            // job's time and, if it fails, this job's error.
+            let context = || {
+                let (ctx, built) = state.contexts.get_or_build(&builder, *street, delta)?;
+                let metrics = crate::obs::serve_metrics();
+                match built {
+                    true => metrics.describe_contexts_built.inc(),
+                    false => metrics.describe_contexts_reused.inc(),
+                }
+                Ok((ctx, built))
+            };
+            let photos = builder.photo_view(delta);
+            let run = worker.run_describe(context, photos, params, job.budget, capture);
             job_response(shared, run, |outcome: &DescribeOutcome| {
                 (outcome.partial, 0, describe_outcome_body(outcome))
             })

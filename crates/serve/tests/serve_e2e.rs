@@ -984,7 +984,8 @@ fn describe_rejects_a_negative_street_id_instead_of_answering_for_street_zero() 
 
 /// Regression: under `--rho 1e-8` a street's grid of ρ/2 cells has more cells
 /// than can be numbered, and building it panicked the worker on every
-/// `/describe` (a caught panic, a 500). It is the request's 400.
+/// `/describe` (a caught panic, a 500). It is the request's 400 — and the
+/// repeat's: the epoch stores built contexts, not failed builds.
 #[test]
 fn describe_under_a_rho_too_small_for_the_street_is_a_400_not_a_panic() {
     let config = ServeConfig {
@@ -995,13 +996,20 @@ fn describe_under_a_rho_too_small_for_the_street_is_a_400_not_a_panic() {
         let mut refused = 0;
         for street in 0..20 {
             let body = format!("{{\"street\":{street},\"k\":3,\"deadline_ms\":30000}}");
-            let r = request(addr, "POST", "/describe", Some(&body), TIMEOUT).expect("describe");
+            let [first, repeat] = [(); 2].map(|()| {
+                request(addr, "POST", "/describe", Some(&body), TIMEOUT).expect("describe")
+            });
+            assert_eq!(
+                (first.status, without_request_id(&first.body)),
+                (repeat.status, without_request_id(&repeat.body)),
+                "street {street}"
+            );
             // A street of one photo, or none, still has a grid.
-            if r.status != 200 {
-                assert_eq!(r.status, 400, "street {street}: {}", r.body);
-                let doc = parse(&r.body).expect("valid JSON");
+            if first.status != 200 {
+                assert_eq!(first.status, 400, "street {street}: {}", first.body);
+                let doc = parse(&first.body).expect("valid JSON");
                 assert_eq!(doc.get("category").and_then(Json::as_str), Some("usage"));
-                assert!(r.body.contains("rho"), "{}", r.body);
+                assert!(first.body.contains("rho"), "{}", first.body);
                 refused += 1;
             }
         }

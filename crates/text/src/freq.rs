@@ -10,24 +10,51 @@ use soi_common::KeywordId;
 /// of sizing the column.
 const DENSE_IDS: usize = 1 << 16;
 
+/// [`shrink_to_fit`](FreqVector::shrink_to_fit) folds a dense column into
+/// the sorted side list when it spans more than this many ids per keyword
+/// it holds and more than [`DENSE_IDS_KEPT`] ids.
+const DENSE_IDS_PER_KEY: usize = 4;
+
+/// The widest dense column (2 KB) kept whatever its keyword count: a
+/// lookup there is one load, in the side list a binary search, and
+/// Alg. 2 looks up every tag of every photo it scores.
+const DENSE_IDS_KEPT: usize = 256;
+
 /// A keyword frequency vector with a cached L1 norm.
 ///
 /// The textual aspect of a street `s` is captured by `Φs`, which records the
 /// strength of each keyword associated with `s` (Sec. 4.1.2). The textual
 /// relevance of a photo (Definition 6) divides the summed frequencies of its
 /// tags by `‖Φs‖₁`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct FreqVector {
+    /// Ids below this go to `dense`, the rest to the side list:
+    /// [`DENSE_IDS`], or 0 once [`shrink_to_fit`](Self::shrink_to_fit) has
+    /// folded a sparse column away.
+    dense_limit: usize,
     /// `dense[k]` is the weight of keyword `k`, for the ids below
-    /// [`DENSE_IDS`] up to the largest one seen.
+    /// `dense_limit` up to the largest one seen.
     dense: Vec<f64>,
     /// The keywords with a non-zero weight in `dense`, in order of first
     /// addition: what [`clear`](Self::clear) has to zero.
     dense_keys: Vec<KeywordId>,
-    /// The keywords from [`DENSE_IDS`] up, ascending, and their weights.
+    /// The keywords from `dense_limit` up, ascending, and their weights.
     sparse_keys: Vec<KeywordId>,
     sparse_weights: Vec<f64>,
     l1: f64,
+}
+
+impl Default for FreqVector {
+    fn default() -> Self {
+        Self {
+            dense_limit: DENSE_IDS,
+            dense: Vec::new(),
+            dense_keys: Vec::new(),
+            sparse_keys: Vec::new(),
+            sparse_weights: Vec::new(),
+            l1: 0.0,
+        }
+    }
 }
 
 impl FreqVector {
@@ -66,7 +93,7 @@ impl FreqVector {
             return;
         }
         let id = k.index();
-        let slot = if id < DENSE_IDS {
+        let slot = if id < self.dense_limit {
             if id >= self.dense.len() {
                 self.dense.resize(id + 1, 0.0);
             }
@@ -96,7 +123,7 @@ impl FreqVector {
     /// The weight of keyword `k` (0 if absent).
     #[inline]
     pub fn weight(&self, k: KeywordId) -> f64 {
-        if k.index() < DENSE_IDS {
+        if k.index() < self.dense_limit {
             self.dense.get(k.index()).copied().unwrap_or(0.0)
         } else {
             match self.sparse_keys.binary_search(&k) {
@@ -114,6 +141,45 @@ impl FreqVector {
     /// Number of keywords with non-zero weight.
     pub fn len(&self) -> usize {
         self.dense_keys.len() + self.sparse_keys.len()
+    }
+
+    /// Drops spare capacity, for a vector that is kept rather than
+    /// refilled. A wide dense column spanning more than a few ids per
+    /// keyword it holds (a street that shows tag 65 000 and ten others) is
+    /// folded into the sorted side list, so the vector's bytes follow its
+    /// keywords, not its largest id. Weights, the norm and every lookup are
+    /// unchanged.
+    pub fn shrink_to_fit(&mut self) {
+        let ids = self.dense.len();
+        if ids > DENSE_IDS_KEPT && ids > DENSE_IDS_PER_KEY * self.dense_keys.len() {
+            let mut pairs: Vec<(KeywordId, f64)> = self
+                .dense_keys
+                .iter()
+                .map(|&k| (k, self.dense[k.index()]))
+                .chain(
+                    self.sparse_keys
+                        .iter()
+                        .copied()
+                        .zip(self.sparse_weights.iter().copied()),
+                )
+                .collect();
+            pairs.sort_unstable_by_key(|&(k, _)| k);
+            (self.sparse_keys, self.sparse_weights) = pairs.into_iter().unzip();
+            (self.dense, self.dense_keys) = (Vec::new(), Vec::new());
+            self.dense_limit = 0;
+        }
+        self.dense.shrink_to_fit();
+        self.dense_keys.shrink_to_fit();
+        self.sparse_keys.shrink_to_fit();
+        self.sparse_weights.shrink_to_fit();
+    }
+
+    /// Heap bytes the vector holds (the capacity of its columns).
+    pub fn heap_bytes(&self) -> usize {
+        self.dense.capacity() * std::mem::size_of::<f64>()
+            + (self.dense_keys.capacity() + self.sparse_keys.capacity())
+                * std::mem::size_of::<KeywordId>()
+            + self.sparse_weights.capacity() * std::mem::size_of::<f64>()
     }
 
     /// Returns true if the vector is all-zero.
@@ -162,6 +228,31 @@ mod tests {
 
     fn kid(i: u32) -> KeywordId {
         KeywordId(i)
+    }
+
+    #[test]
+    fn shrinking_a_sparse_column_keeps_every_weight_and_drops_the_column() {
+        let mut v = FreqVector::new();
+        for (k, w) in [(65_000, 2.0), (3, 1.0), (70_000, 0.5), (3, 4.0), (900, 1.5)] {
+            v.add(kid(k), w);
+        }
+        let before: Vec<f64> = [3, 900, 65_000, 70_000, 4, 64_999]
+            .map(|k| v.weight(kid(k)))
+            .to_vec();
+        assert!(v.heap_bytes() > 65_000 * 8);
+        let (l1, len) = (v.l1_norm(), v.len());
+        v.shrink_to_fit();
+        assert!(v.heap_bytes() <= 4 * 12, "{} bytes", v.heap_bytes());
+        let after: Vec<f64> = [3, 900, 65_000, 70_000, 4, 64_999]
+            .map(|k| v.weight(kid(k)))
+            .to_vec();
+        assert_eq!(before, after);
+        assert_eq!((v.l1_norm().to_bits(), v.len()), (l1.to_bits(), len));
+        // Still a working vector: a later add lands in the side list.
+        v.add(kid(5), 1.0);
+        assert_eq!((v.weight(kid(5)), v.len()), (1.0, len + 1));
+        v.clear();
+        assert!(v.is_empty() && v.weight(kid(3)) == 0.0);
     }
 
     #[test]

@@ -10,12 +10,15 @@
 //! so the ceiling below is exact arithmetic and CI runs it in release mode
 //! beside the determinism suite.
 //!
-//! A describe job on an engine worker refills that worker's street
-//! context, diversification index and Alg. 2 tables in place; what is left
-//! is the answer vector and the job's bookkeeping, whatever `|Rs|` is.
+//! A describe job on an engine worker refills that worker's Alg. 2 tables
+//! in place and reads its street context from the epoch's table; what is
+//! left is the answer vector and the job's bookkeeping, whatever `|Rs|` is.
+//! The job that first touches a street builds its context, into columns
+//! allocated at their final length: a bounded number of allocations, not
+//! one per photo.
 
 use soi_common::StreetId;
-use soi_core::describe::{ContextBuilder, DescribeParams, PhiSource};
+use soi_core::describe::{ContextBuilder, DescribeParams, PhiSource, StreetContexts};
 use soi_core::soi::{run_soi_with_scratch, SoiConfig, SoiQuery, SoiScratch};
 use soi_core::QueryBudget;
 use soi_engine::{EngineWorker, QueryCapture};
@@ -86,10 +89,19 @@ fn warm_queries_allocate_a_few_dozen_times_whatever_they_visit() {
     }
 }
 
-/// Allocations a warm describe job may make: the selection vector, the
-/// phase timer's first push, and nothing per photo or per cell. The
-/// fixture's jobs make 2.
-const WARM_DESCRIBE_ALLOCS_CEILING: u64 = 32;
+/// Allocations a warm describe job may make: the 2 every job of the
+/// fixture makes (the selection vector and the phase timer's first push),
+/// plus the same 5 of slack as the `/soi` gate.
+const WARM_DESCRIBE_ALLOCS_CEILING: u64 = 7;
+
+/// Allocations a job that builds its street's context may make on a warm
+/// worker: the fixture's first touches make 60, 67 and 72 at `|Rs|` 246,
+/// 798 and 2 492, plus 5 of slack. The index's columns are sized before
+/// they are filled; what grows by doubling is `Rs` itself, `Φs`, the
+/// candidate cells, the cells' keyword unions and the tag numbering, so the
+/// count rises with `log |Rs|`. One allocation per member photo would add
+/// hundreds.
+const FIRST_TOUCH_ALLOCS_CEILING: u64 = 77;
 
 #[test]
 fn warm_describe_jobs_allocate_the_same_few_times_whatever_rs_holds() {
@@ -133,11 +145,10 @@ fn warm_describe_jobs_allocate_the_same_few_times_whatever_rs_holds() {
         })
         .collect();
     let mut worker = EngineWorker::default();
-    let mut run = |(street, params): &(StreetId, DescribeParams)| {
-        let run = worker.run_describe_street(
-            &builder,
-            None,
-            *street,
+    let mut run = |table: &StreetContexts, (street, params): &(StreetId, DescribeParams)| {
+        let run = worker.run_describe(
+            || table.get_or_build(&builder, *street, None),
+            (&dataset.photos).into(),
             params,
             QueryBudget::unlimited(),
             QueryCapture::default(),
@@ -146,9 +157,15 @@ fn warm_describe_jobs_allocate_the_same_few_times_whatever_rs_holds() {
         assert_eq!(outcome.selected.len(), params.k, "degenerate fixture");
         (run.alloc.allocs, outcome.stats.photos_evaluated)
     };
-    let cold: Vec<u64> = jobs.iter().map(|job| run(job).0).collect();
-    // Two warm passes: the second must repeat the first exactly.
-    let warm: Vec<(u64, usize)> = jobs.iter().chain(&jobs).map(&mut run).collect();
+    let table = StreetContexts::new(dataset.network.num_streets());
+    let cold: Vec<u64> = jobs.iter().map(|job| run(&table, job).0).collect();
+    // Two warm passes over the stored contexts: the second must repeat the
+    // first exactly.
+    let warm: Vec<(u64, usize)> = jobs
+        .iter()
+        .chain(&jobs)
+        .map(|job| run(&table, job))
+        .collect();
     let (first, second) = warm.split_at(jobs.len());
     assert_eq!(first, second, "allocation and work counts must repeat");
     for (&(allocs, evaluated), &cold) in first.iter().zip(&cold) {
@@ -160,6 +177,21 @@ fn warm_describe_jobs_allocate_the_same_few_times_whatever_rs_holds() {
         assert!(
             evaluated as u64 > 20 * WARM_DESCRIBE_ALLOCS_CEILING,
             "fixture too small to tell per-photo allocation apart: {evaluated} photos"
+        );
+    }
+    // A fresh table on the warm worker: each street's first job builds its
+    // context, and only the build is new.
+    let fresh = StreetContexts::new(dataset.network.num_streets());
+    for (job, &(rs, _)) in jobs.iter().step_by(2).zip(&streets) {
+        let (allocs, _) = run(&fresh, job);
+        assert!(
+            allocs <= FIRST_TOUCH_ALLOCS_CEILING,
+            "first-touch job on |Rs| {rs} made {allocs} allocations \
+             (ceiling {FIRST_TOUCH_ALLOCS_CEILING})"
+        );
+        assert!(
+            rs as u64 > 2 * FIRST_TOUCH_ALLOCS_CEILING,
+            "fixture too small to tell per-photo allocation apart: |Rs| {rs}"
         );
     }
 }
