@@ -25,7 +25,7 @@
 //! - [`DiversificationIndex`]: the per-street grid with cell side ρ/2 whose
 //!   cells hold the photo list, the cell keyword set `c.Ψ`, and the min/max
 //!   tag counts `c.ψmin` / `c.ψmax` that drive the bounds of Eqs. 11–18 —
-//!   flat arrays, rebuilt in place street after street.
+//!   flat columns, built once per street and epoch and kept at their length.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,13 +51,8 @@ pub use epsilon::EpsilonMaps;
 pub use ir_tree::{IrTree, KeywordSummary, PoiEntry};
 pub use photo_grid::PhotoGrid;
 pub use poi_index::{PoiCell, PoiIndex};
-pub use view::{mass_within, IndexView};
-// Re-exported so downstream crates can resume the [`ops_hasher`] state
-// without a direct soi-snapshot dependency.
 pub use snapshot::{
-    build_bundle, dataset_fingerprint, fold_dataset, ops_fingerprint, ops_hasher, read_bundle,
-    read_bundle_with_fingerprint, read_ingest_meta, write_bundle, write_bundle_ingested,
-    BundleParams, CacheMode, CacheOutcome, IndexBundle, IndexCache, IngestMeta, IngestedLoad,
-    ReadOutcome,
+    build_bundle, dataset_fingerprint, fold_dataset, read_bundle, write_bundle, BundleParams,
+    CacheMode, CacheOutcome, IndexBundle, IndexCache, ReadOutcome,
 };
-pub use soi_snapshot::Fnv64;
+pub use view::{mass_within, IndexView};

@@ -536,36 +536,15 @@ pub fn write_bundle(
     bundle: &IndexBundle,
     params: &BundleParams,
 ) -> Result<u64> {
-    write_bundle_with(path, dataset, bundle, params, None)
+    write_bundle_with(path, dataset_fingerprint(dataset), bundle, params)
 }
 
-/// [`write_bundle`] plus an `ingest.meta` section recording which prefix
-/// of a delta-ops log is already folded into `dataset` (see [`IngestMeta`]).
-/// The `cache.meta` stamp keeps its exact 4-value shape, so these
-/// snapshots stay readable by [`read_bundle`].
-///
-/// # Errors
-/// As [`write_bundle`]; additionally rejects an inconsistent `ingest`
-/// stamp (non-ascending boundaries, last boundary ≠ applied ops).
-pub fn write_bundle_ingested(
-    path: &Path,
-    dataset: &Dataset,
-    bundle: &IndexBundle,
-    params: &BundleParams,
-    ingest: &IngestMeta,
-) -> Result<u64> {
-    ingest
-        .validate()
-        .map_err(|m| SoiError::invalid(format!("ingest meta: {m}")))?;
-    write_bundle_with(path, dataset, bundle, params, Some(ingest))
-}
-
+/// [`write_bundle`] with a precomputed dataset fingerprint.
 fn write_bundle_with(
     path: &Path,
-    dataset: &Dataset,
+    fingerprint: u64,
     bundle: &IndexBundle,
     params: &BundleParams,
-    ingest: Option<&IngestMeta>,
 ) -> Result<u64> {
     let _span = soi_obs::trace::span(soi_obs::names::spans::SNAPSHOT_WRITE);
     let start = Instant::now();
@@ -573,23 +552,12 @@ fn write_bundle_with(
     w.u64s(
         "cache.meta",
         &[
-            dataset_fingerprint(dataset),
+            fingerprint,
             META_FLAGS,
             params.poi_cell.to_bits(),
             params.pg_cell.to_bits(),
         ],
     )?;
-    if let Some(meta) = ingest {
-        let mut vals = Vec::with_capacity(4 + meta.boundaries.len());
-        vals.extend([
-            meta.epoch,
-            meta.applied_ops,
-            meta.ops_fp,
-            meta.boundaries.len() as u64,
-        ]);
-        vals.extend_from_slice(&meta.boundaries);
-        w.u64s("ingest.meta", &vals)?;
-    }
     write_poi_index(&mut w, "poi", &bundle.poi)?;
     write_photo_grid(&mut w, "pg", &bundle.photo_grid)?;
     let bytes = w.write_to(path)?;
@@ -608,18 +576,13 @@ fn write_bundle_with(
 /// A *stale* snapshot — valid container, different dataset or params — is
 /// not an error: it returns [`ReadOutcome::Stale`].
 pub fn read_bundle(path: &Path, dataset: &Dataset, params: &BundleParams) -> Result<ReadOutcome> {
-    read_bundle_with_fingerprint(path, dataset, params, dataset_fingerprint(dataset))
+    read_bundle_with(path, dataset, params, dataset_fingerprint(dataset))
 }
 
-/// [`read_bundle`] with a precomputed dataset fingerprint.
-///
-/// Fingerprinting walks every node, segment, POI, and photo; callers that
-/// already hold the value — the cache keys snapshot *file names* by the
-/// same fingerprint — skip hashing the dataset a second time.
-///
-/// # Errors
-/// As [`read_bundle`].
-pub fn read_bundle_with_fingerprint(
+/// [`read_bundle`] with a precomputed dataset fingerprint: the cache keys
+/// snapshot *file names* by the same value, so a lookup walks the dataset
+/// once.
+fn read_bundle_with(
     path: &Path,
     dataset: &Dataset,
     params: &BundleParams,
@@ -665,77 +628,16 @@ pub fn read_bundle_with_fingerprint(
 }
 
 // ---------------------------------------------------------------------------
-// Live ingestion metadata
+// Delta-log replay
 // ---------------------------------------------------------------------------
 
-/// Provenance of an ingested (folded) bundle: which prefix of the delta
-/// ops log is already compacted into the base this snapshot carries, and
-/// at which epoch boundaries the folds happened.
-///
-/// Fold boundaries are semantic, not cosmetic: every fold reassigns dense
-/// ids (base survivors first, then added survivors), and delta ops address
-/// the id space of the epoch they were accepted in. Replaying a log over
-/// the original base reproduces the persisted structures only when the
-/// folds happen at exactly the recorded boundaries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IngestMeta {
-    /// The epoch id the persisted base was materialised at.
-    pub epoch: u64,
-    /// How many leading log lines are folded into the persisted base.
-    /// Lines past this point are still pending deltas at restart.
-    pub applied_ops: u64,
-    /// [`ops_fingerprint`] over the raw log lines `[..applied_ops]`;
-    /// detects a rewritten or truncated log before any fold work.
-    pub ops_fp: u64,
-    /// Ascending fold points within `[..applied_ops]`; when any exist,
-    /// the last one equals `applied_ops`.
-    pub boundaries: Vec<u64>,
-}
-
-impl IngestMeta {
-    fn validate(&self) -> std::result::Result<(), String> {
-        if let Some(w) = self.boundaries.windows(2).find(|w| w[0] >= w[1]) {
-            return Err(format!("fold boundaries not ascending at {}", w[1]));
-        }
-        match self.boundaries.last() {
-            Some(&last) if last != self.applied_ops => Err(format!(
-                "last fold boundary {last} != applied ops {}",
-                self.applied_ops
-            )),
-            None if self.applied_ops != 0 => Err(format!(
-                "{} applied ops but no fold boundaries",
-                self.applied_ops
-            )),
-            _ => Ok(()),
-        }
-    }
-}
-
-/// FNV-64 hasher state over a delta-ops log prefix: each raw line
-/// (trimmed, so trailing-newline differences don't matter, and
-/// length-prefixed by `write_str`, so concatenation is unambiguous) in
-/// order. Exposed as a resumable state so a live server can extend the
-/// fingerprint incrementally at each fold without retaining every
-/// applied line.
-pub fn ops_hasher<S: AsRef<str>>(lines: &[S]) -> Fnv64 {
-    let mut h = Fnv64::new();
-    for line in lines {
-        h.write_str(line.as_ref().trim());
-    }
-    h
-}
-
-/// FNV-64 fingerprint of a delta-ops log prefix (see [`ops_hasher`]).
-/// Keys an ingested snapshot to the exact accepted-op sequence it
-/// folded.
-pub fn ops_fingerprint<S: AsRef<str>>(lines: &[S]) -> u64 {
-    ops_hasher(lines).finish()
-}
-
 /// Folds a delta-ops log into `base`, one [`fold_ops`](crate::fold_ops)
-/// batch per recorded epoch boundary (see [`IngestMeta::boundaries`]).
-/// Only lines up to the last boundary are applied; the tail is the next
-/// epoch's pending delta and is left to the caller.
+/// batch per boundary: `boundaries` are the ascending line counts at which
+/// the folds happened. They are semantic, not cosmetic: every fold
+/// reassigns dense ids (base survivors first, then added survivors), and an
+/// op addresses the id space of the epoch it was accepted in. Only lines up
+/// to the last boundary are applied; the tail is the next epoch's pending
+/// delta and is left to the caller.
 ///
 /// Lines are parsed against the base vocabulary; every line must be one
 /// accepted op (the log is written post-validation, so blank or rejected
@@ -782,47 +684,6 @@ pub fn fold_dataset<S: AsRef<str>>(
         pois,
         photos,
     ))
-}
-
-/// Reads the [`IngestMeta`] stamped into the snapshot at `path`, or
-/// `None` for snapshots written without one ([`write_bundle`]). Touches
-/// only the section table plus one small section — cheap enough to probe
-/// at startup before deciding how much of the ops log to replay.
-///
-/// # Errors
-/// A missing or corrupt container, or a malformed `ingest.meta` section.
-pub fn read_ingest_meta(path: &Path) -> Result<Option<IngestMeta>> {
-    read_ingest_meta_from(&Snapshot::open(path)?)
-}
-
-fn read_ingest_meta_from(snapshot: &Snapshot) -> Result<Option<IngestMeta>> {
-    if !snapshot.has("ingest.meta") {
-        return Ok(None);
-    }
-    let vals = snapshot.u64s("ingest.meta")?;
-    let bad = |msg: String| corrupt(snapshot.path(), format!("`ingest.meta`: {msg}"));
-    if vals.len() < 4 {
-        return Err(bad(format!(
-            "must hold at least 4 values, found {}",
-            vals.len()
-        )));
-    }
-    let (head, boundaries) = vals.split_at(4);
-    if boundaries.len() as u64 != head[3] {
-        return Err(bad(format!(
-            "claims {} boundaries, found {}",
-            head[3],
-            boundaries.len()
-        )));
-    }
-    let meta = IngestMeta {
-        epoch: head[0],
-        applied_ops: head[1],
-        ops_fp: head[2],
-        boundaries: boundaries.to_vec(),
-    };
-    meta.validate().map_err(bad)?;
-    Ok(Some(meta))
 }
 
 // ---------------------------------------------------------------------------
@@ -896,17 +757,23 @@ impl IndexCache {
         self.dir.join(format!("{name}-{key:016x}.soisnap"))
     }
 
-    /// The live-ingestion snapshot path for `base` under `params`.
+    /// Writes `bundle` as `dataset`'s snapshot under `params` — the file
+    /// [`IndexCache::load_or_build`] finds for that dataset — and returns
+    /// its path. One fingerprint walk names the file and stamps it.
     ///
-    /// Keyed by the *base* (pre-fold) dataset fingerprint, unlike
-    /// [`IndexCache::snapshot_path`]: a restarting server knows the base
-    /// dataset and the ops log, but not the folded content — that is
-    /// exactly what the snapshot at this path reconstructs. One live
-    /// snapshot exists per `(base, params)`; every fold overwrites it.
-    pub fn live_snapshot_path(&self, base: &Dataset, params: &BundleParams) -> PathBuf {
-        let key = snapshot_key(dataset_fingerprint(base), params);
-        let name = sanitised_stem(&base.name);
-        self.dir.join(format!("{name}-{key:016x}-live.soisnap"))
+    /// # Errors
+    /// I/O failures creating the directory or writing the snapshot.
+    pub fn store(
+        &self,
+        dataset: &Dataset,
+        bundle: &IndexBundle,
+        params: &BundleParams,
+    ) -> Result<PathBuf> {
+        std::fs::create_dir_all(&self.dir).map_err(|e| SoiError::io(e, self.dir.clone()))?;
+        let fingerprint = dataset_fingerprint(dataset);
+        let path = self.snapshot_path_with(dataset, params, fingerprint);
+        write_bundle_with(&path, fingerprint, bundle, params)?;
+        Ok(path)
     }
 
     /// Loads the bundle from the cache, or builds (and persists) it.
@@ -927,7 +794,7 @@ impl IndexCache {
         let path = self.snapshot_path_with(dataset, params, fingerprint);
         let mut outcome = CacheOutcome::MissBuilt;
         if path.exists() {
-            let err = match read_bundle_with_fingerprint(&path, dataset, params, fingerprint) {
+            let err = match read_bundle_with(&path, dataset, params, fingerprint) {
                 Ok(ReadOutcome::Loaded(bundle)) => return Ok((*bundle, CacheOutcome::Hit)),
                 // Key-hashed file names make a stale stamp near-impossible:
                 // a file whose stamp disagrees with its own name (an older
@@ -944,121 +811,13 @@ impl IndexCache {
         }
         crate::obs::index_metrics().snapshot_rebuilds.inc();
         let bundle = build_bundle(dataset, params);
-        write_bundle(&path, dataset, &bundle, params)?;
+        write_bundle_with(&path, fingerprint, &bundle, params)?;
         Ok((bundle, outcome))
     }
-
-    /// Loads the ingested bundle for `base` + ops log, or folds, builds,
-    /// and persists it.
-    ///
-    /// On a hit, the snapshot's [`IngestMeta`] names a prefix of `lines`
-    /// (verified by fingerprint) that is folded into the returned dataset
-    /// at the recorded epoch boundaries; the caller replays only
-    /// `lines[meta.applied_ops..]` as the pending delta. On a miss — no
-    /// snapshot, a rewritten log, or different params — the whole log is
-    /// folded as **one** batch (ids in an unfolded log are batch-relative,
-    /// so this is exact for logs that never saw a runtime fold) and a new
-    /// snapshot is written with `applied_ops = lines.len()`.
-    ///
-    /// # Errors
-    /// I/O failures, invalid ops in the log, and — in
-    /// [`CacheMode::Strict`] — any corrupt-snapshot error.
-    pub fn load_or_build_ingested<S: AsRef<str>>(
-        &self,
-        base: &Dataset,
-        params: &BundleParams,
-        lines: &[S],
-    ) -> Result<IngestedLoad> {
-        std::fs::create_dir_all(&self.dir).map_err(|e| SoiError::io(e, self.dir.clone()))?;
-        let path = self.live_snapshot_path(base, params);
-        let mut outcome = CacheOutcome::MissBuilt;
-        if path.exists() {
-            match self.try_load_ingested(&path, base, params, lines) {
-                Ok(Some(load)) => return Ok(load),
-                Ok(None) => {
-                    // Stale stamp (log rewritten, params changed): a miss.
-                }
-                Err(e) => {
-                    if self.mode == CacheMode::Strict {
-                        return Err(e);
-                    }
-                    outcome = CacheOutcome::RebuiltCorrupt;
-                }
-            }
-        }
-        let applied = lines.len() as u64;
-        let boundaries: Vec<u64> = if applied == 0 {
-            Vec::new()
-        } else {
-            vec![applied]
-        };
-        let meta = IngestMeta {
-            epoch: boundaries.len() as u64,
-            applied_ops: applied,
-            ops_fp: ops_fingerprint(lines),
-            boundaries,
-        };
-        let dataset = fold_dataset(base, lines, &meta.boundaries)?;
-        crate::obs::index_metrics().snapshot_rebuilds.inc();
-        let bundle = build_bundle(&dataset, params);
-        write_bundle_ingested(&path, &dataset, &bundle, params, &meta)?;
-        Ok(IngestedLoad {
-            dataset,
-            bundle,
-            meta,
-            outcome,
-        })
-    }
-
-    /// One attempt to satisfy [`IndexCache::load_or_build_ingested`] from
-    /// the snapshot at `path`. `Ok(None)` means a *stale* snapshot (treat
-    /// as a miss); `Err` means a corrupt one.
-    fn try_load_ingested<S: AsRef<str>>(
-        &self,
-        path: &Path,
-        base: &Dataset,
-        params: &BundleParams,
-        lines: &[S],
-    ) -> Result<Option<IngestedLoad>> {
-        let Some(meta) = read_ingest_meta(path)? else {
-            // A plain bundle under the live name has no provenance; a
-            // rebuild with the proper stamp replaces it.
-            return Ok(None);
-        };
-        let applied = meta.applied_ops as usize;
-        if applied > lines.len() || meta.ops_fp != ops_fingerprint(&lines[..applied]) {
-            return Ok(None);
-        }
-        let dataset = fold_dataset(base, &lines[..applied], &meta.boundaries)?;
-        let fingerprint = dataset_fingerprint(&dataset);
-        match read_bundle_with_fingerprint(path, &dataset, params, fingerprint)? {
-            ReadOutcome::Loaded(bundle) => Ok(Some(IngestedLoad {
-                dataset,
-                bundle: *bundle,
-                meta,
-                outcome: CacheOutcome::Hit,
-            })),
-            ReadOutcome::Stale(_) => Ok(None),
-        }
-    }
 }
 
-/// What [`IndexCache::load_or_build_ingested`] produced.
-#[derive(Debug)]
-pub struct IngestedLoad {
-    /// The base dataset folded through `meta.applied_ops` log lines.
-    pub dataset: Dataset,
-    /// The index bundle over that folded dataset.
-    pub bundle: IndexBundle,
-    /// The provenance stamp persisted with the snapshot; `applied_ops`
-    /// tells the caller where the pending tail of the log starts.
-    pub meta: IngestMeta,
-    /// How the bundle was obtained.
-    pub outcome: CacheOutcome,
-}
-
-/// The content part of a snapshot file key (fingerprint + format version
-/// + build params); shared by the plain and live path schemes.
+/// The content part of a snapshot file key: fingerprint, format version
+/// and build params.
 fn snapshot_key(fingerprint: u64, params: &BundleParams) -> u64 {
     let mut h = Fnv64::new();
     h.write_u64(fingerprint);
@@ -1276,48 +1035,6 @@ mod tests {
     }
 
     #[test]
-    fn plain_bundles_carry_no_ingest_meta() {
-        let ds = sample_dataset();
-        let p = params();
-        let bundle = build_bundle(&ds, &p);
-        let path = temp_path("noingest");
-        write_bundle(&path, &ds, &bundle, &p).unwrap();
-        assert_eq!(read_ingest_meta(&path).unwrap(), None);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn ingest_meta_round_trips() {
-        let ds = sample_dataset();
-        let p = params();
-        let bundle = build_bundle(&ds, &p);
-        let path = temp_path("ingestmeta");
-        let meta = IngestMeta {
-            epoch: 7,
-            applied_ops: 12,
-            ops_fp: 0xDEAD_BEEF,
-            boundaries: vec![5, 12],
-        };
-        write_bundle_ingested(&path, &ds, &bundle, &p, &meta).unwrap();
-        assert_eq!(read_ingest_meta(&path).unwrap(), Some(meta));
-        // The extra section does not disturb the plain read path.
-        assert!(matches!(
-            read_bundle(&path, &ds, &p).unwrap(),
-            ReadOutcome::Loaded(_)
-        ));
-        std::fs::remove_file(&path).ok();
-
-        // Inconsistent stamps are rejected at write time.
-        let bad = IngestMeta {
-            epoch: 1,
-            applied_ops: 12,
-            ops_fp: 0,
-            boundaries: vec![5, 9], // last != applied_ops
-        };
-        assert!(write_bundle_ingested(&path, &ds, &bundle, &p, &bad).is_err());
-    }
-
-    #[test]
     fn ingested_cache_replays_only_newer_deltas() {
         let ds = sample_dataset();
         let p = params();
@@ -1330,40 +1047,34 @@ mod tests {
             r#"{"op":"add_photo","x":2.0,"y":1.0,"tags":["museum"]}"#.into(),
             r#"{"op":"del_poi","id":3}"#.into(),
         ];
+        // A folded dataset's bundle is an ordinary snapshot, filed under the
+        // folded content's own key.
+        let folded = fold_dataset(&ds, &log, &[3]).unwrap();
+        assert_eq!(folded.pois.len(), ds.pois.len()); // +1 add, -1 delete
+        assert_eq!(folded.photos.len(), ds.photos.len() + 1);
+        let built = build_bundle(&folded, &p);
+        let path = cache.store(&folded, &built, &p).unwrap();
+        assert_eq!(path, cache.snapshot_path(&folded, &p));
+        assert_ne!(path, cache.snapshot_path(&ds, &p));
 
-        // First load folds the whole log in one batch and persists it.
-        let built = cache.load_or_build_ingested(&ds, &p, &log).unwrap();
-        assert_eq!(built.outcome, CacheOutcome::MissBuilt);
-        assert_eq!(built.meta.applied_ops, 3);
-        assert_eq!(built.meta.boundaries, vec![3]);
-        assert_eq!(built.dataset.pois.len(), ds.pois.len()); // +1 add, -1 delete
-        assert_eq!(built.dataset.photos.len(), ds.photos.len() + 1);
-
-        // Same log: a hit, decoding the same folded content.
-        let hit = cache.load_or_build_ingested(&ds, &p, &log).unwrap();
-        assert_eq!(hit.outcome, CacheOutcome::Hit);
-        assert_eq!(hit.meta, built.meta);
-        assert_eq!(
-            dataset_fingerprint(&hit.dataset),
-            dataset_fingerprint(&built.dataset)
-        );
-        assert!(built.bundle.poi == hit.bundle.poi);
-
-        // A longer log with the same prefix: still a hit; the tail stays
-        // pending for the caller to replay as the live delta.
+        // A longer log folded at the same point: a hit on the folded
+        // content; the newer line stays pending for the caller to seal.
         let mut longer = log.clone();
         longer.push(r#"{"op":"add_photo","x":3.0,"y":1.0,"tags":["park"]}"#.into());
-        let partial = cache.load_or_build_ingested(&ds, &p, &longer).unwrap();
-        assert_eq!(partial.outcome, CacheOutcome::Hit);
-        assert_eq!(partial.meta.applied_ops, 3);
-        assert_eq!(partial.dataset.photos.len(), ds.photos.len() + 1);
+        let replayed = fold_dataset(&ds, &longer, &[3]).unwrap();
+        assert_eq!(replayed.photos.len(), ds.photos.len() + 1);
+        let (hit, outcome) = cache.load_or_build(&replayed, &p).unwrap();
+        assert_eq!(outcome, CacheOutcome::Hit);
+        assert!(built.poi == hit.poi && built.photo_grid == hit.photo_grid);
 
-        // A rewritten prefix invalidates the snapshot: full refold.
+        // A rewritten prefix folds to other content: a miss, under its own
+        // key.
         let mut rewritten = log.clone();
         rewritten[0] = r#"{"op":"add_poi","x":1.5,"y":1.0,"kw":["bar"]}"#.into();
-        let rebuilt = cache.load_or_build_ingested(&ds, &p, &rewritten).unwrap();
-        assert_eq!(rebuilt.outcome, CacheOutcome::MissBuilt);
-        assert_ne!(rebuilt.meta.ops_fp, built.meta.ops_fp);
+        let other = fold_dataset(&ds, &rewritten, &[3]).unwrap();
+        let (_, outcome) = cache.load_or_build(&other, &p).unwrap();
+        assert_eq!(outcome, CacheOutcome::MissBuilt);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -33,6 +33,7 @@
 
 pub mod client;
 pub mod http;
+mod journal;
 pub mod obs;
 pub mod queue;
 pub mod ring;

@@ -57,6 +57,7 @@
 //! once it is empty, and [`serve`] returns a final [`ServeReport`].
 
 use crate::http::{self, Limits};
+use crate::journal::{self, Journal};
 use crate::queue::{AdmissionQueue, Job, JobKind, Slot, SlotMeta};
 use crate::ring::{RequestRecord, RequestRing};
 use soi_common::{ErrorCategory, Result, SoiError};
@@ -67,13 +68,14 @@ use soi_core::soi::{SoiOutcome, SoiQuery};
 use soi_core::QueryBudget;
 use soi_data::Dataset;
 use soi_engine::{EngineWorker, JobRun, QueryCapture, QueryContext, QueryEngine};
-use soi_index::{DeltaIndex, DeltaOp, EpochedIndex, Fnv64, IndexBundle, PhotoGrid, PoiIndex};
+use soi_index::{DeltaIndex, DeltaOp, EpochedIndex, IndexBundle, IndexCache, PhotoGrid, PoiIndex};
 use soi_obs::json::{Json, JsonWriter};
 use soi_obs::log::{self, Value};
 use std::collections::VecDeque;
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -119,9 +121,10 @@ pub struct ServeConfig {
     /// Fold (compact) the pending ingestion delta into a fresh base once
     /// it holds this many ops (0 = never fold; deltas grow unbounded).
     pub epoch_max_delta: usize,
-    /// Append accepted `POST /ingest` ops to this JSON-lines log. At
-    /// startup the log is replayed: with `index_cache` set, only lines
-    /// newer than the persisted base are re-sealed as the live delta.
+    /// Append accepted `POST /ingest` ops, and the fold points between
+    /// them, to this JSON-lines journal. Every boot replays it: the ops are
+    /// folded at the recorded fold points and the rest sealed as the live
+    /// delta, whether or not `index_cache` is set.
     pub ingest_log: Option<std::path::PathBuf>,
 }
 
@@ -277,17 +280,10 @@ struct EpochState {
     delta: Option<Arc<DeltaIndex>>,
     /// The parsed pending ops; each ingest batch re-seals cumulatively.
     pending_ops: Vec<DeltaOp>,
-    /// Raw accepted lines of the pending ops (fold fingerprinting).
-    pending_lines: Vec<String>,
-    /// Ops-log lines already folded into `dataset`.
+    /// Accepted ops already folded into `dataset`.
     applied_ops: u64,
-    /// Fold boundaries within the applied prefix (persisted so a restart
-    /// replays the exact same batch splits — fold id-reassignment makes
-    /// boundaries semantic, not just bookkeeping).
-    boundaries: Vec<u64>,
-    /// Running [`soi_index::ops_hasher`] state over the applied prefix;
-    /// extended at each fold so no applied line needs retaining.
-    applied_hasher: Fnv64,
+    /// Folds since the boot data (the journal's fold markers).
+    folds: u64,
     /// `/describe`'s street contexts over this epoch's base and delta,
     /// built on first touch. Every epoch starts with an empty table, so no
     /// context outlives the delta it was built with.
@@ -305,13 +301,14 @@ impl EpochState {
 struct Shared<'a> {
     /// The epoch-swapped serving state (dataset + indexes + delta).
     epochs: &'a EpochedIndex<EpochState>,
-    /// Serialises ingest writers; readers never take it.
-    ingest_lock: &'a Mutex<()>,
+    /// Serialises ingest writers (readers never take it), and holds the
+    /// fold snapshot of the current base: the file the next fold supersedes.
+    ingest_lock: &'a Mutex<Option<PathBuf>>,
     /// Index build parameters (fold-time rebuilds must match startup).
     params: soi_index::BundleParams,
-    /// Where fold-time compaction persists the live snapshot (set when
-    /// both `index_cache` and `ingest_log` are configured).
-    live_snapshot: Option<std::path::PathBuf>,
+    /// Where folds file their bundles (set when both `index_cache` and
+    /// `ingest_log` are configured: only the journal can replay a fold).
+    fold_cache: Option<IndexCache>,
     /// The resolved engine worker count.
     engine_threads: usize,
     queue: &'a AdmissionQueue,
@@ -359,36 +356,19 @@ pub fn serve(
     } else {
         soi_index::CacheMode::Lenient
     };
-    // Replay the ingest log (accepted ops from earlier runs). With a
-    // snapshot cache the persisted base records how many leading lines it
-    // already folded (and at which boundaries); only the newer tail is
-    // re-sealed as the live delta. Without a cache the whole log becomes
-    // one pending delta over the raw dataset.
-    let log_lines: Vec<String> = match &config.ingest_log {
-        Some(path) if path.exists() => std::fs::read_to_string(path)
-            .map_err(|e| SoiError::io(e, path.clone()).with_context("reading the ingest log"))?
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty())
-            .map(String::from)
-            .collect(),
-        _ => Vec::new(),
-    };
-    let mut applied_ops = 0u64;
-    let mut boundaries: Vec<u64> = Vec::new();
-    let (base_dataset, bundle) = match &config.index_cache {
-        None => (dataset.clone(), soi_index::build_bundle(dataset, &params)),
-        Some(dir) => {
-            let cache = soi_index::IndexCache::new(dir.clone(), cache_mode);
-            let (folded, bundle, outcome) = if config.ingest_log.is_some() {
-                let load = cache.load_or_build_ingested(dataset, &params, &log_lines)?;
-                applied_ops = load.meta.applied_ops;
-                boundaries = load.meta.boundaries;
-                (load.dataset, load.bundle, load.outcome)
-            } else {
-                let (bundle, outcome) = cache.load_or_build(dataset, &params)?;
-                (dataset.clone(), bundle, outcome)
-            };
+    let cache = config
+        .index_cache
+        .as_ref()
+        .map(|dir| IndexCache::new(dir.clone(), cache_mode));
+    // Every boot replays the journal the same way: fold its ops at its
+    // fold markers, take the folded data's bundle from the cache (or build
+    // it), and seal the ops after the last marker as the boot epoch's delta.
+    let journal = Journal::read(config.ingest_log.as_deref(), &dataset.vocab)?;
+    let base = journal.fold(dataset)?;
+    let bundle = match &cache {
+        None => soi_index::build_bundle(&base, &params),
+        Some(cache) => {
+            let (bundle, outcome) = cache.load_or_build(&base, &params)?;
             log::event(
                 "serve.index_cache",
                 match outcome {
@@ -399,58 +379,40 @@ pub fn serve(
                     }
                 },
                 &[
-                    ("dir", Value::Str(&dir.display().to_string())),
-                    ("applied_ops", Value::U64(applied_ops)),
+                    ("dir", Value::Str(&cache.dir().display().to_string())),
+                    ("applied_ops", Value::U64(journal.applied() as u64)),
                     (
                         "ms",
                         Value::F64(index_started.elapsed().as_secs_f64() * 1e3),
                     ),
                 ],
             );
-            (folded, bundle)
+            bundle
         }
     };
     let index = Arc::new(bundle.poi);
     let photo_grid = Arc::new(bundle.photo_grid);
+    let delta = journal.seal_pending(&index, &base)?.map(Arc::new);
 
-    // Seal the unapplied log tail as the live delta of the boot epoch.
-    let tail = &log_lines[applied_ops as usize..];
-    let mut pending_ops = Vec::with_capacity(tail.len());
-    for (i, line) in tail.iter().enumerate() {
-        let op = DeltaOp::parse_line(line, &base_dataset.vocab).map_err(|e| {
-            SoiError::invalid(format!(
-                "ingest log line {}: {e}",
-                applied_ops as usize + i + 1
-            ))
-        })?;
-        pending_ops.push(op);
-    }
-    let delta = match pending_ops.is_empty() {
-        true => None,
-        false => Some(Arc::new(
-            DeltaIndex::seal(
-                &index,
-                &base_dataset.pois,
-                &base_dataset.photos,
-                &pending_ops,
-            )
-            .map_err(|e| e.with_context("sealing the ingest-log tail"))?,
-        )),
-    };
-    let applied_hasher = soi_index::ops_hasher(&log_lines[..applied_ops as usize]);
-    let contexts = StreetContexts::new(base_dataset.network.num_streets());
+    // Folds file their bundles only where the journal can replay them. The
+    // first fold supersedes the fold snapshot this boot loaded, if any; the
+    // boot data's own snapshot is never superseded.
+    let fold_cache = cache.filter(|_| config.ingest_log.is_some());
+    let fold_snapshot = fold_cache
+        .as_ref()
+        .filter(|_| journal.folds() > 0)
+        .map(|cache| cache.snapshot_path(&base, &params));
+    let (applied_ops, folds) = (journal.applied() as u64, journal.folds() as u64);
     let state = EpochState {
-        epoch: boundaries.len() as u64 + u64::from(delta.is_some()),
-        dataset: Arc::new(base_dataset),
+        epoch: folds + u64::from(delta.is_some()),
+        contexts: StreetContexts::new(base.network.num_streets()),
+        dataset: Arc::new(base),
         index,
         photo_grid,
         delta,
-        pending_ops,
-        pending_lines: tail.to_vec(),
+        pending_ops: journal.into_pending(),
         applied_ops,
-        boundaries,
-        applied_hasher,
-        contexts,
+        folds,
     };
     {
         let metrics = crate::obs::serve_metrics();
@@ -458,14 +420,7 @@ pub fn serve(
         metrics.ingest_pending.set(state.pending() as f64);
     }
     let epochs = EpochedIndex::new(state);
-    let ingest_lock = Mutex::new(());
-    let live_snapshot = match (&config.index_cache, &config.ingest_log) {
-        (Some(dir), Some(_)) => Some(
-            soi_index::IndexCache::new(dir.clone(), cache_mode)
-                .live_snapshot_path(dataset, &params),
-        ),
-        _ => None,
-    };
+    let ingest_lock = Mutex::new(fold_snapshot);
     let engine_threads = QueryEngine::new(config.engine_threads).threads();
 
     let listener = TcpListener::bind(&config.addr)
@@ -484,7 +439,7 @@ pub fn serve(
         epochs: &epochs,
         ingest_lock: &ingest_lock,
         params,
-        live_snapshot,
+        fold_cache,
         engine_threads,
         queue: &queue,
         config,
@@ -1141,7 +1096,7 @@ fn status_body(shared: &Shared<'_>) -> String {
     epoch.field_u64("id", state.epoch);
     epoch.field_u64("pending_ops", state.pending() as u64);
     epoch.field_u64("applied_ops", state.applied_ops);
-    epoch.field_u64("folds", state.boundaries.len() as u64);
+    epoch.field_u64("folds", state.folds);
     if let Some(delta) = &state.delta {
         epoch.field_u64("delta_added_pois", delta.added_pois().len() as u64);
         epoch.field_u64("delta_added_photos", delta.added_photos().len() as u64);
@@ -1442,8 +1397,8 @@ fn submit_describe(
 /// epoch they pinned. Each accepted batch re-seals the cumulative
 /// pending ops into a fresh [`DeltaIndex`]; once the pending set reaches
 /// `epoch_max_delta`, the delta is folded into a new base (equivalent to
-/// a full rebuild over the merged data) and the fold is persisted to the
-/// live snapshot when an index cache is configured.
+/// a full rebuild over the merged data) and the folded bundle is filed in
+/// the index cache when one is configured.
 ///
 /// Returns `(response body, ring params digest, epoch id)`.
 fn ingest_post(
@@ -1453,7 +1408,7 @@ fn ingest_post(
 ) -> Result<(String, String, u64)> {
     let text = std::str::from_utf8(&request.body)
         .map_err(|_| SoiError::invalid("ingest body must be UTF-8 JSON lines"))?;
-    let guard = match shared.ingest_lock.lock() {
+    let mut guard = match shared.ingest_lock.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
     };
@@ -1471,7 +1426,7 @@ fn ingest_post(
         let op = DeltaOp::parse_line(line, &state.dataset.vocab)
             .map_err(|e| SoiError::invalid(format!("ingest line {}: {e}", i + 1)))?;
         new_ops.push(op);
-        new_lines.push(line.to_string());
+        new_lines.push(line);
     }
     if new_ops.is_empty() {
         return Err(SoiError::invalid("ingest body contains no ops"));
@@ -1490,18 +1445,17 @@ fn ingest_post(
         &ops,
     )?;
 
-    // Durability before visibility: the accepted lines hit the log before
-    // the epoch swap, so a crash can lose an un-acked batch but never
-    // serve ops a restart would not replay.
-    if let Some(path) = &shared.config.ingest_log {
-        append_ingest_lines(path, &new_lines)?;
-    }
-    let mut lines = state.pending_lines.clone();
-    lines.extend(new_lines);
-
+    // Durability before visibility: the accepted lines hit the journal
+    // before the epoch swap, so a crash can lose an un-acked batch but
+    // never serve ops a restart would not replay. A batch that folds
+    // journals its fold point in the same write.
     let fold_due = shared.config.epoch_max_delta > 0 && ops.len() >= shared.config.epoch_max_delta;
+    if let Some(path) = &shared.config.ingest_log {
+        let folded_ops = fold_due.then(|| state.applied_ops + ops.len() as u64);
+        journal::append(path, &new_lines, folded_ops)?;
+    }
     let (next, folded) = if fold_due {
-        (fold_epoch(shared, &state, &ops, &lines)?, true)
+        (fold_epoch(shared, &state, &ops, &mut guard)?, true)
     } else {
         let next = EpochState {
             epoch: state.epoch + 1,
@@ -1510,10 +1464,8 @@ fn ingest_post(
             photo_grid: Arc::clone(&state.photo_grid),
             delta: Some(Arc::new(delta)),
             pending_ops: ops,
-            pending_lines: lines,
             applied_ops: state.applied_ops,
-            boundaries: state.boundaries.clone(),
-            applied_hasher: state.applied_hasher.clone(),
+            folds: state.folds,
             contexts: StreetContexts::new(state.dataset.network.num_streets()),
         };
         (next, false)
@@ -1544,15 +1496,15 @@ fn ingest_post(
 }
 
 /// Compacts the cumulative pending ops into a fresh base epoch: fold the
-/// collections, rebuild the indexes with the boot parameters (the result
-/// is bit-identical to a cold build over the merged data), extend the
-/// applied-prefix bookkeeping, and persist the live snapshot so a restart
-/// replays only newer deltas.
+/// collections and rebuild the indexes with the boot parameters (the result
+/// is bit-identical to a cold build over the merged data). With a fold
+/// cache the new bundle is filed under the folded data's own key and the
+/// fold snapshot it supersedes, `fold_snapshot`, is deleted.
 fn fold_epoch(
     shared: &Shared<'_>,
     state: &EpochState,
     ops: &[DeltaOp],
-    lines: &[String],
+    fold_snapshot: &mut Option<PathBuf>,
 ) -> Result<EpochState> {
     let fold_started = Instant::now();
     let (pois, photos) = soi_index::fold_ops(&state.dataset.pois, &state.dataset.photos, ops)?;
@@ -1564,36 +1516,25 @@ fn fold_epoch(
         photos,
     );
     let bundle = soi_index::build_bundle(&dataset, &shared.params);
-
-    let mut applied_hasher = state.applied_hasher.clone();
-    for line in lines {
-        applied_hasher.write_str(line.trim());
-    }
-    let applied_ops = state.applied_ops + lines.len() as u64;
-    let mut boundaries = state.boundaries.clone();
-    boundaries.push(applied_ops);
-
-    if let Some(path) = &shared.live_snapshot {
-        let meta = soi_index::IngestMeta {
-            epoch: boundaries.len() as u64,
-            applied_ops,
-            ops_fp: applied_hasher.clone().finish(),
-            boundaries: boundaries.clone(),
-        };
-        // A failed write degrades restart (the whole log replays as one
-        // batch against the last good snapshot) but must not fail the
-        // ingest: the fold already happened in memory.
-        if let Err(e) =
-            soi_index::write_bundle_ingested(path, &dataset, &bundle, &shared.params, &meta)
-        {
-            log::event(
+    let applied_ops = state.applied_ops + ops.len() as u64;
+    if let Some(cache) = &shared.fold_cache {
+        match cache.store(&dataset, &bundle, &shared.params) {
+            Ok(path) => {
+                let superseded = fold_snapshot.replace(path.clone());
+                if let Some(old) = superseded.filter(|old| *old != path) {
+                    let _ = std::fs::remove_file(old);
+                }
+            }
+            // The journal holds the fold point, so a failed write costs a
+            // restart a rebuild, never exactness; the fold stands in memory.
+            Err(e) => log::event(
                 "serve.ingest_snapshot_failed",
-                "live snapshot write failed; restart will replay the full log",
+                "fold snapshot write failed; a restart rebuilds the folded bundle",
                 &[
-                    ("path", Value::Str(&path.display().to_string())),
+                    ("dir", Value::Str(&cache.dir().display().to_string())),
                     ("error", Value::Str(&e.to_string())),
                 ],
-            );
+            ),
         }
     }
     log::event(
@@ -1616,31 +1557,10 @@ fn fold_epoch(
         photo_grid: Arc::new(photo_grid),
         delta: None,
         pending_ops: Vec::new(),
-        pending_lines: Vec::new(),
         applied_ops,
-        boundaries,
-        applied_hasher,
+        folds: state.folds + 1,
         contexts: StreetContexts::new(state.dataset.network.num_streets()),
     })
-}
-
-/// Appends accepted ingest lines to the durable ops log (fsync'd so an
-/// acked batch survives a crash).
-fn append_ingest_lines(path: &std::path::Path, lines: &[String]) -> Result<()> {
-    use std::io::Write;
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| SoiError::io(e, path.to_path_buf()).with_context("opening the ingest log"))?;
-    let mut buf = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
-    for line in lines {
-        buf.push_str(line);
-        buf.push('\n');
-    }
-    file.write_all(buf.as_bytes())
-        .and_then(|()| file.sync_data())
-        .map_err(|e| SoiError::io(e, path.to_path_buf()).with_context("appending the ingest log"))
 }
 
 fn parse_body(bytes: &[u8]) -> Result<Json> {

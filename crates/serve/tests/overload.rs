@@ -93,6 +93,35 @@ fn assert_still_serving(addr: SocketAddr) {
     assert_eq!(r.status, 200, "server unhealthy after abuse: {}", r.body);
 }
 
+/// Reads one request through its `Content-Length` body, as a real server
+/// does before it answers: a stand-in that closes with request bytes still
+/// unread makes the kernel send a RST, which can discard its response
+/// before the client reads it.
+fn read_whole_request(stream: &mut TcpStream) {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("timeout");
+    let mut seen = Vec::new();
+    let mut buf = [0u8; 1024];
+    loop {
+        if let Some(end) = seen.windows(4).position(|w| w == b"\r\n\r\n") {
+            let head = String::from_utf8_lossy(&seen[..end]).to_ascii_lowercase();
+            let body = head
+                .lines()
+                .find_map(|line| line.strip_prefix("content-length:"))
+                .and_then(|len| len.trim().parse::<usize>().ok())
+                .unwrap_or(0);
+            if seen.len() >= end + 4 + body {
+                return;
+            }
+        }
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => seen.extend_from_slice(&buf[..n]),
+        }
+    }
+}
+
 /// Regression: a request accepted after N sheds must report the accepted
 /// attempt's latency alone, with the sheds counted as events — not one
 /// sample inflated by shed round-trips and backoff sleeps. The stand-in
@@ -105,18 +134,7 @@ fn retry_latency_is_timed_from_the_accepted_attempt() {
     let server = std::thread::spawn(move || {
         for attempt in 0..3 {
             let (mut stream, _) = listener.accept().expect("accept");
-            stream
-                .set_read_timeout(Some(Duration::from_secs(1)))
-                .expect("timeout");
-            // Drain until the header terminator (the body is irrelevant).
-            let mut seen = Vec::new();
-            let mut buf = [0u8; 1024];
-            while !seen.windows(4).any(|w| w == b"\r\n\r\n") {
-                match stream.read(&mut buf) {
-                    Ok(0) | Err(_) => break,
-                    Ok(n) => seen.extend_from_slice(&buf[..n]),
-                }
-            }
+            read_whole_request(&mut stream);
             let body = if attempt < 2 {
                 "HTTP/1.1 503 Service Unavailable\r\nContent-Length: 25\r\nConnection: close\r\n\r\n{\"error\":\"shedding load\"}"
             } else {
@@ -168,8 +186,7 @@ fn exhausted_retries_count_every_shed() {
     let server = std::thread::spawn(move || {
         for _ in 0..2 {
             let (mut stream, _) = listener.accept().expect("accept");
-            let mut buf = [0u8; 1024];
-            let _ = stream.read(&mut buf);
+            read_whole_request(&mut stream);
             stream
                 .write_all(
                     b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 25\r\nConnection: close\r\n\r\n{\"error\":\"shedding load\"}",

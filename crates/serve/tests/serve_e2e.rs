@@ -37,14 +37,20 @@ fn with_server_and_flag<T: Send>(
     let (tx, rx) = mpsc::channel();
     std::thread::scope(|s| {
         let server = s.spawn(|| {
-            serve(dataset, &config, &shutdown, |addr| {
-                tx.send(addr).expect("ready channel open")
-            })
-            .expect("server runs")
+            let served = serve(dataset, &config, &shutdown, |addr| {
+                tx.send(Ok(addr)).expect("ready channel open")
+            });
+            // A boot that fails says why at once, instead of the wait
+            // below timing out.
+            if let Err(e) = &served {
+                let _ = tx.send(Err(e.to_string()));
+            }
+            served.expect("server runs")
         });
         let addr = rx
             .recv_timeout(Duration::from_secs(60))
-            .expect("server became ready");
+            .expect("server became ready")
+            .unwrap_or_else(|e| panic!("server failed to boot: {e}"));
         // Catch panics from the test body so the shutdown flag still flips
         // and the server thread joins -- otherwise the scope would wait on
         // it forever and a failing assertion would hang the whole test.
@@ -1353,17 +1359,27 @@ fn ingest_swaps_epochs_folds_at_threshold_and_replays_on_restart() {
     assert!(report.drained);
     assert_eq!(report.panics, 0);
 
-    // The log journalled all four accepted ops (and none of the rejected
-    // ones): a restarted server without an index cache replays them as
-    // one boot delta and serves at epoch 1 with 4 pending ops.
+    // The journal holds the four accepted ops (none of the rejected ones)
+    // and the marker of the fold they reached: a restarted server without
+    // an index cache folds them at that point and serves epoch 1 with
+    // nothing pending.
     let logged = std::fs::read_to_string(&log).expect("ingest log exists");
-    assert_eq!(logged.lines().filter(|l| !l.trim().is_empty()).count(), 4);
+    let lines: Vec<&str> = logged.lines().filter(|l| !l.trim().is_empty()).collect();
+    assert_eq!(lines.len(), 5, "{logged}");
+    assert_eq!(lines[4], "{\"fold\":4}");
     let ((), report) = with_server(config, |addr| {
         let status = request(addr, "GET", "/status", None, TIMEOUT).expect("status");
         let doc = parse(&status.body).expect("valid JSON");
         let epoch = doc.get("epoch").expect("epoch object");
-        assert_eq!(epoch.get("id").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(epoch.get("pending_ops").and_then(Json::as_f64), Some(4.0));
+        for (key, want) in [
+            ("id", 1.0),
+            ("applied_ops", 4.0),
+            ("pending_ops", 0.0),
+            ("folds", 1.0),
+        ] {
+            let got = epoch.get(key).and_then(Json::as_f64);
+            assert_eq!(got, Some(want), "{key}: {}", status.body);
+        }
         let soi = request(
             addr,
             "POST",
@@ -1441,5 +1457,143 @@ fn ingest_with_index_cache_persists_folds_across_restart() {
     });
     assert!(report.drained);
     assert_eq!(report.panics, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What a client sees of a server's state: the `/status` epoch, and the
+/// `/soi` and `/describe` bodies with their request ids zeroed.
+fn served_state(addr: SocketAddr) -> (Json, String, String) {
+    let status = request(addr, "GET", "/status", None, TIMEOUT).expect("status");
+    let doc = parse(&status.body).expect("valid JSON");
+    let epoch = doc.get("epoch").expect("epoch object").clone();
+    let body = soi_body(0.002, 30_000.0);
+    let soi = request(addr, "POST", "/soi", Some(&body), TIMEOUT).expect("soi");
+    assert_eq!(soi.status, 200, "body: {}", soi.body);
+    let doc = parse(&soi.body).expect("valid JSON");
+    let street = doc
+        .get("results")
+        .and_then(Json::as_arr)
+        .and_then(|results| results.first())
+        .and_then(|top| top.get("street"))
+        .and_then(Json::as_f64)
+        .expect("a top street");
+    let body = format!("{{\"street\":{street},\"k\":3,\"deadline_ms\":30000}}");
+    let describe = request(addr, "POST", "/describe", Some(&body), TIMEOUT).expect("describe");
+    assert_eq!(describe.status, 200, "body: {}", describe.body);
+    (
+        epoch,
+        without_request_id(&soi.body),
+        without_request_id(&describe.body),
+    )
+}
+
+/// Regression: fold points lived only in the index cache's live snapshot,
+/// so a restart without a cache, or with a cold one, replayed the whole
+/// journal as one batch. A delete issued after a fold then named another
+/// POI, and an id deleted on both sides of a fold stopped the boot
+/// ("already deleted in this delta"). Every restart now folds at the
+/// journal's markers and serves what the live server served.
+#[test]
+fn every_restart_serves_the_live_state_with_or_without_a_cache() {
+    let dir = std::env::temp_dir().join(format!("soi_serve_refold_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let log = dir.join("deltas.jsonl");
+    let config = |index_cache: Option<std::path::PathBuf>| ServeConfig {
+        ingest_log: Some(log.clone()),
+        index_cache,
+        epoch_max_delta: 2,
+        ..test_config()
+    };
+    let ingest = |addr, body: &str, folds: bool| {
+        let r = request(addr, "POST", "/ingest", Some(body), TIMEOUT).expect("ingest");
+        assert_eq!(r.status, 200, "body: {}", r.body);
+        let doc = parse(&r.body).expect("valid JSON");
+        assert_eq!(doc.get("folded"), Some(&Json::Bool(folds)), "{}", r.body);
+    };
+    let del0 = "{\"op\":\"del_poi\",\"id\":0}";
+    let live_cache = dir.join("live-cache");
+    let (live, report) = with_server(config(Some(live_cache.clone())), |addr| {
+        ingest(
+            addr,
+            &format!("{del0}\n{{\"op\":\"del_poi\",\"id\":1}}"),
+            true,
+        );
+        // Id 0 of the folded base: the POI that was id 2.
+        ingest(addr, del0, false);
+        served_state(addr)
+    });
+    assert!(report.drained);
+    for (key, want) in [
+        ("id", 2.0),
+        ("applied_ops", 2.0),
+        ("pending_ops", 1.0),
+        ("folds", 1.0),
+    ] {
+        assert_eq!(live.0.get(key).and_then(Json::as_f64), Some(want), "{key}");
+    }
+    let cold = dir.join("cold-cache");
+    for (how, cache) in [
+        ("without a cache", None),
+        ("with a cold cache", Some(cold.clone())),
+        ("with the cache the cold restart filled", Some(cold)),
+        ("with the live server's cache", Some(live_cache)),
+    ] {
+        let (restarted, report) = with_server(config(cache), served_state);
+        assert!(report.drained, "{how}");
+        assert_eq!(restarted, live, "restarted {how}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fold files its bundle under the folded data's own key and deletes the
+/// fold snapshot it supersedes, across a restart too: the cache holds the
+/// boot data's snapshot and at most one fold snapshot.
+#[test]
+fn folds_keep_one_fold_snapshot_beside_the_base_snapshot() {
+    let dir = std::env::temp_dir().join(format!("soi_serve_foldsnap_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let cache = dir.join("cache");
+    let config = ServeConfig {
+        ingest_log: Some(dir.join("deltas.jsonl")),
+        index_cache: Some(cache.clone()),
+        epoch_max_delta: 1,
+        ..test_config()
+    };
+    let snapshots = || {
+        std::fs::read_dir(&cache)
+            .expect("cache directory")
+            .filter(|entry| {
+                entry
+                    .as_ref()
+                    .is_ok_and(|e| e.path().extension().is_some_and(|x| x == "soisnap"))
+            })
+            .count()
+    };
+    let (x, y) = in_extent_pos();
+    let add =
+        format!("{{\"op\":\"add_poi\",\"x\":{x},\"y\":{y},\"kw\":[\"shop\"],\"weight\":1.0}}");
+    let fold = |addr| {
+        let r = request(addr, "POST", "/ingest", Some(&add), TIMEOUT).expect("ingest");
+        assert_eq!(r.status, 200, "body: {}", r.body);
+        assert!(r.body.contains("\"folded\":true"), "body: {}", r.body);
+    };
+    let ((), report) = with_server(config.clone(), |addr| {
+        assert_eq!(snapshots(), 1, "the boot files the base snapshot");
+        for _ in 0..3 {
+            fold(addr);
+            assert_eq!(snapshots(), 2);
+        }
+    });
+    assert!(report.drained);
+    // The restart loads the last fold's snapshot; the next fold supersedes
+    // it.
+    let ((), report) = with_server(config, |addr| {
+        assert_eq!(snapshots(), 2);
+        fold(addr);
+        assert_eq!(snapshots(), 2);
+    });
+    assert!(report.drained);
     let _ = std::fs::remove_dir_all(&dir);
 }
