@@ -28,7 +28,7 @@ use soi_core::soi::{
 use soi_core::QueryBudget;
 use soi_data::Dataset;
 use soi_engine::{QueryContext, QueryEngine};
-use soi_index::{BundleParams, CacheMode, CacheOutcome, IndexBundle, IndexCache, IrTree, PoiIndex};
+use soi_index::{BundleParams, CacheMode, CacheOutcome, IndexBundle, IndexCache, PoiIndex};
 use soi_network::NetworkStats;
 use soi_obs::log::{self, LogMode, Value};
 use soi_obs::names::{phases, spans};
@@ -119,11 +119,9 @@ fn dispatch(args: &Args) -> Result<()> {
         "batch" => cmd_batch(args),
         "describe" => cmd_describe(args),
         "export" => cmd_export(args),
-        "poi" => cmd_poi(args),
         "metrics" => cmd_metrics(args),
         "check-artifacts" => cmd_check_artifacts(args),
         "serve" => cmd_serve(args),
-        "bench-serve" => cmd_bench_serve(args),
         "ingest" => cmd_ingest(args),
         "gen-deltas" => cmd_gen_deltas(args),
         other => Err(SoiError::invalid(format!(
@@ -144,11 +142,9 @@ fn command_span_name(command: &str) -> &'static str {
         "batch" => "cli.batch",
         "describe" => "cli.describe",
         "export" => "cli.export",
-        "poi" => "cli.poi",
         "metrics" => "cli.metrics",
         "check-artifacts" => "cli.check_artifacts",
         "serve" => "cli.serve",
-        "bench-serve" => "cli.bench_serve",
         "ingest" => "cli.ingest",
         "gen-deltas" => "cli.gen_deltas",
         _ => "cli.command",
@@ -235,9 +231,6 @@ fn print_help() -> Result<()> {
          export    --data DIR --keywords w1,w2 --out FILE.geojson [--k 10]\n\
          \u{20}          [--photos 5] Export the top-k streets (and a photo\n\
          \u{20}          summary of the winner) as GeoJSON for any web map.\n\
-         poi       --data DIR --keywords w1,w2 --at X,Y [--k 5] [--match any|all]\n\
-         \u{20}          Single-POI retrieval: the k nearest POIs matching the\n\
-         \u{20}          keywords (hybrid spatio-textual R-tree, built per run).\n\
          metrics   [--data DIR] [--keywords w1,w2] [--eps 0.0005]\n\
          \u{20}          Print process metrics in Prometheus text format (with\n\
          \u{20}          --data, first runs a small workload to populate them).\n\
@@ -267,17 +260,6 @@ fn print_help() -> Result<()> {
          \u{20}          --ingest-log FILE accepts live deltas at POST /ingest,\n\
          \u{20}          journals them, and folds a fresh epoch every\n\
          \u{20}          --epoch-max-delta pending ops (0 = never fold).\n\
-         bench-serve --addr HOST:PORT --keywords w1,w2 [--requests 100]\n\
-         \u{20}          [--concurrency 4] [--k 10] [--deadline-ms 250]\n\
-         \u{20}          [--timeout-ms 2000] [--retries 2] [--describe-street S]\n\
-         \u{20}          [--ingest FILE] [--ingest-batch 16] [--ingest-interval-ms 50]\n\
-         \u{20}          Drive load at a running `soi serve` (every other request\n\
-         \u{20}          describes street S when given) with timeouts, retries,\n\
-         \u{20}          and backoff; prints status/latency percentiles plus\n\
-         \u{20}          request-id integrity (duplicates/gaps) and writes them\n\
-         \u{20}          with --stats-json FILE. --ingest streams delta batches\n\
-         \u{20}          to POST /ingest alongside the query load (mixed\n\
-         \u{20}          read/write bench).\n\
          ingest    FILE --addr HOST:PORT [--batch 256] [--timeout-ms 5000]\n\
          \u{20}          Stream a JSON-lines delta file to a running server's\n\
          \u{20}          POST /ingest and report the resulting epoch.\n\
@@ -448,8 +430,7 @@ fn cmd_build_index(args: &Args) -> Result<()> {
     let threads: usize = args.get_parsed("threads", 0)?;
     if args.flag("with-ir") {
         return Err(SoiError::invalid(
-            "--with-ir is gone: the index bundle no longer carries the IR-tree \
-             (`soi poi` builds its own)",
+            "--with-ir is gone: the index bundle carries no IR-tree",
         ));
     }
     let params = BundleParams {
@@ -1111,52 +1092,6 @@ fn cmd_export(args: &Args) -> Result<()> {
     Ok(())
 }
 
-fn cmd_poi(args: &Args) -> Result<()> {
-    let dataset = load(args)?;
-    let keywords = parse_keywords(&dataset, args)?;
-    let k: usize = args.get_parsed("k", 5)?;
-    let at = args.require("at")?;
-    let (x, y) = at
-        .split_once(',')
-        .and_then(|(a, b)| Some((a.trim().parse::<f64>().ok()?, b.trim().parse::<f64>().ok()?)))
-        .filter(|(x, y)| x.is_finite() && y.is_finite())
-        .ok_or_else(|| SoiError::invalid("--at must be finite X,Y coordinates"))?;
-    let q = soi_geo::Point::new(x, y);
-    let match_all = match args.get("match").unwrap_or("any") {
-        "all" => true,
-        "any" => false,
-        other => return Err(SoiError::invalid(format!("unknown --match {other:?}"))),
-    };
-
-    // The IR-tree serves this command alone, so it is built here rather
-    // than carried by the index bundle.
-    let tree = IrTree::build(&dataset.pois);
-    let hits = if match_all {
-        tree.top_k_containing_all(q, &keywords, k)
-    } else {
-        tree.top_k_relevant(q, &keywords, k)
-    };
-    let mut out = std::io::stdout().lock();
-    writeln!(out, "rank  distance    poi   keywords")?;
-    for (i, (pid, dist)) in hits.iter().enumerate() {
-        let poi = dataset.pois.get(*pid);
-        let kws: Vec<&str> = poi
-            .keywords
-            .iter()
-            .filter_map(|kw| dataset.vocab.term(kw))
-            .collect();
-        writeln!(
-            out,
-            "{:>4}  {:<10.6}  #{:<4} {}",
-            i + 1,
-            dist,
-            pid.raw(),
-            kws.join(", ")
-        )?;
-    }
-    Ok(())
-}
-
 fn cmd_metrics(args: &Args) -> Result<()> {
     // Force-register every series so a gather before the first query still
     // exposes the full set (with zero values).
@@ -1514,346 +1449,6 @@ fn cmd_serve(args: &Args) -> Result<()> {
         report.errors,
         report.panics
     )?;
-    Ok(())
-}
-
-/// One bench-serve observation: terminal status (0 = transport failure),
-/// the latency of the final attempt alone (a request accepted after N
-/// sheds contributes one accepted-latency sample timed from the accepted
-/// attempt, not from the first try — shed handling and backoff sleeps are
-/// overload accounting, counted in `sheds`), attempts made, shed 503s
-/// observed along the way, whether the response body was a
-/// deadline-degraded partial result, and the server's `x-soi-request-id`
-/// (absent on transport failure).
-struct BenchSample {
-    status: u16,
-    latency: std::time::Duration,
-    attempts: usize,
-    sheds: usize,
-    partial: bool,
-    request_id: Option<u64>,
-}
-
-/// Progress of the optional background ingest stream a mixed
-/// read/write bench drives alongside the query load.
-#[derive(Default)]
-struct IngestDrive {
-    batches: u64,
-    accepted_batches: u64,
-    ops: u64,
-    rejected: u64,
-    folds: u64,
-    last_epoch: u64,
-}
-
-/// Request-id integrity over a bench run: observed ids must be unique
-/// (duplicates mean the server reused an id), and gaps are reported —
-/// retries and concurrent clients legitimately consume server-side ids.
-struct IdStats {
-    seen: u64,
-    distinct: u64,
-    duplicates: u64,
-    gaps: u64,
-    min: Option<u64>,
-    max: Option<u64>,
-}
-
-fn id_stats(samples: &[BenchSample]) -> IdStats {
-    let mut ids: Vec<u64> = samples.iter().filter_map(|s| s.request_id).collect();
-    ids.sort_unstable();
-    let seen = ids.len() as u64;
-    let mut distinct = 0u64;
-    for (i, id) in ids.iter().enumerate() {
-        if i == 0 || ids[i - 1] != *id {
-            distinct += 1;
-        }
-    }
-    let (min, max) = (ids.first().copied(), ids.last().copied());
-    let span = match (min, max) {
-        (Some(lo), Some(hi)) => hi - lo + 1,
-        _ => 0,
-    };
-    IdStats {
-        seen,
-        distinct,
-        duplicates: seen - distinct,
-        gaps: span.saturating_sub(distinct),
-        min,
-        max,
-    }
-}
-
-fn cmd_bench_serve(args: &Args) -> Result<()> {
-    use std::time::{Duration, Instant};
-    let addr: std::net::SocketAddr = args
-        .require("addr")?
-        .parse()
-        .map_err(|_| SoiError::invalid("--addr must be HOST:PORT"))?;
-    let keywords = args.require("keywords")?;
-    let n: usize = args.get_parsed("requests", 100)?;
-    let concurrency: usize = args.get_parsed("concurrency", 4)?;
-    let k: usize = args.get_parsed("k", 10)?;
-    let deadline_ms: u64 = args.get_parsed("deadline-ms", 250u64)?;
-    let timeout = Duration::from_millis(args.get_parsed("timeout-ms", 2000u64)?);
-    let policy = soi_serve::client::RetryPolicy {
-        retries: args.get_parsed("retries", 2usize)?,
-        backoff: Duration::from_millis(args.get_parsed("backoff-ms", 25u64)?),
-    };
-    let describe_street = args.get("describe-street");
-    // Mixed read/write mode: stream delta batches from --ingest FILE at
-    // POST /ingest while the query load runs.
-    let ingest_lines: Vec<String> = match args.get("ingest") {
-        Some(path) => std::fs::read_to_string(path)
-            .at_path(path)?
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty())
-            .map(String::from)
-            .collect(),
-        None => Vec::new(),
-    };
-    let ingest_interval = Duration::from_millis(args.get_parsed("ingest-interval-ms", 50u64)?);
-    let ingest_batch: usize = args.get_parsed("ingest-batch", 16usize)?;
-
-    let soi_body = {
-        let mut obj = json::JsonWriter::object();
-        let mut words = json::JsonWriter::array();
-        for w in keywords.split(',').map(str::trim).filter(|w| !w.is_empty()) {
-            let mut quoted = String::new();
-            json::write_escaped(&mut quoted, w);
-            words.elem_raw(&quoted);
-        }
-        obj.field_raw("keywords", &words.finish());
-        obj.field_u64("k", k as u64);
-        obj.field_u64("deadline_ms", deadline_ms);
-        obj.finish()
-    };
-    let describe_body = describe_street.map(|street| {
-        let mut obj = json::JsonWriter::object();
-        match street.parse::<u64>() {
-            Ok(id) => obj.field_u64("street", id),
-            Err(_) => obj.field_str("street", street),
-        }
-        obj.field_u64("k", 3);
-        obj.field_u64("deadline_ms", deadline_ms);
-        obj.finish()
-    });
-
-    let started = Instant::now();
-    let mut samples: Vec<BenchSample> = Vec::with_capacity(n);
-    let mut ingest_drive: Option<IngestDrive> = None;
-    let query_load_done = std::sync::atomic::AtomicBool::new(false);
-    std::thread::scope(|s| {
-        let ingest_worker = (!ingest_lines.is_empty()).then(|| {
-            let lines = &ingest_lines;
-            let done = &query_load_done;
-            s.spawn(move || {
-                let mut drive = IngestDrive::default();
-                for chunk in lines.chunks(ingest_batch.max(1)) {
-                    if done.load(std::sync::atomic::Ordering::Relaxed) {
-                        break;
-                    }
-                    let body = chunk.join("\n");
-                    drive.batches += 1;
-                    match soi_serve::client::request(addr, "POST", "/ingest", Some(&body), timeout)
-                    {
-                        Ok(response) if response.status == 200 => {
-                            drive.accepted_batches += 1;
-                            drive.ops += chunk.len() as u64;
-                            if let Ok(doc) = json::parse(&response.body) {
-                                if let Some(e) = doc.get("epoch").and_then(|v| v.as_f64()) {
-                                    drive.last_epoch = e as u64;
-                                }
-                                if doc.get("folded").and_then(|v| v.as_bool()) == Some(true) {
-                                    drive.folds += 1;
-                                }
-                            }
-                        }
-                        _ => drive.rejected += 1,
-                    }
-                    std::thread::sleep(ingest_interval);
-                }
-                drive
-            })
-        });
-        let workers: Vec<_> = (0..concurrency.max(1))
-            .map(|tid| {
-                let soi_body = &soi_body;
-                let describe_body = &describe_body;
-                s.spawn(move || {
-                    let mut local = Vec::new();
-                    let mut j = tid;
-                    while j < n {
-                        // Mixed traffic: every other request describes the
-                        // given street, the rest run k-SOI queries.
-                        let (path, body) = match describe_body {
-                            Some(describe) if j % 2 == 1 => ("/describe", describe.as_str()),
-                            _ => ("/soi", soi_body.as_str()),
-                        };
-                        let outcome = soi_serve::client::request_with_retry(
-                            addr,
-                            "POST",
-                            path,
-                            Some(body),
-                            timeout,
-                            policy,
-                        );
-                        // Latency is the final attempt alone: a request
-                        // accepted after N sheds contributes one accepted
-                        // sample timed from the accepted attempt, plus N
-                        // shed events — not one sample inflated by backoff.
-                        let sample = match &outcome.response {
-                            Ok(response) => BenchSample {
-                                status: response.status,
-                                latency: outcome.last_attempt,
-                                attempts: outcome.attempts,
-                                sheds: outcome.sheds,
-                                partial: response.body.contains("\"partial\":true"),
-                                request_id: response
-                                    .header("x-soi-request-id")
-                                    .and_then(|v| v.parse().ok()),
-                            },
-                            Err(_) => BenchSample {
-                                status: 0,
-                                latency: outcome.last_attempt,
-                                attempts: outcome.attempts,
-                                sheds: outcome.sheds,
-                                partial: false,
-                                request_id: None,
-                            },
-                        };
-                        local.push(sample);
-                        j += concurrency.max(1);
-                    }
-                    local
-                })
-            })
-            .collect();
-        for worker in workers {
-            if let Ok(local) = worker.join() {
-                samples.extend(local);
-            }
-        }
-        // Query load finished: tell the ingest driver to stop at its next
-        // chunk boundary rather than draining a large file unobserved.
-        query_load_done.store(true, std::sync::atomic::Ordering::Relaxed);
-        if let Some(worker) = ingest_worker {
-            if let Ok(drive) = worker.join() {
-                ingest_drive = Some(drive);
-            }
-        }
-    });
-    let wall = started.elapsed();
-
-    let ok = samples.iter().filter(|s| s.status == 200).count();
-    // Shed accounting distinguishes *events* (every 503 answered across all
-    // attempts, the overload signal) from *terminal* sheds (requests that
-    // exhausted retries still shed — those failed outright).
-    let shed_events: u64 = samples.iter().map(|s| s.sheds as u64).sum();
-    let sheds = samples.iter().filter(|s| s.status == 503).count();
-    let errors = samples
-        .iter()
-        .filter(|s| s.status != 200 && s.status != 503 && s.status != 0)
-        .count();
-    let transport_errors = samples.iter().filter(|s| s.status == 0).count();
-    let partials = samples.iter().filter(|s| s.partial).count();
-    let retried = samples.iter().filter(|s| s.attempts > 1).count();
-    if ok == 0 && sheds == 0 && errors == 0 {
-        return Err(SoiError::not_found(format!(
-            "no response from {addr} ({transport_errors} transport failures); is `soi serve` running?"
-        )));
-    }
-
-    // Exact percentiles over the *accepted* (200) latencies: shed requests
-    // return in microseconds and would flatter the tail.
-    let mut accepted: Vec<f64> = samples
-        .iter()
-        .filter(|s| s.status == 200)
-        .map(|s| s.latency.as_secs_f64() * 1e3)
-        .collect();
-    accepted.sort_by(|a, b| a.total_cmp(b));
-    let pct = |q: f64| -> f64 {
-        if accepted.is_empty() {
-            return f64::NAN;
-        }
-        let idx = ((accepted.len() - 1) as f64 * q).round() as usize;
-        accepted[idx]
-    };
-    let (p50, p95, p99) = (pct(0.5), pct(0.95), pct(0.99));
-
-    let mut out = std::io::stdout().lock();
-    writeln!(
-        out,
-        "bench-serve: {} requests in {:.2}s ({:.1} req/s)",
-        samples.len(),
-        wall.as_secs_f64(),
-        samples.len() as f64 / wall.as_secs_f64().max(1e-9)
-    )?;
-    writeln!(
-        out,
-        "  ok {ok}  shed-events {shed_events} (terminal {sheds})  error {errors}  transport-error {transport_errors}  partial {partials}  retried {retried}"
-    )?;
-    writeln!(
-        out,
-        "  accepted latency ms (final attempt): p50 {p50:.2}  p95 {p95:.2}  p99 {p99:.2}"
-    )?;
-    let ids = id_stats(&samples);
-    writeln!(
-        out,
-        "  request ids: {} seen, {} distinct, {} duplicates, {} gaps",
-        ids.seen, ids.distinct, ids.duplicates, ids.gaps
-    )?;
-    if let Some(drive) = &ingest_drive {
-        writeln!(
-            out,
-            "  ingest: {} batches ({} accepted, {} rejected), {} ops, {} folds, last epoch {}",
-            drive.batches,
-            drive.accepted_batches,
-            drive.rejected,
-            drive.ops,
-            drive.folds,
-            drive.last_epoch
-        )?;
-    }
-
-    if let Some(stats_path) = args.get("stats-json") {
-        let mut obj = json::JsonWriter::object();
-        obj.field_u64("requests", samples.len() as u64);
-        obj.field_u64("ok", ok as u64);
-        obj.field_u64("sheds", shed_events);
-        obj.field_u64("sheds_terminal", sheds as u64);
-        obj.field_u64("errors", errors as u64);
-        obj.field_u64("transport_errors", transport_errors as u64);
-        obj.field_u64("partials", partials as u64);
-        obj.field_u64("retried", retried as u64);
-        obj.field_f64("wall_seconds", wall.as_secs_f64());
-        obj.field_f64("p50_ms", p50);
-        obj.field_f64("p95_ms", p95);
-        obj.field_f64("p99_ms", p99);
-        obj.field_u64("id_seen", ids.seen);
-        obj.field_u64("id_distinct", ids.distinct);
-        obj.field_u64("id_duplicates", ids.duplicates);
-        obj.field_u64("id_gaps", ids.gaps);
-        match ids.min {
-            Some(v) => obj.field_u64("id_min", v),
-            None => obj.field_raw("id_min", "null"),
-        }
-        match ids.max {
-            Some(v) => obj.field_u64("id_max", v),
-            None => obj.field_raw("id_max", "null"),
-        }
-        if let Some(drive) = &ingest_drive {
-            let mut ingest = json::JsonWriter::object();
-            ingest.field_u64("batches", drive.batches);
-            ingest.field_u64("accepted_batches", drive.accepted_batches);
-            ingest.field_u64("rejected", drive.rejected);
-            ingest.field_u64("ops", drive.ops);
-            ingest.field_u64("folds", drive.folds);
-            ingest.field_u64("last_epoch", drive.last_epoch);
-            obj.field_raw("ingest", &ingest.finish());
-        }
-        std::fs::write(stats_path, obj.finish()).at_path(stats_path)?;
-    }
     Ok(())
 }
 

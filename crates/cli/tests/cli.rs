@@ -46,7 +46,7 @@ fn help_lists_all_commands() {
     let out = soi(&["help"]);
     assert!(out.status.success());
     let text = stdout(&out);
-    for cmd in ["generate", "stats", "query", "describe", "export", "poi"] {
+    for cmd in ["generate", "stats", "query", "describe", "export"] {
         assert!(text.contains(cmd), "help missing {cmd}");
     }
 }
@@ -145,25 +145,6 @@ fn export_writes_valid_geojson() {
     assert!(photos.contains("\"photo_id\""));
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(format!("{}.photos.geojson", path.display())).ok();
-}
-
-#[test]
-fn poi_query_returns_nearest_relevant() {
-    let out = soi(&[
-        "poi",
-        "--data",
-        dataset_dir(),
-        "--keywords",
-        "food",
-        "--at",
-        "0.01,0.01",
-        "--k",
-        "3",
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("rank"));
-    assert!(text.contains("food"));
 }
 
 #[test]
@@ -700,26 +681,6 @@ fn serve_drains_gracefully_on_sigterm() {
     .expect("soi");
     assert_eq!(soi_resp.status, 200, "body: {}", soi_resp.body);
 
-    // bench-serve drives the live server and writes its own artifact.
-    let bench_stats = dir.join("bench.json");
-    let bench = soi(&[
-        "bench-serve",
-        "--addr",
-        &addr.to_string(),
-        "--keywords",
-        "shop",
-        "--requests",
-        "8",
-        "--concurrency",
-        "2",
-        "--stats-json",
-        bench_stats.to_str().unwrap(),
-    ]);
-    assert!(bench.status.success(), "{}", stderr(&bench));
-    let bench_text = std::fs::read_to_string(&bench_stats).unwrap();
-    assert!(bench_text.contains("\"requests\":8"), "{bench_text}");
-    assert!(bench_text.contains("\"p99_ms\""), "{bench_text}");
-
     // SIGTERM must drain and exit 0 with the report flushed to disk.
     let kill = Command::new("kill")
         .args(["-TERM", &child.id().to_string()])
@@ -903,18 +864,6 @@ fn a_cell_size_too_small_for_the_dataset_exits_2() {
         assert_usage_error(args, &[option, "too small", "inf grid cells"]);
     }
     assert!(!snap.exists(), "nothing may be written");
-}
-
-#[test]
-fn poi_at_rejects_non_finite_coordinates() {
-    // A release build used to answer `nan,0` with arbitrary "nearest" POIs
-    // and `inf,0` with infinite distances, both exit 0.
-    for at in ["nan,0", "inf,0"] {
-        assert_usage_error(
-            &["poi", "--keywords", "food", "--at", at],
-            &["--at must be finite X,Y coordinates"],
-        );
-    }
 }
 
 #[test]

@@ -18,8 +18,8 @@ use soi_network::RoadNetwork;
 
 /// Evaluates a k-SOI query by scanning every segment through the grid.
 ///
-/// `aggregate` selects the street-level aggregation; the paper's
-/// Definition 3 is [`StreetAggregate::Max`]. Streets with zero interest are
+/// `aggregate` is the street-level aggregation, the paper's Definition 3
+/// ([`StreetAggregate::Max`]). Streets with zero interest are
 /// omitted from the result, mirroring [`run_soi`](crate::soi::run_soi).
 pub fn run_baseline<'a>(
     network: &RoadNetwork,
@@ -32,16 +32,15 @@ pub fn run_baseline<'a>(
     let index: IndexView<'a> = index.into();
     let mut stats = QueryStats::default();
     stats.timer.enter(phases::SCAN);
-    // Per street: collected (interest, len) pairs plus the best segment.
-    let mut per_street: FxHashMap<StreetId, Vec<(f64, f64)>> = FxHashMap::default();
+    // Per street: collected segment interests plus the best segment.
+    let mut per_street: FxHashMap<StreetId, Vec<f64>> = FxHashMap::default();
     let mut best_seg: FxHashMap<StreetId, (f64, SegmentId, f64)> = FxHashMap::default();
 
     for seg in network.segments() {
         let mass = index.segment_mass_lazy(pois, network, seg.id, &query.keywords, query.eps);
         stats.segments_popped += 1;
-        let len = seg.len();
-        let int = segment_interest(mass, len, query.eps);
-        per_street.entry(seg.street).or_default().push((int, len));
+        let int = segment_interest(mass, seg.len(), query.eps);
+        per_street.entry(seg.street).or_default().push(int);
         let entry = best_seg.entry(seg.street).or_insert((0.0, seg.id, 0.0));
         if int > entry.0 || (int == entry.0 && seg.id < entry.1) {
             *entry = (int, seg.id, mass);

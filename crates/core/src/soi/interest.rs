@@ -15,50 +15,22 @@ pub fn segment_interest(mass: f64, seg_len: f64, eps: f64) -> f64 {
 /// How a street's interest aggregates over its segments' interests.
 ///
 /// The paper uses the maximum (Definition 3) and notes that "there exist
-/// several alternatives"; the extra variants support the ablation study.
-/// Only [`StreetAggregate::Max`] admits the SOI algorithm's pruning bounds;
-/// the others are evaluated by the exhaustive baseline.
+/// several alternatives"; this is the only one implemented, and the one
+/// the SOI algorithm's pruning bounds assume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StreetAggregate {
     /// `int(s) = max_{ℓ∈s} int(ℓ)` — the paper's Definition 3.
     #[default]
     Max,
-    /// Arithmetic mean of segment interests.
-    Mean,
-    /// Length-weighted mean: `Σ int(ℓ)·len(ℓ) / Σ len(ℓ)`.
-    LengthWeighted,
 }
 
 impl StreetAggregate {
-    /// Human-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            StreetAggregate::Max => "max",
-            StreetAggregate::Mean => "mean",
-            StreetAggregate::LengthWeighted => "length-weighted",
-        }
-    }
-
-    /// Aggregates `(interest, len)` pairs of a street's segments.
+    /// Aggregates the interests of a street's segments.
     ///
     /// Returns 0 for an empty street.
-    pub fn aggregate(self, segments: &[(f64, f64)]) -> f64 {
-        if segments.is_empty() {
-            return 0.0;
-        }
+    pub fn aggregate(self, interests: &[f64]) -> f64 {
         match self {
-            StreetAggregate::Max => segments.iter().map(|&(i, _)| i).fold(0.0, f64::max),
-            StreetAggregate::Mean => {
-                segments.iter().map(|&(i, _)| i).sum::<f64>() / segments.len() as f64
-            }
-            StreetAggregate::LengthWeighted => {
-                let total_len: f64 = segments.iter().map(|&(_, l)| l).sum();
-                if total_len == 0.0 {
-                    0.0
-                } else {
-                    segments.iter().map(|&(i, l)| i * l).sum::<f64>() / total_len
-                }
-            }
+            StreetAggregate::Max => interests.iter().copied().fold(0.0, f64::max),
         }
     }
 }
@@ -90,24 +62,11 @@ mod tests {
 
     #[test]
     fn aggregates() {
-        let segs = [(1.0, 10.0), (3.0, 2.0), (2.0, 8.0)];
-        assert_eq!(StreetAggregate::Max.aggregate(&segs), 3.0);
-        assert_eq!(StreetAggregate::Mean.aggregate(&segs), 2.0);
-        let lw = StreetAggregate::LengthWeighted.aggregate(&segs);
-        assert!((lw - (1.0 * 10.0 + 3.0 * 2.0 + 2.0 * 8.0) / 20.0).abs() < 1e-12);
+        assert_eq!(StreetAggregate::Max.aggregate(&[1.0, 3.0, 2.0]), 3.0);
     }
 
     #[test]
     fn empty_street_aggregates_to_zero() {
         assert_eq!(StreetAggregate::Max.aggregate(&[]), 0.0);
-        assert_eq!(StreetAggregate::Mean.aggregate(&[]), 0.0);
-        assert_eq!(StreetAggregate::LengthWeighted.aggregate(&[]), 0.0);
-    }
-
-    #[test]
-    fn names() {
-        assert_eq!(StreetAggregate::Max.name(), "max");
-        assert_eq!(StreetAggregate::Mean.name(), "mean");
-        assert_eq!(StreetAggregate::LengthWeighted.name(), "length-weighted");
     }
 }

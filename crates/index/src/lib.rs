@@ -13,12 +13,6 @@
 //! - [`EpsilonMaps`]: the same two maps built eagerly for one ε — the
 //!   reference implementation the lazy path is tested against.
 //!
-//! **For single-POI retrieval (the related work of Sec. 2.1):**
-//! - [`IrTree`]: a hybrid spatio-textual R-tree whose nodes carry subtree
-//!   keyword summaries, answering top-k nearest-relevant-POI queries. It
-//!   is built on demand by its caller and is not part of the persisted
-//!   [`IndexBundle`].
-//!
 //! **For SOI description (Sec. 4.2.1):**
 //! - [`PhotoGrid`]: a dataset-wide grid over the photos used to extract the
 //!   per-street photo set `Rs = {r : dist(r, s) ≤ ε}`;
@@ -37,7 +31,6 @@ pub mod delta;
 pub mod div_index;
 pub mod epoch;
 pub mod epsilon;
-pub mod ir_tree;
 pub mod obs;
 pub mod photo_grid;
 pub mod poi_index;
@@ -48,7 +41,6 @@ pub use delta::{fold_ops, DeltaIndex, DeltaOp};
 pub use div_index::{DivCell, DiversificationIndex};
 pub use epoch::EpochedIndex;
 pub use epsilon::EpsilonMaps;
-pub use ir_tree::{IrTree, KeywordSummary, PoiEntry};
 pub use photo_grid::PhotoGrid;
 pub use poi_index::{PoiCell, PoiIndex};
 pub use snapshot::{

@@ -2,13 +2,11 @@
 //!
 //! The structures `/soi` and `/describe` serve from — [`PoiIndex`] and
 //! [`PhotoGrid`] — can be encoded into a [`soi_snapshot`] container and
-//! decoded back without re-running the build. (The
-//! [`IrTree`](crate::IrTree) behind `soi poi` is not persisted: its one
-//! caller builds it.) The cell-, keyword- and segment-keyed maps are
-//! [`Csr`] column pairs in memory and the same two columns on disk, so
-//! writing one is a copy of each column and loading one is a validation
-//! pass plus a copy: a loaded index `==` the built one and answers every
-//! query byte-identically.
+//! decoded back without re-running the build. The cell-, keyword- and
+//! segment-keyed maps are [`Csr`] column pairs in memory and the same two
+//! columns on disk, so writing one is a copy of each column and loading one
+//! is a validation pass plus a copy: a loaded index `==` the built one and
+//! answers every query byte-identically.
 //!
 //! The module has three layers:
 //!

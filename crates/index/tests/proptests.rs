@@ -5,8 +5,7 @@ use soi_common::{CellId, KeywordId, PhotoId, PoiId};
 use soi_data::{PhotoCollection, PoiCollection, PoiView};
 use soi_geo::{Grid, Point, Rect};
 use soi_index::{
-    mass_within, DeltaIndex, DeltaOp, DiversificationIndex, EpsilonMaps, IndexView, IrTree,
-    PoiIndex,
+    mass_within, DeltaIndex, DeltaOp, DiversificationIndex, EpsilonMaps, IndexView, PoiIndex,
 };
 use soi_network::RoadNetwork;
 use soi_text::KeywordSet;
@@ -86,54 +85,6 @@ impl Draw {
 }
 
 proptest! {
-    #[test]
-    fn ir_tree_top_k_matches_brute_force(
-        specs in poi_specs(),
-        q in ((0.0f64..8.0), (0.0f64..8.0)),
-        query_kws in proptest::collection::vec(0u32..6, 1..3),
-        k in 1usize..10,
-    ) {
-        let pois = build_pois(&specs);
-        let tree = IrTree::build(&pois);
-        let query = KeywordSet::from_ids(query_kws.iter().map(|&k| KeywordId(k)));
-        let qp = Point::new(q.0, q.1);
-
-        let got = tree.top_k_relevant(qp, &query, k);
-        let mut want: Vec<(f64, u32)> = pois
-            .iter()
-            .filter(|p| p.keywords.intersects(&query))
-            .map(|p| (p.pos.dist(qp), p.id.raw()))
-            .collect();
-        want.sort_by(|a, b| a.0.total_cmp(&b.0));
-        want.truncate(k);
-
-        prop_assert_eq!(got.len(), want.len());
-        for ((_, gd), (wd, _)) in got.iter().zip(want.iter()) {
-            prop_assert!((gd - wd).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn ir_tree_range_matches_brute_force(
-        specs in poi_specs(),
-        q in ((0.0f64..8.0), (0.0f64..8.0)),
-        dist in 0.0f64..6.0,
-        query_kws in proptest::collection::vec(0u32..6, 1..3),
-    ) {
-        let pois = build_pois(&specs);
-        let tree = IrTree::build(&pois);
-        let query = KeywordSet::from_ids(query_kws.iter().map(|&k| KeywordId(k)));
-        let qp = Point::new(q.0, q.1);
-
-        let got = tree.relevant_within(qp, dist, &query);
-        let want: Vec<_> = pois
-            .iter()
-            .filter(|p| p.keywords.intersects(&query) && p.pos.dist(qp) <= dist)
-            .map(|p| p.id)
-            .collect();
-        prop_assert_eq!(got, want);
-    }
-
     #[test]
     fn lazy_and_eager_maps_agree(
         specs in poi_specs(),

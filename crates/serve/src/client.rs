@@ -1,8 +1,9 @@
-//! A minimal blocking HTTP/1.1 client for `soi bench-serve` and tests.
+//! A minimal blocking HTTP/1.1 client for `soi ingest`, the benchmark's
+//! load generator and tests.
 //!
 //! Speaks exactly the dialect the server emits (`Connection: close`,
-//! `Content-Length` bodies), with a per-request timeout and optional
-//! retry with exponential backoff for shed (503) responses.
+//! `Content-Length` bodies), with a per-request timeout. It never retries:
+//! a shed request surfaces as its 503.
 
 use soi_common::{Result, SoiError};
 use std::io::{Read, Write};
@@ -95,94 +96,6 @@ fn parse_response(raw: &[u8]) -> Result<Response> {
         headers,
         body: body.to_string(),
     })
-}
-
-/// Retry policy for [`request_with_retry`].
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt (0 = no retries).
-    pub retries: usize,
-    /// Backoff before the first retry; doubles each further retry.
-    pub backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            retries: 2,
-            backoff: Duration::from_millis(25),
-        }
-    }
-}
-
-/// Outcome of [`request_with_retry`]: the final response plus how the
-/// attempts went, so callers can attribute latency correctly — the time
-/// a request spent being shed and backed off is overload accounting, not
-/// service latency.
-#[derive(Debug)]
-pub struct RetryOutcome {
-    /// The final response (or transport error) once retries stopped.
-    pub response: Result<Response>,
-    /// Attempts actually made (≥ 1).
-    pub attempts: usize,
-    /// Attempts answered with a shed 503 (including the final one when
-    /// retries ran out while still shed).
-    pub sheds: usize,
-    /// Wall clock of the final attempt alone: connect to response read,
-    /// excluding every earlier attempt and backoff sleep.
-    pub last_attempt: Duration,
-}
-
-impl RetryOutcome {
-    /// True when the final response was an accepted (non-503) success.
-    pub fn accepted(&self) -> bool {
-        self.response
-            .as_ref()
-            .is_ok_and(|response| response.status != 503)
-    }
-}
-
-/// Sends a request, retrying shed (503) responses and transport errors
-/// with exponential backoff. Non-503 responses return immediately.
-///
-/// The returned [`RetryOutcome`] reports every attempt: a benchmark that
-/// times the whole call would otherwise fold shed handling and backoff
-/// sleeps into the accepted request's latency, skewing tail percentiles
-/// upward on any run that sheds.
-pub fn request_with_retry(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    timeout: Duration,
-    policy: RetryPolicy,
-) -> RetryOutcome {
-    let mut backoff = policy.backoff;
-    let mut attempts = 0;
-    let mut sheds = 0;
-    loop {
-        attempts += 1;
-        let attempt_started = std::time::Instant::now();
-        let outcome = request(addr, method, path, body, timeout);
-        let last_attempt = attempt_started.elapsed();
-        let shed = outcome
-            .as_ref()
-            .is_ok_and(|response| response.status == 503);
-        if shed {
-            sheds += 1;
-        }
-        let retryable = shed || outcome.is_err();
-        if !retryable || attempts > policy.retries {
-            return RetryOutcome {
-                response: outcome,
-                attempts,
-                sheds,
-                last_attempt,
-            };
-        }
-        std::thread::sleep(backoff);
-        backoff = backoff.saturating_mul(2);
-    }
 }
 
 #[cfg(test)]

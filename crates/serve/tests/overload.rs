@@ -3,14 +3,17 @@
 //! wedge the server — after every abuse the server still answers a clean
 //! request and drains with zero recorded panics.
 
+mod support;
+
 use soi_data::Dataset;
-use soi_serve::client::{request, request_with_retry, RetryPolicy};
+use soi_serve::client::request;
 use soi_serve::{serve, ServeConfig, ServeReport};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, OnceLock};
 use std::time::{Duration, Instant};
+use support::get_until_admitted;
 
 fn dataset() -> &'static Dataset {
     static DATASET: OnceLock<Dataset> = OnceLock::new();
@@ -74,145 +77,11 @@ fn send_raw(addr: SocketAddr, payload: &[u8], then_close: bool) -> Vec<u8> {
     response
 }
 
-/// The server must still answer a clean request (the abused worker was
-/// neither wedged nor killed). Retries cover the instant right after a
-/// connection burst, when the backlog may legitimately shed with a 503.
+/// The server must still answer a clean request: the abused worker was
+/// neither wedged nor killed.
 fn assert_still_serving(addr: SocketAddr) {
-    let outcome = request_with_retry(
-        addr,
-        "GET",
-        "/status",
-        None,
-        Duration::from_secs(10),
-        RetryPolicy {
-            retries: 10,
-            backoff: Duration::from_millis(50),
-        },
-    );
-    let r = outcome.response.expect("status");
+    let r = get_until_admitted(addr, "/status").expect("status");
     assert_eq!(r.status, 200, "server unhealthy after abuse: {}", r.body);
-}
-
-/// Reads one request through its `Content-Length` body, as a real server
-/// does before it answers: a stand-in that closes with request bytes still
-/// unread makes the kernel send a RST, which can discard its response
-/// before the client reads it.
-fn read_whole_request(stream: &mut TcpStream) {
-    stream
-        .set_read_timeout(Some(Duration::from_secs(1)))
-        .expect("timeout");
-    let mut seen = Vec::new();
-    let mut buf = [0u8; 1024];
-    loop {
-        if let Some(end) = seen.windows(4).position(|w| w == b"\r\n\r\n") {
-            let head = String::from_utf8_lossy(&seen[..end]).to_ascii_lowercase();
-            let body = head
-                .lines()
-                .find_map(|line| line.strip_prefix("content-length:"))
-                .and_then(|len| len.trim().parse::<usize>().ok())
-                .unwrap_or(0);
-            if seen.len() >= end + 4 + body {
-                return;
-            }
-        }
-        match stream.read(&mut buf) {
-            Ok(0) | Err(_) => return,
-            Ok(n) => seen.extend_from_slice(&buf[..n]),
-        }
-    }
-}
-
-/// Regression: a request accepted after N sheds must report the accepted
-/// attempt's latency alone, with the sheds counted as events — not one
-/// sample inflated by shed round-trips and backoff sleeps. The stand-in
-/// server here behaves exactly like an undersized-queue `soi serve` under
-/// burst: it sheds the first two attempts with 503 and accepts the third.
-#[test]
-fn retry_latency_is_timed_from_the_accepted_attempt() {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let server = std::thread::spawn(move || {
-        for attempt in 0..3 {
-            let (mut stream, _) = listener.accept().expect("accept");
-            read_whole_request(&mut stream);
-            let body = if attempt < 2 {
-                "HTTP/1.1 503 Service Unavailable\r\nContent-Length: 25\r\nConnection: close\r\n\r\n{\"error\":\"shedding load\"}"
-            } else {
-                "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\n{}"
-            };
-            stream.write_all(body.as_bytes()).expect("respond");
-        }
-    });
-    let backoff = Duration::from_millis(150);
-    let started = Instant::now();
-    let outcome = request_with_retry(
-        addr,
-        "POST",
-        "/soi",
-        Some("{}"),
-        Duration::from_secs(5),
-        RetryPolicy {
-            retries: 4,
-            backoff,
-        },
-    );
-    let total = started.elapsed();
-    server.join().expect("server thread");
-    assert!(outcome.accepted(), "third attempt was accepted");
-    assert_eq!(outcome.attempts, 3);
-    assert_eq!(outcome.sheds, 2, "each shed 503 is one counted event");
-    // The whole call spans both backoff sleeps (150ms + 300ms) ...
-    assert!(
-        total >= backoff * 3,
-        "expected two backoff sleeps in {total:?}"
-    );
-    // ... but the reported latency is the accepted attempt alone. Before
-    // the fix this was `total`, so shed-heavy runs skewed accepted tail
-    // percentiles by whole backoff windows.
-    assert!(
-        outcome.last_attempt < backoff,
-        "accepted latency {:?} includes shed/backoff time",
-        outcome.last_attempt
-    );
-}
-
-/// Terminal sheds keep their counters honest too: when retries run out
-/// while still shed, every attempt is a shed event and `accepted()` is
-/// false.
-#[test]
-fn exhausted_retries_count_every_shed() {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let server = std::thread::spawn(move || {
-        for _ in 0..2 {
-            let (mut stream, _) = listener.accept().expect("accept");
-            read_whole_request(&mut stream);
-            stream
-                .write_all(
-                    b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 25\r\nConnection: close\r\n\r\n{\"error\":\"shedding load\"}",
-                )
-                .expect("respond");
-        }
-    });
-    let outcome = request_with_retry(
-        addr,
-        "POST",
-        "/soi",
-        Some("{}"),
-        Duration::from_secs(5),
-        RetryPolicy {
-            retries: 1,
-            backoff: Duration::from_millis(10),
-        },
-    );
-    server.join().expect("server thread");
-    assert!(!outcome.accepted());
-    assert_eq!(outcome.attempts, 2);
-    assert_eq!(outcome.sheds, 2, "the final shed must be counted as well");
-    assert_eq!(
-        outcome.response.expect("final response is a 503").status,
-        503
-    );
 }
 
 #[test]

@@ -3,14 +3,17 @@
 //! queue, deadline-degraded partial results validating against the
 //! recorded LBk, latency bounded by the deadline, and graceful drain.
 
+mod support;
+
 use soi_data::Dataset;
 use soi_obs::json::{parse, Json};
-use soi_serve::client::{request, request_with_retry, RetryPolicy};
+use soi_serve::client::{request, Response};
 use soi_serve::{serve, ServeConfig, ServeReport};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, OnceLock};
 use std::time::{Duration, Instant};
+use support::get_until_admitted;
 
 fn dataset() -> &'static Dataset {
     static DATASET: OnceLock<Dataset> = OnceLock::new();
@@ -154,18 +157,28 @@ fn undersized_queue_sheds_with_503_and_metrics_show_it() {
     };
     let (sheds_seen, report) = with_server(config, |addr| {
         let counters = std::sync::Mutex::new((0usize, 0usize, 0usize)); // ok, shed, other
+        let ids = std::sync::Mutex::new(Vec::new());
         std::thread::scope(|s| {
             for _ in 0..16 {
                 s.spawn(|| {
                     for _ in 0..3 {
                         // No retries: a shed must surface as a distinct 503.
-                        match request(
+                        let response = request(
                             addr,
                             "POST",
                             "/soi",
                             Some(&soi_body(0.01, 5_000.0)),
                             TIMEOUT,
-                        ) {
+                        );
+                        if let Some(id) = response
+                            .as_ref()
+                            .ok()
+                            .and_then(|r| r.header("x-soi-request-id"))
+                        {
+                            let id: u64 = id.parse().expect("numeric request id");
+                            ids.lock().unwrap().push(id);
+                        }
+                        match response {
                             Ok(r) if r.status == 200 => counters.lock().unwrap().0 += 1,
                             Ok(r) if r.status == 503 => {
                                 assert!(
@@ -184,20 +197,16 @@ fn undersized_queue_sheds_with_503_and_metrics_show_it() {
         let (ok, shed, other) = *counters.lock().unwrap();
         assert_eq!(other, 0, "unexpected non-200/503 responses");
         assert!(ok > 0, "nothing was served under overload");
+        // Every admitted or queue-shed request carries an id, and no two
+        // concurrent requests share one.
+        let mut ids = ids.into_inner().unwrap();
+        let seen = ids.len();
+        assert!(seen >= ok, "{ok} answers but only {seen} request ids");
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), seen, "request ids reused under concurrency");
         // Overload metrics are visible while the server still runs.
-        let metrics = request_with_retry(
-            addr,
-            "GET",
-            "/metrics",
-            None,
-            TIMEOUT,
-            RetryPolicy {
-                retries: 10,
-                backoff: Duration::from_millis(50),
-            },
-        )
-        .response
-        .expect("metrics reachable after load");
+        let metrics = get_until_admitted(addr, "/metrics").expect("metrics reachable after load");
         assert!(metrics.body.contains("soi_serve_shed_total"));
         shed
     });
@@ -878,21 +887,9 @@ fn without_request_id(body: &str) -> String {
 }
 
 /// The ring record of the request `response` answered, artifacts embedded.
-fn ring_record(addr: SocketAddr, response: &soi_serve::client::Response) -> Json {
+fn ring_record(addr: SocketAddr, response: &Response) -> Json {
     let id = response.header("x-soi-request-id").expect("id header");
-    let by_id = request_with_retry(
-        addr,
-        "GET",
-        &format!("/debug/requests/{id}"),
-        None,
-        TIMEOUT,
-        RetryPolicy {
-            retries: 10,
-            backoff: Duration::from_millis(50),
-        },
-    )
-    .response
-    .expect("debug by id");
+    let by_id = get_until_admitted(addr, &format!("/debug/requests/{id}")).expect("debug by id");
     assert_eq!(by_id.status, 200, "body: {}", by_id.body);
     parse(&by_id.body).expect("valid JSON")
 }

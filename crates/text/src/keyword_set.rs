@@ -54,8 +54,8 @@ pub fn jaccard_distance_of(shared: usize, union: usize) -> f64 {
 /// emptiness of `Ψp ∩ Ψ` (Definition 1) and the Jaccard distance
 /// (Definition 7) — linear merges without hashing. Small sets (the common
 /// case by far) live inline: constructing or cloning them never touches
-/// the allocator, which is what keeps bulk paths — index builds, IR-tree
-/// entry clones, snapshot decodes — off the malloc floor.
+/// the allocator, which is what keeps bulk paths — index builds, dataset
+/// clones, snapshot decodes — off the malloc floor.
 ///
 /// ```
 /// use soi_common::KeywordId;

@@ -13,7 +13,6 @@
 //! - [`network`]: the road-network model ([`soi_network`]);
 //! - [`data`]: POI/photo collections and datasets ([`soi_data`]);
 //! - [`index`]: the spatio-textual indexes ([`soi_index`]);
-//! - [`rtree`]: a bulk-loaded R-tree with node summaries ([`soi_rtree`]);
 //! - [`core`]: the SOI and ST_Rel+Div algorithms ([`soi_core`]);
 //! - [`datagen`]: the synthetic city generator ([`soi_datagen`]).
 //!
@@ -60,7 +59,6 @@ pub use soi_datagen as datagen;
 pub use soi_geo as geo;
 pub use soi_index as index;
 pub use soi_network as network;
-pub use soi_rtree as rtree;
 pub use soi_text as text;
 
 /// The most commonly used items, re-exported flat.
@@ -76,7 +74,7 @@ pub mod prelude {
     pub use soi_data::{Dataset, PhotoCollection, PoiCollection};
     pub use soi_datagen;
     pub use soi_geo::{Grid, LineSeg, Point, Rect};
-    pub use soi_index::{DiversificationIndex, IrTree, PhotoGrid, PoiIndex};
+    pub use soi_index::{DiversificationIndex, PhotoGrid, PoiIndex};
     pub use soi_network::{NetworkBuilder, NetworkStats, RoadNetwork};
     pub use soi_text::{KeywordSet, Vocabulary};
 }

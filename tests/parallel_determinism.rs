@@ -7,7 +7,7 @@
 
 use soi_core::soi::{run_soi, SoiConfig, SoiOutcome, SoiQuery};
 use soi_engine::{QueryContext, QueryEngine};
-use soi_index::{IrTree, PhotoGrid, PoiIndex};
+use soi_index::{PhotoGrid, PoiIndex};
 use std::sync::Arc;
 
 const EPS: f64 = 0.0005;
@@ -72,12 +72,9 @@ fn poi_index_parallel_build_is_thread_count_invariant() {
 }
 
 #[test]
-fn photo_grid_and_ir_tree_builds_are_thread_count_invariant() {
+fn photo_grid_build_is_thread_count_invariant() {
     let dataset = fixture();
     let grid1 = PhotoGrid::build_with_threads(&dataset.network, &dataset.photos, CELL, 1);
-    let tree1 = IrTree::build_with_threads(&dataset.pois, 1);
-    let probe = soi_geo::Point::new(0.3, 0.4);
-    let probe_kws = dataset.query_keywords(&["shop", "food"]);
     let streets: Vec<_> = dataset.network.streets().iter().map(|s| s.id).collect();
 
     for threads in WORKER_COUNTS {
@@ -90,13 +87,6 @@ fn photo_grid_and_ir_tree_builds_are_thread_count_invariant() {
                 "threads {threads}"
             );
         }
-
-        let tree = IrTree::build_with_threads(&dataset.pois, threads);
-        assert_eq!(
-            tree1.top_k_relevant(probe, &probe_kws, 20),
-            tree.top_k_relevant(probe, &probe_kws, 20),
-            "threads {threads}"
-        );
     }
 }
 
