@@ -5,6 +5,10 @@
 //! using only the cell's aggregates: photo count, keyword set `c.Ψ`, and
 //! tag-count range `[c.ψmin, c.ψmax]`. Since the bounds hold for every
 //! member photo, they remain valid for any not-yet-selected subset.
+//!
+//! The relevance bounds (Eqs. 11–14) depend on the street alone: the
+//! context's build takes them once per cell, and a request only blends
+//! them with its `w`.
 
 use crate::describe::context::StreetContext;
 use crate::describe::measures::Picked;
@@ -109,16 +113,25 @@ fn textual_div_bounds(cell: &DivCell, m: usize, nr: usize) -> (f64, f64) {
     (lower, upper)
 }
 
-/// [`cell_rel_bounds`] of the cell at `slot` of the index's occupied list;
-/// `weights` is scratch (Alg. 2 bounds every cell of a street with one).
-pub(crate) fn rel_bounds_at(
-    ctx: &StreetContext,
-    w: f64,
-    slot: usize,
-    weights: &mut Vec<f64>,
-) -> (f64, f64) {
-    let (sl, su) = spatial_rel_bounds(ctx, slot);
-    let (tl, tu) = textual_rel_bounds(ctx, &ctx.index.cell_at(slot), weights);
+/// The context's cell relevance column: `[sl, su, tl, tu]` of Eqs. 11–14
+/// for every occupied cell, by cell slot. Only the context's build calls
+/// this; every later read is its `cell_rel`.
+pub(crate) fn cell_relevance_bounds(ctx: &StreetContext) -> Vec<[f64; 4]> {
+    let cells = ctx.index.occupied().len();
+    let widest = (0..cells).map(|slot| ctx.index.cell_at(slot).keywords.len());
+    let mut weights = Vec::with_capacity(widest.max().unwrap_or(0));
+    let mut column = Vec::with_capacity(cells);
+    for slot in 0..cells {
+        let (sl, su) = spatial_rel_bounds(ctx, slot);
+        let (tl, tu) = textual_rel_bounds(ctx, &ctx.index.cell_at(slot), &mut weights);
+        column.push([sl, su, tl, tu]);
+    }
+    column
+}
+
+/// [`cell_rel_bounds`] of the cell at `slot` of the index's occupied list.
+pub(crate) fn rel_bounds_at(ctx: &StreetContext, w: f64, slot: usize) -> (f64, f64) {
+    let [sl, su, tl, tu] = ctx.cell_rel[slot];
     (w * sl + (1.0 - w) * tl, w * su + (1.0 - w) * tu)
 }
 
@@ -146,7 +159,7 @@ pub(crate) fn div_bounds_at(
 /// bound).
 pub fn cell_rel_bounds(ctx: &StreetContext, w: f64, id: CellId) -> (f64, f64) {
     match ctx.index.slot_of(id) {
-        Some(slot) => rel_bounds_at(ctx, w, slot, &mut Vec::new()),
+        Some(slot) => rel_bounds_at(ctx, w, slot),
         None => (0.0, 0.0),
     }
 }
@@ -195,6 +208,7 @@ pub fn cell_mmr_bounds<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::describe::context::tests::assert_relevance_columns_equal_the_records;
     use crate::describe::context::{ContextBuilder, PhiSource};
     use crate::describe::{measures, objective};
     use soi_common::{KeywordId, StreetId};
@@ -234,19 +248,74 @@ mod tests {
         (photos, ctx)
     }
 
+    /// Streets whose relevance bounds are easiest to get wrong by an ulp,
+    /// one per ρ: a street shorter than ρ, photos on a lattice of the ρ/2
+    /// cell edges (pairs of them exactly ρ apart) and one ulp either side
+    /// of an edge, and coincident photos.
+    fn adversarial() -> Vec<(PhotoCollection, StreetContext)> {
+        [0.4, 0.5, 0.3, 1e-4]
+            .into_iter()
+            .map(|rho: f64| {
+                let mut b = RoadNetwork::builder();
+                b.add_street_from_points(
+                    "Short",
+                    &[Point::new(0.0, 0.0), Point::new(0.75 * rho, 0.0)],
+                );
+                let network = b.build().unwrap();
+                let half = rho / 2.0;
+                let mut photos = PhotoCollection::new();
+                for i in 0..5u32 {
+                    for j in 0..5u32 {
+                        let at = Point::new(f64::from(i) * half, (f64::from(j) - 2.0) * half);
+                        photos.add(at, tags(&[i % 3, 3 + (i + j) % 2]));
+                    }
+                }
+                for i in 0..4u32 {
+                    photos.add(Point::new(half, half), tags(&[i]));
+                }
+                let edge = half;
+                for x in [edge.next_down(), edge.next_up()] {
+                    photos.add(Point::new(x, rho), tags(&[0, 1, 2, 3]));
+                }
+                let grid = PhotoGrid::build(&network, &photos, 2.0 * rho);
+                let ctx = ContextBuilder {
+                    network: &network,
+                    photos: &photos,
+                    photo_grid: &grid,
+                    pois: None,
+                    eps: 2.0 * rho,
+                    rho,
+                    phi_source: PhiSource::Photos,
+                }
+                .build(StreetId(0))
+                .unwrap();
+                assert_eq!(ctx.members.len(), photos.len(), "rho {rho}");
+                assert_relevance_columns_equal_the_records(&ctx, (&photos).into());
+                (photos, ctx)
+            })
+            .collect()
+    }
+
+    /// Under `PhiSource::Photos` every weight of `Φs` is a count, so the
+    /// sums of Eqs. 13–14 and of Definition 6 are exact, and `f64` rounding
+    /// is monotone under the non-negative division and blend: the bounds
+    /// hold to the bit, with no tolerance.
     #[test]
     fn rel_bounds_sandwich_exact_values() {
-        let (photos, ctx) = setup();
-        for w in [0.0, 0.3, 1.0] {
-            for &id in ctx.index.occupied() {
-                let (lo, hi) = cell_rel_bounds(&ctx, w, id);
-                assert!(lo <= hi + 1e-12);
-                for &r in ctx.index.cell(id).unwrap().photos {
-                    let exact = measures::rel(&ctx, &photos, w, r);
-                    assert!(
-                        lo <= exact + 1e-9 && exact <= hi + 1e-9,
-                        "rel bound violated: w={w} cell={id:?} r={r} lo={lo} exact={exact} hi={hi}"
-                    );
+        for (photos, ctx) in std::iter::once(setup()).chain(adversarial()) {
+            for w in [0.0, 0.3, 1.0] {
+                for &id in ctx.index.occupied() {
+                    let (lo, hi) = cell_rel_bounds(&ctx, w, id);
+                    assert!(lo <= hi);
+                    for &r in ctx.index.cell(id).unwrap().photos {
+                        let exact = measures::rel(&ctx, &photos, w, r);
+                        assert!(
+                            lo <= exact && exact <= hi,
+                            "rel bound violated: rho={} w={w} cell={id:?} r={r} \
+                             lo={lo} exact={exact} hi={hi}",
+                            ctx.rho
+                        );
+                    }
                 }
             }
         }

@@ -3,8 +3,11 @@
 //! Bundles everything the measures of Section 4.1.2 need about one street:
 //! its photo set `Rs`, its keyword frequency vector `Φs`, the normaliser
 //! `maxD(s)` (diagonal of the ε-buffered street MBR, Definition 5), the
-//! neighbourhood radius ρ, and the per-street diversification grid index.
+//! neighbourhood radius ρ, the per-street diversification grid index, and
+//! what no request changes: each member's Def. 4 / Def. 6 relevance and
+//! each cell's Eq. 11–14 relevance bounds before the request's `w`.
 
+use crate::describe::{bounds, measures};
 use soi_common::{PhotoId, PoiId, Result, SoiError, StreetId};
 use soi_data::{PhotoCollection, PhotoView, PoiCollection};
 use soi_index::{DeltaIndex, DiversificationIndex, PhotoGrid};
@@ -44,6 +47,11 @@ impl PhiSource {
 /// It depends on nothing but the street and the builder's inputs, so a
 /// server keeps one per street for a whole epoch ([`StreetContexts`]):
 /// it holds its columns and no build scratch.
+///
+/// Beside the index's columns it holds two of its own, 16 B per member and
+/// 32 B per cell, filled by the build and read by every request: what of
+/// Alg. 2's relevance depends on the street alone, which a request meets
+/// only in the blend `w·s + (1−w)·t`.
 #[derive(Debug)]
 pub struct StreetContext {
     /// The street being described.
@@ -58,14 +66,51 @@ pub struct StreetContext {
     pub rho: f64,
     /// The per-street grid index (cell side ρ/2).
     pub index: DiversificationIndex,
+    /// Per member slot of `index`: its photo's Def. 4 spatial and Def. 6
+    /// textual relevance.
+    pub(crate) member_rel: Vec<(f64, f64)>,
+    /// Per cell slot of `index`: the bounds `(sl, su)` of Eqs. 11–12 and
+    /// `(tl, tu)` of Eqs. 13–14 on its photos' spatial and textual
+    /// relevance.
+    pub(crate) cell_rel: Vec<[f64; 4]>,
 }
 
 impl StreetContext {
-    /// Heap bytes the context holds: `Rs`, `Φs` and the index's columns.
+    /// The context of `street` over its photos `members` (ascending ids of
+    /// `photos`): the index over them, then the relevance columns over the
+    /// index.
+    fn assemble(
+        street: StreetId,
+        members: Vec<PhotoId>,
+        phi: FreqVector,
+        max_d: f64,
+        rho: f64,
+        photos: PhotoView<'_>,
+    ) -> Result<Self> {
+        let index = DiversificationIndex::build(photos, &members, rho)?;
+        let mut ctx = Self {
+            street,
+            members,
+            phi,
+            max_d,
+            rho,
+            index,
+            member_rel: Vec::new(),
+            cell_rel: Vec::new(),
+        };
+        ctx.member_rel = measures::member_relevance(&ctx, photos);
+        ctx.cell_rel = bounds::cell_relevance_bounds(&ctx);
+        Ok(ctx)
+    }
+
+    /// Heap bytes the context holds: `Rs`, `Φs`, the index's columns and
+    /// the relevance columns.
     pub fn heap_bytes(&self) -> usize {
         self.members.capacity() * std::mem::size_of::<PhotoId>()
             + self.phi.heap_bytes()
             + self.index.heap_bytes()
+            + self.member_rel.capacity() * std::mem::size_of::<(f64, f64)>()
+            + self.cell_rel.capacity() * std::mem::size_of::<[f64; 4]>()
     }
 }
 
@@ -211,20 +256,12 @@ impl<'a> ContextBuilder<'a> {
         }
 
         phi.shrink_to_fit();
-        let index = DiversificationIndex::build(photos, &members, self.rho)?;
         let max_d = self
             .network
             .street_mbr(street)
             .map(|mbr| mbr.expand(self.eps).diagonal())
             .unwrap_or(0.0);
-        Ok(StreetContext {
-            street,
-            members,
-            phi,
-            max_d,
-            rho: self.rho,
-            index,
-        })
+        StreetContext::assemble(street, members, phi, max_d, self.rho, photos)
     }
 }
 
@@ -306,10 +343,13 @@ impl StreetContexts {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::describe::measures::{spatial_rel, textual_rel};
     use soi_common::KeywordId;
+    use soi_data::Photo;
     use soi_geo::Point;
+    use soi_index::{DeltaOp, PoiIndex};
     use soi_text::KeywordSet;
 
     fn tags(ids: &[u32]) -> KeywordSet {
@@ -507,6 +547,214 @@ mod tests {
         assert!(!built && std::ptr::eq(first, again));
         let outside = table.get_or_build(&builder(0.2), StreetId(1), None);
         assert!(matches!(outside, Err(SoiError::NotFound(_))));
+    }
+
+    /// Asserts that every stored relevance value of `ctx` equals, bit for
+    /// bit, its recomputation from the photo records: Definition 4 by a scan
+    /// of all `|Rs|²` pairs, Definition 6 by `Φs`, and Eqs. 11–14 from the
+    /// records of the photos in each cell and around it. Of the index only
+    /// its grid, its occupied cells and the cell of each member slot are
+    /// read.
+    pub(crate) fn assert_relevance_columns_equal_the_records(
+        ctx: &StreetContext,
+        photos: PhotoView<'_>,
+    ) {
+        let index = &ctx.index;
+        let grid = index.grid();
+        let rs = ctx.members.len() as f64;
+        let l1 = ctx.phi.l1_norm();
+        let textual = |tags: &KeywordSet| {
+            if l1 == 0.0 {
+                0.0
+            } else {
+                ctx.phi.sum_over(tags) / l1
+            }
+        };
+        let cell_of = |id: PhotoId| grid.cell_containing(photos.get(id).pos);
+        let rho_sq = ctx.rho * ctx.rho;
+        let bits = |v: [f64; 4]| v.map(f64::to_bits);
+        let pair_bits = |(a, b): (f64, f64)| (a.to_bits(), b.to_bits());
+        let mut indexed = 0;
+        for &r in &ctx.members {
+            let photo = photos.get(r);
+            let within = ctx
+                .members
+                .iter()
+                .filter(|&&b| photos.get(b).pos.dist_sq(photo.pos) <= rho_sq);
+            let want = match index.locate(r, photo.pos) {
+                Some((_, member)) => {
+                    indexed += 1;
+                    let want = (within.count() as f64 / rs, textual(&photo.tags));
+                    assert_eq!(
+                        pair_bits(ctx.member_rel[member]),
+                        pair_bits(want),
+                        "photo {r} of street {}",
+                        ctx.street
+                    );
+                    want
+                }
+                None => {
+                    assert!(
+                        cell_of(r).is_none(),
+                        "photo {r} is in the grid but not the index"
+                    );
+                    (0.0, textual(&photo.tags))
+                }
+            };
+            let read = (spatial_rel(ctx, photos, r), textual_rel(ctx, photos, r));
+            assert_eq!(pair_bits(read), pair_bits(want), "photo {r}");
+        }
+        assert_eq!(indexed, index.photos().len());
+        for (slot, &id) in index.occupied().iter().enumerate() {
+            let here = grid.coord_of(id);
+            let in_cell: Vec<&Photo> = ctx
+                .members
+                .iter()
+                .filter(|&&r| cell_of(r) == Some(here))
+                .map(|&r| photos.get(r))
+                .collect();
+            // Eq. 12 counts the photos of the 5 × 5 cells around the cell
+            // and, beyond them, each photo `dist_sq` puts within ρ of one of
+            // the cell's.
+            let reaches = |b: &Photo| in_cell.iter().any(|a| b.pos.dist_sq(a.pos) <= rho_sq);
+            let near = ctx.members.iter().map(|&b| photos.get(b)).filter(|b| {
+                cell_of(b.id).is_some_and(|c| {
+                    c.ix.abs_diff(here.ix) <= 2 && c.iy.abs_diff(here.iy) <= 2 || reaches(b)
+                })
+            });
+            let (sl, su) = (in_cell.len() as f64 / rs, near.count() as f64 / rs);
+            let mut keywords: Vec<KeywordId> =
+                in_cell.iter().flat_map(|r| r.tags.ids()).copied().collect();
+            keywords.sort_unstable();
+            keywords.dedup();
+            let psi_min = in_cell.iter().map(|r| r.tags.len()).min().unwrap();
+            let psi_max = in_cell.iter().map(|r| r.tags.len()).max().unwrap();
+            let mut positive: Vec<f64> = keywords
+                .iter()
+                .map(|&k| ctx.phi.weight(k))
+                .filter(|&w| w > 0.0)
+                .collect();
+            positive.sort_by(f64::total_cmp);
+            let must_take = psi_min.saturating_sub(keywords.len() - positive.len());
+            let lower: f64 = positive.iter().take(must_take).sum();
+            let upper: f64 = positive.iter().rev().take(psi_max).sum();
+            let (tl, tu) = if l1 == 0.0 {
+                (0.0, 0.0)
+            } else {
+                (lower / l1, upper / l1)
+            };
+            assert_eq!(
+                bits(ctx.cell_rel[slot]),
+                bits([sl, su, tl, tu]),
+                "cell {id:?} of street {}",
+                ctx.street
+            );
+        }
+    }
+
+    /// 240 photos in a 10 × 0.8 strip around [`setup`]'s street, a fifth of
+    /// them untagged; `tag_ids(i)` tags photo `i`.
+    fn strip_photos(tag_ids: impl Fn(u32) -> Vec<u32>) -> PhotoCollection {
+        let mut photos = PhotoCollection::new();
+        for i in 0..240u32 {
+            let x = f64::from(i * 37 % 101) * 0.1;
+            let y = (f64::from(i * 13 % 17) - 8.0) * 0.05;
+            let ids = if i % 5 == 0 { Vec::new() } else { tag_ids(i) };
+            photos.add(Point::new(x, y), tags(&ids));
+        }
+        photos
+    }
+
+    #[test]
+    fn relevance_columns_equal_an_oracle_over_the_photo_records() {
+        let (network, _, _) = setup();
+        fn builder<'a>(
+            network: &'a RoadNetwork,
+            photos: &'a PhotoCollection,
+            photo_grid: &'a PhotoGrid,
+            pois: Option<&'a PoiCollection>,
+            phi_source: PhiSource,
+        ) -> ContextBuilder<'a> {
+            ContextBuilder {
+                network,
+                photos,
+                photo_grid,
+                pois,
+                eps: 0.5,
+                rho: 0.4,
+                phi_source,
+            }
+        }
+        // A street whose tags fit the masks, one of more than 64 tags, and
+        // one whose photos carry no tag (`Φs` all zero).
+        let narrow = strip_photos(|i| vec![i % 7, 7 + i % 3]);
+        let wide = strip_photos(|i| vec![i, i + 1, 500]);
+        let untagged = strip_photos(|_| Vec::new());
+        for (photos, masked) in [(&narrow, true), (&wide, false), (&untagged, true)] {
+            let grid = PhotoGrid::build(&network, photos, 1.0);
+            let ctx = builder(&network, photos, &grid, None, PhiSource::Photos)
+                .build(StreetId(0))
+                .unwrap();
+            assert_eq!(
+                (ctx.members.len(), ctx.index.kw_mask(0).is_some()),
+                (240, masked)
+            );
+            assert_relevance_columns_equal_the_records(&ctx, photos.into());
+        }
+
+        // A member at a non-finite position: in `Rs`, outside the index.
+        let mut photos = narrow.clone();
+        let lost = photos.add(Point::new(f64::NAN, 0.0), tags(&[3, 99]));
+        let members: Vec<PhotoId> = photos.iter().map(|p| p.id).collect();
+        let mut phi = FreqVector::new();
+        for &r in &members {
+            for tag in photos.get(r).tags.iter() {
+                phi.increment(tag);
+            }
+        }
+        let view = PhotoView::from(&photos);
+        let ctx = StreetContext::assemble(StreetId(0), members, phi, 11.0, 0.4, view).unwrap();
+        assert_eq!((ctx.members.len(), ctx.index.photos().len()), (241, 240));
+        assert_eq!(spatial_rel(&ctx, view, lost), 0.0);
+        assert!(textual_rel(&ctx, view, lost) > 0.0);
+        assert_relevance_columns_equal_the_records(&ctx, view);
+
+        // Under a live delta that deletes photos and POIs and adds both.
+        let photos = narrow;
+        let mut pois = PoiCollection::new();
+        for i in 0..30u32 {
+            pois.add(Point::new(f64::from(i) * 0.3, 0.1), tags(&[i % 9]));
+        }
+        let grid = PhotoGrid::build(&network, &photos, 1.0);
+        let poi_index = PoiIndex::build(&network, &pois, 1.0);
+        let mut ops: Vec<DeltaOp> = (0..240u32)
+            .step_by(7)
+            .map(|i| DeltaOp::DeletePhoto { id: PhotoId(i) })
+            .collect();
+        ops.push(DeltaOp::DeletePoi { id: PoiId(4) });
+        for i in 0..25u32 {
+            let pos = Point::new(f64::from(i) * 0.37, 0.2 - f64::from(i % 4) * 0.1);
+            ops.push(DeltaOp::AddPhoto {
+                pos,
+                tags: tags(&[i % 11, 20]),
+            });
+        }
+        ops.push(DeltaOp::AddPoi {
+            pos: Point::new(5.0, 0.0),
+            keywords: tags(&[20]),
+            weight: 2.5,
+        });
+        let delta = DeltaIndex::seal(&poi_index, &pois, &photos, &ops).unwrap();
+        let live = builder(
+            &network,
+            &photos,
+            &grid,
+            Some(&pois),
+            PhiSource::PhotosAndPois,
+        );
+        let ctx = live.build_with_delta(StreetId(0), Some(&delta)).unwrap();
+        assert_eq!(ctx.members.len(), 240 - 35 + 25);
+        assert_relevance_columns_equal_the_records(&ctx, live.photo_view(Some(&delta)));
     }
 
     #[test]

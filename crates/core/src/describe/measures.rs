@@ -4,7 +4,7 @@ use crate::describe::context::StreetContext;
 use soi_common::PhotoId;
 use soi_data::PhotoView;
 use soi_geo::Point;
-use soi_text::jaccard_distance_of;
+use soi_text::{jaccard_distance_of, KeywordSet};
 
 /// A selected photo as Alg. 2 reads it round after round — the diversity
 /// bounds of every cell and the exact [`div`] of every scored photo are
@@ -38,29 +38,50 @@ impl Picked {
 /// photo the street's index does not hold (not a member, or one with a
 /// non-finite position) has relevance 0.
 pub fn spatial_rel<'a>(ctx: &StreetContext, photos: impl Into<PhotoView<'a>>, r: PhotoId) -> f64 {
-    let photos: PhotoView<'a> = photos.into();
-    match ctx.index.locate(r, photos.get(r).pos) {
-        Some((slot, member)) => spatial_rel_at(ctx, slot, member),
-        None => 0.0,
-    }
-}
-
-/// [`spatial_rel`] of the photo at member slot `member` of the index cell
-/// at `slot`.
-pub(crate) fn spatial_rel_at(ctx: &StreetContext, slot: usize, member: usize) -> f64 {
-    ctx.index.count_within(slot, member) as f64 / ctx.index.num_photos() as f64
+    relevance(ctx, photos.into(), r).0
 }
 
 /// Textual relevance (Definition 6): `Σ_{ψ∈Ψr} Φs(ψ) / ‖Φs‖₁`.
 ///
 /// Returns 0 when `Φs` is all-zero.
 pub fn textual_rel<'a>(ctx: &StreetContext, photos: impl Into<PhotoView<'a>>, r: PhotoId) -> f64 {
-    let photos: PhotoView<'a> = photos.into();
+    relevance(ctx, photos.into(), r).1
+}
+
+/// `(spatial_rel, textual_rel)` of `r`: the context's column for a photo
+/// its index holds; for any other, 0 and Definition 6 of its record.
+fn relevance(ctx: &StreetContext, photos: PhotoView<'_>, r: PhotoId) -> (f64, f64) {
+    let photo = photos.get(r);
+    match ctx.index.locate(r, photo.pos) {
+        Some((_, member)) => ctx.member_rel[member],
+        None => (0.0, textual_rel_of(ctx, &photo.tags)),
+    }
+}
+
+/// Definition 6 of a photo tagged `tags`.
+fn textual_rel_of(ctx: &StreetContext, tags: &KeywordSet) -> f64 {
     let l1 = ctx.phi.l1_norm();
     if l1 == 0.0 {
         return 0.0;
     }
-    ctx.phi.sum_over(&photos.get(r).tags) / l1
+    ctx.phi.sum_over(tags) / l1
+}
+
+/// The context's relevance column: `(spatial_rel, textual_rel)` of every
+/// photo its index holds, by member slot. Only the context's build calls
+/// this; every later read is its `member_rel`.
+pub(crate) fn member_relevance(ctx: &StreetContext, photos: PhotoView<'_>) -> Vec<(f64, f64)> {
+    let index = &ctx.index;
+    let rs = index.num_photos() as f64;
+    let mut column = Vec::with_capacity(index.photos().len());
+    for slot in 0..index.occupied().len() {
+        for member in index.member_slots(slot) {
+            let spatial = index.count_within(slot, member) as f64 / rs;
+            let tags = &photos.get(index.photos()[member]).tags;
+            column.push((spatial, textual_rel_of(ctx, tags)));
+        }
+    }
+    column
 }
 
 /// Spatial diversity (Definition 5): `dist(r, r′) / maxD(s)`.
@@ -88,20 +109,15 @@ pub fn textual_div<'a>(photos: impl Into<PhotoView<'a>>, r: PhotoId, r2: PhotoId
 /// Combined per-photo relevance: `w·spatial_rel + (1−w)·textual_rel`
 /// (the per-item summand of Eq. 4).
 pub fn rel<'a>(ctx: &StreetContext, photos: impl Into<PhotoView<'a>>, w: f64, r: PhotoId) -> f64 {
-    let photos: PhotoView<'a> = photos.into();
-    w * spatial_rel(ctx, photos, r) + (1.0 - w) * textual_rel(ctx, photos, r)
+    let (spatial, textual) = relevance(ctx, photos.into(), r);
+    w * spatial + (1.0 - w) * textual
 }
 
-/// [`rel`] of the photo `r` at member slot `member` of the index cell at
-/// `slot`, without looking its slots up.
-pub(crate) fn rel_at(
-    ctx: &StreetContext,
-    photos: PhotoView<'_>,
-    w: f64,
-    r: PhotoId,
-    (slot, member): (usize, usize),
-) -> f64 {
-    w * spatial_rel_at(ctx, slot, member) + (1.0 - w) * textual_rel(ctx, photos, r)
+/// [`rel`] of the photo at member slot `member` of the index, without
+/// looking its slot up.
+pub(crate) fn rel_at(ctx: &StreetContext, w: f64, member: usize) -> f64 {
+    let (spatial, textual) = ctx.member_rel[member];
+    w * spatial + (1.0 - w) * textual
 }
 
 /// Combined pairwise diversity: `w·spatial_div + (1−w)·textual_div`
@@ -228,7 +244,7 @@ mod tests {
                 for member in ctx.index.member_slots(slot) {
                     let r = ctx.index.photos()[member];
                     for w in [0.0, 0.3, 1.0] {
-                        let at = rel_at(&ctx, view, w, r, (slot, member));
+                        let at = rel_at(&ctx, w, member);
                         assert_eq!(at.to_bits(), rel(&ctx, view, w, r).to_bits());
                         for &r2 in &ctx.members {
                             let at =

@@ -11,12 +11,13 @@
 //!    the running best; once a cell's `Bmax` drops below the best exact
 //!    value, all remaining cells are pruned.
 //!
-//! Unlike the naive baseline, the per-cell relevance bounds (which do not
-//! depend on the partial selection) are computed once, the per-cell
-//! diversity-bound sums accumulate incrementally as photos are selected,
-//! and each photo's relevance and running diversity sum are cached — so an
-//! iteration costs `O(#cells)` bound work plus exact evaluations only for
-//! the photos of surviving cells.
+//! Unlike the naive baseline, the per-cell relevance bounds and each
+//! photo's relevance (which depend on the street alone) are read from the
+//! street's context and only blended with `w` — a cell's once per run, a
+//! photo's when it is scored — the per-cell diversity-bound sums accumulate incrementally as photos are selected,
+//! and each photo's running diversity sum is cached — so an iteration costs
+//! `O(#cells)` bound work plus exact evaluations only for the photos of
+//! surviving cells.
 //!
 //! The tie-break (higher `mmr`, then lower photo id) matches the baseline,
 //! so both produce identical selections; summation order also matches,
@@ -47,11 +48,9 @@ struct CellAcc {
     div_hi_sum: f64,
 }
 
-/// Per-photo cached exact quantities, one per member slot of the index.
+/// Per-photo incremental state, one per member slot of the index.
 #[derive(Default, Clone, Copy)]
 struct PhotoAcc {
-    /// Combined relevance (computed once; selection-independent).
-    rel: Option<f64>,
     /// Diversity sum over the first `upto` selected photos.
     div_sum: f64,
     upto: usize,
@@ -61,7 +60,9 @@ struct PhotoAcc {
 
 /// Reusable allocations for [`st_rel_div`], letting a batch of describe
 /// calls share buffers instead of re-allocating the per-cell accumulators,
-/// the per-photo table, and the per-iteration candidate list on every call.
+/// the per-photo table, the per-iteration candidate list and the selection
+/// on every call. What depends on the street alone is not here: it is a
+/// column of the [`StreetContext`].
 ///
 /// Hold one per worker thread and pass it to [`st_rel_div_with_scratch`];
 /// results are identical to [`st_rel_div`] (the buffers are cleared on
@@ -74,8 +75,6 @@ pub struct DescribeScratch {
     photo_acc: Vec<PhotoAcc>,
     /// The selection so far, as the bounds and the exact `div` read it.
     picked: Vec<Picked>,
-    /// Scratch of the textual relevance bound's weight sort.
-    weights: Vec<f64>,
 }
 
 impl std::fmt::Debug for DescribeScratch {
@@ -162,7 +161,6 @@ pub fn st_rel_div_full<'a>(
         candidates,
         photo_acc,
         picked,
-        weights,
     } = scratch;
     picked.clear();
     photo_acc.clear();
@@ -171,7 +169,7 @@ pub fn st_rel_div_full<'a>(
     stats.timer.enter(phases::FILTERING);
     cells.clear();
     cells.extend((0..index.occupied().len()).map(|slot| {
-        let (rel_lo, rel_hi) = rel_bounds_at(ctx, params.w, slot, weights);
+        let (rel_lo, rel_hi) = rel_bounds_at(ctx, params.w, slot);
         CellAcc {
             remaining: index.member_slots(slot).len(),
             rel_lo,
@@ -188,18 +186,11 @@ pub fn st_rel_div_full<'a>(
     let one_minus_lambda = 1.0 - params.lambda;
     stats.timer.stop();
 
-    // Exact mmr with cached relevance and incrementally topped-up div sums.
-    // Summation order equals the baseline's (selection order), so results
-    // are bit-identical.
-    let exact_mmr = |r: PhotoId, (slot, member), picked: &[Picked], acc: &mut PhotoAcc| -> f64 {
-        let rel = match acc.rel {
-            Some(rel) => rel,
-            None => {
-                let rel = measures::rel_at(ctx, photos, params.w, r, (slot, member));
-                acc.rel = Some(rel);
-                rel
-            }
-        };
+    // Exact mmr from the context's relevance column and incrementally
+    // topped-up div sums. Summation order equals the baseline's (selection
+    // order), so results are bit-identical.
+    let exact_mmr = |r: PhotoId, member: usize, picked: &[Picked], acc: &mut PhotoAcc| -> f64 {
+        let rel = measures::rel_at(ctx, params.w, member);
         let mut div_sum = acc.div_sum;
         for r2 in &picked[acc.upto..] {
             div_sum += measures::div_at(ctx, photos, params.w, (r, member), r2);
@@ -278,7 +269,7 @@ pub fn st_rel_div_full<'a>(
                     continue;
                 }
                 let r = index.photos()[member];
-                let v = exact_mmr(r, (slot, member), picked, acc);
+                let v = exact_mmr(r, member, picked, acc);
                 stats.photos_evaluated += 1;
                 let better = match best {
                     None => true,

@@ -175,13 +175,26 @@ impl Grid {
         CellCoord::new(raw % self.nx, raw / self.nx)
     }
 
+    /// `p`'s offsets from the origin, in cells, as rounded: the cell
+    /// containing `p` is their floor.
+    #[inline]
+    pub fn cell_offsets(&self, p: Point) -> (f64, f64) {
+        (
+            (p.x - self.origin.x) / self.cell_size,
+            (p.y - self.origin.y) / self.cell_size,
+        )
+    }
+
     /// The cell containing `p` under half-open semantics, or `None` if `p`
-    /// lies outside the grid extent.
+    /// lies outside the grid extent or has a NaN coordinate.
     #[inline]
     pub fn cell_containing(&self, p: Point) -> Option<CellCoord> {
-        let fx = ((p.x - self.origin.x) / self.cell_size).floor();
-        let fy = ((p.y - self.origin.y) / self.cell_size).floor();
-        if fx < 0.0 || fy < 0.0 || fx >= self.nx as f64 || fy >= self.ny as f64 {
+        let (fx, fy) = self.cell_offsets(p);
+        let (fx, fy) = (fx.floor(), fy.floor());
+        // Stated as what a cell's offsets satisfy, so that a NaN offset,
+        // which fails every comparison, is outside too.
+        let inside = |f: f64, n: u32| (0.0..f64::from(n)).contains(&f);
+        if !(inside(fx, self.nx) && inside(fy, self.ny)) {
             return None;
         }
         Some(CellCoord::new(fx as u32, fy as u32))
@@ -371,6 +384,10 @@ mod tests {
         assert_eq!(g.cell_containing(Point::new(-0.1, 0.0)), None);
         assert_eq!(g.cell_containing(Point::new(4.0, 0.0)), None);
         assert_eq!(g.cell_containing(Point::new(0.0, 3.0)), None);
+        // Nor is a point with a NaN or infinite coordinate.
+        for p in [(f64::NAN, 0.5), (0.5, f64::NAN), (f64::INFINITY, 0.5)] {
+            assert_eq!(g.cell_containing(Point::new(p.0, p.1)), None, "{p:?}");
+        }
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!
 //! | column | bytes | read by |
 //! |---|---|---|
-//! | `x`, `y` | 16 / member | [`count_within`](DiversificationIndex::count_within) (Def. 4) |
-//! | `near` | 40 / cell | `count_within`, [`neighborhood_count`](DiversificationIndex::neighborhood_count) (Eq. 12) |
+//! | `x`, `y` | 16 / member | [`count_within`](DiversificationIndex::count_within) (Def. 4, once per member when the street's context is built), [`point`](DiversificationIndex::point) |
+//! | `near` | 40 / cell | `count_within`, [`neighborhood_count`](DiversificationIndex::neighborhood_count) (Eq. 12, likewise) |
 //! | `rects` | 32 / cell | [`cell_rect`](DiversificationIndex::cell_rect) (Eqs. 15–16) |
 //! | `kw_masks` | 8 / cell | [`kw_mask`](DiversificationIndex::kw_mask) (`c.Ψ ∩ Ψr` of Eqs. 17–18) |
 //! | `tag_masks` | 8 / member | [`member_tag_mask`](DiversificationIndex::member_tag_mask) (Def. 7) |
@@ -37,6 +37,23 @@
 //! cell slots, and their photos — the array is cell-major — one run of
 //! member slots, hence one run of `x` / `y`. Five rows, five runs, resolved
 //! once per cell when the index is built.
+//!
+//! **A photo three cells away can still be within ρ in `f64`.** In exact
+//! arithmetic a photo within ρ of a cell's photo lies in the cell's
+//! radius-2 neighbourhood, but the squared distance is rounded: a photo one
+//! ulp past the neighbourhood's far edge can round to exactly ρ away. For
+//! two photos three cells apart on an axis to pass the distance test, the
+//! rounded offsets of both, in cells, must lie within
+//! `8 · f64::EPSILON · (cells across + 2)` of a whole number (the errors of
+//! the offset's subtraction and division, and of the squared distance, add
+//! up to less): one just below a cell's upper edge, the other just above
+//! the lower edge of a cell three further on. Four cells apart none can
+//! pass. So the build notes, per axis, whether photos stand that close to
+//! both kinds of edge; only then does it pair the photos of cells three
+//! apart, and keeps those that pass as the cell's
+//! *fringe*, which [`count_within`](DiversificationIndex::count_within) and
+//! [`neighborhood_count`](DiversificationIndex::neighborhood_count) add to
+//! the five runs. Elsewhere the fringe is empty and allocates nothing.
 //!
 //! An index holds its columns and nothing else: the build's scratch (member
 //! positions in id order, the sort keys, one cell's tags, the numbering
@@ -98,6 +115,10 @@ pub struct DiversificationIndex {
     /// Per cell slot and grid row of its radius-2 neighbourhood: the member
     /// slots of the row's occupied cells (empty for a row that holds none).
     near: Vec<[(u32, u32); NEAR_ROWS]>,
+    /// `(cell slot, member slot)` ascending: the photos outside a cell's
+    /// radius-2 neighbourhood within ρ of one of its photos under `f64`
+    /// rounding (see the module docs).
+    fringe: Vec<(u32, u32)>,
     /// The closed rectangle of each occupied cell, by cell slot.
     rects: Vec<Rect>,
     /// `(ψmin, ψmax)` per cell slot.
@@ -227,11 +248,23 @@ impl DiversificationIndex {
             ))
         })?;
         let mut keys = Vec::with_capacity(members.len());
+        // Per axis: whether a photo stands just above a cell's lower edge,
+        // three cells or more from the first, and whether one stands just
+        // below a cell's upper edge (see the module docs).
+        let cells_across = f64::from(grid.nx().max(grid.ny()));
+        let edge = 8.0 * f64::EPSILON * (cells_across + 2.0);
+        let mut edges = [[false; 2]; 2];
         for (i, pos) in positions().enumerate() {
             // Photos outside the grid (non-finite position) are
             // unindexable.
             if let Some(coord) = grid.cell_containing(pos) {
                 keys.push(u64::from(grid.cell_id(coord).0) << 32 | i as u64);
+                let (fx, fy) = grid.cell_offsets(pos);
+                for (offset, [low, high]) in [fx, fy].into_iter().zip(&mut edges) {
+                    let cell = offset.floor();
+                    *low |= offset - cell <= edge && cell >= 3.0;
+                    *high |= offset - cell >= 1.0 - edge;
+                }
             }
         }
         // The keys are unique, so the unstable sort is deterministic: cells
@@ -251,6 +284,7 @@ impl DiversificationIndex {
             x: Vec::with_capacity(indexed),
             y: Vec::with_capacity(indexed),
             near: Vec::with_capacity(cells),
+            fringe: Vec::new(),
             rects: Vec::with_capacity(cells),
             psi: Vec::with_capacity(cells),
             kw_starts: Vec::with_capacity(cells + 1),
@@ -307,6 +341,9 @@ impl DiversificationIndex {
             None => (index.tag_masks, index.kw_masks) = (Vec::new(), Vec::new()),
         }
         index.resolve_neighbourhoods();
+        if edges.iter().any(|&[low, high]| low && high) {
+            index.resolve_fringe();
+        }
         Ok(index)
     }
 
@@ -343,6 +380,56 @@ impl DiversificationIndex {
             }
             self.near.push(ranges);
         }
+    }
+
+    /// Fills `fringe`. Each pair of cells three apart is taken once, from
+    /// the one first in id order: its ring cells after it are the one three
+    /// to its right in its row and those three away in the three rows above.
+    fn resolve_fringe(&mut self) {
+        let (nx, ny) = (i64::from(self.grid.nx()), i64::from(self.grid.ny()));
+        let after = (0..=3i64)
+            .flat_map(|dy| (-3..=3i64).map(move |dx| (dx, dy)))
+            .filter(|&(dx, dy)| dx.abs().max(dy) == 3 && (dy > 0 || dx > 0));
+        let mut fringe = Vec::new();
+        for slot in 0..self.occupied.len() {
+            let c = self.grid.coord_of(self.occupied[slot]);
+            for (dx, dy) in after.clone() {
+                let (x, y) = (i64::from(c.ix) + dx, i64::from(c.iy) + dy);
+                if !((0..nx).contains(&x) && (0..ny).contains(&y)) {
+                    continue;
+                }
+                if let Some(other) = self.slot_of(CellId((y * nx + x) as u32)) {
+                    self.push_fringe_pairs(slot, other, &mut fringe);
+                }
+            }
+        }
+        fringe.sort_unstable();
+        fringe.shrink_to_fit();
+        self.fringe = fringe;
+    }
+
+    /// Adds to `fringe` each photo of either cell that passes the distance
+    /// test against a photo of the other, under the other's slot.
+    fn push_fringe_pairs(&self, a: usize, b: usize, fringe: &mut Vec<(u32, u32)>) {
+        let hit = |centre: usize, other: usize| {
+            let (x, y) = (self.x[other], self.y[other]);
+            count_hits(&[x], &[y], self.x[centre], self.y[centre], self.rho_sq) > 0
+        };
+        for (here, there) in [(a, b), (b, a)] {
+            for far in self.member_slots(there) {
+                if self.member_slots(here).any(|member| hit(member, far)) {
+                    fringe.push((here as u32, far as u32));
+                }
+            }
+        }
+    }
+
+    /// The fringe of the cell at `slot`.
+    fn fringe_of(&self, slot: usize) -> &[(u32, u32)] {
+        let slot = slot as u32;
+        let start = self.fringe.partition_point(|&(cell, _)| cell < slot);
+        let end = self.fringe.partition_point(|&(cell, _)| cell <= slot);
+        &self.fringe[start..end]
     }
 
     /// The underlying grid (cell side = ρ/2).
@@ -415,20 +502,22 @@ impl DiversificationIndex {
     }
 
     /// Total photos in the cells within Chebyshev cell radius 2 of the cell
-    /// at `slot`, itself included: the numerator of Eq. 12.
+    /// at `slot`, itself included, plus its fringe: the numerator of Eq. 12.
     ///
     /// # Panics
     /// Panics if `slot` is out of range.
     pub fn neighborhood_count(&self, slot: usize) -> usize {
         let rows = self.near[slot].iter();
-        rows.map(|&(start, end)| (end - start) as usize).sum()
+        rows.map(|&(start, end)| (end - start) as usize)
+            .sum::<usize>()
+            + self.fringe_of(slot).len()
     }
 
     /// Exact count of indexed photos within Euclidean distance ρ of the
     /// photo at member slot `member` of the cell at `slot`, itself included
     /// (the numerator of Definition 4): a scan of the coordinate runs of the
     /// cell's radius-2 neighbourhood, which covers every point within
-    /// ρ = 2 · cell side.
+    /// ρ = 2 · cell side, and of the cell's fringe.
     ///
     /// # Panics
     /// Panics if `slot` or `member` is out of range.
@@ -436,11 +525,17 @@ impl DiversificationIndex {
         debug_assert!(self.member_slots(slot).contains(&member));
         let (cx, cy) = (self.x[member], self.y[member]);
         let rows = self.near[slot].iter();
-        rows.map(|&(start, end)| {
-            let run = start as usize..end as usize;
-            count_hits(&self.x[run.clone()], &self.y[run], cx, cy, self.rho_sq)
-        })
-        .sum()
+        let near: usize = rows
+            .map(|&(start, end)| {
+                let run = start as usize..end as usize;
+                count_hits(&self.x[run.clone()], &self.y[run], cx, cy, self.rho_sq)
+            })
+            .sum();
+        let fringe = self.fringe_of(slot).iter().map(|&(_, far)| {
+            let far = far as usize;
+            count_hits(&[self.x[far]], &[self.y[far]], cx, cy, self.rho_sq)
+        });
+        near + fringe.sum::<usize>()
     }
 
     /// Position of the photo at member slot `member`.
@@ -502,6 +597,7 @@ impl DiversificationIndex {
             + bytes(&self.x)
             + bytes(&self.y)
             + bytes(&self.near)
+            + bytes(&self.fringe)
             + bytes(&self.rects)
             + bytes(&self.psi)
             + bytes(&self.kw_starts)
@@ -607,6 +703,32 @@ mod tests {
         assert_eq!(count(0.15, 1), 3);
         // The lone photo counts itself.
         assert_eq!(count(0.25, 3), 1);
+    }
+
+    #[test]
+    fn a_photo_rounded_to_rho_three_cells_away_is_counted() {
+        // ρ = 0.5, cells of 0.25 from (0, −0.5). Photo 2 stands one ulp left
+        // of x = 0.25, in column 0, three columns from photo 1 in column 3:
+        // 0.5 + 3e-17 away, which `dist_sq` rounds to exactly ρ² = 0.25.
+        let mut photos = PhotoCollection::new();
+        photos.add(Point::new(0.0, -0.5), tags(&[0]));
+        let centre = photos.add(Point::new(0.75, 0.5), tags(&[1]));
+        let far = photos.add(Point::new(0.25f64.next_down(), 0.5), tags(&[2]));
+        let members: Vec<PhotoId> = photos.iter().map(|p| p.id).collect();
+        let index = DiversificationIndex::build(&photos, &members, 0.5).unwrap();
+        let (a, b) = (photos.get(centre).pos, photos.get(far).pos);
+        assert_eq!(a.dist_sq(b), 0.25);
+        let coord = |p| index.grid().cell_containing(p).unwrap();
+        assert_eq!(coord(a).chebyshev(coord(b)), 3);
+        for (id, pos, within) in [(centre, a, 2), (far, b, 2)] {
+            let (slot, member) = index.locate(id, pos).unwrap();
+            assert_eq!(index.count_within(slot, member), within, "{id}");
+            assert!(index.neighborhood_count(slot) >= within);
+        }
+        assert_eq!(index.fringe.len(), 2);
+        // Anywhere else the fringe is empty and allocates nothing.
+        let (_, _, plain) = setup();
+        assert_eq!(plain.fringe.capacity(), 0);
     }
 
     #[test]
