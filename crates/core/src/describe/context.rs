@@ -10,10 +10,11 @@
 use crate::describe::{bounds, measures};
 use soi_common::{PhotoId, PoiId, Result, SoiError, StreetId};
 use soi_data::{PhotoCollection, PhotoView, PoiCollection};
-use soi_index::{DeltaIndex, DiversificationIndex, PhotoGrid};
+use soi_geo::Point;
+use soi_index::{DeltaIndex, DeltaOp, DiversificationIndex, PhotoGrid};
 use soi_network::RoadNetwork;
 use soi_text::FreqVector;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Where the street keyword frequency vector `Φs` is derived from.
 ///
@@ -263,6 +264,47 @@ impl<'a> ContextBuilder<'a> {
             .unwrap_or(0.0);
         StreetContext::assemble(street, members, phi, max_d, self.rho, photos)
     }
+
+    /// The positions at which the ops of `batch` can change a context this
+    /// builder builds, once `next` (the delta that ends with `batch`) is
+    /// overlaid: each photo add at its position and each photo delete at
+    /// its photo's, read through `next`; POI ops the same way when `Φs`
+    /// draws on POIs. Ops are validated, so every id resolves.
+    pub fn batch_points(&self, batch: &[DeltaOp], next: &DeltaIndex) -> Vec<Point> {
+        let photos = next.photo_view(self.photos);
+        let pois = self
+            .pois
+            .filter(|_| matches!(self.phi_source, PhiSource::Pois | PhiSource::PhotosAndPois))
+            .map(|pois| next.poi_view(pois));
+        batch
+            .iter()
+            .filter_map(|op| match op {
+                DeltaOp::AddPhoto { pos, .. } => Some(*pos),
+                DeltaOp::DeletePhoto { id } => Some(photos.get(*id).pos),
+                DeltaOp::AddPoi { pos, .. } => pois.map(|_| *pos),
+                DeltaOp::DeletePoi { id } => pois.map(|pois| pois.get(*id).pos),
+            })
+            .collect()
+    }
+
+    /// Whether an op at one of `points` can change the context of `street`.
+    ///
+    /// An op changes it only through a photo (or, per `Φs`, a POI) within
+    /// ε of the street, and such a point lies inside the street's MBR
+    /// expanded by ε. The test takes 2ε: the extra ε covers any rounding of
+    /// the distance the build compares, so it may answer yes for a point
+    /// that cannot change the context (a needless rebuild), never no for one
+    /// that can. A point with a non-finite coordinate, and a street without
+    /// segments, always count as reached.
+    pub fn reaches(&self, street: StreetId, points: &[Point]) -> bool {
+        let Some(mbr) = self.network.street_mbr(street) else {
+            return true;
+        };
+        let reach = mbr.expand(2.0 * self.eps);
+        points
+            .iter()
+            .any(|&p| reach.contains(p) || !(p.x.is_finite() && p.y.is_finite()))
+    }
 }
 
 /// One epoch's street contexts: a slot per street, empty until the first
@@ -271,8 +313,9 @@ impl<'a> ContextBuilder<'a> {
 /// A context is a pure function of the street and the epoch's builder
 /// inputs (network, photos, photo grid, POIs, delta, ε, ρ, `Φs` source), so
 /// it is built once per epoch and read by every later job. The table
-/// belongs to one epoch: a new epoch starts with a new, empty table, and
-/// the old one is freed with its epoch.
+/// belongs to one epoch. The next epoch's table starts with the contexts
+/// its epoch cannot have changed ([`carried`](Self::carried)): they are
+/// shared, not copied, and each is freed with the last table holding it.
 #[derive(Debug)]
 pub struct StreetContexts {
     slots: Box<[ContextSlot]>,
@@ -280,7 +323,7 @@ pub struct StreetContexts {
 
 #[derive(Debug, Default)]
 struct ContextSlot {
-    context: OnceLock<Box<StreetContext>>,
+    context: OnceLock<Arc<StreetContext>>,
     /// Held while the slot is built, so racing jobs build it once. A failed
     /// build leaves the slot empty: errors are not stored.
     building: Mutex<()>,
@@ -329,10 +372,30 @@ impl StreetContexts {
             let _span = soi_obs::trace::span(soi_obs::names::spans::DESCRIBE_CONTEXT);
             builder.build_with_delta(street, delta)?
         };
-        Ok((slot.context.get_or_init(|| Box::new(ctx)), true))
+        Ok((slot.context.get_or_init(|| Arc::new(ctx)), true))
     }
 
-    /// Heap bytes of the table: its slots and every context built so far.
+    /// The next epoch's table: this one's built contexts whose street
+    /// `keep` accepts, shared, and every other slot empty. `keep` must
+    /// accept only streets whose context the next epoch's builder inputs
+    /// would build bit-identically (see [`ContextBuilder::reaches`]).
+    pub fn carried(&self, keep: impl Fn(StreetId) -> bool) -> StreetContexts {
+        let slots = self
+            .slots
+            .iter()
+            .map(|slot| {
+                let next = ContextSlot::default();
+                if let Some(ctx) = slot.context.get().filter(|ctx| keep(ctx.street)) {
+                    let _ = next.context.set(Arc::clone(ctx));
+                }
+                next
+            })
+            .collect();
+        StreetContexts { slots }
+    }
+
+    /// Heap bytes of the table: its slots and every context it holds
+    /// (a context carried across epochs counts in each table holding it).
     pub fn heap_bytes(&self) -> usize {
         let built = self.slots.iter().filter_map(|slot| slot.context.get());
         std::mem::size_of_val(&*self.slots)
@@ -755,6 +818,191 @@ pub(crate) mod tests {
         let ctx = live.build_with_delta(StreetId(0), Some(&delta)).unwrap();
         assert_eq!(ctx.members.len(), 240 - 35 + 25);
         assert_relevance_columns_equal_the_records(&ctx, live.photo_view(Some(&delta)));
+    }
+
+    /// Asserts that `a` and `b` are the same context, floats bit for bit.
+    fn assert_same_context(a: &StreetContext, b: &StreetContext) {
+        let phi = |ctx: &StreetContext| {
+            let mut pairs: Vec<_> = ctx.phi.iter().map(|(k, w)| (k, w.to_bits())).collect();
+            pairs.sort_unstable();
+            (pairs, ctx.phi.l1_norm().to_bits())
+        };
+        let rel = |ctx: &StreetContext| {
+            let members: Vec<_> = ctx
+                .member_rel
+                .iter()
+                .map(|&(s, t)| (s.to_bits(), t.to_bits()))
+                .collect();
+            let cells: Vec<_> = ctx.cell_rel.iter().map(|c| c.map(f64::to_bits)).collect();
+            (members, cells)
+        };
+        let street = a.street;
+        assert_eq!((a.street, &a.members), (b.street, &b.members));
+        assert_eq!(phi(a), phi(b), "Φs of street {street}");
+        assert_eq!(a.max_d.to_bits(), b.max_d.to_bits(), "street {street}");
+        // The index has no equality of its own; its `Debug` form prints
+        // every field, each float in its shortest round-trip form.
+        assert_eq!(
+            format!("{:?}", a.index),
+            format!("{:?}", b.index),
+            "street {street}"
+        );
+        assert_eq!(rel(a), rel(b), "relevance columns of street {street}");
+    }
+
+    #[test]
+    fn a_carried_context_equals_a_fresh_build_at_the_new_epoch() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        // Two parallel streets 2 apart and a third far off; photos within
+        // ε = 0.5 of each (members), beside them between ε and 2ε (in the
+        // reach, not in `Rs`) and in the open.
+        let mut b = RoadNetwork::builder();
+        b.add_street_from_points("A", &[Point::new(0.0, 0.0), Point::new(10.0, 0.0)]);
+        b.add_street_from_points("B", &[Point::new(0.0, 2.0), Point::new(10.0, 2.0)]);
+        b.add_street_from_points("C", &[Point::new(20.0, 0.0), Point::new(20.0, 10.0)]);
+        let network = b.build().unwrap();
+        let streets: Vec<StreetId> = network.streets().iter().map(|s| s.id).collect();
+        let mut rng = StdRng::seed_from_u64(35);
+        // A random position near street `s` (within ε of it when `member`),
+        // or anywhere in the 25 × 12 box.
+        let near = |rng: &mut StdRng, s: usize, member: bool| {
+            let off = if member {
+                rng.random_range(-0.45..0.45)
+            } else {
+                rng.random_range(0.55..0.95)
+                    * if rng.random_range(0..2) == 0 {
+                        -1.0
+                    } else {
+                        1.0
+                    }
+            };
+            let along = rng.random_range(0.0..10.0);
+            match s {
+                0 => Point::new(along, off),
+                1 => Point::new(along, 2.0 + off),
+                _ => Point::new(20.0 + off, along),
+            }
+        };
+        let mut photos = PhotoCollection::new();
+        let mut pois = PoiCollection::new();
+        for i in 0..300u32 {
+            let pos = match i % 4 {
+                3 => Point::new(rng.random_range(0.0..25.0), rng.random_range(-1.0..11.0)),
+                s => near(&mut rng, s as usize, i % 5 != 0),
+            };
+            photos.add(pos, tags(&[i % 6, 6 + i % 3]));
+            if i % 3 == 0 {
+                pois.add(pos, tags(&[i % 4]));
+            }
+        }
+        let grid = PhotoGrid::build(&network, &photos, 1.0);
+        let poi_index = PoiIndex::build(&network, &pois, 1.0);
+
+        for phi_source in [PhiSource::Photos, PhiSource::PhotosAndPois] {
+            let builder = ContextBuilder {
+                network: &network,
+                photos: &photos,
+                photo_grid: &grid,
+                pois: Some(&pois),
+                eps: 0.5,
+                rho: 0.4,
+                phi_source,
+            };
+            let mut delta: Option<DeltaIndex> = None;
+            let mut table = StreetContexts::new(network.num_streets());
+            for &s in &streets {
+                table.get_or_build(&builder, s, None).unwrap();
+            }
+            let (mut carried, mut rebuilt) = (0, 0);
+            let (mut num_photos, mut num_pois) = (photos.len(), pois.len());
+            for round in 0..60 {
+                // One to three ops: a photo added near a street (inside or
+                // outside its ε) or in the open, a photo or POI deleted, a
+                // POI added.
+                let mut batch = Vec::new();
+                for _ in 0..rng.random_range(1..4) {
+                    let street = rng.random_range(0..4usize);
+                    let pos = if street == 3 {
+                        Point::new(rng.random_range(0.0..25.0), rng.random_range(-1.0..11.0))
+                    } else {
+                        let member = rng.random_range(0..2) == 0;
+                        near(&mut rng, street, member)
+                    };
+                    let op = match rng.random_range(0..6) {
+                        0 | 1 => DeltaOp::AddPhoto {
+                            pos,
+                            tags: tags(&[round % 7]),
+                        },
+                        2 | 3 => DeltaOp::DeletePhoto {
+                            id: PhotoId::from_index(rng.random_range(0..num_photos)),
+                        },
+                        4 => DeltaOp::AddPoi {
+                            pos,
+                            keywords: tags(&[round % 5]),
+                            weight: 1.5,
+                        },
+                        _ => DeltaOp::DeletePoi {
+                            id: PoiId::from_index(rng.random_range(0..num_pois)),
+                        },
+                    };
+                    batch.push(op);
+                }
+                let extended = match &delta {
+                    Some(prev) => prev.extend(&poi_index, &pois, &photos, &batch),
+                    None => DeltaIndex::seal(&poi_index, &pois, &photos, &batch),
+                };
+                // A delete of an id already gone is refused; draw again.
+                let Ok(next) = extended else { continue };
+                num_photos = photos.len() + next.added_photos().len();
+                num_pois = pois.len() + next.added_pois().len();
+                let points = builder.batch_points(&batch, &next);
+                let next_table = table.carried(|s| !builder.reaches(s, &points));
+                // The photos the batch adds or deletes, and per `Φs` its
+                // POIs: a street with one within ε is never carried.
+                let photos_view = next.photo_view(&photos);
+                let pois_view = next.poi_view(&pois);
+                let draws_on_pois = phi_source == PhiSource::PhotosAndPois;
+                let changed: Vec<Point> = batch
+                    .iter()
+                    .filter_map(|op| match op {
+                        DeltaOp::AddPhoto { pos, .. } => Some(*pos),
+                        DeltaOp::DeletePhoto { id } => Some(photos_view.get(*id).pos),
+                        DeltaOp::AddPoi { pos, .. } => draws_on_pois.then_some(*pos),
+                        DeltaOp::DeletePoi { id } => draws_on_pois.then(|| pois_view.get(*id).pos),
+                    })
+                    .collect();
+                for &s in &streets {
+                    let (before, _) = table.get_or_build(&builder, s, delta.as_ref()).unwrap();
+                    let (ctx, built) = next_table.get_or_build(&builder, s, Some(&next)).unwrap();
+                    let within = changed
+                        .iter()
+                        .any(|&p| network.dist_point_to_street(p, s) <= 0.5);
+                    if built {
+                        rebuilt += 1;
+                        continue;
+                    }
+                    carried += 1;
+                    assert!(
+                        !within,
+                        "round {round}: street {s} carried past an op within ε"
+                    );
+                    assert!(
+                        std::ptr::eq(before, ctx),
+                        "round {round}: street {s} copied"
+                    );
+                    let fresh = builder.build_with_delta(s, Some(&next)).unwrap();
+                    assert_same_context(ctx, &fresh);
+                }
+                table = next_table;
+                delta = Some(next);
+            }
+            // Both paths ran often.
+            assert!(
+                carried >= 40 && rebuilt >= 40,
+                "{phi_source:?}: carried {carried}, rebuilt {rebuilt}"
+            );
+        }
     }
 
     #[test]

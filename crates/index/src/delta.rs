@@ -2,7 +2,9 @@
 //! Sec. 3.2.1 generalised to batched inserts *and* deletes).
 //!
 //! The base structures are build-once and immutable; a [`DeltaIndex`] holds
-//! a batch of pending [`DeltaOp`]s in a query-ready form. Queries read
+//! the pending [`DeltaOp`]s in a query-ready form, and each further batch
+//! extends it ([`DeltaIndex::extend`]) at the cost of what the batch
+//! touches, sharing the rest with the delta it extends. Queries read
 //! through an [`IndexView`](crate::IndexView) that consults the delta
 //! alongside the base, and at an epoch boundary the delta is folded into
 //! fresh collections ([`DeltaIndex::apply_to`]) and the index rebuilt — by
@@ -27,6 +29,7 @@ use soi_data::{Photo, PhotoCollection, PhotoView, Poi, PoiCollection, PoiView};
 use soi_geo::Point;
 use soi_obs::json::{self, Json};
 use soi_text::{KeywordSet, Vocabulary};
+use std::sync::Arc;
 
 use crate::poi_index::PoiIndex;
 
@@ -194,9 +197,11 @@ impl DeltaOp {
     }
 }
 
-/// The validated, materialised form of an op batch: added rows with their
-/// assigned ids plus the delete sets. Shared by [`DeltaIndex::seal`] and
-/// [`fold_ops`] so the live path and the replay path agree op-for-op.
+/// The validated, materialised form of an op stream: added rows with their
+/// assigned ids plus the delete sets. Held by every [`DeltaIndex`] and
+/// built by [`fold_ops`] so the live path and the replay path agree
+/// op-for-op.
+#[derive(Debug, Clone, Default)]
 struct Materialized {
     added_pois: Vec<Poi>,
     deleted_pois: FxHashSet<PoiId>,
@@ -204,23 +209,20 @@ struct Materialized {
     deleted_photos: FxHashSet<PhotoId>,
 }
 
-/// Validates `ops` against the (base_pois, base_photos) id space and
-/// materialises them. `index` (when present) additionally rejects POI adds
-/// outside the live grid extent, which no rebuilt index could place; replay
-/// through [`fold_ops`] has no live grid, and relies on the serving layer
-/// having validated every logged op before appending it.
+/// Validates `ops` against the id space of `m` over (base_pois,
+/// base_photos) and materialises them onto it: adds continue the dense ids
+/// after `m`'s, and deletes may target any id below them that neither `m`
+/// nor an earlier op of `ops` deleted. `index` (when present) additionally
+/// rejects POI adds outside the live grid extent, which no rebuilt index
+/// could place; replay through [`fold_ops`] has no live grid, and relies on
+/// the serving layer having validated every logged op before appending it.
 fn materialize(
+    mut m: Materialized,
     num_base_pois: usize,
     num_base_photos: usize,
     index: Option<&PoiIndex>,
     ops: &[DeltaOp],
 ) -> Result<Materialized> {
-    let mut m = Materialized {
-        added_pois: Vec::new(),
-        deleted_pois: FxHashSet::default(),
-        added_photos: Vec::new(),
-        deleted_photos: FxHashSet::default(),
-    };
     for (i, op) in ops.iter().enumerate() {
         let at = |e: SoiError| SoiError::invalid(format!("delta op {}: {e}", i + 1));
         match op {
@@ -335,7 +337,7 @@ pub fn fold_ops(
     photos: &PhotoCollection,
     ops: &[DeltaOp],
 ) -> Result<(PoiCollection, PhotoCollection)> {
-    let m = materialize(pois.len(), photos.len(), None, ops)?;
+    let m = materialize(Materialized::default(), pois.len(), photos.len(), None, ops)?;
     Ok(fold(pois, photos, &m))
 }
 
@@ -347,35 +349,41 @@ struct DeltaCell {
     total_weight: f64,
 }
 
-/// An immutable, query-ready batch of pending ops (the "sealed" delta).
+/// An immutable, query-ready set of pending ops (the "sealed" delta).
 ///
-/// Sealing validates the whole batch atomically against the base epoch and
-/// precomputes everything the read path needs: per-cell added-POI lists,
-/// merged per-cell weight totals, and full replacement global-postings
-/// lists for every touched keyword. All aggregates are recomputed from
-/// scratch in ascending POI order (see module docs), so bounds read
-/// through a view are exactly the rebuilt index's bounds.
+/// Sealing validates a batch atomically against the base epoch and the ops
+/// already sealed, and precomputes everything the read path needs:
+/// per-cell added-POI lists, merged per-cell weight totals, and full
+/// replacement global-postings lists for every touched keyword. All
+/// aggregates are recomputed from scratch in ascending POI order (see
+/// module docs), so bounds read through a view are exactly the rebuilt
+/// index's bounds.
+///
+/// A delta grows one batch at a time ([`extend`](Self::extend)): a new
+/// batch recomputes only the cells and the (keyword, cell) entries it
+/// touches and shares the rest, so it costs what it changes, and a chain of
+/// extensions equals one [`seal`](Self::seal) of the concatenated ops.
 #[derive(Debug)]
 pub struct DeltaIndex {
     num_base_pois: usize,
     num_base_photos: usize,
-    added_pois: Vec<Poi>,
-    deleted_pois: FxHashSet<PoiId>,
-    added_photos: Vec<Photo>,
-    deleted_photos: FxHashSet<PhotoId>,
+    /// Every op sealed so far, materialised.
+    rows: Materialized,
     /// Cell → surviving added POIs + merged total weight, for every cell
     /// touched by an add or a delete.
     cells: FxHashMap<CellId, DeltaCell>,
     /// Keyword → full replacement global-postings list, for every keyword
-    /// carried by an added or deleted POI.
-    global: FxHashMap<KeywordId, Vec<(CellId, f64)>>,
+    /// carried by an added or deleted POI. A list is shared with the
+    /// deltas this one extends until a batch touches its keyword.
+    global: FxHashMap<KeywordId, Arc<[(CellId, f64)]>>,
     /// Delta-occupied cells that are unoccupied in the base, ascending.
     new_cells: Vec<CellId>,
     ops: usize,
 }
 
 impl DeltaIndex {
-    /// Seals `ops` into a query-ready delta against the base epoch.
+    /// Seals `ops` into a query-ready delta against the base epoch: the
+    /// empty delta [`extend`](Self::extend)ed by `ops`.
     ///
     /// # Errors
     /// Rejects the whole batch (leaving nothing sealed) if any op is
@@ -387,39 +395,90 @@ impl DeltaIndex {
         base_photos: &PhotoCollection,
         ops: &[DeltaOp],
     ) -> Result<DeltaIndex> {
-        let m = materialize(base_pois.len(), base_photos.len(), Some(base_index), ops)?;
+        let empty = DeltaIndex {
+            num_base_pois: base_pois.len(),
+            num_base_photos: base_photos.len(),
+            rows: Materialized::default(),
+            cells: FxHashMap::default(),
+            global: FxHashMap::default(),
+            new_cells: Vec::new(),
+            ops: 0,
+        };
+        empty.extend(base_index, base_pois, base_photos, ops)
+    }
+
+    /// This delta with `batch` sealed on top: equal, aggregate for
+    /// aggregate and bit for bit, to [`seal`](Self::seal) of this delta's
+    /// ops followed by `batch`.
+    ///
+    /// `batch` addresses the id space this delta leaves (adds continue its
+    /// ids; deletes may target any id it has not deleted). Only the cells
+    /// of the batch's adds and deletes are recomputed, and in them only the
+    /// entries of the batch's keywords; every other cell, and the global
+    /// list of every keyword the batch does not carry, is this delta's.
+    /// The base index and collections must be the ones this delta was
+    /// sealed against.
+    ///
+    /// # Errors
+    /// [`seal`](Self::seal)'s, against the cumulative id space and delete
+    /// sets; on error `self` is untouched and nothing is returned.
+    pub fn extend(
+        &self,
+        base_index: &PoiIndex,
+        base_pois: &PoiCollection,
+        base_photos: &PhotoCollection,
+        batch: &[DeltaOp],
+    ) -> Result<DeltaIndex> {
+        debug_assert_eq!(base_pois.len(), self.num_base_pois);
+        debug_assert_eq!(base_photos.len(), self.num_base_photos);
+        let m = materialize(
+            self.rows.clone(),
+            base_pois.len(),
+            base_photos.len(),
+            Some(base_index),
+            batch,
+        )?;
         let grid = base_index.grid();
         let cell_of = |pos: Point| grid.cell_containing(pos).map(|c| grid.cell_id(c));
-
-        // Touched aggregates: the cell and keywords of every added POI and
-        // every deleted POI (base or added).
-        let mut touched_cells: FxHashSet<CellId> = FxHashSet::default();
-        let mut touched_kws: FxHashSet<KeywordId> = FxHashSet::default();
+        let added_poi = |id: PoiId| &m.added_pois[id.index() - base_pois.len()];
         let poi_by_id = |id: PoiId| -> &Poi {
             if id.index() < base_pois.len() {
                 base_pois.get(id)
             } else {
-                &m.added_pois[id.index() - base_pois.len()]
+                added_poi(id)
             }
         };
-        for p in &m.added_pois {
-            if let Some(c) = cell_of(p.pos) {
-                touched_cells.insert(c);
-            }
-            touched_kws.extend(p.keywords.iter());
-        }
-        for &id in &m.deleted_pois {
-            let p = poi_by_id(id);
-            if let Some(c) = cell_of(p.pos) {
-                touched_cells.insert(c);
-            }
-            touched_kws.extend(p.keywords.iter());
-        }
 
-        // Surviving added POIs per cell, ascending by id (added_pois is
-        // already id-ascending).
-        let mut cells: FxHashMap<CellId, DeltaCell> = FxHashMap::default();
-        for p in &m.added_pois {
+        // Touched aggregates: the cell and keywords of every POI the batch
+        // adds or deletes (base or added, by this batch or an earlier one).
+        let batch_adds = &m.added_pois[self.rows.added_pois.len()..];
+        let batch_deletes = batch.iter().filter_map(|op| match op {
+            DeltaOp::DeletePoi { id } => Some(poi_by_id(*id)),
+            _ => None,
+        });
+        let mut touched_cells: FxHashSet<CellId> = FxHashSet::default();
+        let mut touched_kws: FxHashSet<KeywordId> = FxHashSet::default();
+        for p in batch_adds.iter().chain(batch_deletes) {
+            if let Some(c) = cell_of(p.pos) {
+                touched_cells.insert(c);
+            }
+            touched_kws.extend(p.keywords.iter());
+        }
+        let mut touched_cells_sorted: Vec<CellId> = touched_cells.iter().copied().collect();
+        touched_cells_sorted.sort_unstable();
+
+        // Surviving added POIs per cell, ascending by id: a touched cell
+        // drops the adds deleted since, and every add of the batch follows
+        // all earlier ids.
+        let mut cells = self.cells.clone();
+        for &c in &touched_cells_sorted {
+            cells
+                .entry(c)
+                .or_default()
+                .added
+                .retain(|id| !m.deleted_pois.contains(id));
+        }
+        for p in batch_adds {
             if m.deleted_pois.contains(&p.id) {
                 continue;
             }
@@ -431,8 +490,6 @@ impl DeltaIndex {
         // Merged total weight per touched cell, recomputed from scratch in
         // ascending id order: base survivors, then added survivors — the
         // exact order a rebuild over the folded collections sums in.
-        let mut touched_cells_sorted: Vec<CellId> = touched_cells.iter().copied().collect();
-        touched_cells_sorted.sort_unstable();
         for &c in &touched_cells_sorted {
             let mut total = 0.0;
             if let Some(cell) = base_index.cell(c) {
@@ -444,16 +501,20 @@ impl DeltaIndex {
             }
             let entry = cells.entry(c).or_default();
             for &pid in &entry.added {
-                total += m.added_pois[pid.index() - base_pois.len()].weight;
+                total += added_poi(pid).weight;
             }
             entry.total_weight = total;
         }
 
-        // Replacement global lists for touched keywords. Untouched (k, c)
-        // entries are copied bit-for-bit from the base; touched entries are
-        // recomputed in merged ascending-POI order and dropped when no
-        // matching POI survives (exactly the rebuilt index's entry set).
-        let recompute = |k: KeywordId, c: CellId| -> (f64, usize) {
+        // Replacement global lists for touched keywords, starting from this
+        // delta's list (or the base's, for a keyword no earlier batch
+        // carried). Entries of untouched cells are copied bit-for-bit;
+        // touched entries are recomputed in merged ascending-POI order and
+        // dropped when no matching POI survives (exactly the rebuilt
+        // index's entry set). An entry of a cell no batch touched equals
+        // its recomputation: the base sums each run from 0.0 in ascending
+        // id order too.
+        let recompute = |k: KeywordId, c: CellId| -> Option<f64> {
             let mut w = 0.0;
             let mut n = 0usize;
             if let Some(cell) = base_index.cell(c) {
@@ -466,25 +527,31 @@ impl DeltaIndex {
             }
             if let Some(dc) = cells.get(&c) {
                 for &pid in &dc.added {
-                    let p = &m.added_pois[pid.index() - base_pois.len()];
+                    let p = added_poi(pid);
                     if p.keywords.contains(k) {
                         w += p.weight;
                         n += 1;
                     }
                 }
             }
-            (w, n)
+            (n > 0).then_some(w)
         };
         let mut touched_kws_sorted: Vec<KeywordId> = touched_kws.iter().copied().collect();
         touched_kws_sorted.sort_unstable();
-        let mut global: FxHashMap<KeywordId, Vec<(CellId, f64)>> = FxHashMap::default();
+        let mut global = self.global.clone();
+        let mut listed: FxHashSet<CellId> = FxHashSet::default();
         for &k in &touched_kws_sorted {
-            let base_list = base_index.global_postings(k);
-            let mut list: Vec<(CellId, f64)> = Vec::with_capacity(base_list.len());
-            for &(c, w) in base_list {
+            let start: &[(CellId, f64)] = match self.global.get(&k) {
+                Some(list) => list,
+                None => base_index.global_postings(k),
+            };
+            let mut list: Vec<(CellId, f64)> =
+                Vec::with_capacity(start.len() + touched_cells.len());
+            listed.clear();
+            for &(c, w) in start {
                 if touched_cells.contains(&c) {
-                    let (nw, n) = recompute(k, c);
-                    if n > 0 {
+                    listed.insert(c);
+                    if let Some(nw) = recompute(k, c) {
                         list.push((c, nw));
                     }
                 } else {
@@ -492,17 +559,16 @@ impl DeltaIndex {
                 }
             }
             for &c in &touched_cells_sorted {
-                if base_list.iter().any(|&(bc, _)| bc == c) {
+                if listed.contains(&c) {
                     continue;
                 }
-                let (nw, n) = recompute(k, c);
-                if n > 0 {
+                if let Some(nw) = recompute(k, c) {
                     list.push((c, nw));
                 }
             }
             // The global index's list order: weight desc, cell asc.
             list.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            global.insert(k, list);
+            global.insert(k, list.into());
         }
 
         let mut new_cells: Vec<CellId> = cells
@@ -513,16 +579,13 @@ impl DeltaIndex {
         new_cells.sort_unstable();
 
         Ok(DeltaIndex {
-            num_base_pois: base_pois.len(),
-            num_base_photos: base_photos.len(),
-            added_pois: m.added_pois,
-            deleted_pois: m.deleted_pois,
-            added_photos: m.added_photos,
-            deleted_photos: m.deleted_photos,
+            num_base_pois: self.num_base_pois,
+            num_base_photos: self.num_base_photos,
+            rows: m,
             cells,
             global,
             new_cells,
-            ops: ops.len(),
+            ops: self.ops + batch.len(),
         })
     }
 
@@ -534,40 +597,40 @@ impl DeltaIndex {
     /// Added POIs in id order (including ones tombstoned later in the same
     /// delta, so id lookups through a view stay dense).
     pub fn added_pois(&self) -> &[Poi] {
-        &self.added_pois
+        &self.rows.added_pois
     }
 
     /// Added photos in id order (including tombstoned ones).
     pub fn added_photos(&self) -> &[Photo] {
-        &self.added_photos
+        &self.rows.added_photos
     }
 
     /// Number of deleted POIs (base or added).
     pub fn num_deleted_pois(&self) -> usize {
-        self.deleted_pois.len()
+        self.rows.deleted_pois.len()
     }
 
     /// Number of deleted photos (base or added).
     pub fn num_deleted_photos(&self) -> usize {
-        self.deleted_photos.len()
+        self.rows.deleted_photos.len()
     }
 
     /// Whether POI `id` is deleted in this delta.
     #[inline]
     pub fn poi_deleted(&self, id: PoiId) -> bool {
-        !self.deleted_pois.is_empty() && self.deleted_pois.contains(&id)
+        !self.rows.deleted_pois.is_empty() && self.rows.deleted_pois.contains(&id)
     }
 
     /// Whether photo `id` is deleted in this delta.
     #[inline]
     pub fn photo_deleted(&self, id: PhotoId) -> bool {
-        !self.deleted_photos.is_empty() && self.deleted_photos.contains(&id)
+        !self.rows.deleted_photos.is_empty() && self.rows.deleted_photos.contains(&id)
     }
 
     /// The replacement global-postings list for keyword `k`, if this delta
     /// touched it.
     pub fn global_postings(&self, k: KeywordId) -> Option<&[(CellId, f64)]> {
-        self.global.get(&k).map(Vec::as_slice)
+        self.global.get(&k).map(|list| &list[..])
     }
 
     /// The merged total weight of cell `c`, if this delta touched it.
@@ -594,13 +657,13 @@ impl DeltaIndex {
     /// `base` must be the collection the delta was sealed against.
     pub fn poi_view<'a>(&'a self, base: &'a PoiCollection) -> PoiView<'a> {
         debug_assert_eq!(base.len(), self.num_base_pois);
-        PoiView::new(base, &self.added_pois)
+        PoiView::new(base, &self.rows.added_pois)
     }
 
     /// A [`PhotoView`] over `base` extended by this delta's added photos.
     pub fn photo_view<'a>(&'a self, base: &'a PhotoCollection) -> PhotoView<'a> {
         debug_assert_eq!(base.len(), self.num_base_photos);
-        PhotoView::new(base, &self.added_photos)
+        PhotoView::new(base, &self.rows.added_photos)
     }
 
     /// Folds this delta into fresh dense collections (the compaction
@@ -612,13 +675,7 @@ impl DeltaIndex {
         base_pois: &PoiCollection,
         base_photos: &PhotoCollection,
     ) -> (PoiCollection, PhotoCollection) {
-        let m = Materialized {
-            added_pois: self.added_pois.clone(),
-            deleted_pois: self.deleted_pois.clone(),
-            added_photos: self.added_photos.clone(),
-            deleted_photos: self.deleted_photos.clone(),
-        };
-        fold(base_pois, base_photos, &m)
+        fold(base_pois, base_photos, &self.rows)
     }
 }
 

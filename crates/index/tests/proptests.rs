@@ -437,3 +437,194 @@ proptest! {
         }
     }
 }
+
+/// Keywords [`assert_same_delta`] compares the global lists of.
+const DELTA_KEYWORDS: u32 = 10;
+
+/// Asserts that `chain` and `sealed`, two deltas over a base of `base`
+/// (POIs, photos), report the same through every public accessor, floats
+/// bit for bit: rows, delete sets, the replacement global list of each of
+/// [`DELTA_KEYWORDS`], and each cell's total, added POIs and
+/// base-emptiness.
+fn assert_same_delta(
+    chain: &DeltaIndex,
+    sealed: &DeltaIndex,
+    index: &PoiIndex,
+    base: (usize, usize),
+    at: &str,
+) {
+    let poi_bits = |p: &soi_data::Poi| {
+        (
+            p.id,
+            p.pos.x.to_bits(),
+            p.pos.y.to_bits(),
+            p.keywords.clone(),
+            p.weight.to_bits(),
+        )
+    };
+    let photo_bits =
+        |r: &soi_data::Photo| (r.id, r.pos.x.to_bits(), r.pos.y.to_bits(), r.tags.clone());
+    assert_eq!(chain.num_ops(), sealed.num_ops(), "{at}");
+    let rows = |d: &DeltaIndex| {
+        (
+            d.added_pois().iter().map(poi_bits).collect::<Vec<_>>(),
+            d.added_photos().iter().map(photo_bits).collect::<Vec<_>>(),
+            d.num_deleted_pois(),
+            d.num_deleted_photos(),
+        )
+    };
+    assert_eq!(rows(chain), rows(sealed), "{at}: rows");
+    for id in (0..base.0 + chain.added_pois().len()).map(PoiId::from_index) {
+        assert_eq!(
+            chain.poi_deleted(id),
+            sealed.poi_deleted(id),
+            "{at}: POI {id}"
+        );
+    }
+    for id in (0..base.1 + chain.added_photos().len()).map(PhotoId::from_index) {
+        assert_eq!(
+            chain.photo_deleted(id),
+            sealed.photo_deleted(id),
+            "{at}: photo {id}"
+        );
+    }
+    let list = |d: &DeltaIndex, k: u32| {
+        d.global_postings(KeywordId(k))
+            .map(|l| l.iter().map(|&(c, w)| (c, w.to_bits())).collect::<Vec<_>>())
+    };
+    for k in 0..DELTA_KEYWORDS {
+        assert_eq!(list(chain, k), list(sealed, k), "{at}: keyword {k}");
+    }
+    for c in (0..index.grid().num_cells()).map(CellId::from_index) {
+        let cell = |d: &DeltaIndex| {
+            (
+                d.cell_total_weight(c).map(f64::to_bits),
+                d.cell_added_pois(c).to_vec(),
+                d.occupies_new_cell(c),
+            )
+        };
+        assert_eq!(cell(chain), cell(sealed), "{at}: {c:?}");
+    }
+}
+
+proptest! {
+    #[test]
+    fn a_chain_of_extends_equals_one_seal_of_its_ops(
+        seed in 1u64..u64::MAX,
+        base_pois in 0usize..40,
+    ) {
+        const LONE: KeywordId = KeywordId(DELTA_KEYWORDS - 1);
+        let mut draw = Draw(seed);
+        let network = small_network();
+        // Base POIs and photos in the lower-left 5 × 5: the cells above and
+        // right of them are empty in the base.
+        let mut pois = PoiCollection::new();
+        for _ in 0..base_pois {
+            let (keywords, weight) = draw.keywords_and_weight();
+            pois.add_weighted(Point::new(5.0 * draw.unit(), 5.0 * draw.unit()), keywords, weight);
+        }
+        let mut photos = PhotoCollection::new();
+        for _ in 0..1 + (draw.unit() * 20.0) as usize {
+            photos.add(Point::new(5.0 * draw.unit(), 5.0 * draw.unit()), KeywordSet::empty());
+        }
+        let index = PoiIndex::build(&network, &pois, 1.0);
+
+        // The stream opens by adding a POI that alone carries keyword 9,
+        // and a photo, both in a base-empty cell, and closes by deleting
+        // them, in another batch: the (9, cell) entry drops. In between,
+        // random adds anywhere and deletes of live ids, base or added, half
+        // of them of the latest adds.
+        let corner = Point::new(7.6, 7.6);
+        let lone_poi = PoiId::from_index(pois.len());
+        let lone_photo = PhotoId::from_index(photos.len());
+        let mut ops = vec![
+            DeltaOp::AddPoi {
+                pos: corner,
+                keywords: KeywordSet::from_ids([LONE, KeywordId(0)]),
+                weight: 0.75,
+            },
+            DeltaOp::AddPhoto { pos: corner, tags: KeywordSet::empty() },
+        ];
+        let (mut num_pois, mut num_photos) = (pois.len() + 1, photos.len() + 1);
+        let mut live_pois: Vec<PoiId> = (0..pois.len()).map(PoiId::from_index).collect();
+        let mut live_photos: Vec<PhotoId> = (0..photos.len()).map(PhotoId::from_index).collect();
+        fn take<T>(live: &mut Vec<T>, draw: &mut Draw) -> T {
+            let at = match draw.unit() < 0.5 {
+                true => live.len() - 1,
+                false => (draw.unit() * live.len() as f64) as usize,
+            };
+            live.remove(at)
+        }
+        for _ in 0..(draw.unit() * 40.0) as usize {
+            let pos = Point::new(8.0 * draw.unit(), 8.0 * draw.unit());
+            match (draw.unit() * 4.0) as u32 {
+                0 => {
+                    let (keywords, weight) = draw.keywords_and_weight();
+                    ops.push(DeltaOp::AddPoi { pos, keywords, weight });
+                    live_pois.push(PoiId::from_index(num_pois));
+                    num_pois += 1;
+                }
+                1 => {
+                    ops.push(DeltaOp::AddPhoto { pos, tags: KeywordSet::empty() });
+                    live_photos.push(PhotoId::from_index(num_photos));
+                    num_photos += 1;
+                }
+                2 if !live_pois.is_empty() => {
+                    ops.push(DeltaOp::DeletePoi { id: take(&mut live_pois, &mut draw) });
+                }
+                _ if !live_photos.is_empty() => {
+                    ops.push(DeltaOp::DeletePhoto { id: take(&mut live_photos, &mut draw) });
+                }
+                _ => {}
+            }
+        }
+        ops.push(DeltaOp::DeletePoi { id: lone_poi });
+        ops.push(DeltaOp::DeletePhoto { id: lone_photo });
+
+        // Random batch ends; the first batch never holds the last two ops.
+        let mut ends: Vec<usize> = (1..ops.len() - 1).filter(|_| draw.unit() < 0.3).collect();
+        if ends.is_empty() {
+            ends.push(1 + (draw.unit() * (ops.len() - 2) as f64) as usize);
+        }
+        ends.push(ops.len());
+
+        let seal = |ops: &[DeltaOp]| {
+            DeltaIndex::seal(&index, &pois, &photos, ops).expect("valid ops")
+        };
+        let base = (pois.len(), photos.len());
+        let mut chain: Option<DeltaIndex> = None;
+        let mut start = 0;
+        for &end in &ends {
+            let batch = &ops[start..end];
+            let next = match &chain {
+                Some(prev) => prev.extend(&index, &pois, &photos, batch).expect("valid batch"),
+                None => seal(batch),
+            };
+            let at = format!("ops {start}..{end} of {}", ops.len());
+            assert_same_delta(&next, &seal(&ops[..end]), &index, base, &at);
+
+            // A batch with one bad op — a delete of an id an earlier batch
+            // deleted, an id past the epoch's last, an add outside the grid
+            // — is refused whole, and the delta it would have extended
+            // still equals its own seal (and the next batch extends it).
+            let deleted = ops[..end].iter().find(|op| matches!(op, DeltaOp::DeletePoi { .. }));
+            let past_last = PhotoId::from_index(photos.len() + next.added_photos().len());
+            let out_of_range = DeltaOp::DeletePhoto { id: past_last };
+            let outside = DeltaOp::AddPoi {
+                pos: Point::new(50.0, 50.0),
+                keywords: KeywordSet::empty(),
+                weight: 1.0,
+            };
+            // Valid POI adds ahead of the bad op; they shift no photo id.
+            let adds = ops[end..].iter().filter(|op| matches!(op, DeltaOp::AddPoi { .. }));
+            for bad in deleted.into_iter().chain([&out_of_range, &outside]) {
+                let refused: Vec<DeltaOp> = adds.clone().take(2).chain([bad]).cloned().collect();
+                let result = next.extend(&index, &pois, &photos, &refused);
+                prop_assert!(result.is_err(), "{at}: {bad:?} accepted");
+            }
+            assert_same_delta(&next, &seal(&ops[..end]), &index, base, &at);
+            chain = Some(next);
+            start = end;
+        }
+    }
+}

@@ -132,7 +132,7 @@ impl Journal {
         index: &PoiIndex,
         base: &Dataset,
     ) -> Result<Option<DeltaIndex>> {
-        let pending = &self.ops[self.applied()..];
+        let pending = self.pending();
         if pending.is_empty() {
             return Ok(None);
         }
@@ -145,9 +145,8 @@ impl Journal {
     }
 
     /// The ops after the last marker: the boot epoch's pending delta.
-    pub(crate) fn into_pending(mut self) -> Vec<DeltaOp> {
-        let applied = self.applied();
-        self.ops.split_off(applied)
+    pub(crate) fn pending(&self) -> &[DeltaOp] {
+        &self.ops[self.applied()..]
     }
 }
 
@@ -228,7 +227,7 @@ mod tests {
             assert_eq!((journal.applied(), journal.folds()), (0, 0));
             let folded = journal.fold(dataset()).expect("folds");
             assert_eq!(folded.pois.len(), dataset().pois.len());
-            assert!(journal.into_pending().is_empty());
+            assert!(journal.pending().is_empty());
         }
     }
 
@@ -237,7 +236,7 @@ mod tests {
         let journal = read("blank", &format!("\n{DEL0}\n   \n\n{DEL1}\n\n")).expect("reads");
         assert_eq!((journal.applied(), journal.folds()), (0, 0));
         assert_eq!(journal.pending_line, 2);
-        assert_eq!(journal.into_pending().len(), 2);
+        assert_eq!(journal.pending().len(), 2);
         let err = read("blank-bad", &format!("{DEL0}\n\n\nnot json\n")).expect_err("bad line");
         let message = data_error_at(err, 4);
         assert!(message.contains("malformed delta line"), "{message}");
@@ -263,7 +262,7 @@ mod tests {
             soi_index::dataset_fingerprint(&mirror)
         );
         assert_eq!(
-            journal.into_pending(),
+            journal.pending().to_vec(),
             vec![DeltaOp::DeletePoi { id: PoiId(0) }]
         );
     }
@@ -274,7 +273,7 @@ mod tests {
         let lookalike = "{\"fold\":1,\"op\":\"del_poi\",\"id\":0}\n";
         let journal = read("lookalike", lookalike).expect("reads");
         assert_eq!((journal.applied(), journal.folds()), (0, 0));
-        assert_eq!(journal.into_pending().len(), 1);
+        assert_eq!(journal.pending().len(), 1);
         let err = read("garbled", &format!("{DEL0}\n{{\"fold\":-1}}\n")).expect_err("garbled");
         let message = data_error_at(err, 2);
         assert!(message.contains("\"op\""), "{message}");
@@ -324,6 +323,6 @@ mod tests {
         let journal = Journal::read(Some(&path), &dataset().vocab).expect("reads");
         std::fs::remove_file(&path).ok();
         assert_eq!((journal.applied(), journal.folds()), (2, 1));
-        assert_eq!(journal.into_pending().len(), 1);
+        assert_eq!(journal.pending().len(), 1);
     }
 }

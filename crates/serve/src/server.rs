@@ -276,24 +276,39 @@ struct EpochState {
     dataset: Arc<Dataset>,
     index: Arc<PoiIndex>,
     photo_grid: Arc<PhotoGrid>,
-    /// Pending ops sealed into a query-ready overlay (`None` when fresh).
+    /// The ops accepted since the last fold, sealed into a query-ready
+    /// overlay (`None` when there are none). Each batch extends the
+    /// previous epoch's delta; a fold folds it into `dataset`.
     delta: Option<Arc<DeltaIndex>>,
-    /// The parsed pending ops; each ingest batch re-seals cumulatively.
-    pending_ops: Vec<DeltaOp>,
     /// Accepted ops already folded into `dataset`.
     applied_ops: u64,
     /// Folds since the boot data (the journal's fold markers).
     folds: u64,
     /// `/describe`'s street contexts over this epoch's base and delta,
-    /// built on first touch. Every epoch starts with an empty table, so no
-    /// context outlives the delta it was built with.
+    /// built on first touch. A batch's epoch starts with the contexts of
+    /// the previous epoch that no op of the batch can reach, which it would
+    /// build bit-identically; a fold's starts empty, because its ids
+    /// re-densify.
     contexts: StreetContexts,
 }
 
 impl EpochState {
     /// Pending delta op count (0 when the delta is `None`).
     fn pending(&self) -> usize {
-        self.pending_ops.len()
+        self.delta.as_ref().map_or(0, |d| d.num_ops())
+    }
+
+    /// The builder of this epoch's street contexts.
+    fn context_builder<'a>(&'a self, config: &ServeConfig) -> ContextBuilder<'a> {
+        ContextBuilder {
+            network: &self.dataset.network,
+            photos: &self.dataset.photos,
+            photo_grid: &self.photo_grid,
+            pois: Some(&self.dataset.pois),
+            eps: config.eps,
+            rho: config.rho,
+            phi_source: PhiSource::Photos,
+        }
     }
 }
 
@@ -410,7 +425,6 @@ pub fn serve(
         index,
         photo_grid,
         delta,
-        pending_ops: journal.into_pending(),
         applied_ops,
         folds,
     };
@@ -1394,10 +1408,12 @@ fn submit_describe(
 ///
 /// Writers serialise on `ingest_lock`; readers never block — the new
 /// epoch is published with an `Arc` swap and in-flight queries keep the
-/// epoch they pinned. Each accepted batch re-seals the cumulative
-/// pending ops into a fresh [`DeltaIndex`]; once the pending set reaches
-/// `epoch_max_delta`, the delta is folded into a new base (equivalent to
-/// a full rebuild over the merged data) and the folded bundle is filed in
+/// epoch they pinned. Each accepted batch extends the live
+/// [`DeltaIndex`] ([`DeltaIndex::extend`], which costs what the batch
+/// touches) and carries every street context the batch cannot reach into
+/// the new epoch; once the pending ops reach `epoch_max_delta`, the delta
+/// is folded into a new base (equivalent to a full rebuild over the merged
+/// data, with an empty context table) and the folded bundle is filed in
 /// the index cache when one is configured.
 ///
 /// Returns `(response body, ring params digest, epoch id)`.
@@ -1433,40 +1449,45 @@ fn ingest_post(
     }
     let accepted = new_ops.len();
 
-    // Re-seal the cumulative pending set. Sealing validates the combined
-    // op stream atomically (unknown ids, double deletes, out-of-extent
+    // Extend the live delta by the batch (or seal it, when none is live).
+    // Sealing validates the batch atomically against the cumulative id
+    // space and delete sets (unknown ids, double deletes, out-of-extent
     // adds), so a rejected batch leaves the serving state untouched.
-    let mut ops = state.pending_ops.clone();
-    ops.extend(new_ops);
-    let delta = DeltaIndex::seal(
-        &state.index,
-        &state.dataset.pois,
-        &state.dataset.photos,
-        &ops,
-    )?;
+    let (pois, photos) = (&state.dataset.pois, &state.dataset.photos);
+    let delta = match &state.delta {
+        Some(prev) => prev.extend(&state.index, pois, photos, &new_ops)?,
+        None => DeltaIndex::seal(&state.index, pois, photos, &new_ops)?,
+    };
 
     // Durability before visibility: the accepted lines hit the journal
     // before the epoch swap, so a crash can lose an un-acked batch but
     // never serve ops a restart would not replay. A batch that folds
     // journals its fold point in the same write.
-    let fold_due = shared.config.epoch_max_delta > 0 && ops.len() >= shared.config.epoch_max_delta;
+    let pending = delta.num_ops();
+    let fold_due = shared.config.epoch_max_delta > 0 && pending >= shared.config.epoch_max_delta;
     if let Some(path) = &shared.config.ingest_log {
-        let folded_ops = fold_due.then(|| state.applied_ops + ops.len() as u64);
+        let folded_ops = fold_due.then(|| state.applied_ops + pending as u64);
         journal::append(path, &new_lines, folded_ops)?;
     }
     let (next, folded) = if fold_due {
-        (fold_epoch(shared, &state, &ops, &mut guard)?, true)
+        (fold_epoch(shared, &state, &delta, &mut guard)?, true)
     } else {
+        // A context no op of the batch can reach is the one the new epoch
+        // would build: carry it instead of rebuilding it on next touch.
+        let builder = state.context_builder(shared.config);
+        let points = builder.batch_points(&new_ops, &delta);
+        let contexts = state
+            .contexts
+            .carried(|street| !builder.reaches(street, &points));
         let next = EpochState {
             epoch: state.epoch + 1,
             dataset: Arc::clone(&state.dataset),
             index: Arc::clone(&state.index),
             photo_grid: Arc::clone(&state.photo_grid),
             delta: Some(Arc::new(delta)),
-            pending_ops: ops,
             applied_ops: state.applied_ops,
             folds: state.folds,
-            contexts: StreetContexts::new(state.dataset.network.num_streets()),
+            contexts,
         };
         (next, false)
     };
@@ -1495,7 +1516,7 @@ fn ingest_post(
     Ok((obj.finish(), digest, epoch))
 }
 
-/// Compacts the cumulative pending ops into a fresh base epoch: fold the
+/// Compacts the pending delta into a fresh base epoch: fold the
 /// collections and rebuild the indexes with the boot parameters (the result
 /// is bit-identical to a cold build over the merged data). With a fold
 /// cache the new bundle is filed under the folded data's own key and the
@@ -1503,11 +1524,11 @@ fn ingest_post(
 fn fold_epoch(
     shared: &Shared<'_>,
     state: &EpochState,
-    ops: &[DeltaOp],
+    delta: &DeltaIndex,
     fold_snapshot: &mut Option<PathBuf>,
 ) -> Result<EpochState> {
     let fold_started = Instant::now();
-    let (pois, photos) = soi_index::fold_ops(&state.dataset.pois, &state.dataset.photos, ops)?;
+    let (pois, photos) = delta.apply_to(&state.dataset.pois, &state.dataset.photos);
     let dataset = Dataset::new(
         state.dataset.name.clone(),
         state.dataset.network.clone(),
@@ -1516,7 +1537,7 @@ fn fold_epoch(
         photos,
     );
     let bundle = soi_index::build_bundle(&dataset, &shared.params);
-    let applied_ops = state.applied_ops + ops.len() as u64;
+    let applied_ops = state.applied_ops + delta.num_ops() as u64;
     if let Some(cache) = &shared.fold_cache {
         match cache.store(&dataset, &bundle, &shared.params) {
             Ok(path) => {
@@ -1542,7 +1563,7 @@ fn fold_epoch(
         "pending delta folded into a fresh base",
         &[
             ("epoch", Value::U64(state.epoch + 1)),
-            ("ops", Value::U64(ops.len() as u64)),
+            ("ops", Value::U64(delta.num_ops() as u64)),
             ("applied_ops", Value::U64(applied_ops)),
             ("ms", Value::F64(fold_started.elapsed().as_secs_f64() * 1e3)),
         ],
@@ -1556,7 +1577,6 @@ fn fold_epoch(
         index: Arc::new(poi),
         photo_grid: Arc::new(photo_grid),
         delta: None,
-        pending_ops: Vec::new(),
         applied_ops,
         folds: state.folds + 1,
         contexts: StreetContexts::new(state.dataset.network.num_streets()),
@@ -1780,15 +1800,7 @@ fn run_job(shared: &Shared<'_>, worker: &mut EngineWorker, job: Job, queue_wait:
             })
         }
         JobKind::Describe { street, params } => {
-            let builder = ContextBuilder {
-                network: &state.dataset.network,
-                photos: &state.dataset.photos,
-                photo_grid: &state.photo_grid,
-                pois: Some(&state.dataset.pois),
-                eps: shared.config.eps,
-                rho: shared.config.rho,
-                phi_source: PhiSource::Photos,
-            };
+            let builder = state.context_builder(shared.config);
             let delta = state.delta.as_deref();
             // Resolved inside the engine job: a first touch's build is this
             // job's time and, if it fails, this job's error.

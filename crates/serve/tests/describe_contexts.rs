@@ -1,8 +1,9 @@
 //! `/describe` over the per-epoch street-context table, against a real
 //! socket: every served body equals Alg. 2 over a fresh context build at
 //! the epoch that answered it (at boot, under a live delta, after a fold),
-//! the first job on a street in an epoch builds its context and every later
-//! one reads it, and racing jobs build a street once.
+//! the first job on a street in an epoch builds its context unless the
+//! epoch carried it over from the one before (its batch cannot reach the
+//! street), every later one reads it, and racing jobs build a street once.
 //!
 //! The built/reused counters are process-wide, so the tests of this suite
 //! take turns ([`serial`]) and read them as differences.
@@ -178,11 +179,10 @@ fn every_describe_body_equals_a_fresh_context_at_its_epoch() {
     let dataset = dataset();
     let streets = busy_streets(&config, 8);
     assert!(
-        streets.len() >= 3,
+        streets.len() >= 4,
         "fixture has {} busy streets",
         streets.len()
     );
-    let described: Vec<StreetId> = streets.iter().take(3).map(|(s, _)| *s).collect();
     let (street, members) = &streets[0];
     // Within ε of the first street: three of its photos go and four new
     // ones on its first segment come, tagged like one of its photos; the
@@ -218,6 +218,45 @@ fn every_describe_body_equals_a_fresh_context_at_its_epoch() {
         add(0.35),
     ]
     .join("\n");
+    // Where the live batch lands: its adds, and the photos it deletes.
+    let live_points: Vec<_> = [members[1], members[3], members[5]]
+        .map(|id| dataset.photos.get(id).pos)
+        .into_iter()
+        .chain([0.2, 0.5, 0.8, 0.35].map(|t| geom.a.lerp(geom.b, t)))
+        .collect();
+    // A street the live batch reaches has one of its points within ε; one
+    // it cannot reach has them all more than 3ε from its MBR.
+    let reached = |s: StreetId| {
+        live_points
+            .iter()
+            .any(|&p| dataset.network.dist_point_to_street(p, s) <= config.eps)
+    };
+    let unreachable = |s: StreetId| {
+        let mbr = dataset
+            .network
+            .street_mbr(s)
+            .expect("streets have segments");
+        live_points
+            .iter()
+            .all(|&p| mbr.mindist_to_point(p) > 3.0 * config.eps)
+    };
+    // The first street, which the live batch reaches, and the three
+    // busiest streets after it that it certainly reaches or certainly
+    // cannot reach (a street in between may be rebuilt or carried).
+    assert!(reached(*street));
+    let described: Vec<StreetId> = std::iter::once(*street)
+        .chain(
+            streets[1..]
+                .iter()
+                .map(|(s, _)| *s)
+                .filter(|&s| reached(s) || unreachable(s))
+                .take(3),
+        )
+        .collect();
+    assert!(
+        described.iter().any(|&s| unreachable(s)),
+        "fixture has a busy street the live batch cannot reach: {described:?}"
+    );
     let fold_batch = [del(members[2]), del(members[4])].join("\n");
     let shapes = [(3usize, 0.5), (8, 0.25), (5, 0.75)]
         .map(|(k, lambda)| DescribeParams::new(k, lambda, 0.5).expect("valid"));
@@ -305,8 +344,11 @@ fn every_describe_body_equals_a_fresh_context_at_its_epoch() {
                 for (i, params) in shapes.iter().enumerate() {
                     let doc = describe(addr, street, params);
                     assert_eq!(doc.get("partial"), Some(&Json::Bool(false)));
-                    // The first describe of a street in each epoch builds.
-                    assert_eq!(context_built(&doc), i == 0, "epoch {epoch} street {street}");
+                    // The first describe of a street builds at boot and
+                    // after the fold; under the live delta only where the
+                    // live batch reaches, the rest carried from boot.
+                    let builds = i == 0 && (epoch != 1 || reached(street));
+                    assert_eq!(context_built(&doc), builds, "epoch {epoch} street {street}");
                     let (selected, objective, counters, size) = expected(epoch, street, params);
                     assert_eq!(
                         answer(&doc),
@@ -325,7 +367,10 @@ fn every_describe_body_equals_a_fresh_context_at_its_epoch() {
     });
     assert_eq!(report.panics, 0);
     assert_eq!(report.errors, 0);
-    assert_eq!((built, reused), (9.0, 18.0));
+    // Four streets × three shapes × three epochs: boot builds 4, the live
+    // epoch rebuilds the first street and carries the other 3, the fold
+    // builds 4 again; every other describe reads its epoch's context.
+    assert_eq!((built, reused), (9.0, 27.0));
     // Each batch did change the first street's Rs.
     let n = members.len();
     let first_street = |epoch: usize| sizes[epoch * shapes.len() * described.len()];
