@@ -32,7 +32,7 @@ use soi_index::{BundleParams, CacheMode, CacheOutcome, IndexBundle, IndexCache, 
 use soi_network::NetworkStats;
 use soi_obs::log::{self, LogMode, Value};
 use soi_obs::names::{phases, spans};
-use soi_obs::{json, profile, trace};
+use soi_obs::{json, trace};
 
 const DEFAULT_EPS: f64 = 0.0005;
 const DEFAULT_RHO: f64 = 0.0001;
@@ -70,19 +70,6 @@ fn run(raw: Vec<String>) -> Result<()> {
     if trace_out.is_some() {
         trace::set_enabled(true);
     }
-    // `--profile-out FILE` samples the whole invocation's span stacks at
-    // `--profile-hz` (default 99) and writes FILE (JSON), FILE.folded, and
-    // FILE.svg when the command finishes.
-    let profile_out = args.get("profile-out").map(str::to_string);
-    if profile_out.is_some() {
-        let hz = match args.get("profile-hz") {
-            None => profile::DEFAULT_HZ,
-            Some(raw) => raw
-                .parse::<u32>()
-                .map_err(|_| SoiError::invalid(format!("--profile-hz {raw:?} is not a number")))?,
-        };
-        profile::start(hz).map_err(|e| SoiError::invalid(format!("cannot start profiler: {e}")))?;
-    }
 
     let result = {
         // One span covering the whole command, so the trace accounts for
@@ -90,16 +77,9 @@ fn run(raw: Vec<String>) -> Result<()> {
         let _cmd_span = trace::span(command_span_name(&args.command));
         dispatch(&args)
     };
-    // Write artifacts even when the command failed — a trace or profile of
-    // a slow run that ultimately errored is still useful — but let the
-    // command's own error take precedence.
-    let result = match profile_out {
-        None => result,
-        Some(path) => {
-            let written = write_profile(&path);
-            result.and(written)
-        }
-    };
+    // Write the trace even when the command failed — a trace of a slow run
+    // that ultimately errored is still useful — but let the command's own
+    // error take precedence.
     match trace_out {
         None => result,
         Some(path) => {
@@ -169,34 +149,6 @@ fn write_trace(path: &str) -> Result<()> {
     Ok(())
 }
 
-/// Stops the profiling session and writes its three artifacts: `path`
-/// (JSON), `path.folded` (Brendan-Gregg folded stacks), and `path.svg`
-/// (self-contained flamegraph).
-fn write_profile(path: &str) -> Result<()> {
-    let Some(report) = profile::stop() else {
-        return Err(SoiError::invalid(
-            "no profiling session was running at exit",
-        ));
-    };
-    std::fs::write(path, report.to_json()).at_path(path)?;
-    let folded_path = format!("{path}.folded");
-    std::fs::write(&folded_path, report.folded_text()).at_path(&folded_path)?;
-    let svg_path = format!("{path}.svg");
-    std::fs::write(&svg_path, report.flamegraph_svg()).at_path(&svg_path)?;
-    log::event(
-        "cli.profile",
-        &format!("wrote profile to {path} (+.folded, +.svg)"),
-        &[
-            ("hz", Value::U64(u64::from(report.hz))),
-            ("samples", Value::U64(report.samples)),
-            ("idle_samples", Value::U64(report.idle_samples)),
-            ("dropped_samples", Value::U64(report.dropped_samples)),
-            ("stacks", Value::U64(report.stacks.len() as u64)),
-        ],
-    );
-    Ok(())
-}
-
 fn print_help() -> Result<()> {
     let mut out = std::io::stdout().lock();
     writeln!(
@@ -235,13 +187,11 @@ fn print_help() -> Result<()> {
          \u{20}          Print process metrics in Prometheus text format (with\n\
          \u{20}          --data, first runs a small workload to populate them).\n\
          check-artifacts [--trace FILE.json] [--stats FILE.json] [--explain FILE.json]\n\
-         \u{20}          [--snapshot FILE.soisnap] [--profile FILE.json]\n\
+         \u{20}          [--snapshot FILE.soisnap]\n\
          \u{20}          Validate observability artifacts: a Chrome trace from\n\
          \u{20}          --trace-out, a telemetry file from --stats-json, an\n\
-         \u{20}          explain artifact from `soi explain --json`, an index\n\
-         \u{20}          snapshot (section table + checksums), and/or a profile\n\
-         \u{20}          from --profile-out (sample-count consistency, frames\n\
-         \u{20}          against the span taxonomy) offline.\n\
+         \u{20}          explain artifact from `soi explain --json`, and/or an\n\
+         \u{20}          index snapshot (section table + checksums) offline.\n\
          serve     --data DIR [--addr 127.0.0.1:7878] [--threads N] [--io-threads 4]\n\
          \u{20}          [--queue 64] [--deadline-ms 250] [--max-deadline-ms 10000]\n\
          \u{20}          [--eps 0.0005] [--rho 0.0001]\n\
@@ -276,9 +226,6 @@ fn print_help() -> Result<()> {
          OBSERVABILITY (any command)\n\
          --trace-out FILE   Record a Chrome trace_event JSON file of the run\n\
          \u{20}                  (open in chrome://tracing or ui.perfetto.dev).\n\
-         --profile-out FILE Sample the run's span stacks and write FILE (JSON),\n\
-         \u{20}                  FILE.folded (collapsed stacks), and FILE.svg\n\
-         \u{20}                  (flamegraph). --profile-hz N sets the rate (99).\n\
          --log-json         Emit stderr events as JSON lines (also SOI_LOG=json).\n\
          batch also accepts --stats-json FILE to dump engine telemetry\n\
          (latency percentiles, work counters, \u{3b5}-cache hits) as JSON."
@@ -1239,103 +1186,6 @@ fn check_explain_file(path: &str) -> Result<u64> {
     Ok(rows.len() as u64)
 }
 
-/// Validates a profile artifact written by `--profile-out` (or fetched
-/// from `GET /debug/profile?format=json`): the JSON parses, the sample
-/// accounting is internally consistent (stack counts sum to the busy
-/// samples, per-frame self times partition them, total ≥ self), and every
-/// frame name belongs to the span taxonomy in `soi_obs::names`. Returns
-/// (busy samples, stack count).
-fn check_profile_file(path: &str) -> Result<(u64, u64)> {
-    let text = std::fs::read_to_string(path).at_path(path)?;
-    let bad = |what: &str| SoiError::invalid(format!("{path}: {what}"));
-    let doc = json::parse(&text).map_err(|e| bad(&format!("not valid JSON ({e})")))?;
-    let prof = doc
-        .get("profile")
-        .ok_or_else(|| bad("missing profile object"))?;
-    let num = |k: &str| {
-        prof.get(k)
-            .and_then(json::Json::as_f64)
-            .ok_or_else(|| bad(&format!("missing numeric {k} field")))
-    };
-    let hz = num("hz")?;
-    if hz < 1.0 {
-        return Err(bad(&format!("hz {hz} is not a positive rate")));
-    }
-    num("duration_secs")?;
-    num("idle_samples")?;
-    num("dropped_samples")?;
-    let samples = num("samples")?;
-    let stacks = prof
-        .get("stacks")
-        .and_then(json::Json::as_arr)
-        .ok_or_else(|| bad("missing stacks array"))?;
-    let mut stack_sum = 0.0;
-    for (i, stack) in stacks.iter().enumerate() {
-        let frames = stack
-            .get("stack")
-            .and_then(json::Json::as_str)
-            .ok_or_else(|| bad(&format!("stacks[{i}] is missing its stack string")))?;
-        if frames.is_empty() {
-            return Err(bad(&format!("stacks[{i}] has an empty frame path")));
-        }
-        for frame in frames.split(';') {
-            if !soi_obs::names::is_known_span(frame) {
-                return Err(bad(&format!(
-                    "stacks[{i}] frame {frame:?} is not in the span taxonomy"
-                )));
-            }
-        }
-        stack_sum += stack
-            .get("count")
-            .and_then(json::Json::as_f64)
-            .ok_or_else(|| bad(&format!("stacks[{i}] is missing numeric count")))?;
-    }
-    if stack_sum != samples {
-        return Err(bad(&format!(
-            "stack counts sum to {stack_sum} but samples is {samples}"
-        )));
-    }
-    let frames = prof
-        .get("frames")
-        .and_then(json::Json::as_arr)
-        .ok_or_else(|| bad("missing frames array"))?;
-    let mut self_sum = 0.0;
-    for (i, frame) in frames.iter().enumerate() {
-        let name = frame
-            .get("name")
-            .and_then(json::Json::as_str)
-            .ok_or_else(|| bad(&format!("frames[{i}] is missing its name")))?;
-        if !soi_obs::names::is_known_span(name) {
-            return Err(bad(&format!(
-                "frames[{i}] name {name:?} is not in the span taxonomy"
-            )));
-        }
-        let self_samples = frame
-            .get("self_samples")
-            .and_then(json::Json::as_f64)
-            .ok_or_else(|| bad(&format!("frames[{i}] is missing self_samples")))?;
-        let total_samples = frame
-            .get("total_samples")
-            .and_then(json::Json::as_f64)
-            .ok_or_else(|| bad(&format!("frames[{i}] is missing total_samples")))?;
-        if total_samples < self_samples {
-            return Err(bad(&format!(
-                "frames[{i}] ({name}) has total {total_samples} < self {self_samples}"
-            )));
-        }
-        self_sum += self_samples;
-    }
-    if self_sum != samples {
-        return Err(bad(&format!(
-            "frame self times sum to {self_sum} but samples is {samples}"
-        )));
-    }
-    if samples > 0.0 && stacks.is_empty() {
-        return Err(bad("samples recorded but no stacks present"));
-    }
-    Ok((samples as u64, stacks.len() as u64))
-}
-
 /// Validates an index snapshot offline: container magic/version/endianness,
 /// the section table (bounds, alignment, overlaps), and every section's
 /// payload checksum — all enforced eagerly by [`soi_snapshot::Snapshot::open`].
@@ -1350,16 +1200,14 @@ fn cmd_check_artifacts(args: &Args) -> Result<()> {
     let stats_path = args.get("stats");
     let explain_path = args.get("explain");
     let snapshot_path = args.get("snapshot");
-    let profile_path = args.get("profile");
     if trace_path.is_none()
         && stats_path.is_none()
         && explain_path.is_none()
         && snapshot_path.is_none()
-        && profile_path.is_none()
     {
         return Err(SoiError::invalid(
             "check-artifacts needs --trace FILE, --stats FILE, --explain FILE, \
-             --snapshot FILE, and/or --profile FILE",
+             and/or --snapshot FILE",
         ));
     }
     let mut out = std::io::stdout().lock();
@@ -1381,14 +1229,6 @@ fn cmd_check_artifacts(args: &Args) -> Result<()> {
     if let Some(path) = explain_path {
         let rows = check_explain_file(path)?;
         writeln!(out, "explain ok: {path} ({rows} trajectory rows)")?;
-    }
-    if let Some(path) = profile_path {
-        let (samples, stacks) = check_profile_file(path)?;
-        writeln!(
-            out,
-            "profile ok: {path} ({samples} samples over {stacks} stacks, \
-             frames match the span taxonomy)"
-        )?;
     }
     Ok(())
 }

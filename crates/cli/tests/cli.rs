@@ -371,64 +371,6 @@ fn batch_writes_trace_and_stats_artifacts() {
 }
 
 #[test]
-fn profile_out_writes_validating_artifacts() {
-    let dir = std::env::temp_dir().join(format!("soi_cli_prof_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let queries = dir.join("queries.tsv");
-    // Enough repeated work for a 900 Hz sampler to land on real stacks.
-    let mut lines = String::new();
-    for _ in 0..40 {
-        lines.push_str("shop,food\t5\t0.002\n");
-    }
-    std::fs::write(&queries, lines).unwrap();
-    let profile = dir.join("profile.json");
-
-    let out = soi(&[
-        "batch",
-        queries.to_str().unwrap(),
-        "--data",
-        dataset_dir(),
-        "--profile-out",
-        profile.to_str().unwrap(),
-        "--profile-hz",
-        "900",
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-
-    // All three artifacts exist; the folded text resolves the span
-    // taxonomy below soi.query, and the SVG is a standalone flamegraph.
-    let json_text = std::fs::read_to_string(&profile).unwrap();
-    assert!(json_text.contains("\"profile\""), "{json_text}");
-    let folded = std::fs::read_to_string(dir.join("profile.json.folded")).unwrap();
-    assert!(
-        folded.contains("soi.query;"),
-        "no frame below soi.query:\n{folded}"
-    );
-    let svg = std::fs::read_to_string(dir.join("profile.json.svg")).unwrap();
-    assert!(svg.starts_with("<svg") || svg.contains("<svg"), "{svg}");
-
-    // check-artifacts validates the JSON artifact.
-    let check = soi(&["check-artifacts", "--profile", profile.to_str().unwrap()]);
-    assert!(check.status.success(), "{}", stderr(&check));
-    assert!(stdout(&check).contains("profile ok"), "{}", stdout(&check));
-
-    // A bad rate is a usage error (exit 2), not a panic.
-    let bad = soi(&[
-        "query",
-        "--data",
-        dataset_dir(),
-        "--keywords",
-        "shop",
-        "--profile-out",
-        profile.to_str().unwrap(),
-        "--profile-hz",
-        "0",
-    ]);
-    assert_eq!(bad.status.code(), Some(2), "{}", stderr(&bad));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn metrics_prints_prometheus_text() {
     let out = soi(&["metrics", "--data", dataset_dir(), "--keywords", "shop"]);
     assert!(out.status.success(), "{}", stderr(&out));
@@ -717,9 +659,14 @@ fn check_artifacts_rejects_garbage() {
     let out = soi(&["check-artifacts", "--trace", bad.to_str().unwrap()]);
     assert_eq!(code(&out), 2, "{}", stderr(&out));
     assert!(stderr(&out).contains("traceEvents"), "{}", stderr(&out));
-    // No file at all is a usage error.
+    // No file at all is a usage error that lists the four artifact kinds.
     let none = soi(&["check-artifacts"]);
     assert_eq!(code(&none), 2);
+    let err = stderr(&none);
+    for option in ["--trace", "--stats", "--explain", "--snapshot"] {
+        assert!(err.contains(option), "{option} missing: {err}");
+    }
+    assert!(!err.contains("--profile"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -210,8 +210,8 @@ pub fn st_rel_div_full<'a>(
     let mut expired = budget.expired();
     while !expired && selected.len() < params.k && selected.len() < ctx.members.len() {
         let round_no = selected.len() + 1;
-        // Per-round span: profiles and traces resolve greedy rounds
-        // individually below describe.query (drops on every loop exit).
+        // Per-round span: traces resolve greedy rounds individually below
+        // describe.query (drops on every loop exit).
         let _round_span = soi_obs::trace::span(soi_obs::names::spans::DESCRIBE_ROUND);
         // Round-start counter snapshot, so the explain row can report the
         // refinement work attributable to this round alone.

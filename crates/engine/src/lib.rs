@@ -720,9 +720,8 @@ impl QueryEngine {
         let run = crossbeam::thread::scope(|s| {
             for partial in partials.iter_mut() {
                 s.spawn(move |_| {
-                    // Root span for this worker thread: profiles sampled on
-                    // engine workers attach below engine.worker instead of
-                    // floating as bare engine.query stacks.
+                    // Root span for this worker thread: its engine.query
+                    // slices nest below engine.worker in a Chrome trace.
                     let worker_span = soi_obs::trace::span(soi_obs::names::spans::ENGINE_WORKER);
                     let mut worker = make_worker();
                     loop {

@@ -90,9 +90,6 @@ fn record_alloc(size: usize) {
         t.peak_bytes = t.peak_bytes.max(t.live_bytes);
         c.set(t);
     });
-    // Feed the sampling profiler's per-thread allocation odometer (a
-    // relaxed load when no session is active; never allocates).
-    crate::profile::note_alloc(size as usize);
 }
 
 #[inline]

@@ -32,10 +32,6 @@
 //!   linking this crate) with process totals, thread-local counters, and
 //!   scoped [`alloc::AllocScope`] measurement for per-query and per-build
 //!   accounting.
-//! - [`profile`]: a sampling profiler riding the span machinery — threads
-//!   publish their live span stacks seqlock-style, a sampler folds them
-//!   at a fixed rate, and sessions render JSON / folded-text / SVG
-//!   flamegraph artifacts. One relaxed atomic load per span when off.
 
 // `unsafe` is denied crate-wide and allowed in exactly one place: the
 // `alloc` module's `GlobalAlloc` delegation (an unsafe trait by design).
@@ -50,7 +46,6 @@ pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod names;
-pub mod profile;
 pub mod trace;
 
 pub use alloc::{AllocScope, AllocStats};

@@ -60,9 +60,6 @@ pub mod spans {
     pub const SNAPSHOT_LOAD: &str = "index.snapshot.load";
     /// Writing an index bundle to a snapshot file.
     pub const SNAPSHOT_WRITE: &str = "index.snapshot.write";
-    /// A whole CLI command (`cli.query`, `cli.batch`, … are derived by
-    /// appending the subcommand to this prefix).
-    pub const CLI_PREFIX: &str = "cli.";
     /// Dataset load from disk.
     pub const CLI_LOAD: &str = "cli.load";
     /// One HTTP request handled by the serving layer (parse to response).
@@ -78,39 +75,6 @@ pub mod metrics {
     /// `/describe` jobs that read a street context an earlier job of the
     /// same epoch built.
     pub const DESCRIBE_CONTEXTS_REUSED: &str = "soi_serve_describe_contexts_reused_total";
-}
-
-/// Whether `name` belongs to the canonical span taxonomy: a phase name, a
-/// span constant, or a CLI command span (`cli.<command>`). The profiler
-/// artifact validator (`soi check-artifacts --profile`) uses this to
-/// reject artifacts whose frames drifted from the taxonomy.
-pub fn is_known_span(name: &str) -> bool {
-    let fixed = [
-        phases::CONSTRUCTION,
-        phases::FILTERING,
-        phases::REFINEMENT,
-        phases::SCAN,
-        spans::SOI_QUERY,
-        spans::DESCRIBE_QUERY,
-        spans::SOI_SOURCES,
-        spans::SOI_RANK,
-        spans::DESCRIBE_CONTEXT,
-        spans::DESCRIBE_ROUND,
-        spans::ENGINE_BATCH,
-        spans::ENGINE_QUERY,
-        spans::ENGINE_WORKER,
-        spans::INDEX_BUILD,
-        spans::INDEX_BUILD_FLATTEN,
-        spans::INDEX_BUILD_CELLS,
-        spans::INDEX_BUILD_GLOBAL,
-        spans::INDEX_BUILD_RASTER,
-        spans::INDEX_BUILD_LENGTHS,
-        spans::SNAPSHOT_LOAD,
-        spans::SNAPSHOT_WRITE,
-        spans::CLI_LOAD,
-        spans::SERVE_REQUEST,
-    ];
-    fixed.contains(&name) || name.starts_with(spans::CLI_PREFIX)
 }
 
 /// Counter-track names (sampled values plotted over time in a trace).
@@ -166,16 +130,6 @@ mod tests {
             spans::ENGINE_WORKER,
         ] {
             assert!(name.contains('.'), "{name} is not dotted");
-            assert!(is_known_span(name), "{name} missing from is_known_span");
         }
-    }
-
-    #[test]
-    fn known_span_covers_phases_and_cli_commands() {
-        assert!(is_known_span(phases::FILTERING));
-        assert!(is_known_span("cli.batch"));
-        assert!(is_known_span("cli.command"));
-        assert!(!is_known_span("mystery.frame"));
-        assert!(!is_known_span(""));
     }
 }

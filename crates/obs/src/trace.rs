@@ -262,7 +262,6 @@ pub fn capture<R>(request_id: u64, f: impl FnOnce() -> R) -> (R, Vec<TraceEvent>
 pub struct Span {
     name: &'static str,
     start_ns: Option<u64>,
-    profiled: bool,
 }
 
 impl Span {
@@ -279,9 +278,6 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if self.profiled {
-            crate::profile::pop_frame(self.name);
-        }
         let Some(start_ns) = self.start_ns else {
             return;
         };
@@ -298,21 +294,16 @@ impl Drop for Span {
 /// returns an inert guard.
 #[inline]
 pub fn span(name: &'static str) -> Span {
-    // The profiler publishes the span stack independently of trace
-    // recording (one relaxed load when no session is active).
-    let profiled = crate::profile::push_frame(name);
     if !recording() {
         return Span {
             name,
             start_ns: None,
-            profiled,
         };
     }
     LOCAL.with(|local| local.depth.set(local.depth.get() + 1));
     Span {
         name,
         start_ns: Some(now_ns()),
-        profiled,
     }
 }
 
@@ -326,7 +317,6 @@ pub fn current_depth() -> usize {
 /// the next `enter` rather than at scope exit.
 #[inline]
 pub fn begin(name: &'static str) {
-    crate::profile::push_frame(name);
     if !recording() {
         return;
     }
@@ -336,7 +326,6 @@ pub fn begin(name: &'static str) {
 /// Records the closing of a non-lexical span (Chrome `"E"`).
 #[inline]
 pub fn end(name: &'static str) {
-    crate::profile::pop_frame(name);
     if !recording() {
         return;
     }

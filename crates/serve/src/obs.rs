@@ -199,9 +199,6 @@ pub fn serve_metrics() -> &'static ServeMetrics {
 /// the first request still exposes the full series set (at zero).
 pub fn register_metrics() {
     let _ = serve_metrics();
-    // The profiler's sample counters register on first session start;
-    // force them here so they scrape as zeros before any window runs.
-    let _ = soi_obs::profile::metrics();
     soi_core::obs::register_metrics();
 }
 

@@ -828,11 +828,6 @@ fn route(
             meta.params = request.query().unwrap_or("").to_string();
             (debug_requests_list(shared, request), meta)
         }
-        ("GET", "/debug/profile") => {
-            let mut meta = meta_for("/debug/profile");
-            meta.params = request.query().unwrap_or("").to_string();
-            (debug_profile(shared, request), meta)
-        }
         ("GET", path) if path.starts_with("/debug/requests/") => (
             debug_request_by_id(shared, path),
             meta_for("/debug/requests/<id>"),
@@ -960,122 +955,6 @@ fn debug_requests_list(shared: &Shared<'_>, request: &crate::http::Request) -> H
     (200, "OK", JSON, shared.ring.list_json(limit, endpoint))
 }
 
-/// `GET /debug/profile?seconds=N[&hz=R][&format=folded|svg|json]`: profiles
-/// a live window under traffic and returns the artifact. One window at a
-/// time process-wide — an overlapping request answers 503. The window
-/// blocks this IO worker only; traffic keeps flowing on the others.
-fn debug_profile(shared: &Shared<'_>, request: &crate::http::Request) -> HttpTuple {
-    const JSON: &str = "application/json";
-    let mut seconds = 5u64;
-    let mut hz = soi_obs::profile::DEFAULT_HZ;
-    let mut format: Option<&str> = None;
-    for pair in request
-        .query()
-        .unwrap_or("")
-        .split('&')
-        .filter(|p| !p.is_empty())
-    {
-        let (name, value) = pair.split_once('=').unwrap_or((pair, ""));
-        match name {
-            "seconds" => match value.parse::<u64>() {
-                Ok(n) if (1..=60).contains(&n) => seconds = n,
-                _ => {
-                    return (
-                        400,
-                        "Bad Request",
-                        JSON,
-                        error_body("seconds must be an integer in [1, 60]", "usage"),
-                    );
-                }
-            },
-            "hz" => match value.parse::<u32>() {
-                Ok(n) => hz = n,
-                Err(_) => {
-                    return (
-                        400,
-                        "Bad Request",
-                        JSON,
-                        error_body("hz must be a positive integer", "usage"),
-                    );
-                }
-            },
-            "format" => match value {
-                "folded" | "svg" | "json" => format = Some(value),
-                _ => {
-                    return (
-                        400,
-                        "Bad Request",
-                        JSON,
-                        error_body("format must be folded, svg, or json", "usage"),
-                    );
-                }
-            },
-            other => {
-                return (
-                    400,
-                    "Bad Request",
-                    JSON,
-                    error_body(&format!("unknown parameter {other:?}"), "usage"),
-                );
-            }
-        }
-    }
-    // Format by explicit param first, `Accept` second, folded text last.
-    let format = format.unwrap_or_else(|| {
-        let accept = request.header("accept").unwrap_or("");
-        if accept.contains("image/svg") {
-            "svg"
-        } else if accept.contains("application/json") {
-            "json"
-        } else {
-            "folded"
-        }
-    });
-    match soi_obs::profile::start(hz) {
-        Ok(()) => {}
-        Err(soi_obs::profile::StartError::AlreadyRunning) => {
-            return (
-                503,
-                "Service Unavailable",
-                JSON,
-                error_body(
-                    "a profiling window is already running; retry when it finishes",
-                    "overload",
-                ),
-            );
-        }
-        Err(e) => {
-            return (
-                400,
-                "Bad Request",
-                JSON,
-                error_body(&e.to_string(), "usage"),
-            );
-        }
-    }
-    // Shutdown still drains promptly: sleep in slices and cut the window
-    // short when the drain flag flips.
-    let deadline = Instant::now() + Duration::from_secs(seconds);
-    while Instant::now() < deadline && !shared.shutdown.load(Ordering::SeqCst) {
-        let left = deadline.saturating_duration_since(Instant::now());
-        std::thread::sleep(left.min(Duration::from_millis(100)));
-    }
-    let Some(report) = soi_obs::profile::stop() else {
-        // Somebody else stopped the session mid-window (e.g. shutdown).
-        return (
-            503,
-            "Service Unavailable",
-            JSON,
-            error_body("profiling window was interrupted", "overload"),
-        );
-    };
-    match format {
-        "svg" => (200, "OK", "image/svg+xml", report.flamegraph_svg()),
-        "json" => (200, "OK", JSON, report.to_json()),
-        _ => (200, "OK", "text/plain; charset=utf-8", report.folded_text()),
-    }
-}
-
 /// Maps a [`SoiError`] to an HTTP response tuple.
 fn error_tuple(e: &SoiError) -> HttpTuple {
     let (status, reason) = match e.category() {
@@ -1145,28 +1024,6 @@ fn status_body(shared: &Shared<'_>) -> String {
         }
     }
     obj.field_raw("window", &window.finish());
-    // The most recent profiling window (if any): top self-time frames, so
-    // /status answers "where does time go" without re-profiling.
-    obj.field_bool("profiling", soi_obs::profile::active());
-    if let Some(report) = soi_obs::profile::last_report() {
-        let mut prof = JsonWriter::object();
-        prof.field_u64("hz", u64::from(report.hz));
-        prof.field_f64("duration_secs", report.duration_secs);
-        prof.field_u64("samples", report.samples);
-        prof.field_u64("idle_samples", report.idle_samples);
-        prof.field_u64("dropped_samples", report.dropped_samples);
-        let mut top = JsonWriter::array();
-        for frame in report.frames.iter().take(5) {
-            let mut row = JsonWriter::object();
-            row.field_str("name", &frame.name);
-            row.field_u64("self_samples", frame.self_samples);
-            row.field_u64("total_samples", frame.total_samples);
-            row.field_f64("self_secs", report.samples_to_secs(frame.self_samples));
-            top.elem_raw(&row.finish());
-        }
-        prof.field_raw("top_self", &top.finish());
-        obj.field_raw("profile", &prof.finish());
-    }
     obj.finish()
 }
 
@@ -1745,9 +1602,8 @@ fn engine_worker_loop(
 ) {
     let mut worker = EngineWorker::default();
     while let Some(job) = queue.pop() {
-        // Roots the job's spans and profile samples on this thread. Opened
-        // per job because a profiling window only sees spans opened inside
-        // it.
+        // Roots the job's spans on this thread: one engine.worker slice per
+        // job in a Chrome trace.
         let _span = soi_obs::trace::span(soi_obs::names::spans::ENGINE_WORKER);
         let slot = Arc::clone(&job.slot);
         let queue_wait = job.enqueued.elapsed();
