@@ -4,16 +4,16 @@ use soi_common::{Result, SoiError};
 use std::collections::BTreeMap;
 
 /// Options that are boolean flags: they take no value, and their presence
-/// means `true`. Every other `--key` consumes the next argument. `with-ir`
-/// is parsed only so that `build-index` can reject it by name.
-const BOOL_FLAGS: &[&str] = &["log-json", "describe", "with-ir"];
+/// means `true`. Every other `--key` consumes the next argument.
+const BOOL_FLAGS: &[&str] = &["log-json", "describe"];
 
-/// Parsed invocation: a subcommand, at most one positional argument, plus
-/// `--key value` options.
+/// Options every command accepts.
+const GLOBAL_OPTIONS: &[&str] = &["log-json", "trace-out"];
+
+/// Parsed invocation of a subcommand: at most one positional argument,
+/// plus `--key value` options.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
-    /// The subcommand (first positional argument).
-    pub command: String,
     /// The optional positional argument (e.g. the queries file of `batch`).
     positional: Option<String>,
     /// `--key value` pairs.
@@ -26,7 +26,9 @@ impl Args {
     /// Grammar: `<command> [positional] (--key value | --flag)*`. Every
     /// option takes a value except the boolean flags in [`BOOL_FLAGS`]
     /// (e.g. `--log-json`); at most one positional argument is accepted.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Args> {
+    /// An option that is neither in `accepted` (space-separated names) nor
+    /// in [`GLOBAL_OPTIONS`] is a usage error that names it.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I, accepted: &str) -> Result<Args> {
         let mut it = args.into_iter();
         let command = it
             .next()
@@ -43,6 +45,11 @@ impl Args {
                 positional = Some(key);
                 continue;
             };
+            if !accepted.split_whitespace().any(|a| a == name) && !GLOBAL_OPTIONS.contains(&name) {
+                return Err(SoiError::invalid(format!(
+                    "`soi {command}` does not take --{name}; try `soi help`"
+                )));
+            }
             let value = if BOOL_FLAGS.contains(&name) {
                 "true".to_string()
             } else {
@@ -54,7 +61,6 @@ impl Args {
             }
         }
         Ok(Args {
-            command,
             positional,
             options,
         })
@@ -98,14 +104,15 @@ impl Args {
 mod tests {
     use super::*;
 
+    const ACCEPTED: &str = "k keywords eps data";
+
     fn parse(tokens: &[&str]) -> Result<Args> {
-        Args::parse(tokens.iter().map(|s| s.to_string()))
+        Args::parse(tokens.iter().map(|s| s.to_string()), ACCEPTED)
     }
 
     #[test]
     fn parses_command_and_options() {
         let a = parse(&["query", "--k", "10", "--keywords", "shop,food"]).unwrap();
-        assert_eq!(a.command, "query");
         assert_eq!(a.require("k").unwrap(), "10");
         assert_eq!(a.get("keywords"), Some("shop,food"));
         assert_eq!(a.get("missing"), None);
@@ -116,7 +123,6 @@ mod tests {
     #[test]
     fn accepts_one_positional() {
         let a = parse(&["batch", "queries.tsv", "--data", "d"]).unwrap();
-        assert_eq!(a.command, "batch");
         assert_eq!(a.positional(), Some("queries.tsv"));
         assert_eq!(a.require("data").unwrap(), "d");
         assert_eq!(parse(&["stats"]).unwrap().positional(), None);
@@ -149,6 +155,19 @@ mod tests {
             .flag("log-json"));
         // Duplicates remain rejected.
         assert!(parse(&["stats", "--log-json", "--log-json"]).is_err());
+    }
+
+    #[test]
+    fn rejects_options_not_accepted() {
+        let err = parse(&["query", "--kk", "2"]).unwrap_err().to_string();
+        assert!(err.contains("--kk"), "{err}");
+        // Checked before a value is consumed, so a trailing one is named too.
+        let err = parse(&["query", "--k", "2", "--kk"])
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("--kk"), "{err}");
+        // The global options need no listing.
+        assert!(parse(&["query", "--trace-out", "t.json", "--log-json"]).is_ok());
     }
 
     #[test]

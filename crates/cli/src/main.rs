@@ -55,7 +55,11 @@ fn run(raw: Vec<String>) -> Result<()> {
     if raw.is_empty() || raw[0] == "help" || raw[0] == "--help" {
         return print_help();
     }
-    let args = Args::parse(raw)?;
+    let &(_, span, run_command, options) =
+        COMMANDS.iter().find(|c| c.0 == raw[0]).ok_or_else(|| {
+            SoiError::invalid(format!("unknown command {:?}; try `soi help`", raw[0]))
+        })?;
+    let args = Args::parse(raw, options)?;
 
     // Observability plumbing shared by every subcommand: `--log-json`
     // switches stderr events to JSON lines (the SOI_LOG env var applies
@@ -74,8 +78,8 @@ fn run(raw: Vec<String>) -> Result<()> {
     let result = {
         // One span covering the whole command, so the trace accounts for
         // (nearly) the entire process wall time.
-        let _cmd_span = trace::span(command_span_name(&args.command));
-        dispatch(&args)
+        let _cmd_span = trace::span(span);
+        run_command(&args)
     };
     // Write the trace even when the command failed — a trace of a slow run
     // that ultimately errored is still useful — but let the command's own
@@ -89,47 +93,89 @@ fn run(raw: Vec<String>) -> Result<()> {
     }
 }
 
-fn dispatch(args: &Args) -> Result<()> {
-    match args.command.as_str() {
-        "generate" => cmd_generate(args),
-        "build-index" => cmd_build_index(args),
-        "stats" => cmd_stats(args),
-        "query" => cmd_query(args),
-        "explain" => cmd_explain(args),
-        "batch" => cmd_batch(args),
-        "describe" => cmd_describe(args),
-        "export" => cmd_export(args),
-        "metrics" => cmd_metrics(args),
-        "check-artifacts" => cmd_check_artifacts(args),
-        "serve" => cmd_serve(args),
-        "ingest" => cmd_ingest(args),
-        "gen-deltas" => cmd_gen_deltas(args),
-        other => Err(SoiError::invalid(format!(
-            "unknown command {other:?}; try `soi help`"
-        ))),
-    }
-}
+/// A subcommand: its name, its span name, its entry point, and every
+/// option it reads (space-separated) besides the global `--log-json` and
+/// `--trace-out`. [`Args::parse`] rejects any other option.
+type Command = (
+    &'static str,
+    &'static str,
+    fn(&Args) -> Result<()>,
+    &'static str,
+);
 
-/// The static span name of a subcommand (span names are `&'static str`,
-/// so the known commands are enumerated rather than formatted).
-fn command_span_name(command: &str) -> &'static str {
-    match command {
-        "generate" => "cli.generate",
-        "build-index" => "cli.build_index",
-        "stats" => "cli.stats",
-        "query" => "cli.query",
-        "explain" => "cli.explain",
-        "batch" => "cli.batch",
-        "describe" => "cli.describe",
-        "export" => "cli.export",
-        "metrics" => "cli.metrics",
-        "check-artifacts" => "cli.check_artifacts",
-        "serve" => "cli.serve",
-        "ingest" => "cli.ingest",
-        "gen-deltas" => "cli.gen_deltas",
-        _ => "cli.command",
-    }
-}
+const COMMANDS: &[Command] = &[
+    (
+        "generate",
+        "cli.generate",
+        cmd_generate,
+        "city out scale seed",
+    ),
+    (
+        "build-index",
+        "cli.build_index",
+        cmd_build_index,
+        "data eps threads poi-cell pg-cell out index-cache",
+    ),
+    ("stats", "cli.stats", cmd_stats, "data"),
+    (
+        "query",
+        "cli.query",
+        cmd_query,
+        "data keywords k eps algo index-cache index-cache-mode",
+    ),
+    (
+        "explain",
+        "cli.explain",
+        cmd_explain,
+        "data keywords k eps describe photos rho json index-cache index-cache-mode",
+    ),
+    (
+        "batch",
+        "cli.batch",
+        cmd_batch,
+        "queries data eps threads stats-json index-cache index-cache-mode",
+    ),
+    (
+        "describe",
+        "cli.describe",
+        cmd_describe,
+        "data keywords street photos lambda w rho eps index-cache index-cache-mode",
+    ),
+    (
+        "export",
+        "cli.export",
+        cmd_export,
+        "data keywords k photos eps out index-cache index-cache-mode",
+    ),
+    ("metrics", "cli.metrics", cmd_metrics, "data keywords eps"),
+    (
+        "check-artifacts",
+        "cli.check_artifacts",
+        cmd_check_artifacts,
+        "trace stats explain snapshot",
+    ),
+    // batch-max is read by nothing: benchmark/ still passes it (ROADMAP 1-I(a) drops it).
+    (
+        "serve",
+        "cli.serve",
+        cmd_serve,
+        "data addr threads io-threads queue deadline-ms max-deadline-ms eps rho index-cache \
+         index-cache-mode trace-sample slow-query-ms ring-capacity epoch-max-delta ingest-log \
+         stats-json batch-max",
+    ),
+    (
+        "ingest",
+        "cli.ingest",
+        cmd_ingest,
+        "file addr batch timeout-ms",
+    ),
+    (
+        "gen-deltas",
+        "cli.gen_deltas",
+        cmd_gen_deltas,
+        "data out ops seed del-ratio photo-ratio",
+    ),
+];
 
 /// Drains the recorded trace events and writes them as Chrome
 /// `trace_event` JSON (load via `chrome://tracing` or Perfetto).
@@ -169,8 +215,8 @@ fn print_help() -> Result<()> {
          \u{20}          Run a k-SOI query and print the ranked streets.\n\
          explain   --data DIR --keywords w1,w2 [--k 10] [--eps 0.0005] [--describe]\n\
          \u{20}          [--json FILE] Run a k-SOI query with the explain collector\n\
-         \u{20}          and print its bound-convergence table, pruning counters,\n\
-         \u{20}          \u{3b5}-cache deltas, and memory use; --describe adds Alg. 2's\n\
+         \u{20}          and print its bound-convergence table, pruning counters\n\
+         \u{20}          and memory use; --describe adds Alg. 2's\n\
          \u{20}          per-round cell-filter report for the top street, --json\n\
          \u{20}          writes the machine-readable artifact.\n\
          batch     FILE.tsv --data DIR [--threads N] [--eps 0.0005]\n\
@@ -228,7 +274,7 @@ fn print_help() -> Result<()> {
          \u{20}                  (open in chrome://tracing or ui.perfetto.dev).\n\
          --log-json         Emit stderr events as JSON lines (also SOI_LOG=json).\n\
          batch also accepts --stats-json FILE to dump engine telemetry\n\
-         (latency percentiles, work counters, \u{3b5}-cache hits) as JSON."
+         (latency percentiles, work counters) as JSON."
     )?;
     Ok(())
 }
@@ -375,11 +421,6 @@ fn cmd_build_index(args: &Args) -> Result<()> {
     let dataset = load(args)?;
     let eps: f64 = args.get_parsed("eps", DEFAULT_EPS)?;
     let threads: usize = args.get_parsed("threads", 0)?;
-    if args.flag("with-ir") {
-        return Err(SoiError::invalid(
-            "--with-ir is gone: the index bundle carries no IR-tree",
-        ));
-    }
     let params = BundleParams {
         poi_cell: args.get_parsed("poi-cell", 2.0 * eps)?,
         pg_cell: args.get_parsed("pg-cell", POI_CELL)?,
@@ -1001,17 +1042,30 @@ fn cmd_export(args: &Args) -> Result<()> {
         &query,
         &SoiConfig::default(),
     )?;
-    let ranked: Vec<(soi_common::StreetId, f64)> = outcome
-        .results
-        .iter()
-        .map(|r| (r.street, r.interest))
-        .collect();
-    let streets_doc = soi_data::geojson::ranked_streets_to_geojson(&dataset.network, &ranked);
+    let network = &dataset.network;
+    let streets_doc = feature_collection(outcome.results.iter().enumerate().map(|(i, r)| {
+        // One line per segment, robust to any segment orientation.
+        let street = network.street(r.street);
+        let mut lines = json::JsonWriter::array();
+        for &sid in &street.segments {
+            let g = network.segment(sid).geom;
+            let mut line = json::JsonWriter::array();
+            line.elem_raw(&position(g.a));
+            line.elem_raw(&position(g.b));
+            lines.elem_raw(&line.finish());
+        }
+        let mut props = json::JsonWriter::object();
+        props.field_str("name", &street.name);
+        props.field_u64("street_id", u64::from(r.street.raw()));
+        props.field_u64("rank", i as u64 + 1);
+        props.field_f64("interest", r.interest);
+        feature("MultiLineString", &lines.finish(), props)
+    }));
     std::fs::write(out, &streets_doc).at_path(out)?;
     let mut stdout = std::io::stdout().lock();
-    writeln!(stdout, "wrote {} streets to {out}", ranked.len())?;
+    writeln!(stdout, "wrote {} streets to {out}", outcome.results.len())?;
 
-    if let Some(&(top, _)) = ranked.first() {
+    if let Some(top) = outcome.results.first().map(|r| r.street) {
         let ctx = ContextBuilder {
             network: &dataset.network,
             photos: &dataset.photos,
@@ -1025,7 +1079,18 @@ fn cmd_export(args: &Args) -> Result<()> {
         if !ctx.members.is_empty() {
             let params = DescribeParams::new(n_photos, 0.5, 0.5)?;
             let summary = st_rel_div(&ctx, &dataset.photos, &params)?;
-            let photo_doc = soi_data::geojson::photos_to_geojson(&dataset, &summary.selected);
+            let photo_doc = feature_collection(summary.selected.iter().map(|&pid| {
+                let photo = dataset.photos.get(pid);
+                let tags: Vec<&str> = photo
+                    .tags
+                    .iter()
+                    .filter_map(|t| dataset.vocab.term(t))
+                    .collect();
+                let mut props = json::JsonWriter::object();
+                props.field_u64("photo_id", u64::from(pid.raw()));
+                props.field_str("tags", &tags.join(","));
+                feature("Point", &position(photo.pos), props)
+            }));
             let photo_path = format!("{out}.photos.geojson");
             std::fs::write(&photo_path, &photo_doc).at_path(&photo_path)?;
             writeln!(
@@ -1037,6 +1102,38 @@ fn cmd_export(args: &Args) -> Result<()> {
         }
     }
     Ok(())
+}
+
+/// A GeoJSON FeatureCollection of rendered features.
+fn feature_collection(features: impl Iterator<Item = String>) -> String {
+    let mut list = json::JsonWriter::array();
+    for f in features {
+        list.elem_raw(&f);
+    }
+    let mut doc = json::JsonWriter::object();
+    doc.field_str("type", "FeatureCollection");
+    doc.field_raw("features", &list.finish());
+    doc.finish()
+}
+
+/// A GeoJSON Feature of one geometry and its properties.
+fn feature(geometry: &str, coordinates: &str, properties: json::JsonWriter) -> String {
+    let mut geom = json::JsonWriter::object();
+    geom.field_str("type", geometry);
+    geom.field_raw("coordinates", coordinates);
+    let mut f = json::JsonWriter::object();
+    f.field_str("type", "Feature");
+    f.field_raw("geometry", &geom.finish());
+    f.field_raw("properties", &properties.finish());
+    f.finish()
+}
+
+/// A GeoJSON position `[x, y]`.
+fn position(p: soi_geo::Point) -> String {
+    let mut w = json::JsonWriter::array();
+    w.elem_f64(p.x);
+    w.elem_f64(p.y);
+    w.finish()
 }
 
 fn cmd_metrics(args: &Args) -> Result<()> {

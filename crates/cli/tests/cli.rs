@@ -1,6 +1,7 @@
 //! End-to-end tests of the `soi` binary: generate a dataset into a temp
 //! dir, then exercise every subcommand through the real executable.
 
+use soi_obs::json::Json;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 use std::sync::OnceLock;
@@ -138,11 +139,47 @@ fn export_writes_valid_geojson() {
         path.to_str().unwrap(),
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
-    let doc = std::fs::read_to_string(&path).unwrap();
-    assert!(doc.starts_with("{\"type\":\"FeatureCollection\""));
-    assert!(doc.contains("\"interest\""));
-    let photos = std::fs::read_to_string(format!("{}.photos.geojson", path.display())).unwrap();
-    assert!(photos.contains("\"photo_id\""));
+    // Both files parse, and every feature carries its properties.
+    let features = |path: &str| {
+        let doc = soi_obs::json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        assert_eq!(
+            doc.get("type").and_then(Json::as_str),
+            Some("FeatureCollection")
+        );
+        doc.get("features").and_then(Json::as_arr).unwrap().to_vec()
+    };
+    let streets = features(path.to_str().unwrap());
+    assert_eq!(streets.len(), 3);
+    for (i, street) in streets.iter().enumerate() {
+        let geometry = street.get("geometry").unwrap();
+        assert_eq!(
+            geometry.get("type").and_then(Json::as_str),
+            Some("MultiLineString")
+        );
+        let props = street.get("properties").unwrap();
+        assert_eq!(
+            props.get("rank").and_then(Json::as_f64),
+            Some(i as f64 + 1.0)
+        );
+        assert!(props.get("interest").and_then(Json::as_f64).unwrap() > 0.0);
+        assert!(props.get("name").and_then(Json::as_str).is_some());
+    }
+    let photos = features(&format!("{}.photos.geojson", path.display()));
+    assert!(!photos.is_empty());
+    for photo in &photos {
+        let geometry = photo.get("geometry").unwrap();
+        assert_eq!(geometry.get("type").and_then(Json::as_str), Some("Point"));
+        assert_eq!(
+            geometry
+                .get("coordinates")
+                .and_then(Json::as_arr)
+                .map(<[_]>::len),
+            Some(2)
+        );
+        let props = photo.get("properties").unwrap();
+        assert!(props.get("photo_id").and_then(Json::as_f64).is_some());
+        assert!(props.get("tags").and_then(Json::as_str).is_some());
+    }
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(format!("{}.photos.geojson", path.display())).ok();
 }
@@ -811,6 +848,31 @@ fn a_cell_size_too_small_for_the_dataset_exits_2() {
         assert_usage_error(args, &[option, "too small", "inf grid cells"]);
     }
     assert!(!snap.exists(), "nothing may be written");
+}
+
+#[test]
+fn an_option_the_command_does_not_read_is_a_usage_error() {
+    // A misspelling, an option of another command, and a removed option
+    // (the IR-tree's flag, given as if it took a value).
+    assert_usage_error(&["query", "--keywords", "shop", "--kk", "2"], &["--kk"]);
+    assert_usage_error(&["stats", "--keywords", "shop"], &["--keywords"]);
+    assert_usage_error(
+        &["query", "--with-ir", "1", "--keywords", "shop"],
+        &["--with-ir"],
+    );
+}
+
+#[test]
+fn serve_accepts_batch_max() {
+    // The parse passes: the missing dataset is what fails (exit 4, not 2).
+    let out = soi(&[
+        "serve",
+        "--batch-max",
+        "8",
+        "--data",
+        "/definitely/not/a/dataset",
+    ]);
+    assert_eq!(code(&out), 4, "{}", stderr(&out));
 }
 
 #[test]

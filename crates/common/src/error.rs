@@ -176,16 +176,6 @@ impl SoiError {
         }
     }
 
-    /// Convenience constructor for [`SoiError::Parse`] with a field name.
-    pub fn parse_field(line: usize, field: &'static str, message: impl Into<String>) -> Self {
-        SoiError::Parse {
-            file: None,
-            line,
-            field: Some(field),
-            message: message.into(),
-        }
-    }
-
     /// Convenience constructor for [`SoiError::NotFound`].
     pub fn not_found(message: impl Into<String>) -> Self {
         SoiError::NotFound(message.into())

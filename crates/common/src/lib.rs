@@ -48,8 +48,7 @@ pub use ids::{CellId, KeywordId, NodeId, PhotoId, PoiId, SegmentId, StreetId};
 pub use load::{LoadMode, LoadOptions, LoadReport};
 pub use ord::{f64_from_total_key, f64_total_key, OrderedF64};
 pub use parallel::{
-    chunk_ranges, effective_threads, par_chunk_map, par_chunks_mut, par_sort_by,
-    par_sort_unstable_by,
+    chunk_ranges, effective_threads, par_chunk_map, par_sort_by, par_sort_unstable_by,
 };
 pub use timing::{PhaseTimer, Stopwatch};
 pub use topk::{top_k_by_score, ScoredItem};

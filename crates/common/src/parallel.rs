@@ -102,46 +102,6 @@ where
         .collect()
 }
 
-/// Runs `f` on disjoint mutable chunks of `data` (each of `chunk_size`
-/// elements, the last possibly shorter) across `threads` scoped threads.
-///
-/// Chunks are disjoint `&mut` slices, so no synchronisation is needed; the
-/// chunk index is passed alongside. Results are discarded (mutate in place).
-pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_size: usize, threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(chunk_size > 0, "chunk_size must be positive");
-    if threads <= 1 || data.len() <= chunk_size {
-        for (i, chunk) in data.chunks_mut(chunk_size).enumerate() {
-            f(i, chunk);
-        }
-        return;
-    }
-    let result = cb::scope(|scope| {
-        // Hand each spawned worker every `threads`-th chunk (round-robin) so
-        // the chunk count need not match the thread count.
-        let chunks: Vec<(usize, &mut [T])> = data.chunks_mut(chunk_size).enumerate().collect();
-        let mut per_worker: Vec<Vec<(usize, &mut [T])>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        for (i, chunk) in chunks {
-            per_worker[i % threads].push((i, chunk));
-        }
-        for worker_chunks in per_worker {
-            let f = &f;
-            scope.spawn(move |_| {
-                for (i, chunk) in worker_chunks {
-                    f(i, chunk);
-                }
-            });
-        }
-    });
-    if let Err(panic) = result {
-        std::panic::resume_unwind(panic);
-    }
-}
-
 /// Stable parallel merge sort: output is **identical** to `v.sort_by(cmp)`
 /// for every thread count (stability plus a deterministic comparator fully
 /// determine the permutation).
@@ -323,19 +283,6 @@ mod tests {
             // Chunk order preserved: starts ascending.
             assert!(sums.windows(2).all(|w| w[0].0 < w[1].0));
         }
-    }
-
-    #[test]
-    fn par_chunks_mut_touches_every_chunk() {
-        let mut data = vec![0u32; 100];
-        par_chunks_mut(&mut data, 7, 3, |i, chunk| {
-            for v in chunk.iter_mut() {
-                *v = i as u32 + 1;
-            }
-        });
-        assert!(data.iter().all(|&v| v > 0));
-        assert_eq!(data[0], 1);
-        assert_eq!(data[99], 100usize.div_ceil(7) as u32);
     }
 
     #[test]

@@ -57,11 +57,6 @@ impl QueryBudget {
         self.deadline
     }
 
-    /// Whether this budget can never expire.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none()
-    }
-
     /// Whether the deadline has passed. Unlimited budgets never expire.
     #[inline]
     pub fn expired(&self) -> bool {
@@ -86,7 +81,7 @@ mod tests {
     #[test]
     fn unlimited_never_expires() {
         let b = QueryBudget::unlimited();
-        assert!(b.is_unlimited());
+        assert_eq!(b.deadline(), None);
         assert!(!b.expired());
         assert_eq!(b.remaining(), None);
         assert_eq!(b, QueryBudget::default());
@@ -95,7 +90,7 @@ mod tests {
     #[test]
     fn past_deadline_is_expired() {
         let b = QueryBudget::with_deadline(Instant::now() - Duration::from_secs(1));
-        assert!(!b.is_unlimited());
+        assert!(b.deadline().is_some());
         assert!(b.expired());
         assert_eq!(b.remaining(), Some(Duration::ZERO));
     }

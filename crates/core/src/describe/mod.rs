@@ -77,15 +77,6 @@ impl DescribeParams {
         }
         Ok(())
     }
-
-    /// The paper's defaults: k=20, λ=0.5, w=0.5.
-    pub fn paper_defaults() -> Self {
-        Self {
-            k: 20,
-            lambda: 0.5,
-            w: 0.5,
-        }
-    }
 }
 
 /// Work counters of a description query.
@@ -137,13 +128,5 @@ mod tests {
         assert!(DescribeParams::new(1, 0.5, -0.1).is_err());
         assert!(DescribeParams::new(1, 0.5, 1.5).is_err());
         assert!(DescribeParams::new(1, 0.0, 1.0).is_ok());
-    }
-
-    #[test]
-    fn paper_defaults() {
-        let p = DescribeParams::paper_defaults();
-        assert_eq!(p.k, 20);
-        assert_eq!(p.lambda, 0.5);
-        assert_eq!(p.w, 0.5);
     }
 }

@@ -13,7 +13,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod dataset;
-pub mod geojson;
 pub mod io;
 pub mod photo;
 pub mod poi;

@@ -227,21 +227,6 @@ impl EngineTelemetry {
         sorted.get(rank.saturating_sub(1)).copied()
     }
 
-    /// Median per-query latency.
-    pub fn latency_p50(&self) -> Option<Duration> {
-        self.latency_quantile(0.50)
-    }
-
-    /// 95th-percentile per-query latency.
-    pub fn latency_p95(&self) -> Option<Duration> {
-        self.latency_quantile(0.95)
-    }
-
-    /// 99th-percentile per-query latency.
-    pub fn latency_p99(&self) -> Option<Duration> {
-        self.latency_quantile(0.99)
-    }
-
     /// Renders the snapshot as a JSON object (the `--stats-json` payload).
     pub fn to_json(&self) -> String {
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
@@ -1416,8 +1401,10 @@ mod tests {
             queries.len(),
             "one latency per success"
         );
-        let p50 = t.latency_p50().expect("non-empty batch has a median");
-        let p99 = t.latency_p99().expect("non-empty batch has a p99");
+        let p50 = t
+            .latency_quantile(0.50)
+            .expect("non-empty batch has a median");
+        let p99 = t.latency_quantile(0.99).expect("non-empty batch has a p99");
         assert!(p50 <= p99);
         assert!(t.query_latencies.iter().sum::<Duration>() >= p50);
 
@@ -1496,7 +1483,7 @@ mod tests {
     #[test]
     fn empty_latency_quantiles_are_none() {
         let t = EngineTelemetry::default();
-        assert_eq!(t.latency_p50(), None);
+        assert_eq!(t.latency_quantile(0.50), None);
         let parsed = soi_obs::json::parse(&t.to_json()).expect("parses");
         assert!(matches!(
             parsed.get("latency").and_then(|l| l.get("p50_ms")),

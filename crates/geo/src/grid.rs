@@ -348,11 +348,6 @@ impl Grid {
             }
         }
     }
-
-    /// Iterates over every cell coordinate, row-major.
-    pub fn all_cells(&self) -> impl Iterator<Item = CellCoord> + '_ {
-        (0..self.ny).flat_map(move |iy| (0..self.nx).map(move |ix| CellCoord::new(ix, iy)))
-    }
 }
 
 #[cfg(test)]
@@ -578,7 +573,9 @@ mod tests {
         // `ix + radius` used to overflow: a panic in a debug build, and in
         // a release build a ring that ended west of the cell.
         let g = unit_grid();
-        let all: Vec<CellCoord> = g.all_cells().collect();
+        let all: Vec<CellCoord> = (0..g.ny)
+            .flat_map(|iy| (0..g.nx).map(move |ix| CellCoord::new(ix, iy)))
+            .collect();
         for radius in [4, u32::MAX - 1, u32::MAX] {
             // A corner, an edge and an interior cell.
             for c in [
@@ -598,21 +595,6 @@ mod tests {
         assert_eq!(CellCoord::new(1, 1).chebyshev(CellCoord::new(4, 3)), 3);
         assert_eq!(CellCoord::new(4, 3).chebyshev(CellCoord::new(1, 1)), 3);
         assert_eq!(CellCoord::new(2, 2).chebyshev(CellCoord::new(2, 2)), 0);
-    }
-
-    #[test]
-    fn all_cells_enumerates_row_major() {
-        let g = Grid::new(Point::ORIGIN, 1.0, 2, 2);
-        let cells: Vec<CellCoord> = g.all_cells().collect();
-        assert_eq!(
-            cells,
-            vec![
-                CellCoord::new(0, 0),
-                CellCoord::new(1, 0),
-                CellCoord::new(0, 1),
-                CellCoord::new(1, 1),
-            ]
-        );
     }
 
     #[test]

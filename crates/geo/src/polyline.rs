@@ -67,30 +67,6 @@ impl Polyline {
     pub fn bounding_rect(&self) -> Option<Rect> {
         Rect::bounding(self.points.iter().copied())
     }
-
-    /// The point at arc-length `t·len()` along the chain, `t ∈ [0, 1]`.
-    ///
-    /// Returns `None` for an empty polyline.
-    pub fn point_at_fraction(&self, t: f64) -> Option<Point> {
-        if self.is_empty() {
-            return None;
-        }
-        let total = self.len();
-        if total == 0.0 {
-            return Some(self.points[0]);
-        }
-        let target = t.clamp(0.0, 1.0) * total;
-        let mut walked = 0.0;
-        for seg in self.segments() {
-            let l = seg.len();
-            if walked + l >= target {
-                let local = if l == 0.0 { 0.0 } else { (target - walked) / l };
-                return Some(seg.a.lerp(seg.b, local));
-            }
-            walked += l;
-        }
-        self.points.last().copied()
-    }
 }
 
 impl From<Vec<Point>> for Polyline {
@@ -148,20 +124,6 @@ mod tests {
         assert_eq!(r.min, Point::new(0.0, 0.0));
         assert_eq!(r.max, Point::new(4.0, 3.0));
         assert!(Polyline::new(vec![]).bounding_rect().is_none());
-    }
-
-    #[test]
-    fn point_at_fraction_walks_arclength() {
-        let p = l_shape();
-        assert_eq!(p.point_at_fraction(0.0), Some(Point::new(0.0, 0.0)));
-        assert_eq!(p.point_at_fraction(1.0), Some(Point::new(4.0, 3.0)));
-        // 4/7 of the way: exactly the corner.
-        let corner = p.point_at_fraction(4.0 / 7.0).unwrap();
-        assert!(corner.dist(Point::new(4.0, 0.0)) < 1e-12);
-        // Halfway: 3.5 along, on the horizontal leg.
-        let mid = p.point_at_fraction(0.5).unwrap();
-        assert!(mid.dist(Point::new(3.5, 0.0)) < 1e-12);
-        assert_eq!(Polyline::new(vec![]).point_at_fraction(0.5), None);
     }
 
     #[test]

@@ -41,12 +41,6 @@ impl LineSeg {
         self.a == self.b
     }
 
-    /// Midpoint of the segment.
-    #[inline]
-    pub fn midpoint(&self) -> Point {
-        self.a.lerp(self.b, 0.5)
-    }
-
     /// The clamped projection parameter `t ∈ [0, 1]` of `p` onto the segment:
     /// the closest point on the segment is `a + t·(b − a)`.
     #[inline]

@@ -1007,7 +1007,7 @@ mod tests {
         let grid = index.grid();
         for seg in network.segments() {
             // The midpoint's cell must list the segment.
-            if let Some(c) = grid.cell_containing(seg.geom.midpoint()) {
+            if let Some(c) = grid.cell_containing(seg.geom.a.lerp(seg.geom.b, 0.5)) {
                 assert!(
                     index
                         .raster_segments_of_cell(grid.cell_id(c))

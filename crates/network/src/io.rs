@@ -276,11 +276,6 @@ pub fn save_network(network: &RoadNetwork, path: impl AsRef<Path>) -> Result<()>
     write_network(network, BufWriter::new(file)).at_path(path)
 }
 
-/// Loads a network from a file with strict semantics.
-pub fn load_network(path: impl AsRef<Path>) -> Result<RoadNetwork> {
-    load_network_with(path, &LoadOptions::strict()).map(|(net, _)| net)
-}
-
 /// Loads a network from a file under the given [`LoadOptions`]. Errors carry
 /// the file path.
 pub fn load_network_with(
@@ -407,7 +402,8 @@ mod tests {
 
     #[test]
     fn load_errors_carry_path() {
-        let err = load_network("/definitely/not/here.tsv").unwrap_err();
+        let err =
+            load_network_with("/definitely/not/here.tsv", &LoadOptions::strict()).unwrap_err();
         assert!(err.to_string().contains("here.tsv"), "{err}");
         assert_eq!(err.category(), ErrorCategory::NotFound);
     }
@@ -419,7 +415,7 @@ mod tests {
         let path = dir.join("net.tsv");
         let net = sample();
         save_network(&net, &path).unwrap();
-        let read = load_network(&path).unwrap();
+        let (read, _) = load_network_with(&path, &LoadOptions::strict()).unwrap();
         assert_eq!(read.num_segments(), net.num_segments());
         std::fs::remove_file(path).ok();
     }

@@ -8,7 +8,6 @@
 //!
 //! - [`model`]: the [`Node`], [`Segment`], and [`Street`] records;
 //! - [`network`]: the immutable [`RoadNetwork`] and its [`NetworkBuilder`];
-//! - [`graph`]: adjacency queries, connected components, and shortest paths;
 //! - [`stats`]: the dataset statistics of the paper's Table 1;
 //! - [`io`]: a line-oriented TSV round-trip format.
 
@@ -18,7 +17,6 @@
 // expect are compile errors outside of test code.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod graph;
 pub mod io;
 pub mod model;
 pub mod network;

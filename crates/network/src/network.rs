@@ -14,8 +14,6 @@ pub struct RoadNetwork {
     nodes: Vec<Node>,
     segments: Vec<Segment>,
     streets: Vec<Street>,
-    /// Segments incident to each node (by node index).
-    incident: Vec<Vec<SegmentId>>,
 }
 
 impl RoadNetwork {
@@ -70,17 +68,6 @@ impl RoadNetwork {
     #[inline]
     pub fn street(&self, id: StreetId) -> &Street {
         &self.streets[id.index()]
-    }
-
-    /// The street a segment belongs to.
-    #[inline]
-    pub fn street_of(&self, seg: SegmentId) -> StreetId {
-        self.segment(seg).street
-    }
-
-    /// Segments incident to `node`.
-    pub fn incident_segments(&self, node: NodeId) -> &[SegmentId] {
-        &self.incident[node.index()]
     }
 
     /// Street length `len(s)`: the sum of its segment lengths.
@@ -269,17 +256,10 @@ impl NetworkBuilder {
             }
         }
 
-        let mut incident: Vec<Vec<SegmentId>> = vec![Vec::new(); self.nodes.len()];
-        for seg in &self.segments {
-            incident[seg.from.index()].push(seg.id);
-            incident[seg.to.index()].push(seg.id);
-        }
-
         Ok(RoadNetwork {
             nodes: self.nodes,
             segments: self.segments,
             streets: self.streets,
-            incident,
         })
     }
 }
@@ -310,19 +290,11 @@ mod tests {
         assert_eq!(net.num_nodes(), 4);
         assert_eq!(net.num_segments(), 3);
         assert_eq!(net.num_streets(), 2);
-        assert_eq!(net.street_of(SegmentId(0)), StreetId(0));
-        assert_eq!(net.street_of(SegmentId(2)), StreetId(1));
+        assert_eq!(net.segment(SegmentId(0)).street, StreetId(0));
+        assert_eq!(net.segment(SegmentId(2)).street, StreetId(1));
         assert_eq!(net.street(StreetId(0)).name, "Main St");
         assert_eq!(net.street_len(StreetId(0)), 2.0);
         assert_eq!(net.street_len(StreetId(1)), 1.0);
-    }
-
-    #[test]
-    fn incident_segments() {
-        let net = cross_network();
-        // Node n1=(1,0) touches all three segments.
-        assert_eq!(net.incident_segments(NodeId(1)).len(), 3);
-        assert_eq!(net.incident_segments(NodeId(0)).len(), 1);
     }
 
     #[test]

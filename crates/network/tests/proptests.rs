@@ -112,19 +112,4 @@ proptest! {
             prop_assert!((net.dist_point_to_street(p, street.id) - expected).abs() < 1e-9);
         }
     }
-
-    #[test]
-    fn components_partition_nodes(chains in street_chains()) {
-        let net = build(&chains);
-        let comps = net.connected_components();
-        let total: usize = comps.iter().map(Vec::len).sum();
-        prop_assert_eq!(total, net.num_nodes());
-        let mut seen = vec![false; net.num_nodes()];
-        for comp in &comps {
-            for node in comp {
-                prop_assert!(!seen[node.index()], "node in two components");
-                seen[node.index()] = true;
-            }
-        }
-    }
 }

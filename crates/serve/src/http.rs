@@ -65,15 +65,6 @@ impl Request {
     pub fn query(&self) -> Option<&str> {
         self.target.split_once('?').map(|(_, q)| q)
     }
-
-    /// First header value with the given (case-insensitive) name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
-    }
 }
 
 /// Why a request could not be parsed, mapped to a response status.
@@ -403,7 +394,7 @@ mod tests {
         assert_eq!(req.method, "GET");
         assert_eq!(req.path(), "/explain");
         assert_eq!(req.query(), Some("k=5"));
-        assert_eq!(req.header("Host"), Some("x"));
+        assert_eq!(req.headers, [("host".to_string(), "x".to_string())]);
     }
 
     #[test]

@@ -1,29 +1,14 @@
 //! Process shutdown flag, settable from a Unix signal handler.
 //!
-//! The serving loop polls [`shutdown_requested`]; `SIGTERM`/`SIGINT` flip
+//! The serving loop polls [`shutdown_flag`]; `SIGTERM`/`SIGINT` flip
 //! the flag asynchronously (the only async-signal-safe thing a handler may
 //! do is a lock-free store). The dependency-free route to a handler is the
 //! C `signal()` function, which requires one tiny `unsafe` block — isolated
 //! here, with the rest of the crate denying `unsafe_code`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
-
-/// True once a shutdown was requested (signal or [`request_shutdown`]).
-pub fn shutdown_requested() -> bool {
-    SHUTDOWN.load(Ordering::SeqCst)
-}
-
-/// Requests a graceful shutdown programmatically (tests, embedding).
-pub fn request_shutdown() {
-    SHUTDOWN.store(true, Ordering::SeqCst);
-}
-
-/// Clears the flag (tests reuse the process-global flag across servers).
-pub fn reset_shutdown() {
-    SHUTDOWN.store(false, Ordering::SeqCst);
-}
 
 /// The process-global flag itself, for wiring into [`crate::serve`]
 /// (tests that run several servers pass their own flags instead).
@@ -61,23 +46,8 @@ mod unix {
 }
 
 /// Installs `SIGTERM`/`SIGINT` handlers that flip the shutdown flag
-/// (no-op on non-Unix platforms; use [`request_shutdown`] there).
+/// (no-op on non-Unix platforms).
 pub fn install_handlers() {
     #[cfg(unix)]
     unix::install();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn request_and_reset() {
-        reset_shutdown();
-        assert!(!shutdown_requested());
-        request_shutdown();
-        assert!(shutdown_requested());
-        reset_shutdown();
-        assert!(!shutdown_requested());
-    }
 }

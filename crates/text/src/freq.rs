@@ -204,16 +204,6 @@ impl FreqVector {
     pub fn sum_over(&self, set: &KeywordSet) -> f64 {
         set.iter().map(|k| self.weight(k)).sum()
     }
-
-    /// Keywords of this vector sorted by ascending weight, then ascending id.
-    ///
-    /// Used to pick the lowest-frequency keywords when constructing the
-    /// bound sets `Ψ−(c|s)` of Eq. 13.
-    pub fn keywords_by_weight_asc(&self) -> Vec<(KeywordId, f64)> {
-        let mut v: Vec<(KeywordId, f64)> = self.iter().collect();
-        v.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        v
-    }
 }
 
 impl FromIterator<(KeywordId, f64)> for FreqVector {
@@ -293,17 +283,6 @@ mod tests {
         let s = KeywordSet::from_ids([kid(1), kid(3), kid(7)]);
         assert_eq!(v.sum_over(&s), 7.0);
         assert_eq!(v.sum_over(&KeywordSet::empty()), 0.0);
-    }
-
-    #[test]
-    fn keywords_by_weight_asc_breaks_ties_by_id() {
-        let v = FreqVector::from_weights([(kid(5), 1.0), (kid(2), 1.0), (kid(9), 0.5)]);
-        let order: Vec<u32> = v
-            .keywords_by_weight_asc()
-            .into_iter()
-            .map(|(k, _)| k.raw())
-            .collect();
-        assert_eq!(order, vec![9, 2, 5]);
     }
 
     #[test]

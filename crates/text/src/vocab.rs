@@ -61,15 +61,6 @@ impl Vocabulary {
             .enumerate()
             .map(|(i, t)| (KeywordId::from_index(i), t.as_str()))
     }
-
-    /// Interns every token of `text` (after tokenisation) and returns the ids
-    /// in token order (duplicates preserved).
-    pub fn intern_text(&mut self, text: &str) -> Vec<KeywordId> {
-        crate::tokenize(text)
-            .into_iter()
-            .map(|t| self.intern(&t))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -113,14 +104,5 @@ mod tests {
         v.intern("two");
         let collected: Vec<(u32, &str)> = v.iter().map(|(id, t)| (id.raw(), t)).collect();
         assert_eq!(collected, vec![(0, "one"), (1, "two")]);
-    }
-
-    #[test]
-    fn intern_text_tokenises() {
-        let mut v = Vocabulary::new();
-        let ids = v.intern_text("Shoe Shop & Shoe Repair");
-        assert_eq!(ids.len(), 4); // shoe shop shoe repair
-        assert_eq!(ids[0], ids[2]);
-        assert_eq!(v.len(), 3);
     }
 }
