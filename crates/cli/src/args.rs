@@ -25,18 +25,29 @@ impl Args {
     ///
     /// Grammar: `<command> [positional] (--key value | --flag)*`. Every
     /// option takes a value except the boolean flags in [`BOOL_FLAGS`]
-    /// (e.g. `--log-json`); at most one positional argument is accepted.
-    /// An option that is neither in `accepted` (space-separated names) nor
-    /// in [`GLOBAL_OPTIONS`] is a usage error that names it.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I, accepted: &str) -> Result<Args> {
+    /// (e.g. `--log-json`); one positional argument is accepted if
+    /// `positional` says the command reads one. An option that is neither
+    /// in `accepted` (space-separated names) nor in [`GLOBAL_OPTIONS`], and
+    /// a positional argument not accepted, are usage errors that name it.
+    pub fn parse<I: IntoIterator<Item = String>>(
+        args: I,
+        accepted: &str,
+        positional: bool,
+    ) -> Result<Args> {
         let mut it = args.into_iter();
         let command = it
             .next()
             .ok_or_else(|| SoiError::invalid("missing subcommand; try `soi help`"))?;
+        let takes_positional = positional;
         let mut positional = None;
         let mut options = BTreeMap::new();
         while let Some(key) = it.next() {
             let Some(name) = key.strip_prefix("--") else {
+                if !takes_positional {
+                    return Err(SoiError::invalid(format!(
+                        "`soi {command}` takes no positional argument, got {key:?}; try `soi help`"
+                    )));
+                }
                 if positional.is_some() {
                     return Err(SoiError::invalid(format!(
                         "unexpected extra positional argument {key:?}"
@@ -107,7 +118,7 @@ mod tests {
     const ACCEPTED: &str = "k keywords eps data";
 
     fn parse(tokens: &[&str]) -> Result<Args> {
-        Args::parse(tokens.iter().map(|s| s.to_string()), ACCEPTED)
+        Args::parse(tokens.iter().map(|s| s.to_string()), ACCEPTED, true)
     }
 
     #[test]
@@ -168,6 +179,17 @@ mod tests {
         assert!(err.contains("--kk"), "{err}");
         // The global options need no listing.
         assert!(parse(&["query", "--trace-out", "t.json", "--log-json"]).is_ok());
+    }
+
+    #[test]
+    fn rejects_a_positional_the_command_does_not_read() {
+        let tokens = ["stats", "stray", "--data", "d"].map(String::from);
+        let err = Args::parse(tokens, ACCEPTED, false)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("\"stray\""), "{err}");
+        let tokens = ["stats", "--data", "d"].map(String::from);
+        assert!(Args::parse(tokens, ACCEPTED, false).is_ok());
     }
 
     #[test]

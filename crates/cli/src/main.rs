@@ -55,11 +55,10 @@ fn run(raw: Vec<String>) -> Result<()> {
     if raw.is_empty() || raw[0] == "help" || raw[0] == "--help" {
         return print_help();
     }
-    let &(_, span, run_command, options) =
-        COMMANDS.iter().find(|c| c.0 == raw[0]).ok_or_else(|| {
-            SoiError::invalid(format!("unknown command {:?}; try `soi help`", raw[0]))
-        })?;
-    let args = Args::parse(raw, options)?;
+    let command = COMMANDS.iter().find(|c| c.name == raw[0]).ok_or_else(|| {
+        SoiError::invalid(format!("unknown command {:?}; try `soi help`", raw[0]))
+    })?;
+    let args = Args::parse(raw, command.options, command.positional)?;
 
     // Observability plumbing shared by every subcommand: `--log-json`
     // switches stderr events to JSON lines (the SOI_LOG env var applies
@@ -78,8 +77,8 @@ fn run(raw: Vec<String>) -> Result<()> {
     let result = {
         // One span covering the whole command, so the trace accounts for
         // (nearly) the entire process wall time.
-        let _cmd_span = trace::span(span);
-        run_command(&args)
+        let _cmd_span = trace::span(command.span);
+        (command.run)(&args)
     };
     // Write the trace even when the command failed — a trace of a slow run
     // that ultimately errored is still useful — but let the command's own
@@ -93,88 +92,190 @@ fn run(raw: Vec<String>) -> Result<()> {
     }
 }
 
-/// A subcommand: its name, its span name, its entry point, and every
-/// option it reads (space-separated) besides the global `--log-json` and
-/// `--trace-out`. [`Args::parse`] rejects any other option.
-type Command = (
-    &'static str,
-    &'static str,
-    fn(&Args) -> Result<()>,
-    &'static str,
-);
+/// A subcommand. [`Args::parse`] rejects an option it does not read and,
+/// unless it takes one, a positional argument.
+struct Command {
+    name: &'static str,
+    /// The span covering the whole command.
+    span: &'static str,
+    run: fn(&Args) -> Result<()>,
+    /// Whether it reads a positional argument.
+    positional: bool,
+    /// Every option it reads (space-separated) besides the global
+    /// `--log-json` and `--trace-out`.
+    options: &'static str,
+    /// Its `soi help` entry: usage, then what it does.
+    help: &'static str,
+}
 
 const COMMANDS: &[Command] = &[
-    (
-        "generate",
-        "cli.generate",
-        cmd_generate,
-        "city out scale seed",
-    ),
-    (
-        "build-index",
-        "cli.build_index",
-        cmd_build_index,
-        "data eps threads poi-cell pg-cell out index-cache",
-    ),
-    ("stats", "cli.stats", cmd_stats, "data"),
-    (
-        "query",
-        "cli.query",
-        cmd_query,
-        "data keywords k eps algo index-cache index-cache-mode",
-    ),
-    (
-        "explain",
-        "cli.explain",
-        cmd_explain,
-        "data keywords k eps describe photos rho json index-cache index-cache-mode",
-    ),
-    (
-        "batch",
-        "cli.batch",
-        cmd_batch,
-        "queries data eps threads stats-json index-cache index-cache-mode",
-    ),
-    (
-        "describe",
-        "cli.describe",
-        cmd_describe,
-        "data keywords street photos lambda w rho eps index-cache index-cache-mode",
-    ),
-    (
-        "export",
-        "cli.export",
-        cmd_export,
-        "data keywords k photos eps out index-cache index-cache-mode",
-    ),
-    ("metrics", "cli.metrics", cmd_metrics, "data keywords eps"),
-    (
-        "check-artifacts",
-        "cli.check_artifacts",
-        cmd_check_artifacts,
-        "trace stats explain snapshot",
-    ),
+    Command {
+        name: "generate",
+        span: "cli.generate",
+        run: cmd_generate,
+        positional: false,
+        options: "city out scale seed",
+        help: "generate  --city london|berlin|vienna --out DIR [--scale 0.05] [--seed N]\n\
+               \u{20}          Generate a synthetic city dataset and save it.",
+    },
+    Command {
+        name: "build-index",
+        span: "cli.build_index",
+        run: cmd_build_index,
+        positional: false,
+        options: "data eps threads poi-cell pg-cell out index-cache",
+        help: "build-index --data DIR (--out FILE | --index-cache DIR) [--eps 0.0005]\n\
+               \u{20}          [--poi-cell C] [--pg-cell C] [--threads N]\n\
+               \u{20}          Build the index bundle (POI grid, photo grid) and persist\n\
+               \u{20}          it as a versioned, checksummed snapshot; reports\n\
+               \u{20}          fresh-build vs reload time.",
+    },
+    Command {
+        name: "stats",
+        span: "cli.stats",
+        run: cmd_stats,
+        positional: false,
+        options: "data",
+        help: "stats     --data DIR\n\
+               \u{20}          Print dataset statistics (paper Table 1 columns).",
+    },
+    Command {
+        name: "query",
+        span: "cli.query",
+        run: cmd_query,
+        positional: false,
+        options: "data keywords k eps algo index-cache index-cache-mode",
+        help: "query     --data DIR --keywords w1,w2 [--k 10] [--eps 0.0005] [--algo soi|bl]\n\
+               \u{20}          [--index-cache DIR] [--index-cache-mode MODE]\n\
+               \u{20}          Run a k-SOI query and print the ranked streets.",
+    },
+    Command {
+        name: "explain",
+        span: "cli.explain",
+        run: cmd_explain,
+        positional: false,
+        options: "data keywords k eps describe photos rho json index-cache index-cache-mode",
+        help: "explain   --data DIR --keywords w1,w2 [--k 10] [--eps 0.0005] [--describe]\n\
+               \u{20}          [--photos 5] [--rho 0.0001] [--json FILE]\n\
+               \u{20}          [--index-cache DIR] [--index-cache-mode MODE]\n\
+               \u{20}          Run a k-SOI query with the explain collector and print\n\
+               \u{20}          its bound-convergence table, pruning counters and memory\n\
+               \u{20}          use; --describe adds Alg. 2's per-round cell-filter\n\
+               \u{20}          report for the top street (--photos, --rho as for\n\
+               \u{20}          describe), --json writes the machine-readable artifact.",
+    },
+    Command {
+        name: "batch",
+        span: "cli.batch",
+        run: cmd_batch,
+        positional: true,
+        options: "queries data eps threads stats-json index-cache index-cache-mode",
+        help: "batch     (FILE.tsv | --queries FILE.tsv) --data DIR [--threads N]\n\
+               \u{20}          [--eps 0.0005] [--stats-json FILE]\n\
+               \u{20}          [--index-cache DIR] [--index-cache-mode MODE]\n\
+               \u{20}          Run a file of k-SOI queries through the multi-threaded\n\
+               \u{20}          engine (one query per line: keywords<TAB>k[<TAB>eps]);\n\
+               \u{20}          --stats-json dumps engine telemetry (latency\n\
+               \u{20}          percentiles, work counters) as JSON.",
+    },
+    Command {
+        name: "describe",
+        span: "cli.describe",
+        run: cmd_describe,
+        positional: false,
+        options: "data keywords street photos lambda w rho eps index-cache index-cache-mode",
+        help: "describe  --data DIR --keywords w1,w2 [--photos 5] [--lambda 0.5] [--w 0.5]\n\
+               \u{20}          [--rho 0.0001] [--eps 0.0005] [--street NAME]\n\
+               \u{20}          [--index-cache DIR] [--index-cache-mode MODE]\n\
+               \u{20}          Select a diversified photo summary for the top street\n\
+               \u{20}          (or a named street).",
+    },
+    Command {
+        name: "export",
+        span: "cli.export",
+        run: cmd_export,
+        positional: false,
+        options: "data keywords k photos eps out index-cache index-cache-mode",
+        help: "export    --data DIR --keywords w1,w2 --out FILE.geojson [--k 10]\n\
+               \u{20}          [--photos 5] [--eps 0.0005]\n\
+               \u{20}          [--index-cache DIR] [--index-cache-mode MODE]\n\
+               \u{20}          Export the top-k streets (and a photo summary of the\n\
+               \u{20}          winner) as GeoJSON for any web map.",
+    },
+    Command {
+        name: "metrics",
+        span: "cli.metrics",
+        run: cmd_metrics,
+        positional: false,
+        options: "data keywords eps",
+        help: "metrics   [--data DIR] [--keywords w1,w2] [--eps 0.0005]\n\
+               \u{20}          Print process metrics in Prometheus text format (with\n\
+               \u{20}          --data, first runs a small workload to populate them).",
+    },
+    Command {
+        name: "check-artifacts",
+        span: "cli.check_artifacts",
+        run: cmd_check_artifacts,
+        positional: false,
+        options: "trace stats explain snapshot",
+        help: "check-artifacts [--trace FILE.json] [--stats FILE.json] [--explain FILE.json]\n\
+               \u{20}          [--snapshot FILE.soisnap]\n\
+               \u{20}          Validate observability artifacts: a Chrome trace from\n\
+               \u{20}          --trace-out, a telemetry file from --stats-json, an\n\
+               \u{20}          explain artifact from `soi explain --json`, and/or an\n\
+               \u{20}          index snapshot (section table + checksums) offline.",
+    },
     // batch-max is read by nothing: benchmark/ still passes it (ROADMAP 1-I(a) drops it).
-    (
-        "serve",
-        "cli.serve",
-        cmd_serve,
-        "data addr threads io-threads queue deadline-ms max-deadline-ms eps rho index-cache \
-         index-cache-mode trace-sample slow-query-ms ring-capacity epoch-max-delta ingest-log \
-         stats-json batch-max",
-    ),
-    (
-        "ingest",
-        "cli.ingest",
-        cmd_ingest,
-        "file addr batch timeout-ms",
-    ),
-    (
-        "gen-deltas",
-        "cli.gen_deltas",
-        cmd_gen_deltas,
-        "data out ops seed del-ratio photo-ratio",
-    ),
+    Command {
+        name: "serve",
+        span: "cli.serve",
+        run: cmd_serve,
+        positional: false,
+        options: "data addr threads io-threads queue deadline-ms max-deadline-ms eps rho \
+                  index-cache index-cache-mode trace-sample slow-query-ms ring-capacity \
+                  epoch-max-delta ingest-log stats-json batch-max",
+        help: "serve     --data DIR [--addr 127.0.0.1:7878] [--threads N] [--io-threads 4]\n\
+               \u{20}          [--queue 64] [--deadline-ms 250] [--max-deadline-ms 10000]\n\
+               \u{20}          [--eps 0.0005] [--rho 0.0001]\n\
+               \u{20}          [--trace-sample N] [--slow-query-ms MS] [--ring-capacity 256]\n\
+               \u{20}          [--ingest-log FILE] [--epoch-max-delta 4096]\n\
+               \u{20}          [--stats-json FILE] [--index-cache DIR] [--index-cache-mode MODE]\n\
+               \u{20}          Serve queries over HTTP (POST /soi|/describe|/explain|/ingest,\n\
+               \u{20}          GET /metrics|/status|/explain|/debug/requests) with\n\
+               \u{20}          admission control, per-request deadlines (anytime partial\n\
+               \u{20}          results), and graceful drain on SIGTERM. Every request\n\
+               \u{20}          gets an x-soi-request-id; bodies may set \"trace\"/\n\
+               \u{20}          \"explain\" to capture and embed per-request artifacts,\n\
+               \u{20}          also retrievable at GET /debug/requests/<id>.\n\
+               \u{20}          --trace-sample N traces 1-in-N queries into the ring;\n\
+               \u{20}          --slow-query-ms logs+counts requests over the threshold.\n\
+               \u{20}          --stats-json FILE writes the final report on shutdown.\n\
+               \u{20}          --ingest-log FILE accepts live deltas at POST /ingest,\n\
+               \u{20}          journals them, and folds a fresh epoch every\n\
+               \u{20}          --epoch-max-delta pending ops (0 = never fold).\n\
+               \u{20}          --batch-max N is accepted and ignored.",
+    },
+    Command {
+        name: "ingest",
+        span: "cli.ingest",
+        run: cmd_ingest,
+        positional: true,
+        options: "file addr batch timeout-ms",
+        help: "ingest    (FILE | --file FILE) --addr HOST:PORT [--batch 256] [--timeout-ms 5000]\n\
+               \u{20}          Stream a JSON-lines delta file to a running server's\n\
+               \u{20}          POST /ingest and report the resulting epoch.",
+    },
+    Command {
+        name: "gen-deltas",
+        span: "cli.gen_deltas",
+        run: cmd_gen_deltas,
+        positional: false,
+        options: "data out ops seed del-ratio photo-ratio",
+        help: "gen-deltas --data DIR --out FILE [--ops 256] [--seed 42]\n\
+               \u{20}          [--del-ratio 0.2] [--photo-ratio 0.3]\n\
+               \u{20}          Generate a deterministic JSON-lines delta stream (POI/\n\
+               \u{20}          photo inserts and deletes) valid against DIR's dataset.",
+    },
 ];
 
 /// Drains the recorded trace events and writes them as Chrome
@@ -200,70 +301,15 @@ fn print_help() -> Result<()> {
     writeln!(
         out,
         "soi — identify and describe Streets of Interest (EDBT 2016)\n\n\
-         USAGE: soi <command> [--option value]...\n\n\
-         COMMANDS\n\
-         generate  --city london|berlin|vienna --out DIR [--scale 0.05] [--seed N]\n\
-         \u{20}          Generate a synthetic city dataset and save it.\n\
-         build-index --data DIR (--out FILE | --index-cache DIR) [--eps 0.0005]\n\
-         \u{20}          [--poi-cell C] [--pg-cell C] [--threads N]\n\
-         \u{20}          Build the index bundle (POI grid, photo grid) and persist\n\
-         \u{20}          it as a versioned, checksummed snapshot; reports\n\
-         \u{20}          fresh-build vs reload time.\n\
-         stats     --data DIR\n\
-         \u{20}          Print dataset statistics (paper Table 1 columns).\n\
-         query     --data DIR --keywords w1,w2 [--k 10] [--eps 0.0005] [--algo soi|bl]\n\
-         \u{20}          Run a k-SOI query and print the ranked streets.\n\
-         explain   --data DIR --keywords w1,w2 [--k 10] [--eps 0.0005] [--describe]\n\
-         \u{20}          [--json FILE] Run a k-SOI query with the explain collector\n\
-         \u{20}          and print its bound-convergence table, pruning counters\n\
-         \u{20}          and memory use; --describe adds Alg. 2's\n\
-         \u{20}          per-round cell-filter report for the top street, --json\n\
-         \u{20}          writes the machine-readable artifact.\n\
-         batch     FILE.tsv --data DIR [--threads N] [--eps 0.0005]\n\
-         \u{20}          Run a file of k-SOI queries through the multi-threaded\n\
-         \u{20}          engine (one query per line: keywords<TAB>k[<TAB>eps]).\n\
-         describe  --data DIR --keywords w1,w2 [--photos 5] [--lambda 0.5] [--w 0.5]\n\
-         \u{20}          [--rho 0.0001] [--street NAME]\n\
-         \u{20}          Select a diversified photo summary for the top street\n\
-         \u{20}          (or a named street).\n\
-         export    --data DIR --keywords w1,w2 --out FILE.geojson [--k 10]\n\
-         \u{20}          [--photos 5] Export the top-k streets (and a photo\n\
-         \u{20}          summary of the winner) as GeoJSON for any web map.\n\
-         metrics   [--data DIR] [--keywords w1,w2] [--eps 0.0005]\n\
-         \u{20}          Print process metrics in Prometheus text format (with\n\
-         \u{20}          --data, first runs a small workload to populate them).\n\
-         check-artifacts [--trace FILE.json] [--stats FILE.json] [--explain FILE.json]\n\
-         \u{20}          [--snapshot FILE.soisnap]\n\
-         \u{20}          Validate observability artifacts: a Chrome trace from\n\
-         \u{20}          --trace-out, a telemetry file from --stats-json, an\n\
-         \u{20}          explain artifact from `soi explain --json`, and/or an\n\
-         \u{20}          index snapshot (section table + checksums) offline.\n\
-         serve     --data DIR [--addr 127.0.0.1:7878] [--threads N] [--io-threads 4]\n\
-         \u{20}          [--queue 64] [--deadline-ms 250] [--max-deadline-ms 10000]\n\
-         \u{20}          [--eps 0.0005] [--rho 0.0001]\n\
-         \u{20}          [--trace-sample N] [--slow-query-ms MS] [--ring-capacity 256]\n\
-         \u{20}          [--ingest-log FILE] [--epoch-max-delta 4096]\n\
-         \u{20}          Serve queries over HTTP (POST /soi|/describe|/explain|/ingest,\n\
-         \u{20}          GET /metrics|/status|/explain|/debug/requests) with\n\
-         \u{20}          admission control, per-request deadlines (anytime partial\n\
-         \u{20}          results), and graceful drain on SIGTERM. Every request\n\
-         \u{20}          gets an x-soi-request-id; bodies may set \"trace\"/\n\
-         \u{20}          \"explain\" to capture and embed per-request artifacts,\n\
-         \u{20}          also retrievable at GET /debug/requests/<id>.\n\
-         \u{20}          --trace-sample N traces 1-in-N queries into the ring;\n\
-         \u{20}          --slow-query-ms logs+counts requests over the threshold.\n\
-         \u{20}          --stats-json FILE writes the final report on shutdown.\n\
-         \u{20}          --ingest-log FILE accepts live deltas at POST /ingest,\n\
-         \u{20}          journals them, and folds a fresh epoch every\n\
-         \u{20}          --epoch-max-delta pending ops (0 = never fold).\n\
-         ingest    FILE --addr HOST:PORT [--batch 256] [--timeout-ms 5000]\n\
-         \u{20}          Stream a JSON-lines delta file to a running server's\n\
-         \u{20}          POST /ingest and report the resulting epoch.\n\
-         gen-deltas --data DIR --out FILE [--ops 256] [--seed 42]\n\
-         \u{20}          [--del-ratio 0.2] [--photo-ratio 0.3]\n\
-         \u{20}          Generate a deterministic JSON-lines delta stream (POI/\n\
-         \u{20}          photo inserts and deletes) valid against DIR's dataset.\n\n\
-         INDEX CACHE (query, explain, batch, describe, export, serve)\n\
+         USAGE: soi <command> [FILE] [--option value]...\n\n\
+         COMMANDS"
+    )?;
+    for command in COMMANDS {
+        writeln!(out, "{}", command.help)?;
+    }
+    writeln!(
+        out,
+        "\nINDEX CACHE (query, explain, batch, describe, export, serve)\n\
          --index-cache DIR        Load the index bundle from a versioned snapshot\n\
          \u{20}                        in DIR (built and cached on first use; stale\n\
          \u{20}                        snapshots rebuild transparently).\n\
@@ -272,9 +318,7 @@ fn print_help() -> Result<()> {
          OBSERVABILITY (any command)\n\
          --trace-out FILE   Record a Chrome trace_event JSON file of the run\n\
          \u{20}                  (open in chrome://tracing or ui.perfetto.dev).\n\
-         --log-json         Emit stderr events as JSON lines (also SOI_LOG=json).\n\
-         batch also accepts --stats-json FILE to dump engine telemetry\n\
-         (latency percentiles, work counters) as JSON."
+         --log-json         Emit stderr events as JSON lines (also SOI_LOG=json)."
     )?;
     Ok(())
 }
@@ -571,9 +615,15 @@ fn cmd_query(args: &Args) -> Result<()> {
 /// at most `max_printed` evenly spaced rows (the termination row always
 /// prints last).
 fn print_soi_explain(out: &mut impl Write, explain: &SoiExplain, max_printed: usize) -> Result<()> {
+    // SL2 lists runs of segments, or every segment under paper bounds.
+    let sl2_unit = if explain.paper_bounds {
+        "segments"
+    } else {
+        "runs"
+    };
     writeln!(
         out,
-        "lists: SL1={} cells, SL2={} segments, SL3={} segments",
+        "lists: SL1={} cells, SL2={} {sl2_unit}, SL3={} segments",
         explain.lists.sl1, explain.lists.sl2, explain.lists.sl3
     )?;
     let bound = if explain.paper_bounds {
@@ -1603,4 +1653,31 @@ fn cmd_gen_deltas(args: &Args) -> Result<()> {
         total, counts[0], counts[1], counts[2], counts[3]
     )?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::COMMANDS;
+
+    #[test]
+    fn help_names_every_option_a_command_reads() {
+        for command in COMMANDS {
+            assert!(
+                command.help.starts_with(command.name),
+                "{}: {}",
+                command.name,
+                command.help
+            );
+            for option in command.options.split_whitespace() {
+                assert!(
+                    command
+                        .help
+                        .split(|c: char| !(c.is_alphanumeric() || c == '-'))
+                        .any(|word| word.strip_prefix("--") == Some(option)),
+                    "`soi help` does not name {} --{option}",
+                    command.name
+                );
+            }
+        }
+    }
 }

@@ -863,6 +863,16 @@ fn an_option_the_command_does_not_read_is_a_usage_error() {
 }
 
 #[test]
+fn a_positional_the_command_does_not_read_is_a_usage_error() {
+    // Only batch and ingest read a positional argument.
+    assert_usage_error(&["stats", "stray"], &["\"stray\"", "soi stats"]);
+    assert_usage_error(
+        &["query", "stray", "--keywords", "shop", "--k", "2"],
+        &["\"stray\"", "soi query"],
+    );
+}
+
+#[test]
 fn serve_accepts_batch_max() {
     // The parse passes: the missing dataset is what fails (exit 4, not 2).
     let out = soi(&[

@@ -25,10 +25,14 @@
 //! Every relevant POI within ε of a segment lies in a cell of the segment's
 //! ε-dilated bounding box, and `relcount(c)` caps each cell's relevant
 //! weight, so `b(ℓ) = int(Σ_box relcount)` — one lookup in 2-D prefix sums
-//! of `relcount` — bounds the interest of every segment, seen or not. A
-//! query computes `b` for every segment once; SL2 lists the segments with
-//! `b > 0` ranked by it, and its first *unseen* entry bounds every unseen
-//! segment, so `UB = b(head)`, 0 once none is left. The bound rests on
+//! of `relcount` — bounds the interest of every segment, seen or not. SL2
+//! lists the segments with `b > 0` ranked by it, and its first *unseen*
+//! entry bounds every unseen segment, so `UB = b(head)`, 0 once none is
+//! left. A query computes `b` only where it is read: SL2 ranks the network's
+//! runs (one street's consecutive segments of similar length) by a bound
+//! `B(T) ≥ b(ℓ)` of every member, and bounds a run's members once the run
+//! could reach the head, in the order a list of all segments would read.
+//! `see()` computes `b` of a segment on first sight. The bound rests on
 //! nothing the access loop did — not on which cells were popped, on SL3's
 //! order or on `top(SL1)` — and `b` also dismisses a segment on sight when
 //! it cannot exceed `LBk` (always when `b = 0`: its interest is 0). This
@@ -67,14 +71,14 @@ use crate::soi::explain::{ExplainRow, SoiExplain};
 use crate::soi::interest::segment_interest;
 use crate::soi::lbk::KBest;
 use crate::soi::query::{SoiConfig, SoiOutcome, SoiQuery, StreetResult};
-use crate::soi::ranked::{Ranked, RankedList};
+use crate::soi::ranked::{GroupedList, Ranked, RankedList};
 use crate::soi::stats::{phases, QueryStats};
 use crate::soi::strategy::Source;
 use soi_common::{top_k_by_score, CellId, Result, ScoredItem, SegmentId, StreetId};
 use soi_data::PoiView;
-use soi_geo::{Grid, LineSeg};
+use soi_geo::{Grid, LineSeg, Rect};
 use soi_index::{mass_within, IndexView};
-use soi_network::{RoadNetwork, Segment};
+use soi_network::{RoadNetwork, Segment, SegmentRun};
 
 /// Source accesses between sampled UB/LBk trace-counter emissions: dense
 /// enough to show the convergence curve, sparse enough to stay invisible
@@ -220,8 +224,8 @@ struct Inputs<'a> {
     /// cell can contribute to any segment's mass ([`UNREACHED`] where no
     /// query keyword occurs).
     relcount: &'a [f64],
-    /// `b(ℓ)` per segment: an upper bound of its interest.
-    bound: &'a [f64],
+    /// `b(ℓ)` of any segment, on demand.
+    bounds: RelPrefix<'a>,
 }
 
 impl Inputs<'_> {
@@ -405,7 +409,9 @@ impl Filtering<'_> {
     /// Index of `seg`'s state, created on first sight. `None` when this
     /// call *dismissed* the segment by its O(1) bound `b(ℓ)`: if the full
     /// relevant weight of its dilated bounding box cannot lift it above
-    /// `lbk`, it is final and its exact cells are never needed.
+    /// `lbk`, it is final and its exact cells are never needed. `b(ℓ)` is
+    /// computed here, once per seen segment; no bound is at or below −∞, so
+    /// with paper bounds none is.
     ///
     /// Here and below, `lbk` is the pruning threshold: an upper bound at or
     /// below it settles a segment. It is −∞ under
@@ -422,7 +428,8 @@ impl Filtering<'_> {
             return Some(at);
         }
         stats.segments_seen += 1;
-        let dismissed = inputs.bound[seg.index()] <= lbk;
+        let dismissed = lbk > f64::NEG_INFINITY
+            && inputs.bounds.segment_bound(inputs.network.segment(seg)) <= lbk;
         let span = if dismissed {
             stats.segments_bounded_out += 1;
             stats.segments_finalized_filtering += 1;
@@ -590,7 +597,8 @@ fn visit_unvisited(
 
 /// Query-time 2-D prefix sums over the per-cell relevant weights, giving an
 /// O(1) upper bound on the relevant mass inside any rectangle — `b(ℓ)` is
-/// this bound over a segment's ε-dilated bounding box.
+/// this bound over a segment's ε-dilated bounding box, and a run's `B(T)`
+/// over its members' union box.
 ///
 /// The sums are integers, so a rectangle's sum is exact whatever surrounds
 /// it (in floating point, a light cell next to heavy ones is lost to
@@ -598,7 +606,10 @@ fn visit_unvisited(
 /// `f64::EPSILON` × the query's total relevant weight, at least one unit if
 /// positive. A rectangle of weightless cells sums to exactly 0, so `b = 0`
 /// proves an interest of 0.
+#[derive(Clone, Copy)]
 struct RelPrefix<'a> {
+    grid: &'a Grid,
+    eps: f64,
     nx: usize,
     ny: usize,
     /// `(nx+1) × (ny+1)` inclusive prefix sums of the cells' units,
@@ -611,8 +622,14 @@ struct RelPrefix<'a> {
 
 impl<'a> RelPrefix<'a> {
     /// Builds the prefix sums of `relcount` over the `reached` cells into
-    /// `sums` (a reusable scratch vector).
-    fn build(grid: &Grid, relcount: &[f64], reached: &[CellId], sums: &'a mut Vec<u64>) -> Self {
+    /// `sums` (a reusable scratch vector), for bounds at `eps`.
+    fn build(
+        grid: &'a Grid,
+        relcount: &[f64],
+        reached: &[CellId],
+        eps: f64,
+        sums: &'a mut Vec<u64>,
+    ) -> Self {
         let (nx, ny) = (grid.nx() as usize, grid.ny() as usize);
         let total: f64 = reached.iter().map(|c| relcount[c.index()]).sum();
         // At most 2^52 units per cell, and fewer than 2^32 cells: no sum
@@ -637,6 +654,8 @@ impl<'a> RelPrefix<'a> {
             }
         }
         Self {
+            grid,
+            eps,
             nx,
             ny,
             sums,
@@ -657,13 +676,27 @@ impl<'a> RelPrefix<'a> {
         }
     }
 
+    /// The interest of a segment of length `len` if every relevant weight of
+    /// the ε-dilated `bbox` were within ε of it.
+    fn bound(&self, bbox: &Rect, len: f64) -> f64 {
+        let dilated = bbox.expand(self.eps);
+        self.grid.cell_range_in_rect(&dilated).map_or(0.0, |range| {
+            segment_interest(self.rect_sum(range), len, self.eps)
+        })
+    }
+
     /// `b(ℓ)` of `segment`: its interest if every relevant weight of its
     /// ε-dilated bounding box were within ε of it.
-    fn segment_bound(&self, grid: &Grid, segment: &Segment, eps: f64) -> f64 {
-        let dilated = segment.geom.bounding_rect().expand(eps);
-        grid.cell_range_in_rect(&dilated).map_or(0.0, |range| {
-            segment_interest(self.rect_sum(range), segment.len(), eps)
-        })
+    fn segment_bound(&self, segment: &Segment) -> f64 {
+        self.bound(&segment.geom.bounding_rect(), segment.len())
+    }
+
+    /// `B(T)` of `run`: [`bound`](Self::bound) over the members' union box
+    /// at the shortest member's length. The dilated union box holds each
+    /// member's, so its integer sum is at least each member's, and the
+    /// interest falls as the length grows: `B(T) ≥ b(ℓ)` for every member.
+    fn run_bound(&self, run: &SegmentRun) -> f64 {
+        self.bound(&run.bbox, run.min_len)
     }
 }
 
@@ -677,14 +710,15 @@ impl<'a> RelPrefix<'a> {
 /// table is emptied on entry by walking what the previous query touched
 /// and re-fitted to the network and grid at hand, so one scratch may serve
 /// different datasets in turn. A worker retains about
-/// `24·|grid cells| + 20.25·|segments| + 12·|streets|` bytes of tables (per
-/// cell: `relcount`, the gathered range and the prefix sum at 8 bytes each;
-/// per segment: the slot at 4 bytes, the bound and an SL2 entry at 8 each,
-/// two bits) plus the high-water marks of SL1, the arenas (12 bytes and a
-/// bit per rasterised cell) and the gathered columns, the largest: 24 bytes
-/// per distinct relevant POI in the cells visited by the heaviest query
-/// served so far (of `24·|POIs|` bytes reserved, untouched beyond that
-/// mark).
+/// `24·|grid cells| + 4.25·|segments| + 8·|runs| + 12·|streets|` bytes of
+/// tables (per cell: `relcount`, the gathered range and the prefix sum at
+/// 8 bytes each; per segment: the slot at 4 bytes and two bits; per run: an
+/// SL2 entry at 8 bytes) plus the high-water marks of SL1, of SL2's heap of
+/// expanded members (8 bytes per member, of `8·|segments|` reserved), the
+/// arenas (12 bytes and a bit per rasterised cell) and the gathered
+/// columns, the largest: 24 bytes per distinct relevant POI in the cells
+/// visited by the heaviest query served so far (of `24·|POIs|` bytes
+/// reserved, untouched beyond that mark).
 #[derive(Default)]
 pub struct SoiScratch {
     relcount: Vec<f64>,
@@ -692,9 +726,8 @@ pub struct SoiScratch {
     reached: Vec<CellId>,
     prefix_sums: Vec<u64>,
     sl1: RankedList<CellId>,
-    /// `b(ℓ)` per segment.
-    bound: Vec<f64>,
-    sl2: RankedList<SegmentId>,
+    /// Runs (by index into [`RoadNetwork::runs`]) and their members.
+    sl2: GroupedList<u32, SegmentId>,
     seen: SeenTables,
     gathered: Gathered,
     lbk: KBest,
@@ -710,10 +743,9 @@ impl std::fmt::Debug for SoiScratch {
 }
 
 impl SoiScratch {
-    /// Construction's query-wide tables: `relcount` over the cells a query
-    /// keyword reaches (SL1's domain, listed in `reached`), and `b(ℓ)` of
-    /// every segment.
-    fn fill_bounds(&mut self, network: &RoadNetwork, index: IndexView<'_>, query: &SoiQuery) {
+    /// Construction's query-wide table: `relcount` over the cells a query
+    /// keyword reaches (SL1's domain, listed in `reached`).
+    fn fill_relcount(&mut self, index: IndexView<'_>, query: &SoiQuery) {
         // relcount(c) sums the query keywords' global postings in keyword
         // order, capped by the cell's total weight.
         let (relcount, reached) = (&mut self.relcount, &mut self.reached);
@@ -735,15 +767,6 @@ impl SoiScratch {
             let sum = &mut relcount[cell.index()];
             *sum = sum.min(index.cell_total_weight(cell));
         }
-        let grid = index.grid();
-        let relprefix = RelPrefix::build(grid, relcount, reached, &mut self.prefix_sums);
-        self.bound.clear();
-        self.bound.extend(
-            network
-                .segments()
-                .iter()
-                .map(|s| relprefix.segment_bound(grid, s, query.eps)),
-        );
     }
 }
 
@@ -860,8 +883,15 @@ pub fn run_soi_full<'a>(
     let sources_span = soi_obs::trace::span(soi_obs::names::spans::SOI_SOURCES);
 
     // --- SL1: cells by relevant-POI weight, descending (Alg. 1 lines 1–3).
-    scratch.fill_bounds(network, index, query);
-    let (relcount, bound) = (&scratch.relcount, &scratch.bound);
+    scratch.fill_relcount(index, query);
+    let relcount = &scratch.relcount;
+    let bounds = RelPrefix::build(
+        index.grid(),
+        relcount,
+        &scratch.reached,
+        eps,
+        &mut scratch.prefix_sums,
+    );
     let sl1 = &mut scratch.sl1;
     sl1.refill(
         scratch
@@ -874,24 +904,38 @@ pub fn run_soi_full<'a>(
     let sl3: &[SegmentId] = index.segments_by_len();
     let mut cursor3 = 0usize;
 
-    // --- SL2 (lines 6–7): the segments with `b > 0`, ranked by `b`. With
-    // paper-verbatim bounds SL2 ranks every segment by the O(1) bound on
-    // |Cε(ℓ)| instead, as the paper does.
+    // --- SL2 (lines 6–7): the segments with `b > 0`, ranked by `b`. It
+    // lists the runs with `B > 0`, ranked by `B`, and bounds a run's members
+    // only once the run could reach the head (see `GroupedList`), so the
+    // reads are those of a list of every such segment. With paper-verbatim
+    // bounds SL2 ranks every segment by the O(1) bound on |Cε(ℓ)| instead,
+    // as the paper does.
     let sl2 = &mut scratch.sl2;
+    let runs = network.runs();
     if config.paper_bounds_only {
         sl2.refill(
+            [],
             network
                 .segments()
                 .iter()
                 .map(|s| Ranked::new(index.upper_cell_count(&s.geom, eps) as f64, s.id)),
+            0,
         );
     } else {
-        let listed = bound
-            .iter()
-            .zip(network.segments())
-            .filter(|(&b, _)| b > 0.0);
-        sl2.refill(listed.map(|(&b, s)| Ranked::new(b, s.id)));
+        let listed = runs.iter().enumerate().filter_map(|(at, run)| {
+            let b = bounds.run_bound(run);
+            (b > 0.0).then(|| Ranked::new(b, at as u32))
+        });
+        sl2.refill(listed, [], network.num_segments());
     }
+    // A run's members with `b > 0`, ranked by `b`.
+    let expand = move |run: u32| {
+        let members = network.run_segments(&runs[run as usize]);
+        members.iter().filter_map(move |&seg| {
+            let b = bounds.segment_bound(network.segment(seg));
+            (b > 0.0).then(|| Ranked::new(b, seg))
+        })
+    };
     // Neither SL1 nor SL2 is sorted here: the threshold loop reads a short
     // prefix, sorted as far as it reads (see the `ranked` module).
     drop(sources_span);
@@ -905,7 +949,7 @@ pub fn run_soi_full<'a>(
         index,
         query,
         relcount,
-        bound,
+        bounds,
     };
     scratch.seen.reset(network);
     scratch.gathered.reset(index.grid().num_cells(), pois.len());
@@ -938,8 +982,8 @@ pub fn run_soi_full<'a>(
                 fil.is_seen(seg)
             }
         };
-        while sl2.peek().is_some_and(|e| passed(e.id())) {
-            sl2.pop();
+        while sl2.peek(expand).is_some_and(|e| passed(e.id())) {
+            sl2.pop(expand);
         }
         while sl3.get(cursor3).is_some_and(|&s| fil.is_finalized(s)) {
             cursor3 += 1;
@@ -950,7 +994,7 @@ pub fn run_soi_full<'a>(
         // cell with relevant POIs was popped, so every segment with positive
         // mass is seen; exhausted SL2/SL3 means no unseen segments remain.
         let top1 = sl1.peek().map_or(0.0, |e| e.score());
-        let top2 = sl2.peek().map_or(0.0, |e| e.score());
+        let top2 = sl2.peek(expand).map_or(0.0, |e| e.score());
         let top3 = sl3.get(cursor3).map(|&s| network.segment(s).len());
         ub = if !config.paper_bounds_only {
             top2
@@ -1013,7 +1057,7 @@ pub fn run_soi_full<'a>(
                     fil.access_cell(&inputs, cell, prune_lbk, &mut stats);
                 }
                 Source::SegmentsByCells => {
-                    let Some(seg) = sl2.pop().map(Ranked::id) else {
+                    let Some(seg) = sl2.pop(expand).map(Ranked::id) else {
                         continue;
                     };
                     stats.segments_popped += 1;
@@ -1261,12 +1305,113 @@ mod tests {
             let query = SoiQuery::new(keywords, 1, eps).expect("valid query");
 
             let mut scratch = SoiScratch::default();
-            scratch.fill_bounds(&network, view, &query);
+            scratch.fill_relcount(view, &query);
+            let bounds = RelPrefix::build(
+                view.grid(),
+                &scratch.relcount,
+                &scratch.reached,
+                eps,
+                &mut scratch.prefix_sums,
+            );
             for s in network.segments() {
                 let mass = view.segment_mass_lazy(poi_view, &network, s.id, &query.keywords, eps);
                 let interest = segment_interest(mass, s.len(), eps);
-                let bound = scratch.bound[s.id.index()];
+                let bound = bounds.segment_bound(s);
                 prop_assert!(interest <= bound, "segment {}: {} > b = {}", s.id, interest, bound);
+            }
+        }
+
+        /// `B(T)` bounds `b(ℓ)` of every member of every run — what SL2's
+        /// lazy expansion rests on — and the runs are what `B` assumes: each
+        /// is one street's consecutive segments in path order, within the
+        /// length ratio, and together they partition the segments. Random
+        /// walks of segments from 1e-6 to 1.5 cells long, a street of
+        /// segments whose length is exactly 0, POI weights a billion apart,
+        /// ε from 1e-5 to far beyond the extent.
+        #[test]
+        fn a_run_bound_is_at_least_each_member_bound(
+            seed in 1u64..u64::MAX,
+            num_pois in 0usize..250,
+            query_kws in proptest::collection::vec(0u32..10, 1..7),
+            eps_cells in (0u32..8, 0.0f64..3.5),
+        ) {
+            const CELL: f64 = 0.5;
+            let mut draw = Draw(seed);
+            let mut b = RoadNetwork::builder();
+            for i in 0..8 {
+                let mut at = Point::new(0.5 + 5.0 * draw.unit(), 0.5 + 5.0 * draw.unit());
+                let mut walk = vec![at];
+                for _ in 0..12 {
+                    let step = [1e-6, 0.01, 0.1, 0.4][(draw.unit() * 4.0) as usize]
+                        * (1.0 + draw.unit() * 0.9);
+                    let turn = draw.unit() * std::f64::consts::TAU;
+                    at = Point::new(
+                        (at.x + step * turn.cos()).clamp(0.0, 6.0),
+                        (at.y + step * turn.sin()).clamp(0.0, 6.0),
+                    );
+                    if walk.last() != Some(&at) {
+                        walk.push(at);
+                    }
+                }
+                b.add_street_from_points(format!("w{i}"), &walk);
+            }
+            // Distinct points whose distance underflows to 0.
+            let dots: Vec<Point> = (0..3).map(|i| Point::new(f64::from(i) * 1e-200, 0.0)).collect();
+            b.add_street_from_points("dots", &dots);
+            let network = b.build().expect("valid network");
+            prop_assert!(network.segments().iter().any(|s| s.len() == 0.0));
+
+            let mut covered = vec![0u32; network.num_segments()];
+            let mut next = (0usize, 0u32);
+            for run in network.runs() {
+                let street = &network.street(run.street).segments;
+                if run.street.index() != next.0 {
+                    prop_assert_eq!(next.1 as usize, network.street(StreetId::from_index(next.0)).segments.len());
+                    next = (run.street.index(), 0);
+                }
+                prop_assert!(run.start == next.1 && run.start < run.end && run.end as usize <= street.len());
+                next.1 = run.end;
+                let members = network.run_segments(run);
+                let lens = members.iter().map(|&m| network.segment(m).len());
+                let (min, max) = lens.fold((f64::INFINITY, 0.0f64), |(lo, hi), l| (lo.min(l), hi.max(l)));
+                prop_assert!(max <= soi_network::RUN_LENGTH_RATIO * min, "run {:?}", run);
+                for &m in members {
+                    prop_assert_eq!(network.segment(m).street, run.street);
+                    covered[m.index()] += 1;
+                }
+            }
+            prop_assert!(covered.iter().all(|&c| c == 1));
+
+            let mut pois = PoiCollection::new();
+            for _ in 0..num_pois {
+                let pos = Point::new(6.0 * draw.unit(), 6.0 * draw.unit());
+                let (keywords, weight) = draw.keywords_and_weight();
+                pois.add_weighted(pos, keywords, weight);
+            }
+            let index = PoiIndex::build(&network, &pois, CELL);
+            let eps = match eps_cells.0 {
+                0 => 1e-5,
+                1 => 1e3,
+                _ => CELL * eps_cells.1.max(1e-6),
+            };
+            let keywords = KeywordSet::from_ids(query_kws.iter().map(|&k| KeywordId(k)));
+            let query = SoiQuery::new(keywords, 1, eps).expect("valid query");
+            let view = IndexView::new(&index, None);
+            let mut scratch = SoiScratch::default();
+            scratch.fill_relcount(view, &query);
+            let bounds = RelPrefix::build(
+                view.grid(),
+                &scratch.relcount,
+                &scratch.reached,
+                eps,
+                &mut scratch.prefix_sums,
+            );
+            for run in network.runs() {
+                let run_bound = bounds.run_bound(run);
+                for &m in network.run_segments(run) {
+                    let bound = bounds.segment_bound(network.segment(m));
+                    prop_assert!(bound <= run_bound, "segment {}: b = {} > B = {}", m, bound, run_bound);
+                }
             }
         }
     }

@@ -58,7 +58,8 @@ pub struct ExplainRow {
 pub struct ListSizes {
     /// Cells in SL1 (cells holding query-relevant weight).
     pub sl1: usize,
-    /// Segments in SL2: those with `b(ℓ) > 0` (every segment with paper
+    /// Entries SL2 lists: the runs with `B(T) > 0`, whose members are
+    /// bounded only as the head reaches them (every segment with paper
     /// bounds).
     pub sl2: usize,
     /// Segments in SL3.

@@ -1,4 +1,4 @@
-//! A lazily ordered source list.
+//! Lazily ordered source lists.
 //!
 //! Alg. 1 stops after reading a short prefix of SL1 and SL2, so neither is
 //! sorted whole: a query fills a [`RankedList`] with [`Ranked`] entries, and
@@ -10,8 +10,13 @@
 //! order is total and the read sequence is the sorted sequence, ties
 //! included. A score read back is never below the score put in, so a list
 //! head still bounds everything after it.
+//!
+//! SL2 is a [`GroupedList`]: groups ranked by a bound that covers every
+//! member, and a group's members ranked only once the group reaches the
+//! head, yet read in exactly the order one list of all members gives.
 
 use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::marker::PhantomData;
 
 /// One source-list entry.
@@ -23,8 +28,8 @@ pub(crate) struct Ranked<I> {
 
 impl<I: Copy + From<u32> + Into<u32>> Ranked<I> {
     /// The entry of `id` ranked by `score`, which is non-negative (SL1: a
-    /// cell's relevant weight; SL2: a segment's bound `b(ℓ)`, or its
-    /// `|Cε(ℓ)|` bound with paper bounds).
+    /// cell's relevant weight; SL2: a run's bound `B(T)` and a segment's
+    /// `b(ℓ)`, or a segment's `|Cε(ℓ)|` bound with paper bounds).
     pub fn new(score: f64, id: I) -> Self {
         debug_assert!(score >= 0.0, "negative score {score}");
         // The nearest f32 (saturating to ∞), one step up if that is below.
@@ -111,6 +116,96 @@ impl<I: Copy + From<u32> + Into<u32>> RankedList<I> {
     }
 }
 
+/// A source list of members `I` in groups `G`, each group listed with a
+/// score at or above each of its members' scores. A read first *expands*
+/// every group whose rounded score is at or above the best expanded member's
+/// (moving its members into a heap), then reads the heap. Every unexpanded
+/// member then scores strictly below the head, and ties on the rounded score
+/// are expanded before the head is read, so the reads are exactly
+/// [`RankedList`]'s over all members, ties included: members are read in
+/// (rounded score descending, id ascending) order.
+#[derive(Debug)]
+pub(crate) struct GroupedList<G, I> {
+    groups: RankedList<G>,
+    /// The keys of the expanded members and of those listed directly.
+    members: BinaryHeap<u64>,
+    /// Groups and direct members listed by the last refill.
+    listed: usize,
+    id: PhantomData<I>,
+}
+
+impl<G, I> Default for GroupedList<G, I> {
+    fn default() -> Self {
+        Self {
+            groups: RankedList::default(),
+            members: BinaryHeap::new(),
+            listed: 0,
+            id: PhantomData,
+        }
+    }
+}
+
+impl<G, I> GroupedList<G, I>
+where
+    G: Copy + From<u32> + Into<u32>,
+    I: Copy + From<u32> + Into<u32>,
+{
+    /// Lists `groups`, and `members` outside any group, instead, keeping
+    /// the capacity. Room for `capacity` members is reserved, so no read
+    /// below that many reallocates (reserved is address space, touched only
+    /// as far as it is filled).
+    pub fn refill(
+        &mut self,
+        groups: impl IntoIterator<Item = Ranked<G>>,
+        members: impl IntoIterator<Item = Ranked<I>>,
+        capacity: usize,
+    ) {
+        self.groups.refill(groups);
+        self.members.clear();
+        self.members.reserve(capacity);
+        self.members.extend(members.into_iter().map(|m| m.key));
+        self.listed = self.groups.len() + self.members.len();
+    }
+
+    /// Groups and direct members listed, read or not.
+    pub fn len(&self) -> usize {
+        self.listed
+    }
+
+    /// The first member not yet popped. `expand` gives a group's members.
+    pub fn peek<M>(&mut self, expand: impl Fn(G) -> M) -> Option<Ranked<I>>
+    where
+        M: IntoIterator<Item = Ranked<I>>,
+    {
+        while let Some(group) = self.groups.peek() {
+            if self
+                .members
+                .peek()
+                .is_some_and(|&head| head >> 32 > group.key >> 32)
+            {
+                break;
+            }
+            self.groups.pop();
+            self.members
+                .extend(expand(group.id()).into_iter().map(|m| m.key));
+        }
+        self.members.peek().map(|&key| Ranked {
+            key,
+            id: PhantomData,
+        })
+    }
+
+    /// Takes the first member not yet popped.
+    pub fn pop<M>(&mut self, expand: impl Fn(G) -> M) -> Option<Ranked<I>>
+    where
+        M: IntoIterator<Item = Ranked<I>>,
+    {
+        let first = self.peek(expand)?;
+        self.members.pop();
+        Some(first)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,6 +260,102 @@ mod tests {
                 read.push((first.id(), first.score().to_bits()));
             }
             prop_assert_eq!(read, sorted);
+        }
+
+        /// A grouped list reads exactly what one [`RankedList`] over all its
+        /// members with a positive score reads. Members score from a handful
+        /// of values, so they tie within and across groups, some only once
+        /// rounded (1 + 2⁻³⁰ and 1 + 2⁻⁵² round onto 1 + 2⁻²³); a group
+        /// scores its best member, or above it by a rounding step, double or
+        /// 0.5 more (so a group with no positive member is listed too);
+        /// some members are listed outside any group; zero-score members
+        /// are dropped on expansion. The list is refilled over a half-read
+        /// earlier one.
+        #[test]
+        fn grouped_reads_equal_one_list_of_the_members(
+            groups in proptest::collection::vec(
+                (proptest::collection::vec(0usize..8, 0..12), 0usize..4),
+                0..200,
+            ),
+            direct in proptest::collection::vec(1usize..8, 0..20),
+            earlier in 0usize..300,
+        ) {
+            const SCORES: [f64; 8] = [
+                0.0, 0.5, 1.0, 1.0 + f64::EPSILON, 1.0 + 1.0 / (1u64 << 30) as f64,
+                1.0 + 1.0 / (1u64 << 23) as f64, 7.25, 1e9,
+            ];
+            let mut members: Vec<Vec<(f64, u32)>> = Vec::new();
+            let mut group_scores = Vec::new();
+            let mut next_id = 0u32;
+            for (picks, slack) in &groups {
+                let group: Vec<(f64, u32)> = picks
+                    .iter()
+                    .map(|&p| {
+                        next_id += 1;
+                        (SCORES[p], next_id.wrapping_mul(2_654_435_761))
+                    })
+                    .collect();
+                let best = group.iter().map(|m| m.0).fold(0.0, f64::max);
+                group_scores.push(match slack {
+                    0 => best,
+                    1 => best * (1.0 + f64::EPSILON),
+                    2 => best * 2.0,
+                    _ => best + 0.5,
+                });
+                members.push(group);
+            }
+            let direct: Vec<(f64, u32)> = direct
+                .iter()
+                .map(|&p| {
+                    next_id += 1;
+                    (SCORES[p], next_id.wrapping_mul(2_654_435_761))
+                })
+                .collect();
+
+            let mut one = RankedList::<u32>::default();
+            one.refill(
+                members
+                    .iter()
+                    .flatten()
+                    .chain(&direct)
+                    .filter(|m| m.0 > 0.0)
+                    .map(|&(score, id)| Ranked::new(score, id)),
+            );
+            let mut expected = Vec::new();
+            while let Some(e) = one.pop() {
+                expected.push(e.key);
+            }
+
+            let expand = |g: u32| {
+                members[g as usize]
+                    .iter()
+                    .filter(|m| m.0 > 0.0)
+                    .map(|&(score, id)| Ranked::new(score, id))
+            };
+            let mut list = GroupedList::<u32, u32>::default();
+            list.refill(
+                (0..earlier as u32).map(|g| Ranked::new(f64::from(g), g)),
+                [],
+                0,
+            );
+            let earlier_members = |g: u32| [Ranked::new(f64::from(g) / 2.0, g)];
+            for _ in 0..earlier / 2 {
+                list.pop(earlier_members);
+            }
+            let listed = group_scores
+                .iter()
+                .enumerate()
+                .filter(|(_, &score)| score > 0.0)
+                .map(|(g, &score)| Ranked::new(score, g as u32));
+            let positive_direct = direct.iter().filter(|m| m.0 > 0.0);
+            list.refill(listed, positive_direct.map(|&(score, id)| Ranked::new(score, id)), 16);
+            let mut read = Vec::with_capacity(expected.len());
+            while let Some(first) = list.peek(expand) {
+                let popped = list.pop(expand).map(|e| e.key);
+                prop_assert_eq!(popped, Some(first.key));
+                read.push(first.key);
+            }
+            prop_assert_eq!(read, expected);
         }
     }
 }

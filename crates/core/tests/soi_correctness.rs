@@ -529,8 +529,8 @@ fn explain_trajectory_matches_termination_and_results() {
         assert_eq!(last.lbk, term.lbk, "seed {seed}");
 
         // Construction metadata and the stats copy are present. SL2 lists
-        // the segments whose dilated bounding box holds a cell of positive
-        // relevant weight — the ones with a positive bound.
+        // the runs whose dilated union box holds a cell of positive relevant
+        // weight — the ones with a positive bound `B`.
         assert_eq!(explain.k, query.k);
         assert!(!explain.paper_bounds);
         let grid = index.grid();
@@ -541,10 +541,10 @@ fn explain_trajectory_matches_termination_and_results() {
             }
         }
         let listed = network
-            .segments()
+            .runs()
             .iter()
-            .filter(|s| {
-                let dilated = s.geom.bounding_rect().expand(query.eps);
+            .filter(|run| {
+                let dilated = run.bbox.expand(query.eps);
                 grid.cell_range_in_rect(&dilated)
                     .is_some_and(|(x0, y0, x1, y1)| {
                         (y0..=y1).any(|y| (x0..=x1).any(|x| weighty[(y * grid.nx() + x) as usize]))

@@ -6,7 +6,8 @@
 //! exactly one street `s ∈ S`, a simple path of consecutive segments
 //! (Sec. 3.1). This crate provides:
 //!
-//! - [`model`]: the [`Node`], [`Segment`], and [`Street`] records;
+//! - [`model`]: the [`Node`], [`Segment`], [`Street`] and [`SegmentRun`]
+//!   records;
 //! - [`network`]: the immutable [`RoadNetwork`] and its [`NetworkBuilder`];
 //! - [`stats`]: the dataset statistics of the paper's Table 1;
 //! - [`io`]: a line-oriented TSV round-trip format.
@@ -22,6 +23,6 @@ pub mod model;
 pub mod network;
 pub mod stats;
 
-pub use model::{Node, Segment, Street};
+pub use model::{Node, Segment, SegmentRun, Street, RUN_LENGTH_RATIO};
 pub use network::{NetworkBuilder, RoadNetwork};
 pub use stats::NetworkStats;

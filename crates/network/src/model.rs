@@ -1,7 +1,7 @@
 //! Road network records.
 
 use soi_common::{NodeId, SegmentId, StreetId};
-use soi_geo::{LineSeg, Point};
+use soi_geo::{LineSeg, Point, Rect};
 
 /// A road-network vertex: a street intersection or a breakpoint in a street.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,6 +61,27 @@ impl Street {
         self.segments.len()
     }
 }
+
+/// A run: consecutive segments of one street, in path order, whose longest
+/// is at most [`RUN_LENGTH_RATIO`] times its shortest. The runs partition
+/// the segments; Alg. 1 ranks a run by one bound that covers every member,
+/// so only the box and the shortest length are kept.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SegmentRun {
+    /// The street the members belong to.
+    pub street: StreetId,
+    /// The members' positions in the street's `segments`, `start..end`.
+    pub start: u32,
+    /// One past the last member's position.
+    pub end: u32,
+    /// Union of the members' bounding boxes.
+    pub bbox: Rect,
+    /// The shortest member's length.
+    pub min_len: f64,
+}
+
+/// The largest longest-to-shortest length ratio within a [`SegmentRun`].
+pub const RUN_LENGTH_RATIO: f64 = 2.0;
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,6 @@
 //! The immutable road network and its builder.
 
-use crate::model::{Node, Segment, Street};
+use crate::model::{Node, Segment, SegmentRun, Street, RUN_LENGTH_RATIO};
 use soi_common::{NodeId, Result, SegmentId, SoiError, StreetId, ValidationKind};
 use soi_geo::{LineSeg, Point, Polyline, Rect};
 
@@ -14,6 +14,9 @@ pub struct RoadNetwork {
     nodes: Vec<Node>,
     segments: Vec<Segment>,
     streets: Vec<Street>,
+    /// Street by street, each street's runs in path order (derived at
+    /// build, never persisted).
+    runs: Vec<SegmentRun>,
 }
 
 impl RoadNetwork {
@@ -35,6 +38,17 @@ impl RoadNetwork {
     /// All streets, indexed by [`StreetId`].
     pub fn streets(&self) -> &[Street] {
         &self.streets
+    }
+
+    /// Every street's segments cut into [`SegmentRun`]s: street by street,
+    /// in path order.
+    pub fn runs(&self) -> &[SegmentRun] {
+        &self.runs
+    }
+
+    /// The members of `run`, in path order.
+    pub fn run_segments(&self, run: &SegmentRun) -> &[SegmentId] {
+        &self.street(run.street).segments[run.start as usize..run.end as usize]
     }
 
     /// Number of nodes.
@@ -256,12 +270,48 @@ impl NetworkBuilder {
             }
         }
 
+        let runs = cut_runs(&self.segments, &self.streets);
         Ok(RoadNetwork {
             nodes: self.nodes,
             segments: self.segments,
             streets: self.streets,
+            runs,
         })
     }
+}
+
+/// Cuts each street's segments, in path order, into runs: a run grows while
+/// its longest member stays within [`RUN_LENGTH_RATIO`] times its shortest.
+fn cut_runs(segments: &[Segment], streets: &[Street]) -> Vec<SegmentRun> {
+    let mut runs = Vec::new();
+    for street in streets {
+        let mut open: Option<(SegmentRun, f64)> = None;
+        for (at, &id) in street.segments.iter().enumerate() {
+            let seg = &segments[id.index()];
+            let (len, bbox) = (seg.len(), seg.geom.bounding_rect());
+            if let Some((run, max_len)) = &mut open {
+                let (min, max) = (run.min_len.min(len), max_len.max(len));
+                if max <= RUN_LENGTH_RATIO * min {
+                    run.end += 1;
+                    run.bbox = run.bbox.union(&bbox);
+                    run.min_len = min;
+                    *max_len = max;
+                    continue;
+                }
+                runs.push(*run);
+            }
+            let run = SegmentRun {
+                street: street.id,
+                start: at as u32,
+                end: at as u32 + 1,
+                bbox,
+                min_len: len,
+            };
+            open = Some((run, len));
+        }
+        runs.extend(open.map(|(run, _)| run));
+    }
+    runs
 }
 
 #[cfg(test)]
@@ -295,6 +345,41 @@ mod tests {
         assert_eq!(net.street(StreetId(0)).name, "Main St");
         assert_eq!(net.street_len(StreetId(0)), 2.0);
         assert_eq!(net.street_len(StreetId(1)), 1.0);
+    }
+
+    #[test]
+    fn runs_cut_streets_where_lengths_double() {
+        // Lengths 1, 1.5, 2, 2.5, 0.5, 0.5: the third segment keeps the
+        // ratio at 2, the fourth would make it 2.5.
+        let xs = [0.0, 1.0, 2.5, 4.5, 7.0, 7.5, 8.0];
+        let mut b = RoadNetwork::builder();
+        let chain: Vec<Point> = xs.iter().map(|&x| Point::new(x, 0.0)).collect();
+        let s = b.add_street_from_points("Long", &chain);
+        let t = b.add_street_from_points("Short", &[Point::new(0.0, 1.0), Point::new(0.0, 2.0)]);
+        let net = b.build().unwrap();
+        let cut: Vec<(StreetId, u32, u32, f64)> = net
+            .runs()
+            .iter()
+            .map(|r| (r.street, r.start, r.end, r.min_len))
+            .collect();
+        assert_eq!(
+            cut,
+            vec![
+                (s, 0, 3, 1.0),
+                (s, 3, 4, 2.5),
+                (s, 4, 6, 0.5),
+                (t, 0, 1, 1.0)
+            ]
+        );
+        let first = net.runs()[0];
+        assert_eq!(
+            first.bbox,
+            Rect::new(Point::new(0.0, 0.0), Point::new(4.5, 0.0))
+        );
+        assert_eq!(
+            net.run_segments(&first),
+            &[SegmentId(0), SegmentId(1), SegmentId(2)]
+        );
     }
 
     #[test]
