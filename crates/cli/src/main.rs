@@ -626,14 +626,20 @@ fn print_soi_explain(out: &mut impl Write, explain: &SoiExplain, max_printed: us
         "lists: SL1={} cells, SL2={} {sl2_unit}, SL3={} segments",
         explain.lists.sl1, explain.lists.sl2, explain.lists.sl3
     )?;
-    let bound = if explain.paper_bounds {
-        "the paper's top(SL1)*top(SL2)/(2e*top(SL3)+pi*e^2), SL2 by |Ce| bound"
+    let (bound, order) = if explain.paper_bounds {
+        (
+            "the paper's top(SL1)*top(SL2)/(2e*top(SL3)+pi*e^2), SL2 by |Ce| bound",
+            "the paper's cycle SL1, SL3, SL1, SL2",
+        )
     } else {
-        "top(SL2), the largest prefix-sum bound b of an unseen segment"
+        (
+            "top(SL2), the largest prefix-sum bound b of an unseen segment",
+            "SL2's head every time: src is SL2 and cells 0 on every row",
+        )
     };
     writeln!(
         out,
-        "\nbound convergence ({} rows recorded; UB = {bound}):",
+        "\nbound convergence ({} rows recorded; UB = {bound}; accesses pop {order}):",
         explain.rows.len()
     )?;
     writeln!(

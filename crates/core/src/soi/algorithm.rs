@@ -18,8 +18,21 @@
 //! - `UB`: an upper bound on the interest of any unseen segment (Lemma 1,
 //!   second case).
 //!
-//! Accesses stop once `UB ≤ LBk`; the refinement phase then finalises all
-//! seen segments and extracts the answer.
+//! Accesses stop once `UB ≤ LBk`; the refinement phase then finalises the
+//! seen segments that are still partial and extracts the answer.
+//!
+//! ### Access order
+//! The paper leaves the order of accesses open ("the correctness of our
+//! method is not affected by the access strategy"); it changes only the
+//! cost. By default every access pops SL2's head and finalises that
+//! segment, best-first on the bound `UB` is read from, so `UB` falls with
+//! every access, no segment is ever partial and refinement has nothing to
+//! do. SL1 and SL3 are built and peeked, for the explain rows, but never
+//! popped. Measured against five other cycles on the benchmark's queries
+//! (DESIGN §5), this order reads the fewest segments and is the fastest,
+//! although it takes more accesses than the cycles that pop cells.
+//! [`SoiConfig::paper_bounds_only`] keeps the paper's practical cycle
+//! ([`PAPER_CYCLE`]: SL1, SL3, SL1, SL2) with the paper's bound.
 //!
 //! ### Upper bounds
 //! Every relevant POI within ε of a segment lies in a cell of the segment's
@@ -73,7 +86,7 @@ use crate::soi::lbk::KBest;
 use crate::soi::query::{SoiConfig, SoiOutcome, SoiQuery, StreetResult};
 use crate::soi::ranked::{GroupedList, Ranked, RankedList};
 use crate::soi::stats::{phases, QueryStats};
-use crate::soi::strategy::Source;
+use crate::soi::strategy::{Source, PAPER_CYCLE};
 use soi_common::{top_k_by_score, CellId, Result, ScoredItem, SegmentId, StreetId};
 use soi_data::PoiView;
 use soi_geo::{Grid, LineSeg, Rect};
@@ -962,7 +975,6 @@ pub fn run_soi_full<'a>(
 
     stats.timer.enter(phases::FILTERING);
 
-    let cycle = config.strategy.cycle();
     let mut cycle_pos = 0usize;
     let mut lbk = fil.lbk.threshold();
     let mut ub = f64::INFINITY;
@@ -973,16 +985,9 @@ pub fn run_soi_full<'a>(
     while !expired {
         // Drop the entries no access may take off the list heads, so that
         // peeks reflect the best still-relevant entry of each: final
-        // segments off SL3, seen ones off SL2 — final ones with paper
-        // bounds, where an SL2 access finalises a partial segment too.
-        let passed = |seg| {
-            if config.paper_bounds_only {
-                fil.is_finalized(seg)
-            } else {
-                fil.is_seen(seg)
-            }
-        };
-        while sl2.peek(expand).is_some_and(|e| passed(e.id())) {
+        // segments off SL2 and SL3. (By default every seen segment is
+        // final, so SL2's head is its first unseen entry.)
+        while sl2.peek(expand).is_some_and(|e| fil.is_finalized(e.id())) {
             sl2.pop(expand);
         }
         while sl3.get(cursor3).is_some_and(|&s| fil.is_finalized(s)) {
@@ -1036,18 +1041,25 @@ pub fn run_soi_full<'a>(
             lbk
         };
 
-        // Choose the next source per the strategy cycle, falling through to
-        // any non-exhausted list.
-        let preferred = cycle[cycle_pos % cycle.len()];
-        cycle_pos += 1;
-        let fallbacks = [
-            preferred,
-            Source::Cells,
-            Source::SegmentsByLen,
-            Source::SegmentsByCells,
-        ];
+        // By default, SL2's head: `UB = b(head) > LBk ≥ 0`, so it is there.
+        // With paper bounds, the next source of the paper's cycle, falling
+        // through to any non-exhausted list.
+        let fallbacks;
+        let sources: &[Source] = if config.paper_bounds_only {
+            let preferred = PAPER_CYCLE[cycle_pos % PAPER_CYCLE.len()];
+            cycle_pos += 1;
+            fallbacks = [
+                preferred,
+                Source::Cells,
+                Source::SegmentsByLen,
+                Source::SegmentsByCells,
+            ];
+            &fallbacks
+        } else {
+            &[Source::SegmentsByCells]
+        };
         let mut accessed = None;
-        for source in fallbacks {
+        for &source in sources {
             match source {
                 Source::Cells => {
                     let Some(cell) = sl1.pop().map(Ranked::id) else {

@@ -16,4 +16,3 @@ pub use explain::{ExplainRow, SoiExplain};
 pub use interest::{segment_interest, StreetAggregate};
 pub use query::{SoiConfig, SoiOutcome, SoiQuery, StreetResult};
 pub use stats::QueryStats;
-pub use strategy::AccessStrategy;

@@ -1,7 +1,6 @@
 //! k-SOI query, configuration, and result types.
 
 use crate::soi::stats::QueryStats;
-use crate::soi::strategy::AccessStrategy;
 use soi_common::{Result, SegmentId, SoiError, StreetId};
 use soi_text::KeywordSet;
 
@@ -49,20 +48,19 @@ impl SoiQuery {
     }
 }
 
-/// Tuning knobs of the SOI algorithm. The defaults follow the paper.
+/// Tuning knobs of the SOI algorithm.
 #[derive(Debug, Clone, Default)]
 pub struct SoiConfig {
-    /// Source-list access strategy (paper: correctness is unaffected).
-    pub strategy: AccessStrategy,
-    /// Run Alg. 1 as the paper states it: SL2 ranks every segment by the
-    /// O(1) bound on `|Cε(ℓ)|`, `UB` is the verbatim
-    /// `top(SL1)·top(SL2)/(2ε·top(SL3)+πε²)`, and no segment is dismissed
-    /// by a bound. Default false: SL2 ranks the segments with a positive
-    /// prefix-sum bound `b(ℓ)` by it, `UB` is `b` of its first unseen
-    /// segment, and `b` and the mass bounds dismiss segments against
-    /// `LBk`. A test-only mode: both are held to brute force, and to the
-    /// baseline bit for bit, by `tests/soi_correctness.rs`; DESIGN §5 has
-    /// what the default saves per query.
+    /// Run Alg. 1 as the paper states it: accesses follow the paper's
+    /// practical cycle ([`PAPER_CYCLE`](crate::soi::strategy::PAPER_CYCLE)),
+    /// SL2 ranks every segment by the O(1) bound on `|Cε(ℓ)|`, `UB` is the
+    /// verbatim `top(SL1)·top(SL2)/(2ε·top(SL3)+πε²)`, and no segment is
+    /// dismissed by a bound. Default false: SL2 ranks the segments with a
+    /// positive prefix-sum bound `b(ℓ)` by it, every access pops its head,
+    /// `UB` is `b` of that head, and `b` dismisses segments against `LBk`.
+    /// A test-only mode: both are held to brute force, and to the baseline
+    /// bit for bit, by `tests/soi_correctness.rs`; DESIGN §5 has what the
+    /// default saves per query.
     pub paper_bounds_only: bool,
 }
 
@@ -124,8 +122,7 @@ mod tests {
 
     #[test]
     fn default_config() {
-        let c = SoiConfig::default();
-        assert_eq!(c.strategy, crate::soi::AccessStrategy::AlternateSl1Sl3);
+        assert!(!SoiConfig::default().paper_bounds_only);
     }
 
     #[test]

@@ -7,15 +7,19 @@
 //! 1. the BL baseline equals the index-free brute force exactly;
 //! 2. the SOI algorithm's returned interests are exact, its result is a
 //!    valid top-k set, and it has exactly `min(k, #positive streets)`
-//!    entries — under every access strategy and several check intervals.
+//!    entries — by default and with the paper's bounds and access cycle,
+//!    on a base index and through a live delta;
+//! 3. by default, every access pops SL2's head, best-first.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use soi_common::{FxHashMap, KeywordId, SegmentId, StreetId};
+use soi_core::soi::strategy::Source;
 use soi_core::soi::{
-    brute_force, exact_street_interests, run_baseline, run_soi, run_soi_with_scratch,
-    AccessStrategy, SoiConfig, SoiOutcome, SoiQuery, SoiScratch, StreetAggregate,
+    brute_force, exact_street_interests, run_baseline, run_soi, run_soi_full, run_soi_with_scratch,
+    SoiConfig, SoiExplain, SoiOutcome, SoiQuery, SoiScratch, StreetAggregate,
 };
+use soi_core::QueryBudget;
 use soi_data::{PhotoCollection, PoiCollection};
 use soi_geo::Point;
 use soi_index::{DeltaIndex, DeltaOp, IndexView, PoiIndex};
@@ -66,6 +70,40 @@ fn random_pois(rng: &mut StdRng, n: usize, extent: f64) -> PoiCollection {
         }
     }
     pois
+}
+
+/// A sealed delta that deletes about a fifth of `pois` and adds `adds`
+/// random ones inside the grid's extent, each with a weight from `weight`.
+fn random_delta(
+    rng: &mut StdRng,
+    index: &PoiIndex,
+    pois: &PoiCollection,
+    adds: usize,
+    weight: impl Fn(&mut StdRng, f64) -> f64,
+) -> DeltaIndex {
+    let mut ops: Vec<DeltaOp> = pois
+        .iter()
+        .filter(|_| rng.random_range(0..5) == 0)
+        .map(|p| DeltaOp::DeletePoi { id: p.id })
+        .collect();
+    let adds = random_pois(rng, adds, 4.0);
+    // (A delta cannot add outside the extent the grid was built over.)
+    for p in adds
+        .iter()
+        .filter(|p| index.grid().cell_containing(p.pos).is_some())
+    {
+        ops.push(DeltaOp::AddPoi {
+            pos: p.pos,
+            keywords: p.keywords.clone(),
+            weight: weight(rng, p.weight),
+        });
+    }
+    DeltaIndex::seal(index, pois, &PhotoCollection::new(), &ops).unwrap()
+}
+
+/// Both bound modes: the default, and the paper's bounds and access cycle.
+fn both_modes() -> [SoiConfig; 2] {
+    [false, true].map(|paper_bounds_only| SoiConfig { paper_bounds_only })
 }
 
 fn random_query(rng: &mut StdRng) -> SoiQuery {
@@ -141,27 +179,104 @@ fn assert_valid_topk(
 }
 
 #[test]
-fn soi_returns_valid_topk_under_all_strategies() {
+fn soi_returns_valid_topk_in_both_modes_with_and_without_a_delta() {
     for seed in 0..15u64 {
         let mut rng = StdRng::seed_from_u64(1000 + seed);
         let network = random_city(&mut rng, 6, 6);
         let pois = random_pois(&mut rng, 200, 5.0);
         let index = PoiIndex::build(&network, &pois, 0.5);
         let query = random_query(&mut rng);
-        let exact = exact_street_interests(&network, &pois, &query);
+        let delta = random_delta(&mut rng, &index, &pois, 40, |rng, w| {
+            w + rng.random_range(0.0..1.5)
+        });
+        let (folded, _) = delta.apply_to(&pois, &PhotoCollection::new());
 
-        for strategy in AccessStrategy::all() {
-            for paper_bounds_only in [false, true] {
-                let config = SoiConfig {
-                    strategy,
-                    paper_bounds_only,
-                };
-                let out = run_soi(&network, &pois, &index, &query, &config).unwrap();
-                let what = format!("seed {seed} strategy {}", strategy.name());
+        for live in [false, true] {
+            let (poi_view, view, exact) = if live {
+                (
+                    delta.poi_view(&pois),
+                    IndexView::new(&index, Some(&delta)),
+                    exact_street_interests(&network, &folded, &query),
+                )
+            } else {
+                (
+                    (&pois).into(),
+                    IndexView::from(&index),
+                    exact_street_interests(&network, &pois, &query),
+                )
+            };
+            for config in both_modes() {
+                let out = run_soi(&network, poi_view, view, &query, &config).unwrap();
+                let what = format!("seed {seed}, delta {live}, {config:?}");
                 assert_valid_topk(&out, &exact, &query, &what);
             }
         }
     }
+}
+
+#[test]
+fn default_mode_reads_sl2_best_first() {
+    // Every access pops SL2's head and finalises that segment: no cell is
+    // popped, every access sees one new segment, SL2's head never rises,
+    // and refinement finds no partial segment — on a base index and
+    // through a live delta.
+    let mut scratch = SoiScratch::default();
+    let mut accesses = 0;
+    for seed in 0..15u64 {
+        let mut rng = StdRng::seed_from_u64(4000 + seed);
+        let network = random_city(&mut rng, 6, 6);
+        let pois = random_pois(&mut rng, 200, 5.0);
+        let index = PoiIndex::build(&network, &pois, 0.5);
+        let delta = random_delta(&mut rng, &index, &pois, 40, |rng, _| {
+            rng.random_range(0.1..2.9)
+        });
+        for live in [false, true] {
+            let (poi_view, view) = if live {
+                (delta.poi_view(&pois), IndexView::new(&index, Some(&delta)))
+            } else {
+                ((&pois).into(), IndexView::from(&index))
+            };
+            for _ in 0..3 {
+                let query = random_query(&mut rng);
+                let mut explain = SoiExplain::default();
+                let out = run_soi_full(
+                    &network,
+                    poi_view,
+                    view,
+                    &query,
+                    &SoiConfig::default(),
+                    &mut scratch,
+                    Some(&mut explain),
+                    QueryBudget::unlimited(),
+                )
+                .unwrap();
+                let what = format!("seed {seed}, delta {live}, {query:?}");
+                let (rows, last) = explain.rows.split_at(explain.rows.len() - 1);
+                assert!(last[0].source.is_none(), "{what}: no termination row");
+                for row in rows {
+                    assert_eq!(row.source, Some(Source::SegmentsByCells), "{what}: {row:?}");
+                }
+                assert!(
+                    explain.rows.iter().all(|row| row.cells_popped == 0),
+                    "{what}: a row popped a cell"
+                );
+                assert!(
+                    explain
+                        .rows
+                        .windows(2)
+                        .all(|w| w[1].top_sl2 <= w[0].top_sl2),
+                    "{what}: SL2's head rose"
+                );
+                let stats = &out.stats;
+                assert_eq!(stats.cells_popped, 0, "{what}");
+                assert_eq!(stats.accesses, stats.segments_popped, "{what}");
+                assert_eq!(stats.accesses, stats.segments_seen, "{what}");
+                assert_eq!(stats.segments_finalized_refinement, 0, "{what}");
+                accesses += stats.accesses;
+            }
+        }
+    }
+    assert!(accesses >= 500, "only {accesses} accesses checked");
 }
 
 #[test]
@@ -177,24 +292,9 @@ fn soi_under_a_live_delta_matches_brute_force_over_the_folded_pois() {
         let network = random_city(&mut rng, 6, 6);
         let pois = random_pois(&mut rng, 200, 5.0);
         let index = PoiIndex::build(&network, &pois, 0.5);
-        let mut ops: Vec<DeltaOp> = pois
-            .iter()
-            .filter(|_| rng.random_range(0..5) == 0)
-            .map(|p| DeltaOp::DeletePoi { id: p.id })
-            .collect();
-        let adds = random_pois(&mut rng, 40, 4.0);
-        // (A delta cannot add outside the extent the grid was built over.)
-        for p in adds
-            .iter()
-            .filter(|p| index.grid().cell_containing(p.pos).is_some())
-        {
-            ops.push(DeltaOp::AddPoi {
-                pos: p.pos,
-                keywords: p.keywords.clone(),
-                weight: p.weight + rng.random_range(0.0..1.5),
-            });
-        }
-        let delta = DeltaIndex::seal(&index, &pois, &PhotoCollection::new(), &ops).unwrap();
+        let delta = random_delta(&mut rng, &index, &pois, 40, |rng, w| {
+            w + rng.random_range(0.0..1.5)
+        });
         let (folded, _) = delta.apply_to(&pois, &PhotoCollection::new());
         let view = IndexView::new(&index, Some(&delta));
 
@@ -233,34 +333,20 @@ fn soi_matches_baseline_when_no_ties_at_boundary() {
     // essentially impossible; SOI and BL must then return the same answer
     // to the bit — streets, interests, best segments and their masses —
     // whatever order the accesses visit cells in: a final segment's mass is
-    // its per-cell masses summed in ascending cell order, BL's order. Every
-    // strategy, both bound modes, on the base index and through a live
-    // delta that deletes a fifth of the POIs and adds weighted ones.
+    // its per-cell masses summed in ascending cell order, BL's order. Both
+    // bound modes (each with its own access order), on the base index and
+    // through a live delta that deletes a fifth of the POIs and adds
+    // weighted ones.
     let mut compared = 0;
-    for seed in 0..15u64 {
+    for seed in 0..60u64 {
         let mut rng = StdRng::seed_from_u64(2000 + seed);
         let network = random_city(&mut rng, 5, 7);
         let pois = random_pois(&mut rng, 150, 5.0);
         let index = PoiIndex::build(&network, &pois, 0.6);
         let query = random_query(&mut rng);
-        let mut ops: Vec<DeltaOp> = pois
-            .iter()
-            .filter(|_| rng.random_range(0..5) == 0)
-            .map(|p| DeltaOp::DeletePoi { id: p.id })
-            .collect();
-        let adds = random_pois(&mut rng, 30, 4.0);
-        // (A delta cannot add outside the extent the grid was built over.)
-        for p in adds
-            .iter()
-            .filter(|p| index.grid().cell_containing(p.pos).is_some())
-        {
-            ops.push(DeltaOp::AddPoi {
-                pos: p.pos,
-                keywords: p.keywords.clone(),
-                weight: rng.random_range(0.1..2.9),
-            });
-        }
-        let delta = DeltaIndex::seal(&index, &pois, &PhotoCollection::new(), &ops).unwrap();
+        let delta = random_delta(&mut rng, &index, &pois, 30, |rng, _| {
+            rng.random_range(0.1..2.9)
+        });
         let (folded, _) = delta.apply_to(&pois, &PhotoCollection::new());
 
         for live in [false, true] {
@@ -282,20 +368,11 @@ fn soi_matches_baseline_when_no_ties_at_boundary() {
                 continue;
             }
             let bl = run_baseline(&network, poi_view, view, &query, StreetAggregate::Max);
-            for strategy in AccessStrategy::all() {
-                for paper_bounds_only in [false, true] {
-                    let config = SoiConfig {
-                        strategy,
-                        paper_bounds_only,
-                    };
-                    let soi = run_soi(&network, poi_view, view, &query, &config).unwrap();
-                    let what = format!(
-                        "seed {seed}, delta {live}, {}, paper bounds {paper_bounds_only}",
-                        strategy.name()
-                    );
-                    assert_eq!(answer_bits(&soi), answer_bits(&bl), "{what}");
-                    compared += 1;
-                }
+            for config in both_modes() {
+                let soi = run_soi(&network, poi_view, view, &query, &config).unwrap();
+                let what = format!("seed {seed}, delta {live}, {config:?}");
+                assert_eq!(answer_bits(&soi), answer_bits(&bl), "{what}");
+                compared += 1;
             }
         }
     }
@@ -407,13 +484,9 @@ fn eps_whose_ring_radius_exceeds_u32_stays_exact() {
         let query =
             SoiQuery::new(KeywordSet::from_ids([KeywordId(0), KeywordId(1)]), 5, eps).unwrap();
         let exact = exact_street_interests(&network, &pois, &query);
-        for strategy in AccessStrategy::all() {
-            let config = SoiConfig {
-                strategy,
-                ..SoiConfig::default()
-            };
+        for config in both_modes() {
             let out = run_soi(&network, &pois, &index, &query, &config).unwrap();
-            let what = format!("eps {eps} under {strategy:?}");
+            let what = format!("eps {eps} under {config:?}");
             assert_valid_topk(&out, &exact, &query, &what);
             // Interests are ≈ 1e-19 and below here: exact relative to
             // their own size, not just to `assert_valid_topk`'s 1e-9.
@@ -480,9 +553,6 @@ fn empty_query_returns_nothing() {
 
 #[test]
 fn explain_trajectory_matches_termination_and_results() {
-    use soi_core::soi::{run_soi_full, SoiExplain, SoiScratch};
-    use soi_core::QueryBudget;
-
     for seed in 0..5u64 {
         let mut rng = StdRng::seed_from_u64(3000 + seed);
         let network = random_city(&mut rng, 6, 6);

@@ -973,8 +973,9 @@ fn k_and_deadline_beyond_their_types_range_answer_like_the_largest_sane_value() 
 /// build wrapped and skipped the segments east and north of the cell.
 #[test]
 fn an_eps_beyond_any_grid_is_a_200_not_a_panic() {
-    // Such an eps sees every segment over the whole grid: about 7 s per
-    // request in a debug build run alone. The server honours the 30 s the
+    // Such an eps puts every segment within eps of every POI: the test's
+    // two requests take 2.6–3.3 s together, server start included, in a
+    // debug build run alone on a 2-vCPU host. The server honours the 30 s the
     // body asks for (the default cap would clamp it to 10 s), and the
     // client waits past it, so a loaded run is slower but not a failure.
     let config = ServeConfig {

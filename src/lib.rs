@@ -68,9 +68,7 @@ pub mod prelude {
         greedy_select, st_rel_div, ContextBuilder, DescribeParams, MethodSpec, PhiSource,
         StreetContext,
     };
-    pub use soi_core::soi::{
-        run_baseline, run_soi, AccessStrategy, SoiConfig, SoiQuery, StreetAggregate,
-    };
+    pub use soi_core::soi::{run_baseline, run_soi, SoiConfig, SoiQuery, StreetAggregate};
     pub use soi_data::{Dataset, PhotoCollection, PoiCollection};
     pub use soi_datagen;
     pub use soi_geo::{Grid, LineSeg, Point, Rect};
