@@ -19,7 +19,8 @@
 //!   second case).
 //!
 //! Accesses stop once `UB ≤ LBk`; the refinement phase then finalises the
-//! seen segments that are still partial and extracts the answer.
+//! seen segments that are still partial (only the paper's cycle, which pops
+//! cells, leaves any) and extracts the answer.
 //!
 //! ### Access order
 //! The paper leaves the order of accesses open ("the correctness of our
@@ -45,20 +46,27 @@
 //! runs (one street's consecutive segments of similar length) by a bound
 //! `B(T) ≥ b(ℓ)` of every member, and bounds a run's members once the run
 //! could reach the head, in the order a list of all segments would read.
-//! `see()` computes `b` of a segment on first sight. The bound rests on
-//! nothing the access loop did — not on which cells were popped, on SL3's
-//! order or on `top(SL1)` — and `b` also dismisses a segment on sight when
-//! it cannot exceed `LBk` (always when `b = 0`: its interest is 0). This
-//! deviates from the paper's SL2 and its
-//! `UB = top(SL1)·top(SL2) / (2ε·top(SL3) + πε²)`, which charges every
-//! unseen segment the heaviest unpopped cell once per cell of its box and
-//! pairs list heads no single segment attains; that bound is kept verbatim
-//! under [`SoiConfig::paper_bounds_only`], with SL2 ranked by the O(1)
-//! bound on `|Cε(ℓ)|` and a head that skips *final* segments.
+//! The bound rests on nothing the access loop did — not on which cells were
+//! popped, on SL3's order or on `top(SL1)`. This deviates from the paper's
+//! SL2 and its `UB = top(SL1)·top(SL2) / (2ε·top(SL3) + πε²)`, which
+//! charges every unseen segment the heaviest unpopped cell once per cell of
+//! its box and pairs list heads no single segment attains; that bound is
+//! kept verbatim under [`SoiConfig::paper_bounds_only`], with SL2 ranked by
+//! the O(1) bound on `|Cε(ℓ)|` and a head that skips *final* segments.
+//!
+//! ### One pruning site
+//! `LBk` prunes at the segment access (`finalize_segment`) alone: a segment
+//! seen there for the first time is *bounded out* — made final with no
+//! distance computed, as it can neither enter the top-k nor change a
+//! returned street's maximum — when `b` cannot exceed `LBk` (SL2 ranks on
+//! `b` rounded up, so even its popped head may), else, once its `Cε(ℓ)` is
+//! rasterised, when the `relcount` of those cells cannot. A cell access
+//! never prunes; under [`SoiConfig::paper_bounds_only`] the threshold is
+//! −∞.
 //!
 //! ### Source lists without a sort
 //! The loop reads only a short prefix of SL1 and SL2, so a query never
-//! sorts them whole: each is a [`RankedList`] that selects and sorts only
+//! sorts them whole: each is a `RankedList` that selects and sorts only
 //! as far as it is read, in exactly the order a sort would give (see the
 //! `ranked` module). **SL3** is the one list that does not depend on the
 //! query and stays precomputed.
@@ -75,9 +83,9 @@
 //! `Lε(c)` is not stored: a popped cell walks the static raster rows of its
 //! Chebyshev ring, which list a superset of it (a segment that does not
 //! list the cell in its own `Cε(ℓ)` ignores the touch). Segments that are
-//! *final* — dismissed, or every cell visited — are dropped while the rows
-//! are merged, by one bit per segment, so only segments the cell can still
-//! change reach `UpdateInterest`.
+//! *final* — finalised by a segment access, or every cell visited — are
+//! dropped while the rows are merged, by one bit per segment, so only
+//! segments the cell can still change reach `UpdateInterest`.
 
 use crate::budget::{QueryBudget, BUDGET_CHECK_EVERY};
 use crate::soi::explain::{ExplainRow, SoiExplain};
@@ -148,13 +156,6 @@ impl Cells<'_> {
     fn mass(&self) -> f64 {
         self.masses.iter().fold(0.0, |sum, &m| sum + m)
     }
-
-    /// The cells whose visited bit is clear, ascending.
-    fn unvisited(&self) -> impl Iterator<Item = CellId> + '_ {
-        (0..self.ids.len())
-            .filter(|&i| !self.is_visited(i))
-            .map(|i| self.ids[i])
-    }
 }
 
 impl Arenas {
@@ -214,16 +215,6 @@ impl SegState {
         cells.set_visited(idx);
         self.visited_count += 1;
         Some(idx)
-    }
-
-    /// Upper bound on the segment's true mass: accumulated mass plus the
-    /// full relevant weight of every unvisited cell.
-    fn upper_mass(&self, cells: &Cells<'_>, inputs: &Inputs<'_>) -> f64 {
-        self.mass
-            + cells
-                .unvisited()
-                .map(|c| inputs.relcount[c.index()].max(0.0))
-                .sum::<f64>()
     }
 }
 
@@ -343,7 +334,7 @@ struct SeenTables {
     slot: Vec<u32>,
     /// Seen segments, in first-seen order.
     states: Vec<SegState>,
-    /// Per segment: set once it is *final* — dismissed, or every cell of
+    /// Per segment: set once it is *final* — bounded out, or every cell of
     /// its `Cε(ℓ)` visited, so its interest is settled and no cell can
     /// change it. Only seen segments are ever dead.
     dead: SegmentBits,
@@ -419,43 +410,26 @@ impl Filtering<'_> {
         }
     }
 
-    /// Index of `seg`'s state, created on first sight. `None` when this
-    /// call *dismissed* the segment by its O(1) bound `b(ℓ)`: if the full
-    /// relevant weight of its dilated bounding box cannot lift it above
-    /// `lbk`, it is final and its exact cells are never needed. `b(ℓ)` is
-    /// computed here, once per seen segment; no bound is at or below −∞, so
-    /// with paper bounds none is.
-    ///
-    /// Here and below, `lbk` is the pruning threshold: an upper bound at or
-    /// below it settles a segment. It is −∞ under
-    /// [`SoiConfig::paper_bounds_only`], which prunes nothing.
-    fn see(
-        &mut self,
-        inputs: &Inputs<'_>,
-        seg: SegmentId,
-        lbk: f64,
-        stats: &mut QueryStats,
-    ) -> Option<usize> {
+    /// Index of `seg`'s state, created on first sight with its `Cε(ℓ)`
+    /// rasterised.
+    fn see(&mut self, inputs: &Inputs<'_>, seg: SegmentId, stats: &mut QueryStats) -> usize {
         let seen = &mut *self.seen;
         if let Some(at) = (seen.slot[seg.index()] as usize).checked_sub(1) {
-            return Some(at);
+            return at;
         }
+        let geom = &inputs.network.segment(seg).geom;
+        inputs
+            .index
+            .occupied_cells_near_segment_into(geom, inputs.query.eps, &mut seen.near_cells);
+        let span = seen.arenas.push(&seen.near_cells);
+        self.register(seg, span, stats)
+    }
+
+    /// Creates the state of the unseen `seg` over `span`: final at once when
+    /// `span` is empty, as nothing is left to visit.
+    fn register(&mut self, seg: SegmentId, span: Span, stats: &mut QueryStats) -> usize {
+        let seen = &mut *self.seen;
         stats.segments_seen += 1;
-        let dismissed = lbk > f64::NEG_INFINITY
-            && inputs.bounds.segment_bound(inputs.network.segment(seg)) <= lbk;
-        let span = if dismissed {
-            stats.segments_bounded_out += 1;
-            stats.segments_finalized_filtering += 1;
-            Span::default()
-        } else {
-            let geom = &inputs.network.segment(seg).geom;
-            inputs.index.occupied_cells_near_segment_into(
-                geom,
-                inputs.query.eps,
-                &mut seen.near_cells,
-            );
-            seen.arenas.push(&seen.near_cells)
-        };
         seen.states.push(SegState {
             seg,
             mass: 0.0,
@@ -464,10 +438,9 @@ impl Filtering<'_> {
         });
         seen.slot[seg.index()] = seen.states.len() as u32;
         if span.len == 0 {
-            // Dismissed, or no occupied cell within ε: nothing left to visit.
             seen.dead.set(seg);
         }
-        (!dismissed).then(|| seen.states.len() - 1)
+        seen.states.len() - 1
     }
 
     /// A cell access (Alg. 1 lines 9–13): runs `UpdateInterest` for every
@@ -477,7 +450,7 @@ impl Filtering<'_> {
     /// rest go through [`update_interest`](Self::update_interest) in
     /// ascending id order — the order `states` is filled in, whatever the
     /// rows' order.
-    fn access_cell(&mut self, inputs: &Inputs<'_>, cell: CellId, lbk: f64, stats: &mut QueryStats) {
+    fn access_cell(&mut self, inputs: &Inputs<'_>, cell: CellId, stats: &mut QueryStats) {
         let seen = &mut *self.seen;
         seen.unqueue_ring();
         let SeenTables {
@@ -496,7 +469,7 @@ impl Filtering<'_> {
         ring.sort_unstable();
         for at in 0..self.seen.ring.len() {
             let seg = self.seen.ring[at];
-            self.update_interest(inputs, seg, cell, lbk, stats);
+            self.update_interest(inputs, seg, cell, stats);
         }
     }
 
@@ -508,14 +481,10 @@ impl Filtering<'_> {
         inputs: &Inputs<'_>,
         seg: SegmentId,
         cell: CellId,
-        lbk: f64,
         stats: &mut QueryStats,
     ) {
         debug_assert!(!self.seen.dead.get(seg), "a dead segment reached a cell");
-        let Some(at) = self.see(inputs, seg, lbk, stats) else {
-            stats.duplicate_visits += 1;
-            return;
-        };
+        let at = self.see(inputs, seg, stats);
         let state = &mut self.seen.states[at];
         let mut cells = self.seen.arenas.of(state.span);
         let Some(idx) = state.visit(cell, &mut cells) else {
@@ -537,12 +506,11 @@ impl Filtering<'_> {
         }
     }
 
-    /// Pops a segment from SL2/SL3: lazily computes its Cε cells and either
-    /// *bounds it out* — when even attributing every unvisited cell's full
-    /// relevant weight cannot lift its interest above `LBk`, the segment is
-    /// marked final without any distance computation (its true interest can
-    /// affect neither the top-k membership nor a returned street's reported
-    /// maximum) — or visits every remaining cell.
+    /// A segment access (SL2/SL3): makes the live `seg` final. A fresh one
+    /// is bounded out at the threshold `lbk` by `b(ℓ)`, then by its
+    /// `Cε(ℓ)`'s `relcount` (module doc, "One pruning site"); otherwise,
+    /// and for a segment a cell access left partial, every remaining cell
+    /// is visited.
     fn finalize_segment(
         &mut self,
         inputs: &Inputs<'_>,
@@ -550,27 +518,32 @@ impl Filtering<'_> {
         lbk: f64,
         stats: &mut QueryStats,
     ) {
-        let fresh = !self.is_seen(seg);
-        let Some(at) = self.see(inputs, seg, lbk, stats) else {
-            return;
-        };
+        debug_assert!(!self.is_finalized(seg), "a final segment was accessed");
         let s = inputs.network.segment(seg);
-        let state = &mut self.seen.states[at];
-        if self.seen.dead.get(seg) {
-            if fresh {
-                // Seen here for the first time and it has no ε-cells.
-                stats.segments_finalized_filtering += 1;
-            }
-            return;
-        }
-        let mut cells = self.seen.arenas.of(state.span);
-        let int_upper =
-            segment_interest(state.upper_mass(&cells, inputs), s.len(), inputs.query.eps);
-        if int_upper <= lbk {
-            self.seen.dead.set(seg);
+        let eps = inputs.query.eps;
+        let fresh = !self.is_seen(seg);
+        // No bound is at or below −∞, so with paper bounds none is computed.
+        if fresh && lbk > f64::NEG_INFINITY && inputs.bounds.segment_bound(s) <= lbk {
+            self.register(seg, Span::default(), stats);
             stats.segments_bounded_out += 1;
             stats.segments_finalized_filtering += 1;
             return;
+        }
+        let at = self.see(inputs, seg, stats);
+        let state = &mut self.seen.states[at];
+        let mut cells = self.seen.arenas.of(state.span);
+        if fresh && !cells.ids.is_empty() {
+            let upper: f64 = cells
+                .ids
+                .iter()
+                .map(|c| inputs.relcount[c.index()].max(0.0))
+                .sum();
+            if segment_interest(upper, s.len(), eps) <= lbk {
+                self.seen.dead.set(seg);
+                stats.segments_bounded_out += 1;
+                stats.segments_finalized_filtering += 1;
+                return;
+            }
         }
         // Visit every remaining cell in place. The cell at position `idx`
         // is exactly bit `idx` of the visited set, so the membership binary
@@ -584,7 +557,7 @@ impl Filtering<'_> {
         self.seen.dead.set(seg);
         stats.segments_finalized_filtering += 1;
         if state.mass > 0.0 {
-            let int = segment_interest(state.mass, s.len(), inputs.query.eps);
+            let int = segment_interest(state.mass, s.len(), eps);
             self.raise_street_bound(s.street, int);
         }
     }
@@ -1033,8 +1006,8 @@ pub fn run_soi_full<'a>(
             break;
         }
 
-        // With paper-verbatim bounds, segment dismissal is disabled by a
-        // threshold no bound is at or below.
+        // The threshold a segment access prunes at: with paper-verbatim
+        // bounds, one no bound is at or below.
         let prune_lbk = if config.paper_bounds_only {
             f64::NEG_INFINITY
         } else {
@@ -1066,7 +1039,7 @@ pub fn run_soi_full<'a>(
                         continue;
                     };
                     stats.cells_popped += 1;
-                    fil.access_cell(&inputs, cell, prune_lbk, &mut stats);
+                    fil.access_cell(&inputs, cell, &mut stats);
                 }
                 Source::SegmentsByCells => {
                     let Some(seg) = sl2.pop(expand).map(Ranked::id) else {
@@ -1118,10 +1091,9 @@ pub fn run_soi_full<'a>(
     stats.termination_lb = lbk;
     stats.deadline_expired = expired;
 
-    // --- Refinement (lines 25–28): finalise the seen segments that can
-    // still matter. A partial segment whose mass upper bound cannot lift it
-    // above LBk is skipped: its true interest can neither enter the top-k
-    // nor change a returned street's maximum (returned values are ≥ LBk).
+    // --- Refinement (lines 25–28): finalise every seen segment still
+    // partial. Only the paper's cycle leaves any: by default every access
+    // finalises SL2's head.
     //
     // Skipped entirely on deadline expiry: the anytime contract is a
     // *lower-bound* top-k, and every accumulated mass is already a valid
@@ -1129,22 +1101,12 @@ pub fn run_soi_full<'a>(
     let (seen, gathered) = (fil.seen, fil.gathered);
     if !expired {
         stats.timer.enter(phases::REFINEMENT);
-        let prune_lbk = if config.paper_bounds_only {
-            f64::NEG_INFINITY
-        } else {
-            fil.lbk.threshold()
-        };
         for state in seen.states.iter_mut() {
             if seen.dead.get(state.seg) {
                 continue;
             }
             let s = network.segment(state.seg);
             let mut cells = seen.arenas.of(state.span);
-            let upper = state.upper_mass(&cells, &inputs);
-            if segment_interest(upper, s.len(), eps) <= prune_lbk {
-                stats.segments_bounded_out += 1;
-                continue;
-            }
             visit_unvisited(&inputs, gathered, &mut cells, &s.geom, &mut stats);
             state.mass = cells.mass();
             seen.dead.set(state.seg);

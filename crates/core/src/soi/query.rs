@@ -29,7 +29,7 @@ impl SoiQuery {
 
     /// Re-checks the query invariants (`k ≥ 1`, `ε` positive and finite).
     ///
-    /// The fields are public, so [`run_soi`](crate::run_soi) revalidates at
+    /// The fields are public, so [`run_soi`](crate::soi::run_soi) revalidates at
     /// the API boundary rather than trusting construction-time checks.
     ///
     /// # Errors

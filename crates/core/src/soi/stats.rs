@@ -26,9 +26,9 @@ pub struct QueryStats {
     /// `UpdateInterest` calls that changed nothing. A popped cell's ring
     /// lists a superset of the segments near it, and segments already
     /// *final* are dropped before the call (uncounted); what is counted is
-    /// a survivor that was first seen and dismissed at once, that is live
-    /// but does not list the cell in its `Cε(ℓ)`, or whose cell was already
-    /// visited (the last also when a segment access meets a visited cell).
+    /// a live segment that does not list the cell in its `Cε(ℓ)`, or whose
+    /// cell was already visited (the last also when a segment access meets
+    /// a cell a cell access visited). Both need cell accesses: 0 by default.
     pub duplicate_visits: usize,
     /// Segments that entered the *partial* state (seen at least once).
     pub segments_seen: usize,
@@ -36,8 +36,9 @@ pub struct QueryStats {
     pub segments_finalized_filtering: usize,
     /// Segments finalised during refinement.
     pub segments_finalized_refinement: usize,
-    /// Segments dismissed by the mass upper bound without distance work
-    /// (their interest provably cannot reach `LBk`).
+    /// Segments a segment access finalised on first sight without distance
+    /// work, as `b(ℓ)` or their `Cε(ℓ)`'s relevant weight cannot exceed
+    /// `LBk` (also counted as finalised); 0 under paper bounds.
     pub segments_bounded_out: usize,
     /// The unseen upper bound at termination.
     pub termination_ub: f64,

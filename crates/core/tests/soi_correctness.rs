@@ -209,6 +209,14 @@ fn soi_returns_valid_topk_in_both_modes_with_and_without_a_delta() {
                 let out = run_soi(&network, poi_view, view, &query, &config).unwrap();
                 let what = format!("seed {seed}, delta {live}, {config:?}");
                 assert_valid_topk(&out, &exact, &query, &what);
+                // Pruning has one site, the segment access, and it reads a
+                // threshold of −∞ under the paper's bounds; by default no
+                // cell is popped, so no cell access is wasted.
+                if config.paper_bounds_only {
+                    assert_eq!(out.stats.segments_bounded_out, 0, "{what}");
+                } else {
+                    assert_eq!(out.stats.duplicate_visits, 0, "{what}");
+                }
             }
         }
     }

@@ -19,7 +19,8 @@
 //!   calls it one job at a time, without going through a batch;
 //! - results are returned **in input order** regardless of worker count or
 //!   scheduling: `results[i]` always answers `queries[i]`, and each result
-//!   is bit-identical to a sequential [`run_soi`]/[`st_rel_div`] call.
+//!   is bit-identical to a sequential [`run_soi`](soi_core::soi::run_soi)
+//!   or [`st_rel_div`](soi_core::describe::st_rel_div()) call.
 //!
 //! Worker count resolves through [`soi_common::effective_threads`]
 //! (explicit → `SOI_THREADS` → available parallelism); `threads == 1` runs
@@ -540,7 +541,7 @@ impl QueryEngine {
         })
     }
 
-    /// [`run_soi_batch`] with a per-job execution budget and per-job
+    /// [`run_soi_batch`](Self::run_soi_batch) with a per-job execution budget and per-job
     /// observability directives.
     ///
     /// Budgets give anytime semantics for serving: a query whose deadline
@@ -550,7 +551,7 @@ impl QueryEngine {
     /// stamps the job's request id and optionally collects a
     /// request-scoped trace and explain report, returned in
     /// [`BatchOutcome::captures`], input order. Jobs with an unlimited
-    /// budget and a default capture are bit-identical to [`run_soi_batch`].
+    /// budget and a default capture are bit-identical to [`run_soi_batch`](Self::run_soi_batch).
     pub fn run_soi_batch_captured(
         &self,
         ctx: &Arc<QueryContext<'_>>,
@@ -642,11 +643,11 @@ impl QueryEngine {
 
     /// Evaluates every `(street context, params, budget, capture)` describe
     /// job in `jobs` against `photos` (the describe analogue of
-    /// [`run_soi_batch_captured`]): returns results and the per-job
+    /// [`run_soi_batch_captured`](Self::run_soi_batch_captured)): returns results and the per-job
     /// artifacts, both in input order.
     ///
     /// Results are bit-identical to calling
-    /// [`st_rel_div`](soi_core::describe::st_rel_div) sequentially, for any
+    /// [`st_rel_div`](soi_core::describe::st_rel_div()) sequentially, for any
     /// worker count. A job whose deadline expires mid-selection returns the
     /// photos chosen so far with [`partial`](DescribeOutcome::partial) set
     /// (a success, not an error).

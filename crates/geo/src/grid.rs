@@ -290,7 +290,7 @@ impl Grid {
     /// circumradius, `d ≤ dist` puts the centre itself within `dist`, and
     /// `d > dist + r` leaves every point of the cell farther than `dist`
     /// (none is nearer than `d − r`). Both tests keep a relative margin of
-    /// [`SHORTCUT_MARGIN`] from those boundaries — many orders of magnitude
+    /// `SHORTCUT_MARGIN` (1e-9) from those boundaries — many orders of magnitude
     /// more than the rounding of `d` — and what falls between them goes to
     /// the predicate.
     pub fn for_each_cell_near_segment<F: FnMut(CellCoord)>(

@@ -1,9 +1,9 @@
 //! ε-augmented cell↔segment maps (paper Sec. 3.2.1) — reference
 //! implementation: tests and the benchmark's `index.eps_maps_build_ms` row
 //! only. Queries derive the same rows lazily, per popped cell or segment
-//! ([`PoiIndex::occupied_cells_near_segment_into`],
-//! [`IndexView::for_each_raster_row_near_cell`](crate::IndexView::for_each_raster_row_near_cell)); nothing builds, stores
-//! or persists an `EpsilonMaps`.
+//! ([`IndexView::occupied_cells_near_segment_into`](crate::IndexView::occupied_cells_near_segment_into),
+//! [`IndexView::for_each_raster_row_near_cell`](crate::IndexView::for_each_raster_row_near_cell));
+//! nothing builds, stores or persists an `EpsilonMaps`.
 //!
 //! The raster maps (which cells a segment passes through) are static; at
 //! query time, once ε is known, they are augmented so that

@@ -7,7 +7,7 @@ use soi_common::{
 use soi_data::PoiCollection;
 use soi_geo::{Grid, Point, Rect};
 use soi_network::RoadNetwork;
-use soi_text::{union_of_postings, KeywordSet};
+use soi_text::union_of_postings;
 
 /// Packs one global-index entry into a single sortable integer:
 /// keyword (high 32) ‖ weight as an order-reversed totalOrder key (middle
@@ -92,17 +92,21 @@ impl<'a> PoiCell<'a> {
 ///
 /// Every cell- or keyword-keyed structure is a [`Csr`] column pair over the
 /// dense id (a [`PoiCell`] is a borrowed view into them), which is also
-/// exactly what a snapshot stores. The ε-augmented versions of maps (3)
-/// and (4) are derived at query time, per popped cell or segment, by
-/// [`occupied_cells_near_segment_into`](Self::occupied_cells_near_segment_into)
-/// and [`IndexView::for_each_raster_row_near_cell`](crate::IndexView::for_each_raster_row_near_cell).
+/// exactly what a snapshot stores.
+///
+/// Queries do not read the index directly: masses, `Cε(ℓ)` and the
+/// ε-augmented versions of maps (3) and (4) are read through
+/// [`IndexView`](crate::IndexView), with or without a live delta, and
+/// derived at query time per popped cell or segment
+/// ([`IndexView::occupied_cells_near_segment_into`](crate::IndexView::occupied_cells_near_segment_into),
+/// [`IndexView::for_each_raster_row_near_cell`](crate::IndexView::for_each_raster_row_near_cell)).
 ///
 /// Equality compares every column (floats by bit pattern): two equal
 /// indexes answer every query identically. The
 /// columns are crate-visible for the snapshot codec (see
 /// [`crate::snapshot`]), which writes the persisted ones as they are and
 /// validates them against each other and the dataset before
-/// [`PoiIndex::from_columns`] derives the slot columns from them.
+/// `PoiIndex::from_columns` derives the slot columns from them.
 #[derive(Debug)]
 pub struct PoiIndex {
     pub(crate) grid: Grid,
@@ -519,34 +523,6 @@ impl PoiIndex {
         self.raster.row(id.index())
     }
 
-    /// Lazy `Cε(ℓ)`: occupied cells within `eps` of `geom`, ascending ids.
-    pub fn occupied_cells_near_segment(&self, geom: &soi_geo::LineSeg, eps: f64) -> Vec<CellId> {
-        let mut cells = Vec::new();
-        self.occupied_cells_near_segment_into(geom, eps, &mut cells);
-        cells
-    }
-
-    /// Allocation-reusing form of
-    /// [`occupied_cells_near_segment`](Self::occupied_cells_near_segment):
-    /// clears `out` and fills it with the occupied cells within `eps` of
-    /// `geom`, ascending. The hot query loop calls this once per popped
-    /// segment with a scratch vector.
-    pub fn occupied_cells_near_segment_into(
-        &self,
-        geom: &soi_geo::LineSeg,
-        eps: f64,
-        out: &mut Vec<CellId>,
-    ) {
-        out.clear();
-        self.grid.for_each_cell_near_segment(geom, eps, |coord| {
-            let c = self.grid.cell_id(coord);
-            if self.is_occupied(c) {
-                out.push(c);
-            }
-        });
-        out.sort_unstable();
-    }
-
     /// O(1) upper bound on `|Cε(ℓ)|`: the number of grid cells overlapping
     /// the ε-dilated bounding box of the segment. SL2's order under the
     /// paper's verbatim bounds, without rasterising every segment at query
@@ -569,9 +545,9 @@ impl PoiIndex {
     }
 
     /// Lazy `Lε(c)`: all segments within `eps` of cell `id`, ascending,
-    /// derived from the static raster map by scanning the Chebyshev ring of
-    /// [`ring_radius`](Self::ring_radius) around the cell and filtering by
-    /// exact distance.
+    /// derived from the static raster map by scanning the Chebyshev ring
+    /// that holds every cell a segment within `eps` passes through, and
+    /// filtering by exact distance.
     pub fn segments_within_eps_of_cell(
         &self,
         network: &RoadNetwork,
@@ -593,23 +569,6 @@ impl PoiIndex {
             dilated.intersects(&geom.bounding_rect()) && rect.within_dist_of_segment(&geom, eps)
         });
         out
-    }
-
-    /// Exact weighted mass of a segment under `query` and `eps`
-    /// (Definition 1), with the ε-dilation computed on the fly.
-    pub fn segment_mass_lazy(
-        &self,
-        pois: &PoiCollection,
-        network: &RoadNetwork,
-        seg: SegmentId,
-        query: &KeywordSet,
-        eps: f64,
-    ) -> f64 {
-        let geom = network.segment(seg).geom;
-        self.occupied_cells_near_segment(&geom, eps)
-            .into_iter()
-            .map(|c| self.cell_mass_for_segment(pois, c, &geom, query, eps))
-            .sum()
     }
 
     /// The underlying grid.
@@ -770,38 +729,16 @@ impl PoiIndex {
             None => Ok(()),
         }
     }
-
-    /// Exact weighted mass contribution of cell `id` to segment `seg_geom`:
-    /// the summed weight of distinct POIs in the cell that match `query` and
-    /// lie within `eps` of the segment (Procedure UpdateInterest).
-    pub fn cell_mass_for_segment(
-        &self,
-        pois: &PoiCollection,
-        id: CellId,
-        seg_geom: &soi_geo::LineSeg,
-        query: &KeywordSet,
-        eps: f64,
-    ) -> f64 {
-        let Some(cell) = self.cell(id) else {
-            return 0.0;
-        };
-        let mut mass = 0.0;
-        cell.for_each_matching(query.ids(), |pid| {
-            let poi = pois.get(pid);
-            if seg_geom.dist_sq_to_point(poi.pos) <= eps * eps {
-                mass += poi.weight;
-            }
-        });
-        mass
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::epsilon::EpsilonMaps;
+    use crate::IndexView;
     use soi_common::KeywordId;
     use soi_geo::LineSeg;
+    use soi_text::KeywordSet;
 
     fn kws(ids: &[u32]) -> KeywordSet {
         KeywordSet::from_ids(ids.iter().map(|&i| KeywordId(i)))
@@ -916,19 +853,20 @@ mod tests {
         let coord = index.grid().cell_containing(Point::new(1.0, 0.5)).unwrap();
         let id = index.grid().cell_id(coord);
         let seg = LineSeg::new(Point::new(0.0, 0.0), Point::new(5.0, 0.0));
+        let (view, pois) = (IndexView::from(&index), (&pois).into());
         // eps = 0.65: both POIs within reach; multi-keyword query counts each once.
         assert_eq!(
-            index.cell_mass_for_segment(&pois, id, &seg, &kws(&[0, 1]), 0.65),
+            view.cell_mass_for_segment(pois, id, &seg, &kws(&[0, 1]), 0.65),
             2.0
         );
         // eps = 0.55: only the POI at distance 0.5.
         assert_eq!(
-            index.cell_mass_for_segment(&pois, id, &seg, &kws(&[0, 1]), 0.55),
+            view.cell_mass_for_segment(pois, id, &seg, &kws(&[0, 1]), 0.55),
             1.0
         );
         // Non-matching query.
         assert_eq!(
-            index.cell_mass_for_segment(&pois, id, &seg, &kws(&[7]), 1.0),
+            view.cell_mass_for_segment(pois, id, &seg, &kws(&[7]), 1.0),
             0.0
         );
     }
@@ -943,10 +881,10 @@ mod tests {
         query: &KeywordSet,
         maps: &EpsilonMaps,
     ) -> f64 {
-        let geom = network.segment(seg).geom;
+        let (view, geom) = (IndexView::from(index), network.segment(seg).geom);
         maps.cells_of_segment(seg)
             .iter()
-            .map(|&c| index.cell_mass_for_segment(pois, c, &geom, query, maps.eps()))
+            .map(|&c| view.cell_mass_for_segment(pois.into(), c, &geom, query, maps.eps()))
             .sum()
     }
 
@@ -974,7 +912,7 @@ mod tests {
         for eps in [0.0, 0.3, 0.75, 1.5] {
             let maps = EpsilonMaps::build(&network, &index, eps);
             for seg in network.segments() {
-                let lazy = index.occupied_cells_near_segment(&seg.geom, eps);
+                let lazy = IndexView::from(&index).occupied_cells_near_segment(&seg.geom, eps);
                 assert_eq!(lazy.as_slice(), maps.cells_of_segment(seg.id), "eps {eps}");
                 assert!(index.upper_cell_count(&seg.geom, eps) >= lazy.len());
             }
@@ -995,7 +933,13 @@ mod tests {
         let query = kws(&[0, 1]);
         for seg in network.segments() {
             assert_eq!(
-                index.segment_mass_lazy(&pois, &network, seg.id, &query, eps),
+                IndexView::from(&index).segment_mass_lazy(
+                    (&pois).into(),
+                    &network,
+                    seg.id,
+                    &query,
+                    eps
+                ),
                 segment_mass_eager(&index, &pois, &network, seg.id, &query, &maps)
             );
         }
@@ -1087,10 +1031,11 @@ mod tests {
     #[test]
     fn into_helpers_match_allocating_forms() {
         let (network, _, index) = setup();
+        let view = IndexView::from(&index);
         let mut cells_buf = vec![CellId(999); 4];
         for seg in network.segments() {
-            index.occupied_cells_near_segment_into(&seg.geom, 0.7, &mut cells_buf);
-            assert_eq!(cells_buf, index.occupied_cells_near_segment(&seg.geom, 0.7));
+            view.occupied_cells_near_segment_into(&seg.geom, 0.7, &mut cells_buf);
+            assert_eq!(cells_buf, view.occupied_cells_near_segment(&seg.geom, 0.7));
         }
     }
 

@@ -12,7 +12,7 @@
 //!
 //! 1. **Per-structure codecs** (`write_*` / `read_*`): store a structure's
 //!    columns as typed sections under a caller-chosen prefix — every `Csr`
-//!    through the one [`write_csr`] / [`read_csr`] pair — and re-validate
+//!    through the one `write_csr` / `read_csr` pair — and re-validate
 //!    every invariant on the way back in (CSR shapes, row counts against
 //!    the grid, id bounds against the dataset), so a corrupt or hand-edited
 //!    file is a categorized [`Data`](soi_common::ErrorCategory::Data)

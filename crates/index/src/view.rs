@@ -1,12 +1,13 @@
-//! The base+delta read path: [`IndexView`].
+//! The query-time read path: [`IndexView`].
 //!
-//! Algorithms 1 and 2 never touch [`PoiIndex`](crate::PoiIndex) directly
-//! once a delta is live; they read through an [`IndexView`] that overlays a
-//! sealed [`DeltaIndex`] on the base structures. The overlay rules keep
-//! every bound the algorithm relies on *sound and exact*:
+//! Algorithms 1 and 2 and the baseline read the POI index through an
+//! [`IndexView`] alone: a base [`PoiIndex`] overlaid with an optional
+//! sealed [`DeltaIndex`]. Without a delta the view reads the base; each
+//! reader has one body either way. The overlay rules keep every bound the
+//! algorithm relies on *sound and exact*:
 //!
 //! - Street geometry (grid, rasters, segment length order) is static, so
-//!   those methods delegate to the base unchanged.
+//!   those methods read the base unchanged.
 //! - Global postings and per-cell weight totals come from the delta's
 //!   replacement aggregates for touched keywords/cells and from the base
 //!   otherwise; the delta recomputed them in merged ascending-POI order,
@@ -181,28 +182,25 @@ impl<'a> IndexView<'a> {
         self.base.cell_total_weight(id)
     }
 
-    /// Lazy `Cε(ℓ)` under this view: cells occupied by the base or newly
-    /// occupied by the delta, within `eps` of `geom`, ascending.
+    /// Lazy `Cε(ℓ)` under this view: clears `out` and fills it with the
+    /// cells within `eps` of `geom` that the base occupies or the delta
+    /// newly occupies, ascending. Alg. 1 calls this once per seen segment
+    /// with a scratch vector.
     pub fn occupied_cells_near_segment_into(
         &self,
         geom: &LineSeg,
         eps: f64,
         out: &mut Vec<CellId>,
     ) {
-        match self.delta {
-            None => self.base.occupied_cells_near_segment_into(geom, eps, out),
-            Some(d) => {
-                out.clear();
-                let grid = self.base.grid();
-                grid.for_each_cell_near_segment(geom, eps, |coord| {
-                    let c = grid.cell_id(coord);
-                    if self.base.is_occupied(c) || d.occupies_new_cell(c) {
-                        out.push(c);
-                    }
-                });
-                out.sort_unstable();
+        out.clear();
+        let grid = self.base.grid();
+        grid.for_each_cell_near_segment(geom, eps, |coord| {
+            let c = grid.cell_id(coord);
+            if self.base.is_occupied(c) || self.delta.is_some_and(|d| d.occupies_new_cell(c)) {
+                out.push(c);
             }
-        }
+        });
+        out.sort_unstable();
     }
 
     /// Allocating form of
@@ -213,11 +211,12 @@ impl<'a> IndexView<'a> {
         out
     }
 
-    /// Exact weighted mass contribution of cell `id` to segment
-    /// `seg_geom` under this view: base survivors first (ascending id,
-    /// deleted POIs skipped), then delta adds (ascending id) — the merged
-    /// summation order, so the result is bit-identical to the rebuilt
-    /// index's mass.
+    /// Exact weighted mass contribution of cell `id` to segment `seg_geom`
+    /// under this view (Procedure UpdateInterest): the summed weight of the
+    /// distinct POIs of the cell that match `query` and lie within `eps` of
+    /// the segment. Base survivors first (ascending id, deleted POIs
+    /// skipped), then delta adds (ascending id) — the merged summation
+    /// order, so the result is bit-identical to the rebuilt index's mass.
     pub fn cell_mass_for_segment(
         &self,
         pois: PoiView<'_>,
@@ -226,16 +225,11 @@ impl<'a> IndexView<'a> {
         query: &KeywordSet,
         eps: f64,
     ) -> f64 {
-        let Some(d) = self.delta else {
-            return self
-                .base
-                .cell_mass_for_segment(pois.base(), id, seg_geom, query, eps);
-        };
         let eps_sq = eps * eps;
         let mut mass = 0.0;
         if let Some(cell) = self.base.cell(id) {
             cell.for_each_matching(query.ids(), |pid| {
-                if !d.poi_deleted(pid) {
+                if !self.delta.is_some_and(|d| d.poi_deleted(pid)) {
                     let poi = pois.get(pid);
                     if seg_geom.dist_sq_to_point(poi.pos) <= eps_sq {
                         mass += poi.weight;
@@ -243,10 +237,12 @@ impl<'a> IndexView<'a> {
                 }
             });
         }
-        for &pid in d.cell_added_pois(id) {
-            let poi = pois.get(pid);
-            if poi.keywords.intersects(query) && seg_geom.dist_sq_to_point(poi.pos) <= eps_sq {
-                mass += poi.weight;
+        if let Some(d) = self.delta {
+            for &pid in d.cell_added_pois(id) {
+                let poi = pois.get(pid);
+                if poi.keywords.intersects(query) && seg_geom.dist_sq_to_point(poi.pos) <= eps_sq {
+                    mass += poi.weight;
+                }
             }
         }
         mass

@@ -171,7 +171,13 @@ fn delta_stream_replay_matches_full_rebuild_across_build_threads() {
                 // The view's lazy ε-cell walk must cover the same mass as
                 // the rebuilt index's, bit-identically.
                 let a = view.segment_mass_lazy(poi_view, &net, seg.id, &query, 0.5);
-                let b = rebuilt.segment_mass_lazy(&folded_pois, &net, seg.id, &query, 0.5);
+                let b = IndexView::from(&rebuilt).segment_mass_lazy(
+                    (&folded_pois).into(),
+                    &net,
+                    seg.id,
+                    &query,
+                    0.5,
+                );
                 assert_eq!(
                     a.to_bits(),
                     b.to_bits(),
@@ -181,7 +187,7 @@ fn delta_stream_replay_matches_full_rebuild_across_build_threads() {
                 // Occupied-cell sets agree up to cells that lost all their
                 // POIs (the view keeps them as a sound zero-mass superset).
                 let va = view.occupied_cells_near_segment(&seg.geom, 0.5);
-                let vb = rebuilt.occupied_cells_near_segment(&seg.geom, 0.5);
+                let vb = IndexView::from(&rebuilt).occupied_cells_near_segment(&seg.geom, 0.5);
                 for c in &vb {
                     assert!(
                         va.contains(c),

@@ -96,7 +96,7 @@ proptest! {
         let index = PoiIndex::build(&network, &pois, cell);
         let maps = EpsilonMaps::build(&network, &index, eps);
         for seg in network.segments() {
-            let lazy = index.occupied_cells_near_segment(&seg.geom, eps);
+            let lazy = IndexView::from(&index).occupied_cells_near_segment(&seg.geom, eps);
             prop_assert_eq!(lazy.as_slice(), maps.cells_of_segment(seg.id));
             prop_assert!(index.upper_cell_count(&seg.geom, eps) >= lazy.len());
         }
@@ -126,14 +126,15 @@ proptest! {
         let index = PoiIndex::build(&network, &pois, 0.6);
         let maps = EpsilonMaps::build(&network, &index, eps);
         let query = KeywordSet::from_ids(query_kws.iter().map(|&k| KeywordId(k)));
+        let (view, poi_view) = (IndexView::from(&index), (&pois).into());
         for seg in network.segments() {
             // Definition 1 over the reference maps' eager `Cε(ℓ)`.
             let eager: f64 = maps
                 .cells_of_segment(seg.id)
                 .iter()
-                .map(|&c| index.cell_mass_for_segment(&pois, c, &seg.geom, &query, eps))
+                .map(|&c| view.cell_mass_for_segment(poi_view, c, &seg.geom, &query, eps))
                 .sum();
-            let lazy = index.segment_mass_lazy(&pois, &network, seg.id, &query, eps);
+            let lazy = view.segment_mass_lazy(poi_view, &network, seg.id, &query, eps);
             let brute: f64 = pois
                 .iter()
                 .filter(|p| p.keywords.intersects(&query))
