@@ -532,6 +532,7 @@ impl Filtering<'_> {
         let at = self.see(inputs, seg, stats);
         let state = &mut self.seen.states[at];
         let mut cells = self.seen.arenas.of(state.span);
+        // A segment with no ε-cell is final on sight, not bounded out.
         if fresh && !cells.ids.is_empty() {
             let upper: f64 = cells
                 .ids
