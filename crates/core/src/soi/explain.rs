@@ -19,15 +19,26 @@
 //! self-contained artifact.
 
 use crate::soi::stats::QueryStats;
-use crate::soi::strategy::Source;
 use soi_obs::json::JsonWriter;
 
 /// Default row capacity of a collector (see [`SoiExplain::with_max_rows`]).
 pub const DEFAULT_MAX_ROWS: usize = 1024;
 
+/// Which source list an access targets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Source {
+    /// SL1: cells sorted decreasingly on relevant-POI weight.
+    Cells,
+    /// SL2: segments sorted decreasingly on an upper bound of their
+    /// interest — with paper bounds, on the number of ε-neighbouring cells.
+    SegmentsByCells,
+    /// SL3: segments sorted increasingly on length.
+    SegmentsByLen,
+}
+
 /// One recorded access: the algorithm state *before* the access was
 /// performed, plus which source the access then drew from.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ExplainRow {
     /// 1-based access count this row describes (the access being made).
     pub access: usize,
@@ -39,7 +50,9 @@ pub struct ExplainRow {
     pub ub: f64,
     /// The k-th best seen street lower bound `LBk`.
     pub lbk: f64,
-    /// Head of SL1: largest surviving per-cell relevant weight.
+    /// Head of SL1: the largest relevant weight of a cell not yet popped,
+    /// rounded up to an `f32` as the lists round their scores. By default
+    /// no cell is popped and SL1 is not built: the largest `relcount`.
     pub top_sl1: f64,
     /// Head of SL2: the largest `b(ℓ)` of an unseen segment (`UB` itself),
     /// or with paper bounds the largest `|Cε(ℓ)|` bound of a segment that
@@ -56,7 +69,8 @@ pub struct ExplainRow {
 /// Source-list sizes after Alg. 1's construction phase.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ListSizes {
-    /// Cells in SL1 (cells holding query-relevant weight).
+    /// Cells in SL1: the cells a query keyword reaches (by default SL1 is
+    /// not built, and this is their count).
     pub sl1: usize,
     /// Entries SL2 lists: the runs with `B(T) > 0`, whose members are
     /// bounded only as the head reaches them (every segment with paper

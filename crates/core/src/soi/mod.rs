@@ -2,13 +2,14 @@
 
 pub mod algorithm;
 pub mod baseline;
+mod bound;
 pub mod explain;
 pub mod interest;
 mod lbk;
+pub mod paper;
 pub mod query;
 mod ranked;
 pub mod stats;
-pub mod strategy;
 
 pub use algorithm::{run_soi, run_soi_full, run_soi_with_scratch, SoiScratch};
 pub use baseline::{brute_force, exact_street_interests, run_baseline};

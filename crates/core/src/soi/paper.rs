@@ -1,0 +1,452 @@
+//! Alg. 1 as the paper states it, run under
+//! [`SoiConfig::paper_bounds_only`](crate::soi::SoiConfig::paper_bounds_only):
+//! the practical cycle ([`PAPER_CYCLE`]) over SL1 (the reached cells by
+//! `relcount` descending), SL2 (every segment by the O(1) bound on
+//! `|Cε(ℓ)|` descending) and SL3 (every segment by length ascending), the
+//! paper's `UB = top(SL1)·top(SL2) / (2ε·top(SL3) + πε²)` over the heads
+//! that are not final, and no segment pruned by a bound.
+//!
+//! A *segment access* (SL2, SL3) visits every cell of the segment's
+//! `Cε(ℓ)` not visited yet, making it final. A *cell access* (SL1) runs
+//! `UpdateInterest` for each segment the cell can still change, leaving
+//! them *partial* until refinement. `Lε(c)` is not stored: a popped cell
+//! walks the static raster rows of its Chebyshev ring, a superset of it (a
+//! segment whose `Cε(ℓ)` lacks the cell counts a duplicate visit), and
+//! drops final segments by one bit each. A rasterised segment keeps one
+//! mass per cell of its `Cε(ℓ)`, `+0.0` until visited, and its mass is
+//! their sum in ascending cell order: BL's to the bit once final, and a
+//! lower bound before, as floating-point addition is monotone.
+
+use crate::budget::QueryBudget;
+use crate::soi::algorithm::{access_loop, Gathered, Inputs, SegmentBits, Shared};
+use crate::soi::explain::{ExplainRow, SoiExplain, Source};
+use crate::soi::interest::segment_interest;
+use crate::soi::ranked::{Ranked, RankedList};
+use crate::soi::stats::QueryStats;
+use soi_common::{CellId, SegmentId};
+use soi_geo::LineSeg;
+use soi_obs::trace::Span as TraceSpan;
+
+/// The paper's practical cycle ("we alternate between SL1 and SL3 … We
+/// only access segments via the second source SL2 in the case that a few
+/// segments with a large number of neighboring cells exist"): SL2 is drawn
+/// once per four accesses. While `UB > LBk` no list is exhausted.
+pub const PAPER_CYCLE: [Source; 4] = [
+    Source::Cells,
+    Source::SegmentsByLen,
+    Source::Cells,
+    Source::SegmentsByCells,
+];
+
+/// Where a segment's `Cε(ℓ)` list, its per-cell masses and its visited
+/// bitset sit in [`Arenas`].
+#[derive(Clone, Copy)]
+struct Span {
+    /// Into `cells` and `masses` alike.
+    cells_at: usize,
+    bits_at: usize,
+    len: usize,
+}
+
+/// Backing store of every seen segment's cell list, per-cell masses and
+/// visited bitset: three vectors grown by appending, emptied per query,
+/// instead of heap allocations per rasterised segment.
+#[derive(Default)]
+struct Arenas {
+    cells: Vec<CellId>,
+    masses: Vec<f64>,
+    bits: Vec<u64>,
+}
+
+/// A segment's slices of the [`Arenas`].
+struct Cells<'a> {
+    /// `Cε(ℓ)`, ascending.
+    ids: &'a [CellId],
+    /// Per cell: the mass it contributed, `+0.0` until visited.
+    masses: &'a mut [f64],
+    /// One visited bit per cell.
+    bits: &'a mut [u64],
+}
+
+impl Cells<'_> {
+    fn is_visited(&self, idx: usize) -> bool {
+        self.bits[idx / 64] & (1u64 << (idx % 64)) != 0
+    }
+
+    fn set_visited(&mut self, idx: usize) {
+        self.bits[idx / 64] |= 1u64 << (idx % 64);
+    }
+
+    /// The segment's mass so far: the per-cell masses summed in ascending
+    /// cell order from `+0.0` — for a non-empty list exactly BL's sum once
+    /// every cell is visited.
+    fn mass(&self) -> f64 {
+        self.masses.iter().fold(0.0, |sum, &m| sum + m)
+    }
+}
+
+impl Arenas {
+    /// Appends `cells` (ascending) with zero masses and an all-clear
+    /// visited bitset.
+    fn push(&mut self, cells: &[CellId]) -> Span {
+        let span = Span {
+            cells_at: self.cells.len(),
+            bits_at: self.bits.len(),
+            len: cells.len(),
+        };
+        self.cells.extend_from_slice(cells);
+        self.masses.resize(span.cells_at + cells.len(), 0.0);
+        self.bits.resize(span.bits_at + cells.len().div_ceil(64), 0);
+        span
+    }
+
+    /// The slices of `span`.
+    fn of(&mut self, span: Span) -> Cells<'_> {
+        Cells {
+            ids: &self.cells[span.cells_at..][..span.len],
+            masses: &mut self.masses[span.cells_at..][..span.len],
+            bits: &mut self.bits[span.bits_at..][..span.len.div_ceil(64)],
+        }
+    }
+
+    fn clear(&mut self) {
+        self.cells.clear();
+        self.masses.clear();
+        self.bits.clear();
+    }
+}
+
+/// Per-segment state during filtering: the *partial* / *final* states of
+/// Section 3.2.2.
+struct SegState {
+    seg: SegmentId,
+    /// [`Cells::mass`] as of the last change: a lower bound of the true
+    /// mass, and BL's value once final.
+    mass: f64,
+    /// `Cε(ℓ)`: the occupied cells within ε (ascending), rasterised when
+    /// the segment is first seen (the query-time augmentation of
+    /// Sec. 3.2.1), with one mass and one visited bit per cell.
+    span: Span,
+    /// Number of set bits.
+    visited_count: usize,
+}
+
+/// The per-segment tables of a query, dense over the ids and emptied by
+/// walking what the previous query touched.
+#[derive(Default)]
+struct SeenTables {
+    /// Per segment: 1 + its index in `states`, 0 while unseen.
+    slot: Vec<u32>,
+    /// Seen segments, in first-seen order.
+    states: Vec<SegState>,
+    /// Per segment: set once it is *final* — every cell of its `Cε(ℓ)`
+    /// visited, so no cell can change it. Only seen segments are final.
+    dead: SegmentBits,
+    /// The live segments of the cell access under way, ascending once
+    /// collected, and one bit per segment that is set while it is listed:
+    /// a segment crosses several cells of a ring and is listed once.
+    ring: Vec<SegmentId>,
+    queued: SegmentBits,
+    arenas: Arenas,
+    /// Rasterisation buffer for one segment's `Cε(ℓ)`.
+    near_cells: Vec<CellId>,
+}
+
+impl SeenTables {
+    /// Empties the tables and fits them to `num_segments`.
+    fn reset(&mut self, num_segments: usize) {
+        for state in self.states.drain(..) {
+            self.slot[state.seg.index()] = 0;
+            self.dead.clear(state.seg);
+        }
+        self.unqueue_ring();
+        self.slot.resize(num_segments, 0);
+        self.dead.fit(num_segments);
+        self.queued.fit(num_segments);
+        self.arenas.clear();
+    }
+
+    /// Empties `ring`, clearing its segments' `queued` bits.
+    fn unqueue_ring(&mut self) {
+        for seg in self.ring.drain(..) {
+            self.queued.clear(seg);
+        }
+    }
+}
+
+/// The paper mode's share of [`SoiScratch`](crate::soi::SoiScratch): SL1,
+/// SL2 and the per-segment tables. A worker that runs only the default
+/// retains none of it.
+#[derive(Default)]
+pub(super) struct PaperScratch {
+    sl1: RankedList<CellId>,
+    sl2: RankedList<SegmentId>,
+    seen: SeenTables,
+}
+
+/// Mutable algorithm state shared by the access handlers.
+struct Filtering<'s> {
+    seen: &'s mut SeenTables,
+    shared: &'s mut Shared,
+}
+
+impl Filtering<'_> {
+    /// Index of `seg`'s state, created on first sight with its `Cε(ℓ)`
+    /// rasterised; final at once when that is empty, as nothing is left to
+    /// visit.
+    fn see(&mut self, inputs: &Inputs<'_>, seg: SegmentId, stats: &mut QueryStats) -> usize {
+        let seen = &mut *self.seen;
+        if let Some(at) = (seen.slot[seg.index()] as usize).checked_sub(1) {
+            return at;
+        }
+        let geom = &inputs.network.segment(seg).geom;
+        inputs
+            .index
+            .occupied_cells_near_segment_into(geom, inputs.query.eps, &mut seen.near_cells);
+        let span = seen.arenas.push(&seen.near_cells);
+        stats.segments_seen += 1;
+        seen.states.push(SegState {
+            seg,
+            mass: 0.0,
+            span,
+            visited_count: 0,
+        });
+        seen.slot[seg.index()] = seen.states.len() as u32;
+        if span.len == 0 {
+            seen.dead.set(seg);
+        }
+        seen.states.len() - 1
+    }
+
+    /// A cell access (Alg. 1 lines 9–13): runs `UpdateInterest` for every
+    /// segment the popped `cell` can still change. The raster rows of the
+    /// cell's ring list a superset of `Lε(c)`, a segment once per ring cell
+    /// it crosses; a dead segment is dropped while the rows are merged, the
+    /// rest go through [`update_interest`](Self::update_interest) in
+    /// ascending id order — the order `states` is filled in, whatever the
+    /// rows' order.
+    fn access_cell(&mut self, inputs: &Inputs<'_>, cell: CellId, stats: &mut QueryStats) {
+        let seen = &mut *self.seen;
+        seen.unqueue_ring();
+        let SeenTables {
+            dead, ring, queued, ..
+        } = seen;
+        inputs
+            .index
+            .for_each_raster_row_near_cell(cell, inputs.query.eps, |row| {
+                for &seg in row {
+                    if !(dead.get(seg) || queued.get(seg)) {
+                        queued.set(seg);
+                        ring.push(seg);
+                    }
+                }
+            });
+        ring.sort_unstable();
+        for at in 0..self.seen.ring.len() {
+            let seg = self.seen.ring[at];
+            self.update_interest(inputs, seg, cell, stats);
+        }
+    }
+
+    /// Effective `UpdateInterest` (procedure in Alg. 1): accounts `cell`
+    /// for the live segment `seg` once, keeping the street-level lower bound
+    /// current.
+    fn update_interest(
+        &mut self,
+        inputs: &Inputs<'_>,
+        seg: SegmentId,
+        cell: CellId,
+        stats: &mut QueryStats,
+    ) {
+        debug_assert!(!self.seen.dead.get(seg), "a dead segment reached a cell");
+        let at = self.see(inputs, seg, stats);
+        let state = &mut self.seen.states[at];
+        let mut cells = self.seen.arenas.of(state.span);
+        // Not one of the segment's ε-cells, or visited already.
+        let idx = cells.ids.binary_search(&cell).ok();
+        let Some(idx) = idx.filter(|&idx| !cells.is_visited(idx)) else {
+            stats.duplicate_visits += 1;
+            return;
+        };
+        cells.set_visited(idx);
+        state.visited_count += 1;
+        let s = inputs.network.segment(seg);
+        let gained = inputs.cell_mass(&mut self.shared.gathered, cell, &s.geom);
+        stats.cell_visits += 1;
+        if state.visited_count == state.span.len {
+            self.seen.dead.set(seg);
+            stats.segments_finalized_filtering += 1;
+        }
+        if gained > 0.0 {
+            cells.masses[idx] = gained;
+            state.mass = cells.mass();
+            let int_lower = segment_interest(state.mass, s.len(), inputs.query.eps);
+            self.shared.streets.raise(s.street, int_lower);
+        }
+    }
+
+    /// A segment access (SL2/SL3): makes the live `seg` final by visiting
+    /// every cell of its `Cε(ℓ)` a cell access has not.
+    fn finalize_segment(&mut self, inputs: &Inputs<'_>, seg: SegmentId, stats: &mut QueryStats) {
+        debug_assert!(!self.seen.dead.get(seg), "a final segment was accessed");
+        let s = inputs.network.segment(seg);
+        let at = self.see(inputs, seg, stats);
+        let state = &mut self.seen.states[at];
+        let mut cells = self.seen.arenas.of(state.span);
+        // The street bound is raised once with the final mass, which
+        // dominates every per-cell intermediate raise.
+        stats.duplicate_visits += state.visited_count;
+        state.visited_count = state.span.len;
+        let gathered = &mut self.shared.gathered;
+        visit_unvisited(inputs, gathered, &mut cells, &s.geom, stats);
+        state.mass = cells.mass();
+        self.seen.dead.set(seg);
+        stats.segments_finalized_filtering += 1;
+        if state.mass > 0.0 {
+            let int = segment_interest(state.mass, s.len(), inputs.query.eps);
+            self.shared.streets.raise(s.street, int);
+        }
+    }
+}
+
+/// Visits every unvisited cell of `cells` for the segment `geom`: records
+/// its mass and sets its bit. The cell at position `idx` is bit `idx` of
+/// the visited set, so no membership search is needed.
+fn visit_unvisited(
+    inputs: &Inputs<'_>,
+    gathered: &mut Gathered,
+    cells: &mut Cells<'_>,
+    geom: &LineSeg,
+    stats: &mut QueryStats,
+) {
+    for idx in 0..cells.ids.len() {
+        if !cells.is_visited(idx) {
+            cells.set_visited(idx);
+            cells.masses[idx] = inputs.cell_mass(gathered, cells.ids[idx], geom);
+            stats.cell_visits += 1;
+        }
+    }
+}
+
+/// Builds SL1 and SL2 over the filled `relcount` (closing the construction
+/// span `sources`), runs the cycle until `UB ≤ LBk`, refines unless the
+/// deadline expired, and leaves every seen segment's mass in
+/// `shared.masses`. Returns what [`access_loop`] returns.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn run(
+    inputs: &Inputs<'_>,
+    reached: &[CellId],
+    scratch: &mut PaperScratch,
+    shared: &mut Shared,
+    stats: &mut QueryStats,
+    mut explain: Option<&mut SoiExplain>,
+    budget: &QueryBudget,
+    sources: TraceSpan,
+) -> (f64, bool) {
+    let (network, eps) = (inputs.network, inputs.query.eps);
+    let PaperScratch { sl1, sl2, seen } = scratch;
+    // --- SL1: cells by relevant-POI weight, descending (Alg. 1 lines 1–3).
+    sl1.refill(
+        reached
+            .iter()
+            .map(|&cell| Ranked::new(inputs.relcount[cell.index()], cell)),
+    );
+    // --- SL2 (lines 6–7): every segment, by the O(1) bound on |Cε(ℓ)|.
+    sl2.refill(
+        network
+            .segments()
+            .iter()
+            .map(|s| Ranked::new(inputs.index.upper_cell_count(&s.geom, eps) as f64, s.id)),
+    );
+    // --- SL3: segments by length ascending (precomputed offline).
+    let sl3: &[SegmentId] = inputs.index.segments_by_len();
+    let mut cursor3 = 0usize;
+    drop(sources);
+    if let Some(ex) = explain.as_deref_mut() {
+        ex.record_lists(sl1.len(), sl2.len(), sl3.len());
+    }
+
+    seen.reset(network.num_segments());
+    let mut fil = Filtering { seen, shared };
+    let mut cycle_pos = 0usize;
+    let (ub, expired) = access_loop(stats, explain, budget, |stats| {
+        // The heads that are not final: a final segment can change nothing.
+        while sl2.peek().is_some_and(|e| fil.seen.dead.get(e.id())) {
+            sl2.pop();
+        }
+        while sl3.get(cursor3).is_some_and(|&s| fil.seen.dead.get(s)) {
+            cursor3 += 1;
+        }
+        let (head1, head2, head3) = (sl1.peek(), sl2.peek(), sl3.get(cursor3));
+        let top1 = head1.map_or(0.0, Ranked::score);
+        let top2 = head2.map_or(0.0, Ranked::score);
+        let top3 = head3.map(|&s| network.segment(s).len());
+        // Unseen upper bound (line 22), 0 once a list is exhausted: with SL1
+        // exhausted every cell with relevant POIs was popped, so every
+        // segment with positive mass is seen; with SL2 or SL3 exhausted no
+        // segment is left unseen.
+        let ub = match top3 {
+            Some(len) if top1 > 0.0 && top2 > 0.0 => segment_interest(top1 * top2, len, eps),
+            _ => 0.0,
+        };
+        let mut row = ExplainRow {
+            ub,
+            lbk: fil.shared.streets.lbk(),
+            top_sl1: top1,
+            top_sl2: top2,
+            top_sl3: top3.unwrap_or(0.0),
+            ..ExplainRow::default()
+        };
+        // `UB > LBk ≥ 0` needs all three heads.
+        let (Some(cell), Some(by_cells), Some(&by_len)) = (head1, head2, head3) else {
+            return row;
+        };
+        if ub <= row.lbk {
+            return row;
+        }
+        let source = PAPER_CYCLE[cycle_pos % PAPER_CYCLE.len()];
+        cycle_pos += 1;
+        match source {
+            Source::Cells => {
+                sl1.pop();
+                stats.cells_popped += 1;
+                fil.access_cell(inputs, cell.id(), stats);
+            }
+            Source::SegmentsByCells => {
+                sl2.pop();
+                stats.segments_popped += 1;
+                fil.finalize_segment(inputs, by_cells.id(), stats);
+            }
+            Source::SegmentsByLen => {
+                cursor3 += 1;
+                stats.segments_popped += 1;
+                fil.finalize_segment(inputs, by_len, stats);
+            }
+        }
+        row.source = Some(source);
+        row
+    });
+
+    // --- Refinement (lines 25–28): finalise every seen segment still
+    // partial. Skipped on deadline expiry: the anytime contract is a
+    // lower-bound top-k, and every partial mass is already a valid lower
+    // bound.
+    let Filtering { seen, shared } = fil;
+    if !expired {
+        for state in seen.states.iter_mut() {
+            if seen.dead.get(state.seg) {
+                continue;
+            }
+            let s = network.segment(state.seg);
+            let mut cells = seen.arenas.of(state.span);
+            visit_unvisited(inputs, &mut shared.gathered, &mut cells, &s.geom, stats);
+            state.mass = cells.mass();
+            seen.dead.set(state.seg);
+            stats.segments_finalized_refinement += 1;
+        }
+    }
+    shared
+        .masses
+        .extend(seen.states.iter().map(|state| (state.seg, state.mass)));
+    (ub, expired)
+}

@@ -51,16 +51,16 @@ impl SoiQuery {
 /// Tuning knobs of the SOI algorithm.
 #[derive(Debug, Clone, Default)]
 pub struct SoiConfig {
-    /// Run Alg. 1 as the paper states it: accesses follow the paper's
-    /// practical cycle ([`PAPER_CYCLE`](crate::soi::strategy::PAPER_CYCLE)),
-    /// SL2 ranks every segment by the O(1) bound on `|Cε(ℓ)|`, `UB` is the
-    /// verbatim `top(SL1)·top(SL2)/(2ε·top(SL3)+πε²)`, and no segment is
-    /// dismissed by a bound. Default false: SL2 ranks the segments with a
-    /// positive prefix-sum bound `b(ℓ)` by it, every access pops its head,
-    /// `UB` is `b` of that head, and `b` dismisses segments against `LBk`.
-    /// A test-only mode: both are held to brute force, and to the baseline
-    /// bit for bit, by `tests/soi_correctness.rs`; DESIGN §5 has what the
-    /// default saves per query.
+    /// Run Alg. 1 as the paper states it (the [`paper`](crate::soi::paper)
+    /// module): accesses follow the paper's practical cycle
+    /// ([`PAPER_CYCLE`](crate::soi::paper::PAPER_CYCLE)), SL2 ranks every
+    /// segment by the O(1) bound on `|Cε(ℓ)|`, `UB` is the verbatim
+    /// `top(SL1)·top(SL2)/(2ε·top(SL3)+πε²)`, and no segment is dismissed by
+    /// a bound. Default false: one best-first loop pops SL2's head, the
+    /// segment with the largest prefix-sum bound `b(ℓ)`, `UB` is `b` of that
+    /// head, and `b` dismisses segments against `LBk`. A test-only mode:
+    /// both are held to brute force, and to the baseline bit for bit, by
+    /// `tests/soi_correctness.rs`; DESIGN §5 has what the default saves.
     pub paper_bounds_only: bool,
 }
 

@@ -11,9 +11,10 @@
 //! included. A score read back is never below the score put in, so a list
 //! head still bounds everything after it.
 //!
-//! SL2 is a [`GroupedList`]: groups ranked by a bound that covers every
-//! member, and a group's members ranked only once the group reaches the
-//! head, yet read in exactly the order one list of all members gives.
+//! The default's SL2 is a [`GroupedList`]: groups ranked by a bound that
+//! covers every member, and a group's members ranked only once the group
+//! reaches the head, yet read in exactly the order one list of all members
+//! gives. Paper mode's SL1 and SL2 are plain [`RankedList`]s.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -51,6 +52,11 @@ impl<I: Copy + From<u32> + Into<u32>> Ranked<I> {
     pub fn id(self) -> I {
         I::from(!(self.key as u32))
     }
+}
+
+/// `score` as an entry ranked by it reads it back.
+pub(crate) fn rounded_score(score: f64) -> f64 {
+    Ranked::new(score, 0u32).score()
 }
 
 /// Entries the first read sorts.
@@ -127,10 +133,8 @@ impl<I: Copy + From<u32> + Into<u32>> RankedList<I> {
 #[derive(Debug)]
 pub(crate) struct GroupedList<G, I> {
     groups: RankedList<G>,
-    /// The keys of the expanded members and of those listed directly.
+    /// The keys of the expanded members.
     members: BinaryHeap<u64>,
-    /// Groups and direct members listed by the last refill.
-    listed: usize,
     id: PhantomData<I>,
 }
 
@@ -139,7 +143,6 @@ impl<G, I> Default for GroupedList<G, I> {
         Self {
             groups: RankedList::default(),
             members: BinaryHeap::new(),
-            listed: 0,
             id: PhantomData,
         }
     }
@@ -150,26 +153,18 @@ where
     G: Copy + From<u32> + Into<u32>,
     I: Copy + From<u32> + Into<u32>,
 {
-    /// Lists `groups`, and `members` outside any group, instead, keeping
-    /// the capacity. Room for `capacity` members is reserved, so no read
-    /// below that many reallocates (reserved is address space, touched only
-    /// as far as it is filled).
-    pub fn refill(
-        &mut self,
-        groups: impl IntoIterator<Item = Ranked<G>>,
-        members: impl IntoIterator<Item = Ranked<I>>,
-        capacity: usize,
-    ) {
+    /// Lists `groups` instead, keeping the capacity. Room for `capacity`
+    /// members is reserved, so no read below that many reallocates
+    /// (reserved is address space, touched only as far as it is filled).
+    pub fn refill(&mut self, groups: impl IntoIterator<Item = Ranked<G>>, capacity: usize) {
         self.groups.refill(groups);
         self.members.clear();
         self.members.reserve(capacity);
-        self.members.extend(members.into_iter().map(|m| m.key));
-        self.listed = self.groups.len() + self.members.len();
     }
 
-    /// Groups and direct members listed, read or not.
+    /// Groups listed, expanded or not.
     pub fn len(&self) -> usize {
-        self.listed
+        self.groups.len()
     }
 
     /// The first member not yet popped. `expand` gives a group's members.
@@ -268,16 +263,14 @@ mod tests {
         /// rounded (1 + 2⁻³⁰ and 1 + 2⁻⁵² round onto 1 + 2⁻²³); a group
         /// scores its best member, or above it by a rounding step, double or
         /// 0.5 more (so a group with no positive member is listed too);
-        /// some members are listed outside any group; zero-score members
-        /// are dropped on expansion. The list is refilled over a half-read
-        /// earlier one.
+        /// zero-score members are dropped on expansion. The list is
+        /// refilled over a half-read earlier one.
         #[test]
         fn grouped_reads_equal_one_list_of_the_members(
             groups in proptest::collection::vec(
                 (proptest::collection::vec(0usize..8, 0..12), 0usize..4),
                 0..200,
             ),
-            direct in proptest::collection::vec(1usize..8, 0..20),
             earlier in 0usize..300,
         ) {
             const SCORES: [f64; 8] = [
@@ -304,20 +297,12 @@ mod tests {
                 });
                 members.push(group);
             }
-            let direct: Vec<(f64, u32)> = direct
-                .iter()
-                .map(|&p| {
-                    next_id += 1;
-                    (SCORES[p], next_id.wrapping_mul(2_654_435_761))
-                })
-                .collect();
 
             let mut one = RankedList::<u32>::default();
             one.refill(
                 members
                     .iter()
                     .flatten()
-                    .chain(&direct)
                     .filter(|m| m.0 > 0.0)
                     .map(|&(score, id)| Ranked::new(score, id)),
             );
@@ -333,11 +318,7 @@ mod tests {
                     .map(|&(score, id)| Ranked::new(score, id))
             };
             let mut list = GroupedList::<u32, u32>::default();
-            list.refill(
-                (0..earlier as u32).map(|g| Ranked::new(f64::from(g), g)),
-                [],
-                0,
-            );
+            list.refill((0..earlier as u32).map(|g| Ranked::new(f64::from(g), g)), 0);
             let earlier_members = |g: u32| [Ranked::new(f64::from(g) / 2.0, g)];
             for _ in 0..earlier / 2 {
                 list.pop(earlier_members);
@@ -347,8 +328,7 @@ mod tests {
                 .enumerate()
                 .filter(|(_, &score)| score > 0.0)
                 .map(|(g, &score)| Ranked::new(score, g as u32));
-            let positive_direct = direct.iter().filter(|m| m.0 > 0.0);
-            list.refill(listed, positive_direct.map(|&(score, id)| Ranked::new(score, id)), 16);
+            list.refill(listed, 16);
             let mut read = Vec::with_capacity(expected.len());
             while let Some(first) = list.peek(expand) {
                 let popped = list.pop(expand).map(|e| e.key);

@@ -13,8 +13,8 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use soi_common::{FxHashMap, KeywordId, SegmentId, StreetId};
-use soi_core::soi::strategy::Source;
+use soi_common::{CellId, FxHashMap, KeywordId, SegmentId, StreetId};
+use soi_core::soi::explain::Source;
 use soi_core::soi::{
     brute_force, exact_street_interests, run_baseline, run_soi, run_soi_full, run_soi_with_scratch,
     SoiConfig, SoiExplain, SoiOutcome, SoiQuery, SoiScratch, StreetAggregate,
@@ -631,6 +631,30 @@ fn explain_trajectory_matches_termination_and_results() {
             .count();
         assert_eq!(explain.lists.sl2, listed, "seed {seed}");
         assert!(listed > 0, "seed {seed}");
+        // SL1 is not built by default: `lists.sl1` counts the cells a query
+        // keyword reaches, and every row's `top_sl1` is their largest
+        // `relcount` (global postings summed in query-keyword order, capped
+        // by the cell's total weight), rounded up to an `f32`.
+        let view = IndexView::from(&index);
+        let mut relcount: FxHashMap<CellId, f64> = FxHashMap::default();
+        for k in query.keywords.iter() {
+            for &(cell, w) in view.global_postings(k) {
+                *relcount.entry(cell).or_insert(0.0) += w;
+            }
+        }
+        assert_eq!(explain.lists.sl1, relcount.len(), "seed {seed}");
+        let largest = relcount
+            .iter()
+            .map(|(&cell, &sum)| sum.min(view.cell_total_weight(cell)))
+            .fold(0.0, f64::max);
+        let mut top_sl1 = largest as f32;
+        if f64::from(top_sl1) < largest {
+            top_sl1 = top_sl1.next_up();
+        }
+        assert!(largest > 0.0, "seed {seed}");
+        for row in &explain.rows {
+            assert_eq!(row.top_sl1, f64::from(top_sl1), "seed {seed}: {row:?}");
+        }
         assert_eq!(
             explain.stats.as_ref().map(|s| s.accesses),
             Some(explained.stats.accesses)

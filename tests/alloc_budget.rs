@@ -2,8 +2,8 @@
 //! deterministic gates.
 //!
 //! A query run on a scratch that has already seen its shape draws every
-//! source list, dense table, cell-list arena and the k best street bounds
-//! from that scratch. What is left to allocate is the answer itself: the
+//! source list, dense table, cell-list arena (paper mode's) and the k best
+//! street bounds from that scratch. What is left to allocate is the answer itself: the
 //! ranking's bounded heap, its sorted copy and the result vector — three
 //! allocations, whatever `k` is and whatever the query visits. Allocation
 //! and work counts repeat exactly on a fixed fixture (unlike wall-clock),
@@ -27,11 +27,11 @@ use soi_obs::AllocScope;
 
 const EPS: f64 = 0.0005;
 
-/// Allocations a warm query may make: the 3 every query of the fixture
-/// makes, plus 5 of slack for an answer assembled another way. `LBk` kept
-/// in per-query tree nodes (the state before it was the k best in one
-/// retained vector) made 13–62 here; one allocation per rasterised segment
-/// or visited cell would add hundreds.
+/// Allocations a warm query may make, in either bound mode: the 3 every
+/// query of the fixture makes, plus 5 of slack for an answer assembled
+/// another way. `LBk` kept in per-query tree nodes (the state before it was
+/// the k best in one retained vector) made 13–62 here; one allocation per
+/// rasterised segment or visited cell would add hundreds.
 const WARM_ALLOCS_CEILING: u64 = 8;
 
 #[test]
@@ -47,45 +47,56 @@ fn warm_queries_allocate_a_few_dozen_times_whatever_they_visit() {
     .into_iter()
     .map(|(k, kws, eps)| SoiQuery::new(dataset.query_keywords(kws), k, eps).expect("valid"))
     .collect();
-    let config = SoiConfig::default();
-    let mut scratch = SoiScratch::default();
-    let mut run = |query: &SoiQuery| {
-        let scope = AllocScope::start();
-        let outcome = run_soi_with_scratch(
-            &dataset.network,
-            &dataset.pois,
-            &index,
-            query,
-            &config,
-            &mut scratch,
-        )
-        .expect("valid query");
-        (scope.finish().allocs, outcome)
-    };
-    let cold: Vec<u64> = queries.iter().map(|q| run(q).0).collect();
-    // Two warm passes: the second must repeat the first exactly.
-    let warm: Vec<(u64, usize)> = queries
-        .iter()
-        .chain(&queries)
-        .map(|q| {
-            let (allocs, outcome) = run(q);
-            assert!(!outcome.results.is_empty(), "degenerate fixture");
-            let visited = outcome.stats.cell_visits + outcome.stats.segments_seen;
-            (allocs, visited)
-        })
-        .collect();
-    let (first, second) = warm.split_at(queries.len());
-    assert_eq!(first, second, "allocation and work counts must repeat");
-    for (&(allocs, visited), &cold) in first.iter().zip(&cold) {
-        assert!(
-            allocs <= WARM_ALLOCS_CEILING,
-            "warm query made {allocs} allocations (ceiling {WARM_ALLOCS_CEILING})"
+    // Both bound modes, each on its own scratch, under the same ceiling.
+    for paper_bounds_only in [false, true] {
+        let config = SoiConfig { paper_bounds_only };
+        let mut scratch = SoiScratch::default();
+        let mut run = |query: &SoiQuery| {
+            let scope = AllocScope::start();
+            let outcome = run_soi_with_scratch(
+                &dataset.network,
+                &dataset.pois,
+                &index,
+                query,
+                &config,
+                &mut scratch,
+            )
+            .expect("valid query");
+            (scope.finish().allocs, outcome)
+        };
+        let cold: Vec<u64> = queries.iter().map(|q| run(q).0).collect();
+        // Two warm passes: the second must repeat the first exactly.
+        let warm: Vec<(u64, usize)> = queries
+            .iter()
+            .chain(&queries)
+            .map(|q| {
+                let (allocs, outcome) = run(q);
+                assert!(!outcome.results.is_empty(), "degenerate fixture");
+                let visited = outcome.stats.cell_visits + outcome.stats.segments_seen;
+                (allocs, visited)
+            })
+            .collect();
+        let (first, second) = warm.split_at(queries.len());
+        let mode = if paper_bounds_only {
+            "paper"
+        } else {
+            "default"
+        };
+        assert_eq!(
+            first, second,
+            "{mode}: allocation and work counts must repeat"
         );
-        assert!(allocs <= cold, "warm {allocs} > cold {cold}");
-        assert!(
-            visited as u64 > 4 * WARM_ALLOCS_CEILING,
-            "fixture too small to tell per-visit allocation apart: {visited} visits"
-        );
+        for (&(allocs, visited), &cold) in first.iter().zip(&cold) {
+            assert!(
+                allocs <= WARM_ALLOCS_CEILING,
+                "{mode}: warm query made {allocs} allocations (ceiling {WARM_ALLOCS_CEILING})"
+            );
+            assert!(allocs <= cold, "{mode}: warm {allocs} > cold {cold}");
+            assert!(
+                visited as u64 > 4 * WARM_ALLOCS_CEILING,
+                "{mode}: fixture too small to tell per-visit allocation apart: {visited} visits"
+            );
+        }
     }
 }
 
