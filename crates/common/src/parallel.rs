@@ -114,49 +114,7 @@ where
     T: Send,
     F: Fn(&T, &T) -> Ordering + Sync,
 {
-    const MIN_PARALLEL_LEN: usize = 8192;
-    let threads = threads.clamp(1, MAX_THREADS);
-    if threads <= 1 || v.len() < MIN_PARALLEL_LEN {
-        v.sort_by(cmp);
-        return;
-    }
-    let ranges = chunk_ranges(v.len(), threads);
-    {
-        let mut rest: &mut [T] = v.as_mut_slice();
-        let mut parts: Vec<&mut [T]> = Vec::with_capacity(ranges.len());
-        for &(s, e) in &ranges {
-            let (head, tail) = rest.split_at_mut(e - s);
-            parts.push(head);
-            rest = tail;
-        }
-        let result = cb::scope(|scope| {
-            for part in parts {
-                let cmp = &cmp;
-                scope.spawn(move |_| part.sort_by(cmp));
-            }
-        });
-        if let Err(panic) = result {
-            std::panic::resume_unwind(panic);
-        }
-    }
-    // Pairwise stable merges of the sorted runs until one run remains.
-    let mut runs: Vec<Vec<T>> = Vec::with_capacity(ranges.len());
-    let mut drain = std::mem::take(v).into_iter();
-    for &(s, e) in &ranges {
-        runs.push(drain.by_ref().take(e - s).collect());
-    }
-    while runs.len() > 1 {
-        let mut merged: Vec<Vec<T>> = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut it = runs.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => merged.push(stable_merge(a, b, &cmp)),
-                None => merged.push(a),
-            }
-        }
-        runs = merged;
-    }
-    *v = runs.pop().unwrap_or_default();
+    par_sort_chunks(v, threads, cmp, |part, cmp| part.sort_by(cmp));
 }
 
 /// Parallel unstable sort for keys under a **total order with no duplicates**
@@ -172,10 +130,21 @@ where
     T: Send,
     F: Fn(&T, &T) -> Ordering + Sync,
 {
+    par_sort_chunks(v, threads, cmp, |part, cmp| part.sort_unstable_by(cmp));
+}
+
+/// Sorts `v` with `sort` alone for small inputs or one thread; otherwise
+/// sorts its chunks concurrently with `sort` and merges the sorted runs
+/// pairwise with [`stable_merge`] until one run remains.
+fn par_sort_chunks<T, F>(v: &mut Vec<T>, threads: usize, cmp: F, sort: fn(&mut [T], &F))
+where
+    T: Send,
+    F: Fn(&T, &T) -> Ordering + Sync,
+{
     const MIN_PARALLEL_LEN: usize = 8192;
     let threads = threads.clamp(1, MAX_THREADS);
     if threads <= 1 || v.len() < MIN_PARALLEL_LEN {
-        v.sort_unstable_by(cmp);
+        sort(v, &cmp);
         return;
     }
     let ranges = chunk_ranges(v.len(), threads);
@@ -190,7 +159,7 @@ where
         let result = cb::scope(|scope| {
             for part in parts {
                 let cmp = &cmp;
-                scope.spawn(move |_| part.sort_unstable_by(cmp));
+                scope.spawn(move |_| sort(part, cmp));
             }
         });
         if let Err(panic) = result {

@@ -9,7 +9,7 @@
 
 use crate::describe::{bounds, measures};
 use soi_common::{PhotoId, PoiId, Result, SoiError, StreetId};
-use soi_data::{PhotoCollection, PhotoView, PoiCollection};
+use soi_data::{Dataset, PhotoCollection, PhotoView, PoiCollection};
 use soi_geo::Point;
 use soi_index::{DeltaIndex, DeltaOp, DiversificationIndex, PhotoGrid};
 use soi_network::RoadNetwork;
@@ -135,6 +135,25 @@ pub struct ContextBuilder<'a> {
 }
 
 impl<'a> ContextBuilder<'a> {
+    /// The builder over a whole dataset: its network, photos and POIs, the
+    /// photo grid built over it, and `Φs` drawn from the photos.
+    pub fn for_dataset(
+        dataset: &'a Dataset,
+        photo_grid: &'a PhotoGrid,
+        eps: f64,
+        rho: f64,
+    ) -> Self {
+        Self {
+            network: &dataset.network,
+            photos: &dataset.photos,
+            photo_grid,
+            pois: Some(&dataset.pois),
+            eps,
+            rho,
+            phi_source: PhiSource::Photos,
+        }
+    }
+
     /// Builds the description context for `street`.
     ///
     /// # Errors

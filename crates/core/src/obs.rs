@@ -21,8 +21,6 @@ pub struct SoiMetrics {
     pub queries: &'static Counter,
     /// `soi_query_latency_seconds`: end-to-end `run_soi` latency.
     pub latency: &'static Histogram,
-    /// `soi_cells_popped_total`: SL1 cell pops (Alg. 1 line 11).
-    pub cells_popped: &'static Counter,
     /// `soi_segments_popped_total`: SL2/SL3 segment pops.
     pub segments_popped: &'static Counter,
     /// `soi_cell_visits_total`: effective `UpdateInterest` executions.
@@ -49,7 +47,6 @@ pub fn soi_metrics() -> &'static SoiMetrics {
             "End-to-end run_soi latency",
             DEFAULT_LATENCY_BUCKETS,
         ),
-        cells_popped: register_counter("soi_cells_popped_total", "SL1 cells popped"),
         segments_popped: register_counter("soi_segments_popped_total", "SL2/SL3 segments popped"),
         cell_visits: register_counter(
             "soi_cell_visits_total",
@@ -76,7 +73,6 @@ pub fn absorb_query_stats(stats: &QueryStats) {
     let m = soi_metrics();
     m.queries.inc();
     m.latency.observe_duration(stats.total_time());
-    m.cells_popped.add(stats.cells_popped as u64);
     m.segments_popped.add(stats.segments_popped as u64);
     m.cell_visits.add(stats.cell_visits as u64);
     m.segments_seen.add(stats.segments_seen as u64);
@@ -173,14 +169,14 @@ mod tests {
 
     #[test]
     fn absorb_accumulates_counters() {
-        let before = soi_metrics().cells_popped.get();
+        let before = soi_metrics().segments_popped.get();
         let stats = QueryStats {
-            cells_popped: 5,
+            segments_popped: 5,
             accesses: 9,
             ..Default::default()
         };
         absorb_query_stats(&stats);
-        assert!(soi_metrics().cells_popped.get() >= before + 5);
+        assert!(soi_metrics().segments_popped.get() >= before + 5);
         assert!(soi_metrics().queries.get() >= 1);
     }
 

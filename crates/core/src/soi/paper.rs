@@ -142,11 +142,9 @@ struct SeenTables {
     /// Per segment: set once it is *final* — every cell of its `Cε(ℓ)`
     /// visited, so no cell can change it. Only seen segments are final.
     dead: SegmentBits,
-    /// The live segments of the cell access under way, ascending once
-    /// collected, and one bit per segment that is set while it is listed:
-    /// a segment crosses several cells of a ring and is listed once.
+    /// The live segments of the cell access under way, ascending and each
+    /// once: a segment crosses several cells of a ring.
     ring: Vec<SegmentId>,
-    queued: SegmentBits,
     arenas: Arenas,
     /// Rasterisation buffer for one segment's `Cε(ℓ)`.
     near_cells: Vec<CellId>,
@@ -159,18 +157,10 @@ impl SeenTables {
             self.slot[state.seg.index()] = 0;
             self.dead.clear(state.seg);
         }
-        self.unqueue_ring();
+        self.ring.clear();
         self.slot.resize(num_segments, 0);
         self.dead.fit(num_segments);
-        self.queued.fit(num_segments);
         self.arenas.clear();
-    }
-
-    /// Empties `ring`, clearing its segments' `queued` bits.
-    fn unqueue_ring(&mut self) {
-        for seg in self.ring.drain(..) {
-            self.queued.clear(seg);
-        }
     }
 }
 
@@ -226,22 +216,15 @@ impl Filtering<'_> {
     /// ascending id order — the order `states` is filled in, whatever the
     /// rows' order.
     fn access_cell(&mut self, inputs: &Inputs<'_>, cell: CellId, stats: &mut QueryStats) {
-        let seen = &mut *self.seen;
-        seen.unqueue_ring();
-        let SeenTables {
-            dead, ring, queued, ..
-        } = seen;
+        let SeenTables { dead, ring, .. } = &mut *self.seen;
+        ring.clear();
         inputs
             .index
             .for_each_raster_row_near_cell(cell, inputs.query.eps, |row| {
-                for &seg in row {
-                    if !(dead.get(seg) || queued.get(seg)) {
-                        queued.set(seg);
-                        ring.push(seg);
-                    }
-                }
+                ring.extend(row.iter().filter(|&&seg| !dead.get(seg)));
             });
         ring.sort_unstable();
+        ring.dedup();
         for at in 0..self.seen.ring.len() {
             let seg = self.seen.ring[at];
             self.update_interest(inputs, seg, cell, stats);

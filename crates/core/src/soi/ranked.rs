@@ -1,20 +1,19 @@
-//! Lazily ordered source lists.
+//! Source lists read best-first.
 //!
-//! Alg. 1 stops after reading a short prefix of SL1 and SL2, so neither is
-//! sorted whole: a query fills a [`RankedList`] with [`Ranked`] entries, and
-//! a read selects the next best entries in O(n) and sorts just those. An
-//! entry is one `u64` — its score rounded *up* to an `f32` in the high
-//! half, its id complemented in the low half — so ordering compares
-//! integers, and the integer order *is* the list's order: rounded score
-//! descending, then id ascending. Ids are unique within a list, so the
-//! order is total and the read sequence is the sorted sequence, ties
+//! An entry is one [`Ranked`] `u64` — its score rounded *up* to an `f32` in
+//! the high half, its id complemented in the low half — so ordering
+//! compares integers, and the integer order *is* the list's order: rounded
+//! score descending, then id ascending. Ids are unique within a list, so
+//! the order is total and the read sequence is the sorted sequence, ties
 //! included. A score read back is never below the score put in, so a list
 //! head still bounds everything after it.
 //!
-//! The default's SL2 is a [`GroupedList`]: groups ranked by a bound that
-//! covers every member, and a group's members ranked only once the group
-//! reaches the head, yet read in exactly the order one list of all members
-//! gives. Paper mode's SL1 and SL2 are plain [`RankedList`]s.
+//! The default's SL2 is a [`GroupedList`]: Alg. 1 stops after reading a
+//! short prefix of it, so it keeps its groups and their expanded members in
+//! two heaps and orders only what it reads. A group's members are ranked
+//! only once the group reaches the head, yet read in exactly the order one
+//! list of all members gives. Paper mode's SL1 and SL2 are plain
+//! [`RankedList`]s, sorted once when filled.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -59,19 +58,12 @@ pub(crate) fn rounded_score(score: f64) -> f64 {
     Ranked::new(score, 0u32).score()
 }
 
-/// Entries the first read sorts.
-const FIRST_SORT: usize = 1024;
-
-/// A source list read best-first and ordered only as far as it is read:
-/// whenever the reads reach the end of the sorted run, the next best
-/// entries — as many as are sorted already, at least [`FIRST_SORT`] — are
-/// selected in O(n) and sorted. Reading `p` of `n` entries costs
-/// O(n·log(p / FIRST_SORT) + p·log p), against a heap's O(n + p·log n).
+/// A source list read best-first: [`refill`](Self::refill) sorts it once,
+/// and reads walk it from the head.
 #[derive(Debug)]
 pub(crate) struct RankedList<I> {
-    /// `..sorted` in list order; the rest unordered, all after them.
+    /// In list order.
     entries: Vec<Ranked<I>>,
-    sorted: usize,
     /// The entry the next read returns.
     head: usize,
 }
@@ -80,7 +72,6 @@ impl<I> Default for RankedList<I> {
     fn default() -> Self {
         Self {
             entries: Vec::new(),
-            sorted: 0,
             head: 0,
         }
     }
@@ -91,7 +82,7 @@ impl<I: Copy + From<u32> + Into<u32>> RankedList<I> {
     pub fn refill(&mut self, entries: impl IntoIterator<Item = Ranked<I>>) {
         self.entries.clear();
         self.entries.extend(entries);
-        self.sorted = 0;
+        self.entries.sort_unstable_by_key(|e| Reverse(e.key));
         self.head = 0;
     }
 
@@ -101,16 +92,7 @@ impl<I: Copy + From<u32> + Into<u32>> RankedList<I> {
     }
 
     /// The first entry not yet popped.
-    pub fn peek(&mut self) -> Option<Ranked<I>> {
-        if self.head == self.sorted && self.sorted < self.entries.len() {
-            let rest = &mut self.entries[self.sorted..];
-            let take = self.sorted.max(FIRST_SORT).min(rest.len());
-            if take < rest.len() {
-                rest.select_nth_unstable_by_key(take, |e| Reverse(e.key));
-            }
-            rest[..take].sort_unstable_by_key(|e| Reverse(e.key));
-            self.sorted += take;
-        }
+    pub fn peek(&self) -> Option<Ranked<I>> {
         self.entries.get(self.head).copied()
     }
 
@@ -123,25 +105,29 @@ impl<I: Copy + From<u32> + Into<u32>> RankedList<I> {
 }
 
 /// A source list of members `I` in groups `G`, each group listed with a
-/// score at or above each of its members' scores. A read first *expands*
-/// every group whose rounded score is at or above the best expanded member's
-/// (moving its members into a heap), then reads the heap. Every unexpanded
-/// member then scores strictly below the head, and ties on the rounded score
-/// are expanded before the head is read, so the reads are exactly
-/// [`RankedList`]'s over all members, ties included: members are read in
-/// (rounded score descending, id ascending) order.
+/// score at or above each of its members' scores, in a heap. A read first
+/// *expands* every group whose rounded score is at or above the best
+/// expanded member's (moving its members into a second heap), then reads
+/// that heap. Every unexpanded member then scores strictly below the head,
+/// and ties on the rounded score are expanded before the head is read, so
+/// the reads are exactly [`RankedList`]'s over all members, ties included:
+/// members are read in (rounded score descending, id ascending) order.
 #[derive(Debug)]
 pub(crate) struct GroupedList<G, I> {
-    groups: RankedList<G>,
+    /// The keys of the groups not yet expanded.
+    groups: BinaryHeap<u64>,
+    /// Groups listed, expanded or not.
+    listed: usize,
     /// The keys of the expanded members.
     members: BinaryHeap<u64>,
-    id: PhantomData<I>,
+    id: PhantomData<(G, I)>,
 }
 
 impl<G, I> Default for GroupedList<G, I> {
     fn default() -> Self {
         Self {
-            groups: RankedList::default(),
+            groups: BinaryHeap::new(),
+            listed: 0,
             members: BinaryHeap::new(),
             id: PhantomData,
         }
@@ -157,14 +143,16 @@ where
     /// members is reserved, so no read below that many reallocates
     /// (reserved is address space, touched only as far as it is filled).
     pub fn refill(&mut self, groups: impl IntoIterator<Item = Ranked<G>>, capacity: usize) {
-        self.groups.refill(groups);
+        self.groups.clear();
+        self.groups.extend(groups.into_iter().map(|g| g.key));
+        self.listed = self.groups.len();
         self.members.clear();
         self.members.reserve(capacity);
     }
 
     /// Groups listed, expanded or not.
     pub fn len(&self) -> usize {
-        self.groups.len()
+        self.listed
     }
 
     /// The first member not yet popped. `expand` gives a group's members.
@@ -172,15 +160,19 @@ where
     where
         M: IntoIterator<Item = Ranked<I>>,
     {
-        while let Some(group) = self.groups.peek() {
+        while let Some(&group) = self.groups.peek() {
             if self
                 .members
                 .peek()
-                .is_some_and(|&head| head >> 32 > group.key >> 32)
+                .is_some_and(|&head| head >> 32 > group >> 32)
             {
                 break;
             }
             self.groups.pop();
+            let group = Ranked::<G> {
+                key: group,
+                id: PhantomData,
+            };
             self.members
                 .extend(expand(group.id()).into_iter().map(|m| m.key));
         }

@@ -70,6 +70,18 @@ impl Dataset {
         KeywordSet::from_ids(words.iter().filter_map(|w| self.vocab.lookup(w)))
     }
 
+    /// Resolves a comma-separated keyword list (`shop, food`) as
+    /// [`query_keywords`](Self::query_keywords) does; `None` when the list
+    /// names no word (blank items are skipped).
+    pub fn parse_keyword_list(&self, raw: &str) -> Option<KeywordSet> {
+        let words: Vec<&str> = raw
+            .split(',')
+            .map(str::trim)
+            .filter(|w| !w.is_empty())
+            .collect();
+        (!words.is_empty()).then(|| self.query_keywords(&words))
+    }
+
     /// Looks up a street id by exact name (first match).
     pub fn street_by_name(&self, name: &str) -> Option<soi_common::StreetId> {
         self.network

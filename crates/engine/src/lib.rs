@@ -137,8 +137,6 @@ pub struct BatchStats {
     pub threads: usize,
     /// Wall-clock time of the whole batch.
     pub wall_time: Duration,
-    /// Summed cells popped from SL1.
-    pub cells_popped: usize,
     /// Summed segments popped from SL2/SL3.
     pub segments_popped: usize,
     /// Summed effective `UpdateInterest` executions.
@@ -218,14 +216,7 @@ impl EngineTelemetry {
     /// Exact `q`-quantile (`0 ≤ q ≤ 1`) of the per-query latencies: the
     /// `⌈q·n⌉`-th smallest. `None` when no query succeeded.
     pub fn latency_quantile(&self, q: f64) -> Option<Duration> {
-        if self.query_latencies.is_empty() {
-            return None;
-        }
-        let mut sorted = self.query_latencies.clone();
-        sorted.sort_unstable();
-        let n = sorted.len();
-        let rank = (q.clamp(0.0, 1.0) * n as f64).ceil() as usize;
-        sorted.get(rank.saturating_sub(1)).copied()
+        exact_quantile(&self.query_latencies, q)
     }
 
     /// Renders the snapshot as a JSON object (the `--stats-json` payload).
@@ -239,7 +230,6 @@ impl EngineTelemetry {
         obj.field_f64("wall_time_ms", ms(self.stats.wall_time));
         obj.field_f64("queries_per_second", self.stats.queries_per_second());
         let mut counters = soi_obs::json::JsonWriter::object();
-        counters.field_u64("cells_popped", self.stats.cells_popped as u64);
         counters.field_u64("segments_popped", self.stats.segments_popped as u64);
         counters.field_u64("cell_visits", self.stats.cell_visits as u64);
         counters.field_u64("segments_seen", self.stats.segments_seen as u64);
@@ -269,7 +259,7 @@ impl EngineTelemetry {
             ("peak_bytes", &self.query_alloc_peaks),
         ] {
             let mut dist = soi_obs::json::JsonWriter::object();
-            match quantile_u64(vals, 0.50) {
+            match exact_quantile(vals, 0.50) {
                 Some(v) => dist.field_u64("p50", v),
                 None => dist.field_raw("p50", "null"),
             }
@@ -298,10 +288,7 @@ impl EngineTelemetry {
 
 /// Exact `q`-quantile of `vals` (the `⌈q·n⌉`-th smallest), `None` when
 /// empty.
-fn quantile_u64(vals: &[u64], q: f64) -> Option<u64> {
-    if vals.is_empty() {
-        return None;
-    }
+fn exact_quantile<T: Copy + Ord>(vals: &[T], q: f64) -> Option<T> {
     let mut sorted = vals.to_vec();
     sorted.sort_unstable();
     let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
@@ -310,7 +297,6 @@ fn quantile_u64(vals: &[u64], q: f64) -> Option<u64> {
 
 impl BatchStats {
     fn absorb(&mut self, stats: &QueryStats) {
-        self.cells_popped += stats.cells_popped;
         self.segments_popped += stats.segments_popped;
         self.cell_visits += stats.cell_visits;
         self.segments_seen += stats.segments_seen;

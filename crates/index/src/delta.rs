@@ -25,7 +25,7 @@
 //! meaningful and replays must respect the recorded boundaries.
 
 use soi_common::{CellId, FxHashMap, FxHashSet, KeywordId, PhotoId, PoiId, Result, SoiError};
-use soi_data::{Photo, PhotoCollection, PhotoView, Poi, PoiCollection, PoiView};
+use soi_data::{Dataset, Photo, PhotoCollection, PhotoView, Poi, PoiCollection, PoiView};
 use soi_geo::Point;
 use soi_obs::json::{self, Json};
 use soi_text::{KeywordSet, Vocabulary};
@@ -677,6 +677,65 @@ impl DeltaIndex {
     ) -> (PoiCollection, PhotoCollection) {
         fold(base_pois, base_photos, &self.rows)
     }
+}
+
+// ---------------------------------------------------------------------------
+// Delta-log replay
+// ---------------------------------------------------------------------------
+
+/// Folds a delta-ops log into `base`, one [`fold_ops`]
+/// batch per boundary: `boundaries` are the ascending line counts at which
+/// the folds happened. They are semantic, not cosmetic: every fold
+/// reassigns dense ids (base survivors first, then added survivors), and an
+/// op addresses the id space of the epoch it was accepted in. Only lines up
+/// to the last boundary are applied; the tail is the next epoch's pending
+/// delta and is left to the caller.
+///
+/// Lines are parsed against the base vocabulary; every line must be one
+/// accepted op (the log is written post-validation, so blank or rejected
+/// lines never reach it).
+///
+/// # Errors
+/// Out-of-range or non-ascending boundaries, unparsable lines, or any
+/// [`fold_ops`] validation failure (with the 1-based log
+/// line attached).
+pub fn fold_dataset<S: AsRef<str>>(
+    base: &Dataset,
+    lines: &[S],
+    boundaries: &[u64],
+) -> Result<Dataset> {
+    let mut pois = base.pois.clone();
+    let mut photos = base.photos.clone();
+    let mut prev = 0usize;
+    for &b in boundaries {
+        let b = b as usize;
+        if b < prev || b > lines.len() {
+            return Err(SoiError::invalid(format!(
+                "fold boundary {b} out of range (previous {prev}, log has {} lines)",
+                lines.len()
+            )));
+        }
+        let mut ops = Vec::with_capacity(b - prev);
+        for (i, line) in lines[prev..b].iter().enumerate() {
+            ops.push(
+                DeltaOp::parse_line(line.as_ref(), &base.vocab).map_err(|e| {
+                    SoiError::invalid(format!("delta log line {}: {e}", prev + i + 1))
+                })?,
+            );
+        }
+        let (next_pois, next_photos) = fold_ops(&pois, &photos, &ops)
+            .map_err(|e| SoiError::invalid(format!("folding log lines {}..{b}: {e}", prev + 1)))?;
+        pois = next_pois;
+        photos = next_photos;
+        prev = b;
+    }
+    Ok(Dataset::new(
+        base.name.clone(),
+        base.network.clone(),
+        base.vocab.clone(),
+        pois,
+        photos,
+    ))
 }
 
 #[cfg(test)]

@@ -37,14 +37,14 @@ pub mod poi_index;
 pub mod snapshot;
 pub mod view;
 
-pub use delta::{fold_ops, DeltaIndex, DeltaOp};
+pub use delta::{fold_dataset, fold_ops, DeltaIndex, DeltaOp};
 pub use div_index::{DivCell, DiversificationIndex};
 pub use epoch::EpochedIndex;
 pub use epsilon::EpsilonMaps;
 pub use photo_grid::PhotoGrid;
 pub use poi_index::{PoiCell, PoiIndex};
 pub use snapshot::{
-    build_bundle, dataset_fingerprint, fold_dataset, read_bundle, write_bundle, BundleParams,
-    CacheMode, CacheOutcome, IndexBundle, IndexCache, ReadOutcome,
+    build_bundle, dataset_fingerprint, read_bundle, write_bundle, BundleParams, CacheMode,
+    CacheOutcome, IndexBundle, IndexCache, ReadOutcome,
 };
 pub use view::{mass_within, IndexView};

@@ -12,11 +12,23 @@
 //! exposition format (the `soi metrics` CLI command); [`gather_prefixed`]
 //! restricts to one name prefix, which tests use to stay independent of
 //! whatever else the process has recorded.
+//!
+//! The instruments live in `metrics/instruments.rs` (counters, gauges,
+//! histograms) and `metrics/windowed.rs` (the rolling-window wheel); this
+//! file holds the registry and the exposition.
+
+mod instruments;
+mod windowed;
+
+pub use instruments::{
+    Counter, Gauge, Histogram, HistogramSnapshot, ALLOC_BYTES_BUCKETS, ALLOC_COUNT_BUCKETS,
+    DEFAULT_LATENCY_BUCKETS,
+};
+pub use windowed::{WindowedCounter, WindowedHistogram};
 
 use crate::json::write_f64;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// The instant the process metrics clock was first touched. Callers that
@@ -25,476 +37,6 @@ use std::time::Instant;
 pub fn process_epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
-}
-
-/// Default histogram buckets for query-scale latencies, in seconds
-/// (100 µs – 10 s, roughly logarithmic; Prometheus-style `le` bounds).
-pub const DEFAULT_LATENCY_BUCKETS: &[f64] = &[
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
-    5.0, 10.0,
-];
-
-/// Default histogram buckets for per-query heap-allocation counts
-/// (roughly logarithmic; a warm scratch-reusing query sits in the low
-/// thousands, a cold one an order of magnitude higher).
-pub const ALLOC_COUNT_BUCKETS: &[f64] = &[
-    16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0, 262144.0, 1048576.0,
-];
-
-/// Default histogram buckets for per-query peak heap bytes (4 KiB – 1 GiB,
-/// powers of four).
-pub const ALLOC_BYTES_BUCKETS: &[f64] = &[
-    4096.0,
-    16384.0,
-    65536.0,
-    262144.0,
-    1048576.0,
-    4194304.0,
-    16777216.0,
-    67108864.0,
-    268435456.0,
-    1073741824.0,
-];
-
-/// A monotonically increasing integer counter.
-#[derive(Debug)]
-pub struct Counter {
-    value: AtomicU64,
-}
-
-impl Counter {
-    const fn new() -> Self {
-        Self {
-            value: AtomicU64::new(0),
-        }
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge: a value that can move both ways (thread counts, cache sizes).
-#[derive(Debug)]
-pub struct Gauge {
-    bits: AtomicU64,
-}
-
-impl Gauge {
-    const fn new() -> Self {
-        Self {
-            bits: AtomicU64::new(0f64.to_bits()),
-        }
-    }
-
-    /// Sets the gauge.
-    pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: f64) {
-        let _ = self
-            .bits
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
-                Some((f64::from_bits(bits) + delta).to_bits())
-            });
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
-
-/// A fixed-bucket histogram with cumulative (`le`) bucket counts, in the
-/// Prometheus style. Percentiles ([`HistogramSnapshot::quantile`]) are
-/// estimated by linear interpolation inside the owning bucket.
-#[derive(Debug)]
-pub struct Histogram {
-    /// Upper bounds, strictly increasing; an implicit `+Inf` bucket
-    /// follows the last bound.
-    bounds: Vec<f64>,
-    /// Non-cumulative per-bucket counts, one per bound plus the `+Inf`
-    /// overflow bucket.
-    counts: Vec<AtomicU64>,
-    /// Sum of observed values, as f64 bits (CAS-updated).
-    sum_bits: AtomicU64,
-    count: AtomicU64,
-}
-
-impl Histogram {
-    fn new(bounds: &[f64]) -> Self {
-        let bounds: Vec<f64> = bounds.to_vec();
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
-        let counts = (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect();
-        Self {
-            bounds,
-            counts,
-            sum_bits: AtomicU64::new(0f64.to_bits()),
-            count: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one observation.
-    pub fn observe(&self, v: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        let _ = self
-            .sum_bits
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
-                Some((f64::from_bits(bits) + v).to_bits())
-            });
-    }
-
-    /// Records one observation given as a [`std::time::Duration`].
-    pub fn observe_duration(&self, d: std::time::Duration) {
-        self.observe(d.as_secs_f64());
-    }
-
-    /// Total number of observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Observations that exceeded the top finite bucket bound (landed in
-    /// the implicit `+Inf` bucket). A non-zero overflow means the bucket
-    /// layout saturates: quantile estimates are clamped to the top bound
-    /// and under-report the true tail.
-    pub fn overflow(&self) -> u64 {
-        self.counts.last().map_or(0, |c| c.load(Ordering::Relaxed))
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
-    }
-
-    /// A consistent-enough point-in-time copy for rendering and
-    /// percentile estimation.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            bounds: self.bounds.clone(),
-            counts: self
-                .counts
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            sum: self.sum(),
-            count: self.count(),
-        }
-    }
-}
-
-/// Point-in-time copy of a [`Histogram`].
-#[derive(Debug, Clone)]
-pub struct HistogramSnapshot {
-    /// Bucket upper bounds (the final `+Inf` bucket is implicit).
-    pub bounds: Vec<f64>,
-    /// Non-cumulative per-bucket counts; `counts.len() == bounds.len()+1`.
-    pub counts: Vec<u64>,
-    /// Sum of observations.
-    pub sum: f64,
-    /// Number of observations.
-    pub count: u64,
-}
-
-impl HistogramSnapshot {
-    /// Observations above the top finite bound (the `+Inf` bucket count):
-    /// the saturation counterpart of [`Histogram::overflow`]. When this is
-    /// non-zero, [`quantile`](Self::quantile) estimates touching the tail
-    /// are clamped to the largest finite bound.
-    pub fn overflow(&self) -> u64 {
-        self.counts.last().copied().unwrap_or(0)
-    }
-
-    /// Estimates the `q`-quantile (`0.0 ≤ q ≤ 1.0`) by linear
-    /// interpolation inside the bucket that holds the target rank. Returns
-    /// `None` when the histogram is empty. Values landing in the `+Inf`
-    /// bucket are reported as the largest finite bound.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = q.clamp(0.0, 1.0) * self.count as f64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let upto = seen + c;
-            if (upto as f64) >= rank {
-                let Some(&hi) = self.bounds.get(i) else {
-                    // +Inf bucket: the honest answer is "beyond the last
-                    // bound"; report that bound.
-                    return self.bounds.last().copied();
-                };
-                let lo = if i == 0 { 0.0 } else { self.bounds[i - 1] };
-                let frac = ((rank - seen as f64) / c as f64).clamp(0.0, 1.0);
-                return Some(lo + (hi - lo) * frac);
-            }
-            seen = upto;
-        }
-        self.bounds.last().copied()
-    }
-
-    /// Median estimate.
-    pub fn p50(&self) -> Option<f64> {
-        self.quantile(0.50)
-    }
-
-    /// 95th-percentile estimate.
-    pub fn p95(&self) -> Option<f64> {
-        self.quantile(0.95)
-    }
-
-    /// 99th-percentile estimate.
-    pub fn p99(&self) -> Option<f64> {
-        self.quantile(0.99)
-    }
-}
-
-/// Sentinel tick marking a wheel slot that has never been written.
-const EMPTY_SLOT: u64 = u64::MAX;
-
-/// One slot of a [`WindowedHistogram`] wheel: a plain bucket array tagged
-/// with the tick it currently belongs to.
-#[derive(Debug)]
-struct HistogramSlot {
-    /// Tick this slot's contents belong to; [`EMPTY_SLOT`] = never used.
-    tick: AtomicU64,
-    counts: Vec<AtomicU64>,
-    sum_bits: AtomicU64,
-    count: AtomicU64,
-}
-
-impl HistogramSlot {
-    fn new(n_counts: usize) -> Self {
-        Self {
-            tick: AtomicU64::new(EMPTY_SLOT),
-            counts: (0..n_counts).map(|_| AtomicU64::new(0)).collect(),
-            sum_bits: AtomicU64::new(0f64.to_bits()),
-            count: AtomicU64::new(0),
-        }
-    }
-
-    /// Rotates the slot to `tick` if it still holds an older one. Exactly
-    /// one racing thread wins the CAS and zeroes the slot; observations
-    /// racing with the zeroing may be lost, which is acceptable for a
-    /// rolling-window estimate (never for the cumulative instruments).
-    fn rotate_to(&self, tick: u64) {
-        let held = self.tick.load(Ordering::Acquire);
-        if held == tick {
-            return;
-        }
-        if self
-            .tick
-            .compare_exchange(held, tick, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok()
-        {
-            for c in &self.counts {
-                c.store(0, Ordering::Relaxed);
-            }
-            self.sum_bits.store(0f64.to_bits(), Ordering::Relaxed);
-            self.count.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// A rolling-window latency histogram: a wheel of `slots` sub-histograms,
-/// each covering `slot_secs` seconds. Observations land in the slot for
-/// the current tick (`elapsed / slot_secs`); a snapshot merges only the
-/// slots whose tick is inside the window, so the merged view reflects the
-/// last `slots × slot_secs` seconds rather than process lifetime.
-///
-/// Rotation is lock-free: the first observer of a new tick CAS-claims the
-/// stale slot and zeroes it. Ticks are injectable ([`Self::observe_at`],
-/// [`Self::snapshot_at`]) so rotation and merge behavior are
-/// deterministically testable; the wall-clock entry points derive the
-/// tick from [`process_epoch`].
-#[derive(Debug)]
-pub struct WindowedHistogram {
-    bounds: Vec<f64>,
-    slot_secs: u64,
-    slots: Vec<HistogramSlot>,
-}
-
-impl WindowedHistogram {
-    fn new(bounds: &[f64], slots: usize, slot_secs: u64) -> Self {
-        debug_assert!(slots >= 1 && slot_secs >= 1);
-        let bounds: Vec<f64> = bounds.to_vec();
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
-        let n_counts = bounds.len() + 1;
-        Self {
-            bounds,
-            slot_secs,
-            slots: (0..slots.max(1))
-                .map(|_| HistogramSlot::new(n_counts))
-                .collect(),
-        }
-    }
-
-    /// Length of the full window in seconds (`slots × slot_secs`).
-    pub fn window_secs(&self) -> u64 {
-        self.slots.len() as u64 * self.slot_secs
-    }
-
-    fn current_tick(&self) -> u64 {
-        process_epoch().elapsed().as_secs() / self.slot_secs
-    }
-
-    /// Records one observation at wall-clock time.
-    pub fn observe(&self, v: f64) {
-        self.observe_at(self.current_tick(), v);
-    }
-
-    /// Records one observation given as a [`std::time::Duration`].
-    pub fn observe_duration(&self, d: std::time::Duration) {
-        self.observe(d.as_secs_f64());
-    }
-
-    /// Records one observation at an explicit tick (tests; monotone ticks
-    /// expected — an observation older than the wheel is simply lost).
-    pub fn observe_at(&self, tick: u64, v: f64) {
-        let slot = &self.slots[(tick % self.slots.len() as u64) as usize];
-        slot.rotate_to(tick);
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
-        slot.counts[idx].fetch_add(1, Ordering::Relaxed);
-        slot.count.fetch_add(1, Ordering::Relaxed);
-        let _ = slot
-            .sum_bits
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
-                Some((f64::from_bits(bits) + v).to_bits())
-            });
-    }
-
-    /// Merged snapshot of the window ending at wall-clock now.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        self.snapshot_at(self.current_tick())
-    }
-
-    /// Merged snapshot of the window `(now_tick - slots, now_tick]`: slots
-    /// holding a tick outside that range are stale and excluded.
-    pub fn snapshot_at(&self, now_tick: u64) -> HistogramSnapshot {
-        let n = self.slots.len() as u64;
-        let oldest = now_tick.saturating_sub(n - 1);
-        let mut counts = vec![0u64; self.bounds.len() + 1];
-        let mut sum = 0.0f64;
-        let mut count = 0u64;
-        for slot in &self.slots {
-            let tick = slot.tick.load(Ordering::Acquire);
-            if tick == EMPTY_SLOT || tick < oldest || tick > now_tick {
-                continue;
-            }
-            for (acc, c) in counts.iter_mut().zip(&slot.counts) {
-                *acc += c.load(Ordering::Relaxed);
-            }
-            sum += f64::from_bits(slot.sum_bits.load(Ordering::Relaxed));
-            count += slot.count.load(Ordering::Relaxed);
-        }
-        HistogramSnapshot {
-            bounds: self.bounds.clone(),
-            counts,
-            sum,
-            count,
-        }
-    }
-}
-
-/// A rolling-window counter: the windowed sibling of [`Counter`], built on
-/// the same tick wheel as [`WindowedHistogram`]. [`Self::sum`] reports
-/// events inside the last `slots × slot_secs` seconds and therefore moves
-/// both ways — it renders as a Prometheus gauge.
-#[derive(Debug)]
-pub struct WindowedCounter {
-    slot_secs: u64,
-    slots: Vec<(AtomicU64, AtomicU64)>, // (tick, value)
-}
-
-impl WindowedCounter {
-    fn new(slots: usize, slot_secs: u64) -> Self {
-        debug_assert!(slots >= 1 && slot_secs >= 1);
-        Self {
-            slot_secs,
-            slots: (0..slots.max(1))
-                .map(|_| (AtomicU64::new(EMPTY_SLOT), AtomicU64::new(0)))
-                .collect(),
-        }
-    }
-
-    /// Length of the full window in seconds (`slots × slot_secs`).
-    pub fn window_secs(&self) -> u64 {
-        self.slots.len() as u64 * self.slot_secs
-    }
-
-    fn current_tick(&self) -> u64 {
-        process_epoch().elapsed().as_secs() / self.slot_secs
-    }
-
-    /// Adds one at wall-clock time.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n` at wall-clock time.
-    pub fn add(&self, n: u64) {
-        self.add_at(self.current_tick(), n);
-    }
-
-    /// Adds `n` at an explicit tick (tests).
-    pub fn add_at(&self, tick: u64, n: u64) {
-        let (slot_tick, value) = &self.slots[(tick % self.slots.len() as u64) as usize];
-        let held = slot_tick.load(Ordering::Acquire);
-        if held != tick
-            && slot_tick
-                .compare_exchange(held, tick, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        {
-            value.store(0, Ordering::Relaxed);
-        }
-        value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Events within the window ending at wall-clock now.
-    pub fn sum(&self) -> u64 {
-        self.sum_at(self.current_tick())
-    }
-
-    /// Events within the window `(now_tick - slots, now_tick]`.
-    pub fn sum_at(&self, now_tick: u64) -> u64 {
-        let n = self.slots.len() as u64;
-        let oldest = now_tick.saturating_sub(n - 1);
-        self.slots
-            .iter()
-            .filter(|(tick, _)| {
-                let t = tick.load(Ordering::Acquire);
-                t != EMPTY_SLOT && t >= oldest && t <= now_tick
-            })
-            .map(|(_, v)| v.load(Ordering::Relaxed))
-            .sum()
-    }
 }
 
 /// A constant "info" metric: a gauge fixed at `1` whose payload is its
@@ -527,52 +69,52 @@ fn registry() -> &'static Mutex<Vec<Entry>> {
 fn with_registry<R>(f: impl FnOnce(&mut Vec<Entry>) -> R) -> R {
     // A poisoned registry only means some other panicking thread held the
     // lock mid-push; the Vec itself is still usable.
-    let mut entries = match registry().lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
+    let mut entries = registry().lock().unwrap_or_else(PoisonError::into_inner);
     f(&mut entries)
+}
+
+/// The instrument of kind `T` registered as `name`, or `make`'s, registered
+/// now. The first registration wins; later calls return the existing
+/// instrument and ignore `help`.
+fn register<T>(
+    name: &'static str,
+    help: &'static str,
+    find: impl Fn(&Instrument) -> Option<&'static T>,
+    wrap: fn(&'static T) -> Instrument,
+    make: impl FnOnce() -> T,
+) -> &'static T {
+    with_registry(|entries| {
+        let existing = entries.iter().filter(|e| e.name == name);
+        if let Some(found) = existing.filter_map(|e| find(&e.instrument)).next() {
+            return found;
+        }
+        let made: &'static T = Box::leak(Box::new(make()));
+        entries.push(Entry {
+            name,
+            help,
+            instrument: wrap(made),
+        });
+        made
+    })
 }
 
 /// Registers (or fetches) the counter `name`. The first registration wins;
 /// later calls return the existing instrument and ignore `help`.
 pub fn register_counter(name: &'static str, help: &'static str) -> &'static Counter {
-    with_registry(|entries| {
-        for e in entries.iter() {
-            if e.name == name {
-                if let Instrument::Counter(c) = e.instrument {
-                    return c;
-                }
-            }
-        }
-        let c: &'static Counter = Box::leak(Box::new(Counter::new()));
-        entries.push(Entry {
-            name,
-            help,
-            instrument: Instrument::Counter(c),
-        });
-        c
-    })
+    let find = |i: &Instrument| match *i {
+        Instrument::Counter(c) => Some(c),
+        _ => None,
+    };
+    register(name, help, find, Instrument::Counter, Counter::new)
 }
 
 /// Registers (or fetches) the gauge `name`.
 pub fn register_gauge(name: &'static str, help: &'static str) -> &'static Gauge {
-    with_registry(|entries| {
-        for e in entries.iter() {
-            if e.name == name {
-                if let Instrument::Gauge(g) = e.instrument {
-                    return g;
-                }
-            }
-        }
-        let g: &'static Gauge = Box::leak(Box::new(Gauge::new()));
-        entries.push(Entry {
-            name,
-            help,
-            instrument: Instrument::Gauge(g),
-        });
-        g
-    })
+    let find = |i: &Instrument| match *i {
+        Instrument::Gauge(g) => Some(g),
+        _ => None,
+    };
+    register(name, help, find, Instrument::Gauge, Gauge::new)
 }
 
 /// Registers (or fetches) the histogram `name` with the given bucket
@@ -582,21 +124,12 @@ pub fn register_histogram(
     help: &'static str,
     buckets: &[f64],
 ) -> &'static Histogram {
-    with_registry(|entries| {
-        for e in entries.iter() {
-            if e.name == name {
-                if let Instrument::Histogram(h) = e.instrument {
-                    return h;
-                }
-            }
-        }
-        let h: &'static Histogram = Box::leak(Box::new(Histogram::new(buckets)));
-        entries.push(Entry {
-            name,
-            help,
-            instrument: Instrument::Histogram(h),
-        });
-        h
+    let find = |i: &Instrument| match *i {
+        Instrument::Histogram(h) => Some(h),
+        _ => None,
+    };
+    register(name, help, find, Instrument::Histogram, || {
+        Histogram::new(buckets)
     })
 }
 
@@ -609,22 +142,12 @@ pub fn register_windowed_histogram(
     slots: usize,
     slot_secs: u64,
 ) -> &'static WindowedHistogram {
-    with_registry(|entries| {
-        for e in entries.iter() {
-            if e.name == name {
-                if let Instrument::WindowedHistogram(h) = e.instrument {
-                    return h;
-                }
-            }
-        }
-        let h: &'static WindowedHistogram =
-            Box::leak(Box::new(WindowedHistogram::new(buckets, slots, slot_secs)));
-        entries.push(Entry {
-            name,
-            help,
-            instrument: Instrument::WindowedHistogram(h),
-        });
-        h
+    let find = |i: &Instrument| match *i {
+        Instrument::WindowedHistogram(h) => Some(h),
+        _ => None,
+    };
+    register(name, help, find, Instrument::WindowedHistogram, || {
+        WindowedHistogram::new(buckets, slots, slot_secs)
     })
 }
 
@@ -636,22 +159,12 @@ pub fn register_windowed_counter(
     slots: usize,
     slot_secs: u64,
 ) -> &'static WindowedCounter {
-    with_registry(|entries| {
-        for e in entries.iter() {
-            if e.name == name {
-                if let Instrument::WindowedCounter(c) = e.instrument {
-                    return c;
-                }
-            }
-        }
-        let c: &'static WindowedCounter =
-            Box::leak(Box::new(WindowedCounter::new(slots, slot_secs)));
-        entries.push(Entry {
-            name,
-            help,
-            instrument: Instrument::WindowedCounter(c),
-        });
-        c
+    let find = |i: &Instrument| match *i {
+        Instrument::WindowedCounter(c) => Some(c),
+        _ => None,
+    };
+    register(name, help, find, Instrument::WindowedCounter, || {
+        WindowedCounter::new(slots, slot_secs)
     })
 }
 
@@ -685,20 +198,11 @@ pub fn publish_process_metrics(version: &str) {
         "Seconds since the process metrics epoch was pinned.",
     );
     uptime.set(process_epoch().elapsed().as_secs_f64());
-    // `register_info` requires 'static label values; leak the version
-    // once (idempotent registration means at most one leak per name).
-    with_registry(|entries| {
-        if !entries.iter().any(|e| e.name == "soi_build_info") {
-            let info: &'static Info = Box::leak(Box::new(Info {
-                labels: vec![("version", version.to_string())],
-            }));
-            entries.push(Entry {
-                name: "soi_build_info",
-                help: "Build information (constant 1; payload is the labels).",
-                instrument: Instrument::Info(info),
-            });
-        }
-    });
+    register_info(
+        "soi_build_info",
+        "Build information (constant 1; payload is the labels).",
+        &[("version", version)],
+    );
     let dropped = register_counter(
         "soi_trace_dropped_events_total",
         "Trace events dropped by backpressure caps (global drain or per-request capture).",
@@ -707,9 +211,10 @@ pub fn publish_process_metrics(version: &str) {
     dropped.add(seen.saturating_sub(dropped.get()));
 }
 
-fn fmt_bound(b: f64) -> String {
+/// `v` as the exposition writes numbers.
+fn fmt_f64(v: f64) -> String {
     let mut s = String::new();
-    write_f64(&mut s, b);
+    write_f64(&mut s, v);
     s
 }
 
@@ -722,9 +227,7 @@ fn render_entry(out: &mut String, e: &Entry) {
         }
         Instrument::Gauge(g) => {
             let _ = writeln!(out, "# TYPE {} gauge", e.name);
-            let mut v = String::new();
-            write_f64(&mut v, g.get());
-            let _ = writeln!(out, "{} {}", e.name, v);
+            let _ = writeln!(out, "{} {}", e.name, fmt_f64(g.get()));
         }
         Instrument::Histogram(h) => {
             let _ = writeln!(out, "# TYPE {} histogram", e.name);
@@ -767,14 +270,12 @@ fn render_histogram_snapshot(out: &mut String, name: &str, snap: &HistogramSnaps
             out,
             "{}_bucket{{le=\"{}\"}} {}",
             name,
-            fmt_bound(b),
+            fmt_f64(b),
             cumulative
         );
     }
     let _ = writeln!(out, "{}_bucket{{le=\"+Inf\"}} {}", name, snap.count);
-    let mut sum = String::new();
-    write_f64(&mut sum, snap.sum);
-    let _ = writeln!(out, "{name}_sum {sum}");
+    let _ = writeln!(out, "{name}_sum {}", fmt_f64(snap.sum));
     let _ = writeln!(out, "{name}_count {}", snap.count);
     // Saturation guard: how many observations exceeded the top finite
     // bucket (quantiles are clamped for these). `_overflow` is not a

@@ -67,6 +67,14 @@ impl Request {
     }
 }
 
+/// The `name=value` pairs of a raw query string, in order: empty pairs are
+/// skipped, and a pair without `=` has an empty value. Nothing is decoded.
+pub fn query_pairs(raw: &str) -> impl Iterator<Item = (&str, &str)> {
+    raw.split('&')
+        .filter(|p| !p.is_empty())
+        .map(|pair| pair.split_once('=').unwrap_or((pair, "")))
+}
+
 /// Why a request could not be parsed, mapped to a response status.
 #[derive(Debug)]
 pub enum HttpError {

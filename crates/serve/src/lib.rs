@@ -26,6 +26,20 @@
 //! | `GET /explain`            | `POST /explain`, from a query string          |
 //! | `GET /debug/requests`     | recent-requests ring summary                  |
 //! | `GET /debug/requests/<id>`| one request record, artifacts embedded        |
+//!
+//! Modules, in the order a request crosses them:
+//!
+//! - [`http`]: bounded request parsing and response writing;
+//! - [`queue`]: the one bounded queue both worker pools pop from
+//!   (connections to the IO workers, jobs to the engine workers), the
+//!   jobs, and the per-request result slots;
+//! - [`server`]: boot, then one file per stage under `server/` — IO and
+//!   admission, routes and request parsing, the engine workers and
+//!   rendering, ingest and fold, and the debug and status routes;
+//! - [`ring`]: the recent-requests ring behind `GET /debug/requests`;
+//! - `journal`: the `POST /ingest` journal replayed at boot;
+//! - [`obs`]: the serving metrics; [`signal`]: SIGTERM/SIGINT to drain;
+//! - [`client`]: a minimal blocking HTTP client for tools and tests.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![deny(unsafe_code)]

@@ -1,29 +1,28 @@
-//! Bounded admission queue and per-request result slots.
+//! The server's one bounded queue, its jobs, and per-request result slots.
 //!
 //! Admission control is the server's overload valve: IO workers
-//! [`try_push`](AdmissionQueue::try_push) parsed query jobs, and when the
+//! [`try_push`](BoundedQueue::try_push) parsed query jobs, and when the
 //! queue is at capacity the push fails immediately — the worker answers
 //! 503 and moves on, spending microseconds on the request instead of
-//! queueing unbounded work. Each engine worker [`pop`](AdmissionQueue::pop)s
+//! queueing unbounded work. Each engine worker [`pop`](BoundedQueue::pop)s
 //! one job at a time, executes it under its deadline, and publishes the
-//! response through the job's [`Slot`].
+//! response through the job's [`Slot`]. The accept loop hands connections
+//! to the IO workers through the same queue type.
 
 use soi_common::StreetId;
 use soi_core::describe::DescribeParams;
 use soi_core::soi::SoiQuery;
 use soi_core::QueryBudget;
+use soi_obs::metrics::Gauge;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Locks a mutex, recovering from poisoning: a panicking worker (already
 /// counted by the panic guard) must not wedge every other thread that
 /// shares the queue.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Execution metadata an engine worker publishes alongside a response —
@@ -82,10 +81,10 @@ impl Slot {
                 return Some(response);
             }
             let remaining = deadline.checked_duration_since(Instant::now())?;
-            let (next, wait) = match self.cv.wait_timeout(state, remaining) {
-                Ok(pair) => pair,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let (next, wait) = self
+                .cv
+                .wait_timeout(state, remaining)
+                .unwrap_or_else(PoisonError::into_inner);
             state = next;
             if wait.timed_out() && state.is_none() {
                 return None;
@@ -127,29 +126,48 @@ pub struct Job {
     pub explain: bool,
 }
 
-struct QueueState {
-    jobs: VecDeque<Job>,
+/// A bounded FIFO between threads that must not block and threads that
+/// wait: [`try_push`](Self::try_push) hands the item back at once when the
+/// queue is full or closed (the caller sheds it), [`pop`](Self::pop) blocks
+/// until an item arrives, and after [`close`](Self::close) the queued items
+/// still drain before `pop` returns `None`. The server runs both of its
+/// pools on it: accepted connections to the IO workers, and admitted jobs
+/// ([`AdmissionQueue`]) to the engine workers.
+pub struct BoundedQueue<T> {
+    state: Mutex<QueueState<T>>,
+    cv: Condvar,
+    capacity: usize,
+    /// Set to the depth on every change, under the lock, so it is exact.
+    depth_gauge: Option<&'static Gauge>,
+}
+
+struct QueueState<T> {
+    items: VecDeque<T>,
     closed: bool,
 }
 
-/// The bounded, condvar-signalled admission queue.
-pub struct AdmissionQueue {
-    state: Mutex<QueueState>,
-    cv: Condvar,
-    capacity: usize,
-}
+/// The bounded, condvar-signalled admission queue of query jobs.
+pub type AdmissionQueue = BoundedQueue<Job>;
 
-impl AdmissionQueue {
-    /// Creates a queue admitting at most `capacity` pending jobs.
+impl<T> BoundedQueue<T> {
+    /// Creates a queue holding at most `capacity` (at least 1) items.
     pub fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         Self {
             state: Mutex::new(QueueState {
-                jobs: VecDeque::with_capacity(capacity),
+                items: VecDeque::with_capacity(capacity),
                 closed: false,
             }),
             cv: Condvar::new(),
-            capacity: capacity.max(1),
+            capacity,
+            depth_gauge: None,
         }
+    }
+
+    /// Reports the depth to `gauge` on every push and pop.
+    pub fn with_depth_gauge(mut self, gauge: &'static Gauge) -> Self {
+        self.depth_gauge = Some(gauge);
+        self
     }
 
     /// The configured capacity.
@@ -157,78 +175,75 @@ impl AdmissionQueue {
         self.capacity
     }
 
-    /// Current depth (pending jobs).
+    /// Current depth (queued items).
     pub fn depth(&self) -> usize {
-        lock(&self.state).jobs.len()
+        lock(&self.state).items.len()
     }
 
-    /// Admits `job`, or returns it back when the queue is full or closed —
-    /// the caller sheds the request immediately.
-    pub fn try_push(&self, job: Job) -> Result<(), Job> {
-        let mut state = lock(&self.state);
-        if state.closed || state.jobs.len() >= self.capacity {
-            return Err(job);
+    fn publish_depth(&self, state: &QueueState<T>) {
+        if let Some(gauge) = self.depth_gauge {
+            gauge.set(state.items.len() as f64);
         }
-        state.jobs.push_back(job);
-        crate::obs::serve_metrics()
-            .queue_depth
-            .set(state.jobs.len() as f64);
+    }
+
+    /// Queues `item`, or returns it back when the queue is full or closed —
+    /// the caller sheds it immediately.
+    pub fn try_push(&self, item: T) -> Result<(), T> {
+        let mut state = lock(&self.state);
+        if state.closed || state.items.len() >= self.capacity {
+            return Err(item);
+        }
+        state.items.push_back(item);
+        self.publish_depth(&state);
         drop(state);
         self.cv.notify_one();
         Ok(())
     }
 
-    /// Claims the oldest job, blocking until one is admitted. `None` once
-    /// the queue is closed and drained — the worker's signal to exit.
-    pub fn pop(&self) -> Option<Job> {
+    /// Takes the oldest item, blocking until one is queued. `None` once the
+    /// queue is closed and drained — the worker's signal to exit.
+    pub fn pop(&self) -> Option<T> {
         let mut state = lock(&self.state);
         loop {
-            if let Some(job) = state.jobs.pop_front() {
-                crate::obs::serve_metrics()
-                    .queue_depth
-                    .set(state.jobs.len() as f64);
-                return Some(job);
+            if let Some(item) = state.items.pop_front() {
+                self.publish_depth(&state);
+                return Some(item);
             }
             if state.closed {
                 return None;
             }
-            state = match self.cv.wait(state) {
-                Ok(next) => next,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            state = self.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    /// Pops up to `max` jobs, waiting up to `timeout` for the first one.
+    /// Pops up to `max` items, waiting up to `timeout` for the first one.
     /// Returns an empty batch on timeout or when closed and drained. The
-    /// server's workers [`pop`](Self::pop) one job at a time; this form
+    /// server's workers [`pop`](Self::pop) one item at a time; this form
     /// serves callers that drain in bulk (the benchmark's hand-off probe).
-    pub fn pop_batch(&self, max: usize, timeout: Duration) -> Vec<Job> {
+    pub fn pop_batch(&self, max: usize, timeout: Duration) -> Vec<T> {
         let deadline = Instant::now() + timeout;
         let mut state = lock(&self.state);
-        while state.jobs.is_empty() && !state.closed {
+        while state.items.is_empty() && !state.closed {
             let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
                 return Vec::new();
             };
-            let (next, wait) = match self.cv.wait_timeout(state, remaining) {
-                Ok(pair) => pair,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let (next, wait) = self
+                .cv
+                .wait_timeout(state, remaining)
+                .unwrap_or_else(PoisonError::into_inner);
             state = next;
-            if wait.timed_out() && state.jobs.is_empty() {
+            if wait.timed_out() && state.items.is_empty() {
                 return Vec::new();
             }
         }
-        let take = state.jobs.len().min(max.max(1));
-        let batch: Vec<Job> = state.jobs.drain(..take).collect();
-        crate::obs::serve_metrics()
-            .queue_depth
-            .set(state.jobs.len() as f64);
+        let take = state.items.len().min(max.max(1));
+        let batch: Vec<T> = state.items.drain(..take).collect();
+        self.publish_depth(&state);
         batch
     }
 
-    /// Closes the queue: no further admissions; the workers drain what
-    /// remains and then see `None`.
+    /// Closes the queue: no further pushes; the workers drain what remains
+    /// and then see `None`.
     pub fn close(&self) {
         lock(&self.state).closed = true;
         self.cv.notify_all();
@@ -237,7 +252,7 @@ impl AdmissionQueue {
     /// True once closed with nothing left to drain.
     pub fn is_drained(&self) -> bool {
         let state = lock(&self.state);
-        state.closed && state.jobs.is_empty()
+        state.closed && state.items.is_empty()
     }
 }
 
@@ -308,6 +323,24 @@ mod tests {
             assert_eq!(worker.join().expect("worker"), vec![2, 3, 4]);
         });
         assert!(q.is_drained());
+    }
+
+    /// The semantics the IO pool relies on, over an item that is not a
+    /// job: a full queue hands the push back; after `close` pushes are
+    /// handed back but queued items still drain, in order; then `pop`
+    /// returns `None`.
+    #[test]
+    fn a_closed_queue_rejects_pushes_and_drains_what_it_holds() {
+        let q = BoundedQueue::new(2);
+        assert_eq!(q.try_push("a"), Ok(()));
+        assert_eq!(q.try_push("b"), Ok(()));
+        assert_eq!(q.try_push("c"), Err("c"), "a full queue rejects");
+        q.close();
+        assert_eq!(q.try_push("d"), Err("d"), "a closed queue rejects");
+        assert_eq!(q.pop(), Some("a"));
+        assert_eq!(q.pop(), Some("b"));
+        assert!(q.is_drained());
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! trace payloads. Lookups scan — the ring is a debugging surface sized in
 //! the hundreds, not a database.
 
+use crate::queue::SlotMeta;
 use soi_obs::json::JsonWriter;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Everything the server remembers about one completed request.
 #[derive(Debug, Default, Clone)]
@@ -25,26 +26,16 @@ pub struct RequestRecord {
     pub params: String,
     /// HTTP status answered.
     pub status: u16,
-    /// Time spent in the admission queue (zero for inline endpoints).
-    pub queue_ms: f64,
-    /// Time executing on the engine (zero for inline endpoints).
-    pub exec_ms: f64,
     /// Total latency from parse completion to response written.
     pub total_ms: f64,
-    /// The query hit its deadline and returned partial results.
-    pub partial: bool,
     /// The request was shed by admission control (503).
     pub shed: bool,
-    /// The query answered an error response.
+    /// The request answered an error response.
     pub error: bool,
-    /// Source-list accesses performed (k-SOI work counter).
-    pub accesses: u64,
-    /// The serving epoch the request executed against.
-    pub epoch: u64,
-    /// Chrome-trace JSON captured for this request, when asked for.
-    pub trace_json: Option<String>,
-    /// Explain JSON captured for this request, when asked for.
-    pub explain_json: Option<String>,
+    /// What the engine worker published for the job (queue and exec time,
+    /// partial flag, accesses, epoch, captured artifacts); `/ingest` sets
+    /// the epoch, other inline routes leave it all zero.
+    pub job: SlotMeta,
 }
 
 impl RequestRecord {
@@ -57,23 +48,25 @@ impl RequestRecord {
         obj.field_str("endpoint", &self.endpoint);
         obj.field_str("params", &self.params);
         obj.field_u64("status", u64::from(self.status));
-        obj.field_f64("queue_ms", self.queue_ms);
-        obj.field_f64("exec_ms", self.exec_ms);
+        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+        let job = &self.job;
+        obj.field_f64("queue_ms", ms(job.queue));
+        obj.field_f64("exec_ms", ms(job.exec));
         obj.field_f64("total_ms", self.total_ms);
-        obj.field_bool("partial", self.partial);
+        obj.field_bool("partial", job.partial);
         obj.field_bool("shed", self.shed);
         obj.field_bool("error", self.error);
-        obj.field_u64("accesses", self.accesses);
+        obj.field_u64("accesses", job.accesses);
         // Constant: `benchmark/src/scrape.rs` rejects a row without the key.
         obj.field_raw("eps_cache", r#"{"hits":0,"misses":0}"#);
-        obj.field_u64("epoch", self.epoch);
-        obj.field_bool("traced", self.trace_json.is_some());
-        obj.field_bool("explained", self.explain_json.is_some());
+        obj.field_u64("epoch", job.epoch);
+        obj.field_bool("traced", job.trace_json.is_some());
+        obj.field_bool("explained", job.explain_json.is_some());
         if with_artifacts {
-            if let Some(trace) = &self.trace_json {
+            if let Some(trace) = &job.trace_json {
                 obj.field_raw("trace", trace);
             }
-            if let Some(explain) = &self.explain_json {
+            if let Some(explain) = &job.explain_json {
                 obj.field_raw("explain", explain);
             }
         }
@@ -106,20 +99,14 @@ impl RequestRing {
     pub fn push(&self, record: RequestRecord) {
         let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[seq % self.slots.len()];
-        let mut guard = match slot.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
         *guard = Some(Arc::new(record));
     }
 
     /// Finds a record by request id (linear scan over the ring).
     pub fn get(&self, id: u64) -> Option<Arc<RequestRecord>> {
         self.slots.iter().find_map(|slot| {
-            let guard = match slot.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
             guard.as_ref().filter(|r| r.id == id).map(Arc::clone)
         })
     }
@@ -130,10 +117,7 @@ impl RequestRing {
             .slots
             .iter()
             .filter_map(|slot| {
-                let guard = match slot.lock() {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
+                let guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
                 guard.as_ref().map(Arc::clone)
             })
             .collect();
@@ -280,7 +264,7 @@ mod tests {
     fn list_json_summarizes_without_artifacts() {
         let ring = RequestRing::new(4);
         let mut traced = record(7);
-        traced.trace_json = Some("{\"traceEvents\":[]}".to_string());
+        traced.job.trace_json = Some("{\"traceEvents\":[]}".to_string());
         ring.push(traced);
         let doc = ring.list_json(None, None);
         let parsed = soi_obs::json::parse(&doc).expect("parses");
