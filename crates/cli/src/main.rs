@@ -368,20 +368,21 @@ fn bundle_params(poi_cell: f64, threads: usize) -> BundleParams {
 /// in the default lenient mode — corrupt); without it the structures are
 /// built fresh in memory as before. `poi_option` names where the POI cell
 /// size came from (`--eps`, or `default`), for a usage error to quote
-/// before anything is built.
+/// before anything is built. A bad `--index-cache-mode` is a usage error
+/// with or without a cache, as it is for `soi serve`.
 fn acquire_bundle(
     args: &Args,
     dataset: &Dataset,
     params: &BundleParams,
     poi_option: &str,
 ) -> Result<IndexBundle> {
+    let mode = cache_mode(args)?;
     params.check(dataset, [poi_option, "default"])?;
     let Some(dir) = args.get("index-cache") else {
         return Ok(soi_index::build_bundle(dataset, params));
     };
     let started = std::time::Instant::now();
-    let (bundle, outcome) =
-        IndexCache::new(dir, cache_mode(args)?).load_or_build(dataset, params)?;
+    let (bundle, outcome) = IndexCache::new(dir, mode).load_or_build(dataset, params)?;
     log::event(
         "cli.index_cache",
         outcome.message(),

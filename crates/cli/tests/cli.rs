@@ -764,6 +764,19 @@ fn corrupt_snapshot_strict_exits_3_lenient_rebuilds() {
     std::fs::remove_dir_all(&cache).ok();
 }
 
+#[test]
+fn a_bad_cache_mode_exits_2_without_a_cache_too() {
+    let bogus = ["--index-cache-mode", "bogus"];
+    for command in [
+        &["query", "--keywords", "shop"][..],
+        &["explain", "--keywords", "shop"],
+        &["describe", "--keywords", "shop"],
+    ] {
+        let args = [command, &bogus[..]].concat();
+        assert_usage_error(&args, &["--index-cache-mode", "bogus"]);
+    }
+}
+
 /// Runs `args` against the test dataset and asserts a usage error (exit 2,
 /// no panic, nothing on stdout) whose message holds every one of `needles`.
 fn assert_usage_error(args: &[&str], needles: &[&str]) {

@@ -12,7 +12,8 @@
 //! - [`timing`]: [`Stopwatch`] and [`PhaseTimer`] for the per-phase runtime
 //!   breakdowns of the paper's Fig. 4.
 //! - [`parallel`]: deterministic data-parallel helpers (chunked fan-out and
-//!   a stable parallel sort) whose results never depend on thread count.
+//!   a parallel sort of unique keys) whose results never depend on thread
+//!   count.
 //! - [`bucket`]: stable counting sort over dense integer keys, the
 //!   `O(n + k)` digit pass the offline index builds chain into radix sorts.
 //! - [`csr`]: [`Csr`], the dense "row id → run of items" layout behind every
@@ -47,8 +48,6 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{CellId, KeywordId, NodeId, PhotoId, PoiId, SegmentId, StreetId};
 pub use load::{LoadMode, LoadOptions, LoadReport};
 pub use ord::{f64_from_total_key, f64_total_key, OrderedF64};
-pub use parallel::{
-    chunk_ranges, effective_threads, par_chunk_map, par_sort_by, par_sort_unstable_by,
-};
+pub use parallel::{chunk_ranges, effective_threads, par_chunk_map, par_sort_unstable_by};
 pub use timing::{PhaseTimer, Stopwatch};
 pub use topk::{top_k_by_score, ScoredItem};

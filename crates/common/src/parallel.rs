@@ -4,9 +4,9 @@
 //! engine fan work out over scoped threads. Everything here is designed so
 //! that **results are independent of the thread count**: inputs are split
 //! into contiguous chunks, per-chunk results are combined in chunk order,
-//! and the parallel sort is a stable merge sort whose output is identical to
-//! `slice::sort_by`. A build with 8 threads is therefore byte-identical to a
-//! build with 1.
+//! and the parallel sort orders unique keys, so its output is identical to
+//! `slice::sort_unstable_by`. A build with 8 threads is therefore
+//! byte-identical to a build with 1.
 //!
 //! The thread count resolves from an explicit request, the `SOI_THREADS`
 //! environment variable, or [`std::thread::available_parallelism`], in that
@@ -102,41 +102,16 @@ where
         .collect()
 }
 
-/// Stable parallel merge sort: output is **identical** to `v.sort_by(cmp)`
-/// for every thread count (stability plus a deterministic comparator fully
-/// determine the permutation).
-///
-/// Chunks are sorted concurrently with the standard library's stable sort,
-/// then merged pairwise with a left-biased (stable) merge. Falls back to
-/// `sort_by` for small inputs or one thread.
-pub fn par_sort_by<T, F>(v: &mut Vec<T>, threads: usize, cmp: F)
-where
-    T: Send,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    par_sort_chunks(v, threads, cmp, |part, cmp| part.sort_by(cmp));
-}
-
 /// Parallel unstable sort for keys under a **total order with no duplicates**
 /// (e.g. packed unique integer keys): output is identical to
-/// `v.sort_unstable_by(cmp)` and to [`par_sort_by`] for every thread count,
-/// because a duplicate-free total order admits exactly one sorted permutation.
+/// `v.sort_unstable_by(cmp)` for every thread count, because a
+/// duplicate-free total order admits exactly one sorted permutation.
 ///
 /// Chunks are sorted concurrently with the standard library's unstable
-/// (allocation-free, integer-friendly) sort, then merged pairwise. Falls back
-/// to `sort_unstable_by` for small inputs or one thread.
+/// (allocation-free, integer-friendly) sort, then merged pairwise until one
+/// run remains. Falls back to `sort_unstable_by` for small inputs or one
+/// thread.
 pub fn par_sort_unstable_by<T, F>(v: &mut Vec<T>, threads: usize, cmp: F)
-where
-    T: Send,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    par_sort_chunks(v, threads, cmp, |part, cmp| part.sort_unstable_by(cmp));
-}
-
-/// Sorts `v` with `sort` alone for small inputs or one thread; otherwise
-/// sorts its chunks concurrently with `sort` and merges the sorted runs
-/// pairwise with [`stable_merge`] until one run remains.
-fn par_sort_chunks<T, F>(v: &mut Vec<T>, threads: usize, cmp: F, sort: fn(&mut [T], &F))
 where
     T: Send,
     F: Fn(&T, &T) -> Ordering + Sync,
@@ -144,7 +119,7 @@ where
     const MIN_PARALLEL_LEN: usize = 8192;
     let threads = threads.clamp(1, MAX_THREADS);
     if threads <= 1 || v.len() < MIN_PARALLEL_LEN {
-        sort(v, &cmp);
+        v.sort_unstable_by(&cmp);
         return;
     }
     let ranges = chunk_ranges(v.len(), threads);
@@ -159,7 +134,7 @@ where
         let result = cb::scope(|scope| {
             for part in parts {
                 let cmp = &cmp;
-                scope.spawn(move |_| sort(part, cmp));
+                scope.spawn(move |_| part.sort_unstable_by(cmp));
             }
         });
         if let Err(panic) = result {
@@ -255,27 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn par_sort_matches_sequential_stable_sort() {
-        // Pseudo-random data with many duplicate keys to exercise stability.
-        let mut x: u64 = 0x243F_6A88_85A3_08D3;
-        let data: Vec<(u32, u32)> = (0..20_000)
-            .map(|i| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                ((x % 64) as u32, i)
-            })
-            .collect();
-        let mut want = data.clone();
-        want.sort_by_key(|a| a.0); // stable: payload order kept
-        for threads in [1usize, 2, 3, 8] {
-            let mut got = data.clone();
-            par_sort_by(&mut got, threads, |a, b| a.0.cmp(&b.0));
-            assert_eq!(got, want, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn par_sort_unstable_matches_sequential_on_unique_keys() {
         let mut x: u64 = 0xB7E1_5162_8AED_2A6A;
         let data: Vec<u64> = (0..20_000u64)
@@ -298,7 +252,7 @@ mod tests {
     #[test]
     fn par_sort_small_input() {
         let mut v = vec![3, 1, 2];
-        par_sort_by(&mut v, 8, |a, b| a.cmp(b));
+        par_sort_unstable_by(&mut v, 8, |a, b| a.cmp(b));
         assert_eq!(v, vec![1, 2, 3]);
     }
 }

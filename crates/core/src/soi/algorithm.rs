@@ -501,7 +501,7 @@ pub fn run_soi_full<'a>(
                 .map(|c| relcount[c.index()])
                 .fold(0.0, f64::max),
         );
-        let sl3: &[SegmentId] = index.segments_by_len();
+        let sl3: &[SegmentId] = network.segments_by_len();
         let mut cursor3 = 0usize;
         drop(sources);
         let explaining = explain.is_some();

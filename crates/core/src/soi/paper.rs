@@ -341,8 +341,8 @@ pub(super) fn run(
             .iter()
             .map(|s| Ranked::new(inputs.index.upper_cell_count(&s.geom, eps) as f64, s.id)),
     );
-    // --- SL3: segments by length ascending (precomputed offline).
-    let sl3: &[SegmentId] = inputs.index.segments_by_len();
+    // --- SL3: segments by length ascending (precomputed with the network).
+    let sl3: &[SegmentId] = network.segments_by_len();
     let mut cursor3 = 0usize;
     drop(sources);
     if let Some(ex) = explain.as_deref_mut() {

@@ -518,7 +518,7 @@ impl DeltaIndex {
             let mut w = 0.0;
             let mut n = 0usize;
             if let Some(cell) = base_index.cell(c) {
-                for &pid in cell.postings(k) {
+                for pid in cell.postings(k) {
                     if !m.deleted_pois.contains(&pid) {
                         w += base_pois.get(pid).weight;
                         n += 1;

@@ -1,8 +1,8 @@
 //! The POI grid index (paper Sec. 3.2.1).
 
 use soi_common::{
-    effective_threads, f64_from_total_key, f64_total_key, par_chunk_map, par_sort_by,
-    par_sort_unstable_by, sort_row_keys, CellId, Csr, KeywordId, PoiId, SegmentId,
+    effective_threads, f64_from_total_key, f64_total_key, par_chunk_map, par_sort_unstable_by,
+    sort_row_keys, CellId, Csr, KeywordId, PoiId, SegmentId,
 };
 use soi_data::PoiCollection;
 use soi_geo::{Grid, Point, Rect};
@@ -49,10 +49,11 @@ pub struct PoiCell<'a> {
     pub total_weight: f64,
     /// The cell's distinct keywords, ascending: its slice of the run
     /// directory. Keyword `i`'s postings are row `first_run + i` of
-    /// `run_docs`.
+    /// `run_slots`, slots `first_slot..` of which are `pois`.
     keywords: &'a [KeywordId],
     first_run: usize,
-    run_docs: &'a Csr<PoiId>,
+    first_slot: usize,
+    run_slots: &'a Csr<u32>,
 }
 
 impl<'a> PoiCell<'a> {
@@ -61,34 +62,50 @@ impl<'a> PoiCell<'a> {
         self.keywords
     }
 
-    /// The local inverted list for `k`: POIs of this cell carrying the
-    /// keyword, sorted by id (empty if none does).
+    /// The slots of the cell's POIs carrying `k`, ascending (empty if none
+    /// does).
     #[inline]
-    pub fn postings(&self, k: KeywordId) -> &'a [PoiId] {
+    fn slots(&self, k: KeywordId) -> &'a [u32] {
         match self.keywords.binary_search(&k) {
-            Ok(i) => self.run_docs.row(self.first_run + i),
+            Ok(i) => self.run_slots.row(self.first_run + i),
             Err(_) => &[],
         }
     }
 
+    /// The POI in `slot`, one of the cell's slots.
+    #[inline]
+    fn poi_in(&self, slot: u32) -> PoiId {
+        self.pois[slot as usize - self.first_slot]
+    }
+
+    /// The local inverted list for `k`: POIs of this cell carrying the
+    /// keyword, ascending id (empty if none does).
+    pub fn postings(&self, k: KeywordId) -> impl Iterator<Item = PoiId> + 'a {
+        let cell = *self;
+        self.slots(k).iter().map(move |&slot| cell.poi_in(slot))
+    }
+
     /// Calls `f` once per distinct POI of the cell carrying any of
     /// `keywords`, in ascending id order (the paper's synchronous
-    /// multi-list traversal).
+    /// multi-list traversal; ascending slot is ascending id).
     #[inline]
-    pub fn for_each_matching<F: FnMut(PoiId)>(&self, keywords: &[KeywordId], f: F) {
-        union_of_postings(keywords, |k| self.postings(k), f);
+    pub fn for_each_matching<F: FnMut(PoiId)>(&self, keywords: &[KeywordId], mut f: F) {
+        union_of_postings(keywords, |k| self.slots(k), |slot| f(self.poi_in(slot)));
     }
 }
 
 /// The spatio-textual POI index of Section 3.2.1.
 ///
-/// Holds the five offline structures the SOI algorithm needs:
+/// Holds four of the five offline structures the SOI algorithm needs:
 /// 1. the spatial grid with per-cell local inverted indexes;
 /// 2. the global inverted index (keyword → `(cell, count)` sorted
 ///    decreasingly on count);
 /// 3. the raster cell-to-segment map (segments passing through each cell);
-/// 4. the raster segment-to-cell map;
-/// 5. the list of segments sorted increasingly on length.
+/// 4. the raster segment-to-cell map.
+///
+/// The fifth, the segments sorted increasingly on length, depends on street
+/// geometry alone and lives on the network
+/// ([`RoadNetwork::segments_by_len`]).
 ///
 /// Every cell- or keyword-keyed structure is a [`Csr`] column pair over the
 /// dense id (a [`PoiCell`] is a borrowed view into them), which is also
@@ -106,58 +123,47 @@ impl<'a> PoiCell<'a> {
 /// columns are crate-visible for the snapshot codec (see
 /// [`crate::snapshot`]), which writes the persisted ones as they are and
 /// validates them against each other and the dataset before
-/// `PoiIndex::from_columns` derives the slot columns from them.
+/// `PoiIndex::from_columns` derives the rest from them.
 #[derive(Debug)]
 pub struct PoiIndex {
     pub(crate) grid: Grid,
-    /// cell → POIs located in it, ascending id.
+    /// cell → POIs located in it, ascending id. A *slot* is an index into
+    /// `cell_pois.items()`: a cell's slots are one contiguous range, and
+    /// ascending slot is ascending id within the cell.
     pub(crate) cell_pois: Csr<PoiId>,
-    /// cell → total POI weight (0.0 for an unoccupied cell).
-    pub(crate) total_weight: Vec<f64>,
     /// The run directory of the local inverted indexes: cell → its distinct
     /// keywords, ascending. Item `i` of this column is postings run `i`.
     pub(crate) cell_kws: Csr<KeywordId>,
-    /// postings run → the POIs of the run's cell carrying the run's
-    /// keyword, ascending id: every cell's local lists in one docs column.
-    pub(crate) run_docs: Csr<PoiId>,
+    /// postings run → the slots of the POIs of the run's cell carrying the
+    /// run's keyword, ascending: every cell's local lists in one column.
+    pub(crate) run_slots: Csr<u32>,
     /// keyword → (cell, summed weight of POIs with that keyword), desc.
     pub(crate) global: Csr<(CellId, f64)>,
-    /// Segments sorted increasingly by length (the basis of SL3).
-    pub(crate) segments_by_len: Vec<SegmentId>,
     /// The static raster cell-to-segment map (Sec. 3.2.1): segments passing
     /// through each cell (occupied or not), built offline. The ε-augmented
     /// `Lε(c)` is derived from it lazily at query time.
     pub(crate) raster: Csr<SegmentId>,
-    /// slot → `[x, y, weight]` of the POI `cell_pois.items()[slot]`. A
-    /// *slot* is an index into `cell_pois.items()`: a cell's slots are one
-    /// contiguous range, ascending slot = ascending id within the cell.
-    /// Derived by [`derive_slot_columns`], not persisted.
+    /// slot → `[x, y, weight]` of the POI `cell_pois.items()[slot]`.
+    /// Derived by [`derive_slot_xyw`], not persisted.
     pub(crate) slot_xyw: Vec<[f64; 3]>,
-    /// Parallel to `run_docs.items()`: the slot of each posting, so a
-    /// run is an ascending list of positions in its cell's slot range.
-    /// Derived by [`derive_slot_columns`], not persisted.
-    pub(crate) run_slots: Vec<u32>,
+    /// cell → total POI weight (0.0 for an unoccupied cell): its slots'
+    /// weights summed in slot order from `0.0`. Derived, not persisted.
+    pub(crate) total_weight: Vec<f64>,
 }
 
-/// Derives the two cell-major slot columns Alg. 1's mass path reads
-/// (`slot_xyw`, `run_slots`) from the persisted columns and the dataset.
+/// Derives the cell-major coordinate column Alg. 1's mass path reads
+/// (`slot_xyw`) from the cell members and the dataset.
 ///
 /// Total over any checksummed input — every lookup is bounds-checked and
-/// the work is one pass each over the members, the POIs and the postings — and
-/// the place the conditions *between* the columns are enforced: no POI is a
-/// member of two cells, and every posting of a run names a member of the
-/// run's own cell. That a cell's members ascend, so that ascending slot is
-/// ascending id, is a per-column condition the snapshot reader checks
-/// beside the others.
+/// the work is one pass each over the members and the POIs — and the place
+/// the one condition *between* the members and the dataset is enforced: no
+/// POI is a member of two cells. That a cell's members ascend, and that a
+/// run's slots ascend inside its cell's slot range, are conditions the
+/// snapshot reader checks beside the others.
 ///
 /// # Errors
 /// A message naming the first violated condition.
-fn derive_slot_columns(
-    cell_pois: &Csr<PoiId>,
-    cell_kws: &Csr<KeywordId>,
-    run_docs: &Csr<PoiId>,
-    pois: &PoiCollection,
-) -> Result<(Vec<[f64; 3]>, Vec<u32>), String> {
+fn derive_slot_xyw(cell_pois: &Csr<PoiId>, pois: &PoiCollection) -> Result<Vec<[f64; 3]>, String> {
     const UNPLACED: u32 = u32::MAX;
     let members = cell_pois.items();
     // POI → slot first: the coordinate pass below then reads the POI
@@ -181,28 +187,7 @@ fn derive_slot_columns(
             slot_xyw[slot as usize] = [poi.pos.x, poi.pos.y, poi.weight];
         }
     }
-    let mut run_slots = Vec::with_capacity(run_docs.items().len());
-    for cell in 0..cell_kws.rows() {
-        let slots = cell_pois.row_range(cell);
-        // A cell's runs are consecutive rows, so its postings are one span.
-        let runs = cell_kws.row_range(cell);
-        if runs.is_empty() {
-            continue;
-        }
-        let postings = run_docs.row_range(runs.start).start..run_docs.row_range(runs.end - 1).end;
-        for doc in run_docs.items().get(postings).unwrap_or(&[]) {
-            match slot_of.get(doc.index()) {
-                Some(&slot) if slots.contains(&(slot as usize)) => run_slots.push(slot),
-                _ => {
-                    return Err(format!(
-                    "poi postings docs: POI {} is in a run of cell {cell} but not a member of it",
-                    doc.0
-                ))
-                }
-            }
-        }
-    }
-    Ok((slot_xyw, run_slots))
+    Ok(slot_xyw)
 }
 
 impl PartialEq for PoiIndex {
@@ -215,16 +200,13 @@ impl PartialEq for PoiIndex {
         }
         self.grid == other.grid
             && self.cell_pois == other.cell_pois
-            && weight_bits(&self.total_weight).eq(weight_bits(&other.total_weight))
             && self.cell_kws == other.cell_kws
-            && self.run_docs == other.run_docs
+            && self.run_slots == other.run_slots
             && self.global.starts() == other.global.starts()
             && entry_bits(&self.global).eq(entry_bits(&other.global))
-            && self.segments_by_len == other.segments_by_len
             && self.raster == other.raster
             && weight_bits(self.slot_xyw.as_flattened())
                 .eq(weight_bits(other.slot_xyw.as_flattened()))
-            && self.run_slots == other.run_slots
     }
 }
 
@@ -339,8 +321,8 @@ impl PoiIndex {
             run_keys: Vec<u64>,
             /// The length of each run, in run order.
             run_lens: Vec<u32>,
-            /// Every run's postings, concatenated in run order.
-            docs: Vec<PoiId>,
+            /// Every run's postings as slots, concatenated in run order.
+            slots: Vec<u32>,
             /// Packed (keyword, weight, cell) global-index entries.
             triples: Vec<u128>,
         }
@@ -349,9 +331,12 @@ impl PoiIndex {
         // of occupied cells and emits each cell's local inverted index as
         // column keys — no per-POI hashing, no per-cell allocation, and
         // every lookup hits the id-indexed weight array or the flat keyword
-        // sidecar. Each run also emits its packed (keyword, weight, cell)
-        // contribution to the global index, its weight summed in ascending
-        // id order (matching the sequential build bit-for-bit).
+        // sidecar. A posting is its POI's slot, and ascending slot is
+        // ascending id within the cell. Each run also emits its packed
+        // (keyword, weight, cell) contribution to the global index, its
+        // weight summed in ascending id order (matching the sequential
+        // build bit-for-bit).
+        let members = cell_pois.items();
         let per_chunk: Vec<CellsPart> = par_chunk_map(&occupied, threads, |_, chunk| {
             let mut part = CellsPart::default();
             let mut pairs: Vec<u64> = Vec::new();
@@ -360,11 +345,10 @@ impl PoiIndex {
             let mut hist: Vec<u32> = vec![0; if cell_counting { num_kws } else { 0 }];
             for &cell_id in chunk {
                 pairs.clear();
-                for &PoiId(pid) in cell_pois.row(cell_id.index()) {
-                    let ks = kw_offsets[pid as usize] as usize;
-                    let ke = kw_offsets[pid as usize + 1] as usize;
-                    for &k in &kw_flat[ks..ke] {
-                        pairs.push(u64::from(k.0) << 32 | u64::from(pid));
+                for slot in cell_pois.row_range(cell_id.index()) {
+                    let pid = members[slot].index();
+                    for &k in &kw_flat[kw_offsets[pid] as usize..kw_offsets[pid + 1] as usize] {
+                        pairs.push(u64::from(k.0) << 32 | slot as u64);
                     }
                 }
                 // The histogram fill(0) bounds the per-cell counting
@@ -393,16 +377,16 @@ impl PoiIndex {
                 }
                 // Fused run scan: the per-keyword weight sums (in
                 // ascending POI order) for the global index, the run
-                // directory and the docs column fall out of one pass.
+                // directory and the postings column fall out of one pass.
                 let mut r = 0;
                 while r < pairs.len() {
                     let k = (pairs[r] >> 32) as u32;
                     let run_start = r;
                     let mut weight = 0.0;
                     while r < pairs.len() && (pairs[r] >> 32) as u32 == k {
-                        let pid = pairs[r] as u32;
-                        weight += weights[pid as usize];
-                        part.docs.push(PoiId(pid));
+                        let slot = pairs[r] as u32;
+                        weight += weights[members[slot as usize].index()];
+                        part.slots.push(slot);
                         r += 1;
                     }
                     part.run_lens.push((r - run_start) as u32);
@@ -418,24 +402,16 @@ impl PoiIndex {
         // Concatenate the chunks in cell order.
         let mut run_keys: Vec<u64> = Vec::new();
         let mut run_lens: Vec<u32> = Vec::new();
-        let mut docs: Vec<PoiId> = Vec::new();
+        let mut slots: Vec<u32> = Vec::new();
         let mut all_triples: Vec<u128> = Vec::new();
         for part in per_chunk {
             run_lens.extend(part.run_lens);
-            docs.extend(part.docs);
+            slots.extend(part.slots);
             run_keys.extend(part.run_keys);
             all_triples.extend(part.triples);
         }
-        // Per-cell totals, likewise summed in ascending id order from 0.0
-        // (an unoccupied cell's total is exactly 0.0).
-        let total_weight: Vec<f64> = (0..num_cells)
-            .map(|c| {
-                let members = cell_pois.row(c).iter();
-                members.fold(0.0, |sum, p| sum + weights[p.index()])
-            })
-            .collect();
         let cell_kws: Csr<KeywordId> = Csr::from_sorted_keys(num_cells, &run_keys);
-        let run_docs = Csr::from_row_lens(&run_lens, docs);
+        let run_slots = Csr::from_row_lens(&run_lens, slots);
 
         drop(phase2_span);
         let phase3_span = soi_obs::trace::span(soi_obs::names::spans::INDEX_BUILD_GLOBAL);
@@ -476,18 +452,7 @@ impl PoiIndex {
             Csr::from_sorted_keys(num_cells, &sort_row_keys(seg_cells, num_cells, threads));
 
         drop(phase4_span);
-        let phase5_span = soi_obs::trace::span(soi_obs::names::spans::INDEX_BUILD_LENGTHS);
-
-        // Phase 5 — length-sorted segment list (the SL3 order): precompute
-        // the keys once and sort by the (length, id) total order.
-        let mut len_keys: Vec<(f64, SegmentId)> = segs.iter().map(|s| (s.len(), s.id)).collect();
-        par_sort_by(&mut len_keys, threads, |a, b| {
-            a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1))
-        });
-        let segments_by_len = len_keys.into_iter().map(|(_, id)| id).collect();
-
-        drop(phase5_span);
-        // The intermediates are as large as the slot columns about to be
+        // The intermediates are as large as the columns about to be
         // derived: freed first, the derive does not raise the build's peak.
         drop((
             weights,
@@ -497,18 +462,10 @@ impl PoiIndex {
             run_lens,
             all_triples,
         ));
-        let index = Self::from_columns(
-            grid,
-            cell_pois,
-            total_weight,
-            cell_kws,
-            run_docs,
-            global,
-            segments_by_len,
-            raster,
-            pois,
-        )
-        .unwrap_or_else(|why| unreachable!("freshly built columns contradict each other: {why}"));
+        let index = Self::from_columns(grid, cell_pois, cell_kws, run_slots, global, raster, pois)
+            .unwrap_or_else(|why| {
+                unreachable!("freshly built columns contradict each other: {why}")
+            });
         drop(build_span);
         let m = crate::obs::index_metrics();
         m.builds.inc();
@@ -594,8 +551,9 @@ impl PoiIndex {
             pois,
             total_weight: self.total_weight[id.index()],
             first_run: runs.start,
+            first_slot: self.cell_pois.row_range(id.index()).start,
             keywords: &self.cell_kws.items()[runs],
-            run_docs: &self.run_docs,
+            run_slots: &self.run_slots,
         })
     }
 
@@ -623,73 +581,57 @@ impl PoiIndex {
         self.global.row(k.index())
     }
 
-    /// Segment ids sorted increasingly by segment length (the SL3 order).
-    pub fn segments_by_len(&self) -> &[SegmentId] {
-        &self.segments_by_len
-    }
-
     /// Assembles an index from its persisted columns — freshly built or
-    /// snapshot-decoded and validated — deriving the slot columns from them
-    /// and `pois`. The one constructor: no index exists without them.
+    /// snapshot-decoded and validated — deriving `slot_xyw` from them and
+    /// `pois`, and each cell's total from `slot_xyw`: its slots' weights
+    /// added in slot order (ascending id) from `0.0`, so an unoccupied
+    /// cell's total is exactly `0.0`. The one constructor: no index exists
+    /// without them.
     ///
     /// # Errors
-    /// The columns contradict each other (see [`derive_slot_columns`]).
-    #[allow(clippy::too_many_arguments)]
+    /// The columns contradict each other (see [`derive_slot_xyw`]).
     pub(crate) fn from_columns(
         grid: Grid,
         cell_pois: Csr<PoiId>,
-        total_weight: Vec<f64>,
         cell_kws: Csr<KeywordId>,
-        run_docs: Csr<PoiId>,
+        run_slots: Csr<u32>,
         global: Csr<(CellId, f64)>,
-        segments_by_len: Vec<SegmentId>,
         raster: Csr<SegmentId>,
         pois: &PoiCollection,
     ) -> Result<Self, String> {
-        let (slot_xyw, run_slots) = derive_slot_columns(&cell_pois, &cell_kws, &run_docs, pois)?;
+        let slot_xyw = derive_slot_xyw(&cell_pois, pois)?;
+        let total_weight = (0..cell_pois.rows())
+            .map(|cell| {
+                let slots = cell_pois.row_range(cell);
+                slots.fold(0.0, |sum, slot| sum + slot_xyw[slot][2])
+            })
+            .collect();
         Ok(Self {
             grid,
             cell_pois,
-            total_weight,
             cell_kws,
-            run_docs,
+            run_slots,
             global,
-            segments_by_len,
             raster,
             slot_xyw,
-            run_slots,
+            total_weight,
         })
     }
 
-    /// Checks the weights Alg. 1's upper bounds trust against the members
-    /// they sum, as a build sums them: each cell total is its members'
-    /// weights, each global entry its run's, both added in ascending id
-    /// from `0.0` (so bit for bit), and every run has exactly one global
-    /// entry. A lowered total or entry, or a missing one, would let a query
-    /// stop on a `UB` that is no upper bound. The snapshot reader asks this
-    /// of a decoded index; a build makes it so.
+    /// Checks the global lists Alg. 1's upper bounds trust against the runs
+    /// they sum, as a build sums them: each entry is its run's weights added
+    /// in ascending id from `0.0` (so bit for bit), and every run has
+    /// exactly one entry. A lowered entry, or a missing one, would let a
+    /// query stop on a `UB` that is no upper bound. The snapshot reader asks
+    /// this of a decoded index; a build makes it so.
     ///
     /// # Errors
     /// A message naming the first violated condition.
-    pub(crate) fn check_weight_sums(&self) -> Result<(), String> {
-        let weight = |slot: usize| self.slot_xyw[slot][2];
-        for cell in 0..self.cell_pois.rows() {
-            let total = self
-                .cell_pois
-                .row_range(cell)
-                .fold(0.0, |sum, s| sum + weight(s));
-            let stored = self.total_weight.get(cell).copied();
-            if stored.map(f64::to_bits) != Some(total.to_bits()) {
-                return Err(format!(
-                    "poi cell weights: cell {cell} holds {stored:?}, its members sum to {total}"
-                ));
-            }
-        }
-        // `run_slots` is parallel to the postings: a run's weight sums its row.
-        let run_weight: Vec<f64> = (0..self.run_docs.rows())
+    pub(crate) fn check_global_lists(&self) -> Result<(), String> {
+        let run_weight: Vec<f64> = (0..self.run_slots.rows())
             .map(|run| {
-                let slots = &self.run_slots[self.run_docs.row_range(run)];
-                slots.iter().fold(0.0, |sum, &s| sum + weight(s as usize))
+                let slots = self.run_slots.row(run).iter();
+                slots.fold(0.0, |sum, &s| sum + self.slot_xyw[s as usize][2])
             })
             .collect();
         // Keyword by keyword, ascending: a cell's run of `k` is its first run
@@ -801,7 +743,8 @@ mod tests {
                     .copied()
                     .filter(|&p| pois.get(p).keywords.contains(k))
                     .collect();
-                assert_eq!(cell.postings(k), scan, "cell {id:?} keyword {k:?}");
+                let postings: Vec<PoiId> = cell.postings(k).collect();
+                assert_eq!(postings, scan, "cell {id:?} keyword {k:?}");
             }
             let mut matched = Vec::new();
             cell.for_each_matching(&[KeywordId(1), KeywordId(4), KeywordId(8)], |p| {
@@ -835,16 +778,6 @@ mod tests {
         let total: f64 = postings.iter().map(|&(_, w)| w).sum();
         assert_eq!(total, 3.0);
         assert!(index.global_postings(KeywordId(99)).is_empty());
-    }
-
-    #[test]
-    fn segments_sorted_by_len() {
-        let (network, _, index) = setup();
-        let by_len = index.segments_by_len();
-        assert_eq!(by_len.len(), 2);
-        for w in by_len.windows(2) {
-            assert!(network.segment(w[0]).len() <= network.segment(w[1]).len());
-        }
     }
 
     #[test]
@@ -1045,6 +978,5 @@ mod tests {
         let pois = PoiCollection::new();
         let index = PoiIndex::build(&network, &pois, 1.0);
         assert_eq!(index.num_occupied_cells(), 0);
-        assert!(index.segments_by_len().is_empty());
     }
 }

@@ -1,7 +1,7 @@
 //! Per-structure codecs: each structure's columns as typed sections under
 //! a caller-chosen prefix, every invariant re-validated on the way back in.
 
-use soi_common::{CellId, Csr, KeywordId, PoiId, Result, SegmentId};
+use soi_common::{CellId, Csr, KeywordId, PoiId, Result};
 use soi_data::PoiCollection;
 use soi_geo::{Grid, Point};
 use soi_network::RoadNetwork;
@@ -133,9 +133,8 @@ fn read_csr<T: From<u32>>(
 pub fn write_poi_index(writer: &mut SnapshotWriter, prefix: &str, index: &PoiIndex) -> Result<()> {
     write_grid(writer, prefix, &index.grid)?;
     write_csr(writer, &format!("{prefix}.cp"), &index.cell_pois)?;
-    writer.f64s(&format!("{prefix}.cw"), &index.total_weight)?;
     write_csr(writer, &format!("{prefix}.ck"), &index.cell_kws)?;
-    write_csr(writer, &format!("{prefix}.rd"), &index.run_docs)?;
+    write_csr(writer, &format!("{prefix}.rs"), &index.run_slots)?;
 
     // The global lists hold (cell, weight) pairs: the shared row starts,
     // then one column per half.
@@ -148,17 +147,14 @@ pub fn write_poi_index(writer: &mut SnapshotWriter, prefix: &str, index: &PoiInd
     writer.u32s(&format!("{prefix}.g.s"), index.global.starts())?;
     writer.u32s(&format!("{prefix}.g.i"), &gcell)?;
     writer.f64s(&format!("{prefix}.gw"), &gwt)?;
-
-    let slen: Vec<u32> = index.segments_by_len.iter().map(|s| s.raw()).collect();
-    writer.u32s(&format!("{prefix}.slen"), &slen)?;
     write_csr(writer, &format!("{prefix}.r"), &index.raster)
 }
 
 /// Reads a [`PoiIndex`] stored under `prefix`, validating every column
 /// against the grid, the other columns, and the dataset (the POIs of
-/// `pois`, the segments of `network`), then deriving the slot columns —
-/// which are not stored — from the validated ones and `pois`, as a build
-/// does.
+/// `pois`, the segments of `network`), then deriving the coordinate column
+/// and the cell totals — which are not stored — from the validated ones
+/// and `pois`, as a build does.
 ///
 /// # Errors
 /// Missing sections, violated invariants, or out-of-bounds ids
@@ -182,10 +178,8 @@ pub fn read_poi_index(
         "poi cell members",
     )?;
     // Ascending members make ascending slot ascending id: the order the
-    // derived slot columns, and the masses summed over them, rely on.
+    // postings, and the masses and totals summed over them, rely on.
     check_rows_ascending(&cell_pois, "poi cell members").map_err(bad)?;
-    let total_weight = snapshot.f64s(&format!("{prefix}.cw"))?;
-    check_len(total_weight, num_cells, "poi cell weights").map_err(bad)?;
 
     // Global lists first: their row count is the keyword id space the run
     // directory is checked against.
@@ -217,37 +211,29 @@ pub fn read_poi_index(
         "poi run directory",
     )?;
     check_rows_ascending(&cell_kws, "poi run directory").map_err(bad)?;
-    let run_docs: Csr<PoiId> = read_csr(
+    let run_slots: Csr<u32> = read_csr(
         snapshot,
-        &format!("{prefix}.rd"),
+        &format!("{prefix}.rs"),
         cell_kws.items().len(),
-        num_pois,
-        "poi postings docs",
+        cell_pois.items().len(),
+        "poi postings",
     )?;
-    if let Some(run) = (0..run_docs.rows()).find(|&r| run_docs.is_empty_row(r)) {
-        return Err(bad(format!("poi postings docs: run {run} is empty")));
-    }
-    check_rows_ascending(&run_docs, "poi postings docs").map_err(bad)?;
-
-    let slen = snapshot.u32s(&format!("{prefix}.slen"))?;
-    check_len(slen, num_segments, "segment length list").map_err(bad)?;
-    check_ids_below(slen, num_segments, "segment length list").map_err(bad)?;
-    let segments_by_len: Vec<SegmentId> = slen.iter().map(|&s| SegmentId(s)).collect();
-    // SL3's order, whose head the paper's bound reads: strictly ascending
-    // in (length, id) with as many ids as segments, all in range, is a
-    // permutation.
-    let len = |s: SegmentId| network.segment(s).len();
-    let out_of_order = segments_by_len.windows(2).find(|w| {
-        len(w[0])
-            .total_cmp(&len(w[1]))
-            .then(w[0].cmp(&w[1]))
-            .is_ge()
-    });
-    if let Some(w) = out_of_order {
-        return Err(bad(format!(
-            "segment length list: segment {} follows segment {} out of (length, id) order",
-            w[1].0, w[0].0
-        )));
+    check_rows_ascending(&run_slots, "poi postings").map_err(bad)?;
+    // A run is a non-empty ascending list of its own cell's slots: its
+    // first and last slot bound the rest.
+    for cell in 0..num_cells {
+        let slots = cell_pois.row_range(cell);
+        for run in cell_kws.row_range(cell) {
+            let row = run_slots.row(run);
+            let (Some(&first), Some(&last)) = (row.first(), row.last()) else {
+                return Err(bad(format!("poi postings: run {run} is empty")));
+            };
+            if !slots.contains(&(first as usize)) || !slots.contains(&(last as usize)) {
+                return Err(bad(format!(
+                    "poi postings: run {run} of cell {cell} holds a slot outside {slots:?}"
+                )));
+            }
+        }
     }
 
     let raster = read_csr(
@@ -258,19 +244,9 @@ pub fn read_poi_index(
         "raster map",
     )?;
 
-    let index = PoiIndex::from_columns(
-        grid,
-        cell_pois,
-        total_weight.to_vec(),
-        cell_kws,
-        run_docs,
-        global,
-        segments_by_len,
-        raster,
-        pois,
-    )
-    .map_err(bad)?;
-    index.check_weight_sums().map_err(bad)?;
+    let index = PoiIndex::from_columns(grid, cell_pois, cell_kws, run_slots, global, raster, pois)
+        .map_err(bad)?;
+    index.check_global_lists().map_err(bad)?;
     Ok(index)
 }
 

@@ -6,8 +6,8 @@
 //! reader has one body either way. The overlay rules keep every bound the
 //! algorithm relies on *sound and exact*:
 //!
-//! - Street geometry (grid, rasters, segment length order) is static, so
-//!   those methods read the base unchanged.
+//! - Street geometry (grid, rasters) is static, so those methods read the
+//!   base unchanged.
 //! - Global postings and per-cell weight totals come from the delta's
 //!   replacement aggregates for touched keywords/cells and from the base
 //!   otherwise; the delta recomputed them in merged ascending-POI order,
@@ -127,11 +127,6 @@ impl<'a> IndexView<'a> {
     /// The underlying grid (static street/POI extent fixed at build time).
     pub fn grid(&self) -> &'a Grid {
         self.base.grid()
-    }
-
-    /// Segment ids sorted increasingly by length (SL3 order; static).
-    pub fn segments_by_len(&self) -> &'a [SegmentId] {
-        self.base.segments_by_len()
     }
 
     /// O(1) upper bound on `|Cε(ℓ)|` (pure grid geometry; static).
@@ -273,7 +268,7 @@ impl<'a> IndexView<'a> {
         // The slots of the cell's POIs carrying `k`, ascending.
         let run_slots = |k: &KeywordId| {
             let run = runs.start + cell_kws.binary_search(k).ok()?;
-            Some(&base.run_slots[base.run_docs.row_range(run)])
+            Some(base.run_slots.row(run))
         };
         let mut emit = |slot: usize| {
             let deleted = self

@@ -12,7 +12,7 @@
 //!   snapshot as a miss: rebuild, rewrite, and the *next* start hits;
 //! - [`CacheMode::Strict`] fails loudly instead.
 //!
-//! Below the container sits the section set of format version 3 — every
+//! Below the container sits the section set of format version 4 — every
 //! cell/keyword/segment keyed map a `Csr` column pair (`.s` row starts,
 //! `.i` items). A file whose checksums are all valid but whose columns
 //! disagree with each other, the grid or the dataset is the same `Data`
@@ -393,13 +393,13 @@ fn row_with_two(starts: &[u32]) -> usize {
     starts[row.expect("some row holds two items")] as usize
 }
 
-/// For the first of `rows` (each a cell's row of one items column, in
-/// column order) that allows it: the position of the row's last item in the
-/// column, and a member of another cell that keeps the row strictly
-/// ascending in its place — an in-range id the per-column checks accept.
-fn foreign_row_end(rows: &[(CellId, &[PoiId])], members: &[(CellId, &[PoiId])]) -> (usize, u32) {
+/// For the first cell (in column order) that allows it: the position of
+/// its member list's last item in `poi.cp.i`, and a member of another cell
+/// that keeps the list strictly ascending in its place — an in-range id the
+/// per-column checks accept.
+fn foreign_member_end(members: &[(CellId, &[PoiId])]) -> (usize, u32) {
     let mut at = 0;
-    for (cell, row) in rows {
+    for (cell, row) in members {
         let before = row.len().checked_sub(2).map(|i| row[i]);
         let mut elsewhere = members
             .iter()
@@ -410,7 +410,23 @@ fn foreign_row_end(rows: &[(CellId, &[PoiId])], members: &[(CellId, &[PoiId])]) 
         }
         at += row.len();
     }
-    panic!("no row can end in a POI of another cell");
+    panic!("no member list can end in a POI of another cell");
+}
+
+/// For the first cell with a run whose slot range is not the last: the
+/// position of its last run's last slot in `poi.rs.i`, and the first slot
+/// past the cell — an in-range slot that keeps the run strictly ascending
+/// but lies in another cell.
+fn slot_past_its_cell(snapshot: &Snapshot) -> (usize, u32) {
+    let cell_slots = snapshot.u32s("poi.cp.s").unwrap();
+    let cell_runs = snapshot.u32s("poi.ck.s").unwrap();
+    let run_slots = snapshot.u32s("poi.rs.s").unwrap();
+    let num_slots = *cell_slots.last().unwrap();
+    let cell = (0..cell_runs.len() - 1)
+        .find(|&c| cell_runs[c + 1] > cell_runs[c] && cell_slots[c + 1] < num_slots)
+        .expect("a cell with runs before the last slot");
+    let last_run = cell_runs[cell + 1] as usize - 1;
+    (run_slots[last_run + 1] as usize - 1, cell_slots[cell + 1])
 }
 
 #[test]
@@ -421,30 +437,32 @@ fn inconsistent_columns_are_data_errors_never_panics() {
     let num_segments = dataset.network.num_segments() as u32;
     let bundle = soi_index::build_bundle(&dataset, &params());
     let num_cells = bundle.poi.grid().num_cells() as u32;
-    // Row starts of the run directory, the docs column and the cell
-    // members, to aim the row-order corruptions at a row that can show them.
-    let (kw_row, doc_row, member_row) = {
+    // Row starts of the run directory, the postings column and the cell
+    // members, to aim the row-order corruptions at a row that can show
+    // them; the slot count; and where a slot of another cell can end a
+    // postings run (`poi.rs.i`), and which.
+    let (kw_row, run_row, member_row, num_slots, (foreign_slot_at, foreign_slot)) = {
         let path = temp_path("starts");
         std::fs::write(&path, &image).unwrap();
         let snapshot = Snapshot::open(&path).unwrap();
-        let rows = (
+        let found = (
             row_with_two(snapshot.u32s("poi.ck.s").unwrap()),
-            row_with_two(snapshot.u32s("poi.rd.s").unwrap()),
+            row_with_two(snapshot.u32s("poi.rs.s").unwrap()),
             row_with_two(snapshot.u32s("poi.cp.s").unwrap()),
+            snapshot.u32s("poi.cp.i").unwrap().len() as u32,
+            slot_past_its_cell(&snapshot),
         );
         std::fs::remove_file(&path).ok();
-        rows
+        found
     };
-    // Where a POI of another cell can end a postings run (`poi.rd.i`) or a
-    // cell's member list (`poi.cp.i`), and which.
-    let cells: Vec<_> = bundle.poi.occupied_cells().collect();
-    let members: Vec<(CellId, &[PoiId])> = cells.iter().map(|(id, c)| (*id, c.pois)).collect();
-    let runs: Vec<(CellId, &[PoiId])> = cells
-        .iter()
-        .flat_map(|(id, c)| c.keywords().iter().map(|&k| (*id, c.postings(k))))
+    // Where a POI of another cell can end a cell's member list
+    // (`poi.cp.i`), and which.
+    let members: Vec<(CellId, &[PoiId])> = bundle
+        .poi
+        .occupied_cells()
+        .map(|(id, c)| (id, c.pois))
         .collect();
-    let (foreign_posting_at, foreign_posting) = foreign_row_end(&runs, &members);
-    let (foreign_member_at, foreign_member) = foreign_row_end(&members, &members);
+    let (foreign_member_at, foreign_member) = foreign_member_end(&members);
 
     // Moves a row-starts column's final offset off the item count.
     let end_moved = |by: i32| -> Rewrite {
@@ -466,30 +484,25 @@ fn inconsistent_columns_are_data_errors_never_panics() {
         ("starts-decrease", "poi.r.s", as_u32s(|v| v[1] = u32::MAX)),
         ("starts-end-short-of-items", "pg.ph.s", end_moved(-1)),
         ("starts-end-past-items", "poi.r.s", end_moved(1)),
-        // The run directory's ends are the docs column's row starts.
-        ("run-end-past-docs", "poi.rd.s", end_moved(5)),
+        // The run directory's ends are the postings column's row starts.
+        ("run-end-past-postings", "poi.rs.s", end_moved(5)),
         (
             "more-directory-entries-than-runs",
             "poi.ck.i",
             as_u32s(|v| v.push(0)),
         ),
-        ("empty-postings-run", "poi.rd.s", as_u32s(|v| v[1] = 0)),
+        ("empty-postings-run", "poi.rs.s", as_u32s(|v| v[1] = 0)),
         ("row-count-not-grid-cells", "pg.ph.s", extra_row()),
         ("raster-of-another-grid", "poi.r.s", extra_row()),
-        (
-            "length-list-of-another-network",
-            "poi.slen",
-            as_u32s(|v| v.push(0)),
-        ),
-        // A weight column (f64) that does not cover the grid.
+        // A weight column (f64) shorter than the cell column it pairs with.
         (
             "weights-too-short",
-            "poi.cw",
+            "poi.gw",
             Box::new(|b| b.truncate(b.len() - 8)),
         ),
         // Item ids at their bound.
         ("poi-id-out-of-range", "poi.cp.i", first_set_to(num_pois)),
-        ("posting-out-of-range", "poi.rd.i", first_set_to(num_pois)),
+        ("posting-out-of-range", "poi.rs.i", first_set_to(num_slots)),
         ("photo-id-out-of-range", "pg.ph.i", first_set_to(num_photos)),
         (
             "raster-segment-out-of-range",
@@ -506,11 +519,6 @@ fn inconsistent_columns_are_data_errors_never_panics() {
             "poi.ck.i",
             first_set_to(u32::MAX),
         ),
-        (
-            "length-list-segment-out-of-range",
-            "poi.slen",
-            first_set_to(num_segments),
-        ),
         // Rows the binary search and the sorted-list union walk.
         (
             "run-keywords-unsorted",
@@ -523,21 +531,21 @@ fn inconsistent_columns_are_data_errors_never_panics() {
             as_u32s(move |v| v[kw_row + 1] = v[kw_row]),
         ),
         (
-            "postings-unsorted",
-            "poi.rd.i",
-            as_u32s(move |v| v.swap(doc_row, doc_row + 1)),
+            "postings-run-not-ascending",
+            "poi.rs.i",
+            as_u32s(move |v| v.swap(run_row, run_row + 1)),
         ),
-        // What the slot derivation relies on: ascending slot is ascending
-        // id, and a run's postings are members of the run's own cell.
+        // What the postings rely on: ascending slot is ascending id, and a
+        // run's slots lie in the run's own cell.
         (
             "cell-members-unsorted",
             "poi.cp.i",
             as_u32s(move |v| v.swap(member_row, member_row + 1)),
         ),
         (
-            "posting-of-another-cell",
-            "poi.rd.i",
-            as_u32s(move |v| v[foreign_posting_at] = foreign_posting),
+            "run-slot-outside-its-cell",
+            "poi.rs.i",
+            as_u32s(move |v| v[foreign_slot_at] = foreign_slot),
         ),
         (
             "poi-in-two-cells",
@@ -569,22 +577,16 @@ fn inconsistent_columns_are_data_errors_never_panics() {
     }
 }
 
-/// What Alg. 1's upper bounds read from a snapshot and trust: the cell
-/// totals and global `(cell, weight)` lists `relcount` is summed from, and
-/// SL3's length order. A checksummed file that lowers a total or a global
-/// weight, drops a global entry, or disorders SL3 is a `Data` error: a
-/// query over it would stop on a bound that is no upper bound.
+/// What Alg. 1's upper bounds read from a snapshot and trust: the global
+/// `(cell, weight)` lists `relcount` is summed from. A checksummed file
+/// that lowers a global weight or drops a global entry is a `Data` error:
+/// a query over it would stop on a bound that is no upper bound.
 #[test]
 fn columns_the_bounds_trust_are_checked_against_the_members() {
     let dataset = sample_dataset();
     let image = pristine_image(&dataset);
     let bundle = soi_index::build_bundle(&dataset, &params());
     let index = &bundle.poi;
-    let occupied = index
-        .occupied_cells()
-        .find(|(_, cell)| cell.total_weight > 0.0)
-        .map(|(id, _)| id.index())
-        .expect("an occupied cell");
     // The first keyword with a global list, and where its row ends.
     let keyword = (0..)
         .find(|&k| !index.global_postings(KeywordId(k)).is_empty())
@@ -592,16 +594,9 @@ fn columns_the_bounds_trust_are_checked_against_the_members() {
     let row_end = (0..=keyword)
         .map(|k| index.global_postings(KeywordId(k)).len())
         .sum::<usize>();
-    let by_len = index.segments_by_len();
-    let (shortest, longest) = (0, by_len.len() - 1);
-    assert!(
-        dataset.network.segment(by_len[shortest]).len()
-            < dataset.network.segment(by_len[longest]).len()
-    );
 
     let lowered = |at: usize| as_f64s(move |v| v[at] = v[at].next_down());
     let cases: Vec<(&str, Vec<(&str, Rewrite)>)> = vec![
-        ("cell-total-lowered", vec![("poi.cw", lowered(occupied))]),
         (
             "global-weight-lowered",
             vec![("poi.gw", lowered(row_end - 1))],
@@ -618,14 +613,6 @@ fn columns_the_bounds_trust_are_checked_against_the_members() {
                 ("poi.g.i", as_u32s(move |v| _ = v.remove(row_end - 1))),
                 ("poi.gw", as_f64s(move |v| _ = v.remove(row_end - 1))),
             ],
-        ),
-        (
-            "segment-lengths-unordered",
-            vec![("poi.slen", as_u32s(move |v| v.swap(shortest, longest)))],
-        ),
-        (
-            "segment-lengths-repeated",
-            vec![("poi.slen", as_u32s(|v| v[1] = v[0]))],
         ),
     ];
     for (name, rewrites) in cases {
@@ -647,30 +634,30 @@ fn columns_the_bounds_trust_are_checked_against_the_members() {
 fn previous_format_version_is_rejected_and_the_cache_rebuilds() {
     let dataset = sample_dataset();
     let set_version = |b: &mut Vec<u8>, v: u32| b[8..12].copy_from_slice(&v.to_ne_bytes());
-    assert_eq!(FORMAT_VERSION, 3, "extend this test with the new version");
+    assert_eq!(FORMAT_VERSION, 4, "extend this test with the new version");
 
     let image = pristine_image(&dataset);
-    for old in [1, 2] {
+    for old in [1, 2, 3] {
         let err = read_mutated("old", &dataset, &image, |b| set_version(b, old)).unwrap_err();
         assert_eq!(err.category(), ErrorCategory::Data);
         let msg = err.to_string();
         assert!(
             msg.contains(&format!("version {old}"))
-                && msg.contains("supports 3")
+                && msg.contains("supports 4")
                 && msg.contains(".soisnap"),
             "error must name both versions and the file: {msg}"
         );
     }
 
     // The cache keys file names by format version, so it would not even
-    // open a version-2 file; put one exactly where it looks anyway.
-    let dir = std::env::temp_dir().join(format!("soi-fault-v2-{}", std::process::id()));
+    // open a version-3 file; put one exactly where it looks anyway.
+    let dir = std::env::temp_dir().join(format!("soi-fault-v3-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let cache = IndexCache::new(&dir, CacheMode::Lenient);
     cache.load_or_build(&dataset, &params()).unwrap();
     let snap = cache.snapshot_path(&dataset, &params());
     let mut bytes = std::fs::read(&snap).unwrap();
-    set_version(&mut bytes, 2);
+    set_version(&mut bytes, 3);
     std::fs::write(&snap, &bytes).unwrap();
 
     let strict = IndexCache::new(&dir, CacheMode::Strict);
@@ -710,15 +697,13 @@ fn served_bundle_holds_exactly_the_stamp_poi_and_photo_grid_sections() {
             "poi.gn",
             "poi.cp.s",
             "poi.cp.i",
-            "poi.cw",
             "poi.ck.s",
             "poi.ck.i",
-            "poi.rd.s",
-            "poi.rd.i",
+            "poi.rs.s",
+            "poi.rs.i",
             "poi.g.s",
             "poi.g.i",
             "poi.gw",
-            "poi.slen",
             "poi.r.s",
             "poi.r.i",
             "pg.gf",

@@ -17,6 +17,8 @@ pub struct RoadNetwork {
     /// Street by street, each street's runs in path order (derived at
     /// build, never persisted).
     runs: Vec<SegmentRun>,
+    /// Segment ids in ascending `(length, id)` order (derived at build).
+    segments_by_len: Vec<SegmentId>,
 }
 
 impl RoadNetwork {
@@ -44,6 +46,12 @@ impl RoadNetwork {
     /// in path order.
     pub fn runs(&self) -> &[SegmentRun] {
         &self.runs
+    }
+
+    /// Segment ids sorted increasingly by length, ties by id: the order of
+    /// Alg. 1's list SL3, which depends on street geometry alone.
+    pub fn segments_by_len(&self) -> &[SegmentId] {
+        &self.segments_by_len
     }
 
     /// The members of `run`, in path order.
@@ -271,11 +279,16 @@ impl NetworkBuilder {
         }
 
         let runs = cut_runs(&self.segments, &self.streets);
+        let mut len_keys: Vec<(f64, SegmentId)> =
+            self.segments.iter().map(|s| (s.len(), s.id)).collect();
+        len_keys.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let segments_by_len = len_keys.into_iter().map(|(_, id)| id).collect();
         Ok(RoadNetwork {
             nodes: self.nodes,
             segments: self.segments,
             streets: self.streets,
             runs,
+            segments_by_len,
         })
     }
 }
@@ -380,6 +393,22 @@ mod tests {
             net.run_segments(&first),
             &[SegmentId(0), SegmentId(1), SegmentId(2)]
         );
+    }
+
+    #[test]
+    fn segments_by_len_ascend_in_length_then_id() {
+        let mut b = RoadNetwork::builder();
+        let pts = [(0.0, 0.0), (3.0, 0.0), (4.0, 0.0), (6.0, 0.0), (7.0, 0.0)];
+        b.add_street_from_points("Main", &pts.map(|(x, y)| Point::new(x, y)));
+        let net = b.build().unwrap();
+        // Lengths 3, 1, 2, 1: the two unit segments tie and keep id order.
+        let ids: Vec<u32> = net.segments_by_len().iter().map(|s| s.0).collect();
+        assert_eq!(ids, [1, 3, 2, 0]);
+        assert!(RoadNetwork::builder()
+            .build()
+            .unwrap()
+            .segments_by_len()
+            .is_empty());
     }
 
     #[test]

@@ -54,8 +54,6 @@ pub mod spans {
     pub const INDEX_BUILD_GLOBAL: &str = "index.build.global";
     /// Index build phase 4: raster cell↔segment map.
     pub const INDEX_BUILD_RASTER: &str = "index.build.raster";
-    /// Index build phase 5: length-sorted segment list.
-    pub const INDEX_BUILD_LENGTHS: &str = "index.build.lengths";
     /// Loading an index bundle from a snapshot file (cold start).
     pub const SNAPSHOT_LOAD: &str = "index.snapshot.load";
     /// Writing an index bundle to a snapshot file.
@@ -118,7 +116,6 @@ mod tests {
             spans::INDEX_BUILD_CELLS,
             spans::INDEX_BUILD_GLOBAL,
             spans::INDEX_BUILD_RASTER,
-            spans::INDEX_BUILD_LENGTHS,
             spans::SNAPSHOT_LOAD,
             spans::SNAPSHOT_WRITE,
             spans::CLI_LOAD,

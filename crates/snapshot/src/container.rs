@@ -34,7 +34,9 @@ pub const MAGIC: [u8; 8] = *b"SOISNAP1";
 /// - 2: every cell/keyword/segment keyed map is one dense `Csr` column pair
 ///   (`{p}.s` row starts as `u32`, `{p}.i` items); no id columns.
 /// - 3: no `eps.*` sections and no ε slot in `cache.meta` (4 values).
-pub const FORMAT_VERSION: u32 = 3;
+/// - 4: postings stored as cell slots, not POI ids; no cell totals (a load
+///   derives them) and no segment length list (SL3 is the network's).
+pub const FORMAT_VERSION: u32 = 4;
 /// Endianness probe constant, stored native-endian.
 pub const ENDIAN_TAG: u32 = 0x0A0B_0C0D;
 /// Header size in bytes.

@@ -3,7 +3,6 @@
 //! POIs and photos carry keyword sets (`Ψp`, `Ψr` in the paper); streets
 //! carry keyword frequency vectors (`Φs`). This crate provides:
 //!
-//! - [`tokenize()`](tokenize()): normalisation of raw names/tags into keyword tokens;
 //! - [`Vocabulary`]: string ↔ [`KeywordId`](soi_common::KeywordId) interning,
 //!   so all hot-path keyword operations work on dense `u32` ids;
 //! - [`KeywordSet`]: a sorted, deduplicated keyword-id set with the set
@@ -27,11 +26,9 @@
 pub mod freq;
 pub mod inverted;
 pub mod keyword_set;
-pub mod tokenize;
 pub mod vocab;
 
 pub use freq::FreqVector;
 pub use inverted::{union_distinct, union_of_postings, STACK_LISTS};
 pub use keyword_set::{jaccard_distance_of, sorted_intersection_size, KeywordSet};
-pub use tokenize::tokenize;
 pub use vocab::Vocabulary;

@@ -22,8 +22,7 @@ impl Vocabulary {
 
     /// Interns `term`, returning its id (existing or freshly assigned).
     ///
-    /// The term is stored as given; callers should normalise via
-    /// [`tokenize()`](crate::tokenize()) first.
+    /// The term is stored as given.
     pub fn intern(&mut self, term: &str) -> KeywordId {
         if let Some(&id) = self.by_term.get(term) {
             return id;
