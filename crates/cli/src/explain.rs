@@ -23,6 +23,9 @@ pub(crate) fn run(args: &Args) -> Result<()> {
     let index = bundle.poi;
 
     let mut explain = SoiExplain::default();
+    // Registered before the scope opens: the query's allocation count is
+    // the query's alone.
+    soi_core::obs::register_metrics();
     let scope = soi_obs::AllocScope::start();
     let outcome = run_soi_full(
         &dataset.network,

@@ -89,29 +89,6 @@ impl<T> Csr<T> {
         Self { starts, items }
     }
 
-    /// Builds a `rows`-row map from `entries` already ordered by row:
-    /// counts per row, prefix sum, items in entry order.
-    ///
-    /// # Panics
-    /// Panics if an entry's row is `>= rows`, or on more than `u32::MAX`
-    /// entries.
-    pub fn from_sorted<E>(
-        rows: usize,
-        entries: &[E],
-        row_of: impl Fn(&E) -> usize,
-        item_of: impl Fn(&E) -> T,
-    ) -> Self {
-        debug_assert!(
-            entries.windows(2).all(|w| row_of(&w[0]) <= row_of(&w[1])),
-            "entries must be ordered by row"
-        );
-        let mut lens = vec![0u32; rows];
-        for e in entries {
-            lens[row_of(e)] += 1;
-        }
-        Self::from_row_lens(&lens, entries.iter().map(item_of).collect())
-    }
-
     /// Number of rows (occupied or not).
     pub fn rows(&self) -> usize {
         self.starts.len() - 1
@@ -158,14 +135,24 @@ impl<T> Csr<T> {
 }
 
 impl<T: From<u32>> Csr<T> {
-    /// [`from_sorted`](Self::from_sorted) over packed `(row ‖ item)` keys —
-    /// row in the high 32 bits, raw item id in the low 32 — the form the
-    /// index builds emit and [`sort_row_keys`](crate::sort_row_keys) orders.
+    /// Builds a `rows`-row map from packed `(row ‖ item)` keys already
+    /// ordered by row — row in the high 32 bits, raw item id in the low 32,
+    /// the form the index builds emit and
+    /// [`sort_row_keys`](crate::sort_row_keys) orders: counts per row,
+    /// prefix sum, items in key order.
     ///
     /// # Panics
-    /// As [`from_sorted`](Self::from_sorted).
+    /// Panics if a key's row is `>= rows`, or on more than `u32::MAX` keys.
     pub fn from_sorted_keys(rows: usize, keys: &[u64]) -> Self {
-        Self::from_sorted(rows, keys, |&k| (k >> 32) as usize, |&k| T::from(k as u32))
+        debug_assert!(
+            keys.windows(2).all(|w| w[0] >> 32 <= w[1] >> 32),
+            "keys must be ordered by row"
+        );
+        let mut lens = vec![0u32; rows];
+        for &k in keys {
+            lens[(k >> 32) as usize] += 1;
+        }
+        Self::from_row_lens(&lens, keys.iter().map(|&k| T::from(k as u32)).collect())
     }
 }
 

@@ -47,7 +47,7 @@ pub use error::{ErrorCategory, Result, ResultExt, SoiError, ValidationKind};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{CellId, KeywordId, NodeId, PhotoId, PoiId, SegmentId, StreetId};
 pub use load::{LoadMode, LoadOptions, LoadReport};
-pub use ord::{f64_from_total_key, f64_total_key, OrderedF64};
+pub use ord::OrderedF64;
 pub use parallel::{chunk_ranges, effective_threads, par_chunk_map, par_sort_unstable_by};
 pub use timing::{PhaseTimer, Stopwatch};
 pub use topk::{top_k_by_score, ScoredItem};

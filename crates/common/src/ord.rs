@@ -71,33 +71,6 @@ impl std::fmt::Display for OrderedF64 {
     }
 }
 
-/// Maps an `f64` to a `u64` whose unsigned order equals IEEE-754 totalOrder
-/// (i.e. [`f64::total_cmp`]): `a.total_cmp(&b) == f64_total_key(a).cmp(&f64_total_key(b))`.
-///
-/// This lets floats participate in packed integer sort keys (the index builds
-/// sort by a single `u64`/`u128` compare instead of a branchy comparator
-/// chain). The mapping is a bijection; [`f64_from_total_key`] inverts it
-/// exactly, bit for bit.
-#[inline]
-pub fn f64_total_key(x: f64) -> u64 {
-    let bits = x.to_bits();
-    if bits >> 63 == 1 {
-        !bits // negative: reverse order, below all positives
-    } else {
-        bits | 0x8000_0000_0000_0000 // positive: above all negatives
-    }
-}
-
-/// Exact inverse of [`f64_total_key`].
-#[inline]
-pub fn f64_from_total_key(key: u64) -> f64 {
-    if key >> 63 == 1 {
-        f64::from_bits(key & 0x7FFF_FFFF_FFFF_FFFF)
-    } else {
-        f64::from_bits(!key)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,47 +106,5 @@ mod tests {
         let x: OrderedF64 = 2.5.into();
         let y: f64 = x.into();
         assert_eq!(y, 2.5);
-    }
-
-    const KEY_SAMPLES: [f64; 12] = [
-        f64::NEG_INFINITY,
-        -1e300,
-        -2.5,
-        -1e-300,
-        -0.0,
-        0.0,
-        1e-300,
-        1.0,
-        2.5,
-        1e300,
-        f64::INFINITY,
-        f64::MIN_POSITIVE,
-    ];
-
-    #[test]
-    fn total_key_order_matches_total_cmp() {
-        for &a in &KEY_SAMPLES {
-            for &b in &KEY_SAMPLES {
-                assert_eq!(
-                    f64_total_key(a).cmp(&f64_total_key(b)),
-                    a.total_cmp(&b),
-                    "{a} vs {b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn total_key_roundtrips_exactly() {
-        for &x in &KEY_SAMPLES {
-            let back = f64_from_total_key(f64_total_key(x));
-            assert_eq!(back.to_bits(), x.to_bits(), "{x}");
-        }
-        // NaN payloads roundtrip too.
-        let nan = f64::from_bits(0x7FF8_0000_0000_1234);
-        assert_eq!(
-            f64_from_total_key(f64_total_key(nan)).to_bits(),
-            nan.to_bits()
-        );
     }
 }

@@ -14,7 +14,7 @@ use crate::soi::stats::{phases, QueryStats};
 use soi_common::{top_k_by_score, FxHashMap, ScoredItem, SegmentId, StreetId};
 use soi_data::PoiView;
 use soi_index::IndexView;
-use soi_network::RoadNetwork;
+use soi_network::{RoadNetwork, Segment};
 
 /// Evaluates a k-SOI query by scanning every segment through the grid.
 ///
@@ -75,6 +75,30 @@ pub fn run_baseline<'a>(
     }
 }
 
+/// Every segment of `network` with its mass under `query`, computed without
+/// the index: the weights of the POIs matching the query within `ε` of it,
+/// summed in POI id order. The loop both index-free oracles share.
+fn index_free_masses<'n>(
+    network: &'n RoadNetwork,
+    pois: PoiView<'_>,
+    query: &SoiQuery,
+) -> impl Iterator<Item = (&'n Segment, f64)> {
+    let eps_sq = query.eps * query.eps;
+    let relevant: Vec<(soi_geo::Point, f64)> = pois
+        .iter()
+        .filter(|p| p.keywords.intersects(&query.keywords))
+        .map(|p| (p.pos, p.weight))
+        .collect();
+    network.segments().iter().map(move |seg| {
+        let mass: f64 = relevant
+            .iter()
+            .filter(|(pos, _)| seg.geom.dist_sq_to_point(*pos) <= eps_sq)
+            .map(|&(_, w)| w)
+            .sum();
+        (seg, mass)
+    })
+}
+
 /// Index-free exact street interests (Definition 3, `Max` aggregation) for
 /// *every* street, including zero-interest ones. Test oracle.
 pub fn exact_street_interests<'a>(
@@ -82,20 +106,8 @@ pub fn exact_street_interests<'a>(
     pois: impl Into<PoiView<'a>>,
     query: &SoiQuery,
 ) -> FxHashMap<StreetId, f64> {
-    let pois: PoiView<'a> = pois.into();
-    let eps_sq = query.eps * query.eps;
-    let relevant: Vec<(soi_geo::Point, f64)> = pois
-        .iter()
-        .filter(|p| p.keywords.intersects(&query.keywords))
-        .map(|p| (p.pos, p.weight))
-        .collect();
     let mut out: FxHashMap<StreetId, f64> = FxHashMap::default();
-    for seg in network.segments() {
-        let mass: f64 = relevant
-            .iter()
-            .filter(|(pos, _)| seg.geom.dist_sq_to_point(*pos) <= eps_sq)
-            .map(|&(_, w)| w)
-            .sum();
+    for (seg, mass) in index_free_masses(network, pois.into(), query) {
         let int = segment_interest(mass, seg.len(), query.eps);
         let entry = out.entry(seg.street).or_insert(0.0);
         if int > *entry {
@@ -116,24 +128,10 @@ pub fn brute_force<'a>(
     pois: impl Into<PoiView<'a>>,
     query: &SoiQuery,
 ) -> SoiOutcome {
-    let pois: PoiView<'a> = pois.into();
     let mut stats = QueryStats::default();
     stats.timer.enter(phases::SCAN);
-    let eps_sq = query.eps * query.eps;
-
-    let relevant: Vec<(soi_geo::Point, f64)> = pois
-        .iter()
-        .filter(|p| p.keywords.intersects(&query.keywords))
-        .map(|p| (p.pos, p.weight))
-        .collect();
-
     let mut best: FxHashMap<StreetId, (f64, SegmentId, f64)> = FxHashMap::default();
-    for seg in network.segments() {
-        let mass: f64 = relevant
-            .iter()
-            .filter(|(pos, _)| seg.geom.dist_sq_to_point(*pos) <= eps_sq)
-            .map(|&(_, w)| w)
-            .sum();
+    for (seg, mass) in index_free_masses(network, pois.into(), query) {
         let int = segment_interest(mass, seg.len(), query.eps);
         let entry = best.entry(seg.street).or_insert((0.0, seg.id, 0.0));
         if int > entry.0 || (int == entry.0 && seg.id < entry.1) {

@@ -390,10 +390,23 @@ pub struct JobRun<T> {
 /// run out of retained buffers. Results never depend on what the scratch
 /// held (buffers are cleared on entry, never read); after a panic unwound
 /// through a job, replace the worker with a fresh one.
-#[derive(Debug, Default)]
+///
+/// Making one registers the metric instruments its jobs feed, so their
+/// one-off registration is never counted in a job's allocation scope.
+#[derive(Debug)]
 pub struct EngineWorker {
     soi: SoiScratch,
     describe: DescribeScratch,
+}
+
+impl Default for EngineWorker {
+    fn default() -> Self {
+        obs::register_metrics();
+        Self {
+            soi: SoiScratch::default(),
+            describe: DescribeScratch::default(),
+        }
+    }
 }
 
 impl EngineWorker {

@@ -37,9 +37,11 @@ pub fn engine_metrics() -> &'static EngineMetrics {
     })
 }
 
-/// Forces registration of the engine metrics so a gather performed before
-/// any batch still exposes the full series set.
+/// Forces registration of the engine metrics, and of the core-algorithm
+/// metrics its jobs feed, so a gather performed before any batch still
+/// exposes the full series set and no job's allocation scope pays for it.
 pub fn register_metrics() {
+    soi_core::obs::register_metrics();
     let _ = engine_metrics();
 }
 

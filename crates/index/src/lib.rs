@@ -6,8 +6,9 @@
 //! - [`PoiIndex`]: a spatial grid over the POIs where every cell holds a
 //!   local inverted index (postings sorted by POI id), plus the global
 //!   inverted index mapping each keyword to `(cell, count)` entries sorted
-//!   decreasingly by count, the segment length list, and the raster
-//!   cell↔segment maps, augmented by ε lazily at query time — `Lε(c)`
+//!   decreasingly by count and the raster cell↔segment maps (both derived
+//!   from the postings and the network, on a build and a load alike),
+//!   augmented by ε lazily at query time — `Lε(c)`
 //!   (segments within ε of a cell) and `Cε(ℓ)` (cells within ε of a
 //!   segment) are derived per popped cell or segment;
 //! - [`EpsilonMaps`]: the same two maps built eagerly for one ε — the

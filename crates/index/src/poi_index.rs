@@ -1,31 +1,12 @@
 //! The POI grid index (paper Sec. 3.2.1).
 
 use soi_common::{
-    effective_threads, f64_from_total_key, f64_total_key, par_chunk_map, par_sort_unstable_by,
-    sort_row_keys, CellId, Csr, KeywordId, PoiId, SegmentId,
+    effective_threads, par_chunk_map, sort_row_keys, CellId, Csr, KeywordId, PoiId, SegmentId,
 };
 use soi_data::PoiCollection;
 use soi_geo::{Grid, Point, Rect};
 use soi_network::RoadNetwork;
 use soi_text::union_of_postings;
-
-/// Packs one global-index entry into a single sortable integer:
-/// keyword (high 32) ‖ weight as an order-reversed totalOrder key (middle
-/// 64) ‖ cell (low 32). Unsigned order over the packed keys is therefore
-/// (keyword asc, weight desc, cell asc) — the global index's list order —
-/// and the weight bits are exactly recoverable.
-#[inline]
-fn pack_global_entry(k: KeywordId, weight: f64, cell: CellId) -> u128 {
-    (u128::from(k.0) << 96) | (u128::from(!f64_total_key(weight)) << 32) | u128::from(cell.0)
-}
-
-/// Inverse of [`pack_global_entry`], minus the keyword: the `(cell, weight)`
-/// pair stored in the per-keyword global list.
-#[inline]
-fn unpack_global_entry(entry: u128) -> (CellId, f64) {
-    let weight = f64_from_total_key(!((entry >> 32) as u64));
-    (CellId(entry as u32), weight)
-}
 
 /// The extent a dataset-wide grid covers: the network's united with its
 /// items' (`items`, the POI or photo extent), or the unit square when both
@@ -108,8 +89,10 @@ impl<'a> PoiCell<'a> {
 /// ([`RoadNetwork::segments_by_len`]).
 ///
 /// Every cell- or keyword-keyed structure is a [`Csr`] column pair over the
-/// dense id (a [`PoiCell`] is a borrowed view into them), which is also
-/// exactly what a snapshot stores.
+/// dense id (a [`PoiCell`] is a borrowed view into them). A snapshot stores
+/// three of them — the cell members, the run directory and the postings —
+/// and `PoiIndex::from_columns` derives everything else from those, the
+/// POIs and the network.
 ///
 /// Queries do not read the index directly: masses, `Cε(ℓ)` and the
 /// ε-augmented versions of maps (3) and (4) are read through
@@ -121,8 +104,8 @@ impl<'a> PoiCell<'a> {
 /// Equality compares every column (floats by bit pattern): two equal
 /// indexes answer every query identically. The
 /// columns are crate-visible for the snapshot codec (see
-/// [`crate::snapshot`]), which writes the persisted ones as they are and
-/// validates them against each other and the dataset before
+/// [`crate::snapshot`]), which writes the three primary ones as they are
+/// and validates them against each other and the dataset before
 /// `PoiIndex::from_columns` derives the rest from them.
 #[derive(Debug)]
 pub struct PoiIndex {
@@ -138,21 +121,26 @@ pub struct PoiIndex {
     /// run's keyword, ascending: every cell's local lists in one column.
     pub(crate) run_slots: Csr<u32>,
     /// keyword → (cell, summed weight of POIs with that keyword), desc.
+    /// Derived by [`derive_global`], not persisted.
     pub(crate) global: Csr<(CellId, f64)>,
     /// The static raster cell-to-segment map (Sec. 3.2.1): segments passing
-    /// through each cell (occupied or not), built offline. The ε-augmented
-    /// `Lε(c)` is derived from it lazily at query time.
+    /// through each cell (occupied or not). The ε-augmented `Lε(c)` is
+    /// derived from it lazily at query time. Derived by [`derive_raster`],
+    /// not persisted.
     pub(crate) raster: Csr<SegmentId>,
     /// slot → `[x, y, weight]` of the POI `cell_pois.items()[slot]`.
-    /// Derived by [`derive_slot_xyw`], not persisted.
+    /// Derived by [`derive_from_pois`], not persisted.
     pub(crate) slot_xyw: Vec<[f64; 3]>,
     /// cell → total POI weight (0.0 for an unoccupied cell): its slots'
     /// weights summed in slot order from `0.0`. Derived, not persisted.
     pub(crate) total_weight: Vec<f64>,
 }
 
-/// Derives the cell-major coordinate column Alg. 1's mass path reads
-/// (`slot_xyw`) from the cell members and the dataset.
+/// Derives what the index needs of the dataset's POIs, in one pass over
+/// them: the cell-major coordinate column Alg. 1's mass path reads
+/// (`slot_xyw`), and the keyword id space the global lists are rows over —
+/// one past the largest keyword id any POI carries (indexable or not), and
+/// at least 1.
 ///
 /// Total over any checksummed input — every lookup is bounds-checked and
 /// the work is one pass each over the members and the POIs — and the place
@@ -163,7 +151,10 @@ pub struct PoiIndex {
 ///
 /// # Errors
 /// A message naming the first violated condition.
-fn derive_slot_xyw(cell_pois: &Csr<PoiId>, pois: &PoiCollection) -> Result<Vec<[f64; 3]>, String> {
+fn derive_from_pois(
+    cell_pois: &Csr<PoiId>,
+    pois: &PoiCollection,
+) -> Result<(Vec<[f64; 3]>, usize), String> {
     const UNPLACED: u32 = u32::MAX;
     let members = cell_pois.items();
     // POI → slot first: the coordinate pass below then reads the POI
@@ -182,12 +173,91 @@ fn derive_slot_xyw(cell_pois: &Csr<PoiId>, pois: &PoiCollection) -> Result<Vec<[
         }
     }
     let mut slot_xyw = vec![[0.0; 3]; members.len()];
+    let mut num_kws = 1;
     for (poi, &slot) in pois.as_slice().iter().zip(&slot_of) {
         if slot != UNPLACED {
             slot_xyw[slot as usize] = [poi.pos.x, poi.pos.y, poi.weight];
         }
+        if let Some(k) = poi.keywords.ids().last() {
+            num_kws = num_kws.max(k.index() + 1);
+        }
     }
-    Ok(slot_xyw)
+    Ok((slot_xyw, num_kws))
+}
+
+/// Derives the global inverted index (Sec. 3.2.1) from the postings: one
+/// entry per run, its weight the run's slot weights added in slot order
+/// (ascending id) from `0.0`, listed per keyword by weight descending
+/// (`total_cmp`), then cell ascending. Alg. 1 reads the lists in that
+/// order, and `relcount` and `b(ℓ)` are summed in it, so the order is part
+/// of the answer.
+///
+/// # Errors
+/// A run keyword at or past `num_kws`: no POI carries it.
+fn derive_global(
+    cell_kws: &Csr<KeywordId>,
+    run_slots: &Csr<u32>,
+    slot_xyw: &[[f64; 3]],
+    num_kws: usize,
+) -> Result<Csr<(CellId, f64)>, String> {
+    let kws = cell_kws.items();
+    let mut lens = vec![0u32; num_kws];
+    for k in kws {
+        *lens.get_mut(k.index()).ok_or_else(|| {
+            format!(
+                "poi run directory: keyword {} out of bounds (limit {num_kws})",
+                k.0
+            )
+        })? += 1;
+    }
+    // Each keyword's write cursor: its list's start.
+    let mut next: Vec<usize> = lens
+        .iter()
+        .scan(0, |start, &len| {
+            let at = *start;
+            *start += len as usize;
+            Some(at)
+        })
+        .collect();
+    // Runs come cell-ascending, so every list is filled cell-ascending ...
+    let mut items = vec![(CellId(0), 0.0); kws.len()];
+    for cell in 0..cell_kws.rows() {
+        for run in cell_kws.row_range(cell) {
+            let slots = run_slots.row(run).iter();
+            let weight = slots.fold(0.0, |sum, &s| sum + slot_xyw[s as usize][2]);
+            let at = &mut next[kws[run].index()];
+            items[*at] = (CellId::from_index(cell), weight);
+            *at += 1;
+        }
+    }
+    // ... and a stable sort by weight keeps equal weights in cell order.
+    let mut rest = &mut items[..];
+    for &len in &lens {
+        let (list, tail) = rest.split_at_mut(len as usize);
+        list.sort_by(|a, b| b.1.total_cmp(&a.1));
+        rest = tail;
+    }
+    Ok(Csr::from_row_lens(&lens, items))
+}
+
+/// Derives the static raster map: rasterises the network's segments in
+/// parallel chunks into packed (cell ‖ segment) keys. Keys are unique (a
+/// segment hits a cell at most once) and arrive segment-ascending.
+fn derive_raster(grid: &Grid, network: &RoadNetwork, threads: usize) -> Csr<SegmentId> {
+    let seg_cells: Vec<u64> = par_chunk_map(network.segments(), threads, |_, chunk| {
+        let mut out = Vec::new();
+        for seg in chunk {
+            grid.for_each_cell_near_segment(&seg.geom, 0.0, |coord| {
+                out.push(u64::from(grid.cell_id(coord).0) << 32 | u64::from(seg.id.0));
+            });
+        }
+        out
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    let num_cells = grid.num_cells();
+    Csr::from_sorted_keys(num_cells, &sort_row_keys(seg_cells, num_cells, threads))
 }
 
 impl PartialEq for PoiIndex {
@@ -226,10 +296,13 @@ impl PoiIndex {
     /// Builds the index with an explicit worker-thread count (`0` = resolve
     /// automatically, see [`effective_threads`]).
     ///
-    /// The build is chunk-partitioned and deterministic: every structure is
-    /// assembled by sorting globally ordered intermediate pairs, and all
-    /// floating-point sums run in ascending POI id order, so the result is
-    /// byte-identical for every thread count (including 1).
+    /// The build makes the three primary columns — the cell members, the
+    /// run directory and the postings — and `PoiIndex::from_columns` derives
+    /// the rest, exactly as a snapshot load does. It is
+    /// chunk-partitioned and deterministic: every column is assembled by
+    /// sorting globally ordered intermediate keys, and all floating-point
+    /// sums run in ascending POI id order, so the result is byte-identical
+    /// for every thread count (including 1).
     ///
     /// # Panics
     /// Panics if `cell_size` is not strictly positive.
@@ -258,36 +331,29 @@ impl PoiIndex {
             let mut keys: Vec<u64> = Vec::with_capacity(chunk.len());
             let mut counts: Vec<u32> = Vec::with_capacity(chunk.len());
             let mut flat: Vec<KeywordId> = Vec::new();
-            let mut max_kw = 0u32;
             for poi in chunk {
                 counts.push(poi.keywords.len() as u32);
                 flat.extend_from_slice(poi.keywords.ids());
-                if let Some(&k) = poi.keywords.ids().last() {
-                    max_kw = max_kw.max(k.0);
-                }
                 // POIs outside the grid (non-finite position) are unindexable.
                 if let Some(coord) = grid.cell_containing(poi.pos) {
                     keys.push(u64::from(grid.cell_id(coord).0) << 32 | u64::from(poi.id.0));
                 }
             }
-            (keys, counts, flat, max_kw)
+            (keys, counts, flat)
         });
         let mut keys: Vec<u64> = Vec::with_capacity(pois.len());
         let mut kw_offsets: Vec<u32> = Vec::with_capacity(pois.len() + 1);
         let mut kw_flat: Vec<KeywordId> = Vec::new();
-        let mut max_kw = 0u32;
         kw_offsets.push(0);
         let mut off = 0u32;
-        for (k, counts, flat, m) in parts {
+        for (k, counts, flat) in parts {
             keys.extend(k);
             for c in counts {
                 off += c;
                 kw_offsets.push(off);
             }
             kw_flat.extend(flat);
-            max_kw = max_kw.max(m);
         }
-        let weights: Vec<f64> = pois.as_slice().iter().map(|p| p.weight).collect();
 
         // Order the keys by (cell, poi) — the input is already poi-ascending
         // — and cut them into the cell → POIs column.
@@ -310,7 +376,9 @@ impl PoiIndex {
         // the vocabulary dwarfs the pair count (and all builds over huge
         // vocabularies) fall back to a comparison sort of the packed pairs,
         // which (pairs are unique) produces the identical order.
-        let num_kws = max_kw as usize + 1;
+        // The keyword id space: one past the largest keyword any POI
+        // carries, as `from_columns` derives it.
+        let num_kws = kw_flat.iter().max().map_or(1, |k| k.index() + 1);
         let cell_counting = num_kws <= 65536;
 
         /// What one chunk of occupied cells contributes to the columns.
@@ -323,19 +391,13 @@ impl PoiIndex {
             run_lens: Vec<u32>,
             /// Every run's postings as slots, concatenated in run order.
             slots: Vec<u32>,
-            /// Packed (keyword, weight, cell) global-index entries.
-            triples: Vec<u128>,
         }
 
         // Phase 2 — per-cell structures: each worker takes a contiguous run
         // of occupied cells and emits each cell's local inverted index as
         // column keys — no per-POI hashing, no per-cell allocation, and
-        // every lookup hits the id-indexed weight array or the flat keyword
-        // sidecar. A posting is its POI's slot, and ascending slot is
-        // ascending id within the cell. Each run also emits its packed
-        // (keyword, weight, cell) contribution to the global index, its
-        // weight summed in ascending id order (matching the sequential
-        // build bit-for-bit).
+        // every lookup hits the flat keyword sidecar. A posting is its POI's
+        // slot, and ascending slot is ascending id within the cell.
         let members = cell_pois.items();
         let per_chunk: Vec<CellsPart> = par_chunk_map(&occupied, threads, |_, chunk| {
             let mut part = CellsPart::default();
@@ -375,25 +437,13 @@ impl PoiIndex {
                 } else {
                     pairs.sort_unstable();
                 }
-                // Fused run scan: the per-keyword weight sums (in
-                // ascending POI order) for the global index, the run
-                // directory and the postings column fall out of one pass.
-                let mut r = 0;
-                while r < pairs.len() {
-                    let k = (pairs[r] >> 32) as u32;
-                    let run_start = r;
-                    let mut weight = 0.0;
-                    while r < pairs.len() && (pairs[r] >> 32) as u32 == k {
-                        let slot = pairs[r] as u32;
-                        weight += weights[members[slot as usize].index()];
-                        part.slots.push(slot);
-                        r += 1;
-                    }
-                    part.run_lens.push((r - run_start) as u32);
-                    part.triples
-                        .push(pack_global_entry(KeywordId(k), weight, cell_id));
+                // Run scan: the run directory and the postings column
+                // fall out of one pass.
+                for run in pairs.chunk_by(|a, b| a >> 32 == b >> 32) {
+                    part.slots.extend(run.iter().map(|&p| p as u32));
+                    part.run_lens.push(run.len() as u32);
                     part.run_keys
-                        .push(u64::from(cell_id.0) << 32 | u64::from(k));
+                        .push(u64::from(cell_id.0) << 32 | (run[0] >> 32));
                 }
             }
             part
@@ -403,69 +453,23 @@ impl PoiIndex {
         let mut run_keys: Vec<u64> = Vec::new();
         let mut run_lens: Vec<u32> = Vec::new();
         let mut slots: Vec<u32> = Vec::new();
-        let mut all_triples: Vec<u128> = Vec::new();
         for part in per_chunk {
             run_lens.extend(part.run_lens);
             slots.extend(part.slots);
             run_keys.extend(part.run_keys);
-            all_triples.extend(part.triples);
         }
         let cell_kws: Csr<KeywordId> = Csr::from_sorted_keys(num_cells, &run_keys);
         let run_slots = Csr::from_row_lens(&run_lens, slots);
 
         drop(phase2_span);
-        let phase3_span = soi_obs::trace::span(soi_obs::names::spans::INDEX_BUILD_GLOBAL);
-
-        // Phase 3 — global inverted index: the packed keys order by
-        // (keyword asc, weight desc in totalOrder, cell asc) — the same
-        // total order as the sequential per-list sorts — and are unique per
-        // (keyword, cell), so one deterministic unstable sort puts every
-        // per-keyword list in place.
-        par_sort_unstable_by(&mut all_triples, threads, |a, b| a.cmp(b));
-        let global = Csr::from_sorted(
-            num_kws,
-            &all_triples,
-            |&t| (t >> 96) as usize,
-            |&t| unpack_global_entry(t),
-        );
-
-        drop(phase3_span);
-        let phase4_span = soi_obs::trace::span(soi_obs::names::spans::INDEX_BUILD_RASTER);
-
-        // Phase 4 — static raster map: rasterise segments in parallel chunks
-        // into packed (cell ‖ segment) keys. Keys are unique (a segment hits
-        // a cell at most once) and arrive segment-ascending.
-        let segs = network.segments();
-        let seg_cells: Vec<u64> = par_chunk_map(segs, threads, |_, chunk| {
-            let mut out = Vec::new();
-            for seg in chunk {
-                grid.for_each_cell_near_segment(&seg.geom, 0.0, |coord| {
-                    out.push(u64::from(grid.cell_id(coord).0) << 32 | u64::from(seg.id.0));
-                });
-            }
-            out
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        let raster: Csr<SegmentId> =
-            Csr::from_sorted_keys(num_cells, &sort_row_keys(seg_cells, num_cells, threads));
-
-        drop(phase4_span);
         // The intermediates are as large as the columns about to be
         // derived: freed first, the derive does not raise the build's peak.
-        drop((
-            weights,
-            kw_offsets,
-            kw_flat,
-            run_keys,
-            run_lens,
-            all_triples,
-        ));
-        let index = Self::from_columns(grid, cell_pois, cell_kws, run_slots, global, raster, pois)
-            .unwrap_or_else(|why| {
-                unreachable!("freshly built columns contradict each other: {why}")
-            });
+        drop((kw_offsets, kw_flat, run_keys, run_lens));
+        let index =
+            Self::from_columns(grid, cell_pois, cell_kws, run_slots, network, pois, threads)
+                .unwrap_or_else(|why| {
+                    unreachable!("freshly built columns contradict each other: {why}")
+                });
         drop(build_span);
         let m = crate::obs::index_metrics();
         m.builds.inc();
@@ -581,31 +585,41 @@ impl PoiIndex {
         self.global.row(k.index())
     }
 
-    /// Assembles an index from its persisted columns — freshly built or
-    /// snapshot-decoded and validated — deriving `slot_xyw` from them and
-    /// `pois`, and each cell's total from `slot_xyw`: its slots' weights
-    /// added in slot order (ascending id) from `0.0`, so an unoccupied
-    /// cell's total is exactly `0.0`. The one constructor: no index exists
-    /// without them.
+    /// Assembles an index from its three primary columns — freshly built,
+    /// or snapshot-decoded and validated — and derives the rest: `slot_xyw`
+    /// and the keyword id space from the members and `pois`; each cell's total from `slot_xyw`, its
+    /// slots' weights added in slot order (ascending id) from `0.0`, so an
+    /// unoccupied cell's total is exactly `0.0`; the global lists from the
+    /// runs ([`derive_global`]); and the raster from the grid and `network`
+    /// ([`derive_raster`], on `threads` workers, `0` = automatic). The one
+    /// constructor: no index exists without them, and nothing else makes
+    /// the derived columns.
     ///
     /// # Errors
-    /// The columns contradict each other (see [`derive_slot_xyw`]).
+    /// The columns contradict each other or the dataset (see
+    /// [`derive_from_pois`] and [`derive_global`]).
     pub(crate) fn from_columns(
         grid: Grid,
         cell_pois: Csr<PoiId>,
         cell_kws: Csr<KeywordId>,
         run_slots: Csr<u32>,
-        global: Csr<(CellId, f64)>,
-        raster: Csr<SegmentId>,
+        network: &RoadNetwork,
         pois: &PoiCollection,
+        threads: usize,
     ) -> Result<Self, String> {
-        let slot_xyw = derive_slot_xyw(&cell_pois, pois)?;
+        let (slot_xyw, num_kws) = derive_from_pois(&cell_pois, pois)?;
         let total_weight = (0..cell_pois.rows())
             .map(|cell| {
                 let slots = cell_pois.row_range(cell);
                 slots.fold(0.0, |sum, slot| sum + slot_xyw[slot][2])
             })
             .collect();
+        let span = soi_obs::trace::span(soi_obs::names::spans::INDEX_BUILD_GLOBAL);
+        let global = derive_global(&cell_kws, &run_slots, &slot_xyw, num_kws)?;
+        drop(span);
+        let _span = soi_obs::trace::span(soi_obs::names::spans::INDEX_BUILD_RASTER);
+        let threads = effective_threads((threads > 0).then_some(threads));
+        let raster = derive_raster(&grid, network, threads);
         Ok(Self {
             grid,
             cell_pois,
@@ -616,60 +630,6 @@ impl PoiIndex {
             slot_xyw,
             total_weight,
         })
-    }
-
-    /// Checks the global lists Alg. 1's upper bounds trust against the runs
-    /// they sum, as a build sums them: each entry is its run's weights added
-    /// in ascending id from `0.0` (so bit for bit), and every run has
-    /// exactly one entry. A lowered entry, or a missing one, would let a
-    /// query stop on a `UB` that is no upper bound. The snapshot reader asks
-    /// this of a decoded index; a build makes it so.
-    ///
-    /// # Errors
-    /// A message naming the first violated condition.
-    pub(crate) fn check_global_lists(&self) -> Result<(), String> {
-        let run_weight: Vec<f64> = (0..self.run_slots.rows())
-            .map(|run| {
-                let slots = self.run_slots.row(run).iter();
-                slots.fold(0.0, |sum, &s| sum + self.slot_xyw[s as usize][2])
-            })
-            .collect();
-        // Keyword by keyword, ascending: a cell's run of `k` is its first run
-        // no global entry has claimed yet, so each entry claims the run at its
-        // cell's cursor — and a missing, repeated or stray entry leaves a
-        // cursor on another keyword's run.
-        let (kws, runs_of) = (self.cell_kws.items(), |cell| self.cell_kws.row_range(cell));
-        let mut next_run: Vec<usize> = (0..self.cell_kws.rows())
-            .map(|cell| runs_of(cell).start)
-            .collect();
-        for k in 0..self.global.rows() {
-            for &(cell, weight) in self.global.row(k) {
-                let claimed = next_run
-                    .get_mut(cell.index())
-                    .filter(|&&mut run| run < runs_of(cell.index()).end && kws[run].index() == k);
-                let Some(run) = claimed else {
-                    return Err(format!(
-                        "poi global index: keyword {k} lists cell {}, which has no run of it left",
-                        cell.0
-                    ));
-                };
-                if run_weight[*run].to_bits() != weight.to_bits() {
-                    return Err(format!(
-                        "poi global weights: keyword {k} in cell {} weighs {weight}, \
-                         its run sums to {}",
-                        cell.0, run_weight[*run]
-                    ));
-                }
-                *run += 1;
-            }
-        }
-        match (0..next_run.len()).find(|&cell| next_run[cell] < runs_of(cell).end) {
-            Some(cell) => Err(format!(
-                "poi global index: no entry of keyword {} lists cell {cell}",
-                kws[next_run[cell]].0
-            )),
-            None => Ok(()),
-        }
     }
 }
 

@@ -3,11 +3,14 @@
 //! The structures `/soi` and `/describe` serve from —
 //! [`PoiIndex`](crate::PoiIndex) and [`PhotoGrid`](crate::PhotoGrid) — can
 //! be encoded into a [`soi_snapshot`] container and decoded back without
-//! re-running the build. The cell-, keyword- and segment-keyed maps are
-//! [`Csr`](soi_common::Csr) column pairs in memory and the same two
-//! columns on disk, so writing one is a copy of each column and loading one
-//! is a validation pass plus a copy: a loaded index `==` the built one and
-//! answers every query byte-identically.
+//! re-running the build. Only primary columns are stored: the cell- and
+//! run-keyed maps are [`Csr`](soi_common::Csr) column pairs in memory and
+//! the same two columns on disk, so writing one is a copy of each column
+//! and loading one is a validation pass plus a copy. What is a function of
+//! them, the dataset and the network (the POI index's coordinate column,
+//! cell totals, global lists and raster) is derived on load by the one
+//! constructor a build also goes through: a loaded index `==` the built
+//! one and answers every query byte-identically.
 //!
 //! The module has three layers, one file each under `snapshot/`:
 //!

@@ -1,7 +1,7 @@
 //! Per-structure codecs: each structure's columns as typed sections under
 //! a caller-chosen prefix, every invariant re-validated on the way back in.
 
-use soi_common::{CellId, Csr, KeywordId, PoiId, Result};
+use soi_common::{Csr, KeywordId, PoiId, Result};
 use soi_data::PoiCollection;
 use soi_geo::{Grid, Point};
 use soi_network::RoadNetwork;
@@ -19,18 +19,6 @@ fn check_ids_below(ids: &[u32], bound: usize, what: &str) -> std::result::Result
     match ids.iter().find(|&&id| id as usize >= bound) {
         Some(&id) => Err(format!("{what}: id {id} out of bounds (limit {bound})")),
         None => Ok(()),
-    }
-}
-
-/// Checks that `values` holds exactly `expected` entries.
-fn check_len<T>(values: &[T], expected: usize, what: &str) -> std::result::Result<(), String> {
-    if values.len() == expected {
-        Ok(())
-    } else {
-        Err(format!(
-            "{what}: expected {expected} entries, found {}",
-            values.len()
-        ))
     }
 }
 
@@ -126,7 +114,9 @@ fn read_csr<T: From<u32>>(
 // PoiIndex codec
 // ---------------------------------------------------------------------------
 
-/// Writes the full [`PoiIndex`] under `prefix`.
+/// Writes the [`PoiIndex`]'s primary columns under `prefix`: the grid, the
+/// cell members, the run directory and the postings. The rest is derived
+/// on load.
 ///
 /// # Errors
 /// Writer-side section errors.
@@ -134,27 +124,14 @@ pub fn write_poi_index(writer: &mut SnapshotWriter, prefix: &str, index: &PoiInd
     write_grid(writer, prefix, &index.grid)?;
     write_csr(writer, &format!("{prefix}.cp"), &index.cell_pois)?;
     write_csr(writer, &format!("{prefix}.ck"), &index.cell_kws)?;
-    write_csr(writer, &format!("{prefix}.rs"), &index.run_slots)?;
-
-    // The global lists hold (cell, weight) pairs: the shared row starts,
-    // then one column per half.
-    let (gcell, gwt): (Vec<u32>, Vec<f64>) = index
-        .global
-        .items()
-        .iter()
-        .map(|&(c, w)| (c.raw(), w))
-        .unzip();
-    writer.u32s(&format!("{prefix}.g.s"), index.global.starts())?;
-    writer.u32s(&format!("{prefix}.g.i"), &gcell)?;
-    writer.f64s(&format!("{prefix}.gw"), &gwt)?;
-    write_csr(writer, &format!("{prefix}.r"), &index.raster)
+    write_csr(writer, &format!("{prefix}.rs"), &index.run_slots)
 }
 
-/// Reads a [`PoiIndex`] stored under `prefix`, validating every column
-/// against the grid, the other columns, and the dataset (the POIs of
-/// `pois`, the segments of `network`), then deriving the coordinate column
-/// and the cell totals — which are not stored — from the validated ones
-/// and `pois`, as a build does.
+/// Reads a [`PoiIndex`] stored under `prefix`, validating every stored
+/// column against the grid, the other columns and the POIs of `pois`, then
+/// handing them to `PoiIndex::from_columns`, which derives the coordinate
+/// column, the cell totals, the global lists and the raster (over
+/// `network`) from them, as a build does.
 ///
 /// # Errors
 /// Missing sections, violated invariants, or out-of-bounds ids
@@ -165,7 +142,6 @@ pub fn read_poi_index(
     pois: &PoiCollection,
     network: &RoadNetwork,
 ) -> Result<PoiIndex> {
-    let (num_pois, num_segments) = (pois.len(), network.num_segments());
     let grid = read_grid(snapshot, prefix)?;
     let num_cells = grid.num_cells();
     let bad = |msg: String| corrupt(snapshot.path(), msg);
@@ -174,40 +150,22 @@ pub fn read_poi_index(
         snapshot,
         &format!("{prefix}.cp"),
         num_cells,
-        num_pois,
+        pois.len(),
         "poi cell members",
     )?;
     // Ascending members make ascending slot ascending id: the order the
     // postings, and the masses and totals summed over them, rely on.
     check_rows_ascending(&cell_pois, "poi cell members").map_err(bad)?;
 
-    // Global lists first: their row count is the keyword id space the run
-    // directory is checked against.
-    let gstart = snapshot.u32s(&format!("{prefix}.g.s"))?;
-    let gcell = snapshot.u32s(&format!("{prefix}.g.i"))?;
-    let gwt = snapshot.f64s(&format!("{prefix}.gw"))?;
-    check_ids_below(gcell, num_cells, "global cells").map_err(bad)?;
-    check_len(gwt, gcell.len(), "global weights").map_err(bad)?;
-    let global = Csr::from_parts(
-        gstart.len().saturating_sub(1),
-        gstart.to_vec(),
-        gcell
-            .iter()
-            .zip(gwt)
-            .map(|(&c, &w)| (CellId(c), w))
-            .collect(),
-        "global index",
-    )
-    .map_err(bad)?;
-
     // The local inverted indexes: the binary search over a cell's keywords
-    // and the sorted-list union over its runs need ascending rows, and a
-    // run exists only for a keyword some POI of the cell carries.
+    // and the sorted-list union over its runs need ascending rows. That a
+    // run's keyword is one some POI carries, `from_columns` checks as it
+    // derives the global lists over the POIs' keyword ids.
     let cell_kws: Csr<KeywordId> = read_csr(
         snapshot,
         &format!("{prefix}.ck"),
         num_cells,
-        global.rows(),
+        usize::MAX,
         "poi run directory",
     )?;
     check_rows_ascending(&cell_kws, "poi run directory").map_err(bad)?;
@@ -236,18 +194,7 @@ pub fn read_poi_index(
         }
     }
 
-    let raster = read_csr(
-        snapshot,
-        &format!("{prefix}.r"),
-        num_cells,
-        num_segments,
-        "raster map",
-    )?;
-
-    let index = PoiIndex::from_columns(grid, cell_pois, cell_kws, run_slots, global, raster, pois)
-        .map_err(bad)?;
-    index.check_global_lists().map_err(bad)?;
-    Ok(index)
+    PoiIndex::from_columns(grid, cell_pois, cell_kws, run_slots, network, pois, 0).map_err(bad)
 }
 
 // ---------------------------------------------------------------------------

@@ -12,11 +12,12 @@
 //!   snapshot as a miss: rebuild, rewrite, and the *next* start hits;
 //! - [`CacheMode::Strict`] fails loudly instead.
 //!
-//! Below the container sits the section set of format version 4 — every
-//! cell/keyword/segment keyed map a `Csr` column pair (`.s` row starts,
-//! `.i` items). A file whose checksums are all valid but whose columns
-//! disagree with each other, the grid or the dataset is the same `Data`
-//! error, and a file of another format version names both versions.
+//! Below the container sits the section set of format version 5 — the POI
+//! index's primary columns and the photo grid, every cell- or run-keyed map
+//! a `Csr` column pair (`.s` row starts, `.i` items). A file whose checksums
+//! are all valid but whose columns disagree with each other, the grid or
+//! the dataset is the same `Data` error, and a file of another format
+//! version names both versions.
 //!
 //! The section set itself is pinned: a bundle holds the `cache.meta` stamp,
 //! the POI grid index and the photo grid, and nothing else; a stamp whose
@@ -334,21 +335,18 @@ fn strict_cache_fails_loudly_on_corruption() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Rewrites the payloads of the sections named in `rewrites` of `image`
-/// and returns a container whose table and payload checksums are all valid
-/// again: the corruption is in what the columns *say*, which only the
-/// codecs can see.
-fn with_sections_rewritten(image: &[u8], rewrites: &[(&str, Rewrite)]) -> Vec<u8> {
+/// Rewrites the payload of section `name` of `image` and returns a
+/// container whose table and payload checksums are all valid again: the
+/// corruption is in what the columns *say*, which only the codecs can see.
+fn with_section_rewritten(image: &[u8], name: &str, mutate: Rewrite) -> Vec<u8> {
     let path = temp_path("rewrite");
     std::fs::write(&path, image).unwrap();
     let snapshot = Snapshot::open(&path).unwrap();
-    for (name, _) in rewrites {
-        assert!(snapshot.has(name), "no section `{name}` to corrupt");
-    }
+    assert!(snapshot.has(name), "no section `{name}` to corrupt");
     let mut writer = SnapshotWriter::new();
     for section in snapshot.sections() {
         let mut bytes = snapshot.bytes(&section.name).unwrap().to_vec();
-        for (_, mutate) in rewrites.iter().filter(|(name, _)| *name == section.name) {
+        if section.name == name {
             mutate(&mut bytes);
         }
         writer.bytes(&section.name, section.align, &bytes).unwrap();
@@ -357,24 +355,8 @@ fn with_sections_rewritten(image: &[u8], rewrites: &[(&str, Rewrite)]) -> Vec<u8
     writer.finish()
 }
 
-/// [`with_sections_rewritten`] for one section.
-fn with_section_rewritten(image: &[u8], name: &str, mutate: Rewrite) -> Vec<u8> {
-    with_sections_rewritten(image, &[(name, mutate)])
-}
-
 /// A rewrite of one section's payload bytes.
 type Rewrite = Box<dyn Fn(&mut Vec<u8>)>;
-
-/// A payload rewrite stated over the section's `f64` values.
-fn as_f64s(mutate: impl Fn(&mut Vec<f64>) + 'static) -> Rewrite {
-    Box::new(move |bytes| {
-        let mut values: Vec<f64> = (0..bytes.len() / 8)
-            .map(|i| f64::from_bits(read_u64(bytes, 8 * i)))
-            .collect();
-        mutate(&mut values);
-        *bytes = values.iter().flat_map(|v| v.to_ne_bytes()).collect();
-    })
-}
 
 /// A payload rewrite stated over the section's `u32` values.
 fn as_u32s(mutate: impl Fn(&mut Vec<u32>) + 'static) -> Rewrite {
@@ -434,9 +416,15 @@ fn inconsistent_columns_are_data_errors_never_panics() {
     let dataset = sample_dataset();
     let image = pristine_image(&dataset);
     let (num_pois, num_photos) = (dataset.pois.len() as u32, dataset.photos.len() as u32);
-    let num_segments = dataset.network.num_segments() as u32;
+    // One past the largest keyword a POI carries: no POI carries it.
+    let num_kws = dataset
+        .pois
+        .iter()
+        .filter_map(|p| p.keywords.ids().last())
+        .map(|k| k.raw() + 1)
+        .max()
+        .unwrap();
     let bundle = soi_index::build_bundle(&dataset, &params());
-    let num_cells = bundle.poi.grid().num_cells() as u32;
     // Row starts of the run directory, the postings column and the cell
     // members, to aim the row-order corruptions at a row that can show
     // them; the slot count; and where a slot of another cell can end a
@@ -479,11 +467,11 @@ fn inconsistent_columns_are_data_errors_never_panics() {
             as_u32s(|v| v.truncate(v.len() / 2)),
         ),
         ("starts-too-long", "pg.ph.s", as_u32s(|v| v.extend([0, 0]))),
-        ("starts-empty", "poi.r.s", as_u32s(|v| v.clear())),
+        ("starts-empty", "poi.ck.s", as_u32s(|v| v.clear())),
         ("starts-not-from-zero", "poi.cp.s", first_set_to(1)),
-        ("starts-decrease", "poi.r.s", as_u32s(|v| v[1] = u32::MAX)),
+        ("starts-decrease", "pg.ph.s", as_u32s(|v| v[1] = u32::MAX)),
         ("starts-end-short-of-items", "pg.ph.s", end_moved(-1)),
-        ("starts-end-past-items", "poi.r.s", end_moved(1)),
+        ("starts-end-past-items", "poi.cp.s", end_moved(1)),
         // The run directory's ends are the postings column's row starts.
         ("run-end-past-postings", "poi.rs.s", end_moved(5)),
         (
@@ -493,31 +481,15 @@ fn inconsistent_columns_are_data_errors_never_panics() {
         ),
         ("empty-postings-run", "poi.rs.s", as_u32s(|v| v[1] = 0)),
         ("row-count-not-grid-cells", "pg.ph.s", extra_row()),
-        ("raster-of-another-grid", "poi.r.s", extra_row()),
-        // A weight column (f64) shorter than the cell column it pairs with.
-        (
-            "weights-too-short",
-            "poi.gw",
-            Box::new(|b| b.truncate(b.len() - 8)),
-        ),
         // Item ids at their bound.
         ("poi-id-out-of-range", "poi.cp.i", first_set_to(num_pois)),
         ("posting-out-of-range", "poi.rs.i", first_set_to(num_slots)),
         ("photo-id-out-of-range", "pg.ph.i", first_set_to(num_photos)),
-        (
-            "raster-segment-out-of-range",
-            "poi.r.i",
-            first_set_to(num_segments),
-        ),
-        (
-            "global-cell-out-of-range",
-            "poi.g.i",
-            first_set_to(num_cells),
-        ),
+        // The last run of the last occupied cell, so its row still ascends.
         (
             "keyword-without-global-list",
             "poi.ck.i",
-            first_set_to(u32::MAX),
+            as_u32s(move |v| *v.last_mut().unwrap() = num_kws),
         ),
         // Rows the binary search and the sorted-list union walk.
         (
@@ -577,55 +549,6 @@ fn inconsistent_columns_are_data_errors_never_panics() {
     }
 }
 
-/// What Alg. 1's upper bounds read from a snapshot and trust: the global
-/// `(cell, weight)` lists `relcount` is summed from. A checksummed file
-/// that lowers a global weight or drops a global entry is a `Data` error:
-/// a query over it would stop on a bound that is no upper bound.
-#[test]
-fn columns_the_bounds_trust_are_checked_against_the_members() {
-    let dataset = sample_dataset();
-    let image = pristine_image(&dataset);
-    let bundle = soi_index::build_bundle(&dataset, &params());
-    let index = &bundle.poi;
-    // The first keyword with a global list, and where its row ends.
-    let keyword = (0..)
-        .find(|&k| !index.global_postings(KeywordId(k)).is_empty())
-        .unwrap();
-    let row_end = (0..=keyword)
-        .map(|k| index.global_postings(KeywordId(k)).len())
-        .sum::<usize>();
-
-    let lowered = |at: usize| as_f64s(move |v| v[at] = v[at].next_down());
-    let cases: Vec<(&str, Vec<(&str, Rewrite)>)> = vec![
-        (
-            "global-weight-lowered",
-            vec![("poi.gw", lowered(row_end - 1))],
-        ),
-        (
-            // The keyword's last entry goes from all three columns; every
-            // later row starts one earlier.
-            "global-entry-missing",
-            vec![
-                (
-                    "poi.g.s",
-                    as_u32s(move |v| v[keyword as usize + 1..].iter_mut().for_each(|s| *s -= 1)),
-                ),
-                ("poi.g.i", as_u32s(move |v| _ = v.remove(row_end - 1))),
-                ("poi.gw", as_f64s(move |v| _ = v.remove(row_end - 1))),
-            ],
-        ),
-    ];
-    for (name, rewrites) in cases {
-        let corrupted = with_sections_rewritten(&image, &rewrites);
-        let err = match read_mutated(name, &dataset, &corrupted, |_| {}) {
-            Err(err) => err,
-            Ok(out) => panic!("case {name}: corruption not detected ({out:?})"),
-        };
-        assert_eq!(err.category(), ErrorCategory::Data, "case {name}: {err}");
-        assert!(err.to_string().contains(".soisnap"), "case {name}: {err}");
-    }
-}
-
 /// A snapshot of a previous format version is a categorized error that
 /// names both versions — never misread — and the cache answers it the way
 /// it answers any unusable file: lenient rebuilds and rewrites, strict
@@ -634,30 +557,30 @@ fn columns_the_bounds_trust_are_checked_against_the_members() {
 fn previous_format_version_is_rejected_and_the_cache_rebuilds() {
     let dataset = sample_dataset();
     let set_version = |b: &mut Vec<u8>, v: u32| b[8..12].copy_from_slice(&v.to_ne_bytes());
-    assert_eq!(FORMAT_VERSION, 4, "extend this test with the new version");
+    assert_eq!(FORMAT_VERSION, 5, "extend this test with the new version");
 
     let image = pristine_image(&dataset);
-    for old in [1, 2, 3] {
+    for old in [1, 2, 3, 4] {
         let err = read_mutated("old", &dataset, &image, |b| set_version(b, old)).unwrap_err();
         assert_eq!(err.category(), ErrorCategory::Data);
         let msg = err.to_string();
         assert!(
             msg.contains(&format!("version {old}"))
-                && msg.contains("supports 4")
+                && msg.contains("supports 5")
                 && msg.contains(".soisnap"),
             "error must name both versions and the file: {msg}"
         );
     }
 
     // The cache keys file names by format version, so it would not even
-    // open a version-3 file; put one exactly where it looks anyway.
-    let dir = std::env::temp_dir().join(format!("soi-fault-v3-{}", std::process::id()));
+    // open a version-4 file; put one exactly where it looks anyway.
+    let dir = std::env::temp_dir().join(format!("soi-fault-v4-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let cache = IndexCache::new(&dir, CacheMode::Lenient);
     cache.load_or_build(&dataset, &params()).unwrap();
     let snap = cache.snapshot_path(&dataset, &params());
     let mut bytes = std::fs::read(&snap).unwrap();
-    set_version(&mut bytes, 3);
+    set_version(&mut bytes, 4);
     std::fs::write(&snap, &bytes).unwrap();
 
     let strict = IndexCache::new(&dir, CacheMode::Strict);
@@ -701,11 +624,6 @@ fn served_bundle_holds_exactly_the_stamp_poi_and_photo_grid_sections() {
             "poi.ck.i",
             "poi.rs.s",
             "poi.rs.i",
-            "poi.g.s",
-            "poi.g.i",
-            "poi.gw",
-            "poi.r.s",
-            "poi.r.i",
             "pg.gf",
             "pg.gn",
             "pg.ph.s",

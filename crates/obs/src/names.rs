@@ -50,9 +50,10 @@ pub mod spans {
     pub const INDEX_BUILD_FLATTEN: &str = "index.build.flatten";
     /// Index build phase 2: per-cell structures (local inverted indexes).
     pub const INDEX_BUILD_CELLS: &str = "index.build.cells";
-    /// Index build phase 3: global inverted index.
+    /// Deriving the global inverted index from the postings, on a build or
+    /// a snapshot load.
     pub const INDEX_BUILD_GLOBAL: &str = "index.build.global";
-    /// Index build phase 4: raster cell↔segment map.
+    /// Deriving the raster cell↔segment map, on a build or a snapshot load.
     pub const INDEX_BUILD_RASTER: &str = "index.build.raster";
     /// Loading an index bundle from a snapshot file (cold start).
     pub const SNAPSHOT_LOAD: &str = "index.snapshot.load";

@@ -36,7 +36,9 @@ pub const MAGIC: [u8; 8] = *b"SOISNAP1";
 /// - 3: no `eps.*` sections and no ε slot in `cache.meta` (4 values).
 /// - 4: postings stored as cell slots, not POI ids; no cell totals (a load
 ///   derives them) and no segment length list (SL3 is the network's).
-pub const FORMAT_VERSION: u32 = 4;
+/// - 5: only the POI index's primary columns (members, run directory,
+///   postings); no global lists and no raster (a load derives both).
+pub const FORMAT_VERSION: u32 = 5;
 /// Endianness probe constant, stored native-endian.
 pub const ENDIAN_TAG: u32 = 0x0A0B_0C0D;
 /// Header size in bytes.

@@ -55,11 +55,12 @@ pub fn union_distinct<D: Copy + Ord, F: FnMut(D)>(lists: &[&[D]], mut f: F) {
 /// `postings` (empty for an absent keyword): the shared body of the
 /// indexes' `for_each_matching`.
 ///
-/// This chain (`for_each_matching` → here → [`union_distinct`]) is Alg. 1's
-/// per-cell mass loop. It is `#[inline]` so that it is compiled into that
-/// loop whichever codegen units the crates happen to be split into: without
-/// the hint an unrelated change elsewhere in the crate moved Alg. 1 by
-/// 3–5 %.
+/// This chain (`for_each_matching` → here → [`union_distinct`]) is the
+/// per-cell mass of BL's scan, `IndexView::cell_mass_for_segment`, which
+/// runs it once per (segment, cell) pair; Alg. 1 gathers its cells through
+/// the slot columns instead. It is `#[inline]` so that it is compiled into
+/// that per-pair loop whichever codegen units the crates happen to be split
+/// into.
 #[inline]
 pub fn union_of_postings<'a, D: Copy + Ord + 'a, F: FnMut(D)>(
     keywords: &[KeywordId],

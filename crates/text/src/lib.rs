@@ -15,7 +15,7 @@
 //!   (Sec. 3.2.2) — [`union_distinct`] over plain lists,
 //!   [`union_of_postings`] over any keyword → postings lookup (the POI
 //!   index's per-cell view resolves keywords in its shared CSR columns and
-//!   traverses through it).
+//!   traverses through it for BL's per-cell mass).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
