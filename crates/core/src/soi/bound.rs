@@ -6,6 +6,22 @@ use soi_common::CellId;
 use soi_geo::{Grid, Rect};
 use soi_network::{Segment, SegmentRun};
 
+/// The relative head-room every bound built from `relcount` carries where
+/// it is compared with `LBk`.
+///
+/// A segment's mass and the `relcount`s that bound it add the same
+/// non-negative weights in different orders and groupings: the mass per
+/// cell in slot order, then over `Cε(ℓ)`; `relcount` per postings run,
+/// then over the query keywords (a POI with two of them counts twice),
+/// then over the cells bounded. In exact arithmetic the bound is at least
+/// the mass. A recursive `f64` sum of `n` non-negative terms is within a
+/// factor `1 ± (n−1)·2⁻⁵³` of the exact sum (Higham's `γ`), and a sum that
+/// stays subnormal is exact, so over these five sums the computed mass
+/// exceeds the computed bound by less than a factor `1 + 5n·2⁻⁵³`, `n` the
+/// longest of them. That is below `1 + 1e-9` while `n` stays under a
+/// million terms — POIs of one cell, or cells of one dilated box.
+pub(super) const HEADROOM: f64 = 1.0 + 1e-9;
+
 /// Query-time 2-D prefix sums over the per-cell relevant weights, giving an
 /// O(1) upper bound on the relevant mass inside any rectangle — `b(ℓ)` is
 /// this bound over a segment's ε-dilated bounding box, and a run's `B(T)`
@@ -26,8 +42,8 @@ pub(super) struct RelPrefix<'a> {
     /// `(nx+1) × (ny+1)` inclusive prefix sums of the cells' units,
     /// row-major.
     sums: &'a [u64],
-    /// The weight of one unit, with a relative head-room of 1e-9 for the
-    /// rounding by which a mass and the `relcount`s bounding it differ.
+    /// The weight of one unit, with [`HEADROOM`] for the rounding by which
+    /// a mass and the `relcount`s bounding it differ.
     unit: f64,
 }
 
@@ -70,7 +86,7 @@ impl<'a> RelPrefix<'a> {
             nx,
             ny,
             sums,
-            unit: unit * (1.0 + 1e-9),
+            unit: unit * HEADROOM,
         }
     }
 
