@@ -119,31 +119,16 @@ pub(crate) fn run(args: &Args) -> Result<()> {
 /// at most `max_printed` evenly spaced rows (the termination row always
 /// prints last).
 fn print_soi_explain(out: &mut impl Write, explain: &SoiExplain, max_printed: usize) -> Result<()> {
-    // SL2 lists runs of segments, or every segment under paper bounds.
-    let sl2_unit = if explain.paper_bounds {
-        "segments"
-    } else {
-        "runs"
-    };
     writeln!(
         out,
-        "lists: SL1={} cells, SL2={} {sl2_unit}, SL3={} segments",
+        "lists: SL1={} cells, SL2={} runs, SL3={} segments",
         explain.lists.sl1, explain.lists.sl2, explain.lists.sl3
     )?;
-    let (bound, order) = if explain.paper_bounds {
-        (
-            "the paper's top(SL1)*top(SL2)/(2e*top(SL3)+pi*e^2), SL2 by |Ce| bound",
-            "the paper's cycle SL1, SL3, SL1, SL2",
-        )
-    } else {
-        (
-            "top(SL2), the largest prefix-sum bound b of an unseen segment",
-            "SL2's head every time: src is SL2 and cells 0 on every row",
-        )
-    };
     writeln!(
         out,
-        "\nbound convergence ({} rows recorded; UB = {bound}; accesses pop {order}):",
+        "\nbound convergence ({} rows recorded; UB = top(SL2), the largest prefix-sum \
+         bound b of an unseen segment; accesses pop SL2's head every time: src is SL2 \
+         and cells 0 on every row):",
         explain.rows.len()
     )?;
     writeln!(

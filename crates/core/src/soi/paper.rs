@@ -9,13 +9,15 @@
 //! A *segment access* (SL2, SL3) visits every cell of the segment's
 //! `Cε(ℓ)` not visited yet, making it final. A *cell access* (SL1) runs
 //! `UpdateInterest` for each segment the cell can still change, leaving
-//! them *partial* until refinement. `Lε(c)` is not stored: a popped cell
-//! walks the static raster rows of its Chebyshev ring, a superset of it (a
-//! segment whose `Cε(ℓ)` lacks the cell counts a duplicate visit), and
-//! drops final segments by one bit each. A rasterised segment keeps one
-//! mass per cell of its `Cε(ℓ)`, `+0.0` until visited, and its mass is
-//! their sum in ascending cell order: BL's to the bit once final, and a
-//! lower bound before, as floating-point addition is monotone.
+//! them *partial* until refinement. `Lε(c)` is not stored: each query
+//! rasterises the network over the index's grid (the paper's static
+//! cell-to-segment map, `Raster`), and a popped cell walks the raster rows
+//! of its Chebyshev ring, a superset of `Lε(c)` (a segment whose `Cε(ℓ)`
+//! lacks the cell counts a duplicate visit), dropping final segments by one
+//! bit each. A rasterised segment keeps one mass per cell of its `Cε(ℓ)`,
+//! `+0.0` until visited, and its mass is their sum in ascending cell order:
+//! BL's to the bit once final, and a lower bound before, as floating-point
+//! addition is monotone.
 
 use crate::budget::QueryBudget;
 use crate::soi::algorithm::{access_loop, Gathered, Inputs, SegmentBits, Shared};
@@ -24,7 +26,8 @@ use crate::soi::interest::segment_interest;
 use crate::soi::ranked::{Ranked, RankedList};
 use crate::soi::stats::QueryStats;
 use soi_common::{CellId, SegmentId};
-use soi_geo::LineSeg;
+use soi_geo::{Grid, LineSeg};
+use soi_network::RoadNetwork;
 use soi_obs::trace::Span as TraceSpan;
 
 /// The paper's practical cycle ("we alternate between SL1 and SL3 … We
@@ -37,6 +40,82 @@ pub const PAPER_CYCLE: [Source; 4] = [
     Source::Cells,
     Source::SegmentsByCells,
 ];
+
+/// The paper's static raster cell-to-segment map (Sec. 3.2.1): the segments
+/// passing through each grid cell, occupied or not, id ascending. Street
+/// geometry is static, so a delta plays no part in it; it is rebuilt per
+/// query all the same, into buffers kept at their high-water mark, so one
+/// scratch may serve different networks and grids in turn.
+#[derive(Default)]
+struct Raster {
+    /// One packed (cell ‖ segment) key per cell a segment passes through,
+    /// segment-ascending.
+    keys: Vec<u64>,
+    /// Cell `c`'s row is `segments[starts[c]..starts[c + 1]]`.
+    starts: Vec<u32>,
+    segments: Vec<SegmentId>,
+}
+
+impl Raster {
+    /// Rasterises `network`'s segments over `grid`: packed keys, a stable
+    /// counting sort by cell, then the row starts.
+    fn fill(&mut self, grid: &Grid, network: &RoadNetwork) {
+        let Self {
+            keys,
+            starts,
+            segments,
+        } = self;
+        keys.clear();
+        for seg in network.segments() {
+            grid.for_each_cell_near_segment(&seg.geom, 0.0, |coord| {
+                keys.push(u64::from(grid.cell_id(coord).0) << 32 | u64::from(seg.id.0));
+            });
+        }
+        // `starts[c + 2]` counts cell `c`; summed, `starts[c + 1]` is cell
+        // `c`'s start, the cursor its keys advance to cell `c + 1`'s start.
+        starts.clear();
+        starts.resize(grid.num_cells() + 2, 0);
+        for &key in keys.iter() {
+            starts[(key >> 32) as usize + 2] += 1;
+        }
+        for at in 2..starts.len() {
+            starts[at] += starts[at - 1];
+        }
+        segments.clear();
+        segments.resize(keys.len(), SegmentId(0));
+        for &key in keys.iter() {
+            let cursor = &mut starts[(key >> 32) as usize + 1];
+            segments[*cursor as usize] = SegmentId(key as u32);
+            *cursor += 1;
+        }
+        starts.pop();
+    }
+
+    /// The segments passing through `cell`, ascending.
+    fn row(&self, cell: CellId) -> &[SegmentId] {
+        let at = cell.index();
+        &self.segments[self.starts[at] as usize..self.starts[at + 1] as usize]
+    }
+}
+
+/// Chebyshev radius, in cells, of the ring around a cell that holds every
+/// cell a segment within `eps` of it passes through: a point within `eps`
+/// of the cell lies at most `eps` beyond its boundary, i.e. within
+/// `⌊(eps + h) / h⌋` cells (half-open cells). Clamped to the grid's larger
+/// side, which already reaches every cell — `eps` is a caller's number and
+/// may exceed any grid.
+fn ring_radius(grid: &Grid, eps: f64) -> u32 {
+    let h = grid.cell_size();
+    // The cast saturates (an `eps` near `f64::MAX` divides to `inf`).
+    (((eps + h) / h).floor() as u32).min(grid.nx().max(grid.ny()))
+}
+
+/// O(1) upper bound on `|Cε(ℓ)|`: the number of grid cells overlapping the
+/// ε-dilated bounding box of the segment — SL2's order, without
+/// rasterising every segment at ε.
+fn cell_count_bound(grid: &Grid, geom: &LineSeg, eps: f64) -> usize {
+    grid.count_cells_in_rect(&geom.bounding_rect().expand(eps))
+}
 
 /// Where a segment's `Cε(ℓ)` list, its per-cell masses and its visited
 /// bitset sit in [`Arenas`].
@@ -164,11 +243,12 @@ impl SeenTables {
     }
 }
 
-/// The paper mode's share of [`SoiScratch`](crate::soi::SoiScratch): SL1,
-/// SL2 and the per-segment tables. A worker that runs only the default
-/// retains none of it.
+/// The paper mode's share of [`SoiScratch`](crate::soi::SoiScratch): the
+/// raster, SL1, SL2 and the per-segment tables. A worker that runs only the
+/// default retains none of it.
 #[derive(Default)]
 pub(super) struct PaperScratch {
+    raster: Raster,
     sl1: RankedList<CellId>,
     sl2: RankedList<SegmentId>,
     seen: SeenTables,
@@ -176,6 +256,7 @@ pub(super) struct PaperScratch {
 
 /// Mutable algorithm state shared by the access handlers.
 struct Filtering<'s> {
+    raster: &'s Raster,
     seen: &'s mut SeenTables,
     shared: &'s mut Shared,
 }
@@ -218,11 +299,12 @@ impl Filtering<'_> {
     fn access_cell(&mut self, inputs: &Inputs<'_>, cell: CellId, stats: &mut QueryStats) {
         let SeenTables { dead, ring, .. } = &mut *self.seen;
         ring.clear();
-        inputs
-            .index
-            .for_each_raster_row_near_cell(cell, inputs.query.eps, |row| {
-                ring.extend(row.iter().filter(|&&seg| !dead.get(seg)));
-            });
+        let grid = inputs.index.grid();
+        let radius = ring_radius(grid, inputs.query.eps);
+        grid.for_each_in_neighborhood(grid.coord_of(cell), radius, |near| {
+            let row = self.raster.row(grid.cell_id(near));
+            ring.extend(row.iter().filter(|&&seg| !dead.get(seg)));
+        });
         ring.sort_unstable();
         ring.dedup();
         for at in 0..self.seen.ring.len() {
@@ -326,8 +408,14 @@ pub(super) fn run(
     budget: &QueryBudget,
     sources: TraceSpan,
 ) -> (f64, bool) {
-    let (network, eps) = (inputs.network, inputs.query.eps);
-    let PaperScratch { sl1, sl2, seen } = scratch;
+    let (network, eps, grid) = (inputs.network, inputs.query.eps, inputs.index.grid());
+    let PaperScratch {
+        raster,
+        sl1,
+        sl2,
+        seen,
+    } = scratch;
+    raster.fill(grid, network);
     // --- SL1: cells by relevant-POI weight, descending (Alg. 1 lines 1–3).
     sl1.refill(
         reached
@@ -339,7 +427,7 @@ pub(super) fn run(
         network
             .segments()
             .iter()
-            .map(|s| Ranked::new(inputs.index.upper_cell_count(&s.geom, eps) as f64, s.id)),
+            .map(|s| Ranked::new(cell_count_bound(grid, &s.geom, eps) as f64, s.id)),
     );
     // --- SL3: segments by length ascending (precomputed with the network).
     let sl3: &[SegmentId] = network.segments_by_len();
@@ -350,7 +438,11 @@ pub(super) fn run(
     }
 
     seen.reset(network.num_segments());
-    let mut fil = Filtering { seen, shared };
+    let mut fil = Filtering {
+        raster,
+        seen,
+        shared,
+    };
     let mut cycle_pos = 0usize;
     let (ub, expired) = access_loop(stats, explain, budget, |stats| {
         // The heads that are not final: a final segment can change nothing.
@@ -414,7 +506,7 @@ pub(super) fn run(
     // partial. Skipped on deadline expiry: the anytime contract is a
     // lower-bound top-k, and every partial mass is already a valid lower
     // bound.
-    let Filtering { seen, shared } = fil;
+    let Filtering { seen, shared, .. } = fil;
     if !expired {
         for state in seen.states.iter_mut() {
             if seen.dead.get(state.seg) {
@@ -432,4 +524,98 @@ pub(super) fn run(
         .masses
         .extend(seen.states.iter().map(|state| (state.seg, state.mass)));
     (ub, expired)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use soi_common::KeywordId;
+    use soi_data::PoiCollection;
+    use soi_geo::Point;
+    use soi_index::{EpsilonMaps, PoiIndex};
+    use soi_text::KeywordSet;
+
+    /// Three streets across an 8 × 8 extent: a horizontal, a vertical and
+    /// a diagonal one, two segments each but the diagonal.
+    fn small_network() -> RoadNetwork {
+        let mut b = RoadNetwork::builder();
+        let h = [(0.0, 2.0), (4.0, 2.0), (8.0, 2.0)].map(|(x, y)| Point::new(x, y));
+        let v = [(4.0, 0.0), (4.0, 4.0), (4.0, 8.0)].map(|(x, y)| Point::new(x, y));
+        b.add_street_from_points("H", &h);
+        b.add_street_from_points("V", &v);
+        b.add_street_from_points("D", &[Point::new(0.0, 0.0), Point::new(7.5, 7.5)]);
+        b.build().unwrap()
+    }
+
+    fn pois_at(points: &[(f64, f64)]) -> PoiCollection {
+        let mut pois = PoiCollection::new();
+        for &(x, y) in points {
+            pois.add(Point::new(x, y), KeywordSet::from_ids([KeywordId(0)]));
+        }
+        pois
+    }
+
+    #[test]
+    fn raster_contains_crossed_cells() {
+        let network = small_network();
+        let index = PoiIndex::build(&network, &pois_at(&[(1.0, 2.5), (7.0, 7.0)]), 0.7);
+        let grid = index.grid();
+        let mut raster = Raster::default();
+        raster.fill(grid, &network);
+        for seg in network.segments() {
+            // The midpoint's cell must list the segment.
+            let mid = grid
+                .cell_containing(seg.geom.a.lerp(seg.geom.b, 0.5))
+                .unwrap();
+            let row = raster.row(grid.cell_id(mid));
+            assert!(row.contains(&seg.id), "segment {} missing", seg.id);
+        }
+        // Every row ascends, and the rows hold exactly the crossed cells.
+        let mut pairs = 0;
+        for cell in (0..grid.num_cells()).map(CellId::from_index) {
+            let row = raster.row(cell);
+            assert!(row.windows(2).all(|w| w[0] < w[1]), "cell {cell:?}");
+            pairs += row.len();
+        }
+        let crossed: usize = network
+            .segments()
+            .iter()
+            .map(|s| grid.cells_near_segment(&s.geom, 0.0).len())
+            .sum();
+        assert_eq!(pairs, crossed);
+    }
+
+    proptest! {
+        /// Against the eager reference maps: the raster rows of a cell's
+        /// ring hold every segment of its `Lε(c)`, and SL2's O(1) bound is
+        /// at least `|Cε(ℓ)|`.
+        #[test]
+        fn ring_rows_cover_l_eps_and_the_cell_bound_covers_c_eps(
+            points in proptest::collection::vec((0.0f64..8.0, 0.0f64..8.0), 0..60),
+            eps in 0.05f64..1.5,
+            cell in 0.3f64..1.2,
+        ) {
+            let network = small_network();
+            let index = PoiIndex::build(&network, &pois_at(&points), cell);
+            let maps = EpsilonMaps::build(&network, &index, eps);
+            let grid = index.grid();
+            let mut raster = Raster::default();
+            raster.fill(grid, &network);
+            for seg in network.segments() {
+                let bound = cell_count_bound(grid, &seg.geom, eps);
+                prop_assert!(bound >= maps.cells_of_segment(seg.id).len());
+            }
+            for (cell_id, _) in index.occupied_cells() {
+                let mut ring = Vec::new();
+                let radius = ring_radius(grid, eps);
+                grid.for_each_in_neighborhood(grid.coord_of(cell_id), radius, |near| {
+                    ring.extend_from_slice(raster.row(grid.cell_id(near)));
+                });
+                for s in maps.segments_of_cell(cell_id) {
+                    prop_assert!(ring.contains(s), "cell {:?} misses {}", cell_id, s);
+                }
+            }
+        }
+    }
 }

@@ -1,15 +1,16 @@
 //! ε-augmented cell↔segment maps (paper Sec. 3.2.1) — reference
 //! implementation: tests and the benchmark's `index.eps_maps_build_ms` row
-//! only. Queries derive the same rows lazily, per popped cell or segment
-//! ([`IndexView::occupied_cells_near_segment_into`](crate::IndexView::occupied_cells_near_segment_into),
-//! [`IndexView::for_each_raster_row_near_cell`](crate::IndexView::for_each_raster_row_near_cell));
-//! nothing builds, stores or persists an `EpsilonMaps`.
+//! only. Queries derive the same rows lazily: `Cε(ℓ)` per popped segment
+//! ([`IndexView::occupied_cells_near_segment_into`](crate::IndexView::occupied_cells_near_segment_into)),
+//! and, in `soi-core`'s paper mode only, a superset of `Lε(c)` per popped
+//! cell, from a raster of the network that mode builds per query. Nothing
+//! builds, stores or persists an `EpsilonMaps`.
 //!
-//! The raster maps (which cells a segment passes through) are static; at
-//! query time, once ε is known, they are augmented so that
-//! `Cε(ℓ)` contains every occupied cell within distance ε of segment ℓ and
-//! `Lε(c)` every segment within ε of cell c — the rows the SOI algorithm
-//! traverses during filtering and refinement.
+//! The paper keeps the raster maps (which cells a segment passes through)
+//! static and, once ε is known, augments them so that `Cε(ℓ)` contains
+//! every occupied cell within distance ε of segment ℓ and `Lε(c)` every
+//! segment within ε of cell c — the rows the SOI algorithm traverses
+//! during filtering and refinement.
 //!
 //! Only *occupied* cells (cells containing at least one POI) enter the maps:
 //! empty cells contribute no mass, and excluding them both tightens the

@@ -1,8 +1,6 @@
 //! The POI grid index (paper Sec. 3.2.1).
 
-use soi_common::{
-    effective_threads, par_chunk_map, sort_row_keys, CellId, Csr, KeywordId, PoiId, SegmentId,
-};
+use soi_common::{effective_threads, par_chunk_map, sort_row_keys, CellId, Csr, KeywordId, PoiId};
 use soi_data::PoiCollection;
 use soi_geo::{Grid, Point, Rect};
 use soi_network::RoadNetwork;
@@ -77,29 +75,28 @@ impl<'a> PoiCell<'a> {
 
 /// The spatio-textual POI index of Section 3.2.1.
 ///
-/// Holds four of the five offline structures the SOI algorithm needs:
+/// Holds two of the paper's five offline structures:
 /// 1. the spatial grid with per-cell local inverted indexes;
 /// 2. the global inverted index (keyword → `(cell, count)` sorted
-///    decreasingly on count);
-/// 3. the raster cell-to-segment map (segments passing through each cell);
-/// 4. the raster segment-to-cell map.
+///    decreasingly on count).
 ///
-/// The fifth, the segments sorted increasingly on length, depends on street
-/// geometry alone and lives on the network
-/// ([`RoadNetwork::segments_by_len`]).
+/// The other three depend on street geometry alone. The segments sorted
+/// increasingly on length live on the network
+/// ([`RoadNetwork::segments_by_len`]). The raster cell↔segment maps are
+/// read only by the paper's own Alg. 1 (`soi-core`'s paper mode), which
+/// rasterises the network over [`PoiIndex::grid`] per query; the default
+/// loop reads `Cε(ℓ)` alone.
 ///
 /// Every cell- or keyword-keyed structure is a [`Csr`] column pair over the
 /// dense id (a [`PoiCell`] is a borrowed view into them). A snapshot stores
 /// three of them — the cell members, the run directory and the postings —
-/// and `PoiIndex::from_columns` derives everything else from those, the
-/// POIs and the network.
+/// and `PoiIndex::from_columns` derives everything else from those and the
+/// POIs.
 ///
-/// Queries do not read the index directly: masses, `Cε(ℓ)` and the
-/// ε-augmented versions of maps (3) and (4) are read through
-/// [`IndexView`](crate::IndexView), with or without a live delta, and
-/// derived at query time per popped cell or segment
-/// ([`IndexView::occupied_cells_near_segment_into`](crate::IndexView::occupied_cells_near_segment_into),
-/// [`IndexView::for_each_raster_row_near_cell`](crate::IndexView::for_each_raster_row_near_cell)).
+/// Queries do not read the index directly: masses and the ε-augmented
+/// `Cε(ℓ)` are read through [`IndexView`](crate::IndexView), with or
+/// without a live delta, and derived at query time per popped segment
+/// ([`IndexView::occupied_cells_near_segment_into`](crate::IndexView::occupied_cells_near_segment_into)).
 ///
 /// Equality compares every column (floats by bit pattern): two equal
 /// indexes answer every query identically. The
@@ -123,11 +120,6 @@ pub struct PoiIndex {
     /// keyword → (cell, summed weight of POIs with that keyword), desc.
     /// Derived by [`derive_global`], not persisted.
     pub(crate) global: Csr<(CellId, f64)>,
-    /// The static raster cell-to-segment map (Sec. 3.2.1): segments passing
-    /// through each cell (occupied or not). The ε-augmented `Lε(c)` is
-    /// derived from it lazily at query time. Derived by [`derive_raster`],
-    /// not persisted.
-    pub(crate) raster: Csr<SegmentId>,
     /// slot → `[x, y, weight]` of the POI `cell_pois.items()[slot]`.
     /// Derived by [`derive_from_pois`], not persisted.
     pub(crate) slot_xyw: Vec<[f64; 3]>,
@@ -240,26 +232,6 @@ fn derive_global(
     Ok(Csr::from_row_lens(&lens, items))
 }
 
-/// Derives the static raster map: rasterises the network's segments in
-/// parallel chunks into packed (cell ‖ segment) keys. Keys are unique (a
-/// segment hits a cell at most once) and arrive segment-ascending.
-fn derive_raster(grid: &Grid, network: &RoadNetwork, threads: usize) -> Csr<SegmentId> {
-    let seg_cells: Vec<u64> = par_chunk_map(network.segments(), threads, |_, chunk| {
-        let mut out = Vec::new();
-        for seg in chunk {
-            grid.for_each_cell_near_segment(&seg.geom, 0.0, |coord| {
-                out.push(u64::from(grid.cell_id(coord).0) << 32 | u64::from(seg.id.0));
-            });
-        }
-        out
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    let num_cells = grid.num_cells();
-    Csr::from_sorted_keys(num_cells, &sort_row_keys(seg_cells, num_cells, threads))
-}
-
 impl PartialEq for PoiIndex {
     fn eq(&self, other: &Self) -> bool {
         fn weight_bits(w: &[f64]) -> impl Iterator<Item = u64> + '_ {
@@ -274,7 +246,6 @@ impl PartialEq for PoiIndex {
             && self.run_slots == other.run_slots
             && self.global.starts() == other.global.starts()
             && entry_bits(&self.global).eq(entry_bits(&other.global))
-            && self.raster == other.raster
             && weight_bits(self.slot_xyw.as_flattened())
                 .eq(weight_bits(other.slot_xyw.as_flattened()))
     }
@@ -466,70 +437,15 @@ impl PoiIndex {
         // derived: freed first, the derive does not raise the build's peak.
         drop((kw_offsets, kw_flat, run_keys, run_lens));
         let index =
-            Self::from_columns(grid, cell_pois, cell_kws, run_slots, network, pois, threads)
-                .unwrap_or_else(|why| {
-                    unreachable!("freshly built columns contradict each other: {why}")
-                });
+            Self::from_columns(grid, cell_pois, cell_kws, run_slots, pois).unwrap_or_else(|why| {
+                unreachable!("freshly built columns contradict each other: {why}")
+            });
         drop(build_span);
         let m = crate::obs::index_metrics();
         m.builds.inc();
         m.build_seconds.observe_duration(build_start.elapsed());
         crate::obs::record_build_alloc(alloc_before, soi_obs::alloc::totals());
         index
-    }
-
-    /// Segments passing through cell `id` (the static raster map; empty if
-    /// no segment crosses the cell).
-    pub fn raster_segments_of_cell(&self, id: CellId) -> &[SegmentId] {
-        self.raster.row(id.index())
-    }
-
-    /// O(1) upper bound on `|Cε(ℓ)|`: the number of grid cells overlapping
-    /// the ε-dilated bounding box of the segment. SL2's order under the
-    /// paper's verbatim bounds, without rasterising every segment at query
-    /// time.
-    pub fn upper_cell_count(&self, geom: &soi_geo::LineSeg, eps: f64) -> usize {
-        self.grid
-            .count_cells_in_rect(&geom.bounding_rect().expand(eps))
-    }
-
-    /// Chebyshev radius, in cells, of the ring around a cell that holds
-    /// every cell a segment within `eps` of it passes through: a point
-    /// within `eps` of the cell lies at most `eps` beyond its boundary, i.e.
-    /// within `⌊(eps + h) / h⌋` cells (half-open cells). Clamped to the
-    /// grid's larger side, which already reaches every cell — `eps` is a
-    /// caller's number and may exceed any grid.
-    pub(crate) fn ring_radius(&self, eps: f64) -> u32 {
-        let h = self.grid.cell_size();
-        // The cast saturates (an `eps` near `f64::MAX` divides to `inf`).
-        (((eps + h) / h).floor() as u32).min(self.grid.nx().max(self.grid.ny()))
-    }
-
-    /// Lazy `Lε(c)`: all segments within `eps` of cell `id`, ascending,
-    /// derived from the static raster map by scanning the Chebyshev ring
-    /// that holds every cell a segment within `eps` passes through, and
-    /// filtering by exact distance.
-    pub fn segments_within_eps_of_cell(
-        &self,
-        network: &RoadNetwork,
-        id: CellId,
-        eps: f64,
-    ) -> Vec<SegmentId> {
-        let coord = self.grid.coord_of(id);
-        let rect = self.grid.cell_rect(coord);
-        let mut out: Vec<SegmentId> = Vec::new();
-        self.grid
-            .for_each_in_neighborhood(coord, self.ring_radius(eps), |near| {
-                out.extend_from_slice(self.raster_segments_of_cell(self.grid.cell_id(near)));
-            });
-        out.sort_unstable();
-        out.dedup();
-        let dilated = rect.expand(eps);
-        out.retain(|&seg| {
-            let geom = network.segment(seg).geom;
-            dilated.intersects(&geom.bounding_rect()) && rect.within_dist_of_segment(&geom, eps)
-        });
-        out
     }
 
     /// The underlying grid.
@@ -587,13 +503,12 @@ impl PoiIndex {
 
     /// Assembles an index from its three primary columns — freshly built,
     /// or snapshot-decoded and validated — and derives the rest: `slot_xyw`
-    /// and the keyword id space from the members and `pois`; each cell's total from `slot_xyw`, its
-    /// slots' weights added in slot order (ascending id) from `0.0`, so an
-    /// unoccupied cell's total is exactly `0.0`; the global lists from the
-    /// runs ([`derive_global`]); and the raster from the grid and `network`
-    /// ([`derive_raster`], on `threads` workers, `0` = automatic). The one
-    /// constructor: no index exists without them, and nothing else makes
-    /// the derived columns.
+    /// and the keyword id space from the members and `pois`; each cell's
+    /// total from `slot_xyw`, its slots' weights added in slot order
+    /// (ascending id) from `0.0`, so an unoccupied cell's total is exactly
+    /// `0.0`; and the global lists from the runs ([`derive_global`]). The
+    /// one constructor: no index exists without them, and nothing else
+    /// makes the derived columns.
     ///
     /// # Errors
     /// The columns contradict each other or the dataset (see
@@ -603,9 +518,7 @@ impl PoiIndex {
         cell_pois: Csr<PoiId>,
         cell_kws: Csr<KeywordId>,
         run_slots: Csr<u32>,
-        network: &RoadNetwork,
         pois: &PoiCollection,
-        threads: usize,
     ) -> Result<Self, String> {
         let (slot_xyw, num_kws) = derive_from_pois(&cell_pois, pois)?;
         let total_weight = (0..cell_pois.rows())
@@ -617,16 +530,12 @@ impl PoiIndex {
         let span = soi_obs::trace::span(soi_obs::names::spans::INDEX_BUILD_GLOBAL);
         let global = derive_global(&cell_kws, &run_slots, &slot_xyw, num_kws)?;
         drop(span);
-        let _span = soi_obs::trace::span(soi_obs::names::spans::INDEX_BUILD_RASTER);
-        let threads = effective_threads((threads > 0).then_some(threads));
-        let raster = derive_raster(&grid, network, threads);
         Ok(Self {
             grid,
             cell_pois,
             cell_kws,
             run_slots,
             global,
-            raster,
             slot_xyw,
             total_weight,
         })
@@ -638,7 +547,7 @@ mod tests {
     use super::*;
     use crate::epsilon::EpsilonMaps;
     use crate::IndexView;
-    use soi_common::KeywordId;
+    use soi_common::{KeywordId, SegmentId};
     use soi_geo::LineSeg;
     use soi_text::KeywordSet;
 
@@ -723,7 +632,6 @@ mod tests {
         let past = CellId::from_index(index.grid().num_cells());
         assert!(index.cell(past).is_none() && !index.is_occupied(past));
         assert_eq!(index.cell_total_weight(past), 0.0);
-        assert!(index.raster_segments_of_cell(past).is_empty());
     }
 
     #[test]
@@ -807,13 +715,6 @@ mod tests {
             for seg in network.segments() {
                 let lazy = IndexView::from(&index).occupied_cells_near_segment(&seg.geom, eps);
                 assert_eq!(lazy.as_slice(), maps.cells_of_segment(seg.id), "eps {eps}");
-                assert!(index.upper_cell_count(&seg.geom, eps) >= lazy.len());
-            }
-            for (cell, _) in index.occupied_cells() {
-                let lazy = index.segments_within_eps_of_cell(&network, cell, eps);
-                let mut eager = maps.segments_of_cell(cell).to_vec();
-                eager.sort_unstable();
-                assert_eq!(lazy, eager, "eps {eps} cell {cell:?}");
             }
         }
     }
@@ -835,24 +736,6 @@ mod tests {
                 ),
                 segment_mass_eager(&index, &pois, &network, seg.id, &query, &maps)
             );
-        }
-    }
-
-    #[test]
-    fn raster_contains_crossed_cells() {
-        let (network, _, index) = setup();
-        let grid = index.grid();
-        for seg in network.segments() {
-            // The midpoint's cell must list the segment.
-            if let Some(c) = grid.cell_containing(seg.geom.a.lerp(seg.geom.b, 0.5)) {
-                assert!(
-                    index
-                        .raster_segments_of_cell(grid.cell_id(c))
-                        .contains(&seg.id),
-                    "segment {} missing from raster",
-                    seg.id
-                );
-            }
         }
     }
 

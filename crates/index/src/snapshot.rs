@@ -7,10 +7,10 @@
 //! run-keyed maps are [`Csr`](soi_common::Csr) column pairs in memory and
 //! the same two columns on disk, so writing one is a copy of each column
 //! and loading one is a validation pass plus a copy. What is a function of
-//! them, the dataset and the network (the POI index's coordinate column,
-//! cell totals, global lists and raster) is derived on load by the one
-//! constructor a build also goes through: a loaded index `==` the built
-//! one and answers every query byte-identically.
+//! them and the dataset (the POI index's coordinate column, cell totals and
+//! global lists) is derived on load by the one constructor a build also
+//! goes through: a loaded index `==` the built one and answers every query
+//! byte-identically.
 //!
 //! The module has three layers, one file each under `snapshot/`:
 //!
@@ -124,7 +124,7 @@ mod tests {
         write_poi_index(&mut w, "poi", &index).unwrap();
         w.write_to(&path).unwrap();
         let snap = Snapshot::open(&path).unwrap();
-        let back = read_poi_index(&snap, "poi", &ds.pois, &ds.network).unwrap();
+        let back = read_poi_index(&snap, "poi", &ds.pois).unwrap();
         std::fs::remove_file(&path).ok();
         assert!(index == back, "the loaded index must equal the built one");
     }
@@ -331,7 +331,7 @@ mod tests {
         // A collection holding fewer POIs than the postings reference.
         let mut one = PoiCollection::new();
         one.add(Point::new(0.0, 0.0), kws(&[0]));
-        let err = read_poi_index(&snap, "poi", &one, &ds.network).unwrap_err();
+        let err = read_poi_index(&snap, "poi", &one).unwrap_err();
         assert_eq!(err.category(), soi_common::ErrorCategory::Data);
         std::fs::remove_file(&path).ok();
     }

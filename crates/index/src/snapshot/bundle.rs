@@ -294,7 +294,7 @@ pub(super) fn read_bundle_with(
         ));
     }
 
-    let poi = read_poi_index(&snapshot, "poi", &dataset.pois, &dataset.network)?;
+    let poi = read_poi_index(&snapshot, "poi", &dataset.pois)?;
     let photo_grid = read_photo_grid(&snapshot, "pg", dataset.photos.len())?;
     let m = crate::obs::index_metrics();
     m.snapshot_load_seconds.set(start.elapsed().as_secs_f64());

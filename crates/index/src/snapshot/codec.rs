@@ -4,7 +4,6 @@
 use soi_common::{Csr, KeywordId, PoiId, Result};
 use soi_data::PoiCollection;
 use soi_geo::{Grid, Point};
-use soi_network::RoadNetwork;
 use soi_snapshot::{corrupt, Snapshot, SnapshotWriter};
 
 use crate::photo_grid::PhotoGrid;
@@ -130,18 +129,12 @@ pub fn write_poi_index(writer: &mut SnapshotWriter, prefix: &str, index: &PoiInd
 /// Reads a [`PoiIndex`] stored under `prefix`, validating every stored
 /// column against the grid, the other columns and the POIs of `pois`, then
 /// handing them to `PoiIndex::from_columns`, which derives the coordinate
-/// column, the cell totals, the global lists and the raster (over
-/// `network`) from them, as a build does.
+/// column, the cell totals and the global lists from them, as a build does.
 ///
 /// # Errors
 /// Missing sections, violated invariants, or out-of-bounds ids
 /// (`Data` category).
-pub fn read_poi_index(
-    snapshot: &Snapshot,
-    prefix: &str,
-    pois: &PoiCollection,
-    network: &RoadNetwork,
-) -> Result<PoiIndex> {
+pub fn read_poi_index(snapshot: &Snapshot, prefix: &str, pois: &PoiCollection) -> Result<PoiIndex> {
     let grid = read_grid(snapshot, prefix)?;
     let num_cells = grid.num_cells();
     let bad = |msg: String| corrupt(snapshot.path(), msg);
@@ -194,7 +187,7 @@ pub fn read_poi_index(
         }
     }
 
-    PoiIndex::from_columns(grid, cell_pois, cell_kws, run_slots, network, pois, 0).map_err(bad)
+    PoiIndex::from_columns(grid, cell_pois, cell_kws, run_slots, pois).map_err(bad)
 }
 
 // ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@
 //! reader has one body either way. The overlay rules keep every bound the
 //! algorithm relies on *sound and exact*:
 //!
-//! - Street geometry (grid, rasters) is static, so those methods read the
-//!   base unchanged.
+//! - Street geometry and the grid are static, so `Cε(ℓ)`'s cells come
+//!   from the base grid.
 //! - Global postings and per-cell weight totals come from the delta's
 //!   replacement aggregates for touched keywords/cells and from the base
 //!   otherwise; the delta recomputed them in merged ascending-POI order,
@@ -127,33 +127,6 @@ impl<'a> IndexView<'a> {
     /// The underlying grid (static street/POI extent fixed at build time).
     pub fn grid(&self) -> &'a Grid {
         self.base.grid()
-    }
-
-    /// O(1) upper bound on `|Cε(ℓ)|` (pure grid geometry; static).
-    pub fn upper_cell_count(&self, geom: &LineSeg, eps: f64) -> usize {
-        self.base.upper_cell_count(geom, eps)
-    }
-
-    /// Calls `f` with the static raster row (segments passing through, id
-    /// ascending) of every cell in the Chebyshev ring around cell `id` that
-    /// a segment within `eps` of `id` can pass through, row-major. Together
-    /// the rows are a superset of `Lε(c)` with repeats — a segment appears
-    /// once per ring cell it crosses — which is sound for Alg. 1's touch
-    /// semantics: a touched segment ignores cells outside its own `Cε`.
-    /// Street geometry never changes within an epoch lineage, so the delta
-    /// has no part in this.
-    #[inline]
-    pub fn for_each_raster_row_near_cell<F: FnMut(&'a [SegmentId])>(
-        &self,
-        id: CellId,
-        eps: f64,
-        mut f: F,
-    ) {
-        let base = self.base;
-        let grid = base.grid();
-        grid.for_each_in_neighborhood(grid.coord_of(id), base.ring_radius(eps), |near| {
-            f(base.raster_segments_of_cell(grid.cell_id(near)));
-        });
     }
 
     /// The global inverted list for keyword `k`: the delta's replacement

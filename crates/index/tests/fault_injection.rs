@@ -411,6 +411,20 @@ fn slot_past_its_cell(snapshot: &Snapshot) -> (usize, u32) {
     (run_slots[last_run + 1] as usize - 1, cell_slots[cell + 1])
 }
 
+/// The last run of the first occupied cell that is not the last one: a run
+/// whose end, `poi.rs.s[run + 1]`, is not the column's final offset.
+fn last_run_before_another_cell(snapshot: &Snapshot) -> usize {
+    let cell_runs = snapshot.u32s("poi.ck.s").unwrap();
+    let num_runs = *cell_runs.last().unwrap();
+    let cell = (0..cell_runs.len() - 1)
+        .find(|&c| cell_runs[c + 1] > cell_runs[c] && cell_runs[c + 1] < num_runs)
+        .expect("two occupied cells");
+    cell_runs[cell + 1] as usize - 1
+}
+
+/// Each case corrupts one section in one way and must be caught by the
+/// check that names it: the error carries the expected fragment, not just
+/// any data error an earlier check raises.
 #[test]
 fn inconsistent_columns_are_data_errors_never_panics() {
     let dataset = sample_dataset();
@@ -429,7 +443,7 @@ fn inconsistent_columns_are_data_errors_never_panics() {
     // members, to aim the row-order corruptions at a row that can show
     // them; the slot count; and where a slot of another cell can end a
     // postings run (`poi.rs.i`), and which.
-    let (kw_row, run_row, member_row, num_slots, (foreign_slot_at, foreign_slot)) = {
+    let (kw_row, run_row, member_row, num_slots, (foreign_slot_at, foreign_slot), empty_run) = {
         let path = temp_path("starts");
         std::fs::write(&path, &image).unwrap();
         let snapshot = Snapshot::open(&path).unwrap();
@@ -439,6 +453,7 @@ fn inconsistent_columns_are_data_errors_never_panics() {
             row_with_two(snapshot.u32s("poi.cp.s").unwrap()),
             snapshot.u32s("poi.cp.i").unwrap().len() as u32,
             slot_past_its_cell(&snapshot),
+            last_run_before_another_cell(&snapshot),
         );
         std::fs::remove_file(&path).ok();
         found
@@ -451,6 +466,7 @@ fn inconsistent_columns_are_data_errors_never_panics() {
         .map(|(id, c)| (id, c.pois))
         .collect();
     let (foreign_member_at, foreign_member) = foreign_member_end(&members);
+    let empty_run_message = format!("poi postings: run {empty_run} is empty");
 
     // Moves a row-starts column's final offset off the item count.
     let end_moved = |by: i32| -> Rewrite {
@@ -459,52 +475,123 @@ fn inconsistent_columns_are_data_errors_never_panics() {
     // One more (empty) row: a self-consistent column pair, wrong row count.
     let extra_row = || -> Rewrite { as_u32s(|v| v.push(*v.last().unwrap())) };
     let first_set_to = |id: u32| -> Rewrite { as_u32s(move |v| v[0] = id) };
-    let cases: Vec<(&str, &str, Rewrite)> = vec![
+    // (case, section, the fragment its check's message carries, rewrite)
+    let cases: Vec<(&str, &str, &str, Rewrite)> = vec![
         // The offset column of every Csr goes through one check.
         (
             "starts-too-short",
             "poi.cp.s",
+            "poi cell members: expected",
             as_u32s(|v| v.truncate(v.len() / 2)),
         ),
-        ("starts-too-long", "pg.ph.s", as_u32s(|v| v.extend([0, 0]))),
-        ("starts-empty", "poi.ck.s", as_u32s(|v| v.clear())),
-        ("starts-not-from-zero", "poi.cp.s", first_set_to(1)),
-        ("starts-decrease", "pg.ph.s", as_u32s(|v| v[1] = u32::MAX)),
-        ("starts-end-short-of-items", "pg.ph.s", end_moved(-1)),
-        ("starts-end-past-items", "poi.cp.s", end_moved(1)),
-        // The run directory's ends are the postings column's row starts.
-        ("run-end-past-postings", "poi.rs.s", end_moved(5)),
+        (
+            "starts-too-long",
+            "pg.ph.s",
+            "photo-grid members: expected",
+            as_u32s(|v| v.extend([0, 0])),
+        ),
+        (
+            "starts-empty",
+            "poi.ck.s",
+            "poi run directory: expected",
+            as_u32s(|v| v.clear()),
+        ),
+        (
+            "starts-not-from-zero",
+            "poi.cp.s",
+            "poi cell members: offsets must start at 0",
+            first_set_to(1),
+        ),
+        (
+            "starts-decrease",
+            "pg.ph.s",
+            "photo-grid members: offsets decrease",
+            as_u32s(|v| v[1] = u32::MAX),
+        ),
+        (
+            "starts-end-short-of-items",
+            "pg.ph.s",
+            "photo-grid members: offsets must end at",
+            end_moved(-1),
+        ),
+        (
+            "starts-end-past-items",
+            "poi.cp.s",
+            "poi cell members: offsets must end at",
+            end_moved(1),
+        ),
+        // The run directory's entries are the postings column's rows.
+        (
+            "run-end-past-postings",
+            "poi.rs.s",
+            "poi postings: offsets must end at",
+            end_moved(5),
+        ),
         (
             "more-directory-entries-than-runs",
-            "poi.ck.i",
-            as_u32s(|v| v.push(0)),
+            "poi.rs.s",
+            "poi postings: expected",
+            as_u32s(|v| {
+                v.remove(1);
+            }),
         ),
-        ("empty-postings-run", "poi.rs.s", as_u32s(|v| v[1] = 0)),
-        ("row-count-not-grid-cells", "pg.ph.s", extra_row()),
+        // The last run of a cell, emptied into the next cell's first run:
+        // every row still ascends.
+        (
+            "empty-postings-run",
+            "poi.rs.s",
+            &empty_run_message,
+            as_u32s(move |v| v[empty_run + 1] = v[empty_run]),
+        ),
+        (
+            "row-count-not-grid-cells",
+            "pg.ph.s",
+            "photo-grid members: expected",
+            extra_row(),
+        ),
         // Item ids at their bound.
-        ("poi-id-out-of-range", "poi.cp.i", first_set_to(num_pois)),
-        ("posting-out-of-range", "poi.rs.i", first_set_to(num_slots)),
-        ("photo-id-out-of-range", "pg.ph.i", first_set_to(num_photos)),
+        (
+            "poi-id-out-of-range",
+            "poi.cp.i",
+            "poi cell members: id",
+            first_set_to(num_pois),
+        ),
+        (
+            "posting-out-of-range",
+            "poi.rs.i",
+            "poi postings: id",
+            first_set_to(num_slots),
+        ),
+        (
+            "photo-id-out-of-range",
+            "pg.ph.i",
+            "photo-grid members: id",
+            first_set_to(num_photos),
+        ),
         // The last run of the last occupied cell, so its row still ascends.
         (
             "keyword-without-global-list",
             "poi.ck.i",
+            "poi run directory: keyword",
             as_u32s(move |v| *v.last_mut().unwrap() = num_kws),
         ),
         // Rows the binary search and the sorted-list union walk.
         (
             "run-keywords-unsorted",
             "poi.ck.i",
+            "poi run directory: row",
             as_u32s(move |v| v.swap(kw_row, kw_row + 1)),
         ),
         (
             "run-keywords-repeated",
             "poi.ck.i",
+            "poi run directory: row",
             as_u32s(move |v| v[kw_row + 1] = v[kw_row]),
         ),
         (
             "postings-run-not-ascending",
             "poi.rs.i",
+            "poi postings: row",
             as_u32s(move |v| v.swap(run_row, run_row + 1)),
         ),
         // What the postings rely on: ascending slot is ascending id, and a
@@ -512,16 +599,19 @@ fn inconsistent_columns_are_data_errors_never_panics() {
         (
             "cell-members-unsorted",
             "poi.cp.i",
+            "poi cell members: row",
             as_u32s(move |v| v.swap(member_row, member_row + 1)),
         ),
         (
             "run-slot-outside-its-cell",
             "poi.rs.i",
+            "holds a slot outside",
             as_u32s(move |v| v[foreign_slot_at] = foreign_slot),
         ),
         (
             "poi-in-two-cells",
             "poi.cp.i",
+            "is in two cells",
             as_u32s(move |v| v[foreign_member_at] = foreign_member),
         ),
     ];
@@ -531,7 +621,7 @@ fn inconsistent_columns_are_data_errors_never_panics() {
         read_mutated("untouched", &dataset, &untouched, |_| {}),
         Ok(ReadOutcome::Loaded(_))
     ));
-    for (name, section, mutate) in cases {
+    for (name, section, expected, mutate) in cases {
         let corrupted = with_section_rewritten(&image, section, mutate);
         let err = match read_mutated(name, &dataset, &corrupted, |_| {}) {
             Err(err) => err,
@@ -545,6 +635,10 @@ fn inconsistent_columns_are_data_errors_never_panics() {
         assert!(
             err.to_string().contains(".soisnap"),
             "case {name}: error must carry the snapshot path: {err}"
+        );
+        assert!(
+            err.to_string().contains(expected),
+            "case {name}: caught by another check than `{expected}`: {err}"
         );
     }
 }

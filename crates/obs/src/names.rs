@@ -53,8 +53,6 @@ pub mod spans {
     /// Deriving the global inverted index from the postings, on a build or
     /// a snapshot load.
     pub const INDEX_BUILD_GLOBAL: &str = "index.build.global";
-    /// Deriving the raster cell↔segment map, on a build or a snapshot load.
-    pub const INDEX_BUILD_RASTER: &str = "index.build.raster";
     /// Loading an index bundle from a snapshot file (cold start).
     pub const SNAPSHOT_LOAD: &str = "index.snapshot.load";
     /// Writing an index bundle to a snapshot file.
@@ -116,7 +114,6 @@ mod tests {
             spans::INDEX_BUILD_FLATTEN,
             spans::INDEX_BUILD_CELLS,
             spans::INDEX_BUILD_GLOBAL,
-            spans::INDEX_BUILD_RASTER,
             spans::SNAPSHOT_LOAD,
             spans::SNAPSHOT_WRITE,
             spans::CLI_LOAD,
