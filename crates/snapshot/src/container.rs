@@ -37,7 +37,7 @@ pub const MAGIC: [u8; 8] = *b"SOISNAP1";
 /// - 4: postings stored as cell slots, not POI ids; no cell totals (a load
 ///   derives them) and no segment length list (SL3 is the network's).
 /// - 5: only the POI index's primary columns (members, run directory,
-///   postings); no global lists and no raster (a load derives both).
+///   postings); no global lists (a load derives them) and no raster.
 pub const FORMAT_VERSION: u32 = 5;
 /// Endianness probe constant, stored native-endian.
 pub const ENDIAN_TAG: u32 = 0x0A0B_0C0D;
