@@ -7,7 +7,7 @@ use soi_common::{Result, ResultExt};
 use soi_core::describe::{
     st_rel_div_full, ContextBuilder, DescribeExplain, DescribeParams, DescribeScratch,
 };
-use soi_core::soi::{run_soi_full, SoiConfig, SoiExplain, SoiQuery, SoiScratch};
+use soi_core::soi::{run_soi_full, SoiExplain, SoiQuery, SoiScratch};
 use soi_core::QueryBudget;
 use soi_obs::names::phases;
 use soi_obs::{json, log};
@@ -32,7 +32,6 @@ pub(crate) fn run(args: &Args) -> Result<()> {
         &dataset.pois,
         &index,
         &query,
-        &SoiConfig::default(),
         &mut SoiScratch::default(),
         Some(&mut explain),
         QueryBudget::unlimited(),

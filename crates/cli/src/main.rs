@@ -34,7 +34,7 @@ use std::io::Write;
 
 use args::Args;
 use soi_common::{Result, ResultExt, SoiError};
-use soi_core::soi::{run_soi, SoiConfig, SoiOutcome, SoiQuery};
+use soi_core::soi::{run_soi, SoiOutcome, SoiQuery};
 use soi_data::{Dataset, Photo};
 use soi_index::{BundleParams, CacheMode, IndexBundle, IndexCache, PoiIndex};
 use soi_obs::log::{self, LogMode, Value};
@@ -394,10 +394,9 @@ fn acquire_bundle(
     Ok(bundle)
 }
 
-/// Alg. 1 with the default bounds over the whole dataset.
+/// Alg. 1 over the whole dataset.
 fn run_query(dataset: &Dataset, index: &PoiIndex, query: &SoiQuery) -> Result<SoiOutcome> {
-    let config = SoiConfig::default();
-    run_soi(&dataset.network, &dataset.pois, index, query, &config)
+    run_soi(&dataset.network, &dataset.pois, index, query)
 }
 
 /// The terms of `photo`'s tags.

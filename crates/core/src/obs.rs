@@ -21,12 +21,8 @@ pub struct SoiMetrics {
     pub queries: &'static Counter,
     /// `soi_query_latency_seconds`: end-to-end `run_soi` latency.
     pub latency: &'static Histogram,
-    /// `soi_segments_popped_total`: SL2/SL3 segment pops.
-    pub segments_popped: &'static Counter,
     /// `soi_cell_visits_total`: effective `UpdateInterest` executions.
     pub cell_visits: &'static Counter,
-    /// `soi_segments_seen_total`: segments that entered the partial state.
-    pub segments_seen: &'static Counter,
     /// `soi_segments_bounded_out_total`: segments dismissed by bounds
     /// without distance work.
     pub segments_bounded_out: &'static Counter,
@@ -47,14 +43,9 @@ pub fn soi_metrics() -> &'static SoiMetrics {
             "End-to-end run_soi latency",
             DEFAULT_LATENCY_BUCKETS,
         ),
-        segments_popped: register_counter("soi_segments_popped_total", "SL2/SL3 segments popped"),
         cell_visits: register_counter(
             "soi_cell_visits_total",
             "Effective UpdateInterest executions",
-        ),
-        segments_seen: register_counter(
-            "soi_segments_seen_total",
-            "Segments that entered the partial state",
         ),
         segments_bounded_out: register_counter(
             "soi_segments_bounded_out_total",
@@ -73,9 +64,7 @@ pub fn absorb_query_stats(stats: &QueryStats) {
     let m = soi_metrics();
     m.queries.inc();
     m.latency.observe_duration(stats.total_time());
-    m.segments_popped.add(stats.segments_popped as u64);
     m.cell_visits.add(stats.cell_visits as u64);
-    m.segments_seen.add(stats.segments_seen as u64);
     m.segments_bounded_out
         .add(stats.segments_bounded_out as u64);
     m.accesses.add(stats.accesses as u64);
@@ -169,14 +158,13 @@ mod tests {
 
     #[test]
     fn absorb_accumulates_counters() {
-        let before = soi_metrics().segments_popped.get();
+        let before = soi_metrics().accesses.get();
         let stats = QueryStats {
-            segments_popped: 5,
             accesses: 9,
             ..Default::default()
         };
         absorb_query_stats(&stats);
-        assert!(soi_metrics().segments_popped.get() >= before + 5);
+        assert!(soi_metrics().accesses.get() >= before + 9);
         assert!(soi_metrics().queries.get() >= 1);
     }
 

@@ -5,11 +5,14 @@
 //! interest lower bound among seen segments, and `UB`, an upper bound on
 //! the interest of every unseen segment (Lemma 1), and stops once
 //! `UB ≤ LBk`. The paper leaves the access order open ("the correctness of
-//! our method is not affected by the access strategy"). This module runs
-//! one best-first loop; [`SoiConfig::paper_bounds_only`] runs the paper's
-//! cycle and bound instead (the [`paper`] module). Both share the
-//! `relcount` table, the gathered POI columns, the street bounds, the
-//! access loop's accounting and the rank phase kept here.
+//! our method is not affected by the access strategy"). [`run_soi`] runs
+//! one best-first loop. The paper's cycle and bound are a reference entry
+//! of their own,
+//! [`paper::run_soi_paper`](crate::soi::paper::run_soi_paper), called like
+//! [`run_baseline`](crate::soi::run_baseline) on its own scratch. Both
+//! entries run through this module's `evaluate`, which fills the
+//! `relcount` table, resets the gathered POI columns and the street bounds,
+//! and ranks the seen segments once the entry's own access loop stops.
 //!
 //! ### The default loop
 //! SL2 lists the segments with `b(ℓ) > 0` ranked by `b`, an upper bound of
@@ -35,7 +38,6 @@ use crate::soi::bound::{RelPrefix, HEADROOM};
 use crate::soi::explain::{ExplainRow, SoiExplain, Source};
 use crate::soi::interest::segment_interest;
 use crate::soi::lbk::KBest;
-use crate::soi::paper::{self, PaperScratch};
 use crate::soi::query::{SoiConfig, SoiOutcome, SoiQuery, StreetResult};
 use crate::soi::ranked::{rounded_score, GroupedList, Ranked};
 use crate::soi::stats::{phases, QueryStats};
@@ -44,6 +46,7 @@ use soi_data::PoiView;
 use soi_geo::LineSeg;
 use soi_index::{mass_within, IndexView};
 use soi_network::RoadNetwork;
+use soi_obs::trace::Span as TraceSpan;
 
 /// Source accesses between sampled UB/LBk trace-counter emissions: dense
 /// enough to show the convergence curve, sparse enough to stay invisible
@@ -65,6 +68,8 @@ pub(super) struct Inputs<'a> {
     /// cell can contribute to any segment's mass ([`UNREACHED`] where no
     /// query keyword occurs).
     pub relcount: &'a [f64],
+    /// The cells with a `relcount` entry, first-reached order.
+    pub reached: &'a [CellId],
 }
 
 impl Inputs<'_> {
@@ -265,55 +270,23 @@ pub(super) fn access_loop(
     (ub, expired)
 }
 
-/// Reusable working memory for [`run_soi`]: the dense per-cell /
-/// per-segment / per-street tables, SL2, the gathered relevant-POI columns
-/// and the k best street bounds, so a warm query allocates none of them.
-///
-/// Hold one per worker thread and pass it to
-/// [`run_soi_with_scratch`]; results are identical to [`run_soi`]. Every
-/// table is emptied on entry by walking what the previous query touched
-/// and re-fitted to the network and grid at hand, so one scratch may serve
-/// different datasets in turn. A worker retains about
-/// `24·|grid cells| + 0.125·|segments| + 8·|runs| + 12·|streets|` bytes of
-/// tables (per cell: `relcount`, the gathered range and the prefix sum at
-/// 8 bytes each; per segment: one bit; per run: an SL2 entry at 8 bytes)
-/// plus the high-water marks of SL2's heap of expanded members (8 bytes per
-/// member, of `8·|segments|` reserved), of the popped segments' masses (16
-/// bytes each) and of the gathered columns, the largest: 24 bytes per
-/// distinct relevant POI in the cells visited by the heaviest query served
-/// so far (of `24·|POIs|` bytes reserved, untouched beyond that mark).
-/// Paper mode adds its own lists and tables (the `paper` module), and the
-/// raster it rebuilds per query: 4 bytes per grid cell and 12 per
-/// (segment, cell it passes through) pair.
+/// The tables both entries fill the same way: construction's `relcount`,
+/// the query state the access loop fills, and the rank phase's. Each
+/// entry's scratch embeds one.
 #[derive(Default)]
-pub struct SoiScratch {
-    pub(super) relcount: Vec<f64>,
-    /// The cells with a `relcount` entry, first-reached order.
-    pub(super) reached: Vec<CellId>,
-    pub(super) prefix_sums: Vec<u64>,
-    /// Runs (by index into [`RoadNetwork::runs`]) and their members.
-    sl2: GroupedList<u32, SegmentId>,
-    /// Per segment: set once popped off SL2.
-    popped: SegmentBits,
-    /// Rasterisation buffer for one segment's `Cε(ℓ)`.
-    near_cells: Vec<CellId>,
+pub(super) struct Tables {
+    pub relcount: Vec<f64>,
+    pub reached: Vec<CellId>,
     shared: Shared,
     /// Rank phase — per street: 1 + its index in `best`, 0 if none.
     street_slot: Vec<u32>,
     best: Vec<StreetResult>,
-    paper: PaperScratch,
 }
 
-impl std::fmt::Debug for SoiScratch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SoiScratch").finish_non_exhaustive()
-    }
-}
-
-impl SoiScratch {
+impl Tables {
     /// Construction's query-wide table: `relcount` over the cells a query
     /// keyword reaches (listed in `reached`).
-    pub(super) fn fill_relcount(&mut self, index: IndexView<'_>, query: &SoiQuery) {
+    pub fn fill_relcount(&mut self, index: IndexView<'_>, query: &SoiQuery) {
         // relcount(c) sums the query keywords' global postings in keyword
         // order, capped by the cell's total weight.
         let (relcount, reached) = (&mut self.relcount, &mut self.reached);
@@ -335,6 +308,151 @@ impl SoiScratch {
             let sum = &mut relcount[cell.index()];
             *sum = sum.min(index.cell_total_weight(cell));
         }
+    }
+}
+
+/// One k-SOI evaluation around an entry's filtering phase. Validates the
+/// query, fills `relcount` and empties the shared state (construction),
+/// runs `filter`, then aggregates the seen segments per street
+/// (Definition 3), ranks the top k and finishes `explain`, which records
+/// `paper_bounds` as the `UB` in effect. `filter` gets the query's inputs,
+/// the shared state, the stats, the explain collector and the open
+/// construction span, to close once its lists are built; it leaves every
+/// seen segment's mass in `Shared::masses` and returns what
+/// [`access_loop`] returns.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn evaluate(
+    tables: &mut Tables,
+    network: &RoadNetwork,
+    pois: PoiView<'_>,
+    index: IndexView<'_>,
+    query: &SoiQuery,
+    mut explain: Option<&mut SoiExplain>,
+    paper_bounds: bool,
+    filter: impl FnOnce(
+        &Inputs<'_>,
+        &mut Shared,
+        &mut QueryStats,
+        Option<&mut SoiExplain>,
+        TraceSpan,
+    ) -> (f64, bool),
+) -> Result<SoiOutcome> {
+    query.validate()?;
+    let _query_span = soi_obs::trace::span(soi_obs::names::spans::SOI_QUERY);
+    if let Some(ex) = explain.as_deref_mut() {
+        let keywords = query.keywords.iter().count();
+        ex.begin(query.k, query.eps, keywords, paper_bounds);
+    }
+    let mut stats = QueryStats::default();
+    stats.timer.enter(phases::CONSTRUCTION);
+    let sources = soi_obs::trace::span(soi_obs::names::spans::SOI_SOURCES);
+    tables.fill_relcount(index, query);
+    let Tables {
+        relcount,
+        reached,
+        shared,
+        street_slot,
+        best,
+    } = tables;
+    shared.masses.clear();
+    shared.gathered.reset(index.grid().num_cells(), pois.len());
+    shared.streets.reset(network.num_streets(), query.k);
+    let inputs = Inputs {
+        network,
+        pois,
+        index,
+        query,
+        relcount,
+        reached,
+    };
+    let (ub, expired) = filter(&inputs, shared, &mut stats, explain.as_deref_mut(), sources);
+    stats.termination_ub = ub;
+    stats.termination_lb = shared.streets.lbk();
+    stats.deadline_expired = expired;
+
+    // Street-level aggregation (Definition 3: max over segments) restricted
+    // to seen segments — unseen ones have interest ≤ UB ≤ LBk and cannot
+    // change the top-k membership.
+    let rank_span = soi_obs::trace::span(soi_obs::names::spans::SOI_RANK);
+    for entry in best.drain(..) {
+        street_slot[entry.street.index()] = 0;
+    }
+    street_slot.resize(network.num_streets(), 0);
+    for &(seg, mass) in &shared.masses {
+        let s = network.segment(seg);
+        let int = segment_interest(mass, s.len(), query.eps);
+        let slot = &mut street_slot[s.street.index()];
+        if *slot == 0 {
+            best.push(StreetResult {
+                street: s.street,
+                interest: 0.0,
+                best_segment: seg,
+                best_segment_mass: 0.0,
+            });
+            *slot = best.len() as u32;
+        }
+        let entry = &mut best[*slot as usize - 1];
+        if int > entry.interest || (int == entry.interest && seg < entry.best_segment) {
+            entry.interest = int;
+            entry.best_segment = seg;
+            entry.best_segment_mass = mass;
+        }
+    }
+    let ranked = top_k_by_score(
+        best.iter()
+            .filter(|entry| entry.interest > 0.0)
+            .map(|entry| ScoredItem::new(entry.street, entry.interest)),
+        query.k,
+    );
+    let results = ranked
+        .into_iter()
+        .map(|item| best[street_slot[item.id.index()] as usize - 1].clone())
+        .collect();
+    drop(rank_span);
+
+    stats.timer.stop();
+    if let Some(ex) = explain {
+        ex.finish(&stats);
+    }
+    Ok(SoiOutcome {
+        results,
+        stats,
+        partial: expired,
+    })
+}
+
+/// Reusable working memory for [`run_soi`]: the dense per-cell /
+/// per-segment / per-street tables, SL2, the gathered relevant-POI columns
+/// and the k best street bounds, so a warm query allocates none of them.
+///
+/// Hold one per worker thread and pass it to
+/// [`run_soi_full`]; results are identical to [`run_soi`]. Every
+/// table is emptied on entry by walking what the previous query touched
+/// and re-fitted to the network and grid at hand, so one scratch may serve
+/// different datasets in turn. A worker retains about
+/// `24·|grid cells| + 0.125·|segments| + 8·|runs| + 12·|streets|` bytes of
+/// tables (per cell: `relcount`, the gathered range and the prefix sum at
+/// 8 bytes each; per segment: one bit; per run: an SL2 entry at 8 bytes)
+/// plus the high-water marks of SL2's heap of expanded members (8 bytes per
+/// member, of `8·|segments|` reserved), of the popped segments' masses (16
+/// bytes each) and of the gathered columns, the largest: 24 bytes per
+/// distinct relevant POI in the cells visited by the heaviest query served
+/// so far (of `24·|POIs|` bytes reserved, untouched beyond that mark).
+#[derive(Default)]
+pub struct SoiScratch {
+    tables: Tables,
+    prefix_sums: Vec<u64>,
+    /// Runs (by index into [`RoadNetwork::runs`]) and their members.
+    sl2: GroupedList<u32, SegmentId>,
+    /// Per segment: set once popped off SL2.
+    popped: SegmentBits,
+    /// Rasterisation buffer for one segment's `Cε(ℓ)`.
+    near_cells: Vec<CellId>,
+}
+
+impl std::fmt::Debug for SoiScratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SoiScratch").finish_non_exhaustive()
     }
 }
 
@@ -363,19 +481,20 @@ pub fn run_soi<'a>(
     pois: impl Into<PoiView<'a>>,
     index: impl Into<IndexView<'a>>,
     query: &SoiQuery,
-    config: &SoiConfig,
 ) -> Result<SoiOutcome> {
-    run_soi_with_scratch(
+    run_soi_full(
         network,
-        pois.into(),
-        index.into(),
+        pois,
+        index,
         query,
-        config,
         &mut SoiScratch::default(),
+        None,
+        QueryBudget::unlimited(),
     )
 }
 
 /// [`run_soi`] with caller-provided scratch space (see [`SoiScratch`]).
+/// `_config` is inert ([`SoiConfig`] has no field).
 ///
 /// # Errors
 /// Same contract as [`run_soi`].
@@ -384,23 +503,22 @@ pub fn run_soi_with_scratch<'a>(
     pois: impl Into<PoiView<'a>>,
     index: impl Into<IndexView<'a>>,
     query: &SoiQuery,
-    config: &SoiConfig,
+    _config: &SoiConfig,
     scratch: &mut SoiScratch,
 ) -> Result<SoiOutcome> {
     run_soi_full(
         network,
-        pois.into(),
-        index.into(),
+        pois,
+        index,
         query,
-        config,
         scratch,
         None,
         QueryBudget::unlimited(),
     )
 }
 
-/// [`run_soi_with_scratch`] with an opt-in explain collector and an
-/// execution budget.
+/// [`run_soi`] with caller-provided scratch space (see [`SoiScratch`]), an
+/// opt-in explain collector and an execution budget.
 ///
 /// When `explain` is `Some`, the run records its bound trajectory (one
 /// [`ExplainRow`] per source access, decimated), the post-construction
@@ -416,73 +534,37 @@ pub fn run_soi_with_scratch<'a>(
 /// least the recorded `LBk` ([`QueryStats::termination_lb`]) — Alg. 1
 /// maintains a correct lower-bound ranking at every access, so a deadline
 /// hit degrades the answer instead of erroring. With `None` and
-/// [`QueryBudget::unlimited`] this *is* [`run_soi_with_scratch`].
+/// [`QueryBudget::unlimited`] this *is* [`run_soi`] on a kept scratch.
 ///
 /// # Errors
 /// Same contract as [`run_soi`] — a deadline hit is *not* an error.
-#[allow(clippy::too_many_arguments)]
 pub fn run_soi_full<'a>(
     network: &RoadNetwork,
     pois: impl Into<PoiView<'a>>,
     index: impl Into<IndexView<'a>>,
     query: &SoiQuery,
-    config: &SoiConfig,
     scratch: &mut SoiScratch,
-    mut explain: Option<&mut SoiExplain>,
+    explain: Option<&mut SoiExplain>,
     budget: QueryBudget,
 ) -> Result<SoiOutcome> {
-    let pois: PoiView<'a> = pois.into();
-    let index: IndexView<'a> = index.into();
-    query.validate()?;
-    let _query_span = soi_obs::trace::span(soi_obs::names::spans::SOI_QUERY);
-    if let Some(ex) = explain.as_deref_mut() {
-        ex.begin(
-            query.k,
-            query.eps,
-            query.keywords.iter().count(),
-            config.paper_bounds_only,
-        );
-    }
-    let mut stats = QueryStats::default();
-    stats.timer.enter(phases::CONSTRUCTION);
-    let sources = soi_obs::trace::span(soi_obs::names::spans::SOI_SOURCES);
-    scratch.fill_relcount(index, query);
-
-    let shared = &mut scratch.shared;
-    shared.masses.clear();
-    shared.gathered.reset(index.grid().num_cells(), pois.len());
-    shared.streets.reset(network.num_streets(), query.k);
-    let (relcount, reached) = (&scratch.relcount, &scratch.reached);
-    let inputs = Inputs {
-        network,
-        pois,
-        index,
-        query,
-        relcount,
-    };
+    let SoiScratch {
+        tables,
+        prefix_sums,
+        sl2,
+        popped,
+        near_cells,
+    } = scratch;
+    let (pois, index) = (pois.into(), index.into());
     let eps = query.eps;
-
-    let (ub, expired) = if config.paper_bounds_only {
-        let paper = &mut scratch.paper;
-        let explain = explain.as_deref_mut();
-        paper::run(
-            &inputs, reached, paper, shared, &mut stats, explain, &budget, sources,
-        )
-    } else {
-        let (sl2, popped, near_cells) = (
-            &mut scratch.sl2,
-            &mut scratch.popped,
-            &mut scratch.near_cells,
-        );
+    let filter = |inputs: &Inputs<'_>,
+                  shared: &mut Shared,
+                  stats: &mut QueryStats,
+                  mut explain: Option<&mut SoiExplain>,
+                  sources: TraceSpan| {
+        let (relcount, reached) = (inputs.relcount, inputs.reached);
         // --- SL2 (Alg. 1 lines 6–7): the segments with `b > 0`, ranked by
         // `b`, through the runs with `B > 0`, ranked by `B`.
-        let bounds = RelPrefix::build(
-            index.grid(),
-            relcount,
-            reached,
-            eps,
-            &mut scratch.prefix_sums,
-        );
+        let bounds = RelPrefix::build(index.grid(), relcount, reached, eps, prefix_sums);
         let runs = network.runs();
         let listed = runs.iter().enumerate().filter_map(|(at, run)| {
             let b = bounds.run_bound(run);
@@ -513,7 +595,7 @@ pub fn run_soi_full<'a>(
         }
         popped.reset(network.num_segments());
 
-        access_loop(&mut stats, explain.as_deref_mut(), &budget, |stats| {
+        access_loop(stats, explain, &budget, |stats| {
             let head = sl2.peek(expand);
             let ub = head.map_or(0.0, Ranked::score);
             let mut row = ExplainRow {
@@ -570,80 +652,26 @@ pub fn run_soi_full<'a>(
             row
         })
     };
-    stats.termination_ub = ub;
-    stats.termination_lb = shared.streets.lbk();
-    stats.deadline_expired = expired;
-
-    // Street-level aggregation (Definition 3: max over segments) restricted
-    // to seen segments — unseen ones have interest ≤ UB ≤ LBk and cannot
-    // change the top-k membership.
-    let rank_span = soi_obs::trace::span(soi_obs::names::spans::SOI_RANK);
-    let (street_slot, best) = (&mut scratch.street_slot, &mut scratch.best);
-    for entry in best.drain(..) {
-        street_slot[entry.street.index()] = 0;
-    }
-    street_slot.resize(network.num_streets(), 0);
-    for &(seg, mass) in &shared.masses {
-        let s = network.segment(seg);
-        let int = segment_interest(mass, s.len(), eps);
-        let slot = &mut street_slot[s.street.index()];
-        if *slot == 0 {
-            best.push(StreetResult {
-                street: s.street,
-                interest: 0.0,
-                best_segment: seg,
-                best_segment_mass: 0.0,
-            });
-            *slot = best.len() as u32;
-        }
-        let entry = &mut best[*slot as usize - 1];
-        if int > entry.interest || (int == entry.interest && seg < entry.best_segment) {
-            entry.interest = int;
-            entry.best_segment = seg;
-            entry.best_segment_mass = mass;
-        }
-    }
-    let ranked = top_k_by_score(
-        best.iter()
-            .filter(|entry| entry.interest > 0.0)
-            .map(|entry| ScoredItem::new(entry.street, entry.interest)),
-        query.k,
-    );
-    let results = ranked
-        .into_iter()
-        .map(|item| best[street_slot[item.id.index()] as usize - 1].clone())
-        .collect();
-    drop(rank_span);
-
-    stats.timer.stop();
-
-    crate::obs::absorb_query_stats(&stats);
-
-    if let Some(ex) = explain {
-        ex.finish(&stats);
-    }
-
-    Ok(SoiOutcome {
-        results,
-        stats,
-        partial: expired,
-    })
+    let outcome = evaluate(tables, network, pois, index, query, explain, false, filter)?;
+    crate::obs::absorb_query_stats(&outcome.stats);
+    Ok(outcome)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::soi::paper::{run_soi_paper, PaperScratch};
     use soi_common::KeywordId;
     use soi_data::PoiCollection;
     use soi_geo::Point;
     use soi_index::PoiIndex;
     use soi_text::KeywordSet;
 
-    /// Paper mode reads no `b(ℓ)`, so its queries leave a fresh scratch's
-    /// prefix-sum buffer empty; a default query then fills it to
-    /// `(nx+1)·(ny+1)`.
+    /// The paper's entry runs twice on a scratch of its own, then the
+    /// default: the three answers agree, and only the default fills its
+    /// prefix-sum buffer, to `(nx+1)·(ny+1)`.
     #[test]
-    fn paper_mode_builds_no_prefix_sums() {
+    fn paper_entry_builds_no_prefix_sums() {
         let mut b = RoadNetwork::builder();
         let row = [(0.5, 1.0), (3.5, 1.2), (5.5, 1.0)].map(|(x, y)| Point::new(x, y));
         b.add_street_from_points("h", &row);
@@ -659,18 +687,25 @@ mod tests {
         let query = SoiQuery::new(keywords, 2, 0.3).expect("valid query");
         let grid = index.grid();
         let cells = (grid.nx() as usize + 1) * (grid.ny() as usize + 1);
-        let mut scratch = SoiScratch::default();
-        for paper_bounds_only in [true, true, false] {
-            let config = SoiConfig { paper_bounds_only };
-            let out = run_soi_with_scratch(&network, &pois, &index, &query, &config, &mut scratch)
-                .expect("valid query");
+        let (mut paper, mut scratch) = (PaperScratch::default(), SoiScratch::default());
+        let mut answers = Vec::new();
+        for paper_entry in [true, true, false] {
+            let budget = QueryBudget::unlimited();
+            let out = if paper_entry {
+                run_soi_paper(&network, &pois, &index, &query, &mut paper, None, budget)
+            } else {
+                run_soi_full(&network, &pois, &index, &query, &mut scratch, None, budget)
+            };
+            let out = out.expect("valid query");
             assert!(!out.results.is_empty());
-            let built = if paper_bounds_only { 0 } else { cells };
+            let built = if paper_entry { 0 } else { cells };
             assert_eq!(
                 scratch.prefix_sums.len(),
                 built,
-                "paper mode {paper_bounds_only}"
+                "paper entry {paper_entry}"
             );
+            answers.push(out.results);
         }
+        assert!(answers.windows(2).all(|w| w[0] == w[1]), "{answers:?}");
     }
 }

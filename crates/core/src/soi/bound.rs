@@ -130,7 +130,7 @@ impl<'a> RelPrefix<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::soi::algorithm::SoiScratch;
+    use crate::soi::algorithm::Tables;
     use crate::soi::query::SoiQuery;
     use proptest::prelude::*;
     use soi_common::{KeywordId, StreetId};
@@ -238,14 +238,14 @@ mod tests {
             let keywords = KeywordSet::from_ids(query_kws.iter().map(|&k| KeywordId(k)));
             let query = SoiQuery::new(keywords, 1, eps).expect("valid query");
 
-            let mut scratch = SoiScratch::default();
-            scratch.fill_relcount(view, &query);
+            let (mut tables, mut prefix_sums) = (Tables::default(), Vec::new());
+            tables.fill_relcount(view, &query);
             let bounds = RelPrefix::build(
                 view.grid(),
-                &scratch.relcount,
-                &scratch.reached,
+                &tables.relcount,
+                &tables.reached,
                 eps,
-                &mut scratch.prefix_sums,
+                &mut prefix_sums,
             );
             for s in network.segments() {
                 let mass = view.segment_mass_lazy(poi_view, &network, s.id, &query.keywords, eps);
@@ -331,14 +331,14 @@ mod tests {
             let keywords = KeywordSet::from_ids(query_kws.iter().map(|&k| KeywordId(k)));
             let query = SoiQuery::new(keywords, 1, eps).expect("valid query");
             let view = IndexView::new(&index, None);
-            let mut scratch = SoiScratch::default();
-            scratch.fill_relcount(view, &query);
+            let (mut tables, mut prefix_sums) = (Tables::default(), Vec::new());
+            tables.fill_relcount(view, &query);
             let bounds = RelPrefix::build(
                 view.grid(),
-                &scratch.relcount,
-                &scratch.reached,
+                &tables.relcount,
+                &tables.reached,
                 eps,
-                &mut scratch.prefix_sums,
+                &mut prefix_sums,
             );
             for run in network.runs() {
                 let run_bound = bounds.run_bound(run);

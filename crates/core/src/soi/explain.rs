@@ -6,9 +6,10 @@
 //! source-list access, the termination bounds `UB` and `LBk` together with
 //! the surviving heads of the three source lists — the raw material of a
 //! bound-convergence table. Which `UB` is in effect is recorded once
-//! ([`SoiExplain::paper_bounds`]): SL2's head `b(ℓ)` by default, the
-//! paper's `top(SL1)·top(SL2)/(2ε·top(SL3)+πε²)` under
-//! `SoiConfig::paper_bounds_only`. Rows are decimated on the fly (stride
+//! ([`SoiExplain::paper_bounds`]): SL2's head `b(ℓ)` under
+//! [`run_soi_full`](crate::soi::run_soi_full), the paper's
+//! `top(SL1)·top(SL2)/(2ε·top(SL3)+πε²)` under the reference entry
+//! [`run_soi_paper`](crate::soi::paper::run_soi_paper). Rows are decimated on the fly (stride
 //! doubling) so a long filtering phase cannot grow the collector beyond
 //! [`SoiExplain::max_rows`]; the final pre-termination state is always
 //! recorded as its own row, so the last row of the table provably
@@ -107,8 +108,9 @@ pub struct SoiExplain {
     pub eps: f64,
     /// Number of query keywords.
     pub keywords: usize,
-    /// Whether `UB` is the paper's verbatim bound
-    /// (`SoiConfig::paper_bounds_only`) rather than SL2's head `b(ℓ)`.
+    /// Whether `UB` is the paper's verbatim bound (the run was
+    /// [`run_soi_paper`](crate::soi::paper::run_soi_paper)) rather than
+    /// SL2's head `b(ℓ)`.
     pub paper_bounds: bool,
     /// Source-list sizes after construction.
     pub lists: ListSizes,

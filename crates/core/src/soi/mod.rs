@@ -1,4 +1,6 @@
-//! k-SOI identification: query types, the SOI algorithm, and baselines.
+//! k-SOI identification: query types, the SOI algorithm, and the
+//! reference entries the tests hold it to: the paper's Alg. 1 as stated
+//! ([`paper::run_soi_paper`]), the baseline BL and brute force.
 
 pub mod algorithm;
 pub mod baseline;

@@ -1,10 +1,11 @@
-//! Alg. 1 as the paper states it, run under
-//! [`SoiConfig::paper_bounds_only`](crate::soi::SoiConfig::paper_bounds_only):
-//! the practical cycle ([`PAPER_CYCLE`]) over SL1 (the reached cells by
-//! `relcount` descending), SL2 (every segment by the O(1) bound on
-//! `|Cε(ℓ)|` descending) and SL3 (every segment by length ascending), the
-//! paper's `UB = top(SL1)·top(SL2) / (2ε·top(SL3) + πε²)` over the heads
-//! that are not final, and no segment pruned by a bound.
+//! Alg. 1 as the paper states it, a reference entry beside
+//! [`run_baseline`](crate::soi::run_baseline) that the tests hold the
+//! served [`run_soi`](crate::soi::run_soi) against: the practical cycle
+//! ([`PAPER_CYCLE`]) over SL1 (the reached cells by `relcount`
+//! descending), SL2 (every segment by the O(1) bound on `|Cε(ℓ)|`
+//! descending) and SL3 (every segment by length ascending), the paper's
+//! `UB = top(SL1)·top(SL2) / (2ε·top(SL3) + πε²)` over the heads that are
+//! not final, and no segment pruned by a bound.
 //!
 //! A *segment access* (SL2, SL3) visits every cell of the segment's
 //! `Cε(ℓ)` not visited yet, making it final. A *cell access* (SL1) runs
@@ -18,15 +19,22 @@
 //! `+0.0` until visited, and its mass is their sum in ascending cell order:
 //! BL's to the bit once final, and a lower bound before, as floating-point
 //! addition is monotone.
+//!
+//! [`run_soi_paper`] answers like [`run_soi`](crate::soi::run_soi), to the
+//! bit, but has no served, CLI or benchmark caller and, like
+//! [`run_baseline`](crate::soi::run_baseline), feeds no process metrics.
 
 use crate::budget::QueryBudget;
-use crate::soi::algorithm::{access_loop, Gathered, Inputs, SegmentBits, Shared};
+use crate::soi::algorithm::{access_loop, evaluate, Gathered, Inputs, SegmentBits, Shared, Tables};
 use crate::soi::explain::{ExplainRow, SoiExplain, Source};
 use crate::soi::interest::segment_interest;
+use crate::soi::query::{SoiOutcome, SoiQuery};
 use crate::soi::ranked::{Ranked, RankedList};
 use crate::soi::stats::QueryStats;
-use soi_common::{CellId, SegmentId};
+use soi_common::{CellId, Result, SegmentId};
+use soi_data::PoiView;
 use soi_geo::{Grid, LineSeg};
+use soi_index::IndexView;
 use soi_network::RoadNetwork;
 use soi_obs::trace::Span as TraceSpan;
 
@@ -243,11 +251,13 @@ impl SeenTables {
     }
 }
 
-/// The paper mode's share of [`SoiScratch`](crate::soi::SoiScratch): the
-/// raster, SL1, SL2 and the per-segment tables. A worker that runs only the
-/// default retains none of it.
+/// Reusable working memory for [`run_soi_paper`]: the tables it fills like
+/// [`SoiScratch`](crate::soi::SoiScratch) does, plus the raster it rebuilds
+/// per query (4 bytes per grid cell and 12 per (segment, cell it passes
+/// through) pair), SL1, SL2 and the per-segment tables.
 #[derive(Default)]
-pub(super) struct PaperScratch {
+pub struct PaperScratch {
+    tables: Tables,
     raster: Raster,
     sl1: RankedList<CellId>,
     sl2: RankedList<SegmentId>,
@@ -393,137 +403,153 @@ fn visit_unvisited(
     }
 }
 
-/// Builds SL1 and SL2 over the filled `relcount` (closing the construction
-/// span `sources`), runs the cycle until `UB ≤ LBk`, refines unless the
-/// deadline expired, and leaves every seen segment's mass in
-/// `shared.masses`. Returns what [`access_loop`] returns.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn run(
-    inputs: &Inputs<'_>,
-    reached: &[CellId],
+/// Evaluates a k-SOI query with Alg. 1 as the paper states it: builds SL1
+/// and SL2 over the filled `relcount`, runs the cycle until `UB ≤ LBk`,
+/// refines unless the deadline expired, and ranks the seen segments as
+/// [`run_soi_full`](crate::soi::run_soi_full) does, with the same
+/// `explain` and `budget` contract. Answers equal [`run_soi`]'s and
+/// [`run_baseline`](crate::soi::run_baseline)'s to the bit (no ties at the
+/// k-th place); the work counters are the paper's.
+///
+/// # Errors
+/// Same contract as [`run_soi`](crate::soi::run_soi).
+///
+/// [`run_soi`]: crate::soi::run_soi
+pub fn run_soi_paper<'a>(
+    network: &RoadNetwork,
+    pois: impl Into<PoiView<'a>>,
+    index: impl Into<IndexView<'a>>,
+    query: &SoiQuery,
     scratch: &mut PaperScratch,
-    shared: &mut Shared,
-    stats: &mut QueryStats,
-    mut explain: Option<&mut SoiExplain>,
-    budget: &QueryBudget,
-    sources: TraceSpan,
-) -> (f64, bool) {
-    let (network, eps, grid) = (inputs.network, inputs.query.eps, inputs.index.grid());
+    explain: Option<&mut SoiExplain>,
+    budget: QueryBudget,
+) -> Result<SoiOutcome> {
     let PaperScratch {
+        tables,
         raster,
         sl1,
         sl2,
         seen,
     } = scratch;
-    raster.fill(grid, network);
-    // --- SL1: cells by relevant-POI weight, descending (Alg. 1 lines 1–3).
-    sl1.refill(
-        reached
-            .iter()
-            .map(|&cell| Ranked::new(inputs.relcount[cell.index()], cell)),
-    );
-    // --- SL2 (lines 6–7): every segment, by the O(1) bound on |Cε(ℓ)|.
-    sl2.refill(
-        network
-            .segments()
-            .iter()
-            .map(|s| Ranked::new(cell_count_bound(grid, &s.geom, eps) as f64, s.id)),
-    );
-    // --- SL3: segments by length ascending (precomputed with the network).
-    let sl3: &[SegmentId] = network.segments_by_len();
-    let mut cursor3 = 0usize;
-    drop(sources);
-    if let Some(ex) = explain.as_deref_mut() {
-        ex.record_lists(sl1.len(), sl2.len(), sl3.len());
-    }
+    let (pois, index) = (pois.into(), index.into());
+    let filter = |inputs: &Inputs<'_>,
+                  shared: &mut Shared,
+                  stats: &mut QueryStats,
+                  mut explain: Option<&mut SoiExplain>,
+                  sources: TraceSpan| {
+        let (eps, grid) = (query.eps, index.grid());
+        raster.fill(grid, network);
+        // --- SL1: cells by relevant-POI weight, descending (Alg. 1 lines 1–3).
+        sl1.refill(
+            inputs
+                .reached
+                .iter()
+                .map(|&cell| Ranked::new(inputs.relcount[cell.index()], cell)),
+        );
+        // --- SL2 (lines 6–7): every segment, by the O(1) bound on |Cε(ℓ)|.
+        sl2.refill(
+            network
+                .segments()
+                .iter()
+                .map(|s| Ranked::new(cell_count_bound(grid, &s.geom, eps) as f64, s.id)),
+        );
+        // --- SL3: segments by length ascending (precomputed with the network).
+        let sl3: &[SegmentId] = network.segments_by_len();
+        let mut cursor3 = 0usize;
+        drop(sources);
+        if let Some(ex) = explain.as_deref_mut() {
+            ex.record_lists(sl1.len(), sl2.len(), sl3.len());
+        }
 
-    seen.reset(network.num_segments());
-    let mut fil = Filtering {
-        raster,
-        seen,
-        shared,
-    };
-    let mut cycle_pos = 0usize;
-    let (ub, expired) = access_loop(stats, explain, budget, |stats| {
-        // The heads that are not final: a final segment can change nothing.
-        while sl2.peek().is_some_and(|e| fil.seen.dead.get(e.id())) {
-            sl2.pop();
-        }
-        while sl3.get(cursor3).is_some_and(|&s| fil.seen.dead.get(s)) {
-            cursor3 += 1;
-        }
-        let (head1, head2, head3) = (sl1.peek(), sl2.peek(), sl3.get(cursor3));
-        let top1 = head1.map_or(0.0, Ranked::score);
-        let top2 = head2.map_or(0.0, Ranked::score);
-        let top3 = head3.map(|&s| network.segment(s).len());
-        // Unseen upper bound (line 22), 0 once a list is exhausted: with SL1
-        // exhausted every cell with relevant POIs was popped, so every
-        // segment with positive mass is seen; with SL2 or SL3 exhausted no
-        // segment is left unseen.
-        let ub = match top3 {
-            Some(len) if top1 > 0.0 && top2 > 0.0 => segment_interest(top1 * top2, len, eps),
-            _ => 0.0,
+        seen.reset(network.num_segments());
+        let mut fil = Filtering {
+            raster,
+            seen,
+            shared,
         };
-        let mut row = ExplainRow {
-            ub,
-            lbk: fil.shared.streets.lbk(),
-            top_sl1: top1,
-            top_sl2: top2,
-            top_sl3: top3.unwrap_or(0.0),
-            ..ExplainRow::default()
-        };
-        // `UB > LBk ≥ 0` needs all three heads.
-        let (Some(cell), Some(by_cells), Some(&by_len)) = (head1, head2, head3) else {
-            return row;
-        };
-        if ub <= row.lbk {
-            return row;
-        }
-        let source = PAPER_CYCLE[cycle_pos % PAPER_CYCLE.len()];
-        cycle_pos += 1;
-        match source {
-            Source::Cells => {
-                sl1.pop();
-                stats.cells_popped += 1;
-                fil.access_cell(inputs, cell.id(), stats);
-            }
-            Source::SegmentsByCells => {
+        let mut cycle_pos = 0usize;
+        let (ub, expired) = access_loop(stats, explain, &budget, |stats| {
+            // The heads that are not final: a final segment can change nothing.
+            while sl2.peek().is_some_and(|e| fil.seen.dead.get(e.id())) {
                 sl2.pop();
-                stats.segments_popped += 1;
-                fil.finalize_segment(inputs, by_cells.id(), stats);
             }
-            Source::SegmentsByLen => {
+            while sl3.get(cursor3).is_some_and(|&s| fil.seen.dead.get(s)) {
                 cursor3 += 1;
-                stats.segments_popped += 1;
-                fil.finalize_segment(inputs, by_len, stats);
             }
-        }
-        row.source = Some(source);
-        row
-    });
+            let (head1, head2, head3) = (sl1.peek(), sl2.peek(), sl3.get(cursor3));
+            let top1 = head1.map_or(0.0, Ranked::score);
+            let top2 = head2.map_or(0.0, Ranked::score);
+            let top3 = head3.map(|&s| network.segment(s).len());
+            // Unseen upper bound (line 22), 0 once a list is exhausted: with SL1
+            // exhausted every cell with relevant POIs was popped, so every
+            // segment with positive mass is seen; with SL2 or SL3 exhausted no
+            // segment is left unseen.
+            let ub = match top3 {
+                Some(len) if top1 > 0.0 && top2 > 0.0 => segment_interest(top1 * top2, len, eps),
+                _ => 0.0,
+            };
+            let mut row = ExplainRow {
+                ub,
+                lbk: fil.shared.streets.lbk(),
+                top_sl1: top1,
+                top_sl2: top2,
+                top_sl3: top3.unwrap_or(0.0),
+                ..ExplainRow::default()
+            };
+            // `UB > LBk ≥ 0` needs all three heads.
+            let (Some(cell), Some(by_cells), Some(&by_len)) = (head1, head2, head3) else {
+                return row;
+            };
+            if ub <= row.lbk {
+                return row;
+            }
+            let source = PAPER_CYCLE[cycle_pos % PAPER_CYCLE.len()];
+            cycle_pos += 1;
+            match source {
+                Source::Cells => {
+                    sl1.pop();
+                    stats.cells_popped += 1;
+                    fil.access_cell(inputs, cell.id(), stats);
+                }
+                Source::SegmentsByCells => {
+                    sl2.pop();
+                    stats.segments_popped += 1;
+                    fil.finalize_segment(inputs, by_cells.id(), stats);
+                }
+                Source::SegmentsByLen => {
+                    cursor3 += 1;
+                    stats.segments_popped += 1;
+                    fil.finalize_segment(inputs, by_len, stats);
+                }
+            }
+            row.source = Some(source);
+            row
+        });
 
-    // --- Refinement (lines 25–28): finalise every seen segment still
-    // partial. Skipped on deadline expiry: the anytime contract is a
-    // lower-bound top-k, and every partial mass is already a valid lower
-    // bound.
-    let Filtering { seen, shared, .. } = fil;
-    if !expired {
-        for state in seen.states.iter_mut() {
-            if seen.dead.get(state.seg) {
-                continue;
+        // --- Refinement (lines 25–28): finalise every seen segment still
+        // partial. Skipped on deadline expiry: the anytime contract is a
+        // lower-bound top-k, and every partial mass is already a valid lower
+        // bound.
+        let Filtering { seen, shared, .. } = fil;
+        if !expired {
+            for state in seen.states.iter_mut() {
+                if seen.dead.get(state.seg) {
+                    continue;
+                }
+                let s = network.segment(state.seg);
+                let mut cells = seen.arenas.of(state.span);
+                visit_unvisited(inputs, &mut shared.gathered, &mut cells, &s.geom, stats);
+                state.mass = cells.mass();
+                seen.dead.set(state.seg);
+                stats.segments_finalized_refinement += 1;
             }
-            let s = network.segment(state.seg);
-            let mut cells = seen.arenas.of(state.span);
-            visit_unvisited(inputs, &mut shared.gathered, &mut cells, &s.geom, stats);
-            state.mass = cells.mass();
-            seen.dead.set(state.seg);
-            stats.segments_finalized_refinement += 1;
         }
-    }
-    shared
-        .masses
-        .extend(seen.states.iter().map(|state| (state.seg, state.mass)));
-    (ub, expired)
+        shared
+            .masses
+            .extend(seen.states.iter().map(|state| (state.seg, state.mass)));
+        (ub, expired)
+    };
+    evaluate(tables, network, pois, index, query, explain, true, filter)
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! k-SOI query, configuration, and result types.
+//! k-SOI query and result types.
 
 use crate::soi::stats::QueryStats;
 use soi_common::{Result, SegmentId, SoiError, StreetId};
@@ -48,21 +48,13 @@ impl SoiQuery {
     }
 }
 
-/// Tuning knobs of the SOI algorithm.
+/// Inert: has no field and is read by nothing. Kept only because the
+/// frozen `benchmark/` package passes one to
+/// [`run_soi_with_scratch`](crate::soi::run_soi_with_scratch) (ROADMAP
+/// 16(c)). The paper's Alg. 1 as stated is its own entry,
+/// [`run_soi_paper`](crate::soi::paper::run_soi_paper).
 #[derive(Debug, Clone, Default)]
-pub struct SoiConfig {
-    /// Run Alg. 1 as the paper states it (the [`paper`](crate::soi::paper)
-    /// module): accesses follow the paper's practical cycle
-    /// ([`PAPER_CYCLE`](crate::soi::paper::PAPER_CYCLE)), SL2 ranks every
-    /// segment by the O(1) bound on `|Cε(ℓ)|`, `UB` is the verbatim
-    /// `top(SL1)·top(SL2)/(2ε·top(SL3)+πε²)`, and no segment is dismissed by
-    /// a bound. Default false: one best-first loop pops SL2's head, the
-    /// segment with the largest prefix-sum bound `b(ℓ)`, `UB` is `b` of that
-    /// head, and `b` dismisses segments against `LBk`. A test-only mode:
-    /// both are held to brute force, and to the baseline bit for bit, by
-    /// `tests/soi_correctness.rs`; DESIGN §5 has what the default saves.
-    pub paper_bounds_only: bool,
-}
+pub struct SoiConfig {}
 
 /// One ranked street in a k-SOI result.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,11 +110,6 @@ mod tests {
         assert!(SoiQuery::new(KeywordSet::empty(), 1, -1.0).is_err());
         assert!(SoiQuery::new(KeywordSet::empty(), 1, f64::NAN).is_err());
         assert!(SoiQuery::new(KeywordSet::empty(), 1, f64::INFINITY).is_err());
-    }
-
-    #[test]
-    fn default_config() {
-        assert!(!SoiConfig::default().paper_bounds_only);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! short prefix of it, so it keeps its groups and their expanded members in
 //! two heaps and orders only what it reads. A group's members are ranked
 //! only once the group reaches the head, yet read in exactly the order one
-//! list of all members gives. Paper mode's SL1 and SL2 are plain
+//! list of all members gives. The paper entry's SL1 and SL2 are plain
 //! [`RankedList`]s, sorted once when filled.
 
 use std::cmp::Reverse;

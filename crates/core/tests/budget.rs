@@ -7,19 +7,19 @@
 //!    bit-identical to the plain entry points.
 //! 2. **Expiry is sound** — a deadline hit returns `partial: true` with a
 //!    valid *lower-bound* answer: every returned k-SOI score is at least
-//!    the recorded termination LBk and at most the street's exact
-//!    interest; Alg. 2's partial selection is a prefix of the full greedy
-//!    selection.
+//!    the recorded termination LBk and at most the street's interest as
+//!    BL computes it, with no tolerance; Alg. 2's partial selection is a
+//!    prefix of the full greedy selection.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use soi_common::KeywordId;
+use soi_common::{FxHashMap, KeywordId, StreetId};
 use soi_core::describe::{
     st_rel_div, st_rel_div_full, ContextBuilder, DescribeParams, DescribeScratch, PhiSource,
     StreetContext,
 };
 use soi_core::soi::{
-    exact_street_interests, run_soi, run_soi_full, SoiConfig, SoiQuery, SoiScratch,
+    run_baseline, run_soi, run_soi_full, SoiOutcome, SoiQuery, SoiScratch, StreetAggregate,
 };
 use soi_core::QueryBudget;
 use soi_data::{PhotoCollection, PoiCollection};
@@ -85,15 +85,13 @@ fn unlimited_budget_is_bit_identical_to_plain_path() {
         let pois = random_pois(&mut rng, 200, 5.0);
         let index = PoiIndex::build(&network, &pois, 0.5);
         let query = random_query(&mut rng);
-        let config = SoiConfig::default();
 
-        let plain = run_soi(&network, &pois, &index, &query, &config).unwrap();
+        let plain = run_soi(&network, &pois, &index, &query).unwrap();
         let budgeted = run_soi_full(
             &network,
             &pois,
             &index,
             &query,
-            &config,
             &mut SoiScratch::default(),
             None,
             QueryBudget::unlimited(),
@@ -124,14 +122,31 @@ fn unlimited_budget_is_bit_identical_to_plain_path() {
     }
 }
 
+/// Every street's interest as BL computes it: `run_baseline` at `k` = the
+/// number of streets lists every street with positive interest, and Alg. 1
+/// reproduces BL's bits (`soi_correctness`).
+fn bl_interests(
+    network: &RoadNetwork,
+    pois: &PoiCollection,
+    index: &PoiIndex,
+    query: &SoiQuery,
+) -> FxHashMap<StreetId, f64> {
+    let all = SoiQuery {
+        k: network.num_streets(),
+        ..query.clone()
+    };
+    let bl = run_baseline(network, pois, index, &all, StreetAggregate::Max);
+    bl.results.iter().map(|r| (r.street, r.interest)).collect()
+}
+
 /// Every budgeted run — whatever point it stopped at — must return a sound
-/// lower-bound answer: scores between the recorded LBk and the exact
-/// street interest, ranked non-increasing, never more than k entries.
+/// lower-bound answer: scores between the recorded LBk and BL's street
+/// interest, ranked non-increasing, never more than k entries.
 fn assert_sound_outcome(
     seed: u64,
     timeout_us: u64,
-    outcome: &soi_core::soi::SoiOutcome,
-    exact: &soi_common::FxHashMap<soi_common::StreetId, f64>,
+    outcome: &SoiOutcome,
+    bl: &FxHashMap<StreetId, f64>,
     k: usize,
 ) {
     assert_eq!(outcome.partial, outcome.stats.deadline_expired);
@@ -149,11 +164,11 @@ fn assert_sound_outcome(
             "seed {seed} timeout {timeout_us}us: returned score {} below recorded LBk {lbk}",
             r.interest
         );
-        let exact_interest = exact.get(&r.street).copied().unwrap_or(0.0);
+        let bl_interest = bl.get(&r.street).copied().unwrap_or(0.0);
         assert!(
-            r.interest <= exact_interest + 1e-9,
-            "seed {seed} timeout {timeout_us}us: partial score {} exceeds exact interest \
-             {exact_interest} for {:?} — not a lower bound",
+            r.interest <= bl_interest,
+            "seed {seed} timeout {timeout_us}us: partial score {} exceeds BL's interest \
+             {bl_interest} for {:?} — not a lower bound",
             r.interest,
             r.street
         );
@@ -169,8 +184,7 @@ fn expired_deadlines_return_sound_partial_lower_bounds() {
         let pois = random_pois(&mut rng, 600, 7.0);
         let index = PoiIndex::build(&network, &pois, 0.5);
         let query = random_query(&mut rng);
-        let exact = exact_street_interests(&network, &pois, &query);
-        let config = SoiConfig::default();
+        let bl = bl_interests(&network, &pois, &index, &query);
 
         // A pre-expired deadline: the access loop never runs, yet the
         // outcome is still a well-formed (empty or LB-backed) answer.
@@ -179,7 +193,6 @@ fn expired_deadlines_return_sound_partial_lower_bounds() {
             &pois,
             &index,
             &query,
-            &config,
             &mut scratch,
             None,
             QueryBudget::with_deadline(Instant::now() - Duration::from_secs(1)),
@@ -190,7 +203,7 @@ fn expired_deadlines_return_sound_partial_lower_bounds() {
             pre_expired.results.is_empty(),
             "seed {seed}: work done after expiry"
         );
-        assert_sound_outcome(seed, 0, &pre_expired, &exact, query.k);
+        assert_sound_outcome(seed, 0, &pre_expired, &bl, query.k);
 
         // Tiny-but-positive timeouts: wherever the run lands (expired
         // mid-flight or completed), the answer must be sound.
@@ -201,21 +214,23 @@ fn expired_deadlines_return_sound_partial_lower_bounds() {
                 &pois,
                 &index,
                 &query,
-                &config,
                 &mut scratch,
                 None,
                 QueryBudget::from_timeout(Duration::from_micros(timeout_us)),
             )
             .unwrap();
             saw_partial |= outcome.partial;
-            assert_sound_outcome(seed, timeout_us, &outcome, &exact, query.k);
+            assert_sound_outcome(seed, timeout_us, &outcome, &bl, query.k);
             if !outcome.partial {
-                // A completed run under a budget is the exact answer.
+                // A completed run under a budget is the exact answer, to
+                // BL's bits.
                 for r in &outcome.results {
-                    let want = exact.get(&r.street).copied().unwrap_or(0.0);
-                    assert!(
-                        (r.interest - want).abs() < 1e-9,
-                        "seed {seed}: completed budgeted run not exact"
+                    let want = bl.get(&r.street).copied().unwrap_or(0.0);
+                    assert_eq!(
+                        r.interest.to_bits(),
+                        want.to_bits(),
+                        "seed {seed}: completed budgeted run not exact for {:?}",
+                        r.street
                     );
                 }
             }

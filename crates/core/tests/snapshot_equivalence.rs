@@ -13,7 +13,7 @@
 
 use soi_common::KeywordId;
 use soi_core::describe::{greedy_select, ContextBuilder, DescribeParams, PhiSource};
-use soi_core::soi::{run_soi, QueryStats, SoiConfig, SoiOutcome, SoiQuery};
+use soi_core::soi::{run_soi, QueryStats, SoiOutcome, SoiQuery};
 use soi_data::{Dataset, PhotoCollection, PoiCollection};
 use soi_geo::Point;
 use soi_index::{build_bundle, read_bundle, write_bundle, BundleParams, IndexBundle, ReadOutcome};
@@ -167,7 +167,6 @@ fn queries() -> Vec<SoiQuery> {
 #[test]
 fn soi_queries_identical_across_thread_counts() {
     let dataset = sample_dataset();
-    let config = SoiConfig::default();
     // Reference answers from a single-threaded fresh build.
     let reference = build_bundle(&dataset, &params(1));
     for threads in [1, 2, 8] {
@@ -181,12 +180,9 @@ fn soi_queries_identical_across_thread_counts() {
         );
         assert!(fresh.photo_grid == loaded.photo_grid, "threads={threads}");
         for q in &queries() {
-            let want =
-                run_soi(&dataset.network, &dataset.pois, &reference.poi, q, &config).unwrap();
-            let from_fresh =
-                run_soi(&dataset.network, &dataset.pois, &fresh.poi, q, &config).unwrap();
-            let from_loaded =
-                run_soi(&dataset.network, &dataset.pois, &loaded.poi, q, &config).unwrap();
+            let want = run_soi(&dataset.network, &dataset.pois, &reference.poi, q).unwrap();
+            let from_fresh = run_soi(&dataset.network, &dataset.pois, &fresh.poi, q).unwrap();
+            let from_loaded = run_soi(&dataset.network, &dataset.pois, &loaded.poi, q).unwrap();
             let what = format!("threads={threads} k={} eps={}", q.k, q.eps);
             // Builds are deterministic across thread counts…
             assert_outcomes_identical(&want, &from_fresh, &format!("{what} (build determinism)"));

@@ -15,12 +15,13 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use soi_common::{CellId, FxHashMap, KeywordId, SegmentId, StreetId};
 use soi_core::soi::explain::Source;
+use soi_core::soi::paper::{run_soi_paper, PaperScratch};
 use soi_core::soi::{
-    brute_force, exact_street_interests, run_baseline, run_soi, run_soi_full, run_soi_with_scratch,
-    SoiConfig, SoiExplain, SoiOutcome, SoiQuery, SoiScratch, StreetAggregate,
+    brute_force, exact_street_interests, run_baseline, run_soi, run_soi_full, SoiExplain,
+    SoiOutcome, SoiQuery, SoiScratch, StreetAggregate,
 };
 use soi_core::QueryBudget;
-use soi_data::{PhotoCollection, PoiCollection};
+use soi_data::{PhotoCollection, PoiCollection, PoiView};
 use soi_geo::Point;
 use soi_index::{DeltaIndex, DeltaOp, IndexView, PoiIndex};
 use soi_network::RoadNetwork;
@@ -101,9 +102,68 @@ fn random_delta(
     DeltaIndex::seal(index, pois, &PhotoCollection::new(), &ops).unwrap()
 }
 
-/// Both bound modes: the default, and the paper's bounds and access cycle.
-fn both_modes() -> [SoiConfig; 2] {
-    [false, true].map(|paper_bounds_only| SoiConfig { paper_bounds_only })
+/// The two runners: the served default, and the paper's bounds and access
+/// cycle ([`run_soi_paper`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Entry {
+    Default,
+    Paper,
+}
+
+const BOTH_ENTRIES: [Entry; 2] = [Entry::Default, Entry::Paper];
+
+/// One scratch per entry.
+#[derive(Default)]
+struct Scratch {
+    default: SoiScratch,
+    paper: PaperScratch,
+}
+
+impl Entry {
+    /// Runs `query` through this entry on `scratch`.
+    fn run_on(
+        self,
+        scratch: &mut Scratch,
+        network: &RoadNetwork,
+        pois: PoiView<'_>,
+        index: IndexView<'_>,
+        query: &SoiQuery,
+    ) -> SoiOutcome {
+        let budget = QueryBudget::unlimited();
+        match self {
+            Entry::Default => run_soi_full(
+                network,
+                pois,
+                index,
+                query,
+                &mut scratch.default,
+                None,
+                budget,
+            ),
+            Entry::Paper => run_soi_paper(
+                network,
+                pois,
+                index,
+                query,
+                &mut scratch.paper,
+                None,
+                budget,
+            ),
+        }
+        .unwrap()
+    }
+
+    /// Runs `query` through this entry on a fresh scratch.
+    fn run<'a>(
+        self,
+        network: &RoadNetwork,
+        pois: impl Into<PoiView<'a>>,
+        index: impl Into<IndexView<'a>>,
+        query: &SoiQuery,
+    ) -> SoiOutcome {
+        let (pois, index) = (pois.into(), index.into());
+        self.run_on(&mut Scratch::default(), network, pois, index, query)
+    }
 }
 
 fn random_query(rng: &mut StdRng) -> SoiQuery {
@@ -205,14 +265,14 @@ fn soi_returns_valid_topk_in_both_modes_with_and_without_a_delta() {
                     exact_street_interests(&network, &pois, &query),
                 )
             };
-            for config in both_modes() {
-                let out = run_soi(&network, poi_view, view, &query, &config).unwrap();
-                let what = format!("seed {seed}, delta {live}, {config:?}");
+            for entry in BOTH_ENTRIES {
+                let out = entry.run(&network, poi_view, view, &query);
+                let what = format!("seed {seed}, delta {live}, {entry:?}");
                 assert_valid_topk(&out, &exact, &query, &what);
                 // Pruning has one site, the segment access, and it reads a
                 // threshold of −∞ under the paper's bounds; by default no
                 // cell is popped, so no cell access is wasted.
-                if config.paper_bounds_only {
+                if entry == Entry::Paper {
                     assert_eq!(out.stats.segments_bounded_out, 0, "{what}");
                 } else {
                     assert_eq!(out.stats.duplicate_visits, 0, "{what}");
@@ -252,7 +312,6 @@ fn default_mode_reads_sl2_best_first() {
                     poi_view,
                     view,
                     &query,
-                    &SoiConfig::default(),
                     &mut scratch,
                     Some(&mut explain),
                     QueryBudget::unlimited(),
@@ -309,11 +368,11 @@ fn soi_under_a_live_delta_matches_brute_force_over_the_folded_pois() {
     // Weighted POIs, a sealed delta that deletes a fifth of them and adds
     // as many again (some outside every base-occupied cell): Alg. 1 reading
     // through the base+delta views must answer like brute force over the
-    // collection the delta folds into. Each bound mode runs through one
-    // scratch across cities of varying size, so a cell gathered, a segment
+    // collection the delta folds into. Each entry runs through one
+    // scratch of its own across cities of varying size, so a cell gathered, a segment
     // seen or a raster row filled for one query is made afresh for the
     // next: answers, counters and `termination_ub` equal a fresh scratch's.
-    let mut scratches = both_modes().map(|_| SoiScratch::default());
+    let mut scratch = Scratch::default();
     for seed in 0..15u64 {
         let mut rng = StdRng::seed_from_u64(2000 + seed);
         let (rows, cols) = (4 + seed as usize % 4, 5 + seed as usize % 3);
@@ -330,13 +389,12 @@ fn soi_under_a_live_delta_matches_brute_force_over_the_folded_pois() {
         for _ in 0..3 {
             let query = random_query(&mut rng);
             let exact = exact_street_interests(&network, &folded, &query);
-            for (config, scratch) in both_modes().iter().zip(&mut scratches) {
+            for entry in BOTH_ENTRIES {
                 let poi_view = delta.poi_view(&pois);
-                let out = run_soi_with_scratch(&network, poi_view, view, &query, config, scratch)
-                    .unwrap();
-                let what = format!("seed {seed}, {config:?}");
+                let out = entry.run_on(&mut scratch, &network, poi_view, view, &query);
+                let what = format!("seed {seed}, {entry:?}");
                 assert_valid_topk(&out, &exact, &query, &what);
-                let fresh = run_soi(&network, poi_view, view, &query, config).unwrap();
+                let fresh = entry.run(&network, poi_view, view, &query);
                 assert_eq!(answer_bits(&out), answer_bits(&fresh), "{what}");
                 assert_eq!(counters(&out), counters(&fresh), "{what}");
             }
@@ -363,7 +421,7 @@ fn soi_matches_baseline_when_no_ties_at_boundary() {
     // to the bit — streets, interests, best segments and their masses —
     // whatever order the accesses visit cells in: a final segment's mass is
     // its per-cell masses summed in ascending cell order, BL's order. Both
-    // bound modes (each with its own access order), on the base index and
+    // entries (each with its own access order), on the base index and
     // through a live delta that deletes a fifth of the POIs and adds
     // weighted ones.
     let mut compared = 0;
@@ -397,9 +455,9 @@ fn soi_matches_baseline_when_no_ties_at_boundary() {
                 continue;
             }
             let bl = run_baseline(&network, poi_view, view, &query, StreetAggregate::Max);
-            for config in both_modes() {
-                let soi = run_soi(&network, poi_view, view, &query, &config).unwrap();
-                let what = format!("seed {seed}, delta {live}, {config:?}");
+            for entry in BOTH_ENTRIES {
+                let soi = entry.run(&network, poi_view, view, &query);
+                let what = format!("seed {seed}, delta {live}, {entry:?}");
                 assert_eq!(answer_bits(&soi), answer_bits(&bl), "{what}");
                 compared += 1;
             }
@@ -454,9 +512,9 @@ fn a_relcount_that_rounds_below_the_mass_bounds_out_nothing() {
         let bl = run_baseline(&network, poi_view, view, &query, StreetAggregate::Max);
         assert_eq!(bl.street_ids(), [street_b], "delta {live}");
         assert_eq!(bl.results[0].best_segment_mass, 1.0 + 2.0 * TINY);
-        for config in both_modes() {
-            let soi = run_soi(&network, poi_view, view, &query, &config).unwrap();
-            let what = format!("delta {live}, {config:?}");
+        for entry in BOTH_ENTRIES {
+            let soi = entry.run(&network, poi_view, view, &query);
+            let what = format!("delta {live}, {entry:?}");
             assert_eq!(answer_bits(&soi), answer_bits(&bl), "{what}");
         }
     }
@@ -486,7 +544,7 @@ fn soi_prunes_work_on_skewed_data() {
     }
     let index = PoiIndex::build(&network, &pois, 0.4);
     let query = SoiQuery::new(KeywordSet::from_ids([shop]), 5, 0.3).unwrap();
-    let out = run_soi(&network, &pois, &index, &query, &SoiConfig::default()).unwrap();
+    let out = run_soi(&network, &pois, &index, &query).unwrap();
 
     assert_eq!(out.results.len(), 5);
     // SL2's head bounds the unseen segments by their own boxes' weight, so
@@ -526,7 +584,7 @@ fn weighted_pois_scale_interest() {
     let index = PoiIndex::build(&network, &pois, 0.5);
     let query = SoiQuery::new(KeywordSet::from_ids([kw]), 1, 0.2).unwrap();
 
-    let out = run_soi(&network, &pois, &index, &query, &SoiConfig::default()).unwrap();
+    let out = run_soi(&network, &pois, &index, &query).unwrap();
     assert_eq!(out.results.len(), 1);
     assert_eq!(network.street(out.results[0].street).name, "B");
     assert_eq!(out.results[0].best_segment_mass, 5.0);
@@ -542,7 +600,7 @@ fn huge_eps_makes_every_street_relevant_and_stays_exact() {
     let index = PoiIndex::build(&network, &pois, 0.5);
     let query = SoiQuery::new(KeywordSet::from_ids([KeywordId(0), KeywordId(1)]), 5, 50.0).unwrap();
     let exact = exact_street_interests(&network, &pois, &query);
-    let out = run_soi(&network, &pois, &index, &query, &SoiConfig::default()).unwrap();
+    let out = run_soi(&network, &pois, &index, &query).unwrap();
     for r in &out.results {
         assert!((r.interest - exact[&r.street]).abs() < 1e-9);
     }
@@ -567,9 +625,9 @@ fn eps_whose_ring_radius_exceeds_u32_stays_exact() {
         let query =
             SoiQuery::new(KeywordSet::from_ids([KeywordId(0), KeywordId(1)]), 5, eps).unwrap();
         let exact = exact_street_interests(&network, &pois, &query);
-        for config in both_modes() {
-            let out = run_soi(&network, &pois, &index, &query, &config).unwrap();
-            let what = format!("eps {eps} under {config:?}");
+        for entry in BOTH_ENTRIES {
+            let out = entry.run(&network, &pois, &index, &query);
+            let what = format!("eps {eps} under {entry:?}");
             assert_valid_topk(&out, &exact, &query, &what);
             // Interests are ≈ 1e-19 and below here: exact relative to
             // their own size, not just to `assert_valid_topk`'s 1e-9.
@@ -597,7 +655,7 @@ fn k_exceeding_street_count_returns_all_positive_streets() {
     .unwrap();
     let exact = exact_street_interests(&network, &pois, &query);
     let positive = exact.values().filter(|&&v| v > 0.0).count();
-    let out = run_soi(&network, &pois, &index, &query, &SoiConfig::default()).unwrap();
+    let out = run_soi(&network, &pois, &index, &query).unwrap();
     assert_eq!(out.results.len(), positive);
     // Ranked non-increasing.
     for pair in out.results.windows(2) {
@@ -615,7 +673,7 @@ fn tiny_eps_still_counts_on_street_pois() {
     pois.add(Point::new(0.5, 0.0), KeywordSet::from_ids([KeywordId(0)]));
     let index = PoiIndex::build(&network, &pois, 0.5);
     let query = SoiQuery::new(KeywordSet::from_ids([KeywordId(0)]), 1, 1e-9).unwrap();
-    let out = run_soi(&network, &pois, &index, &query, &SoiConfig::default()).unwrap();
+    let out = run_soi(&network, &pois, &index, &query).unwrap();
     assert_eq!(out.results.len(), 1);
     assert_eq!(out.results[0].best_segment_mass, 1.0);
 }
@@ -628,7 +686,7 @@ fn empty_query_returns_nothing() {
     let index = PoiIndex::build(&network, &pois, 0.5);
     // Keyword id far outside the used range.
     let query = SoiQuery::new(KeywordSet::from_ids([KeywordId(999)]), 3, 0.3).unwrap();
-    let out = run_soi(&network, &pois, &index, &query, &SoiConfig::default()).unwrap();
+    let out = run_soi(&network, &pois, &index, &query).unwrap();
     assert!(out.results.is_empty());
     let bl = run_baseline(&network, &pois, &index, &query, StreetAggregate::Max);
     assert!(bl.results.is_empty());
@@ -642,16 +700,14 @@ fn explain_trajectory_matches_termination_and_results() {
         let pois = random_pois(&mut rng, 200, 5.0);
         let index = PoiIndex::build(&network, &pois, 0.5);
         let query = random_query(&mut rng);
-        let config = SoiConfig::default();
 
-        let plain = run_soi(&network, &pois, &index, &query, &config).unwrap();
+        let plain = run_soi(&network, &pois, &index, &query).unwrap();
         let mut explain = SoiExplain::default();
         let explained = run_soi_full(
             &network,
             &pois,
             &index,
             &query,
-            &config,
             &mut SoiScratch::default(),
             Some(&mut explain),
             QueryBudget::unlimited(),

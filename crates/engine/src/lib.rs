@@ -5,7 +5,7 @@
 //! shape into throughput:
 //!
 //! - a [`QueryContext`] bundles the immutable inputs (network, POIs, index,
-//!   config) behind an [`Arc`] so every worker shares one copy;
+//!   delta) behind an [`Arc`] so every worker shares one copy;
 //! - a [`QueryEngine`] fans a slice of queries out over a scoped worker
 //!   pool; workers pull small contiguous chunks of query indices from a
 //!   shared atomic counter (work stealing at chunk granularity — cheap,
@@ -72,12 +72,15 @@ pub struct QueryContext<'a> {
     pub delta: Option<&'a DeltaIndex>,
     /// The epoch id the batch is pinned to (0 before any ingestion).
     pub epoch: u64,
-    /// Algorithm configuration applied to every query of the batch.
+    /// Inert: read by nothing in this crate. Kept only because the frozen
+    /// `benchmark/` package passes `&ctx.config` to
+    /// [`run_soi_with_scratch`](soi_core::soi::run_soi_with_scratch)
+    /// (ROADMAP 16(c)).
     pub config: SoiConfig,
 }
 
 impl<'a> QueryContext<'a> {
-    /// Creates a context with the default [`SoiConfig`] and no delta.
+    /// Creates a context over the base structures, with no delta.
     pub fn new(network: &'a RoadNetwork, pois: &'a PoiCollection, index: &'a PoiIndex) -> Self {
         Self {
             network,
@@ -425,7 +428,6 @@ impl EngineWorker {
                 ctx.poi_view(),
                 ctx.index_view(),
                 query,
-                &ctx.config,
                 scratch,
                 explain,
                 budget,
@@ -776,16 +778,7 @@ mod tests {
         let queries = queries(&dataset);
         let expected: Vec<SoiOutcome> = queries
             .iter()
-            .map(|q| {
-                run_soi(
-                    &dataset.network,
-                    &dataset.pois,
-                    &index,
-                    q,
-                    &SoiConfig::default(),
-                )
-                .expect("valid query")
-            })
+            .map(|q| run_soi(&dataset.network, &dataset.pois, &index, q).expect("valid query"))
             .collect();
         let ctx = Arc::new(QueryContext::new(&dataset.network, &dataset.pois, &index));
         for workers in [1usize, 2, 8] {

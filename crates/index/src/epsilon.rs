@@ -2,8 +2,8 @@
 //! implementation: tests and the benchmark's `index.eps_maps_build_ms` row
 //! only. Queries derive the same rows lazily: `Cε(ℓ)` per popped segment
 //! ([`IndexView::occupied_cells_near_segment_into`](crate::IndexView::occupied_cells_near_segment_into)),
-//! and, in `soi-core`'s paper mode only, a superset of `Lε(c)` per popped
-//! cell, from a raster of the network that mode builds per query. Nothing
+//! and, in `soi-core`'s paper entry only, a superset of `Lε(c)` per popped
+//! cell, from a raster of the network that entry builds per query. Nothing
 //! builds, stores or persists an `EpsilonMaps`.
 //!
 //! The paper keeps the raster maps (which cells a segment passes through)

@@ -9,7 +9,7 @@
 //!   decreasingly by count (derived from the postings, on a build and a
 //!   load alike); `Cε(ℓ)` (the occupied cells within ε of a segment) is
 //!   derived per popped segment through [`IndexView`]. The paper's static
-//!   raster maps are not kept: only `soi-core`'s paper mode reads them, and
+//!   raster maps are not kept: only `soi-core`'s paper entry reads them, and
 //!   it rasterises the network per query;
 //! - [`EpsilonMaps`]: `Cε(ℓ)` and `Lε(c)` (the segments within ε of a
 //!   cell) built eagerly for one ε — the reference implementation the

@@ -83,7 +83,7 @@ impl<'a> PoiCell<'a> {
 /// The other three depend on street geometry alone. The segments sorted
 /// increasingly on length live on the network
 /// ([`RoadNetwork::segments_by_len`]). The raster cell↔segment maps are
-/// read only by the paper's own Alg. 1 (`soi-core`'s paper mode), which
+/// read only by the paper's own Alg. 1 (`soi-core`'s paper entry), which
 /// rasterises the network over [`PoiIndex::grid`] per query; the default
 /// loop reads `Cε(ℓ)` alone.
 ///

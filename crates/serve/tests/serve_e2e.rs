@@ -1005,7 +1005,7 @@ fn an_eps_beyond_any_grid_is_a_200_not_a_panic() {
 #[test]
 fn one_engine_worker_answers_any_interleaving_like_a_fresh_scratch() {
     use soi_core::describe::{st_rel_div, ContextBuilder, DescribeParams, PhiSource};
-    use soi_core::soi::{run_soi, SoiConfig, SoiQuery};
+    use soi_core::soi::{run_soi, SoiQuery};
 
     // The single engine worker keeps one scratch for the whole run, so
     // this sequence grows it, shrinks it, switches algorithm, and cuts a
@@ -1118,14 +1118,8 @@ fn one_engine_worker_answers_any_interleaving_like_a_fresh_scratch() {
                 continue;
             }
             Want::Soi(query) => {
-                let direct = run_soi(
-                    &dataset.network,
-                    &dataset.pois,
-                    &bundle.poi,
-                    query,
-                    &SoiConfig::default(),
-                )
-                .expect("valid query");
+                let direct = run_soi(&dataset.network, &dataset.pois, &bundle.poi, query)
+                    .expect("valid query");
                 assert_eq!(doc.get("partial"), Some(&Json::Bool(false)));
                 assert_eq!(
                     num(&doc, "accesses"),

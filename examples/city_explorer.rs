@@ -14,14 +14,8 @@ fn main() {
     println!("exploring {} by category:\n", dataset.name);
     for category in ["shop", "food", "culture", "entertainment"] {
         let query = SoiQuery::new(dataset.query_keywords(&[category]), 3, eps).unwrap();
-        let outcome = run_soi(
-            &dataset.network,
-            &dataset.pois,
-            &index,
-            &query,
-            &SoiConfig::default(),
-        )
-        .expect("valid query");
+        let outcome =
+            run_soi(&dataset.network, &dataset.pois, &index, &query).expect("valid query");
         println!("{category}:");
         for r in &outcome.results {
             println!(
@@ -34,14 +28,7 @@ fn main() {
 
     // Multi-keyword query: anywhere good for an evening out.
     let query = SoiQuery::new(dataset.query_keywords(&["food", "entertainment"]), 8, eps).unwrap();
-    let outcome = run_soi(
-        &dataset.network,
-        &dataset.pois,
-        &index,
-        &query,
-        &SoiConfig::default(),
-    )
-    .expect("valid query");
+    let outcome = run_soi(&dataset.network, &dataset.pois, &index, &query).expect("valid query");
     println!("\nevening-out streets (food ∪ entertainment):");
     for r in &outcome.results {
         println!(

@@ -89,14 +89,7 @@ fn main() {
     let eps = 0.0005;
     let index = PoiIndex::build(&dataset.network, &dataset.pois, 2.0 * eps);
     let query = SoiQuery::new(dataset.query_keywords(&["food"]), 3, eps).unwrap();
-    let outcome = run_soi(
-        &dataset.network,
-        &dataset.pois,
-        &index,
-        &query,
-        &SoiConfig::default(),
-    )
-    .expect("valid query");
+    let outcome = run_soi(&dataset.network, &dataset.pois, &index, &query).expect("valid query");
     println!("food streets:");
     for r in &outcome.results {
         println!(

@@ -41,15 +41,9 @@ fn main() {
 
     // The street to describe: the top "shop" SOI (our Oxford Street).
     let query = SoiQuery::new(dataset.query_keywords(&["shop"]), 1, eps).unwrap();
-    let top = run_soi(
-        &dataset.network,
-        &dataset.pois,
-        &index,
-        &query,
-        &SoiConfig::default(),
-    )
-    .expect("valid query")
-    .results[0]
+    let top = run_soi(&dataset.network, &dataset.pois, &index, &query)
+        .expect("valid query")
+        .results[0]
         .street;
     println!(
         "describing {} with 3 photos under different criteria",

@@ -23,14 +23,7 @@ fn main() {
 
     // 3. Identify: top-5 streets for "shop".
     let query = SoiQuery::new(dataset.query_keywords(&["shop"]), 5, eps).expect("valid query");
-    let outcome = run_soi(
-        &dataset.network,
-        &dataset.pois,
-        &index,
-        &query,
-        &SoiConfig::default(),
-    )
-    .expect("valid query");
+    let outcome = run_soi(&dataset.network, &dataset.pois, &index, &query).expect("valid query");
     println!("\ntop shopping streets:");
     for (rank, r) in outcome.results.iter().enumerate() {
         println!(

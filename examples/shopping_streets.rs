@@ -21,14 +21,7 @@ fn main() {
     let eps = 0.0005;
     let index = PoiIndex::build(&dataset.network, &dataset.pois, 2.0 * eps);
     let query = SoiQuery::new(dataset.query_keywords(&["shop"]), 20, eps).unwrap();
-    let outcome = run_soi(
-        &dataset.network,
-        &dataset.pois,
-        &index,
-        &query,
-        &SoiConfig::default(),
-    )
-    .expect("valid query");
+    let outcome = run_soi(&dataset.network, &dataset.pois, &index, &query).expect("valid query");
 
     println!("\ntop-20 SOIs for \"shop\" (✓ = planted destination):");
     let mut hits_at = vec![0usize; outcome.results.len() + 1];

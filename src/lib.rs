@@ -34,7 +34,6 @@
 //!     &dataset.pois,
 //!     &index,
 //!     &query,
-//!     &SoiConfig::default(),
 //! )
 //! .unwrap();
 //! assert!(!outcome.results.is_empty());
@@ -68,7 +67,7 @@ pub mod prelude {
         greedy_select, st_rel_div, ContextBuilder, DescribeParams, MethodSpec, PhiSource,
         StreetContext,
     };
-    pub use soi_core::soi::{run_baseline, run_soi, SoiConfig, SoiQuery, StreetAggregate};
+    pub use soi_core::soi::{run_baseline, run_soi, SoiQuery, StreetAggregate};
     pub use soi_data::{Dataset, PhotoCollection, PoiCollection};
     pub use soi_datagen;
     pub use soi_geo::{Grid, LineSeg, Point, Rect};

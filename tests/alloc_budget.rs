@@ -2,7 +2,7 @@
 //! deterministic gates.
 //!
 //! A query run on a scratch that has already seen its shape draws every
-//! source list, dense table, cell-list arena (paper mode's) and the k best
+//! source list, dense table, cell-list arena (the paper entry's) and the k best
 //! street bounds from that scratch. What is left to allocate is the answer itself: the
 //! ranking's bounded heap, its sorted copy and the result vector — three
 //! allocations, whatever `k` is and whatever the query visits. Allocation
@@ -17,9 +17,10 @@
 //! allocated at their final length: a bounded number of allocations, not
 //! one per photo.
 
-use soi_common::StreetId;
+use soi_common::{Result, StreetId};
 use soi_core::describe::{ContextBuilder, DescribeParams, PhiSource, StreetContexts};
-use soi_core::soi::{run_soi_with_scratch, SoiConfig, SoiQuery, SoiScratch};
+use soi_core::soi::paper::{run_soi_paper, PaperScratch};
+use soi_core::soi::{run_soi_full, SoiOutcome, SoiQuery, SoiScratch};
 use soi_core::QueryBudget;
 use soi_engine::{EngineWorker, QueryCapture};
 use soi_index::{PhotoGrid, PoiIndex};
@@ -27,7 +28,7 @@ use soi_obs::AllocScope;
 
 const EPS: f64 = 0.0005;
 
-/// Allocations a warm query may make, in either bound mode: the 3 every
+/// Allocations a warm query may make, on either entry: the 3 every
 /// query of the fixture makes, plus 5 of slack for an answer assembled
 /// another way. `LBk` kept in per-query tree nodes (the state before it was
 /// the k best in one retained vector) made 13–62 here; one allocation per
@@ -47,56 +48,60 @@ fn warm_queries_allocate_a_few_dozen_times_whatever_they_visit() {
     .into_iter()
     .map(|(k, kws, eps)| SoiQuery::new(dataset.query_keywords(kws), k, eps).expect("valid"))
     .collect();
-    // Both bound modes, each on its own scratch, under the same ceiling.
-    for paper_bounds_only in [false, true] {
-        let config = SoiConfig { paper_bounds_only };
-        let mut scratch = SoiScratch::default();
-        let mut run = |query: &SoiQuery| {
-            let scope = AllocScope::start();
-            let outcome = run_soi_with_scratch(
-                &dataset.network,
-                &dataset.pois,
-                &index,
-                query,
-                &config,
-                &mut scratch,
-            )
-            .expect("valid query");
-            (scope.finish().allocs, outcome)
-        };
-        let cold: Vec<u64> = queries.iter().map(|q| run(q).0).collect();
-        // Two warm passes: the second must repeat the first exactly.
-        let warm: Vec<(u64, usize)> = queries
-            .iter()
-            .chain(&queries)
-            .map(|q| {
-                let (allocs, outcome) = run(q);
-                assert!(!outcome.results.is_empty(), "degenerate fixture");
-                let visited = outcome.stats.cell_visits + outcome.stats.segments_seen;
-                (allocs, visited)
-            })
-            .collect();
-        let (first, second) = warm.split_at(queries.len());
-        let mode = if paper_bounds_only {
-            "paper"
-        } else {
-            "default"
-        };
-        assert_eq!(
-            first, second,
-            "{mode}: allocation and work counts must repeat"
+    // The default entry and the paper's, each on its own scratch, under the
+    // same ceiling.
+    let (network, pois, index) = (&dataset.network, &dataset.pois, &index);
+    let unlimited = QueryBudget::unlimited;
+    let mut scratch = SoiScratch::default();
+    assert_warm_queries_allocate_little("default", &queries, |q| {
+        run_soi_full(network, pois, index, q, &mut scratch, None, unlimited())
+    });
+    let mut paper = PaperScratch::default();
+    assert_warm_queries_allocate_little("paper", &queries, |q| {
+        run_soi_paper(network, pois, index, q, &mut paper, None, unlimited())
+    });
+}
+
+/// Runs `queries` through `entry` cold, then twice warm: the two warm
+/// passes repeat each other exactly, and a warm query allocates at most
+/// [`WARM_ALLOCS_CEILING`] times and no more than it did cold.
+fn assert_warm_queries_allocate_little(
+    mode: &str,
+    queries: &[SoiQuery],
+    mut entry: impl FnMut(&SoiQuery) -> Result<SoiOutcome>,
+) {
+    let mut run = |query: &SoiQuery| {
+        let scope = AllocScope::start();
+        let outcome = entry(query).expect("valid query");
+        (scope.finish().allocs, outcome)
+    };
+    let cold: Vec<u64> = queries.iter().map(|q| run(q).0).collect();
+    // Two warm passes: the second must repeat the first exactly.
+    let warm: Vec<(u64, usize)> = queries
+        .iter()
+        .chain(queries)
+        .map(|q| {
+            let (allocs, outcome) = run(q);
+            assert!(!outcome.results.is_empty(), "degenerate fixture");
+            let visited = outcome.stats.cell_visits + outcome.stats.segments_seen;
+            (allocs, visited)
+        })
+        .collect();
+    let (first, second) = warm.split_at(queries.len());
+    assert_eq!(
+        first, second,
+        "{mode}: allocation and work counts must repeat"
+    );
+    for (&(allocs, visited), &cold) in first.iter().zip(&cold) {
+        assert!(
+            allocs <= WARM_ALLOCS_CEILING,
+            "{mode}: warm query made {allocs} allocations (ceiling {WARM_ALLOCS_CEILING})"
         );
-        for (&(allocs, visited), &cold) in first.iter().zip(&cold) {
-            assert!(
-                allocs <= WARM_ALLOCS_CEILING,
-                "{mode}: warm query made {allocs} allocations (ceiling {WARM_ALLOCS_CEILING})"
-            );
-            assert!(allocs <= cold, "{mode}: warm {allocs} > cold {cold}");
-            assert!(
-                visited as u64 > 4 * WARM_ALLOCS_CEILING,
-                "{mode}: fixture too small to tell per-visit allocation apart: {visited} visits"
-            );
-        }
+        assert!(allocs <= cold, "{mode}: warm {allocs} > cold {cold}");
+        assert!(
+            visited as u64 > 4 * WARM_ALLOCS_CEILING,
+            "{mode}: fixture too small to tell per-visit allocation apart: {visited} visits"
+        );
     }
 }
 

@@ -497,7 +497,6 @@ proptest! {
                 &dataset.pois,
                 &index,
                 &query,
-                &soi_core::soi::SoiConfig::default(),
             );
             prop_assert!(outcome.is_ok(), "lenient-loaded dataset rejected by run_soi");
         }

@@ -12,7 +12,9 @@ use soi_core::describe::{
     greedy_select, knee, objective, st_rel_div, sweep_lambda, ContextBuilder, DescribeParams,
     MethodSpec, PhiSource, StreetContext,
 };
-use soi_core::soi::{run_baseline, run_soi, SoiConfig, SoiOutcome, SoiQuery, StreetAggregate};
+use soi_core::soi::paper::{run_soi_paper, PaperScratch};
+use soi_core::soi::{run_baseline, run_soi, SoiOutcome, SoiQuery, StreetAggregate};
+use soi_core::QueryBudget;
 use soi_data::Dataset;
 use soi_datagen::GroundTruth;
 use soi_index::{PhotoGrid, PoiIndex};
@@ -44,10 +46,27 @@ impl City {
         &self.dataset.name
     }
 
-    fn soi(&self, keywords: &[&str], k: usize, config: &SoiConfig) -> SoiOutcome {
+    fn soi(&self, keywords: &[&str], k: usize) -> SoiOutcome {
         let query = self.query(keywords, k);
         let d = &self.dataset;
-        run_soi(&d.network, &d.pois, &self.index, &query, config).unwrap()
+        run_soi(&d.network, &d.pois, &self.index, &query).unwrap()
+    }
+
+    /// The paper's Alg. 1 as stated, on `scratch`.
+    fn soi_paper(&self, keywords: &[&str], k: usize, scratch: &mut PaperScratch) -> SoiOutcome {
+        let query = self.query(keywords, k);
+        let d = &self.dataset;
+        let budget = QueryBudget::unlimited();
+        run_soi_paper(
+            &d.network,
+            &d.pois,
+            &self.index,
+            &query,
+            scratch,
+            None,
+            budget,
+        )
+        .unwrap()
     }
 
     fn query(&self, keywords: &[&str], k: usize) -> SoiQuery {
@@ -57,7 +76,7 @@ impl City {
     /// The description context of the city's top "shop" street, the street
     /// every description claim summarises.
     fn top_shop_context(&self) -> StreetContext {
-        let street = self.soi(&["shop"], 1, &SoiConfig::default()).results[0].street;
+        let street = self.soi(&["shop"], 1).results[0].street;
         ContextBuilder {
             network: &self.dataset.network,
             photos: &self.dataset.photos,
@@ -129,7 +148,7 @@ fn table2_shop_query_recalls_the_planted_destinations() {
             city.name()
         );
         let hits = city
-            .soi(&["shop"], 10, &SoiConfig::default())
+            .soi(&["shop"], 10)
             .results
             .iter()
             .filter(|r| planted.contains(&r.street))
@@ -194,21 +213,19 @@ fn table4_relevant_pois_grow_with_the_keyword_prefix() {
 /// finalising fewer segments than BL scores (all of them); its accesses
 /// grow with k and |Ψ|, and it finalises no more segments and visits no
 /// more cells than the paper's own bounds and access cycle
-/// (`paper_bounds_only`), whose accesses grow with k. (An access is not a
-/// common unit: a default access finalises one segment, a paper-mode cell
+/// (`run_soi_paper`), whose accesses grow with k. (An access is not a
+/// common unit: a default access finalises one segment, a paper-entry cell
 /// access touches every segment near the cell.)
 #[test]
 fn fig4_soi_answers_like_bl_and_its_accesses_grow_with_k_and_keywords() {
-    let paper = SoiConfig {
-        paper_bounds_only: true,
-    };
+    let mut paper = PaperScratch::default();
     // (|Ψ|, k) settings.
     let vary_k: Vec<(usize, usize)> = [10, 20, 50, 100, 200].map(|k| (3, k)).to_vec();
     let vary_psi: Vec<(usize, usize)> = (1..=4).map(|n| (n, 50)).collect();
     for city in cities() {
         let d = &city.dataset;
-        // Default-mode and paper-mode accesses of one sweep.
-        let run = |settings: &[(usize, usize)]| -> (Vec<usize>, Vec<usize>) {
+        // Default and paper-entry accesses of one sweep.
+        let mut run = |settings: &[(usize, usize)]| -> (Vec<usize>, Vec<usize>) {
             let mut accesses = (Vec::new(), Vec::new());
             for &(n, k) in settings {
                 let at = format!("{} |Ψ|={n} k={k}", city.name());
@@ -219,10 +236,10 @@ fn fig4_soi_answers_like_bl_and_its_accesses_grow_with_k_and_keywords() {
                     &city.query(&KEYWORDS[..n], k),
                     StreetAggregate::Max,
                 );
-                let soi = city.soi(&KEYWORDS[..n], k, &SoiConfig::default());
-                let verbatim = city.soi(&KEYWORDS[..n], k, &paper);
+                let soi = city.soi(&KEYWORDS[..n], k);
+                let verbatim = city.soi_paper(&KEYWORDS[..n], k, &mut paper);
                 assert_eq!(soi.street_ids(), bl.street_ids(), "{at}");
-                assert_eq!(verbatim.street_ids(), bl.street_ids(), "{at}: paper mode");
+                assert_eq!(verbatim.street_ids(), bl.street_ids(), "{at}: paper entry");
                 assert!(
                     soi.stats.segments_finalized() < d.network.num_segments(),
                     "{at}: finalised {} of {} segments",
@@ -231,13 +248,13 @@ fn fig4_soi_answers_like_bl_and_its_accesses_grow_with_k_and_keywords() {
                 );
                 assert!(
                     soi.stats.segments_finalized() <= verbatim.stats.segments_finalized(),
-                    "{at}: finalised {}, paper mode {}",
+                    "{at}: finalised {}, paper entry {}",
                     soi.stats.segments_finalized(),
                     verbatim.stats.segments_finalized()
                 );
                 assert!(
                     soi.stats.cell_visits <= verbatim.stats.cell_visits,
-                    "{at}: {} cell visits, paper mode {}",
+                    "{at}: {} cell visits, paper entry {}",
                     soi.stats.cell_visits,
                     verbatim.stats.cell_visits
                 );
@@ -252,7 +269,7 @@ fn fig4_soi_answers_like_bl_and_its_accesses_grow_with_k_and_keywords() {
         assert!(non_decreasing(&by_k), "{}: by k {by_k:?}", city.name());
         assert!(
             non_decreasing(&paper_by_k),
-            "{}: paper mode by k {paper_by_k:?}",
+            "{}: paper entry by k {paper_by_k:?}",
             city.name()
         );
         assert!(

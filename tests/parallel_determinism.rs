@@ -5,7 +5,7 @@
 //! must return bit-identical results whatever the worker count. These
 //! tests run the full stack end-to-end on a generated city.
 
-use soi_core::soi::{run_soi, SoiConfig, SoiOutcome, SoiQuery};
+use soi_core::soi::{run_soi, SoiOutcome, SoiQuery};
 use soi_engine::{QueryContext, QueryEngine};
 use soi_index::{PhotoGrid, PoiIndex};
 use std::sync::Arc;
@@ -39,16 +39,7 @@ fn poi_index_parallel_build_is_thread_count_invariant() {
     let queries = queries(&dataset);
     let expected: Vec<SoiOutcome> = queries
         .iter()
-        .map(|q| {
-            run_soi(
-                &dataset.network,
-                &dataset.pois,
-                &sequential,
-                q,
-                &SoiConfig::default(),
-            )
-            .expect("valid query")
-        })
+        .map(|q| run_soi(&dataset.network, &dataset.pois, &sequential, q).expect("valid query"))
         .collect();
 
     for threads in WORKER_COUNTS {
@@ -58,14 +49,7 @@ fn poi_index_parallel_build_is_thread_count_invariant() {
             "{threads} threads built another index"
         );
         for (q, want) in queries.iter().zip(&expected) {
-            let got = run_soi(
-                &dataset.network,
-                &dataset.pois,
-                &parallel,
-                q,
-                &SoiConfig::default(),
-            )
-            .expect("valid query");
+            let got = run_soi(&dataset.network, &dataset.pois, &parallel, q).expect("valid query");
             assert_eq!(got.results, want.results, "threads {threads}");
         }
     }

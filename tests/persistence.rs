@@ -23,22 +23,8 @@ fn saved_and_reloaded_dataset_answers_identically() {
     for keywords in [vec!["shop"], vec!["food", "services"]] {
         let qa = SoiQuery::new(dataset.query_keywords(&keywords), 10, EPS).unwrap();
         let qb = SoiQuery::new(reloaded.query_keywords(&keywords), 10, EPS).unwrap();
-        let a = run_soi(
-            &dataset.network,
-            &dataset.pois,
-            &index_a,
-            &qa,
-            &SoiConfig::default(),
-        )
-        .unwrap();
-        let b = run_soi(
-            &reloaded.network,
-            &reloaded.pois,
-            &index_b,
-            &qb,
-            &SoiConfig::default(),
-        )
-        .unwrap();
+        let a = run_soi(&dataset.network, &dataset.pois, &index_a, &qa).unwrap();
+        let b = run_soi(&reloaded.network, &reloaded.pois, &index_b, &qb).unwrap();
         assert_eq!(a.street_ids(), b.street_ids(), "keywords {keywords:?}");
         for (ra, rb) in a.results.iter().zip(b.results.iter()) {
             assert_eq!(ra.interest, rb.interest);
@@ -50,15 +36,9 @@ fn saved_and_reloaded_dataset_answers_identically() {
     let grid_a = PhotoGrid::build(&dataset.network, &dataset.photos, 2.0 * EPS);
     let grid_b = PhotoGrid::build(&reloaded.network, &reloaded.photos, 2.0 * EPS);
     let q = SoiQuery::new(dataset.query_keywords(&["shop"]), 1, EPS).unwrap();
-    let top = run_soi(
-        &dataset.network,
-        &dataset.pois,
-        &index_a,
-        &q,
-        &SoiConfig::default(),
-    )
-    .unwrap()
-    .results[0]
+    let top = run_soi(&dataset.network, &dataset.pois, &index_a, &q)
+        .unwrap()
+        .results[0]
         .street;
     let make_ctx = |d: &Dataset, g: &PhotoGrid| {
         ContextBuilder {

@@ -18,14 +18,7 @@ fn soi_and_baseline_agree_on_generated_city() {
     for keywords in [vec!["shop"], vec!["food", "culture"], vec!["religion"]] {
         for k in [1usize, 5, 25] {
             let query = SoiQuery::new(dataset.query_keywords(&keywords), k, EPS).unwrap();
-            let soi = run_soi(
-                &dataset.network,
-                &dataset.pois,
-                &index,
-                &query,
-                &SoiConfig::default(),
-            )
-            .unwrap();
+            let soi = run_soi(&dataset.network, &dataset.pois, &index, &query).unwrap();
             let bl = run_baseline(
                 &dataset.network,
                 &dataset.pois,
@@ -52,15 +45,9 @@ fn description_pipeline_is_deterministic_and_consistent() {
     let photo_grid = PhotoGrid::build(&dataset.network, &dataset.photos, 2.0 * EPS);
 
     let query = SoiQuery::new(dataset.query_keywords(&["shop"]), 1, EPS).unwrap();
-    let top = run_soi(
-        &dataset.network,
-        &dataset.pois,
-        &index,
-        &query,
-        &SoiConfig::default(),
-    )
-    .unwrap()
-    .results[0]
+    let top = run_soi(&dataset.network, &dataset.pois, &index, &query)
+        .unwrap()
+        .results[0]
         .street;
 
     let builder = ContextBuilder {

@@ -30,14 +30,7 @@ fn half_scale_london_end_to_end() {
     // Identification at paper defaults.
     let query = SoiQuery::new(dataset.query_keywords(&["shop"]), 10, eps).unwrap();
     let t = Instant::now();
-    let soi = run_soi(
-        &dataset.network,
-        &dataset.pois,
-        &index,
-        &query,
-        &SoiConfig::default(),
-    )
-    .unwrap();
+    let soi = run_soi(&dataset.network, &dataset.pois, &index, &query).unwrap();
     let soi_time = t.elapsed();
     let t = Instant::now();
     let bl = run_baseline(
