@@ -19,10 +19,6 @@
 //! `+0.0` until visited, and its mass is their sum in ascending cell order:
 //! BL's to the bit once final, and a lower bound before, as floating-point
 //! addition is monotone.
-//!
-//! [`run_soi_paper`] answers like [`run_soi`](crate::soi::run_soi), to the
-//! bit, but has no served, CLI or benchmark caller and, like
-//! [`run_baseline`](crate::soi::run_baseline), feeds no process metrics.
 
 use crate::budget::QueryBudget;
 use crate::soi::algorithm::{access_loop, evaluate, Gathered, Inputs, SegmentBits, Shared, Tables};
@@ -409,7 +405,9 @@ fn visit_unvisited(
 /// [`run_soi_full`](crate::soi::run_soi_full) does, with the same
 /// `explain` and `budget` contract. Answers equal [`run_soi`]'s and
 /// [`run_baseline`](crate::soi::run_baseline)'s to the bit (no ties at the
-/// k-th place); the work counters are the paper's.
+/// k-th place); the work counters are the paper's. No server, command or
+/// benchmark calls it, and, like `run_baseline`, it feeds no process
+/// metrics.
 ///
 /// # Errors
 /// Same contract as [`run_soi`](crate::soi::run_soi).

@@ -368,10 +368,11 @@ fn soi_under_a_live_delta_matches_brute_force_over_the_folded_pois() {
     // Weighted POIs, a sealed delta that deletes a fifth of them and adds
     // as many again (some outside every base-occupied cell): Alg. 1 reading
     // through the base+delta views must answer like brute force over the
-    // collection the delta folds into. Each entry runs through one
-    // scratch of its own across cities of varying size, so a cell gathered, a segment
-    // seen or a raster row filled for one query is made afresh for the
-    // next: answers, counters and `termination_ub` equal a fresh scratch's.
+    // collection the delta folds into. Each entry runs through one scratch
+    // of its own across cities of varying size, so a cell gathered, a
+    // segment seen or a raster row filled for one query is made afresh for
+    // the next: answers, counters and `termination_ub` equal a fresh
+    // scratch's.
     let mut scratch = Scratch::default();
     for seed in 0..15u64 {
         let mut rng = StdRng::seed_from_u64(2000 + seed);
