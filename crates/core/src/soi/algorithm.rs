@@ -314,13 +314,11 @@ impl Tables {
 /// One k-SOI evaluation around an entry's filtering phase. Validates the
 /// query, fills `relcount` and empties the shared state (construction),
 /// runs `filter`, then aggregates the seen segments per street
-/// (Definition 3), ranks the top k and finishes `explain`, which records
-/// `paper_bounds` as the `UB` in effect. `filter` gets the query's inputs,
-/// the shared state, the stats, the explain collector and the open
-/// construction span, to close once its lists are built; it leaves every
-/// seen segment's mass in `Shared::masses` and returns what
+/// (Definition 3), ranks the top k and finishes `explain`. `filter` gets
+/// the query's inputs, the shared state, the stats, the explain collector
+/// and the open construction span, to close once its lists are built; it
+/// leaves every seen segment's mass in `Shared::masses` and returns what
 /// [`access_loop`] returns.
-#[allow(clippy::too_many_arguments)]
 pub(super) fn evaluate(
     tables: &mut Tables,
     network: &RoadNetwork,
@@ -328,7 +326,6 @@ pub(super) fn evaluate(
     index: IndexView<'_>,
     query: &SoiQuery,
     mut explain: Option<&mut SoiExplain>,
-    paper_bounds: bool,
     filter: impl FnOnce(
         &Inputs<'_>,
         &mut Shared,
@@ -341,7 +338,7 @@ pub(super) fn evaluate(
     let _query_span = soi_obs::trace::span(soi_obs::names::spans::SOI_QUERY);
     if let Some(ex) = explain.as_deref_mut() {
         let keywords = query.keywords.iter().count();
-        ex.begin(query.k, query.eps, keywords, paper_bounds);
+        ex.begin(query.k, query.eps, keywords);
     }
     let mut stats = QueryStats::default();
     stats.timer.enter(phases::CONSTRUCTION);
@@ -652,60 +649,7 @@ pub fn run_soi_full<'a>(
             row
         })
     };
-    let outcome = evaluate(tables, network, pois, index, query, explain, false, filter)?;
+    let outcome = evaluate(tables, network, pois, index, query, explain, filter)?;
     crate::obs::absorb_query_stats(&outcome.stats);
     Ok(outcome)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::soi::paper::{run_soi_paper, PaperScratch};
-    use soi_common::KeywordId;
-    use soi_data::PoiCollection;
-    use soi_geo::Point;
-    use soi_index::PoiIndex;
-    use soi_text::KeywordSet;
-
-    /// The paper's entry runs twice on a scratch of its own, then the
-    /// default: the three answers agree, and only the default fills its
-    /// prefix-sum buffer, to `(nx+1)·(ny+1)`.
-    #[test]
-    fn paper_entry_builds_no_prefix_sums() {
-        let mut b = RoadNetwork::builder();
-        let row = [(0.5, 1.0), (3.5, 1.2), (5.5, 1.0)].map(|(x, y)| Point::new(x, y));
-        b.add_street_from_points("h", &row);
-        b.add_street_from_points("v", &[Point::new(2.0, 0.2), Point::new(2.1, 3.5)]);
-        let network = b.build().expect("valid network");
-        let mut pois = PoiCollection::new();
-        for i in 0..40u32 {
-            let pos = Point::new(0.15 * f64::from(i), 1.0 + 0.02 * f64::from(i % 5));
-            pois.add(pos, KeywordSet::from_ids([KeywordId(i % 3)]));
-        }
-        let index = PoiIndex::build(&network, &pois, 0.5);
-        let keywords = KeywordSet::from_ids([KeywordId(0), KeywordId(1)]);
-        let query = SoiQuery::new(keywords, 2, 0.3).expect("valid query");
-        let grid = index.grid();
-        let cells = (grid.nx() as usize + 1) * (grid.ny() as usize + 1);
-        let (mut paper, mut scratch) = (PaperScratch::default(), SoiScratch::default());
-        let mut answers = Vec::new();
-        for paper_entry in [true, true, false] {
-            let budget = QueryBudget::unlimited();
-            let out = if paper_entry {
-                run_soi_paper(&network, &pois, &index, &query, &mut paper, None, budget)
-            } else {
-                run_soi_full(&network, &pois, &index, &query, &mut scratch, None, budget)
-            };
-            let out = out.expect("valid query");
-            assert!(!out.results.is_empty());
-            let built = if paper_entry { 0 } else { cells };
-            assert_eq!(
-                scratch.prefix_sums.len(),
-                built,
-                "paper entry {paper_entry}"
-            );
-            answers.push(out.results);
-        }
-        assert!(answers.windows(2).all(|w| w[0] == w[1]), "{answers:?}");
-    }
 }

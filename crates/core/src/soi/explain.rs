@@ -5,15 +5,12 @@
 //! [`run_soi_full`](crate::soi::run_soi_full) records, per
 //! source-list access, the termination bounds `UB` and `LBk` together with
 //! the surviving heads of the three source lists — the raw material of a
-//! bound-convergence table. Which `UB` is in effect is recorded once
-//! ([`SoiExplain::paper_bounds`]): SL2's head `b(ℓ)` under
-//! [`run_soi_full`](crate::soi::run_soi_full), the paper's
-//! `top(SL1)·top(SL2)/(2ε·top(SL3)+πε²)` under the reference entry
-//! [`run_soi_paper`](crate::soi::paper::run_soi_paper). Rows are decimated on the fly (stride
-//! doubling) so a long filtering phase cannot grow the collector beyond
-//! [`SoiExplain::max_rows`]; the final pre-termination state is always
-//! recorded as its own row, so the last row of the table provably
-//! satisfies `UB ≤ LBk` and matches the query's actual termination.
+//! bound-convergence table. `UB` is SL2's head `b(ℓ)`. Rows are decimated
+//! on the fly (stride doubling) so a long filtering phase cannot grow the
+//! collector beyond [`SoiExplain::max_rows`]; the final pre-termination
+//! state is always recorded as its own row, so the last row of the table
+//! provably satisfies `UB ≤ LBk` and matches the query's actual
+//! termination.
 //!
 //! The collector also captures a copy of the finished [`QueryStats`],
 //! giving the `soi explain` CLI command one
@@ -31,7 +28,8 @@ pub enum Source {
     /// SL1: cells sorted decreasingly on relevant-POI weight.
     Cells,
     /// SL2: segments sorted decreasingly on an upper bound of their
-    /// interest — with paper bounds, on the number of ε-neighbouring cells.
+    /// interest — in the paper's Alg. 1, on the number of ε-neighbouring
+    /// cells.
     SegmentsByCells,
     /// SL3: segments sorted increasingly on length.
     SegmentsByLen,
@@ -46,8 +44,7 @@ pub struct ExplainRow {
     /// The source list the access drew from (`None` for the final
     /// termination row, where no further access happens).
     pub source: Option<Source>,
-    /// The unseen upper bound `UB` in effect (see
-    /// [`SoiExplain::paper_bounds`]).
+    /// The unseen upper bound `UB`: SL2's head.
     pub ub: f64,
     /// The k-th best seen street lower bound `LBk`.
     pub lbk: f64,
@@ -55,9 +52,7 @@ pub struct ExplainRow {
     /// rounded up to an `f32` as the lists round their scores. By default
     /// no cell is popped and SL1 is not built: the largest `relcount`.
     pub top_sl1: f64,
-    /// Head of SL2: the largest `b(ℓ)` of an unseen segment (`UB` itself),
-    /// or with paper bounds the largest `|Cε(ℓ)|` bound of a segment that
-    /// is not final.
+    /// Head of SL2: the largest `b(ℓ)` of an unseen segment (`UB` itself).
     pub top_sl2: f64,
     /// Head of SL3: smallest surviving segment length (0 when exhausted).
     pub top_sl3: f64,
@@ -74,8 +69,7 @@ pub struct ListSizes {
     /// not built, and this is their count).
     pub sl1: usize,
     /// Entries SL2 lists: the runs with `B(T) > 0`, whose members are
-    /// bounded only as the head reaches them (every segment with paper
-    /// bounds).
+    /// bounded only as the head reaches them.
     pub sl2: usize,
     /// Segments in SL3.
     pub sl3: usize,
@@ -108,10 +102,6 @@ pub struct SoiExplain {
     pub eps: f64,
     /// Number of query keywords.
     pub keywords: usize,
-    /// Whether `UB` is the paper's verbatim bound (the run was
-    /// [`run_soi_paper`](crate::soi::paper::run_soi_paper)) rather than
-    /// SL2's head `b(ℓ)`.
-    pub paper_bounds: bool,
     /// Source-list sizes after construction.
     pub lists: ListSizes,
     /// Termination bounds (`None` until the run finishes).
@@ -138,7 +128,6 @@ impl SoiExplain {
             k: 0,
             eps: 0.0,
             keywords: 0,
-            paper_bounds: false,
             lists: ListSizes::default(),
             termination: None,
             stats: None,
@@ -152,11 +141,10 @@ impl SoiExplain {
         self.max_rows
     }
 
-    pub(crate) fn begin(&mut self, k: usize, eps: f64, keywords: usize, paper_bounds: bool) {
+    pub(crate) fn begin(&mut self, k: usize, eps: f64, keywords: usize) {
         self.k = k;
         self.eps = eps;
         self.keywords = keywords;
-        self.paper_bounds = paper_bounds;
     }
 
     pub(crate) fn record_lists(&mut self, sl1: usize, sl2: usize, sl3: usize) {
@@ -205,15 +193,8 @@ impl SoiExplain {
         q.field_f64("eps", self.eps);
         q.field_u64("keywords", self.keywords as u64);
         obj.field_raw("query", &q.finish());
-        // Which `UB` the rows carry: the paper's, or SL2's head.
-        obj.field_str(
-            "bound",
-            if self.paper_bounds {
-                "paper"
-            } else {
-                "segment"
-            },
-        );
+        // Which `UB` the rows carry: SL2's head.
+        obj.field_str("bound", "segment");
         let mut lists = JsonWriter::object();
         lists.field_u64("sl1", self.lists.sl1 as u64);
         lists.field_u64("sl2", self.lists.sl2 as u64);
@@ -331,7 +312,7 @@ mod tests {
     #[test]
     fn json_round_trips_through_the_parser() {
         let mut ex = SoiExplain::default();
-        ex.begin(10, 0.0005, 2, false);
+        ex.begin(10, 0.0005, 2);
         ex.record_lists(5, 7, 7);
         ex.record(row(1, 9.0, 0.0));
         let stats = QueryStats {

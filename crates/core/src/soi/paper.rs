@@ -401,16 +401,15 @@ fn visit_unvisited(
 
 /// Evaluates a k-SOI query with Alg. 1 as the paper states it: builds SL1
 /// and SL2 over the filled `relcount`, runs the cycle until `UB ≤ LBk`,
-/// refines unless the deadline expired, and ranks the seen segments as
-/// [`run_soi_full`](crate::soi::run_soi_full) does, with the same
-/// `explain` and `budget` contract. Answers equal [`run_soi`]'s and
-/// [`run_baseline`](crate::soi::run_baseline)'s to the bit (no ties at the
-/// k-th place); the work counters are the paper's. No server, command or
-/// benchmark calls it, and, like `run_baseline`, it feeds no process
-/// metrics.
+/// refines, and ranks the seen segments as
+/// [`run_soi_full`](crate::soi::run_soi_full) does. Answers equal
+/// [`run_soi`]'s and [`run_baseline`](crate::soi::run_baseline)'s to the
+/// bit (no ties at the k-th place); the work counters are the paper's. No
+/// server, command or benchmark calls it, and, like `run_baseline`, it
+/// takes no explain collector or budget and feeds no process metrics.
 ///
 /// # Errors
-/// Same contract as [`run_soi`](crate::soi::run_soi).
+/// Same contract as [`run_soi`].
 ///
 /// [`run_soi`]: crate::soi::run_soi
 pub fn run_soi_paper<'a>(
@@ -419,8 +418,6 @@ pub fn run_soi_paper<'a>(
     index: impl Into<IndexView<'a>>,
     query: &SoiQuery,
     scratch: &mut PaperScratch,
-    explain: Option<&mut SoiExplain>,
-    budget: QueryBudget,
 ) -> Result<SoiOutcome> {
     let PaperScratch {
         tables,
@@ -433,7 +430,7 @@ pub fn run_soi_paper<'a>(
     let filter = |inputs: &Inputs<'_>,
                   shared: &mut Shared,
                   stats: &mut QueryStats,
-                  mut explain: Option<&mut SoiExplain>,
+                  _explain: Option<&mut SoiExplain>,
                   sources: TraceSpan| {
         let (eps, grid) = (query.eps, index.grid());
         raster.fill(grid, network);
@@ -455,9 +452,6 @@ pub fn run_soi_paper<'a>(
         let sl3: &[SegmentId] = network.segments_by_len();
         let mut cursor3 = 0usize;
         drop(sources);
-        if let Some(ex) = explain.as_deref_mut() {
-            ex.record_lists(sl1.len(), sl2.len(), sl3.len());
-        }
 
         seen.reset(network.num_segments());
         let mut fil = Filtering {
@@ -466,7 +460,7 @@ pub fn run_soi_paper<'a>(
             shared,
         };
         let mut cycle_pos = 0usize;
-        let (ub, expired) = access_loop(stats, explain, &budget, |stats| {
+        let stopped = access_loop(stats, None, &QueryBudget::unlimited(), |stats| {
             // The heads that are not final: a final segment can change nothing.
             while sl2.peek().is_some_and(|e| fil.seen.dead.get(e.id())) {
                 sl2.pop();
@@ -477,21 +471,19 @@ pub fn run_soi_paper<'a>(
             let (head1, head2, head3) = (sl1.peek(), sl2.peek(), sl3.get(cursor3));
             let top1 = head1.map_or(0.0, Ranked::score);
             let top2 = head2.map_or(0.0, Ranked::score);
-            let top3 = head3.map(|&s| network.segment(s).len());
             // Unseen upper bound (line 22), 0 once a list is exhausted: with SL1
             // exhausted every cell with relevant POIs was popped, so every
             // segment with positive mass is seen; with SL2 or SL3 exhausted no
             // segment is left unseen.
-            let ub = match top3 {
-                Some(len) if top1 > 0.0 && top2 > 0.0 => segment_interest(top1 * top2, len, eps),
+            let ub = match head3 {
+                Some(&s) if top1 > 0.0 && top2 > 0.0 => {
+                    segment_interest(top1 * top2, network.segment(s).len(), eps)
+                }
                 _ => 0.0,
             };
             let mut row = ExplainRow {
                 ub,
                 lbk: fil.shared.streets.lbk(),
-                top_sl1: top1,
-                top_sl2: top2,
-                top_sl3: top3.unwrap_or(0.0),
                 ..ExplainRow::default()
             };
             // `UB > LBk ≥ 0` needs all three heads.
@@ -525,29 +517,25 @@ pub fn run_soi_paper<'a>(
         });
 
         // --- Refinement (lines 25–28): finalise every seen segment still
-        // partial. Skipped on deadline expiry: the anytime contract is a
-        // lower-bound top-k, and every partial mass is already a valid lower
-        // bound.
+        // partial.
         let Filtering { seen, shared, .. } = fil;
-        if !expired {
-            for state in seen.states.iter_mut() {
-                if seen.dead.get(state.seg) {
-                    continue;
-                }
-                let s = network.segment(state.seg);
-                let mut cells = seen.arenas.of(state.span);
-                visit_unvisited(inputs, &mut shared.gathered, &mut cells, &s.geom, stats);
-                state.mass = cells.mass();
-                seen.dead.set(state.seg);
-                stats.segments_finalized_refinement += 1;
+        for state in seen.states.iter_mut() {
+            if seen.dead.get(state.seg) {
+                continue;
             }
+            let s = network.segment(state.seg);
+            let mut cells = seen.arenas.of(state.span);
+            visit_unvisited(inputs, &mut shared.gathered, &mut cells, &s.geom, stats);
+            state.mass = cells.mass();
+            seen.dead.set(state.seg);
+            stats.segments_finalized_refinement += 1;
         }
         shared
             .masses
             .extend(seen.states.iter().map(|state| (state.seg, state.mass)));
-        (ub, expired)
+        stopped
     };
-    evaluate(tables, network, pois, index, query, explain, true, filter)
+    evaluate(tables, network, pois, index, query, None, filter)
 }
 
 #[cfg(test)]

@@ -86,11 +86,6 @@ impl<I: Copy + From<u32> + Into<u32>> RankedList<I> {
         self.head = 0;
     }
 
-    /// Entries listed, read or not.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// The first entry not yet popped.
     pub fn peek(&self) -> Option<Ranked<I>> {
         self.entries.get(self.head).copied()
@@ -239,7 +234,6 @@ mod tests {
                 list.pop();
             }
             list.refill(entries.iter().map(|&(score, id)| Ranked::new(score, id)));
-            prop_assert_eq!(list.len(), entries.len());
             let mut read = Vec::with_capacity(entries.len());
             while let Some(first) = list.peek() {
                 let popped = list.pop().map(|e| e.key);

@@ -129,7 +129,6 @@ impl Entry {
         index: IndexView<'_>,
         query: &SoiQuery,
     ) -> SoiOutcome {
-        let budget = QueryBudget::unlimited();
         match self {
             Entry::Default => run_soi_full(
                 network,
@@ -138,17 +137,9 @@ impl Entry {
                 query,
                 &mut scratch.default,
                 None,
-                budget,
+                QueryBudget::unlimited(),
             ),
-            Entry::Paper => run_soi_paper(
-                network,
-                pois,
-                index,
-                query,
-                &mut scratch.paper,
-                None,
-                budget,
-            ),
+            Entry::Paper => run_soi_paper(network, pois, index, query, &mut scratch.paper),
         }
         .unwrap()
     }
@@ -742,7 +733,6 @@ fn explain_trajectory_matches_termination_and_results() {
         // the runs whose dilated union box holds a cell of positive relevant
         // weight — the ones with a positive bound `B`.
         assert_eq!(explain.k, query.k);
-        assert!(!explain.paper_bounds);
         let grid = index.grid();
         let mut weighty = vec![false; grid.num_cells()];
         for k in query.keywords.iter() {

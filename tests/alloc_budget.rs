@@ -51,14 +51,14 @@ fn warm_queries_allocate_a_few_dozen_times_whatever_they_visit() {
     // The default entry and the paper's, each on its own scratch, under the
     // same ceiling.
     let (network, pois, index) = (&dataset.network, &dataset.pois, &index);
-    let unlimited = QueryBudget::unlimited;
     let mut scratch = SoiScratch::default();
     assert_warm_queries_allocate_little("default", &queries, |q| {
-        run_soi_full(network, pois, index, q, &mut scratch, None, unlimited())
+        let unlimited = QueryBudget::unlimited();
+        run_soi_full(network, pois, index, q, &mut scratch, None, unlimited)
     });
     let mut paper = PaperScratch::default();
     assert_warm_queries_allocate_little("paper", &queries, |q| {
-        run_soi_paper(network, pois, index, q, &mut paper, None, unlimited())
+        run_soi_paper(network, pois, index, q, &mut paper)
     });
 }
 

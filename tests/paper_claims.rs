@@ -14,7 +14,6 @@ use soi_core::describe::{
 };
 use soi_core::soi::paper::{run_soi_paper, PaperScratch};
 use soi_core::soi::{run_baseline, run_soi, SoiOutcome, SoiQuery, StreetAggregate};
-use soi_core::QueryBudget;
 use soi_data::Dataset;
 use soi_datagen::GroundTruth;
 use soi_index::{PhotoGrid, PoiIndex};
@@ -56,17 +55,7 @@ impl City {
     fn soi_paper(&self, keywords: &[&str], k: usize, scratch: &mut PaperScratch) -> SoiOutcome {
         let query = self.query(keywords, k);
         let d = &self.dataset;
-        let budget = QueryBudget::unlimited();
-        run_soi_paper(
-            &d.network,
-            &d.pois,
-            &self.index,
-            &query,
-            scratch,
-            None,
-            budget,
-        )
-        .unwrap()
+        run_soi_paper(&d.network, &d.pois, &self.index, &query, scratch).unwrap()
     }
 
     fn query(&self, keywords: &[&str], k: usize) -> SoiQuery {
