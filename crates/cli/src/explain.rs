@@ -118,23 +118,14 @@ pub(crate) fn run(args: &Args) -> Result<()> {
 /// at most `max_printed` evenly spaced rows (the termination row always
 /// prints last).
 fn print_soi_explain(out: &mut impl Write, explain: &SoiExplain, max_printed: usize) -> Result<()> {
+    writeln!(out, "lists: SL2={} runs", explain.sl2_runs)?;
     writeln!(
         out,
-        "lists: SL1={} cells, SL2={} runs, SL3={} segments",
-        explain.lists.sl1, explain.lists.sl2, explain.lists.sl3
-    )?;
-    writeln!(
-        out,
-        "\nbound convergence ({} rows recorded; UB = top(SL2), the largest prefix-sum \
-         bound b of an unseen segment; accesses pop SL2's head every time: src is SL2 \
-         and cells 0 on every row):",
+        "\nbound convergence ({} rows recorded; every access pops SL2's head, \
+         and UB is its prefix-sum bound b):",
         explain.rows.len()
     )?;
-    writeln!(
-        out,
-        "{:>7}  {:>4}  {:>12}  {:>12}  {:>12}  {:>12}  {:>12}  {:>6}  {:>6}",
-        "access", "src", "UB", "LBk", "top(SL1)", "top(SL2)", "top(SL3)", "seen", "cells"
-    )?;
+    writeln!(out, "{:>7}  {:>12}  {:>12}", "access", "UB", "LBk")?;
     let step = explain.rows.len().div_ceil(max_printed.max(1)).max(1);
     for (i, row) in explain.rows.iter().enumerate() {
         if i % step != 0 && i != explain.rows.len() - 1 {
@@ -142,16 +133,8 @@ fn print_soi_explain(out: &mut impl Write, explain: &SoiExplain, max_printed: us
         }
         writeln!(
             out,
-            "{:>7}  {:>4}  {:>12.4}  {:>12.4}  {:>12.4}  {:>12.4}  {:>12.6}  {:>6}  {:>6}",
-            row.access,
-            soi_core::soi::explain::source_label(row.source),
-            row.ub,
-            row.lbk,
-            row.top_sl1,
-            row.top_sl2,
-            row.top_sl3,
-            row.segments_seen,
-            row.cells_popped
+            "{:>7}  {:>12.4}  {:>12.4}",
+            row.access, row.ub, row.lbk
         )?;
     }
     if let Some(t) = explain.termination {
@@ -164,14 +147,8 @@ fn print_soi_explain(out: &mut impl Write, explain: &SoiExplain, max_printed: us
     if let Some(s) = &explain.stats {
         writeln!(
             out,
-            "\ncounters: cells_popped={} segments_popped={} segments_seen={} \
-             bounded_out={} finalized_filtering={} finalized_refinement={}",
-            s.cells_popped,
-            s.segments_popped,
-            s.segments_seen,
-            s.segments_bounded_out,
-            s.segments_finalized_filtering,
-            s.segments_finalized_refinement
+            "\ncounters: accesses={} cell_visits={} bounded_out={}",
+            s.accesses, s.cell_visits, s.segments_bounded_out
         )?;
         let ms = |p: &str| s.timer.duration(p).as_secs_f64() * 1e3;
         writeln!(

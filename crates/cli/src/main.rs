@@ -247,8 +247,8 @@ const COMMANDS: &[Command] = &[
                \u{20}          [--trace-sample N] [--slow-query-ms MS] [--ring-capacity 256]\n\
                \u{20}          [--ingest-log FILE] [--epoch-max-delta 4096]\n\
                \u{20}          [--stats-json FILE] [--index-cache DIR] [--index-cache-mode MODE]\n\
-               \u{20}          Serve queries over HTTP (POST /soi|/describe|/explain|/ingest,\n\
-               \u{20}          GET /metrics|/status|/explain|/debug/requests) with\n\
+               \u{20}          Serve queries over HTTP (POST /soi|/describe|/ingest,\n\
+               \u{20}          GET /metrics|/status|/debug/requests) with\n\
                \u{20}          admission control, per-request deadlines (anytime partial\n\
                \u{20}          results), and graceful drain on SIGTERM. Every request\n\
                \u{20}          gets an x-soi-request-id; bodies may set \"trace\"/\n\

@@ -28,18 +28,17 @@
 //! to refine. SL2 lists the runs (one street's consecutive segments of
 //! similar length) by a bound `B(T)` of every member and bounds a run's
 //! members once the run could reach the head, reading what one list of all
-//! segments would (the `ranked` module). SL1 and SL3 are not read: explain
-//! rows report SL1's head as the largest `relcount` and SL3's as the
-//! shortest segment not yet popped. Of six orders measured on the
-//! benchmark's queries (DESIGN §5) this one is the fastest.
+//! segments would (the `ranked` module). SL1 and SL3 are not read. Of six
+//! orders measured on the benchmark's queries (DESIGN §5) this one is the
+//! fastest.
 
 use crate::budget::{QueryBudget, BUDGET_CHECK_EVERY};
 use crate::soi::bound::{RelPrefix, HEADROOM};
-use crate::soi::explain::{ExplainRow, SoiExplain, Source};
+use crate::soi::explain::{ExplainRow, SoiExplain};
 use crate::soi::interest::segment_interest;
 use crate::soi::lbk::KBest;
 use crate::soi::query::{SoiConfig, SoiOutcome, SoiQuery, StreetResult};
-use crate::soi::ranked::{rounded_score, GroupedList, Ranked};
+use crate::soi::ranked::{GroupedList, Ranked};
 use crate::soi::stats::{phases, QueryStats};
 use soi_common::{top_k_by_score, CellId, Result, ScoredItem, SegmentId, StreetId};
 use soi_data::PoiView;
@@ -47,6 +46,7 @@ use soi_geo::LineSeg;
 use soi_index::{mass_within, IndexView};
 use soi_network::RoadNetwork;
 use soi_obs::trace::Span as TraceSpan;
+use std::ops::ControlFlow;
 
 /// Source accesses between sampled UB/LBk trace-counter emissions: dense
 /// enough to show the convergence curve, sparse enough to stay invisible
@@ -140,38 +140,6 @@ impl Gathered {
     }
 }
 
-/// One bit per segment, dense over the ids.
-#[derive(Default)]
-pub(super) struct SegmentBits(Vec<u64>);
-
-impl SegmentBits {
-    /// Clears every bit and fits the set to `num_segments`.
-    pub fn reset(&mut self, num_segments: usize) {
-        self.0.clear();
-        self.fit(num_segments);
-    }
-
-    /// Fits the set to `num_segments`; a new bit is clear.
-    pub fn fit(&mut self, num_segments: usize) {
-        self.0.resize(num_segments.div_ceil(64), 0);
-    }
-
-    #[inline]
-    pub fn get(&self, seg: SegmentId) -> bool {
-        self.0[seg.index() / 64] & (1 << (seg.index() % 64)) != 0
-    }
-
-    #[inline]
-    pub fn set(&mut self, seg: SegmentId) {
-        self.0[seg.index() / 64] |= 1 << (seg.index() % 64);
-    }
-
-    #[inline]
-    pub fn clear(&mut self, seg: SegmentId) {
-        self.0[seg.index() / 64] &= !(1 << (seg.index() % 64));
-    }
-}
-
 /// Per street: the best interest lower bound among its seen segments, and
 /// the k best of them, `LBk` (Alg. 1 lines 23–24), always fresh.
 #[derive(Default)]
@@ -222,21 +190,21 @@ pub(super) struct Shared {
     pub masses: Vec<(SegmentId, f64)>,
 }
 
-/// The filtering phase, under either access order. Each `turn` makes one
-/// access and returns its explain row: the bounds and list heads it was
-/// chosen under, and its `source` — `None` when `UB ≤ LBk` stopped the loop
-/// instead. The loop counts each access, fills the row's progress counters
-/// in, records it (decimated), samples `UB` and `LBk` into the trace's
-/// convergence tracks every [`UB_SAMPLE_EVERY`] accesses and checks the
-/// deadline every [`BUDGET_CHECK_EVERY`]. A loop that stops records its
-/// termination row and enters the refinement phase. Returns the last `UB`
-/// read (∞ if none; a stale one still bounds, as `UB` never rises) and
-/// whether the deadline expired.
+/// The filtering phase, under either access order. Each `turn` returns the
+/// bounds it read, as an explain row: `Continue` once it has made an access
+/// under them, `Break` when `UB ≤ LBk` stopped the loop instead. The loop
+/// counts each access, numbers the row, records it in `explain`
+/// (decimated), samples `UB` and `LBk` into the trace's convergence tracks
+/// every [`UB_SAMPLE_EVERY`] accesses and checks the deadline every
+/// [`BUDGET_CHECK_EVERY`]. A loop that stops records its termination row
+/// and enters the refinement phase. Returns the last `UB` read (∞ if none;
+/// a stale one still bounds, as `UB` never rises) and whether the deadline
+/// expired.
 pub(super) fn access_loop(
     stats: &mut QueryStats,
     mut explain: Option<&mut SoiExplain>,
     budget: &QueryBudget,
-    mut turn: impl FnMut(&mut QueryStats) -> ExplainRow,
+    mut turn: impl FnMut(&mut QueryStats) -> ControlFlow<ExplainRow, ExplainRow>,
 ) -> (f64, bool) {
     stats.timer.enter(phases::FILTERING);
     let mut ub = f64::INFINITY;
@@ -244,16 +212,17 @@ pub(super) fn access_loop(
     // (empty) lower-bound answer: the loop is simply never entered.
     let mut expired = budget.expired();
     while !expired {
-        let mut row = turn(stats);
-        stats.accesses += usize::from(row.source.is_some());
+        let (mut row, stopped) = match turn(stats) {
+            ControlFlow::Continue(row) => (row, false),
+            ControlFlow::Break(row) => (row, true),
+        };
+        stats.accesses += usize::from(!stopped);
         row.access = stats.accesses;
-        row.segments_seen = stats.segments_seen;
-        row.cells_popped = stats.cells_popped;
         if let Some(ex) = explain.as_deref_mut() {
-            ex.record(row);
+            ex.record(row, stopped);
         }
         ub = row.ub;
-        if row.source.is_none() {
+        if stopped {
             stats.timer.enter(phases::REFINEMENT);
             break;
         }
@@ -314,32 +283,20 @@ impl Tables {
 /// One k-SOI evaluation around an entry's filtering phase. Validates the
 /// query, fills `relcount` and empties the shared state (construction),
 /// runs `filter`, then aggregates the seen segments per street
-/// (Definition 3), ranks the top k and finishes `explain`. `filter` gets
-/// the query's inputs, the shared state, the stats, the explain collector
-/// and the open construction span, to close once its lists are built; it
-/// leaves every seen segment's mass in `Shared::masses` and returns what
-/// [`access_loop`] returns.
+/// (Definition 3) and ranks the top k. `filter` gets the query's inputs,
+/// the shared state, the stats and the open construction span, to close
+/// once its lists are built; it leaves every seen segment's mass in
+/// `Shared::masses` and returns what [`access_loop`] returns.
 pub(super) fn evaluate(
     tables: &mut Tables,
     network: &RoadNetwork,
     pois: PoiView<'_>,
     index: IndexView<'_>,
     query: &SoiQuery,
-    mut explain: Option<&mut SoiExplain>,
-    filter: impl FnOnce(
-        &Inputs<'_>,
-        &mut Shared,
-        &mut QueryStats,
-        Option<&mut SoiExplain>,
-        TraceSpan,
-    ) -> (f64, bool),
+    filter: impl FnOnce(&Inputs<'_>, &mut Shared, &mut QueryStats, TraceSpan) -> (f64, bool),
 ) -> Result<SoiOutcome> {
     query.validate()?;
     let _query_span = soi_obs::trace::span(soi_obs::names::spans::SOI_QUERY);
-    if let Some(ex) = explain.as_deref_mut() {
-        let keywords = query.keywords.iter().count();
-        ex.begin(query.k, query.eps, keywords);
-    }
     let mut stats = QueryStats::default();
     stats.timer.enter(phases::CONSTRUCTION);
     let sources = soi_obs::trace::span(soi_obs::names::spans::SOI_SOURCES);
@@ -362,7 +319,7 @@ pub(super) fn evaluate(
         relcount,
         reached,
     };
-    let (ub, expired) = filter(&inputs, shared, &mut stats, explain.as_deref_mut(), sources);
+    let (ub, expired) = filter(&inputs, shared, &mut stats, sources);
     stats.termination_ub = ub;
     stats.termination_lb = shared.streets.lbk();
     stats.deadline_expired = expired;
@@ -408,9 +365,6 @@ pub(super) fn evaluate(
     drop(rank_span);
 
     stats.timer.stop();
-    if let Some(ex) = explain {
-        ex.finish(&stats);
-    }
     Ok(SoiOutcome {
         results,
         stats,
@@ -427,9 +381,9 @@ pub(super) fn evaluate(
 /// table is emptied on entry by walking what the previous query touched
 /// and re-fitted to the network and grid at hand, so one scratch may serve
 /// different datasets in turn. A worker retains about
-/// `24·|grid cells| + 0.125·|segments| + 8·|runs| + 12·|streets|` bytes of
-/// tables (per cell: `relcount`, the gathered range and the prefix sum at
-/// 8 bytes each; per segment: one bit; per run: an SL2 entry at 8 bytes)
+/// `24·|grid cells| + 8·|runs| + 12·|streets|` bytes of tables (per cell:
+/// `relcount`, the gathered range and the prefix sum at 8 bytes each; per
+/// run: an SL2 entry at 8 bytes)
 /// plus the high-water marks of SL2's heap of expanded members (8 bytes per
 /// member, of `8·|segments|` reserved), of the popped segments' masses (16
 /// bytes each) and of the gathered columns, the largest: 24 bytes per
@@ -441,8 +395,6 @@ pub struct SoiScratch {
     prefix_sums: Vec<u64>,
     /// Runs (by index into [`RoadNetwork::runs`]) and their members.
     sl2: GroupedList<u32, SegmentId>,
-    /// Per segment: set once popped off SL2.
-    popped: SegmentBits,
     /// Rasterisation buffer for one segment's `Cε(ℓ)`.
     near_cells: Vec<CellId>,
 }
@@ -518,10 +470,10 @@ pub fn run_soi_with_scratch<'a>(
 /// opt-in explain collector and an execution budget.
 ///
 /// When `explain` is `Some`, the run records its bound trajectory (one
-/// [`ExplainRow`] per source access, decimated), the post-construction
-/// source-list sizes, and a final termination row into the
-/// collector; results are identical to [`run_soi`]. With `None` the hooks
-/// are a branch on an `Option`.
+/// [`ExplainRow`] per source access, decimated), the runs SL2 lists after
+/// construction, and a final termination row into the collector; results
+/// are identical to [`run_soi`]. With `None` the hooks are a branch on an
+/// `Option`.
 ///
 /// `budget` gives anytime semantics. The deadline is checked every
 /// [`BUDGET_CHECK_EVERY`] source-list accesses. On expiry the run stops
@@ -541,23 +493,18 @@ pub fn run_soi_full<'a>(
     index: impl Into<IndexView<'a>>,
     query: &SoiQuery,
     scratch: &mut SoiScratch,
-    explain: Option<&mut SoiExplain>,
+    mut explain: Option<&mut SoiExplain>,
     budget: QueryBudget,
 ) -> Result<SoiOutcome> {
     let SoiScratch {
         tables,
         prefix_sums,
         sl2,
-        popped,
         near_cells,
     } = scratch;
     let (pois, index) = (pois.into(), index.into());
     let eps = query.eps;
-    let filter = |inputs: &Inputs<'_>,
-                  shared: &mut Shared,
-                  stats: &mut QueryStats,
-                  mut explain: Option<&mut SoiExplain>,
-                  sources: TraceSpan| {
+    let filter = |inputs: &Inputs<'_>, shared: &mut Shared, stats: &mut QueryStats, sources| {
         let (relcount, reached) = (inputs.relcount, inputs.reached);
         // --- SL2 (Alg. 1 lines 6–7): the segments with `b > 0`, ranked by
         // `b`, through the runs with `B > 0`, ranked by `B`.
@@ -576,46 +523,24 @@ pub fn run_soi_full<'a>(
                 (b > 0.0).then(|| Ranked::new(b, seg))
             })
         };
-        // SL1's head, which no access pops: the largest `relcount`.
-        let top_sl1 = rounded_score(
-            reached
-                .iter()
-                .map(|c| relcount[c.index()])
-                .fold(0.0, f64::max),
-        );
-        let sl3: &[SegmentId] = network.segments_by_len();
-        let mut cursor3 = 0usize;
         drop(sources);
-        let explaining = explain.is_some();
         if let Some(ex) = explain.as_deref_mut() {
-            ex.record_lists(reached.len(), sl2.len(), sl3.len());
+            ex.sl2_runs = sl2.len();
         }
-        popped.reset(network.num_segments());
 
-        access_loop(stats, explain, &budget, |stats| {
+        access_loop(stats, explain.as_deref_mut(), &budget, |stats| {
             let head = sl2.peek(expand);
-            let ub = head.map_or(0.0, Ranked::score);
-            let mut row = ExplainRow {
-                ub,
+            let row = ExplainRow {
+                ub: head.map_or(0.0, Ranked::score),
                 lbk: shared.streets.lbk(),
-                top_sl1,
-                top_sl2: ub,
                 ..ExplainRow::default()
             };
-            if explaining {
-                while sl3.get(cursor3).is_some_and(|&s| popped.get(s)) {
-                    cursor3 += 1;
-                }
-                row.top_sl3 = sl3.get(cursor3).map_or(0.0, |&s| network.segment(s).len());
-            }
-            let Some(head) = head.filter(|_| ub > row.lbk) else {
-                return row;
+            let Some(head) = head.filter(|_| row.ub > row.lbk) else {
+                return ControlFlow::Break(row);
             };
-            row.source = Some(Source::SegmentsByCells);
             sl2.pop(expand);
             let seg = head.id();
             let s = network.segment(seg);
-            popped.set(seg);
             stats.segments_popped += 1;
             stats.segments_seen += 1;
             stats.segments_finalized_filtering += 1;
@@ -646,10 +571,13 @@ pub fn run_soi_full<'a>(
                 let int = segment_interest(mass, s.len(), eps);
                 shared.streets.raise(s.street, int);
             }
-            row
+            ControlFlow::Continue(row)
         })
     };
-    let outcome = evaluate(tables, network, pois, index, query, explain, filter)?;
+    let outcome = evaluate(tables, network, pois, index, query, filter)?;
+    if let Some(ex) = explain {
+        ex.finish(query, &outcome.stats);
+    }
     crate::obs::absorb_query_stats(&outcome.stats);
     Ok(outcome)
 }

@@ -1,7 +1,7 @@
 //! Alg. 1 as the paper states it, a reference entry beside
 //! [`run_baseline`](crate::soi::run_baseline) that the tests hold the
 //! served [`run_soi`](crate::soi::run_soi) against: the practical cycle
-//! ([`PAPER_CYCLE`]) over SL1 (the reached cells by `relcount`
+//! (`PAPER_CYCLE`) over SL1 (the reached cells by `relcount`
 //! descending), SL2 (every segment by the O(1) bound on `|Cε(ℓ)|`
 //! descending) and SL3 (every segment by length ascending), the paper's
 //! `UB = top(SL1)·top(SL2) / (2ε·top(SL3) + πε²)` over the heads that are
@@ -21,8 +21,8 @@
 //! addition is monotone.
 
 use crate::budget::QueryBudget;
-use crate::soi::algorithm::{access_loop, evaluate, Gathered, Inputs, SegmentBits, Shared, Tables};
-use crate::soi::explain::{ExplainRow, SoiExplain, Source};
+use crate::soi::algorithm::{access_loop, evaluate, Gathered, Inputs, Shared, Tables};
+use crate::soi::explain::ExplainRow;
 use crate::soi::interest::segment_interest;
 use crate::soi::query::{SoiOutcome, SoiQuery};
 use crate::soi::ranked::{Ranked, RankedList};
@@ -32,13 +32,25 @@ use soi_data::PoiView;
 use soi_geo::{Grid, LineSeg};
 use soi_index::IndexView;
 use soi_network::RoadNetwork;
-use soi_obs::trace::Span as TraceSpan;
+use std::ops::ControlFlow;
+
+/// Which source list an access targets.
+#[derive(Clone, Copy)]
+enum Source {
+    /// SL1: cells sorted decreasingly on relevant-POI weight.
+    Cells,
+    /// SL2: segments sorted decreasingly on the number of ε-neighbouring
+    /// cells.
+    SegmentsByCells,
+    /// SL3: segments sorted increasingly on length.
+    SegmentsByLen,
+}
 
 /// The paper's practical cycle ("we alternate between SL1 and SL3 … We
 /// only access segments via the second source SL2 in the case that a few
 /// segments with a large number of neighboring cells exist"): SL2 is drawn
 /// once per four accesses. While `UB > LBk` no list is exhausted.
-pub const PAPER_CYCLE: [Source; 4] = [
+const PAPER_CYCLE: [Source; 4] = [
     Source::Cells,
     Source::SegmentsByLen,
     Source::Cells,
@@ -119,6 +131,29 @@ fn ring_radius(grid: &Grid, eps: f64) -> u32 {
 /// rasterising every segment at ε.
 fn cell_count_bound(grid: &Grid, geom: &LineSeg, eps: f64) -> usize {
     grid.count_cells_in_rect(&geom.bounding_rect().expand(eps))
+}
+
+/// One bit per segment, dense over the ids.
+#[derive(Default)]
+struct SegmentBits(Vec<u64>);
+
+impl SegmentBits {
+    /// Fits the set to `num_segments`; a new bit is clear.
+    fn fit(&mut self, num_segments: usize) {
+        self.0.resize(num_segments.div_ceil(64), 0);
+    }
+
+    fn get(&self, seg: SegmentId) -> bool {
+        self.0[seg.index() / 64] & (1 << (seg.index() % 64)) != 0
+    }
+
+    fn set(&mut self, seg: SegmentId) {
+        self.0[seg.index() / 64] |= 1 << (seg.index() % 64);
+    }
+
+    fn clear(&mut self, seg: SegmentId) {
+        self.0[seg.index() / 64] &= !(1 << (seg.index() % 64));
+    }
 }
 
 /// Where a segment's `Cε(ℓ)` list, its per-cell masses and its visited
@@ -427,11 +462,7 @@ pub fn run_soi_paper<'a>(
         seen,
     } = scratch;
     let (pois, index) = (pois.into(), index.into());
-    let filter = |inputs: &Inputs<'_>,
-                  shared: &mut Shared,
-                  stats: &mut QueryStats,
-                  _explain: Option<&mut SoiExplain>,
-                  sources: TraceSpan| {
+    let filter = |inputs: &Inputs<'_>, shared: &mut Shared, stats: &mut QueryStats, sources| {
         let (eps, grid) = (query.eps, index.grid());
         raster.fill(grid, network);
         // --- SL1: cells by relevant-POI weight, descending (Alg. 1 lines 1–3).
@@ -481,17 +512,17 @@ pub fn run_soi_paper<'a>(
                 }
                 _ => 0.0,
             };
-            let mut row = ExplainRow {
+            let row = ExplainRow {
                 ub,
                 lbk: fil.shared.streets.lbk(),
                 ..ExplainRow::default()
             };
             // `UB > LBk ≥ 0` needs all three heads.
             let (Some(cell), Some(by_cells), Some(&by_len)) = (head1, head2, head3) else {
-                return row;
+                return ControlFlow::Break(row);
             };
             if ub <= row.lbk {
-                return row;
+                return ControlFlow::Break(row);
             }
             let source = PAPER_CYCLE[cycle_pos % PAPER_CYCLE.len()];
             cycle_pos += 1;
@@ -512,8 +543,7 @@ pub fn run_soi_paper<'a>(
                     fil.finalize_segment(inputs, by_len, stats);
                 }
             }
-            row.source = Some(source);
-            row
+            ControlFlow::Continue(row)
         });
 
         // --- Refinement (lines 25–28): finalise every seen segment still
@@ -535,7 +565,7 @@ pub fn run_soi_paper<'a>(
             .extend(seen.states.iter().map(|state| (state.seg, state.mass)));
         stopped
     };
-    evaluate(tables, network, pois, index, query, None, filter)
+    evaluate(tables, network, pois, index, query, filter)
 }
 
 #[cfg(test)]

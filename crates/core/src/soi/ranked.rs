@@ -53,11 +53,6 @@ impl<I: Copy + From<u32> + Into<u32>> Ranked<I> {
     }
 }
 
-/// `score` as an entry ranked by it reads it back.
-pub(crate) fn rounded_score(score: f64) -> f64 {
-    Ranked::new(score, 0u32).score()
-}
-
 /// A source list read best-first: [`refill`](Self::refill) sorts it once,
 /// and reads walk it from the head.
 #[derive(Debug)]

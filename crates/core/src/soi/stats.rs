@@ -12,13 +12,22 @@ use std::time::Duration;
 pub use soi_obs::names::phases;
 
 /// Work counters and phase timings of one query evaluation.
+///
+/// Each counter's doc states its value on [`run_soi`](crate::soi::run_soi),
+/// which pops SL2's head on every access: `cells_popped`,
+/// `duplicate_visits` and `segments_finalized_refinement` are 0 there, and
+/// `segments_popped`, `segments_seen` and `segments_finalized_filtering`
+/// equal `accesses`. Those six count work of the paper's cycle
+/// ([`run_soi_paper`](crate::soi::paper::run_soi_paper)); they stay fields
+/// only because the benchmark's layer pass (`benchmark/src/layers.rs`)
+/// reads them by name (ROADMAP item 17(b)).
 #[derive(Debug, Clone, Default)]
 pub struct QueryStats {
     /// Wall-clock time per phase.
     pub timer: PhaseTimer,
-    /// Cells popped from SL1.
+    /// Cells popped from SL1. 0 on `run_soi`.
     pub cells_popped: usize,
-    /// Segments popped from SL2/SL3.
+    /// Segments popped from SL2/SL3. Equals `accesses` on `run_soi`.
     pub segments_popped: usize,
     /// Effective `UpdateInterest` executions (cell newly visited for a
     /// segment).
@@ -28,13 +37,16 @@ pub struct QueryStats {
     /// *final* are dropped before the call (uncounted); what is counted is
     /// a live segment that does not list the cell in its `Cε(ℓ)`, or whose
     /// cell was already visited (the last also when a segment access meets
-    /// a cell a cell access visited). Both need cell accesses: 0 by default.
+    /// a cell a cell access visited). Both need cell accesses: 0 on
+    /// `run_soi`.
     pub duplicate_visits: usize,
     /// Segments that entered the *partial* state (seen at least once).
+    /// Equals `accesses` on `run_soi`.
     pub segments_seen: usize,
-    /// Segments whose exact interest was computed during filtering.
+    /// Segments whose exact interest was computed during filtering. Equals
+    /// `accesses` on `run_soi`.
     pub segments_finalized_filtering: usize,
-    /// Segments finalised during refinement.
+    /// Segments finalised during refinement. 0 on `run_soi`.
     pub segments_finalized_refinement: usize,
     /// Segments a segment access finalised on first sight without distance
     /// work, as `b(ℓ)` or their `Cε(ℓ)`'s relevant weight cannot exceed

@@ -13,8 +13,7 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use soi_common::{CellId, FxHashMap, KeywordId, SegmentId, StreetId};
-use soi_core::soi::explain::Source;
+use soi_common::{FxHashMap, KeywordId, SegmentId, StreetId};
 use soi_core::soi::paper::{run_soi_paper, PaperScratch};
 use soi_core::soi::{
     brute_force, exact_street_interests, run_baseline, run_soi, run_soi_full, SoiExplain,
@@ -276,8 +275,8 @@ fn soi_returns_valid_topk_in_both_modes_with_and_without_a_delta() {
 #[test]
 fn default_mode_reads_sl2_best_first() {
     // Every access pops SL2's head and finalises that segment: no cell is
-    // popped, every access sees one new segment, SL2's head never rises,
-    // and refinement finds no partial segment — on a base index and
+    // popped, every access sees one new segment, `UB` (SL2's head) never
+    // rises, and refinement finds no partial segment — on a base index and
     // through a live delta.
     let mut scratch = SoiScratch::default();
     let mut accesses = 0;
@@ -309,23 +308,17 @@ fn default_mode_reads_sl2_best_first() {
                 )
                 .unwrap();
                 let what = format!("seed {seed}, delta {live}, {query:?}");
-                let (rows, last) = explain.rows.split_at(explain.rows.len() - 1);
-                assert!(last[0].source.is_none(), "{what}: no termination row");
-                for row in rows {
-                    assert_eq!(row.source, Some(Source::SegmentsByCells), "{what}: {row:?}");
-                }
-                assert!(
-                    explain.rows.iter().all(|row| row.cells_popped == 0),
-                    "{what}: a row popped a cell"
-                );
-                assert!(
-                    explain
-                        .rows
-                        .windows(2)
-                        .all(|w| w[1].top_sl2 <= w[0].top_sl2),
-                    "{what}: SL2's head rose"
-                );
                 let stats = &out.stats;
+                // Each access was made under `UB > LBk`; the termination row
+                // repeats the last access's number under `UB ≤ LBk`.
+                let (rows, last) = explain.rows.split_at(explain.rows.len() - 1);
+                assert!(rows.iter().all(|row| row.ub > row.lbk), "{what}");
+                assert_eq!(last[0].access, stats.accesses, "{what}: no termination row");
+                assert!(last[0].ub <= last[0].lbk, "{what}: {:?}", last[0]);
+                assert!(
+                    explain.rows.windows(2).all(|w| w[1].ub <= w[0].ub),
+                    "{what}: UB rose"
+                );
                 assert_eq!(stats.cells_popped, 0, "{what}");
                 assert_eq!(stats.accesses, stats.segments_popped, "{what}");
                 assert_eq!(stats.accesses, stats.segments_seen, "{what}");
@@ -715,7 +708,6 @@ fn explain_trajectory_matches_termination_and_results() {
         assert!(explain.rows.len() <= explain.max_rows());
         assert!(explain.rows.windows(2).all(|w| w[0].access <= w[1].access));
         let last = explain.rows.last().unwrap();
-        assert!(last.source.is_none(), "seed {seed}: final row not terminal");
         assert!(
             last.ub <= last.lbk,
             "seed {seed}: final row UB {} > LBk {}",
@@ -726,6 +718,7 @@ fn explain_trajectory_matches_termination_and_results() {
         assert_eq!(term.ub, explained.stats.termination_ub, "seed {seed}");
         assert_eq!(term.lbk, explained.stats.termination_lb, "seed {seed}");
         assert_eq!(term.accesses, explained.stats.accesses, "seed {seed}");
+        assert_eq!(last.access, term.accesses, "seed {seed}");
         assert_eq!(last.ub, term.ub, "seed {seed}");
         assert_eq!(last.lbk, term.lbk, "seed {seed}");
 
@@ -751,32 +744,8 @@ fn explain_trajectory_matches_termination_and_results() {
                     })
             })
             .count();
-        assert_eq!(explain.lists.sl2, listed, "seed {seed}");
+        assert_eq!(explain.sl2_runs, listed, "seed {seed}");
         assert!(listed > 0, "seed {seed}");
-        // SL1 is not built by default: `lists.sl1` counts the cells a query
-        // keyword reaches, and every row's `top_sl1` is their largest
-        // `relcount` (global postings summed in query-keyword order, capped
-        // by the cell's total weight), rounded up to an `f32`.
-        let view = IndexView::from(&index);
-        let mut relcount: FxHashMap<CellId, f64> = FxHashMap::default();
-        for k in query.keywords.iter() {
-            for &(cell, w) in view.global_postings(k) {
-                *relcount.entry(cell).or_insert(0.0) += w;
-            }
-        }
-        assert_eq!(explain.lists.sl1, relcount.len(), "seed {seed}");
-        let largest = relcount
-            .iter()
-            .map(|(&cell, &sum)| sum.min(view.cell_total_weight(cell)))
-            .fold(0.0, f64::max);
-        let mut top_sl1 = largest as f32;
-        if f64::from(top_sl1) < largest {
-            top_sl1 = top_sl1.next_up();
-        }
-        assert!(largest > 0.0, "seed {seed}");
-        for row in &explain.rows {
-            assert_eq!(row.top_sl1, f64::from(top_sl1), "seed {seed}: {row:?}");
-        }
         assert_eq!(
             explain.stats.as_ref().map(|s| s.accesses),
             Some(explained.stats.accesses)

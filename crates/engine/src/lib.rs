@@ -140,12 +140,8 @@ pub struct BatchStats {
     pub threads: usize,
     /// Wall-clock time of the whole batch.
     pub wall_time: Duration,
-    /// Summed segments popped from SL2/SL3.
-    pub segments_popped: usize,
     /// Summed effective `UpdateInterest` executions.
     pub cell_visits: usize,
-    /// Summed segments seen.
-    pub segments_seen: usize,
     /// Summed segments dismissed by bounds.
     pub segments_bounded_out: usize,
     /// Summed source-list accesses.
@@ -233,9 +229,7 @@ impl EngineTelemetry {
         obj.field_f64("wall_time_ms", ms(self.stats.wall_time));
         obj.field_f64("queries_per_second", self.stats.queries_per_second());
         let mut counters = soi_obs::json::JsonWriter::object();
-        counters.field_u64("segments_popped", self.stats.segments_popped as u64);
         counters.field_u64("cell_visits", self.stats.cell_visits as u64);
-        counters.field_u64("segments_seen", self.stats.segments_seen as u64);
         counters.field_u64(
             "segments_bounded_out",
             self.stats.segments_bounded_out as u64,
@@ -300,9 +294,7 @@ fn exact_quantile<T: Copy + Ord>(vals: &[T], q: f64) -> Option<T> {
 
 impl BatchStats {
     fn absorb(&mut self, stats: &QueryStats) {
-        self.segments_popped += stats.segments_popped;
         self.cell_visits += stats.cell_visits;
-        self.segments_seen += stats.segments_seen;
         self.segments_bounded_out += stats.segments_bounded_out;
         self.accesses += stats.accesses;
     }

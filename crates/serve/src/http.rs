@@ -47,7 +47,7 @@ impl Default for Limits {
 pub struct Request {
     /// The request method (`GET`, `POST`, …), uppercase as sent.
     pub method: String,
-    /// The request target as sent (`/soi`, `/explain?k=5`, …).
+    /// The request target as sent (`/soi`, `/debug/requests?limit=5`, …).
     pub target: String,
     /// Header `(name, value)` pairs; names lowercased.
     pub headers: Vec<(String, String)>,
@@ -398,10 +398,10 @@ mod tests {
 
     #[test]
     fn parses_get_with_query() {
-        let req = roundtrip(b"GET /explain?k=5 HTTP/1.1\r\nhost: x\r\n\r\n").unwrap();
+        let req = roundtrip(b"GET /debug/requests?limit=5 HTTP/1.1\r\nhost: x\r\n\r\n").unwrap();
         assert_eq!(req.method, "GET");
-        assert_eq!(req.path(), "/explain");
-        assert_eq!(req.query(), Some("k=5"));
+        assert_eq!(req.path(), "/debug/requests");
+        assert_eq!(req.query(), Some("limit=5"));
         assert_eq!(req.headers, [("host".to_string(), "x".to_string())]);
     }
 

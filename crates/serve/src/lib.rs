@@ -18,12 +18,12 @@
 //!
 //! | Route                     | Semantics                                     |
 //! |---------------------------|-----------------------------------------------|
-//! | `POST /soi`               | k-SOI query (queued, deadline-bounded)        |
+//! | `POST /soi`               | k-SOI query (queued, deadline-bounded); with  |
+//! |                           | `"explain": true` it embeds Alg. 1's report   |
 //! | `POST /describe`          | street description (queued, deadline-bounded) |
-//! | `POST /explain`           | `/soi` with `"explain": true` (same body)     |
+//! | `POST /ingest`            | live POI/photo updates (journaled, may fold)  |
 //! | `GET /metrics`            | Prometheus text exposition                    |
 //! | `GET /status`             | liveness + queue/drain state + SLO windows    |
-//! | `GET /explain`            | `POST /explain`, from a query string          |
 //! | `GET /debug/requests`     | recent-requests ring summary                  |
 //! | `GET /debug/requests/<id>`| one request record, artifacts embedded        |
 //!

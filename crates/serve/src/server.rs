@@ -9,7 +9,7 @@
 //!   └─> bounded connection queue ──> IO workers (parse, route, respond)
 //!                                       ├─ /metrics /status
 //!                                       │  /debug/requests: inline
-//!                                       └─ /soi /describe /explain:
+//!                                       └─ /soi /describe:
 //!                                          admission queue
 //!                                            └─> engine workers (--threads,
 //!                                                  alive for the whole run)

@@ -85,8 +85,8 @@ pub(super) fn debug_request_by_id(shared: &Shared<'_>, path: &str) -> HttpTuple 
     }
 }
 
-/// `GET /debug/requests[?limit=N][&endpoint=soi|describe|explain]`: the
-/// ring listing, optionally truncated and/or filtered by endpoint.
+/// `GET /debug/requests[?limit=N][&endpoint=soi|describe]`: the ring
+/// listing, optionally truncated and/or filtered by endpoint.
 pub(super) fn debug_requests_list(shared: &Shared<'_>, request: &Request) -> HttpTuple {
     const JSON: &str = "application/json";
     let usage = |message: &str| (400, "Bad Request", JSON, error_body(message, "usage"));
@@ -100,12 +100,11 @@ pub(super) fn debug_requests_list(shared: &Shared<'_>, request: &Request) -> Htt
             },
             "endpoint" => {
                 // Short names map onto the endpoint strings the ring
-                // records (`/explain` covers both GET and POST forms).
+                // records.
                 endpoint = match value {
                     "soi" => Some("/soi"),
                     "describe" => Some("/describe"),
-                    "explain" => Some("/explain"),
-                    _ => return usage("endpoint must be soi, describe, or explain"),
+                    _ => return usage("endpoint must be soi or describe"),
                 };
             }
             other => return usage(&format!("unknown parameter {other:?}")),

@@ -4,7 +4,7 @@ use super::debug::{debug_request_by_id, debug_requests_list, status_body};
 use super::ingest::ingest_post;
 use super::io::{meta_for, submit_and_wait, RequestMeta, Submission};
 use super::{ServeConfig, Shared};
-use crate::http::{self, Request};
+use crate::http::Request;
 use crate::queue::JobKind;
 use soi_common::{ErrorCategory, Result, SoiError};
 use soi_core::describe::DescribeParams;
@@ -54,12 +54,7 @@ pub(super) fn route(
             debug_request_by_id(shared, path),
             meta_for("/debug/requests/<id>"),
         ),
-        ("GET", "/explain") => queued("/explain", submit_explain_get(shared, request, request_id)),
-        ("POST", "/soi") => queued("/soi", submit_soi(shared, "/soi", request, request_id)),
-        ("POST", "/explain") => queued(
-            "/explain",
-            submit_soi(shared, "/explain", request, request_id),
-        ),
+        ("POST", "/soi") => queued("/soi", submit_soi(shared, request, request_id)),
         ("POST", "/describe") => queued("/describe", submit_describe(shared, request, request_id)),
         ("POST", "/ingest") => {
             let mut meta = meta_for("/ingest");
@@ -145,38 +140,8 @@ fn request_budget(config: &ServeConfig, body: &Json) -> Result<QueryBudget> {
     Ok(QueryBudget::from_timeout(timeout))
 }
 
-/// Parses `keywords=a,b&k=10&eps=0.0005` into a validated query.
-fn parse_query_string(config: &ServeConfig, dataset: &Dataset, raw: &str) -> Result<SoiQuery> {
-    let mut keywords = None;
-    let mut k = 10usize;
-    let mut eps = config.eps;
-    for (name, value) in http::query_pairs(raw) {
-        match name {
-            "keywords" => keywords = Some(value),
-            "k" => {
-                k = value
-                    .parse()
-                    .map_err(|_| SoiError::invalid(format!("bad k {value:?}")))?;
-            }
-            "eps" => {
-                eps = value
-                    .parse()
-                    .map_err(|_| SoiError::invalid(format!("bad eps {value:?}")))?;
-            }
-            other => {
-                return Err(SoiError::invalid(format!("unknown parameter {other:?}")));
-            }
-        }
-    }
-    let raw_kws = keywords.ok_or_else(|| SoiError::invalid("missing keywords= parameter"))?;
-    let keywords = dataset
-        .parse_keyword_list(raw_kws)
-        .ok_or_else(|| SoiError::invalid("keywords= names no keywords"))?;
-    SoiQuery::new(keywords, k, eps)
-}
-
-/// Parses the `/soi` (and `POST /explain`) JSON body into a validated
-/// query plus a short human-readable parameter digest for the ring.
+/// Parses the `/soi` JSON body into a validated query plus a short
+/// human-readable parameter digest for the ring.
 fn parse_soi_query(
     config: &ServeConfig,
     dataset: &Dataset,
@@ -231,32 +196,9 @@ fn sampled_trace(shared: &Shared<'_>) -> bool {
             .is_multiple_of(n)
 }
 
-/// `GET /explain?keywords=a,b&k=10&eps=0.0005`: the query-string form of
-/// `POST /explain`, under the server's default deadline.
-fn submit_explain_get(
-    shared: &Shared<'_>,
-    request: &Request,
-    request_id: u64,
-) -> Result<(HttpTuple, RequestMeta)> {
-    let raw = request.query().unwrap_or("");
-    let query = {
-        let state = shared.epochs.pin();
-        parse_query_string(shared.config, &state.dataset, raw)?
-    };
-    submit_soi_query(
-        shared,
-        "/explain",
-        query,
-        raw.to_string(),
-        &Json::Null,
-        request_id,
-    )
-}
-
-/// `POST /soi` and `POST /explain`: one body schema, one parse path.
+/// Parses the body, admits a k-SOI job, and waits for its response.
 fn submit_soi(
     shared: &Shared<'_>,
-    endpoint: &'static str,
     request: &Request,
     request_id: u64,
 ) -> Result<(HttpTuple, RequestMeta)> {
@@ -265,29 +207,14 @@ fn submit_soi(
         let state = shared.epochs.pin();
         parse_soi_query(shared.config, &state.dataset, &body)?
     };
-    submit_soi_query(shared, endpoint, query, params, &body, request_id)
-}
-
-/// Admits a parsed k-SOI query and waits for its response. `body` holds
-/// the optional `deadline_ms` / `trace` / `explain` fields (`Json::Null`
-/// for the query-string form); `/explain` is `/soi` with the explain
-/// collector always on.
-fn submit_soi_query(
-    shared: &Shared<'_>,
-    endpoint: &'static str,
-    query: SoiQuery,
-    params: String,
-    body: &Json,
-    request_id: u64,
-) -> Result<(HttpTuple, RequestMeta)> {
     let submission = Submission {
-        endpoint,
+        endpoint: "/soi",
         params,
         kind: JobKind::Soi(query),
-        budget: request_budget(shared.config, body)?,
+        budget: request_budget(shared.config, &body)?,
         request_id,
-        embed_trace: capture_flag(body, "trace")?,
-        embed_explain: capture_flag(body, "explain")? || endpoint == "/explain",
+        embed_trace: capture_flag(&body, "trace")?,
+        embed_explain: capture_flag(&body, "explain")?,
         sampled: sampled_trace(shared),
     };
     Ok(submit_and_wait(shared, submission))

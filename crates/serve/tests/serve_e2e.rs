@@ -87,6 +87,9 @@ fn soi_body(eps: f64, deadline_ms: f64) -> String {
     )
 }
 
+/// An explained `/soi` body.
+const EXPLAINED_SHOP: &str = "{\"keywords\":[\"shop\"],\"k\":3,\"explain\":true}";
+
 #[test]
 fn roundtrip_soi_describe_status_metrics_explain() {
     let ((), report) = with_server(test_config(), |addr| {
@@ -118,9 +121,9 @@ fn roundtrip_soi_describe_status_metrics_explain() {
         let doc = parse(&describe.body).expect("valid JSON");
         assert_eq!(doc.get("partial"), Some(&Json::Bool(false)));
 
-        // /explain: the query-string form of an explained /soi.
+        // /soi with "explain": true embeds Alg. 1's report.
         let explain =
-            request(addr, "GET", "/explain?keywords=shop&k=3", None, TIMEOUT).expect("explain");
+            request(addr, "POST", "/soi", Some(EXPLAINED_SHOP), TIMEOUT).expect("explain");
         assert_eq!(explain.status, 200, "body: {}", explain.body);
         assert!(explain.body.contains("\"termination\""));
 
@@ -219,9 +222,9 @@ fn undersized_queue_sheds_with_503_and_metrics_show_it() {
     assert!(report.drained);
 }
 
-/// `/explain` is admitted like `/soi`: with the one worker and the one
-/// queue slot kept taken by heavy queries, it sheds with the admission
-/// queue's 503 instead of running beside them on an IO thread.
+/// An explained `/soi` is admitted like any `/soi`: with the one worker and
+/// the one queue slot kept taken by heavy queries, it sheds with the
+/// admission queue's 503 instead of running beside them on an IO thread.
 #[test]
 fn explain_sheds_with_503_when_the_admission_queue_is_full() {
     let config = ServeConfig {
@@ -242,7 +245,7 @@ fn explain_sheds_with_503_when_the_admission_queue_is_full() {
                 });
             }
             let shed = (0..500).find_map(|_| {
-                let r = request(addr, "GET", "/explain?keywords=shop&k=3", None, TIMEOUT)
+                let r = request(addr, "POST", "/soi", Some(EXPLAINED_SHOP), TIMEOUT)
                     .expect("explain under load");
                 match r.status {
                     200 => None,
@@ -253,17 +256,14 @@ fn explain_sheds_with_503_when_the_admission_queue_is_full() {
             stop.store(true, Ordering::SeqCst);
             shed
         });
-        let shed = shed.expect("/explain was never shed by a full admission queue");
+        let shed = shed.expect("an explained /soi was never shed by a full admission queue");
         assert!(
             shed.body.contains("admission queue full"),
             "503 did not come from the admission queue: {}",
             shed.body
         );
         let record = ring_record(addr, &shed);
-        assert_eq!(
-            record.get("endpoint").and_then(Json::as_str),
-            Some("/explain")
-        );
+        assert_eq!(record.get("endpoint").and_then(Json::as_str), Some("/soi"));
         assert_eq!(record.get("shed"), Some(&Json::Bool(true)));
     });
     assert!(report.sheds > 0);
@@ -477,19 +477,6 @@ fn request_scoped_observability_end_to_end() {
         let bad = request(addr, "GET", "/debug/requests/xyz", None, TIMEOUT).expect("400");
         assert_eq!(bad.status, 400);
 
-        // POST /explain shares the /soi body schema.
-        let explain = request(
-            addr,
-            "POST",
-            "/explain",
-            Some("{\"keywords\":[\"shop\"],\"k\":3}"),
-            TIMEOUT,
-        )
-        .expect("post explain");
-        assert_eq!(explain.status, 200, "body: {}", explain.body);
-        assert!(explain.body.contains("\"termination\""));
-        assert!(explain.body.contains("\"request_id\""));
-
         // /status carries the rolling-window SLO summary.
         let status = request(addr, "GET", "/status", None, TIMEOUT).expect("status");
         let doc = parse(&status.body).expect("valid JSON");
@@ -635,6 +622,7 @@ fn debug_filters_and_metrics_hygiene() {
         for bad in [
             "/debug/requests?limit=minus-one",
             "/debug/requests?endpoint=nope",
+            "/debug/requests?endpoint=explain",
             "/debug/requests?frobnicate=1",
         ] {
             let r = request(addr, "GET", bad, None, TIMEOUT).expect("bad filter");
@@ -807,66 +795,73 @@ fn ring_record(addr: SocketAddr, response: &Response) -> Json {
     parse(&by_id.body).expect("valid JSON")
 }
 
-/// An explained `/soi` body with what legitimately differs between two
-/// runs of one query removed: the request id and the explain report's
-/// wall-clock phases.
-fn explained_body_without_run_noise(body: &str) -> Json {
+/// A `/soi` body with what an explained run adds or a second run changes
+/// removed: the request id and the explain report.
+fn body_without_explain(body: &str) -> Json {
     let Json::Obj(mut fields) = parse(&without_request_id(body)).expect("valid JSON") else {
         panic!("body is not an object: {body}");
     };
-    for (name, value) in &mut fields {
-        if let ("explain", Json::Obj(report)) = (name.as_str(), value) {
-            report.retain(|(k, _)| k != "phases_ms");
-        }
-    }
+    fields.retain(|(name, _)| name != "explain");
     Json::Obj(fields)
 }
 
 #[test]
-fn explain_runs_on_an_engine_worker_and_answers_like_soi_with_explain() {
+fn explained_soi_runs_on_an_engine_worker_and_reports_only_its_bounds() {
     let ((), report) = with_server(test_config(), |addr| {
-        let soi = request(
-            addr,
-            "POST",
-            "/soi",
-            Some("{\"keywords\":[\"shop\",\"food\"],\"k\":4,\"eps\":0.002,\"explain\":true}"),
-            TIMEOUT,
-        )
-        .expect("explained soi");
+        let query = "\"keywords\":[\"shop\",\"food\"],\"k\":4,\"eps\":0.002";
+        let plain = format!("{{{query}}}");
+        let plain = request(addr, "POST", "/soi", Some(&plain), TIMEOUT).expect("soi");
+        assert_eq!(plain.status, 200, "body: {}", plain.body);
+        let explained = format!("{{{query},\"explain\":true}}");
+        let soi = request(addr, "POST", "/soi", Some(&explained), TIMEOUT).expect("explained soi");
         assert_eq!(soi.status, 200, "body: {}", soi.body);
-        let expect = explained_body_without_run_noise(&soi.body);
-        assert!(expect.get("explain").is_some() && expect.get("results").is_some());
+        // The report rides along; the answer is the plain one.
+        assert_eq!(
+            body_without_explain(&soi.body),
+            body_without_explain(&plain.body)
+        );
+        let doc = parse(&soi.body).expect("valid JSON");
+        let rows = doc
+            .get("explain")
+            .and_then(|e| e.get("rows"))
+            .and_then(Json::as_arr)
+            .expect("explain rows embedded");
+        assert!(!rows.is_empty());
+        for row in rows {
+            let Json::Obj(fields) = row else {
+                panic!("row is not an object: {row:?}");
+            };
+            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, ["access", "ub", "lbk"], "{row:?}");
+        }
+        // Queued and executed like any query: the record carries the
+        // worker's clock and the explain report.
+        let record = ring_record(addr, &soi);
+        assert_eq!(record.get("endpoint").and_then(Json::as_str), Some("/soi"));
+        assert_eq!(record.get("explained"), Some(&Json::Bool(true)));
+        let ms = |name: &str| record.get(name).and_then(Json::as_f64).expect("a number");
+        assert!(ms("exec_ms") > 0.0, "no exec time recorded: {record:?}");
+        assert!(ms("queue_ms") >= 0.0 && ms("queue_ms") <= ms("total_ms"));
+        assert!(record.get("explain").is_some(), "explain not in the ring");
+    });
+    assert!(report.drained);
+    assert_eq!(report.panics, 0);
+}
 
-        let post = request(
-            addr,
-            "POST",
-            "/explain",
-            Some("{\"keywords\":[\"shop\",\"food\"],\"k\":4,\"eps\":0.002}"),
-            TIMEOUT,
-        )
-        .expect("post explain");
-        let get = request(
-            addr,
-            "GET",
-            "/explain?keywords=shop,food&k=4&eps=0.002",
-            None,
-            TIMEOUT,
-        )
-        .expect("get explain");
-        for explain in [&post, &get] {
-            assert_eq!(explain.status, 200, "body: {}", explain.body);
-            assert_eq!(explained_body_without_run_noise(&explain.body), expect);
-            // Queued and executed like any query: the record carries the
-            // worker's clock and the explain report.
-            let record = ring_record(addr, explain);
+/// `/soi` with `"explain": true` is the one way to ask for a report:
+/// `/explain` is no route, in either method.
+#[test]
+fn explain_is_not_a_route() {
+    let ((), report) = with_server(test_config(), |addr| {
+        let get = request(addr, "GET", "/explain?keywords=shop&k=3", None, TIMEOUT);
+        let post = request(addr, "POST", "/explain", Some(EXPLAINED_SHOP), TIMEOUT);
+        for r in [get.expect("get explain"), post.expect("post explain")] {
+            assert_eq!(r.status, 404, "body: {}", r.body);
+            let doc = parse(&r.body).expect("valid JSON");
             assert_eq!(
-                record.get("endpoint").and_then(Json::as_str),
-                Some("/explain")
+                doc.get("category").and_then(Json::as_str),
+                Some("not-found")
             );
-            let ms = |name: &str| record.get(name).and_then(Json::as_f64).expect("a number");
-            assert!(ms("exec_ms") > 0.0, "no exec time recorded: {record:?}");
-            assert!(ms("queue_ms") >= 0.0 && ms("queue_ms") <= ms("total_ms"));
-            assert!(record.get("explain").is_some(), "explain not in the ring");
         }
     });
     assert!(report.drained);
@@ -1213,7 +1208,7 @@ fn ingest_swaps_epochs_folds_at_threshold_and_replays_on_restart() {
 
         // An explained run's ring record reports the epoch it pinned.
         let explain =
-            request(addr, "GET", "/explain?keywords=shop&k=3", None, TIMEOUT).expect("explain");
+            request(addr, "POST", "/soi", Some(EXPLAINED_SHOP), TIMEOUT).expect("explain");
         assert_eq!(explain.status, 200);
         let record = ring_record(addr, &explain);
         assert_eq!(record.get("epoch").and_then(Json::as_f64), Some(1.0));
