@@ -21,8 +21,8 @@
 //! - [`topk`]: deterministic top-k selection helpers.
 //! - [`error`]: the workspace error type — structured, categorized, with
 //!   source-chain context and stable CLI exit codes.
-//! - [`load`]: shared ingestion policy ([`LoadMode`] strict/lenient and the
-//!   per-category [`LoadReport`]).
+//! - [`record`]: the line, field-count and coordinate helpers every TSV
+//!   reader of a dataset parses its records with.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,9 +35,9 @@ pub mod csr;
 pub mod error;
 pub mod fxhash;
 pub mod ids;
-pub mod load;
 pub mod ord;
 pub mod parallel;
+pub mod record;
 pub mod timing;
 pub mod topk;
 
@@ -46,7 +46,6 @@ pub use csr::Csr;
 pub use error::{ErrorCategory, Result, ResultExt, SoiError, ValidationKind};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{CellId, KeywordId, NodeId, PhotoId, PoiId, SegmentId, StreetId};
-pub use load::{LoadMode, LoadOptions, LoadReport};
 pub use ord::OrderedF64;
 pub use parallel::{chunk_ranges, effective_threads, par_chunk_map, par_sort_unstable_by};
 pub use timing::{PhaseTimer, Stopwatch};

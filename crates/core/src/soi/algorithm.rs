@@ -196,8 +196,8 @@ pub(super) struct Shared {
 /// counts each access, numbers the row, records it in `explain`
 /// (decimated), samples `UB` and `LBk` into the trace's convergence tracks
 /// every [`UB_SAMPLE_EVERY`] accesses and checks the deadline every
-/// [`BUDGET_CHECK_EVERY`]. A loop that stops records its termination row
-/// and enters the refinement phase. Returns the last `UB` read (∞ if none;
+/// [`BUDGET_CHECK_EVERY`]. A loop that stops records its termination row;
+/// the filtering phase stays open. Returns the last `UB` read (∞ if none;
 /// a stale one still bounds, as `UB` never rises) and whether the deadline
 /// expired.
 pub(super) fn access_loop(
@@ -223,7 +223,6 @@ pub(super) fn access_loop(
         }
         ub = row.ub;
         if stopped {
-            stats.timer.enter(phases::REFINEMENT);
             break;
         }
         if stats.accesses.is_multiple_of(UB_SAMPLE_EVERY) {
@@ -286,7 +285,9 @@ impl Tables {
 /// (Definition 3) and ranks the top k. `filter` gets the query's inputs,
 /// the shared state, the stats and the open construction span, to close
 /// once its lists are built; it leaves every seen segment's mass in
-/// `Shared::masses` and returns what [`access_loop`] returns.
+/// `Shared::masses` and returns what [`access_loop`] returns. Ranking is
+/// timed under the phase `filter` leaves open: filtering on [`run_soi`],
+/// refinement on the paper's entry.
 pub(super) fn evaluate(
     tables: &mut Tables,
     network: &RoadNetwork,

@@ -26,7 +26,7 @@ use crate::soi::explain::ExplainRow;
 use crate::soi::interest::segment_interest;
 use crate::soi::query::{SoiOutcome, SoiQuery};
 use crate::soi::ranked::{Ranked, RankedList};
-use crate::soi::stats::QueryStats;
+use crate::soi::stats::{phases, QueryStats};
 use soi_common::{CellId, Result, SegmentId};
 use soi_data::PoiView;
 use soi_geo::{Grid, LineSeg};
@@ -548,6 +548,7 @@ pub fn run_soi_paper<'a>(
 
         // --- Refinement (lines 25–28): finalise every seen segment still
         // partial.
+        stats.timer.enter(phases::REFINEMENT);
         let Filtering { seen, shared, .. } = fil;
         for state in seen.states.iter_mut() {
             if seen.dead.get(state.seg) {

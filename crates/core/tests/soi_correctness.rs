@@ -330,6 +330,46 @@ fn default_mode_reads_sl2_best_first() {
     assert!(accesses >= 500, "only {accesses} accesses checked");
 }
 
+#[test]
+fn only_the_paper_entry_times_a_refinement_phase() {
+    // `run_soi` never refines: its ranking is timed under filtering, and
+    // its explain report reads 0 refinement time. The paper's entry enters
+    // refinement for its lines 25–28 pass.
+    let refinement = soi_core::soi::stats::phases::REFINEMENT;
+    let mut scratch = SoiScratch::default();
+    let mut paper = PaperScratch::default();
+    for seed in 0..5u64 {
+        let mut rng = StdRng::seed_from_u64(6000 + seed);
+        let network = random_city(&mut rng, 5, 5);
+        let pois = random_pois(&mut rng, 150, 4.0);
+        let index = PoiIndex::build(&network, &pois, 0.5);
+        let query = random_query(&mut rng);
+        let mut explain = SoiExplain::default();
+        let out = run_soi_full(
+            &network,
+            &pois,
+            &index,
+            &query,
+            &mut scratch,
+            Some(&mut explain),
+            QueryBudget::unlimited(),
+        )
+        .unwrap();
+        let timer = &out.stats.timer;
+        let names: Vec<&str> = timer.phases().iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, ["construction", "filtering"], "seed {seed}");
+        let json = explain.to_json();
+        assert!(json.contains("\"refinement\":0.0}"), "{json}");
+
+        let out = run_soi_paper(&network, &pois, &index, &query, &mut paper).unwrap();
+        let timer = &out.stats.timer;
+        assert!(
+            timer.phases().iter().any(|(name, _)| *name == refinement),
+            "seed {seed}"
+        );
+    }
+}
+
 /// The nine work counters of a run, and its `termination_ub` bits.
 fn counters(out: &SoiOutcome) -> ([usize; 9], u64) {
     let s = &out.stats;

@@ -12,11 +12,10 @@
 //!
 //! ### Failure semantics
 //!
-//! [`load_dataset_with`] applies the workspace-wide ingestion policy (see
-//! `soi_common::load`): **Strict** aborts on the first invalid record with
-//! file/record/field context; **Lenient** skips invalid POI and photo
-//! records, counting them per [`ValidationKind`] in the returned
-//! [`LoadReport`]. Validation rules checked per record:
+//! [`load_dataset`] parses every record with the record helpers
+//! `network.tsv` shares (`soi_common::record`), and the first invalid one
+//! aborts the load with a typed error naming the file, the record number
+//! and the field. Validation rules checked per record:
 //!
 //! - coordinates must be finite ([`ValidationKind::NonFiniteCoordinate`]);
 //! - POI weights must be finite and non-negative
@@ -24,25 +23,24 @@
 //! - keyword ids must fall inside the vocabulary
 //!   ([`ValidationKind::KeywordOutOfRange`]);
 //! - records must have the right field count and parsable numbers
+//!   ([`ValidationKind::MalformedRecord`]);
+//! - vocabulary terms must be distinct: keyword ids are positional, so a
+//!   duplicate could not be dropped without shifting every later id
 //!   ([`ValidationKind::MalformedRecord`]).
 //!
-//! `name.txt` is optional: a missing file falls back to `"unnamed"` with a
-//! report warning, while any other I/O failure (permissions, encoding)
-//! propagates — silently renaming a dataset because its directory is
-//! unreadable would mask real damage.
-//!
-//! Keyword ids are positional, so a duplicated `vocab.tsv` line cannot be
-//! simply dropped: every later id would silently shift onto a different
-//! term. Strict mode rejects the duplicate; lenient mode interns a
-//! position-preserving placeholder and counts the record as malformed.
+//! Empty lines of `pois.tsv` and `photos.tsv` are skipped. `name.txt` is
+//! optional: a missing file loads as `"unnamed"`, while any other I/O
+//! failure (permissions, encoding) propagates — silently renaming a
+//! dataset because its directory is unreadable would mask real damage.
 
 use crate::dataset::Dataset;
 use crate::photo::PhotoCollection;
 use crate::poi::PoiCollection;
-use soi_common::{KeywordId, LoadOptions, LoadReport, Result, ResultExt, SoiError, ValidationKind};
+use soi_common::record::{for_each_line, parse_coord, split_fields};
+use soi_common::{KeywordId, Result, ResultExt, SoiError, ValidationKind};
 use soi_geo::Point;
 use soi_text::{KeywordSet, Vocabulary};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 
 fn format_keywords(set: &KeywordSet) -> String {
@@ -88,67 +86,10 @@ fn parse_keywords(field: &str, vocab_len: usize, ids: &mut Vec<KeywordId>) -> Re
         .unwrap_or_else(|| KeywordSet::from_ids(ids.iter().copied())))
 }
 
-/// Calls `record(number, line)` for every line of the file at `path`, in
-/// order and numbered from 1. The lines are what [`BufRead::lines`] yields
-/// (the final `\n` or `\r\n` stripped, a read or UTF-8 failure a parse
-/// error at that line), read into one reused buffer, not one `String` each.
-fn for_each_line(path: &Path, mut record: impl FnMut(usize, &str) -> Result<()>) -> Result<()> {
-    let mut reader = BufReader::new(std::fs::File::open(path).at_path(path)?);
-    let mut line = String::new();
-    for number in 1.. {
-        line.clear();
-        let read = reader
-            .read_line(&mut line)
-            .map_err(|e| SoiError::parse(number, e.to_string()))
-            .at_path(path)?;
-        if read == 0 {
-            break;
-        }
-        if line.ends_with('\n') {
-            line.pop();
-            if line.ends_with('\r') {
-                line.pop();
-            }
-        }
-        record(number, &line).map_err(|e| e.at_path(path))?;
-    }
-    Ok(())
-}
-
-/// The `N` tab-separated fields of a `what` record.
-fn split_fields<'a, const N: usize>(line: &'a str, what: &str) -> Result<[&'a str; N]> {
-    let mut fields = [""; N];
-    let mut parts = line.split('\t');
-    let filled = fields
-        .iter_mut()
-        .zip(&mut parts)
-        .map(|(f, p)| *f = p)
-        .count();
-    if filled == N && parts.next().is_none() {
-        return Ok(fields);
-    }
-    Err(SoiError::validation(
-        ValidationKind::MalformedRecord,
-        format!(
-            "expected {N} fields in {what} record, got {}",
-            line.split('\t').count()
-        ),
-    ))
-}
-
-fn parse_coord(field: &str, name: &'static str) -> Result<f64> {
-    let v: f64 = field.parse().map_err(|e| {
-        SoiError::validation(ValidationKind::MalformedRecord, format!("bad {name}: {e}"))
-            .in_field(name)
-    })?;
-    if !v.is_finite() {
-        return Err(SoiError::validation(
-            ValidationKind::NonFiniteCoordinate,
-            format!("{name} coordinate {v} is not finite"),
-        )
-        .in_field(name));
-    }
-    Ok(v)
+/// [`for_each_line`] over the file at `path`; errors name the file.
+fn for_each_file_line(path: &Path, record: impl FnMut(&str) -> Result<()>) -> Result<()> {
+    let file = std::fs::File::open(path).at_path(path)?;
+    for_each_line(BufReader::new(file), record).at_path(path)
 }
 
 fn parse_weight(field: &str) -> Result<f64> {
@@ -212,107 +153,55 @@ pub fn save_dataset(dataset: &Dataset, dir: impl AsRef<Path>) -> Result<()> {
     Ok(())
 }
 
-/// Loads a dataset from directory `dir` with strict semantics.
+/// Loads a dataset from directory `dir`.
 pub fn load_dataset(dir: impl AsRef<Path>) -> Result<Dataset> {
-    load_dataset_with(dir, &LoadOptions::strict()).map(|(d, _)| d)
-}
-
-/// Loads a dataset from directory `dir` under the given [`LoadOptions`],
-/// returning the dataset together with a merged [`LoadReport`] covering the
-/// network, vocabulary, POI, and photo files.
-pub fn load_dataset_with(
-    dir: impl AsRef<Path>,
-    opts: &LoadOptions,
-) -> Result<(Dataset, LoadReport)> {
     let dir = dir.as_ref();
-    let mut report = LoadReport::new();
+    let network_path = dir.join("network.tsv");
+    let file = std::fs::File::open(&network_path).at_path(&network_path)?;
+    let network = soi_network::io::read_network(BufReader::new(file)).at_path(&network_path)?;
 
-    let (network, net_report) = soi_network::io::load_network_with(dir.join("network.tsv"), opts)?;
-    report.merge(&net_report);
-
-    // name.txt is optional: absent -> default with a warning. Any other
-    // failure (permissions, non-UTF-8 content) is real damage and propagates.
+    // name.txt is optional: absent -> "unnamed". Any other failure
+    // (permissions, non-UTF-8 content) is real damage and propagates.
     let name_path = dir.join("name.txt");
     let name = match std::fs::read_to_string(&name_path) {
         Ok(s) => s.trim().to_string(),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            report.warn("name.txt missing; using \"unnamed\"");
-            "unnamed".to_string()
-        }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => "unnamed".to_string(),
         Err(e) => return Err(SoiError::io(e, &name_path)),
     };
 
-    let vocab_path = dir.join("vocab.tsv");
     let mut vocab = Vocabulary::new();
-    for_each_line(&vocab_path, |number, line| {
+    for_each_file_line(&dir.join("vocab.tsv"), |line| {
         let before = vocab.len();
         vocab.intern(line);
         if vocab.len() == before {
-            // Duplicate term. Ids are positional, so dropping the line would
-            // shift every later id; strict rejects, lenient interns a
-            // position-preserving placeholder.
-            if !opts.is_lenient() {
-                return Err(SoiError::validation(
-                    ValidationKind::MalformedRecord,
-                    format!("duplicate vocabulary term {line:?}"),
-                )
-                .at_record(number));
-            }
-            vocab.intern(&format!("{line}#dup{number}"));
-            report.skip(ValidationKind::MalformedRecord);
-            report.warn(format!(
-                "vocab.tsv: duplicate term {line:?} at line {number}; interned placeholder"
+            return Err(SoiError::validation(
+                ValidationKind::MalformedRecord,
+                format!("duplicate vocabulary term {line:?}"),
             ));
-        } else {
-            report.accept();
         }
         Ok(())
     })?;
 
-    // What a lenient load does with a record that failed to parse.
-    let skip = |e: SoiError, number: usize, report: &mut LoadReport| {
-        if !opts.is_lenient() {
-            return Err(e.at_record(number));
-        }
-        report.skip(
-            e.validation_kind()
-                .unwrap_or(ValidationKind::MalformedRecord),
-        );
-        Ok(())
-    };
     let mut ids = Vec::new();
-
     let mut pois = PoiCollection::new();
-    for_each_line(&dir.join("pois.tsv"), |number, line| {
-        if line.is_empty() {
-            return Ok(());
+    for_each_file_line(&dir.join("pois.tsv"), |line| {
+        if !line.is_empty() {
+            let (pos, keywords, weight) = parse_poi(line, vocab.len(), &mut ids)?;
+            pois.add_weighted(pos, keywords, weight);
         }
-        match parse_poi(line, vocab.len(), &mut ids) {
-            Ok((pos, keywords, weight)) => {
-                pois.add_weighted(pos, keywords, weight);
-                report.accept();
-                Ok(())
-            }
-            Err(e) => skip(e, number, &mut report),
-        }
+        Ok(())
     })?;
 
     let mut photos = PhotoCollection::new();
-    for_each_line(&dir.join("photos.tsv"), |number, line| {
-        if line.is_empty() {
-            return Ok(());
+    for_each_file_line(&dir.join("photos.tsv"), |line| {
+        if !line.is_empty() {
+            let (pos, tags) = parse_photo(line, vocab.len(), &mut ids)?;
+            photos.add(pos, tags);
         }
-        match parse_photo(line, vocab.len(), &mut ids) {
-            Ok((pos, tags)) => {
-                photos.add(pos, tags);
-                report.accept();
-                Ok(())
-            }
-            Err(e) => skip(e, number, &mut report),
-        }
+        Ok(())
     })?;
 
-    Ok((Dataset::new(name, network, vocab, pois, photos), report))
+    Ok(Dataset::new(name, network, vocab, pois, photos))
 }
 
 fn parse_poi(
@@ -377,9 +266,8 @@ mod tests {
     fn roundtrip() {
         let dir = tmp_dataset("roundtrip");
         let d = sample();
-        let (loaded, report) = load_dataset_with(&dir, &LoadOptions::strict()).unwrap();
+        let loaded = load_dataset(&dir).unwrap();
 
-        assert!(report.is_clean(), "{report}");
         assert_eq!(loaded.name, "sample");
         assert_eq!(loaded.network.num_segments(), d.network.num_segments());
         assert_eq!(loaded.vocab.len(), d.vocab.len());
@@ -472,31 +360,9 @@ mod tests {
     }
 
     #[test]
-    fn lenient_skips_bad_records_and_reports() {
-        let dir = tmp_dataset("lenient");
-        std::fs::write(
-            dir.join("pois.tsv"),
-            "0\t0\t1\t0\nNaN\t0\t1\t\n0\t0\t-1\t\n0\t0\t1\t99\nbroken\n0.5\t0.5\t2\t1\n",
-        )
-        .unwrap();
-        let (d, report) = load_dataset_with(&dir, &LoadOptions::lenient()).unwrap();
-        assert_eq!(d.pois.len(), 2);
-        assert_eq!(report.skipped(ValidationKind::NonFiniteCoordinate), 1);
-        assert_eq!(report.skipped(ValidationKind::InvalidWeight), 1);
-        assert_eq!(report.skipped(ValidationKind::KeywordOutOfRange), 1);
-        assert_eq!(report.skipped(ValidationKind::MalformedRecord), 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn missing_name_defaults_with_warning() {
+    fn missing_name_defaults_to_unnamed() {
         let dir = tmp_dataset("no_name");
         std::fs::remove_file(dir.join("name.txt")).unwrap();
-        let (d, report) = load_dataset_with(&dir, &LoadOptions::strict()).unwrap();
-        assert_eq!(d.name, "unnamed");
-        assert_eq!(report.warnings.len(), 1);
-        assert!(report.warnings[0].contains("name.txt"), "{report}");
-        // The plain strict loader still works.
         assert_eq!(load_dataset(&dir).unwrap().name, "unnamed");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -521,17 +387,16 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_vocab_term_strict_vs_lenient() {
+    fn duplicate_vocab_term_is_rejected() {
         let dir = tmp_dataset("dup_vocab");
         std::fs::write(dir.join("vocab.tsv"), "shop\nfood\nshop\n").unwrap();
         let err = load_dataset(&dir).unwrap_err();
         assert_eq!(err.validation_kind(), Some(ValidationKind::MalformedRecord));
-        assert!(err.to_string().contains("duplicate"), "{err}");
-
-        let (d, report) = load_dataset_with(&dir, &LoadOptions::lenient()).unwrap();
-        // Placeholder keeps positions: 3 terms, later ids unshifted.
-        assert_eq!(d.vocab.len(), 3);
-        assert_eq!(report.skipped(ValidationKind::MalformedRecord), 1);
+        let text = err.to_string();
+        assert!(
+            text.contains("duplicate") && text.contains("record 3"),
+            "{text}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -539,6 +404,7 @@ mod tests {
     fn missing_dataset_dir_is_not_found() {
         let err = load_dataset("/definitely/not/a/dataset").unwrap_err();
         assert_eq!(err.category(), ErrorCategory::NotFound);
+        assert!(err.to_string().contains("network.tsv"), "{err}");
     }
 
     #[test]

@@ -16,32 +16,34 @@
 //!
 //! ### Failure semantics
 //!
-//! Crowdsourced exports are noisy, so every reader takes a
-//! [`LoadOptions`]:
-//!
-//! - **Strict** (default): the first invalid record aborts with a typed
-//!   [`SoiError`] carrying the record number, field, and (for the `load_*`
-//!   functions) file path.
-//! - **Lenient**: invalid records are skipped and counted per
-//!   [`ValidationKind`] in a [`LoadReport`]. Node ids are positional, so a
-//!   rejected node keeps a placeholder position and every segment touching
-//!   it is rejected as a dangling reference; a segment that would break its
-//!   street's connected chain (because a predecessor was rejected) is also
-//!   rejected.
-//!
-//! Structural damage — a bad header, a missing section, a truncated file,
-//! non-UTF-8 bytes — always aborts, in both modes: there is no sound way to
-//! resynchronise a positional format.
+//! Records are parsed with the record helpers every dataset file shares
+//! (`soi_common::record`): the first invalid record aborts with a typed
+//! [`SoiError`] carrying its [`ValidationKind`], record number and field,
+//! and the dataset loader adds the file path. A record with more or fewer
+//! fields than its section's is malformed; a node coordinate must be
+//! finite; a segment must name an existing street and two existing, distinct
+//! nodes, and connect to its street's previous segment (the chain rule of
+//! Section 3.1). Structural damage — a bad header, a missing or oversized
+//! section count, a truncated file, non-UTF-8 bytes, a non-blank line after
+//! the last segment record — is a parse error at its line (line 0 for an
+//! early end of file).
 
 use crate::network::{NetworkBuilder, RoadNetwork};
-use soi_common::{
-    LoadOptions, LoadReport, NodeId, Result, ResultExt, SoiError, StreetId, ValidationKind,
-};
+use soi_common::record::{for_each_line, parse_coord, split_fields};
+use soi_common::{NodeId, Result, ResultExt, SoiError, StreetId, ValidationKind};
 use soi_geo::Point;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufWriter, Write};
 use std::path::Path;
 
 const HEADER: &str = "# soi-network v1";
+
+/// The sections in file order: the keyword of the count line and the name
+/// of one record.
+const SECTIONS: [(&str, &str); 3] = [
+    ("nodes", "node"),
+    ("streets", "street"),
+    ("segments", "segment"),
+];
 
 /// Hard ceiling on section counts, so a corrupt count line cannot trigger
 /// an unbounded allocation.
@@ -71,193 +73,152 @@ pub fn write_network<W: Write>(network: &RoadNetwork, mut w: W) -> Result<()> {
     Ok(())
 }
 
-/// Reads a network in the TSV format with strict semantics.
+/// Reads a network in the TSV format.
 pub fn read_network<R: BufRead>(r: R) -> Result<RoadNetwork> {
-    read_network_with(r, &LoadOptions::strict()).map(|(net, _)| net)
-}
-
-/// Reads a network in the TSV format under the given [`LoadOptions`],
-/// returning the network together with a [`LoadReport`].
-pub fn read_network_with<R: BufRead>(
-    r: R,
-    opts: &LoadOptions,
-) -> Result<(RoadNetwork, LoadReport)> {
-    let mut report = LoadReport::new();
-    let mut lines = r.lines().enumerate();
-
-    let mut next_line = |expect: &str| -> Result<(usize, String)> {
-        match lines.next() {
-            Some((i, Ok(line))) => Ok((i + 1, line)),
-            Some((i, Err(e))) => Err(SoiError::parse(i + 1, e.to_string())),
-            None => Err(SoiError::parse(
-                0,
-                format!("unexpected EOF, expected {expect}"),
-            )),
-        }
-    };
-
-    let (line_no, header) = next_line("header")?;
-    if header.trim() != HEADER {
-        return Err(SoiError::parse(line_no, format!("bad header {header:?}")));
-    }
-
-    fn section_count(line_no: usize, line: &str, name: &str) -> Result<usize> {
-        let rest = line
-            .strip_prefix(name)
-            .ok_or_else(|| SoiError::parse(line_no, format!("expected `{name} <count>`")))?;
-        let count = rest
-            .trim()
-            .parse::<usize>()
-            .map_err(|e| SoiError::parse(line_no, format!("bad count: {e}")))?;
-        if count > MAX_SECTION_COUNT {
-            return Err(SoiError::parse(
-                line_no,
-                format!("section count {count} exceeds the {MAX_SECTION_COUNT} limit"),
-            ));
-        }
-        Ok(count)
-    }
-
     let mut b = NetworkBuilder::default();
-
-    // --- nodes. Ids are positional: a rejected node keeps a placeholder
-    // entry so later records keep their meaning, and is remembered so that
-    // segments touching it are rejected as dangling.
-    let (ln, line) = next_line("nodes section")?;
-    let n_nodes = section_count(ln, &line, "nodes")?;
-    let mut node_pos: Vec<Option<Point>> = Vec::with_capacity(n_nodes.min(1 << 16));
-    for _ in 0..n_nodes {
-        let (ln, line) = next_line("node record")?;
-        match parse_node(ln, &line) {
-            Ok(p) => {
-                b.add_node(p);
-                node_pos.push(Some(p));
-                report.accept();
+    // Node positions, for the coincident-endpoint check.
+    let mut nodes: Vec<Point> = Vec::new();
+    // Per street: the endpoints of its last segment, for the chain rule.
+    let mut chain_tail: Vec<Option<(NodeId, NodeId)>> = Vec::new();
+    let mut header = false;
+    // The section being read (index into SECTIONS) and, once its count
+    // line is read, how many of its records are left.
+    let (mut section, mut left) = (0, None);
+    for_each_line(r, |line| {
+        if !header {
+            if line.trim() != HEADER {
+                return Err(SoiError::parse(0, format!("bad header {line:?}")));
             }
-            Err(e) if opts.is_lenient() => {
-                report.skip(
-                    e.validation_kind()
-                        .unwrap_or(ValidationKind::MalformedRecord),
-                );
-                b.add_node(Point::new(0.0, 0.0));
-                node_pos.push(None);
-            }
-            Err(e) => return Err(e),
+            header = true;
+            return Ok(());
         }
-    }
-
-    let (ln, line) = next_line("streets section")?;
-    let n_streets = section_count(ln, &line, "streets")?;
-    for _ in 0..n_streets {
-        let (_, name) = next_line("street record")?;
-        b.add_street(name);
-        report.accept();
-    }
-
-    let (ln, line) = next_line("segments section")?;
-    let n_segments = section_count(ln, &line, "segments")?;
-    // Last kept segment endpoints per street, for the connected-chain rule.
-    let mut chain_tail: Vec<Option<(NodeId, NodeId)>> = vec![None; n_streets];
-    for _ in 0..n_segments {
-        let (ln, line) = next_line("segment record")?;
-        match parse_segment(ln, &line, n_streets, &node_pos, &mut chain_tail) {
-            Ok((street, from, to)) => {
-                b.add_segment(street, from, to);
-                report.accept();
+        let Some(&(name, _)) = SECTIONS.get(section) else {
+            if line.trim().is_empty() {
+                return Ok(());
             }
-            Err(e) if opts.is_lenient() => {
-                report.skip(
-                    e.validation_kind()
-                        .unwrap_or(ValidationKind::MalformedRecord),
-                );
+            return Err(SoiError::parse(
+                0,
+                "unexpected line after the last segment record",
+            ));
+        };
+        let n = match left {
+            None => section_count(line, name)?,
+            Some(n) => {
+                match section {
+                    0 => {
+                        let p = parse_node(line)?;
+                        b.add_node(p);
+                        nodes.push(p);
+                    }
+                    1 => {
+                        b.add_street(line);
+                        chain_tail.push(None);
+                    }
+                    _ => {
+                        let (street, from, to) = parse_segment(line, &nodes, &mut chain_tail)?;
+                        b.add_segment(street, from, to);
+                    }
+                }
+                n - 1
             }
-            Err(e) => return Err(e),
-        }
-    }
-
-    let network = b.build()?;
-    Ok((network, report))
+        };
+        // A section ends after its last record.
+        left = (n > 0).then_some(n);
+        section += usize::from(n == 0);
+        Ok(())
+    })?;
+    let expect = match (header, SECTIONS.get(section), left) {
+        (false, ..) => "header".to_string(),
+        (true, Some((name, _)), None) => format!("{name} section"),
+        (true, Some((_, record)), Some(_)) => format!("{record} record"),
+        (true, None, _) => return b.build(),
+    };
+    Err(SoiError::parse(
+        0,
+        format!("unexpected EOF, expected {expect}"),
+    ))
 }
 
-fn parse_node(ln: usize, line: &str) -> Result<Point> {
-    let mut parts = line.split('\t');
-    let mut coord = |name: &'static str| -> Result<f64> {
-        parts
-            .next()
-            .and_then(|s| s.parse::<f64>().ok())
-            .ok_or_else(|| {
-                SoiError::validation(ValidationKind::MalformedRecord, format!("bad node {name}"))
-                    .at_record(ln)
-                    .in_field(name)
-            })
-    };
-    let x = coord("x")?;
-    let y = coord("y")?;
-    let p = Point::new(x, y);
-    if !p.is_finite() {
-        return Err(SoiError::validation(
-            ValidationKind::NonFiniteCoordinate,
-            format!("node coordinates ({x}, {y}) are not finite"),
-        )
-        .at_record(ln));
+/// The count of a `name <count>` line.
+fn section_count(line: &str, name: &str) -> Result<usize> {
+    let rest = line
+        .strip_prefix(name)
+        .ok_or_else(|| SoiError::parse(0, format!("expected `{name} <count>`")))?;
+    let count = rest
+        .trim()
+        .parse::<usize>()
+        .map_err(|e| SoiError::parse(0, format!("bad count: {e}")))?;
+    if count > MAX_SECTION_COUNT {
+        return Err(SoiError::parse(
+            0,
+            format!("section count {count} exceeds the {MAX_SECTION_COUNT} limit"),
+        ));
     }
-    Ok(p)
+    Ok(count)
+}
+
+fn parse_node(line: &str) -> Result<Point> {
+    let [x, y] = split_fields(line, "node")?;
+    match (parse_coord(x, "x"), parse_coord(y, "y")) {
+        (Ok(x), Ok(y)) => Ok(Point::new(x, y)),
+        (Err(e), Ok(_)) | (Ok(_), Err(e)) => Err(e),
+        // Both fields parse before either is checked for finiteness, so a
+        // y that does not parse outranks an x that is not finite.
+        (Err(ex), Err(ey)) => Err(
+            if ex.validation_kind() == Some(ValidationKind::MalformedRecord) {
+                ex
+            } else {
+                ey
+            },
+        ),
+    }
+}
+
+fn parse_id(field: &str, name: &'static str) -> Result<u32> {
+    field.parse().map_err(|e| {
+        SoiError::validation(ValidationKind::MalformedRecord, format!("bad {name}: {e}"))
+            .in_field(name)
+    })
 }
 
 fn parse_segment(
-    ln: usize,
     line: &str,
-    n_streets: usize,
-    node_pos: &[Option<Point>],
+    nodes: &[Point],
     chain_tail: &mut [Option<(NodeId, NodeId)>],
 ) -> Result<(StreetId, NodeId, NodeId)> {
-    let mut parts = line.split('\t');
-    let mut field = |name: &'static str| -> Result<u32> {
-        parts
-            .next()
-            .and_then(|s| s.parse::<u32>().ok())
-            .ok_or_else(|| {
-                SoiError::validation(
-                    ValidationKind::MalformedRecord,
-                    format!("bad segment {name}"),
-                )
-                .at_record(ln)
-                .in_field(name)
-            })
-    };
-    let street = field("street")?;
-    let from = field("from")?;
-    let to = field("to")?;
+    let [street, from, to] = split_fields(line, "segment")?;
+    let street = parse_id(street, "street")?;
+    let from = parse_id(from, "from")?;
+    let to = parse_id(to, "to")?;
     let dangling = |what: String| {
-        Err(SoiError::validation(ValidationKind::DanglingReference, what).at_record(ln))
+        Err(SoiError::validation(
+            ValidationKind::DanglingReference,
+            what,
+        ))
     };
+    let n_streets = chain_tail.len();
     if street as usize >= n_streets {
         return dangling(format!(
             "street id {street} out of range ({n_streets} streets)"
         ));
     }
-    let n_nodes = node_pos.len();
     for (name, id) in [("from", from), ("to", to)] {
-        if id as usize >= n_nodes {
-            return dangling(format!("{name} node {id} out of range ({n_nodes} nodes)"));
-        }
-        if node_pos[id as usize].is_none() {
+        if id as usize >= nodes.len() {
             return dangling(format!(
-                "{name} node {id} was rejected earlier in this load"
+                "{name} node {id} out of range ({} nodes)",
+                nodes.len()
             ));
         }
     }
-    if from == to || node_pos[from as usize] == node_pos[to as usize] {
+    if from == to || nodes[from as usize] == nodes[to as usize] {
         return Err(SoiError::validation(
             ValidationKind::ZeroLengthSegment,
             format!("segment endpoints coincide (nodes {from}, {to})"),
-        )
-        .at_record(ln));
+        ));
     }
     let (street_id, from_id, to_id) = (StreetId(street), NodeId(from), NodeId(to));
-    // Connected-chain rule (Section 3.1): a street's consecutive kept
-    // segments must share a node. Without this check a lenient skip earlier
-    // in the street would poison RoadNetwork::build for the whole file.
+    // Connected-chain rule (Section 3.1): a street's consecutive segments
+    // must share a node. Checked here so the error names the record.
     if let Some((pf, pt)) = chain_tail[street as usize] {
         if from_id != pf && from_id != pt && to_id != pf && to_id != pt {
             return dangling(format!(
@@ -274,17 +235,6 @@ pub fn save_network(network: &RoadNetwork, path: impl AsRef<Path>) -> Result<()>
     let path = path.as_ref();
     let file = std::fs::File::create(path).at_path(path)?;
     write_network(network, BufWriter::new(file)).at_path(path)
-}
-
-/// Loads a network from a file under the given [`LoadOptions`]. Errors carry
-/// the file path.
-pub fn load_network_with(
-    path: impl AsRef<Path>,
-    opts: &LoadOptions,
-) -> Result<(RoadNetwork, LoadReport)> {
-    let path = path.as_ref();
-    let file = std::fs::File::open(path).at_path(path)?;
-    read_network_with(BufReader::new(file), opts).at_path(path)
 }
 
 #[cfg(test)]
@@ -378,34 +328,28 @@ mod tests {
     }
 
     #[test]
-    fn lenient_skips_and_counts() {
-        // Node 1 is NaN; segment 1 references it; segment 2 is fine.
-        let text = "# soi-network v1\nnodes 3\n0\t0\nNaN\t0\n2\t0\nstreets 2\na\nb\nsegments 2\n0\t0\t1\n1\t0\t2\n";
-        let (net, report) = read_network_with(text.as_bytes(), &LoadOptions::lenient()).unwrap();
-        assert_eq!(net.num_segments(), 1);
-        assert_eq!(report.skipped(ValidationKind::NonFiniteCoordinate), 1);
-        assert_eq!(report.skipped(ValidationKind::DanglingReference), 1);
-        assert_eq!(report.total_skipped(), 2);
+    fn rejects_a_break_in_a_streets_chain() {
+        // Street 0's second segment shares no node with its first.
+        let text = "# soi-network v1\nnodes 4\n0\t0\n1\t0\n2\t0\n3\t0\nstreets 1\ns\nsegments 2\n0\t0\t1\n0\t2\t3\n";
+        let err = read_network(text.as_bytes()).unwrap_err();
+        assert_eq!(
+            err.validation_kind(),
+            Some(ValidationKind::DanglingReference)
+        );
+        assert!(err.to_string().contains("record 11"), "{err}");
     }
 
     #[test]
-    fn lenient_preserves_chain_invariant() {
-        // Street 0 chain 0-1-2-3, with the middle segment zero-length so it
-        // is dropped; the follow-up segment no longer connects and must be
-        // dropped too, keeping RoadNetwork::build happy.
-        let text = "# soi-network v1\nnodes 4\n0\t0\n1\t0\n2\t0\n3\t0\nstreets 1\ns\nsegments 3\n0\t0\t1\n0\t2\t2\n0\t2\t3\n";
-        let (net, report) = read_network_with(text.as_bytes(), &LoadOptions::lenient()).unwrap();
-        assert_eq!(net.num_segments(), 1);
-        assert_eq!(report.skipped(ValidationKind::ZeroLengthSegment), 1);
-        assert_eq!(report.skipped(ValidationKind::DanglingReference), 1);
-    }
-
-    #[test]
-    fn load_errors_carry_path() {
-        let err =
-            load_network_with("/definitely/not/here.tsv", &LoadOptions::strict()).unwrap_err();
-        assert!(err.to_string().contains("here.tsv"), "{err}");
-        assert_eq!(err.category(), ErrorCategory::NotFound);
+    fn rejects_extra_fields_and_trailing_records() {
+        let net = "# soi-network v1\nnodes 2\n0\t0\n1\t0\nstreets 1\ns\nsegments 1\n0\t0\t1\n";
+        assert!(read_network(format!("{net}\n  \n").as_bytes()).is_ok());
+        let err = read_network(net.replace("1\t0\n", "1\t0\t9\n").as_bytes()).unwrap_err();
+        assert_eq!(err.validation_kind(), Some(ValidationKind::MalformedRecord));
+        assert!(err.to_string().contains("record 4"), "{err}");
+        let err = read_network(format!("{net}0\t1\t0\n").as_bytes()).unwrap_err();
+        assert_eq!(err.validation_kind(), None);
+        assert_eq!(err.category(), ErrorCategory::Data);
+        assert!(err.to_string().contains("record 9"), "{err}");
     }
 
     #[test]
@@ -415,7 +359,8 @@ mod tests {
         let path = dir.join("net.tsv");
         let net = sample();
         save_network(&net, &path).unwrap();
-        let (read, _) = load_network_with(&path, &LoadOptions::strict()).unwrap();
+        let file = std::fs::File::open(&path).unwrap();
+        let read = read_network(std::io::BufReader::new(file)).unwrap();
         assert_eq!(read.num_segments(), net.num_segments());
         std::fs::remove_file(path).ok();
     }

@@ -1,14 +1,13 @@
 //! Fault injection: loading deliberately corrupted datasets must always
-//! produce a typed [`SoiError`] or a documented lenient recovery — never a
+//! produce a typed [`SoiError`] naming the file and record — never a
 //! panic, never an unbounded allocation.
 //!
 //! Each test saves a pristine generated dataset, applies one corruption
-//! mode, and loads the result under both `Strict` and `Lenient` options.
-//! The property tests at the bottom fuzz random byte-level damage over
-//! every file of the dataset.
+//! mode, and loads the result. The property tests at the bottom fuzz
+//! random byte-level damage over every file of the dataset.
 
 use proptest::prelude::*;
-use soi_common::{ErrorCategory, LoadOptions, LoadReport, SoiError, ValidationKind};
+use soi_common::{ErrorCategory, SoiError, ValidationKind};
 use soi_data::Dataset;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,38 +40,52 @@ fn copy_of_pristine() -> PathBuf {
     dir
 }
 
-fn load_strict(dir: &Path) -> Result<(Dataset, LoadReport), SoiError> {
-    soi_data::io::load_dataset_with(dir, &LoadOptions::strict())
+fn load(dir: &Path) -> Result<Dataset, SoiError> {
+    soi_data::io::load_dataset(dir)
 }
 
-fn load_lenient(dir: &Path) -> Result<(Dataset, LoadReport), SoiError> {
-    soi_data::io::load_dataset_with(dir, &LoadOptions::lenient())
-}
-
-/// Asserts that both modes fail with the given category (structural damage
-/// has no lenient recovery).
-fn assert_both_modes_fail(dir: &Path, category: ErrorCategory, what: &str) {
-    for (mode, res) in [("strict", load_strict(dir)), ("lenient", load_lenient(dir))] {
-        let err = res
-            .err()
-            .unwrap_or_else(|| panic!("{what}: {mode} load succeeded"));
-        assert_eq!(err.category(), category, "{what} ({mode}): {err}");
+/// The file and record (line) number a load error names.
+fn position(err: &SoiError) -> (Option<&Path>, usize) {
+    match err {
+        SoiError::Validation { file, record, .. } => (file.as_deref(), *record),
+        SoiError::Parse { file, line, .. } => (file.as_deref(), *line),
+        SoiError::Io { path, .. } => (path.as_deref(), 0),
+        SoiError::Context { source, .. } => position(source),
+        _ => (None, 0),
     }
+}
+
+/// Asserts that loading fails with the given category.
+fn assert_load_fails(dir: &Path, category: ErrorCategory, what: &str) {
+    let err = load(dir)
+        .err()
+        .unwrap_or_else(|| panic!("{what}: load succeeded"));
+    assert_eq!(err.category(), category, "{what}: {err}");
     std::fs::remove_dir_all(dir).ok();
 }
 
-/// Asserts strict rejects with `kind` while lenient recovers, skipping
-/// exactly `skipped` records of that kind.
-fn assert_record_level(dir: &Path, kind: ValidationKind, skipped: u64, what: &str) {
-    let err = load_strict(dir)
+/// Asserts that loading rejects record `record` of `file` with `kind`.
+fn assert_record_level(dir: &Path, kind: ValidationKind, file: &str, record: usize, what: &str) {
+    let err = load(dir)
         .err()
-        .unwrap_or_else(|| panic!("{what}: strict load succeeded"));
+        .unwrap_or_else(|| panic!("{what}: load succeeded"));
     assert_eq!(err.validation_kind(), Some(kind), "{what}: {err}");
     assert_eq!(err.category(), ErrorCategory::Data, "{what}: {err}");
-
-    let (_, report) = load_lenient(dir).unwrap_or_else(|e| panic!("{what}: lenient failed: {e}"));
-    assert_eq!(report.skipped(kind), skipped, "{what}: report {report}");
+    let path = dir.join(file);
+    assert_eq!(
+        position(&err),
+        (Some(path.as_path()), record),
+        "{what}: {err}"
+    );
     std::fs::remove_dir_all(dir).ok();
+}
+
+/// Lines in `file` of the pristine dataset.
+fn pristine_lines(file: &str) -> usize {
+    std::fs::read_to_string(pristine().join(file))
+        .unwrap()
+        .lines()
+        .count()
 }
 
 /// Rewrites one file through a line-level editing function.
@@ -93,27 +106,24 @@ fn edit_lines(dir: &Path, file: &str, f: impl Fn(usize, &str) -> Option<String>)
 fn missing_network_file_is_not_found() {
     let dir = copy_of_pristine();
     std::fs::remove_file(dir.join("network.tsv")).unwrap();
-    assert_both_modes_fail(&dir, ErrorCategory::NotFound, "missing network.tsv");
+    assert_load_fails(&dir, ErrorCategory::NotFound, "missing network.tsv");
 }
 
 #[test]
 fn missing_vocab_file_is_not_found() {
     let dir = copy_of_pristine();
     std::fs::remove_file(dir.join("vocab.tsv")).unwrap();
-    assert_both_modes_fail(&dir, ErrorCategory::NotFound, "missing vocab.tsv");
+    assert_load_fails(&dir, ErrorCategory::NotFound, "missing vocab.tsv");
 }
 
 #[test]
 fn missing_name_file_recovers_with_warning() {
-    // Documented recovery: name.txt is optional metadata; absence is a
-    // warning, any other I/O failure on it is still an error.
+    // Documented recovery: name.txt is optional metadata; absence loads as
+    // "unnamed", any other I/O failure on it is still an error.
     let dir = copy_of_pristine();
     std::fs::remove_file(dir.join("name.txt")).unwrap();
-    for res in [load_strict(&dir), load_lenient(&dir)] {
-        let (dataset, report) = res.expect("absent name.txt is not fatal");
-        assert_eq!(dataset.name, "unnamed");
-        assert!(report.warnings.iter().any(|w| w.contains("name.txt")));
-    }
+    let dataset = load(&dir).expect("absent name.txt is not fatal");
+    assert_eq!(dataset.name, "unnamed");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -121,7 +131,7 @@ fn missing_name_file_recovers_with_warning() {
 fn empty_network_file_is_a_parse_error() {
     let dir = copy_of_pristine();
     std::fs::write(dir.join("network.tsv"), "").unwrap();
-    assert_both_modes_fail(&dir, ErrorCategory::Data, "empty network.tsv");
+    assert_load_fails(&dir, ErrorCategory::Data, "empty network.tsv");
 }
 
 #[test]
@@ -129,10 +139,9 @@ fn empty_poi_and_photo_files_load_as_empty_collections() {
     let dir = copy_of_pristine();
     std::fs::write(dir.join("pois.tsv"), "").unwrap();
     std::fs::write(dir.join("photos.tsv"), "").unwrap();
-    let (dataset, report) = load_strict(&dir).expect("empty collections are valid");
+    let dataset = load(&dir).expect("empty collections are valid");
     assert_eq!(dataset.pois.len(), 0);
     assert_eq!(dataset.photos.len(), 0);
-    assert!(report.is_clean());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -144,13 +153,7 @@ fn binary_garbage_network_is_an_error() {
         [0u8, 159, 146, 150, 255, 0, 13, 10, 7],
     )
     .unwrap();
-    for (mode, res) in [
-        ("strict", load_strict(&dir)),
-        ("lenient", load_lenient(&dir)),
-    ] {
-        assert!(res.is_err(), "{mode} load of binary garbage succeeded");
-    }
-    std::fs::remove_dir_all(&dir).ok();
+    assert_load_fails(&dir, ErrorCategory::Data, "binary garbage network.tsv");
 }
 
 #[test]
@@ -161,13 +164,7 @@ fn bad_utf8_in_pois_is_an_error() {
     bytes[mid] = 0xFF;
     bytes[mid + 1] = 0xFE;
     std::fs::write(dir.join("pois.tsv"), bytes).unwrap();
-    for (mode, res) in [
-        ("strict", load_strict(&dir)),
-        ("lenient", load_lenient(&dir)),
-    ] {
-        assert!(res.is_err(), "{mode} load of non-UTF-8 pois.tsv succeeded");
-    }
-    std::fs::remove_dir_all(&dir).ok();
+    assert_load_fails(&dir, ErrorCategory::Data, "non-UTF-8 pois.tsv");
 }
 
 #[test]
@@ -176,7 +173,7 @@ fn truncated_network_is_a_parse_error() {
     let text = std::fs::read_to_string(dir.join("network.tsv")).unwrap();
     let cut: String = text.lines().take(4).map(|l| format!("{l}\n")).collect();
     std::fs::write(dir.join("network.tsv"), cut).unwrap();
-    assert_both_modes_fail(&dir, ErrorCategory::Data, "truncated network.tsv");
+    assert_load_fails(&dir, ErrorCategory::Data, "truncated network.tsv");
 }
 
 #[test]
@@ -189,7 +186,7 @@ fn bad_network_header_is_a_parse_error() {
             line.into()
         })
     });
-    assert_both_modes_fail(&dir, ErrorCategory::Data, "bad header");
+    assert_load_fails(&dir, ErrorCategory::Data, "bad header");
 }
 
 #[test]
@@ -204,10 +201,41 @@ fn oversized_section_count_is_rejected_without_allocating() {
             line.into()
         })
     });
-    assert_both_modes_fail(&dir, ErrorCategory::Data, "oversized node count");
+    assert_load_fails(&dir, ErrorCategory::Data, "oversized node count");
 }
 
-// --- record-level damage: strict aborts, lenient skips and counts --------
+#[test]
+fn a_line_after_the_last_segment_is_a_parse_error() {
+    // A second segment record and a garbage line beyond the declared count.
+    let n_lines = pristine_lines("network.tsv");
+    let dir = copy_of_pristine();
+    let text = std::fs::read_to_string(dir.join("network.tsv")).unwrap();
+    let last = text.lines().last().unwrap();
+    std::fs::write(
+        dir.join("network.tsv"),
+        format!("{text}{last}\nnot a record\n"),
+    )
+    .unwrap();
+    let err = load(&dir)
+        .err()
+        .unwrap_or_else(|| panic!("trailing records accepted"));
+    assert_eq!(err.category(), ErrorCategory::Data, "{err}");
+    assert_eq!(err.validation_kind(), None, "{err}");
+    let path = dir.join("network.tsv");
+    assert_eq!(position(&err), (Some(path.as_path()), n_lines + 1), "{err}");
+
+    // Blank lines after the last segment stay accepted.
+    std::fs::write(dir.join("network.tsv"), format!("{text}\n \n")).unwrap();
+    let loaded = load(&dir).expect("trailing blank lines are not records");
+    let pristine = load(pristine()).unwrap();
+    assert_eq!(
+        loaded.network.num_segments(),
+        pristine.network.num_segments()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// --- record-level damage: the load aborts at the first invalid record ----
 
 #[test]
 fn shuffled_poi_fields_are_malformed_records() {
@@ -224,8 +252,67 @@ fn shuffled_poi_fields_are_malformed_records() {
     assert_record_level(
         &dir,
         ValidationKind::MalformedRecord,
-        1,
+        "pois.tsv",
+        3,
         "shuffled poi fields",
+    );
+}
+
+#[test]
+fn a_short_poi_record_is_rejected_at_its_line() {
+    // One bad record among many clean ones.
+    let dir = copy_of_pristine();
+    edit_lines(&dir, "pois.tsv", |i, line| {
+        Some(if i == 3 {
+            "what is a coordinate\teven".into()
+        } else {
+            line.into()
+        })
+    });
+    assert_record_level(
+        &dir,
+        ValidationKind::MalformedRecord,
+        "pois.tsv",
+        4,
+        "two-field poi record",
+    );
+}
+
+#[test]
+fn extra_fields_in_network_records_are_malformed() {
+    // A third field on the first node record, as `pois.tsv` rejects a fifth.
+    let dir = copy_of_pristine();
+    edit_lines(&dir, "network.tsv", |i, line| {
+        Some(if i == 2 {
+            format!("{line}\t99")
+        } else {
+            line.into()
+        })
+    });
+    assert_record_level(
+        &dir,
+        ValidationKind::MalformedRecord,
+        "network.tsv",
+        3,
+        "node record with 3 fields",
+    );
+
+    // A fourth field on the last segment record.
+    let n_lines = pristine_lines("network.tsv");
+    let dir = copy_of_pristine();
+    edit_lines(&dir, "network.tsv", |i, line| {
+        Some(if i == n_lines - 1 {
+            format!("{line}\textra")
+        } else {
+            line.into()
+        })
+    });
+    assert_record_level(
+        &dir,
+        ValidationKind::MalformedRecord,
+        "network.tsv",
+        n_lines,
+        "segment record with 4 fields",
     );
 }
 
@@ -248,7 +335,8 @@ fn non_finite_photo_coordinates_are_rejected() {
     assert_record_level(
         &dir,
         ValidationKind::NonFiniteCoordinate,
-        2,
+        "photos.tsv",
+        1,
         "NaN/inf photo coordinates",
     );
 }
@@ -267,6 +355,7 @@ fn negative_poi_weight_is_rejected() {
     assert_record_level(
         &dir,
         ValidationKind::InvalidWeight,
+        "pois.tsv",
         1,
         "negative poi weight",
     );
@@ -286,20 +375,17 @@ fn oversized_keyword_ids_are_rejected() {
     assert_record_level(
         &dir,
         ValidationKind::KeywordOutOfRange,
-        1,
+        "pois.tsv",
+        2,
         "keyword id beyond vocab",
     );
 }
 
 #[test]
 fn dangling_segment_reference_is_rejected() {
+    // The last segment line references a node that does not exist.
+    let n_lines = pristine_lines("network.tsv");
     let dir = copy_of_pristine();
-    // The last segment line references a node that does not exist. Editing
-    // the last line cannot break any later segment's chain.
-    let n_lines = std::fs::read_to_string(dir.join("network.tsv"))
-        .unwrap()
-        .lines()
-        .count();
     edit_lines(&dir, "network.tsv", |i, line| {
         Some(if i == n_lines - 1 {
             let street = line.split('\t').next().unwrap().to_string();
@@ -311,18 +397,16 @@ fn dangling_segment_reference_is_rejected() {
     assert_record_level(
         &dir,
         ValidationKind::DanglingReference,
-        1,
+        "network.tsv",
+        n_lines,
         "dangling segment",
     );
 }
 
 #[test]
 fn zero_length_segment_is_rejected() {
+    let n_lines = pristine_lines("network.tsv");
     let dir = copy_of_pristine();
-    let n_lines = std::fs::read_to_string(dir.join("network.tsv"))
-        .unwrap()
-        .lines()
-        .count();
     edit_lines(&dir, "network.tsv", |i, line| {
         Some(if i == n_lines - 1 {
             let mut fields = line.split('\t');
@@ -336,53 +420,28 @@ fn zero_length_segment_is_rejected() {
     assert_record_level(
         &dir,
         ValidationKind::ZeroLengthSegment,
-        1,
+        "network.tsv",
+        n_lines,
         "zero-length segment",
     );
 }
 
 #[test]
-fn duplicate_vocab_terms_strict_rejects_lenient_preserves_ids() {
+fn duplicate_vocab_terms_are_rejected() {
+    // Keyword ids are positional: a duplicate term cannot be dropped
+    // without shifting every later id, so it aborts the load.
+    let n_lines = pristine_lines("vocab.tsv");
     let dir = copy_of_pristine();
     let vocab = std::fs::read_to_string(dir.join("vocab.tsv")).unwrap();
     let first = vocab.lines().next().unwrap().to_string();
     std::fs::write(dir.join("vocab.tsv"), format!("{vocab}{first}\n")).unwrap();
-
-    let err = load_strict(&dir)
-        .err()
-        .unwrap_or_else(|| panic!("duplicate vocab term accepted strictly"));
-    assert_eq!(
-        err.validation_kind(),
-        Some(ValidationKind::MalformedRecord),
-        "{err}"
+    assert_record_level(
+        &dir,
+        ValidationKind::MalformedRecord,
+        "vocab.tsv",
+        n_lines + 1,
+        "duplicate vocab term",
     );
-
-    // Lenient keeps the id space positional: the duplicate line still
-    // occupies an id (so POI/photo keyword ids stay valid), under a
-    // disambiguated placeholder term.
-    let pristine_len = load_strict(pristine()).unwrap().0.vocab.len();
-    let (dataset, report) = load_lenient(&dir).expect("lenient recovers from duplicate term");
-    assert_eq!(dataset.vocab.len(), pristine_len + 1);
-    assert_eq!(report.skipped(ValidationKind::MalformedRecord), 1);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn lenient_recovery_preserves_all_clean_records() {
-    // One bad record among many: the lenient load keeps everything else.
-    let pristine_pois = load_strict(pristine()).unwrap().0.pois.len();
-    let dir = copy_of_pristine();
-    edit_lines(&dir, "pois.tsv", |i, line| {
-        Some(if i == 3 {
-            "what is a coordinate\teven".into()
-        } else {
-            line.into()
-        })
-    });
-    let (dataset, report) = load_lenient(&dir).unwrap();
-    assert_eq!(dataset.pois.len(), pristine_pois - 1);
-    assert_eq!(report.total_skipped(), 1);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 // --- randomized damage: whatever the corruption, loading never panics ----
@@ -395,11 +454,10 @@ const DATASET_FILES: &[&str] = &[
     "photos.tsv",
 ];
 
-/// Loads under both modes, discarding results: reaching the end of this
-/// function (rather than unwinding) is the property under test.
-fn load_both_modes_must_not_panic(dir: &Path) {
-    let _ = load_strict(dir);
-    let _ = load_lenient(dir);
+/// Loads, discarding the result: reaching the end of this function (rather
+/// than unwinding) is the property under test.
+fn load_must_not_panic(dir: &Path) {
+    let _ = load(dir);
 }
 
 proptest! {
@@ -417,7 +475,7 @@ proptest! {
             bytes[i] = byte;
             std::fs::write(&path, bytes).unwrap();
         }
-        load_both_modes_must_not_panic(&dir);
+        load_must_not_panic(&dir);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -428,7 +486,7 @@ proptest! {
         let bytes = std::fs::read(&path).unwrap();
         let cut = (bytes.len() as f64 * keep) as usize;
         std::fs::write(&path, &bytes[..cut.min(bytes.len())]).unwrap();
-        load_both_modes_must_not_panic(&dir);
+        load_must_not_panic(&dir);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -445,7 +503,7 @@ proptest! {
             let out: String = lines.iter().map(|l| format!("{l}\n")).collect();
             std::fs::write(&path, out).unwrap();
         }
-        load_both_modes_must_not_panic(&dir);
+        load_must_not_panic(&dir);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -466,14 +524,14 @@ proptest! {
             let out: String = lines.iter().map(|l| format!("{l}\n")).collect();
             std::fs::write(&path, out).unwrap();
         }
-        load_both_modes_must_not_panic(&dir);
+        load_must_not_panic(&dir);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn loaded_lenient_datasets_are_always_queryable(file in 0usize..5, at in 0.0f64..1.0) {
-        // Beyond not panicking: whatever survives a lenient load must be a
-        // structurally sound dataset the query pipeline accepts.
+    fn loaded_datasets_are_always_queryable(file in 0usize..5, at in 0.0f64..1.0) {
+        // Beyond not panicking: every dataset that loads after the damage
+        // is structurally sound, and the query pipeline accepts it.
         let dir = copy_of_pristine();
         let path = dir.join(DATASET_FILES[file]);
         let text = std::fs::read_to_string(&path).unwrap();
@@ -484,7 +542,7 @@ proptest! {
             let out: String = lines.iter().map(|l| format!("{l}\n")).collect();
             std::fs::write(&path, out).unwrap();
         }
-        if let Ok((dataset, _)) = load_lenient(&dir) {
+        if let Ok(dataset) = load(&dir) {
             let index = soi_index::PoiIndex::build(&dataset.network, &dataset.pois, 0.001);
             let query = soi_core::soi::SoiQuery::new(
                 dataset.query_keywords(&["shop"]),
@@ -498,7 +556,7 @@ proptest! {
                 &index,
                 &query,
             );
-            prop_assert!(outcome.is_ok(), "lenient-loaded dataset rejected by run_soi");
+            prop_assert!(outcome.is_ok(), "loaded dataset rejected by run_soi");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
