@@ -3,7 +3,7 @@
 use crate::args::Args;
 use crate::{load, DEFAULT_EPS, POI_CELL};
 use soi_common::{Result, ResultExt, SoiError};
-use soi_index::{BundleParams, CacheMode, IndexCache};
+use soi_index::{BundleParams, IndexCache};
 use std::io::Write;
 
 pub(crate) fn run(args: &Args) -> Result<()> {
@@ -34,7 +34,7 @@ pub(crate) fn run(args: &Args) -> Result<()> {
     let path = match (args.get("out"), args.get("index-cache")) {
         (Some(out), _) => std::path::PathBuf::from(out),
         (None, Some(dir)) => {
-            let cache = IndexCache::new(dir, CacheMode::Lenient);
+            let cache = IndexCache::new(dir);
             std::fs::create_dir_all(cache.dir()).at_path(dir)?;
             cache.snapshot_path(&dataset, &params)
         }

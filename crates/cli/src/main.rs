@@ -36,7 +36,7 @@ use args::Args;
 use soi_common::{Result, ResultExt, SoiError};
 use soi_core::soi::{run_soi, SoiOutcome, SoiQuery};
 use soi_data::{Dataset, Photo};
-use soi_index::{BundleParams, CacheMode, IndexBundle, IndexCache, PoiIndex};
+use soi_index::{BundleParams, IndexBundle, IndexCache, PoiIndex};
 use soi_obs::log::{self, LogMode, Value};
 use soi_obs::names::spans;
 use soi_obs::trace;
@@ -151,9 +151,9 @@ const COMMANDS: &[Command] = &[
         span: "cli.query",
         run: query::run,
         positional: false,
-        options: "data keywords k eps algo index-cache index-cache-mode",
+        options: "data keywords k eps algo index-cache",
         help: "query     --data DIR --keywords w1,w2 [--k 10] [--eps 0.0005] [--algo soi|bl]\n\
-               \u{20}          [--index-cache DIR] [--index-cache-mode MODE]\n\
+               \u{20}          [--index-cache DIR]\n\
                \u{20}          Run a k-SOI query and print the ranked streets.",
     },
     Command {
@@ -161,10 +161,10 @@ const COMMANDS: &[Command] = &[
         span: "cli.explain",
         run: explain::run,
         positional: false,
-        options: "data keywords k eps describe photos rho json index-cache index-cache-mode",
+        options: "data keywords k eps describe photos rho json index-cache",
         help: "explain   --data DIR --keywords w1,w2 [--k 10] [--eps 0.0005] [--describe]\n\
                \u{20}          [--photos 5] [--rho 0.0001] [--json FILE]\n\
-               \u{20}          [--index-cache DIR] [--index-cache-mode MODE]\n\
+               \u{20}          [--index-cache DIR]\n\
                \u{20}          Run a k-SOI query with the explain collector and print\n\
                \u{20}          its bound-convergence table, pruning counters and memory\n\
                \u{20}          use; --describe adds Alg. 2's per-round cell-filter\n\
@@ -176,10 +176,10 @@ const COMMANDS: &[Command] = &[
         span: "cli.batch",
         run: batch::run,
         positional: true,
-        options: "queries data eps threads stats-json index-cache index-cache-mode",
+        options: "queries data eps threads stats-json index-cache",
         help: "batch     (FILE.tsv | --queries FILE.tsv) --data DIR [--threads N]\n\
                \u{20}          [--eps 0.0005] [--stats-json FILE]\n\
-               \u{20}          [--index-cache DIR] [--index-cache-mode MODE]\n\
+               \u{20}          [--index-cache DIR]\n\
                \u{20}          Run a file of k-SOI queries through the multi-threaded\n\
                \u{20}          engine (one query per line: keywords<TAB>k[<TAB>eps]);\n\
                \u{20}          --stats-json dumps engine telemetry (latency\n\
@@ -190,10 +190,10 @@ const COMMANDS: &[Command] = &[
         span: "cli.describe",
         run: describe::run,
         positional: false,
-        options: "data keywords street photos lambda w rho eps index-cache index-cache-mode",
+        options: "data keywords street photos lambda w rho eps index-cache",
         help: "describe  --data DIR --keywords w1,w2 [--photos 5] [--lambda 0.5] [--w 0.5]\n\
                \u{20}          [--rho 0.0001] [--eps 0.0005] [--street NAME]\n\
-               \u{20}          [--index-cache DIR] [--index-cache-mode MODE]\n\
+               \u{20}          [--index-cache DIR]\n\
                \u{20}          Select a diversified photo summary for the top street\n\
                \u{20}          (or a named street).",
     },
@@ -202,10 +202,10 @@ const COMMANDS: &[Command] = &[
         span: "cli.export",
         run: export::run,
         positional: false,
-        options: "data keywords k photos eps out index-cache index-cache-mode",
+        options: "data keywords k photos eps out index-cache",
         help: "export    --data DIR --keywords w1,w2 --out FILE.geojson [--k 10]\n\
                \u{20}          [--photos 5] [--eps 0.0005]\n\
-               \u{20}          [--index-cache DIR] [--index-cache-mode MODE]\n\
+               \u{20}          [--index-cache DIR]\n\
                \u{20}          Export the top-k streets (and a photo summary of the\n\
                \u{20}          winner) as GeoJSON for any web map.",
     },
@@ -239,14 +239,14 @@ const COMMANDS: &[Command] = &[
         run: serve::run,
         positional: false,
         options: "data addr threads io-threads queue deadline-ms max-deadline-ms eps rho \
-                  index-cache index-cache-mode trace-sample slow-query-ms ring-capacity \
+                  index-cache trace-sample slow-query-ms ring-capacity \
                   epoch-max-delta ingest-log stats-json batch-max",
         help: "serve     --data DIR [--addr 127.0.0.1:7878] [--threads N] [--io-threads 4]\n\
                \u{20}          [--queue 64] [--deadline-ms 250] [--max-deadline-ms 10000]\n\
                \u{20}          [--eps 0.0005] [--rho 0.0001]\n\
                \u{20}          [--trace-sample N] [--slow-query-ms MS] [--ring-capacity 256]\n\
                \u{20}          [--ingest-log FILE] [--epoch-max-delta 4096]\n\
-               \u{20}          [--stats-json FILE] [--index-cache DIR] [--index-cache-mode MODE]\n\
+               \u{20}          [--stats-json FILE] [--index-cache DIR]\n\
                \u{20}          Serve queries over HTTP (POST /soi|/describe|/ingest,\n\
                \u{20}          GET /metrics|/status|/debug/requests) with\n\
                \u{20}          admission control, per-request deadlines (anytime partial\n\
@@ -317,11 +317,11 @@ fn print_help() -> Result<()> {
     writeln!(
         out,
         "\nINDEX CACHE (query, explain, batch, describe, export, serve)\n\
-         --index-cache DIR        Load the index bundle from a versioned snapshot\n\
-         \u{20}                        in DIR (built and cached on first use; stale\n\
-         \u{20}                        snapshots rebuild transparently).\n\
-         --index-cache-mode MODE  lenient (default: corrupt snapshots rebuild) or\n\
-         \u{20}                        strict (corrupt snapshots fail, exit code 3).\n\n\
+         --index-cache DIR  Load the index bundle from a versioned snapshot in\n\
+         \u{20}                  DIR (built and cached on first use; a stale or\n\
+         \u{20}                  corrupt snapshot is rebuilt, rewritten and logged;\n\
+         \u{20}                  `soi check-artifacts --snapshot FILE` exits 3 on a\n\
+         \u{20}                  corrupt file).\n\n\
          OBSERVABILITY (any command)\n\
          --trace-out FILE   Record a Chrome trace_event JSON file of the run\n\
          \u{20}                  (open in chrome://tracing or ui.perfetto.dev).\n\
@@ -364,25 +364,22 @@ fn bundle_params(poi_cell: f64, threads: usize) -> BundleParams {
 
 /// Index acquisition shared by every query-path command: with
 /// `--index-cache DIR` the bundle is loaded from a versioned snapshot
-/// (built and persisted on a miss, transparently rebuilt when stale or —
-/// in the default lenient mode — corrupt); without it the structures are
-/// built fresh in memory as before. `poi_option` names where the POI cell
-/// size came from (`--eps`, or `default`), for a usage error to quote
-/// before anything is built. A bad `--index-cache-mode` is a usage error
-/// with or without a cache, as it is for `soi serve`.
+/// (built and persisted on a miss, rebuilt and rewritten when stale or
+/// corrupt); without it the structures are built fresh in memory.
+/// `poi_option` names where the POI cell size came from (`--eps`, or
+/// `default`), for a usage error to quote before anything is built.
 fn acquire_bundle(
     args: &Args,
     dataset: &Dataset,
     params: &BundleParams,
     poi_option: &str,
 ) -> Result<IndexBundle> {
-    let mode = cache_mode(args)?;
     params.check(dataset, [poi_option, "default"])?;
     let Some(dir) = args.get("index-cache") else {
         return Ok(soi_index::build_bundle(dataset, params));
     };
     let started = std::time::Instant::now();
-    let (bundle, outcome) = IndexCache::new(dir, mode).load_or_build(dataset, params)?;
+    let (bundle, outcome) = IndexCache::new(dir).load_or_build(dataset, params)?;
     log::event(
         "cli.index_cache",
         outcome.message(),
@@ -406,17 +403,6 @@ fn photo_tags<'d>(dataset: &'d Dataset, photo: &Photo) -> Vec<&'d str> {
         .iter()
         .filter_map(|t| dataset.vocab.term(t))
         .collect()
-}
-
-/// `--index-cache-mode`: lenient (the default) or strict.
-fn cache_mode(args: &Args) -> Result<CacheMode> {
-    match args.get("index-cache-mode").unwrap_or("lenient") {
-        "lenient" => Ok(CacheMode::Lenient),
-        "strict" => Ok(CacheMode::Strict),
-        other => Err(SoiError::invalid(format!(
-            "unknown --index-cache-mode {other:?} (expected lenient or strict)"
-        ))),
-    }
 }
 
 #[cfg(test)]

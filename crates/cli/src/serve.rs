@@ -1,16 +1,15 @@
 //! `soi serve`: the HTTP server, until SIGTERM.
 
 use crate::args::Args;
-use crate::{cache_mode, load, DEFAULT_EPS, DEFAULT_RHO};
+use crate::{load, DEFAULT_EPS, DEFAULT_RHO};
 use soi_common::{Result, ResultExt};
-use soi_index::CacheMode;
 use std::io::Write;
 
 pub(crate) fn run(args: &Args) -> Result<()> {
     use std::time::Duration;
     let dataset = load(args)?;
     let slow_query_ms: u64 = args.get_parsed("slow-query-ms", 0u64)?;
-    let mut config = soi_serve::ServeConfig {
+    let config = soi_serve::ServeConfig {
         addr: args.get("addr").unwrap_or("127.0.0.1:7878").to_string(),
         engine_threads: args.get_parsed("threads", 0usize)?,
         io_threads: args.get_parsed("io-threads", 4usize)?,
@@ -27,7 +26,6 @@ pub(crate) fn run(args: &Args) -> Result<()> {
         ingest_log: args.get("ingest-log").map(std::path::PathBuf::from),
         ..soi_serve::ServeConfig::default()
     };
-    config.index_cache_strict = cache_mode(args)? == CacheMode::Strict;
     soi_serve::signal::install_handlers();
     let report = soi_serve::serve(
         &dataset,

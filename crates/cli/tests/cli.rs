@@ -708,7 +708,7 @@ fn check_artifacts_rejects_garbage() {
 }
 
 #[test]
-fn corrupt_snapshot_strict_exits_3_lenient_rebuilds() {
+fn corrupt_snapshot_fails_check_artifacts_and_query_rebuilds_it() {
     let cache = std::env::temp_dir().join(format!("soi_cli_snapcache_{}", std::process::id()));
     let run = |extra: &[&str]| {
         let mut args = vec![
@@ -746,34 +746,41 @@ fn corrupt_snapshot_strict_exits_3_lenient_rebuilds() {
     bytes[last] ^= 0x01;
     std::fs::write(&snap, &bytes).unwrap();
 
-    // Strict mode refuses with the corrupt-data exit code, naming the file.
-    let strict = run(&["--index-cache-mode", "strict"]);
-    assert_eq!(code(&strict), 3, "{}", stderr(&strict));
+    // The offline check refuses it with the corrupt-data exit code, naming
+    // the file.
+    let check = soi(&["check-artifacts", "--snapshot", snap.to_str().unwrap()]);
+    assert_eq!(code(&check), 3, "{}", stderr(&check));
     assert!(
-        stderr(&strict).contains(".soisnap"),
+        stderr(&check).contains(".soisnap"),
         "error names the snapshot: {}",
-        stderr(&strict)
+        stderr(&check)
     );
 
-    // Lenient (default) mode rebuilds transparently: same results, and the
-    // rewritten snapshot hits on the next run.
-    let lenient = run(&[]);
-    assert!(lenient.status.success(), "{}", stderr(&lenient));
-    assert_eq!(stdout(&cold), stdout(&lenient));
+    // A query through the cache rebuilds it: same results, and the
+    // rewritten snapshot passes the check.
+    let rebuilt = run(&[]);
+    assert!(rebuilt.status.success(), "{}", stderr(&rebuilt));
+    assert_eq!(stdout(&cold), stdout(&rebuilt));
+    let check = soi(&["check-artifacts", "--snapshot", snap.to_str().unwrap()]);
+    assert!(check.status.success(), "{}", stderr(&check));
 
     std::fs::remove_dir_all(&cache).ok();
 }
 
+/// The snapshot cache has one policy, so no command takes a cache mode.
 #[test]
-fn a_bad_cache_mode_exits_2_without_a_cache_too() {
-    let bogus = ["--index-cache-mode", "bogus"];
+fn a_cache_mode_is_an_unknown_option() {
+    let mode = ["--index-cache-mode", "strict"];
     for command in [
         &["query", "--keywords", "shop"][..],
         &["explain", "--keywords", "shop"],
+        &["batch", "queries.tsv"],
         &["describe", "--keywords", "shop"],
+        &["export", "--keywords", "shop", "--out", "m.geojson"],
+        &["serve"],
     ] {
-        let args = [command, &bogus[..]].concat();
-        assert_usage_error(&args, &["--index-cache-mode", "bogus"]);
+        let args = [command, &mode[..]].concat();
+        assert_usage_error(&args, &["does not take --index-cache-mode"]);
     }
 }
 

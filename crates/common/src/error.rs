@@ -84,7 +84,7 @@ pub enum ValidationKind {
 
 impl ValidationKind {
     /// A short stable name (used in error messages and logs).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ValidationKind::NonFiniteCoordinate => "non-finite-coordinate",
             ValidationKind::InvalidWeight => "invalid-weight",
@@ -172,7 +172,7 @@ impl SoiError {
     }
 
     /// Convenience constructor for [`SoiError::Validation`]
-    /// (position unknown; attach it with [`SoiError::at_record`]).
+    /// (position unknown until the record reader attaches it).
     pub fn validation(kind: ValidationKind, message: impl Into<String>) -> Self {
         SoiError::Validation {
             kind,
@@ -275,7 +275,7 @@ impl SoiError {
     }
 
     /// Sets the record (line) number on a positional error that lacks one.
-    pub fn at_record(self, record_no: usize) -> Self {
+    pub(crate) fn at_record(self, record_no: usize) -> Self {
         match self {
             SoiError::Parse {
                 file,

@@ -27,12 +27,6 @@ impl OrderedF64 {
     pub fn get(self) -> f64 {
         self.0
     }
-
-    /// The zero score.
-    pub const ZERO: OrderedF64 = OrderedF64(0.0);
-
-    /// Positive infinity, used as the initial unseen upper bound.
-    pub const INFINITY: OrderedF64 = OrderedF64(f64::INFINITY);
 }
 
 impl Eq for OrderedF64 {}
@@ -81,17 +75,11 @@ mod tests {
             OrderedF64::new(3.0),
             OrderedF64::new(-1.0),
             OrderedF64::new(0.0),
-            OrderedF64::INFINITY,
+            OrderedF64::new(f64::INFINITY),
         ];
         v.sort();
         let raw: Vec<f64> = v.into_iter().map(OrderedF64::get).collect();
         assert_eq!(raw, vec![-1.0, 0.0, 3.0, f64::INFINITY]);
-    }
-
-    #[test]
-    fn zero_and_infinity_constants() {
-        assert_eq!(OrderedF64::ZERO.get(), 0.0);
-        assert!(OrderedF64::ZERO < OrderedF64::INFINITY);
     }
 
     #[test]

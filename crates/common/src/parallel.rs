@@ -16,7 +16,7 @@ use crossbeam::thread as cb;
 use std::cmp::Ordering;
 
 /// Upper bound on worker threads, a guard against absurd requests.
-pub const MAX_THREADS: usize = 256;
+pub(crate) const MAX_THREADS: usize = 256;
 
 /// Resolves the effective thread count.
 ///

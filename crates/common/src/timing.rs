@@ -13,40 +13,6 @@
 
 use std::time::{Duration, Instant};
 
-/// A simple restartable stopwatch.
-#[derive(Debug, Clone)]
-pub struct Stopwatch {
-    started: Instant,
-}
-
-impl Stopwatch {
-    /// Starts a new stopwatch.
-    pub fn start() -> Self {
-        Self {
-            started: Instant::now(),
-        }
-    }
-
-    /// Returns the elapsed time since start (or last restart).
-    pub fn elapsed(&self) -> Duration {
-        self.started.elapsed()
-    }
-
-    /// Restarts the stopwatch and returns the time elapsed before restart.
-    pub fn lap(&mut self) -> Duration {
-        let now = Instant::now();
-        let elapsed = now.duration_since(self.started);
-        self.started = now;
-        elapsed
-    }
-}
-
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Self::start()
-    }
-}
-
 /// Accumulates wall-clock durations under named phases.
 ///
 /// Phases are identified by `&'static str` labels; a phase may be entered
@@ -59,11 +25,6 @@ pub struct PhaseTimer {
 }
 
 impl PhaseTimer {
-    /// Creates an empty timer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Enters `phase`, closing any currently open phase first.
     pub fn enter(&mut self, phase: &'static str) {
         self.finish_current();
@@ -116,18 +77,8 @@ mod tests {
     use std::thread::sleep;
 
     #[test]
-    fn stopwatch_measures_time() {
-        let mut sw = Stopwatch::start();
-        sleep(Duration::from_millis(5));
-        let lap = sw.lap();
-        assert!(lap >= Duration::from_millis(4));
-        // After lap the stopwatch restarts.
-        assert!(sw.elapsed() < lap + Duration::from_millis(50));
-    }
-
-    #[test]
     fn phase_timer_accumulates_and_preserves_order() {
-        let mut t = PhaseTimer::new();
+        let mut t = PhaseTimer::default();
         t.enter("build");
         sleep(Duration::from_millis(2));
         t.enter("filter");
@@ -146,7 +97,7 @@ mod tests {
 
     #[test]
     fn entering_new_phase_closes_previous() {
-        let mut t = PhaseTimer::new();
+        let mut t = PhaseTimer::default();
         t.enter("a");
         t.enter("b");
         t.stop();
@@ -155,7 +106,7 @@ mod tests {
 
     #[test]
     fn stop_without_enter_is_noop() {
-        let mut t = PhaseTimer::new();
+        let mut t = PhaseTimer::default();
         t.stop();
         assert!(t.phases().is_empty());
         assert_eq!(t.total(), Duration::ZERO);

@@ -27,7 +27,7 @@ impl<I: Ord> ScoredItem<I> {
     }
 
     /// Ranking comparison: higher score first, then smaller id.
-    pub fn rank_cmp(&self, other: &Self) -> Ordering {
+    pub(crate) fn rank_cmp(&self, other: &Self) -> Ordering {
         other
             .score
             .cmp(&self.score)

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 /// A power of two so the modulo folds to a mask; small enough that a
 /// deadline overrun is bounded by a few accesses' work (microseconds),
 /// large enough that `Instant::now` never shows up in a profile.
-pub const BUDGET_CHECK_EVERY: usize = 16;
+pub(crate) const BUDGET_CHECK_EVERY: usize = 16;
 
 /// A wall-clock execution budget for one query.
 ///
@@ -52,14 +52,9 @@ impl QueryBudget {
         }
     }
 
-    /// The absolute deadline, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
     /// Whether the deadline has passed. Unlimited budgets never expire.
     #[inline]
-    pub fn expired(&self) -> bool {
+    pub(crate) fn expired(&self) -> bool {
         match self.deadline {
             None => false,
             Some(d) => Instant::now() >= d,
@@ -81,7 +76,6 @@ mod tests {
     #[test]
     fn unlimited_never_expires() {
         let b = QueryBudget::unlimited();
-        assert_eq!(b.deadline(), None);
         assert!(!b.expired());
         assert_eq!(b.remaining(), None);
         assert_eq!(b, QueryBudget::default());
@@ -90,7 +84,6 @@ mod tests {
     #[test]
     fn past_deadline_is_expired() {
         let b = QueryBudget::with_deadline(Instant::now() - Duration::from_secs(1));
-        assert!(b.deadline().is_some());
         assert!(b.expired());
         assert_eq!(b.remaining(), Some(Duration::ZERO));
     }

@@ -313,7 +313,7 @@ mod tests {
                             lo <= exact && exact <= hi,
                             "rel bound violated: rho={} w={w} cell={id:?} r={r} \
                              lo={lo} exact={exact} hi={hi}",
-                            ctx.rho
+                            2.0 * ctx.index.grid().cell_size()
                         );
                     }
                 }

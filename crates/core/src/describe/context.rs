@@ -34,7 +34,7 @@ pub enum PhiSource {
 
 impl PhiSource {
     /// Name used in error messages.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             PhiSource::Photos => "photos",
             PhiSource::Pois => "pois",
@@ -56,16 +56,15 @@ impl PhiSource {
 #[derive(Debug)]
 pub struct StreetContext {
     /// The street being described.
-    pub street: StreetId,
+    pub(crate) street: StreetId,
     /// `Rs`: photos within ε of the street, ascending by id.
     pub members: Vec<PhotoId>,
     /// The street keyword frequency vector `Φs`.
-    pub phi: FreqVector,
+    pub(crate) phi: FreqVector,
     /// `maxD(s)`: the diagonal of the street MBR expanded by ε.
-    pub max_d: f64,
-    /// The neighbourhood radius ρ of Definition 4.
-    pub rho: f64,
-    /// The per-street grid index (cell side ρ/2).
+    pub(crate) max_d: f64,
+    /// The per-street grid index (cell side ρ/2, for the neighbourhood
+    /// radius ρ of Definition 4).
     pub index: DiversificationIndex,
     /// Per member slot of `index`: its photo's Def. 4 spatial and Def. 6
     /// textual relevance.
@@ -94,7 +93,6 @@ impl StreetContext {
             members,
             phi,
             max_d,
-            rho,
             index,
             member_rel: Vec::new(),
             cell_rel: Vec::new(),
@@ -106,7 +104,8 @@ impl StreetContext {
 
     /// Heap bytes the context holds: `Rs`, `Φs`, the index's columns and
     /// the relevance columns.
-    pub fn heap_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.members.capacity() * std::mem::size_of::<PhotoId>()
             + self.phi.heap_bytes()
             + self.index.heap_bytes()
@@ -415,7 +414,8 @@ impl StreetContexts {
 
     /// Heap bytes of the table: its slots and every context it holds
     /// (a context carried across epochs counts in each table holding it).
-    pub fn heap_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
         let built = self.slots.iter().filter_map(|slot| slot.context.get());
         std::mem::size_of_val(&*self.slots)
             + built
@@ -653,7 +653,9 @@ pub(crate) mod tests {
             }
         };
         let cell_of = |id: PhotoId| grid.cell_containing(photos.get(id).pos);
-        let rho_sq = ctx.rho * ctx.rho;
+        // The cell side is ρ/2, and doubling it is exact.
+        let rho = 2.0 * grid.cell_size();
+        let rho_sq = rho * rho;
         let bits = |v: [f64; 4]| v.map(f64::to_bits);
         let pair_bits = |(a, b): (f64, f64)| (a.to_bits(), b.to_bits());
         let mut indexed = 0;

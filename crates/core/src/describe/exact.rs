@@ -12,7 +12,7 @@ use soi_common::{PhotoId, Result, SoiError};
 use soi_data::PhotoView;
 
 /// Hard cap on `|Rs|` for exhaustive search.
-pub const MAX_EXACT_MEMBERS: usize = 20;
+pub(crate) const MAX_EXACT_MEMBERS: usize = 20;
 
 /// Finds the subset of size `min(k, |Rs|)` maximising the objective `F`.
 ///
@@ -20,7 +20,7 @@ pub const MAX_EXACT_MEMBERS: usize = 20;
 /// the optimal subset (ascending ids) and its objective value.
 ///
 /// # Errors
-/// Refuses inputs with more than [`MAX_EXACT_MEMBERS`] member photos.
+/// Refuses inputs with more than `MAX_EXACT_MEMBERS` (20) member photos.
 pub fn exact_select<'a>(
     ctx: &StreetContext,
     photos: impl Into<PhotoView<'a>>,

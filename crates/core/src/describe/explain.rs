@@ -30,7 +30,7 @@ pub struct DescribeRound {
     /// Exact `mmr` evaluations this round.
     pub photos_scored: usize,
     /// The filtering threshold `max_c Bmin(c)` of the round.
-    pub mmr_min: f64,
+    pub(crate) mmr_min: f64,
     /// The winning exact `mmr` value (`None` when no candidate remained).
     pub best_mmr: Option<f64>,
     /// The photo selected this round (`None` when the loop stopped early).

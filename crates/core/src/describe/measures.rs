@@ -37,14 +37,24 @@ impl Picked {
 /// Defined for the photos of `Rs`, which is what every selection scores: a
 /// photo the street's index does not hold (not a member, or one with a
 /// non-finite position) has relevance 0.
-pub fn spatial_rel<'a>(ctx: &StreetContext, photos: impl Into<PhotoView<'a>>, r: PhotoId) -> f64 {
+#[cfg(test)]
+pub(crate) fn spatial_rel<'a>(
+    ctx: &StreetContext,
+    photos: impl Into<PhotoView<'a>>,
+    r: PhotoId,
+) -> f64 {
     relevance(ctx, photos.into(), r).0
 }
 
 /// Textual relevance (Definition 6): `Σ_{ψ∈Ψr} Φs(ψ) / ‖Φs‖₁`.
 ///
 /// Returns 0 when `Φs` is all-zero.
-pub fn textual_rel<'a>(ctx: &StreetContext, photos: impl Into<PhotoView<'a>>, r: PhotoId) -> f64 {
+#[cfg(test)]
+pub(crate) fn textual_rel<'a>(
+    ctx: &StreetContext,
+    photos: impl Into<PhotoView<'a>>,
+    r: PhotoId,
+) -> f64 {
     relevance(ctx, photos.into(), r).1
 }
 
@@ -87,7 +97,7 @@ pub(crate) fn member_relevance(ctx: &StreetContext, photos: PhotoView<'_>) -> Ve
 /// Spatial diversity (Definition 5): `dist(r, r′) / maxD(s)`.
 ///
 /// Returns 0 when `maxD(s)` is 0 (degenerate street).
-pub fn spatial_div<'a>(
+pub(crate) fn spatial_div<'a>(
     ctx: &StreetContext,
     photos: impl Into<PhotoView<'a>>,
     r: PhotoId,
@@ -101,14 +111,19 @@ pub fn spatial_div<'a>(
 }
 
 /// Textual diversity (Definition 7): the Jaccard distance of the tag sets.
-pub fn textual_div<'a>(photos: impl Into<PhotoView<'a>>, r: PhotoId, r2: PhotoId) -> f64 {
+pub(crate) fn textual_div<'a>(photos: impl Into<PhotoView<'a>>, r: PhotoId, r2: PhotoId) -> f64 {
     let photos: PhotoView<'a> = photos.into();
     photos.get(r).tags.jaccard_distance(&photos.get(r2).tags)
 }
 
 /// Combined per-photo relevance: `w·spatial_rel + (1−w)·textual_rel`
 /// (the per-item summand of Eq. 4).
-pub fn rel<'a>(ctx: &StreetContext, photos: impl Into<PhotoView<'a>>, w: f64, r: PhotoId) -> f64 {
+pub(crate) fn rel<'a>(
+    ctx: &StreetContext,
+    photos: impl Into<PhotoView<'a>>,
+    w: f64,
+    r: PhotoId,
+) -> f64 {
     let (spatial, textual) = relevance(ctx, photos.into(), r);
     w * spatial + (1.0 - w) * textual
 }
@@ -122,7 +137,7 @@ pub(crate) fn rel_at(ctx: &StreetContext, w: f64, member: usize) -> f64 {
 
 /// Combined pairwise diversity: `w·spatial_div + (1−w)·textual_div`
 /// (the per-pair summand of Eq. 5).
-pub fn div<'a>(
+pub(crate) fn div<'a>(
     ctx: &StreetContext,
     photos: impl Into<PhotoView<'a>>,
     w: f64,

@@ -6,16 +6,16 @@
 //! (`mmr`, Eq. 10). [`greedy_select`] is the naive greedy (the paper's BL);
 //! [`st_rel_div()`](st_rel_div()) is Algorithm 2, which prunes with per-cell bounds.
 
-pub mod bounds;
-pub mod context;
-pub mod exact;
-pub mod explain;
-pub mod greedy;
-pub mod measures;
+mod bounds;
+mod context;
+mod exact;
+mod explain;
+mod greedy;
+mod measures;
 pub mod objective;
 pub mod st_rel_div;
-pub mod tradeoff;
-pub mod variants;
+mod tradeoff;
+mod variants;
 
 pub use bounds::{cell_div_bounds, cell_mmr_bounds, cell_rel_bounds};
 pub use context::{ContextBuilder, PhiSource, StreetContext, StreetContexts};
@@ -59,7 +59,7 @@ impl DescribeParams {
     ///
     /// # Errors
     /// Rejects `k = 0` and λ or w outside `[0, 1]`.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.k == 0 {
             return Err(SoiError::invalid("k must be at least 1"));
         }
@@ -84,7 +84,7 @@ impl DescribeParams {
 pub struct DescribeStats {
     /// Phase timings (`filtering` / `refinement` per greedy step are
     /// accumulated across iterations).
-    pub timer: PhaseTimer,
+    pub(crate) timer: PhaseTimer,
     /// Exact `mmr` evaluations performed.
     pub photos_evaluated: usize,
     /// Cells discarded by the filtering phase (Bmax < max Bmin).

@@ -91,7 +91,7 @@ impl std::fmt::Debug for DescribeScratch {
 ///
 /// # Errors
 /// Returns [`SoiError::InvalidInput`] when `params` violates its invariants
-/// (`k = 0`, λ or w outside `[0, 1]`; see [`DescribeParams::validate`]) or
+/// (`k = 0`, λ or w outside `[0, 1]`; see `DescribeParams::validate`) or
 /// when `ctx` references photo ids outside `photos`.
 pub fn st_rel_div<'a>(
     ctx: &StreetContext,

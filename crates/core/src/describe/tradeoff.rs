@@ -18,7 +18,7 @@ use soi_data::PhotoView;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TradeoffPoint {
     /// The λ used for selection.
-    pub lambda: f64,
+    pub(crate) lambda: f64,
     /// The selection's set relevance (Eq. 4).
     pub relevance: f64,
     /// The selection's set diversity (Eq. 5).

@@ -23,11 +23,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // Library code must surface failures as `SoiError`, never panic: unwrap and
 // expect are compile errors outside of test code.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod budget;
+mod budget;
 pub mod describe;
 pub mod obs;
 pub mod soi;

@@ -16,25 +16,25 @@ use soi_obs::metrics::{
 use std::sync::OnceLock;
 
 /// Global instruments fed by k-SOI query evaluations.
-pub struct SoiMetrics {
+pub(crate) struct SoiMetrics {
     /// `soi_queries_total`: k-SOI queries evaluated.
-    pub queries: &'static Counter,
+    pub(crate) queries: &'static Counter,
     /// `soi_query_latency_seconds`: end-to-end `run_soi` latency.
-    pub latency: &'static Histogram,
+    pub(crate) latency: &'static Histogram,
     /// `soi_cell_visits_total`: effective `UpdateInterest` executions.
-    pub cell_visits: &'static Counter,
+    pub(crate) cell_visits: &'static Counter,
     /// `soi_segments_bounded_out_total`: segments dismissed by bounds
     /// without distance work.
-    pub segments_bounded_out: &'static Counter,
+    pub(crate) segments_bounded_out: &'static Counter,
     /// `soi_source_accesses_total`: total source-list accesses.
-    pub accesses: &'static Counter,
+    pub(crate) accesses: &'static Counter,
     /// `soi_queries_partial_total`: queries whose deadline expired before
     /// the bounds converged (anytime partial results returned).
-    pub partials: &'static Counter,
+    pub(crate) partials: &'static Counter,
 }
 
 /// The SOI instruments (registered on first use).
-pub fn soi_metrics() -> &'static SoiMetrics {
+pub(crate) fn soi_metrics() -> &'static SoiMetrics {
     static METRICS: OnceLock<SoiMetrics> = OnceLock::new();
     METRICS.get_or_init(|| SoiMetrics {
         queries: register_counter("soi_queries_total", "k-SOI queries evaluated"),
@@ -60,7 +60,7 @@ pub fn soi_metrics() -> &'static SoiMetrics {
 }
 
 /// Folds one finished query's counters into the global SOI instruments.
-pub fn absorb_query_stats(stats: &QueryStats) {
+pub(crate) fn absorb_query_stats(stats: &QueryStats) {
     let m = soi_metrics();
     m.queries.inc();
     m.latency.observe_duration(stats.total_time());
@@ -74,27 +74,27 @@ pub fn absorb_query_stats(stats: &QueryStats) {
 }
 
 /// Global instruments fed by description (ST_Rel+Div) queries.
-pub struct DescribeMetrics {
+pub(crate) struct DescribeMetrics {
     /// `soi_describe_queries_total`: description queries evaluated.
-    pub queries: &'static Counter,
+    pub(crate) queries: &'static Counter,
     /// `soi_describe_latency_seconds`: end-to-end `st_rel_div` latency.
-    pub latency: &'static Histogram,
+    pub(crate) latency: &'static Histogram,
     /// `soi_describe_photos_evaluated_total`: exact `mmr` evaluations.
-    pub photos_evaluated: &'static Counter,
+    pub(crate) photos_evaluated: &'static Counter,
     /// `soi_describe_cells_pruned_total`: cells discarded by the
     /// filtering-phase bounds (Alg. 2).
-    pub cells_pruned_filtering: &'static Counter,
+    pub(crate) cells_pruned_filtering: &'static Counter,
     /// `soi_describe_cells_skipped_total`: cells skipped in refinement.
-    pub cells_pruned_refinement: &'static Counter,
+    pub(crate) cells_pruned_refinement: &'static Counter,
     /// `soi_describe_cells_refined_total`: cells whose photos were refined.
-    pub cells_refined: &'static Counter,
+    pub(crate) cells_refined: &'static Counter,
     /// `soi_describe_queries_partial_total`: describe queries whose deadline
     /// expired mid-selection (anytime partial summaries returned).
-    pub partials: &'static Counter,
+    pub(crate) partials: &'static Counter,
 }
 
 /// The describe instruments (registered on first use).
-pub fn describe_metrics() -> &'static DescribeMetrics {
+pub(crate) fn describe_metrics() -> &'static DescribeMetrics {
     static METRICS: OnceLock<DescribeMetrics> = OnceLock::new();
     METRICS.get_or_init(|| DescribeMetrics {
         queries: register_counter(
@@ -130,7 +130,7 @@ pub fn describe_metrics() -> &'static DescribeMetrics {
 }
 
 /// Folds one finished description query into the global instruments.
-pub fn absorb_describe_stats(stats: &DescribeStats) {
+pub(crate) fn absorb_describe_stats(stats: &DescribeStats) {
     let m = describe_metrics();
     m.queries.inc();
     m.latency.observe_duration(stats.timer.total());

@@ -60,16 +60,16 @@ const UNREACHED: f64 = -1.0;
 
 /// What the access handlers read and never change.
 pub(super) struct Inputs<'a> {
-    pub network: &'a RoadNetwork,
-    pub pois: PoiView<'a>,
-    pub index: IndexView<'a>,
-    pub query: &'a SoiQuery,
+    pub(crate) network: &'a RoadNetwork,
+    pub(crate) pois: PoiView<'a>,
+    pub(crate) index: IndexView<'a>,
+    pub(crate) query: &'a SoiQuery,
     /// relcount(c) per grid cell: an upper bound on the relevant weight the
     /// cell can contribute to any segment's mass ([`UNREACHED`] where no
     /// query keyword occurs).
-    pub relcount: &'a [f64],
+    pub(crate) relcount: &'a [f64],
     /// The cells with a `relcount` entry, first-reached order.
-    pub reached: &'a [CellId],
+    pub(crate) reached: &'a [CellId],
 }
 
 impl Inputs<'_> {
@@ -77,7 +77,7 @@ impl Inputs<'_> {
     /// (Procedure UpdateInterest): which POIs of the cell are relevant, and
     /// where they are, is gathered on the query's first visit to the cell;
     /// every visit then distance-tests the gathered run against its segment.
-    pub fn cell_mass(&self, gathered: &mut Gathered, cell: CellId, geom: &LineSeg) -> f64 {
+    pub(crate) fn cell_mass(&self, gathered: &mut Gathered, cell: CellId, geom: &LineSeg) -> f64 {
         let q = self.query;
         let Gathered {
             range,
@@ -162,7 +162,7 @@ impl Streets {
     }
 
     /// Raises `street`'s lower bound to `int_lower` if it improves.
-    pub fn raise(&mut self, street: StreetId, int_lower: f64) {
+    pub(crate) fn raise(&mut self, street: StreetId, int_lower: f64) {
         let entry = &mut self.best[street.index()];
         if int_lower > *entry {
             let old = (*entry > f64::NEG_INFINITY).then_some(*entry);
@@ -175,7 +175,7 @@ impl Streets {
     }
 
     /// `LBk`: the k-th best street bound, 0.0 while fewer than k have one.
-    pub fn lbk(&self) -> f64 {
+    pub(crate) fn lbk(&self) -> f64 {
         self.lbk.threshold()
     }
 }
@@ -183,11 +183,11 @@ impl Streets {
 /// The query state both access orders fill and the rank phase reads.
 #[derive(Default)]
 pub(super) struct Shared {
-    pub gathered: Gathered,
-    pub streets: Streets,
+    pub(crate) gathered: Gathered,
+    pub(crate) streets: Streets,
     /// Every seen segment with its mass once filtering ends — exact, or a
     /// lower bound where the deadline expired.
-    pub masses: Vec<(SegmentId, f64)>,
+    pub(crate) masses: Vec<(SegmentId, f64)>,
 }
 
 /// The filtering phase, under either access order. Each `turn` returns the
@@ -243,8 +243,8 @@ pub(super) fn access_loop(
 /// entry's scratch embeds one.
 #[derive(Default)]
 pub(super) struct Tables {
-    pub relcount: Vec<f64>,
-    pub reached: Vec<CellId>,
+    pub(crate) relcount: Vec<f64>,
+    pub(crate) reached: Vec<CellId>,
     shared: Shared,
     /// Rank phase — per street: 1 + its index in `best`, 0 if none.
     street_slot: Vec<u32>,
@@ -254,7 +254,7 @@ pub(super) struct Tables {
 impl Tables {
     /// Construction's query-wide table: `relcount` over the cells a query
     /// keyword reaches (listed in `reached`).
-    pub fn fill_relcount(&mut self, index: IndexView<'_>, query: &SoiQuery) {
+    pub(crate) fn fill_relcount(&mut self, index: IndexView<'_>, query: &SoiQuery) {
         // relcount(c) sums the query keywords' global postings in keyword
         // order, capped by the cell's total weight.
         let (relcount, reached) = (&mut self.relcount, &mut self.reached);
@@ -425,7 +425,7 @@ impl std::fmt::Debug for SoiScratch {
 /// # Errors
 /// Returns [`SoiError::InvalidInput`](soi_common::SoiError::InvalidInput)
 /// when the query violates its invariants (`k = 0`, non-positive or
-/// non-finite ε) — see [`SoiQuery::validate`].
+/// non-finite ε) — see `SoiQuery::validate`.
 pub fn run_soi<'a>(
     network: &RoadNetwork,
     pois: impl Into<PoiView<'a>>,
@@ -477,7 +477,7 @@ pub fn run_soi_with_scratch<'a>(
 /// `Option`.
 ///
 /// `budget` gives anytime semantics. The deadline is checked every
-/// [`BUDGET_CHECK_EVERY`] source-list accesses. On expiry the run stops
+/// `BUDGET_CHECK_EVERY` (16) source-list accesses. On expiry the run stops
 /// accessing, skips refinement, and returns the *current* lower-bound
 /// top-k with [`partial`](SoiOutcome::partial) set: every returned
 /// street's interest is a valid lower bound of its true interest and is at

@@ -20,7 +20,7 @@ use crate::soi::stats::QueryStats;
 use soi_obs::json::JsonWriter;
 
 /// Default row capacity of a collector (see [`SoiExplain::with_max_rows`]).
-pub const DEFAULT_MAX_ROWS: usize = 1024;
+pub(crate) const DEFAULT_MAX_ROWS: usize = 1024;
 
 /// One recorded turn of the access loop: the bounds it was taken under.
 /// The termination row repeats the last access's number, with the bounds
@@ -84,7 +84,7 @@ impl Default for SoiExplain {
 impl SoiExplain {
     /// A collector keeping at most `max_rows` trajectory rows (≥ 2: the
     /// first access and the termination row are always kept).
-    pub fn with_max_rows(max_rows: usize) -> Self {
+    pub(crate) fn with_max_rows(max_rows: usize) -> Self {
         Self {
             rows: Vec::new(),
             k: 0,

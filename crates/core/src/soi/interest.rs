@@ -28,7 +28,7 @@ impl StreetAggregate {
     /// Aggregates the interests of a street's segments.
     ///
     /// Returns 0 for an empty street.
-    pub fn aggregate(self, interests: &[f64]) -> f64 {
+    pub(crate) fn aggregate(self, interests: &[f64]) -> f64 {
         match self {
             StreetAggregate::Max => interests.iter().copied().fold(0.0, f64::max),
         }

@@ -24,7 +24,7 @@ pub(crate) struct KBest {
 
 impl KBest {
     /// Forgets every street and tracks the `k` best from here on.
-    pub fn reset(&mut self, k: usize) {
+    pub(crate) fn reset(&mut self, k: usize) {
         debug_assert!(k >= 1, "k must be at least 1");
         self.k = k;
         self.best.clear();
@@ -33,7 +33,7 @@ impl KBest {
     /// Raises `street`'s bound from `old` (`None`: it had none) to `new`.
     /// `old` must be what the last call for `street` passed as `new`, and
     /// `new` must exceed it.
-    pub fn raise(&mut self, street: StreetId, old: Option<f64>, new: f64) {
+    pub(crate) fn raise(&mut self, street: StreetId, old: Option<f64>, new: f64) {
         debug_assert!(old.is_none_or(|old| old < new), "bounds only rise");
         let entry = (OrderedF64::new(new), street);
         let below = |list: &[Entry], e: &Entry| list.partition_point(|x| x < e);
@@ -61,7 +61,7 @@ impl KBest {
 
     /// The k-th largest bound, or 0.0 while fewer than k streets have one.
     /// (Which of two streets with equal bounds is kept does not change it.)
-    pub fn threshold(&self) -> f64 {
+    pub(crate) fn threshold(&self) -> f64 {
         if self.best.len() < self.k {
             0.0
         } else {

@@ -2,14 +2,14 @@
 //! reference entries the tests hold it to: the paper's Alg. 1 as stated
 //! ([`paper::run_soi_paper`]), the baseline BL and brute force.
 
-pub mod algorithm;
-pub mod baseline;
+mod algorithm;
+mod baseline;
 mod bound;
-pub mod explain;
-pub mod interest;
+mod explain;
+mod interest;
 mod lbk;
 pub mod paper;
-pub mod query;
+mod query;
 mod ranked;
 pub mod stats;
 

@@ -34,7 +34,7 @@ impl SoiQuery {
     ///
     /// # Errors
     /// Rejects `k = 0` and non-positive or non-finite ε.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.k == 0 {
             return Err(SoiError::invalid("k must be at least 1"));
         }

@@ -30,7 +30,7 @@ impl<I: Copy + From<u32> + Into<u32>> Ranked<I> {
     /// The entry of `id` ranked by `score`, which is non-negative (SL1: a
     /// cell's relevant weight; SL2: a run's bound `B(T)` and a segment's
     /// `b(ℓ)`, or a segment's `|Cε(ℓ)|` bound with paper bounds).
-    pub fn new(score: f64, id: I) -> Self {
+    pub(crate) fn new(score: f64, id: I) -> Self {
         debug_assert!(score >= 0.0, "negative score {score}");
         // The nearest f32 (saturating to ∞), one step up if that is below.
         let mut up = score as f32;
@@ -44,11 +44,11 @@ impl<I: Copy + From<u32> + Into<u32>> Ranked<I> {
     }
 
     /// The least `f32` at or above the score the entry was made with.
-    pub fn score(self) -> f64 {
+    pub(crate) fn score(self) -> f64 {
         f64::from(f32::from_bits((self.key >> 32) as u32))
     }
 
-    pub fn id(self) -> I {
+    pub(crate) fn id(self) -> I {
         I::from(!(self.key as u32))
     }
 }
@@ -74,7 +74,7 @@ impl<I> Default for RankedList<I> {
 
 impl<I: Copy + From<u32> + Into<u32>> RankedList<I> {
     /// Lists `entries` instead, keeping the capacity.
-    pub fn refill(&mut self, entries: impl IntoIterator<Item = Ranked<I>>) {
+    pub(crate) fn refill(&mut self, entries: impl IntoIterator<Item = Ranked<I>>) {
         self.entries.clear();
         self.entries.extend(entries);
         self.entries.sort_unstable_by_key(|e| Reverse(e.key));
@@ -82,12 +82,12 @@ impl<I: Copy + From<u32> + Into<u32>> RankedList<I> {
     }
 
     /// The first entry not yet popped.
-    pub fn peek(&self) -> Option<Ranked<I>> {
+    pub(crate) fn peek(&self) -> Option<Ranked<I>> {
         self.entries.get(self.head).copied()
     }
 
     /// Takes the first entry not yet popped.
-    pub fn pop(&mut self) -> Option<Ranked<I>> {
+    pub(crate) fn pop(&mut self) -> Option<Ranked<I>> {
         let first = self.peek()?;
         self.head += 1;
         Some(first)
@@ -132,7 +132,7 @@ where
     /// Lists `groups` instead, keeping the capacity. Room for `capacity`
     /// members is reserved, so no read below that many reallocates
     /// (reserved is address space, touched only as far as it is filled).
-    pub fn refill(&mut self, groups: impl IntoIterator<Item = Ranked<G>>, capacity: usize) {
+    pub(crate) fn refill(&mut self, groups: impl IntoIterator<Item = Ranked<G>>, capacity: usize) {
         self.groups.clear();
         self.groups.extend(groups.into_iter().map(|g| g.key));
         self.listed = self.groups.len();
@@ -141,12 +141,12 @@ where
     }
 
     /// Groups listed, expanded or not.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.listed
     }
 
     /// The first member not yet popped. `expand` gives a group's members.
-    pub fn peek<M>(&mut self, expand: impl Fn(G) -> M) -> Option<Ranked<I>>
+    pub(crate) fn peek<M>(&mut self, expand: impl Fn(G) -> M) -> Option<Ranked<I>>
     where
         M: IntoIterator<Item = Ranked<I>>,
     {
@@ -173,7 +173,7 @@ where
     }
 
     /// Takes the first member not yet popped.
-    pub fn pop<M>(&mut self, expand: impl Fn(G) -> M) -> Option<Ranked<I>>
+    pub(crate) fn pop<M>(&mut self, expand: impl Fn(G) -> M) -> Option<Ranked<I>>
     where
         M: IntoIterator<Item = Ranked<I>>,
     {

@@ -66,7 +66,7 @@ pub struct QueryStats {
 
 impl QueryStats {
     /// Total measured wall-clock time across phases.
-    pub fn total_time(&self) -> Duration {
+    pub(crate) fn total_time(&self) -> Duration {
         self.timer.total()
     }
 

@@ -2,7 +2,6 @@
 
 use crate::photo::PhotoCollection;
 use crate::poi::PoiCollection;
-use soi_geo::Rect;
 use soi_network::RoadNetwork;
 use soi_text::{KeywordSet, Vocabulary};
 
@@ -42,24 +41,6 @@ impl Dataset {
             pois,
             photos,
         }
-    }
-
-    /// Bounding rectangle of everything in the dataset (network, POIs,
-    /// photos). `None` only if the dataset is completely empty.
-    pub fn extent(&self) -> Option<Rect> {
-        let mut rect: Option<Rect> = None;
-        let mut merge = |r: Option<Rect>| {
-            if let Some(r) = r {
-                rect = Some(match rect {
-                    Some(acc) => acc.union(&r),
-                    None => r,
-                });
-            }
-        };
-        merge(self.network.extent());
-        merge(self.pois.extent());
-        merge(self.photos.extent());
-        rect
     }
 
     /// Resolves query words to a [`KeywordSet`] against the vocabulary.
@@ -108,15 +89,6 @@ mod tests {
         let mut photos = PhotoCollection::new();
         photos.add(Point::new(5.0, 5.0), KeywordSet::from_ids([shop]));
         Dataset::new("tiny", network, vocab, pois, photos)
-    }
-
-    #[test]
-    fn extent_unions_all_sources() {
-        let d = tiny();
-        let e = d.extent().unwrap();
-        assert_eq!(e.min, Point::new(0.0, 0.0));
-        // Photo at (5,5) extends the extent beyond the network.
-        assert_eq!(e.max, Point::new(5.0, 5.0));
     }
 
     #[test]

@@ -8,15 +8,16 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // Library code must surface failures as `SoiError`, never panic: unwrap and
 // expect are compile errors outside of test code.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod dataset;
+mod dataset;
 pub mod io;
-pub mod photo;
-pub mod poi;
-pub mod view;
+mod photo;
+mod poi;
+mod view;
 
 pub use dataset::Dataset;
 pub use photo::{Photo, PhotoCollection};

@@ -29,16 +29,6 @@ impl<'a> PoiView<'a> {
         Self { base, added }
     }
 
-    /// The base collection.
-    pub fn base(&self) -> &'a PoiCollection {
-        self.base
-    }
-
-    /// The delta-added rows (ids continue the base numbering).
-    pub fn added(&self) -> &'a [Poi] {
-        self.added
-    }
-
     /// The POI with id `id` (base or delta-added).
     #[inline]
     pub fn get(&self, id: PoiId) -> &'a Poi {
@@ -84,16 +74,6 @@ impl<'a> PhotoView<'a> {
     pub fn new(base: &'a PhotoCollection, added: &'a [Photo]) -> Self {
         debug_assert!(added.first().is_none_or(|p| p.id.index() == base.len()));
         Self { base, added }
-    }
-
-    /// The base collection.
-    pub fn base(&self) -> &'a PhotoCollection {
-        self.base
-    }
-
-    /// The delta-added rows (ids continue the base numbering).
-    pub fn added(&self) -> &'a [Photo] {
-        self.added
     }
 
     /// The photo with id `id` (base or delta-added).
@@ -159,6 +139,5 @@ mod tests {
         let view = PhotoView::from(&base);
         assert_eq!(view.len(), 1);
         assert_eq!(view.get(id).pos, Point::new(1.0, 2.0));
-        assert!(view.added().is_empty());
     }
 }

@@ -17,32 +17,20 @@ pub struct CityConfig {
     /// Master seed; the entire dataset is a deterministic function of it.
     pub seed: u64,
     /// Grid blocks along x.
-    pub blocks_x: usize,
+    pub(crate) blocks_x: usize,
     /// Grid blocks along y.
-    pub blocks_y: usize,
+    pub(crate) blocks_y: usize,
     /// Block side length in coordinate units (degrees; the paper's ε of
     /// 0.0005° ≈ 55 m corresponds to ~0.4 blocks at the default 0.00125°).
-    pub block_size: f64,
+    pub(crate) block_size: f64,
     /// Probability that a grid segment is subdivided by breakpoints.
-    pub breakpoint_prob: f64,
+    pub(crate) breakpoint_prob: f64,
     /// Number of long diagonal avenues.
-    pub avenues: usize,
+    pub(crate) avenues: usize,
     /// Total POIs to generate.
     pub n_pois: usize,
     /// Total photos to generate.
     pub n_photos: usize,
-}
-
-impl CityConfig {
-    /// The extent width of the generated city.
-    pub fn width(&self) -> f64 {
-        self.blocks_x as f64 * self.block_size
-    }
-
-    /// The extent height of the generated city.
-    pub fn height(&self) -> f64 {
-        self.blocks_y as f64 * self.block_size
-    }
 }
 
 /// Ground truth recorded by the generator: the planted destination streets

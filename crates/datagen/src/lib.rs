@@ -26,12 +26,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod city;
-pub mod network_gen;
-pub mod photo_gen;
-pub mod poi_gen;
-pub mod vocab;
+mod city;
+mod network_gen;
+mod photo_gen;
+mod poi_gen;
+mod vocab;
 
 pub use city::{berlin, generate, london, vienna, CityConfig, GroundTruth};
 pub use vocab::{CategorySpec, CATEGORIES};

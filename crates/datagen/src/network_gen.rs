@@ -78,7 +78,7 @@ fn add_chain(
 }
 
 /// Generates the road network for `config`.
-pub fn generate_network(rng: &mut StdRng, config: &CityConfig) -> RoadNetwork {
+pub(crate) fn generate_network(rng: &mut StdRng, config: &CityConfig) -> RoadNetwork {
     let mut b = RoadNetwork::builder();
     let bx = config.blocks_x;
     let by = config.blocks_y;

@@ -23,7 +23,7 @@ use soi_network::RoadNetwork;
 use soi_text::{KeywordSet, Vocabulary};
 
 /// Generates the photo collection.
-pub fn generate_photos(
+pub(crate) fn generate_photos(
     rng: &mut StdRng,
     config: &CityConfig,
     network: &RoadNetwork,

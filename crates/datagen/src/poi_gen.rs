@@ -33,11 +33,6 @@ impl SegmentSampler {
         Self { cumulative, ids }
     }
 
-    #[allow(dead_code)] // exercised by tests; kept as the unskewed variant
-    pub(crate) fn whole_network(network: &RoadNetwork) -> Self {
-        Self::over_segments(network, network.segments().iter().map(|s| s.id).collect())
-    }
-
     /// Restricts a popularity-weighted sampler to a random `affinity`
     /// fraction of streets (deterministic given the rng state): categories
     /// like "religion" occur on few streets, "misc" everywhere.
@@ -170,7 +165,7 @@ fn pick_destination_streets(
 }
 
 /// Generates the POI set and the destination-street ground truth.
-pub fn generate_pois(
+pub(crate) fn generate_pois(
     rng: &mut StdRng,
     config: &CityConfig,
     network: &RoadNetwork,
@@ -344,7 +339,8 @@ mod tests {
     #[test]
     fn sampler_respects_lengths() {
         let (_, net) = setup();
-        let sampler = SegmentSampler::whole_network(&net);
+        let ids = net.segments().iter().map(|s| s.id).collect();
+        let sampler = SegmentSampler::over_segments(&net, ids);
         let mut rng = StdRng::seed_from_u64(3);
         // Just exercise: samples are valid ids.
         for _ in 0..100 {

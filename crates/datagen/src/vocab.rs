@@ -13,18 +13,18 @@ pub struct CategorySpec {
     /// Category name — also the keyword users query for.
     pub name: &'static str,
     /// Fraction of all POIs in this category.
-    pub share: f64,
+    pub(crate) share: f64,
     /// Sub-keywords attached to the category's POIs.
-    pub sub_keywords: &'static [&'static str],
+    pub(crate) sub_keywords: &'static [&'static str],
     /// Number of destination streets to plant for this category
     /// (ground truth for the effectiveness study).
-    pub destination_streets: usize,
+    pub(crate) destination_streets: usize,
     /// Fraction of the category's POIs concentrated on destinations.
-    pub destination_share: f64,
+    pub(crate) destination_share: f64,
     /// Fraction of streets this category occurs on at all (churches
     /// cluster on few streets; offices are everywhere). 1.0 = no
     /// restriction.
-    pub street_affinity: f64,
+    pub(crate) street_affinity: f64,
 }
 
 /// The category mix. Shares sum to 1.0 (enforced by a test).
@@ -121,7 +121,7 @@ pub const CATEGORIES: &[CategorySpec] = &[
 ];
 
 /// Tags used by photo "event bursts" (the demonstration effect of Fig. 3b).
-pub const EVENT_TAGS: &[&str] = &[
+pub(crate) const EVENT_TAGS: &[&str] = &[
     "demonstration",
     "protest",
     "march",
@@ -132,7 +132,7 @@ pub const EVENT_TAGS: &[&str] = &[
 ];
 
 /// Tags used by landmark photo bursts (the HMV effect of Fig. 3a).
-pub const LANDMARK_TAGS: &[&str] = &[
+pub(crate) const LANDMARK_TAGS: &[&str] = &[
     "landmark",
     "famous",
     "storefront",
@@ -143,7 +143,7 @@ pub const LANDMARK_TAGS: &[&str] = &[
 ];
 
 /// Generic tourist-photo tags.
-pub const TOURIST_TAGS: &[&str] = &[
+pub(crate) const TOURIST_TAGS: &[&str] = &[
     "travel",
     "city",
     "street",

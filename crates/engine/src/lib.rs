@@ -29,6 +29,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // Library code must surface failures as `SoiError`, never panic: unwrap and
 // expect are compile errors outside of test code.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -62,16 +63,16 @@ pub struct QueryContext<'a> {
     /// The road network.
     pub network: &'a RoadNetwork,
     /// The POI collection.
-    pub pois: &'a PoiCollection,
+    pub(crate) pois: &'a PoiCollection,
     /// The spatio-textual POI index.
-    pub index: &'a PoiIndex,
+    pub(crate) index: &'a PoiIndex,
     /// The sealed live-ingestion delta overlaid on the base structures for
     /// every query of the batch (`None` = base only). The batch pins this
     /// one delta for its whole run: queries within a batch always see a
     /// single consistent epoch.
-    pub delta: Option<&'a DeltaIndex>,
+    pub(crate) delta: Option<&'a DeltaIndex>,
     /// The epoch id the batch is pinned to (0 before any ingestion).
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// Inert: read by nothing in this crate. Kept only because the frozen
     /// `benchmark/` package passes `&ctx.config` to
     /// [`run_soi_with_scratch`](soi_core::soi::run_soi_with_scratch)
@@ -141,11 +142,11 @@ pub struct BatchStats {
     /// Wall-clock time of the whole batch.
     pub wall_time: Duration,
     /// Summed effective `UpdateInterest` executions.
-    pub cell_visits: usize,
+    pub(crate) cell_visits: usize,
     /// Summed segments dismissed by bounds.
-    pub segments_bounded_out: usize,
+    pub(crate) segments_bounded_out: usize,
     /// Summed source-list accesses.
-    pub accesses: usize,
+    pub(crate) accesses: usize,
 }
 
 /// One failed query of a batch: which slot failed, at which stage, and why.
@@ -168,7 +169,7 @@ pub struct BatchErrorRecord {
 
 impl BatchErrorRecord {
     /// Renders the record as a JSON object.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut obj = soi_obs::json::JsonWriter::object();
         obj.field_u64("index", self.index as u64);
         obj.field_str("stage", self.stage);
@@ -188,24 +189,24 @@ impl BatchErrorRecord {
 #[derive(Debug, Clone, Default)]
 pub struct EngineTelemetry {
     /// The aggregated batch counters.
-    pub stats: BatchStats,
+    pub(crate) stats: BatchStats,
     /// Per-query wall-clock latency of each successful query, input order.
     pub query_latencies: Vec<Duration>,
     /// Heap allocations performed by each successful query on its worker
     /// thread (an [`AllocScope`] around the algorithm call), input order.
-    pub query_allocs: Vec<u64>,
+    pub(crate) query_allocs: Vec<u64>,
     /// Peak live heap bytes above the scope baseline for each successful
     /// query, input order.
-    pub query_alloc_peaks: Vec<u64>,
+    pub(crate) query_alloc_peaks: Vec<u64>,
     /// The epoch id the batch was pinned to (0 before any ingestion).
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// Pending delta ops overlaid on the base index during the batch
     /// (0 when the batch ran on a compacted base).
-    pub delta_ops: u64,
+    pub(crate) delta_ops: u64,
     /// Delta POI inserts visible to the batch.
-    pub delta_added_pois: u64,
+    pub(crate) delta_added_pois: u64,
     /// Delta POI deletes visible to the batch.
-    pub delta_deleted_pois: u64,
+    pub(crate) delta_deleted_pois: u64,
     /// One record per failed query, input order — the engine emits
     /// `stage == "query"` entries; callers may prepend their own stages.
     pub error_records: Vec<BatchErrorRecord>,
@@ -214,7 +215,7 @@ pub struct EngineTelemetry {
 impl EngineTelemetry {
     /// Exact `q`-quantile (`0 ≤ q ≤ 1`) of the per-query latencies: the
     /// `⌈q·n⌉`-th smallest. `None` when no query succeeded.
-    pub fn latency_quantile(&self, q: f64) -> Option<Duration> {
+    pub(crate) fn latency_quantile(&self, q: f64) -> Option<Duration> {
         exact_quantile(&self.query_latencies, q)
     }
 
@@ -331,7 +332,7 @@ pub struct QueryCapture {
 
 impl QueryCapture {
     /// True when the job needs a capture buffer or an explain collector.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.trace || self.explain
     }
 }

@@ -11,17 +11,17 @@ use soi_obs::metrics::{register_histogram, Histogram, ALLOC_BYTES_BUCKETS, ALLOC
 use std::sync::OnceLock;
 
 /// Global instruments fed by engine batch execution.
-pub struct EngineMetrics {
+pub(crate) struct EngineMetrics {
     /// `soi_engine_query_allocations`: heap allocations per k-SOI query
     /// (worker-thread scope).
-    pub query_allocations: &'static Histogram,
+    pub(crate) query_allocations: &'static Histogram,
     /// `soi_engine_query_alloc_peak_bytes`: peak live heap bytes per
     /// k-SOI query above the scope baseline.
-    pub query_alloc_peak_bytes: &'static Histogram,
+    pub(crate) query_alloc_peak_bytes: &'static Histogram,
 }
 
 /// The engine instruments (registered on first use).
-pub fn engine_metrics() -> &'static EngineMetrics {
+pub(crate) fn engine_metrics() -> &'static EngineMetrics {
     static METRICS: OnceLock<EngineMetrics> = OnceLock::new();
     METRICS.get_or_init(|| EngineMetrics {
         query_allocations: register_histogram(

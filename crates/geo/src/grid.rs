@@ -149,17 +149,6 @@ impl Grid {
         self.nx as usize * self.ny as usize
     }
 
-    /// The full extent covered by the grid.
-    pub fn extent(&self) -> Rect {
-        Rect::new(
-            self.origin,
-            Point::new(
-                self.origin.x + self.nx as f64 * self.cell_size,
-                self.origin.y + self.ny as f64 * self.cell_size,
-            ),
-        )
-    }
-
     /// Linearises a cell coordinate (row-major).
     #[inline]
     pub fn cell_id(&self, c: CellCoord) -> CellId {
@@ -246,27 +235,12 @@ impl Grid {
         self.clip_range(r)
     }
 
-    /// Number of cells whose (closed) rect overlaps rectangle `r` — the
-    /// O(1) counting version of [`Grid::cells_in_rect`].
+    /// Number of cells whose (closed) rect overlaps rectangle `r`, in O(1).
     pub fn count_cells_in_rect(&self, r: &Rect) -> usize {
         match self.clip_range(r) {
             Some((x0, y0, x1, y1)) => ((x1 - x0 + 1) as usize) * ((y1 - y0 + 1) as usize),
             None => 0,
         }
-    }
-
-    /// All cells whose (closed) rect overlaps rectangle `r`, row-major order.
-    pub fn cells_in_rect(&self, r: &Rect) -> Vec<CellCoord> {
-        let Some((x0, y0, x1, y1)) = self.clip_range(r) else {
-            return Vec::new();
-        };
-        let mut out = Vec::with_capacity(((x1 - x0 + 1) as usize) * ((y1 - y0 + 1) as usize));
-        for iy in y0..=y1 {
-            for ix in x0..=x1 {
-                out.push(CellCoord::new(ix, iy));
-            }
-        }
-        out
     }
 
     /// All cells within distance `dist` of segment `seg`
@@ -456,7 +430,6 @@ mod tests {
         // Every point of the extent, including the max corner, maps to a cell.
         assert!(g.cell_containing(Point::new(10.0, 5.0)).is_some());
         assert!(g.cell_containing(Point::new(0.0, 0.0)).is_some());
-        assert!(g.extent().contains(Point::new(10.0, 5.0)));
     }
 
     #[test]
@@ -494,27 +467,15 @@ mod tests {
     }
 
     #[test]
-    fn cells_in_rect_clips_to_grid() {
+    fn count_cells_in_rect_clips_to_grid() {
         let g = unit_grid();
-        let all = g.cells_in_rect(&Rect::new(Point::new(-5.0, -5.0), Point::new(50.0, 50.0)));
-        assert_eq!(all.len(), 12);
-        let none = g.cells_in_rect(&Rect::new(Point::new(10.0, 10.0), Point::new(11.0, 11.0)));
-        assert!(none.is_empty());
-        let some = g.cells_in_rect(&Rect::new(Point::new(0.5, 0.5), Point::new(1.5, 0.6)));
-        assert_eq!(some, vec![CellCoord::new(0, 0), CellCoord::new(1, 0)]);
-    }
-
-    #[test]
-    fn count_cells_matches_enumeration() {
-        let g = unit_grid();
-        for rect in [
-            Rect::new(Point::new(-5.0, -5.0), Point::new(50.0, 50.0)),
-            Rect::new(Point::new(0.5, 0.5), Point::new(1.5, 0.6)),
-            Rect::new(Point::new(10.0, 10.0), Point::new(11.0, 11.0)),
-            Rect::new(Point::new(1.0, 1.0), Point::new(1.0, 1.0)),
-        ] {
-            assert_eq!(g.count_cells_in_rect(&rect), g.cells_in_rect(&rect).len());
-        }
+        let all = Rect::new(Point::new(-5.0, -5.0), Point::new(50.0, 50.0));
+        assert_eq!(g.count_cells_in_rect(&all), 12);
+        let none = Rect::new(Point::new(10.0, 10.0), Point::new(11.0, 11.0));
+        assert_eq!(g.count_cells_in_rect(&none), 0);
+        let some = Rect::new(Point::new(0.5, 0.5), Point::new(1.5, 0.6));
+        assert_eq!(g.count_cells_in_rect(&some), 2);
+        assert_eq!(g.cell_range_in_rect(&some), Some((0, 0, 1, 0)));
     }
 
     #[test]

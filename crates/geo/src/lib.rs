@@ -18,15 +18,16 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // Library code must surface failures as `SoiError`, never panic: unwrap and
 // expect are compile errors outside of test code.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod grid;
-pub mod point;
-pub mod polyline;
-pub mod rect;
-pub mod segment;
+mod grid;
+mod point;
+mod polyline;
+mod rect;
+mod segment;
 
 pub use grid::{CellCoord, Grid};
 pub use point::Point;

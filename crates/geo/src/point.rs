@@ -40,20 +40,14 @@ impl Point {
 
     /// Dot product, treating both points as vectors.
     #[inline]
-    pub fn dot(self, other: Point) -> f64 {
+    pub(crate) fn dot(self, other: Point) -> f64 {
         self.x * other.x + self.y * other.y
     }
 
     /// Z-component of the cross product, treating both points as vectors.
     #[inline]
-    pub fn cross(self, other: Point) -> f64 {
+    pub(crate) fn cross(self, other: Point) -> f64 {
         self.x * other.y - self.y * other.x
-    }
-
-    /// Euclidean norm, treating the point as a vector.
-    #[inline]
-    pub fn norm(self) -> f64 {
-        self.dot(self).sqrt()
     }
 
     /// Linear interpolation: `self + t * (other - self)`.
@@ -67,13 +61,13 @@ impl Point {
 
     /// Component-wise minimum.
     #[inline]
-    pub fn min(self, other: Point) -> Point {
+    pub(crate) fn min(self, other: Point) -> Point {
         Point::new(self.x.min(other.x), self.y.min(other.y))
     }
 
     /// Component-wise maximum.
     #[inline]
-    pub fn max(self, other: Point) -> Point {
+    pub(crate) fn max(self, other: Point) -> Point {
         Point::new(self.x.max(other.x), self.y.max(other.y))
     }
 
@@ -175,7 +169,6 @@ mod tests {
         assert_eq!(a.dot(b), 0.0);
         assert_eq!(a.cross(b), 1.0);
         assert_eq!(b.cross(a), -1.0);
-        assert_eq!(Point::new(3.0, 4.0).norm(), 5.0);
     }
 
     #[test]

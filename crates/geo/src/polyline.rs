@@ -1,7 +1,6 @@
 //! Polylines: point chains used for street geometry.
 
 use crate::point::Point;
-use crate::rect::Rect;
 use crate::segment::LineSeg;
 
 /// An open polygonal chain of two or more points.
@@ -30,16 +29,6 @@ impl Polyline {
         &self.points
     }
 
-    /// Appends a point to the chain.
-    pub fn push(&mut self, p: Point) {
-        self.points.push(p);
-    }
-
-    /// Number of segments (`points - 1`, saturating).
-    pub fn num_segments(&self) -> usize {
-        self.points.len().saturating_sub(1)
-    }
-
     /// Iterates over the constituent segments.
     pub fn segments(&self) -> impl Iterator<Item = LineSeg> + '_ {
         self.points.windows(2).map(|w| LineSeg::new(w[0], w[1]))
@@ -50,22 +39,12 @@ impl Polyline {
         self.segments().map(|s| s.len()).sum()
     }
 
-    /// Returns true if the polyline has no segments.
-    pub fn is_empty(&self) -> bool {
-        self.num_segments() == 0
-    }
-
     /// Minimum distance from `p` to the polyline (infinity if empty).
     pub fn dist_to_point(&self, p: Point) -> f64 {
         self.segments()
             .map(|s| s.dist_sq_to_point(p))
             .fold(f64::INFINITY, f64::min)
             .sqrt()
-    }
-
-    /// Bounding rectangle of the chain (`None` if no points).
-    pub fn bounding_rect(&self) -> Option<Rect> {
-        Rect::bounding(self.points.iter().copied())
     }
 }
 
@@ -90,21 +69,19 @@ mod tests {
     #[test]
     fn length_and_segments() {
         let p = l_shape();
-        assert_eq!(p.num_segments(), 2);
+        assert_eq!(p.segments().count(), 2);
         assert_eq!(p.len(), 7.0);
-        assert!(!p.is_empty());
     }
 
     #[test]
     fn empty_and_single_point() {
         let e = Polyline::new(vec![]);
-        assert!(e.is_empty());
+        assert_eq!(e.segments().count(), 0);
         assert_eq!(e.len(), 0.0);
         assert_eq!(e.dist_to_point(Point::ORIGIN), f64::INFINITY);
 
         let single = Polyline::new(vec![Point::new(1.0, 1.0)]);
-        assert!(single.is_empty());
-        assert_eq!(single.num_segments(), 0);
+        assert_eq!(single.segments().count(), 0);
     }
 
     #[test]
@@ -116,22 +93,5 @@ mod tests {
         assert_eq!(p.dist_to_point(Point::new(6.0, 2.0)), 2.0);
         // On the corner.
         assert_eq!(p.dist_to_point(Point::new(4.0, 0.0)), 0.0);
-    }
-
-    #[test]
-    fn bounding_rect() {
-        let r = l_shape().bounding_rect().unwrap();
-        assert_eq!(r.min, Point::new(0.0, 0.0));
-        assert_eq!(r.max, Point::new(4.0, 3.0));
-        assert!(Polyline::new(vec![]).bounding_rect().is_none());
-    }
-
-    #[test]
-    fn push_extends_chain() {
-        let mut p = Polyline::default();
-        p.push(Point::new(0.0, 0.0));
-        p.push(Point::new(1.0, 0.0));
-        assert_eq!(p.num_segments(), 1);
-        assert_eq!(p.len(), 1.0);
     }
 }

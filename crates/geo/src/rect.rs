@@ -77,12 +77,6 @@ impl Rect {
         self.min.dist(self.max)
     }
 
-    /// Rectangle area.
-    #[inline]
-    pub fn area(&self) -> f64 {
-        self.width() * self.height()
-    }
-
     /// The rectangle expanded by `buffer` on every side.
     ///
     /// Used to compute `maxD(s)`: the street MBR "extended with a buffer of
@@ -110,15 +104,6 @@ impl Rect {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
     }
 
-    /// Returns true if the closed rectangles overlap.
-    #[inline]
-    pub fn intersects(&self, other: &Rect) -> bool {
-        self.min.x <= other.max.x
-            && other.min.x <= self.max.x
-            && self.min.y <= other.max.y
-            && other.min.y <= self.max.y
-    }
-
     /// Minimum distance from `p` to the closed rectangle (0 if inside).
     #[inline]
     pub fn mindist_to_point(&self, p: Point) -> f64 {
@@ -139,7 +124,7 @@ impl Rect {
     }
 
     /// The four edges of the rectangle as segments.
-    pub fn edges(&self) -> [LineSeg; 4] {
+    pub(crate) fn edges(&self) -> [LineSeg; 4] {
         let bl = self.min;
         let br = Point::new(self.max.x, self.min.y);
         let tr = self.max;
@@ -229,7 +214,6 @@ mod tests {
         assert_eq!(r.max, Point::new(3.0, 4.0));
         assert_eq!(r.width(), 2.0);
         assert_eq!(r.height(), 4.0);
-        assert_eq!(r.area(), 8.0);
         assert_eq!(r.center(), Point::new(2.0, 2.0));
         assert!((r.diagonal() - 20.0_f64.sqrt()).abs() < 1e-12);
     }
@@ -262,14 +246,11 @@ mod tests {
     }
 
     #[test]
-    fn containment_and_intersection() {
+    fn containment_is_closed() {
         let r = rect(0.0, 0.0, 2.0, 2.0);
         assert!(r.contains(Point::new(1.0, 1.0)));
         assert!(r.contains(Point::new(2.0, 2.0))); // closed boundary
         assert!(!r.contains(Point::new(2.1, 1.0)));
-        assert!(r.intersects(&rect(1.0, 1.0, 3.0, 3.0)));
-        assert!(r.intersects(&rect(2.0, 2.0, 3.0, 3.0))); // corner touch
-        assert!(!r.intersects(&rect(2.5, 2.5, 3.0, 3.0)));
     }
 
     #[test]

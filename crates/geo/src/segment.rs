@@ -29,12 +29,6 @@ impl LineSeg {
         self.a.dist(self.b)
     }
 
-    /// Squared segment length.
-    #[inline]
-    pub fn len_sq(&self) -> f64 {
-        self.a.dist_sq(self.b)
-    }
-
     /// Returns true if the segment is degenerate (both endpoints equal).
     #[inline]
     pub fn is_degenerate(&self) -> bool {
@@ -44,7 +38,7 @@ impl LineSeg {
     /// The clamped projection parameter `t ∈ [0, 1]` of `p` onto the segment:
     /// the closest point on the segment is `a + t·(b − a)`.
     #[inline]
-    pub fn project_t(&self, p: Point) -> f64 {
+    pub(crate) fn project_t(&self, p: Point) -> f64 {
         let d = self.b - self.a;
         let len_sq = d.dot(d);
         if len_sq == 0.0 {
@@ -79,7 +73,7 @@ impl LineSeg {
     }
 
     /// Returns true if this segment properly or improperly intersects `other`.
-    pub fn intersects(&self, other: &LineSeg) -> bool {
+    pub(crate) fn intersects(&self, other: &LineSeg) -> bool {
         // Orientation-based test with collinear overlap handling.
         fn orient(a: Point, b: Point, c: Point) -> f64 {
             (b - a).cross(c - a)

@@ -23,7 +23,6 @@ use soi_network::RoadNetwork;
 /// The ε-augmented maps for one ε value.
 #[derive(Debug, PartialEq)]
 pub struct EpsilonMaps {
-    eps: f64,
     /// `Cε(ℓ)`: segment → occupied cells within ε of it, ascending.
     segment_to_cells: Csr<CellId>,
     /// `Lε(c)`: cell → segments within ε of it, ascending (empty for an
@@ -57,18 +56,12 @@ impl EpsilonMaps {
         }
         let num_cells = grid.num_cells();
         Self {
-            eps,
             segment_to_cells: Csr::from_sorted_keys(network.num_segments(), &by_segment),
             cell_to_segments: Csr::from_sorted_keys(
                 num_cells,
                 &sort_row_keys(by_cell, num_cells, 1),
             ),
         }
-    }
-
-    /// The ε these maps were built for.
-    pub fn eps(&self) -> f64 {
-        self.eps
     }
 
     /// `Cε(ℓ)`: occupied cells within ε of segment `seg`, ascending by id.
@@ -79,11 +72,6 @@ impl EpsilonMaps {
     /// `Lε(c)`: segments within ε of cell `cell` (empty if none).
     pub fn segments_of_cell(&self, cell: CellId) -> &[SegmentId] {
         self.cell_to_segments.row(cell.index())
-    }
-
-    /// Number of segments in the network these maps cover.
-    pub fn num_segments(&self) -> usize {
-        self.segment_to_cells.rows()
     }
 }
 
@@ -175,7 +163,7 @@ mod tests {
     fn larger_eps_yields_superset() {
         let (_, _, small) = setup(0.3);
         let (_, _, large) = setup(1.5);
-        for seg in (0..small.num_segments()).map(SegmentId::from_index) {
+        for seg in (0..small.segment_to_cells.rows()).map(SegmentId::from_index) {
             for c in small.cells_of_segment(seg) {
                 assert!(
                     large.cells_of_segment(seg).contains(c),

@@ -25,19 +25,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // Library code must surface failures as `SoiError`, never panic: unwrap and
 // expect are compile errors outside of test code.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod delta;
-pub mod div_index;
-pub mod epoch;
-pub mod epsilon;
+mod delta;
+mod div_index;
+mod epoch;
+mod epsilon;
 pub mod obs;
-pub mod photo_grid;
-pub mod poi_index;
+mod photo_grid;
+mod poi_index;
 pub mod snapshot;
-pub mod view;
+mod view;
 
 pub use delta::{fold_dataset, fold_ops, DeltaIndex, DeltaOp};
 pub use div_index::{DivCell, DiversificationIndex};
@@ -46,7 +47,7 @@ pub use epsilon::EpsilonMaps;
 pub use photo_grid::PhotoGrid;
 pub use poi_index::{PoiCell, PoiIndex};
 pub use snapshot::{
-    build_bundle, dataset_fingerprint, read_bundle, write_bundle, BundleParams, CacheMode,
-    CacheOutcome, IndexBundle, IndexCache, ReadOutcome,
+    build_bundle, dataset_fingerprint, read_bundle, write_bundle, BundleParams, CacheOutcome,
+    IndexBundle, IndexCache, ReadOutcome,
 };
 pub use view::{mass_within, IndexView};

@@ -7,41 +7,40 @@ use soi_obs::metrics::{
 use std::sync::OnceLock;
 
 /// Global instruments fed by the index layer.
-pub struct IndexMetrics {
+pub(crate) struct IndexMetrics {
     /// `soi_index_builds_total`: POI index builds.
-    pub builds: &'static Counter,
+    pub(crate) builds: &'static Counter,
     /// `soi_index_build_seconds`: wall-clock POI index build time.
-    pub build_seconds: &'static Histogram,
+    pub(crate) build_seconds: &'static Histogram,
     /// `soi_index_build_alloc_bytes`: heap bytes allocated process-wide
     /// (all build workers) during the most recent index build.
-    pub build_alloc_bytes: &'static Gauge,
+    pub(crate) build_alloc_bytes: &'static Gauge,
     /// `soi_index_build_allocations`: heap allocations process-wide during
     /// the most recent index build.
-    pub build_allocations: &'static Gauge,
+    pub(crate) build_allocations: &'static Gauge,
     /// `soi_index_build_peak_live_bytes`: process live-heap high-water mark
     /// observed by the end of the most recent index build.
-    pub build_peak_live_bytes: &'static Gauge,
+    pub(crate) build_peak_live_bytes: &'static Gauge,
     /// `soi_snapshot_load_seconds`: wall-clock time of the most recent
     /// snapshot load (cold start from disk, validation included).
-    pub snapshot_load_seconds: &'static Gauge,
+    pub(crate) snapshot_load_seconds: &'static Gauge,
     /// `soi_snapshot_write_seconds`: wall-clock time of the most recent
     /// snapshot write (encode + atomic rename).
-    pub snapshot_write_seconds: &'static Gauge,
+    pub(crate) snapshot_write_seconds: &'static Gauge,
     /// `soi_snapshot_bytes`: on-disk size of the most recently
     /// loaded or written snapshot.
-    pub snapshot_bytes: &'static Gauge,
+    pub(crate) snapshot_bytes: &'static Gauge,
     /// `soi_snapshot_loads_total`: successful snapshot loads.
-    pub snapshot_loads: &'static Counter,
+    pub(crate) snapshot_loads: &'static Counter,
     /// `soi_snapshot_writes_total`: successful snapshot writes.
-    pub snapshot_writes: &'static Counter,
+    pub(crate) snapshot_writes: &'static Counter,
     /// `soi_snapshot_rebuilds_total`: cache misses resolved by a fresh
-    /// build (stale fingerprint, missing file, or lenient-mode fallback
-    /// after a corrupt snapshot).
-    pub snapshot_rebuilds: &'static Counter,
+    /// build (stale fingerprint, missing file, or a corrupt snapshot).
+    pub(crate) snapshot_rebuilds: &'static Counter,
 }
 
 /// The index instruments (registered on first use).
-pub fn index_metrics() -> &'static IndexMetrics {
+pub(crate) fn index_metrics() -> &'static IndexMetrics {
     static METRICS: OnceLock<IndexMetrics> = OnceLock::new();
     METRICS.get_or_init(|| IndexMetrics {
         builds: register_counter("soi_index_builds_total", "POI index builds"),

@@ -70,19 +70,9 @@ impl PhotoGrid {
         Self { grid, cells }
     }
 
-    /// The underlying grid.
-    pub fn grid(&self) -> &Grid {
-        &self.grid
-    }
-
     /// Photos in cell `id` (sorted by id), empty if unoccupied.
-    pub fn cell_photos(&self, id: CellId) -> &[PhotoId] {
+    pub(crate) fn cell_photos(&self, id: CellId) -> &[PhotoId] {
         self.cells.row(id.index())
-    }
-
-    /// Number of occupied cells.
-    pub fn num_occupied_cells(&self) -> usize {
-        self.cells.occupied_rows().count()
     }
 
     /// Extracts `Rs`: photos within `eps` of street `street`, sorted by id.
@@ -194,7 +184,7 @@ mod tests {
         let network = RoadNetwork::builder().build().unwrap();
         let photos = PhotoCollection::new();
         let grid = PhotoGrid::build(&network, &photos, 1.0);
-        assert_eq!(grid.num_occupied_cells(), 0);
+        assert_eq!(grid.cells.occupied_rows().count(), 0);
     }
 
     #[test]

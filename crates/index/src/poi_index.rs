@@ -24,8 +24,6 @@ pub(crate) fn covered_extent(network: &RoadNetwork, items: Option<Rect>) -> Rect
 pub struct PoiCell<'a> {
     /// POIs located in this cell, sorted by id.
     pub pois: &'a [PoiId],
-    /// Total POI weight in the cell (`|Pc|` with unit weights).
-    pub total_weight: f64,
     /// The cell's distinct keywords, ascending: its slice of the run
     /// directory. Keyword `i`'s postings are row `first_run + i` of
     /// `run_slots`, slots `first_slot..` of which are `pois`.
@@ -36,11 +34,6 @@ pub struct PoiCell<'a> {
 }
 
 impl<'a> PoiCell<'a> {
-    /// The distinct keywords carried by the cell's POIs, ascending.
-    pub fn keywords(&self) -> &'a [KeywordId] {
-        self.keywords
-    }
-
     /// The slots of the cell's POIs carrying `k`, ascending (empty if none
     /// does).
     #[inline]
@@ -59,7 +52,7 @@ impl<'a> PoiCell<'a> {
 
     /// The local inverted list for `k`: POIs of this cell carrying the
     /// keyword, ascending id (empty if none does).
-    pub fn postings(&self, k: KeywordId) -> impl Iterator<Item = PoiId> + 'a {
+    pub(crate) fn postings(&self, k: KeywordId) -> impl Iterator<Item = PoiId> + 'a {
         let cell = *self;
         self.slots(k).iter().map(move |&slot| cell.poi_in(slot))
     }
@@ -68,7 +61,7 @@ impl<'a> PoiCell<'a> {
     /// `keywords`, in ascending id order (the paper's synchronous
     /// multi-list traversal; ascending slot is ascending id).
     #[inline]
-    pub fn for_each_matching<F: FnMut(PoiId)>(&self, keywords: &[KeywordId], mut f: F) {
+    pub(crate) fn for_each_matching<F: FnMut(PoiId)>(&self, keywords: &[KeywordId], mut f: F) {
         union_of_postings(keywords, |k| self.slots(k), |slot| f(self.poi_in(slot)));
     }
 }
@@ -455,7 +448,7 @@ impl PoiIndex {
 
     /// Whether cell `id` holds at least one POI.
     #[inline]
-    pub fn is_occupied(&self, id: CellId) -> bool {
+    pub(crate) fn is_occupied(&self, id: CellId) -> bool {
         !self.cell_pois.is_empty_row(id.index())
     }
 
@@ -469,7 +462,6 @@ impl PoiIndex {
         let runs = self.cell_kws.row_range(id.index());
         Some(PoiCell {
             pois,
-            total_weight: self.total_weight[id.index()],
             first_run: runs.start,
             first_slot: self.cell_pois.row_range(id.index()).start,
             keywords: &self.cell_kws.items()[runs],
@@ -479,13 +471,8 @@ impl PoiIndex {
 
     /// Total POI weight in cell `id` (0.0 if unoccupied).
     #[inline]
-    pub fn cell_total_weight(&self, id: CellId) -> f64 {
+    pub(crate) fn cell_total_weight(&self, id: CellId) -> f64 {
         self.total_weight.get(id.index()).copied().unwrap_or(0.0)
-    }
-
-    /// Number of occupied cells.
-    pub fn num_occupied_cells(&self) -> usize {
-        self.cell_pois.occupied_rows().count()
     }
 
     /// Iterates over occupied cells in ascending cell id order.
@@ -579,15 +566,14 @@ mod tests {
     #[test]
     fn cells_are_populated_sorted() {
         let (_, _, index) = setup();
-        assert!(index.num_occupied_cells() >= 3);
+        assert!(index.occupied_cells().count() >= 3);
         let mut previous = None;
         for (id, cell) in index.occupied_cells() {
             assert!(previous < Some(id), "cells must come in ascending id order");
             previous = Some(id);
             assert!(cell.pois.windows(2).all(|w| w[0] < w[1]));
-            assert!(cell.total_weight >= cell.pois.len() as f64 - 1e-9);
+            assert!(index.cell_total_weight(id) >= cell.pois.len() as f64 - 1e-9);
         }
-        assert_eq!(index.occupied_cells().count(), index.num_occupied_cells());
     }
 
     #[test]
@@ -598,13 +584,12 @@ mod tests {
         let mut indexed = 0;
         for (id, cell) in index.occupied_cells() {
             indexed += cell.pois.len();
-            assert_eq!(index.cell_total_weight(id), cell.total_weight);
             let carried: std::collections::BTreeSet<KeywordId> = cell
                 .pois
                 .iter()
                 .flat_map(|&p| pois.get(p).keywords.iter())
                 .collect();
-            assert_eq!(cell.keywords(), carried.into_iter().collect::<Vec<_>>());
+            assert_eq!(cell.keywords, carried.into_iter().collect::<Vec<_>>());
             for k in (0..9).map(KeywordId) {
                 let scan: Vec<PoiId> = cell
                     .pois
@@ -673,7 +658,8 @@ mod tests {
     }
 
     /// Definition 1 over the reference maps: the mass summed over the
-    /// eager `Cε(ℓ)` of `maps` instead of the lazily derived one.
+    /// eager `Cε(ℓ)` of `maps`, built for `eps`, instead of the lazily
+    /// derived one.
     fn segment_mass_eager(
         index: &PoiIndex,
         pois: &PoiCollection,
@@ -681,11 +667,12 @@ mod tests {
         seg: SegmentId,
         query: &KeywordSet,
         maps: &EpsilonMaps,
+        eps: f64,
     ) -> f64 {
         let (view, geom) = (IndexView::from(index), network.segment(seg).geom);
         maps.cells_of_segment(seg)
             .iter()
-            .map(|&c| view.cell_mass_for_segment(pois.into(), c, &geom, query, maps.eps()))
+            .map(|&c| view.cell_mass_for_segment(pois.into(), c, &geom, query, eps))
             .sum()
     }
 
@@ -702,7 +689,7 @@ mod tests {
                 .filter(|p| seg.geom.dist_to_point(p.pos) <= eps)
                 .map(|p| p.weight)
                 .sum();
-            let via_index = segment_mass_eager(&index, &pois, &network, seg.id, &query, &maps);
+            let via_index = segment_mass_eager(&index, &pois, &network, seg.id, &query, &maps, eps);
             assert_eq!(via_index, brute, "segment {}", seg.id);
         }
     }
@@ -734,7 +721,7 @@ mod tests {
                     &query,
                     eps
                 ),
-                segment_mass_eager(&index, &pois, &network, seg.id, &query, &maps)
+                segment_mass_eager(&index, &pois, &network, seg.id, &query, &maps, eps)
             );
         }
     }
@@ -820,6 +807,6 @@ mod tests {
         let network = RoadNetwork::builder().build().unwrap();
         let pois = PoiCollection::new();
         let index = PoiIndex::build(&network, &pois, 1.0);
-        assert_eq!(index.num_occupied_cells(), 0);
+        assert_eq!(index.occupied_cells().count(), 0);
     }
 }

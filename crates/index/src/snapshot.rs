@@ -27,9 +27,8 @@
 //!    parameters so staleness is detected before any decode work.
 //! 3. **The cache** ([`IndexCache`]): a directory of bundle snapshots keyed
 //!    by `(dataset fingerprint, format version, params)`. `load_or_build`
-//!    prefers the snapshot, transparently rebuilds on a miss or stale key,
-//!    and — in [`CacheMode::Lenient`] — falls back to a rebuild when the
-//!    snapshot is corrupt instead of failing the command.
+//!    prefers the snapshot, and rebuilds and re-writes it on a miss, a
+//!    stale key or a corrupt file instead of failing the command.
 
 mod bundle;
 mod cache;
@@ -39,7 +38,7 @@ pub use bundle::{
     build_bundle, dataset_fingerprint, read_bundle, write_bundle, BundleParams, IndexBundle,
     ReadOutcome,
 };
-pub use cache::{CacheMode, CacheOutcome, IndexCache};
+pub use cache::{CacheOutcome, IndexCache};
 pub use codec::{read_photo_grid, read_poi_index, write_photo_grid, write_poi_index};
 
 #[cfg(test)]
@@ -199,20 +198,20 @@ mod tests {
     }
 
     #[test]
-    fn cache_hit_miss_and_corruption_modes() {
+    fn cache_hit_miss_and_corruption_rebuild() {
         let ds = sample_dataset();
         let p = params();
         let dir = std::env::temp_dir().join(format!("soi-idxcache-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
 
-        let cache = IndexCache::new(&dir, CacheMode::Lenient);
+        let cache = IndexCache::new(&dir);
         let (_, outcome) = cache.load_or_build(&ds, &p).unwrap();
         assert_eq!(outcome, CacheOutcome::MissBuilt);
         let (hit, outcome) = cache.load_or_build(&ds, &p).unwrap();
         assert_eq!(outcome, CacheOutcome::Hit);
         assert!(build_bundle(&ds, &p).poi == hit.poi);
 
-        // Corrupt one payload byte: lenient rebuilds, strict errors.
+        // Corrupt one payload byte: the cache rebuilds.
         let path = cache.snapshot_path(&ds, &p);
         let snap = Snapshot::open(&path).unwrap();
         let offset = snap.sections()[0].offset as usize;
@@ -220,11 +219,6 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[offset] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-
-        let strict = IndexCache::new(&dir, CacheMode::Strict);
-        let err = strict.load_or_build(&ds, &p).unwrap_err();
-        assert_eq!(err.category(), soi_common::ErrorCategory::Data);
-        assert_eq!(err.category().exit_code(), 3);
 
         let (_, outcome) = cache.load_or_build(&ds, &p).unwrap();
         assert_eq!(outcome, CacheOutcome::RebuiltCorrupt);
@@ -253,7 +247,7 @@ mod tests {
         let p = params();
         let dir = std::env::temp_dir().join(format!("soi-ingcache-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let cache = IndexCache::new(&dir, CacheMode::Lenient);
+        let cache = IndexCache::new(&dir);
 
         let log: Vec<String> = vec![
             r#"{"op":"add_poi","x":1.0,"y":1.0,"kw":["cafe"],"weight":2.0}"#.into(),

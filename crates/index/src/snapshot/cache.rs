@@ -5,24 +5,12 @@ use std::path::{Path, PathBuf};
 
 use soi_common::{Result, SoiError};
 use soi_data::Dataset;
-use soi_snapshot::{corrupt, Fnv64, FORMAT_VERSION};
+use soi_snapshot::{Fnv64, FORMAT_VERSION};
 
 use super::bundle::{
     build_bundle, dataset_fingerprint, read_bundle_with, write_bundle_with, BundleParams,
     IndexBundle, ReadOutcome,
 };
-
-/// How the cache reacts to a corrupt snapshot — or, in
-/// [`IndexCache::load_or_build`], one whose stamp disagrees with the cache
-/// key in its file name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheMode {
-    /// A corrupt snapshot fails the command (`Data` error, exit code 3).
-    Strict,
-    /// A corrupt snapshot is discarded and the index rebuilt and re-written
-    /// transparently. The default.
-    Lenient,
-}
 
 /// What [`IndexCache::load_or_build`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,8 +20,8 @@ pub enum CacheOutcome {
     /// No usable snapshot existed; the bundle was built fresh and a new
     /// snapshot written.
     MissBuilt,
-    /// The snapshot existed but failed validation or carried a stale
-    /// stamp; lenient mode rebuilt and re-wrote it.
+    /// The snapshot existed but failed validation or carried a stamp that
+    /// disagrees with its own cache key; it was rebuilt and re-written.
     RebuiltCorrupt,
 }
 
@@ -50,19 +38,21 @@ impl CacheOutcome {
 
 /// A directory of bundle snapshots keyed by dataset fingerprint, container
 /// format version, and build parameters.
+///
+/// A corrupt snapshot, or one whose stamp disagrees with the cache key in
+/// its file name, is never an error here: [`IndexCache::load_or_build`]
+/// discards it, rebuilds and re-writes it, and counts the rebuild in
+/// `soi_snapshot_rebuilds_total`. `soi check-artifacts --snapshot FILE` is
+/// the command that fails (exit code 3) on a corrupt file.
 #[derive(Debug, Clone)]
 pub struct IndexCache {
     dir: PathBuf,
-    mode: CacheMode,
 }
 
 impl IndexCache {
     /// A cache rooted at `dir` (created on first use).
-    pub fn new(dir: impl Into<PathBuf>, mode: CacheMode) -> Self {
-        Self {
-            dir: dir.into(),
-            mode,
-        }
+    pub fn new(dir: impl Into<PathBuf>) -> Self {
+        Self { dir: dir.into() }
     }
 
     /// The cache directory.
@@ -109,11 +99,11 @@ impl IndexCache {
         Ok(path)
     }
 
-    /// Loads the bundle from the cache, or builds (and persists) it.
+    /// Loads the bundle from the cache, or builds (and persists) it. A
+    /// corrupt or self-stale snapshot is rebuilt and re-written.
     ///
     /// # Errors
-    /// I/O failures creating the directory or writing the snapshot; in
-    /// [`CacheMode::Strict`], also any corrupt or stale snapshot.
+    /// I/O failures creating the directory or writing the snapshot.
     pub fn load_or_build(
         &self,
         dataset: &Dataset,
@@ -127,18 +117,13 @@ impl IndexCache {
         let path = self.snapshot_path_with(dataset, params, fingerprint);
         let mut outcome = CacheOutcome::MissBuilt;
         if path.exists() {
-            let err = match read_bundle_with(&path, dataset, params, fingerprint) {
-                Ok(ReadOutcome::Loaded(bundle)) => return Ok((*bundle, CacheOutcome::Hit)),
-                // Key-hashed file names make a stale stamp near-impossible:
-                // a file whose stamp disagrees with its own name (an older
-                // writer's flags word, say) is answered like a corrupt one.
-                Ok(ReadOutcome::Stale(why)) => {
-                    corrupt(&path, format!("stale under its own cache key: {why}"))
-                }
-                Err(e) => e,
-            };
-            if self.mode == CacheMode::Strict {
-                return Err(err);
+            // Key-hashed file names make a stale stamp near-impossible: a
+            // file whose stamp disagrees with its own name (an older
+            // writer's flags word, say) is answered like a corrupt one.
+            if let Ok(ReadOutcome::Loaded(bundle)) =
+                read_bundle_with(&path, dataset, params, fingerprint)
+            {
+                return Ok((*bundle, CacheOutcome::Hit));
             }
             outcome = CacheOutcome::RebuiltCorrupt;
         }

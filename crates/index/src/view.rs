@@ -114,16 +114,6 @@ impl<'a> IndexView<'a> {
         Self { base, delta }
     }
 
-    /// The base index.
-    pub fn base(&self) -> &'a PoiIndex {
-        self.base
-    }
-
-    /// The overlaid delta, if any.
-    pub fn delta(&self) -> Option<&'a DeltaIndex> {
-        self.delta
-    }
-
     /// The underlying grid (static street/POI extent fixed at build time).
     pub fn grid(&self) -> &'a Grid {
         self.base.grid()

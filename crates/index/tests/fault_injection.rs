@@ -8,9 +8,8 @@
 //!
 //! - every corruption surfaces as a categorized `Data` error (CLI exit
 //!   code 3) carrying the snapshot path — never a panic;
-//! - [`CacheMode::Lenient`]-style default caching treats a corrupt
-//!   snapshot as a miss: rebuild, rewrite, and the *next* start hits;
-//! - [`CacheMode::Strict`] fails loudly instead.
+//! - the cache treats a corrupt snapshot as a miss: rebuild, rewrite, and
+//!   the *next* start hits.
 //!
 //! Below the container sits the section set of format version 5 — the POI
 //! index's primary columns and the photo grid, every cell- or run-keyed map
@@ -28,8 +27,8 @@ use soi_data::{Dataset, PhotoCollection, PoiCollection};
 use soi_geo::Point;
 use soi_index::snapshot::{write_photo_grid, write_poi_index};
 use soi_index::{
-    dataset_fingerprint, read_bundle, write_bundle, BundleParams, CacheMode, CacheOutcome,
-    IndexCache, ReadOutcome,
+    dataset_fingerprint, read_bundle, write_bundle, BundleParams, CacheOutcome, IndexCache,
+    ReadOutcome,
 };
 use soi_network::RoadNetwork;
 use soi_snapshot::{
@@ -284,10 +283,10 @@ fn random_byte_flips_never_panic() {
 }
 
 #[test]
-fn lenient_cache_rebuilds_after_corruption_and_hits_next_start() {
+fn cache_rebuilds_after_corruption_and_hits_next_start() {
     let dataset = sample_dataset();
     let dir = std::env::temp_dir().join(format!("soi-fault-cache-{}", std::process::id()));
-    let cache = IndexCache::new(&dir, CacheMode::Lenient);
+    let cache = IndexCache::new(&dir);
 
     // First start: miss, build, persist.
     let (_, outcome) = cache.load_or_build(&dataset, &params()).unwrap();
@@ -313,24 +312,22 @@ fn lenient_cache_rebuilds_after_corruption_and_hits_next_start() {
 }
 
 #[test]
-fn strict_cache_fails_loudly_on_corruption() {
+fn a_bad_magic_is_a_data_error_and_the_cache_rebuilds_it() {
     let dataset = sample_dataset();
-    let dir = std::env::temp_dir().join(format!("soi-fault-strict-{}", std::process::id()));
-    let lenient = IndexCache::new(&dir, CacheMode::Lenient);
-    lenient.load_or_build(&dataset, &params()).unwrap();
-    let snap = lenient.snapshot_path(&dataset, &params());
+    let dir = std::env::temp_dir().join(format!("soi-fault-magic-{}", std::process::id()));
+    let cache = IndexCache::new(&dir);
+    cache.load_or_build(&dataset, &params()).unwrap();
+    let snap = cache.snapshot_path(&dataset, &params());
 
     let mut bytes = std::fs::read(&snap).unwrap();
     bytes[0] = b'X';
     std::fs::write(&snap, &bytes).unwrap();
 
-    let strict = IndexCache::new(&dir, CacheMode::Strict);
-    let err = strict.load_or_build(&dataset, &params()).unwrap_err();
+    let err = read_bundle(&snap, &dataset, &params()).unwrap_err();
     assert_eq!(err.category(), ErrorCategory::Data);
     assert_eq!(err.category().exit_code(), 3);
-    // The corrupt file must still be there: strict mode never destroys
-    // evidence.
-    assert!(snap.exists());
+    let (_, outcome) = cache.load_or_build(&dataset, &params()).unwrap();
+    assert_eq!(outcome, CacheOutcome::RebuiltCorrupt);
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -645,8 +642,7 @@ fn inconsistent_columns_are_data_errors_never_panics() {
 
 /// A snapshot of a previous format version is a categorized error that
 /// names both versions — never misread — and the cache answers it the way
-/// it answers any unusable file: lenient rebuilds and rewrites, strict
-/// refuses.
+/// it answers any unusable file: it rebuilds and rewrites it.
 #[test]
 fn previous_format_version_is_rejected_and_the_cache_rebuilds() {
     let dataset = sample_dataset();
@@ -670,16 +666,12 @@ fn previous_format_version_is_rejected_and_the_cache_rebuilds() {
     // open a version-4 file; put one exactly where it looks anyway.
     let dir = std::env::temp_dir().join(format!("soi-fault-v4-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let cache = IndexCache::new(&dir, CacheMode::Lenient);
+    let cache = IndexCache::new(&dir);
     cache.load_or_build(&dataset, &params()).unwrap();
     let snap = cache.snapshot_path(&dataset, &params());
     let mut bytes = std::fs::read(&snap).unwrap();
     set_version(&mut bytes, 4);
     std::fs::write(&snap, &bytes).unwrap();
-
-    let strict = IndexCache::new(&dir, CacheMode::Strict);
-    let err = strict.load_or_build(&dataset, &params()).unwrap_err();
-    assert_eq!(err.category(), ErrorCategory::Data);
 
     let (_, outcome) = cache.load_or_build(&dataset, &params()).unwrap();
     assert_eq!(outcome, CacheOutcome::RebuiltCorrupt);
@@ -730,16 +722,15 @@ fn served_bundle_holds_exactly_the_stamp_poi_and_photo_grid_sections() {
 
 /// A bundle whose `cache.meta` flags word is 1 — how a writer that
 /// persisted the IR-tree stamped it — reads as stale. Under its own cache
-/// key, lenient mode rebuilds it into a file whose flags word is 0, and
-/// strict mode reports it and leaves it in place.
+/// key, the cache rebuilds it into a file whose flags word is 0.
 #[test]
-fn a_set_flags_word_reads_stale_lenient_rebuilds_and_strict_reports() {
+fn a_set_flags_word_reads_stale_and_the_cache_rebuilds_it() {
     let dataset = sample_dataset();
     let p = params();
     let dir = std::env::temp_dir().join(format!("soi-fault-flags-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    let cache = IndexCache::new(&dir, CacheMode::Lenient);
+    let cache = IndexCache::new(&dir);
     let snap = cache.snapshot_path(&dataset, &p);
 
     let bundle = soi_index::build_bundle(&dataset, &p);
@@ -761,16 +752,10 @@ fn a_set_flags_word_reads_stale_lenient_rebuilds_and_strict_reports() {
     };
     assert!(why.contains("different build parameters"), "{why}");
 
-    let strict = IndexCache::new(&dir, CacheMode::Strict);
-    let err = strict.load_or_build(&dataset, &p).unwrap_err();
-    assert_eq!(err.category(), ErrorCategory::Data, "{err}");
-    assert!(err.to_string().contains(".soisnap"), "{err}");
-    assert_eq!(flags(&snap), 1, "strict mode must leave the file alone");
-
     let (_, outcome) = cache.load_or_build(&dataset, &p).unwrap();
     assert_eq!(outcome, CacheOutcome::RebuiltCorrupt);
     assert_eq!(flags(&snap), 0, "the rebuild must stamp a zero flags word");
-    let (_, outcome) = strict.load_or_build(&dataset, &p).unwrap();
+    let (_, outcome) = cache.load_or_build(&dataset, &p).unwrap();
     assert_eq!(outcome, CacheOutcome::Hit);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,7 +7,7 @@ use soi_geo::{LineSeg, Point, Rect};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Node {
     /// The node's identifier.
-    pub id: NodeId,
+    pub(crate) id: NodeId,
     /// The node's coordinates `(x_v, y_v)`.
     pub pos: Point,
 }
@@ -35,12 +35,6 @@ impl Segment {
     #[inline]
     pub fn len(&self) -> f64 {
         self.geom.len()
-    }
-
-    /// Minimum distance from point `p` to this segment (Definition 1).
-    #[inline]
-    pub fn dist_to_point(&self, p: Point) -> f64 {
-        self.geom.dist_to_point(p)
     }
 }
 
@@ -88,7 +82,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn segment_len_and_distance() {
+    fn segment_len() {
         let s = Segment {
             id: SegmentId(0),
             street: StreetId(0),
@@ -97,7 +91,6 @@ mod tests {
             geom: LineSeg::new(Point::new(0.0, 0.0), Point::new(3.0, 4.0)),
         };
         assert_eq!(s.len(), 5.0);
-        assert_eq!(s.dist_to_point(Point::new(0.0, 0.0)), 0.0);
     }
 
     #[test]

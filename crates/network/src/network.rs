@@ -76,7 +76,7 @@ impl RoadNetwork {
 
     /// The node with id `id`.
     #[inline]
-    pub fn node(&self, id: NodeId) -> &Node {
+    pub(crate) fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
     }
 
@@ -178,14 +178,14 @@ pub struct NetworkBuilder {
 
 impl NetworkBuilder {
     /// Adds a node at `pos` and returns its id.
-    pub fn add_node(&mut self, pos: Point) -> NodeId {
+    pub(crate) fn add_node(&mut self, pos: Point) -> NodeId {
         let id = NodeId::from_index(self.nodes.len());
         self.nodes.push(Node { id, pos });
         id
     }
 
     /// Adds an (initially empty) street and returns its id.
-    pub fn add_street(&mut self, name: impl Into<String>) -> StreetId {
+    pub(crate) fn add_street(&mut self, name: impl Into<String>) -> StreetId {
         let id = StreetId::from_index(self.streets.len());
         self.streets.push(Street {
             id,
@@ -199,7 +199,7 @@ impl NetworkBuilder {
     ///
     /// # Panics
     /// Panics if the node or street ids are out of range.
-    pub fn add_segment(&mut self, street: StreetId, from: NodeId, to: NodeId) -> SegmentId {
+    pub(crate) fn add_segment(&mut self, street: StreetId, from: NodeId, to: NodeId) -> SegmentId {
         let id = SegmentId::from_index(self.segments.len());
         let geom = LineSeg::new(self.nodes[from.index()].pos, self.nodes[to.index()].pos);
         self.segments.push(Segment {
@@ -231,11 +231,6 @@ impl NetworkBuilder {
             prev = next;
         }
         street
-    }
-
-    /// Number of nodes added so far.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Validates and freezes the network.

@@ -9,11 +9,11 @@ use crate::network::RoadNetwork;
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkStats {
     /// Number of nodes.
-    pub num_nodes: usize,
+    pub(crate) num_nodes: usize,
     /// Number of segments ("Num of segm." in Table 1).
     pub num_segments: usize,
     /// Number of streets.
-    pub num_streets: usize,
+    pub(crate) num_streets: usize,
     /// Minimum segment length ("Min segm. length").
     pub min_segment_len: f64,
     /// Maximum segment length ("Max segm. length").
@@ -23,7 +23,7 @@ pub struct NetworkStats {
     /// Total network length (sum of all segment lengths).
     pub total_len: f64,
     /// Mean number of segments per street.
-    pub mean_segments_per_street: f64,
+    pub(crate) mean_segments_per_street: f64,
 }
 
 impl NetworkStats {

@@ -1,6 +1,6 @@
 //! Memory accounting: a counting global allocator and scoped measurement.
 //!
-//! Declaring this crate's [`CountingAlloc`] as the `#[global_allocator]`
+//! Declaring this crate's `CountingAlloc` as the `#[global_allocator]`
 //! (done below, so every workspace binary gets it by linking `soi-obs`)
 //! routes all heap traffic through the system allocator while maintaining
 //! two sets of counters:
@@ -110,7 +110,7 @@ fn record_dealloc(size: usize) {
 /// Installed as the workspace-wide `#[global_allocator]` by this crate;
 /// every binary linking `soi-obs` gets memory accounting for free.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct CountingAlloc;
+pub(crate) struct CountingAlloc;
 
 // SAFETY: every method forwards to `System` with the caller's layout
 // unchanged; the counter updates never allocate through this allocator
@@ -156,11 +156,11 @@ pub struct AllocTotals {
     /// Allocations performed (including the alloc half of reallocs).
     pub allocs: u64,
     /// Deallocations performed (including the dealloc half of reallocs).
-    pub deallocs: u64,
+    pub(crate) deallocs: u64,
     /// Cumulative bytes handed out.
     pub allocated_bytes: u64,
     /// Bytes currently live (allocated minus freed).
-    pub live_bytes: u64,
+    pub(crate) live_bytes: u64,
     /// High-water mark of `live_bytes` over the process lifetime.
     pub peak_bytes: u64,
 }
@@ -182,7 +182,7 @@ pub struct AllocStats {
     /// Allocations performed inside the scope.
     pub allocs: u64,
     /// Deallocations performed inside the scope.
-    pub deallocs: u64,
+    pub(crate) deallocs: u64,
     /// Cumulative bytes allocated inside the scope.
     pub allocated_bytes: u64,
     /// Peak of (this thread's live bytes − live bytes at scope entry):
@@ -190,7 +190,7 @@ pub struct AllocStats {
     pub peak_bytes: u64,
     /// Net live-byte change across the scope (negative when the scope
     /// freed more than it allocated).
-    pub net_bytes: i64,
+    pub(crate) net_bytes: i64,
 }
 
 /// Measures the current thread's allocation work between [`AllocScope::start`]
@@ -242,13 +242,6 @@ impl AllocScope {
     }
 }
 
-/// Runs `f` under an [`AllocScope`] and returns its result with the stats.
-pub fn measure<R>(f: impl FnOnce() -> R) -> (R, AllocStats) {
-    let scope = AllocScope::start();
-    let r = f();
-    (r, scope.finish())
-}
-
 /// Registers the `soi_alloc_*` gauges and refreshes them from the current
 /// process-wide totals. Call before `metrics::gather` (the `soi metrics`
 /// command does) so the exposition reflects the moment of the scrape.
@@ -284,11 +277,10 @@ mod tests {
 
     #[test]
     fn scope_counts_this_threads_allocations() {
-        let (v, stats) = measure(|| {
-            let mut v: Vec<u64> = Vec::with_capacity(1024);
-            v.push(7);
-            v
-        });
+        let scope = AllocScope::start();
+        let mut v: Vec<u64> = Vec::with_capacity(1024);
+        v.push(7);
+        let stats = scope.finish();
         assert_eq!(v[0], 7);
         assert!(stats.allocs >= 1, "Vec allocation not counted");
         assert!(stats.allocated_bytes >= 8 * 1024);
@@ -299,10 +291,10 @@ mod tests {
 
     #[test]
     fn scope_peak_sees_freed_transients() {
-        let (_, stats) = measure(|| {
-            let big: Vec<u8> = vec![0; 1 << 20];
-            drop(big);
-        });
+        let scope = AllocScope::start();
+        let big: Vec<u8> = vec![0; 1 << 20];
+        drop(big);
+        let stats = scope.finish();
         assert!(
             stats.peak_bytes >= 1 << 20,
             "peak {} missed the 1MiB transient",
@@ -317,10 +309,10 @@ mod tests {
         let a: Vec<u8> = vec![0; 1 << 18];
         drop(a);
         // Inner scope resets the thread high-water mark...
-        let (_, inner) = measure(|| {
-            let b: Vec<u8> = vec![0; 1 << 10];
-            drop(b);
-        });
+        let scope = AllocScope::start();
+        let b: Vec<u8> = vec![0; 1 << 10];
+        drop(b);
+        let inner = scope.finish();
         assert!(inner.peak_bytes >= 1 << 10);
         assert!(inner.peak_bytes < 1 << 18, "inner saw only its own peak");
         // ...but the outer scope still reports the earlier 256KiB spike.

@@ -100,7 +100,7 @@ impl JsonWriter {
     }
 
     /// Adds a signed integer field.
-    pub fn field_i64(&mut self, name: &str, v: i64) {
+    pub(crate) fn field_i64(&mut self, name: &str, v: i64) {
         self.key(name);
         let _ = write!(self.buf, "{v}");
     }

@@ -37,6 +37,7 @@
 // `alloc` module's `GlobalAlloc` delegation (an unsafe trait by design).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // Observability must never take a process down: unwrap and expect are
 // compile errors outside of test code.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -49,6 +50,4 @@ pub mod names;
 pub mod trace;
 
 pub use alloc::{AllocScope, AllocStats};
-pub use metrics::{Counter, Gauge, Histogram};
-pub use names::phases;
 pub use trace::{Span, TraceEvent};

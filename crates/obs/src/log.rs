@@ -46,7 +46,7 @@ pub fn set_mode(mode: LogMode) {
 }
 
 /// Current process-wide log mode.
-pub fn mode() -> LogMode {
+pub(crate) fn mode() -> LogMode {
     match MODE.load(Ordering::Relaxed) {
         1 => LogMode::Json,
         2 => LogMode::Off,
@@ -90,7 +90,7 @@ fn unix_millis() -> u64 {
 
 /// Renders an event in the given mode (without emitting it). Exposed so
 /// tests can assert on the exact bytes; [`event`] is the emitting form.
-pub fn render(
+pub(crate) fn render(
     mode: LogMode,
     ts_ms: u64,
     name: &str,
@@ -147,11 +147,6 @@ pub fn event(name: &str, msg: &str, fields: &[(&str, Value<'_>)]) {
     if let Some(line) = render(mode(), unix_millis(), name, msg, fields) {
         eprintln!("{line}");
     }
-}
-
-/// Emits a plain informational message with no fields.
-pub fn info(name: &str, msg: &str) {
-    event(name, msg, &[]);
 }
 
 #[cfg(test)]

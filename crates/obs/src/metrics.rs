@@ -34,7 +34,7 @@ use std::time::Instant;
 /// The instant the process metrics clock was first touched. Callers that
 /// care about accurate uptime ([`publish_process_metrics`]) should call
 /// this (or that) once early at startup to pin the epoch.
-pub fn process_epoch() -> Instant {
+pub(crate) fn process_epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
 }
@@ -42,7 +42,7 @@ pub fn process_epoch() -> Instant {
 /// A constant "info" metric: a gauge fixed at `1` whose payload is its
 /// label set (the `soi_build_info{version="…"} 1` idiom).
 #[derive(Debug)]
-pub struct Info {
+pub(crate) struct Info {
     labels: Vec<(&'static str, String)>,
 }
 
@@ -187,7 +187,7 @@ pub fn register_info(name: &'static str, help: &'static str, labels: &[(&'static
 }
 
 /// Publishes (and refreshes) process-level metrics: uptime since
-/// [`process_epoch`], a `soi_build_info{version=…}` info gauge, and the
+/// the process epoch, a `soi_build_info{version=…}` info gauge, and the
 /// cumulative trace-drop counter mirrored from
 /// [`crate::trace::dropped_events`]. Call once early at startup to pin the
 /// uptime epoch, then again right before each [`gather`] so the snapshot
@@ -422,10 +422,10 @@ mod tests {
     }
 
     #[test]
-    fn gauge_moves_both_ways() {
+    fn gauge_reads_the_last_value_set() {
         let g = register_gauge("obs_test_gauge", "test gauge");
         g.set(4.0);
-        g.add(-1.5);
+        g.set(2.5);
         assert_eq!(g.get(), 2.5);
     }
 
@@ -453,13 +453,12 @@ mod tests {
     #[test]
     fn overflow_counts_saturated_observations() {
         let h = Histogram::new(&[1.0, 10.0]);
-        assert_eq!(h.overflow(), 0);
+        assert_eq!(h.snapshot().overflow(), 0);
         h.observe(0.5);
         h.observe(10.0); // le="10" exactly: not overflow
-        assert_eq!(h.overflow(), 0);
+        assert_eq!(h.snapshot().overflow(), 0);
         h.observe(11.0);
         h.observe(1e9);
-        assert_eq!(h.overflow(), 2);
         let snap = h.snapshot();
         assert_eq!(snap.overflow(), 2);
         // The tail quantile is clamped to the top finite bound — the
@@ -606,7 +605,6 @@ obs_fmt_requests_total 7
     #[test]
     fn windowed_counter_rolls_off() {
         let c = WindowedCounter::new(3, 15);
-        assert_eq!(c.window_secs(), 45);
         c.add_at(50, 2);
         c.add_at(51, 1);
         assert_eq!(c.sum_at(51), 3);

@@ -81,17 +81,8 @@ impl Gauge {
         self.bits.store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: f64) {
-        let _ = self
-            .bits
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
-                Some((f64::from_bits(bits) + delta).to_bits())
-            });
-    }
-
     /// Current value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
@@ -157,20 +148,12 @@ impl Histogram {
     }
 
     /// Total number of observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Observations that exceeded the top finite bucket bound (landed in
-    /// the implicit `+Inf` bucket). A non-zero overflow means the bucket
-    /// layout saturates: quantile estimates are clamped to the top bound
-    /// and under-report the true tail.
-    pub fn overflow(&self) -> u64 {
-        self.counts.last().map_or(0, |c| c.load(Ordering::Relaxed))
-    }
-
     /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
     }
 
@@ -194,9 +177,9 @@ impl Histogram {
 #[derive(Debug, Clone)]
 pub struct HistogramSnapshot {
     /// Bucket upper bounds (the final `+Inf` bucket is implicit).
-    pub bounds: Vec<f64>,
+    pub(crate) bounds: Vec<f64>,
     /// Non-cumulative per-bucket counts; `counts.len() == bounds.len()+1`.
-    pub counts: Vec<u64>,
+    pub(crate) counts: Vec<u64>,
     /// Sum of observations.
     pub sum: f64,
     /// Number of observations.
@@ -208,7 +191,7 @@ impl HistogramSnapshot {
     /// the saturation counterpart of [`Histogram::overflow`]. When this is
     /// non-zero, [`quantile`](Self::quantile) estimates touching the tail
     /// are clamped to the largest finite bound.
-    pub fn overflow(&self) -> u64 {
+    pub(crate) fn overflow(&self) -> u64 {
         self.counts.last().copied().unwrap_or(0)
     }
 

@@ -74,7 +74,7 @@ impl<S> Wheel<S> {
 ///
 /// Ticks are injectable ([`Self::observe_at`], [`Self::snapshot_at`]) so
 /// rotation and merge behavior are deterministically testable; the
-/// wall-clock entry points derive the tick from [`process_epoch`].
+/// wall-clock entry points derive the tick from the process epoch.
 #[derive(Debug)]
 pub struct WindowedHistogram {
     bounds: Vec<f64>,
@@ -153,23 +153,18 @@ impl WindowedCounter {
         }
     }
 
-    /// Length of the full window in seconds (`slots × slot_secs`).
-    pub fn window_secs(&self) -> u64 {
-        self.wheel.window_secs()
-    }
-
     /// Adds one at wall-clock time.
     pub fn inc(&self) {
         self.add(1);
     }
 
     /// Adds `n` at wall-clock time.
-    pub fn add(&self, n: u64) {
+    pub(crate) fn add(&self, n: u64) {
         self.add_at(self.wheel.current_tick(), n);
     }
 
     /// Adds `n` at an explicit tick (tests).
-    pub fn add_at(&self, tick: u64, n: u64) {
+    pub(crate) fn add_at(&self, tick: u64, n: u64) {
         let reset = |value: &AtomicU64| value.store(0, Ordering::Relaxed);
         self.wheel
             .slot_at(tick, reset)
@@ -182,7 +177,7 @@ impl WindowedCounter {
     }
 
     /// Events within the window `(now_tick - slots, now_tick]`.
-    pub fn sum_at(&self, now_tick: u64) -> u64 {
+    pub(crate) fn sum_at(&self, now_tick: u64) -> u64 {
         let live = self.wheel.live(now_tick);
         live.map(|v| v.load(Ordering::Relaxed)).sum()
     }

@@ -30,7 +30,7 @@
 //! path. The serving layer uses this for `"trace": true` requests, so one
 //! traced request never taxes its neighbours. While capturing (or inside
 //! [`with_request_id`]), recorded events carry the request id in
-//! [`TraceEvent::req`], rendered as `args.request_id` in the Chrome JSON.
+//! `TraceEvent::req`, rendered as `args.request_id` in the Chrome JSON.
 
 use crate::json::JsonWriter;
 use std::cell::{Cell, RefCell};
@@ -119,7 +119,7 @@ pub struct TraceEvent {
     pub tid: u64,
     /// Request id in effect when the event was recorded (see
     /// [`with_request_id`] / [`capture`]); `0` = no request association.
-    pub req: u64,
+    pub(crate) req: u64,
     /// Payload.
     pub kind: EventKind,
 }
@@ -227,7 +227,7 @@ pub fn with_request_id<R>(request_id: u64, f: impl FnOnce() -> R) -> R {
 /// private buffer (bounded by an internal cap, overflow counted in
 /// [`dropped_events`]) — they are *not* added to the global drain list
 /// unless the global trace is also enabled. Events carry `request_id` in
-/// [`TraceEvent::req`]. Scopes do not nest (the work of one request is a
+/// `TraceEvent::req`. Scopes do not nest (the work of one request is a
 /// single scope); a nested call records into the outer scope's buffer.
 ///
 /// Other threads are untouched: a thread that is neither capturing nor
@@ -257,13 +257,6 @@ pub fn capture<R>(request_id: u64, f: impl FnOnce() -> R) -> (R, Vec<TraceEvent>
 pub struct Span {
     name: &'static str,
     start_ns: Option<u64>,
-}
-
-impl Span {
-    /// The span's name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
 }
 
 impl Drop for Span {

@@ -6,3 +6,4 @@
 //! lockfile").
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]

@@ -16,7 +16,7 @@ pub struct Response {
     /// Status code.
     pub status: u16,
     /// Header `(name, value)` pairs, names lowercased.
-    pub headers: Vec<(String, String)>,
+    pub(crate) headers: Vec<(String, String)>,
     /// Response body.
     pub body: String,
 }

@@ -17,17 +17,17 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy)]
 pub struct Limits {
     /// Max request-line length (method + target + version).
-    pub max_request_line: usize,
+    pub(crate) max_request_line: usize,
     /// Max bytes across all header lines.
-    pub max_header_bytes: usize,
+    pub(crate) max_header_bytes: usize,
     /// Max header count.
-    pub max_headers: usize,
+    pub(crate) max_headers: usize,
     /// Max `Content-Length` accepted.
-    pub max_body_bytes: usize,
+    pub(crate) max_body_bytes: usize,
     /// Overall wall-clock cap on parsing one request. The per-read socket
     /// timeout alone does not stop a drip-feed client (one byte per
     /// interval resets it every read); this deadline does.
-    pub max_parse_time: Duration,
+    pub(crate) max_parse_time: Duration,
 }
 
 impl Default for Limits {
@@ -42,34 +42,33 @@ impl Default for Limits {
     }
 }
 
-/// A parsed request: method, target (path + optional query), headers, body.
+/// A parsed request: method, target (path + optional query) and body. The
+/// headers are read for the body's framing and not kept.
 #[derive(Debug)]
 pub struct Request {
     /// The request method (`GET`, `POST`, …), uppercase as sent.
-    pub method: String,
+    pub(crate) method: String,
     /// The request target as sent (`/soi`, `/debug/requests?limit=5`, …).
-    pub target: String,
-    /// Header `(name, value)` pairs; names lowercased.
-    pub headers: Vec<(String, String)>,
+    pub(crate) target: String,
     /// The request body (empty without `Content-Length`).
-    pub body: Vec<u8>,
+    pub(crate) body: Vec<u8>,
 }
 
 impl Request {
     /// The target's path component (query string stripped).
-    pub fn path(&self) -> &str {
+    pub(crate) fn path(&self) -> &str {
         self.target.split('?').next().unwrap_or(&self.target)
     }
 
     /// The target's raw query string, if any.
-    pub fn query(&self) -> Option<&str> {
+    pub(crate) fn query(&self) -> Option<&str> {
         self.target.split_once('?').map(|(_, q)| q)
     }
 }
 
 /// The `name=value` pairs of a raw query string, in order: empty pairs are
 /// skipped, and a pair without `=` has an empty value. Nothing is decoded.
-pub fn query_pairs(raw: &str) -> impl Iterator<Item = (&str, &str)> {
+pub(crate) fn query_pairs(raw: &str) -> impl Iterator<Item = (&str, &str)> {
     raw.split('&')
         .filter(|p| !p.is_empty())
         .map(|pair| pair.split_once('=').unwrap_or((pair, "")))
@@ -96,7 +95,7 @@ pub enum HttpError {
 impl HttpError {
     /// The `(status, reason)` to answer with; `None` means the peer is gone
     /// and the connection should just be dropped.
-    pub fn status(&self) -> Option<(u16, &'static str)> {
+    pub(crate) fn status(&self) -> Option<(u16, &'static str)> {
         match self {
             HttpError::Malformed(_) => Some((400, "Bad Request")),
             HttpError::TooLarge(_) => Some((413, "Payload Too Large")),
@@ -230,7 +229,7 @@ impl<'a> ByteReader<'a> {
 ///
 /// # Errors
 /// Any parse failure, cap violation, timeout, or socket error — see
-/// [`HttpError::status`] for the response mapping.
+/// `HttpError::status` for the response mapping.
 pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, HttpError> {
     let mut reader = ByteReader::new(stream, limits.max_parse_time);
     let request_line = reader.read_line(limits.max_request_line)?;
@@ -307,7 +306,6 @@ pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, 
     Ok(Request {
         method,
         target,
-        headers,
         body,
     })
 }
@@ -363,7 +361,7 @@ pub fn write_response_with_headers(
 ///
 /// # Errors
 /// Propagates socket write failures.
-pub fn write_error(
+pub(crate) fn write_error(
     stream: &mut TcpStream,
     status: u16,
     reason: &str,
@@ -402,7 +400,6 @@ mod tests {
         assert_eq!(req.method, "GET");
         assert_eq!(req.path(), "/debug/requests");
         assert_eq!(req.query(), Some("limit=5"));
-        assert_eq!(req.headers, [("host".to_string(), "x".to_string())]);
     }
 
     #[test]

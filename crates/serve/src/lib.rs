@@ -33,25 +33,26 @@
 //! - [`queue`]: the one bounded queue both worker pools pop from
 //!   (connections to the IO workers, jobs to the engine workers), the
 //!   jobs, and the per-request result slots;
-//! - [`server`]: boot, then one file per stage under `server/` — IO and
-//!   admission, routes and request parsing, the engine workers and
+//! - `server`: boot ([`serve`]), then one file per stage under `server/` —
+//!   IO and admission, routes and request parsing, the engine workers and
 //!   rendering, ingest and fold, and the debug and status routes;
-//! - [`ring`]: the recent-requests ring behind `GET /debug/requests`;
+//! - `ring`: the recent-requests ring behind `GET /debug/requests`;
 //! - `journal`: the `POST /ingest` journal replayed at boot;
-//! - [`obs`]: the serving metrics; [`signal`]: SIGTERM/SIGINT to drain;
+//! - `obs`: the serving metrics; [`signal`]: SIGTERM/SIGINT to drain;
 //! - [`client`]: a minimal blocking HTTP client for tools and tests.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod client;
 pub mod http;
 mod journal;
-pub mod obs;
+mod obs;
 pub mod queue;
-pub mod ring;
-pub mod server;
+mod ring;
+mod server;
 pub mod signal;
 
 pub use server::{serve, ServeConfig, ServeReport};

@@ -19,78 +19,78 @@ use soi_obs::names::metrics as names;
 use std::sync::OnceLock;
 
 /// Slots in the rolling-window wheel.
-pub const WINDOW_SLOTS: usize = 8;
+pub(crate) const WINDOW_SLOTS: usize = 8;
 /// Seconds per rolling-window slot.
-pub const WINDOW_SLOT_SECS: u64 = 15;
+pub(crate) const WINDOW_SLOT_SECS: u64 = 15;
 
 /// Global instruments fed by the HTTP serving layer.
-pub struct ServeMetrics {
+pub(crate) struct ServeMetrics {
     /// `soi_serve_requests_total`: HTTP requests that parsed successfully.
-    pub requests: &'static Counter,
+    pub(crate) requests: &'static Counter,
     /// `soi_serve_connections_total`: TCP connections accepted.
-    pub connections: &'static Counter,
+    pub(crate) connections: &'static Counter,
     /// `soi_serve_shed_total`: requests shed by admission control (the
     /// bounded queue was full; the client got an immediate 503).
-    pub shed: &'static Counter,
+    pub(crate) shed: &'static Counter,
     /// `soi_serve_rejected_total`: connections rejected at the HTTP edge
     /// (malformed request line, oversized body, slow or closed peer).
-    pub rejected: &'static Counter,
+    pub(crate) rejected: &'static Counter,
     /// `soi_serve_deadline_expired_total`: accepted queries whose deadline
     /// expired mid-run; the response carried `partial: true`.
-    pub deadline_expired: &'static Counter,
+    pub(crate) deadline_expired: &'static Counter,
     /// `soi_serve_panics_total`: worker panics caught by the isolation
     /// guard (always expected to be zero; the overload suite asserts it).
-    pub panics: &'static Counter,
+    pub(crate) panics: &'static Counter,
     /// `soi_serve_slow_queries_total`: requests whose total latency
     /// crossed the `--slow-query-ms` threshold and were logged.
-    pub slow_queries: &'static Counter,
+    pub(crate) slow_queries: &'static Counter,
     /// `soi_serve_queue_depth`: current admission-queue depth.
-    pub queue_depth: &'static Gauge,
+    pub(crate) queue_depth: &'static Gauge,
     /// `soi_serve_request_latency_seconds`: accepted-request latency from
     /// parse completion to response written.
-    pub latency: &'static Histogram,
+    pub(crate) latency: &'static Histogram,
     /// `soi_serve_request_latency_window_seconds`: rolling-window latency,
     /// all endpoints.
-    pub latency_window: &'static WindowedHistogram,
+    pub(crate) latency_window: &'static WindowedHistogram,
     /// `soi_serve_soi_latency_window_seconds`: rolling-window latency of
     /// `POST /soi` requests.
-    pub soi_latency_window: &'static WindowedHistogram,
+    pub(crate) soi_latency_window: &'static WindowedHistogram,
     /// `soi_serve_describe_latency_window_seconds`: rolling-window latency
     /// of `POST /describe` requests.
-    pub describe_latency_window: &'static WindowedHistogram,
+    pub(crate) describe_latency_window: &'static WindowedHistogram,
     /// `soi_serve_requests_window`: requests completed inside the window.
-    pub requests_window: &'static WindowedCounter,
+    pub(crate) requests_window: &'static WindowedCounter,
     /// `soi_serve_shed_window`: requests shed inside the window.
-    pub shed_window: &'static WindowedCounter,
+    pub(crate) shed_window: &'static WindowedCounter,
     /// `soi_serve_errors_window`: error responses inside the window.
-    pub errors_window: &'static WindowedCounter,
+    pub(crate) errors_window: &'static WindowedCounter,
     /// `soi_serve_partials_window`: partial responses inside the window.
-    pub partials_window: &'static WindowedCounter,
+    pub(crate) partials_window: &'static WindowedCounter,
     /// `soi_serve_describe_contexts_built_total`: `/describe` jobs that
     /// built their street's context (the first touch of the street in its
     /// epoch).
-    pub describe_contexts_built: &'static Counter,
+    pub(crate) describe_contexts_built: &'static Counter,
     /// `soi_serve_describe_contexts_reused_total`: `/describe` jobs that
     /// read a context an earlier job of the same epoch built.
-    pub describe_contexts_reused: &'static Counter,
+    pub(crate) describe_contexts_reused: &'static Counter,
     /// `soi_ingest_batches_total`: accepted `POST /ingest` batches.
-    pub ingest_batches: &'static Counter,
+    pub(crate) ingest_batches: &'static Counter,
     /// `soi_ingest_ops_total`: delta ops accepted across all batches.
-    pub ingest_ops: &'static Counter,
+    pub(crate) ingest_ops: &'static Counter,
     /// `soi_ingest_rejected_total`: ingest batches rejected whole (parse
     /// or validation failure; state unchanged).
-    pub ingest_rejected: &'static Counter,
+    pub(crate) ingest_rejected: &'static Counter,
     /// `soi_ingest_folds_total`: epoch folds (delta compacted into a
     /// fresh base and the epoch swapped).
-    pub ingest_folds: &'static Counter,
+    pub(crate) ingest_folds: &'static Counter,
     /// `soi_ingest_epoch`: current epoch id (monotone across swaps).
-    pub ingest_epoch: &'static Gauge,
+    pub(crate) ingest_epoch: &'static Gauge,
     /// `soi_ingest_pending_ops`: ops in the live (unfolded) delta.
-    pub ingest_pending: &'static Gauge,
+    pub(crate) ingest_pending: &'static Gauge,
 }
 
 /// The serving instruments (registered on first use).
-pub fn serve_metrics() -> &'static ServeMetrics {
+pub(crate) fn serve_metrics() -> &'static ServeMetrics {
     static METRICS: OnceLock<ServeMetrics> = OnceLock::new();
     METRICS.get_or_init(|| ServeMetrics {
         requests: register_counter("soi_serve_requests_total", "HTTP requests parsed"),
@@ -197,7 +197,7 @@ pub fn serve_metrics() -> &'static ServeMetrics {
 
 /// Forces registration of every serving metric so a `GET /metrics` before
 /// the first request still exposes the full series set (at zero).
-pub fn register_metrics() {
+pub(crate) fn register_metrics() {
     let _ = serve_metrics();
     soi_core::obs::register_metrics();
 }

@@ -4,7 +4,7 @@
 //! [`try_push`](BoundedQueue::try_push) parsed query jobs, and when the
 //! queue is at capacity the push fails immediately — the worker answers
 //! 503 and moves on, spending microseconds on the request instead of
-//! queueing unbounded work. Each engine worker [`pop`](BoundedQueue::pop)s
+//! queueing unbounded work. Each engine worker `pop`s
 //! one job at a time, executes it under its deadline, and publishes the
 //! response through the job's [`Slot`]. The accept loop hands connections
 //! to the IO workers through the same queue type.
@@ -32,22 +32,22 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 #[derive(Debug, Default, Clone)]
 pub struct SlotMeta {
     /// Time the job sat in the admission queue before a worker claimed it.
-    pub queue: Duration,
+    pub(crate) queue: Duration,
     /// Time executing on the worker: the algorithm call, plus the street
     /// context build for `/describe`.
-    pub exec: Duration,
+    pub(crate) exec: Duration,
     /// The deadline expired and the response is partial.
-    pub partial: bool,
+    pub(crate) partial: bool,
     /// The response is an error body.
-    pub error: bool,
+    pub(crate) error: bool,
     /// Source-list accesses performed (k-SOI work counter).
-    pub accesses: u64,
+    pub(crate) accesses: u64,
     /// The serving epoch the job pinned.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// Chrome-trace JSON captured for this request, when asked for.
-    pub trace_json: Option<String>,
+    pub(crate) trace_json: Option<String>,
     /// Explain JSON captured for this request, when asked for.
-    pub explain_json: Option<String>,
+    pub(crate) explain_json: Option<String>,
 }
 
 /// A single-use rendezvous for one request's response: the IO worker waits
@@ -66,7 +66,7 @@ impl Slot {
     }
 
     /// [`put`](Slot::put) with execution metadata for the request ring.
-    pub fn put_with_meta(&self, status: u16, body: String, meta: SlotMeta) {
+    pub(crate) fn put_with_meta(&self, status: u16, body: String, meta: SlotMeta) {
         *lock(&self.state) = Some((status, body, meta));
         self.cv.notify_all();
     }
@@ -128,7 +128,7 @@ pub struct Job {
 
 /// A bounded FIFO between threads that must not block and threads that
 /// wait: [`try_push`](Self::try_push) hands the item back at once when the
-/// queue is full or closed (the caller sheds it), [`pop`](Self::pop) blocks
+/// queue is full or closed (the caller sheds it), `pop` blocks
 /// until an item arrives, and after [`close`](Self::close) the queued items
 /// still drain before `pop` returns `None`. The server runs both of its
 /// pools on it: accepted connections to the IO workers, and admitted jobs
@@ -165,18 +165,18 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Reports the depth to `gauge` on every push and pop.
-    pub fn with_depth_gauge(mut self, gauge: &'static Gauge) -> Self {
+    pub(crate) fn with_depth_gauge(mut self, gauge: &'static Gauge) -> Self {
         self.depth_gauge = Some(gauge);
         self
     }
 
     /// The configured capacity.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Current depth (queued items).
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         lock(&self.state).items.len()
     }
 
@@ -202,7 +202,7 @@ impl<T> BoundedQueue<T> {
 
     /// Takes the oldest item, blocking until one is queued. `None` once the
     /// queue is closed and drained — the worker's signal to exit.
-    pub fn pop(&self) -> Option<T> {
+    pub(crate) fn pop(&self) -> Option<T> {
         let mut state = lock(&self.state);
         loop {
             if let Some(item) = state.items.pop_front() {
@@ -218,7 +218,7 @@ impl<T> BoundedQueue<T> {
 
     /// Pops up to `max` items, waiting up to `timeout` for the first one.
     /// Returns an empty batch on timeout or when closed and drained. The
-    /// server's workers [`pop`](Self::pop) one item at a time; this form
+    /// server's workers `pop` one item at a time; this form
     /// serves callers that drain in bulk (the benchmark's hand-off probe).
     pub fn pop_batch(&self, max: usize, timeout: Duration) -> Vec<T> {
         let deadline = Instant::now() + timeout;

@@ -17,32 +17,32 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 /// Everything the server remembers about one completed request.
 #[derive(Debug, Default, Clone)]
-pub struct RequestRecord {
+pub(crate) struct RequestRecord {
     /// The request id (monotonic per server run, starts at 1).
-    pub id: u64,
+    pub(crate) id: u64,
     /// The endpoint that handled it (`/soi`, `/describe`, …).
-    pub endpoint: String,
+    pub(crate) endpoint: String,
     /// A short human-readable digest of the request parameters.
-    pub params: String,
+    pub(crate) params: String,
     /// HTTP status answered.
-    pub status: u16,
+    pub(crate) status: u16,
     /// Total latency from parse completion to response written.
-    pub total_ms: f64,
+    pub(crate) total_ms: f64,
     /// The request was shed by admission control (503).
-    pub shed: bool,
+    pub(crate) shed: bool,
     /// The request answered an error response.
-    pub error: bool,
+    pub(crate) error: bool,
     /// What the engine worker published for the job (queue and exec time,
     /// partial flag, accesses, epoch, captured artifacts); `/ingest` sets
     /// the epoch, other inline routes leave it all zero.
-    pub job: SlotMeta,
+    pub(crate) job: SlotMeta,
 }
 
 impl RequestRecord {
     /// Renders the record as JSON. `with_artifacts` embeds the captured
     /// trace/explain payloads (the by-id route); the list route omits them
     /// and reports only their presence.
-    pub fn to_json(&self, with_artifacts: bool) -> String {
+    pub(crate) fn to_json(&self, with_artifacts: bool) -> String {
         let mut obj = JsonWriter::object();
         obj.field_u64("id", self.id);
         obj.field_str("endpoint", &self.endpoint);
@@ -76,14 +76,14 @@ impl RequestRecord {
 
 /// The bounded ring of recent [`RequestRecord`]s.
 #[derive(Debug)]
-pub struct RequestRing {
+pub(crate) struct RequestRing {
     slots: Vec<Mutex<Option<Arc<RequestRecord>>>>,
     cursor: AtomicUsize,
 }
 
 impl RequestRing {
     /// Creates a ring remembering the most recent `capacity` requests.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             slots: (0..capacity.max(1)).map(|_| Mutex::new(None)).collect(),
             cursor: AtomicUsize::new(0),
@@ -91,12 +91,12 @@ impl RequestRing {
     }
 
     /// The ring capacity.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.slots.len()
     }
 
     /// Records one completed request, evicting the oldest when full.
-    pub fn push(&self, record: RequestRecord) {
+    pub(crate) fn push(&self, record: RequestRecord) {
         let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[seq % self.slots.len()];
         let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
@@ -104,7 +104,7 @@ impl RequestRing {
     }
 
     /// Finds a record by request id (linear scan over the ring).
-    pub fn get(&self, id: u64) -> Option<Arc<RequestRecord>> {
+    pub(crate) fn get(&self, id: u64) -> Option<Arc<RequestRecord>> {
         self.slots.iter().find_map(|slot| {
             let guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
             guard.as_ref().filter(|r| r.id == id).map(Arc::clone)
@@ -112,7 +112,7 @@ impl RequestRing {
     }
 
     /// The retained records, most recent first.
-    pub fn recent(&self) -> Vec<Arc<RequestRecord>> {
+    pub(crate) fn recent(&self) -> Vec<Arc<RequestRecord>> {
         let mut records: Vec<Arc<RequestRecord>> = self
             .slots
             .iter()
@@ -129,7 +129,7 @@ impl RequestRing {
     /// omitted), most recent first. `endpoint` keeps only records handled
     /// by that endpoint; `limit` truncates after filtering (both applied
     /// here so a filtered listing still returns up to `limit` matches).
-    pub fn list_json(&self, limit: Option<usize>, endpoint: Option<&str>) -> String {
+    pub(crate) fn list_json(&self, limit: Option<usize>, endpoint: Option<&str>) -> String {
         let mut records = self.recent();
         if let Some(endpoint) = endpoint {
             records.retain(|r| r.endpoint == endpoint);

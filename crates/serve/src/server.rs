@@ -112,12 +112,10 @@ pub struct ServeConfig {
     /// Describe neighbourhood radius ρ.
     pub rho: f64,
     /// When set, startup loads the index bundle from this snapshot cache
-    /// directory (building and persisting it on a miss) instead of always
-    /// rebuilding, turning cold start into I/O time.
+    /// directory (building and persisting it on a miss, or over a corrupt
+    /// snapshot) instead of always rebuilding, turning cold start into I/O
+    /// time.
     pub index_cache: Option<std::path::PathBuf>,
-    /// Fail startup on a corrupt cached snapshot instead of transparently
-    /// rebuilding it.
-    pub index_cache_strict: bool,
     /// Capture a request-scoped trace for one in every N queued queries
     /// into the recent-requests ring (0 = off). Sampled traces are not
     /// embedded in responses — only `"trace": true` embeds.
@@ -150,7 +148,6 @@ impl Default for ServeConfig {
             eps: 5e-4,
             rho: 1e-4,
             index_cache: None,
-            index_cache_strict: false,
             trace_sample: 0,
             slow_query: None,
             ring_capacity: 256,
@@ -164,7 +161,7 @@ impl Default for ServeConfig {
 #[derive(Debug, Clone, Default)]
 pub struct ServeReport {
     /// TCP connections accepted.
-    pub connections: u64,
+    pub(crate) connections: u64,
     /// Requests that parsed successfully.
     pub requests: u64,
     /// Requests shed by admission control (503).
@@ -303,15 +300,7 @@ pub fn serve(
     };
     params.check(dataset, ["--eps", "--eps"])?;
     let index_started = Instant::now();
-    let cache_mode = if config.index_cache_strict {
-        soi_index::CacheMode::Strict
-    } else {
-        soi_index::CacheMode::Lenient
-    };
-    let cache = config
-        .index_cache
-        .as_ref()
-        .map(|dir| IndexCache::new(dir.clone(), cache_mode));
+    let cache = config.index_cache.as_ref().map(IndexCache::new);
     // Every boot replays the journal the same way: fold its ops at its
     // fold markers, take the folded data's bundle from the cache (or build
     // it), and seal the ops after the last marker as the boot epoch's delta.

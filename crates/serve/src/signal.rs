@@ -34,7 +34,7 @@ mod unix {
         super::SHUTDOWN.store(true, Ordering::SeqCst);
     }
 
-    pub fn install() {
+    pub(crate) fn install() {
         // SAFETY: `on_signal` is an `extern "C" fn(i32)` that only performs
         // an atomic store, which is async-signal-safe; `signal` itself is
         // safe to call with a valid function pointer.

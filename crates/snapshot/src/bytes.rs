@@ -11,8 +11,7 @@
 //! The mmap shim follows the serving layer's `signal(2)` shim: an
 //! `extern "C"` declaration of the two symbols, which libc — always linked
 //! by `std` on unix — provides. No libc crate, no bindings generator. Any
-//! mmap failure degrades silently to the read path; `SOI_SNAPSHOT_NO_MMAP=1`
-//! forces it (used by tests to cover both).
+//! mmap failure degrades silently to the read path.
 
 use std::fs::File;
 use std::io::Read;
@@ -22,7 +21,7 @@ use soi_common::{Result, SoiError};
 
 /// The raw bytes of a snapshot file, however they were obtained.
 #[derive(Debug)]
-pub struct SnapshotBytes {
+pub(crate) struct SnapshotBytes {
     inner: Inner,
 }
 
@@ -41,8 +40,8 @@ impl SnapshotBytes {
     /// # Errors
     /// Any I/O failure opening or reading the file (an `mmap` failure is
     /// not an error — it falls back to reading).
-    pub fn open(path: &Path) -> Result<Self> {
-        let mut file = File::open(path).map_err(|e| SoiError::io(e, path))?;
+    pub(crate) fn open(path: &Path) -> Result<Self> {
+        let file = File::open(path).map_err(|e| SoiError::io(e, path))?;
         let len = file
             .metadata()
             .map_err(|e| SoiError::io(e, path))?
@@ -56,14 +55,17 @@ impl SnapshotBytes {
             })?;
 
         #[cfg(unix)]
-        if len > 0 && !mmap_disabled() {
-            if let Some(mapping) = unix::Mapping::map(&file, len) {
-                return Ok(SnapshotBytes {
-                    inner: Inner::Mapped(mapping),
-                });
-            }
+        if let Some(mapping) = unix::Mapping::map(&file, len) {
+            return Ok(SnapshotBytes {
+                inner: Inner::Mapped(mapping),
+            });
         }
+        Self::read(file, len, path)
+    }
 
+    /// The read fallback: the first `len` bytes of `file` (opened from
+    /// `path`) copied into an 8-byte-aligned owned buffer.
+    fn read(mut file: File, len: usize, path: &Path) -> Result<Self> {
         let mut buf = vec![0u64; len.div_ceil(8)];
         let dest = bytes_mut(&mut buf);
         file.read_exact(&mut dest[..len])
@@ -74,7 +76,7 @@ impl SnapshotBytes {
     }
 
     /// The file content. The pointer is at least 8-byte aligned.
-    pub fn as_slice(&self) -> &[u8] {
+    pub(crate) fn as_slice(&self) -> &[u8] {
         match &self.inner {
             Inner::Owned { buf, len } => {
                 #[allow(unsafe_code)]
@@ -88,21 +90,6 @@ impl SnapshotBytes {
             Inner::Mapped(m) => m.as_slice(),
         }
     }
-
-    /// Whether the content is an actual memory mapping (vs a read copy).
-    pub fn is_mapped(&self) -> bool {
-        match &self.inner {
-            Inner::Owned { .. } => false,
-            #[cfg(unix)]
-            Inner::Mapped(_) => true,
-        }
-    }
-}
-
-/// Whether `SOI_SNAPSHOT_NO_MMAP` asks for the read fallback.
-#[cfg(unix)]
-fn mmap_disabled() -> bool {
-    std::env::var_os("SOI_SNAPSHOT_NO_MMAP").is_some_and(|v| v != "0" && !v.is_empty())
 }
 
 /// A mutable byte view of an owned `u64` buffer.
@@ -225,10 +212,9 @@ mod tests {
         let content: Vec<u8> = (0..10_000u32).flat_map(|v| v.to_le_bytes()).collect();
         let path = temp_file("agree", &content);
         let mapped = SnapshotBytes::open(&path).unwrap();
-        std::env::set_var("SOI_SNAPSHOT_NO_MMAP", "1");
-        let owned = SnapshotBytes::open(&path).unwrap();
-        std::env::remove_var("SOI_SNAPSHOT_NO_MMAP");
-        assert!(!owned.is_mapped());
+        assert!(matches!(mapped.inner, Inner::Mapped(_)));
+        let owned = SnapshotBytes::read(File::open(&path).unwrap(), content.len(), &path).unwrap();
+        assert!(matches!(owned.inner, Inner::Owned { .. }));
         assert_eq!(mapped.as_slice(), owned.as_slice());
         assert_eq!(owned.as_slice().as_ptr().align_offset(8), 0);
         std::fs::remove_file(&path).ok();

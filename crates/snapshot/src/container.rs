@@ -202,11 +202,11 @@ pub struct SectionMeta {
     /// Absolute payload offset in the file.
     pub offset: u64,
     /// Payload length in bytes.
-    pub len: u64,
+    pub(crate) len: u64,
     /// Declared payload alignment.
     pub align: u32,
     /// Word-wise FNV-1a 64 checksum of the payload (see [`crate::fnv::fnv1a64_words`]).
-    pub checksum: u64,
+    pub(crate) checksum: u64,
 }
 
 /// An opened, fully validated snapshot container.
@@ -238,11 +238,6 @@ impl Snapshot {
     /// The file this snapshot was opened from.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Whether the content is memory-mapped (vs read into a buffer).
-    pub fn is_mapped(&self) -> bool {
-        self.data.is_mapped()
     }
 
     /// Total container size in bytes.

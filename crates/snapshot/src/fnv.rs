@@ -44,7 +44,7 @@ impl Fnv64 {
     }
 
     /// Folds `bytes` into the state.
-    pub fn write(&mut self, bytes: &[u8]) {
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
         let mut h = self.state;
         for &b in bytes {
             h ^= b as u64;
@@ -57,7 +57,7 @@ impl Fnv64 {
     ///
     /// This is the word-wise fold described in the module docs: one
     /// xor-then-multiply per 64 input bits instead of per 8.
-    pub fn write_word(&mut self, w: u64) {
+    pub(crate) fn write_word(&mut self, w: u64) {
         self.state = (self.state ^ w).wrapping_mul(PRIME);
     }
 

@@ -22,11 +22,11 @@
 //! └────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! Reads go through [`SnapshotBytes`]: an `mmap(2)` of the file on unix
+//! Reads go through `SnapshotBytes`: an `mmap(2)` of the file on unix
 //! (via a tiny syscall shim in the spirit of the serving layer's
 //! `signal(2)` shim — no libc *crate*, just the symbols std already links)
-//! with a read-into-8-byte-aligned-buffer fallback everywhere else (or when
-//! `SOI_SNAPSHOT_NO_MMAP=1`).
+//! with a read-into-8-byte-aligned-buffer fallback everywhere else, or when
+//! the mapping fails.
 //!
 //! Corruption — truncation, flipped bytes, bad magic, unknown versions,
 //! foreign endianness, overlapping or out-of-bounds sections — surfaces as
@@ -36,16 +36,16 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // Library code must surface failures as `SoiError`, never panic: unwrap and
 // expect are compile errors outside of test code.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod bytes;
-pub mod container;
-pub mod fnv;
-pub mod pod;
+mod bytes;
+mod container;
+mod fnv;
+mod pod;
 
-pub use bytes::SnapshotBytes;
 pub use container::{
     corrupt, SectionMeta, Snapshot, SnapshotWriter, ENDIAN_TAG, FORMAT_VERSION, HEADER_LEN, MAGIC,
     TABLE_ENTRY_LEN,

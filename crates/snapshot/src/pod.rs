@@ -21,7 +21,7 @@ use core::slice;
 macro_rules! pod_casts {
     ($to_bytes:ident, $from_bytes:ident, $ty:ty) => {
         /// Views a typed slice as its underlying native-endian bytes.
-        pub fn $to_bytes(v: &[$ty]) -> &[u8] {
+        pub(crate) fn $to_bytes(v: &[$ty]) -> &[u8] {
             // SAFETY: `$ty` is a primitive with no padding; any `$ty` value
             // is valid as bytes, the pointer is valid for `len * size` bytes
             // and `u8` has alignment 1.
@@ -31,7 +31,7 @@ macro_rules! pod_casts {
         /// Views bytes as a typed slice, or `None` if the pointer is
         /// misaligned for the type or the length is not a whole number of
         /// elements.
-        pub fn $from_bytes(b: &[u8]) -> Option<&[$ty]> {
+        pub(crate) fn $from_bytes(b: &[u8]) -> Option<&[$ty]> {
             let size = size_of::<$ty>();
             if b.is_empty() {
                 return Some(&[]);

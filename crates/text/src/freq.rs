@@ -76,16 +76,6 @@ impl FreqVector {
         v
     }
 
-    /// Empties the vector, keeping its capacity.
-    pub fn clear(&mut self) {
-        for k in self.dense_keys.drain(..) {
-            self.dense[k.index()] = 0.0;
-        }
-        self.sparse_keys.clear();
-        self.sparse_weights.clear();
-        self.l1 = 0.0;
-    }
-
     /// Adds `weight` to keyword `k` (no-op for non-positive weights).
     #[inline]
     pub fn add(&mut self, k: KeywordId, weight: f64) {
@@ -138,11 +128,6 @@ impl FreqVector {
         self.l1
     }
 
-    /// Number of keywords with non-zero weight.
-    pub fn len(&self) -> usize {
-        self.dense_keys.len() + self.sparse_keys.len()
-    }
-
     /// Drops spare capacity, for a vector that is kept rather than
     /// refilled. A wide dense column spanning more than a few ids per
     /// keyword it holds (a street that shows tag 65 000 and ten others) is
@@ -180,11 +165,6 @@ impl FreqVector {
             + (self.dense_keys.capacity() + self.sparse_keys.capacity())
                 * std::mem::size_of::<KeywordId>()
             + self.sparse_weights.capacity() * std::mem::size_of::<f64>()
-    }
-
-    /// Returns true if the vector is all-zero.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// The support `Ψs`: keywords with non-zero frequency, as a set.
@@ -230,19 +210,20 @@ mod tests {
             .map(|k| v.weight(kid(k)))
             .to_vec();
         assert!(v.heap_bytes() > 65_000 * 8);
-        let (l1, len) = (v.l1_norm(), v.len());
+        let (l1, len) = (v.l1_norm(), v.iter().count());
         v.shrink_to_fit();
         assert!(v.heap_bytes() <= 4 * 12, "{} bytes", v.heap_bytes());
         let after: Vec<f64> = [3, 900, 65_000, 70_000, 4, 64_999]
             .map(|k| v.weight(kid(k)))
             .to_vec();
         assert_eq!(before, after);
-        assert_eq!((v.l1_norm().to_bits(), v.len()), (l1.to_bits(), len));
+        assert_eq!(
+            (v.l1_norm().to_bits(), v.iter().count()),
+            (l1.to_bits(), len)
+        );
         // Still a working vector: a later add lands in the side list.
         v.add(kid(5), 1.0);
-        assert_eq!((v.weight(kid(5)), v.len()), (1.0, len + 1));
-        v.clear();
-        assert!(v.is_empty() && v.weight(kid(3)) == 0.0);
+        assert_eq!((v.weight(kid(5)), v.iter().count()), (1.0, len + 1));
     }
 
     #[test]
@@ -255,7 +236,7 @@ mod tests {
         assert_eq!(v.weight(kid(2)), 1.0);
         assert_eq!(v.weight(kid(9)), 0.0);
         assert_eq!(v.l1_norm(), 6.0);
-        assert_eq!(v.len(), 2);
+        assert_eq!(v.iter().count(), 2);
     }
 
     #[test]
@@ -264,7 +245,7 @@ mod tests {
         v.add(kid(1), 0.0);
         v.add(kid(1), -2.0);
         v.add(kid(1), f64::NAN);
-        assert!(v.is_empty());
+        assert!(v.iter().next().is_none());
         assert_eq!(v.l1_norm(), 0.0);
     }
 
@@ -304,15 +285,10 @@ mod tests {
         assert_eq!(v.weight(kid(u32::MAX)), 3.0);
         assert_eq!((v.weight(kid(edge)), v.weight(kid(edge - 1))), (0.5, 0.25));
         assert_eq!(v.weight(kid(edge + 1)), 0.0);
-        assert_eq!((v.len(), v.l1_norm()), (4, 4.75));
+        assert_eq!((v.iter().count(), v.l1_norm()), (4, 4.75));
         let all = KeywordSet::from_ids([kid(3), kid(edge - 1), kid(edge), kid(u32::MAX)]);
         assert_eq!(v.support(), all);
         assert_eq!(v.sum_over(&all), 4.75);
-        // A cleared vector is empty again, whatever it held.
-        v.clear();
-        assert!(v.is_empty() && v.l1_norm() == 0.0);
-        assert_eq!(v.sum_over(&all), 0.0);
-        assert!(v.dense.iter().all(|&w| w == 0.0));
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl KeywordSet {
     /// whose ids are already in canonical order builds the set without
     /// re-sorting it, and an out-of-order run is reported rather than
     /// normalised.
-    pub fn from_ascending_ids(ids: Vec<KeywordId>) -> Option<Self> {
+    pub(crate) fn from_ascending_ids(ids: Vec<KeywordId>) -> Option<Self> {
         if ids.windows(2).all(|w| w[0] < w[1]) {
             Some(Self::from_canonical_vec(ids))
         } else {
@@ -122,7 +122,7 @@ impl KeywordSet {
         }
     }
 
-    /// Like [`Self::from_ascending_ids`], but from an iterator of known
+    /// Like `from_ascending_ids`, but from an iterator of known
     /// length: small sets are written straight into inline storage, so the
     /// common case allocates nothing at all.
     pub fn from_ascending_iter<I>(mut ids: I) -> Option<Self>

@@ -19,14 +19,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // Library code must surface failures as `SoiError`, never panic: unwrap and
 // expect are compile errors outside of test code.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod freq;
-pub mod inverted;
-pub mod keyword_set;
-pub mod vocab;
+mod freq;
+mod inverted;
+mod keyword_set;
+mod vocab;
 
 pub use freq::FreqVector;
 pub use inverted::{union_distinct, union_of_postings, STACK_LISTS};
